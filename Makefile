@@ -14,13 +14,11 @@ test:
 fmt:
 	gofmt -w .
 
-# Run the benchmark suites (root experiments + controller hot path) and
-# fold min ns/op per benchmark into BENCH_PR9.json ("after" section;
-# `scripts/bench.sh before` records the baseline), then the fleetsim
-# load and bias runs. BENCH_COUNT / BENCH_TIME tune repetitions and
-# benchtime; FLEET_PROBES / FLEET_DURATION scale the load run.
+# Run the repo's one benchmark (bench/, declared in BENCHMARK.json): one
+# set of every workload, each in a fresh subprocess. bench/README.md has
+# the flags for single workloads, traced runs, sets and -compare.
 bench:
-	./scripts/bench.sh
+	go run ./bench
 
 # Small fleet through both wire protocols under the race detector; the
 # run asserts exactly-once completion and exits non-zero on violation.

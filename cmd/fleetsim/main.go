@@ -29,17 +29,16 @@
 // scheduler's total-variation skew is lower than naive on every seed.
 //
 // Results land in -out (default none) under the "fleetsim" / "bias"
-// keys of the bench JSON file, merged so cmd/benchjson sections in the
-// same file survive. Timing deliberately never calls time.Now directly
+// keys of that JSON file, merged so its other keys survive. Timing deliberately never calls time.Now directly
 // (internal/obs owns the clock); scripts/check.sh extends the
 // determinism lint over this package.
 //
 // Usage:
 //
-//	go run ./cmd/fleetsim -probes 100000 -duration 60s -out BENCH_PR8.json
+//	go run ./cmd/fleetsim -probes 100000 -duration 60s -out fleet.json
 //	go run ./cmd/fleetsim -probes 1000 -duration 5s              # smoke
 //	go run ./cmd/fleetsim -probes 20000 -shards 4 -mode batched
-//	go run ./cmd/fleetsim -bias -out BENCH_PR8.json
+//	go run ./cmd/fleetsim -bias -out fleet.json
 package main
 
 import (
@@ -690,9 +689,8 @@ func serveSkewedFleet(seed int64, nProbes int, skewedShare float64, rounds, perL
 
 // --- output -------------------------------------------------------------
 
-// writeOut merges one top-level key into the bench JSON file without
-// disturbing keys other tools (cmd/benchjson) own, then echoes the
-// record to stdout.
+// writeOut merges one top-level key into the -out JSON file without
+// disturbing its other keys, then echoes the record to stdout.
 func writeOut(path, key string, v any) error {
 	raw, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -2,8 +2,8 @@ package core
 
 // Microbenchmarks for the probe hot path, run against a fully durable
 // controller (journal + fsync per mutation) so the numbers include the
-// cost the batched sync endpoint exists to amortize. scripts/bench.sh
-// folds them into the bench JSON next to the fleetsim load numbers.
+// cost the batched sync endpoint exists to amortize. check.sh's bench
+// smoke keeps them running.
 
 import (
 	"fmt"

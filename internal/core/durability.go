@@ -282,20 +282,28 @@ func (c *Controller) reconcileStoreLocked() error {
 				missing = append(missing, taskID)
 			}
 		}
+		if len(missing) == 0 {
+			continue
+		}
 		sort.Strings(missing)
-		exp := c.experiments[expID]
+		// Index the experiment's assignments by task once: a crash can
+		// strand a whole memtable of tasks, and a search per task is
+		// missing x assignments.
+		var assigned []probes.Assignment
+		if exp := c.experiments[expID]; exp != nil {
+			assigned = exp.Assignments
+		}
+		byTask := make(map[string]int, len(assigned))
+		for i := len(assigned) - 1; i >= 0; i-- {
+			byTask[assigned[i].Task.ID] = i // the first assignment of a task wins
+		}
 		for _, taskID := range missing {
 			delete(rec, taskID)
 			c.stats.Add("results_recorded", -1)
 			c.dur.Inc("recovery_results_requeued")
-			if exp == nil {
-				continue
-			}
-			for _, a := range exp.Assignments {
-				if a.Task.ID == taskID {
-					c.queues[a.ProbeID] = append(c.queues[a.ProbeID], a.Task)
-					break
-				}
+			if i, ok := byTask[taskID]; ok {
+				a := &assigned[i]
+				c.queues[a.ProbeID] = append(c.queues[a.ProbeID], a.Task)
 			}
 		}
 	}

@@ -182,10 +182,14 @@ func TestRoutingSpreadsProbesAndMergesResults(t *testing.T) {
 	if err != nil || meta.Degraded {
 		t.Fatalf("fed aggregate: err=%v degraded=%v", err, meta.Degraded)
 	}
-	want, err := store.AggregateRecords(recs, store.GroupCountry)
+	fold, err := store.NewFolder(store.GroupCountry)
 	if err != nil {
 		t.Fatalf("oracle fold: %v", err)
 	}
+	for i := range recs {
+		fold.Add(&recs[i])
+	}
+	want := fold.Report()
 	if !reflect.DeepEqual(rep, want) {
 		t.Fatalf("fed aggregate diverges from fold over fed scan:\n got %+v\nwant %+v", rep, want)
 	}

@@ -84,6 +84,13 @@ func randomWorkload(t *testing.T, rng *rand.Rand, c *Coordinator) []core.ProbeIn
 	return ps
 }
 
+// taggedRecord pairs a record with the shard it came from, for the
+// oracle's sort-based merge: independent of the coordinator's k-way one.
+type taggedRecord struct {
+	rec   store.Record
+	shard string
+}
+
 // buildOracle replays the union of the given shards' records, in the
 // same (seq, shard) merge order the coordinator uses, into one store.
 func buildOracle(t *testing.T, shards map[string]*LocalShard) *store.Store {

@@ -58,13 +58,6 @@ func encodeFedCursor(pos map[string]string) string {
 	return strings.Join(segs, ";")
 }
 
-// taggedRecord pairs a record with the shard it came from so the merge
-// order — (Seq, shard id) — is total and deterministic.
-type taggedRecord struct {
-	rec   store.Record
-	shard string
-}
-
 // shardScan is one shard's contribution to a fan-out.
 type shardScan struct {
 	id      string
@@ -105,6 +98,67 @@ func (c *Coordinator) scatterScans(f store.Filter, limit int, pos map[string]str
 	return scans
 }
 
+// gather sorts a fan-out's outcome: it marks the response degraded by
+// every shard that failed to answer, and fails it when none did.
+func (c *Coordinator) gather(scans []shardScan, nShards int) (QueryMeta, error) {
+	var meta QueryMeta
+	for _, sc := range scans {
+		if sc.err != nil {
+			meta.Degraded = true
+			meta.ShardsMissing = append(meta.ShardsMissing, sc.id)
+		}
+	}
+	if meta.Degraded {
+		sort.Strings(meta.ShardsMissing)
+		c.ctr.Inc("fed_degraded_queries")
+		if len(meta.ShardsMissing) == nShards {
+			return meta, fmt.Errorf("federation: all %d shards unavailable: %w", nShards, ErrShardDown)
+		}
+	}
+	return meta, nil
+}
+
+// mergeScans is the central merge: a k-way walk over the shards' pages,
+// each already in sequence order, in (sequence, shard id) order — total
+// and deterministic. It hands take the first record of every
+// (experiment, task) key, in place, until limit of them are taken
+// (limit <= 0: all), and returns how many records of each scan it
+// consumed. Nothing is copied or sorted; with a handful of shards a
+// linear pick of the smallest head beats a heap.
+func (c *Coordinator) mergeScans(scans []shardScan, limit int, take func(*store.Record)) []int {
+	heads := make([]int, len(scans))
+	seen := make(map[store.DedupKey]struct{})
+	for taken := 0; limit <= 0 || taken < limit; {
+		best := -1
+		for i := range scans {
+			if heads[i] == len(scans[i].recs) {
+				continue
+			}
+			if best >= 0 {
+				seq, bestSeq := scans[i].recs[heads[i]].Seq, scans[best].recs[heads[best]].Seq
+				if seq > bestSeq || seq == bestSeq && scans[i].id > scans[best].id {
+					continue
+				}
+			}
+			best = i
+		}
+		if best < 0 {
+			break
+		}
+		r := &scans[best].recs[heads[best]]
+		heads[best]++
+		k := store.DedupKey{Experiment: r.Experiment, TaskID: r.TaskID}
+		if _, dup := seen[k]; dup {
+			c.ctr.Inc("fed_records_deduped")
+			continue
+		}
+		seen[k] = struct{}{}
+		take(r)
+		taken++
+	}
+	return heads
+}
+
 // ScanPage is the federated record scan: every shard's matching records
 // merged in (sequence, shard) order, limit at a time, behind a
 // composite cursor that tracks one position per shard. Duplicate
@@ -116,16 +170,15 @@ func (c *Coordinator) scatterScans(f store.Filter, limit int, pos map[string]str
 // failing it; their cursor positions are carried forward untouched so a
 // later page retries them. Every shard failing is an error.
 func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]store.Record, string, QueryMeta, error) {
-	var meta QueryMeta
 	pos, err := parseFedCursor(cursor)
 	if err != nil {
-		return nil, "", meta, err
+		return nil, "", QueryMeta{}, err
 	}
 	c.mu.Lock()
 	nShards := len(c.order)
 	c.mu.Unlock()
 	if nShards == 0 {
-		return nil, "", meta, ErrNoShards
+		return nil, "", QueryMeta{}, ErrNoShards
 	}
 	c.ctr.Inc("fed_queries")
 
@@ -139,150 +192,78 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 		}
 	}
 	scans := c.scatterScans(f, limit, pos, fetch)
+	meta, err := c.gather(scans, nShards)
+	if err != nil {
+		return nil, "", meta, err
+	}
 
-	merged := make([]taggedRecord, 0, 64)
+	size := limit
+	if limit <= 0 {
+		for _, sc := range scans {
+			size += len(sc.recs)
+		}
+	}
+	out := make([]store.Record, 0, size)
+	consumed := c.mergeScans(scans, limit, func(r *store.Record) { out = append(out, *r) })
+
+	// Next composite cursor: a shard that failed keeps its position, so a
+	// later page can pick it back up once it answers again; a shard we
+	// consumed fully follows its own next-page cursor (gone when
+	// exhausted); a partially-consumed shard resumes after its last
+	// consumed seq; a fetched-but-untouched shard keeps its incoming
+	// position. Skipped (already-exhausted) shards stay absent.
 	nextPos := make(map[string]string, len(scans))
-	for _, sc := range scans {
+	for i, sc := range scans {
 		if sc.skipped {
 			continue
 		}
-		if sc.err != nil {
-			meta.Degraded = true
-			meta.ShardsMissing = append(meta.ShardsMissing, sc.id)
-			// Carry the shard's position forward so a later page can
-			// pick it back up once the shard answers again.
-			if p := pos[sc.id]; p != "" {
-				nextPos[sc.id] = p
-			} else {
-				nextPos[sc.id] = "0" // from the beginning, explicitly
-			}
-			continue
+		here := pos[sc.id]
+		if here == "" {
+			here = "0" // from the beginning, explicitly
 		}
-		for _, r := range sc.recs {
-			merged = append(merged, taggedRecord{rec: r, shard: sc.id})
-		}
-	}
-	if meta.Degraded {
-		sort.Strings(meta.ShardsMissing)
-		c.ctr.Inc("fed_degraded_queries")
-		if len(meta.ShardsMissing) == nShards {
-			return nil, "", meta, fmt.Errorf("federation: all %d shards unavailable: %w", nShards, ErrShardDown)
-		}
-	}
-
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].rec.Seq != merged[j].rec.Seq {
-			return merged[i].rec.Seq < merged[j].rec.Seq
-		}
-		return merged[i].shard < merged[j].shard
-	})
-
-	seen := make(map[string]bool, len(merged))
-	out := make([]store.Record, 0, len(merged))
-	consumed := make(map[string]uint64, len(scans)) // highest seq taken per shard
-	for _, tr := range merged {
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-		consumed[tr.shard] = tr.rec.Seq
-		k := tr.rec.Key()
-		if seen[k] {
-			c.ctr.Inc("fed_records_deduped")
-			continue
-		}
-		seen[k] = true
-		out = append(out, tr.rec)
-	}
-
-	// Next composite cursor: a shard we consumed fully follows its own
-	// next-page cursor (gone when exhausted); a partially-consumed shard
-	// resumes after its last consumed seq; a fetched-but-untouched shard
-	// keeps its incoming position. Skipped (already-exhausted) shards
-	// stay absent.
-	for _, sc := range scans {
-		if sc.skipped || sc.err != nil {
-			continue
-		}
-		seq, took := consumed[sc.id]
-		switch {
-		case !took:
+		switch n := consumed[i]; {
+		case sc.err != nil:
+			nextPos[sc.id] = here
+		case n == 0:
 			if len(sc.recs) > 0 || sc.next != "" {
-				if p := pos[sc.id]; p != "" {
-					nextPos[sc.id] = p
-				} else {
-					nextPos[sc.id] = "0"
-				}
+				nextPos[sc.id] = here
 			}
-		case len(sc.recs) > 0 && seq >= sc.recs[len(sc.recs)-1].Seq:
+		case n == len(sc.recs):
 			if sc.next != "" {
 				nextPos[sc.id] = sc.next
 			}
 		default:
-			nextPos[sc.id] = strconv.FormatUint(seq, 10)
+			nextPos[sc.id] = strconv.FormatUint(sc.recs[n-1].Seq, 10)
 		}
 	}
 	return out, encodeFedCursor(nextPos), meta, nil
 }
 
 // Aggregate is the federated aggregation: full matching scans from
-// every shard, merged and deduplicated centrally, then folded by
-// store.AggregateRecords — percentiles do not compose across shards,
-// so the fold runs over the merged record set, which is byte-for-byte
-// what a single store holding every record would compute. Unresponsive
-// shards degrade the report (their records are absent); all shards
-// failing is an error.
+// every shard, merged and deduplicated centrally and folded, record by
+// record as the merge yields them, by the same store.Folder a single
+// store uses — percentiles do not compose across shards, so the fold
+// runs over the merged stream, which is byte-for-byte what a single
+// store holding every record would compute. Unresponsive shards degrade
+// the report (their records are absent); all shards failing is an error.
 func (c *Coordinator) Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error) {
-	var meta QueryMeta
-	if err := store.ValidGroupBy(q.GroupBy); err != nil {
-		return store.AggReport{}, meta, err
+	fold, err := store.NewFolder(q.GroupBy)
+	if err != nil {
+		return store.AggReport{}, QueryMeta{}, err
 	}
 	c.mu.Lock()
 	nShards := len(c.order)
 	c.mu.Unlock()
 	if nShards == 0 {
-		return store.AggReport{}, meta, ErrNoShards
+		return store.AggReport{}, QueryMeta{}, ErrNoShards
 	}
 	c.ctr.Inc("fed_queries")
 
 	scans := c.scatterScans(q.Filter, 0, nil, nil)
-	merged := make([]taggedRecord, 0, 64)
-	for _, sc := range scans {
-		if sc.err != nil {
-			meta.Degraded = true
-			meta.ShardsMissing = append(meta.ShardsMissing, sc.id)
-			continue
-		}
-		for _, r := range sc.recs {
-			merged = append(merged, taggedRecord{rec: r, shard: sc.id})
-		}
-	}
-	if meta.Degraded {
-		sort.Strings(meta.ShardsMissing)
-		c.ctr.Inc("fed_degraded_queries")
-		if len(meta.ShardsMissing) == nShards {
-			return store.AggReport{}, meta, fmt.Errorf("federation: all %d shards unavailable: %w", nShards, ErrShardDown)
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].rec.Seq != merged[j].rec.Seq {
-			return merged[i].rec.Seq < merged[j].rec.Seq
-		}
-		return merged[i].shard < merged[j].shard
-	})
-	seen := make(map[string]bool, len(merged))
-	recs := make([]store.Record, 0, len(merged))
-	for _, tr := range merged {
-		k := tr.rec.Key()
-		if seen[k] {
-			c.ctr.Inc("fed_records_deduped")
-			continue
-		}
-		seen[k] = true
-		recs = append(recs, tr.rec)
-	}
-	rep, err := store.AggregateRecords(recs, q.GroupBy)
+	meta, err := c.gather(scans, nShards)
 	if err != nil {
 		return store.AggReport{}, meta, err
 	}
-	return rep, meta, nil
+	c.mergeScans(scans, 0, fold.Add)
+	return fold.Report(), meta, nil
 }

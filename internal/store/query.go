@@ -31,7 +31,7 @@ type Filter struct {
 	ToTick   int64
 }
 
-func (f Filter) match(r Record) bool {
+func (f *Filter) match(r *Record) bool {
 	if f.Experiment != "" && r.Experiment != f.Experiment {
 		return false
 	}
@@ -62,14 +62,21 @@ func (f Filter) match(r Record) bool {
 	return true
 }
 
-// collect gathers every record matching the filter, in sequence order,
-// with at most one record per (experiment, task) — the lowest-seq copy
-// wins, collapsing the duplicates a crash window can leave. Sealed
-// segments are pruned on their sparse index and the survivors scanned in
-// parallel; because each segment's matches land in its own slot and
-// segment seq ranges are disjoint, the merged output is identical no
-// matter how many workers ran (the internal/par contract).
-func (s *Store) collect(f Filter) ([]Record, error) {
+// visit streams every record matching the filter to fn, in sequence
+// order, at most once per (experiment, task) — the lowest-seq copy wins,
+// collapsing the duplicates a crash window can leave. fn sees each record
+// in place (a cached segment's, a memory segment's or the memtable's):
+// it must not modify or retain the pointer, and returns false to stop
+// the stream early. It runs under the store's read lock.
+//
+// Sealed segments are pruned on their sparse index. With eager set — the
+// caller will read to the end — the survivors not yet in the segment
+// cache are decoded in parallel before the stream starts; each lands in
+// its own slot and segment seq ranges are disjoint, so the stream is
+// identical no matter how many workers ran (the internal/par contract).
+// Otherwise each survivor is loaded when the stream reaches it, and an
+// early stop leaves the rest undecoded.
+func (s *Store) visit(f Filter, eager bool, fn func(*Record) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var scan []*segment
@@ -78,51 +85,47 @@ func (s *Store) collect(f Filter) ([]Record, error) {
 			scan = append(scan, sg)
 		}
 	}
-	type part struct {
-		recs []Record
-		err  error
+	loaded := make([][]Record, len(scan))
+	load := func(i int) (err error) {
+		loaded[i], err = s.load(scan[i])
+		return err
 	}
-	parts := par.Map(0, len(scan), func(i int) part {
-		recs, torn, err := scan[i].load()
-		if err != nil {
-			return part{err: err}
+	if eager {
+		if err := par.ForEachErr(0, len(scan), load); err != nil {
+			return err
 		}
-		if torn {
-			s.ctr.Inc("segments_truncated_read")
-		}
-		var m []Record
-		for _, r := range recs {
-			if f.match(r) {
-				m = append(m, r)
+	}
+	seen := make(map[DedupKey]struct{})
+	stream := func(recs []Record) bool {
+		for i := range recs {
+			r := &recs[i]
+			if !f.match(r) {
+				continue
+			}
+			k := DedupKey{r.Experiment, r.TaskID}
+			if _, dup := seen[k]; dup {
+				s.ctr.Inc("records_deduped_read")
+				continue
+			}
+			seen[k] = struct{}{}
+			if !fn(r) {
+				return false
 			}
 		}
-		return part{recs: m}
-	})
-	seen := make(map[string]bool)
-	var out []Record
-	emit := func(r Record) {
-		k := r.Key()
-		if seen[k] {
-			s.ctr.Inc("records_deduped_read")
-			return
-		}
-		seen[k] = true
-		out = append(out, r)
+		return true
 	}
-	for _, p := range parts {
-		if p.err != nil {
-			return nil, p.err
+	for i := range scan {
+		if !eager {
+			if err := load(i); err != nil {
+				return err
+			}
 		}
-		for _, r := range p.recs {
-			emit(r)
+		if !stream(loaded[i]) {
+			return nil
 		}
 	}
-	for _, r := range s.mem {
-		if f.match(r) {
-			emit(r)
-		}
-	}
-	return out, nil
+	stream(s.mem)
+	return nil
 }
 
 // ScanPage returns matching records in stable sequence order, limit at a
@@ -130,7 +133,10 @@ func (s *Store) collect(f Filter) ([]Record, error) {
 // starts from the beginning); the returned cursor is "" once the scan is
 // exhausted. Cursors stay valid across flushes, compactions, and
 // restarts because they are sequence numbers, which all three preserve.
-// limit <= 0 returns everything.
+// limit <= 0 returns everything. A page reads the store from its start —
+// first-wins dedup needs the matches before the cursor — and stops at
+// the first match past the page's last. The returned records are shallow
+// copies that share slices and pointers with the store: read-only.
 func (s *Store) ScanPage(f Filter, limit int, cursor string) ([]Record, string, error) {
 	t := obs.StartTimer()
 	defer func() { s.hScan.Observe(t.Elapsed()) }()
@@ -138,18 +144,27 @@ func (s *Store) ScanPage(f Filter, limit int, cursor string) ([]Record, string, 
 	if err != nil {
 		return nil, "", err
 	}
-	recs, err := s.collect(f)
+	var out []Record
+	more := false
+	err = s.visit(f, limit <= 0, func(r *Record) bool {
+		if r.Seq <= after {
+			return true
+		}
+		if limit > 0 && len(out) == limit {
+			more = true
+			return false
+		}
+		out = append(out, *r)
+		return true
+	})
 	if err != nil {
 		return nil, "", err
 	}
 	s.ctr.Inc("queries_served")
-	start := sort.Search(len(recs), func(i int) bool { return recs[i].Seq > after })
-	recs = recs[start:]
-	if limit > 0 && len(recs) > limit {
-		next := strconv.FormatUint(recs[limit-1].Seq, 10)
-		return recs[:limit], next, nil
+	if more {
+		return out, strconv.FormatUint(out[limit-1].Seq, 10), nil
 	}
-	return recs, "", nil
+	return out, "", nil
 }
 
 func parseCursor(cursor string) (uint64, error) {
@@ -226,21 +241,26 @@ type AggReport struct {
 
 // Aggregate computes time-window aggregations — counts, loss rate, and
 // RTT mean/percentiles — over the filtered records, bucketed per the
-// query's GroupBy. Scans run in parallel across segments; the
-// aggregation itself is a serial fold in sequence order, so results are
-// independent of worker count.
+// query's GroupBy. Segments are decoded in parallel where the cache does
+// not already hold them; the aggregation itself is a serial fold in
+// sequence order over the records in place, so results are independent
+// of worker count.
 func (s *Store) Aggregate(q AggQuery) (AggReport, error) {
 	t := obs.StartTimer()
 	defer func() { s.hAggregate.Observe(t.Elapsed()) }()
-	if err := ValidGroupBy(q.GroupBy); err != nil {
+	fold, err := NewFolder(q.GroupBy)
+	if err != nil {
 		return AggReport{}, err
 	}
-	recs, err := s.collect(q.Filter)
+	err = s.visit(q.Filter, true, func(r *Record) bool {
+		fold.Add(r)
+		return true
+	})
 	if err != nil {
 		return AggReport{}, err
 	}
 	s.ctr.Inc("queries_served")
-	return AggregateRecords(recs, q.GroupBy)
+	return fold.Report(), nil
 }
 
 // ValidGroupBy rejects unknown aggregation group-by modes.
@@ -255,69 +275,107 @@ func ValidGroupBy(groupBy string) error {
 	}
 }
 
-// AggregateRecords folds an already-collected, deduplicated record set
-// into an AggReport. Split out of Store.Aggregate so a federation
-// coordinator can merge matching records from every shard and fold them
-// centrally — percentiles do not compose across shards, but the fold
-// over the merged set is exactly what a single store would compute.
-func AggregateRecords(recs []Record, groupBy string) (AggReport, error) {
+// Folder is an incremental aggregation: Add each matching, already
+// deduplicated record in sequence order, then Report. Store.Aggregate
+// feeds it from its segment stream and a federation coordinator from its
+// merge of every shard's records — percentiles do not compose across
+// shards, but the fold over the merged stream is exactly what a single
+// store would compute. Neither builds an intermediate record set.
+type Folder struct {
+	groupBy string
+	matched int64
+	buckets map[groupKey]*bucket
+	order   []*bucket // in first-seen order
+}
+
+// groupKey identifies a bucket without building a string per record:
+// which fields are set depends on the mode (see Add).
+type groupKey struct {
+	a, b string
+	asn  topology.ASN
+}
+
+type bucket struct {
+	g       AggGroup
+	rtts    []float64
+	sortKey string
+}
+
+// NewFolder starts an aggregation bucketed by groupBy.
+func NewFolder(groupBy string) (*Folder, error) {
 	if err := ValidGroupBy(groupBy); err != nil {
-		return AggReport{}, err
+		return nil, err
 	}
-	type bucket struct {
-		g    AggGroup
-		rtts []float64
+	return &Folder{groupBy: groupBy, buckets: make(map[groupKey]*bucket)}, nil
+}
+
+// Add folds one record in. It reads the record and keeps no reference.
+func (f *Folder) Add(r *Record) {
+	f.matched++
+	var key groupKey
+	g := AggGroup{}
+	switch f.groupBy {
+	case GroupCountry:
+		key.a, g.Country = r.Country, r.Country
+	case GroupASN:
+		key.asn, g.ASN = r.ASN, r.ASN
+	case GroupCountryASN:
+		key.a, key.asn = r.Country, r.ASN
+		g.Country, g.ASN = r.Country, r.ASN
+	case GroupVerdict:
+		key.a, g.Verdict = r.Result.Verdict, r.Result.Verdict
+	case GroupResolver:
+		key.a, g.Resolver = r.Result.ResolverKind, r.Result.ResolverKind
+	case GroupCountryResolver:
+		key.a, key.b = r.Country, r.Result.ResolverKind
+		g.Country, g.Resolver = r.Country, r.Result.ResolverKind
+	case GroupResolverChain:
+		key.a, g.ResolverChain = r.Result.ResolverChain, r.Result.ResolverChain
+	case GroupECS:
+		key.a = strconv.FormatBool(r.Result.ECS)
+		g.ECS = key.a
 	}
-	buckets := make(map[string]*bucket)
-	var order []string
-	for _, r := range recs {
-		var key string
-		g := AggGroup{}
-		switch groupBy {
-		case GroupCountry:
-			key, g.Country = r.Country, r.Country
-		case GroupASN:
-			key, g.ASN = fmt.Sprintf("%d", r.ASN), r.ASN
-		case GroupCountryASN:
-			key = fmt.Sprintf("%s/%d", r.Country, r.ASN)
-			g.Country, g.ASN = r.Country, r.ASN
-		case GroupVerdict:
-			key, g.Verdict = r.Result.Verdict, r.Result.Verdict
-		case GroupResolver:
-			key, g.Resolver = r.Result.ResolverKind, r.Result.ResolverKind
-		case GroupCountryResolver:
-			key = r.Country + "/" + r.Result.ResolverKind
-			g.Country, g.Resolver = r.Country, r.Result.ResolverKind
-		case GroupResolverChain:
-			key, g.ResolverChain = r.Result.ResolverChain, r.Result.ResolverChain
-		case GroupECS:
-			key = strconv.FormatBool(r.Result.ECS)
-			g.ECS = key
+	b, ok := f.buckets[key]
+	if !ok {
+		b = &bucket{g: g, sortKey: f.sortKey(key)}
+		f.buckets[key] = b
+		f.order = append(f.order, b)
+	}
+	b.g.Count++
+	if r.Result.Verdict != "" {
+		if b.g.Verdicts == nil {
+			b.g.Verdicts = make(map[string]int64)
 		}
-		b, ok := buckets[key]
-		if !ok {
-			b = &bucket{g: g}
-			buckets[key] = b
-			order = append(order, key)
-		}
-		b.g.Count++
-		if r.Result.Verdict != "" {
-			if b.g.Verdicts == nil {
-				b.g.Verdicts = make(map[string]int64)
-			}
-			b.g.Verdicts[r.Result.Verdict]++
-		}
-		if r.Result.OK {
-			b.g.OK++
-			if r.Result.RTTms > 0 {
-				b.rtts = append(b.rtts, r.Result.RTTms)
-			}
+		b.g.Verdicts[r.Result.Verdict]++
+	}
+	if r.Result.OK {
+		b.g.OK++
+		if r.Result.RTTms > 0 {
+			b.rtts = append(b.rtts, r.Result.RTTms)
 		}
 	}
-	sort.Strings(order)
-	rep := AggReport{Matched: int64(len(recs))}
-	for _, key := range order {
-		b := buckets[key]
+}
+
+// sortKey is the string the report orders a bucket by, built once per
+// bucket: the key the fold used to build per record.
+func (f *Folder) sortKey(k groupKey) string {
+	switch f.groupBy {
+	case GroupASN:
+		return fmt.Sprintf("%d", k.asn)
+	case GroupCountryASN:
+		return fmt.Sprintf("%s/%d", k.a, k.asn)
+	case GroupCountryResolver:
+		return k.a + "/" + k.b
+	}
+	return k.a
+}
+
+// Report finishes the aggregation: loss rates, exact nearest-rank RTT
+// percentiles, buckets sorted by key. The Folder is spent afterwards.
+func (f *Folder) Report() AggReport {
+	sort.SliceStable(f.order, func(i, j int) bool { return f.order[i].sortKey < f.order[j].sortKey })
+	rep := AggReport{Matched: f.matched}
+	for _, b := range f.order {
 		if b.g.Count > 0 {
 			b.g.LossRate = 1 - float64(b.g.OK)/float64(b.g.Count)
 		}
@@ -335,7 +393,7 @@ func AggregateRecords(recs []Record, groupBy string) (AggReport, error) {
 		}
 		rep.Groups = append(rep.Groups, b.g)
 	}
-	return rep, nil
+	return rep
 }
 
 // percentile is the nearest-rank percentile of an ascending-sorted
@@ -358,13 +416,13 @@ func percentile(sorted []float64, p float64) float64 {
 // Recovery uses it to reconcile the controller's dedup bookkeeping
 // against what actually survived a crash.
 func (s *Store) KeySet(experiment string) (map[string]bool, error) {
-	recs, err := s.collect(Filter{Experiment: experiment})
+	out := make(map[string]bool)
+	err := s.visit(Filter{Experiment: experiment}, true, func(r *Record) bool {
+		out[r.TaskID] = true
+		return true
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		out[r.TaskID] = true
 	}
 	return out, nil
 }

@@ -56,7 +56,7 @@ func naiveAggregate(recs []Record, q AggQuery) AggReport {
 	var keys []string
 	matched := int64(0)
 	for _, r := range recs {
-		if !q.Filter.match(r) {
+		if !q.Filter.match(&r) {
 			continue
 		}
 		matched++
@@ -112,21 +112,25 @@ func naiveAggregate(recs []Record, q AggQuery) AggReport {
 	return rep
 }
 
+// equivalenceQueries is the query mix the equivalence tests run: every
+// index dimension, tick windows, and an unindexed field.
+var equivalenceQueries = []AggQuery{
+	{},
+	{GroupBy: GroupCountry},
+	{GroupBy: GroupASN},
+	{GroupBy: GroupCountryASN},
+	{Filter: Filter{Experiment: "exp-0002"}, GroupBy: GroupCountry},
+	{Filter: Filter{Country: "KE"}, GroupBy: GroupASN},
+	{Filter: Filter{ASN: 36901}, GroupBy: GroupCountry},
+	{Filter: Filter{FromTick: 10, ToTick: 30}, GroupBy: GroupCountryASN},
+	{Filter: Filter{Kind: string(probes.TaskDNS)}},
+}
+
 // TestQueryEquivalence checks, across seeds, that the store's
 // aggregations match a naive fold over the raw records, and that
 // serial (1 worker) and parallel (8 workers) scans are deep-equal.
 func TestQueryEquivalence(t *testing.T) {
-	queries := []AggQuery{
-		{},
-		{GroupBy: GroupCountry},
-		{GroupBy: GroupASN},
-		{GroupBy: GroupCountryASN},
-		{Filter: Filter{Experiment: "exp-0002"}, GroupBy: GroupCountry},
-		{Filter: Filter{Country: "KE"}, GroupBy: GroupASN},
-		{Filter: Filter{ASN: 36901}, GroupBy: GroupCountry},
-		{Filter: Filter{FromTick: 10, ToTick: 30}, GroupBy: GroupCountryASN},
-		{Filter: Filter{Kind: string(probes.TaskDNS)}},
-	}
+	queries := equivalenceQueries
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			raw := genRecords(seed, 500)

@@ -214,8 +214,9 @@ func ParseSegment(data []byte) (meta SegmentMeta, recs []Record, torn bool) {
 }
 
 // segment is one immutable sealed run of records. Disk segments hold
-// only their sparse index in memory and are re-read on scan; memory
-// segments (dir-less stores) keep their records.
+// only their sparse index here; their records are decoded on first use
+// and kept in the store's segment cache (cache.go) until evicted. Memory
+// segments (dir-less stores) own their records.
 type segment struct {
 	id   uint64
 	meta SegmentMeta
@@ -223,18 +224,29 @@ type segment struct {
 	recs []Record // nil for disk segments
 }
 
-// load returns the segment's records. Disk reads are tolerant: a
-// segment damaged after it was sealed yields its valid prefix.
-func (sg *segment) load() ([]Record, bool, error) {
+// load returns a sealed segment's records for reading only: a memory
+// segment's own, a disk segment's cached decode, or a fresh read whose
+// result is cached. Every decode is tolerant — a segment damaged after
+// it was sealed yields its valid prefix — and runs all of ParseSegment's
+// checks. Callers hold s.mu, so the segment cannot be deleted (and its
+// cache entry dropped) underneath them.
+func (s *Store) load(sg *segment) ([]Record, error) {
 	if sg.path == "" {
-		return sg.recs, false, nil
+		return sg.recs, nil
+	}
+	if recs, ok := s.cache.get(sg.id); ok {
+		return recs, nil
 	}
 	raw, err := os.ReadFile(sg.path)
 	if err != nil {
-		return nil, false, fmt.Errorf("store: reading %s: %w", sg.path, err)
+		return nil, fmt.Errorf("store: reading %s: %w", sg.path, err)
 	}
 	_, recs, torn := ParseSegment(raw)
-	return recs, torn, nil
+	if torn {
+		s.ctr.Inc("segments_truncated_read")
+	}
+	s.cache.put(sg.id, recs)
+	return recs, nil
 }
 
 // segName renders a segment file name from its id.

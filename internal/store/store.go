@@ -11,8 +11,13 @@
 // exactly like the journal's snapshots — carrying a sparse index
 // (SegmentMeta: seq range, tick range, distinct experiments, countries,
 // ASNs) as its first frame. Queries prune segments on that index and
-// scan the survivors in parallel (internal/par), then merge serially in
-// sequence order so a parallel scan is byte-identical to a serial one.
+// stream the survivors' records in sequence order through one visitor
+// (query.go). A sealed segment is decoded at most once while it stays in
+// the store's segment cache (cache.go): flushes and compactions seed the
+// cache with the records they just wrote, a full-store read decodes
+// whatever is missing in parallel (internal/par) before the serial
+// stream — so a parallel scan is byte-identical to a serial one — and a
+// page stops decoding at the segment that completes it.
 //
 // Compaction merges runs of small adjacent segments into larger ones
 // and applies the retention policy (records older than Options.Retention
@@ -37,6 +42,7 @@
 package store
 
 import (
+	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -67,6 +73,10 @@ type Record struct {
 
 // Key is the record's dedup identity: one result per (experiment, task).
 func (r Record) Key() string { return r.Experiment + "/" + r.TaskID }
+
+// DedupKey is Key as a comparable value: what the read paths dedup on,
+// with no string built per record.
+type DedupKey struct{ Experiment, TaskID string }
 
 // Options parameterizes a Store.
 type Options struct {
@@ -101,8 +111,8 @@ func (o Options) withDefaults() Options {
 
 // Store is the log-structured results store. Safe for concurrent use:
 // appends, flushes, and compaction serialize on a write lock; queries
-// share a read lock (parallel segment scans happen under it, so sealed
-// segments cannot vanish mid-scan).
+// share a read lock (segment decodes happen under it, so sealed segments
+// cannot vanish mid-scan).
 type Store struct {
 	mu        sync.RWMutex
 	dir       string // "" = memory-only (segments kept in RAM)
@@ -112,6 +122,7 @@ type Store struct {
 	nextSeq   uint64
 	nextSegID uint64
 	ctr       *metrics.CounterSet
+	cache     *segCache // decoded records of sealed disk segments; has its own lock
 	closed    bool
 
 	// Cached latency series from Options.Obs; observing is lock-free.
@@ -122,9 +133,12 @@ type Store struct {
 	hAggregate *obs.Histogram
 }
 
-// initObs caches the store's latency series from the registry (a
-// private one when the options carry none).
-func (s *Store) initObs(reg *obs.Registry) {
+// newStore builds an empty store over dir and caches its latency series
+// from the options' registry (a private one when they carry none).
+func newStore(dir string, opts Options) *Store {
+	s := &Store{dir: dir, opts: opts.withDefaults(), ctr: metrics.NewCounterSet(), nextSeq: 1, nextSegID: 1}
+	s.cache = &segCache{budget: cacheBudget, byID: make(map[uint64]*list.Element), lru: list.New(), ctr: s.ctr}
+	reg := opts.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -133,16 +147,13 @@ func (s *Store) initObs(reg *obs.Registry) {
 	s.hCompact = reg.Hist("obs_store_seconds", "op", "compact")
 	s.hScan = reg.Hist("obs_store_seconds", "op", "scan")
 	s.hAggregate = reg.Hist("obs_store_seconds", "op", "aggregate")
+	return s
 }
 
 // NewMemory creates a store with no backing directory: segments live in
 // memory. Used by in-memory controllers and tests; the query and
 // compaction paths are identical to a disk store's.
-func NewMemory(opts Options) *Store {
-	s := &Store{opts: opts.withDefaults(), ctr: metrics.NewCounterSet(), nextSeq: 1, nextSegID: 1}
-	s.initObs(opts.Obs)
-	return s
-}
+func NewMemory(opts Options) *Store { return newStore("", opts) }
 
 // Open opens (creating if needed) a store directory, loads every sealed
 // segment's sparse index, deletes stray temp files from interrupted
@@ -155,9 +166,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), ctr: metrics.NewCounterSet(), nextSeq: 1, nextSegID: 1}
-	s.initObs(opts.Obs)
-
+	s := newStore(dir, opts)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -285,6 +294,7 @@ func (s *Store) flushLocked() error {
 			return err
 		}
 		sg.path = path
+		s.cache.put(sg.id, recs)
 	}
 	s.nextSegID++
 	s.segs = append(s.segs, sg)
@@ -322,6 +332,7 @@ func (s *Store) Compact(now int64) error {
 						continue
 					}
 				}
+				s.cache.drop(sg.id)
 				s.ctr.Add("frames_expired", int64(sg.meta.Frames))
 				continue
 			}
@@ -368,19 +379,16 @@ func (s *Store) Compact(now int64) error {
 func (s *Store) mergeLocked(group []*segment, cutoff int64) (*segment, error) {
 	var recs []Record
 	for _, sg := range group {
-		rs, torn, err := sg.load()
+		rs, err := s.load(sg)
 		if err != nil {
 			return nil, err
 		}
-		if torn {
-			s.ctr.Inc("segments_truncated_read")
-		}
-		for _, r := range rs {
-			if cutoff >= 0 && r.Tick < cutoff {
+		for i := range rs {
+			if cutoff >= 0 && rs[i].Tick < cutoff {
 				s.ctr.Inc("frames_expired")
 				continue
 			}
-			recs = append(recs, r)
+			recs = append(recs, rs[i])
 		}
 	}
 	var merged *segment
@@ -396,6 +404,7 @@ func (s *Store) mergeLocked(group []*segment, cutoff int64) (*segment, error) {
 				return nil, err
 			}
 			merged.path = path
+			s.cache.put(merged.id, recs)
 		}
 		s.nextSegID++
 	}
@@ -403,6 +412,7 @@ func (s *Store) mergeLocked(group []*segment, cutoff int64) (*segment, error) {
 		if sg.path != "" {
 			_ = os.Remove(sg.path)
 		}
+		s.cache.drop(sg.id)
 	}
 	s.ctr.Add("segments_compacted", int64(len(group)))
 	return merged, nil
@@ -423,7 +433,9 @@ func (s *Store) Close() error {
 
 // Counters snapshots the store's event counters
 // (store_frames_appended, segments_flushed, segments_compacted,
-// frames_expired, queries_served, ...). They are scoped to the current
+// frames_expired, queries_served, segment_cache_hits/_misses/_evictions,
+// ...) plus segment_cache_records, the one gauge: how many decoded
+// records the segment cache holds now. They are scoped to the current
 // process run.
 func (s *Store) Counters() map[string]int64 { return s.ctr.Snapshot() }
 

@@ -79,10 +79,11 @@ OBS_FED_CHAOS_SEED=1337 OBS_FED_CHAOS_ROUNDS=40 \
     go test -count=1 -run '^TestShardChaosEndToEnd$' ./internal/federation
 
 echo "== bench smoke =="
-# Every benchmark must still run (one iteration each); guards against
-# bit-rot in the harness scripts/bench.sh relies on.
+# Every Go benchmark must still run (one iteration each); they are the
+# measuring tools used while working on a layer, beside `go run ./bench`.
 go test -run '^$' -bench . -benchtime=1x -count=1 . > /dev/null
 go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/core > /dev/null
+go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/store > /dev/null
 # The dnsload high-QPS engine gets a named smoke: one full 1M-query
 # paced run must complete (the root sweep above already includes it;
 # this line keeps the target visible and fails loudly if it is renamed).
