@@ -1,6 +1,6 @@
 # Tier-1 verification: formatting, vet, build, and the full test suite
 # under the race detector. CI and pre-merge both run `make check`.
-.PHONY: check test build fmt fuzz bench chaos fleetsim-smoke
+.PHONY: check test build fmt fuzz bench chaos fleetsim-smoke loc
 
 check:
 	./scripts/check.sh
@@ -13,6 +13,11 @@ test:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines per package and in total, outside bench/: the number
+# every PR reports (going down is a feature).
+loc:
+	./scripts/loc.sh
 
 # Run the repo's one benchmark (bench/, declared in BENCHMARK.json): one
 # set of every workload, each in a fresh subprocess. bench/README.md has

@@ -38,7 +38,7 @@ func main() {
 	}
 
 	// Where does a Rwandan client's DNS actually run?
-	r := stack.DNS.ResolverFor(kigali)
+	r := stack.DNS.AssignmentFor(kigali)
 	fmt.Printf("\nAS%d recursive resolver: %s", kigali, r.Kind)
 	if r.Country != "" {
 		fmt.Printf(" (hosted in %s)", r.Country)

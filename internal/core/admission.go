@@ -75,8 +75,11 @@ type tokenBucket struct {
 	limit  RateLimit
 }
 
-// admission evaluates every matched request before its handler runs.
-type admission struct {
+// AdmissionGate evaluates every matched request before its handler runs:
+// a priority-aware in-flight bound plus per-route token buckets refilled
+// from a logical tick, never from wall time. A controller owns one; a
+// federation coordinator runs its own in front of the shard tier.
+type AdmissionGate struct {
 	mu       sync.Mutex
 	cfg      AdmissionConfig
 	buckets  map[string]*tokenBucket
@@ -84,15 +87,16 @@ type admission struct {
 	stats    *metrics.CounterSet
 }
 
-func newAdmission() *admission {
-	return &admission{
-		buckets: make(map[string]*tokenBucket),
-		stats:   metrics.NewCounterSet(),
-	}
+// NewAdmissionGate builds a gate with the given limits; the zero config
+// admits everything.
+func NewAdmissionGate(cfg AdmissionConfig) *AdmissionGate {
+	g := &AdmissionGate{stats: metrics.NewCounterSet()}
+	g.configure(cfg)
+	return g
 }
 
 // configure replaces the limits; buckets start full.
-func (a *admission) configure(cfg AdmissionConfig) {
+func (a *AdmissionGate) configure(cfg AdmissionConfig) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.cfg = cfg
@@ -102,9 +106,9 @@ func (a *admission) configure(cfg AdmissionConfig) {
 	}
 }
 
-// refill adds n ticks' worth of tokens to every bucket, capped at each
-// bucket's burst. Driven by Controller.Tick outside the journaled apply.
-func (a *admission) refill(n int) {
+// Refill adds n ticks' worth of tokens to every bucket, capped at each
+// bucket's burst. Driven by the owner's Tick, outside any journaled apply.
+func (a *AdmissionGate) Refill(n int) {
 	if n <= 0 {
 		return
 	}
@@ -118,8 +122,8 @@ func (a *admission) refill(n int) {
 	}
 }
 
-// retryAfterSeconds is the delay suggested to shed clients.
-func (a *admission) retryAfterSeconds() int {
+// RetryAfterSeconds is the delay suggested to shed clients.
+func (a *AdmissionGate) RetryAfterSeconds() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.cfg.RetryAfterSeconds > 0 {
@@ -128,11 +132,11 @@ func (a *admission) retryAfterSeconds() int {
 	return 1
 }
 
-// admit evaluates one request. ok means the request may run and release
+// Admit evaluates one request. ok means the request may run and release
 // must be called when it finishes; !ok means shed (the caller responds
 // 429 + Retry-After). The in-flight gate is checked before the token
 // bucket so a shed request never consumes a token.
-func (a *admission) admit(route string, pri RoutePriority) (release func(), ok bool) {
+func (a *AdmissionGate) Admit(route string, pri RoutePriority) (release func(), ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if max := a.cfg.MaxInFlight; max > 0 {
@@ -167,15 +171,15 @@ func (a *admission) admit(route string, pri RoutePriority) (release func(), ok b
 }
 
 // shedLocked counts one rejected request.
-func (a *admission) shedLocked(route string, pri RoutePriority, why string) {
+func (a *AdmissionGate) shedLocked(route string, pri RoutePriority, why string) {
 	a.stats.Inc("requests_shed")
 	a.stats.Inc("requests_shed_" + why)
 	a.stats.Inc("requests_shed_priority_" + pri.String())
 	a.stats.Inc("requests_shed_route_" + route)
 }
 
-// snapshot returns the shed counters for StatsReport and /metrics.
-func (a *admission) snapshot() map[string]int64 {
+// Snapshot returns the shed counters for the stats report and /metrics.
+func (a *AdmissionGate) Snapshot() map[string]int64 {
 	return a.stats.Snapshot()
 }
 
@@ -186,43 +190,6 @@ func (a *admission) snapshot() map[string]int64 {
 func (c *Controller) ConfigureAdmission(cfg AdmissionConfig) {
 	c.adm.configure(cfg)
 }
-
-// AdmissionGate is a standalone admission controller for front ends
-// that sit outside a core.Controller — the federation coordinator in
-// internal/federation runs one in front of its scatter-gather router.
-// Same semantics as the controller's built-in gate: priority-aware
-// in-flight bound plus per-route token buckets refilled from a logical
-// tick, never from wall time.
-type AdmissionGate struct {
-	a *admission
-}
-
-// NewAdmissionGate builds a gate with the given limits; the zero config
-// admits everything.
-func NewAdmissionGate(cfg AdmissionConfig) *AdmissionGate {
-	g := &AdmissionGate{a: newAdmission()}
-	g.a.configure(cfg)
-	return g
-}
-
-// Admit evaluates one request: ok means run it and call release when
-// done; !ok means shed it with 429 + Retry-After.
-func (g *AdmissionGate) Admit(route string, pri RoutePriority) (release func(), ok bool) {
-	return g.a.admit(route, pri)
-}
-
-// Refill adds n logical ticks' worth of tokens to every bucket.
-func (g *AdmissionGate) Refill(n int) { g.a.refill(n) }
-
-// RetryAfterSeconds is the delay to suggest on shed responses.
-func (g *AdmissionGate) RetryAfterSeconds() int { return g.a.retryAfterSeconds() }
-
-// Snapshot returns the gate's shed counters.
-func (g *AdmissionGate) Snapshot() map[string]int64 { return g.a.snapshot() }
-
-// ErrRateLimited is the envelope message for shed requests, shared with
-// sibling front ends.
-func ErrRateLimited(route string) error { return errRateLimited(route) }
 
 // errRateLimited is the envelope message for shed requests.
 func errRateLimited(route string) error {

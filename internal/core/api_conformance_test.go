@@ -4,14 +4,16 @@ package core
 // hand-listing endpoints, so a route added to the table is conformance-
 // checked automatically: method rejection, error-envelope shape,
 // request-id echo, metrics registration, page shapes, and the trace
-// ring's bound and span nesting.
+// ring's bound and span nesting. The Walk* functions take a (handler,
+// table) pair: the tests here run them over a controller, and
+// api_conformance_fed_test.go (package core_test, which may import
+// internal/federation) runs the same walkers over a coordinator.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -65,9 +67,11 @@ func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder) errorEnvelope {
 // TestRouteTableMethodRejection sends the wrong method to every route
 // in the table and requires a 405 envelope with a correct Allow header.
 func TestRouteTableMethodRejection(t *testing.T) {
-	c := NewController("owner")
-	h := c.Handler()
-	for _, rt := range APIRoutes() {
+	WalkMethodRejection(t, NewController("owner").Handler(), APIRoutes())
+}
+
+func WalkMethodRejection(t *testing.T, h http.Handler, routes []RouteInfo) {
+	for _, rt := range routes {
 		wrong := http.MethodPost
 		if rt.Method == http.MethodPost {
 			wrong = http.MethodGet
@@ -94,9 +98,10 @@ func TestRouteTableMethodRejection(t *testing.T) {
 // TestRequestIDEcho covers the three request-id cases: client-supplied
 // ids echo, absent ids mint, and oversized ids are replaced.
 func TestRequestIDEcho(t *testing.T) {
-	c := NewController("owner")
-	h := c.Handler()
+	WalkRequestIDEcho(t, NewController("owner").Handler())
+}
 
+func WalkRequestIDEcho(t *testing.T, h http.Handler) {
 	w := doReq(h, http.MethodGet, "/api/v1/health", "", map[string]string{RequestIDHeader: "probe-77-call-3"})
 	if got := w.Header().Get(RequestIDHeader); got != "probe-77-call-3" {
 		t.Fatalf("client id not echoed: %q", got)
@@ -117,8 +122,12 @@ func TestRequestIDEcho(t *testing.T) {
 // (404 unknown path, 404 missing resource, 400 bad query, 405) and
 // requires the envelope on each.
 func TestErrorEnvelopeOnEveryErrorPath(t *testing.T) {
-	c := NewController("owner")
-	h := c.Handler()
+	WalkErrorEnvelope(t, NewController("owner").Handler(), "/api/v1/probes")
+}
+
+// WalkErrorEnvelope takes the path of a GET-only route the tier serves,
+// for the 405 case.
+func WalkErrorEnvelope(t *testing.T, h http.Handler, getOnlyPath string) {
 	cases := []struct {
 		method, path string
 		status       int
@@ -128,7 +137,7 @@ func TestErrorEnvelopeOnEveryErrorPath(t *testing.T) {
 		{http.MethodGet, "/api/v1/experiments/ghost", http.StatusNotFound, ErrCodeNotFound},
 		{http.MethodGet, "/api/v1/probes/p1/tasks?max=bogus", http.StatusBadRequest, ErrCodeBadRequest},
 		{http.MethodGet, "/api/v1/debug/traces?slowest=-2", http.StatusBadRequest, ErrCodeBadRequest},
-		{http.MethodDelete, "/api/v1/probes", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
+		{http.MethodDelete, getOnlyPath, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
 	}
 	for _, tc := range cases {
 		w := doReq(h, tc.method, tc.path, "", nil)
@@ -146,9 +155,14 @@ func TestErrorEnvelopeOnEveryErrorPath(t *testing.T) {
 // method, then requires a histogram series tagged with every route name
 // in the /metrics exposition.
 func TestEveryRouteInMetrics(t *testing.T) {
-	c := NewController("owner")
-	h := c.Handler()
-	for _, rt := range APIRoutes() {
+	// The mutator and store instrumentation must surface too.
+	WalkEveryRouteInMetrics(t, NewController("owner").Handler(), APIRoutes(),
+		"obs_mutator_seconds", "obs_store_seconds", "obs_pipeline_events_total")
+}
+
+// WalkEveryRouteInMetrics also requires the tier's own metric families.
+func WalkEveryRouteInMetrics(t *testing.T, h http.Handler, routes []RouteInfo, families ...string) {
+	for _, rt := range routes {
 		body := ""
 		if rt.Method == http.MethodPost {
 			body = "{}"
@@ -163,14 +177,13 @@ func TestEveryRouteInMetrics(t *testing.T) {
 		t.Fatalf("/metrics content type %q", ct)
 	}
 	text := w.Body.String()
-	for _, rt := range APIRoutes() {
+	for _, rt := range routes {
 		series := fmt.Sprintf(`obs_http_request_seconds_count{route=%q}`, rt.Name)
 		if !strings.Contains(text, series) {
 			t.Errorf("route %s missing from /metrics (want %s)", rt.Name, series)
 		}
 	}
-	// The mutator and store instrumentation must surface too.
-	for _, family := range []string{"obs_mutator_seconds", "obs_store_seconds", "obs_pipeline_events_total"} {
+	for _, family := range families {
 		if !strings.Contains(text, family) {
 			t.Errorf("family %s missing from /metrics", family)
 		}
@@ -211,18 +224,7 @@ func TestMetricsDeterministicOrder(t *testing.T) {
 func TestListEndpointsPageShape(t *testing.T) {
 	c := NewController("owner")
 	h := c.Handler()
-
-	w := doReq(h, http.MethodGet, "/api/v1/probes", "", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("probes list: status %d", w.Code)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
-		t.Fatalf("probes list: %v", err)
-	}
-	if items, ok := raw["items"]; !ok || string(items) == "null" {
-		t.Fatalf("probes list: items missing or null: %s", w.Body.String())
-	}
+	WalkPageShape(t, h, "/api/v1/probes")
 
 	if err := c.RegisterProbe(ProbeInfo{ID: "p1", ASN: 1, Country: "RW"}); err != nil {
 		t.Fatal(err)
@@ -231,7 +233,7 @@ func TestListEndpointsPageShape(t *testing.T) {
 		Items      []ProbeInfo `json:"items"`
 		NextCursor string      `json:"next_cursor"`
 	}
-	w = doReq(h, http.MethodGet, "/api/v1/probes", "", nil)
+	w := doReq(h, http.MethodGet, "/api/v1/probes", "", nil)
 	if err := json.Unmarshal(w.Body.Bytes(), &pg); err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +241,24 @@ func TestListEndpointsPageShape(t *testing.T) {
 		t.Fatalf("probes page: %+v", pg)
 	}
 
-	w = doReq(h, http.MethodGet, "/api/v1/debug/traces?slowest=3", "", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("debug traces: status %d", w.Code)
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
-		t.Fatalf("debug traces: %v", err)
-	}
-	if _, ok := raw["items"]; !ok {
-		t.Fatalf("debug traces: no items key: %s", w.Body.String())
+	WalkPageShape(t, h, "/api/v1/debug/traces?slowest=3")
+}
+
+// WalkPageShape requires each list endpoint to answer 200 with items
+// present and not null.
+func WalkPageShape(t *testing.T, h http.Handler, paths ...string) {
+	for _, path := range paths {
+		w := doReq(h, http.MethodGet, path, "", nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, w.Code)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if items, ok := raw["items"]; !ok || string(items) == "null" {
+			t.Fatalf("%s: items missing or null: %s", path, w.Body.String())
+		}
 	}
 }
 
@@ -321,7 +332,18 @@ func TestTraceSpanNesting(t *testing.T) {
 // exercises the ring's synchronization.
 func TestTraceRingBounded(t *testing.T) {
 	c := NewController("owner")
-	h := c.Handler()
+	WalkTraceRingBounded(t, c.Handler())
+	if got := c.Traces().Len(); got != DefaultTraceRing {
+		t.Fatalf("ring length %d, want bound %d", got, DefaultTraceRing)
+	}
+	if got := len(c.Traces().Slowest(10)); got != 10 {
+		t.Fatalf("Slowest(10) returned %d", got)
+	}
+}
+
+// WalkTraceRingBounded reads the ring back through the tier's own
+// debug_traces route (slowest=0 returns every held trace).
+func WalkTraceRingBounded(t *testing.T, h http.Handler) {
 	var wg sync.WaitGroup
 	const workers, per = 8, 2 * DefaultTraceRing / 8
 	for i := 0; i < workers; i++ {
@@ -334,22 +356,14 @@ func TestTraceRingBounded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Traces().Len(); got != DefaultTraceRing {
-		t.Fatalf("ring length %d, want bound %d", got, DefaultTraceRing)
+	var pg struct {
+		Items []obs.TraceView `json:"items"`
 	}
-	if got := len(c.Traces().Slowest(10)); got != 10 {
-		t.Fatalf("Slowest(10) returned %d", got)
+	w := doReq(h, http.MethodGet, "/api/v1/debug/traces?slowest=0", "", nil)
+	if err := json.Unmarshal(w.Body.Bytes(), &pg); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestAPIDocInSync fails when the committed API.md drifts from the
-// route table it is generated from.
-func TestAPIDocInSync(t *testing.T) {
-	disk, err := os.ReadFile("../../API.md")
-	if err != nil {
-		t.Fatalf("API.md unreadable: %v", err)
-	}
-	if string(disk) != APIDocMarkdown() {
-		t.Fatal("API.md is stale: regenerate with `go run ./cmd/apidoc > API.md`")
+	if len(pg.Items) != DefaultTraceRing {
+		t.Fatalf("debug_traces holds %d traces, want bound %d", len(pg.Items), DefaultTraceRing)
 	}
 }

@@ -1,24 +1,43 @@
 package core
 
-// apidoc.go renders the v1 API reference from the route table's
-// self-description. cmd/apidoc writes it to API.md; a conformance test
-// fails when the committed file drifts from the table.
+// apidoc.go renders the v1 API reference from the two tiers' route
+// tables. cmd/apidoc writes it to API.md; a conformance test fails when
+// the committed file drifts from the tables.
 
 import (
 	"fmt"
 	"strings"
 )
 
-// APIDocMarkdown renders the full API.md content from the route table.
-func APIDocMarkdown() string {
+// APIDocMarkdown renders the full API.md content from the controller's
+// and the federation coordinator's route tables (core.APIRoutes and
+// federation.APIRoutes): the controller's routes in table order, then
+// the routes only a coordinator serves.
+func APIDocMarkdown(controller, coordinator []RouteInfo) string {
+	servedBy := make(map[string]string, len(controller))
+	for _, rt := range controller {
+		servedBy[rt.Name] = "controller"
+	}
+	routes := append([]RouteInfo(nil), controller...)
+	for _, rt := range coordinator {
+		if _, shared := servedBy[rt.Name]; shared {
+			servedBy[rt.Name] = "both"
+		} else {
+			servedBy[rt.Name] = "coordinator"
+			routes = append(routes, rt)
+		}
+	}
 	var b strings.Builder
 	b.WriteString(`# Observatory v1 API
 
-<!-- Generated from the route table in internal/core/routes.go by
-     go run ./cmd/apidoc > API.md — edit the table, not this file. -->
+<!-- Generated from the route tables in internal/core/routes.go and
+     internal/federation/http.go by go run ./cmd/apidoc > API.md — edit
+     the tables, not this file. -->
 
-The controller (cmd/obsd) serves this API. Conventions shared by every
-endpoint:
+cmd/obsd serves this API, as a single controller or as a federation
+coordinator over controller shards (` + "`-shards`/`-coordinator`" + `); each
+route says which tier serves it. Both tiers mount the same router, so
+the conventions below hold for every endpoint of either:
 
 - **Request ids.** Send ` + "`X-Request-ID`" + ` to tag a request; the server
   echoes it (or mints one) on the response and in every error body, and
@@ -29,33 +48,33 @@ endpoint:
   Universal codes: ` + "`not_found`" + ` (no such route or resource),
   ` + "`method_not_allowed`" + ` (405, with an ` + "`Allow`" + ` header),
   ` + "`unavailable`" + ` (503 while the controller replays its journal after a
-  restart — retry after the ` + "`Retry-After`" + ` delay), and ` + "`rate_limited`" + `
+  restart, or when it could not make a valid request durable — retry
+  after the ` + "`Retry-After`" + ` delay), and ` + "`rate_limited`" + `
   (429 when admission control sheds the request under load, also with a
   ` + "`Retry-After`" + ` delay; low-priority routes shed first). Behind a
-  federation coordinator (obsd ` + "`-shards`/`-coordinator`" + `) one more code
-  appears: ` + "`shard_unavailable`" + ` (503 when the single shard owning the
-  request's keyspace is down and not yet failed over — honor
-  ` + "`Retry-After`" + `; every other shard keeps serving). Per-route codes
-  are listed below.
+  federation coordinator one more code appears: ` + "`shard_unavailable`" + `
+  (503 when the single shard owning the request's keyspace is down and
+  not yet failed over — honor ` + "`Retry-After`" + `; every other shard keeps
+  serving). Per-route codes are listed below.
 - **Pagination.** List responses are ` + "`" + `{"items": [...], "next_cursor": "..."}` + "`" + `;
   ` + "`next_cursor`" + ` is omitted on the last page and is otherwise passed back
-  as ` + "`?cursor=`" + `. (Clients still accept the pre-v1 bare-array shape for
-  one release; see README.)
+  as ` + "`?cursor=`" + `.
 - **Body cap.** Request bodies over 8 MiB are rejected with 413
   (` + "`body_too_large`" + `).
 
 `)
-	for _, rt := range APIRoutes() {
+	for _, rt := range routes {
 		fmt.Fprintf(&b, "## %s %s\n\n", rt.Method, rt.Pattern)
 		fmt.Fprintf(&b, "%s\n\n", rt.Summary)
 		fmt.Fprintf(&b, "- Route name (metrics/traces tag): `%s`\n", rt.Name)
+		fmt.Fprintf(&b, "- Served by: %s\n", servedBy[rt.Name])
 		fmt.Fprintf(&b, "- Admission priority: %s\n", rt.Priority)
 		if rt.Request != "" {
 			fmt.Fprintf(&b, "- Request body: %s\n", rt.Request)
 		}
 		fmt.Fprintf(&b, "- Response: %s\n", rt.Response)
 		for _, q := range rt.Query {
-			fmt.Fprintf(&b, "- Query `%s`: %s\n", q[0], q[1])
+			fmt.Fprintf(&b, "- Query `%s`: %s\n", q.Name, q.Doc)
 		}
 		if len(rt.Errors) > 0 {
 			codes := make([]string, len(rt.Errors))

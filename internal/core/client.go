@@ -352,28 +352,13 @@ func decodeResponse(resp *http.Response, out interface{}) error {
 }
 
 // getPage fetches a list endpoint and decodes the {items, next_cursor}
-// page shape into items. Pre-page controllers returned bare arrays;
-// those are still accepted for one release (see README's deprecation
-// note) by decoding the body straight into items.
+// page shape into items.
 func (c *Client) getPage(name, path string, items interface{}) (string, error) {
-	var raw json.RawMessage
-	if err := c.get(name, path, &raw); err != nil {
-		return "", err
-	}
-	return decodePage(raw, items)
-}
-
-func decodePage(raw []byte, items interface{}) (string, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		// Legacy bare-array shape.
-		return "", json.Unmarshal(trimmed, items)
-	}
 	var pg struct {
 		Items      json.RawMessage `json:"items"`
 		NextCursor string          `json:"next_cursor"`
 	}
-	if err := json.Unmarshal(trimmed, &pg); err != nil {
+	if err := c.get(name, path, &pg); err != nil {
 		return "", err
 	}
 	if len(pg.Items) > 0 {
@@ -441,7 +426,7 @@ func (c *Client) Heartbeat(probeID string) error {
 // the already-created experiment instead of doubling the workload.
 func (c *Client) Submit(owner, description string, as []probes.Assignment) (*Experiment, error) {
 	var out Experiment
-	req := submitRequest{RequestID: c.newRequestID(), Owner: owner, Description: description, Assignments: as}
+	req := SubmitRequest{RequestID: c.newRequestID(), Owner: owner, Description: description, Assignments: as}
 	err := c.post("experiment_submit", "/api/v1/experiments", req, &out, true)
 	if err != nil {
 		return nil, err
@@ -456,7 +441,7 @@ func (c *Client) Submit(owner, description string, as []probes.Assignment) (*Exp
 // duplicate workload.
 func (c *Client) SubmitWithID(requestID, expID, owner, description string, as []probes.Assignment) (*Experiment, error) {
 	var out Experiment
-	req := submitRequest{RequestID: requestID, ID: expID, Owner: owner, Description: description, Assignments: as}
+	req := SubmitRequest{RequestID: requestID, ID: expID, Owner: owner, Description: description, Assignments: as}
 	if err := c.post("experiment_submit", "/api/v1/experiments", req, &out, true); err != nil {
 		return nil, err
 	}
@@ -524,65 +509,17 @@ func (c *Client) ResultsPage(expID string, limit int, cursor string) ([]probes.R
 	return out, next, err
 }
 
-// queryParams renders a store filter as /api/v1/query parameters.
-func queryParams(f store.Filter) url.Values {
-	q := url.Values{}
-	if f.Experiment != "" {
-		q.Set("experiment", f.Experiment)
-	}
-	if f.Country != "" {
-		q.Set("country", f.Country)
-	}
-	if f.ASN != 0 {
-		q.Set("asn", strconv.FormatUint(uint64(f.ASN), 10))
-	}
-	if f.Kind != "" {
-		q.Set("kind", f.Kind)
-	}
-	if f.Verdict != "" {
-		q.Set("verdict", f.Verdict)
-	}
-	if f.ResolverChain != "" {
-		q.Set("resolver_chain", f.ResolverChain)
-	}
-	if f.ECS != "" {
-		q.Set("ecs", f.ECS)
-	}
-	if f.FromTick > 0 {
-		q.Set("from_tick", strconv.FormatInt(f.FromTick, 10))
-	}
-	if f.ToTick > 0 {
-		q.Set("to_tick", strconv.FormatInt(f.ToTick, 10))
-	}
-	return q
-}
-
 // QueryAggregate runs a time-window aggregation (counts, loss rate, RTT
 // percentiles, optionally grouped) over the controller's results store.
 func (c *Client) QueryAggregate(f store.Filter, groupBy string) (store.AggReport, error) {
-	q := queryParams(f)
-	q.Set("op", "aggregate")
-	if groupBy != "" {
-		q.Set("group_by", groupBy)
-	}
-	var out store.AggReport
-	err := c.get("query", "/api/v1/query?"+q.Encode(), &out)
-	return out, err
+	rep, _, err := c.QueryAggregateMeta(f, groupBy)
+	return rep, err
 }
 
 // QueryScan fetches one page of stored result records matching a filter.
 func (c *Client) QueryScan(f store.Filter, limit int, cursor string) ([]store.Record, string, error) {
-	q := queryParams(f)
-	q.Set("op", "scan")
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	if cursor != "" {
-		q.Set("cursor", cursor)
-	}
-	var out []store.Record
-	next, err := c.getPage("query", "/api/v1/query?"+q.Encode(), &out)
-	return out, next, err
+	recs, next, _, err := c.QueryScanMeta(f, limit, cursor)
+	return recs, next, err
 }
 
 // QueryMeta is the federation degradation annotation on query
@@ -598,7 +535,7 @@ type QueryMeta struct {
 // degradation annotation, for analysts who must distinguish "complete
 // answer" from "partial answer while a shard is down".
 func (c *Client) QueryAggregateMeta(f store.Filter, groupBy string) (store.AggReport, QueryMeta, error) {
-	q := queryParams(f)
+	q := f.Values()
 	q.Set("op", "aggregate")
 	if groupBy != "" {
 		q.Set("group_by", groupBy)
@@ -614,7 +551,7 @@ func (c *Client) QueryAggregateMeta(f store.Filter, groupBy string) (store.AggRe
 // QueryScanMeta is QueryScan surfacing the federation degradation
 // annotation carried on the page envelope.
 func (c *Client) QueryScanMeta(f store.Filter, limit int, cursor string) ([]store.Record, string, QueryMeta, error) {
-	q := queryParams(f)
+	q := f.Values()
 	q.Set("op", "scan")
 	if limit > 0 {
 		q.Set("limit", strconv.Itoa(limit))
@@ -719,13 +656,10 @@ func DrainOnce(cl *Client, agent *probes.Agent) (int, []probes.Result, error) {
 // ResultSpool is the durable-outbox contract DrainWithSpool,
 // FlushSpool, and DrainWithSync need, implemented by
 // internal/spool.Spool: results are persisted (Append) before any
-// upload is attempted, offered back oldest-first in frames
-// (DrainBatch; Peek is its single-frame legacy alias), and durably
-// retired in bulk once delivered (AckBatch / Ack).
+// upload is attempted, offered back oldest-first in frames (DrainBatch),
+// and durably retired in bulk once delivered (AckBatch).
 type ResultSpool interface {
 	probes.ResultSink
-	Peek(max int) ([]probes.Result, uint64)
-	Ack(upTo uint64) error
 	DrainBatch(max int) ([]probes.Result, uint64)
 	AckBatch(upTo uint64) error
 	Len() int
@@ -745,14 +679,14 @@ func FlushSpool(cl *Client, probeID string, sp ResultSpool, batch int) (int, err
 	}
 	total := 0
 	for {
-		rs, upTo := sp.Peek(batch)
+		rs, upTo := sp.DrainBatch(batch)
 		if len(rs) == 0 {
 			return total, nil
 		}
 		if err := cl.SubmitResults(probeID, rs); err != nil {
 			return total, err
 		}
-		if err := sp.Ack(upTo); err != nil {
+		if err := sp.AckBatch(upTo); err != nil {
 			return total, err
 		}
 		total += len(rs)

@@ -220,7 +220,7 @@ type Controller struct {
 	// token buckets plus the bounded in-flight gate, evaluated by the
 	// router before each handler. Run-scoped like dur and the store
 	// counters — never journaled, never part of recovery equivalence.
-	adm *admission
+	adm *AdmissionGate
 
 	// store holds result payloads (internal/store). The WAL keeps only
 	// the dedup/lease bookkeeping for results; the payloads live here,
@@ -259,7 +259,7 @@ func NewController(trusted ...string) *Controller {
 		servedCountry: make(map[string]int64),
 		servedASN:     make(map[string]int64),
 		dur:           metrics.NewCounterSet(),
-		adm:           newAdmission(),
+		adm:           NewAdmissionGate(AdmissionConfig{}),
 		LeaseTTL:      3,
 		SuspectAfter:  2,
 		DeadAfter:     5,
@@ -333,7 +333,7 @@ func (c *Controller) heartbeatCtx(ctx context.Context, probeID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.probes[probeID]; !ok {
-		return fmt.Errorf("core: unknown probe %s", probeID)
+		return fmt.Errorf("%w %s", ErrUnknownProbe, probeID)
 	}
 	defer c.setSpanLocked(obs.SpanFrom(ctx))()
 	return c.mutateLocked(opHeartbeat, probeOp{ProbeID: probeID}, func() { c.applyHeartbeatLocked(probeID) })
@@ -373,7 +373,7 @@ func (c *Controller) Tick(n int) {
 	// Token buckets ride the logical clock but outside the journaled
 	// apply: admission is run-scoped, and replaying ticks at recovery
 	// must not grant tokens.
-	c.adm.refill(n)
+	c.adm.Refill(n)
 }
 
 func (c *Controller) applyTickLocked(n int) {
@@ -774,15 +774,34 @@ func (c *Controller) submitResultsCtx(ctx context.Context, probeID string, rs []
 		c.stats.Inc("results_rejected")
 		return 0, fmt.Errorf("core: unknown probe %s", probeID)
 	}
+	refs, err := c.stageResultsLocked(st, rs)
+	if err != nil {
+		return 0, err
+	}
+	accepted := 0
+	if err := c.mutateLocked(opResults, resultsOp{ProbeID: probeID, Refs: refs}, func() {
+		accepted = c.applyResultsLocked(probeID, refs)
+	}); err != nil {
+		return 0, err
+	}
+	return accepted, nil
+}
+
+// stageResultsLocked is everything a result batch from probe st needs
+// before its journal record, shared by the plain results path and the
+// batched sync path: validate the whole batch (an unknown experiment or
+// task rejects it with nothing recorded), build the refs to journal, and
+// append the payloads not already recorded to the results store.
+func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) ([]resultRef, error) {
 	for _, r := range rs {
 		ids, ok := c.taskIDs[r.Experiment]
 		if !ok {
 			c.stats.Inc("results_rejected")
-			return 0, fmt.Errorf("core: unknown experiment %q in result for task %q", r.Experiment, r.TaskID)
+			return nil, fmt.Errorf("core: unknown experiment %q in result for task %q", r.Experiment, r.TaskID)
 		}
 		if !ids[r.TaskID] {
 			c.stats.Inc("results_rejected")
-			return 0, fmt.Errorf("core: unknown task %q in experiment %s", r.TaskID, r.Experiment)
+			return nil, fmt.Errorf("core: unknown task %q in experiment %s", r.TaskID, r.Experiment)
 		}
 	}
 	refs := make([]resultRef, 0, len(rs))
@@ -795,11 +814,11 @@ func (c *Controller) submitResultsCtx(ctx context.Context, probeID string, rs []
 			continue // a replayed duplicate; nothing new to store
 		}
 		batch[key] = true
-		r.ProbeID = probeID
+		r.ProbeID = st.info.ID
 		fresh = append(fresh, store.Record{
 			Experiment: r.Experiment,
 			TaskID:     r.TaskID,
-			ProbeID:    probeID,
+			ProbeID:    st.info.ID,
 			Tick:       c.now,
 			Country:    st.info.Country,
 			ASN:        st.info.ASN,
@@ -811,15 +830,9 @@ func (c *Controller) submitResultsCtx(ctx context.Context, probeID string, rs []
 	storeSpan.End()
 	if err != nil {
 		c.dur.Inc("store_append_errors")
-		return 0, fmt.Errorf("core: results store: %w", err)
+		return nil, &StorageFault{fmt.Errorf("core: results store: %w", err)}
 	}
-	accepted := 0
-	if err := c.mutateLocked(opResults, resultsOp{ProbeID: probeID, Refs: refs}, func() {
-		accepted = c.applyResultsLocked(probeID, refs)
-	}); err != nil {
-		return 0, err
-	}
-	return accepted, nil
+	return refs, nil
 }
 
 // applyResultsLocked applies the journaled bookkeeping half of a result
@@ -928,7 +941,7 @@ func (c *Controller) Stats() StatsReport {
 	if sc := c.store.Counters(); len(sc) > 0 {
 		rep.Store = sc
 	}
-	if ad := c.adm.snapshot(); len(ad) > 0 {
+	if ad := c.adm.Snapshot(); len(ad) > 0 {
 		rep.Admission = ad
 	}
 	for _, q := range c.queues {

@@ -420,7 +420,7 @@ func (c *Controller) appendLocked(kind string, v any) error {
 	c.hAppend.Observe(t.Elapsed())
 	if err != nil {
 		c.dur.Inc("journal_append_errors")
-		return fmt.Errorf("core: journal append: %w", err)
+		return &StorageFault{fmt.Errorf("core: journal append: %w", err)}
 	}
 	c.dur.Inc("journal_records_appended")
 	c.sinceSnap++

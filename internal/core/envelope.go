@@ -2,9 +2,10 @@ package core
 
 // envelope.go is the single place in internal/core that writes HTTP
 // response bodies and status codes. scripts/check.sh lints the rest of
-// the package against http.Error / naked WriteHeader calls, so every
-// handler goes through writeJSON / writeAPIError and every non-2xx
-// response carries the same machine-readable envelope:
+// the package (and internal/federation, which serves the same surface
+// through these writers) against http.Error / naked WriteHeader calls,
+// so every handler goes through WriteJSON / WriteAPIError and every
+// non-2xx response carries the same machine-readable envelope:
 //
 //	{"error": {"code": "<machine_code>", "message": "...", "request_id": "..."}}
 
@@ -12,6 +13,7 @@ import (
 	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"net/http"
 )
 
@@ -50,23 +52,38 @@ type errorEnvelope struct {
 	Error apiErrorBody `json:"error"`
 }
 
-// writeJSON writes a JSON response. The only success-path writer in the
-// package.
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON writes a JSON response. The only success-path writer of
+// either HTTP tier.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeAPIError writes the uniform error envelope. The request id is
-// read back from the response header, which ensureRequestID set before
-// any handler ran.
-func writeAPIError(w http.ResponseWriter, status int, code string, err error) {
+// StorageFault marks a failed journal or results-store append as the
+// server's own fault, where it is produced. The message is Err's.
+type StorageFault struct{ Err error }
+
+func (e *StorageFault) Error() string { return e.Err.Error() }
+func (e *StorageFault) Unwrap() error { return e.Err }
+
+// WriteAPIError writes the uniform error envelope. The request id is
+// read back from the response header, which the router set before any
+// handler ran. An err carrying a StorageFault is answered 503
+// unavailable + Retry-After whatever status the handler asked for: the
+// request was valid and the server could not make it durable, so the
+// client must retry rather than read a disk error as a malformed batch.
+func WriteAPIError(w http.ResponseWriter, status int, code string, err error) {
 	msg := ""
 	if err != nil {
 		msg = err.Error()
 	}
-	writeJSON(w, status, errorEnvelope{Error: apiErrorBody{
+	var fault *StorageFault
+	if errors.As(err, &fault) {
+		status, code = http.StatusServiceUnavailable, ErrCodeUnavailable
+		w.Header().Set("Retry-After", "1")
+	}
+	WriteJSON(w, status, errorEnvelope{Error: apiErrorBody{
 		Code:      code,
 		Message:   msg,
 		RequestID: w.Header().Get(RequestIDHeader),
@@ -82,23 +99,6 @@ func ensureRequestID(w http.ResponseWriter, r *http.Request) string {
 	}
 	w.Header().Set(RequestIDHeader, id)
 	return id
-}
-
-// WriteJSON, WriteAPIError, and EnsureRequestID expose the envelope
-// writers to sibling front ends — the federation coordinator in
-// internal/federation serves the same v1 surface and must speak
-// byte-identical envelopes. internal/core itself keeps using the
-// unexported forms so the envelope lint stays meaningful.
-func WriteJSON(w http.ResponseWriter, code int, v interface{}) { writeJSON(w, code, v) }
-
-// WriteAPIError writes the uniform error envelope (see writeAPIError).
-func WriteAPIError(w http.ResponseWriter, status int, code string, err error) {
-	writeAPIError(w, status, code, err)
-}
-
-// EnsureRequestID echoes or mints the request id (see ensureRequestID).
-func EnsureRequestID(w http.ResponseWriter, r *http.Request) string {
-	return ensureRequestID(w, r)
 }
 
 // mintRequestID generates an opaque server-side request id.

@@ -16,7 +16,6 @@ import (
 
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
-	"github.com/afrinet/observatory/internal/topology"
 )
 
 // RecoveryGate fronts the controller's handler while recovery runs:
@@ -55,7 +54,7 @@ func (g *RecoveryGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if h == nil {
 		ensureRequestID(w, r)
 		w.Header().Set("Retry-After", "1")
-		writeAPIError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
+		WriteAPIError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
 			fmt.Errorf("controller recovering, retry shortly"))
 		return
 	}
@@ -70,282 +69,208 @@ func errMethod(allowed []string) error {
 
 // MaxBodyBytes bounds every JSON request body; anything larger is
 // rejected with 413 before it can balloon controller memory. The router
-// applies the cap; decodeBody translates the overflow.
+// applies the cap; DecodeBody translates the overflow.
 const MaxBodyBytes = 8 << 20 // 8 MiB
 
-// decodeBody decodes the (router-bounded) JSON request body into v,
+// DecodeBody decodes the (router-bounded) JSON request body into v,
 // writing the error envelope (413 for oversized bodies, 400 otherwise)
 // itself. Returns false when the handler should stop.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+func DecodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeAPIError(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
+			WriteAPIError(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
 			return false
 		}
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return false
 	}
 	return true
 }
 
-// parseLimit parses a ?limit= value ("" means no limit). Writes the 400
-// itself; the second return is false when the handler should stop.
-func parseLimit(w http.ResponseWriter, s string) (int, bool) {
+// ParseCount parses the non-negative integer query parameter name from
+// its raw value s ("" means def). Writes the 400 itself; the second
+// return is false when the handler should stop.
+func ParseCount(w http.ResponseWriter, name, s string, def int) (int, bool) {
 	if s == "" {
-		return 0, true
+		return def, true
 	}
 	n, err := strconv.Atoi(s)
 	if err != nil || n < 0 {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			fmt.Errorf("limit must be a non-negative integer, got %q", s))
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
+			fmt.Errorf("%s must be a non-negative integer, got %q", name, s))
 		return 0, false
 	}
 	return n, true
 }
 
-// parseFilter builds a store.Filter from query parameters (experiment,
-// country, asn, kind, verdict, resolver_chain, ecs, from_tick,
-// to_tick). Writes the 400 itself.
-func parseFilter(w http.ResponseWriter, q map[string][]string) (store.Filter, bool) {
-	get := func(k string) string {
-		if vs := q[k]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	f := store.Filter{
-		Experiment:    get("experiment"),
-		Country:       get("country"),
-		Kind:          get("kind"),
-		Verdict:       get("verdict"),
-		ResolverChain: get("resolver_chain"),
-	}
-	if s := get("ecs"); s != "" {
-		if s != "true" && s != "false" {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Errorf("ecs must be true or false, got %q", s))
-			return f, false
-		}
-		f.ECS = s
-	}
-	if s := get("asn"); s != "" {
-		n, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Errorf("asn must be an integer, got %q", s))
-			return f, false
-		}
-		f.ASN = topology.ASN(n)
-	}
-	for _, tk := range []struct {
-		name string
-		dst  *int64
-	}{{"from_tick", &f.FromTick}, {"to_tick", &f.ToTick}} {
-		if s := get(tk.name); s != "" {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-					fmt.Errorf("%s must be an integer, got %q", tk.name, s))
-				return f, false
-			}
-			*tk.dst = n
-		}
-	}
-	return f, true
+// ParseLeaseMax parses the tasks route's ?max=: absent or 0 asks for the
+// server default lease.
+func ParseLeaseMax(w http.ResponseWriter, r *http.Request) (int, bool) {
+	n, ok := ParseCount(w, "max", r.URL.Query().Get("max"), 0)
+	return resolveSyncMax(n), ok
 }
 
-func (c *Controller) handleRegister(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleRegister(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var p ProbeInfo
-	if !decodeBody(w, r, &p) {
+	if !DecodeBody(w, r, &p) {
 		return
 	}
 	if err := c.registerProbeCtx(r.Context(), p); err != nil {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": p.ID})
+	WriteJSON(w, http.StatusOK, map[string]string{"id": p.ID})
 }
 
-func (c *Controller) handleProbes(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleProbes(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	items := c.Probes()
 	if items == nil {
 		items = []ProbeInfo{}
 	}
-	writeJSON(w, http.StatusOK, page{Items: items})
+	WriteJSON(w, http.StatusOK, Page{Items: items})
 }
 
-func (c *Controller) handleProbeTasks(w http.ResponseWriter, r *http.Request, p pathParams) {
-	max := DefaultLeaseMax
-	if s := r.URL.Query().Get("max"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Errorf("max must be a non-negative integer, got %q", s))
-			return
-		}
-		if n > 0 {
-			max = n
-		}
+func (c *Controller) handleProbeTasks(w http.ResponseWriter, r *http.Request, p PathParams) {
+	max, ok := ParseLeaseMax(w, r)
+	if !ok {
+		return
 	}
-	writeJSON(w, http.StatusOK, c.leaseTasksCtx(r.Context(), p["id"], max))
+	WriteJSON(w, http.StatusOK, c.leaseTasksCtx(r.Context(), p["id"], max))
 }
 
-func (c *Controller) handleProbeResults(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleProbeResults(w http.ResponseWriter, r *http.Request, p PathParams) {
 	var rs []probes.Result
-	if !decodeBody(w, r, &rs) {
+	if !DecodeBody(w, r, &rs) {
 		return
 	}
 	accepted, err := c.submitResultsCtx(r.Context(), p["id"], rs)
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "received": len(rs)})
+	WriteJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "received": len(rs)})
 }
 
-func (c *Controller) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p PathParams) {
 	if err := c.heartbeatCtx(r.Context(), p["id"]); err != nil {
-		writeAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
+		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// submitRequest is the experiment submission body. RequestID, when set,
+// SubmitRequest is the experiment submission body. RequestID, when set,
 // makes the submission idempotent: the controller remembers which
 // experiment each request id created and returns it again on redelivery,
 // so clients retry submissions as freely as uploads.
-type submitRequest struct {
+type SubmitRequest struct {
 	RequestID   string              `json:"request_id,omitempty"`
 	Owner       string              `json:"owner"`
 	Description string              `json:"description"`
 	Assignments []probes.Assignment `json:"assignments"`
 	// ID optionally pins the experiment id (federation coordinators
 	// submitting per-shard slices of one federated experiment); empty
-	// mints the usual exp-%04d id.
+	// mints the usual exp-%04d id. A coordinator's own front end ignores
+	// it: federated ids are coordinator-minted.
 	ID string `json:"id,omitempty"`
 }
 
-func (c *Controller) handleSubmit(w http.ResponseWriter, r *http.Request, _ pathParams) {
-	var req submitRequest
-	if !decodeBody(w, r, &req) {
+func (c *Controller) handleSubmit(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	var req SubmitRequest
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.ID) > 128 {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
 			fmt.Errorf("experiment id longer than 128 bytes"))
 		return
 	}
 	exp, err := c.submitExperimentIdemCtx(r.Context(), req.RequestID, req.ID, req.Owner, req.Description, req.Assignments)
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, exp)
+	WriteJSON(w, http.StatusOK, exp)
 }
 
-func (c *Controller) handleExperimentGet(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleExperimentGet(w http.ResponseWriter, r *http.Request, p PathParams) {
 	exp, ok := c.Experiment(p["id"])
 	if !ok {
-		writeAPIError(w, http.StatusNotFound, ErrCodeNotFound,
+		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound,
 			fmt.Errorf("unknown experiment %s", p["id"]))
 		return
 	}
-	writeJSON(w, http.StatusOK, exp)
+	WriteJSON(w, http.StatusOK, exp)
 }
 
-func (c *Controller) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p PathParams) {
 	if err := c.approveCtx(r.Context(), p["id"]); err != nil {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": string(StatusApproved)})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": string(StatusApproved)})
 }
 
-func (c *Controller) handleExperimentResults(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleExperimentResults(w http.ResponseWriter, r *http.Request, p PathParams) {
 	q := r.URL.Query()
-	limit, ok := parseLimit(w, q.Get("limit"))
+	limit, ok := ParseCount(w, "limit", q.Get("limit"), 0)
 	if !ok {
 		return
 	}
 	rs, next, err := c.ResultsPage(p["id"], limit, q.Get("cursor"))
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
 	}
 	if rs == nil {
 		rs = []probes.Result{}
 	}
-	writeJSON(w, http.StatusOK, page{Items: rs, NextCursor: next})
+	WriteJSON(w, http.StatusOK, Page{Items: rs, NextCursor: next})
 }
 
 // handleQuery serves GET /api/v1/query: filtered scans and time-window
 // aggregations over the results store.
-func (c *Controller) handleQuery(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleQuery(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	q := r.URL.Query()
-	f, ok := parseFilter(w, q)
-	if !ok {
+	f, err := store.ParseFilter(q)
+	if err != nil {
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
 	}
 	switch op := q.Get("op"); op {
 	case "", "aggregate":
 		rep, err := c.AggregateResults(store.AggQuery{Filter: f, GroupBy: q.Get("group_by")})
 		if err != nil {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+			WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		WriteJSON(w, http.StatusOK, rep)
 	case "scan":
-		limit, ok := parseLimit(w, q.Get("limit"))
+		limit, ok := ParseCount(w, "limit", q.Get("limit"), 0)
 		if !ok {
 			return
 		}
 		recs, next, err := c.ScanResults(f, limit, q.Get("cursor"))
 		if err != nil {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+			WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 			return
 		}
 		if recs == nil {
 			recs = []store.Record{}
 		}
-		writeJSON(w, http.StatusOK, page{Items: recs, NextCursor: next})
+		WriteJSON(w, http.StatusOK, Page{Items: recs, NextCursor: next})
 	default:
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
 			fmt.Errorf("unknown op %q (want aggregate or scan)", op))
 	}
 }
 
-func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request, _ pathParams) {
-	writeJSON(w, http.StatusOK, c.Health())
+func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	WriteJSON(w, http.StatusOK, c.Health())
 }
 
-func (c *Controller) handleStats(w http.ResponseWriter, r *http.Request, _ pathParams) {
-	writeJSON(w, http.StatusOK, c.Stats())
-}
-
-// handleDebugTraces serves the slowest recent request traces from the
-// controller's trace ring.
-func (c *Controller) handleDebugTraces(w http.ResponseWriter, r *http.Request, _ pathParams) {
-	n := 10
-	if s := r.URL.Query().Get("slowest"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Errorf("slowest must be a non-negative integer, got %q", s))
-			return
-		}
-		n = v
-	}
-	views := c.ring.Slowest(n)
-	writeJSON(w, http.StatusOK, page{Items: views})
-}
-
-// handleMetrics serves the Prometheus text exposition. It writes text
-// (not JSON) with an implicit 200; it is the one non-envelope response
-// in the API.
-func (c *Controller) handleMetrics(w http.ResponseWriter, r *http.Request, _ pathParams) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = c.reg.WritePrometheus(w)
+func (c *Controller) handleStats(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	WriteJSON(w, http.StatusOK, c.Stats())
 }

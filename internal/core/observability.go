@@ -51,7 +51,7 @@ func (c *Controller) initObs() {
 		return c.dur.Snapshot()
 	})
 	c.reg.AddCounters("obs_admission_events_total", func() map[string]int64 {
-		return c.adm.snapshot()
+		return c.adm.Snapshot()
 	})
 	c.reg.AddCounters("obs_store_events_total", func() map[string]int64 {
 		c.mu.Lock()

@@ -1,13 +1,16 @@
 package core
 
-// routes.go is the v1 API surface: a declarative, method-aware route
-// table that replaces the per-handler method checks and manual path
-// splitting earlier revisions accumulated. The router is the one place
-// that enforces methods (405 + Allow), applies the request body cap
-// (413), assigns request ids, and tags each request with the route name
-// used by latency histograms and traces. The same table self-describes
-// the API: API.md is generated from it (cmd/apidoc), and the
-// conformance test walks it.
+// routes.go is the v1 API surface and the one HTTP front end both tiers
+// mount: a declarative, method-aware route table served by Router. The
+// router is the one place that matches paths, enforces methods (405 +
+// Allow), runs admission (429), applies the request body cap (413),
+// assigns request ids, tags each request with the route name used by
+// latency histograms and traces, and serves the metrics and debug_traces
+// routes from the registry and ring it was built with. A tier supplies
+// only a table of handlers: the controller's is apiRoutes below, the
+// federation coordinator's inherits these entries by name. The same
+// tables self-describe the API: API.md is generated from them
+// (cmd/apidoc), and the conformance tests walk them.
 
 import (
 	"log"
@@ -18,240 +21,229 @@ import (
 	"time"
 
 	"github.com/afrinet/observatory/internal/obs"
+	"github.com/afrinet/observatory/internal/store"
 )
 
-// pathParams are the captured {name} segments of a matched route.
-type pathParams map[string]string
+// PathParams are the captured {name} segments of a matched route.
+type PathParams map[string]string
 
-// paramDoc documents one path or query parameter for API.md.
-type paramDoc struct {
+// ParamDoc documents one query parameter for API.md.
+type ParamDoc struct {
 	Name string
 	Doc  string
 }
 
-// routeDef is one endpoint: routing metadata, self-description for the
-// generated API reference, and the handler.
-type routeDef struct {
+// RouteInfo is one endpoint's routing metadata and its self-description
+// for the generated API reference and the conformance tests.
+type RouteInfo struct {
 	Name     string // histogram/trace tag, e.g. "probe_tasks"
 	Method   string
 	Pattern  string // "/api/v1/probes/{id}/tasks"
 	Summary  string
-	Query    []paramDoc // query parameters
-	Request  string     // request body schema, "" = none
-	Response string     // response body schema
-	Errors   []string   // error codes beyond the universal ones
+	Query    []ParamDoc
+	Request  string   // request body schema, "" = none
+	Response string   // response body schema
+	Errors   []string // error codes beyond the universal ones
 	// Priority classes the route for admission control: high-priority
 	// field traffic is shed last, low-priority analyst traffic first
 	// (see admission.go).
 	Priority RoutePriority
-	handle   func(*Controller, http.ResponseWriter, *http.Request, pathParams)
 }
 
-// page is the uniform list-response shape of the v1 API: every list
+// Route is one entry of a tier's table: what the router needs to know
+// about an endpoint, and the handler it dispatches to.
+type Route struct {
+	RouteInfo
+	Handle func(http.ResponseWriter, *http.Request, PathParams)
+}
+
+// Page is the uniform list-response shape of the v1 API: every list
 // endpoint returns {"items": [...], "next_cursor": "..."} (next_cursor
-// omitted on the last page). The legacy bare-array shape is gone from
-// the server; the client still accepts it for one release when talking
-// to older controllers.
-type page struct {
+// omitted on the last page). QueryMeta is the federation degradation
+// annotation; a controller leaves it zero, which encodes to nothing.
+type Page struct {
 	Items      interface{} `json:"items"`
 	NextCursor string      `json:"next_cursor,omitempty"`
+	QueryMeta
 }
 
-// apiRoutes is the v1 route table. Order is the order API.md documents
-// them in.
-var apiRoutes = []routeDef{
-	{
+// controllerRoute binds a table entry to a Controller method.
+type controllerRoute struct {
+	RouteInfo
+	handle func(*Controller, http.ResponseWriter, *http.Request, PathParams)
+}
+
+// apiRoutes is the controller's route table; with RouterRoutes appended
+// it is the full v1 surface. Order is the order API.md documents them in.
+var apiRoutes = []controllerRoute{
+	{RouteInfo{
 		Name: "probe_register", Method: http.MethodPost, Pattern: "/api/v1/probes/register",
 		Summary:  "Register (or update) a vantage point. Registration counts as probe contact.",
 		Request:  "ProbeInfo {id, asn, country, has_wired, kind}",
 		Response: `{"id": "<probe id>"}`,
 		Errors:   []string{ErrCodeBadRequest, ErrCodeBodyTooLarge},
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleRegister,
-	},
-	{
+	}, (*Controller).handleRegister},
+	{RouteInfo{
 		Name: "probes_list", Method: http.MethodGet, Pattern: "/api/v1/probes",
 		Summary:  "List registered probes sorted by id.",
 		Response: "page of ProbeInfo",
 		Priority: PriorityLow,
-		handle:   (*Controller).handleProbes,
-	},
-	{
+	}, (*Controller).handleProbes},
+	{RouteInfo{
 		Name: "probe_tasks", Method: http.MethodGet, Pattern: "/api/v1/probes/{id}/tasks",
 		Summary: "Lease up to max queued tasks for the probe under the at-least-once lease protocol.",
-		Query: []paramDoc{
+		Query: []ParamDoc{
 			{Name: "max", Doc: "lease size cap; positive integer, 0 or omitted means the server default of 32"},
 		},
 		Response: "[]Task (bare array: the lease protocol payload, not a paginated list)",
 		Errors:   []string{ErrCodeBadRequest, ErrCodeUnavailable},
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleProbeTasks,
-	},
-	{
+	}, (*Controller).handleProbeTasks},
+	{RouteInfo{
 		Name: "probe_results", Method: http.MethodPost, Pattern: "/api/v1/probes/{id}/results",
 		Summary:  "Upload a result batch. Idempotent: duplicates are deduplicated by (experiment, task).",
 		Request:  "[]Result",
 		Response: `{"accepted": n, "received": m}`,
 		Errors:   []string{ErrCodeBadRequest, ErrCodeBodyTooLarge},
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleProbeResults,
-	},
-	{
+	}, (*Controller).handleProbeResults},
+	{RouteInfo{
 		Name: "probe_heartbeat", Method: http.MethodPost, Pattern: "/api/v1/probes/{id}/heartbeat",
 		Summary:  "Record liveness contact from a probe with no lease or result traffic to piggyback on.",
 		Response: `{"status": "ok"}`,
 		Errors:   []string{ErrCodeNotFound},
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleProbeHeartbeat,
-	},
-	{
+	}, (*Controller).handleProbeHeartbeat},
+	{RouteInfo{
 		Name: "probe_sync", Method: http.MethodPost, Pattern: "/api/v1/probes/sync",
 		Summary: "Batched probe round-trip: heartbeat + spooled result upload + task-lease ask in one request, covered by a single journal append/fsync. The fleet-scale replacement for separate heartbeat/tasks/results calls.",
-		Query: []paramDoc{
+		Query: []ParamDoc{
 			{Name: "wait", Doc: "long-poll duration (e.g. 5s, capped at 30s): with no tasks to grant, the call parks until tasks are enqueued for the probe or the deadline passes. Omitted or 0 answers immediately. Federation coordinators answer immediately regardless — parking belongs to the shard owning the probe's queue"},
 		},
 		Request:  `SyncRequest {probe_id, results?: [Result], max?: 0 = server default of 32, < 0 = no lease}`,
 		Response: `SyncResponse {"accepted": n, "received": m, "tasks": [Task]} — accepted < received on retried uploads is dedup, not an error`,
 		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound, ErrCodeBodyTooLarge},
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleProbeSync,
-	},
-	{
+	}, (*Controller).handleProbeSync},
+	{RouteInfo{
 		Name: "experiment_submit", Method: http.MethodPost, Pattern: "/api/v1/experiments",
 		Summary:  "Submit an experiment for vetting. Idempotent per request_id; trusted owners are auto-approved.",
 		Request:  `{"request_id"?, "id"?, "owner", "description", "assignments": [Assignment]} — id pins the experiment id (federation coordinators); omitted mints exp-NNNN`,
 		Response: "Experiment",
 		Errors:   []string{ErrCodeBadRequest, ErrCodeBodyTooLarge},
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleSubmit,
-	},
-	{
+	}, (*Controller).handleSubmit},
+	{RouteInfo{
 		Name: "experiment_get", Method: http.MethodGet, Pattern: "/api/v1/experiments/{id}",
 		Summary:  "Fetch one experiment's vetting status and assignments.",
 		Response: "Experiment",
 		Errors:   []string{ErrCodeNotFound},
 		Priority: PriorityLow,
-		handle:   (*Controller).handleExperimentGet,
-	},
-	{
+	}, (*Controller).handleExperimentGet},
+	{RouteInfo{
 		Name: "experiment_approve", Method: http.MethodPost, Pattern: "/api/v1/experiments/{id}/approve",
 		Summary:  "Approve a pending experiment and schedule its tasks. Idempotent.",
 		Response: `{"status": "approved"}`,
 		Errors:   []string{ErrCodeBadRequest},
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleExperimentApprove,
-	},
-	{
+	}, (*Controller).handleExperimentApprove},
+	{RouteInfo{
 		Name: "experiment_results", Method: http.MethodGet, Pattern: "/api/v1/experiments/{id}/results",
 		Summary: "Page through one experiment's collected results.",
-		Query: []paramDoc{
+		Query: []ParamDoc{
 			{Name: "limit", Doc: "page size; 0 or omitted returns everything"},
 			{Name: "cursor", Doc: "opaque position from the previous page's next_cursor"},
 		},
 		Response: "page of Result",
 		Errors:   []string{ErrCodeBadRequest},
 		Priority: PriorityLow,
-		handle:   (*Controller).handleExperimentResults,
-	},
-	{
+	}, (*Controller).handleExperimentResults},
+	{RouteInfo{
 		Name: "query", Method: http.MethodGet, Pattern: "/api/v1/query",
-		Summary: "Query the results store: filtered scans and time-window aggregations.",
-		Query: []paramDoc{
-			{Name: "op", Doc: "aggregate (default) or scan"},
-			{Name: "experiment / country / asn / kind / verdict / resolver_chain / ecs / from_tick / to_tick", Doc: "record filters; ecs is true/false; tick bounds inclusive"},
-			{Name: "group_by", Doc: "aggregate only: none, country, asn, country_asn, verdict, resolver, country_resolver, resolver_chain, ecs"},
-			{Name: "limit / cursor", Doc: "scan only: pagination"},
-		},
+		Summary:  "Query the results store: filtered scans and time-window aggregations.",
+		Query:    queryParamDocs(),
 		Response: `op=aggregate: AggReport; op=scan: page of Record. Served by a federation coordinator, both carry "degraded": true plus "shards_missing": [shard ids] when shards timed out or were down — the data is correct but partial, never silently wrong`,
 		Errors:   []string{ErrCodeBadRequest},
 		Priority: PriorityLow,
-		handle:   (*Controller).handleQuery,
-	},
-	{
+	}, (*Controller).handleQuery},
+	{RouteInfo{
 		Name: "health", Method: http.MethodGet, Pattern: "/api/v1/health",
 		Summary:  "Fleet-health summary: probe liveness counts, queue and lease depth.",
 		Response: "HealthReport",
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleHealth,
-	},
-	{
+	}, (*Controller).handleHealth},
+	{RouteInfo{
 		Name: "stats", Method: http.MethodGet, Pattern: "/api/v1/stats",
 		Summary:  "Pipeline, durability, and store counters plus per-probe status.",
 		Response: "StatsReport",
 		Priority: PriorityLow,
-		handle:   (*Controller).handleStats,
-	},
-	{
+	}, (*Controller).handleStats},
+}
+
+// queryParamDocs documents the query route. The record filters come
+// straight from the store's filter table, so a parameter added there is
+// served, sent by the client and documented without an edit here.
+func queryParamDocs() []ParamDoc {
+	out := []ParamDoc{{Name: "op", Doc: "aggregate (default) or scan"}}
+	for _, p := range store.FilterParams() {
+		out = append(out, ParamDoc{Name: p.Name, Doc: "record filter: " + p.Doc})
+	}
+	return append(out,
+		ParamDoc{Name: "group_by", Doc: "aggregate only: none, country, asn, country_asn, verdict, resolver, country_resolver, resolver_chain, ecs"},
+		ParamDoc{Name: "limit / cursor", Doc: "scan only: pagination"})
+}
+
+// The routes every Router serves itself, after its table's own: they
+// read the registry and trace ring the router writes.
+var (
+	debugTracesRoute = RouteInfo{
 		Name: "debug_traces", Method: http.MethodGet, Pattern: "/api/v1/debug/traces",
 		Summary: "The slowest recent requests as span trees (handler → mutator → journal fsync / store append).",
-		Query: []paramDoc{
+		Query: []ParamDoc{
 			{Name: "slowest", Doc: "how many traces to return, default 10"},
 		},
 		Response: "page of TraceView",
 		Errors:   []string{ErrCodeBadRequest},
 		Priority: PriorityLow,
-		handle:   (*Controller).handleDebugTraces,
-	},
-	{
+	}
+	metricsRoute = RouteInfo{
 		Name: "metrics", Method: http.MethodGet, Pattern: "/metrics",
 		Summary:  "Prometheus text exposition: route/mutator/store latency histograms and event counters, deterministically ordered.",
 		Response: "Prometheus text format 0.0.4",
 		Priority: PriorityHigh,
-		handle:   (*Controller).handleMetrics,
-	},
-}
-
-// RouteInfo is the exported self-description of one route, consumed by
-// the API.md generator and the conformance test.
-type RouteInfo struct {
-	Name     string
-	Method   string
-	Pattern  string
-	Summary  string
-	Query    [][2]string // name, doc
-	Request  string
-	Response string
-	Errors   []string
-	Priority string // admission class: "high" or "low"
-}
-
-// APIRoutes returns the self-description of the full v1 route table in
-// documentation order.
-func APIRoutes() []RouteInfo {
-	out := make([]RouteInfo, 0, len(apiRoutes))
-	for _, rt := range apiRoutes {
-		info := RouteInfo{
-			Name:     rt.Name,
-			Method:   rt.Method,
-			Pattern:  rt.Pattern,
-			Summary:  rt.Summary,
-			Request:  rt.Request,
-			Response: rt.Response,
-			Errors:   append([]string(nil), rt.Errors...),
-			Priority: rt.Priority.String(),
-		}
-		for _, q := range rt.Query {
-			info.Query = append(info.Query, [2]string{q.Name, q.Doc})
-		}
-		out = append(out, info)
 	}
-	return out
+)
+
+// RouterRoutes describes the routes every Router serves itself.
+func RouterRoutes() []RouteInfo { return []RouteInfo{debugTracesRoute, metricsRoute} }
+
+// APIRoutes returns the self-description of the controller's full v1
+// surface in documentation order.
+func APIRoutes() []RouteInfo {
+	out := make([]RouteInfo, 0, len(apiRoutes)+2)
+	for _, rt := range apiRoutes {
+		out = append(out, rt.RouteInfo)
+	}
+	return append(out, RouterRoutes()...)
 }
 
 // compiledRoute is a table entry plus its pre-split pattern and the
 // pre-created latency histogram series.
 type compiledRoute struct {
-	def  routeDef
+	Route
 	segs []string
 	hist *obs.Histogram
 }
 
-// router matches requests against the route table and wraps every
-// handler with the observability middleware: request ids, body caps,
-// per-route latency histograms, span traces, and slow-request logging.
-type router struct {
-	c      *Controller
+// Router matches requests against a route table and wraps every handler
+// with the shared front-end middleware: request ids, admission, body
+// caps, per-route latency histograms, span traces, and slow-request
+// logging.
+type Router struct {
 	routes []*compiledRoute
+	gate   *AdmissionGate
+	reg    *obs.Registry
 	ring   *obs.TraceRing
 	slow   time.Duration
 }
@@ -260,12 +252,34 @@ type router struct {
 // structured slow-request log line.
 const DefaultSlowRequest = 500 * time.Millisecond
 
-// DefaultTraceRing is how many finished request traces the controller
-// retains for /api/v1/debug/traces.
+// DefaultTraceRing is how many finished request traces a tier retains
+// for /api/v1/debug/traces.
 const DefaultTraceRing = 256
 
+// NewRouter serves the table plus the router-owned routes. Requests are
+// admitted through gate, per-route latency lands in reg's
+// obs_http_request_seconds histogram, every request leaves a span tree
+// in ring, and one taking slow or longer is logged (slow <= 0 disables
+// the log).
+func NewRouter(table []Route, gate *AdmissionGate, reg *obs.Registry, ring *obs.TraceRing, slow time.Duration) *Router {
+	rt := &Router{gate: gate, reg: reg, ring: ring, slow: slow}
+	add := func(def Route) {
+		rt.routes = append(rt.routes, &compiledRoute{
+			Route: def,
+			segs:  strings.Split(strings.TrimPrefix(def.Pattern, "/"), "/"),
+			hist:  reg.Hist(MetricHTTP, "route", def.Name),
+		})
+	}
+	for _, def := range table {
+		add(def)
+	}
+	add(Route{debugTracesRoute, rt.handleDebugTraces})
+	add(Route{metricsRoute, rt.handleMetrics})
+	return rt
+}
+
 // Handler exposes the controller's v1 API (see API.md, generated from
-// this route table). Every response carries X-Request-ID; non-2xx
+// the route tables). Every response carries X-Request-ID; non-2xx
 // responses share the {"error": {code, message, request_id}} envelope;
 // list responses share the {items, next_cursor} page shape; request
 // bodies are bounded at MaxBodyBytes (413 beyond). Per-route latency
@@ -273,21 +287,18 @@ const DefaultTraceRing = 256
 // every request leaves a span tree in the trace ring
 // (GET /api/v1/debug/traces).
 func (c *Controller) Handler() http.Handler {
-	rt := &router{c: c, ring: c.ring, slow: c.SlowRequest}
-	for i := range apiRoutes {
-		def := apiRoutes[i]
-		rt.routes = append(rt.routes, &compiledRoute{
-			def:  def,
-			segs: strings.Split(strings.TrimPrefix(def.Pattern, "/"), "/"),
-			hist: c.reg.Hist("obs_http_request_seconds", "route", def.Name),
-		})
+	table := make([]Route, 0, len(apiRoutes))
+	for _, def := range apiRoutes {
+		table = append(table, Route{def.RouteInfo, func(w http.ResponseWriter, r *http.Request, p PathParams) {
+			def.handle(c, w, r, p)
+		}})
 	}
-	return rt
+	return NewRouter(table, c.adm, c.reg, c.ring, c.SlowRequest)
 }
 
 // match finds the route for (method, path). When only the method
 // mismatches it returns the set of allowed methods for the 405.
-func (rt *router) match(method, path string) (*compiledRoute, pathParams, []string) {
+func (rt *Router) match(method, path string) (*compiledRoute, PathParams, []string) {
 	// Only the leading slash is trimmed: a trailing slash is a real
 	// (empty) segment, so "/api/v1/experiments/" falls through to 404
 	// rather than matching the collection route.
@@ -298,10 +309,10 @@ func (rt *router) match(method, path string) (*compiledRoute, pathParams, []stri
 		if !ok {
 			continue
 		}
-		if cr.def.Method == method {
+		if cr.Method == method {
 			return cr, params, nil
 		}
-		allowed = append(allowed, cr.def.Method)
+		allowed = append(allowed, cr.Method)
 	}
 	sort.Strings(allowed)
 	return nil, nil, allowed
@@ -309,18 +320,18 @@ func (rt *router) match(method, path string) (*compiledRoute, pathParams, []stri
 
 // matchSegs matches concrete path segments against a pattern; {name}
 // captures any non-empty segment.
-func matchSegs(pattern, segs []string) (pathParams, bool) {
+func matchSegs(pattern, segs []string) (PathParams, bool) {
 	if len(pattern) != len(segs) {
 		return nil, false
 	}
-	var params pathParams
+	var params PathParams
 	for i, p := range pattern {
 		if strings.HasPrefix(p, "{") && strings.HasSuffix(p, "}") {
 			if segs[i] == "" {
 				return nil, false
 			}
 			if params == nil {
-				params = make(pathParams, 2)
+				params = make(PathParams, 2)
 			}
 			params[p[1:len(p)-1]] = segs[i]
 			continue
@@ -332,45 +343,61 @@ func matchSegs(pattern, segs []string) (pathParams, bool) {
 	return params, true
 }
 
-func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	reqID := ensureRequestID(w, r)
 	cr, params, allowed := rt.match(r.Method, r.URL.Path)
 	if cr == nil {
 		if len(allowed) > 0 {
 			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			writeAPIError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed,
+			WriteAPIError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed,
 				errMethod(allowed))
 			return
 		}
-		writeAPIError(w, http.StatusNotFound, ErrCodeNotFound, errNotFound)
+		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound, errNotFound)
 		return
 	}
 	// Admission runs after the route is known (shedding is per-route and
 	// per-priority) but before any trace or body work is spent on a
-	// request the controller will refuse.
-	release, ok := rt.c.adm.admit(cr.def.Name, cr.def.Priority)
+	// request the tier will refuse.
+	release, ok := rt.gate.Admit(cr.Name, cr.Priority)
 	if !ok {
-		w.Header().Set("Retry-After", strconv.Itoa(rt.c.adm.retryAfterSeconds()))
-		writeAPIError(w, http.StatusTooManyRequests, ErrCodeRateLimited, errRateLimited(cr.def.Name))
+		w.Header().Set("Retry-After", strconv.Itoa(rt.gate.RetryAfterSeconds()))
+		WriteAPIError(w, http.StatusTooManyRequests, ErrCodeRateLimited, errRateLimited(cr.Name))
 		return
 	}
 	defer release()
 	if r.Method == http.MethodPost {
 		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	}
-	tr := obs.NewTrace(reqID, cr.def.Name, r.Method)
+	tr := obs.NewTrace(reqID, cr.Name, r.Method)
 	r = r.WithContext(obs.WithSpan(r.Context(), tr.Root()))
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 
-	cr.def.handle(rt.c, rec, r, params)
+	cr.Handle(rec, r, params)
 
 	view, dur := tr.Finish(rec.status)
 	cr.hist.Observe(dur)
-	if rt.ring != nil {
-		rt.ring.Add(view)
-	}
+	rt.ring.Add(view)
 	if rt.slow > 0 && dur >= rt.slow {
 		log.Printf("obs: slow request route=%s method=%s status=%d dur=%s request_id=%s",
-			cr.def.Name, r.Method, rec.status, dur.Round(time.Microsecond), reqID)
+			cr.Name, r.Method, rec.status, dur.Round(time.Microsecond), reqID)
 	}
+}
+
+// handleDebugTraces serves the slowest recent request traces from the
+// router's trace ring.
+func (rt *Router) handleDebugTraces(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	n, ok := ParseCount(w, "slowest", r.URL.Query().Get("slowest"), 10)
+	if !ok {
+		return
+	}
+	WriteJSON(w, http.StatusOK, Page{Items: rt.ring.Slowest(n)})
+}
+
+// handleMetrics serves the Prometheus text exposition. It writes text
+// (not JSON) with an implicit 200; it is the one non-envelope response
+// in the API.
+func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = rt.reg.WritePrometheus(w)
 }

@@ -175,7 +175,7 @@ func TestSpoolRedeliveryAfterLostAckIsDeduped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The upload succeeds but the probe dies before Ack hits the spool.
-	rs, _ := sp.Peek(0)
+	rs, _ := sp.DrainBatch(0)
 	if err := cl.SubmitResults("kgl-01", rs); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
-	"github.com/afrinet/observatory/internal/store"
 )
 
 // ErrUnknownProbe rejects sync (and heartbeat) traffic from a probe the
@@ -86,48 +85,13 @@ func (c *Controller) syncCtx(ctx context.Context, probeID string, rs []probes.Re
 		}
 		return SyncResponse{}, fmt.Errorf("%w %s", ErrUnknownProbe, probeID)
 	}
-	for _, r := range rs {
-		ids, ok := c.taskIDs[r.Experiment]
-		if !ok {
-			c.stats.Inc("results_rejected")
-			return SyncResponse{}, fmt.Errorf("core: unknown experiment %q in result for task %q", r.Experiment, r.TaskID)
-		}
-		if !ids[r.TaskID] {
-			c.stats.Inc("results_rejected")
-			return SyncResponse{}, fmt.Errorf("core: unknown task %q in experiment %s", r.TaskID, r.Experiment)
-		}
-	}
 	// Payloads go to the results store before the refs are journaled,
 	// exactly as on the plain results path: a crash between the two
 	// leaves an unacknowledged payload that read-time dedup collapses
 	// when the probe's retry lands.
-	refs := make([]resultRef, 0, len(rs))
-	var fresh []store.Record
-	batch := make(map[string]bool, len(rs))
-	for _, r := range rs {
-		refs = append(refs, resultRef{Experiment: r.Experiment, TaskID: r.TaskID})
-		key := r.Experiment + "/" + r.TaskID
-		if c.recorded[r.Experiment][r.TaskID] || batch[key] {
-			continue // a replayed duplicate; nothing new to store
-		}
-		batch[key] = true
-		r.ProbeID = probeID
-		fresh = append(fresh, store.Record{
-			Experiment: r.Experiment,
-			TaskID:     r.TaskID,
-			ProbeID:    probeID,
-			Tick:       c.now,
-			Country:    st.info.Country,
-			ASN:        st.info.ASN,
-			Result:     r,
-		})
-	}
-	storeSpan := c.span.Child("store.append")
-	err := c.store.Append(fresh...)
-	storeSpan.End()
+	refs, err := c.stageResultsLocked(st, rs)
 	if err != nil {
-		c.dur.Inc("store_append_errors")
-		return SyncResponse{}, fmt.Errorf("core: results store: %w", err)
+		return SyncResponse{}, err
 	}
 	op := syncOp{ProbeID: probeID, Refs: refs, Max: max}
 	resp := SyncResponse{Received: len(rs)}
@@ -262,13 +226,13 @@ func (c *Controller) waitForTasks(ctx context.Context, probeID string, max int, 
 }
 
 // handleProbeSync serves POST /api/v1/probes/sync.
-func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var req SyncRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.ProbeID == "" {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
 			fmt.Errorf("probe_id required"))
 		return
 	}
@@ -276,7 +240,7 @@ func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ p
 	if s := r.URL.Query().Get("wait"); s != "" {
 		d, err := time.ParseDuration(s)
 		if err != nil || d < 0 {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
+			WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
 				fmt.Errorf("wait must be a non-negative duration, got %q", s))
 			return
 		}
@@ -288,10 +252,10 @@ func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ p
 	resp, err := c.syncCtx(r.Context(), req.ProbeID, req.Results, req.Max)
 	if err != nil {
 		if errors.Is(err, ErrUnknownProbe) {
-			writeAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
+			WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
 			return
 		}
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
 	}
 	if wait > 0 && req.Max >= 0 && len(resp.Tasks) == 0 {
@@ -300,5 +264,5 @@ func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ p
 	if resp.Tasks == nil {
 		resp.Tasks = []probes.Task{}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

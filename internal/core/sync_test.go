@@ -350,8 +350,8 @@ func assertEqualJSON(t *testing.T, what string, want, got any) {
 func TestProbeSyncRoutePriority(t *testing.T) {
 	for _, rt := range APIRoutes() {
 		if rt.Name == "probe_sync" {
-			if rt.Priority != PriorityHigh.String() {
-				t.Fatalf("probe_sync priority = %q, want high", rt.Priority)
+			if rt.Priority != PriorityHigh {
+				t.Fatalf("probe_sync priority = %s, want high", rt.Priority)
 			}
 			if rt.Method != http.MethodPost || rt.Pattern != "/api/v1/probes/sync" {
 				t.Fatalf("probe_sync is %s %s", rt.Method, rt.Pattern)

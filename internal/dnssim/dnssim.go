@@ -11,9 +11,8 @@
 //
 // Since PR 10 the package is organized around composable resolver
 // chains (chain.go): Resolver is an interface, links are registered by
-// name and stacked per client, and the legacy entry points below
-// (ResolverFor, AuthorityFor, Resolve) are thin shims over the
-// canonical per-country chains.
+// name and stacked per client, and the one-shot Resolve below is a thin
+// shim over the canonical per-country chains.
 package dnssim
 
 import (
@@ -227,12 +226,6 @@ func (s *System) AssignmentFor(client topology.ASN) Assignment {
 	return r
 }
 
-// ResolverFor is the pre-chain name for AssignmentFor.
-//
-// Deprecated: use AssignmentFor (or resolve through ChainFor, whose
-// answers carry the assignment). Kept as a shim for one release.
-func (s *System) ResolverFor(client topology.ASN) Assignment { return s.AssignmentFor(client) }
-
 // computeAssignment derives a client's assignment — a pure function of
 // the seed and the client ASN.
 func (s *System) computeAssignment(client topology.ASN) Assignment {
@@ -349,14 +342,6 @@ func (s *System) Authority(domain, originCountry string) AuthLocation {
 	s.authMemo[key] = loc
 	s.mu.Unlock()
 	return loc
-}
-
-// AuthorityFor is the pre-chain name for Authority.
-//
-// Deprecated: use Authority, or read the Auth field off a chain Answer.
-// Kept as a shim for one release.
-func (s *System) AuthorityFor(domain, originCountry string) AuthLocation {
-	return s.Authority(domain, originCountry)
 }
 
 func (s *System) computeAuthority(domain, originCountry string) AuthLocation {

@@ -19,7 +19,7 @@ var (
 func TestResolverForDeterministic(t *testing.T) {
 	other := New(testNet, 42)
 	for _, asn := range testTopo.ASNs()[:100] {
-		if testDNS.ResolverFor(asn) != other.ResolverFor(asn) {
+		if testDNS.AssignmentFor(asn) != other.AssignmentFor(asn) {
 			t.Fatalf("resolver assignment differs for AS%d", asn)
 		}
 	}
@@ -126,8 +126,8 @@ func TestAnycastPrefersNearbySite(t *testing.T) {
 }
 
 func TestAuthorityPlacementDeterministic(t *testing.T) {
-	a := testDNS.AuthorityFor("site3.KE", "KE")
-	b := testDNS.AuthorityFor("site3.KE", "KE")
+	a := testDNS.Authority("site3.KE", "KE")
+	b := testDNS.Authority("site3.KE", "KE")
 	if a != b {
 		t.Fatal("authoritative placement not deterministic")
 	}
@@ -139,7 +139,7 @@ func TestAuthorityPlacementDeterministic(t *testing.T) {
 func TestAuthorityLocalShare(t *testing.T) {
 	local, total := 0, 0
 	for i := 0; i < 60; i++ {
-		loc := testDNS.AuthorityFor(domainName("ZA", i), "ZA")
+		loc := testDNS.Authority(domainName("ZA", i), "ZA")
 		total++
 		if loc.Country == "ZA" {
 			local++

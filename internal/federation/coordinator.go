@@ -144,9 +144,12 @@ type Coordinator struct {
 	tick      int64
 	log       *journal.Log // nil for in-memory coordinators
 
-	reg  *obs.Registry
-	ctr  *metrics.CounterSet
-	gate *core.AdmissionGate
+	// The front end's state (http.go): the registry and trace ring the
+	// shared router writes and serves, and its admission gate.
+	reg    *obs.Registry
+	traces *obs.TraceRing
+	ctr    *metrics.CounterSet
+	gate   *core.AdmissionGate
 
 	// Failover builds replacement backends for dead shards; nil
 	// disables failover even when cfg.AutoFailover is set.
@@ -167,6 +170,7 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 		submitIDs: make(map[string]string),
 		fedExps:   make(map[string]*fedExperiment),
 		reg:       obs.NewRegistry(),
+		traces:    obs.NewTraceRing(core.DefaultTraceRing),
 		ctr:       metrics.NewCounterSet(),
 		gate:      core.NewAdmissionGate(cfg.Admission),
 	}
@@ -213,9 +217,6 @@ func (c *Coordinator) Observability() *obs.Registry { return c.reg }
 // Counters snapshots the coordinator's event counters.
 func (c *Coordinator) Counters() map[string]int64 { return c.ctr.Snapshot() }
 
-// Gate exposes the coordinator's admission gate to the HTTP front end.
-func (c *Coordinator) Gate() *core.AdmissionGate { return c.gate }
-
 func (c *Coordinator) applyRecord(rec journal.Record) error {
 	switch rec.Kind {
 	case "shard_add":
@@ -255,7 +256,7 @@ func (c *Coordinator) appendLocked(kind string, v any) error {
 		return nil
 	}
 	if _, err := c.log.Append(kind, v); err != nil {
-		return fmt.Errorf("federation: %w", err)
+		return &core.StorageFault{Err: fmt.Errorf("federation: %w", err)}
 	}
 	return nil
 }
@@ -896,7 +897,3 @@ func (c *Coordinator) allTargets() ([]shardTarget, []string) {
 	}
 	return targets, ids
 }
-
-// RetryAfterSeconds is the delay suggested on shard_unavailable
-// responses.
-func (c *Coordinator) RetryAfterSeconds() int { return c.cfg.RetryAfterSeconds }

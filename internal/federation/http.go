@@ -1,180 +1,87 @@
 package federation
 
-// http.go is the coordinator's front end: the v1 API surface re-served
-// over the shard tier. Envelopes, request ids, page shapes, and body
-// caps are byte-identical to a single controller's (internal/core's
-// exported envelope writers), so probes and analysts cannot tell a
-// coordinator from a controller — until a shard dies, when they see
-// 503 shard_unavailable on that shard's keys and degraded-but-correct
-// partial query results instead of a dead platform.
+// http.go is the coordinator's front end: a route table and its
+// handlers, mounted on the router a controller mounts (core.NewRouter),
+// written with internal/core's envelope writers and request parsers — so
+// probes and analysts cannot tell a coordinator from a controller until
+// a shard dies, when they see 503 shard_unavailable on that shard's keys
+// and degraded-but-correct partial query results instead of a dead
+// platform.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
-	"github.com/afrinet/observatory/internal/topology"
 )
 
-// fedRoute is one coordinator endpoint.
-type fedRoute struct {
-	name     string
-	method   string
-	segs     []string
-	priority core.RoutePriority
-	handle   func(*Coordinator, http.ResponseWriter, *http.Request, map[string]string)
+// coordRoutes is the coordinator's route table, in documentation order.
+// An entry names a route of the controller's table and inherits its
+// method, pattern, docs and admission priority; shards is the one route
+// only this tier has.
+var coordRoutes = []struct {
+	name   string
+	handle func(*Coordinator, http.ResponseWriter, *http.Request, core.PathParams)
+}{
+	{"probe_register", (*Coordinator).handleRegister},
+	{"probe_tasks", (*Coordinator).handleProbeTasks},
+	{"probe_results", (*Coordinator).handleProbeResults},
+	{"probe_heartbeat", (*Coordinator).handleProbeHeartbeat},
+	{"probe_sync", (*Coordinator).handleProbeSync},
+	{"experiment_submit", (*Coordinator).handleSubmit},
+	{"experiment_get", (*Coordinator).handleExperimentGet},
+	{"experiment_approve", (*Coordinator).handleExperimentApprove},
+	{"experiment_results", (*Coordinator).handleExperimentResults},
+	{"query", (*Coordinator).handleQuery},
+	{"health", (*Coordinator).handleHealth},
+	{"stats", (*Coordinator).handleStats},
+	{"shards", (*Coordinator).handleShards},
 }
 
-var fedRoutes = []fedRoute{
-	{"probe_register", http.MethodPost, segsOf("/api/v1/probes/register"), core.PriorityHigh, (*Coordinator).handleRegister},
-	{"probe_tasks", http.MethodGet, segsOf("/api/v1/probes/{id}/tasks"), core.PriorityHigh, (*Coordinator).handleProbeTasks},
-	{"probe_results", http.MethodPost, segsOf("/api/v1/probes/{id}/results"), core.PriorityHigh, (*Coordinator).handleProbeResults},
-	{"probe_heartbeat", http.MethodPost, segsOf("/api/v1/probes/{id}/heartbeat"), core.PriorityHigh, (*Coordinator).handleProbeHeartbeat},
-	{"probe_sync", http.MethodPost, segsOf("/api/v1/probes/sync"), core.PriorityHigh, (*Coordinator).handleProbeSync},
-	{"experiment_submit", http.MethodPost, segsOf("/api/v1/experiments"), core.PriorityHigh, (*Coordinator).handleSubmit},
-	{"experiment_get", http.MethodGet, segsOf("/api/v1/experiments/{id}"), core.PriorityLow, (*Coordinator).handleExperimentGet},
-	{"experiment_approve", http.MethodPost, segsOf("/api/v1/experiments/{id}/approve"), core.PriorityHigh, (*Coordinator).handleExperimentApprove},
-	{"experiment_results", http.MethodGet, segsOf("/api/v1/experiments/{id}/results"), core.PriorityLow, (*Coordinator).handleExperimentResults},
-	{"query", http.MethodGet, segsOf("/api/v1/query"), core.PriorityLow, (*Coordinator).handleQuery},
-	{"health", http.MethodGet, segsOf("/api/v1/health"), core.PriorityHigh, (*Coordinator).handleHealth},
-	{"stats", http.MethodGet, segsOf("/api/v1/stats"), core.PriorityLow, (*Coordinator).handleStats},
-	{"shards", http.MethodGet, segsOf("/api/v1/shards"), core.PriorityLow, (*Coordinator).handleShards},
-	{"metrics", http.MethodGet, segsOf("/metrics"), core.PriorityHigh, (*Coordinator).handleMetrics},
+var shardsRoute = core.RouteInfo{
+	Name: "shards", Method: http.MethodGet, Pattern: "/api/v1/shards",
+	Summary:  "The coordinator's shard map: each shard's id, failover epoch (bumped whenever its keyspace moves to a replacement backend) and health as seen by the tick-driven detector. A suspect or dead owning shard means 503s on its keys until failover.",
+	Response: "page of ShardInfo {id, epoch, health}",
+	Priority: core.PriorityLow,
 }
 
-func segsOf(pattern string) []string {
-	return strings.Split(strings.TrimPrefix(pattern, "/"), "/")
+// APIRoutes returns the self-description of the coordinator's full v1
+// surface: its table, then the routes the router serves itself.
+func APIRoutes() []core.RouteInfo {
+	byName := map[string]core.RouteInfo{shardsRoute.Name: shardsRoute}
+	for _, info := range core.APIRoutes() {
+		byName[info.Name] = info
+	}
+	out := make([]core.RouteInfo, 0, len(coordRoutes))
+	for _, rt := range coordRoutes {
+		info, ok := byName[rt.name]
+		if !ok {
+			panic("federation: route " + rt.name + " is not in the controller's table")
+		}
+		out = append(out, info)
+	}
+	return append(out, core.RouterRoutes()...)
 }
 
-// page mirrors the v1 list-response shape, extended with the federated
-// degradation annotation (absent on complete responses).
-type page struct {
-	Items      interface{} `json:"items"`
-	NextCursor string      `json:"next_cursor,omitempty"`
-	QueryMeta
-}
-
-// Handler serves the coordinator's v1 surface. Route admission runs
-// through the coordinator's gate (refilled by Tick) with the same
-// priorities as a controller: probe traffic sheds last.
+// Handler serves the coordinator's v1 surface through the shared router;
+// admission runs through the coordinator's own gate (refilled by Tick).
 func (c *Coordinator) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		core.EnsureRequestID(w, r)
-		segs := strings.Split(strings.TrimPrefix(r.URL.Path, "/"), "/")
-		var allowed []string
-		for i := range fedRoutes {
-			rt := &fedRoutes[i]
-			params, ok := matchSegs(rt.segs, segs)
-			if !ok {
-				continue
-			}
-			if rt.method != r.Method {
-				allowed = append(allowed, rt.method)
-				continue
-			}
-			release, ok := c.gate.Admit(rt.name, rt.priority)
-			if !ok {
-				w.Header().Set("Retry-After", strconv.Itoa(c.gate.RetryAfterSeconds()))
-				core.WriteAPIError(w, http.StatusTooManyRequests, core.ErrCodeRateLimited,
-					core.ErrRateLimited(rt.name))
-				return
-			}
-			defer release()
-			if r.Method == http.MethodPost {
-				r.Body = http.MaxBytesReader(w, r.Body, core.MaxBodyBytes)
-			}
-			rt.handle(c, w, r, params)
-			return
-		}
-		if len(allowed) > 0 {
-			sort.Strings(allowed)
-			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			core.WriteAPIError(w, http.StatusMethodNotAllowed, core.ErrCodeMethodNotAllowed,
-				fmt.Errorf("method not allowed (allowed: %s)", strings.Join(allowed, ", ")))
-			return
-		}
-		core.WriteAPIError(w, http.StatusNotFound, core.ErrCodeNotFound, errors.New("not found"))
-	})
+	infos := APIRoutes()
+	table := make([]core.Route, 0, len(coordRoutes))
+	for i, rt := range coordRoutes {
+		table = append(table, core.Route{RouteInfo: infos[i], Handle: func(w http.ResponseWriter, r *http.Request, p core.PathParams) {
+			rt.handle(c, w, r, p)
+		}})
+	}
+	return core.NewRouter(table, c.gate, c.reg, c.traces, core.DefaultSlowRequest)
 }
 
-// matchSegs matches concrete path segments against a pattern; {name}
-// captures any non-empty segment.
-func matchSegs(pattern, segs []string) (map[string]string, bool) {
-	if len(pattern) != len(segs) {
-		return nil, false
-	}
-	var params map[string]string
-	for i, p := range pattern {
-		if strings.HasPrefix(p, "{") && strings.HasSuffix(p, "}") {
-			if segs[i] == "" {
-				return nil, false
-			}
-			if params == nil {
-				params = make(map[string]string, 2)
-			}
-			params[p[1:len(p)-1]] = segs[i]
-			continue
-		}
-		if p != segs[i] {
-			return nil, false
-		}
-	}
-	return params, true
-}
-
-// writeShardErr maps routing-layer failures onto the v1 envelope: a
-// down or deadline-blown shard is 503 shard_unavailable with a
-// Retry-After (the client retries without tripping its breaker), a
-// remote shard's own API error passes through status and code intact,
-// and anything else is the shard rejecting the request (400).
-func (c *Coordinator) writeShardErr(w http.ResponseWriter, err error) {
-	var apiErr *core.APIError
-	switch {
-	case errors.Is(err, ErrUnknownExperiment):
-		core.WriteAPIError(w, http.StatusNotFound, core.ErrCodeNotFound, err)
-	case errors.Is(err, ErrShardDown), errors.Is(err, ErrShardTimeout), errors.Is(err, ErrNoShards):
-		w.Header().Set("Retry-After", strconv.Itoa(c.cfg.RetryAfterSeconds))
-		core.WriteAPIError(w, http.StatusServiceUnavailable, core.ErrCodeShardUnavailable, err)
-	case errors.As(err, &apiErr):
-		if apiErr.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(apiErr.RetryAfter))
-		}
-		code := apiErr.Code
-		if code == "" {
-			code = core.ErrCodeUnavailable
-		}
-		core.WriteAPIError(w, apiErr.Status, code, err)
-	default:
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest, err)
-	}
-}
-
-// decodeBody decodes the bounded JSON request body, writing the
-// envelope itself (413 oversized, 400 otherwise).
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			core.WriteAPIError(w, http.StatusRequestEntityTooLarge, core.ErrCodeBodyTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return false
-		}
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest, err)
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	var p core.ProbeInfo
-	if !decodeBody(w, r, &p) {
+	if !core.DecodeBody(w, r, &p) {
 		return
 	}
 	if err := c.Register(p); err != nil {
@@ -184,18 +91,10 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, _ m
 	core.WriteJSON(w, http.StatusOK, map[string]string{"id": p.ID})
 }
 
-func (c *Coordinator) handleProbeTasks(w http.ResponseWriter, r *http.Request, p map[string]string) {
-	max := 32
-	if s := r.URL.Query().Get("max"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-				fmt.Errorf("max must be a non-negative integer, got %q", s))
-			return
-		}
-		if n > 0 {
-			max = n
-		}
+func (c *Coordinator) handleProbeTasks(w http.ResponseWriter, r *http.Request, p core.PathParams) {
+	max, ok := core.ParseLeaseMax(w, r)
+	if !ok {
+		return
 	}
 	tasks, err := c.LeaseTasks(p["id"], max)
 	if err != nil {
@@ -208,9 +107,9 @@ func (c *Coordinator) handleProbeTasks(w http.ResponseWriter, r *http.Request, p
 	core.WriteJSON(w, http.StatusOK, tasks)
 }
 
-func (c *Coordinator) handleProbeResults(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleProbeResults(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	var rs []probes.Result
-	if !decodeBody(w, r, &rs) {
+	if !core.DecodeBody(w, r, &rs) {
 		return
 	}
 	accepted, err := c.SubmitResults(p["id"], rs)
@@ -221,13 +120,9 @@ func (c *Coordinator) handleProbeResults(w http.ResponseWriter, r *http.Request,
 	core.WriteJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "received": len(rs)})
 }
 
-func (c *Coordinator) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	if err := c.Heartbeat(p["id"]); err != nil {
-		if errors.Is(err, ErrShardDown) || errors.Is(err, ErrShardTimeout) || errors.Is(err, ErrNoShards) {
-			c.writeShardErr(w, err)
-			return
-		}
-		core.WriteAPIError(w, http.StatusNotFound, core.ErrCodeNotFound, err)
+		c.writeShardErr(w, err)
 		return
 	}
 	core.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -238,12 +133,11 @@ func (c *Coordinator) handleProbeHeartbeat(w http.ResponseWriter, r *http.Reques
 // not forwarded: parking belongs to the queue-owning shard, and the
 // coordinator's per-shard deadline (QueryDeadline, ~2s) would cut a 30s
 // park short — so a coordinator answers immediately and the probe's
-// wait loop becomes a paced retry. If the owning shard is down the
-// batch was not durably accepted: 503 + Retry-After, and the probe's
-// spool (which only acks on success) retains it.
-func (c *Coordinator) handleProbeSync(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+// wait loop becomes a paced retry. A shard-layer failure is 503 +
+// Retry-After: the probe's spool, which acks only on success, keeps the batch.
+func (c *Coordinator) handleProbeSync(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	var req core.SyncRequest
-	if !decodeBody(w, r, &req) {
+	if !core.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.ProbeID == "" {
@@ -253,10 +147,6 @@ func (c *Coordinator) handleProbeSync(w http.ResponseWriter, r *http.Request, _ 
 	}
 	resp, err := c.Sync(req)
 	if err != nil {
-		if errors.Is(err, core.ErrUnknownProbe) {
-			core.WriteAPIError(w, http.StatusNotFound, core.ErrCodeNotFound, err)
-			return
-		}
 		c.writeShardErr(w, err)
 		return
 	}
@@ -266,18 +156,9 @@ func (c *Coordinator) handleProbeSync(w http.ResponseWriter, r *http.Request, _ 
 	core.WriteJSON(w, http.StatusOK, resp)
 }
 
-// fedSubmitRequest mirrors the controller's submission body (the "id"
-// field is not accepted here — federated ids are coordinator-minted).
-type fedSubmitRequest struct {
-	RequestID   string              `json:"request_id,omitempty"`
-	Owner       string              `json:"owner"`
-	Description string              `json:"description"`
-	Assignments []probes.Assignment `json:"assignments"`
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request, _ map[string]string) {
-	var req fedSubmitRequest
-	if !decodeBody(w, r, &req) {
+func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
+	var req core.SubmitRequest
+	if !core.DecodeBody(w, r, &req) {
 		return
 	}
 	exp, err := c.Submit(req.RequestID, req.Owner, req.Description, req.Assignments)
@@ -288,7 +169,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request, _ map
 	core.WriteJSON(w, http.StatusOK, exp)
 }
 
-func (c *Coordinator) handleExperimentGet(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleExperimentGet(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	exp, err := c.Experiment(p["id"])
 	if err != nil {
 		c.writeShardErr(w, err)
@@ -297,7 +178,7 @@ func (c *Coordinator) handleExperimentGet(w http.ResponseWriter, r *http.Request
 	core.WriteJSON(w, http.StatusOK, exp)
 }
 
-func (c *Coordinator) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	if err := c.Approve(p["id"]); err != nil {
 		c.writeShardErr(w, err)
 		return
@@ -305,17 +186,14 @@ func (c *Coordinator) handleExperimentApprove(w http.ResponseWriter, r *http.Req
 	core.WriteJSON(w, http.StatusOK, map[string]string{"status": string(core.StatusApproved)})
 }
 
-func (c *Coordinator) handleExperimentResults(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleExperimentResults(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	q := r.URL.Query()
-	limit, ok := parseLimit(w, q.Get("limit"))
+	limit, ok := core.ParseCount(w, "limit", q.Get("limit"), 0)
 	if !ok {
 		return
 	}
-	c.mu.Lock()
-	_, known := c.fedExps[p["id"]]
-	c.mu.Unlock()
-	if !known {
-		c.writeShardErr(w, ErrUnknownExperiment)
+	if _, _, err := c.experimentTargets(p["id"]); err != nil { // unknown id: 404, not an empty page
+		c.writeShardErr(w, err)
 		return
 	}
 	recs, next, meta, err := c.ScanPage(store.Filter{Experiment: p["id"]}, limit, q.Get("cursor"))
@@ -327,13 +205,14 @@ func (c *Coordinator) handleExperimentResults(w http.ResponseWriter, r *http.Req
 	for _, rec := range recs {
 		rs = append(rs, rec.Result)
 	}
-	core.WriteJSON(w, http.StatusOK, page{Items: rs, NextCursor: next, QueryMeta: meta})
+	core.WriteJSON(w, http.StatusOK, core.Page{Items: rs, NextCursor: next, QueryMeta: meta})
 }
 
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	q := r.URL.Query()
-	f, ok := parseFilter(w, q)
-	if !ok {
+	f, err := store.ParseFilter(q)
+	if err != nil {
+		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest, err)
 		return
 	}
 	switch op := q.Get("op"); op {
@@ -345,10 +224,10 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ map[
 		}
 		core.WriteJSON(w, http.StatusOK, struct {
 			store.AggReport
-			QueryMeta
+			core.QueryMeta
 		}{rep, meta})
 	case "scan":
-		limit, ok := parseLimit(w, q.Get("limit"))
+		limit, ok := core.ParseCount(w, "limit", q.Get("limit"), 0)
 		if !ok {
 			return
 		}
@@ -360,81 +239,21 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ map[
 		if recs == nil {
 			recs = []store.Record{}
 		}
-		core.WriteJSON(w, http.StatusOK, page{Items: recs, NextCursor: next, QueryMeta: meta})
+		core.WriteJSON(w, http.StatusOK, core.Page{Items: recs, NextCursor: next, QueryMeta: meta})
 	default:
 		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
 			fmt.Errorf("unknown op %q (want aggregate or scan)", op))
 	}
 }
 
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	core.WriteJSON(w, http.StatusOK, c.Health())
 }
 
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	core.WriteJSON(w, http.StatusOK, c.Stats())
 }
 
-func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request, _ map[string]string) {
-	core.WriteJSON(w, http.StatusOK, page{Items: c.ShardStatuses()})
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request, _ map[string]string) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = c.reg.WritePrometheus(w)
-}
-
-// parseLimit parses a ?limit= value ("" means no limit), writing the
-// 400 itself.
-func parseLimit(w http.ResponseWriter, s string) (int, bool) {
-	if s == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-			fmt.Errorf("limit must be a non-negative integer, got %q", s))
-		return 0, false
-	}
-	return n, true
-}
-
-// parseFilter builds a store.Filter from query parameters, writing the
-// 400 itself.
-func parseFilter(w http.ResponseWriter, q map[string][]string) (store.Filter, bool) {
-	get := func(k string) string {
-		if vs := q[k]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	f := store.Filter{
-		Experiment: get("experiment"),
-		Country:    get("country"),
-		Kind:       get("kind"),
-	}
-	if s := get("asn"); s != "" {
-		n, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-				fmt.Errorf("asn must be an integer, got %q", s))
-			return f, false
-		}
-		f.ASN = topology.ASN(n)
-	}
-	for _, tk := range []struct {
-		name string
-		dst  *int64
-	}{{"from_tick", &f.FromTick}, {"to_tick", &f.ToTick}} {
-		if s := get(tk.name); s != "" {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-					fmt.Errorf("%s must be an integer, got %q", tk.name, s))
-				return f, false
-			}
-			*tk.dst = n
-		}
-	}
-	return f, true
+func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
+	core.WriteJSON(w, http.StatusOK, core.Page{Items: c.ShardStatuses()})
 }

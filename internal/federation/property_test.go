@@ -3,6 +3,9 @@ package federation
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"sort"
 	"testing"
@@ -228,5 +231,161 @@ func TestFederatedQueryMatchesOracle(t *testing.T) {
 			shardList[deadIdx].Kill()
 			checkAgainstOracle(t, rng, c, oracle, true)
 		})
+	}
+}
+
+// loadDimensions drives one tier over HTTP with a fixed workload that
+// varies every record dimension a filter can select on — country and ASN
+// (testProbes), kind, verdict, resolver chain, ECS, and the tick each
+// batch lands on. expID "" lets the tier mint the experiment ids; a
+// controller is handed the coordinator's, so both store the same records.
+func loadDimensions(t *testing.T, cl *core.Client, tick func(int), expIDs []string) []string {
+	t.Helper()
+	ps := testProbes(8)
+	for _, p := range ps {
+		if err := cl.Register(p); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	chains := []string{"stub>cache>cloud>authority", "stub>cache>forwarder>authority"}
+	verdicts := []string{"dns_blocked", "ok", "throttled"}
+	var minted []string
+	for e := 0; e < 2; e++ {
+		var as []probes.Assignment
+		for i, p := range ps {
+			for j, kind := range []probes.TaskKind{probes.TaskPing, probes.TaskWebsteps, probes.TaskDNSLoad} {
+				as = append(as, probes.Assignment{ProbeID: p.ID, Task: probes.Task{
+					ID: fmt.Sprintf("e%d-p%d-t%d", e, i, j), Kind: kind, Domain: "example.org",
+				}})
+			}
+		}
+		var exp *core.Experiment
+		var err error
+		if expIDs == nil {
+			exp, err = cl.Submit(testOwner, "dimensions", as)
+		} else {
+			exp, err = cl.SubmitWithID(fmt.Sprintf("dim-req-%d", e), expIDs[e], testOwner, "dimensions", as)
+		}
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		minted = append(minted, exp.ID)
+		for i, p := range ps {
+			tasks, err := cl.LeaseTasks(p.ID, 0)
+			if err != nil || len(tasks) != 3 {
+				t.Fatalf("LeaseTasks(%s): %d tasks, err %v", p.ID, len(tasks), err)
+			}
+			rs := make([]probes.Result, 0, len(tasks))
+			for j, task := range tasks {
+				r := probes.Result{TaskID: task.ID, Experiment: task.Experiment, ProbeID: p.ID,
+					Kind: task.Kind, OK: (i+j)%5 != 0, RTTms: float64(10 + 7*i + j)}
+				switch task.Kind {
+				case probes.TaskWebsteps:
+					r.Verdict, r.ResolverKind = verdicts[(i+e)%len(verdicts)], "cloud"
+				case probes.TaskDNSLoad:
+					r.ResolverChain, r.ECS = chains[i%len(chains)], (i+e)%2 == 0
+				}
+				rs = append(rs, r)
+			}
+			if err := cl.SubmitResults(p.ID, rs); err != nil {
+				t.Fatalf("SubmitResults: %v", err)
+			}
+			if i == len(ps)/2 {
+				tick(1) // the second half of each experiment lands a tick later
+			}
+		}
+	}
+	return minted
+}
+
+// scanSet walks every page of a filtered scan through the client and
+// returns the records keyed for set comparison: ordered by (experiment,
+// task), sequence numbers stripped (a coordinator merges shards'
+// sequences; a controller has one).
+func scanSet(t *testing.T, cl *core.Client, f store.Filter) []store.Record {
+	t.Helper()
+	var out []store.Record
+	cursor := ""
+	for {
+		recs, next, err := cl.QueryScan(f, 5, cursor)
+		if err != nil {
+			t.Fatalf("QueryScan(%+v): %v", f, err)
+		}
+		out = append(out, stripSeq(recs)...)
+		if next == "" {
+			break
+		}
+		cursor = next
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	return out
+}
+
+// TestFederatedFiltersMatchController is the oracle property through the
+// front door: a single controller and a 3-shard coordinator holding the
+// same records must answer every filter parameter of the store's table
+// identically over HTTP, and reject the same malformed values. It walks
+// store.FilterParams, so a parameter added to that table is checked on
+// both tiers (and through the client's encoder) without an edit here
+// beyond a sample value.
+func TestFederatedFiltersMatchController(t *testing.T) {
+	fedCl, coord, _ := newHTTPHarness(t, 3)
+	expIDs := loadDimensions(t, fedCl, coord.Tick, nil)
+
+	ctrl := core.NewController(testOwner)
+	srv := httptest.NewServer(ctrl.Handler())
+	t.Cleanup(srv.Close)
+	ctrlCl := core.NewClientSeeded(srv.URL, 7)
+	loadDimensions(t, ctrlCl, ctrl.Tick, expIDs)
+
+	all := scanSet(t, ctrlCl, store.Filter{})
+	if len(all) != 48 || !reflect.DeepEqual(all, scanSet(t, fedCl, store.Filter{})) {
+		t.Fatalf("the tiers do not hold the same %d records", len(all))
+	}
+	samples := map[string]string{
+		"experiment": expIDs[1], "country": "NG", "asn": "64502", "kind": "dnsload",
+		"verdict": "dns_blocked", "resolver_chain": "stub>cache>cloud>authority", "ecs": "true",
+		"from_tick": "2", "to_tick": "1",
+	}
+	groupBys := []string{store.GroupNone, store.GroupCountry, store.GroupVerdict, store.GroupResolverChain, store.GroupECS}
+	for i, p := range store.FilterParams() {
+		value, ok := samples[p.Name]
+		if !ok {
+			t.Fatalf("no sample value for filter parameter %q: add one", p.Name)
+		}
+		f, err := store.ParseFilter(url.Values{p.Name: {value}})
+		if err != nil {
+			t.Fatalf("ParseFilter(%s=%s): %v", p.Name, value, err)
+		}
+		want := scanSet(t, ctrlCl, f)
+		if len(want) == 0 || len(want) == len(all) {
+			t.Fatalf("%s=%s selects %d of %d records on the controller: the sample does not exercise the filter", p.Name, value, len(want), len(all))
+		}
+		if got := scanSet(t, fedCl, f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s=%s: coordinator scan returns %d records, controller %d", p.Name, value, len(got), len(want))
+		}
+		gb := groupBys[i%len(groupBys)]
+		wantRep, err := ctrlCl.QueryAggregate(f, gb)
+		if err != nil {
+			t.Fatalf("%s=%s: controller aggregate: %v", p.Name, value, err)
+		}
+		gotRep, err := fedCl.QueryAggregate(f, gb)
+		if err != nil || !reflect.DeepEqual(gotRep, wantRep) {
+			t.Fatalf("%s=%s group %s: coordinator aggregate diverges (err %v):\n fed  %+v\n ctrl %+v", p.Name, value, gb, err, gotRep, wantRep)
+		}
+	}
+	for _, bad := range []string{"ecs=maybe", "asn=xyz", "from_tick=x"} {
+		for _, cl := range []*core.Client{ctrlCl, fedCl} {
+			for _, op := range []string{"scan", "aggregate"} {
+				resp, err := http.Get(cl.Base + "/api/v1/query?op=" + op + "&" + bad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("%s op=%s on %s: status %d, want 400", bad, op, cl.Base, resp.StatusCode)
+				}
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/store"
 )
 
@@ -16,10 +17,7 @@ import (
 // records are absent, and the caller decides whether partial is good
 // enough — the alternative, failing the whole query because one region
 // is dark, is exactly what the paper's observatory cannot afford.
-type QueryMeta struct {
-	Degraded      bool     `json:"degraded,omitempty"`
-	ShardsMissing []string `json:"shards_missing,omitempty"`
-}
+type QueryMeta = core.QueryMeta
 
 // Composite cursors encode one per-shard sequence position per segment:
 // "shardA=17;shardB=40". Shard IDs may be URL-ish (the -coordinator

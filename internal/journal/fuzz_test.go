@@ -35,6 +35,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add(frames(f, 900, 3))                           // arbitrary start seq
 	f.Add(append(frames(f, 1, 2), frames(f, 1, 2)...)) // seq regression
+	f.Add(append(frames(f, 1, 2), frames(f, 2, 2)...)) // seq reused: what an Append after a failed fsync wrote before fail-stop
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})  // huge length prefix
 	f.Add(bytes.Repeat([]byte{0}, 256))
 

@@ -28,6 +28,16 @@
 // the file back to the last good frame so new appends extend a valid
 // stream. Because Append syncs before returning, a torn tail can only
 // ever be a record that was never acknowledged.
+//
+// # Fail-stop
+//
+// A write or sync that fails leaves the file in a state this process
+// cannot know (the frame may be whole, torn, or absent on disk), so the
+// Log stops: that call and every later Append or WriteSnapshot return the
+// same error until the directory is reopened, which re-reads what
+// actually survived. Nothing is rolled back and no sequence number is
+// ever written twice — a second frame with a reused Seq would read as a
+// torn tail and take every acknowledged record after it along.
 package journal
 
 import (
@@ -146,6 +156,8 @@ type Log struct {
 	dir string
 	f   *os.File
 	seq uint64 // last sequence number assigned (snapshot or record)
+	// failed is the sticky error of the first failed write or sync.
+	failed error
 
 	// WrapSync, when set, is invoked by Append in place of calling the
 	// file sync directly; the wrapper must call sync exactly once and
@@ -224,10 +236,14 @@ func (l *Log) Dir() string { return l.dir }
 
 // Append journals one mutation: it assigns the next sequence number,
 // writes the frame, and syncs to stable storage before returning, so a
-// successful Append may be acknowledged to clients.
+// successful Append may be acknowledged to clients. A failed write or
+// sync fail-stops the log (see the package comment).
 func (l *Log) Append(kind string, data any) (uint64, error) {
 	if l.f == nil {
 		return 0, fmt.Errorf("journal: log is closed")
+	}
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	raw, err := json.Marshal(data)
 	if err != nil {
@@ -238,7 +254,7 @@ func (l *Log) Append(kind string, data any) (uint64, error) {
 		return 0, err
 	}
 	if _, err := l.f.Write(frame); err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
+		return 0, l.fail(err)
 	}
 	sync := l.f.Sync
 	if l.WrapSync != nil {
@@ -247,10 +263,16 @@ func (l *Log) Append(kind string, data any) (uint64, error) {
 		err = sync()
 	}
 	if err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
+		return 0, l.fail(err)
 	}
 	l.seq++
 	return l.seq, nil
+}
+
+// fail stops the log at its first failed write or sync.
+func (l *Log) fail(err error) error {
+	l.failed = fmt.Errorf("journal: log stopped until reopened: %w", err)
+	return l.failed
 }
 
 // WriteSnapshot durably captures full state covering every record
@@ -262,6 +284,9 @@ func (l *Log) Append(kind string, data any) (uint64, error) {
 func (l *Log) WriteSnapshot(state any) error {
 	if l.f == nil {
 		return fmt.Errorf("journal: log is closed")
+	}
+	if l.failed != nil {
+		return l.failed
 	}
 	raw, err := json.Marshal(state)
 	if err != nil {
@@ -294,13 +319,13 @@ func (l *Log) WriteSnapshot(state any) error {
 	syncDir(l.dir)
 	// Snapshot is durable; the journal records it covers can go.
 	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("journal: compacting: %w", err)
+		return l.fail(err)
 	}
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return l.fail(err)
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return l.fail(err)
 	}
 	l.Snap = &snap
 	return nil

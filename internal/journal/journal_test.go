@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -263,5 +264,66 @@ func TestReadAllGarbage(t *testing.T) {
 		if good != 0 && in != nil {
 			t.Fatalf("case %d: goodBytes = %d", i, good)
 		}
+	}
+}
+
+// TestFailedSyncStopsTheLog is the fail-stop invariant: after one failed
+// fsync nothing more is written (a later Append would reuse the failed
+// frame's sequence number, and replay would truncate it — acknowledged —
+// as a torn tail), and a reopen recovers every acknowledged record.
+func TestFailedSyncStopsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 2, 0) // acknowledged: seq 1, 2
+	failures := 1
+	l.WrapSync = func(sync func() error) error {
+		if failures > 0 {
+			failures--
+			return errors.New("injected EIO")
+		}
+		return sync()
+	}
+	if _, err := l.Append("op", map[string]int{"i": 2}); err == nil {
+		t.Fatal("Append with a failing fsync reported success")
+	}
+	_, stopped := l.Append("op", map[string]int{"i": 3})
+	if stopped == nil {
+		t.Fatal("Append after a failed fsync succeeded: the log must fail-stop")
+	}
+	if err := l.WriteSnapshot(map[string]int{}); err == nil || err.Error() != stopped.Error() {
+		t.Fatalf("WriteSnapshot after a failed fsync: %v, want the sticky %v", err, stopped)
+	}
+	l.Close()
+
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The unacknowledged frame may or may not have survived; the two
+	// acknowledged ones must, and no sequence number may repeat.
+	if n := len(l2.Records); l2.TornTail || n < 2 || n > 3 {
+		t.Fatalf("reopen: %d records, torn=%v", n, l2.TornTail)
+	}
+	for i, rec := range l2.Records {
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d", i, rec.Seq)
+		}
+	}
+	// Reopened, the log appends again, past whatever survived.
+	seq, err := l2.Append("op", map[string]int{"i": 4})
+	if err != nil || seq != l2.Records[len(l2.Records)-1].Seq+1 {
+		t.Fatalf("append after reopen: seq %d err %v", seq, err)
+	}
+	l2.Close()
+	l3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if l3.TornTail || l3.Records[len(l3.Records)-1].Seq != seq {
+		t.Fatalf("acknowledged record lost: torn=%v last=%+v want seq %d", l3.TornTail, l3.Records[len(l3.Records)-1], seq)
 	}
 }

@@ -272,12 +272,6 @@ func (s *Spool) DrainBatch(max int) ([]probes.Result, uint64) {
 	return out, s.pending[n-1].seq
 }
 
-// Peek is DrainBatch under its original name, kept for callers of the
-// per-batch upload path (FlushSpool).
-func (s *Spool) Peek(max int) ([]probes.Result, uint64) {
-	return s.DrainBatch(max)
-}
-
 // AckBatch durably retires every result up to and including upTo in
 // one ack frame and one fsync — the whole delivered batch costs a
 // single durable write, mirroring the controller's one-append-per-sync
@@ -310,11 +304,6 @@ func (s *Spool) AckBatch(upTo uint64) error {
 	s.consumed++ // the ack frame
 	s.ctr.Add("spool_frames_acked", int64(dropped))
 	return s.maybeCompactLocked()
-}
-
-// Ack is AckBatch under its original name.
-func (s *Spool) Ack(upTo uint64) error {
-	return s.AckBatch(upTo)
 }
 
 // maybeCompactLocked rewrites the log down to the pending set once

@@ -42,7 +42,7 @@ func TestAppendPeekAck(t *testing.T) {
 		t.Fatalf("Len = %d, want 5", got)
 	}
 
-	batch, upTo := s.Peek(3)
+	batch, upTo := s.DrainBatch(3)
 	if len(batch) != 3 {
 		t.Fatalf("Peek(3) returned %d results", len(batch))
 	}
@@ -51,24 +51,24 @@ func TestAppendPeekAck(t *testing.T) {
 			t.Fatalf("batch[%d].TaskID = %s, want %s (oldest-first order)", i, r.TaskID, want)
 		}
 	}
-	if err := s.Ack(upTo); err != nil {
+	if err := s.AckBatch(upTo); err != nil {
 		t.Fatalf("Ack: %v", err)
 	}
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len after Ack = %d, want 2", got)
 	}
 
-	rest, upTo := s.Peek(0)
+	rest, upTo := s.DrainBatch(0)
 	if len(rest) != 2 || rest[0].TaskID != "t4" || rest[1].TaskID != "t5" {
 		t.Fatalf("remaining batch wrong: %+v", rest)
 	}
-	if err := s.Ack(upTo); err != nil {
+	if err := s.AckBatch(upTo); err != nil {
 		t.Fatalf("Ack: %v", err)
 	}
 	if got := s.Len(); got != 0 {
 		t.Fatalf("Len after draining = %d, want 0", got)
 	}
-	if batch, _ := s.Peek(0); batch != nil {
+	if batch, _ := s.DrainBatch(0); batch != nil {
 		t.Fatalf("Peek on empty spool returned %+v", batch)
 	}
 }
@@ -82,8 +82,8 @@ func TestBacklogSurvivesReopen(t *testing.T) {
 		}
 	}
 	// Deliver the first two; the ack must be durable too.
-	_, upTo := s.Peek(2)
-	if err := s.Ack(upTo); err != nil {
+	_, upTo := s.DrainBatch(2)
+	if err := s.AckBatch(upTo); err != nil {
 		t.Fatalf("Ack: %v", err)
 	}
 	// Simulated power cut: no graceful drain, just Close.
@@ -96,7 +96,7 @@ func TestBacklogSurvivesReopen(t *testing.T) {
 	if got := s2.Len(); got != 2 {
 		t.Fatalf("backlog after reopen = %d, want 2", got)
 	}
-	batch, _ := s2.Peek(0)
+	batch, _ := s2.DrainBatch(0)
 	if batch[0].TaskID != "t3" || batch[1].TaskID != "t4" {
 		t.Fatalf("reopened backlog wrong: %+v", batch)
 	}
@@ -159,7 +159,7 @@ func TestEvictionOldestFirst(t *testing.T) {
 	if got := s.Len(); got != 3 {
 		t.Fatalf("Len = %d, want bound of 3", got)
 	}
-	batch, _ := s.Peek(0)
+	batch, _ := s.DrainBatch(0)
 	if batch[0].TaskID != "t3" || batch[1].TaskID != "t4" || batch[2].TaskID != "t5" {
 		t.Fatalf("eviction did not drop oldest first: %+v", batch)
 	}
@@ -171,7 +171,7 @@ func TestEvictionOldestFirst(t *testing.T) {
 	// Evictions are durable: the evicted results stay gone after reopen.
 	s2 := mustOpen(t, dir, Options{MaxPending: 3})
 	defer s2.Close()
-	batch, _ = s2.Peek(0)
+	batch, _ = s2.DrainBatch(0)
 	if len(batch) != 3 || batch[0].TaskID != "t3" {
 		t.Fatalf("eviction not durable: %+v", batch)
 	}
@@ -188,8 +188,8 @@ func TestCompaction(t *testing.T) {
 	sizeBefore := fileSize(t, filepath.Join(dir, "spool.log"))
 	// Ack 6 of 8: consumed crosses CompactAfter, triggering a rewrite
 	// down to the two pending frames.
-	_, upTo := s.Peek(6)
-	if err := s.Ack(upTo); err != nil {
+	_, upTo := s.DrainBatch(6)
+	if err := s.AckBatch(upTo); err != nil {
 		t.Fatalf("Ack: %v", err)
 	}
 	if got := s.Counters()["spool_compactions"]; got != 1 {
@@ -206,7 +206,7 @@ func TestCompaction(t *testing.T) {
 
 	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	batch, _ := s2.Peek(0)
+	batch, _ := s2.DrainBatch(0)
 	if len(batch) != 3 || batch[0].TaskID != "t7" || batch[2].TaskID != "t9" {
 		t.Fatalf("post-compaction replay wrong: %+v", batch)
 	}
@@ -222,8 +222,8 @@ func TestCrashDuringCompactionRemovesTemp(t *testing.T) {
 	}
 	// Deliver the first two so the pending set after the "crash" is a
 	// strict subset of the log.
-	_, upTo := s.Peek(2)
-	if err := s.Ack(upTo); err != nil {
+	_, upTo := s.DrainBatch(2)
+	if err := s.AckBatch(upTo); err != nil {
 		t.Fatalf("Ack: %v", err)
 	}
 	s.Close()
@@ -245,13 +245,13 @@ func TestCrashDuringCompactionRemovesTemp(t *testing.T) {
 		t.Fatalf("spool_tmp_removed = %d, want 1", got)
 	}
 	// The pending set replayed from the live log is intact.
-	batch, _ := s2.Peek(0)
+	batch, _ := s2.DrainBatch(0)
 	if len(batch) != 2 || batch[0].TaskID != "t3" || batch[1].TaskID != "t4" {
 		t.Fatalf("pending set damaged by tmp cleanup: %+v", batch)
 	}
 	// A compaction after the cleanup reuses the temp path without issue.
-	_, upTo = s2.Peek(1)
-	if err := s2.Ack(upTo); err != nil {
+	_, upTo = s2.DrainBatch(1)
+	if err := s2.AckBatch(upTo); err != nil {
 		t.Fatalf("Ack: %v", err)
 	}
 }
@@ -279,7 +279,7 @@ func TestClosedSpoolRejectsWrites(t *testing.T) {
 	if err := s.Append(testResult(0)); err == nil {
 		t.Fatal("Append on closed spool succeeded")
 	}
-	if err := s.Ack(1); err == nil {
+	if err := s.AckBatch(1); err == nil {
 		t.Fatal("Ack with pending on closed spool succeeded")
 	}
 }

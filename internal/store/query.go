@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"net/url"
 	"sort"
 	"strconv"
 
@@ -60,6 +61,106 @@ func (f *Filter) match(r *Record) bool {
 		return false
 	}
 	return true
+}
+
+// FilterParam is one Filter field's wire form: the query-parameter name
+// both HTTP tiers, the client and API.md use for it. filterParams is the
+// only place a filter parameter is declared — ParseFilter, Filter.Values
+// and the generated API reference all walk it.
+type FilterParam struct {
+	Name string
+	Doc  string
+	get  func(*Filter) string // "" when the field is unset
+	set  func(*Filter, string) error
+}
+
+func stringParam(name, doc string, field func(*Filter) *string) FilterParam {
+	return FilterParam{name, doc,
+		func(f *Filter) string { return *field(f) },
+		func(f *Filter, s string) error { *field(f) = s; return nil }}
+}
+
+func tickParam(name, doc string, field func(*Filter) *int64) FilterParam {
+	return FilterParam{name, doc,
+		func(f *Filter) string {
+			if *field(f) <= 0 {
+				return ""
+			}
+			return strconv.FormatInt(*field(f), 10)
+		},
+		func(f *Filter, s string) error {
+			n, err := strconv.ParseInt(s, 10, 64)
+			if err != nil {
+				return fmt.Errorf("%s must be an integer, got %q", name, s)
+			}
+			*field(f) = n
+			return nil
+		}}
+}
+
+var filterParams = []FilterParam{
+	stringParam("experiment", "experiment id", func(f *Filter) *string { return &f.Experiment }),
+	stringParam("country", "submitting probe's country code", func(f *Filter) *string { return &f.Country }),
+	{"asn", "submitting probe's AS number",
+		func(f *Filter) string {
+			if f.ASN == 0 {
+				return ""
+			}
+			return strconv.FormatUint(uint64(f.ASN), 10)
+		},
+		func(f *Filter, s string) error {
+			n, err := strconv.ParseUint(s, 10, 32)
+			if err != nil {
+				return fmt.Errorf("asn must be an integer, got %q", s)
+			}
+			f.ASN = topology.ASN(n)
+			return nil
+		}},
+	stringParam("kind", "task kind (ping, dns, websteps, dnsload, ...)", func(f *Filter) *string { return &f.Kind }),
+	stringParam("verdict", "websteps blocking verdict (dns_blocked, throttled, ...)", func(f *Filter) *string { return &f.Verdict }),
+	stringParam("resolver_chain", "dnsload resolver chain shape, e.g. stub>cache>cloud>authority", func(f *Filter) *string { return &f.ResolverChain }),
+	{"ecs", "dnsload client-subnet flag: true or false",
+		func(f *Filter) string { return f.ECS },
+		func(f *Filter, s string) error {
+			if s != "true" && s != "false" {
+				return fmt.Errorf("ecs must be true or false, got %q", s)
+			}
+			f.ECS = s
+			return nil
+		}},
+	tickParam("from_tick", "earliest record tick, inclusive", func(f *Filter) *int64 { return &f.FromTick }),
+	tickParam("to_tick", "latest record tick, inclusive", func(f *Filter) *int64 { return &f.ToTick }),
+}
+
+// FilterParams lists the filter's query parameters in documentation
+// order.
+func FilterParams() []FilterParam { return filterParams }
+
+// ParseFilter reads a Filter from query parameters; absent or empty
+// parameters leave their field open. The error names the offending
+// parameter.
+func ParseFilter(q url.Values) (Filter, error) {
+	var f Filter
+	for _, p := range filterParams {
+		if s := q.Get(p.Name); s != "" {
+			if err := p.set(&f, s); err != nil {
+				return Filter{}, err
+			}
+		}
+	}
+	return f, nil
+}
+
+// Values renders the filter as query parameters, the inverse of
+// ParseFilter; open fields are omitted.
+func (f Filter) Values() url.Values {
+	q := url.Values{}
+	for _, p := range filterParams {
+		if s := p.get(&f); s != "" {
+			q.Set(p.Name, s)
+		}
+	}
+	return q
 }
 
 // visit streams every record matching the filter to fn, in sequence

@@ -49,7 +49,7 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	origin := func(a Addr) (ASN, bool) { return s.Net.OwnerOf(a) }
 	_ = s.Detector.Detect(tr, origin) // must not panic
-	r := s.DNS.ResolverFor(36924)
+	r := s.DNS.AssignmentFor(36924)
 	if r.Kind.String() == "" {
 		t.Fatal("no resolver assignment")
 	}

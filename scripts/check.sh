@@ -53,10 +53,11 @@ if git grep -n '"math/rand"' -- internal/websim internal/archival internal/dnssi
 fi
 
 echo "== envelope lint =="
-# All of internal/core's response writing funnels through envelope.go
-# (writeJSON / writeAPIError), so every non-2xx body carries the uniform
+# Both HTTP tiers (internal/core's controller, internal/federation's
+# coordinator) write responses only through internal/core/envelope.go
+# (WriteJSON / WriteAPIError), so every non-2xx body carries the uniform
 # {"error": {code, message, request_id}} envelope. A stray http.Error or
-# naked WriteHeader elsewhere in the package bypasses it.
+# naked WriteHeader anywhere else in either package bypasses it.
 if git grep -n 'http\.Error(\|WriteHeader(' -- internal/core internal/federation ':!internal/core/envelope.go'; then
     echo "envelope lint: http.Error / WriteHeader are forbidden in internal/core (outside envelope.go) and internal/federation" >&2
     exit 1
