@@ -43,6 +43,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -53,6 +54,7 @@ import (
 	"time"
 
 	"github.com/afrinet/observatory/internal/core"
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/spool"
@@ -196,6 +198,13 @@ func main() {
 			var leftover []probes.Result
 			n, leftover, err = core.DrainOnce(cl, agent)
 			pending = append(pending, leftover...)
+		}
+		if errors.Is(err, framelog.ErrStopped) {
+			// The spool can keep nothing more until it is reopened: another
+			// round would lease and execute tasks, spending the data
+			// budget on results that cannot be sunk. A supervisor restart
+			// reopens the spool, which re-reads what survived.
+			log.Fatalf("obsprobe %s: exiting, spool stopped after a disk fault: %v", *id, err)
 		}
 		if err != nil {
 			// Transient faults are retried inside the client; anything

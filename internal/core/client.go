@@ -725,7 +725,7 @@ func DrainWithSpool(cl *Client, agent *probes.Agent, sp ResultSpool) (int, error
 			// safe on disk; flush it before reporting the fault.
 			_, ferr := FlushSpool(cl, agent.ID(), sp, 64)
 			if ferr != nil {
-				return total, fmt.Errorf("%v (and flushing spool: %w)", err, ferr)
+				return total, fmt.Errorf("%w (and flushing spool: %w)", err, ferr)
 			}
 			return total, err
 		}
@@ -774,10 +774,10 @@ func DrainWithSync(cl *Client, agent *probes.Agent, sp ResultSpool, wait time.Du
 			// the fault.
 			if rs, upTo := sp.DrainBatch(64); len(rs) > 0 {
 				if _, serr := cl.Sync(SyncRequest{ProbeID: agent.ID(), Results: rs, Max: -1}, 0); serr != nil {
-					return total, fmt.Errorf("%v (and flushing spool: %w)", err, serr)
+					return total, fmt.Errorf("%w (and flushing spool: %w)", err, serr)
 				}
 				if aerr := sp.AckBatch(upTo); aerr != nil {
-					return total, fmt.Errorf("%v (and acking spool: %w)", err, aerr)
+					return total, fmt.Errorf("%w (and acking spool: %w)", err, aerr)
 				}
 			}
 			return total, err

@@ -7,6 +7,8 @@ package core
 // long-poll only when idle.
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -14,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/spool"
 )
@@ -182,5 +185,49 @@ func TestDrainWithSyncParksOnlyWhenIdle(t *testing.T) {
 	// Round 2: three results in hand — delivering must not park.
 	if got := urls[1].Query().Get("wait"); got != "" {
 		t.Fatalf("delivery round parked: wait=%q, want none", got)
+	}
+}
+
+// stoppedSpool is a ResultSpool whose log has fail-stopped: every write
+// returns the sticky error, as internal/spool does after a failed fsync.
+type stoppedSpool struct{ appends int }
+
+var errSpoolStopped = fmt.Errorf("spool: %w: injected EIO", framelog.ErrStopped)
+
+func (s *stoppedSpool) Append(probes.Result) error               { s.appends++; return errSpoolStopped }
+func (s *stoppedSpool) DrainBatch(int) ([]probes.Result, uint64) { return nil, 0 }
+func (s *stoppedSpool) AckBatch(uint64) error                    { return errSpoolStopped }
+func (s *stoppedSpool) Len() int                                 { return 0 }
+
+// TestDrainReportsStoppedSpool: when the spool cannot persist a result,
+// both drains stop executing at that task — running the rest would spend
+// the probe's data budget on results nothing can keep — and return an
+// error the agent can recognise as framelog.ErrStopped, so it exits for
+// its supervisor to reopen the spool instead of looping.
+func TestDrainReportsStoppedSpool(t *testing.T) {
+	drains := map[string]func(*Client, *probes.Agent, ResultSpool) (int, error){
+		"DrainWithSpool": DrainWithSpool,
+		"DrainWithSync": func(cl *Client, a *probes.Agent, sp ResultSpool) (int, error) {
+			return DrainWithSync(cl, a, sp, 0)
+		},
+	}
+	for name, drain := range drains {
+		ctrl := NewController("owner")
+		mustRegister(t, ctrl, "kgl-01", 36924, "RW")
+		if _, err := ctrl.SubmitExperiment("owner", "drain", pingAssignments("kgl-01", 3)); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(ctrl.Handler())
+		agent := probes.NewAgent(probes.Config{ID: "kgl-01", ASN: 36924, HasWired: true},
+			testNet, testDNS, testWeb)
+		sp := &stoppedSpool{}
+		n, err := drain(NewClient(srv.URL), agent, sp)
+		srv.Close()
+		if !errors.Is(err, framelog.ErrStopped) {
+			t.Fatalf("%s: err = %v, want one wrapping framelog.ErrStopped", name, err)
+		}
+		if n != 0 || sp.appends != 1 {
+			t.Fatalf("%s: %d tasks completed, %d results offered to the spool; want 0 and 1 (no task run after the failed one)", name, n, sp.appends)
+		}
 	}
 }

@@ -2,9 +2,10 @@ package journal
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+
+	"github.com/afrinet/observatory/internal/framelog"
 )
 
 // Clone copies a journal directory's durable state — snapshot.json and
@@ -19,36 +20,13 @@ func Clone(srcDir, dstDir string) error {
 		return fmt.Errorf("journal: clone: %w", err)
 	}
 	for _, name := range []string{snapName, logName} {
-		if err := copyFileSync(filepath.Join(srcDir, name), filepath.Join(dstDir, name)); err != nil {
+		if err := framelog.CopyFileSync(filepath.Join(srcDir, name), filepath.Join(dstDir, name)); err != nil {
 			if os.IsNotExist(err) {
 				continue
 			}
 			return fmt.Errorf("journal: clone %s: %w", name, err)
 		}
 	}
-	syncDir(dstDir)
+	framelog.SyncDir(dstDir)
 	return nil
-}
-
-// copyFileSync copies src to dst and fsyncs dst. A missing src returns
-// the raw os.IsNotExist error for the caller to skip.
-func copyFileSync(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

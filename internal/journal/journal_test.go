@@ -327,3 +327,42 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 		t.Fatalf("acknowledged record lost: torn=%v last=%+v want seq %d", l3.TornTail, l3.Records[len(l3.Records)-1], seq)
 	}
 }
+
+// TestStraySnapshotTempIgnored: a crash between writing snapshot.json.tmp
+// and renaming it leaves garbage beside a valid snapshot; Open must not
+// read it, and the next WriteSnapshot replaces it.
+func TestStraySnapshotTempIgnored(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 2, 0)
+	if err := l.WriteSnapshot(map[string]int{"n": 2}); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 2)
+	l.Close()
+	tmp := filepath.Join(dir, "snapshot.json.tmp")
+	if err := os.WriteFile(tmp, []byte(`{"seq":99,"crc":0,"state":{"half-writ`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open beside a stray snapshot temp: %v", err)
+	}
+	defer l2.Close()
+	if l2.Snap == nil || l2.Snap.Seq != 2 || len(l2.Records) != 1 || l2.Seq() != 3 {
+		t.Fatalf("stray temp changed the recovered view: snap %+v records %d seq %d", l2.Snap, len(l2.Records), l2.Seq())
+	}
+	if err := l2.WriteSnapshot(map[string]int{"n": 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stray snapshot temp survived WriteSnapshot: %v", err)
+	}
+	if snap, err := loadSnapshot(filepath.Join(dir, "snapshot.json")); err != nil || snap.Seq != 3 {
+		t.Fatalf("snapshot after the rewrite: %+v, %v", snap, err)
+	}
+}

@@ -9,23 +9,22 @@
 //
 // # On-disk layout
 //
-// A spool directory holds one live file, spool.log, in the same frame
-// format as the controller's write-ahead journal (internal/journal):
-//
-//	uint32 LE payload length | uint32 LE CRC-32 (IEEE) of payload | payload
-//
-// where the payload is a JSON journal.Record. Two record kinds appear:
+// A spool directory holds one live file, spool.log: an internal/framelog
+// log (frames, torn-tail truncation and the fail-stop rule are described
+// there) whose payloads are JSON journal.Records of two kinds:
 //
 //	result  one executed probes.Result awaiting delivery
 //	ack     {"upto": seq} — every result frame with Seq <= upto has
 //	        been delivered (or evicted) and is no longer pending
 //
 // Append syncs before returning, so an acknowledged Append survives a
-// power cut; a crash mid-append leaves a torn tail that Open truncates
-// back to the last good frame, exactly like the journal. Acks are also
-// synced: an acked result must never be re-delivered after a restart
-// only because the ack evaporated (re-delivery is harmless — the
-// controller dedups — but it burns the cellular budget).
+// power cut. Acks are also synced: an acked result must never be
+// re-delivered after a restart only because the ack evaporated
+// (re-delivery is harmless — the controller dedups — but it burns the
+// cellular budget). After a failed write or sync the spool is stopped:
+// every later Append and AckBatch returns an error wrapping
+// framelog.ErrStopped until the directory is reopened, and the reopen
+// offers every result whose Append returned nil.
 //
 // # Bounds
 //
@@ -33,28 +32,26 @@
 // cut off long enough to fill the spool, the oldest undelivered results
 // are evicted first (newest data is worth the most to a measurement
 // platform) and counted in spool_evicted. The log file itself is
-// compacted — pending frames rewritten via tmp+fsync+rename — once
-// enough delivered frames accumulate, so disk use tracks the backlog,
-// not the probe's lifetime upload volume.
+// compacted — atomically replaced by its pending frames — once enough
+// delivered frames accumulate, so disk use tracks the backlog, not the
+// probe's lifetime upload volume.
 package spool
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/metrics"
 	"github.com/afrinet/observatory/internal/probes"
 )
 
 const (
-	logName     = "spool.log"
-	logTempName = "spool.log.tmp"
+	logName = "spool.log"
 
 	kindResult = "result"
 	kindAck    = "ack"
@@ -96,7 +93,7 @@ type entry struct {
 type Spool struct {
 	mu   sync.Mutex
 	dir  string
-	f    *os.File
+	log  *framelog.Log
 	opts Options
 
 	seq      uint64  // last frame sequence assigned
@@ -125,64 +122,52 @@ func Open(dir string, opts Options) (*Spool, error) {
 	// leaves spool.log.tmp behind; the live log is still authoritative
 	// (the rename never landed), so the stale temp is deleted rather
 	// than trusted.
-	if err := os.Remove(filepath.Join(dir, logTempName)); err == nil {
+	path := filepath.Join(dir, logName)
+	if err := os.Remove(path + ".tmp"); err == nil {
 		s.ctr.Inc("spool_tmp_removed")
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
 
-	path := filepath.Join(dir, logName)
-	raw, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("spool: %w", err)
-	}
-	recs, good, torn := journal.ReadAll(bytes.NewReader(raw))
-	for _, rec := range recs {
-		s.seq = rec.Seq
-		switch rec.Kind {
-		case kindResult:
-			var r probes.Result
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				// An undecodable result frame passed its CRC, so this is
-				// a format skew, not corruption; skip it rather than
-				// refusing the whole backlog.
-				s.consumed++
-				continue
-			}
-			s.pending = append(s.pending, entry{seq: rec.Seq, res: r})
-		case kindAck:
-			var ab ackBody
-			if err := json.Unmarshal(rec.Data, &ab); err != nil {
-				s.consumed++
-				continue
-			}
-			s.dropThroughLocked(ab.UpTo)
-			s.consumed++ // the ack frame itself is dead weight post-replay
-		default:
-			s.consumed++
-		}
-	}
-	s.ctr.Add("spool_replayed", int64(len(recs)))
-	if torn {
-		s.ctr.Inc("spool_truncated_tail")
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	replayed := 0
+	log, torn, err := framelog.Open(path, journal.Accept(func(rec journal.Record) {
+		replayed++
+		s.replay(rec)
+	}))
 	if err != nil {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
+	s.log = log
+	s.ctr.Add("spool_replayed", int64(replayed))
 	if torn {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("spool: truncating torn tail: %w", err)
-		}
+		s.ctr.Inc("spool_truncated_tail")
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("spool: %w", err)
-	}
-	s.f = f
 	return s, nil
+}
+
+// replay applies one frame found at Open to the pending set.
+func (s *Spool) replay(rec journal.Record) {
+	s.seq = rec.Seq
+	switch rec.Kind {
+	case kindResult:
+		var r probes.Result
+		if err := json.Unmarshal(rec.Data, &r); err != nil {
+			// An undecodable result frame passed its CRC, so this is
+			// a format skew, not corruption; skip it rather than
+			// refusing the whole backlog.
+			s.consumed++
+			return
+		}
+		s.pending = append(s.pending, entry{seq: rec.Seq, res: r})
+	case kindAck:
+		var ab ackBody
+		if err := json.Unmarshal(rec.Data, &ab); err == nil {
+			s.dropThroughLocked(ab.UpTo)
+		}
+		s.consumed++ // the ack frame itself is dead weight post-replay
+	default:
+		s.consumed++
+	}
 }
 
 // dropThroughLocked removes every pending entry with seq <= upTo,
@@ -200,17 +185,22 @@ func (s *Spool) dropThroughLocked(upTo uint64) int {
 	return i
 }
 
-// writeFrameLocked encodes and writes one frame; the caller syncs.
-func (s *Spool) writeFrameLocked(kind string, data any) error {
+// encodeFrame renders one spool frame.
+func encodeFrame(seq uint64, kind string, data any) ([]byte, error) {
 	raw, err := json.Marshal(data)
 	if err != nil {
-		return fmt.Errorf("spool: %w", err)
+		return nil, err
 	}
-	frame, err := journal.EncodeFrame(journal.Record{Seq: s.seq + 1, Kind: kind, Data: raw})
+	return journal.EncodeFrame(journal.Record{Seq: seq, Kind: kind, Data: raw})
+}
+
+// writeFrameLocked encodes and writes one frame; the caller syncs.
+func (s *Spool) writeFrameLocked(kind string, data any) error {
+	frame, err := encodeFrame(s.seq+1, kind, data)
+	if err == nil {
+		err = s.log.Write(frame)
+	}
 	if err != nil {
-		return fmt.Errorf("spool: %w", err)
-	}
-	if _, err := s.f.Write(frame); err != nil {
 		return fmt.Errorf("spool: %w", err)
 	}
 	s.seq++
@@ -224,9 +214,6 @@ func (s *Spool) writeFrameLocked(kind string, data any) error {
 func (s *Spool) Append(r probes.Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("spool: closed")
-	}
 	if err := s.writeFrameLocked(kindResult, r); err != nil {
 		return err
 	}
@@ -241,7 +228,7 @@ func (s *Spool) Append(r probes.Result) error {
 		s.consumed++ // the eviction ack frame
 		s.ctr.Inc("spool_evicted")
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("spool: %w", err)
 	}
 	return s.maybeCompactLocked()
@@ -282,8 +269,8 @@ func (s *Spool) DrainBatch(max int) ([]probes.Result, uint64) {
 func (s *Spool) AckBatch(upTo uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("spool: closed")
+	if err := s.log.Err(); err != nil {
+		return fmt.Errorf("spool: %w", err)
 	}
 	dropped := 0
 	for _, e := range s.pending {
@@ -297,7 +284,7 @@ func (s *Spool) AckBatch(upTo uint64) error {
 	if err := s.writeFrameLocked(kindAck, ackBody{UpTo: upTo}); err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("spool: %w", err)
 	}
 	s.dropThroughLocked(upTo)
@@ -307,57 +294,23 @@ func (s *Spool) AckBatch(upTo uint64) error {
 }
 
 // maybeCompactLocked rewrites the log down to the pending set once
-// enough consumed frames have accumulated. The rewrite is crash-safe:
-// tmp + fsync + rename + dir fsync, with the old log valid until the
-// rename lands.
+// enough consumed frames have accumulated; the old log stays valid until
+// the replacement is durably in place.
 func (s *Spool) maybeCompactLocked() error {
 	if s.consumed < s.opts.CompactAfter {
 		return nil
 	}
-	tmp := filepath.Join(s.dir, logTempName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("spool: compacting: %w", err)
-	}
+	var content []byte
 	for _, e := range s.pending {
-		raw, err := json.Marshal(e.res)
+		frame, err := encodeFrame(e.seq, kindResult, e.res)
 		if err != nil {
-			f.Close()
 			return fmt.Errorf("spool: compacting: %w", err)
 		}
-		frame, err := journal.EncodeFrame(journal.Record{Seq: e.seq, Kind: kindResult, Data: raw})
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("spool: compacting: %w", err)
-		}
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			return fmt.Errorf("spool: compacting: %w", err)
-		}
+		content = append(content, frame...)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := s.log.Replace(content); err != nil {
 		return fmt.Errorf("spool: compacting: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("spool: compacting: %w", err)
-	}
-	path := filepath.Join(s.dir, logName)
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("spool: compacting: %w", err)
-	}
-	syncDir(s.dir)
-	old := s.f
-	nf, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("spool: reopening after compaction: %w", err)
-	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-		nf.Close()
-		return fmt.Errorf("spool: %w", err)
-	}
-	old.Close()
-	s.f = nf
 	s.consumed = 0
 	s.ctr.Inc("spool_compactions")
 	return nil
@@ -390,21 +343,5 @@ func (s *Spool) Counters() map[string]int64 {
 func (s *Spool) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
-
-// syncDir fsyncs a directory so a rename survives power loss; errors
-// are ignored like the journal's equivalent.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
+	return s.log.Close()
 }

@@ -1,11 +1,13 @@
 package spool
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/probes"
 )
 
@@ -362,5 +364,75 @@ func TestAckBatchDurableAcrossReopen(t *testing.T) {
 	frame, _ := s2.DrainBatch(0)
 	if len(frame) != 2 || frame[0].TaskID != "t4" || frame[1].TaskID != "t5" {
 		t.Fatalf("reopened frame wrong: %+v", frame)
+	}
+}
+
+// TestFailedWriteStopsTheSpool is the fail-stop invariant on the probe
+// side: after a failed fsync — with or without a half-written frame in
+// the file, as a short write leaves — nothing more is written behind it,
+// every later Append and AckBatch returns the same error wrapping
+// framelog.ErrStopped, and a reopen offers every result whose Append
+// returned nil. (A spool that wrote on would put acknowledged frames
+// behind the torn one, and the reopen would truncate them away with it.)
+func TestFailedWriteStopsTheSpool(t *testing.T) {
+	for _, halfFrame := range []bool{false, true} {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{})
+		for i := 0; i < 2; i++ {
+			if err := s.Append(testResult(i)); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+		}
+		if halfFrame {
+			frame, err := encodeFrame(3, kindResult, testResult(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.log.Write(frame[:len(frame)/2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.log.WrapSync = func(sync func() error) error {
+			s.log.WrapSync = nil // fail once; the disk is fine afterwards
+			return errors.New("injected EIO")
+		}
+		failed := s.Append(testResult(2))
+		if !errors.Is(failed, framelog.ErrStopped) {
+			t.Fatalf("Append with a failing fsync = %v, want an error wrapping ErrStopped", failed)
+		}
+		if err := s.Append(testResult(3)); err == nil || err.Error() != failed.Error() {
+			t.Fatalf("Append after a failed fsync = %v, want the sticky %v: the spool must fail-stop", err, failed)
+		}
+		if err := s.AckBatch(1); err == nil || err.Error() != failed.Error() {
+			t.Fatalf("AckBatch after a failed fsync = %v, want the sticky %v", err, failed)
+		}
+		s.Close()
+
+		s2 := mustOpen(t, dir, Options{})
+		got, _ := s2.DrainBatch(0)
+		// The two acknowledged results come back, in order. The one whose
+		// fsync failed was never acknowledged: it may have reached the
+		// disk whole (delivering it is harmless), but behind a half frame
+		// it is cut with the torn tail.
+		wantMax := 3
+		if halfFrame {
+			wantMax = 2
+			if s2.Counters()["spool_truncated_tail"] != 1 {
+				t.Fatalf("half frame not truncated: %v", s2.Counters())
+			}
+		}
+		if len(got) < 2 || len(got) > wantMax {
+			t.Fatalf("half frame %v: reopen offers %d results, want 2..%d", halfFrame, len(got), wantMax)
+		}
+		for i, r := range got {
+			if want := fmt.Sprintf("t%d", i+1); r.TaskID != want {
+				t.Fatalf("reopened result %d is %s, want %s", i, r.TaskID, want)
+			}
+		}
+		// Reopened, the spool appends again.
+		if err := s2.Append(testResult(4)); err != nil {
+			t.Fatalf("Append after reopen: %v", err)
+		}
+		s2.Close()
 	}
 }

@@ -2,9 +2,10 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+
+	"github.com/afrinet/observatory/internal/framelog"
 )
 
 // Clone copies every sealed segment file from srcDir into dstDir,
@@ -30,32 +31,10 @@ func Clone(srcDir, dstDir string) error {
 		if n, err := fmt.Sscanf(e.Name(), "seg-%016x.seg", &id); n != 1 || err != nil {
 			continue
 		}
-		if err := cloneFileSync(filepath.Join(srcDir, e.Name()), filepath.Join(dstDir, e.Name())); err != nil {
+		if err := framelog.CopyFileSync(filepath.Join(srcDir, e.Name()), filepath.Join(dstDir, e.Name())); err != nil {
 			return fmt.Errorf("store: clone %s: %w", e.Name(), err)
 		}
 	}
-	syncDir(dstDir)
+	framelog.SyncDir(dstDir)
 	return nil
-}
-
-// cloneFileSync copies src to dst and fsyncs dst.
-func cloneFileSync(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

@@ -22,9 +22,9 @@ func FuzzSegmentReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])  // torn tail
-	f.Add(valid[:frameHeader-2]) // short header
-	f.Add([]byte{})              // empty
+	f.Add(valid[:len(valid)-3]) // torn tail
+	f.Add(valid[:6])            // short header (of 8 bytes)
+	f.Add([]byte{})             // empty
 	f.Add([]byte("not a segment"))
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 0xff // corrupt last frame's payload

@@ -7,10 +7,9 @@
 //
 // Appends land in an in-memory memtable. When the memtable reaches
 // Options.FlushEvery records it is sealed into an immutable segment —
-// written whole to a temp file, fsynced, renamed, directory-fsynced,
-// exactly like the journal's snapshots — carrying a sparse index
-// (SegmentMeta: seq range, tick range, distinct experiments, countries,
-// ASNs) as its first frame. Queries prune segments on that index and
+// written whole and atomically (internal/framelog) — carrying a sparse
+// index (SegmentMeta: seq range, tick range, distinct experiments,
+// countries, ASNs) as its first frame. Queries prune segments on that index and
 // stream the survivors' records in sequence order through one visitor
 // (query.go). A sealed segment is decoded at most once while it stays in
 // the store's segment cache (cache.go): flushes and compactions seed the

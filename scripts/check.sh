@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's tier-1 verification gate:
-#   gofmt -l (no unformatted files), go vet, build, a determinism lint,
-#   and the full test suite under the race detector (uncached).
+#   gofmt -l (no unformatted files), go vet, build, the determinism,
+#   envelope and durable-file lints, and the full test suite under the
+#   race detector (uncached).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,9 +37,10 @@ echo "== determinism lint =="
 # internal/dnssim and internal/dnsload join in PR10: resolver chains and
 # the paced load driver run in purely logical time (token-bucket send
 # times, modeled RTTs), so identical configs aggregate identically at
-# any worker count.
-if git grep -n 'time\.Now()' -- internal/core internal/journal internal/store internal/spool internal/federation internal/websim internal/archival internal/dnssim internal/dnsload cmd/fleetsim; then
-    echo "determinism lint: time.Now() is forbidden in internal/core, internal/journal, internal/store, internal/spool, internal/federation, internal/websim, internal/archival, internal/dnssim, internal/dnsload, and cmd/fleetsim" >&2
+# any worker count. internal/framelog, the durable-file primitive under
+# journal, store and spool, is held to their bar.
+if git grep -n 'time\.Now()' -- internal/core internal/framelog internal/journal internal/store internal/spool internal/federation internal/websim internal/archival internal/dnssim internal/dnsload cmd/fleetsim; then
+    echo "determinism lint: time.Now() is forbidden in internal/core, internal/framelog, internal/journal, internal/store, internal/spool, internal/federation, internal/websim, internal/archival, internal/dnssim, internal/dnsload, and cmd/fleetsim" >&2
     exit 1
 fi
 # The websteps stack draws all randomness from seeded splitmix64
@@ -60,6 +62,15 @@ echo "== envelope lint =="
 # naked WriteHeader anywhere else in either package bypasses it.
 if git grep -n 'http\.Error(\|WriteHeader(' -- internal/core internal/federation ':!internal/core/envelope.go'; then
     echo "envelope lint: http.Error / WriteHeader are forbidden in internal/core (outside envelope.go) and internal/federation" >&2
+    exit 1
+fi
+
+echo "== durable-file lint =="
+# Journal, spool and store create, truncate and rename files only through
+# internal/framelog (one torn-tail open, one atomic replace, one
+# fail-stop flag); a hand-rolled write path in an owner bypasses all three.
+if git grep -n 'os\.Rename(\|\.Truncate(\|os\.OpenFile(' -- internal/journal internal/spool internal/store ':!*_test.go'; then
+    echo "durable-file lint: os.Rename / Truncate / os.OpenFile are forbidden in internal/journal, internal/spool and internal/store — use internal/framelog" >&2
     exit 1
 fi
 
