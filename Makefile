@@ -25,7 +25,7 @@ loc:
 bench:
 	go run ./bench
 
-# Small fleet through both wire protocols under the race detector; the
+# Small fleet through the v1 HTTP surface under the race detector; the
 # run asserts exactly-once completion and exits non-zero on violation.
 # Also part of `make check`.
 fleetsim-smoke:

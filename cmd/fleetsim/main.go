@@ -1,24 +1,15 @@
-// Command fleetsim is the fleet-scale load generator for the batched
-// probe hot path (ISSUE: "a 100k-probe fleetsim bench"). It boots a
+// Command fleetsim is the fleet-scale load generator for the probe
+// protocol (ISSUE: "a 100k-probe fleetsim bench"). It boots a
 // controller — or a federated coordinator over -shards local shard
 // controllers — registers -probes simulated probes, enqueues a fixed
 // workload of -tasks-per-probe tasks each, and then drives the fleet
 // through the v1 HTTP surface (in-process handlers, real request
-// encode/decode, no sockets) until every result is delivered:
-//
-//   - mode=batched   each probe round is ONE POST /api/v1/probes/sync
-//     carrying the previous round's results plus the next lease ask —
-//     one journal fsync covers the whole round.
-//   - mode=unbatched each probe round is the pre-sync wire protocol:
-//     one heartbeat POST, one lease GET, and one POST per result —
-//     every probe does one round-trip (and one fsync) per lease, per
-//     result, per heartbeat.
-//
-// Both modes deliver the identical workload with identical durability
-// (every accepted record fsynced before the ack), so ops/sec ratios
-// measure the batching, not a durability discount. After the run
-// fleetsim asserts exactly-once completion from the controllers' own
-// books — accepted == recorded, zero dedups, zero rejects, zero
+// encode/decode, no sockets) until every result is delivered: each
+// probe round is ONE POST /api/v1/probes/sync carrying the previous
+// round's results plus the next lease ask, and one journal fsync covers
+// the whole round (every accepted record fsynced before the ack). After
+// the run fleetsim asserts exactly-once completion from the controllers'
+// own books — accepted == recorded, zero dedups, zero rejects, zero
 // requeues, zero outstanding leases — and exits non-zero on any
 // violation.
 //
@@ -29,15 +20,16 @@
 // scheduler's total-variation skew is lower than naive on every seed.
 //
 // Results land in -out (default none) under the "fleetsim" / "bias"
-// keys of that JSON file, merged so its other keys survive. Timing deliberately never calls time.Now directly
-// (internal/obs owns the clock); scripts/check.sh extends the
-// determinism lint over this package.
+// keys of that JSON file, merged so its other keys survive. Timing
+// deliberately never calls time.Now directly (internal/obs owns the
+// clock); scripts/check.sh extends the determinism lint over this
+// package.
 //
 // Usage:
 //
 //	go run ./cmd/fleetsim -probes 100000 -duration 60s -out fleet.json
 //	go run ./cmd/fleetsim -probes 1000 -duration 5s              # smoke
-//	go run ./cmd/fleetsim -probes 20000 -shards 4 -mode batched
+//	go run ./cmd/fleetsim -probes 20000 -shards 4
 //	go run ./cmd/fleetsim -bias -out fleet.json
 package main
 
@@ -66,9 +58,8 @@ import (
 func main() {
 	nProbes := flag.Int("probes", 100000, "simulated fleet size")
 	shards := flag.Int("shards", 0, "run a federated coordinator over N local shards (0 = single controller)")
-	duration := flag.Duration("duration", 60*time.Second, "per-mode time cap (the run ends early once the workload drains)")
+	duration := flag.Duration("duration", 60*time.Second, "time cap (the run ends early once the workload drains)")
 	workers := flag.Int("workers", 64, "concurrent client goroutines")
-	mode := flag.String("mode", "both", "batched | unbatched | both")
 	bias := flag.Bool("bias", false, "run the bias-aware scheduler experiment instead of the load run")
 	out := flag.String("out", "", "bench JSON file to merge results into (empty = stdout only)")
 	tasksPerProbe := flag.Int("tasks-per-probe", 16, "workload: tasks enqueued per probe")
@@ -86,16 +77,6 @@ func main() {
 			log.Fatalf("fleetsim: %v", err)
 		}
 		return
-	}
-
-	var modes []string
-	switch *mode {
-	case "both":
-		modes = []string{"unbatched", "batched"}
-	case "batched", "unbatched":
-		modes = []string{*mode}
-	default:
-		log.Fatalf("fleetsim: -mode must be batched, unbatched, or both, got %q", *mode)
 	}
 
 	root := *dataDir
@@ -117,31 +98,17 @@ func main() {
 		syncMax:       *syncMax,
 		seed:          *seed,
 	}
-	reports := map[string]loadReport{}
-	for _, m := range modes {
-		rep, err := runLoad(m, filepath.Join(root, m), cfg)
-		if err != nil {
-			log.Fatalf("fleetsim: %s: %v", m, err)
-		}
-		reports[m] = rep
+	rep, err := runLoad(root, cfg)
+	if err != nil {
+		log.Fatalf("fleetsim: %v", err)
 	}
-
 	outRec := fleetsimRecord{
 		Probes:        cfg.probes,
 		Shards:        cfg.shards,
 		TasksPerProbe: cfg.tasksPerProbe,
 		SyncMax:       cfg.syncMax,
 		Workers:       cfg.workers,
-	}
-	if r, ok := reports["batched"]; ok {
-		outRec.Batched = &r
-	}
-	if r, ok := reports["unbatched"]; ok {
-		outRec.Unbatched = &r
-	}
-	if outRec.Batched != nil && outRec.Unbatched != nil && outRec.Unbatched.OpsPerSec > 0 {
-		outRec.SpeedupOps = round2(outRec.Batched.OpsPerSec / outRec.Unbatched.OpsPerSec)
-		log.Printf("fleetsim: batched/unbatched ops speedup %.2fx", outRec.SpeedupOps)
+		Batched:       rep,
 	}
 	if err := writeOut(*out, "fleetsim", outRec); err != nil {
 		log.Fatalf("fleetsim: %v", err)
@@ -156,7 +123,7 @@ type loadConfig struct {
 	seed                    int64
 }
 
-// loadReport is what one mode's run measured.
+// loadReport is what the run measured.
 type loadReport struct {
 	Delivered   int64   `json:"delivered"`
 	Requests    int64   `json:"requests"`
@@ -172,14 +139,12 @@ type loadReport struct {
 
 // fleetsimRecord is the "fleetsim" key of the bench JSON file.
 type fleetsimRecord struct {
-	Probes        int         `json:"probes"`
-	Shards        int         `json:"shards,omitempty"`
-	TasksPerProbe int         `json:"tasks_per_probe"`
-	SyncMax       int         `json:"sync_max"`
-	Workers       int         `json:"workers"`
-	Batched       *loadReport `json:"batched,omitempty"`
-	Unbatched     *loadReport `json:"unbatched,omitempty"`
-	SpeedupOps    float64     `json:"speedup_ops,omitempty"`
+	Probes        int        `json:"probes"`
+	Shards        int        `json:"shards,omitempty"`
+	TasksPerProbe int        `json:"tasks_per_probe"`
+	SyncMax       int        `json:"sync_max"`
+	Workers       int        `json:"workers"`
+	Batched       loadReport `json:"batched"`
 }
 
 // fleetCountries is the synthetic fleet's vantage spread; real country
@@ -316,11 +281,11 @@ func setupFleet(b *backend, cfg loadConfig) ([]*simProbe, error) {
 	return fleet, nil
 }
 
-// runLoad drives one mode's full workload and reports throughput,
-// latency, and fsync cost.
-func runLoad(mode, dir string, cfg loadConfig) (loadReport, error) {
-	log.Printf("fleetsim: %s: booting (probes=%d shards=%d tasks/probe=%d)",
-		mode, cfg.probes, cfg.shards, cfg.tasksPerProbe)
+// runLoad drives the full workload and reports throughput, latency, and
+// fsync cost.
+func runLoad(dir string, cfg loadConfig) (loadReport, error) {
+	log.Printf("fleetsim: booting (probes=%d shards=%d tasks/probe=%d)",
+		cfg.probes, cfg.shards, cfg.tasksPerProbe)
 	b, err := buildBackend(dir, cfg)
 	if err != nil {
 		return loadReport{}, err
@@ -371,11 +336,7 @@ func runLoad(mode, dir string, cfg loadConfig) (loadReport, error) {
 					if timeUp.Load() || delivered.Load() >= target {
 						return
 					}
-					if mode == "batched" {
-						w.visitBatched(p)
-					} else {
-						w.visitUnbatched(p)
-					}
+					w.visit(p)
 					live++
 				}
 				if live == 0 {
@@ -401,24 +362,20 @@ func runLoad(mode, dir string, cfg loadConfig) (loadReport, error) {
 	if rep.Delivered > 0 {
 		rep.FsyncsPerOp = round2(float64(rep.Fsyncs) / float64(rep.Delivered))
 	}
-	leaseOp := "lease"
-	if mode == "batched" {
-		leaseOp = "sync"
-	}
-	if s, ok := reg.Snapshots()[`fleetsim_request_seconds{op="`+leaseOp+`"}`]; ok {
+	if s, ok := reg.Snapshots()[`fleetsim_request_seconds{op="sync"}`]; ok {
 		rep.LeaseP50ms = round2(float64(s.P50) / float64(time.Millisecond))
 		rep.LeaseP99ms = round2(float64(s.P99) / float64(time.Millisecond))
 	}
-	log.Printf("fleetsim: %s: delivered %d/%d in %.2fs — %.0f ops/sec, %.2f fsyncs/op, lease p50=%.2fms p99=%.2fms (requests=%d retried=%d)",
-		mode, rep.Delivered, target, rep.Seconds, rep.OpsPerSec, rep.FsyncsPerOp,
+	log.Printf("fleetsim: delivered %d/%d in %.2fs — %.0f ops/sec, %.2f fsyncs/op, lease p50=%.2fms p99=%.2fms (requests=%d retried=%d)",
+		rep.Delivered, target, rep.Seconds, rep.OpsPerSec, rep.FsyncsPerOp,
 		rep.LeaseP50ms, rep.LeaseP99ms, rep.Requests, rep.Retried)
 
 	if err := auditExactlyOnce(b.ctrls, rep.Delivered, rep.Drained); err != nil {
 		return rep, err
 	}
 	if !rep.Drained {
-		log.Printf("fleetsim: %s: WARNING: time cap hit with %d/%d delivered (exactly-once still held)",
-			mode, rep.Delivered, target)
+		log.Printf("fleetsim: WARNING: time cap hit with %d/%d delivered (exactly-once still held)",
+			rep.Delivered, target)
 	}
 	return rep, nil
 }
@@ -505,10 +462,10 @@ func (d *driver) do(op, method, path string, body, out any) int {
 	return rec.Code
 }
 
-// visitBatched runs one probe round on the sync hot path: previous
-// results + lease ask in one request. A failed round keeps the outbox
-// (the durable-spool contract) and retries on the next visit.
-func (d *driver) visitBatched(p *simProbe) {
+// visit runs one probe round: previous results + lease ask in one sync.
+// A failed round keeps the outbox (the durable-spool contract) and
+// retries on the next visit.
+func (d *driver) visit(p *simProbe) {
 	n := len(p.outbox)
 	if n > d.syncMax {
 		n = d.syncMax
@@ -525,38 +482,6 @@ func (d *driver) visitBatched(p *simProbe) {
 		return
 	}
 	for _, t := range resp.Tasks {
-		p.outbox = append(p.outbox, execute(t))
-	}
-}
-
-// visitUnbatched runs the same round on the pre-sync protocol: one
-// heartbeat POST, one submit POST per outbox result, one lease GET —
-// each its own round-trip and its own journal fsync.
-func (d *driver) visitUnbatched(p *simProbe) {
-	if d.do("heartbeat", http.MethodPost, "/api/v1/probes/"+p.id+"/heartbeat", nil, nil) != http.StatusOK {
-		return
-	}
-	for len(p.outbox) > 0 {
-		var resp struct {
-			Accepted int `json:"accepted"`
-		}
-		if d.do("submit", http.MethodPost, "/api/v1/probes/"+p.id+"/results",
-			p.outbox[:1], &resp) != http.StatusOK {
-			return // keep the outbox; retry next visit
-		}
-		d.delivered.Add(int64(resp.Accepted))
-		p.outbox = append(p.outbox[:0], p.outbox[1:]...)
-	}
-	var tasks []probes.Task
-	if d.do("lease", http.MethodGet,
-		fmt.Sprintf("/api/v1/probes/%s/tasks?max=%d", p.id, d.syncMax), nil, &tasks) != http.StatusOK {
-		return
-	}
-	if len(tasks) == 0 {
-		p.done = true
-		return
-	}
-	for _, t := range tasks {
 		p.outbox = append(p.outbox, execute(t))
 	}
 }

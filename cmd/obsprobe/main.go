@@ -1,14 +1,17 @@
 // Command obsprobe runs one observatory probe agent: it registers with a
-// controller, leases measurement tasks, executes them against the
-// simulated Internet (selected by -seed, which must match the fleet's),
-// and uploads results.
+// controller, then loops over POST /probes/sync rounds — each carries
+// the heartbeat, the next frame of undelivered results and the ask for
+// the next task lease — executing what it leases against the simulated
+// Internet (selected by -seed, which must match the fleet's). Idle
+// rounds long-poll server-side for up to -wait, so fresh work is
+// delivered the moment it is enqueued instead of on the next -poll.
 //
 // Usage:
 //
 //	obsprobe -controller http://127.0.0.1:8600 -id kgl-01 -asn 36924 \
 //	         [-seed 42] [-wired] [-budget 5.0] [-bundle-mb 20] [-poll 1]
 //	         [-spool-dir /var/lib/obsprobe] [-spool-max 4096]
-//	         [-breaker-threshold 0] [-sync] [-wait 5s] [-websteps]
+//	         [-breaker-threshold 0] [-wait 5s] [-websteps]
 //
 // Without -wired the probe is cellular-only and meters every task
 // against a prepaid bundle budget, failing tasks once the budget is
@@ -18,20 +21,15 @@
 // (internal/spool) before upload is attempted, so a probe killed by a
 // power cut restarts and delivers its backlog instead of re-running
 // the measurements; -spool-max bounds the backlog, evicting oldest
-// first. -breaker-threshold N trips a circuit breaker after N
-// consecutive transport failures so a dead uplink fails fast instead of
-// burning the retry budget (0 disables).
+// first. Without it the outbox is in memory: results survive a failed
+// round, not a restart. -breaker-threshold N trips a circuit breaker
+// after N consecutive transport failures so a dead uplink fails fast
+// instead of burning the retry budget (0 disables).
 //
 // With -websteps the agent is armed with the step-following web
 // measurement engine (internal/websim) under the seed's default
 // interference policy, so it can execute "websteps" tasks; without the
 // flag those tasks fail with "agent has no websteps engine".
-//
-// With -sync (requires -spool-dir) the probe uses the batched
-// POST /probes/sync hot path: each round-trip carries the heartbeat,
-// the next spooled result frame, and the lease request together, and
-// idle rounds long-poll server-side for up to -wait so fresh work is
-// delivered the moment it is enqueued instead of on the next -poll.
 //
 // On SIGINT/SIGTERM the probe shuts down gracefully: it finishes the
 // task batch it is executing, attempts one final upload of any results
@@ -76,19 +74,15 @@ func main() {
 	outageProb := flag.Float64("outage-prob", 0.0, "hourly grid-power outage probability")
 	poll := flag.Duration("poll", time.Second, "task poll interval")
 	once := flag.Bool("once", false, "drain the queue once and exit")
-	spoolDir := flag.String("spool-dir", "", "durable result outbox directory (empty = hold results in memory only)")
+	spoolDir := flag.String("spool-dir", "", "durable result outbox directory (empty = hold undelivered results in memory only)")
 	spoolMax := flag.Int("spool-max", 0, "max undelivered results spooled before oldest are evicted (0 = default 4096, negative = unbounded)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive transport failures before the uplink circuit breaker trips (0 = disabled)")
-	syncMode := flag.Bool("sync", false, "use the batched /probes/sync hot path (requires -spool-dir)")
-	wait := flag.Duration("wait", 0, "long-poll duration for idle sync rounds (0 = return immediately; only with -sync)")
+	wait := flag.Duration("wait", 0, "long-poll duration for idle sync rounds (0 = return immediately)")
 	websteps := flag.Bool("websteps", false, "arm the websteps engine (seed's default interference policy) so \"websteps\" tasks execute")
 	flag.Parse()
 
 	if *id == "" || *asn == 0 {
 		log.Fatal("obsprobe: -id and -asn are required")
-	}
-	if *syncMode && *spoolDir == "" {
-		log.Fatal("obsprobe: -sync requires -spool-dir (the sync path delivers from the durable outbox)")
 	}
 
 	log.Printf("obsprobe %s: generating world (seed=%d year=%d)...", *id, *seed, *year)
@@ -119,6 +113,9 @@ func main() {
 	cl.Obs = reg
 	cl.BreakerThreshold = *breakerThreshold
 
+	// outbox holds executed-but-undelivered results: the disk spool with
+	// -spool-dir (sp), the in-memory one without.
+	var outbox core.ResultSpool = &core.MemSpool{}
 	var sp *spool.Spool
 	if *spoolDir != "" {
 		var err error
@@ -130,18 +127,11 @@ func main() {
 		if n := sp.Len(); n > 0 {
 			log.Printf("obsprobe %s: spool holds %d undelivered results from a previous run", *id, n)
 		}
+		outbox = sp
 	}
 	// One counter family covers the probe's whole resilience story:
 	// spool depth/evictions plus breaker trips and Retry-After honors.
-	reg.AddCounters("obs_probe_resilience_total", func() map[string]int64 {
-		out := cl.ResilienceCounters()
-		if sp != nil {
-			for k, v := range sp.Counters() {
-				out[k] = v
-			}
-		}
-		return out
-	})
+	reg.AddCounters("obs_probe_resilience_total", func() map[string]int64 { return resilience(cl, sp) })
 
 	if err := cl.Register(core.ProbeInfo{
 		ID: *id, ASN: topology.ASN(*asn),
@@ -155,50 +145,23 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// Without a spool, pending holds results whose upload failed even
-	// after retries; they are flushed on later rounds and in one final
-	// attempt at shutdown. With -spool-dir the disk outbox plays this
-	// role durably and flush drains it instead. Late delivery is safe
-	// either way: the controller dedups by (experiment, task).
-	var pending []probes.Result
+	// flush delivers results whose upload failed even after retries, on
+	// later rounds and in one final attempt at shutdown. Late delivery is
+	// safe: the controller dedups by (experiment, task). Every delivered
+	// batch doubles as liveness contact.
 	flush := func() {
-		if sp != nil {
-			if n, err := core.FlushSpool(cl, *id, sp, 64); err != nil {
-				log.Printf("obsprobe %s: flushing spool (%d still pending): %v", *id, sp.Len(), err)
-			} else if n > 0 {
-				log.Printf("obsprobe %s: delivered %d spooled results", *id, n)
-			}
-			return
+		if n, err := core.FlushSpool(cl, *id, outbox, 64); err != nil {
+			log.Printf("obsprobe %s: flushing outbox (%d still pending): %v", *id, outbox.Len(), err)
+		} else if n > 0 {
+			log.Printf("obsprobe %s: delivered %d held results", *id, n)
 		}
-		if len(pending) == 0 {
-			return
-		}
-		if err := cl.SubmitResults(*id, pending); err != nil {
-			log.Printf("obsprobe %s: flushing %d held results: %v", *id, len(pending), err)
-			return
-		}
-		log.Printf("obsprobe %s: delivered %d held results", *id, len(pending))
-		pending = nil
 	}
 
 	for {
 		// A signal mid-batch lets the batch finish: the drain executes
 		// and uploads synchronously, and we only check ctx between
 		// rounds.
-		var n int
-		var err error
-		if *syncMode {
-			// One round-trip per round: heartbeat + spooled results +
-			// lease ask travel together, and idle rounds park server-side
-			// for up to -wait instead of returning empty.
-			n, err = core.DrainWithSync(cl, agent, sp, *wait)
-		} else if sp != nil {
-			n, err = core.DrainWithSpool(cl, agent, sp)
-		} else {
-			var leftover []probes.Result
-			n, leftover, err = core.DrainOnce(cl, agent)
-			pending = append(pending, leftover...)
-		}
+		n, err := core.DrainWithSync(cl, agent, outbox, *wait)
 		if errors.Is(err, framelog.ErrStopped) {
 			// The spool can keep nothing more until it is reopened: another
 			// round would lease and execute tasks, spending the data
@@ -210,7 +173,7 @@ func main() {
 			// Transient faults are retried inside the client; anything
 			// surfacing here abandons the round. The controller requeues
 			// whatever we leased once the lease expires — except results
-			// we already executed, which are held in pending.
+			// we already executed, which are held in the outbox.
 			log.Printf("obsprobe %s: %v", *id, err)
 		}
 		if n > 0 {
@@ -218,11 +181,10 @@ func main() {
 		}
 		flush()
 		if err != nil {
-			// Lease/upload calls double as liveness contact; a round
-			// that failed outright recorded none, so heartbeat
-			// explicitly lest the controller declare us dead and
-			// reassign our queue.
-			if herr := cl.Heartbeat(*id); herr != nil {
+			// Every sync doubles as liveness contact; a round that
+			// failed outright recorded none, so send an empty one lest
+			// the controller declare us dead and reassign our queue.
+			if _, herr := cl.Sync(core.SyncRequest{ProbeID: *id, Max: -1}, 0); herr != nil {
 				log.Printf("obsprobe %s: heartbeat: %v", *id, herr)
 			}
 		}
@@ -237,9 +199,9 @@ func main() {
 			if sp != nil && sp.Len() > 0 {
 				log.Printf("obsprobe %s: exiting with %d spooled results (delivered on next start)",
 					*id, sp.Len())
-			} else if len(pending) > 0 {
+			} else if outbox.Len() > 0 {
 				log.Printf("obsprobe %s: exiting with %d undelivered results (lease expiry will requeue them)",
-					*id, len(pending))
+					*id, outbox.Len())
 			}
 			logResilience(*id, cl, sp)
 			logLatencies(*id, reg)
@@ -253,16 +215,22 @@ func main() {
 	logLatencies(*id, reg)
 }
 
-// logResilience prints the probe's non-zero resilience counters at
-// shutdown: spool depth and evictions, breaker trips, Retry-After
-// honors — the field-conditions ledger for this run.
-func logResilience(id string, cl *core.Client, sp *spool.Spool) {
+// resilience merges the client's counters with the disk spool's, if any.
+func resilience(cl *core.Client, sp *spool.Spool) map[string]int64 {
 	vals := cl.ResilienceCounters()
 	if sp != nil {
 		for k, v := range sp.Counters() {
 			vals[k] = v
 		}
 	}
+	return vals
+}
+
+// logResilience prints the probe's non-zero resilience counters at
+// shutdown: spool depth and evictions, breaker trips, Retry-After
+// honors — the field-conditions ledger for this run.
+func logResilience(id string, cl *core.Client, sp *spool.Spool) {
+	vals := resilience(cl, sp)
 	names := make([]string, 0, len(vals))
 	for name, v := range vals {
 		if v != 0 {

@@ -65,29 +65,33 @@ func TestAPIDocInSync(t *testing.T) {
 	}
 }
 
+// bothTiers serves one durable controller directly and as the only
+// (local) shard of a coordinator.
+var bothTiers = map[string]func(*testing.T, *core.Controller) http.Handler{
+	"controller":  func(_ *testing.T, c *core.Controller) http.Handler { return c.Handler() },
+	"coordinator": func(t *testing.T, c *core.Controller) http.Handler { return newCoordinator(t, c).Handler() },
+}
+
 // TestStorageFaultIs503 closes the journal under a live handler: every
 // mutating route must answer a valid request 503 unavailable +
 // Retry-After (a server fault the client retries), not the handler's
 // generic 400/404 — on a controller, and on a coordinator whose local
 // shard is that controller.
 func TestStorageFaultIs503(t *testing.T) {
-	tiers := map[string]func(*core.Controller) http.Handler{
-		"controller":  func(c *core.Controller) http.Handler { return c.Handler() },
-		"coordinator": func(c *core.Controller) http.Handler { return newCoordinator(t, c).Handler() },
-	}
-	for tier, handlerOf := range tiers {
+	for tier, handlerOf := range bothTiers {
 		t.Run(tier, func(t *testing.T) {
 			ctrl, err := core.Recover(t.TempDir(), core.DurabilityConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ctrl.Close()
-			h := handlerOf(ctrl)
-			post := func(path, body string) *httptest.ResponseRecorder {
+			h := handlerOf(t, ctrl)
+			do := func(method, path, body string) *httptest.ResponseRecorder {
 				w := httptest.NewRecorder()
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+				h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
 				return w
 			}
+			post := func(path, body string) *httptest.ResponseRecorder { return do(http.MethodPost, path, body) }
 			if w := post("/api/v1/probes/register", `{"id": "p1", "asn": 1, "country": "RW"}`); w.Code != http.StatusOK {
 				t.Fatalf("register: %d %s", w.Code, w.Body)
 			}
@@ -102,14 +106,15 @@ func TestStorageFaultIs503(t *testing.T) {
 
 			ctrl.BreakJournal()
 			faults := 0
-			for _, tc := range []struct{ path, body string }{
-				{"/api/v1/probes/register", `{"id": "p2", "asn": 1, "country": "RW"}`},
-				{"/api/v1/probes/sync", `{"probe_id": "p1"}`},
-				{"/api/v1/probes/p1/results", `[]`},
-				{"/api/v1/probes/p1/heartbeat", ``},
-				{"/api/v1/experiments/" + exp.ID + "/approve", ``},
+			for _, tc := range []struct{ method, path, body string }{
+				{http.MethodPost, "/api/v1/probes/register", `{"id": "p2", "asn": 1, "country": "RW"}`},
+				{http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1"}`},
+				{http.MethodGet, "/api/v1/probes/p1/tasks", ``},
+				{http.MethodPost, "/api/v1/probes/p1/results", `[]`},
+				{http.MethodPost, "/api/v1/probes/p1/heartbeat", ``},
+				{http.MethodPost, "/api/v1/experiments/" + exp.ID + "/approve", ``},
 			} {
-				w := post(tc.path, tc.body)
+				w := do(tc.method, tc.path, tc.body)
 				if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
 					t.Errorf("%s: status %d Retry-After %q, want 503 with Retry-After (body %s)",
 						tc.path, w.Code, w.Header().Get("Retry-After"), w.Body)
@@ -132,6 +137,60 @@ func TestStorageFaultIs503(t *testing.T) {
 			// Validation still wins over the fault: nothing reaches the journal.
 			if w := post("/api/v1/probes/sync", `{"probe_id": "ghost"}`); w.Code != http.StatusNotFound {
 				t.Fatalf("unknown probe on a faulted controller: %d, want 404", w.Code)
+			}
+		})
+	}
+}
+
+// TestUnregisteredProbeLeasesNothing: the legacy tasks and results
+// routes answer an id the fleet book has never seen 404 not_found, as
+// sync and heartbeat do, and journal nothing — even with tasks queued
+// under that id (the parent granted them a journaled lease whose
+// results it then refused).
+func TestUnregisteredProbeLeasesNothing(t *testing.T) {
+	for tier, handlerOf := range bothTiers {
+		t.Run(tier, func(t *testing.T) {
+			ctrl, err := core.Recover(t.TempDir(), core.DurabilityConfig{Trusted: []string{"owner"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctrl.Close()
+			h := handlerOf(t, ctrl)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/experiments",
+				strings.NewReader(`{"owner": "owner", "description": "d", "assignments": [{"ProbeID": "ghost", "Task": {"kind": "ping"}}]}`)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("submit: %d %s", w.Code, w.Body)
+			}
+			var exp core.Experiment
+			if err := json.Unmarshal(w.Body.Bytes(), &exp); err != nil {
+				t.Fatal(err)
+			}
+			appended := ctrl.DurabilityCounters()["journal_records_appended"]
+			result := fmt.Sprintf(`[{"task_id": %q, "experiment": %q, "probe_id": "ghost", "kind": "ping", "ok": true}]`,
+				exp.Assignments[0].Task.ID, exp.Assignments[0].Task.Experiment)
+			for _, tc := range []struct{ method, path, body string }{
+				{http.MethodGet, "/api/v1/probes/ghost/tasks", ``},
+				{http.MethodGet, "/api/v1/probes/ghost/tasks?max=1", ``},
+				{http.MethodPost, "/api/v1/probes/ghost/results", `[]`},
+				{http.MethodPost, "/api/v1/probes/ghost/results", result},
+			} {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+				var env struct {
+					Error struct {
+						Code string `json:"code"`
+					} `json:"error"`
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusNotFound || env.Error.Code != core.ErrCodeNotFound {
+					t.Errorf("%s %s: %d %s, want 404 not_found", tc.method, tc.path, w.Code, w.Body)
+				}
+			}
+			if got := ctrl.DurabilityCounters()["journal_records_appended"]; got != appended {
+				t.Errorf("journal grew by %d records serving an unregistered probe", got-appended)
+			}
+			if n := ctrl.OutstandingLeases(); n != 0 {
+				t.Errorf("%d leases granted to an unregistered probe", n)
 			}
 		})
 	}

@@ -119,7 +119,8 @@ func WalkRequestIDEcho(t *testing.T, h http.Handler) {
 }
 
 // TestErrorEnvelopeOnEveryErrorPath samples the distinct error paths
-// (404 unknown path, 404 missing resource, 400 bad query, 405) and
+// (404 unknown path, 404 missing resource, 400 bad query, 400 bad
+// long-poll wait, 405) and
 // requires the envelope on each.
 func TestErrorEnvelopeOnEveryErrorPath(t *testing.T) {
 	WalkErrorEnvelope(t, NewController("owner").Handler(), "/api/v1/probes")
@@ -129,18 +130,19 @@ func TestErrorEnvelopeOnEveryErrorPath(t *testing.T) {
 // for the 405 case.
 func WalkErrorEnvelope(t *testing.T, h http.Handler, getOnlyPath string) {
 	cases := []struct {
-		method, path string
-		status       int
-		code         string
+		method, path, body string
+		status             int
+		code               string
 	}{
-		{http.MethodGet, "/api/v2/nope", http.StatusNotFound, ErrCodeNotFound},
-		{http.MethodGet, "/api/v1/experiments/ghost", http.StatusNotFound, ErrCodeNotFound},
-		{http.MethodGet, "/api/v1/probes/p1/tasks?max=bogus", http.StatusBadRequest, ErrCodeBadRequest},
-		{http.MethodGet, "/api/v1/debug/traces?slowest=-2", http.StatusBadRequest, ErrCodeBadRequest},
-		{http.MethodDelete, getOnlyPath, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
+		{http.MethodGet, "/api/v2/nope", "", http.StatusNotFound, ErrCodeNotFound},
+		{http.MethodGet, "/api/v1/experiments/ghost", "", http.StatusNotFound, ErrCodeNotFound},
+		{http.MethodGet, "/api/v1/probes/p1/tasks?max=bogus", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{http.MethodPost, "/api/v1/probes/sync?wait=banana", `{"probe_id": "p1"}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{http.MethodGet, "/api/v1/debug/traces?slowest=-2", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{http.MethodDelete, getOnlyPath, "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
 	}
 	for _, tc := range cases {
-		w := doReq(h, tc.method, tc.path, "", nil)
+		w := doReq(h, tc.method, tc.path, tc.body, nil)
 		if w.Code != tc.status {
 			t.Errorf("%s %s: status %d, want %d (body=%q)", tc.method, tc.path, w.Code, tc.status, w.Body.String())
 			continue

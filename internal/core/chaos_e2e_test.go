@@ -263,7 +263,7 @@ func TestChaosScheduleEndToEnd(t *testing.T) {
 			}
 			// Chaos-induced failures are the point; the spool holds
 			// whatever could not be delivered this round.
-			if _, err := DrainWithSpool(r.cl, r.agent, r.sp); err != nil {
+			if _, err := DrainWithSync(r.cl, r.agent, r.sp, 0); err != nil {
 				_ = r.cl.Heartbeat(r.id)
 			}
 		}

@@ -609,55 +609,22 @@ func (c *Client) Stats() (StatsReport, error) {
 	return out, err
 }
 
-// RunAgentOnce drains the probe's queue through the agent: it leases
-// tasks, executes them, and uploads results, returning the number of
-// tasks processed. Power or budget failures are reported as failed
-// results rather than dropped. Uploads ride the client's retry policy;
-// because the controller deduplicates by task ID, a retried upload
-// whose first delivery actually landed cannot double-count. If an
-// upload still fails after retries the leased tasks are simply
+// RunAgentOnce drains the probe's queue through the agent: DrainWithSync
+// over an in-memory outbox, returning the number of tasks processed.
+// Uploads ride the client's retry policy; because the controller
+// deduplicates by task ID, a retried upload whose first delivery
+// actually landed cannot double-count. If an upload still fails after
+// retries the results go with the outbox and the leased tasks are
 // abandoned — the controller requeues them at lease expiry.
 func RunAgentOnce(cl *Client, agent *probes.Agent) (int, error) {
-	n, _, err := DrainOnce(cl, agent)
-	return n, err
+	return DrainWithSync(cl, agent, &MemSpool{}, 0)
 }
 
-// DrainOnce is RunAgentOnce for callers that cannot afford to abandon
-// work: when an upload fails even after retries, the executed-but-
-// unsubmitted results are returned so the caller can hold them and try
-// again later (cmd/obsprobe flushes them on its next round and makes
-// one final attempt during graceful shutdown). Resubmitting them late
-// is always safe — the controller dedups by (experiment, task).
-func DrainOnce(cl *Client, agent *probes.Agent) (int, []probes.Result, error) {
-	total := 0
-	for {
-		tasks, err := cl.LeaseTasks(agent.ID(), 64)
-		if err != nil {
-			return total, nil, err
-		}
-		if len(tasks) == 0 {
-			return total, nil, nil
-		}
-		results := make([]probes.Result, 0, len(tasks))
-		for _, t := range tasks {
-			res, err := agent.Execute(t)
-			if err != nil && res.Error == "" {
-				res.Error = err.Error()
-			}
-			results = append(results, res)
-		}
-		if err := cl.SubmitResults(agent.ID(), results); err != nil {
-			return total, results, err
-		}
-		total += len(tasks)
-	}
-}
-
-// ResultSpool is the durable-outbox contract DrainWithSpool,
-// FlushSpool, and DrainWithSync need, implemented by
-// internal/spool.Spool: results are persisted (Append) before any
-// upload is attempted, offered back oldest-first in frames (DrainBatch),
-// and durably retired in bulk once delivered (AckBatch).
+// ResultSpool is the outbox contract DrainWithSync and FlushSpool need:
+// results are kept (Append) before any upload is attempted, offered back
+// oldest-first in frames (DrainBatch), and retired in bulk once delivered
+// (AckBatch). internal/spool.Spool is the durable one; MemSpool holds
+// the same results only as long as the process lives.
 type ResultSpool interface {
 	probes.ResultSink
 	DrainBatch(max int) ([]probes.Result, uint64)
@@ -665,14 +632,44 @@ type ResultSpool interface {
 	Len() int
 }
 
-// FlushSpool uploads the spool's undelivered backlog in batches of up
-// to batch results (batch <= 0 means 64), durably acking each batch
-// only after the controller accepted it. It returns the number of
-// results delivered; on upload failure everything unacked simply stays
-// spooled for the next flush — even across a probe restart. A batch
-// that was delivered but whose response was lost is re-sent next
-// flush; the controller dedups by (experiment, task), so the cost is
-// bandwidth, never duplicated data.
+// MemSpool is the in-memory ResultSpool, for a probe with no spool
+// directory: a held result survives a failed round, not a restart. The
+// zero value is empty and ready; it is not safe for concurrent use.
+type MemSpool struct {
+	pending []probes.Result
+	acked   uint64 // results retired so far: pending[0] is number acked+1
+}
+
+func (m *MemSpool) Append(r probes.Result) error {
+	m.pending = append(m.pending, r)
+	return nil
+}
+
+func (m *MemSpool) DrainBatch(max int) ([]probes.Result, uint64) {
+	if max > len(m.pending) {
+		max = len(m.pending)
+	}
+	return m.pending[:max], m.acked + uint64(max)
+}
+
+func (m *MemSpool) AckBatch(upTo uint64) error {
+	if upTo > m.acked {
+		m.pending = m.pending[upTo-m.acked:]
+		m.acked = upTo
+	}
+	return nil
+}
+
+func (m *MemSpool) Len() int { return len(m.pending) }
+
+// FlushSpool delivers the spool's undelivered backlog in rounds that ask
+// for no lease, up to batch results each (batch <= 0 means 64), acking
+// each batch only after the controller accepted it. It returns the
+// number of results delivered; on upload failure everything unacked
+// simply stays spooled for the next flush — even across a probe
+// restart. A batch that was delivered but whose response was lost is
+// re-sent next flush; the controller dedups by (experiment, task), so
+// the cost is bandwidth, never duplicated data.
 func FlushSpool(cl *Client, probeID string, sp ResultSpool, batch int) (int, error) {
 	if batch <= 0 {
 		batch = 64
@@ -683,7 +680,7 @@ func FlushSpool(cl *Client, probeID string, sp ResultSpool, batch int) (int, err
 		if len(rs) == 0 {
 			return total, nil
 		}
-		if err := cl.SubmitResults(probeID, rs); err != nil {
+		if _, err := cl.Sync(SyncRequest{ProbeID: probeID, Results: rs, Max: -1}, 0); err != nil {
 			return total, err
 		}
 		if err := sp.AckBatch(upTo); err != nil {
@@ -693,56 +690,20 @@ func FlushSpool(cl *Client, probeID string, sp ResultSpool, batch int) (int, err
 	}
 }
 
-// DrainWithSpool is DrainOnce with a durable outbox: leased tasks are
-// executed with every result persisted to the spool *before* upload is
-// attempted, then the whole backlog (including anything left over from
-// previous runs of this probe) is flushed. A probe killed at any point
-// — mid-execution, mid-upload, before upload — restarts, reopens its
-// spool, and delivers exactly what it had completed, without re-running
-// the measurements or waiting for lease expiry. Returns the number of
-// tasks executed this call.
-func DrainWithSpool(cl *Client, agent *probes.Agent, sp ResultSpool) (int, error) {
-	total := 0
-	for {
-		// Flush first so a backlog from a previous life is delivered
-		// even when the lease call fails (e.g. breaker open, link down
-		// at lease time but back by flush... or vice versa — either way
-		// nothing is lost, only deferred).
-		if _, err := FlushSpool(cl, agent.ID(), sp, 64); err != nil {
-			return total, err
-		}
-		tasks, err := cl.LeaseTasks(agent.ID(), 64)
-		if err != nil {
-			return total, err
-		}
-		if len(tasks) == 0 {
-			return total, nil
-		}
-		n, err := agent.RunTasks(tasks, sp)
-		total += n
-		if err != nil {
-			// ErrPowerOut or a spool write failure: whatever was sunk is
-			// safe on disk; flush it before reporting the fault.
-			_, ferr := FlushSpool(cl, agent.ID(), sp, 64)
-			if ferr != nil {
-				return total, fmt.Errorf("%w (and flushing spool: %w)", err, ferr)
-			}
-			return total, err
-		}
-	}
-}
-
-// DrainWithSync is the batched successor to DrainWithSpool: each
-// controller round-trip is one Sync call carrying the spool's next
-// backlog frame, doubling as the heartbeat, and asking for the next
-// lease — so a full execute/deliver/lease round costs one request and,
-// controller-side, one journal fsync instead of three. Durability is
-// unchanged: results are spooled before upload and acked only after
-// the controller accepted the batch, so a crash or failed round leaves
-// everything undelivered safely on disk. wait > 0 long-polls on the
-// final (empty-queue, empty-spool) round so new work is delivered the
-// moment it is enqueued; while a backlog remains, rounds don't park.
-// Returns the number of tasks executed this call.
+// DrainWithSync is the probe's drain loop: each controller round-trip is
+// one Sync call carrying the spool's next backlog frame (including
+// anything left over from previous runs of this probe), doubling as the
+// heartbeat, and asking for the next lease — so a full
+// execute/deliver/lease round costs one request and, controller-side,
+// one journal fsync. Results are spooled before upload and acked only
+// after the controller accepted the batch, so a crash or failed round
+// leaves everything undelivered safely in the spool: a probe killed at
+// any point restarts, reopens a durable spool, and delivers exactly what
+// it had completed, without re-running the measurements or waiting for
+// lease expiry. wait > 0 long-polls on the final (empty-queue,
+// empty-spool) round so new work is delivered the moment it is
+// enqueued; while a backlog remains, rounds don't park. Returns the
+// number of tasks executed this call.
 func DrainWithSync(cl *Client, agent *probes.Agent, sp ResultSpool, wait time.Duration) (int, error) {
 	total := 0
 	for {
@@ -770,15 +731,10 @@ func DrainWithSync(cl *Client, agent *probes.Agent, sp ResultSpool, wait time.Du
 		total += n
 		if err != nil {
 			// ErrPowerOut or a spool write failure: whatever was sunk is
-			// safe on disk; deliver it (no lease ask) before reporting
-			// the fault.
-			if rs, upTo := sp.DrainBatch(64); len(rs) > 0 {
-				if _, serr := cl.Sync(SyncRequest{ProbeID: agent.ID(), Results: rs, Max: -1}, 0); serr != nil {
-					return total, fmt.Errorf("%w (and flushing spool: %w)", err, serr)
-				}
-				if aerr := sp.AckBatch(upTo); aerr != nil {
-					return total, fmt.Errorf("%w (and acking spool: %w)", err, aerr)
-				}
+			// safe in the spool; deliver it (no lease ask) before
+			// reporting the fault.
+			if _, ferr := FlushSpool(cl, agent.ID(), sp, 64); ferr != nil {
+				return total, fmt.Errorf("%w (and flushing spool: %w)", err, ferr)
 			}
 			return total, err
 		}

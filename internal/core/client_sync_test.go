@@ -200,13 +200,12 @@ func (s *stoppedSpool) AckBatch(uint64) error                    { return errSpo
 func (s *stoppedSpool) Len() int                                 { return 0 }
 
 // TestDrainReportsStoppedSpool: when the spool cannot persist a result,
-// both drains stop executing at that task — running the rest would spend
+// the drain stops executing at that task — running the rest would spend
 // the probe's data budget on results nothing can keep — and return an
 // error the agent can recognise as framelog.ErrStopped, so it exits for
 // its supervisor to reopen the spool instead of looping.
 func TestDrainReportsStoppedSpool(t *testing.T) {
 	drains := map[string]func(*Client, *probes.Agent, ResultSpool) (int, error){
-		"DrainWithSpool": DrainWithSpool,
 		"DrainWithSync": func(cl *Client, a *probes.Agent, sp ResultSpool) (int, error) {
 			return DrainWithSync(cl, a, sp, 0)
 		},

@@ -15,20 +15,23 @@
 // (Section 7.1), so the task pipeline assumes every RPC can be lost,
 // delayed, or delivered twice:
 //
-//   - LeaseTasks hands out tasks under a lease that expires after
-//     LeaseTTL controller ticks. Time is a logical tick counter
-//     advanced by Tick (cmd/obsd drives it from a wall-clock timer;
-//     tests drive it directly), keeping every run deterministic.
+//   - Every probe call is one sync round (sync.go): probe contact, an
+//     optional result batch, an optional lease ask, journaled as one
+//     record. LeaseTasks, SubmitResults and Heartbeat are the rounds
+//     that carry only one of the three.
+//   - A round's lease hands out tasks that expire after LeaseTTL
+//     controller ticks. Time is a logical tick counter advanced by Tick
+//     (cmd/obsd drives it from a wall-clock timer; tests drive it
+//     directly), keeping every run deterministic.
 //   - Tick reaps expired leases: a task whose lease lapsed without a
 //     recorded result is requeued for redelivery.
-//   - SubmitResults is idempotent: results are deduplicated by
+//   - A round's results are idempotent: they are deduplicated by
 //     (experiment, task) so redelivered or duplicated uploads can
 //     never double-count toward Done.
-//   - Every probe RPC doubles as a heartbeat; Heartbeat is the
-//     explicit no-work variant. A probe that stays silent transitions
-//     alive → suspect → dead on the tick clock, and a dead probe's
-//     queue is reassigned to an alive peer in the same ASN (failing
-//     that, the same country) when one exists.
+//   - A probe that stays silent transitions alive → suspect → dead on
+//     the tick clock, and a dead probe's queue is reassigned to an alive
+//     peer in the same ASN (failing that, the same country) when one
+//     exists.
 //
 // Pipeline events are counted in a metrics.CounterSet exposed via
 // Stats and the /api/v1/stats endpoint.
@@ -323,27 +326,11 @@ func (c *Controller) Probes() []ProbeInfo {
 }
 
 // Heartbeat records contact from a probe that has no lease or result
-// traffic to piggyback on. Unknown probes are rejected so the fleet
-// view stays authoritative.
+// traffic to piggyback on: a sync round with no results and no lease
+// ask. Unknown probes are rejected so the fleet view stays authoritative.
 func (c *Controller) Heartbeat(probeID string) error {
-	return c.heartbeatCtx(context.Background(), probeID)
-}
-
-func (c *Controller) heartbeatCtx(ctx context.Context, probeID string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.probes[probeID]; !ok {
-		return fmt.Errorf("%w %s", ErrUnknownProbe, probeID)
-	}
-	defer c.setSpanLocked(obs.SpanFrom(ctx))()
-	return c.mutateLocked(opHeartbeat, probeOp{ProbeID: probeID}, func() { c.applyHeartbeatLocked(probeID) })
-}
-
-func (c *Controller) applyHeartbeatLocked(probeID string) {
-	if st, ok := c.probes[probeID]; ok {
-		c.touchLocked(st)
-		c.stats.Inc("heartbeats")
-	}
+	_, err := c.syncCtx(context.Background(), probeID, nil, -1)
+	return err
 }
 
 // ProbeHealthOf reports the controller's liveness verdict for a probe.
@@ -664,40 +651,24 @@ func cloneExp(e *Experiment) *Experiment {
 	return &cp
 }
 
-// LeaseTasks pops up to max tasks from a probe's queue under a lease of
-// LeaseTTL ticks. Tasks that already completed elsewhere (a requeued
-// copy racing its original delivery) are dropped instead of re-leased.
-// The call counts as probe contact. A lease the journal refuses to
-// record is not granted (nil): an unjournaled lease would be invisible
-// after a crash and its tasks stuck until a replayed expiry that never
-// comes.
+// LeaseTasks pops up to max tasks (max <= 0: the whole queue) from a
+// probe's queue under a lease of LeaseTTL ticks: a sync round with no
+// results. Tasks that already completed elsewhere (a requeued copy
+// racing its original delivery) are dropped instead of re-leased. The
+// call counts as probe contact. An unregistered probe is granted
+// nothing, and neither is a lease the journal refuses to record (nil):
+// an unjournaled lease would be invisible after a crash and its tasks
+// stuck until a replayed expiry that never comes.
 func (c *Controller) LeaseTasks(probeID string, max int) []probes.Task {
-	return c.leaseTasksCtx(context.Background(), probeID, max)
-}
-
-func (c *Controller) leaseTasksCtx(ctx context.Context, probeID string, max int) []probes.Task {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.setSpanLocked(obs.SpanFrom(ctx))()
-	var lease []probes.Task
-	if err := c.mutateLocked(opLease, leaseOp{ProbeID: probeID, Max: max}, func() {
-		lease = c.applyLeaseLocked(probeID, max)
-	}); err != nil {
-		return nil
+	if max <= 0 {
+		max = wholeQueue
 	}
-	return lease
+	resp, _ := c.syncCtx(context.Background(), probeID, nil, max)
+	return resp.Tasks
 }
 
-func (c *Controller) applyLeaseLocked(probeID string, max int) []probes.Task {
-	if st, ok := c.probes[probeID]; ok {
-		c.touchLocked(st)
-	}
-	return c.grantLocked(probeID, max)
-}
-
-// grantLocked is the queue-pop half of a lease, shared by the plain
-// lease apply and the batched sync apply: pop up to max tasks (after
-// the coverage allowance in scheduler.go trims the ask for
+// grantLocked is the queue-pop half of a sync round: pop up to max
+// tasks (after the coverage allowance in scheduler.go trims the ask for
 // overrepresented vantage points), drop copies that completed
 // elsewhere, and record the grant in the lease table and the
 // served-coverage tallies.
@@ -749,49 +720,24 @@ func (c *Controller) OutstandingLeases() int {
 	return len(c.leases)
 }
 
-// SubmitResults records a batch of task results idempotently. The whole
-// batch is validated first — an unregistered probe, unknown experiment,
-// or unknown task ID rejects it without recording anything — then each
-// result is recorded at most once per (experiment, task): redelivered
-// duplicates are counted and dropped, so retrying an upload is always
-// safe. It returns how many results were newly recorded.
-//
-// Payloads go to the results store (stamped with the submitting probe's
-// country/ASN and the current tick) before the dedup refs are
-// journaled; the WAL carries only (experiment, task) bookkeeping. A
-// crash between the two leaves an unacknowledged payload in the store,
-// which read-time dedup collapses when the retry lands.
+// SubmitResults records a batch of task results idempotently: a sync
+// round that asks for no lease. The whole batch is validated first — an
+// unregistered probe, unknown experiment, or unknown task ID rejects it
+// without recording anything — then each result is recorded at most once
+// per (experiment, task): redelivered duplicates are counted and
+// dropped, so retrying an upload is always safe. It returns how many
+// results were newly recorded.
 func (c *Controller) SubmitResults(probeID string, rs []probes.Result) (int, error) {
-	return c.submitResultsCtx(context.Background(), probeID, rs)
-}
-
-func (c *Controller) submitResultsCtx(ctx context.Context, probeID string, rs []probes.Result) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.setSpanLocked(obs.SpanFrom(ctx))()
-	st, ok := c.probes[probeID]
-	if !ok {
-		c.stats.Inc("results_rejected")
-		return 0, fmt.Errorf("core: unknown probe %s", probeID)
-	}
-	refs, err := c.stageResultsLocked(st, rs)
-	if err != nil {
-		return 0, err
-	}
-	accepted := 0
-	if err := c.mutateLocked(opResults, resultsOp{ProbeID: probeID, Refs: refs}, func() {
-		accepted = c.applyResultsLocked(probeID, refs)
-	}); err != nil {
-		return 0, err
-	}
-	return accepted, nil
+	resp, err := c.syncCtx(context.Background(), probeID, rs, -1)
+	return resp.Accepted, err
 }
 
 // stageResultsLocked is everything a result batch from probe st needs
-// before its journal record, shared by the plain results path and the
-// batched sync path: validate the whole batch (an unknown experiment or
-// task rejects it with nothing recorded), build the refs to journal, and
-// append the payloads not already recorded to the results store.
+// before its journal record: validate the whole batch (an unknown
+// experiment or task rejects it with nothing recorded), build the refs to
+// journal, and append the payloads not already recorded to the results
+// store (stamped with the submitting probe's country/ASN and the current
+// tick). The WAL carries only (experiment, task) bookkeeping.
 func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) ([]resultRef, error) {
 	for _, r := range rs {
 		ids, ok := c.taskIDs[r.Experiment]
@@ -835,19 +781,10 @@ func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) ([]r
 	return refs, nil
 }
 
-// applyResultsLocked applies the journaled bookkeeping half of a result
-// batch: dedup, lease clearing, and counters. Payloads are not touched —
-// the live path stored them before journaling, and replay finds them
-// already in the store.
-func (c *Controller) applyResultsLocked(probeID string, refs []resultRef) int {
-	if st, ok := c.probes[probeID]; ok {
-		c.touchLocked(st)
-	}
-	return c.recordRefsLocked(refs)
-}
-
-// recordRefsLocked is the dedup/lease-clearing half of a result batch,
-// shared by the plain results apply and the batched sync apply.
+// recordRefsLocked is the journaled bookkeeping half of a result batch:
+// dedup, lease clearing, and counters. Payloads are not touched — the
+// live path stored them before journaling, and replay finds them already
+// in the store.
 func (c *Controller) recordRefsLocked(refs []resultRef) int {
 	accepted := 0
 	for _, ref := range refs {

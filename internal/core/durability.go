@@ -20,20 +20,20 @@ import (
 // seeded everything — so snapshot + replay reconstructs the exact
 // pre-crash state.
 const (
-	opRegister  = "probe_register"
+	opRegister = "probe_register"
+	opSubmit   = "experiment_submit"
+	opApprove  = "experiment_approve"
+	opReject   = "experiment_reject"
+	opSync     = "probe_sync"
+	opTick     = "tick"
+
+	// Retired probe kinds: journals written before every probe call was a
+	// sync hold them, replay reads them as the sync they were
+	// (applyRecordLocked), nothing writes them (scripts/check.sh).
 	opHeartbeat = "heartbeat"
-	opSubmit    = "experiment_submit"
-	opApprove   = "experiment_approve"
-	opReject    = "experiment_reject"
 	opLease     = "lease_grant"
 	opResults   = "results_accept"
-	opSync      = "probe_sync"
-	opTick      = "tick"
 )
-
-type probeOp struct {
-	ProbeID string `json:"probe_id"`
-}
 
 type submitOp struct {
 	RequestID   string              `json:"request_id,omitempty"`
@@ -52,11 +52,6 @@ type expOp struct {
 	ExpID string `json:"exp_id"`
 }
 
-type leaseOp struct {
-	ProbeID string `json:"probe_id"`
-	Max     int    `json:"max"`
-}
-
 // resultRef is the journaled bookkeeping for one submitted result: just
 // enough to replay dedup and lease clearing. The payload itself lives
 // in the results store (internal/store), not the WAL. Every ref in a
@@ -67,16 +62,13 @@ type resultRef struct {
 	TaskID     string `json:"task"`
 }
 
-type resultsOp struct {
-	ProbeID string      `json:"probe_id"`
-	Refs    []resultRef `json:"refs"`
-}
-
 // syncOp is one batched probe round-trip: heartbeat + accepted result
 // refs + a lease ask, journaled as a single record so one append and
 // one fsync cover the whole batch. Max is the resolved lease cap (the
 // server default is substituted before journaling), so replay grants
-// the same slice regardless of config defaults at recovery time.
+// the same slice regardless of config defaults at recovery time; < 0 is
+// a round with no lease. The retired kinds' records are subsets of this
+// one's fields.
 type syncOp struct {
 	ProbeID string      `json:"probe_id"`
 	Refs    []resultRef `json:"refs,omitempty"`
@@ -323,12 +315,6 @@ func (c *Controller) applyRecordLocked(rec journal.Record) error {
 			return fail(err)
 		}
 		c.applyRegisterLocked(p)
-	case opHeartbeat:
-		var op probeOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		c.applyHeartbeatLocked(op.ProbeID)
 	case opSubmit:
 		var op submitOp
 		if err := json.Unmarshal(rec.Data, &op); err != nil {
@@ -347,22 +333,18 @@ func (c *Controller) applyRecordLocked(rec journal.Record) error {
 			return fail(err)
 		}
 		c.applyRejectLocked(op.ExpID)
-	case opLease:
-		var op leaseOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		c.applyLeaseLocked(op.ProbeID, op.Max)
-	case opResults:
-		var op resultsOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		c.applyResultsLocked(op.ProbeID, op.Refs)
-	case opSync:
+	case opSync, opHeartbeat, opLease, opResults:
 		var op syncOp
 		if err := json.Unmarshal(rec.Data, &op); err != nil {
 			return fail(err)
+		}
+		switch rec.Kind {
+		case opHeartbeat, opResults:
+			op.Max = -1 // neither carried a lease ask
+		case opLease:
+			if op.Max <= 0 {
+				op.Max = wholeQueue
+			}
 		}
 		c.applySyncLocked(op)
 	case opTick:

@@ -132,35 +132,6 @@ func (c *Controller) handleProbes(w http.ResponseWriter, r *http.Request, _ Path
 	WriteJSON(w, http.StatusOK, Page{Items: items})
 }
 
-func (c *Controller) handleProbeTasks(w http.ResponseWriter, r *http.Request, p PathParams) {
-	max, ok := ParseLeaseMax(w, r)
-	if !ok {
-		return
-	}
-	WriteJSON(w, http.StatusOK, c.leaseTasksCtx(r.Context(), p["id"], max))
-}
-
-func (c *Controller) handleProbeResults(w http.ResponseWriter, r *http.Request, p PathParams) {
-	var rs []probes.Result
-	if !DecodeBody(w, r, &rs) {
-		return
-	}
-	accepted, err := c.submitResultsCtx(r.Context(), p["id"], rs)
-	if err != nil {
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "received": len(rs)})
-}
-
-func (c *Controller) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p PathParams) {
-	if err := c.heartbeatCtx(r.Context(), p["id"]); err != nil {
-		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 // SubmitRequest is the experiment submission body. RequestID, when set,
 // makes the submission idempotent: the controller remembers which
 // experiment each request id created and returns it again on redelivery,

@@ -326,17 +326,20 @@ func TestExperimentRouteValidation(t *testing.T) {
 	}
 }
 
-// dropFirstResultsResponse delivers the first /results POST to the
+// dropFirstResultsResponse delivers the first sync that carries results
+// (the drain's second /probes/sync POST; its first only leases) to the
 // server but loses the response — the canonical at-least-once hazard.
 type dropFirstResultsResponse struct {
-	inner   http.RoundTripper
-	tripped bool
+	inner http.RoundTripper
+	syncs int
 }
 
 func (d *dropFirstResultsResponse) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := d.inner.RoundTrip(req)
-	if err == nil && !d.tripped && strings.HasSuffix(req.URL.Path, "/results") {
-		d.tripped = true
+	if err != nil || !strings.HasSuffix(req.URL.Path, "/probes/sync") {
+		return resp, err
+	}
+	if d.syncs++; d.syncs == 2 {
 		resp.Body.Close()
 		return nil, fmt.Errorf("injected: response lost")
 	}

@@ -37,7 +37,7 @@ func (c *Controller) initObs() {
 	c.SlowRequest = DefaultSlowRequest
 	c.mutHist = make(map[string]*obs.Histogram)
 	for _, kind := range []string{
-		opRegister, opHeartbeat, opSubmit, opApprove, opReject, opLease, opResults, opSync, opTick,
+		opRegister, opSubmit, opApprove, opReject, opSync, opTick,
 	} {
 		c.mutHist[kind] = c.reg.Hist(MetricMutator, "op", kind)
 	}

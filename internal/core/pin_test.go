@@ -1,0 +1,175 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/afrinet/observatory/internal/journal"
+	"github.com/afrinet/observatory/internal/probes"
+)
+
+// pinView is what want.json holds: the recovered book as the commit that
+// wrote the fixture saw it.
+type pinView struct {
+	Stats  StatsReport              `json:"stats"`
+	Queues map[string][]probes.Task `json:"queues"`
+	Leases map[string]LeaseInfo     `json:"leases"`
+}
+
+// journalKinds opens dir's journal and counts its records by kind.
+func journalKinds(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	l, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	kinds := map[string]int{}
+	for _, rec := range l.Records {
+		kinds[rec.Kind]++
+	}
+	return kinds
+}
+
+// TestLegacyJournalReplays recovers a data directory written by the last
+// commit that journaled four probe op kinds (testdata/pin; never
+// regenerate it) and requires the book that commit itself recovered from
+// it. The writer, on a controller recovered with the config below:
+// register p1/p2 (AS36924) and p3 (AS37006); a trusted experiment of
+// 4/3/1 pings for them and 2 for the unregistered "ghost";
+// LeaseTasks(p1, 0); Heartbeat(p2); SubmitResults(p1, first two) twice;
+// Tick(1); LeaseTasks(p2, 2); LeaseTasks(ghost, 1); SyncProbe(p2, one
+// result, 0); SyncProbe(p1, one result, -1); Tick(4); Heartbeat(p1);
+// store flush; no Close. Probe contact is counted once now, so the two
+// contact counters are left out of the comparison and syncs must equal
+// the number of probe records instead.
+func TestLegacyJournalReplays(t *testing.T) {
+	pinned := filepath.Join("testdata", "pin")
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "store"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Recover truncates and appends, so it gets a copy.
+	for _, name := range []string{"journal.log", filepath.Join("store", "seg-0000000000000001.seg")} {
+		data, err := os.ReadFile(filepath.Join(pinned, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kinds := journalKinds(t, dir)
+	for _, kind := range []string{opHeartbeat, opLease, opResults, opSync} {
+		if kinds[kind] == 0 {
+			t.Fatalf("fixture holds no %s record: %v", kind, kinds)
+		}
+	}
+	contacts := int64(kinds[opHeartbeat] + kinds[opLease] + kinds[opResults] + kinds[opSync])
+
+	var want pinView
+	data, err := os.ReadFile(filepath.Join(pinned, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Recover(dir, DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got := pinView{c.Stats(), c.Queues(), c.Leases()}
+
+	if n := got.Stats.Counters["syncs"]; n != contacts || got.Stats.Counters["heartbeats"] != 0 {
+		t.Errorf("syncs = %d, heartbeats = %d; want all %d probe records counted as syncs", n, got.Stats.Counters["heartbeats"], contacts)
+	}
+	for _, v := range []*pinView{&got, &want} {
+		delete(v.Stats.Counters, "syncs")
+		delete(v.Stats.Counters, "heartbeats")
+	}
+	gotJSON, _ := json.MarshalIndent(got, "", "  ")
+	wantJSON, _ := json.MarshalIndent(want, "", "  ")
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("pinned directory recovers to\n%s\nwant\n%s", gotJSON, wantJSON)
+	}
+}
+
+// TestNewJournalHasOneProbeKind drives every probe entry point — the Go
+// API, the four routes, and a long-poll wake-up — on a durable controller
+// and requires the journal to hold one probe op kind, probe_sync.
+func TestNewJournalHasOneProbeKind(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Recover(dir, DurabilityConfig{Trusted: []string{"owner"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, c, "kgl-01", 36924, "RW")
+	if _, err := c.SubmitExperiment("owner", "kinds", pingAssignments("kgl-01", 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Heartbeat("kgl-01"); err != nil {
+		t.Fatal(err)
+	}
+	leased := c.LeaseTasks("kgl-01", 1)
+	if len(leased) != 1 {
+		t.Fatalf("leased %d, want 1", len(leased))
+	}
+	if n, err := c.SubmitResults("kgl-01", []probes.Result{okResult(leased[0])}); err != nil || n != 1 {
+		t.Fatalf("SubmitResults = %d, %v", n, err)
+	}
+	if _, err := c.SyncProbe("kgl-01", nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	h := c.Handler()
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/api/v1/probes/kgl-01/heartbeat", ``},
+		{http.MethodGet, "/api/v1/probes/kgl-01/tasks", ``}, // drains the queue
+		{http.MethodPost, "/api/v1/probes/kgl-01/results", `[]`},
+		{http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "kgl-01"}`},
+	} {
+		if w := doReq(h, tc.method, tc.path, tc.body, nil); w.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", tc.method, tc.path, w.Code, w.Body)
+		}
+	}
+	// A parked sync woken by an enqueue leases through the same op.
+	woken := make(chan string, 1)
+	go func() {
+		woken <- doReq(h, http.MethodPost, "/api/v1/probes/sync?wait=20s", `{"probe_id": "kgl-01"}`, nil).Body.String()
+	}()
+	for parked := 0; parked == 0; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		parked = len(c.waiters["kgl-01"])
+		c.mu.Unlock()
+	}
+	if _, err := c.SubmitExperiment("owner", "wake", pingAssignments("kgl-01", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if body := <-woken; !strings.Contains(body, `"tasks":[{`) {
+		t.Fatalf("woken sync leased nothing: %s", body)
+	}
+	c.Tick(1)
+	c.BreakJournal() // a crash: no final snapshot compacts the records away
+
+	probeKinds := 0
+	for kind, n := range journalKinds(t, dir) {
+		switch {
+		case kind == opSync:
+			probeKinds += n
+		case kind == opRegister || kind == opTick || strings.HasPrefix(kind, "experiment_"):
+		default:
+			t.Errorf("journal holds %d %q records", n, kind)
+		}
+	}
+	// 4 Go-API rounds, 4 routes, the parked sync's first round and its wake-up.
+	if probeKinds != 10 {
+		t.Errorf("journal holds %d probe_sync records, want 10", probeKinds)
+	}
+}

@@ -92,32 +92,32 @@ var apiRoutes = []controllerRoute{
 	}, (*Controller).handleProbes},
 	{RouteInfo{
 		Name: "probe_tasks", Method: http.MethodGet, Pattern: "/api/v1/probes/{id}/tasks",
-		Summary: "Lease up to max queued tasks for the probe under the at-least-once lease protocol.",
+		Summary: "Legacy form of one probe_sync round with no results: lease up to max queued tasks for the probe under the at-least-once lease protocol.",
 		Query: []ParamDoc{
 			{Name: "max", Doc: "lease size cap; positive integer, 0 or omitted means the server default of 32"},
 		},
 		Response: "[]Task (bare array: the lease protocol payload, not a paginated list)",
-		Errors:   []string{ErrCodeBadRequest, ErrCodeUnavailable},
+		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound, ErrCodeUnavailable},
 		Priority: PriorityHigh,
 	}, (*Controller).handleProbeTasks},
 	{RouteInfo{
 		Name: "probe_results", Method: http.MethodPost, Pattern: "/api/v1/probes/{id}/results",
-		Summary:  "Upload a result batch. Idempotent: duplicates are deduplicated by (experiment, task).",
+		Summary:  "Legacy form of one probe_sync round with max < 0 (no lease): upload a result batch. Idempotent: duplicates are deduplicated by (experiment, task).",
 		Request:  "[]Result",
 		Response: `{"accepted": n, "received": m}`,
-		Errors:   []string{ErrCodeBadRequest, ErrCodeBodyTooLarge},
+		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound, ErrCodeBodyTooLarge, ErrCodeUnavailable},
 		Priority: PriorityHigh,
 	}, (*Controller).handleProbeResults},
 	{RouteInfo{
 		Name: "probe_heartbeat", Method: http.MethodPost, Pattern: "/api/v1/probes/{id}/heartbeat",
-		Summary:  "Record liveness contact from a probe with no lease or result traffic to piggyback on.",
+		Summary:  "Legacy form of one probe_sync round with no results and max < 0: record liveness contact from a probe with no lease or result traffic to piggyback on.",
 		Response: `{"status": "ok"}`,
-		Errors:   []string{ErrCodeNotFound},
+		Errors:   []string{ErrCodeNotFound, ErrCodeUnavailable},
 		Priority: PriorityHigh,
 	}, (*Controller).handleProbeHeartbeat},
 	{RouteInfo{
 		Name: "probe_sync", Method: http.MethodPost, Pattern: "/api/v1/probes/sync",
-		Summary: "Batched probe round-trip: heartbeat + spooled result upload + task-lease ask in one request, covered by a single journal append/fsync. The fleet-scale replacement for separate heartbeat/tasks/results calls.",
+		Summary: "The probe protocol — one batched round-trip: heartbeat + spooled result upload + task-lease ask in one request, covered by a single journal append/fsync. The three legacy probe routes are this call with parts left out.",
 		Query: []ParamDoc{
 			{Name: "wait", Doc: "long-poll duration (e.g. 5s, capped at 30s): with no tasks to grant, the call parks until tasks are enqueued for the probe or the deadline passes. Omitted or 0 answers immediately. Federation coordinators answer immediately regardless — parking belongs to the shard owning the probe's queue"},
 		},

@@ -98,7 +98,7 @@ func TestSpoolBacklogSurvivesProbeRestart(t *testing.T) {
 	cl2.Sleep = func(time.Duration) {}
 	agent2 := probes.NewAgent(probes.Config{ID: "kgl-01", ASN: 36924, HasWired: true}, testNet, testDNS, testWeb)
 
-	executed, err := DrainWithSpool(cl2, agent2, sp2)
+	executed, err := DrainWithSync(cl2, agent2, sp2, 0)
 	if err != nil {
 		t.Fatalf("drain after restart: %v", err)
 	}

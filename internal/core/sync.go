@@ -1,23 +1,27 @@
 package core
 
-// sync.go is the fleet-scale hot path: POST /api/v1/probes/sync folds a
+// sync.go is the probe protocol: POST /api/v1/probes/sync folds a
 // probe's whole round into one request — the heartbeat, every spooled
 // result it has to deliver, and the ask for its next task lease — and
 // the controller folds the whole batch into ONE journal record (opSync),
-// so one append and one fsync cover work that previously cost a fsync
-// per heartbeat, per lease, and per upload. With ?wait=<duration> the
-// call long-polls: a probe with an empty queue parks on a per-probe
-// channel until tasks are enqueued for it (experiment approval, queue
-// reassignment, lease-expiry requeue) or the deadline passes. Wakeups
-// are driven by the enqueue sites themselves — which the tick sweep
-// calls — so parked probes cost no busy polling and nothing here reads
-// the wall clock into journaled state (the deadline timer is a plain
-// duration timer, invisible to replay).
+// so one append and one fsync cover the round. Every other probe entry
+// point (Heartbeat, LeaseTasks, SubmitResults and their three legacy
+// routes) is a caller of syncCtx with part of the round left out, so
+// opSync is the only probe record a journal is ever given.
+//
+// With ?wait=<duration> the call long-polls: a probe with an empty queue
+// parks on a per-probe channel until tasks are enqueued for it
+// (experiment approval, queue reassignment, lease-expiry requeue) or the
+// deadline passes. Wakeups are driven by the enqueue sites themselves —
+// which the tick sweep calls — so parked probes cost no busy polling and
+// nothing here reads the wall clock into journaled state (the deadline
+// timer is a plain duration timer, invisible to replay).
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -25,8 +29,8 @@ import (
 	"github.com/afrinet/observatory/internal/probes"
 )
 
-// ErrUnknownProbe rejects sync (and heartbeat) traffic from a probe the
-// fleet book has never seen; handlers map it to 404.
+// ErrUnknownProbe rejects traffic from a probe the fleet book has never
+// seen; handlers map it to 404.
 var ErrUnknownProbe = errors.New("core: unknown probe")
 
 // DefaultLeaseMax is the lease size used when a client asks for the
@@ -49,12 +53,18 @@ type SyncRequest struct {
 // SyncResponse acknowledges the batch and carries the granted lease.
 // Accepted counts results newly recorded (duplicates dedup to zero);
 // Received echoes the batch size, so Accepted < Received on retries is
-// expected, not an error.
+// expected, not an error. Tasks is never nil from a controller, so "no
+// tasks" encodes as [].
 type SyncResponse struct {
 	Accepted int           `json:"accepted"`
 	Received int           `json:"received"`
 	Tasks    []probes.Task `json:"tasks"`
 }
+
+// wholeQueue is the journaled lease cap of LeaseTasks(p, max <= 0) and of
+// a replayed legacy lease_grant that asked the same: grantLocked stops
+// at the queue's length.
+const wholeQueue = math.MaxInt32
 
 // resolveSyncMax maps the wire Max to the journaled lease cap.
 func resolveSyncMax(max int) int {
@@ -66,17 +76,22 @@ func resolveSyncMax(max int) int {
 
 // SyncProbe executes one batched round: validate and store the result
 // payloads, then journal heartbeat + result refs + lease grant as a
-// single opSync record. Errors mirror SubmitResults — an unknown probe,
-// experiment, or task rejects the whole batch without recording
-// anything, so the probe keeps its spool and retries intact.
+// single opSync record. An unknown probe, experiment, or task rejects
+// the whole batch without recording anything, so the probe keeps its
+// spool and retries intact.
 func (c *Controller) SyncProbe(probeID string, rs []probes.Result, max int) (SyncResponse, error) {
 	return c.syncCtx(context.Background(), probeID, rs, max)
 }
 
 func (c *Controller) syncCtx(ctx context.Context, probeID string, rs []probes.Result, max int) (SyncResponse, error) {
-	max = resolveSyncMax(max)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.syncLocked(ctx, probeID, rs, resolveSyncMax(max))
+}
+
+// syncLocked is the one write path of the probe protocol; max is the
+// resolved lease cap (< 0: no lease).
+func (c *Controller) syncLocked(ctx context.Context, probeID string, rs []probes.Result, max int) (SyncResponse, error) {
 	defer c.setSpanLocked(obs.SpanFrom(ctx))()
 	st, ok := c.probes[probeID]
 	if !ok {
@@ -85,10 +100,9 @@ func (c *Controller) syncCtx(ctx context.Context, probeID string, rs []probes.Re
 		}
 		return SyncResponse{}, fmt.Errorf("%w %s", ErrUnknownProbe, probeID)
 	}
-	// Payloads go to the results store before the refs are journaled,
-	// exactly as on the plain results path: a crash between the two
-	// leaves an unacknowledged payload that read-time dedup collapses
-	// when the probe's retry lands.
+	// Payloads go to the results store before the refs are journaled: a
+	// crash between the two leaves an unacknowledged payload that
+	// read-time dedup collapses when the probe's retry lands.
 	refs, err := c.stageResultsLocked(st, rs)
 	if err != nil {
 		return SyncResponse{}, err
@@ -103,17 +117,21 @@ func (c *Controller) syncCtx(ctx context.Context, probeID string, rs []probes.Re
 	return resp, nil
 }
 
-// applySyncLocked is the journaled apply of one batched round: probe
-// contact, then result bookkeeping, then the lease grant — results
-// first so a task this very batch completed is dropped rather than
-// re-leased if a requeued copy sits in the queue.
+// applySyncLocked is the journaled apply of one batched round, live or
+// replayed, and the only code that applies probe contact, result refs or
+// a lease grant: contact, then result bookkeeping, then the grant —
+// results first so a task this very batch completed is dropped rather
+// than re-leased if a requeued copy sits in the queue. The probe lookup
+// tolerates a miss because journals written before sync was the only
+// protocol hold lease grants to unregistered ids. The granted slice is
+// never nil, so every route encodes "no tasks" as [].
 func (c *Controller) applySyncLocked(op syncOp) (int, []probes.Task) {
 	if st, ok := c.probes[op.ProbeID]; ok {
 		c.touchLocked(st)
 	}
 	c.stats.Inc("syncs")
 	accepted := c.recordRefsLocked(op.Refs)
-	var tasks []probes.Task
+	tasks := []probes.Task{}
 	if op.Max > 0 {
 		tasks = c.grantLocked(op.ProbeID, op.Max)
 	}
@@ -169,7 +187,7 @@ func (c *Controller) dropWaiter(probeID string, target chan struct{}) {
 	}
 }
 
-// leaseIfAvailableCtx grants a lease only when the probe's queue is
+// leaseIfAvailableCtx runs a lease-only round when the probe's queue is
 // non-empty, journaling nothing otherwise — a parked probe that wakes
 // to a queue already drained by a competing request must not burn a
 // journal record on an empty grant.
@@ -179,14 +197,8 @@ func (c *Controller) leaseIfAvailableCtx(ctx context.Context, probeID string, ma
 	if len(c.queues[probeID]) == 0 {
 		return nil
 	}
-	defer c.setSpanLocked(obs.SpanFrom(ctx))()
-	var lease []probes.Task
-	if err := c.mutateLocked(opLease, leaseOp{ProbeID: probeID, Max: max}, func() {
-		lease = c.applyLeaseLocked(probeID, max)
-	}); err != nil {
-		return nil
-	}
-	return lease
+	resp, _ := c.syncLocked(ctx, probeID, nil, max)
+	return resp.Tasks
 }
 
 // waitForTasks parks until tasks are granted, the wait elapses, or the
@@ -225,44 +237,96 @@ func (c *Controller) waitForTasks(ctx context.Context, probeID string, max int, 
 	}
 }
 
-// handleProbeSync serves POST /api/v1/probes/sync.
-func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ PathParams) {
-	var req SyncRequest
+// ParseSyncRequest decodes the sync route's body and its ?wait= for
+// both tiers, writing the 400/413 itself; ok is false when the handler
+// should stop. wait is capped at MaxSyncWait.
+func ParseSyncRequest(w http.ResponseWriter, r *http.Request) (req SyncRequest, wait time.Duration, ok bool) {
 	if !DecodeBody(w, r, &req) {
-		return
+		return req, 0, false
 	}
 	if req.ProbeID == "" {
 		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
 			fmt.Errorf("probe_id required"))
-		return
+		return req, 0, false
 	}
-	var wait time.Duration
 	if s := r.URL.Query().Get("wait"); s != "" {
 		d, err := time.ParseDuration(s)
 		if err != nil || d < 0 {
 			WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
 				fmt.Errorf("wait must be a non-negative duration, got %q", s))
-			return
+			return req, 0, false
 		}
 		if d > MaxSyncWait {
 			d = MaxSyncWait
 		}
 		wait = d
 	}
+	return req, wait, true
+}
+
+// writeSyncErr is the error mapping of the four probe routes: an
+// unknown probe is 404, a rejected batch 400, and a StorageFault 503
+// (WriteAPIError's rule).
+func writeSyncErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrUnknownProbe) {
+		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
+		return
+	}
+	WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+}
+
+// handleProbeSync serves POST /api/v1/probes/sync.
+func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	req, wait, ok := ParseSyncRequest(w, r)
+	if !ok {
+		return
+	}
 	resp, err := c.syncCtx(r.Context(), req.ProbeID, req.Results, req.Max)
 	if err != nil {
-		if errors.Is(err, ErrUnknownProbe) {
-			WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
-			return
-		}
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		writeSyncErr(w, err)
 		return
 	}
 	if wait > 0 && req.Max >= 0 && len(resp.Tasks) == 0 {
-		resp.Tasks = c.waitForTasks(r.Context(), req.ProbeID, resolveSyncMax(req.Max), wait)
-	}
-	if resp.Tasks == nil {
-		resp.Tasks = []probes.Task{}
+		if tasks := c.waitForTasks(r.Context(), req.ProbeID, resolveSyncMax(req.Max), wait); tasks != nil {
+			resp.Tasks = tasks
+		}
 	}
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// The three legacy probe routes, kept for probes already in the field:
+// each is the sync round named in its route Summary.
+
+func (c *Controller) handleProbeTasks(w http.ResponseWriter, r *http.Request, p PathParams) {
+	max, ok := ParseLeaseMax(w, r)
+	if !ok {
+		return
+	}
+	resp, err := c.syncCtx(r.Context(), p["id"], nil, max)
+	if err != nil {
+		writeSyncErr(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, resp.Tasks)
+}
+
+func (c *Controller) handleProbeResults(w http.ResponseWriter, r *http.Request, p PathParams) {
+	var rs []probes.Result
+	if !DecodeBody(w, r, &rs) {
+		return
+	}
+	resp, err := c.syncCtx(r.Context(), p["id"], rs, -1)
+	if err != nil {
+		writeSyncErr(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]int{"accepted": resp.Accepted, "received": resp.Received})
+}
+
+func (c *Controller) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p PathParams) {
+	if _, err := c.syncCtx(r.Context(), p["id"], nil, -1); err != nil {
+		writeSyncErr(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -510,7 +510,7 @@ type attemptResult[T any] struct {
 // scatterCall runs op against one shard under the per-shard deadline,
 // optionally hedging a second attempt after HedgeAfter (or immediately
 // on a retryable error). allowHedge must be false for non-idempotent
-// ops (LeaseTasks — a hedge could double-lease).
+// ops (a sync that asks for a lease — a hedge could double-lease).
 func scatterCall[T any](c *Coordinator, st *shardState, backend Shard, allowHedge bool, op func(Shard) (T, error)) (T, error) {
 	var zero T
 	if backend == nil {
@@ -587,55 +587,41 @@ func (c *Coordinator) Register(p core.ProbeInfo) error {
 	return err
 }
 
-// Heartbeat routes a probe heartbeat to its owning shard.
-func (c *Coordinator) Heartbeat(probeID string) error {
-	st, backend, err := c.shardFor(probeID)
-	if err != nil {
-		return err
-	}
-	_, err = scatterCall(c, st, backend, true, func(s Shard) (struct{}, error) {
-		return struct{}{}, s.Heartbeat(probeID)
-	})
-	return err
-}
-
-// LeaseTasks routes a lease request to the probe's owning shard. Never
-// hedged: two racing lease attempts would both consume leases.
-func (c *Coordinator) LeaseTasks(probeID string, max int) ([]probes.Task, error) {
-	st, backend, err := c.shardFor(probeID)
-	if err != nil {
-		return nil, err
-	}
-	return scatterCall(c, st, backend, false, func(s Shard) ([]probes.Task, error) {
-		return s.LeaseTasks(probeID, max)
-	})
-}
-
-// Sync routes a batched heartbeat+results+lease round to the probe's
-// owning shard. Never hedged: the response can carry a lease, and two
-// racing sync attempts would both consume leases (same rule as
-// LeaseTasks). A shard-layer failure means the batch was (as far as we
-// know) not durably accepted, so the caller must keep it spooled.
+// Sync routes a probe round (heartbeat + results + lease ask) to the
+// probe's owning shard. The hedging rule is read from the request: a
+// round that asks for no lease (Max < 0) is idempotent — contact is
+// contact, and the shard dedups results by (experiment, task) — and may
+// be hedged; one that asks for a lease never is, because two racing
+// attempts would both consume leases. A shard-layer failure means the
+// batch was (as far as we know) not durably accepted, so the caller must
+// keep it spooled.
 func (c *Coordinator) Sync(req core.SyncRequest) (core.SyncResponse, error) {
 	st, backend, err := c.shardFor(req.ProbeID)
 	if err != nil {
 		return core.SyncResponse{}, err
 	}
-	return scatterCall(c, st, backend, false, func(s Shard) (core.SyncResponse, error) {
+	return scatterCall(c, st, backend, req.Max < 0, func(s Shard) (core.SyncResponse, error) {
 		return s.Sync(req)
 	})
 }
 
-// SubmitResults routes a result batch to the probe's owning shard.
-// Hedging is safe: the shard dedups by (experiment, task).
+// Heartbeat is the round with no results and no lease ask.
+func (c *Coordinator) Heartbeat(probeID string) error {
+	_, err := c.Sync(core.SyncRequest{ProbeID: probeID, Max: -1})
+	return err
+}
+
+// LeaseTasks is the round with no results (max 0: the server default).
+func (c *Coordinator) LeaseTasks(probeID string, max int) ([]probes.Task, error) {
+	resp, err := c.Sync(core.SyncRequest{ProbeID: probeID, Max: max})
+	return resp.Tasks, err
+}
+
+// SubmitResults is the round with no lease ask; it returns how many
+// results the shard newly recorded.
 func (c *Coordinator) SubmitResults(probeID string, rs []probes.Result) (int, error) {
-	st, backend, err := c.shardFor(probeID)
-	if err != nil {
-		return 0, err
-	}
-	return scatterCall(c, st, backend, true, func(s Shard) (int, error) {
-		return s.SubmitResults(probeID, rs)
-	})
+	resp, err := c.Sync(core.SyncRequest{ProbeID: probeID, Results: rs, Max: -1})
+	return resp.Accepted, err
 }
 
 // Submit partitions an experiment's assignments by probe owner and

@@ -9,7 +9,6 @@ package federation
 // platform.
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -101,9 +100,6 @@ func (c *Coordinator) handleProbeTasks(w http.ResponseWriter, r *http.Request, p
 		c.writeShardErr(w, err)
 		return
 	}
-	if tasks == nil {
-		tasks = []probes.Task{}
-	}
 	core.WriteJSON(w, http.StatusOK, tasks)
 }
 
@@ -128,30 +124,22 @@ func (c *Coordinator) handleProbeHeartbeat(w http.ResponseWriter, r *http.Reques
 	core.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleProbeSync serves the batched hot path through the shard tier.
-// The ?wait= long-poll parameter is accepted for wire compatibility but
+// handleProbeSync serves the probe protocol through the shard tier.
+// The ?wait= long-poll parameter is parsed as a controller parses it but
 // not forwarded: parking belongs to the queue-owning shard, and the
 // coordinator's per-shard deadline (QueryDeadline, ~2s) would cut a 30s
 // park short — so a coordinator answers immediately and the probe's
 // wait loop becomes a paced retry. A shard-layer failure is 503 +
 // Retry-After: the probe's spool, which acks only on success, keeps the batch.
 func (c *Coordinator) handleProbeSync(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
-	var req core.SyncRequest
-	if !core.DecodeBody(w, r, &req) {
-		return
-	}
-	if req.ProbeID == "" {
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-			errors.New("probe_id is required"))
+	req, _, ok := core.ParseSyncRequest(w, r)
+	if !ok {
 		return
 	}
 	resp, err := c.Sync(req)
 	if err != nil {
 		c.writeShardErr(w, err)
 		return
-	}
-	if resp.Tasks == nil {
-		resp.Tasks = []probes.Task{}
 	}
 	core.WriteJSON(w, http.StatusOK, resp)
 }

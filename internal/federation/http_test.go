@@ -1,8 +1,10 @@
 package federation
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
-
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -22,15 +24,46 @@ import (
 func newHTTPHarness(t *testing.T, n int) (*core.Client, *Coordinator, []*LocalShard) {
 	t.Helper()
 	c, shards := newHarness(t, n, "", testConfig())
-	srv := httptest.NewServer(c.Handler())
+	return serveClient(t, c.Handler(), 7), c, shards
+}
+
+// serveClient serves h on a socket and returns a client for it.
+func serveClient(t *testing.T, h http.Handler, seed int64) *core.Client {
+	t.Helper()
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
-	cl := core.NewClientSeeded(srv.URL, 7)
+	cl := core.NewClientSeeded(srv.URL, seed)
 	cl.Sleep = func(time.Duration) {} // no real sleeping in retries
-	return cl, c, shards
+	return cl
+}
+
+// newRemoteHarness is newHTTPHarness over HTTPShards: each shard is a
+// controller behind its own socket, as in obsd -coordinator mode.
+func newRemoteHarness(t *testing.T, n int) *core.Client {
+	t.Helper()
+	c, err := New("", testConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for i := 0; i < n; i++ {
+		shard := NewHTTPShard(serveClient(t, core.NewController(testOwner).Handler(), int64(i)))
+		if err := c.AddShard(fmt.Sprintf("shard-%d", i), shard); err != nil {
+			t.Fatalf("AddShard: %v", err)
+		}
+	}
+	return serveClient(t, c.Handler(), 7)
 }
 
 func TestHTTPEndToEndFlow(t *testing.T) {
-	cl, _, _ := newHTTPHarness(t, 3)
+	t.Run("local shards", func(t *testing.T) {
+		cl, _, _ := newHTTPHarness(t, 3)
+		httpEndToEndFlow(t, cl)
+	})
+	t.Run("remote shards", func(t *testing.T) { httpEndToEndFlow(t, newRemoteHarness(t, 3)) })
+}
+
+func httpEndToEndFlow(t *testing.T, cl *core.Client) {
 	ps := testProbes(8)
 	for _, p := range ps {
 		if err := cl.Register(p); err != nil {
@@ -65,6 +98,18 @@ func TestHTTPEndToEndFlow(t *testing.T) {
 				t.Fatalf("SubmitResults: %v", err)
 			}
 			done += len(rs)
+			// A redelivered batch is answered with what the shard recorded.
+			var ack struct{ Accepted, Received int }
+			body, _ := json.Marshal(rs)
+			resp, err := http.Post(cl.Base+"/api/v1/probes/"+p.ID+"/results", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("redelivery: %v", err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&ack)
+			resp.Body.Close()
+			if err != nil || ack.Accepted != 0 || ack.Received != len(rs) {
+				t.Fatalf("redelivered batch: %+v (err %v), want accepted 0 received %d", ack, err, len(rs))
+			}
 			if err := cl.Heartbeat(p.ID); err != nil {
 				t.Fatalf("Heartbeat: %v", err)
 			}

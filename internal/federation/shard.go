@@ -58,12 +58,9 @@ func (c *Coordinator) writeShardErr(w http.ResponseWriter, err error) {
 // core.Client against a remote controller (obsd -coordinator mode).
 type Shard interface {
 	Register(p core.ProbeInfo) error
-	Heartbeat(probeID string) error
-	LeaseTasks(probeID string, max int) ([]probes.Task, error)
-	SubmitResults(probeID string, rs []probes.Result) (int, error)
-	// Sync runs the batched probe hot path (heartbeat + result upload +
-	// lease) as one shard call. Never hedged by the coordinator: the
-	// response may carry a lease.
+	// Sync runs one probe round (heartbeat + result upload + lease ask)
+	// as one shard call: the only probe traffic a shard sees. The
+	// coordinator hedges it only when req asks for no lease.
 	Sync(req core.SyncRequest) (core.SyncResponse, error)
 	// SubmitWithID creates a sub-experiment under the coordinator's
 	// federated id, idempotent per requestID.
@@ -136,30 +133,6 @@ func (s *LocalShard) Register(p core.ProbeInfo) error {
 		return err
 	}
 	return c.RegisterProbe(p)
-}
-
-func (s *LocalShard) Heartbeat(probeID string) error {
-	c, err := s.ctrl()
-	if err != nil {
-		return err
-	}
-	return c.Heartbeat(probeID)
-}
-
-func (s *LocalShard) LeaseTasks(probeID string, max int) ([]probes.Task, error) {
-	c, err := s.ctrl()
-	if err != nil {
-		return nil, err
-	}
-	return c.LeaseTasks(probeID, max), nil
-}
-
-func (s *LocalShard) SubmitResults(probeID string, rs []probes.Result) (int, error) {
-	c, err := s.ctrl()
-	if err != nil {
-		return 0, err
-	}
-	return c.SubmitResults(probeID, rs)
 }
 
 func (s *LocalShard) Sync(req core.SyncRequest) (core.SyncResponse, error) {
@@ -271,20 +244,7 @@ func remoteErr(err error) error {
 }
 
 func (s *HTTPShard) Register(p core.ProbeInfo) error { return remoteErr(s.cl.Register(p)) }
-func (s *HTTPShard) Heartbeat(probeID string) error  { return remoteErr(s.cl.Heartbeat(probeID)) }
 func (s *HTTPShard) Tick(int) error                  { return nil } // remote shards run their own tick loop
-
-func (s *HTTPShard) LeaseTasks(probeID string, max int) ([]probes.Task, error) {
-	ts, err := s.cl.LeaseTasks(probeID, max)
-	return ts, remoteErr(err)
-}
-
-func (s *HTTPShard) SubmitResults(probeID string, rs []probes.Result) (int, error) {
-	if err := s.cl.SubmitResults(probeID, rs); err != nil {
-		return 0, remoteErr(err)
-	}
-	return len(rs), nil
-}
 
 // Sync forwards the batch without a wait: long-polling belongs between
 // the probe and the coordinator's front end, not inside a per-shard

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's tier-1 verification gate:
 #   gofmt -l (no unformatted files), go vet, build, the determinism,
-#   envelope and durable-file lints, and the full test suite under the
-#   race detector (uncached).
+#   envelope, durable-file and probe-protocol lints, and the full test
+#   suite under the race detector (uncached).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -74,6 +74,16 @@ if git grep -n 'os\.Rename(\|\.Truncate(\|os\.OpenFile(' -- internal/journal int
     exit 1
 fi
 
+echo "== probe-protocol lint =="
+# Every probe call is journaled as one probe_sync record through
+# applySyncLocked; the three retired kinds are only ever read back by
+# replay. A mutateLocked call handing one of them to the journal is a
+# second write path growing back.
+if git grep -n 'mutateLocked(op\(Heartbeat\|Lease\|Results\)' -- internal/core; then
+    echo "probe-protocol lint: heartbeat / lease_grant / results_accept records are read-only — journal probe traffic as opSync" >&2
+    exit 1
+fi
+
 echo "== go test -race =="
 # -shuffle=on randomizes test order within each package: tests that
 # secretly depend on a sibling's side effects fail here instead of in a
@@ -102,10 +112,10 @@ go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/store > /dev/null
 go test -run '^$' -bench '^BenchmarkDNSLoad$' -benchtime=1x -count=1 . > /dev/null
 
 echo "== fleetsim smoke =="
-# A small fleet through both wire protocols under the race detector:
-# the run itself asserts exactly-once completion (accepted == recorded,
-# no dedups/rejects/requeues, no outstanding leases) and exits non-zero
-# on any violation.
+# A small fleet through the v1 HTTP surface under the race detector: the
+# run itself asserts exactly-once completion (accepted == recorded, no
+# dedups/rejects/requeues, no outstanding leases) and exits non-zero on
+# any violation.
 go run -race ./cmd/fleetsim -probes 1000 -duration 30s -tasks-per-probe 4 -workers 16
 
 echo "OK"
