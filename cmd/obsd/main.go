@@ -204,10 +204,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("obsd: recover: %v", err)
 			}
-			d := ctrl.DurabilityCounters()
-			log.Printf("obsd: recovered in %s (replayed=%d truncated_tail=%d tick=%d)",
-				time.Since(start).Round(time.Millisecond),
-				d["recovery_replayed"], d["recovery_truncated_tail"], ctrl.Now())
+			logRecovered("", ctrl, time.Since(start))
 		} else {
 			if *storeDir != "" {
 				log.Printf("obsd: warning: -store-dir ignored without -data-dir (results stay in memory)")
@@ -361,6 +358,22 @@ func (s *fedService) Close() error {
 	return err
 }
 
+// logRecovered says what a core.Recover did and where its time went: the
+// phases are the obs_recover_seconds series /metrics serves from then on,
+// and legacy_walk is whether the directory predated the sealed-watermark
+// reconcile and had its store walked (once; what is written next is not).
+func logRecovered(who string, ctrl *core.Controller, took time.Duration) {
+	d := ctrl.DurabilityCounters()
+	series := ctrl.Observability().Snapshots()
+	name := func(phase string) string { return fmt.Sprintf("%s{phase=%q}", core.MetricRecover, phase) }
+	phase := func(p string) time.Duration { return series[name(p)].Sum.Round(10 * time.Microsecond) }
+	log.Printf("obsd: %srecovered in %s (journal_open=%s snapshot=%s replay=%s reconcile=%s replayed=%d requeued=%d legacy_walk=%t truncated_tail=%d tick=%d)",
+		who, took.Round(time.Millisecond),
+		phase("journal_open"), phase("snapshot"), phase("replay"), phase("reconcile"),
+		d["recovery_replayed"], d["recovery_results_requeued"], series[name("legacy_walk")].Count > 0,
+		d["recovery_truncated_tail"], ctrl.Now())
+}
+
 // buildLocalFederation boots N shard controllers (durable under
 // <data-dir>/shard-i when -data-dir is set) behind a coordinator whose
 // own shard map journals under <data-dir>/coordinator. With failover
@@ -387,9 +400,7 @@ func buildLocalFederation(n int, dataDir string, shardCfg core.DurabilityConfig,
 			if err != nil {
 				log.Fatalf("obsd: recover %s: %v", id, err)
 			}
-			d := ctrl.DurabilityCounters()
-			log.Printf("obsd: %s recovered in %s (replayed=%d tick=%d)",
-				id, time.Since(start).Round(time.Millisecond), d["recovery_replayed"], ctrl.Now())
+			logRecovered(id+" ", ctrl, time.Since(start))
 		} else {
 			ctrl = core.NewController(shardCfg.Trusted...)
 			ctrl.LeaseTTL = shardCfg.LeaseTTL
@@ -412,12 +423,14 @@ func buildLocalFederation(n int, dataDir string, shardCfg core.DurabilityConfig,
 			if err := federation.ShipState(dirOf[id], dst, "", ""); err != nil {
 				return nil, err
 			}
+			start := time.Now()
 			ctrl, err := core.Recover(dst, shardCfg)
 			if err != nil {
 				return nil, err
 			}
 			dirOf[id] = dst
 			ls.Revive(ctrl)
+			logRecovered(id+" ", ctrl, time.Since(start))
 			log.Printf("obsd: %s failed over to epoch %d", id, epoch)
 			return ls, nil
 		}

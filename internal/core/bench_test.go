@@ -2,14 +2,19 @@ package core
 
 // Microbenchmarks for the probe hot path, run against a fully durable
 // controller (journal + fsync per mutation) so the numbers include the
-// cost the batched sync endpoint exists to amortize. check.sh's bench
-// smoke keeps them running.
+// cost the batched sync endpoint exists to amortize, and for Recover over
+// the directory a killed fleet leaves. check.sh's bench smoke keeps them
+// running.
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/probes"
+	"github.com/afrinet/observatory/internal/store"
 )
 
 func benchController(b *testing.B) *Controller {
@@ -134,4 +139,133 @@ func BenchmarkSync(b *testing.B) {
 		queued -= len(resp.Tasks)
 		outbox = benchResults(resp.Tasks)
 	}
+}
+
+// fleetCfg is obsd's defaults over a fleet: snapshots every 1024 records,
+// the store's default memtable.
+var fleetCfg = DurabilityConfig{Trusted: []string{"bench"}, LeaseTTL: 1 << 30, SnapshotEvery: 1024}
+
+// fleetDir builds the directory a killed fleet leaves behind, the shape
+// of the repo benchmark's fleet_sync workload: 800 probes with 8 pings
+// each in one experiment, leased 4 at a time and all delivered, so the
+// journal holds a snapshot and a tail, the store six sealed segments and
+// a memtable of 256 results that the kill takes. The controller is
+// abandoned, not closed.
+func fleetDir(tb testing.TB) string {
+	tb.Helper()
+	const fleet, perProbe, lease = 800, 8, 4
+	dir := tb.TempDir()
+	c, err := Recover(dir, fleetCfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]string, fleet)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("probe-%04d", i)
+		if err := c.RegisterProbe(ProbeInfo{ID: ids[i], ASN: 36924, Country: "RW"}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var as []probes.Assignment
+	for w := 0; w < perProbe; w++ {
+		for _, id := range ids {
+			as = append(as, probes.Assignment{ProbeID: id, Task: probes.Task{Kind: probes.TaskPing, Target: "10.0.0.1"}})
+		}
+	}
+	if _, err := c.SubmitExperiment("bench", "fleet", as); err != nil {
+		tb.Fatal(err)
+	}
+	outbox := make([][]probes.Result, fleet)
+	for round := 0; round <= perProbe/lease; round++ {
+		for i, id := range ids {
+			resp, err := c.SyncProbe(id, outbox[i], lease)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			outbox[i] = benchResults(resp.Tasks)
+		}
+	}
+	if got := c.Stats().Counters["results_recorded"]; got != fleet*perProbe {
+		tb.Fatalf("fleet recorded %d results, want %d", got, fleet*perProbe)
+	}
+	if c.ResultStore().MemtableLen() == 0 || c.ResultStore().SegmentCount() == 0 {
+		tb.Fatalf("fleet left %d in the memtable and %d segments; the kill needs both", c.ResultStore().MemtableLen(), c.ResultStore().SegmentCount())
+	}
+	return dir
+}
+
+// shipDir copies a controller directory the way a failover ships one.
+func shipDir(tb testing.TB, src, dst string) {
+	tb.Helper()
+	if err := journal.Clone(src, dst); err != nil {
+		tb.Fatal(err)
+	}
+	if err := store.Clone(filepath.Join(src, "store"), filepath.Join(dst, "store")); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// benchRecover times Recover of a fresh copy of src per op; the copy and
+// the recovered controller's teardown are outside the timer.
+func benchRecover(b *testing.B, src string) {
+	scratch := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dst := filepath.Join(scratch, fmt.Sprint(i))
+		shipDir(b, src, dst)
+		b.StartTimer()
+		c, err := Recover(dst, fleetCfg)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dst); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkRecoverReplay recovers the fleet directory as the kill left
+// it: a snapshot, the journal tail after it, the lost memtable requeued.
+func BenchmarkRecoverReplay(b *testing.B) {
+	benchRecover(b, fleetDir(b))
+}
+
+// BenchmarkRecoverSnapshot recovers the same book from a snapshot and an
+// empty tail: a recovered copy that snapshotted and was killed again.
+func BenchmarkRecoverSnapshot(b *testing.B) {
+	src := fleetDir(b)
+	c, err := Recover(src, fleetCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	benchRecover(b, src)
+}
+
+// TestRecoverOpensNoSegment: recovering a directory this binary wrote
+// costs what the crash could lose, not what the store holds — it requeues
+// the lost memtable without reading one sealed segment.
+func TestRecoverOpensNoSegment(t *testing.T) {
+	dir := fleetDir(t)
+	c, err := Recover(dir, fleetCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.DurabilityCounters()["recovery_results_requeued"]; got != 256 {
+		t.Fatalf("recovery_results_requeued = %d, want the memtable's 256", got)
+	}
+	ctr := c.ResultStore().Counters()
+	if ctr["segment_cache_misses"] != 0 || ctr["segment_cache_records"] != 0 {
+		t.Fatalf("recovery decoded segments: %v", ctr)
+	}
+	checkBook(t, c, "fleet recovery")
 }

@@ -231,6 +231,14 @@ type Controller struct {
 	// results accumulate. In-memory controllers get a memory-backed
 	// store; Recover attaches a disk-backed one.
 	store *store.Store
+	// unsealed is what a crash now would lose: the recorded refs whose
+	// payload sits above the store's sealed watermark, in store order with
+	// their sequence numbers; at most one memtable of them, pruned as
+	// segments seal, carried by snapshots. unsealedUnknown is set while a
+	// recovery is reading a directory that does not say where its refs sit
+	// (durability.go, lostResultsLocked).
+	unsealed        []unsealedRef
+	unsealedUnknown bool
 
 	// LeaseTTL is how many ticks a probe has to return a leased task's
 	// result before the task is requeued.
@@ -737,20 +745,22 @@ func (c *Controller) SubmitResults(probeID string, rs []probes.Result) (int, err
 // experiment or task rejects it with nothing recorded), build the refs to
 // journal, and append the payloads not already recorded to the results
 // store (stamped with the submitting probe's country/ASN and the current
-// tick). The WAL carries only (experiment, task) bookkeeping.
-func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) ([]resultRef, error) {
+// tick). The WAL carries only (experiment, task) bookkeeping and seq, the
+// store sequence number of the batch's last stored payload (0 when it
+// stored none).
+func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) (refs []resultRef, seq uint64, err error) {
 	for _, r := range rs {
 		ids, ok := c.taskIDs[r.Experiment]
 		if !ok {
 			c.stats.Inc("results_rejected")
-			return nil, fmt.Errorf("core: unknown experiment %q in result for task %q", r.Experiment, r.TaskID)
+			return nil, 0, fmt.Errorf("core: unknown experiment %q in result for task %q", r.Experiment, r.TaskID)
 		}
 		if !ids[r.TaskID] {
 			c.stats.Inc("results_rejected")
-			return nil, fmt.Errorf("core: unknown task %q in experiment %s", r.TaskID, r.Experiment)
+			return nil, 0, fmt.Errorf("core: unknown task %q in experiment %s", r.TaskID, r.Experiment)
 		}
 	}
-	refs := make([]resultRef, 0, len(rs))
+	refs = make([]resultRef, 0, len(rs))
 	var fresh []store.Record
 	batch := make(map[string]bool, len(rs))
 	for _, r := range rs {
@@ -772,21 +782,29 @@ func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) ([]r
 		})
 	}
 	storeSpan := c.span.Child("store.append")
-	err := c.store.Append(fresh...)
+	err = c.store.Append(fresh...) // assigns each record its Seq
 	storeSpan.End()
 	if err != nil {
 		c.dur.Inc("store_append_errors")
-		return nil, &StorageFault{fmt.Errorf("core: results store: %w", err)}
+		return nil, 0, &StorageFault{fmt.Errorf("core: results store: %w", err)}
 	}
-	return refs, nil
+	if n := len(fresh); n > 0 {
+		seq = fresh[n-1].Seq
+	}
+	return refs, seq, nil
 }
 
 // recordRefsLocked is the journaled bookkeeping half of a result batch:
-// dedup, lease clearing, and counters. Payloads are not touched — the
-// live path stored them before journaling, and replay finds them already
-// in the store.
-func (c *Controller) recordRefsLocked(refs []resultRef) int {
-	accepted := 0
+// dedup, lease clearing, counters, and the unsealed list. Payloads are
+// not touched — the live path stored them before journaling, and replay
+// finds them already in the store. The refs accepted here are exactly the
+// ones stageResultsLocked stored a payload for, in the same order, so
+// they hold the consecutive sequence numbers ending at seq. A batch that
+// accepts refs without saying where they sit (a record from before seq
+// was journaled) leaves the book's position unknown until the next
+// recovery has walked the store.
+func (c *Controller) recordRefsLocked(refs []resultRef, seq uint64) int {
+	first := len(c.unsealed)
 	for _, ref := range refs {
 		if c.recorded[ref.Experiment] == nil || c.recorded[ref.Experiment][ref.TaskID] {
 			c.stats.Inc("results_deduped")
@@ -795,9 +813,33 @@ func (c *Controller) recordRefsLocked(refs []resultRef) int {
 		c.recorded[ref.Experiment][ref.TaskID] = true
 		delete(c.leases, ref.Experiment+"/"+ref.TaskID)
 		c.stats.Inc("results_recorded")
-		accepted++
+		c.unsealed = append(c.unsealed, unsealedRef{resultRef: ref})
 	}
+	accepted := len(c.unsealed) - first
+	if accepted == 0 {
+		return 0
+	}
+	if seq < uint64(accepted) {
+		c.unsealedUnknown = true
+		c.unsealed = c.unsealed[:first]
+		return accepted
+	}
+	for i := first; i < len(c.unsealed); i++ {
+		c.unsealed[i].Seq = seq - uint64(len(c.unsealed)-1-i)
+	}
+	c.pruneUnsealedLocked()
 	return accepted
+}
+
+// pruneUnsealedLocked drops the entries a sealed segment now covers. The
+// list is in store order, so they are a prefix.
+func (c *Controller) pruneUnsealedLocked() {
+	sealed := c.store.SealedSeq()
+	i := 0
+	for i < len(c.unsealed) && c.unsealed[i].Seq <= sealed {
+		i++
+	}
+	c.unsealed = c.unsealed[i:]
 }
 
 // Results returns the collected results of one experiment, served from

@@ -26,6 +26,9 @@ const (
 	opReject   = "experiment_reject"
 	opSync     = "probe_sync"
 	opTick     = "tick"
+	// opRequeue is recovery's own mutation: the results a crash took with
+	// the store's memtable, un-recorded and requeued (Recover appends it).
+	opRequeue = "recovery_requeue"
 
 	// Retired probe kinds: journals written before every probe call was a
 	// sync hold them, replay reads them as the sync they were
@@ -67,12 +70,27 @@ type resultRef struct {
 // one fsync cover the whole batch. Max is the resolved lease cap (the
 // server default is substituted before journaling), so replay grants
 // the same slice regardless of config defaults at recovery time; < 0 is
-// a round with no lease. The retired kinds' records are subsets of this
-// one's fields.
+// a round with no lease. Seq is the store sequence number of the last
+// payload the round stored (recordRefsLocked), absent when it stored none
+// and in records written before it was journaled. The retired kinds'
+// records are subsets of this one's fields.
 type syncOp struct {
 	ProbeID string      `json:"probe_id"`
 	Refs    []resultRef `json:"refs,omitempty"`
+	Seq     uint64      `json:"seq,omitempty"`
 	Max     int         `json:"max"`
+}
+
+// requeueOp is opRequeue's record.
+type requeueOp struct {
+	Refs []resultRef `json:"refs"`
+}
+
+// unsealedRef is a recorded ref and the store sequence number of its
+// payload.
+type unsealedRef struct {
+	resultRef
+	Seq uint64 `json:"seq"`
 }
 
 type tickOp struct {
@@ -82,19 +100,24 @@ type tickOp struct {
 // persistState is the snapshot payload: the controller's full book,
 // JSON-encodable. Set-valued maps are stored as sorted slices. Result
 // payloads are deliberately absent — they live in the results store,
-// which is why snapshot size no longer grows with result volume.
+// which is why snapshot size no longer grows with result volume — and so
+// is the task-id index, which restore derives from the experiments'
+// assignments (older snapshots carry it as "task_ids"; it is ignored).
 type persistState struct {
 	Now         int64                    `json:"now"`
 	NextExpID   int                      `json:"next_exp_id"`
 	Probes      map[string]persistProbe  `json:"probes,omitempty"`
 	Experiments map[string]*Experiment   `json:"experiments,omitempty"`
 	Queues      map[string][]probes.Task `json:"queues,omitempty"`
-	TaskIDs     map[string][]string      `json:"task_ids,omitempty"`
 	Recorded    map[string][]string      `json:"recorded,omitempty"`
-	Leases      map[string]persistLease  `json:"leases,omitempty"`
-	SubmitIDs   map[string]string        `json:"submit_ids,omitempty"`
-	Counters    map[string]int64         `json:"counters,omitempty"`
-	Trusted     []string                 `json:"trusted,omitempty"`
+	// Unsealed is always written, "[]" when empty: a snapshot without the
+	// key is from before the list existed and says nothing about where
+	// its recorded refs sit in the store.
+	Unsealed  []unsealedRef           `json:"unsealed"`
+	Leases    map[string]persistLease `json:"leases,omitempty"`
+	SubmitIDs map[string]string       `json:"submit_ids,omitempty"`
+	Counters  map[string]int64        `json:"counters,omitempty"`
+	Trusted   []string                `json:"trusted,omitempty"`
 	// Served-grant tallies feed the bias-aware scheduler (scheduler.go).
 	// They are part of apply-path state — grants update them inside the
 	// journaled apply — so snapshots must carry them for replay
@@ -157,13 +180,21 @@ type DurabilityConfig struct {
 // acknowledging, a discarded tail record was never acked to a client.
 //
 // Recover also reopens the results store (StoreDir, default
-// <dir>/store) and reconciles it against the replayed dedup book: a
+// <dir>/store) and reconciles the replayed dedup book against it: a
 // result whose ref was journaled but whose payload died with the
 // memtable is un-recorded and its task requeued to the original
-// assignee (counted as recovery_results_requeued), so a crash loses at
-// most the unflushed memtable and the pipeline re-runs exactly those
-// tasks.
+// assignee, so a crash loses at most the unflushed memtable and the
+// pipeline re-runs exactly those tasks. That mutation is journaled like
+// any other — one opRequeue record, appended once the journal is
+// attached — so a later replay passes through it; recovery_results_requeued
+// counts this run's.
+//
+// Each phase is timed into obs_recover_seconds{phase=journal_open|
+// snapshot|replay|reconcile} on the controller's registry; a recovery
+// that had to walk the store (lostResultsLocked) also has
+// phase=legacy_walk, the part of reconcile the walk took.
 func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
+	t := obs.StartTimer()
 	l, err := journal.Open(dir)
 	if err != nil {
 		return nil, err
@@ -172,6 +203,11 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	// its metric registry (the in-memory store NewController installed
 	// is simply replaced).
 	c := NewController(cfg.Trusted...)
+	phase := func(name string) {
+		c.reg.Hist(MetricRecover, "phase", name).Observe(t.Elapsed())
+		t = obs.StartTimer()
+	}
+	phase("journal_open")
 	storeDir := cfg.StoreDir
 	if storeDir == "" {
 		storeDir = filepath.Join(dir, "store")
@@ -200,6 +236,7 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.store = st
+	t = obs.StartTimer()
 	var snapSeq uint64
 	if l.Snap != nil {
 		var st persistState
@@ -210,6 +247,7 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 		c.restoreLocked(st)
 		snapSeq = l.Snap.Seq
 	}
+	phase("snapshot")
 	for _, rec := range l.Records {
 		if rec.Seq <= snapSeq {
 			continue // covered by the snapshot (crash between rename and compaction)
@@ -223,11 +261,10 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	if l.TornTail {
 		c.dur.Inc("recovery_truncated_tail")
 	}
-	if err := c.reconcileStoreLocked(); err != nil {
-		l.Close()
-		c.store.Close()
-		return nil, err
-	}
+	// The handle lives as long as the controller; its recovery view (the
+	// snapshot's bytes, every decoded tail record) is done with.
+	l.Snap, l.Records = nil, nil
+	phase("replay")
 	// Journal fsync timing: the hook runs inside Append, which only the
 	// mutation path (under c.mu) calls, so reading c.span here is as
 	// guarded as every other span access.
@@ -241,65 +278,116 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	}
 	c.log = l
 	c.snapEvery = cfg.SnapshotEvery
+	if err := c.requeueLostLocked(); err != nil {
+		l.Close()
+		c.store.Close()
+		return nil, err
+	}
+	phase("reconcile")
 	return c, nil
 }
 
-// reconcileStoreLocked squares the replayed dedup book against what the
-// results store actually holds. A ref journaled in the crash window may
-// point at a payload that only ever lived in the memtable; treating it
-// as recorded would silently drop that measurement. Such tasks are
-// un-recorded and requeued to their original assignee, restoring the
-// at-least-once invariant: the probe re-runs the task and the pipeline
-// converges exactly-once again. Runs before the journal is attached, so
-// none of this is (or needs to be) journaled — it is a deterministic
-// function of journal plus store contents.
-func (c *Controller) reconcileStoreLocked() error {
-	expIDs := make([]string, 0, len(c.recorded))
-	for id := range c.recorded {
-		expIDs = append(expIDs, id)
+// requeueLostLocked is the last step of Recover: find the recorded refs
+// whose payload the reopened store does not hold and journal + apply one
+// opRequeue for them. Nothing is changed before the append succeeds, so
+// a crash anywhere in here leaves the directory for the next recovery to
+// find the same set.
+func (c *Controller) requeueLostLocked() error {
+	lost, err := c.lostResultsLocked()
+	if err != nil || len(lost) == 0 {
+		return err
 	}
-	sort.Strings(expIDs)
-	for _, expID := range expIDs {
-		rec := c.recorded[expID]
-		if len(rec) == 0 {
-			continue
-		}
-		have, err := c.store.KeySet(expID)
-		if err != nil {
-			return fmt.Errorf("core: reconciling store for %s: %w", expID, err)
-		}
-		var missing []string
-		for taskID := range rec {
-			if !have[taskID] {
-				missing = append(missing, taskID)
-			}
-		}
-		if len(missing) == 0 {
-			continue
-		}
-		sort.Strings(missing)
-		// Index the experiment's assignments by task once: a crash can
-		// strand a whole memtable of tasks, and a search per task is
-		// missing x assignments.
-		var assigned []probes.Assignment
-		if exp := c.experiments[expID]; exp != nil {
-			assigned = exp.Assignments
-		}
-		byTask := make(map[string]int, len(assigned))
-		for i := len(assigned) - 1; i >= 0; i-- {
-			byTask[assigned[i].Task.ID] = i // the first assignment of a task wins
-		}
-		for _, taskID := range missing {
-			delete(rec, taskID)
-			c.stats.Add("results_recorded", -1)
-			c.dur.Inc("recovery_results_requeued")
-			if i, ok := byTask[taskID]; ok {
-				a := &assigned[i]
-				c.queues[a.ProbeID] = append(c.queues[a.ProbeID], a.Task)
-			}
-		}
+	if err := c.mutateLocked(opRequeue, requeueOp{Refs: lost}, func() { c.applyRequeueLocked(lost) }); err != nil {
+		return err
 	}
+	c.dur.Add("recovery_results_requeued", int64(len(lost)))
 	return nil
+}
+
+// lostResultsLocked squares the replayed dedup book against the reopened
+// store, whose memtable is empty: a ref journaled in the crash window may
+// point at a payload that only ever lived in the memtable, and treating
+// it as recorded would silently drop that measurement. The lost refs are
+// the unsealed entries above the store's sealed watermark — no segment
+// is read. A directory that does not place its refs (a snapshot without
+// "unsealed", a result-bearing record without seq: both written by older
+// binaries) gets them by comparing, per experiment, the recorded set with
+// the task ids the store's segments hold; what that walk leaves recorded
+// is sealed, so the book's position is known from here on. Returned in
+// (experiment, task) order.
+func (c *Controller) lostResultsLocked() ([]resultRef, error) {
+	var lost []resultRef
+	if c.unsealedUnknown {
+		t := obs.StartTimer()
+		for expID, rec := range c.recorded {
+			if len(rec) == 0 {
+				continue
+			}
+			have, err := c.store.KeySet(expID)
+			if err != nil {
+				return nil, fmt.Errorf("core: reconciling store for %s: %w", expID, err)
+			}
+			for taskID := range rec {
+				if !have[taskID] {
+					lost = append(lost, resultRef{Experiment: expID, TaskID: taskID})
+				}
+			}
+		}
+		c.unsealed, c.unsealedUnknown = nil, false
+		c.reg.Hist(MetricRecover, "phase", "legacy_walk").Observe(t.Elapsed())
+	} else {
+		sealed := c.store.SealedSeq()
+		for _, u := range c.unsealed {
+			if u.Seq > sealed {
+				lost = append(lost, u.resultRef)
+			}
+		}
+	}
+	sort.Slice(lost, func(i, j int) bool {
+		if lost[i].Experiment != lost[j].Experiment {
+			return lost[i].Experiment < lost[j].Experiment
+		}
+		return lost[i].TaskID < lost[j].TaskID
+	})
+	return lost, nil
+}
+
+// applyRequeueLocked is opRequeue's apply, live and replayed: un-record
+// each ref, requeue its task to the first probe it was assigned to, and
+// drop it from the unsealed list.
+func (c *Controller) applyRequeueLocked(refs []resultRef) {
+	gone := make(map[resultRef]bool, len(refs))
+	// Each experiment's assignments are indexed by task once: a crash can
+	// strand a whole memtable of tasks, and a search per task is
+	// lost x assignments.
+	first := map[string]map[string]int{}
+	for _, ref := range refs {
+		if !c.recorded[ref.Experiment][ref.TaskID] {
+			continue
+		}
+		delete(c.recorded[ref.Experiment], ref.TaskID)
+		c.stats.Add("results_recorded", -1)
+		gone[ref] = true
+		assigned := c.experiments[ref.Experiment].Assignments
+		byTask, ok := first[ref.Experiment]
+		if !ok {
+			byTask = make(map[string]int, len(assigned))
+			for i := len(assigned) - 1; i >= 0; i-- {
+				byTask[assigned[i].Task.ID] = i // the first assignment of a task wins
+			}
+			first[ref.Experiment] = byTask
+		}
+		if i, ok := byTask[ref.TaskID]; ok {
+			c.queues[assigned[i].ProbeID] = append(c.queues[assigned[i].ProbeID], assigned[i].Task)
+		}
+	}
+	keep := c.unsealed[:0]
+	for _, u := range c.unsealed {
+		if !gone[u.resultRef] {
+			keep = append(keep, u)
+		}
+	}
+	c.unsealed = keep
 }
 
 // applyRecordLocked replays one journaled operation through the same
@@ -353,6 +441,12 @@ func (c *Controller) applyRecordLocked(rec journal.Record) error {
 			return fail(err)
 		}
 		c.applyTickLocked(op.N)
+	case opRequeue:
+		var op requeueOp
+		if err := json.Unmarshal(rec.Data, &op); err != nil {
+			return fail(err)
+		}
+		c.applyRequeueLocked(op.Refs)
 	default:
 		return fmt.Errorf("core: unknown journal record kind %q (seq %d)", rec.Kind, rec.Seq)
 	}
@@ -481,7 +575,6 @@ func (c *Controller) persistLocked() persistState {
 		Probes:      make(map[string]persistProbe, len(c.probes)),
 		Experiments: make(map[string]*Experiment, len(c.experiments)),
 		Queues:      make(map[string][]probes.Task),
-		TaskIDs:     make(map[string][]string, len(c.taskIDs)),
 		Recorded:    make(map[string][]string, len(c.recorded)),
 		Leases:      make(map[string]persistLease, len(c.leases)),
 		SubmitIDs:   make(map[string]string, len(c.submitIDs)),
@@ -498,9 +591,6 @@ func (c *Controller) persistLocked() persistState {
 			st.Queues[id] = append([]probes.Task(nil), q...)
 		}
 	}
-	for id, set := range c.taskIDs {
-		st.TaskIDs[id] = sortedKeys(set)
-	}
 	for id, set := range c.recorded {
 		st.Recorded[id] = sortedKeys(set)
 	}
@@ -510,6 +600,8 @@ func (c *Controller) persistLocked() persistState {
 	for k, v := range c.submitIDs {
 		st.SubmitIDs[k] = v
 	}
+	c.pruneUnsealedLocked()
+	st.Unsealed = append([]unsealedRef{}, c.unsealed...)
 	st.Trusted = sortedKeys(c.trusted)
 	st.ServedTotal = c.servedTotal
 	if len(c.servedCountry) > 0 {
@@ -536,16 +628,19 @@ func (c *Controller) restoreLocked(st persistState) {
 	}
 	for id, exp := range st.Experiments {
 		c.experiments[id] = exp
+		ids := make(map[string]bool, len(exp.Assignments))
+		for i := range exp.Assignments {
+			ids[exp.Assignments[i].Task.ID] = true
+		}
+		c.taskIDs[id] = ids
 	}
 	for id, q := range st.Queues {
 		c.queues[id] = q
 	}
-	for id, ids := range st.TaskIDs {
-		c.taskIDs[id] = toSet(ids)
-	}
 	for id, ids := range st.Recorded {
 		c.recorded[id] = toSet(ids)
 	}
+	c.unsealed, c.unsealedUnknown = st.Unsealed, st.Unsealed == nil
 	for k, pl := range st.Leases {
 		c.leases[k] = &leaseRec{task: pl.Task, probeID: pl.ProbeID, deadline: pl.Deadline}
 	}

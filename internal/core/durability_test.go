@@ -139,7 +139,11 @@ var testDurCfg = DurabilityConfig{
 // TestRecoveryEquivalenceProperty drives a journaled controller through
 // randomized operation sequences (with automatic snapshot compaction in
 // the loop) and asserts Recover rebuilds state identical to the live
-// controller: same stats, same lease table, same queues.
+// controller: same stats, same lease table, same queues. Midway the
+// controller is killed with results in the store's memtable and
+// recovered, so the history the final recovery rebuilds includes a
+// recovery's own journaled requeue; the store is flushed before the final
+// kill, which therefore loses nothing.
 func TestRecoveryEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -147,13 +151,26 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			dir := t.TempDir()
 			cfg := testDurCfg
 			cfg.SnapshotEvery = 17 // small, so compaction happens many times
+			cfg.StoreFlushEvery = 4
 			live, err := Recover(dir, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ops := genOps(seed, 300)
-			for _, op := range ops {
+			for i, op := range ops {
+				if i == len(ops)/2 {
+					lost := live.ResultStore().MemtableLen()
+					if live, err = Recover(dir, cfg); err != nil {
+						t.Fatal(err)
+					}
+					if got := live.DurabilityCounters()["recovery_results_requeued"]; got != int64(lost) {
+						t.Fatalf("mid-history recovery requeued %d, memtable held %d", got, lost)
+					}
+				}
 				op(live)
+			}
+			if err := live.ResultStore().Flush(); err != nil {
+				t.Fatal(err)
 			}
 			dl := live.DurabilityCounters()
 			if dl["snapshots_written"] == 0 {

@@ -26,6 +26,11 @@ const (
 	// MetricStore times results-store operations
 	// (op=ingest|flush|compact|scan|aggregate); see internal/store.
 	MetricStore = "obs_store_seconds"
+	// MetricRecover times the phases of the Recover that built this
+	// controller (phase=journal_open|snapshot|replay|reconcile, and
+	// legacy_walk inside reconcile when an older directory needed it), one
+	// observation each.
+	MetricRecover = "obs_recover_seconds"
 )
 
 // initObs builds the controller's registry, trace ring, and cached
@@ -37,7 +42,7 @@ func (c *Controller) initObs() {
 	c.SlowRequest = DefaultSlowRequest
 	c.mutHist = make(map[string]*obs.Histogram)
 	for _, kind := range []string{
-		opRegister, opSubmit, opApprove, opReject, opSync, opTick,
+		opRegister, opSubmit, opApprove, opReject, opSync, opTick, opRequeue,
 	} {
 		c.mutHist[kind] = c.reg.Hist(MetricMutator, "op", kind)
 	}

@@ -103,11 +103,11 @@ func (c *Controller) syncLocked(ctx context.Context, probeID string, rs []probes
 	// Payloads go to the results store before the refs are journaled: a
 	// crash between the two leaves an unacknowledged payload that
 	// read-time dedup collapses when the probe's retry lands.
-	refs, err := c.stageResultsLocked(st, rs)
+	refs, seq, err := c.stageResultsLocked(st, rs)
 	if err != nil {
 		return SyncResponse{}, err
 	}
-	op := syncOp{ProbeID: probeID, Refs: refs, Max: max}
+	op := syncOp{ProbeID: probeID, Refs: refs, Seq: seq, Max: max}
 	resp := SyncResponse{Received: len(rs)}
 	if err := c.mutateLocked(opSync, op, func() {
 		resp.Accepted, resp.Tasks = c.applySyncLocked(op)
@@ -130,7 +130,7 @@ func (c *Controller) applySyncLocked(op syncOp) (int, []probes.Task) {
 		c.touchLocked(st)
 	}
 	c.stats.Inc("syncs")
-	accepted := c.recordRefsLocked(op.Refs)
+	accepted := c.recordRefsLocked(op.Refs, op.Seq)
 	tasks := []probes.Task{}
 	if op.Max > 0 {
 		tasks = c.grantLocked(op.ProbeID, op.Max)

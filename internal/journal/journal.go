@@ -32,12 +32,14 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"github.com/afrinet/observatory/internal/framelog"
 )
@@ -117,9 +119,12 @@ type Log struct {
 	dir string
 	seq uint64 // last sequence number assigned (snapshot or record)
 
-	// Recovery view, filled by Open:
+	// Recovery view, filled by Open and never updated after it; a caller
+	// that keeps the handle open sets Snap and Records to nil once it has
+	// read them, or they stay in memory as long as the handle does.
 
-	// Snap is the latest durable snapshot, nil when none exists.
+	// Snap is the latest durable snapshot, nil when none exists. Its State
+	// aliases the bytes read from the file.
 	Snap *Snapshot
 	// Records are the valid journal records found at Open, in order.
 	// Records with Seq <= Snap.Seq are already part of the snapshot.
@@ -192,6 +197,10 @@ func (l *Log) Append(kind string, data any) (uint64, error) {
 // crash-safe: the snapshot atomically replaces the previous one before
 // journal.log is truncated; a crash in between leaves records with
 // Seq <= Snapshot.Seq in the log, which replay skips.
+//
+// The file is the Snapshot envelope exactly as json.Marshal would render
+// it, assembled around the state's bytes instead of marshalling them a
+// second time; loadSnapshot relies on that layout.
 func (l *Log) WriteSnapshot(state any) error {
 	if err := l.Err(); err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -200,11 +209,10 @@ func (l *Log) WriteSnapshot(state any) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	snap := Snapshot{Seq: l.seq, CRC: crc32.ChecksumIEEE(raw), State: raw}
-	buf, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
+	buf := make([]byte, 0, len(raw)+64)
+	buf = strconv.AppendUint(append(buf, snapSeqKey...), l.seq, 10)
+	buf = strconv.AppendUint(append(buf, snapCRCKey...), uint64(crc32.ChecksumIEEE(raw)), 10)
+	buf = append(append(append(buf, snapStateKey...), raw...), '}')
 	if err := framelog.WriteFileAtomic(filepath.Join(l.dir, snapName), buf); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -212,9 +220,15 @@ func (l *Log) WriteSnapshot(state any) error {
 	if err := l.Replace(nil); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	l.Snap = &snap
 	return nil
 }
+
+// The snapshot file's layout: {"seq":N,"crc":C,"state":S}.
+const (
+	snapSeqKey   = `{"seq":`
+	snapCRCKey   = `,"crc":`
+	snapStateKey = `,"state":`
+)
 
 // loadSnapshot reads and verifies the snapshot file; a missing file is
 // (nil, nil). A snapshot that does not decode or fails its checksum is
@@ -227,6 +241,9 @@ func loadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	if snap := cutSnapshot(raw); snap != nil {
+		return snap, nil
+	}
 	var snap Snapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return nil, fmt.Errorf("journal: corrupt snapshot %s: %w", path, err)
@@ -235,4 +252,41 @@ func loadSnapshot(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("journal: snapshot %s failed checksum", path)
 	}
 	return &snap, nil
+}
+
+// cutSnapshot reads a file in WriteSnapshot's layout without parsing the
+// state: it cuts the state's bytes out (no copy) and accepts them when
+// they match the checksum — bytes that match are the bytes Marshal
+// produced, so they need no validating scan here. Any other layout, or a
+// mismatch, is nil: the caller's full decode then reads the file or names
+// what is wrong with it.
+func cutSnapshot(raw []byte) *Snapshot {
+	rest, ok := bytes.CutPrefix(raw, []byte(snapSeqKey))
+	if !ok {
+		return nil
+	}
+	seq, rest, ok := cutUint(rest, snapCRCKey, 64)
+	if !ok {
+		return nil
+	}
+	crc, rest, ok := cutUint(rest, snapStateKey, 32)
+	if !ok {
+		return nil
+	}
+	state, ok := bytes.CutSuffix(rest, []byte("}"))
+	if !ok || crc32.ChecksumIEEE(state) != uint32(crc) {
+		return nil
+	}
+	return &Snapshot{Seq: seq, CRC: uint32(crc), State: state}
+}
+
+// cutUint parses the decimal number that ends at sep and returns what
+// follows sep.
+func cutUint(b []byte, sep string, bits int) (n uint64, rest []byte, ok bool) {
+	digits, rest, ok := bytes.Cut(b, []byte(sep))
+	if !ok {
+		return 0, nil, false
+	}
+	n, err := strconv.ParseUint(string(digits), 10, bits)
+	return n, rest, err == nil
 }

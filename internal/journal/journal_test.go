@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -364,5 +367,77 @@ func TestStraySnapshotTempIgnored(t *testing.T) {
 	}
 	if snap, err := loadSnapshot(filepath.Join(dir, "snapshot.json")); err != nil || snap.Seq != 3 {
 		t.Fatalf("snapshot after the rewrite: %+v, %v", snap, err)
+	}
+}
+
+// TestSnapshotLayouts: the file WriteSnapshot assembles is the envelope
+// json.Marshal renders, read back without a parse of the state; any
+// other rendering of the same envelope still loads through the decoder;
+// state bytes that do not match the checksum are an error in either.
+func TestSnapshotLayouts(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 3, 0)
+	state := map[string]any{"a": []int{1, 2, 3}, "b": "<&> ", "c": map[string]int{"}": 1}}
+	if err := l.WriteSnapshot(state); err != nil {
+		t.Fatal(err)
+	}
+	if l.Snap != nil {
+		t.Fatal("WriteSnapshot left the state's bytes on the handle")
+	}
+	l.Close()
+	path := filepath.Join(dir, "snapshot.json")
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := cutSnapshot(file)
+	if fast == nil || fast.Seq != 3 {
+		t.Fatalf("WriteSnapshot's own layout was not cut: %+v from %s", fast, file)
+	}
+	if viaMarshal, _ := json.Marshal(fast); !bytes.Equal(viaMarshal, file) {
+		t.Fatalf("WriteSnapshot wrote\n%s\njson.Marshal renders the envelope as\n%s", file, viaMarshal)
+	}
+
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, file, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if cutSnapshot(indented.Bytes()) != nil {
+		t.Fatal("an indented file was taken for WriteSnapshot's layout")
+	}
+	// Indenting re-renders the state too, so its checksum is its own.
+	var env Snapshot
+	if err := json.Unmarshal(indented.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	env.CRC = crc32.ChecksumIEEE(env.State)
+	other, err := json.MarshalIndent(env, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := loadSnapshot(path)
+	if err != nil || snap.Seq != 3 {
+		t.Fatalf("envelope in another layout: %+v, %v", snap, err)
+	}
+	var got, want map[string]any
+	_ = json.Unmarshal(fast.State, &want)
+	if err := json.Unmarshal(snap.State, &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("state through the decoder = %v (%v), want %v", got, err, want)
+	}
+
+	// One state byte changed, still valid JSON: only the checksum can tell.
+	bad := bytes.Replace(file, []byte("[1,2,3]"), []byte("[1,2,4]"), 1)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadSnapshot(path); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("altered state: err = %v, want a checksum failure", err)
 	}
 }

@@ -27,10 +27,11 @@
 //
 // # Durability contract
 //
-// Sealed segments are durable; the memtable is not. A crash loses at
-// most the memtable — the controller reconciles its write-ahead
-// bookkeeping against the store at recovery and requeues any task whose
-// result payload died with the memtable (see internal/core). Duplicate
+// Sealed segments are durable; the memtable is not, and SealedSeq is the
+// line between them. A crash loses at most the memtable — the controller
+// journals each result's sequence number, and at recovery requeues the
+// tasks whose result sits above the reopened store's SealedSeq (see
+// internal/core). Duplicate
 // records for the same (experiment, task) — possible when a crash lands
 // between the store append and the journal append — are collapsed at
 // read time: every scan and aggregation keeps the lowest-seq record per
@@ -57,8 +58,10 @@ import (
 
 // Record is one stored measurement result plus the index keys queries
 // filter and group on. Seq is assigned by Append: a strictly increasing
-// store-wide sequence that survives flushes, compactions, and restarts,
-// giving scans a stable total order (and cursors a stable meaning).
+// store-wide sequence that survives flushes, compactions, retention and
+// restarts (a number that reached a sealed segment is never assigned
+// again — see SealedSeq), giving scans a stable total order (and cursors
+// a stable meaning).
 type Record struct {
 	Seq        uint64        `json:"seq"`
 	Experiment string        `json:"experiment"`
@@ -320,11 +323,13 @@ func (s *Store) Compact(now int64) error {
 		cutoff = now - s.opts.Retention // ticks strictly older expire
 	}
 
-	// Drop segments that retention has expired wholesale.
+	// Drop segments that retention has expired wholesale — except the
+	// newest: its MaxSeq is the sealed watermark (see SealedSeq), which a
+	// reopen can only learn from a file. It goes once a newer one seals.
 	if cutoff >= 0 {
 		keep := s.segs[:0]
-		for _, sg := range s.segs {
-			if sg.meta.MaxTick < cutoff {
+		for i, sg := range s.segs {
+			if sg.meta.MaxTick < cutoff && i < len(s.segs)-1 {
 				if sg.path != "" {
 					if err := os.Remove(sg.path); err != nil {
 						keep = append(keep, sg) // try again next sweep
@@ -343,6 +348,7 @@ func (s *Store) Compact(now int64) error {
 	// Greedily group adjacent segments whose combined size stays within
 	// TargetFrames; every group of two or more is rewritten as one.
 	var out []*segment
+	watermark := s.sealedSeqLocked()
 	i := 0
 	for i < len(s.segs) {
 		group := []*segment{s.segs[i]}
@@ -358,7 +364,7 @@ func (s *Store) Compact(now int64) error {
 			i++
 			continue
 		}
-		merged, err := s.mergeLocked(group, cutoff)
+		merged, err := s.mergeLocked(group, cutoff, watermark)
 		if err != nil {
 			return err
 		}
@@ -372,10 +378,12 @@ func (s *Store) Compact(now int64) error {
 }
 
 // mergeLocked rewrites a run of adjacent segments as one, dropping
-// expired records. The new segment is durably in place before any input
-// is deleted; Open's subsumption pruning covers a crash in between.
-// A fully-expired merge yields (nil, nil) and just deletes the inputs.
-func (s *Store) mergeLocked(group []*segment, cutoff int64) (*segment, error) {
+// expired records other than the one at seq keep (the sealed watermark,
+// which must stay on disk). The new segment is durably in place before
+// any input is deleted; Open's subsumption pruning covers a crash in
+// between. A fully-expired merge yields (nil, nil) and just deletes the
+// inputs.
+func (s *Store) mergeLocked(group []*segment, cutoff int64, keep uint64) (*segment, error) {
 	var recs []Record
 	for _, sg := range group {
 		rs, err := s.load(sg)
@@ -383,7 +391,7 @@ func (s *Store) mergeLocked(group []*segment, cutoff int64) (*segment, error) {
 			return nil, err
 		}
 		for i := range rs {
-			if cutoff >= 0 && rs[i].Tick < cutoff {
+			if cutoff >= 0 && rs[i].Tick < cutoff && rs[i].Seq != keep {
 				s.ctr.Inc("frames_expired")
 				continue
 			}
@@ -437,6 +445,28 @@ func (s *Store) Close() error {
 // records the segment cache holds now. They are scoped to the current
 // process run.
 func (s *Store) Counters() map[string]int64 { return s.ctr.Snapshot() }
+
+// SealedSeq is the store's durable watermark: the highest sequence number
+// in a sealed segment, 0 when nothing is sealed. A record at or below it
+// is on disk (or retention has expired it); one above it lives only in
+// the memtable and dies with the process. It never decreases — not across
+// flush, compaction, retention sweeps or reopen — because a retention
+// sweep never removes the record that carries it, and for the same reason
+// a sealed sequence number is never handed out twice.
+func (s *Store) SealedSeq() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.sealedSeqLocked()
+}
+
+// sealedSeqLocked reads the watermark off the last segment: segments are
+// sorted by MinSeq and their ranges are disjoint.
+func (s *Store) sealedSeqLocked() uint64 {
+	if n := len(s.segs); n > 0 {
+		return s.segs[n-1].meta.MaxSeq
+	}
+	return 0
+}
 
 // SegmentCount reports how many sealed segments the store holds.
 func (s *Store) SegmentCount() int {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -370,5 +371,112 @@ func TestCloseDurableAndReadable(t *testing.T) {
 	}
 	if len(recs) != 5 {
 		t.Fatalf("Close did not seal the memtable: %d records on reopen", len(recs))
+	}
+}
+
+// TestSeqSurvivesFullExpiry: retention expires every record, the store is
+// reopened, and new records still get sequence numbers above every one
+// handed out before — so a cursor taken before the expiry pages to them.
+func TestSeqSurvivesFullExpiry(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{FlushEvery: 1, Retention: 2}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, "exp-0001", 2, 1) // seq 1, 2
+	page, _, err := s.ScanPage(Filter{}, 0, "")
+	if err != nil || len(page) != 2 {
+		t.Fatalf("scan before expiry: %d records, %v", len(page), err)
+	}
+	cursor := fmt.Sprint(page[1].Seq)
+	if err := s.Compact(100); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.SealedSeq(); got != 2 {
+		t.Fatalf("SealedSeq after expiring everything = %d, want 2", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.SealedSeq(); got != 2 {
+		t.Fatalf("SealedSeq after reopen = %d, want 2", got)
+	}
+	for i := 2; i < 4; i++ {
+		if err := re.Append(mkRec("exp-0001", i, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, _, err := re.ScanPage(Filter{}, 0, cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) != 2 || next[0].Seq != 3 || next[1].Seq != 4 {
+		t.Fatalf("a cursor at seq 2 pages to %+v, want the two new records at seq 3 and 4", next)
+	}
+	// The record that carried the watermark goes once a newer segment has it.
+	if err := re.Compact(101); err != nil {
+		t.Fatal(err)
+	}
+	if old, _, _ := re.ScanPage(Filter{ToTick: 50}, 0, ""); len(old) != 0 {
+		t.Fatalf("%d expired records left after a newer segment sealed", len(old))
+	}
+}
+
+// TestSealedSeqNeverDecreases drives random appends, flushes, compactions
+// under retention and reopens: the watermark only moves up, never past
+// the last sequence number handed out, and lands on it at every flush.
+func TestSealedSeqNeverDecreases(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		opts := Options{FlushEvery: 1 + rng.Intn(5), TargetFrames: 6, Retention: 3}
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last, sealed uint64
+		tick := int64(1)
+		for step := 0; step < 200; step++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				rec := mkRec("exp-0001", step, tick)
+				if err := s.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+				last++
+			case k < 6:
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if got := s.SealedSeq(); got != last {
+					t.Fatalf("seed %d step %d: SealedSeq %d after a flush, last handed out %d", seed, step, got, last)
+				}
+			case k < 8:
+				tick += int64(rng.Intn(4))
+				if err := s.Compact(tick); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = Open(dir, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := s.SealedSeq()
+			if got < sealed || got > last {
+				t.Fatalf("seed %d step %d: SealedSeq %d, was %d, last handed out %d", seed, step, got, sealed, last)
+			}
+			sealed = got
+		}
+		s.Close()
 	}
 }
