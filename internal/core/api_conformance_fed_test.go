@@ -51,6 +51,7 @@ func TestCoordinatorConformance(t *testing.T) {
 		core.WalkPageShape(t, coordinatorHandler(t), "/api/v1/shards", "/api/v1/query?op=scan", "/api/v1/debug/traces?slowest=3")
 	})
 	t.Run("TraceRingBounded", func(t *testing.T) { core.WalkTraceRingBounded(t, coordinatorHandler(t)) })
+	t.Run("QueryOps", func(t *testing.T) { core.WalkQueryOps(t, coordinatorHandler(t)) })
 }
 
 // TestAPIDocInSync fails when the committed API.md drifts from the route

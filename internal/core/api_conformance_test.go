@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/afrinet/observatory/internal/obs"
+	"github.com/afrinet/observatory/internal/store"
 )
 
 // fillPattern substitutes every {param} in a route pattern with a
@@ -260,6 +262,100 @@ func WalkPageShape(t *testing.T, h http.Handler, paths ...string) {
 		}
 		if items, ok := raw["items"]; !ok || string(items) == "null" {
 			t.Fatalf("%s: items missing or null: %s", path, w.Body.String())
+		}
+	}
+}
+
+// TestQueryOps runs the query route's op table against a controller.
+func TestQueryOps(t *testing.T) {
+	WalkQueryOps(t, NewController("owner").Handler())
+}
+
+// WalkQueryOps loads a few results through the tier's own probe routes
+// and requires every op of /api/v1/query to answer them: aggregate (also
+// as the default) and scan in their documented shapes, fold with a
+// partial that merges and reports to exactly the aggregate, and an
+// unknown op with a 400 that names every op.
+func WalkQueryOps(t *testing.T, h http.Handler) {
+	post := func(path, body string) []byte {
+		t.Helper()
+		w := doReq(h, http.MethodPost, path, body, nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", path, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	var asg []string
+	for i, country := range []string{"KE", "NG", "KE", "ZA"} {
+		post("/api/v1/probes/register", fmt.Sprintf(`{"id": "q%d", "asn": %d, "country": %q}`, i, 64500+i%2, country))
+		asg = append(asg, fmt.Sprintf(`{"ProbeID": "q%d", "Task": {"kind": "ping"}}, {"ProbeID": "q%d", "Task": {"kind": "websteps"}}`, i, i))
+	}
+	post("/api/v1/experiments", `{"owner": "owner", "description": "ops", "assignments": [`+strings.Join(asg, ",")+`]}`)
+	for i := 0; i < 4; i++ {
+		var lease SyncResponse
+		if err := json.Unmarshal(post("/api/v1/probes/sync", fmt.Sprintf(`{"probe_id": "q%d"}`, i)), &lease); err != nil || len(lease.Tasks) != 2 {
+			t.Fatalf("lease for q%d: %d tasks, err %v", i, len(lease.Tasks), err)
+		}
+		var rs []string
+		for j, task := range lease.Tasks {
+			rs = append(rs, fmt.Sprintf(`{"task_id": %q, "experiment": %q, "probe_id": "q%d", "kind": %q, "ok": %v, "rtt_ms": %v, "verdict": %q}`,
+				task.ID, task.Experiment, i, task.Kind, (i+j)%3 != 0, 10+float64(i*7+j)/3, []string{"", "dns_blocked"}[j]))
+		}
+		post("/api/v1/probes/sync", fmt.Sprintf(`{"probe_id": "q%d", "max": -1, "results": [%s]}`, i, strings.Join(rs, ",")))
+	}
+
+	get := func(query string, wantStatus int) []byte {
+		t.Helper()
+		w := doReq(h, http.MethodGet, "/api/v1/query?"+query, "", nil)
+		if w.Code != wantStatus {
+			t.Fatalf("GET /api/v1/query?%s: status %d, want %d (body=%s)", query, w.Code, wantStatus, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	for _, groupBy := range []string{"", "country", "country_asn", "verdict"} {
+		agg := get("op=aggregate&group_by="+groupBy, http.StatusOK)
+		if def := get("group_by="+groupBy, http.StatusOK); string(def) != string(agg) {
+			t.Fatalf("group %q: no op answers\n %s, op=aggregate\n %s", groupBy, def, agg)
+		}
+		var want store.AggReport
+		if err := json.Unmarshal(agg, &want); err != nil || want.Matched != 8 || len(want.Groups) == 0 {
+			t.Fatalf("group %q: aggregate %s (err %v), want 8 matched", groupBy, agg, err)
+		}
+		part := new(store.Folder)
+		if err := json.Unmarshal(get("op=fold&group_by="+groupBy, http.StatusOK), part); err != nil {
+			t.Fatal(err)
+		}
+		merged, err := store.NewFolder(groupBy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.Merge(part); err != nil {
+			t.Fatalf("group %q: op=fold's answer does not merge: %v", groupBy, err)
+		}
+		if got := merged.Report(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("group %q: op=fold reports\n %+v, op=aggregate\n %+v", groupBy, got, want)
+		}
+	}
+	var pg struct {
+		Items []store.Record `json:"items"`
+	}
+	if err := json.Unmarshal(get("op=scan&kind=ping", http.StatusOK), &pg); err != nil || len(pg.Items) != 4 {
+		t.Fatalf("op=scan&kind=ping: %d records, err %v", len(pg.Items), err)
+	}
+	for _, bad := range []string{"op=fold&group_by=continent", "op=fold&asn=x"} {
+		get(bad, http.StatusBadRequest)
+	}
+	w := doReq(h, http.MethodGet, "/api/v1/query?op=sum", "", nil)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("op=sum: status %d, want 400", w.Code)
+	}
+	msg := decodeEnvelope(t, w).Error.Message
+	for _, op := range []string{"aggregate", "scan", "fold"} {
+		if !strings.Contains(msg, op) {
+			t.Errorf("the unknown-op error %q does not name op %s", msg, op)
+		}
+		if !strings.Contains(queryParamDocs()[0].Doc, op) {
+			t.Errorf("API.md's op parameter does not name op %s", op)
 		}
 	}
 }

@@ -535,17 +535,29 @@ type QueryMeta struct {
 // degradation annotation, for analysts who must distinguish "complete
 // answer" from "partial answer while a shard is down".
 func (c *Client) QueryAggregateMeta(f store.Filter, groupBy string) (store.AggReport, QueryMeta, error) {
-	q := f.Values()
-	q.Set("op", "aggregate")
-	if groupBy != "" {
-		q.Set("group_by", groupBy)
-	}
 	var out struct {
 		store.AggReport
 		QueryMeta
 	}
-	err := c.get("query", "/api/v1/query?"+q.Encode(), &out)
+	err := c.get("query", foldPath("aggregate", f, groupBy), &out)
 	return out.AggReport, out.QueryMeta, err
+}
+
+// QueryFold fetches the aggregation before its report: the partial fold
+// a coordinator merges with its other shards' (store.Folder.Merge).
+func (c *Client) QueryFold(f store.Filter, groupBy string) (*store.Folder, error) {
+	out := new(store.Folder)
+	err := c.get("query", foldPath("fold", f, groupBy), out)
+	return out, err
+}
+
+func foldPath(op string, f store.Filter, groupBy string) string {
+	q := f.Values()
+	q.Set("op", op)
+	if groupBy != "" {
+		q.Set("group_by", groupBy)
+	}
+	return "/api/v1/query?" + q.Encode()
 }
 
 // QueryScanMeta is QueryScan surfacing the federation degradation

@@ -881,6 +881,13 @@ func (c *Controller) AggregateResults(q store.AggQuery) (store.AggReport, error)
 	return c.store.Aggregate(q)
 }
 
+// FoldResults is AggregateResults stopped before the report: this
+// controller's partial fold, for a federation coordinator to merge with
+// its other shards'.
+func (c *Controller) FoldResults(q store.AggQuery) (*store.Folder, error) {
+	return c.store.Fold(q)
+}
+
 // CompactStore runs one results-store maintenance sweep: merging small
 // segments and enforcing the retention policy against the controller's
 // current tick. cmd/obsd calls it on a -compact-every cadence.

@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"github.com/afrinet/observatory/internal/probes"
-	"github.com/afrinet/observatory/internal/store"
 )
 
 // RecoveryGate fronts the controller's handler while recovery runs:
@@ -199,43 +198,6 @@ func (c *Controller) handleExperimentResults(w http.ResponseWriter, r *http.Requ
 		rs = []probes.Result{}
 	}
 	WriteJSON(w, http.StatusOK, Page{Items: rs, NextCursor: next})
-}
-
-// handleQuery serves GET /api/v1/query: filtered scans and time-window
-// aggregations over the results store.
-func (c *Controller) handleQuery(w http.ResponseWriter, r *http.Request, _ PathParams) {
-	q := r.URL.Query()
-	f, err := store.ParseFilter(q)
-	if err != nil {
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
-	switch op := q.Get("op"); op {
-	case "", "aggregate":
-		rep, err := c.AggregateResults(store.AggQuery{Filter: f, GroupBy: q.Get("group_by")})
-		if err != nil {
-			WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, rep)
-	case "scan":
-		limit, ok := ParseCount(w, "limit", q.Get("limit"), 0)
-		if !ok {
-			return
-		}
-		recs, next, err := c.ScanResults(f, limit, q.Get("cursor"))
-		if err != nil {
-			WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-			return
-		}
-		if recs == nil {
-			recs = []store.Record{}
-		}
-		WriteJSON(w, http.StatusOK, Page{Items: recs, NextCursor: next})
-	default:
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			fmt.Errorf("unknown op %q (want aggregate or scan)", op))
-	}
 }
 
 func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request, _ PathParams) {

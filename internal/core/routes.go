@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"github.com/afrinet/observatory/internal/obs"
-	"github.com/afrinet/observatory/internal/store"
 )
 
 // PathParams are the captured {name} segments of a matched route.
@@ -161,9 +160,9 @@ var apiRoutes = []controllerRoute{
 	}, (*Controller).handleExperimentResults},
 	{RouteInfo{
 		Name: "query", Method: http.MethodGet, Pattern: "/api/v1/query",
-		Summary:  "Query the results store: filtered scans and time-window aggregations.",
+		Summary:  "Query the results store: filtered scans, time-window aggregations, and the mergeable partial aggregation a coordinator asks its shards for.",
 		Query:    queryParamDocs(),
-		Response: `op=aggregate: AggReport; op=scan: page of Record. Served by a federation coordinator, both carry "degraded": true plus "shards_missing": [shard ids] when shards timed out or were down — the data is correct but partial, never silently wrong`,
+		Response: `op=aggregate: AggReport; op=scan: page of Record; op=fold: Folder {group_by, matched, groups: [{<group key fields>, count, ok, verdicts, rtts}]} — the aggregate before its report, with raw RTT samples in place of derived statistics, which a coordinator merges across shards exactly. Served by a federation coordinator, each carries "degraded": true plus "shards_missing": [shard ids] when shards timed out or were down — the data is correct but partial, never silently wrong`,
 		Errors:   []string{ErrCodeBadRequest},
 		Priority: PriorityLow,
 	}, (*Controller).handleQuery},
@@ -179,19 +178,6 @@ var apiRoutes = []controllerRoute{
 		Response: "StatsReport",
 		Priority: PriorityLow,
 	}, (*Controller).handleStats},
-}
-
-// queryParamDocs documents the query route. The record filters come
-// straight from the store's filter table, so a parameter added there is
-// served, sent by the client and documented without an edit here.
-func queryParamDocs() []ParamDoc {
-	out := []ParamDoc{{Name: "op", Doc: "aggregate (default) or scan"}}
-	for _, p := range store.FilterParams() {
-		out = append(out, ParamDoc{Name: p.Name, Doc: "record filter: " + p.Doc})
-	}
-	return append(out,
-		ParamDoc{Name: "group_by", Doc: "aggregate only: none, country, asn, country_asn, verdict, resolver, country_resolver, resolver_chain, ecs"},
-		ParamDoc{Name: "limit / cursor", Doc: "scan only: pagination"})
 }
 
 // The routes every Router serves itself, after its table's own: they

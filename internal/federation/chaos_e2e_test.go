@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -240,6 +241,11 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			}
 		}
 		coord.Tick(1)
+		// Whatever was killed, revived or failed over this round, no live
+		// shard holds a key another one holds.
+		if twice := keysOnTwoShards(t, locals); len(twice) != 0 {
+			t.Fatalf("round %d: keys on two shards: %v", round, twice)
+		}
 	}
 
 	for round := 0; round < rounds; round++ {
@@ -290,6 +296,16 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("key %s recorded %d times across shards", k, n)
 		}
+	}
+
+	// So the federated aggregate, which merges per-shard folds and
+	// deduplicates nothing across them, reports every task exactly once.
+	rep, meta, err := coord.Aggregate(store.AggQuery{GroupBy: store.GroupCountry})
+	if err != nil || meta.Degraded || rep.Matched != int64(totalTasks) {
+		t.Fatalf("final aggregate: matched %d of %d, meta=%+v, err=%v", rep.Matched, totalTasks, meta, err)
+	}
+	if want, err := buildOracle(t, locals).Aggregate(store.AggQuery{GroupBy: store.GroupCountry}); err != nil || !reflect.DeepEqual(rep, want) {
+		t.Fatalf("final aggregate diverges from the oracle (err %v):\n fed  %+v\n want %+v", err, rep, want)
 	}
 
 	// Mid-chaos partial degradation was actually observed.

@@ -151,6 +151,8 @@ type Coordinator struct {
 	ctr    *metrics.CounterSet
 	gate   *core.AdmissionGate
 
+	scanPhases, aggPhases queryPhases
+
 	// Failover builds replacement backends for dead shards; nil
 	// disables failover even when cfg.AutoFailover is set.
 	Failover FailoverFunc
@@ -174,6 +176,7 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 		ctr:       metrics.NewCounterSet(),
 		gate:      core.NewAdmissionGate(cfg.Admission),
 	}
+	c.scanPhases, c.aggPhases = newQueryPhases(c.reg, "scan"), newQueryPhases(c.reg, "aggregate")
 	c.reg.AddCounters("obs_fed_events_total", c.ctr.Snapshot)
 	c.reg.AddCounters("obs_admission_events_total", c.gate.Snapshot)
 	if dir == "" {
@@ -636,49 +639,14 @@ func (c *Coordinator) Submit(requestID, owner, description string, as []probes.A
 		c.mu.Unlock()
 		return nil, ErrNoShards
 	}
-	// Partition by assignment index: routing is pure ring math over the
-	// probe id.
-	partIdx := make(map[string][]int)
-	for i, a := range as {
-		id := c.ring.owner(a.ProbeID)
-		partIdx[id] = append(partIdx[id], i)
-	}
-	owners := make([]string, 0, len(partIdx))
-	for id := range partIdx {
-		owners = append(owners, id)
-	}
-	sort.Strings(owners)
-
 	var fedID string
 	var replay bool
 	if requestID != "" {
 		fedID, replay = c.submitIDs[requestID]
 	}
 	if !replay {
-		op := fedSubmitOp{
-			FedID:       fmt.Sprintf("fexp-%04d", c.nextFedID+1),
-			RequestID:   requestID,
-			Owner:       owner,
-			Description: description,
-			Shards:      owners,
-		}
-		if err := c.appendLocked("fed_submit", op); err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		c.applyFedSubmitLocked(op)
-		fedID = op.FedID
-		c.ctr.Inc("fed_submits")
-	} else {
-		c.ctr.Inc("fed_submit_dedup")
+		fedID = fmt.Sprintf("fexp-%04d", c.nextFedID+1)
 	}
-	targets := make(map[string]shardTarget, len(owners))
-	for _, id := range owners {
-		st := c.shards[id]
-		targets[id] = shardTarget{st: st, backend: st.backend}
-	}
-	c.mu.Unlock()
-
 	// Fill empty task ids centrally, by position in the federated
 	// submission: letting each shard auto-mint would collide across
 	// shards (every shard would mint fedID-t0000), corrupting the
@@ -690,6 +658,51 @@ func (c *Coordinator) Submit(requestID, owner, description string, as []probes.A
 			filled[i].Task.ID = fmt.Sprintf("%s-t%04d", fedID, i)
 		}
 	}
+	// Partition by assignment index: routing is pure ring math over the
+	// probe id. A task id the caller pinned twice, for probes of two
+	// shards, is refused: each shard would record its own result under one
+	// (experiment, task) key, and aggregates count a key once per shard
+	// that holds it (DESIGN.md "Scatter-gather queries").
+	partIdx := make(map[string][]int)
+	home := make(map[string]string, len(filled))
+	for i, a := range filled {
+		id := c.ring.owner(a.ProbeID)
+		if other, ok := home[a.Task.ID]; ok && other != id {
+			c.mu.Unlock()
+			return nil, fmt.Errorf("federation: task id %s is assigned to probes of two shards (%s and %s)", a.Task.ID, other, id)
+		}
+		home[a.Task.ID] = id
+		partIdx[id] = append(partIdx[id], i)
+	}
+	owners := make([]string, 0, len(partIdx))
+	for id := range partIdx {
+		owners = append(owners, id)
+	}
+	sort.Strings(owners)
+
+	if !replay {
+		op := fedSubmitOp{
+			FedID:       fedID,
+			RequestID:   requestID,
+			Owner:       owner,
+			Description: description,
+			Shards:      owners,
+		}
+		if err := c.appendLocked("fed_submit", op); err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+		c.applyFedSubmitLocked(op)
+		c.ctr.Inc("fed_submits")
+	} else {
+		c.ctr.Inc("fed_submit_dedup")
+	}
+	targets := make(map[string]shardTarget, len(owners))
+	for _, id := range owners {
+		st := c.shards[id]
+		targets[id] = shardTarget{st: st, backend: st.backend}
+	}
+	c.mu.Unlock()
 
 	// Push partitions in deterministic order. Hedging is safe: the
 	// per-shard request id makes redelivery a dedup hit.

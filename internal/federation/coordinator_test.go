@@ -228,6 +228,44 @@ func TestSubmitIdempotentAcrossRetries(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesTaskIDOnTwoShards: a caller may pin task ids, but not
+// one id for probes of two shards — both would record a result under the
+// one (experiment, task) key. Nothing is journaled or pushed; the same id
+// twice within a shard stays the controller's business (first result wins).
+func TestSubmitRefusesTaskIDOnTwoShards(t *testing.T) {
+	c, _ := newHarness(t, 2, "", testConfig())
+	ps := testProbes(8)
+	for _, p := range ps {
+		if err := c.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byShard := map[string][]string{}
+	for _, p := range ps {
+		byShard[c.ring.owner(p.ID)] = append(byShard[c.ring.owner(p.ID)], p.ID)
+	}
+	if len(byShard["shard-0"]) < 2 || len(byShard["shard-1"]) < 1 {
+		t.Fatalf("the ring split 8 probes %v: the test needs two on shard-0 and one on shard-1", byShard)
+	}
+	pinned := func(probeIDs ...string) []probes.Assignment {
+		var as []probes.Assignment
+		for _, id := range probeIDs {
+			as = append(as, probes.Assignment{ProbeID: id, Task: probes.Task{ID: "pinned", Kind: probes.TaskPing}})
+		}
+		return as
+	}
+	if _, err := c.Submit("req-two", testOwner, "d", pinned(byShard["shard-0"][0], byShard["shard-1"][0])); err == nil {
+		t.Fatal("one task id for probes of two shards was accepted")
+	}
+	if n := c.Counters()["fed_submits"]; n != 0 {
+		t.Fatalf("the refused submission was journaled (fed_submits = %d)", n)
+	}
+	exp, err := c.Submit("req-one", testOwner, "d", pinned(byShard["shard-0"][0], byShard["shard-0"][1]))
+	if err != nil || exp.ID != "fexp-0001" {
+		t.Fatalf("one task id twice within a shard: exp %+v, err %v", exp, err)
+	}
+}
+
 func TestSubmitRetryRepairsPartialPush(t *testing.T) {
 	c, shards := newHarness(t, 2, "", testConfig())
 	ps := testProbes(8)

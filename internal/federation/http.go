@@ -9,7 +9,6 @@ package federation
 // platform.
 
 import (
-	"fmt"
 	"net/http"
 
 	"github.com/afrinet/observatory/internal/core"
@@ -197,41 +196,7 @@ func (c *Coordinator) handleExperimentResults(w http.ResponseWriter, r *http.Req
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
-	q := r.URL.Query()
-	f, err := store.ParseFilter(q)
-	if err != nil {
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest, err)
-		return
-	}
-	switch op := q.Get("op"); op {
-	case "", "aggregate":
-		rep, meta, err := c.Aggregate(store.AggQuery{Filter: f, GroupBy: q.Get("group_by")})
-		if err != nil {
-			c.writeShardErr(w, err)
-			return
-		}
-		core.WriteJSON(w, http.StatusOK, struct {
-			store.AggReport
-			core.QueryMeta
-		}{rep, meta})
-	case "scan":
-		limit, ok := core.ParseCount(w, "limit", q.Get("limit"), 0)
-		if !ok {
-			return
-		}
-		recs, next, meta, err := c.ScanPage(f, limit, q.Get("cursor"))
-		if err != nil {
-			c.writeShardErr(w, err)
-			return
-		}
-		if recs == nil {
-			recs = []store.Record{}
-		}
-		core.WriteJSON(w, http.StatusOK, core.Page{Items: recs, NextCursor: next, QueryMeta: meta})
-	default:
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-			fmt.Errorf("unknown op %q (want aggregate or scan)", op))
-	}
+	core.ServeQuery(w, r, c, c.writeShardErr)
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request, _ core.PathParams) {

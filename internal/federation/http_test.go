@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,33 +40,88 @@ func serveClient(t *testing.T, h http.Handler, seed int64) *core.Client {
 	return cl
 }
 
-// newRemoteHarness is newHTTPHarness over HTTPShards: each shard is a
-// controller behind its own socket, as in obsd -coordinator mode.
-func newRemoteHarness(t *testing.T, n int) *core.Client {
+// queryOpCounter wraps a shard controller's handler and counts, per op,
+// what its /api/v1/query served.
+type queryOpCounter struct {
+	h  http.Handler
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (q *queryOpCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/api/v1/query" {
+		q.mu.Lock()
+		q.n[r.URL.Query().Get("op")]++
+		q.mu.Unlock()
+	}
+	q.h.ServeHTTP(w, r)
+}
+
+// take returns the counts so far and starts over.
+func (q *queryOpCounter) take() map[string]int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := q.n
+	q.n = map[string]int{}
+	return n
+}
+
+// remoteShard is one controller behind its own socket, as a coordinator
+// in obsd -coordinator mode reaches it.
+type remoteShard struct {
+	srv    *httptest.Server
+	cl     *core.Client // straight to the shard, past the coordinator
+	served *queryOpCounter
+}
+
+// newRemoteCoordinator builds a coordinator over n HTTPShards.
+func newRemoteCoordinator(t *testing.T, n int) (*Coordinator, []remoteShard) {
 	t.Helper()
 	c, err := New("", testConfig())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
-	for i := 0; i < n; i++ {
-		shard := NewHTTPShard(serveClient(t, core.NewController(testOwner).Handler(), int64(i)))
-		if err := c.AddShard(fmt.Sprintf("shard-%d", i), shard); err != nil {
+	shards := make([]remoteShard, n)
+	for i := range shards {
+		served := &queryOpCounter{h: core.NewController(testOwner).Handler(), n: map[string]int{}}
+		srv := httptest.NewServer(served)
+		t.Cleanup(srv.Close)
+		cl := core.NewClientSeeded(srv.URL, int64(i))
+		cl.Sleep = func(time.Duration) {} // no real sleeping in retries
+		shards[i] = remoteShard{srv, cl, served}
+		if err := c.AddShard(fmt.Sprintf("shard-%d", i), NewHTTPShard(cl)); err != nil {
 			t.Fatalf("AddShard: %v", err)
 		}
 	}
+	return c, shards
+}
+
+// newRemoteHarness is newHTTPHarness over HTTPShards.
+func newRemoteHarness(t *testing.T, n int) *core.Client {
+	t.Helper()
+	c, _ := newRemoteCoordinator(t, n)
 	return serveClient(t, c.Handler(), 7)
 }
 
+// TestHTTPEndToEndFlow drives the same flow through a coordinator over
+// in-process shards and one over remote shards. A remote shard's partial
+// fold crosses the wire as JSON, and must lose nothing on the way: the
+// two tiers answer the grouped aggregate with the same bytes.
 func TestHTTPEndToEndFlow(t *testing.T) {
+	var local, remote []byte
 	t.Run("local shards", func(t *testing.T) {
 		cl, _, _ := newHTTPHarness(t, 3)
-		httpEndToEndFlow(t, cl)
+		local = httpEndToEndFlow(t, cl)
 	})
-	t.Run("remote shards", func(t *testing.T) { httpEndToEndFlow(t, newRemoteHarness(t, 3)) })
+	t.Run("remote shards", func(t *testing.T) { remote = httpEndToEndFlow(t, newRemoteHarness(t, 3)) })
+	if len(local) == 0 || !bytes.Equal(local, remote) {
+		t.Fatalf("the aggregate over remote shards is not the one over local shards:\n local  %s\n remote %s", local, remote)
+	}
 }
 
-func httpEndToEndFlow(t *testing.T, cl *core.Client) {
+// httpEndToEndFlow returns the body of the flow's final grouped aggregate.
+func httpEndToEndFlow(t *testing.T, cl *core.Client) []byte {
 	ps := testProbes(8)
 	for _, p := range ps {
 		if err := cl.Register(p); err != nil {
@@ -91,7 +149,7 @@ func httpEndToEndFlow(t *testing.T, cl *core.Client) {
 			for _, task := range tasks {
 				rs = append(rs, probes.Result{
 					TaskID: task.ID, Experiment: task.Experiment,
-					ProbeID: p.ID, Kind: task.Kind, OK: true, RTTms: 12,
+					ProbeID: p.ID, Kind: task.Kind, OK: true, RTTms: 12 + float64(done+len(rs))/7,
 				})
 			}
 			if err := cl.SubmitResults(p.ID, rs); err != nil {
@@ -160,6 +218,71 @@ func httpEndToEndFlow(t *testing.T, cl *core.Client) {
 	if _, err := cl.Stats(); err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
+	resp, err := http.Get(cl.Base + "/api/v1/query?op=aggregate&group_by=country_asn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("grouped aggregate: status %d, err %v", resp.StatusCode, err)
+	}
+	return body
+}
+
+// TestRemoteAggregateShipsNoRecords: a federated aggregate over remote
+// shards asks each of them for its partial fold and nothing else — no
+// scan, so no store.Record crosses the wire — and still answers exactly
+// what one store holding every shard's records would; with a shard dead,
+// exactly what the responsive shards' records would.
+func TestRemoteAggregateShipsNoRecords(t *testing.T) {
+	c, shards := newRemoteCoordinator(t, 3)
+	pumpResults(t, c, testProbes(12), 3)
+
+	// oracle is one store holding the given shards' records, each read
+	// straight from its shard.
+	oracle := func(from []remoteShard) *store.Store {
+		st := store.NewMemory(store.Options{})
+		for _, sh := range from {
+			recs, _, err := sh.cl.QueryScan(store.Filter{}, 0, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				r.Seq = 0
+				if err := st.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return st
+	}
+	check := func(from []remoteShard, wantDegraded bool) {
+		t.Helper()
+		want := oracle(from)
+		for _, sh := range shards {
+			sh.served.take()
+		}
+		for _, gb := range []string{store.GroupNone, store.GroupCountryASN} {
+			got, meta, err := c.Aggregate(store.AggQuery{GroupBy: gb})
+			if err != nil || meta.Degraded != wantDegraded {
+				t.Fatalf("group %s: err %v, meta %+v, want degraded %v", gb, err, meta, wantDegraded)
+			}
+			wantRep, err := want.Aggregate(store.AggQuery{GroupBy: gb})
+			if err != nil || got.Matched == 0 || !reflect.DeepEqual(got, wantRep) {
+				t.Fatalf("group %s: federated aggregate diverges from the oracle (err %v):\n fed  %+v\n want %+v", gb, err, got, wantRep)
+			}
+		}
+		for i, sh := range from {
+			served := sh.served.take()
+			if served["fold"] < 2 || len(served) != 1 {
+				t.Fatalf("shard %d's /query served %v during two aggregates, want op=fold only", i, served)
+			}
+		}
+	}
+	check(shards, false)
+	shards[1].srv.Close()
+	check([]remoteShard{shards[0], shards[2]}, true)
 }
 
 func TestHTTPDeadShardIs503NotBreakerFood(t *testing.T) {

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -130,6 +131,77 @@ func buildOracle(t *testing.T, shards map[string]*LocalShard) *store.Store {
 	return oracle
 }
 
+// keysOnTwoShards is the invariant a federated aggregate rests on
+// (DESIGN.md "Scatter-gather queries"), checked directly: a full scan of
+// every live shard, returning each (experiment, task) key that two of
+// them hold. Aggregate merges per-shard folds and deduplicates nothing
+// across shards, so a key here is a result counted twice.
+func keysOnTwoShards(t *testing.T, shards map[string]*LocalShard) []string {
+	t.Helper()
+	home := map[string]string{}
+	var twice []string
+	for id, ls := range shards {
+		recs, _, err := ls.ScanPage(store.Filter{}, 0, "")
+		if errors.Is(err, ErrShardDown) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("scan of %s: %v", id, err)
+		}
+		for _, r := range recs {
+			if other, ok := home[r.Key()]; ok && other != id {
+				twice = append(twice, r.Key())
+			}
+			home[r.Key()] = id
+		}
+	}
+	sort.Strings(twice)
+	return twice
+}
+
+// TestAggregateRestsOnOneShardPerKey plants what the routing rules out —
+// one (experiment, task) result recorded on two shards — and pins what
+// then happens: the invariant check names the key, a federated scan
+// still collapses it (its in-page dedup), and a federated aggregate
+// counts it twice. That is why the invariant is asserted wherever shards
+// are killed, restarted and failed over, and not assumed.
+func TestAggregateRestsOnOneShardPerKey(t *testing.T) {
+	c, shardList := newHarness(t, 2, "", testConfig())
+	shards := map[string]*LocalShard{"shard-0": shardList[0], "shard-1": shardList[1]}
+	pumpResults(t, c, testProbes(6), 2)
+	if twice := keysOnTwoShards(t, shards); len(twice) != 0 {
+		t.Fatalf("routing put %v on two shards", twice)
+	}
+	before, _, err := c.Aggregate(store.AggQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Copy one of shard-0's records into shard-1's store, behind the
+	// coordinator's back.
+	recs, _, err := shardList[0].ScanPage(store.Filter{}, 1, "")
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("shard-0 scan: %d records, err %v", len(recs), err)
+	}
+	dup := recs[0]
+	dup.Seq = 0
+	if err := shardList[1].Controller().ResultStore().Append(dup); err != nil {
+		t.Fatal(err)
+	}
+
+	if twice := keysOnTwoShards(t, shards); len(twice) != 1 || twice[0] != dup.Key() {
+		t.Fatalf("the invariant check reports %v, want [%s]", twice, dup.Key())
+	}
+	scanned, _, _, err := c.ScanPage(store.Filter{}, 0, "")
+	if err != nil || int64(len(scanned)) != before.Matched {
+		t.Fatalf("federated scan returns %d records (err %v), want the %d distinct ones", len(scanned), err, before.Matched)
+	}
+	after, _, err := c.Aggregate(store.AggQuery{})
+	if err != nil || after.Matched != before.Matched+1 {
+		t.Fatalf("federated aggregate matched %d (err %v): with a key on two shards it counts %d + 1", after.Matched, err, before.Matched)
+	}
+}
+
 func stripSeq(recs []store.Record) []store.Record {
 	out := make([]store.Record, len(recs))
 	for i, r := range recs {
@@ -214,6 +286,9 @@ func TestFederatedQueryMatchesOracle(t *testing.T) {
 			all := map[string]*LocalShard{}
 			for i, ls := range shardList {
 				all[fmt.Sprintf("shard-%d", i)] = ls
+			}
+			if twice := keysOnTwoShards(t, all); len(twice) != 0 {
+				t.Fatalf("keys on two shards: %v", twice)
 			}
 			checkAgainstOracle(t, rng, c, buildOracle(t, all), false)
 

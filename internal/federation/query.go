@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"github.com/afrinet/observatory/internal/core"
+	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/store"
 )
 
@@ -56,64 +57,85 @@ func encodeFedCursor(pos map[string]string) string {
 	return strings.Join(segs, ";")
 }
 
-// shardScan is one shard's contribution to a fan-out.
-type shardScan struct {
+// shardReply is one shard's contribution to a fan-out.
+type shardReply[T any] struct {
 	id      string
-	recs    []store.Record
-	next    string
+	v       T
 	err     error
-	skipped bool // no position to fetch (exhausted on a previous page)
+	skipped bool // not asked (a scan position exhausted on a previous page)
 }
 
-// scatterScans fans ScanPage out to every shard in parallel under the
-// per-shard deadline with hedged retries, one goroutine per shard.
-// Results come back positionally — nothing shared is written.
-func (c *Coordinator) scatterScans(f store.Filter, limit int, pos map[string]string, fetch map[string]bool) []shardScan {
+// queryPhases times the coordinator's own share of one kind of query
+// (obs_fed_query_seconds{op,phase}), beside the per-shard call times of
+// obs_fed_shard_seconds: scatter is the wait for the slowest shard, merge
+// what the coordinator then does with the replies.
+type queryPhases struct{ scatter, merge *obs.Histogram }
+
+func newQueryPhases(reg *obs.Registry, op string) queryPhases {
+	return queryPhases{
+		scatter: reg.Hist("obs_fed_query_seconds", "op", op, "phase", "scatter"),
+		merge:   reg.Hist("obs_fed_query_seconds", "op", op, "phase", "merge"),
+	}
+}
+
+// scatter fans op out to every shard in parallel (all of them when ask is
+// nil), under the per-shard deadline with hedged retries, one goroutine
+// per shard, and observes the wait in phase. Replies come back
+// positionally, in shard-id order — nothing shared is written.
+func scatter[T any](c *Coordinator, phase *obs.Histogram, ask map[string]bool, op func(s Shard, id string) (T, error)) []shardReply[T] {
+	t := obs.StartTimer()
 	targets, ids := c.allTargets()
-	scans := make([]shardScan, len(targets))
+	replies := make([]shardReply[T], len(targets))
 	var wg sync.WaitGroup
 	for i := range targets {
-		scans[i].id = ids[i]
-		if fetch != nil && !fetch[ids[i]] {
-			scans[i].skipped = true
+		replies[i].id = ids[i]
+		if ask != nil && !ask[ids[i]] {
+			replies[i].skipped = true
 			continue
 		}
 		wg.Add(1)
 		go func(i int, t shardTarget) {
 			defer wg.Done()
-			type page struct {
-				recs []store.Record
-				next string
-			}
-			p, err := scatterCall(c, t.st, t.backend, true, func(s Shard) (page, error) {
-				recs, next, err := s.ScanPage(f, limit, pos[scans[i].id])
-				return page{recs: recs, next: next}, err
+			replies[i].v, replies[i].err = scatterCall(c, t.st, t.backend, true, func(s Shard) (T, error) {
+				return op(s, ids[i])
 			})
-			scans[i].recs, scans[i].next, scans[i].err = p.recs, p.next, err
 		}(i, targets[i])
 	}
 	wg.Wait()
-	return scans
+	phase.Observe(t.Elapsed())
+	return replies
 }
 
-// gather sorts a fan-out's outcome: it marks the response degraded by
-// every shard that failed to answer, and fails it when none did.
-func (c *Coordinator) gather(scans []shardScan, nShards int) (QueryMeta, error) {
+// gather sorts a query fan-out's outcome: it marks the response degraded
+// by every shard that failed to answer, and fails it when none did.
+func gather[T any](c *Coordinator, replies []shardReply[T]) (QueryMeta, error) {
 	var meta QueryMeta
-	for _, sc := range scans {
-		if sc.err != nil {
+	if len(replies) == 0 {
+		return meta, ErrNoShards
+	}
+	c.ctr.Inc("fed_queries")
+	var lastErr error
+	for _, rp := range replies {
+		if rp.err != nil {
 			meta.Degraded = true
-			meta.ShardsMissing = append(meta.ShardsMissing, sc.id)
+			meta.ShardsMissing = append(meta.ShardsMissing, rp.id)
+			lastErr = rp.err
 		}
 	}
 	if meta.Degraded {
 		sort.Strings(meta.ShardsMissing)
 		c.ctr.Inc("fed_degraded_queries")
-		if len(meta.ShardsMissing) == nShards {
-			return meta, fmt.Errorf("federation: all %d shards unavailable: %w", nShards, ErrShardDown)
+		if len(meta.ShardsMissing) == len(replies) {
+			return meta, fmt.Errorf("%w: none of %d shards answered, the last with: %v", ErrShardDown, len(replies), lastErr)
 		}
 	}
 	return meta, nil
+}
+
+// shardPage is one shard's page of a federated scan.
+type shardPage struct {
+	recs []store.Record
+	next string
 }
 
 // mergeScans is the central merge: a k-way walk over the shards' pages,
@@ -123,17 +145,17 @@ func (c *Coordinator) gather(scans []shardScan, nShards int) (QueryMeta, error) 
 // (limit <= 0: all), and returns how many records of each scan it
 // consumed. Nothing is copied or sorted; with a handful of shards a
 // linear pick of the smallest head beats a heap.
-func (c *Coordinator) mergeScans(scans []shardScan, limit int, take func(*store.Record)) []int {
+func (c *Coordinator) mergeScans(scans []shardReply[shardPage], limit int, take func(*store.Record)) []int {
 	heads := make([]int, len(scans))
 	seen := make(map[store.DedupKey]struct{})
 	for taken := 0; limit <= 0 || taken < limit; {
 		best := -1
 		for i := range scans {
-			if heads[i] == len(scans[i].recs) {
+			if heads[i] == len(scans[i].v.recs) {
 				continue
 			}
 			if best >= 0 {
-				seq, bestSeq := scans[i].recs[heads[i]].Seq, scans[best].recs[heads[best]].Seq
+				seq, bestSeq := scans[i].v.recs[heads[i]].Seq, scans[best].v.recs[heads[best]].Seq
 				if seq > bestSeq || seq == bestSeq && scans[i].id > scans[best].id {
 					continue
 				}
@@ -143,7 +165,7 @@ func (c *Coordinator) mergeScans(scans []shardScan, limit int, take func(*store.
 		if best < 0 {
 			break
 		}
-		r := &scans[best].recs[heads[best]]
+		r := &scans[best].v.recs[heads[best]]
 		heads[best]++
 		k := store.DedupKey{Experiment: r.Experiment, TaskID: r.TaskID}
 		if _, dup := seen[k]; dup {
@@ -172,14 +194,6 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 	if err != nil {
 		return nil, "", QueryMeta{}, err
 	}
-	c.mu.Lock()
-	nShards := len(c.order)
-	c.mu.Unlock()
-	if nShards == 0 {
-		return nil, "", QueryMeta{}, ErrNoShards
-	}
-	c.ctr.Inc("fed_queries")
-
 	// A shard with an empty position on a non-empty cursor was
 	// exhausted by an earlier page: don't re-fetch it from the start.
 	var fetch map[string]bool
@@ -189,16 +203,21 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 			fetch[id] = true
 		}
 	}
-	scans := c.scatterScans(f, limit, pos, fetch)
-	meta, err := c.gather(scans, nShards)
+	scans := scatter(c, c.scanPhases.scatter, fetch, func(s Shard, id string) (shardPage, error) {
+		recs, next, err := s.ScanPage(f, limit, pos[id])
+		return shardPage{recs, next}, err
+	})
+	meta, err := gather(c, scans)
 	if err != nil {
 		return nil, "", meta, err
 	}
+	t := obs.StartTimer()
+	defer func() { c.scanPhases.merge.Observe(t.Elapsed()) }()
 
 	size := limit
 	if limit <= 0 {
 		for _, sc := range scans {
-			size += len(sc.recs)
+			size += len(sc.v.recs)
 		}
 	}
 	out := make([]store.Record, 0, size)
@@ -223,45 +242,74 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 		case sc.err != nil:
 			nextPos[sc.id] = here
 		case n == 0:
-			if len(sc.recs) > 0 || sc.next != "" {
+			if len(sc.v.recs) > 0 || sc.v.next != "" {
 				nextPos[sc.id] = here
 			}
-		case n == len(sc.recs):
-			if sc.next != "" {
-				nextPos[sc.id] = sc.next
+		case n == len(sc.v.recs):
+			if sc.v.next != "" {
+				nextPos[sc.id] = sc.v.next
 			}
 		default:
-			nextPos[sc.id] = strconv.FormatUint(sc.recs[n-1].Seq, 10)
+			nextPos[sc.id] = strconv.FormatUint(sc.v.recs[n-1].Seq, 10)
 		}
 	}
 	return out, encodeFedCursor(nextPos), meta, nil
 }
 
-// Aggregate is the federated aggregation: full matching scans from
-// every shard, merged and deduplicated centrally and folded, record by
-// record as the merge yields them, by the same store.Folder a single
-// store uses — percentiles do not compose across shards, so the fold
-// runs over the merged stream, which is byte-for-byte what a single
-// store holding every record would compute. Unresponsive shards degrade
-// the report (their records are absent); all shards failing is an error.
-func (c *Coordinator) Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error) {
-	fold, err := store.NewFolder(q.GroupBy)
-	if err != nil {
-		return store.AggReport{}, QueryMeta{}, err
-	}
-	c.mu.Lock()
-	nShards := len(c.order)
-	c.mu.Unlock()
-	if nShards == 0 {
-		return store.AggReport{}, QueryMeta{}, ErrNoShards
-	}
-	c.ctr.Inc("fed_queries")
+// Aggregate is the federated aggregation: every shard folds its own
+// records where they live (Shard.Fold) and the coordinator merges the
+// partial folds and reports once. What a store.Folder keeps — counts,
+// verdict counts, raw RTT samples — composes exactly; the percentiles do
+// not, so they are computed here, last, over the merged samples: field
+// for field what a single store holding every record would report (see
+// store.Folder). No record crosses a shard boundary, and nothing is
+// deduplicated here: an (experiment, task) key lives on exactly one shard
+// (DESIGN.md "Scatter-gather queries"), so each shard's own first-wins
+// dedup is already global. Unresponsive shards degrade the report (their
+// records are absent); all shards failing is an error.
+func (c *Coordinator) Aggregate(q store.AggQuery) (rep store.AggReport, meta QueryMeta, err error) {
+	meta, err = c.fold(q, func(f *store.Folder) { rep = f.Report() })
+	return rep, meta, err
+}
 
-	scans := c.scatterScans(q.Filter, 0, nil, nil)
-	meta, err := c.gather(scans, nShards)
+// Fold is Aggregate before the report: the shards' partial folds merged
+// into one, which is what a coordinator answers op=fold with.
+func (c *Coordinator) Fold(q store.AggQuery) (merged *store.Folder, meta QueryMeta, err error) {
+	meta, err = c.fold(q, func(f *store.Folder) { merged = f })
+	return merged, meta, err
+}
+
+// fold scatters q to every shard, merges the partial folds in shard-id
+// order and hands the result to finish, inside the merge phase's timing.
+func (c *Coordinator) fold(q store.AggQuery, finish func(*store.Folder)) (QueryMeta, error) {
+	merged, err := store.NewFolder(q.GroupBy)
 	if err != nil {
-		return store.AggReport{}, meta, err
+		return QueryMeta{}, err
 	}
-	c.mergeScans(scans, 0, fold.Add)
-	return fold.Report(), meta, nil
+	parts := scatter(c, c.aggPhases.scatter, nil, func(s Shard, _ string) (*store.Folder, error) {
+		return s.Fold(q)
+	})
+	meta, err := gather(c, parts)
+	if err != nil {
+		return meta, err
+	}
+	t := obs.StartTimer()
+	defer func() { c.aggPhases.merge.Observe(t.Elapsed()) }()
+	var groups, samples int64
+	for _, p := range parts {
+		if p.err != nil {
+			continue
+		}
+		groups += int64(len(p.v.Groups))
+		for i := range p.v.Groups {
+			samples += int64(len(p.v.Groups[i].RTTs))
+		}
+		if err := merged.Merge(p.v); err != nil {
+			return meta, fmt.Errorf("federation: shard %s: %w", p.id, err)
+		}
+	}
+	c.ctr.Add("fed_fold_groups_merged", groups)
+	c.ctr.Add("fed_fold_samples_merged", samples)
+	finish(merged)
+	return meta, nil
 }

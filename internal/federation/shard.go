@@ -70,7 +70,10 @@ type Shard interface {
 	// transport/availability failures.
 	Experiment(expID string) (*core.Experiment, error)
 	ScanPage(f store.Filter, limit int, cursor string) ([]store.Record, string, error)
-	Aggregate(q store.AggQuery) (store.AggReport, error)
+	// Fold is the shard's share of a federated aggregate: the partial fold
+	// over its own (already deduplicated) records, which the coordinator
+	// merges with the other shards' — no record leaves the shard.
+	Fold(q store.AggQuery) (*store.Folder, error)
 	Health() (core.HealthReport, error)
 	Stats() (core.StatsReport, error)
 	// Tick advances the shard's logical clock (lease expiry, probe
@@ -179,12 +182,12 @@ func (s *LocalShard) ScanPage(f store.Filter, limit int, cursor string) ([]store
 	return c.ScanResults(f, limit, cursor)
 }
 
-func (s *LocalShard) Aggregate(q store.AggQuery) (store.AggReport, error) {
+func (s *LocalShard) Fold(q store.AggQuery) (*store.Folder, error) {
 	c, err := s.ctrl()
 	if err != nil {
-		return store.AggReport{}, err
+		return nil, err
 	}
-	return c.AggregateResults(q)
+	return c.FoldResults(q)
 }
 
 func (s *LocalShard) Health() (core.HealthReport, error) {
@@ -278,9 +281,9 @@ func (s *HTTPShard) ScanPage(f store.Filter, limit int, cursor string) ([]store.
 	return rs, next, remoteErr(err)
 }
 
-func (s *HTTPShard) Aggregate(q store.AggQuery) (store.AggReport, error) {
-	rep, err := s.cl.QueryAggregate(q.Filter, q.GroupBy)
-	return rep, remoteErr(err)
+func (s *HTTPShard) Fold(q store.AggQuery) (*store.Folder, error) {
+	fold, err := s.cl.QueryFold(q.Filter, q.GroupBy)
+	return fold, remoteErr(err)
 }
 
 func (s *HTTPShard) Health() (core.HealthReport, error) {

@@ -168,7 +168,10 @@ func (f Filter) Values() url.Values {
 // collapsing the duplicates a crash window can leave. fn sees each record
 // in place (a cached segment's, a memory segment's or the memtable's):
 // it must not modify or retain the pointer, and returns false to stop
-// the stream early. It runs under the store's read lock.
+// the stream early. It runs under the store's read lock. Before the first
+// record, *bound (when non-nil) is set to how many records the stream can
+// yield at most: the frames of the segments the index cannot rule out
+// plus the memtable.
 //
 // Sealed segments are pruned on their sparse index. With eager set — the
 // caller will read to the end — the survivors not yet in the segment
@@ -177,26 +180,36 @@ func (f Filter) Values() url.Values {
 // identical no matter how many workers ran (the internal/par contract).
 // Otherwise each survivor is loaded when the stream reaches it, and an
 // early stop leaves the rest undecoded.
-func (s *Store) visit(f Filter, eager bool, fn func(*Record) bool) error {
+func (s *Store) visit(f Filter, eager bool, bound *int, fn func(*Record) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var scan []*segment
+	most := len(s.mem)
 	for _, sg := range s.segs {
 		if sg.meta.mayMatch(f) {
 			scan = append(scan, sg)
+			most += sg.meta.Frames
 		}
+	}
+	if bound != nil {
+		*bound = most
 	}
 	loaded := make([][]Record, len(scan))
 	load := func(i int) (err error) {
 		loaded[i], err = s.load(scan[i])
 		return err
 	}
+	// A stream read to its end sees most of those records: size the dedup
+	// set once. A page stops early and grows a small one instead.
+	var seen map[DedupKey]struct{}
 	if eager {
 		if err := par.ForEachErr(0, len(scan), load); err != nil {
 			return err
 		}
+		seen = make(map[DedupKey]struct{}, most)
+	} else {
+		seen = make(map[DedupKey]struct{})
 	}
-	seen := make(map[DedupKey]struct{})
 	stream := func(recs []Record) bool {
 		for i := range recs {
 			r := &recs[i]
@@ -247,13 +260,17 @@ func (s *Store) ScanPage(f Filter, limit int, cursor string) ([]Record, string, 
 	}
 	var out []Record
 	more := false
-	err = s.visit(f, limit <= 0, func(r *Record) bool {
+	bound := 0
+	err = s.visit(f, limit <= 0, &bound, func(r *Record) bool {
 		if r.Seq <= after {
 			return true
 		}
 		if limit > 0 && len(out) == limit {
 			more = true
 			return false
+		}
+		if out == nil && limit > 0 {
+			out = make([]Record, 0, min(limit, bound)) // the whole page, once
 		}
 		out = append(out, *r)
 		return true
@@ -349,19 +366,36 @@ type AggReport struct {
 func (s *Store) Aggregate(q AggQuery) (AggReport, error) {
 	t := obs.StartTimer()
 	defer func() { s.hAggregate.Observe(t.Elapsed()) }()
-	fold, err := NewFolder(q.GroupBy)
+	fold, err := s.fold(q)
 	if err != nil {
 		return AggReport{}, err
 	}
-	err = s.visit(q.Filter, true, func(r *Record) bool {
+	return fold.Report(), nil
+}
+
+// Fold is Aggregate stopped before Report: the partial fold over this
+// store's records, for a caller that merges it with other stores'
+// (Folder.Merge) and reports once.
+func (s *Store) Fold(q AggQuery) (*Folder, error) {
+	t := obs.StartTimer()
+	defer func() { s.hAggregate.Observe(t.Elapsed()) }()
+	return s.fold(q)
+}
+
+func (s *Store) fold(q AggQuery) (*Folder, error) {
+	fold, err := NewFolder(q.GroupBy)
+	if err != nil {
+		return nil, err
+	}
+	err = s.visit(q.Filter, true, nil, func(r *Record) bool {
 		fold.Add(r)
 		return true
 	})
 	if err != nil {
-		return AggReport{}, err
+		return nil, err
 	}
 	s.ctr.Inc("queries_served")
-	return fold.Report(), nil
+	return fold, nil
 }
 
 // ValidGroupBy rejects unknown aggregation group-by modes.
@@ -376,30 +410,58 @@ func ValidGroupBy(groupBy string) error {
 	}
 }
 
-// Folder is an incremental aggregation: Add each matching, already
-// deduplicated record in sequence order, then Report. Store.Aggregate
-// feeds it from its segment stream and a federation coordinator from its
-// merge of every shard's records — percentiles do not compose across
-// shards, but the fold over the merged stream is exactly what a single
-// store would compute. Neither builds an intermediate record set.
+// Folder is a partial aggregation, and its JSON form is what op=fold
+// puts on the wire: Add each matching, already deduplicated record, Merge
+// other Folders built over disjoint record sets, then Report. What it
+// keeps per group — counts, verdict counts and the raw RTT samples —
+// composes exactly: counts add and sample lists concatenate. What Report
+// derives from them (loss rate, mean, nearest-rank percentiles) does not
+// compose, which is why it runs once, last, over sorted samples. So a
+// merge of folds over disjoint sets reports what one fold over their
+// union reports, field for field, in any merge order; a federation
+// coordinator merges its shards' folds instead of pulling their records.
+// TestFolderMergeIsExact holds that.
 type Folder struct {
-	groupBy string
-	matched int64
-	buckets map[groupKey]*bucket
-	order   []*bucket // in first-seen order
+	GroupBy string            `json:"group_by"`
+	Matched int64             `json:"matched"`
+	Groups  []FoldGroup       `json:"groups"` // in first-seen order
+	index   map[packedKey]int // key → position in Groups; built on first use
 }
 
-// groupKey identifies a bucket without building a string per record:
-// which fields are set depends on the mode (see Add).
-type groupKey struct {
+// GroupKey identifies a group: which fields are set depends on the mode
+// (see Add).
+type GroupKey struct {
+	Country       string       `json:"country,omitempty"`
+	ASN           topology.ASN `json:"asn,omitempty"`
+	Resolver      string       `json:"resolver,omitempty"`
+	Verdict       string       `json:"verdict,omitempty"`
+	ResolverChain string       `json:"resolver_chain,omitempty"`
+	ECS           string       `json:"ecs,omitempty"`
+}
+
+// FoldGroup is one group of a partial fold: AggGroup before its derived
+// statistics, with the RTT samples (of successful results that reported
+// one) they will be computed from. encoding/json prints a float64 in the
+// shortest form that parses back to the same bits, so samples cross the
+// wire exactly.
+type FoldGroup struct {
+	GroupKey
+	Count    int64            `json:"count"`
+	OK       int64            `json:"ok"`
+	Verdicts map[string]int64 `json:"verdicts,omitempty"`
+	RTTs     []float64        `json:"rtts,omitempty"`
+}
+
+// packedKey is a GroupKey as the index hashes it, once per record: three
+// fields instead of six. No mode sets two of the four strings b joins, and
+// joining one string with empty ones copies nothing.
+type packedKey struct {
 	a, b string
 	asn  topology.ASN
 }
 
-type bucket struct {
-	g       AggGroup
-	rtts    []float64
-	sortKey string
+func (k *GroupKey) pack() packedKey {
+	return packedKey{a: k.Country, b: k.Resolver + k.Verdict + k.ResolverChain + k.ECS, asn: k.ASN}
 }
 
 // NewFolder starts an aggregation bucketed by groupBy.
@@ -407,60 +469,100 @@ func NewFolder(groupBy string) (*Folder, error) {
 	if err := ValidGroupBy(groupBy); err != nil {
 		return nil, err
 	}
-	return &Folder{groupBy: groupBy, buckets: make(map[groupKey]*bucket)}, nil
+	if groupBy == "" {
+		groupBy = GroupNone
+	}
+	return &Folder{GroupBy: groupBy}, nil
+}
+
+// group returns k's group, appended empty when k is new.
+func (f *Folder) group(k GroupKey) *FoldGroup {
+	if f.index == nil { // a new Folder, or one decoded from its JSON form
+		f.index = make(map[packedKey]int, len(f.Groups))
+		for i := range f.Groups {
+			f.index[f.Groups[i].pack()] = i
+		}
+	}
+	p := k.pack()
+	i, ok := f.index[p]
+	if !ok {
+		i = len(f.Groups)
+		f.index[p] = i
+		f.Groups = append(f.Groups, FoldGroup{GroupKey: k})
+	}
+	return &f.Groups[i]
 }
 
 // Add folds one record in. It reads the record and keeps no reference.
 func (f *Folder) Add(r *Record) {
-	f.matched++
-	var key groupKey
-	g := AggGroup{}
-	switch f.groupBy {
+	f.Matched++
+	var k GroupKey
+	switch f.GroupBy {
 	case GroupCountry:
-		key.a, g.Country = r.Country, r.Country
+		k.Country = r.Country
 	case GroupASN:
-		key.asn, g.ASN = r.ASN, r.ASN
+		k.ASN = r.ASN
 	case GroupCountryASN:
-		key.a, key.asn = r.Country, r.ASN
-		g.Country, g.ASN = r.Country, r.ASN
+		k.Country, k.ASN = r.Country, r.ASN
 	case GroupVerdict:
-		key.a, g.Verdict = r.Result.Verdict, r.Result.Verdict
+		k.Verdict = r.Result.Verdict
 	case GroupResolver:
-		key.a, g.Resolver = r.Result.ResolverKind, r.Result.ResolverKind
+		k.Resolver = r.Result.ResolverKind
 	case GroupCountryResolver:
-		key.a, key.b = r.Country, r.Result.ResolverKind
-		g.Country, g.Resolver = r.Country, r.Result.ResolverKind
+		k.Country, k.Resolver = r.Country, r.Result.ResolverKind
 	case GroupResolverChain:
-		key.a, g.ResolverChain = r.Result.ResolverChain, r.Result.ResolverChain
+		k.ResolverChain = r.Result.ResolverChain
 	case GroupECS:
-		key.a = strconv.FormatBool(r.Result.ECS)
-		g.ECS = key.a
+		k.ECS = strconv.FormatBool(r.Result.ECS)
 	}
-	b, ok := f.buckets[key]
-	if !ok {
-		b = &bucket{g: g, sortKey: f.sortKey(key)}
-		f.buckets[key] = b
-		f.order = append(f.order, b)
-	}
-	b.g.Count++
+	g := f.group(k)
+	g.Count++
 	if r.Result.Verdict != "" {
-		if b.g.Verdicts == nil {
-			b.g.Verdicts = make(map[string]int64)
+		if g.Verdicts == nil {
+			g.Verdicts = make(map[string]int64)
 		}
-		b.g.Verdicts[r.Result.Verdict]++
+		g.Verdicts[r.Result.Verdict]++
 	}
 	if r.Result.OK {
-		b.g.OK++
+		g.OK++
 		if r.Result.RTTms > 0 {
-			b.rtts = append(b.rtts, r.Result.RTTms)
+			g.RTTs = append(g.RTTs, r.Result.RTTms)
 		}
 	}
 }
 
-// sortKey is the string the report orders a bucket by, built once per
-// bucket: the key the fold used to build per record.
-func (f *Folder) sortKey(k groupKey) string {
-	switch f.groupBy {
+// Merge folds o in: a Folder over records disjoint from f's, from
+// Store.Fold or decoded from its JSON form. o is spent afterwards (its
+// groups' maps and sample lists may now be f's).
+func (f *Folder) Merge(o *Folder) error {
+	if o.GroupBy != f.GroupBy {
+		return fmt.Errorf("store: merging a fold grouped by %q into one grouped by %q", o.GroupBy, f.GroupBy)
+	}
+	f.Matched += o.Matched
+	for i := range o.Groups {
+		og := &o.Groups[i]
+		g := f.group(og.GroupKey)
+		if g.Count == 0 {
+			*g = *og
+			continue
+		}
+		g.Count += og.Count
+		g.OK += og.OK
+		if g.Verdicts == nil {
+			g.Verdicts = og.Verdicts
+		} else {
+			for v, n := range og.Verdicts {
+				g.Verdicts[v] += n
+			}
+		}
+		g.RTTs = append(g.RTTs, og.RTTs...)
+	}
+	return nil
+}
+
+// sortKey is the string the report orders a group by.
+func (f *Folder) sortKey(k packedKey) string {
+	switch f.GroupBy {
 	case GroupASN:
 		return fmt.Sprintf("%d", k.asn)
 	case GroupCountryASN:
@@ -468,31 +570,44 @@ func (f *Folder) sortKey(k groupKey) string {
 	case GroupCountryResolver:
 		return k.a + "/" + k.b
 	}
-	return k.a
+	return k.a + k.b // every other mode sets at most one
 }
 
 // Report finishes the aggregation: loss rates, exact nearest-rank RTT
-// percentiles, buckets sorted by key. The Folder is spent afterwards.
+// percentiles, groups sorted by key. Samples are sorted before they are
+// summed, so the mean does not depend on the order records or partial
+// folds arrived in.
 func (f *Folder) Report() AggReport {
-	sort.SliceStable(f.order, func(i, j int) bool { return f.order[i].sortKey < f.order[j].sortKey })
-	rep := AggReport{Matched: f.matched}
-	for _, b := range f.order {
-		if b.g.Count > 0 {
-			b.g.LossRate = 1 - float64(b.g.OK)/float64(b.g.Count)
+	keys := make([]string, len(f.Groups))
+	order := make([]int, len(f.Groups))
+	for i := range f.Groups {
+		keys[i], order[i] = f.sortKey(f.Groups[i].pack()), i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	rep := AggReport{Matched: f.Matched}
+	for _, i := range order {
+		fg := &f.Groups[i]
+		g := AggGroup{
+			Country: fg.Country, ASN: fg.ASN, Resolver: fg.Resolver, Verdict: fg.Verdict,
+			ResolverChain: fg.ResolverChain, ECS: fg.ECS,
+			Count: fg.Count, OK: fg.OK, Verdicts: fg.Verdicts,
 		}
-		if len(b.rtts) > 0 {
-			sort.Float64s(b.rtts)
+		if g.Count > 0 {
+			g.LossRate = 1 - float64(g.OK)/float64(g.Count)
+		}
+		if len(fg.RTTs) > 0 {
+			sort.Float64s(fg.RTTs)
 			sum := 0.0
-			for _, v := range b.rtts {
+			for _, v := range fg.RTTs {
 				sum += v
 			}
-			b.g.RTTCount = int64(len(b.rtts))
-			b.g.RTTMean = sum / float64(len(b.rtts))
-			b.g.RTTP50 = percentile(b.rtts, 50)
-			b.g.RTTP90 = percentile(b.rtts, 90)
-			b.g.RTTP99 = percentile(b.rtts, 99)
+			g.RTTCount = int64(len(fg.RTTs))
+			g.RTTMean = sum / float64(len(fg.RTTs))
+			g.RTTP50 = percentile(fg.RTTs, 50)
+			g.RTTP90 = percentile(fg.RTTs, 90)
+			g.RTTP99 = percentile(fg.RTTs, 99)
 		}
-		rep.Groups = append(rep.Groups, b.g)
+		rep.Groups = append(rep.Groups, g)
 	}
 	return rep
 }
@@ -518,7 +633,7 @@ func percentile(sorted []float64, p float64) float64 {
 // against what actually survived a crash.
 func (s *Store) KeySet(experiment string) (map[string]bool, error) {
 	out := make(map[string]bool)
-	err := s.visit(Filter{Experiment: experiment}, true, func(r *Record) bool {
+	err := s.visit(Filter{Experiment: experiment}, true, nil, func(r *Record) bool {
 		out[r.TaskID] = true
 		return true
 	})

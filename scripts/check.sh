@@ -106,6 +106,7 @@ echo "== bench smoke =="
 go test -run '^$' -bench . -benchtime=1x -count=1 . > /dev/null
 go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/core > /dev/null
 go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/store > /dev/null
+go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/federation > /dev/null
 # The dnsload high-QPS engine gets a named smoke: one full 1M-query
 # paced run must complete (the root sweep above already includes it;
 # this line keeps the target visible and fails loudly if it is renamed).
