@@ -367,9 +367,9 @@ func logRecovered(who string, ctrl *core.Controller, took time.Duration) {
 	series := ctrl.Observability().Snapshots()
 	name := func(phase string) string { return fmt.Sprintf("%s{phase=%q}", core.MetricRecover, phase) }
 	phase := func(p string) time.Duration { return series[name(p)].Sum.Round(10 * time.Microsecond) }
-	log.Printf("obsd: %srecovered in %s (journal_open=%s snapshot=%s replay=%s reconcile=%s replayed=%d requeued=%d legacy_walk=%t truncated_tail=%d tick=%d)",
+	log.Printf("obsd: %srecovered in %s (journal_open=%s snapshot=%s decode=%s replay=%s reconcile=%s replayed=%d requeued=%d legacy_walk=%t truncated_tail=%d tick=%d)",
 		who, took.Round(time.Millisecond),
-		phase("journal_open"), phase("snapshot"), phase("replay"), phase("reconcile"),
+		phase("journal_open"), phase("snapshot"), phase("decode"), phase("replay"), phase("reconcile"),
 		d["recovery_replayed"], d["recovery_results_requeued"], series[name("legacy_walk")].Count > 0,
 		d["recovery_truncated_tail"], ctrl.Now())
 }

@@ -145,17 +145,35 @@ func BenchmarkSync(b *testing.B) {
 // the store's default memtable.
 var fleetCfg = DurabilityConfig{Trusted: []string{"bench"}, LeaseTTL: 1 << 30, SnapshotEvery: 1024}
 
+// longJournalCfg is the repo benchmark's crash_recover workload:
+// automatic snapshots off, so the whole history is journal.
+var longJournalCfg = DurabilityConfig{Trusted: []string{"bench"}, LeaseTTL: 1 << 30}
+
 // fleetDir builds the directory a killed fleet leaves behind, the shape
 // of the repo benchmark's fleet_sync workload: 800 probes with 8 pings
 // each in one experiment, leased 4 at a time and all delivered, so the
 // journal holds a snapshot and a tail, the store six sealed segments and
-// a memtable of 256 results that the kill takes. The controller is
-// abandoned, not closed.
+// a memtable of 256 results that the kill takes.
 func fleetDir(tb testing.TB) string {
+	return killedFleetDir(tb, fleetCfg, 800, 8, 4, false)
+}
+
+// longJournalDir is crash_recover's shape: 500 probes with 12 pings each
+// leased 2 at a time, one store compaction half-way, and no snapshot — a
+// 564 KB experiment_submit, 500 probe_register and 3 500 probe_sync
+// records for recovery to replay.
+func longJournalDir(tb testing.TB) string {
+	return killedFleetDir(tb, longJournalCfg, 500, 12, 2, true)
+}
+
+// killedFleetDir drives a fleet of probes, each with perProbe pings of one
+// experiment, through lease-sized syncs until every result is delivered
+// (compacting the store once half-way when asked), and abandons the
+// controller without closing it.
+func killedFleetDir(tb testing.TB, cfg DurabilityConfig, fleet, perProbe, lease int, compact bool) string {
 	tb.Helper()
-	const fleet, perProbe, lease = 800, 8, 4
 	dir := tb.TempDir()
-	c, err := Recover(dir, fleetCfg)
+	c, err := Recover(dir, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -177,6 +195,11 @@ func fleetDir(tb testing.TB) string {
 	}
 	outbox := make([][]probes.Result, fleet)
 	for round := 0; round <= perProbe/lease; round++ {
+		if compact && round == (perProbe/lease+1)/2 {
+			if err := c.CompactStore(); err != nil {
+				tb.Fatal(err)
+			}
+		}
 		for i, id := range ids {
 			resp, err := c.SyncProbe(id, outbox[i], lease)
 			if err != nil {
@@ -185,7 +208,7 @@ func fleetDir(tb testing.TB) string {
 			outbox[i] = benchResults(resp.Tasks)
 		}
 	}
-	if got := c.Stats().Counters["results_recorded"]; got != fleet*perProbe {
+	if got := c.Stats().Counters["results_recorded"]; got != int64(fleet*perProbe) {
 		tb.Fatalf("fleet recorded %d results, want %d", got, fleet*perProbe)
 	}
 	if c.ResultStore().MemtableLen() == 0 || c.ResultStore().SegmentCount() == 0 {
@@ -207,7 +230,7 @@ func shipDir(tb testing.TB, src, dst string) {
 
 // benchRecover times Recover of a fresh copy of src per op; the copy and
 // the recovered controller's teardown are outside the timer.
-func benchRecover(b *testing.B, src string) {
+func benchRecover(b *testing.B, src string, cfg DurabilityConfig) {
 	scratch := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -215,7 +238,7 @@ func benchRecover(b *testing.B, src string) {
 		dst := filepath.Join(scratch, fmt.Sprint(i))
 		shipDir(b, src, dst)
 		b.StartTimer()
-		c, err := Recover(dst, fleetCfg)
+		c, err := Recover(dst, cfg)
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
@@ -233,7 +256,15 @@ func benchRecover(b *testing.B, src string) {
 // BenchmarkRecoverReplay recovers the fleet directory as the kill left
 // it: a snapshot, the journal tail after it, the lost memtable requeued.
 func BenchmarkRecoverReplay(b *testing.B) {
-	benchRecover(b, fleetDir(b))
+	benchRecover(b, fleetDir(b), fleetCfg)
+}
+
+// BenchmarkRecoverLongJournal recovers a directory whose whole history is
+// journal (longJournalDir): Recover's time is the three read stages and
+// the ordered apply. Run at -cpu 1,2 to tell what one parse instead of
+// two saves from what the second core does.
+func BenchmarkRecoverLongJournal(b *testing.B) {
+	benchRecover(b, longJournalDir(b), longJournalCfg)
 }
 
 // BenchmarkRecoverSnapshot recovers the same book from a snapshot and an
@@ -247,7 +278,7 @@ func BenchmarkRecoverSnapshot(b *testing.B) {
 	if err := c.Snapshot(); err != nil {
 		b.Fatal(err)
 	}
-	benchRecover(b, src)
+	benchRecover(b, src, fleetCfg)
 }
 
 // TestRecoverOpensNoSegment: recovering a directory this binary wrote

@@ -32,7 +32,7 @@ const (
 
 	// Retired probe kinds: journals written before every probe call was a
 	// sync hold them, replay reads them as the sync they were
-	// (applyRecordLocked), nothing writes them (scripts/check.sh).
+	// (replayOps), nothing writes them (scripts/check.sh).
 	opHeartbeat = "heartbeat"
 	opLease     = "lease_grant"
 	opResults   = "results_accept"
@@ -190,9 +190,12 @@ type DurabilityConfig struct {
 // counts this run's.
 //
 // Each phase is timed into obs_recover_seconds{phase=journal_open|
-// snapshot|replay|reconcile} on the controller's registry; a recovery
-// that had to walk the store (lostResultsLocked) also has
-// phase=legacy_walk, the part of reconcile the walk took.
+// snapshot|decode|replay|reconcile} on the controller's registry —
+// journal_open reads the file and decodes its records, decode turns the
+// tail past the snapshot into typed ops (both on every core), replay
+// applies them in journal order — and a recovery that had to walk the
+// store (lostResultsLocked) also has phase=legacy_walk, the part of
+// reconcile the walk took.
 func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	t := obs.StartTimer()
 	l, err := journal.Open(dir)
@@ -248,16 +251,23 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 		snapSeq = l.Snap.Seq
 	}
 	phase("snapshot")
-	for _, rec := range l.Records {
-		if rec.Seq <= snapSeq {
-			continue // covered by the snapshot (crash between rename and compaction)
-		}
-		if err := c.applyRecordLocked(rec); err != nil {
-			l.Close()
-			return nil, err
-		}
-		c.dur.Inc("recovery_replayed")
+	// Seqs strictly increase, so the records the snapshot covers (a crash
+	// between its rename and the journal's compaction leaves them) are a
+	// prefix; they are neither decoded nor able to fail a recovery.
+	tail := l.Records
+	for len(tail) > 0 && tail[0].Seq <= snapSeq {
+		tail = tail[1:]
 	}
+	ops, err := journal.DecodeOps(replayOps, tail)
+	if err != nil {
+		l.Close()
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	phase("decode")
+	for _, apply := range ops {
+		apply(c)
+	}
+	c.dur.Add("recovery_replayed", int64(len(ops)))
 	if l.TornTail {
 		c.dur.Inc("recovery_truncated_tail")
 	}
@@ -390,67 +400,30 @@ func (c *Controller) applyRequeueLocked(refs []resultRef) {
 	c.unsealed = keep
 }
 
-// applyRecordLocked replays one journaled operation through the same
-// apply path the live mutation used.
-func (c *Controller) applyRecordLocked(rec journal.Record) error {
-	fail := func(err error) error {
-		return fmt.Errorf("core: replaying %s record seq %d: %w", rec.Kind, rec.Seq, err)
-	}
-	switch rec.Kind {
-	case opRegister:
-		var p ProbeInfo
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return fail(err)
-		}
-		c.applyRegisterLocked(p)
-	case opSubmit:
-		var op submitOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		c.applySubmitLocked(op)
-	case opApprove:
-		var op expOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		c.applyApproveLocked(op.ExpID)
-	case opReject:
-		var op expOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		c.applyRejectLocked(op.ExpID)
-	case opSync, opHeartbeat, opLease, opResults:
-		var op syncOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		switch rec.Kind {
-		case opHeartbeat, opResults:
-			op.Max = -1 // neither carried a lease ask
-		case opLease:
-			if op.Max <= 0 {
-				op.Max = wholeQueue
-			}
+// replayOps is every journal record kind this controller can replay:
+// the typed op its data decodes into and the apply function the live
+// mutation used. Recover decodes a whole tail through it before applying
+// anything (journal.DecodeOps), which is also where a kind without an
+// entry is reported.
+var replayOps = map[string]journal.Op[*Controller]{
+	opRegister: journal.OpOf((*Controller).applyRegisterLocked),
+	opSubmit:   journal.OpOf(func(c *Controller, op submitOp) { c.applySubmitLocked(op) }),
+	opApprove:  journal.OpOf(func(c *Controller, op expOp) { c.applyApproveLocked(op.ExpID) }),
+	opReject:   journal.OpOf(func(c *Controller, op expOp) { c.applyRejectLocked(op.ExpID) }),
+	opSync:     journal.OpOf(func(c *Controller, op syncOp) { c.applySyncLocked(op) }),
+	opTick:     journal.OpOf(func(c *Controller, op tickOp) { c.applyTickLocked(op.N) }),
+	opRequeue:  journal.OpOf(func(c *Controller, op requeueOp) { c.applyRequeueLocked(op.Refs) }),
+	// The retired kinds replay as the sync they were: neither a heartbeat
+	// nor a results upload carried a lease ask, and a lease for max <= 0
+	// asked for the whole queue.
+	opHeartbeat: journal.OpOf(func(c *Controller, op syncOp) { op.Max = -1; c.applySyncLocked(op) }),
+	opResults:   journal.OpOf(func(c *Controller, op syncOp) { op.Max = -1; c.applySyncLocked(op) }),
+	opLease: journal.OpOf(func(c *Controller, op syncOp) {
+		if op.Max <= 0 {
+			op.Max = wholeQueue
 		}
 		c.applySyncLocked(op)
-	case opTick:
-		var op tickOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		c.applyTickLocked(op.N)
-	case opRequeue:
-		var op requeueOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return fail(err)
-		}
-		c.applyRequeueLocked(op.Refs)
-	default:
-		return fmt.Errorf("core: unknown journal record kind %q (seq %d)", rec.Kind, rec.Seq)
-	}
-	return nil
+	}),
 }
 
 // mutateLocked is the write path every mutating entry point goes

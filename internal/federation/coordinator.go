@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -80,6 +79,21 @@ func (c Config) withDefaults() Config {
 // coordinator must re-route the same keys to the same shard IDs and
 // dedup retried submissions — while shard *health* is run-scoped
 // observation, rebuilt by probing, and deliberately not journaled.
+const (
+	opShardAdd      = "shard_add"
+	opShardFailover = "shard_failover"
+	opFedSubmit     = "fed_submit"
+)
+
+// replayOps is every journal record kind a coordinator can replay: the
+// op its data decodes into and the apply function the live mutation
+// used. A replayed failover has no backend to attach.
+var replayOps = map[string]journal.Op[*Coordinator]{
+	opShardAdd:      journal.OpOf((*Coordinator).applyShardAddLocked),
+	opShardFailover: journal.OpOf(func(c *Coordinator, op shardFailoverOp) { c.applyShardFailoverLocked(op, nil) }),
+	opFedSubmit:     journal.OpOf((*Coordinator).applyFedSubmitLocked),
+}
+
 type shardAddOp struct {
 	ID string `json:"id"`
 }
@@ -186,16 +200,21 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("federation: %w", err)
 	}
-	for _, rec := range log.Records {
-		if err := c.applyRecord(rec); err != nil {
-			log.Close()
-			return nil, err
-		}
+	ops, err := journal.DecodeOps(replayOps, log.Records)
+	if err != nil {
+		log.Close()
+		return nil, fmt.Errorf("federation: %w", err)
+	}
+	for _, apply := range ops {
+		apply(c)
 	}
 	if log.TornTail {
 		c.ctr.Inc("fed_recovery_truncated_tail")
 	}
-	c.ctr.Add("fed_recovery_replayed", int64(len(log.Records)))
+	c.ctr.Add("fed_recovery_replayed", int64(len(ops)))
+	// The handle lives as long as the coordinator; its recovery view
+	// (records whose data aliases the whole journal.log image) is done with.
+	log.Snap, log.Records = nil, nil
 	c.log = log
 	return c, nil
 }
@@ -219,39 +238,6 @@ func (c *Coordinator) Observability() *obs.Registry { return c.reg }
 
 // Counters snapshots the coordinator's event counters.
 func (c *Coordinator) Counters() map[string]int64 { return c.ctr.Snapshot() }
-
-func (c *Coordinator) applyRecord(rec journal.Record) error {
-	switch rec.Kind {
-	case "shard_add":
-		var op shardAddOp
-		if err := decodeOp(rec, &op); err != nil {
-			return err
-		}
-		c.applyShardAddLocked(op)
-	case "shard_failover":
-		var op shardFailoverOp
-		if err := decodeOp(rec, &op); err != nil {
-			return err
-		}
-		c.applyShardFailoverLocked(op, nil)
-	case "fed_submit":
-		var op fedSubmitOp
-		if err := decodeOp(rec, &op); err != nil {
-			return err
-		}
-		c.applyFedSubmitLocked(op)
-	default:
-		return fmt.Errorf("federation: unknown journal record kind %q", rec.Kind)
-	}
-	return nil
-}
-
-func decodeOp(rec journal.Record, v any) error {
-	if err := json.Unmarshal(rec.Data, v); err != nil {
-		return fmt.Errorf("federation: decoding %s: %w", rec.Kind, err)
-	}
-	return nil
-}
 
 // appendLocked journals one coordinator mutation; nil log = in-memory.
 func (c *Coordinator) appendLocked(kind string, v any) error {
@@ -323,7 +309,7 @@ func (c *Coordinator) AddShard(id string, backend Shard) error {
 	defer c.mu.Unlock()
 	if _, ok := c.shards[id]; !ok {
 		op := shardAddOp{ID: id}
-		if err := c.appendLocked("shard_add", op); err != nil {
+		if err := c.appendLocked(opShardAdd, op); err != nil {
 			return err
 		}
 		c.applyShardAddLocked(op)
@@ -370,7 +356,7 @@ func (c *Coordinator) FailoverShard(id string) error {
 		return nil
 	}
 	op := shardFailoverOp{ID: id, Epoch: epoch}
-	if err := c.appendLocked("shard_failover", op); err != nil {
+	if err := c.appendLocked(opShardFailover, op); err != nil {
 		return err
 	}
 	c.applyShardFailoverLocked(op, replacement)
@@ -688,7 +674,7 @@ func (c *Coordinator) Submit(requestID, owner, description string, as []probes.A
 			Description: description,
 			Shards:      owners,
 		}
-		if err := c.appendLocked("fed_submit", op); err != nil {
+		if err := c.appendLocked(opFedSubmit, op); err != nil {
 			c.mu.Unlock()
 			return nil, err
 		}

@@ -18,10 +18,13 @@
 // # Torn tails
 //
 // A crash mid-append can leave a partial frame at the end of a log. Open
-// walks the frames through the owner's accept callback and truncates
-// whatever follows the last accepted one, so appends extend a valid
-// stream. Owners sync before they acknowledge, so a torn tail is only
-// ever data nobody was told is safe.
+// walks the file once, checking each frame's length and checksum, hands
+// the good frames' payloads to the owner in one call, and truncates
+// whatever follows the leading ones the owner accepts, so appends extend
+// a valid stream. The walk decodes nothing: what a payload means, and
+// how many cores it takes to find out, is the owner's business. Owners
+// sync before they acknowledge, so a torn tail is only ever data nobody
+// was told is safe.
 //
 // # Atomic replace
 //
@@ -117,6 +120,25 @@ func Scan(data []byte, accept func(payload []byte) bool) (good int64, torn bool)
 	}
 }
 
+// Frames returns the payloads of the good frames at the front of data,
+// in order and aliasing data; the walk ends at the end of data or at the
+// first bad frame.
+func Frames(data []byte) (payloads [][]byte) {
+	Scan(data, func(payload []byte) bool {
+		payloads = append(payloads, payload)
+		return true
+	})
+	return payloads
+}
+
+// Span is the number of bytes the frames holding payloads occupy.
+func Span(payloads [][]byte) (n int64) {
+	for _, p := range payloads {
+		n += int64(HeaderBytes + len(p))
+	}
+	return n
+}
+
 // ReadFirst reads and verifies only the first frame of the file at path,
 // for owners that keep an index there.
 func ReadFirst(path string) ([]byte, error) {
@@ -160,21 +182,24 @@ type Log struct {
 	WrapSync func(sync func() error) error
 }
 
-// Open opens (creating if needed) the log at path, walks its frames
-// through accept, truncates whatever follows the last accepted frame,
-// and positions the file for appending. torn reports that something was
-// truncated.
-func Open(path string, accept func(payload []byte) bool) (l *Log, torn bool, err error) {
+// Open opens (creating if needed) the log at path, hands the payloads of
+// its good frames (see Frames; they alias one read of the file) to
+// accept, which returns how many leading ones it takes, truncates
+// whatever follows those, and positions the file for appending. torn
+// reports that something was truncated.
+func Open(path string, accept func(payloads [][]byte) int) (l *Log, torn bool, err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, false, err
 	}
-	data, err := os.ReadFile(path)
+	data, err := readAll(f)
 	if err != nil {
 		f.Close()
 		return nil, false, err
 	}
-	good, torn := Scan(data, accept)
+	payloads := Frames(data)
+	good := Span(payloads[:accept(payloads)])
+	torn = good < int64(len(data))
 	if torn {
 		if err := f.Truncate(good); err != nil {
 			f.Close()
@@ -186,6 +211,18 @@ func Open(path string, accept func(payload []byte) bool) (l *Log, torn bool, err
 		return nil, false, err
 	}
 	return &Log{path: path, f: f}, torn, nil
+}
+
+// readAll reads the whole of f, from its start, into one buffer of the
+// file's size.
+func readAll(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	_, err = io.ReadFull(f, data)
+	return data, err
 }
 
 // Err returns the error the next Write, Sync or Replace would return

@@ -77,10 +77,12 @@ func TestAppendFrameBounds(t *testing.T) {
 }
 
 // collect is an accept callback that keeps every payload.
-func collect(into *[]string) func([]byte) bool {
-	return func(p []byte) bool {
-		*into = append(*into, string(p))
-		return true
+func collect(into *[]string) func([][]byte) int {
+	return func(payloads [][]byte) int {
+		for _, p := range payloads {
+			*into = append(*into, string(p))
+		}
+		return len(payloads)
 	}
 }
 
@@ -117,6 +119,32 @@ func TestOpenTruncatesToLastAcceptedFrame(t *testing.T) {
 		l.Close()
 		if raw, _ := os.ReadFile(path); !bytes.Equal(raw, cat(a, b)) {
 			t.Fatalf("tail %x: file is %q, want the two frames", tail, raw)
+		}
+	}
+}
+
+// TestOpenCutsAfterTheFramesTheOwnerTakes: the owner sees every good
+// frame's payload in one call, and good frames behind the ones it takes
+// are truncated like a torn tail.
+func TestOpenCutsAfterTheFramesTheOwnerTakes(t *testing.T) {
+	a, b, c := frame(t, "alpha"), frame(t, "bravo"), frame(t, "charlie")
+	for take, want := range [][]byte{nil, a, cat(a, b), cat(a, b, c)} {
+		path := filepath.Join(t.TempDir(), "x.log")
+		if err := os.WriteFile(path, cat(a, b, c, []byte{0x13, 0x37}), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, torn, err := Open(path, func(payloads [][]byte) int {
+			if len(payloads) != 3 || string(payloads[2]) != "charlie" || Span(payloads) != int64(len(cat(a, b, c))) {
+				t.Errorf("accept saw %q", payloads)
+			}
+			return take
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		if raw, _ := os.ReadFile(path); !torn || !bytes.Equal(raw, want) {
+			t.Fatalf("taking %d frames: torn %v, file %q, want %q", take, torn, raw, want)
 		}
 	}
 }

@@ -22,6 +22,18 @@
 // truncates from there. Because Append syncs before returning, what is
 // truncated was never acknowledged.
 //
+// # Reading a journal back
+//
+// Open reads journal.log in stages with one job each: framelog walks the
+// file once (lengths, checksums, payload slices); DecodeRecords decodes
+// the payloads on every core and one serial pass ends the stream as
+// above; the owner then decodes each record's Data into its typed
+// mutation the same way (DecodeOps, through its table of Ops) and applies
+// them in journal order. Decode is a pure function of a payload's bytes;
+// validity, truncation point and apply order are a serial reader's; the
+// worker count changes neither Records nor what is recovered from them
+// (DESIGN.md, "Reading the journal back").
+//
 // # Fail-stop
 //
 // After a failed write or sync, that call and every later Append or
@@ -42,6 +54,7 @@ import (
 	"strconv"
 
 	"github.com/afrinet/observatory/internal/framelog"
+	"github.com/afrinet/observatory/internal/par"
 )
 
 // Record is one journaled controller mutation.
@@ -64,36 +77,96 @@ type Snapshot struct {
 	State json.RawMessage `json:"state"`
 }
 
-// Accept returns a framelog accept callback for a stream of Records: it
-// hands each valid record to visit and rejects the first payload that
+// DecodeRecords decodes frame payloads into the records of the valid
+// stream they start with: the stream ends before the first payload that
 // does not decode, has an empty Kind, or whose sequence number does not
-// strictly increase.
-func Accept(visit func(Record)) func(payload []byte) bool {
-	var prev uint64
-	first := true
-	return func(payload []byte) bool {
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Kind == "" {
-			return false
-		}
-		if !first && rec.Seq <= prev {
-			return false
-		}
-		first, prev = false, rec.Seq
-		visit(rec)
-		return true
+// strictly increase. Payloads are decoded in parallel (par.Workers(0)
+// wide) into slots addressed by index and the end is found by one serial
+// pass, so the result is what a serial reader returns. A record's Data
+// may alias its payload.
+func DecodeRecords(payloads [][]byte) []Record {
+	recs := par.Map(0, len(payloads), func(i int) Record { return decodeRecord(payloads[i]) })
+	n := 0
+	for n < len(recs) && recs[n].Kind != "" && (n == 0 || recs[n].Seq > recs[n-1].Seq) {
+		n++
 	}
+	return recs[:n:n]
+}
+
+// The record envelope as EncodeFrame writes it: {"seq":N,"kind":"K"},
+// with ,"data":D before the closing brace when the record has data.
+const (
+	recSeqKey  = `{"seq":`
+	recKindKey = `,"kind":"`
+	recDataKey = `,"data":`
+)
+
+// decodeRecord decodes one frame payload, a pure function of its bytes:
+// what json.Unmarshal into a Record makes of them, or the zero Record
+// when that fails. A valid record has a Kind, so an empty one marks a
+// payload that is not a record.
+func decodeRecord(payload []byte) Record {
+	if rec, ok := cutRecord(payload); ok {
+		return rec
+	}
+	var rec Record
+	if json.Unmarshal(payload, &rec) != nil {
+		return Record{}
+	}
+	return rec
+}
+
+// cutRecord reads a payload in EncodeFrame's layout without parsing the
+// envelope: seq and kind are cut out, and data's bytes are scanned for
+// validity and kept in place (no copy). A kind with an escape or a byte
+// outside printable ASCII, and any other layout, is !ok with a zero
+// Record: the caller's full decode then reads the payload or rejects it.
+func cutRecord(payload []byte) (Record, bool) {
+	rest, ok := bytes.CutPrefix(payload, []byte(recSeqKey))
+	if !ok {
+		return Record{}, false
+	}
+	seq, rest, ok := cutUint(rest, recKindKey, 64)
+	if !ok {
+		return Record{}, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end <= 0 {
+		return Record{}, false
+	}
+	for _, b := range rest[:end] {
+		if b < ' ' || b > '~' || b == '\\' {
+			return Record{}, false
+		}
+	}
+	rec := Record{Seq: seq, Kind: string(rest[:end])}
+	if rest = rest[end+1:]; string(rest) == "}" {
+		return rec, true
+	}
+	data, ok := bytes.CutPrefix(rest, []byte(recDataKey))
+	if ok {
+		data, ok = bytes.CutSuffix(data, []byte("}"))
+	}
+	// A value json.Valid passes may carry white space at either end;
+	// Unmarshal would trim it, so that is not this layout.
+	if !ok || len(data) == 0 || data[0] <= ' ' || data[len(data)-1] <= ' ' || !json.Valid(data) {
+		return Record{}, false
+	}
+	rec.Data = data
+	return rec, true
 }
 
 // ReadAll decodes frames from r until EOF or the first bad frame or
-// invalid record (see Accept). It never fails: it returns the records
-// decoded before the stream went bad, how many bytes of r they span, and
-// whether the stream ended with a torn or corrupt tail (true) rather than
-// a clean EOF (false).
+// invalid record (see DecodeRecords). It never fails: it returns the
+// records decoded before the stream went bad, how many bytes of r they
+// span, and whether the stream ended with a torn or corrupt tail (true)
+// rather than a clean EOF (false).
 func ReadAll(r io.Reader) (recs []Record, goodBytes int64, torn bool) {
 	data, err := io.ReadAll(r)
-	goodBytes, torn = framelog.Scan(data, Accept(func(rec Record) { recs = append(recs, rec) }))
-	return recs, goodBytes, torn || err != nil
+	payloads := framelog.Frames(data)
+	recs = DecodeRecords(payloads)
+	goodBytes = framelog.Span(payloads[:len(recs)])
+	return recs, goodBytes, goodBytes < int64(len(data)) || err != nil
 }
 
 // EncodeFrame renders one record as a wire frame (length | CRC | JSON).
@@ -127,7 +200,8 @@ type Log struct {
 	// aliases the bytes read from the file.
 	Snap *Snapshot
 	// Records are the valid journal records found at Open, in order.
-	// Records with Seq <= Snap.Seq are already part of the snapshot.
+	// Records with Seq <= Snap.Seq are already part of the snapshot. Their
+	// Data aliases the bytes read from the file.
 	Records []Record
 	// TornTail reports whether Open found (and truncated away) a torn
 	// or corrupt tail after the last valid record.
@@ -152,8 +226,10 @@ func Open(dir string) (*Log, error) {
 		l.seq = snap.Seq
 	}
 
-	l.Log, l.TornTail, err = framelog.Open(filepath.Join(dir, logName),
-		Accept(func(rec Record) { l.Records = append(l.Records, rec) }))
+	l.Log, l.TornTail, err = framelog.Open(filepath.Join(dir, logName), func(payloads [][]byte) int {
+		l.Records = DecodeRecords(payloads)
+		return len(l.Records)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -280,11 +356,11 @@ func cutSnapshot(raw []byte) *Snapshot {
 	return &Snapshot{Seq: seq, CRC: uint32(crc), State: state}
 }
 
-// cutUint parses the decimal number that ends at sep and returns what
-// follows sep.
+// cutUint parses the decimal number, written as JSON writes one, that
+// ends at sep and returns what follows sep.
 func cutUint(b []byte, sep string, bits int) (n uint64, rest []byte, ok bool) {
 	digits, rest, ok := bytes.Cut(b, []byte(sep))
-	if !ok {
+	if !ok || (len(digits) > 1 && digits[0] == '0') {
 		return 0, nil, false
 	}
 	n, err := strconv.ParseUint(string(digits), 10, bits)

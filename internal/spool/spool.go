@@ -130,10 +130,13 @@ func Open(dir string, opts Options) (*Spool, error) {
 	}
 
 	replayed := 0
-	log, torn, err := framelog.Open(path, journal.Accept(func(rec journal.Record) {
-		replayed++
-		s.replay(rec)
-	}))
+	log, torn, err := framelog.Open(path, func(payloads [][]byte) int {
+		for _, rec := range journal.DecodeRecords(payloads) {
+			replayed++
+			s.replay(rec)
+		}
+		return replayed
+	})
 	if err != nil {
 		return nil, fmt.Errorf("spool: %w", err)
 	}

@@ -105,6 +105,7 @@ echo "== bench smoke =="
 # measuring tools used while working on a layer, beside `go run ./bench`.
 go test -run '^$' -bench . -benchtime=1x -count=1 . > /dev/null
 go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/core > /dev/null
+go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/journal > /dev/null
 go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/store > /dev/null
 go test -run '^$' -bench . -benchtime=1x -count=1 ./internal/federation > /dev/null
 # The dnsload high-QPS engine gets a named smoke: one full 1M-query
