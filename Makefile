@@ -1,6 +1,6 @@
 # Tier-1 verification: formatting, vet, build, and the full test suite
 # under the race detector. CI and pre-merge both run `make check`.
-.PHONY: check test build fmt fuzz bench chaos fleetsim-smoke loc
+.PHONY: check test build fmt fuzz bench pairs chaos fleetsim-smoke loc
 
 check:
 	./scripts/check.sh
@@ -24,6 +24,15 @@ loc:
 # the flags for single workloads, traced runs, sets and -compare.
 bench:
 	go run ./bench
+
+# N alternating parent/change pairs of that benchmark, the parent built
+# from commit REV and the change from this working tree: each side's
+# median and quartiles per (workload, metric) and the pairs the change
+# won. This is how a gain is claimed (ROADMAP); ~2 minutes a pair.
+REV ?= HEAD~1
+N ?= 10
+pairs:
+	./scripts/pairs.sh $(REV) $(N)
 
 # Small fleet through the v1 HTTP surface under the race detector; the
 # run asserts exactly-once completion and exits non-zero on violation.

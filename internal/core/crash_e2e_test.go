@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -124,14 +122,7 @@ func TestCrashRestartRecoveryEndToEnd(t *testing.T) {
 			// a torn partial append (never acknowledged to anyone) left
 			// on the journal tail.
 			gate.NotReady()
-			f, err := os.OpenFile(filepath.Join(dir, "journal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write([]byte{0x13, 0x37, 0xde}); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+			tearJournal(t, dir, 0x13, 0x37, 0xde)
 
 			// The 503-during-recovery contract, observed from outside.
 			resp, err := http.Get(srv.URL + "/api/v1/health")

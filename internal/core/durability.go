@@ -275,9 +275,10 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	// snapshot's bytes, every decoded tail record) is done with.
 	l.Snap, l.Records = nil, nil
 	phase("replay")
-	// Journal fsync timing: the hook runs inside Append, which only the
-	// mutation path (under c.mu) calls, so reading c.span here is as
-	// guarded as every other span access.
+	// Journal fsync timing: the hook runs inside Append and, for the
+	// compaction's sync, WriteSnapshot, which only the mutation path
+	// (under c.mu) calls, so reading c.span here is as guarded as every
+	// other span access.
 	l.WrapSync = func(sync func() error) error {
 		sp := c.span.Child("journal.fsync")
 		t := obs.StartTimer()
@@ -286,6 +287,8 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 		c.hFsync.Observe(t.Elapsed())
 		return err
 	}
+	// Of the fsyncs above, the ones that still paid for a file-size change.
+	l.OnGrow = func() { c.dur.Inc("journal_log_grows") }
 	c.log = l
 	c.snapEvery = cfg.SnapshotEvery
 	if err := c.requeueLostLocked(); err != nil {
@@ -485,7 +488,9 @@ func (c *Controller) snapshotLocked() {
 	}
 	sp := c.span.Child("journal.snapshot")
 	t := obs.StartTimer()
+	restore := c.setSpanLocked(sp) // the compaction's fsync nests beneath
 	err := c.log.WriteSnapshot(c.persistLocked())
+	restore()
 	sp.End()
 	c.hSnapshot.Observe(t.Elapsed())
 	if err != nil {
@@ -686,10 +691,10 @@ func (c *Controller) Queues() map[string][]probes.Task {
 }
 
 // DurabilityCounters snapshots the journal-layer counters
-// (journal_records_appended, snapshots_written, recovery_replayed,
-// recovery_truncated_tail, ...). Unlike the pipeline counters these are
-// scoped to the current process run — they are not journaled, so replay
-// does not reconstruct them.
+// (journal_records_appended, journal_log_grows, snapshots_written,
+// recovery_replayed, recovery_truncated_tail, ...). Unlike the pipeline
+// counters these are scoped to the current process run — they are not
+// journaled, so replay does not reconstruct them.
 func (c *Controller) DurabilityCounters() map[string]int64 {
 	return c.dur.Snapshot()
 }

@@ -12,8 +12,38 @@ import (
 	"time"
 
 	"github.com/afrinet/observatory/internal/faultinject"
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/probes"
 )
+
+// journalEnds reads a crash image's journal.log: where its good frames
+// end and where the file does. A live log is left with zeros between the
+// two (framelog's allocated tail); a closed one has none.
+func journalEnds(t *testing.T, dir string) (frames, size int64) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return framelog.Span(framelog.Frames(raw)), int64(len(raw))
+}
+
+// tearJournal leaves garbage where the journal's next frame would start —
+// behind the last good frame, in front of whatever zeros the live log had
+// allocated — as a crash part-way through an append does. Nobody was told
+// that append is safe.
+func tearJournal(t *testing.T, dir string, garbage ...byte) {
+	t.Helper()
+	end, _ := journalEnds(t, dir)
+	f, err := os.OpenFile(filepath.Join(dir, "journal.log"), os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(garbage, end); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // ctrlView is everything recovery equivalence is defined over: the full
 // stats report (minus the run-scoped durability and store counters), the
@@ -145,6 +175,15 @@ var testDurCfg = DurabilityConfig{
 // recovery's own journaled requeue; the store is flushed before the final
 // kill, which therefore loses nothing.
 func TestRecoveryEquivalenceProperty(t *testing.T) {
+	// How many of the crash images recovered from below carried an
+	// allocated tail: a killed controller leaves one unless its last
+	// record triggered a compaction.
+	zeroTails := 0
+	defer func() {
+		if zeroTails == 0 && !t.Failed() {
+			t.Error("no recovery read a journal with an allocated tail")
+		}
+	}()
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -160,11 +199,14 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			for i, op := range ops {
 				if i == len(ops)/2 {
 					lost := live.ResultStore().MemtableLen()
+					if frames, size := journalEnds(t, dir); size > frames {
+						zeroTails++
+					}
 					if live, err = Recover(dir, cfg); err != nil {
 						t.Fatal(err)
 					}
-					if got := live.DurabilityCounters()["recovery_results_requeued"]; got != int64(lost) {
-						t.Fatalf("mid-history recovery requeued %d, memtable held %d", got, lost)
+					if d := live.DurabilityCounters(); d["recovery_results_requeued"] != int64(lost) || d["recovery_truncated_tail"] != 0 {
+						t.Fatalf("mid-history recovery: %v, memtable held %d and the tail was clean", d, lost)
 					}
 				}
 				op(live)
@@ -180,6 +222,9 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 				t.Fatalf("journal errors during drive: %v", dl)
 			}
 
+			if frames, size := journalEnds(t, dir); size > frames {
+				zeroTails++
+			}
 			rec, err := Recover(dir, testDurCfg) // note: SnapshotEvery irrelevant for replay
 			if err != nil {
 				t.Fatal(err)
@@ -221,16 +266,21 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 	for _, op := range ops {
 		op(live)
 	}
-	// kill -9: no Close, no snapshot. Then tear the last record: chop a
-	// few bytes off the journal, as a crash mid-write would.
-	path := filepath.Join(dir, "journal.log")
-	fi, err := os.Stat(path)
+	// kill -9: no Close, no snapshot. Then tear the last record in
+	// place: its last bytes never reached the disk, and what is there
+	// instead is the zeros the log had allocated.
+	frames, size := journalEnds(t, dir)
+	if size <= frames {
+		t.Fatalf("the killed controller's journal is %d bytes of frames in a %d-byte file: no allocated tail", frames, size)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "journal.log"), os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, fi.Size()-3); err != nil {
+	if _, err := f.WriteAt(make([]byte, 3), frames-3); err != nil {
 		t.Fatal(err)
 	}
+	f.Close()
 
 	rec, err := Recover(dir, cfg)
 	if err != nil {
@@ -256,6 +306,42 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 	}
 	if ev, rv := viewOf(expected), viewOf(rec); !reflect.DeepEqual(ev, rv) {
 		t.Fatalf("truncated-tail recovery diverged\nwant: %+v\ngot:  %+v", ev, rv)
+	}
+}
+
+// TestJournalGrowsAndEverySyncAreCounted: journal_log_grows is the number
+// of appends whose fsync also committed a file-size change — one per 64 KiB
+// of journal, not one per record — and the fsync histogram sees every sync
+// of journal.log, a compaction's included.
+func TestJournalGrowsAndEverySyncAreCounted(t *testing.T) {
+	dir := t.TempDir()
+	live, err := Recover(dir, testDurCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	fsyncs := func() int64 {
+		return int64(live.Observability().Snapshots()[MetricJournal+`{op="fsync"}`].Count)
+	}
+	for _, op := range genOps(31, 200) {
+		op(live)
+	}
+	d := live.DurabilityCounters()
+	_, size := journalEnds(t, dir)
+	appended, grows := d["journal_records_appended"], d["journal_log_grows"]
+	if appended < 200 || grows < 1 || grows<<16 > size || grows*100 > appended || fsyncs() != appended {
+		t.Fatalf("%v and %d fsyncs over a %d-byte journal, want one grow per 64 KiB and one fsync per record", d, fsyncs(), size)
+	}
+	before := fsyncs()
+	if err := live.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs(); got != before+1 {
+		t.Fatalf("the snapshot's compaction added %d fsyncs to the histogram, want its one", got-before)
+	}
+	live.Tick(1)
+	if got := live.DurabilityCounters()["journal_log_grows"]; got != grows+1 {
+		t.Fatalf("journal_log_grows = %d after the first append to the compacted journal, was %d", got, grows)
 	}
 }
 

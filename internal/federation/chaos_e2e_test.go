@@ -15,6 +15,7 @@ import (
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/faultinject"
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
 )
@@ -104,6 +105,19 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// What each dead shard's journal ends in. A kill leaves the allocated
+	// zeros of a live log behind the last acknowledged record; every other
+	// scheduled kill, and the permanent one, also lands part-way through
+	// an append (tear). The next recovery of that directory, or of its
+	// shipped copy, must report exactly the tears: zeros are not one.
+	tornOf := map[string]int64{}
+	kills := 0
+	checkTail := func(id string, ctrl *core.Controller) {
+		if got := ctrl.DurabilityCounters()["recovery_truncated_tail"]; got != tornOf[id] {
+			t.Errorf("%s: recovery_truncated_tail = %d, the crash tore %d frames", id, got, tornOf[id])
+		}
+		tornOf[id] = 0
+	}
 	coord.Failover = func(id string, epoch int) (Shard, error) {
 		dst := filepath.Join(base, fmt.Sprintf("%s-epoch%d", id, epoch))
 		if err := ShipState(dirOf[id], dst, "", ""); err != nil {
@@ -113,6 +127,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
+		checkTail(id, ctrl)
 		dirOf[id] = dst
 		locals[id].Revive(ctrl)
 		return locals[id], nil
@@ -186,8 +201,10 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			if ctrl := locals[e.Target].Kill(); ctrl != nil {
 				ep, _ := coord.ShardEpoch(e.Target)
 				epochAtKill[e.Target] = ep
-				// A crash leaves a torn tail, not a clean close.
-				tear(t, dirOf[e.Target])
+				if kills++; kills%2 == 1 {
+					tear(t, dirOf[e.Target])
+					tornOf[e.Target] = 1
+				}
 			}
 		}
 		if round == permKillRound {
@@ -195,6 +212,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			ep, _ := coord.ShardEpoch(permShard)
 			epochAtKill[permShard] = ep
 			tear(t, dirOf[permShard])
+			tornOf[permShard] = 1
 		}
 		for _, e := range sched.StartingAt(round, faultinject.EventShardRestart) {
 			if e.Target == permShard && round >= permKillRound {
@@ -210,6 +228,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restart %s: %v", e.Target, err)
 			}
+			checkTail(e.Target, ctrl)
 			locals[e.Target].Revive(ctrl)
 		}
 		for _, pe := range pending {
@@ -367,16 +386,22 @@ func TestShardChaosEndToEnd(t *testing.T) {
 	}
 }
 
-// tear appends garbage to a shard journal's tail, simulating the torn
-// partial append a real crash leaves behind.
+// tear leaves garbage where a dead shard's journal would have put its
+// next frame — behind the last good one, in front of the zeros the live
+// log had allocated — as a crash part-way through an append does.
 func tear(t *testing.T, dir string) {
 	t.Helper()
-	f, err := os.OpenFile(filepath.Join(dir, "journal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	path := filepath.Join(dir, "journal.log")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xde, 0xad}); err != nil {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{0xde, 0xad}, framelog.Span(framelog.Frames(raw))); err != nil {
+		t.Fatal(err)
+	}
 }

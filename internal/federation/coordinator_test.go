@@ -3,12 +3,15 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/afrinet/observatory/internal/core"
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
 	"github.com/afrinet/observatory/internal/topology"
@@ -413,6 +416,7 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 			t.Fatalf("AddShard: %v", err)
 		}
 	}
+	var appended int64 // journal records the killed shard had acknowledged
 	c.Failover = func(id string, epoch int) (Shard, error) {
 		var src string
 		var ls *LocalShard
@@ -432,6 +436,17 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
+		// The dead shard's journal was shipped as its live log left it,
+		// allocated zeros behind the frames included: that is every record
+		// the shard acknowledged and no torn tail.
+		raw, err := os.ReadFile(filepath.Join(dst, "journal.log"))
+		if frames := framelog.Span(framelog.Frames(raw)); err != nil || frames == 0 || frames >= int64(len(raw)) {
+			t.Errorf("shipped journal: %d bytes of frames in a %d-byte file (%v), want frames and an allocated tail", frames, len(raw), err)
+		}
+		d := ctrl.DurabilityCounters()
+		if d["recovery_truncated_tail"] != 0 || d["recovery_replayed"] != appended {
+			t.Errorf("recovered the shipped directory with %v, want no torn tail and all %d records replayed", d, appended)
+		}
 		ls.Revive(ctrl)
 		return ls, nil
 	}
@@ -441,8 +456,7 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 
 	// Crash shard-1 without closing it (a real crash leaves no goodbye);
 	// its journal is already durable because appends sync before ack.
-	dead := shards[1].Kill()
-	_ = dead
+	appended = shards[1].Kill().DurabilityCounters()["journal_records_appended"]
 	c.Tick(int(cfg.DeadAfter))
 	if c.Counters()["fed_failovers"] != 1 {
 		t.Fatalf("fed_failovers = %d, want 1 (counters: %v)", c.Counters()["fed_failovers"], c.Counters())

@@ -26,6 +26,16 @@
 // sync before they acknowledge, so a torn tail is only ever data nobody
 // was told is safe.
 //
+// # Allocated tail
+//
+// An open Log owns more file than it has frames: a Write that does not
+// fit writes its frame plus growChunk zeros behind it in one call, so
+// the Sync that covers the frame also commits the file's new size, and
+// the appends that land in those zeros change no file metadata. A zero
+// length is a bad frame, so the walk stops where the zeros start; Open
+// keeps an all-zero remainder as the log's allocation, not a torn tail,
+// and Close truncates it away (DESIGN.md, "Durable files").
+//
 // # Atomic replace
 //
 // A file that is written whole (a snapshot, a sealed segment, a
@@ -69,6 +79,12 @@ const MaxPayload = 1 << 26 // 64 MiB
 var ErrStopped = errors.New("log stopped until reopened")
 
 var errClosed = errors.New("log is closed")
+
+// growChunk is how many zero bytes a Write that does not fit in the
+// log's allocation puts behind its frame: about 300 sync records.
+const growChunk = 64 << 10
+
+var zeros [growChunk]byte
 
 // AppendFrame appends payload to buf as one frame.
 func AppendFrame(buf, payload []byte) ([]byte, error) {
@@ -171,24 +187,37 @@ func ReadFirst(path string) ([]byte, error) {
 type Log struct {
 	path string
 	f    *os.File
+	// Frames occupy [0, end); [end, alloc) is zeros the file already
+	// owns, which appends overwrite.
+	end, alloc int64
 	// err is what every later call returns: the first failure (wrapping
 	// ErrStopped), or errClosed after Close.
 	err error
 
-	// WrapSync, when set, is invoked by Sync in place of calling the file
-	// sync directly; the wrapper must call sync exactly once and return
-	// its error. The controller uses it to time and trace fsync latency
-	// without the durable-file packages reading the clock.
+	// WrapSync, when set, is invoked in place of every direct file sync
+	// (Sync's, and Replace's when it empties the log); the wrapper must
+	// call sync exactly once and return its error. The controller uses it
+	// to time and trace fsync latency without the durable-file packages
+	// reading the clock.
 	WrapSync func(sync func() error) error
+	// OnGrow, when set, is called after each Write that extended the
+	// file: the next Sync pays for a size change, the others do not.
+	OnGrow func()
 }
 
 // Open opens (creating if needed) the log at path, hands the payloads of
 // its good frames (see Frames; they alias one read of the file) to
-// accept, which returns how many leading ones it takes, truncates
-// whatever follows those, and positions the file for appending. torn
-// reports that something was truncated.
+// accept, which returns how many leading ones it takes, and appends
+// after those. What follows them is kept as the log's allocation when it
+// is all zeros, and is otherwise a torn tail: truncated, and reported by
+// torn. A file Open created has its directory entry fsynced.
 func Open(path string, accept func(payloads [][]byte) int) (l *Log, torn bool, err error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if os.IsNotExist(err) {
+		if f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644); err == nil {
+			SyncDir(filepath.Dir(path))
+		}
+	}
 	if err != nil {
 		return nil, false, err
 	}
@@ -198,19 +227,16 @@ func Open(path string, accept func(payloads [][]byte) int) (l *Log, torn bool, e
 		return nil, false, err
 	}
 	payloads := Frames(data)
-	good := Span(payloads[:accept(payloads)])
-	torn = good < int64(len(data))
-	if torn {
-		if err := f.Truncate(good); err != nil {
+	l = &Log{path: path, f: f, alloc: int64(len(data))}
+	l.end = Span(payloads[:accept(payloads)])
+	if torn = len(bytes.TrimLeft(data[l.end:], "\x00")) > 0; torn {
+		if err := f.Truncate(l.end); err != nil {
 			f.Close()
 			return nil, false, fmt.Errorf("truncating torn tail: %w", err)
 		}
+		l.alloc = l.end
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, false, err
-	}
-	return &Log{path: path, f: f}, torn, nil
+	return l, torn, nil
 }
 
 // readAll reads the whole of f, from its start, into one buffer of the
@@ -236,13 +262,26 @@ func (l *Log) stop(err error) error {
 }
 
 // Write appends p, which the caller built with AppendFrame. Nothing is
-// durable until Sync returns.
+// durable until Sync returns. A p that does not fit in the allocation is
+// written with growChunk zeros behind it: the file grows once per chunk.
 func (l *Log) Write(p []byte) error {
 	if l.err != nil {
 		return l.err
 	}
-	if _, err := l.f.Write(p); err != nil {
+	n := int64(len(p))
+	grow := l.end+n > l.alloc
+	if grow {
+		p = append(p[:n:n], zeros[:]...)
+	}
+	if _, err := l.f.WriteAt(p, l.end); err != nil {
 		return l.stop(err)
+	}
+	l.end += n
+	if grow {
+		l.alloc = l.end + growChunk
+		if l.OnGrow != nil {
+			l.OnGrow()
+		}
 	}
 	return nil
 }
@@ -252,6 +291,12 @@ func (l *Log) Sync() error {
 	if l.err != nil {
 		return l.err
 	}
+	return l.sync()
+}
+
+// sync is the one place a Log's file is fsynced, so WrapSync sees every
+// sync; a failure stops the log.
+func (l *Log) sync() error {
 	var err error
 	if l.WrapSync != nil {
 		err = l.WrapSync(l.f.Sync)
@@ -273,42 +318,39 @@ func (l *Log) Replace(content []byte) error {
 		return l.err
 	}
 	if len(content) == 0 {
-		err := l.f.Truncate(0)
-		if err == nil {
-			_, err = l.f.Seek(0, io.SeekStart)
-		}
-		if err == nil {
-			err = l.f.Sync()
-		}
-		if err != nil {
+		if err := l.f.Truncate(0); err != nil {
 			return l.stop(err)
 		}
-		return nil
+		l.end, l.alloc = 0, 0
+		return l.sync()
 	}
 	if err := WriteFileAtomic(l.path, content); err != nil {
 		return l.stop(err)
 	}
 	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err == nil {
-		if _, err = f.Seek(0, io.SeekEnd); err != nil {
-			f.Close()
-		}
-	}
 	if err != nil {
 		return l.stop(err)
 	}
 	l.f.Close() // the renamed-over file; nothing of it is live
 	l.f = f
+	l.end, l.alloc = int64(len(content)), int64(len(content))
 	return nil
 }
 
-// Close closes the file; later calls return an error. Closing twice is
-// harmless.
+// Close cuts the allocated tail off a healthy log (a cleanly closed file
+// is exactly its frames; a stopped log's is left for the next Open) and
+// closes the file; later calls return an error. Closing twice is harmless.
 func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.f.Close()
+	var err error
+	if l.err == nil && l.alloc > l.end {
+		err = l.f.Truncate(l.end)
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.f, l.err = nil, errClosed
 	return err
 }

@@ -3,8 +3,10 @@ package framelog
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -96,41 +98,156 @@ func mustOpen(t *testing.T, path string, into *[]string) (*Log, bool) {
 	return l, torn
 }
 
-// TestOpenTruncatesToLastAcceptedFrame: whatever follows the last
-// accepted frame is cut, and appends extend a valid stream.
+// liveFrames reads the file of a log that may still be open: its good
+// frames, and whether everything behind them is the zeros of an
+// allocated tail.
+func liveFrames(t *testing.T, path string) (frames []byte, zeroTail bool) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Span(Frames(raw))
+	return raw[:good], len(bytes.Trim(raw[good:], "\x00")) == 0
+}
+
+// TestOpenTruncatesToLastAcceptedFrame walks each way a crash can leave
+// a log once. Open hands over the good frames; an all-zero remainder is
+// the log's allocation (kept, not torn), anything else is a torn tail
+// (truncated); either way the next append extends a valid stream and
+// Close leaves exactly the frames, byte for byte what an append-mode
+// writer leaves.
 func TestOpenTruncatesToLastAcceptedFrame(t *testing.T) {
 	a, b := frame(t, "alpha"), frame(t, "bravo")
-	for _, tail := range [][]byte{nil, {0x13, 0x37, 0xde}, b[:len(b)/2]} {
-		path := filepath.Join(t.TempDir(), "x.log")
-		if err := os.WriteFile(path, cat(a, tail), 0o644); err != nil {
-			t.Fatal(err)
+	garbage, zeros := []byte{0x13, 0x37, 0xde}, make([]byte, growChunk)
+	type image struct {
+		name string
+		tail []byte
+		torn bool
+	}
+	cases := []image{
+		{"clean EOF", nil, false},
+		{"garbage", garbage, true},
+		{"half a frame at EOF", b[:len(b)/2], true},
+		{"zero tail", zeros, false},
+		{"one zero byte", zeros[:1], false},
+		{"garbage then zeros", cat(garbage, zeros), true},
+		{"zeros then garbage", cat(zeros[:100], garbage), true},
+		// A grow whose size change reached the disk before any of its
+		// bytes, and one whose later page landed without the earlier.
+		{"grow, size only", cat(zeros[:len(b)], zeros), false},
+		{"grow, frame's end only", cat(zeros[:len(b)/2], b[len(b)/2:], zeros), true},
+	}
+	// A frame torn in place: the write stopped at cut, and what is behind
+	// the cut is the allocation's zeros, not the end of the file.
+	for cut := 1; cut < len(b); cut++ {
+		cases = append(cases, image{fmt.Sprintf("torn in place at %d", cut), cat(b[:cut], zeros[:len(b)-cut+100]), true})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "x.log")
+			if err := os.WriteFile(path, cat(a, tc.tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			l, torn := mustOpen(t, path, &got)
+			if torn != tc.torn || len(got) != 1 || got[0] != "alpha" {
+				t.Fatalf("torn %v payloads %q, want torn %v and the one good frame", torn, got, tc.torn)
+			}
+			want := len(a)
+			if !tc.torn {
+				want += len(tc.tail) // an allocation is kept, not cut and grown again
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(want) {
+				t.Fatalf("after Open the file has %d bytes, want %d (%v)", fi.Size(), want, err)
+			}
+			if err := l.Write(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if frames, zeroTail := liveFrames(t, path); !bytes.Equal(frames, cat(a, b)) || !zeroTail {
+				t.Fatalf("open log holds frames %q (zero tail %v), want the two frames and zeros", frames, zeroTail)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if raw, _ := os.ReadFile(path); !bytes.Equal(raw, cat(a, b)) {
+				t.Fatalf("closed file is %q, want exactly the two frames", raw)
+			}
+		})
+	}
+}
+
+// TestGrowsOncePerChunk: the file's size changes when a frame does not
+// fit in what the log owns, by the frame plus one chunk, and OnGrow
+// counts exactly those writes; every other append lands in place.
+func TestGrowsOncePerChunk(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.log")
+	var got []string
+	l, _ := mustOpen(t, path, &got)
+	grows, syncs := 0, 0
+	l.OnGrow = func() { grows++ }
+	l.WrapSync = func(sync func() error) error { syncs++; return sync() }
+	rec := frame(t, strings.Repeat("r", 1000-HeaderBytes))
+	var want []byte
+	size, wantGrows := int64(0), 0
+	for i := 0; i < 3*growChunk/len(rec); i++ {
+		if int64(len(want)+len(rec)) > size {
+			size = int64(len(want) + len(rec) + growChunk)
+			wantGrows++
 		}
-		var got []string
-		l, torn := mustOpen(t, path, &got)
-		if torn != (tail != nil) || len(got) != 1 {
-			t.Fatalf("tail %x: torn %v payloads %q", tail, torn, got)
-		}
-		if err := l.Write(b); err != nil {
+		want = append(want, rec...)
+		if err := l.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		l.Close()
-		if raw, _ := os.ReadFile(path); !bytes.Equal(raw, cat(a, b)) {
-			t.Fatalf("tail %x: file is %q, want the two frames", tail, raw)
+		if fi, err := os.Stat(path); err != nil || fi.Size() != size || grows != wantGrows {
+			t.Fatalf("after %d appends: %d bytes and %d grows, want %d and %d (%v)", i+1, fi.Size(), grows, size, wantGrows, err)
 		}
+	}
+	if wantGrows != 3 || syncs != len(want)/len(rec) {
+		t.Fatalf("%d grows, %d syncs for %d appends", wantGrows, syncs, len(want)/len(rec))
+	}
+	// A frame larger than a chunk is one grow like any other.
+	big := frame(t, strings.Repeat("B", 2*growChunk))
+	if err := l.Write(big); err != nil || grows != 4 {
+		t.Fatalf("big frame: %v, %d grows", err, grows)
+	}
+	// Emptying the log syncs through the same hook and gives the space back.
+	if err := l.Replace(nil); err != nil || syncs != len(want)/len(rec)+1 {
+		t.Fatalf("Replace(nil): %v, %d syncs", err, syncs)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("emptied log has %d bytes (%v)", fi.Size(), err)
+	}
+	if err := l.Write(rec); err != nil || grows != 5 {
+		t.Fatalf("append to the emptied log: %v, %d grows", err, grows)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := os.ReadFile(path); !bytes.Equal(raw, rec) {
+		t.Fatalf("closed file has %d bytes, want the one %d-byte frame", len(raw), len(rec))
 	}
 }
 
 // TestOpenCutsAfterTheFramesTheOwnerTakes: the owner sees every good
 // frame's payload in one call, and good frames behind the ones it takes
-// are truncated like a torn tail.
+// are truncated like a torn tail — also when the file ends in an
+// allocation's zeros: only zeros right behind the frames taken are kept.
 func TestOpenCutsAfterTheFramesTheOwnerTakes(t *testing.T) {
 	a, b, c := frame(t, "alpha"), frame(t, "bravo"), frame(t, "charlie")
-	for take, want := range [][]byte{nil, a, cat(a, b), cat(a, b, c)} {
+	for take, want := range [][]byte{nil, a, cat(a, b), cat(a, b, c), nil, a, cat(a, b)} {
+		tail := []byte{0x13, 0x37}
+		if take > 3 {
+			take, tail = take-4, make([]byte, 100)
+		}
 		path := filepath.Join(t.TempDir(), "x.log")
-		if err := os.WriteFile(path, cat(a, b, c, []byte{0x13, 0x37}), 0o644); err != nil {
+		if err := os.WriteFile(path, cat(a, b, c, tail), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l, torn, err := Open(path, func(payloads [][]byte) int {
@@ -174,8 +291,14 @@ func TestReplace(t *testing.T) {
 		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
+		if frames, zeroTail := liveFrames(t, path); !bytes.Equal(frames, cat(content, c)) || !zeroTail {
+			t.Fatalf("append after Replace(%q): frames %q, zero tail %v", content, frames, zeroTail)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 		if raw, _ := os.ReadFile(path); !bytes.Equal(raw, cat(content, c)) {
-			t.Fatalf("append after Replace(%q): file is %q", content, raw)
+			t.Fatalf("closed after Replace(%q): file is %q", content, raw)
 		}
 	}
 }
@@ -237,6 +360,7 @@ func TestFailStop(t *testing.T) {
 		// A descriptor closed underneath the log fails the next write
 		// or truncate the way a dead disk would.
 		{"write", func(l *Log) error { l.f.Close(); return l.Write(b) }},
+		{"grow", func(l *Log) error { l.f.Close(); return l.Write(frame(t, strings.Repeat("g", growChunk))) }},
 		{"replace", func(l *Log) error { l.f.Close(); return l.Replace(nil) }},
 	}
 	for _, tc := range cases {
@@ -250,6 +374,7 @@ func TestFailStop(t *testing.T) {
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
 			}
+			before, _ := os.ReadFile(path)
 			first := tc.fail(l)
 			if !errors.Is(first, ErrStopped) {
 				t.Fatalf("failure = %v, want one wrapping ErrStopped", first)
@@ -264,8 +389,10 @@ func TestFailStop(t *testing.T) {
 					t.Fatalf("%s after the failure = %v, want the sticky %v", name, err, first)
 				}
 			}
-			if raw, _ := os.ReadFile(path); !bytes.Equal(raw, a) {
-				t.Fatalf("a stopped log changed the file: %q", raw)
+			// Close included: a stopped log does not touch the file again.
+			l.Close()
+			if raw, _ := os.ReadFile(path); !bytes.Equal(raw, before) || !bytes.Equal(raw[:len(a)], a) {
+				t.Fatalf("a stopped log changed the file: %d bytes, were %d", len(raw), len(before))
 			}
 			// Reopening is the way forward.
 			got = nil

@@ -175,6 +175,27 @@ func EncodeFrame(rec Record) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return frameOf(payload)
+}
+
+// EncodeOp renders the record (seq, kind, data marshalled) as a wire
+// frame. The payload is the bytes EncodeFrame writes for that Record,
+// assembled around the marshalled data instead of marshalling — scanning
+// and copying — it a second time inside its envelope (TestEncodeOp).
+func EncodeOp(seq uint64, kind string, data any) ([]byte, error) {
+	raw, err := json.Marshal(data)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	k, _ := json.Marshal(kind) // a string always marshals
+	buf := make([]byte, 0, len(raw)+len(k)+48)
+	buf = strconv.AppendUint(append(buf, recSeqKey...), seq, 10)
+	buf = append(append(buf, `,"kind":`...), k...)
+	buf = append(append(append(buf, recDataKey...), raw...), '}')
+	return frameOf(buf)
+}
+
+func frameOf(payload []byte) ([]byte, error) {
 	frame, err := framelog.AppendFrame(make([]byte, 0, framelog.HeaderBytes+len(payload)), payload)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -250,11 +271,7 @@ func (l *Log) Dir() string { return l.dir }
 // successful Append may be acknowledged to clients. A failed write or
 // sync fail-stops the log (see the package comment).
 func (l *Log) Append(kind string, data any) (uint64, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
-	}
-	frame, err := EncodeFrame(Record{Seq: l.seq + 1, Kind: kind, Data: raw})
+	frame, err := EncodeOp(l.seq+1, kind, data)
 	if err != nil {
 		return 0, err
 	}

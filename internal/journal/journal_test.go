@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/afrinet/observatory/internal/framelog"
 )
 
 func appendN(t *testing.T, l *Log, n int, offset int) {
@@ -439,5 +441,121 @@ func TestSnapshotLayouts(t *testing.T) {
 	}
 	if _, err := loadSnapshot(path); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("altered state: err = %v, want a checksum failure", err)
+	}
+}
+
+// TestEncodeOp: the frame Append assembles around an op's marshalled
+// bytes is the frame json.Marshal renders for the Record — for every
+// record of the pinned fixtures (the journal's, the controller's, the
+// spool's; never regenerated), and for kinds and data that need escaping.
+func TestEncodeOp(t *testing.T) {
+	recs := []Record{
+		{Seq: 1, Kind: "tick", Data: json.RawMessage(`null`)},
+		{Seq: 1 << 63, Kind: `a"b\c`, Data: json.RawMessage(`{"k":[1,2.5,"x"]}`)},
+		{Seq: 2, Kind: "<é&> \x01", Data: json.RawMessage(`"<é&>"`)},
+		{Seq: 3, Kind: "", Data: json.RawMessage(`0`)},
+	}
+	for _, fixture := range []string{"testdata/pin/journal.log", "../core/testdata/pin/journal.log", "../spool/testdata/pin/spool.log"} {
+		raw, err := os.ReadFile(filepath.FromSlash(fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned := DecodeRecords(framelog.Frames(raw))
+		if len(pinned) < 2 {
+			t.Fatalf("%s holds %d records", fixture, len(pinned))
+		}
+		recs = append(recs, pinned...)
+	}
+	kinds := map[string]bool{}
+	for _, rec := range recs {
+		kinds[rec.Kind] = true
+		var data any
+		if err := json.Unmarshal(rec.Data, &data); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(Record{Seq: rec.Seq, Kind: rec.Kind, Data: rec.Data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeFrame(rec)
+		if err != nil || !bytes.Equal(want[framelog.HeaderBytes:], payload) {
+			t.Fatalf("EncodeFrame(%+v) = %q, %v", rec, want, err)
+		}
+		// Marshalled from its bytes (what a replay hands back) and from a
+		// decoded value whose encoding is those bytes.
+		for _, data := range []any{rec.Data, data} {
+			if raw, _ := json.Marshal(data); !bytes.Equal(raw, rec.Data) {
+				continue // the decoded value re-encodes differently (key order, number form)
+			}
+			if got, err := EncodeOp(rec.Seq, rec.Kind, data); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("EncodeOp(%d, %q, %T) = %q, %v\nwant %q", rec.Seq, rec.Kind, data, got, err, want)
+			}
+		}
+	}
+	if len(kinds) < 10 {
+		t.Fatalf("the fixtures hold only the kinds %v", kinds)
+	}
+	if _, err := EncodeOp(1, "op", func() {}); err == nil {
+		t.Fatal("EncodeOp framed a value that does not marshal")
+	}
+}
+
+// TestCrashImageKeepsAllocatedTail: a journal.log copied from under a
+// live writer (what a crash, or a failover's Clone, leaves) ends in the
+// zeros the log had allocated. Open reads every acknowledged record, finds
+// no torn tail, and appends into the same space; a frame torn in place in
+// front of those zeros is cut like any torn tail.
+func TestCrashImageKeepsAllocatedTail(t *testing.T) {
+	src := t.TempDir()
+	l, err := Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 3, 0)
+	for _, tornFrame := range []bool{false, true} {
+		dst := t.TempDir()
+		if err := Clone(src, dst); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dst, logName)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := framelog.Span(framelog.Frames(raw))
+		if frames == 0 || frames >= int64(len(raw)) || len(bytes.Trim(raw[frames:], "\x00")) != 0 {
+			t.Fatalf("crash image: %d bytes of frames in a %d-byte file, want frames and a zero tail", frames, len(raw))
+		}
+		if tornFrame {
+			frame, _ := EncodeOp(4, "op", map[string]int{"i": 3})
+			copy(raw[frames:], frame[:len(frame)-2])
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l2, err := Open(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l2.Records) != 3 || l2.TornTail != tornFrame || l2.Seq() != 3 {
+			t.Fatalf("torn frame %v: opened %d records, torn %v, seq %d", tornFrame, len(l2.Records), l2.TornTail, l2.Seq())
+		}
+		appendN(t, l2, 1, 3)
+		if fi, err := os.Stat(path); err != nil || (!tornFrame && fi.Size() != int64(len(raw))) {
+			t.Fatalf("torn frame %v: the append left a %d-byte file, the image had %d (%v)", tornFrame, fi.Size(), len(raw), err)
+		}
+		if err := l2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l3, err := Open(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Closed, the file is its four frames and nothing else.
+		if closed, _ := os.ReadFile(path); len(l3.Records) != 4 || l3.TornTail || framelog.Span(framelog.Frames(closed)) != int64(len(closed)) {
+			t.Fatalf("torn frame %v: reopened %d records, torn %v, %d bytes", tornFrame, len(l3.Records), l3.TornTail, len(closed))
+		}
+		l3.Close()
 	}
 }

@@ -141,6 +141,7 @@ func Open(dir string, opts Options) (*Spool, error) {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
 	s.log = log
+	log.OnGrow = func() { s.ctr.Inc("spool_log_grows") }
 	s.ctr.Add("spool_replayed", int64(replayed))
 	if torn {
 		s.ctr.Inc("spool_truncated_tail")
@@ -188,18 +189,9 @@ func (s *Spool) dropThroughLocked(upTo uint64) int {
 	return i
 }
 
-// encodeFrame renders one spool frame.
-func encodeFrame(seq uint64, kind string, data any) ([]byte, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return nil, err
-	}
-	return journal.EncodeFrame(journal.Record{Seq: seq, Kind: kind, Data: raw})
-}
-
 // writeFrameLocked encodes and writes one frame; the caller syncs.
 func (s *Spool) writeFrameLocked(kind string, data any) error {
-	frame, err := encodeFrame(s.seq+1, kind, data)
+	frame, err := journal.EncodeOp(s.seq+1, kind, data)
 	if err == nil {
 		err = s.log.Write(frame)
 	}
@@ -305,7 +297,7 @@ func (s *Spool) maybeCompactLocked() error {
 	}
 	var content []byte
 	for _, e := range s.pending {
-		frame, err := encodeFrame(e.seq, kindResult, e.res)
+		frame, err := journal.EncodeOp(e.seq, kindResult, e.res)
 		if err != nil {
 			return fmt.Errorf("spool: compacting: %w", err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/afrinet/observatory/internal/framelog"
+	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/probes"
 )
 
@@ -104,49 +105,71 @@ func TestBacklogSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestTornTailTruncated: a power cut leaves spool.log as the live log had
+// it — frames, then the zeros it had allocated — with or without a
+// half-written frame in front of the zeros; a closed spool that something
+// scribbled behind has no zeros. Garbage is a torn tail (cut and counted),
+// the allocation alone is not, and every persisted result comes back.
 func TestTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	if err := s.Append(testResult(0)); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if err := s.Append(testResult(1)); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	s.Close()
+	for _, tc := range []struct {
+		name         string
+		closed, tear bool
+	}{
+		{"garbage at the end of a closed log", true, true},
+		{"power cut between appends", false, false},
+		{"power cut inside an append", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, Options{})
+			for i := 0; i < 2; i++ {
+				if err := s.Append(testResult(i)); err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+			}
+			if got := s.Counters()["spool_log_grows"]; got != 1 {
+				t.Fatalf("spool_log_grows = %d after two appends, want 1", got)
+			}
+			path := filepath.Join(dir, "spool.log")
+			if tc.closed {
+				s.Close()
+			}
+			frames, size := frameBytes(t, path), fileSize(t, path)
+			if tc.closed != (size == frames) {
+				t.Fatalf("%d bytes of frames in a %d-byte file (closed: %v)", frames, size, tc.closed)
+			}
+			if tc.tear {
+				f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+				if err != nil {
+					t.Fatalf("open log: %v", err)
+				}
+				if _, err := f.WriteAt([]byte{0xff, 0x01, 0x02}, frames); err != nil {
+					t.Fatalf("write torn bytes: %v", err)
+				}
+				f.Close()
+			}
 
-	// A crash mid-append leaves a torn frame at the tail.
-	path := filepath.Join(dir, "spool.log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatalf("open log: %v", err)
-	}
-	if _, err := f.Write([]byte{0xff, 0x01, 0x02}); err != nil {
-		t.Fatalf("write torn bytes: %v", err)
-	}
-	f.Close()
-	tornSize := fileSize(t, path)
-
-	s2 := mustOpen(t, dir, Options{})
-	if got := s2.Len(); got != 2 {
-		t.Fatalf("backlog after torn reopen = %d, want 2", got)
-	}
-	if s2.Counters()["spool_truncated_tail"] != 1 {
-		t.Fatalf("spool_truncated_tail not counted: %v", s2.Counters())
-	}
-	if got := fileSize(t, path); got >= tornSize {
-		t.Fatalf("torn tail not truncated: size %d >= %d", got, tornSize)
-	}
-	// Appends after truncation extend a valid stream.
-	if err := s2.Append(testResult(2)); err != nil {
-		t.Fatalf("Append after truncation: %v", err)
-	}
-	s2.Close()
-
-	s3 := mustOpen(t, dir, Options{})
-	defer s3.Close()
-	if got := s3.Len(); got != 3 {
-		t.Fatalf("backlog after third open = %d, want 3", got)
+			s2 := mustOpen(t, dir, Options{})
+			if got := s2.Len(); got != 2 {
+				t.Fatalf("backlog after reopen = %d, want 2", got)
+			}
+			if got := s2.Counters()["spool_truncated_tail"]; (got == 1) != tc.tear {
+				t.Fatalf("spool_truncated_tail = %d, torn %v", got, tc.tear)
+			}
+			if got := fileSize(t, path); tc.tear && got != frames {
+				t.Fatalf("torn tail not truncated: %d bytes, the frames are %d", got, frames)
+			}
+			// Appends after the reopen extend a valid stream.
+			if err := s2.Append(testResult(2)); err != nil {
+				t.Fatalf("Append after reopen: %v", err)
+			}
+			s2.Close()
+			s3 := mustOpen(t, dir, Options{})
+			defer s3.Close()
+			if got := s3.Len(); got != 3 {
+				t.Fatalf("backlog after the append = %d, want 3", got)
+			}
+		})
 	}
 }
 
@@ -187,7 +210,7 @@ func TestCompaction(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	sizeBefore := fileSize(t, filepath.Join(dir, "spool.log"))
+	sizeBefore := frameBytes(t, filepath.Join(dir, "spool.log"))
 	// Ack 6 of 8: consumed crosses CompactAfter, triggering a rewrite
 	// down to the two pending frames.
 	_, upTo := s.DrainBatch(6)
@@ -197,7 +220,7 @@ func TestCompaction(t *testing.T) {
 	if got := s.Counters()["spool_compactions"]; got != 1 {
 		t.Fatalf("spool_compactions = %d, want 1", got)
 	}
-	if got := fileSize(t, filepath.Join(dir, "spool.log")); got >= sizeBefore {
+	if got := frameBytes(t, filepath.Join(dir, "spool.log")); got >= sizeBefore {
 		t.Fatalf("compaction did not shrink log: %d >= %d", got, sizeBefore)
 	}
 	// The compacted log still appends and replays correctly.
@@ -284,6 +307,17 @@ func TestClosedSpoolRejectsWrites(t *testing.T) {
 	if err := s.AckBatch(1); err == nil {
 		t.Fatal("Ack with pending on closed spool succeeded")
 	}
+}
+
+// frameBytes is how much of a (possibly live) log file its frames occupy;
+// a live log's file also holds its allocated zeros.
+func frameBytes(t *testing.T, path string) int64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	return framelog.Span(framelog.Frames(raw))
 }
 
 func fileSize(t *testing.T, path string) int64 {
@@ -384,7 +418,7 @@ func TestFailedWriteStopsTheSpool(t *testing.T) {
 			}
 		}
 		if halfFrame {
-			frame, err := encodeFrame(3, kindResult, testResult(9))
+			frame, err := journal.EncodeOp(3, kindResult, testResult(9))
 			if err != nil {
 				t.Fatal(err)
 			}
