@@ -42,10 +42,17 @@ fleetsim-smoke:
 
 # 30s smoke runs of the replay fuzzers: random record streams,
 # truncations, and bit flips must never panic the journal recovery path,
-# the segment reader, or the archival measurement decoder.
+# the record decoder, the snapshot reader, the segment reader, or the
+# archival measurement decoder. The two targets that go through real
+# files get -fuzzminimizetime 1x: file I/O makes coverage flicker, every
+# flicker reads as an interesting input, and the engine's default is to
+# spend up to a minute minimizing each — the whole 30s, a few dozen
+# executions in.
 fuzz:
 	go test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 30s
-	go test ./internal/store -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime 30s
+	go test ./internal/journal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 30s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 30s -fuzzminimizetime 1x
+	go test ./internal/store -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime 30s -fuzzminimizetime 1x
 	go test ./internal/archival -run '^$$' -fuzz '^FuzzArchivalDecode$$' -fuzztime 30s
 
 # Long-timeline chaos drills under the race detector: link flaps,

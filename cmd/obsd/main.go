@@ -361,15 +361,17 @@ func (s *fedService) Close() error {
 // logRecovered says what a core.Recover did and where its time went: the
 // phases are the obs_recover_seconds series /metrics serves from then on,
 // and legacy_walk is whether the directory predated the sealed-watermark
-// reconcile and had its store walked (once; what is written next is not).
+// reconcile and had its store walked (once; what is written next is not);
+// snapshot_bytes and snapshot_frames size the snapshot it started from.
 func logRecovered(who string, ctrl *core.Controller, took time.Duration) {
 	d := ctrl.DurabilityCounters()
 	series := ctrl.Observability().Snapshots()
 	name := func(phase string) string { return fmt.Sprintf("%s{phase=%q}", core.MetricRecover, phase) }
 	phase := func(p string) time.Duration { return series[name(p)].Sum.Round(10 * time.Microsecond) }
-	log.Printf("obsd: %srecovered in %s (journal_open=%s snapshot=%s decode=%s replay=%s reconcile=%s replayed=%d requeued=%d legacy_walk=%t truncated_tail=%d tick=%d)",
+	log.Printf("obsd: %srecovered in %s (journal_open=%s snapshot=%s snapshot_bytes=%d snapshot_frames=%d decode=%s replay=%s reconcile=%s replayed=%d requeued=%d legacy_walk=%t truncated_tail=%d tick=%d)",
 		who, took.Round(time.Millisecond),
-		phase("journal_open"), phase("snapshot"), phase("decode"), phase("replay"), phase("reconcile"),
+		phase("journal_open"), phase("snapshot"), d["snapshot_bytes"], d["snapshot_frames"],
+		phase("decode"), phase("replay"), phase("reconcile"),
 		d["recovery_replayed"], d["recovery_results_requeued"], series[name("legacy_walk")].Count > 0,
 		d["recovery_truncated_tail"], ctrl.Now())
 }

@@ -268,7 +268,10 @@ func BenchmarkRecoverLongJournal(b *testing.B) {
 }
 
 // BenchmarkRecoverSnapshot recovers the same book from a snapshot and an
-// empty tail: a recovered copy that snapshotted and was killed again.
+// empty tail: a recovered copy that snapshotted and was killed again. Run
+// at -cpu 1,2 like BenchmarkRecoverLongJournal: one core shows what the
+// frames cost or save by themselves, the second what decoding them side
+// by side adds.
 func BenchmarkRecoverSnapshot(b *testing.B) {
 	src := fleetDir(b)
 	c, err := Recover(src, fleetCfg)

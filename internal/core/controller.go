@@ -139,12 +139,13 @@ type HealthReport struct {
 // StatsReport is the /api/v1/stats payload: pipeline counters plus
 // per-probe liveness. Durability carries the journal-layer counters
 // (journal_records_appended, snapshots_written, recovery_replayed,
-// recovery_truncated_tail, ...) and Store the results-store counters
-// (store_frames_appended, segments_flushed, segments_compacted,
-// frames_expired, queries_served, ...); Admission the load-shedding
-// counters (requests_shed and its breakdowns). All three are scoped to
-// the current process run rather than journaled, so recovery
-// equivalence is defined over everything except these fields.
+// recovery_truncated_tail, ...; snapshot_bytes and snapshot_frames size
+// the snapshot on disk, last written or recovered from) and Store the
+// results-store counters (store_frames_appended, segments_flushed,
+// segments_compacted, frames_expired, queries_served, ...); Admission the
+// load-shedding counters (requests_shed and its breakdowns). All three
+// are scoped to the current process run rather than journaled, so
+// recovery equivalence is defined over everything except these fields.
 type StatsReport struct {
 	Tick              int64            `json:"tick"`
 	Counters          map[string]int64 `json:"counters"`

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -97,27 +96,35 @@ type tickOp struct {
 	N int `json:"n"`
 }
 
-// persistState is the snapshot payload: the controller's full book,
-// JSON-encodable. Set-valued maps are stored as sorted slices. Result
-// payloads are deliberately absent — they live in the results store,
-// which is why snapshot size no longer grows with result volume — and so
-// is the task-id index, which restore derives from the experiments'
-// assignments (older snapshots carry it as "task_ids"; it is ignored).
+// persistState is the controller's full book as a snapshot carries it and
+// restoreLocked loads it: decodeSnapshot (snapshot.go) assembles it from a
+// framed snapshot's frames, and a legacy snapshot is its JSON. Set-valued
+// maps are sorted slices. Result payloads are deliberately absent — they
+// live in the results store, which is why snapshot size does not grow with
+// result volume — and so is the task-id index, which restore derives from
+// the experiments' assignments (older snapshots carry it as "task_ids"; it
+// is ignored).
 type persistState struct {
-	Now         int64                    `json:"now"`
-	NextExpID   int                      `json:"next_exp_id"`
+	persistScalars
 	Probes      map[string]persistProbe  `json:"probes,omitempty"`
 	Experiments map[string]*Experiment   `json:"experiments,omitempty"`
 	Queues      map[string][]probes.Task `json:"queues,omitempty"`
 	Recorded    map[string][]string      `json:"recorded,omitempty"`
-	// Unsealed is always written, "[]" when empty: a snapshot without the
-	// key is from before the list existed and says nothing about where
-	// its recorded refs sit in the store.
+	// Unsealed is nil only in a legacy snapshot without the key: one from
+	// before the list existed, which says nothing about where its recorded
+	// refs sit in the store.
 	Unsealed  []unsealedRef           `json:"unsealed"`
 	Leases    map[string]persistLease `json:"leases,omitempty"`
 	SubmitIDs map[string]string       `json:"submit_ids,omitempty"`
-	Counters  map[string]int64        `json:"counters,omitempty"`
-	Trusted   []string                `json:"trusted,omitempty"`
+}
+
+// persistScalars is the part of the book that is a few numbers and small
+// maps: a framed snapshot's head carries it whole.
+type persistScalars struct {
+	Now       int64            `json:"now"`
+	NextExpID int              `json:"next_exp_id"`
+	Counters  map[string]int64 `json:"counters,omitempty"`
+	Trusted   []string         `json:"trusted,omitempty"`
 	// Served-grant tallies feed the bias-aware scheduler (scheduler.go).
 	// They are part of apply-path state — grants update them inside the
 	// journaled apply — so snapshots must carry them for replay
@@ -191,11 +198,12 @@ type DurabilityConfig struct {
 //
 // Each phase is timed into obs_recover_seconds{phase=journal_open|
 // snapshot|decode|replay|reconcile} on the controller's registry —
-// journal_open reads the file and decodes its records, decode turns the
-// tail past the snapshot into typed ops (both on every core), replay
-// applies them in journal order — and a recovery that had to walk the
-// store (lostResultsLocked) also has phase=legacy_walk, the part of
-// reconcile the walk took.
+// journal_open reads both files, checks their frames and decodes the
+// journal's records, snapshot decodes the snapshot's frames and restores
+// the book from them, decode turns the tail past the snapshot into typed
+// ops (all three decodes on every core), replay applies them in journal
+// order — and a recovery that had to walk the store (lostResultsLocked)
+// also has phase=legacy_walk, the part of reconcile the walk took.
 func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	t := obs.StartTimer()
 	l, err := journal.Open(dir)
@@ -241,14 +249,15 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	c.store = st
 	t = obs.StartTimer()
 	var snapSeq uint64
-	if l.Snap != nil {
-		var st persistState
-		if err := json.Unmarshal(l.Snap.State, &st); err != nil {
+	if snap := l.Snap; snap != nil {
+		book, err := decodeSnapshot(snap)
+		if err != nil {
 			l.Close()
 			return nil, fmt.Errorf("core: decoding snapshot: %w", err)
 		}
-		c.restoreLocked(st)
-		snapSeq = l.Snap.Seq
+		c.restoreLocked(book)
+		snapSeq = snap.Seq
+		c.noteSnapshot(snap.Bytes, len(snap.Frames))
 	}
 	phase("snapshot")
 	// Seqs strictly increase, so the records the snapshot covers (a crash
@@ -272,7 +281,7 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 		c.dur.Inc("recovery_truncated_tail")
 	}
 	// The handle lives as long as the controller; its recovery view (the
-	// snapshot's bytes, every decoded tail record) is done with.
+	// snapshot's frames, every decoded tail record) is done with.
 	l.Snap, l.Records = nil, nil
 	phase("replay")
 	// Journal fsync timing: the hook runs inside Append and, for the
@@ -451,7 +460,7 @@ func (c *Controller) mutateLocked(kind string, v any, apply func()) error {
 	}
 	apply()
 	if c.log != nil && c.snapEvery > 0 && c.sinceSnap >= c.snapEvery {
-		c.snapshotLocked()
+		_ = c.snapshotLocked() // counted; the journal stays authoritative
 	}
 	return nil
 }
@@ -479,26 +488,38 @@ func (c *Controller) appendLocked(kind string, v any) error {
 	return nil
 }
 
-// snapshotLocked writes a compacted snapshot, swallowing (but counting)
-// failures: the journal remains authoritative when a snapshot cannot be
-// taken.
-func (c *Controller) snapshotLocked() {
-	if c.log == nil {
-		return
-	}
+// snapshotLocked writes a compacted snapshot of the book as it stands —
+// the automatic, the explicit and the shutdown one alike, so all three
+// are in obs_journal_seconds{op="snapshot"} and under a journal.snapshot
+// span. A failure is counted and leaves the journal authoritative.
+func (c *Controller) snapshotLocked() error {
 	sp := c.span.Child("journal.snapshot")
 	t := obs.StartTimer()
 	restore := c.setSpanLocked(sp) // the compaction's fsync nests beneath
-	err := c.log.WriteSnapshot(c.persistLocked())
+	head, frames, err := c.snapshotFramesLocked()
+	var size int64
+	if err == nil {
+		size, err = c.log.WriteSnapshot(head, frames)
+	}
 	restore()
 	sp.End()
 	c.hSnapshot.Observe(t.Elapsed())
 	if err != nil {
 		c.dur.Inc("snapshot_errors")
-		return
+		return err
 	}
 	c.dur.Inc("snapshots_written")
+	c.noteSnapshot(size, len(frames))
 	c.sinceSnap = 0
+	return nil
+}
+
+// noteSnapshot records the size of the snapshot on disk, last written or
+// recovered from: its bytes, and its frames behind the header frame plus
+// that one (a legacy blob reads as 1).
+func (c *Controller) noteSnapshot(size int64, frames int) {
+	c.dur.Set("snapshot_bytes", size)
+	c.dur.Set("snapshot_frames", int64(frames+1))
 }
 
 // Snapshot durably captures full controller state and compacts the
@@ -509,13 +530,7 @@ func (c *Controller) Snapshot() error {
 	if c.log == nil {
 		return nil
 	}
-	if err := c.log.WriteSnapshot(c.persistLocked()); err != nil {
-		c.dur.Inc("snapshot_errors")
-		return err
-	}
-	c.dur.Inc("snapshots_written")
-	c.sinceSnap = 0
-	return nil
+	return c.snapshotLocked()
 }
 
 // Close flushes the results store, takes a final snapshot, and closes
@@ -528,12 +543,7 @@ func (c *Controller) Close() error {
 	if c.log == nil {
 		return storeErr
 	}
-	snapErr := c.log.WriteSnapshot(c.persistLocked())
-	if snapErr == nil {
-		c.dur.Inc("snapshots_written")
-	} else {
-		c.dur.Inc("snapshot_errors")
-	}
+	snapErr := c.snapshotLocked()
 	closeErr := c.log.Close()
 	c.log = nil
 	if storeErr != nil {
@@ -543,58 +553,6 @@ func (c *Controller) Close() error {
 		return snapErr
 	}
 	return closeErr
-}
-
-// persistLocked captures the controller's full state for a snapshot.
-func (c *Controller) persistLocked() persistState {
-	st := persistState{
-		Now:         c.now,
-		NextExpID:   c.nextExpID,
-		Probes:      make(map[string]persistProbe, len(c.probes)),
-		Experiments: make(map[string]*Experiment, len(c.experiments)),
-		Queues:      make(map[string][]probes.Task),
-		Recorded:    make(map[string][]string, len(c.recorded)),
-		Leases:      make(map[string]persistLease, len(c.leases)),
-		SubmitIDs:   make(map[string]string, len(c.submitIDs)),
-		Counters:    c.stats.Snapshot(),
-	}
-	for id, ps := range c.probes {
-		st.Probes[id] = persistProbe{Info: ps.info, LastSeen: ps.lastSeen, Health: ps.health}
-	}
-	for id, exp := range c.experiments {
-		st.Experiments[id] = cloneExp(exp)
-	}
-	for id, q := range c.queues {
-		if len(q) > 0 {
-			st.Queues[id] = append([]probes.Task(nil), q...)
-		}
-	}
-	for id, set := range c.recorded {
-		st.Recorded[id] = sortedKeys(set)
-	}
-	for k, l := range c.leases {
-		st.Leases[k] = persistLease{Task: l.task, ProbeID: l.probeID, Deadline: l.deadline}
-	}
-	for k, v := range c.submitIDs {
-		st.SubmitIDs[k] = v
-	}
-	c.pruneUnsealedLocked()
-	st.Unsealed = append([]unsealedRef{}, c.unsealed...)
-	st.Trusted = sortedKeys(c.trusted)
-	st.ServedTotal = c.servedTotal
-	if len(c.servedCountry) > 0 {
-		st.ServedCountry = make(map[string]int64, len(c.servedCountry))
-		for k, v := range c.servedCountry {
-			st.ServedCountry[k] = v
-		}
-	}
-	if len(c.servedASN) > 0 {
-		st.ServedASN = make(map[string]int64, len(c.servedASN))
-		for k, v := range c.servedASN {
-			st.ServedASN[k] = v
-		}
-	}
-	return st
 }
 
 // restoreLocked loads a snapshot into a freshly constructed controller.
@@ -640,9 +598,9 @@ func (c *Controller) restoreLocked(st persistState) {
 	}
 }
 
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -692,9 +650,10 @@ func (c *Controller) Queues() map[string][]probes.Task {
 
 // DurabilityCounters snapshots the journal-layer counters
 // (journal_records_appended, journal_log_grows, snapshots_written,
-// recovery_replayed, recovery_truncated_tail, ...). Unlike the pipeline
-// counters these are scoped to the current process run — they are not
-// journaled, so replay does not reconstruct them.
+// recovery_replayed, recovery_truncated_tail, ...) and the two readings
+// noteSnapshot keeps, snapshot_bytes and snapshot_frames. Unlike the
+// pipeline counters these are scoped to the current process run — they
+// are not journaled, so replay does not reconstruct them.
 func (c *Controller) DurabilityCounters() map[string]int64 {
 	return c.dur.Snapshot()
 }

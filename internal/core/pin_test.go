@@ -173,3 +173,52 @@ func TestNewJournalHasOneProbeKind(t *testing.T) {
 		t.Errorf("journal holds %d probe_sync records, want 10", probeKinds)
 	}
 }
+
+// TestFramedSnapshotReplays recovers a data directory written by the
+// commit that framed the snapshot (testdata/pin/framed; never regenerate
+// it) — a snapshot.log of two assignment chunks, the journal tail behind
+// it, the store's two segments — and requires the book that commit held
+// when it abandoned the directory: want.json, the whole book in the
+// rendering the legacy blob used (legacyState). The writer, on a
+// controller recovered with the config below: register p1/p2 (AS36924)
+// and p3 (AS37006); a trusted experiment (request id req-pin) of 258 pings
+// dealt round-robin to them and 2 for the unregistered "ghost"; an
+// untrusted one of 2 for p2; LeaseTasks(p1, 4), three of them delivered
+// and one of those again; 29 times LeaseTasks(p3, 3), the last task
+// (t0257) delivered; Tick(1); LeaseTasks(ghost, 1); store flush; Snapshot;
+// Tick(1); LeaseTasks(p2, 2); SyncProbe(p2, one result, 1); store flush;
+// no Close.
+func TestFramedSnapshotReplays(t *testing.T) {
+	pinned := filepath.Join("testdata", "pin", "framed")
+	var want persistState
+	data, err := os.ReadFile(filepath.Join(pinned, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if exp := want.Experiments["exp-0001"]; exp == nil || len(exp.Assignments) != 260 || len(want.Recorded["exp-0001"]) != 5 {
+		t.Fatalf("want.json does not hold the pinned book: %.300s", data)
+	}
+	wantJSON, _ := json.Marshal(want)
+
+	dir := t.TempDir()
+	shipDir(t, pinned, dir) // Recover truncates and appends, so it gets a copy
+	l, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Snap == nil || len(l.Snap.Frames) != 1+2+1+snapTailFrames || len(l.Records) != 3 {
+		t.Fatalf("fixture opens to snapshot %+v and %d records", l.Snap, len(l.Records))
+	}
+	l.Close()
+	c := mustRecover(t, dir, DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5})
+	defer c.Close()
+	if d := c.DurabilityCounters(); d["recovery_replayed"] != 3 || d["recovery_results_requeued"] != 0 {
+		t.Errorf("recovered with %v", d)
+	}
+	if got, _ := json.Marshal(legacyState(c)); !bytes.Equal(got, wantJSON) {
+		t.Errorf("pinned directory recovers to\n%s\nwant\n%s", got, wantJSON)
+	}
+}

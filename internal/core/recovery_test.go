@@ -8,7 +8,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -347,9 +346,10 @@ func TestKilledRecoveryRetries(t *testing.T) {
 }
 
 // makeLegacy rewrites a directory as the binary before the watermark
-// would have left it: no seq on sync records, a snapshot in the old
-// envelope with task_ids and without unsealed.
-func makeLegacy(t *testing.T, dir string) {
+// would have left it: no seq on sync records, and for a snapshot the
+// one-blob snapshot.json with task_ids and without unsealed. c is the
+// abandoned controller that wrote dir, unchanged since its snapshot.
+func makeLegacy(t *testing.T, c *Controller, dir string) {
 	t.Helper()
 	l, err := journal.Open(dir)
 	if err != nil {
@@ -382,20 +382,14 @@ func makeLegacy(t *testing.T, dir string) {
 		return
 	}
 	var state map[string]json.RawMessage
-	if err := json.Unmarshal(snap.State, &state); err != nil {
+	raw, _ := json.Marshal(legacyState(c))
+	if err := json.Unmarshal(raw, &state); err != nil {
 		t.Fatal(err)
 	}
 	delete(state, "unsealed")
 	state["task_ids"] = json.RawMessage(`{"stale":["ignored"]}`)
-	raw, err := json.Marshal(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, err := json.Marshal(journal.Snapshot{Seq: snap.Seq, CRC: crc32.ChecksumIEEE(raw), State: raw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), file, 0o644); err != nil {
+	writeLegacySnapshot(t, dir, snap.Seq, state)
+	if err := os.Remove(filepath.Join(dir, "snapshot.log")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -422,7 +416,7 @@ func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			makeLegacy(t, dir)
+			makeLegacy(t, c, dir)
 
 			rec := mustRecover(t, dir, cfg)
 			if n := rec.DurabilityCounters()["recovery_results_requeued"]; n != 4 {
@@ -444,12 +438,15 @@ func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
 			if err := rec.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
-			file, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+			file, err := os.ReadFile(filepath.Join(dir, "snapshot.log"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := string(file); !strings.Contains(s, `"unsealed":[{"exp":"`+expID+`","task":"`+expID+`-t0008","seq":9},`) || strings.Contains(s, "task_ids") {
-				t.Fatalf("snapshot after a legacy recovery is not new-format: %s", s)
+			if s := string(file); !strings.Contains(s, `[{"exp":"`+expID+`","task":"`+expID+`-t0008","seq":9},`) || strings.Contains(s, "task_ids") {
+				t.Fatalf("snapshot after a legacy recovery does not place its refs: %q", s)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); tc.snapshot && !os.IsNotExist(err) {
+				t.Fatalf("legacy snapshot.json survived the first framed snapshot: %v", err)
 			}
 
 			again := mustRecover(t, dir, cfg) // crash: the two memtable results go
@@ -469,7 +466,7 @@ func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
 }
 
 // TestRecoverKeepsNoRecoveryView: once replay is done the journal handle
-// holds neither the snapshot's bytes nor the decoded tail, a snapshot
+// holds neither the snapshot's frames nor the decoded tail, a snapshot
 // written later does not bring them back, and the four phases are on the
 // registry.
 func TestRecoverKeepsNoRecoveryView(t *testing.T) {
@@ -488,7 +485,7 @@ func TestRecoverKeepsNoRecoveryView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.log.Snap != nil || rec.log.Records != nil {
-		t.Fatalf("journal handle still holds its recovery view: snap %v, %d records", rec.log.Snap != nil, len(rec.log.Records))
+		t.Fatalf("journal handle still holds its recovery view: snapshot frames %v, %d records", rec.log.Snap != nil, len(rec.log.Records))
 	}
 	for _, phase := range []string{"journal_open", "snapshot", "replay", "reconcile"} {
 		if recoverSeries(rec, phase) != 1 {

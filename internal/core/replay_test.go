@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -130,29 +129,11 @@ func TestOnlyTheTailCanFailRecovery(t *testing.T) {
 // TestRecoveryIsWorkerCountIndependent: decode width changes how fast a
 // recovery is and nothing else — one worker and eight read the same
 // Records from a directory and recover it to byte-identical state, over
-// the recovery-equivalence histories (all journal, and snapshot + tail)
-// and the pinned legacy directory.
+// the equivalence histories (snapshot_test.go) and the pinned legacy
+// directory.
 func TestRecoveryIsWorkerCountIndependent(t *testing.T) {
-	type history struct {
-		dir string
-		cfg DurabilityConfig
-	}
-	histories := map[string]history{
-		"pin": {filepath.Join("testdata", "pin"), DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5}},
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, every := range []int{0, 64} {
-			cfg := testDurCfg
-			cfg.SnapshotEvery, cfg.StoreFlushEvery = every, 4
-			dir := t.TempDir()
-			live := mustRecover(t, dir, cfg)
-			for _, op := range genOps(seed, 300) {
-				op(live)
-			}
-			live.BreakJournal() // killed: no final snapshot, a memtable lost
-			histories[fmt.Sprintf("seed %d snapshot every %d", seed, every)] = history{dir, cfg}
-		}
-	}
+	histories := equivalenceHistories(t)
+	histories["pin"] = history{filepath.Join("testdata", "pin"), DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5}}
 	for name, h := range histories {
 		var records [2][]journal.Record
 		var state [2][]byte
@@ -174,7 +155,7 @@ func TestRecoveryIsWorkerCountIndependent(t *testing.T) {
 			if err := c.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
-			if state[i], err = os.ReadFile(filepath.Join(dir, "snapshot.json")); err != nil {
+			if state[i], err = os.ReadFile(filepath.Join(dir, "snapshot.log")); err != nil {
 				t.Fatal(err)
 			}
 			c.Close()

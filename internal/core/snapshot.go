@@ -1,0 +1,291 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"sort"
+
+	"github.com/afrinet/observatory/internal/journal"
+	"github.com/afrinet/observatory/internal/par"
+	"github.com/afrinet/observatory/internal/probes"
+)
+
+// What a framed snapshot's frames mean (internal/journal owns the file,
+// its header frame and the rule that the frame count must match). The
+// head names how many probes and, per experiment, how many assignments
+// the book holds; that fixes the layout of the frames behind it:
+//
+//	probe blocks   ceil(probes/snapChunk) frames, each a JSON array of
+//	               persistProbe, probes in id order
+//	chunks         per experiment in id order, ceil(assignments/snapChunk)
+//	               frames, each a snapChunkFrame
+//	queues         one frame, the non-empty per-probe queues by probe id
+//	leases         one frame, the lease table by lease key
+//	submit ids     one frame, request id -> experiment id
+//	unsealed       one frame, the unsealed list ("[]" when empty)
+//
+// Every frame is a pure function of the book and its index, and maps are
+// written with sorted keys, so the file is the same bytes at any worker
+// count. Frames are encoded straight from live state under the
+// controller lock and decoded into slots addressed by index: a chunk
+// unmarshals into its own range of an assignment slice sized from the
+// head.
+
+// snapChunk is how many assignments (or probes) one frame holds.
+const snapChunk = 256
+
+// snapHead is the owner's header of a framed snapshot.
+type snapHead struct {
+	persistScalars
+	Probes      int       `json:"probes"`
+	Experiments []snapExp `json:"experiments,omitempty"`
+}
+
+// snapExp is one experiment in the head: everything but its assignments,
+// which follow in Assignments-many entries over its chunks. Recorded
+// names the recorded task ids that are no assignment of the experiment;
+// results are admitted only against the experiment's task ids, so a live
+// controller has none, and the chunks' index runs are the whole set.
+type snapExp struct {
+	ID          string           `json:"id"`
+	Owner       string           `json:"owner"`
+	Description string           `json:"description"`
+	Status      ExperimentStatus `json:"status"`
+	Assignments int              `json:"assignments"`
+	Recorded    []string         `json:"recorded,omitempty"`
+}
+
+// snapChunkFrame is up to snapChunk consecutive assignments of one
+// experiment and which of them are recorded: ascending half-open runs
+// [lo, hi) of indices into this chunk.
+type snapChunkFrame struct {
+	Assignments []probes.Assignment `json:"assignments"`
+	Recorded    [][2]int            `json:"recorded,omitempty"`
+}
+
+// snapTailFrames is how many single frames follow the chunks.
+const snapTailFrames = 4
+
+// frameCount is how many frames n entries fill.
+func frameCount(n int) int { return (n + snapChunk - 1) / snapChunk }
+
+// snapshotFramesLocked renders the book as a framed snapshot. Nothing is
+// copied first: the workers read live state, which the caller's lock
+// keeps still.
+func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
+	c.pruneUnsealedLocked()
+	probeIDs, expIDs := sortedKeys(c.probes), sortedKeys(c.experiments)
+	var jobs []func() any
+	for lo := 0; lo < len(probeIDs); lo += snapChunk {
+		ids := probeIDs[lo:min(lo+snapChunk, len(probeIDs))]
+		jobs = append(jobs, func() any {
+			block := make([]persistProbe, len(ids))
+			for i, id := range ids {
+				ps := c.probes[id]
+				block[i] = persistProbe{Info: ps.info, LastSeen: ps.lastSeen, Health: ps.health}
+			}
+			return block
+		})
+	}
+	for _, id := range expIDs {
+		assigned, rec := c.experiments[id].Assignments, c.recorded[id]
+		for lo := 0; lo < len(assigned); lo += snapChunk {
+			chunk := assigned[lo:min(lo+snapChunk, len(assigned))]
+			jobs = append(jobs, func() any { return snapChunkFrame{chunk, recordedRuns(chunk, rec)} })
+		}
+	}
+	jobs = append(jobs,
+		func() any {
+			queues := make(map[string][]probes.Task)
+			for id, q := range c.queues {
+				if len(q) > 0 {
+					queues[id] = q
+				}
+			}
+			return queues
+		},
+		func() any {
+			leases := make(map[string]persistLease, len(c.leases))
+			for k, l := range c.leases {
+				leases[k] = persistLease{Task: l.task, ProbeID: l.probeID, Deadline: l.deadline}
+			}
+			return leases
+		},
+		func() any { return c.submitIDs },
+		func() any { return append([]unsealedRef{}, c.unsealed...) },
+	)
+	head := snapHead{
+		persistScalars: persistScalars{
+			Now:           c.now,
+			NextExpID:     c.nextExpID,
+			Counters:      c.stats.Snapshot(),
+			Trusted:       sortedKeys(c.trusted),
+			ServedTotal:   c.servedTotal,
+			ServedCountry: c.servedCountry,
+			ServedASN:     c.servedASN,
+		},
+		Probes: len(probeIDs),
+		Experiments: par.Map(0, len(expIDs), func(i int) snapExp {
+			exp := c.experiments[expIDs[i]]
+			var extra []string
+			for id := range c.recorded[exp.ID] {
+				if !c.taskIDs[exp.ID][id] {
+					extra = append(extra, id)
+				}
+			}
+			sort.Strings(extra)
+			return snapExp{exp.ID, exp.Owner, exp.Description, exp.Status, len(exp.Assignments), extra}
+		}),
+	}
+	frames := make([][]byte, len(jobs))
+	err := par.ForEachErr(0, len(jobs), func(i int) (err error) {
+		frames[i], err = json.Marshal(jobs[i]())
+		return err
+	})
+	if err != nil {
+		err = fmt.Errorf("core: encoding snapshot: %w", err)
+	}
+	return head, frames, err
+}
+
+// recordedRuns is which of chunk's assignments are in rec, as ascending
+// half-open index runs.
+func recordedRuns(chunk []probes.Assignment, rec map[string]bool) (runs [][2]int) {
+	for i := range chunk {
+		switch {
+		case !rec[chunk[i].Task.ID]:
+		case len(runs) > 0 && runs[len(runs)-1][1] == i:
+			runs[len(runs)-1][1]++
+		default:
+			runs = append(runs, [2]int{i, i + 1})
+		}
+	}
+	return runs
+}
+
+// decodeSnapshot turns the snapshot journal.Open read into the state
+// restoreLocked loads: a legacy snapshot is that state as one JSON value;
+// a framed one is decoded frame by frame on every core, each frame into
+// the slots its index owns. The whole state or an error: a frame that
+// does not decode, or holds another number of entries than the head
+// gives it, fails the snapshot.
+func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
+	var st persistState
+	if snap.State != nil {
+		return st, json.Unmarshal(snap.State, &st)
+	}
+	var head snapHead
+	if err := json.Unmarshal(snap.Head, &head); err != nil {
+		return st, fmt.Errorf("head: %w", err)
+	}
+	// The frame count bounds every size the head claims before anything
+	// is allocated for it.
+	want, bounded := snapTailFrames, true
+	sized := func(n int) {
+		bounded = bounded && n >= 0 && n <= len(snap.Frames)*snapChunk
+		want += frameCount(n)
+	}
+	sized(head.Probes)
+	for _, e := range head.Experiments {
+		sized(e.Assignments)
+	}
+	if !bounded || want != len(snap.Frames) {
+		return st, fmt.Errorf("head lays out %d frames (in bounds: %t), snapshot holds %d", want, bounded, len(snap.Frames))
+	}
+
+	st.persistScalars = head.persistScalars
+	probeList := make([]persistProbe, head.Probes)
+	decode := make([]func(payload []byte) error, 0, want)
+	for lo := 0; lo < head.Probes; lo += snapChunk {
+		block := probeList[lo:lo:min(lo+snapChunk, head.Probes)]
+		decode = append(decode, func(p []byte) error { return unmarshalFull(p, &block, &block) })
+	}
+	st.Experiments = make(map[string]*Experiment, len(head.Experiments))
+	runs := make([][][2]int, want) // by frame
+	for _, e := range head.Experiments {
+		if st.Experiments[e.ID] != nil {
+			return st, fmt.Errorf("head names experiment %q twice", e.ID)
+		}
+		exp := &Experiment{ID: e.ID, Owner: e.Owner, Description: e.Description, Status: e.Status}
+		if e.Assignments > 0 {
+			exp.Assignments = make([]probes.Assignment, e.Assignments)
+		}
+		st.Experiments[e.ID] = exp
+		for lo := 0; lo < e.Assignments; lo += snapChunk {
+			f, chunk := len(decode), exp.Assignments[lo:lo:min(lo+snapChunk, e.Assignments)]
+			decode = append(decode, func(p []byte) error {
+				frame := snapChunkFrame{Assignments: chunk}
+				if err := unmarshalFull(p, &frame, &frame.Assignments); err != nil {
+					return err
+				}
+				at := 0
+				for _, r := range frame.Recorded {
+					if r[0] < at || r[1] <= r[0] || r[1] > len(frame.Assignments) {
+						return fmt.Errorf("recorded run %v out of order or range", r)
+					}
+					at = r[1]
+				}
+				runs[f] = frame.Recorded
+				return nil
+			})
+		}
+	}
+	decode = append(decode,
+		func(p []byte) error { return json.Unmarshal(p, &st.Queues) },
+		func(p []byte) error { return json.Unmarshal(p, &st.Leases) },
+		func(p []byte) error { return json.Unmarshal(p, &st.SubmitIDs) },
+		func(p []byte) error {
+			err := json.Unmarshal(p, &st.Unsealed)
+			if st.Unsealed == nil {
+				st.Unsealed = []unsealedRef{} // a framed snapshot always places its refs
+			}
+			return err
+		},
+	)
+	err := par.ForEachErr(0, want, func(i int) error {
+		if err := decode[i](snap.Frames[i]); err != nil {
+			return fmt.Errorf("frame %d: %w", i+1, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return persistState{}, err
+	}
+
+	st.Probes = make(map[string]persistProbe, head.Probes)
+	for _, pp := range probeList {
+		st.Probes[pp.Info.ID] = pp
+	}
+	if len(st.Probes) != head.Probes {
+		return persistState{}, fmt.Errorf("probe blocks name %d probes, head counts %d", len(st.Probes), head.Probes)
+	}
+	st.Recorded = make(map[string][]string, len(head.Experiments))
+	f := frameCount(head.Probes)
+	for _, e := range head.Experiments {
+		assigned, ids := st.Experiments[e.ID].Assignments, e.Recorded
+		for lo := 0; lo < e.Assignments; lo, f = lo+snapChunk, f+1 {
+			for _, r := range runs[f] {
+				for i := r[0]; i < r[1]; i++ {
+					ids = append(ids, assigned[lo+i].Task.ID) // shares the assignment's string
+				}
+			}
+		}
+		st.Recorded[e.ID] = ids
+	}
+	return st, nil
+}
+
+// unmarshalFull unmarshals p into v, which must fill *dst — part of v, an
+// empty slice whose capacity is its range of a larger one — exactly and
+// in place: encoding/json appends to a slice while its capacity lasts, so
+// a full dst still is that range, and anything else is an error.
+func unmarshalFull[T any](p []byte, v any, dst *[]T) error {
+	slots := (*dst)[:cap(*dst)]
+	if err := json.Unmarshal(p, v); err != nil {
+		return err
+	}
+	if len(*dst) != len(slots) || (len(slots) > 0 && &(*dst)[0] != &slots[0]) {
+		return fmt.Errorf("holds %d entries, the head gives it %d", len(*dst), len(slots))
+	}
+	return nil
+}

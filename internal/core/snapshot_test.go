@@ -1,0 +1,549 @@
+package core
+
+// The snapshot is a frame file written straight from live state and read
+// back on every core. These tests hold it to the one-blob snapshot.json it
+// replaced (whose writer survives here, as the oracle), to itself across
+// worker counts, and to "the whole book or an error" under damage.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/afrinet/observatory/internal/framelog"
+	"github.com/afrinet/observatory/internal/journal"
+	"github.com/afrinet/observatory/internal/par"
+	"github.com/afrinet/observatory/internal/probes"
+)
+
+// legacyState captures the controller's book the way the blob snapshot's
+// writer did: every map copied key by key, every set a sorted slice. It
+// shares no code with snapshotFramesLocked or decodeSnapshot, which is
+// what makes it their oracle, and two equal books give DeepEqual states.
+func legacyState(c *Controller) persistState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := persistState{
+		persistScalars: persistScalars{
+			Now:           c.now,
+			NextExpID:     c.nextExpID,
+			Counters:      c.stats.Snapshot(),
+			Trusted:       sortedKeys(c.trusted),
+			ServedTotal:   c.servedTotal,
+			ServedCountry: map[string]int64{},
+			ServedASN:     map[string]int64{},
+		},
+		Probes:      map[string]persistProbe{},
+		Experiments: map[string]*Experiment{},
+		Queues:      map[string][]probes.Task{},
+		Recorded:    map[string][]string{},
+		Leases:      map[string]persistLease{},
+		SubmitIDs:   map[string]string{},
+	}
+	for id, ps := range c.probes {
+		st.Probes[id] = persistProbe{Info: ps.info, LastSeen: ps.lastSeen, Health: ps.health}
+	}
+	for id, exp := range c.experiments {
+		st.Experiments[id] = cloneExp(exp)
+	}
+	for id, q := range c.queues {
+		if len(q) > 0 {
+			st.Queues[id] = append([]probes.Task(nil), q...)
+		}
+	}
+	for id, set := range c.recorded {
+		st.Recorded[id] = sortedKeys(set)
+	}
+	for k, l := range c.leases {
+		st.Leases[k] = persistLease{Task: l.task, ProbeID: l.probeID, Deadline: l.deadline}
+	}
+	for k, v := range c.submitIDs {
+		st.SubmitIDs[k] = v
+	}
+	c.pruneUnsealedLocked()
+	st.Unsealed = append([]unsealedRef{}, c.unsealed...)
+	for k, v := range c.servedCountry {
+		st.ServedCountry[k] = v
+	}
+	for k, v := range c.servedASN {
+		st.ServedASN[k] = v
+	}
+	return st
+}
+
+// writeLegacySnapshot writes dir's snapshot.json as binaries before the
+// framed snapshot did: {"seq":N,"crc":C,"state":S}.
+func writeLegacySnapshot(t testing.TB, dir string, seq uint64, state any) {
+	t.Helper()
+	raw, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := fmt.Sprintf(`{"seq":%d,"crc":%d,"state":%s}`, seq, crc32.ChecksumIEEE(raw), raw)
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readSnapshotLog(t testing.TB, dir string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+var wideCfg = DurabilityConfig{Trusted: []string{"o"}, LeaseTTL: 1 << 20, StoreFlushEvery: 64}
+
+// wideBook leaves a killed controller's directory whose snapshot takes
+// more than one frame of everything: 300 probes (two blocks), an
+// experiment of 700 assignments (three chunks) of which every third probe
+// delivered its first, plus a small second experiment, a pending third,
+// leases out and queues waiting.
+func wideBook(t testing.TB) string {
+	t.Helper()
+	dir := t.TempDir()
+	c, err := Recover(dir, wideCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wide []probes.Assignment
+	ids := make([]string, 300)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("probe-%03d", i)
+		if err := c.RegisterProbe(ProbeInfo{ID: ids[i], ASN: 36924, Country: "RW", HasWired: i%2 == 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 700; i++ {
+		wide = append(wide, probes.Assignment{ProbeID: ids[i%len(ids)], Task: probes.Task{Kind: probes.TaskPing, Target: "10.0.0.1"}})
+	}
+	for _, sub := range []struct {
+		owner string
+		asg   []probes.Assignment
+	}{{"o", wide}, {"o", pingAssignments(ids[7], 3)}, {"rando", pingAssignments(ids[8], 2)}} {
+		if _, err := c.SubmitExperimentIdem("req-"+sub.owner+fmt.Sprint(len(sub.asg)), sub.owner, "wide", sub.asg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < len(ids); i += 3 {
+		resp, err := c.SyncProbe(ids[i], nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.SyncProbe(ids[i], []probes.Result{okResult(resp.Tasks[0])}, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Tick(2)
+	if c.ResultStore().MemtableLen() == 0 || c.OutstandingLeases() == 0 {
+		t.Fatalf("wide book left %d in the memtable and %d leases; it wants both", c.ResultStore().MemtableLen(), c.OutstandingLeases())
+	}
+	return dir
+}
+
+// history is a killed controller's directory and the config it ran with.
+type history struct {
+	dir string
+	cfg DurabilityConfig
+}
+
+// equivalenceHistories are killed directories to recover from: the
+// recovery-equivalence op sequences, all journal and snapshot + tail,
+// each with a memtable lost, and the wide book.
+func equivalenceHistories(t *testing.T) map[string]history {
+	out := map[string]history{"wide": {wideBook(t), wideCfg}}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, every := range []int{0, 64} {
+			cfg := testDurCfg
+			cfg.SnapshotEvery, cfg.StoreFlushEvery = every, 4
+			dir := t.TempDir()
+			live := mustRecover(t, dir, cfg)
+			for _, op := range genOps(seed, 300) {
+				op(live)
+			}
+			live.BreakJournal() // killed: no final snapshot, a memtable lost
+			out[fmt.Sprintf("seed %d snapshot every %d", seed, every)] = history{dir, cfg}
+		}
+	}
+	return out
+}
+
+// TestSnapshotIsWorkerCountIndependent: one worker and eight write a
+// byte-identical snapshot.log from the same book and restore the same
+// book from it.
+func TestSnapshotIsWorkerCountIndependent(t *testing.T) {
+	for name, h := range equivalenceHistories(t) {
+		var file [2][]byte
+		var book [2]persistState
+		for i, workers := range []int{1, 8} {
+			dir := t.TempDir()
+			shipDir(t, h.dir, dir)
+			prev := par.SetDefaultWorkers(workers)
+			c := mustRecover(t, dir, h.cfg)
+			if err := c.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			file[i] = readSnapshotLog(t, dir)
+			c.BreakJournal()
+			again := mustRecover(t, dir, h.cfg)
+			par.SetDefaultWorkers(prev)
+			if again.DurabilityCounters()["recovery_replayed"] != 0 {
+				t.Fatalf("%s: second recovery replayed a tail; it should read the snapshot alone", name)
+			}
+			book[i] = legacyState(again)
+			if want := legacyState(c); !reflect.DeepEqual(book[i], want) {
+				t.Errorf("%s, %d workers: restored book differs from the one snapshotted\n got %+v\nwant %+v", name, workers, book[i], want)
+			}
+			again.Close()
+		}
+		if !bytes.Equal(file[0], file[1]) {
+			t.Errorf("%s: 1 worker and 8 write different snapshot.log (%d and %d bytes)", name, len(file[0]), len(file[1]))
+		}
+		if !reflect.DeepEqual(book[0], book[1]) {
+			t.Errorf("%s: 1 worker and 8 restore different books", name)
+		}
+	}
+}
+
+// TestBlobAndFramesRecoverAlike is the oracle: one book written both ways
+// — as frames by Snapshot, as the legacy blob by the writer kept above —
+// recovers to equal state and to a byte-identical next snapshot, and the
+// legacy directory's snapshot.json is gone once that one is written.
+func TestBlobAndFramesRecoverAlike(t *testing.T) {
+	for name, h := range equivalenceHistories(t) {
+		framed, blob := t.TempDir(), t.TempDir()
+		shipDir(t, h.dir, framed)
+		c := mustRecover(t, framed, h.cfg)
+		if err := c.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		c.BreakJournal()
+		shipDir(t, framed, blob)
+		if err := os.Remove(filepath.Join(blob, "snapshot.log")); err != nil {
+			t.Fatal(err)
+		}
+		want := legacyState(c)
+		writeLegacySnapshot(t, blob, c.log.Seq(), want)
+
+		var next [2][]byte
+		for i, dir := range []string{framed, blob} {
+			rec := mustRecover(t, dir, h.cfg)
+			if got := rec.DurabilityCounters(); got["recovery_replayed"] != 0 || (got["snapshot_frames"] == 1) != (dir == blob) {
+				t.Fatalf("%s: %s recovered with %v", name, dir, got)
+			}
+			if got := legacyState(rec); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: recovered book differs (legacy blob: %t)\n got %+v\nwant %+v", name, dir == blob, got, want)
+			}
+			if got, live := viewOf(rec), viewOf(c); !reflect.DeepEqual(got, live) {
+				t.Errorf("%s: recovered view differs (legacy blob: %t)\n got %+v\nwant %+v", name, dir == blob, got, live)
+			}
+			if err := rec.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			next[i] = readSnapshotLog(t, dir)
+			if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); !os.IsNotExist(err) {
+				t.Errorf("%s: snapshot.json beside a durable snapshot.log: %v", name, err)
+			}
+			rec.Close()
+		}
+		if !bytes.Equal(next[0], next[1]) {
+			t.Errorf("%s: the blob's and the frames' next snapshots differ (%d and %d bytes)", name, len(next[1]), len(next[0]))
+		}
+	}
+}
+
+// reframe renders payloads as a frame file.
+func reframe(payloads [][]byte) []byte {
+	var out []byte
+	for _, p := range payloads {
+		out, _ = framelog.AppendFrame(out, p)
+	}
+	return out
+}
+
+// TestDamagedSnapshotFailsRecovery: Recover of a directory whose
+// snapshot.log is anything but the file that was written returns an error
+// — from the journal for what a checksum or the frame count can tell,
+// from the decode for a file whose frames are sound and whose head does
+// not describe them — and never a controller holding part of the book.
+func TestDamagedSnapshotFailsRecovery(t *testing.T) {
+	src := t.TempDir()
+	shipDir(t, wideBook(t), src)
+	c := mustRecover(t, src, wideCfg)
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	c.BreakJournal()
+	good := readSnapshotLog(t, src)
+	frames := framelog.Frames(good)
+	// header, 2 probe blocks, 3 + 1 + 1 chunks, 4 tail frames
+	if len(frames) != 12 {
+		t.Fatalf("wide book's snapshot holds %d frames, want 12", len(frames))
+	}
+	edit := func(i int, old, new string) []byte {
+		if !bytes.Contains(frames[i], []byte(old)) {
+			t.Fatalf("frame %d does not hold %s: %.200s", i, old, frames[i])
+		}
+		out := append([][]byte(nil), frames...)
+		out[i] = bytes.Replace(frames[i], []byte(old), []byte(new), 1)
+		return reframe(out)
+	}
+	swap := func(i, j int) []byte {
+		out := append([][]byte(nil), frames...)
+		out[i], out[j] = out[j], out[i]
+		return reframe(out)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x04
+	last := framelog.HeaderBytes + len(frames[len(frames)-1])
+	for name, tc := range map[string]struct {
+		file []byte
+		want string
+	}{
+		"dropped last frame":      {good[:len(good)-last], "corrupt snapshot"},
+		"flipped byte":            {flipped, "corrupt snapshot"},
+		"header count one over":   {edit(0, `"frames":11`, `"frames":12`), "corrupt snapshot"},
+		"header count one under":  {edit(0, `"frames":11`, `"frames":10`), "corrupt snapshot"},
+		"one probe too few":       {edit(0, `"probes":300`, `"probes":299`), "decoding snapshot: frame 2"},
+		"a block's worth too few": {edit(0, `"probes":300`, `"probes":256`), "decoding snapshot: head lays out"},
+		"probes beyond all bound": {edit(0, `"probes":300`, `"probes":9000000000000000000`), "decoding snapshot: head lays out"},
+		"negative assignments":    {edit(0, `"assignments":700`, `"assignments":-700`), "decoding snapshot: head lays out"},
+		"one assignment too many": {edit(0, `"assignments":700`, `"assignments":701`), "decoding snapshot: frame 5"},
+		"experiment named twice":  {edit(0, `"id":"exp-0002"`, `"id":"exp-0001"`), "decoding snapshot: head names"},
+		"chunks out of place":     {swap(4, 5), "decoding snapshot: frame 4"},
+		"probe named twice":       {edit(1, `"id":"probe-001"`, `"id":"probe-000"`), "decoding snapshot: probe blocks name 299"},
+		"run out of range":        {edit(3, `"recorded":[[0,1]`, `"recorded":[[0,257]`), "decoding snapshot: frame 3: recorded run"},
+		"runs out of order":       {edit(3, `"recorded":[[0,1],[3,4]`, `"recorded":[[3,4],[0,1]`), "decoding snapshot: frame 3: recorded run"},
+		"queues not a map":        {edit(8, `{`, `[{`), "decoding snapshot: frame 8"},
+	} {
+		dir := t.TempDir()
+		shipDir(t, src, dir)
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.log"), tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := Recover(dir, wideCfg); err == nil {
+			rec.Close()
+			t.Errorf("%s: recovered", name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want it to say %q", name, err, tc.want)
+		}
+		// A failed recovery wrote nothing: the repaired file recovers the book.
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.log"), good, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec := mustRecover(t, dir, wideCfg)
+		if got, want := legacyState(rec), legacyState(c); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the intact snapshot no longer recovers the book", name)
+		}
+		rec.Close()
+	}
+}
+
+// TestRecordedOutsideAssignments: a recorded id that is no assignment of
+// its experiment cannot be an index run. No live path makes one (results
+// are admitted against the experiment's task ids), a replayed record or
+// a legacy blob can; it is written by name in the head and survives.
+func TestRecordedOutsideAssignments(t *testing.T) {
+	dir := t.TempDir()
+	cfg := lossyCfg
+	cfg.StoreFlushEvery = 1 // every result sealed: the recoveries below requeue nothing
+	c := mustRecover(t, dir, cfg)
+	mustRegister(t, c, "p1", 36924, "RW")
+	exp, err := c.SubmitExperiment("o", "drill", pingAssignmentsFor("p1", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LeaseTasks("p1", 5)
+	submitPingBatch(t, c, "p1", exp.ID, 1, 3)
+	submitPingBatch(t, c, "p1", exp.ID, 4, 5)
+	c.BreakJournal()
+	stray, _ := json.Marshal(syncOp{ProbeID: "p1", Max: -1, Seq: 3, Refs: []resultRef{{exp.ID, "zz-stray"}}})
+	appendRawRecords(t, dir, journal.Record{Seq: c.log.Seq() + 1, Kind: opSync, Data: stray})
+
+	rec := mustRecover(t, dir, cfg)
+	if err := rec.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want := legacyState(rec)
+	if got := want.Recorded[exp.ID]; len(got) != 4 || got[3] != "zz-stray" {
+		t.Fatalf("drill recorded %v, want three tasks and the stray id", got)
+	}
+	rec.BreakJournal()
+	file := readSnapshotLog(t, dir)
+	if !bytes.Contains(file, []byte(`"assignments":5,"recorded":["zz-stray"]}`)) || !bytes.Contains(file, []byte(`"recorded":[[1,3],[4,5]]}`)) {
+		t.Fatalf("snapshot.log does not hold the stray id by name and the rest as runs: %q", file)
+	}
+	again := mustRecover(t, dir, cfg)
+	defer again.Close()
+	if got := legacyState(again); !reflect.DeepEqual(got, want) {
+		t.Fatalf("book with a stray recorded id changed across its snapshot\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestFailoverShipsEverySnapshot: a failover's copy (journal.Clone +
+// store.Clone, what federation.ShipState is) of a framed directory, of a
+// legacy one and of one caught holding both recovers the book the source
+// held; the directory with both reads the framed snapshot.
+func TestFailoverShipsEverySnapshot(t *testing.T) {
+	framed := t.TempDir()
+	shipDir(t, wideBook(t), framed)
+	c := mustRecover(t, framed, wideCfg)
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	before, snapSeq := legacyState(c), c.log.Seq()
+	c.Tick(1) // a tail behind the snapshot
+	c.BreakJournal()
+	want := legacyState(c)
+
+	legacy, both := t.TempDir(), t.TempDir()
+	shipDir(t, framed, legacy)
+	if err := os.Remove(filepath.Join(legacy, "snapshot.log")); err != nil {
+		t.Fatal(err)
+	}
+	writeLegacySnapshot(t, legacy, snapSeq, before)
+	shipDir(t, framed, both)
+	writeLegacySnapshot(t, both, snapSeq, persistState{}) // stale and wrong: must not be read
+
+	for name, src := range map[string]string{"framed": framed, "legacy": legacy, "both": both} {
+		dst := t.TempDir()
+		shipDir(t, src, dst)
+		rec := mustRecover(t, dst, wideCfg)
+		if got := legacyState(rec); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: failover recovered a different book\n got %+v\nwant %+v", name, got, want)
+		}
+		if d := rec.DurabilityCounters(); d["recovery_replayed"] != 1 || (d["snapshot_frames"] == 1) != (name == "legacy") {
+			t.Errorf("%s: failover recovered with %v", name, d)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for file, wantIt := range map[string]bool{"snapshot.log": true, "snapshot.json": false} {
+			if _, err := os.Stat(filepath.Join(dst, file)); os.IsNotExist(err) == wantIt {
+				t.Errorf("%s: after the shipped copy's own snapshot, %s: %v", name, file, err)
+			}
+		}
+	}
+}
+
+// TestEverySnapshotIsTimed: the automatic, the explicit and the shutdown
+// snapshot go through one helper, so each is an observation of
+// obs_journal_seconds{op="snapshot"}, each leaves a journal.snapshot span
+// under a traced request, and /stats carries the size of the last one.
+func TestEverySnapshotIsTimed(t *testing.T) {
+	dir := t.TempDir()
+	cfg := lossyCfg
+	cfg.SnapshotEvery = 3
+	c := mustRecover(t, dir, cfg)
+	timed := func() uint64 { return c.Observability().Snapshots()[MetricJournal+`{op="snapshot"}`].Count }
+	mustRegister(t, c, "p1", 36924, "RW")
+	mustRegister(t, c, "p2", 36924, "RW")
+	if timed() != 0 {
+		t.Fatal("snapshot before the cadence")
+	}
+	mustRegister(t, c, "p3", 36924, "RW") // third record: automatic
+	if timed() != 1 {
+		t.Fatalf("automatic snapshot: %d observations, want 1", timed())
+	}
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if timed() != 2 {
+		t.Fatalf("explicit snapshot: %d observations, want 2", timed())
+	}
+	d := c.Stats().Durability
+	if size := int64(len(readSnapshotLog(t, dir))); d["snapshot_bytes"] != size || d["snapshot_frames"] != 1+1+snapTailFrames || d["snapshots_written"] != 2 {
+		t.Fatalf("durability %v; snapshot.log is %d bytes in %d frames", d, size, 1+1+snapTailFrames)
+	}
+	reg := c.Observability()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshots()[MetricJournal+`{op="snapshot"}`].Count; got != 3 {
+		t.Fatalf("shutdown snapshot: %d observations, want 3", got)
+	}
+	rec := mustRecover(t, dir, cfg)
+	defer rec.Close()
+	if got := rec.Stats().Durability; got["snapshot_bytes"] != d["snapshot_bytes"] || got["snapshot_frames"] != d["snapshot_frames"] || got["snapshots_written"] != 0 {
+		t.Fatalf("durability after recovering from that snapshot: %v, wrote %v", got, d)
+	}
+}
+
+// FuzzSnapshotRead feeds arbitrary bytes to recovery as a snapshot.log:
+// Recover returns an error or a whole book — one that snapshots and
+// recovers again to the same state — and never panics.
+func FuzzSnapshotRead(f *testing.F) {
+	src := f.TempDir()
+	c, err := Recover(src, lossyCfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, id := range []string{"p1", "p2"} {
+		if err := c.RegisterProbe(ProbeInfo{ID: id, ASN: 36924, Country: "RW"}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	exp, err := c.SubmitExperimentIdem("req-1", "o", "fuzz", append(pingAssignments("p1", 3), pingAssignments("p2", 2)...))
+	if err != nil {
+		f.Fatal(err)
+	}
+	tasks := c.LeaseTasks("p1", 2)
+	if _, err := c.SubmitResults("p1", []probes.Result{okResult(tasks[0])}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := c.SubmitExperiment("rando", "pending", pingAssignments("p2", 1)); err != nil {
+		f.Fatal(err)
+	}
+	if err := c.Snapshot(); err != nil {
+		f.Fatal(err)
+	}
+	c.BreakJournal()
+	good := readSnapshotLog(f, src)
+	frames := framelog.Frames(good)
+	f.Add(good)
+	f.Add([]byte{})
+	f.Add(good[:len(good)-5])
+	f.Add(reframe(frames[:len(frames)-1]))
+	f.Add(reframe(append([][]byte{bytes.Replace(frames[0], []byte(`"assignments":5`), []byte(`"assignments":4`), 1)}, frames[1:]...)))
+	f.Add(reframe(append([][]byte{bytes.Replace(frames[0], []byte(`"probes":2`), []byte(`"probes":70000`), 1)}, frames[1:]...)))
+	f.Add(reframe(append([][]byte{bytes.Replace(frames[0], []byte(exp.ID), []byte("exp-0002"), 1)}, frames[1:]...)))
+	f.Add(reframe([][]byte{[]byte(`{"seq":1,"frames":4,"head":{"now":3,"probes":0}}`), []byte(`{}`), []byte(`{}`), []byte(`{}`), []byte(`null`)}))
+	f.Add(reframe([][]byte{[]byte(`{"seq":1,"frames":0}`)}))
+
+	// One worker: which goroutine decodes which frame would read as new
+	// coverage to the fuzzing engine, and worker counts have their own test.
+	defer par.SetDefaultWorkers(par.SetDefaultWorkers(1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.log"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Recover(dir, lossyCfg)
+		if err != nil {
+			return
+		}
+		want := legacyState(rec)
+		if err := rec.Snapshot(); err != nil {
+			// A book that restores but does not marshal (a NaN task value
+			// cannot come out of JSON) would be a decode bug.
+			t.Fatalf("restored book does not snapshot: %v", err)
+		}
+		rec.BreakJournal()
+		again, err := Recover(dir, lossyCfg)
+		if err != nil {
+			t.Fatalf("restored book's own snapshot does not recover: %v", err)
+		}
+		defer again.Close()
+		if got := legacyState(again); !reflect.DeepEqual(got, want) {
+			t.Fatalf("book changed across its own snapshot\n got %+v\nwant %+v", got, want)
+		}
+	})
+}

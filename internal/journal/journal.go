@@ -6,16 +6,26 @@
 //
 // # On-disk layout
 //
-// A journal directory holds at most two live files:
+// A journal directory holds at most two live files, both frame streams
+// (internal/framelog):
 //
-//	journal.log    frame stream: one frame per appended record
-//	snapshot.json  the latest full-state snapshot, replaced atomically
+//	journal.log   one frame per appended record
+//	snapshot.log  the latest full-state snapshot, replaced atomically
 //
-// A frame's payload is the JSON encoding of a Record. Records carry a
-// strictly increasing sequence number; a snapshot stores the sequence
-// number it covers, so records with Seq <= Snapshot.Seq are skipped at
-// replay (they are the window between "snapshot renamed" and "journal
-// truncated" that a crash can leave behind).
+// A journal frame's payload is the JSON encoding of a Record. Records
+// carry a strictly increasing sequence number; a snapshot stores the
+// sequence number it covers, so records with Seq <= Snapshot.Seq are
+// skipped at replay (they are the window between "snapshot renamed" and
+// "journal truncated" that a crash can leave behind).
+//
+// A snapshot's first frame is {"seq":N,"frames":M,"head":H}: the sequence
+// number, how many frames follow, and the owner's header; the M frames
+// behind it are the owner's. The file is written whole, so it has no torn
+// tail to forgive: a bad frame, bytes behind the last frame or a count
+// other than M fails Open. A directory from before the snapshot was framed
+// holds a one-blob snapshot.json instead, read when there is no
+// snapshot.log and removed once the first framed snapshot is durable
+// (snapshot.go; DESIGN.md, "Durable files").
 //
 // A record that does not decode, has no Kind, or breaks sequence
 // monotonicity ends the valid stream like a bad frame does: Open
@@ -47,7 +57,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -65,17 +74,10 @@ type Record struct {
 }
 
 const (
-	logName  = "journal.log"
-	snapName = "snapshot.json"
+	logName        = "journal.log"
+	snapName       = "snapshot.log"
+	legacySnapName = "snapshot.json"
 )
-
-// Snapshot is a durable full-state capture. Seq is the last journal
-// sequence number the state includes; State is opaque to this package.
-type Snapshot struct {
-	Seq   uint64          `json:"seq"`
-	CRC   uint32          `json:"crc"`
-	State json.RawMessage `json:"state"`
-}
 
 // DecodeRecords decodes frame payloads into the records of the valid
 // stream they start with: the stream ends before the first payload that
@@ -126,7 +128,7 @@ func cutRecord(payload []byte) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	seq, rest, ok := cutUint(rest, recKindKey, 64)
+	seq, rest, ok := cutUint(rest, recKindKey)
 	if !ok {
 		return Record{}, false
 	}
@@ -217,8 +219,8 @@ type Log struct {
 	// that keeps the handle open sets Snap and Records to nil once it has
 	// read them, or they stay in memory as long as the handle does.
 
-	// Snap is the latest durable snapshot, nil when none exists. Its State
-	// aliases the bytes read from the file.
+	// Snap is the latest durable snapshot, nil when none exists. Its Head
+	// and Frames alias the bytes read from the file.
 	Snap *Snapshot
 	// Records are the valid journal records found at Open, in order.
 	// Records with Seq <= Snap.Seq are already part of the snapshot. Their
@@ -238,7 +240,7 @@ func Open(dir string) (*Log, error) {
 	}
 	l := &Log{dir: dir}
 
-	snap, err := loadSnapshot(filepath.Join(dir, snapName))
+	snap, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -285,101 +287,13 @@ func (l *Log) Append(kind string, data any) (uint64, error) {
 	return l.seq, nil
 }
 
-// WriteSnapshot durably captures full state covering every record
-// appended so far, then compacts the journal. Ordering makes each step
-// crash-safe: the snapshot atomically replaces the previous one before
-// journal.log is truncated; a crash in between leaves records with
-// Seq <= Snapshot.Seq in the log, which replay skips.
-//
-// The file is the Snapshot envelope exactly as json.Marshal would render
-// it, assembled around the state's bytes instead of marshalling them a
-// second time; loadSnapshot relies on that layout.
-func (l *Log) WriteSnapshot(state any) error {
-	if err := l.Err(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	raw, err := json.Marshal(state)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	buf := make([]byte, 0, len(raw)+64)
-	buf = strconv.AppendUint(append(buf, snapSeqKey...), l.seq, 10)
-	buf = strconv.AppendUint(append(buf, snapCRCKey...), uint64(crc32.ChecksumIEEE(raw)), 10)
-	buf = append(append(append(buf, snapStateKey...), raw...), '}')
-	if err := framelog.WriteFileAtomic(filepath.Join(l.dir, snapName), buf); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	// Snapshot is durable; the journal records it covers can go.
-	if err := l.Replace(nil); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
-// The snapshot file's layout: {"seq":N,"crc":C,"state":S}.
-const (
-	snapSeqKey   = `{"seq":`
-	snapCRCKey   = `,"crc":`
-	snapStateKey = `,"state":`
-)
-
-// loadSnapshot reads and verifies the snapshot file; a missing file is
-// (nil, nil). A snapshot that does not decode or fails its checksum is
-// an error: unlike a torn journal tail it cannot be safely skipped.
-func loadSnapshot(path string) (*Snapshot, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if snap := cutSnapshot(raw); snap != nil {
-		return snap, nil
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("journal: corrupt snapshot %s: %w", path, err)
-	}
-	if crc32.ChecksumIEEE(snap.State) != snap.CRC {
-		return nil, fmt.Errorf("journal: snapshot %s failed checksum", path)
-	}
-	return &snap, nil
-}
-
-// cutSnapshot reads a file in WriteSnapshot's layout without parsing the
-// state: it cuts the state's bytes out (no copy) and accepts them when
-// they match the checksum — bytes that match are the bytes Marshal
-// produced, so they need no validating scan here. Any other layout, or a
-// mismatch, is nil: the caller's full decode then reads the file or names
-// what is wrong with it.
-func cutSnapshot(raw []byte) *Snapshot {
-	rest, ok := bytes.CutPrefix(raw, []byte(snapSeqKey))
-	if !ok {
-		return nil
-	}
-	seq, rest, ok := cutUint(rest, snapCRCKey, 64)
-	if !ok {
-		return nil
-	}
-	crc, rest, ok := cutUint(rest, snapStateKey, 32)
-	if !ok {
-		return nil
-	}
-	state, ok := bytes.CutSuffix(rest, []byte("}"))
-	if !ok || crc32.ChecksumIEEE(state) != uint32(crc) {
-		return nil
-	}
-	return &Snapshot{Seq: seq, CRC: uint32(crc), State: state}
-}
-
 // cutUint parses the decimal number, written as JSON writes one, that
 // ends at sep and returns what follows sep.
-func cutUint(b []byte, sep string, bits int) (n uint64, rest []byte, ok bool) {
+func cutUint(b []byte, sep string) (n uint64, rest []byte, ok bool) {
 	digits, rest, ok := bytes.Cut(b, []byte(sep))
 	if !ok || (len(digits) > 1 && digits[0] == '0') {
 		return 0, nil, false
 	}
-	n, err := strconv.ParseUint(string(digits), 10, bits)
+	n, err := strconv.ParseUint(string(digits), 10, 64)
 	return n, rest, err == nil
 }

