@@ -121,9 +121,8 @@ func WalkRequestIDEcho(t *testing.T, h http.Handler) {
 }
 
 // TestErrorEnvelopeOnEveryErrorPath samples the distinct error paths
-// (404 unknown path, 404 missing resource, 400 bad query, 400 bad
-// long-poll wait, 405) and
-// requires the envelope on each.
+// (404 unknown path, 404 missing resource and its results, 400 bad query,
+// 400 bad long-poll wait, 405) and requires the envelope on each.
 func TestErrorEnvelopeOnEveryErrorPath(t *testing.T) {
 	WalkErrorEnvelope(t, NewController("owner").Handler(), "/api/v1/probes")
 }
@@ -138,6 +137,7 @@ func WalkErrorEnvelope(t *testing.T, h http.Handler, getOnlyPath string) {
 	}{
 		{http.MethodGet, "/api/v2/nope", "", http.StatusNotFound, ErrCodeNotFound},
 		{http.MethodGet, "/api/v1/experiments/ghost", "", http.StatusNotFound, ErrCodeNotFound},
+		{http.MethodGet, "/api/v1/experiments/ghost/results", "", http.StatusNotFound, ErrCodeNotFound},
 		{http.MethodGet, "/api/v1/probes/p1/tasks?max=bogus", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{http.MethodPost, "/api/v1/probes/sync?wait=banana", `{"probe_id": "p1"}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{http.MethodGet, "/api/v1/debug/traces?slowest=-2", "", http.StatusBadRequest, ErrCodeBadRequest},

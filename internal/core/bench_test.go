@@ -8,6 +8,8 @@ package core
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
+	"github.com/afrinet/observatory/internal/topology"
 )
 
 func benchController(b *testing.B) *Controller {
@@ -283,6 +286,52 @@ func BenchmarkRecoverSnapshot(b *testing.B) {
 	}
 	benchRecover(b, src, fleetCfg)
 }
+
+// BenchmarkQueryScanHTTP is fleet_sync's first scan page at the handler:
+// 6 400 ping records of four countries in six sealed 1 024-record
+// segments and a memtable, GET /api/v1/query?op=scan for 200 of one
+// country through Handler().ServeHTTP. internal/store's
+// BenchmarkScanPageWarm times the walk under it; the difference is what
+// the HTTP tier adds to a page.
+func BenchmarkQueryScanHTTP(b *testing.B) {
+	c, err := Recover(b.TempDir(), DurabilityConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	countries := []string{"NG", "KE", "ZA", "RW"}
+	for i := 0; i < 6400; i++ {
+		id := fmt.Sprintf("exp-0001-t%04d", i)
+		probe := fmt.Sprintf("p%03d", i%100)
+		err := c.ResultStore().Append(store.Record{
+			Experiment: "exp-0001", TaskID: id, ProbeID: probe, Tick: int64(1 + i/128),
+			Country: countries[i%4], ASN: topology.ASN(36900 + i%8),
+			Result: probes.Result{TaskID: id, Experiment: "exp-0001", ProbeID: probe, Kind: probes.TaskPing,
+				OK: i%10 != 0, RTTms: 5 + float64(i%977)/4.7, Interface: "wired", Bytes: 128},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	h := c.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/query?op=scan&country=KE&limit=200", nil)
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		return w
+	}
+	b.SetBytes(int64(serve().Body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += serve().Body.Len()
+	}
+}
+
+var benchSink int
 
 // TestRecoverOpensNoSegment: recovering a directory this binary wrote
 // costs what the crash could lose, not what the store holds — it requeues

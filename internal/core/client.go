@@ -563,6 +563,43 @@ func foldPath(op string, f store.Filter, groupBy string) string {
 // QueryScanMeta is QueryScan surfacing the federation degradation
 // annotation carried on the page envelope.
 func (c *Client) QueryScanMeta(f store.Filter, limit int, cursor string) ([]store.Record, string, QueryMeta, error) {
+	var pg struct {
+		Items      []store.Record `json:"items"`
+		NextCursor string         `json:"next_cursor"`
+		QueryMeta
+	}
+	err := c.get("query", scanPath(f, limit, cursor), &pg)
+	return pg.Items, pg.NextCursor, pg.QueryMeta, err
+}
+
+// QueryScanItems is QueryScan for a caller that passes the page on — a
+// coordinator merging its shards' pages: each record stays the bytes the
+// server sent, and only what a merge orders and deduplicates on (seq,
+// experiment, task_id) is decoded out of it.
+func (c *Client) QueryScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, error) {
+	var pg struct {
+		Items      []json.RawMessage `json:"items"`
+		NextCursor string            `json:"next_cursor"`
+	}
+	if err := c.get("query", scanPath(f, limit, cursor), &pg); err != nil {
+		return nil, "", err
+	}
+	items := make([]store.Item, len(pg.Items))
+	for i, raw := range pg.Items {
+		var head struct {
+			Seq        uint64 `json:"seq"`
+			Experiment string `json:"experiment"`
+			TaskID     string `json:"task_id"`
+		}
+		if err := json.Unmarshal(raw, &head); err != nil {
+			return nil, "", fmt.Errorf("query: scan item %d: %w", i, err)
+		}
+		items[i] = store.Item{Seq: head.Seq, Key: store.DedupKey{Experiment: head.Experiment, TaskID: head.TaskID}, JSON: raw}
+	}
+	return items, pg.NextCursor, nil
+}
+
+func scanPath(f store.Filter, limit int, cursor string) string {
 	q := f.Values()
 	q.Set("op", "scan")
 	if limit > 0 {
@@ -571,13 +608,7 @@ func (c *Client) QueryScanMeta(f store.Filter, limit int, cursor string) ([]stor
 	if cursor != "" {
 		q.Set("cursor", cursor)
 	}
-	var pg struct {
-		Items      []store.Record `json:"items"`
-		NextCursor string         `json:"next_cursor"`
-		QueryMeta
-	}
-	err := c.get("query", "/api/v1/query?"+q.Encode(), &pg)
-	return pg.Items, pg.NextCursor, pg.QueryMeta, err
+	return "/api/v1/query?" + q.Encode()
 }
 
 // ShardInfo is one entry of a federation coordinator's shard map

@@ -875,6 +875,12 @@ func (c *Controller) ScanResults(f store.Filter, limit int, cursor string) ([]st
 	return c.store.ScanPage(f, limit, cursor)
 }
 
+// ScanItems is ScanResults with each record in its wire form: what
+// op=scan serves, undecoded (store.Item).
+func (c *Controller) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, error) {
+	return c.store.ScanItems(f, limit, cursor)
+}
+
 // AggregateResults computes time-window aggregations (counts, loss
 // rate, RTT percentiles) over stored results, optionally grouped by
 // country and/or ASN. Served straight from the store.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"net/http/httptest"
 	"testing"
 
@@ -194,9 +195,10 @@ func TestHTTPErrors(t *testing.T) {
 	defer srv.Close()
 	cl := NewClient(srv.URL)
 
-	if _, err := cl.Results("exp-0042"); err != nil {
-		// unknown experiment returns empty results, not an error
-		t.Fatalf("results for unknown experiment should be empty, got %v", err)
+	var apiErr *APIError
+	if _, err := cl.Results("exp-0042"); !errors.As(err, &apiErr) || apiErr.Code != ErrCodeNotFound {
+		// as on a coordinator: an unknown experiment is not an empty one
+		t.Fatalf("results for unknown experiment: err %v, want 404 not_found", err)
 	}
 	if err := cl.Approve("exp-0042"); err == nil {
 		t.Fatal("approving unknown experiment should fail over HTTP")

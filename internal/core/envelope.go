@@ -4,8 +4,8 @@ package core
 // response bodies and status codes. scripts/check.sh lints the rest of
 // the package (and internal/federation, which serves the same surface
 // through these writers) against http.Error / naked WriteHeader calls,
-// so every handler goes through WriteJSON / WriteAPIError and every
-// non-2xx response carries the same machine-readable envelope:
+// so every handler goes through WriteJSON / WriteScanPage / WriteAPIError
+// and every non-2xx response carries the same machine-readable envelope:
 //
 //	{"error": {"code": "<machine_code>", "message": "...", "request_id": "..."}}
 
@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"github.com/afrinet/observatory/internal/store"
 )
 
 // Stable machine-readable error codes of the v1 API.
@@ -52,12 +54,45 @@ type errorEnvelope struct {
 	Error apiErrorBody `json:"error"`
 }
 
-// WriteJSON writes a JSON response. The only success-path writer of
-// either HTTP tier.
+// WriteJSON writes a JSON response: the success-path writer of either
+// HTTP tier for everything but a scan page (WriteScanPage).
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteScanPage writes a 200 scan page whose items are already encoded:
+// exactly the bytes WriteJSON writes for Page{Items: the records those
+// items encode, NextCursor: next, QueryMeta: meta}, without a record
+// being decoded or encoded on the way. TestScanPageIsSpliced holds the
+// two to each other.
+func WriteScanPage(w http.ResponseWriter, items []store.Item, next string, meta QueryMeta) {
+	// Page's fields after items, as encoding/json writes them: "{}" when
+	// there is no next page and nothing degraded.
+	tail, _ := json.Marshal(struct { // strings and bools: cannot fail
+		NextCursor string `json:"next_cursor,omitempty"`
+		QueryMeta
+	}{next, meta})
+	size := len(`{"items":[]`) + len(items) + len(tail) + 1
+	for i := range items {
+		size += len(items[i].JSON)
+	}
+	body := append(make([]byte, 0, size), `{"items":[`...)
+	for i := range items {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, items[i].JSON...)
+	}
+	body = append(body, ']')
+	if len(tail) > len("{}") {
+		body = append(append(body, ','), tail[1:len(tail)-1]...)
+	}
+	body = append(body, '}', '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a client that went away, as in WriteJSON
 }
 
 // StorageFault marks a failed journal or results-store append as the

@@ -189,6 +189,14 @@ func (c *Controller) handleExperimentResults(w http.ResponseWriter, r *http.Requ
 	if !ok {
 		return
 	}
+	c.mu.Lock()
+	_, known := c.experiments[p["id"]]
+	c.mu.Unlock()
+	if !known { // as the coordinator answers: 404, not an empty page
+		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound,
+			fmt.Errorf("unknown experiment %s", p["id"]))
+		return
+	}
 	rs, next, err := c.ResultsPage(p["id"], limit, q.Get("cursor"))
 	if err != nil {
 		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/probes"
 )
@@ -48,7 +49,8 @@ func journalKinds(t *testing.T, dir string) map[string]int {
 // result, 0); SyncProbe(p1, one result, -1); Tick(4); Heartbeat(p1);
 // store flush; no Close. Probe contact is counted once now, so the two
 // contact counters are left out of the comparison and syncs must equal
-// the number of probe records instead.
+// the number of probe records instead; segment_cache_bytes is newer than
+// the fixture and is checked against the pinned segment itself.
 func TestLegacyJournalReplays(t *testing.T) {
 	pinned := filepath.Join("testdata", "pin")
 	dir := t.TempDir()
@@ -95,6 +97,16 @@ func TestLegacyJournalReplays(t *testing.T) {
 		delete(v.Stats.Counters, "syncs")
 		delete(v.Stats.Counters, "heartbeats")
 	}
+	// A gauge the fixture's writer did not have: the legacy walk loaded the
+	// pinned segment, and the cache keeps the image of its 4 record frames.
+	seg, err := os.ReadFile(filepath.Join(pinned, "store", "seg-0000000000000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, frames := got.Stats.Store["segment_cache_bytes"], framelog.Frames(seg); n != framelog.Span(frames[1:]) {
+		t.Errorf("segment_cache_bytes = %d, want the pinned segment's %d record frames: %d", n, len(frames)-1, framelog.Span(frames[1:]))
+	}
+	delete(got.Stats.Store, "segment_cache_bytes")
 	gotJSON, _ := json.MarshalIndent(got, "", "  ")
 	wantJSON, _ := json.MarshalIndent(want, "", "  ")
 	if !bytes.Equal(gotJSON, wantJSON) {

@@ -3,7 +3,8 @@ package core
 // query.go serves GET /api/v1/query for both tiers: one parse of the
 // filter, one list of ops, one encoding of each answer. A tier supplies
 // where the records are read from (QueryBackend) and how its errors map
-// onto the envelope.
+// onto the envelope. A scan's records arrive already encoded
+// (store.Item) and leave through WriteScanPage without being decoded.
 
 import (
 	"fmt"
@@ -17,7 +18,7 @@ import (
 // of each answer is the coordinator's degradation note; a controller
 // leaves it zero, which encodes to nothing.
 type QueryBackend interface {
-	ScanPage(f store.Filter, limit int, cursor string) ([]store.Record, string, QueryMeta, error)
+	ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error)
 	Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error)
 	// Fold is Aggregate before the report: the mergeable partial a
 	// coordinator asks each shard for (store.Folder).
@@ -59,14 +60,13 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, b QueryBackend, writeErr
 		if !ok {
 			return
 		}
-		var pg Page
-		var recs []store.Record
-		recs, pg.NextCursor, pg.QueryMeta, err = b.ScanPage(f, limit, q.Get("cursor"))
-		if recs == nil {
-			recs = []store.Record{}
+		items, next, meta, err := b.ScanItems(f, limit, q.Get("cursor"))
+		if err != nil {
+			writeErr(w, err)
+			return
 		}
-		pg.Items = recs
-		body = pg
+		WriteScanPage(w, items, next, meta)
+		return
 	default:
 		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
 			fmt.Errorf("unknown op %q (want %s)", op, queryOps))
@@ -96,9 +96,9 @@ func queryParamDocs() []ParamDoc {
 // to degrade around.
 type controllerQuery struct{ c *Controller }
 
-func (b controllerQuery) ScanPage(f store.Filter, limit int, cursor string) ([]store.Record, string, QueryMeta, error) {
-	recs, next, err := b.c.ScanResults(f, limit, cursor)
-	return recs, next, QueryMeta{}, err
+func (b controllerQuery) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error) {
+	items, next, err := b.c.ScanItems(f, limit, cursor)
+	return items, next, QueryMeta{}, err
 }
 
 func (b controllerQuery) Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error) {

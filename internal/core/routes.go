@@ -155,7 +155,7 @@ var apiRoutes = []controllerRoute{
 			{Name: "cursor", Doc: "opaque position from the previous page's next_cursor"},
 		},
 		Response: "page of Result",
-		Errors:   []string{ErrCodeBadRequest},
+		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound},
 		Priority: PriorityLow,
 	}, (*Controller).handleExperimentResults},
 	{RouteInfo{

@@ -132,51 +132,58 @@ func gather[T any](c *Coordinator, replies []shardReply[T]) (QueryMeta, error) {
 	return meta, nil
 }
 
-// shardPage is one shard's page of a federated scan.
-type shardPage struct {
-	recs []store.Record
-	next string
+// shardPage is one shard's page of a federated scan: of records for
+// Coordinator.ScanPage, of their wire items for Coordinator.ScanItems.
+type shardPage[T any] struct {
+	elems []T
+	next  string
 }
 
 // mergeScans is the central merge: a k-way walk over the shards' pages,
 // each already in sequence order, in (sequence, shard id) order — total
-// and deterministic. It hands take the first record of every
-// (experiment, task) key, in place, until limit of them are taken
-// (limit <= 0: all), and returns how many records of each scan it
-// consumed. Nothing is copied or sorted; with a handful of shards a
-// linear pick of the smallest head beats a heap.
-func (c *Coordinator) mergeScans(scans []shardReply[shardPage], limit int, take func(*store.Record)) []int {
+// and deterministic. It takes the first element of every (experiment,
+// task) key until limit of them are taken (limit <= 0: all), and returns
+// them with how many elements of each scan it consumed. key reads an
+// element's sequence number and dedup key. Nothing is sorted; with a
+// handful of shards a linear pick of the smallest head beats a heap.
+func mergeScans[T any](c *Coordinator, scans []shardReply[shardPage[T]], limit int, key func(*T) (uint64, store.DedupKey)) ([]T, []int) {
+	size := limit
+	if limit <= 0 {
+		size = 0
+		for _, sc := range scans {
+			size += len(sc.v.elems)
+		}
+	}
+	out := make([]T, 0, size)
 	heads := make([]int, len(scans))
 	seen := make(map[store.DedupKey]struct{})
-	for taken := 0; limit <= 0 || taken < limit; {
+	for limit <= 0 || len(out) < limit {
 		best := -1
+		var bestSeq uint64
 		for i := range scans {
-			if heads[i] == len(scans[i].v.recs) {
+			if heads[i] == len(scans[i].v.elems) {
 				continue
 			}
-			if best >= 0 {
-				seq, bestSeq := scans[i].v.recs[heads[i]].Seq, scans[best].v.recs[heads[best]].Seq
-				if seq > bestSeq || seq == bestSeq && scans[i].id > scans[best].id {
-					continue
-				}
+			seq, _ := key(&scans[i].v.elems[heads[i]])
+			if best >= 0 && (seq > bestSeq || seq == bestSeq && scans[i].id > scans[best].id) {
+				continue
 			}
-			best = i
+			best, bestSeq = i, seq
 		}
 		if best < 0 {
 			break
 		}
-		r := &scans[best].v.recs[heads[best]]
+		e := &scans[best].v.elems[heads[best]]
 		heads[best]++
-		k := store.DedupKey{Experiment: r.Experiment, TaskID: r.TaskID}
+		_, k := key(e)
 		if _, dup := seen[k]; dup {
 			c.ctr.Inc("fed_records_deduped")
 			continue
 		}
 		seen[k] = struct{}{}
-		take(r)
-		taken++
+		out = append(out, *e)
 	}
-	return heads
+	return out, heads
 }
 
 // ScanPage is the federated record scan: every shard's matching records
@@ -190,6 +197,27 @@ func (c *Coordinator) mergeScans(scans []shardReply[shardPage], limit int, take 
 // failing it; their cursor positions are carried forward untouched so a
 // later page retries them. Every shard failing is an error.
 func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]store.Record, string, QueryMeta, error) {
+	return scan(c, limit, cursor,
+		func(s Shard, pos string) ([]store.Record, string, error) { return s.ScanPage(f, limit, pos) },
+		func(r *store.Record) (uint64, store.DedupKey) {
+			return r.Seq, store.DedupKey{Experiment: r.Experiment, TaskID: r.TaskID}
+		})
+}
+
+// ScanItems is ScanPage over the records' wire items — the same pages
+// behind the same cursors, which is what op=scan serves: a shard's
+// encoded record crosses the coordinator as the bytes it arrived in.
+func (c *Coordinator) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error) {
+	return scan(c, limit, cursor,
+		func(s Shard, pos string) ([]store.Item, string, error) { return s.ScanItems(f, limit, pos) },
+		func(it *store.Item) (uint64, store.DedupKey) { return it.Seq, it.Key })
+}
+
+// scan is the federated scan both of them are: page asks one shard for
+// its page from its position in the composite cursor, key is mergeScans'.
+func scan[T any](c *Coordinator, limit int, cursor string,
+	page func(s Shard, pos string) ([]T, string, error),
+	key func(*T) (uint64, store.DedupKey)) ([]T, string, QueryMeta, error) {
 	pos, err := parseFedCursor(cursor)
 	if err != nil {
 		return nil, "", QueryMeta{}, err
@@ -203,9 +231,9 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 			fetch[id] = true
 		}
 	}
-	scans := scatter(c, c.scanPhases.scatter, fetch, func(s Shard, id string) (shardPage, error) {
-		recs, next, err := s.ScanPage(f, limit, pos[id])
-		return shardPage{recs, next}, err
+	scans := scatter(c, c.scanPhases.scatter, fetch, func(s Shard, id string) (shardPage[T], error) {
+		elems, next, err := page(s, pos[id])
+		return shardPage[T]{elems, next}, err
 	})
 	meta, err := gather(c, scans)
 	if err != nil {
@@ -214,14 +242,7 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 	t := obs.StartTimer()
 	defer func() { c.scanPhases.merge.Observe(t.Elapsed()) }()
 
-	size := limit
-	if limit <= 0 {
-		for _, sc := range scans {
-			size += len(sc.v.recs)
-		}
-	}
-	out := make([]store.Record, 0, size)
-	consumed := c.mergeScans(scans, limit, func(r *store.Record) { out = append(out, *r) })
+	out, consumed := mergeScans(c, scans, limit, key)
 
 	// Next composite cursor: a shard that failed keeps its position, so a
 	// later page can pick it back up once it answers again; a shard we
@@ -242,15 +263,16 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 		case sc.err != nil:
 			nextPos[sc.id] = here
 		case n == 0:
-			if len(sc.v.recs) > 0 || sc.v.next != "" {
+			if len(sc.v.elems) > 0 || sc.v.next != "" {
 				nextPos[sc.id] = here
 			}
-		case n == len(sc.v.recs):
+		case n == len(sc.v.elems):
 			if sc.v.next != "" {
 				nextPos[sc.id] = sc.v.next
 			}
 		default:
-			nextPos[sc.id] = strconv.FormatUint(sc.v.recs[n-1].Seq, 10)
+			seq, _ := key(&sc.v.elems[n-1])
+			nextPos[sc.id] = strconv.FormatUint(seq, 10)
 		}
 	}
 	return out, encodeFedCursor(nextPos), meta, nil

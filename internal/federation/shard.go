@@ -70,6 +70,10 @@ type Shard interface {
 	// transport/availability failures.
 	Experiment(expID string) (*core.Experiment, error)
 	ScanPage(f store.Filter, limit int, cursor string) ([]store.Record, string, error)
+	// ScanItems is ScanPage with each record in its wire form, which is
+	// all op=scan needs of it: a remote shard's records are not decoded
+	// here and a local shard's are not encoded again.
+	ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, error)
 	// Fold is the shard's share of a federated aggregate: the partial fold
 	// over its own (already deduplicated) records, which the coordinator
 	// merges with the other shards' — no record leaves the shard.
@@ -182,6 +186,14 @@ func (s *LocalShard) ScanPage(f store.Filter, limit int, cursor string) ([]store
 	return c.ScanResults(f, limit, cursor)
 }
 
+func (s *LocalShard) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, error) {
+	c, err := s.ctrl()
+	if err != nil {
+		return nil, "", err
+	}
+	return c.ScanItems(f, limit, cursor)
+}
+
 func (s *LocalShard) Fold(q store.AggQuery) (*store.Folder, error) {
 	c, err := s.ctrl()
 	if err != nil {
@@ -279,6 +291,11 @@ func (s *HTTPShard) Experiment(expID string) (*core.Experiment, error) {
 func (s *HTTPShard) ScanPage(f store.Filter, limit int, cursor string) ([]store.Record, string, error) {
 	rs, next, err := s.cl.QueryScan(f, limit, cursor)
 	return rs, next, remoteErr(err)
+}
+
+func (s *HTTPShard) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, error) {
+	items, next, err := s.cl.QueryScanItems(f, limit, cursor)
+	return items, next, remoteErr(err)
 }
 
 func (s *HTTPShard) Fold(q store.AggQuery) (*store.Folder, error) {

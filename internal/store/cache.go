@@ -4,25 +4,33 @@ import (
 	"container/list"
 	"sync"
 
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/metrics"
 )
 
 // cacheBudget is the most decoded records a store keeps for its sealed
-// disk segments: 128 default-sized (1024-record) segments. A Record is
-// 384 B plus its strings (some 150 B for a ping result), so a full cache
-// costs about 70 MB. A constant, not an option: the store has one kind
-// of caller (obsd and its shards) and nothing to tune it against.
+// disk segments: 128 default-sized (1024-record) segments. Measured on a
+// cold load of ping results (heap after, less heap before, per record): a
+// cached record costs 900 B — 600 B decoded (the 384 B Record and its
+// strings) and 300 B for the file image beside it (a 265 B frame and the
+// 24 B slice that points into it) — so a full cache is about 118 MB, of
+// which segment_cache_bytes reports the frames. The budget counts
+// records, not bytes, and is a constant, not an option: the store has one
+// kind of caller (obsd and its shards) and nothing to tune it against.
 const cacheBudget = 1 << 17
 
-// segCache keeps the decoded records of sealed disk segments, keyed by
-// segment id, evicting the least recently used segment first. A sealed
-// segment's file never changes after its rename, so one decode — which
-// ran every ParseSegment check — stands until the entry is evicted or
-// the store reopened. Entries are shared read-only with every query.
+// segCache keeps the decoded records of sealed disk segments and the
+// frame payloads they came from, keyed by segment id, evicting the least
+// recently used segment first. A sealed segment's file never changes
+// after its rename, so one decode — which ran every ParseSegment check —
+// stands until the entry is evicted or the store reopened. Entries are
+// shared read-only with every query, and one a query still holds after
+// its eviction stays whole: the garbage collector owns it, not the cache.
 //
 // The segment_cache_* counters in the store's CounterSet are its only
 // bookkeeping: the budget is enforced against the segment_cache_records
-// figure /api/v1/stats shows.
+// figure /api/v1/stats shows, and segment_cache_bytes beside it is the
+// file image those records keep alive.
 type segCache struct {
 	mu     sync.Mutex
 	budget int
@@ -32,31 +40,31 @@ type segCache struct {
 }
 
 type cacheEntry struct {
-	id   uint64
-	recs []Record
+	id uint64
+	decoded
 }
 
 // get returns a segment's cached records and marks them recently used.
-func (c *segCache) get(id uint64) ([]Record, bool) {
+func (c *segCache) get(id uint64) (decoded, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byID[id]
 	if !ok {
 		c.ctr.Inc("segment_cache_misses")
-		return nil, false
+		return decoded{}, false
 	}
 	c.ctr.Inc("segment_cache_hits")
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).recs, true
+	return el.Value.(*cacheEntry).decoded, true
 }
 
 // put caches a segment's records, evicting from the cold end until they
 // fit. A segment larger than the whole budget is not cached, and one
 // already present (two readers missed on it at once) is left alone.
-func (c *segCache) put(id uint64, recs []Record) {
+func (c *segCache) put(id uint64, d decoded) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := int64(len(recs))
+	n := int64(len(d.recs))
 	if _, ok := c.byID[id]; ok || n == 0 || n > int64(c.budget) {
 		return
 	}
@@ -64,8 +72,9 @@ func (c *segCache) put(id uint64, recs []Record) {
 		c.removeLocked(c.lru.Back())
 		c.ctr.Inc("segment_cache_evictions")
 	}
-	c.byID[id] = c.lru.PushFront(&cacheEntry{id: id, recs: recs})
+	c.byID[id] = c.lru.PushFront(&cacheEntry{id, d})
 	c.ctr.Add("segment_cache_records", n)
+	c.ctr.Add("segment_cache_bytes", framelog.Span(d.raws))
 }
 
 // drop forgets a segment that compaction or retention deleted.
@@ -81,4 +90,5 @@ func (c *segCache) removeLocked(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry)
 	delete(c.byID, e.id)
 	c.ctr.Add("segment_cache_records", -int64(len(e.recs)))
+	c.ctr.Add("segment_cache_bytes", -framelog.Span(e.raws))
 }

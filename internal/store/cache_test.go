@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/afrinet/observatory/internal/framelog"
 )
 
 // bruteScan is the scan oracle: the raw records (seqs as Append assigned
@@ -35,10 +38,15 @@ func appendChunks(t *testing.T, s *Store, recs []Record, chunk int) {
 	}
 }
 
-// walk pages through a filter's matches limit at a time.
+// walk pages through a filter's matches limit at a time, as records and
+// as items side by side: ScanItems must cut the same pages behind the
+// same cursors, and every item — checked once the walk is over, when its
+// segment may have been evicted or compacted away — must still be its
+// record's key and encoding.
 func walk(t *testing.T, s *Store, f Filter, limit int) []Record {
 	t.Helper()
 	var all []Record
+	var items []Item
 	for cursor := ""; ; {
 		recs, next, err := s.ScanPage(f, limit, cursor)
 		if err != nil {
@@ -47,12 +55,29 @@ func walk(t *testing.T, s *Store, f Filter, limit int) []Record {
 		if next != "" && len(recs) != limit {
 			t.Fatalf("non-final page holds %d records, want %d", len(recs), limit)
 		}
-		all = append(all, recs...)
+		page, itemsNext, err := s.ScanItems(f, limit, cursor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if itemsNext != next || len(page) != len(recs) {
+			t.Fatalf("cursor %q: ScanItems cut %d items and cursor %q, ScanPage %d records and %q", cursor, len(page), itemsNext, len(recs), next)
+		}
+		all, items = append(all, recs...), append(items, page...)
 		if next == "" {
-			return all
+			break
 		}
 		cursor = next
 	}
+	for i := range all {
+		want, err := json.Marshal(&all[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it := items[i]; it.Seq != all[i].Seq || it.Key != (DedupKey{all[i].Experiment, all[i].TaskID}) || !bytes.Equal(it.JSON, want) {
+			t.Fatalf("item %d is seq %d key %v\n%s\nits record is seq %d and encodes to\n%s", i, it.Seq, it.Key, it.JSON, all[i].Seq, want)
+		}
+	}
+	return all
 }
 
 // answers renders, for every equivalence query, the aggregate, the full
@@ -298,6 +323,17 @@ func TestCompactionEvictsInputs(t *testing.T) {
 	if got := ctr["segment_cache_records"]; got != int64(len(live)) {
 		t.Fatalf("cache holds %d records, %d are live", got, len(live))
 	}
+	var image int64 // the record frames of the live segments' files
+	for _, sg := range s.segs {
+		data, err := os.ReadFile(sg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image += framelog.Span(framelog.Frames(data)[1:])
+	}
+	if got := ctr["segment_cache_bytes"]; got != image {
+		t.Fatalf("segment_cache_bytes = %d, the live segments' record frames are %d bytes", got, image)
+	}
 	checkAgainstBrute(t, s, live)
 	if got := s.Counters()["segment_cache_misses"]; got != 0 {
 		t.Fatalf("queries after compaction decoded %d segments; the outputs should be seeded", got)
@@ -321,6 +357,9 @@ func TestCacheBudget(t *testing.T) {
 			n := s.Counters()["segment_cache_records"]
 			if n > int64(budget) {
 				t.Fatalf("budget %d: cache holds %d records %s", budget, n, when)
+			}
+			if b := s.Counters()["segment_cache_bytes"]; (b > 0) != (n > 0) || b < 0 {
+				t.Fatalf("budget %d: cache holds %d records in %d bytes %s", budget, n, b, when)
 			}
 			return n
 		}

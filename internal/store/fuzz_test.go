@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -9,7 +11,10 @@ import (
 // arbitrary byte streams: it must never panic, must return records in
 // strictly increasing seq order, and — for any prefix truncation of a
 // valid segment — must return a prefix of the original records with
-// torn=true (or the whole set at a clean boundary).
+// torn=true (or the whole set at a clean boundary). Beside every record
+// it accepts it must keep the payload that record decodes from, a slice
+// of the input, and nothing for a frame it refused: those are the bytes a
+// scan page serves for the record (Item.JSON).
 func FuzzSegmentReplay(f *testing.F) {
 	var recs []Record
 	for i := 0; i < 8; i++ {
@@ -31,7 +36,20 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		meta, got, torn := ParseSegment(data)
+		meta, d, torn := parseSegment(data)
+		got := d.recs
+		if len(d.raws) != len(got) {
+			t.Fatalf("%d payloads kept for %d accepted records", len(d.raws), len(got))
+		}
+		for i, raw := range d.raws {
+			var rec Record
+			if err := json.Unmarshal(raw, &rec); err != nil || !reflect.DeepEqual(rec, got[i]) {
+				t.Fatalf("payload %d decodes to %+v (err %v), its record is %+v", i, rec, err, got[i])
+			}
+			if !bytes.Contains(data, raw) {
+				t.Fatalf("payload %d is not a slice of the segment", i)
+			}
+		}
 		for i := 1; i < len(got); i++ {
 			if got[i].Seq <= got[i-1].Seq {
 				t.Fatalf("records out of seq order at %d", i)
@@ -51,6 +69,9 @@ func FuzzSegmentReplay(f *testing.F) {
 			for i, r := range got {
 				if r.Seq != recs[i].Seq || r.TaskID != recs[i].TaskID {
 					t.Fatalf("truncated segment record %d is not a prefix of the original", i)
+				}
+				if want, _ := json.Marshal(&recs[i]); !bytes.Equal(d.raws[i], want) {
+					t.Fatalf("truncated segment payload %d is\n%s\nthe original record encodes to\n%s", i, d.raws[i], want)
 				}
 			}
 			if len(got) < len(recs) && !torn {

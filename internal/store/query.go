@@ -166,12 +166,13 @@ func (f Filter) Values() url.Values {
 // visit streams every record matching the filter to fn, in sequence
 // order, at most once per (experiment, task) — the lowest-seq copy wins,
 // collapsing the duplicates a crash window can leave. fn sees each record
-// in place (a cached segment's, a memory segment's or the memtable's):
-// it must not modify or retain the pointer, and returns false to stop
-// the stream early. It runs under the store's read lock. Before the first
-// record, *bound (when non-nil) is set to how many records the stream can
-// yield at most: the frames of the segments the index cannot rule out
-// plus the memtable.
+// in place (a cached segment's, a memory segment's or the memtable's)
+// with the frame payload that encodes it, nil where it has none yet
+// (decoded.raws): it must not modify either or retain the pointer, and
+// returns false to stop the stream early. It runs under the store's read
+// lock. Before the first record, *bound (when non-nil) is set to how many
+// records the stream can yield at most: the frames of the segments the
+// index cannot rule out plus the memtable.
 //
 // Sealed segments are pruned on their sparse index. With eager set — the
 // caller will read to the end — the survivors not yet in the segment
@@ -180,7 +181,7 @@ func (f Filter) Values() url.Values {
 // identical no matter how many workers ran (the internal/par contract).
 // Otherwise each survivor is loaded when the stream reaches it, and an
 // early stop leaves the rest undecoded.
-func (s *Store) visit(f Filter, eager bool, bound *int, fn func(*Record) bool) error {
+func (s *Store) visit(f Filter, eager bool, bound *int, fn func(r *Record, raw []byte) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var scan []*segment
@@ -194,7 +195,7 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(*Record) bool) e
 	if bound != nil {
 		*bound = most
 	}
-	loaded := make([][]Record, len(scan))
+	loaded := make([]decoded, len(scan))
 	load := func(i int) (err error) {
 		loaded[i], err = s.load(scan[i])
 		return err
@@ -210,9 +211,9 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(*Record) bool) e
 	} else {
 		seen = make(map[DedupKey]struct{})
 	}
-	stream := func(recs []Record) bool {
-		for i := range recs {
-			r := &recs[i]
+	stream := func(d decoded) bool {
+		for i := range d.recs {
+			r := &d.recs[i]
 			if !f.match(r) {
 				continue
 			}
@@ -222,7 +223,11 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(*Record) bool) e
 				continue
 			}
 			seen[k] = struct{}{}
-			if !fn(r) {
+			var raw []byte
+			if d.raws != nil {
+				raw = d.raws[i]
+			}
+			if !fn(r, raw) {
 				return false
 			}
 		}
@@ -238,7 +243,7 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(*Record) bool) e
 			return nil
 		}
 	}
-	stream(s.mem)
+	stream(decoded{recs: s.mem})
 	return nil
 }
 
@@ -252,16 +257,55 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(*Record) bool) e
 // the first match past the page's last. The returned records are shallow
 // copies that share slices and pointers with the store: read-only.
 func (s *Store) ScanPage(f Filter, limit int, cursor string) ([]Record, string, error) {
+	return scanPage(s, f, limit, cursor, func(r *Record, _ []byte) (Record, error) { return *r, nil })
+}
+
+// Item is one record of a scan page in its wire form: JSON is the
+// record's encoding, and Seq and Key are the two things a merge of pages
+// reads from it, so nothing downstream of the store decodes it. For a
+// sealed record JSON is the frame payload its segment file holds, served
+// as it is (DESIGN.md "Results store"); it aliases a segment cache entry,
+// so it is read-only, and it stays valid after the entry is evicted or
+// the segment compacted away — entries are immutable and the garbage
+// collector frees one when the last Item lets go.
+type Item struct {
+	Seq  uint64
+	Key  DedupKey
+	JSON []byte
+}
+
+// ScanItems is ScanPage for a caller that will put the page on the wire:
+// the same records in the same order behind the same cursor, each as an
+// Item. A record that has not reached a segment file yet (the memtable,
+// a dir-less store) is encoded here, by the function that will seal it.
+func (s *Store) ScanItems(f Filter, limit int, cursor string) ([]Item, string, error) {
+	return scanPage(s, f, limit, cursor, func(r *Record, raw []byte) (Item, error) {
+		if raw == nil {
+			var err error
+			if raw, err = encodeRecord(r); err != nil {
+				return Item{}, err
+			}
+		}
+		return Item{r.Seq, DedupKey{r.Experiment, r.TaskID}, raw}, nil
+	})
+}
+
+// scanPage is the one page walk: the cursor, the limit and the
+// one-match-past-the-end rule that decides whether a next page exists.
+// elem makes a page element of each record the page takes.
+func scanPage[T any](s *Store, f Filter, limit int, cursor string, elem func(r *Record, raw []byte) (T, error)) ([]T, string, error) {
 	t := obs.StartTimer()
 	defer func() { s.hScan.Observe(t.Elapsed()) }()
 	after, err := parseCursor(cursor)
 	if err != nil {
 		return nil, "", err
 	}
-	var out []Record
+	var out []T
+	var last uint64 // seq of the page's last element
+	var elemErr error
 	more := false
 	bound := 0
-	err = s.visit(f, limit <= 0, &bound, func(r *Record) bool {
+	err = s.visit(f, limit <= 0, &bound, func(r *Record, raw []byte) bool {
 		if r.Seq <= after {
 			return true
 		}
@@ -270,17 +314,24 @@ func (s *Store) ScanPage(f Filter, limit int, cursor string) ([]Record, string, 
 			return false
 		}
 		if out == nil && limit > 0 {
-			out = make([]Record, 0, min(limit, bound)) // the whole page, once
+			out = make([]T, 0, min(limit, bound)) // the whole page, once
 		}
-		out = append(out, *r)
+		var e T
+		if e, elemErr = elem(r, raw); elemErr != nil {
+			return false
+		}
+		out, last = append(out, e), r.Seq
 		return true
 	})
+	if err == nil {
+		err = elemErr
+	}
 	if err != nil {
 		return nil, "", err
 	}
 	s.ctr.Inc("queries_served")
 	if more {
-		return out, strconv.FormatUint(out[limit-1].Seq, 10), nil
+		return out, strconv.FormatUint(last, 10), nil
 	}
 	return out, "", nil
 }
@@ -387,7 +438,7 @@ func (s *Store) fold(q AggQuery) (*Folder, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = s.visit(q.Filter, true, nil, func(r *Record) bool {
+	err = s.visit(q.Filter, true, nil, func(r *Record, _ []byte) bool {
 		fold.Add(r)
 		return true
 	})
@@ -633,7 +684,7 @@ func percentile(sorted []float64, p float64) float64 {
 // against what actually survived a crash.
 func (s *Store) KeySet(experiment string) (map[string]bool, error) {
 	out := make(map[string]bool)
-	err := s.visit(Filter{Experiment: experiment}, true, nil, func(r *Record) bool {
+	err := s.visit(Filter{Experiment: experiment}, true, nil, func(r *Record, _ []byte) bool {
 		out[r.TaskID] = true
 		return true
 	})

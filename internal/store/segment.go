@@ -109,27 +109,56 @@ func containsString(sorted []string, s string) bool {
 	return i < len(sorted) && sorted[i] == s
 }
 
+// encodeRecord is a record's one encoding: the payload of its segment
+// frame and, byte for byte, its element of a scan page on the wire
+// (Item.JSON). encoding/json escapes the same way in Marshal and in the
+// Encoder the API writes with, and a Record decoded from these bytes
+// encodes back to them — unless it was appended holding bytes that are
+// not UTF-8, which are written \ufffd here and as the rune itself from
+// then on (DESIGN.md "Results store").
+func encodeRecord(r *Record) ([]byte, error) {
+	raw, err := json.Marshal(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return raw, nil
+}
+
 // EncodeSegment renders a whole segment (meta frame followed by one
 // frame per record) as the bytes written to disk.
 func EncodeSegment(meta SegmentMeta, recs []Record) ([]byte, error) {
+	buf, _, err := encodeSegment(meta, recs)
+	return buf, err
+}
+
+// encodeSegment is EncodeSegment that also returns each record's frame
+// payload, aliasing the returned buffer. The buffer is allocated once, at
+// its final size: a flush or compaction hands it to the segment cache,
+// which keeps every byte of it.
+func encodeSegment(meta SegmentMeta, recs []Record) ([]byte, [][]byte, error) {
 	metaRaw, err := json.Marshal(meta)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	buf, err := framelog.AppendFrame(nil, metaRaw)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
+	raws := make([][]byte, len(recs))
+	size := framelog.HeaderBytes + len(metaRaw)
 	for i := range recs {
-		raw, err := json.Marshal(&recs[i])
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+		if raws[i], err = encodeRecord(&recs[i]); err != nil {
+			return nil, nil, err
 		}
-		if buf, err = framelog.AppendFrame(buf, raw); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+		size += framelog.HeaderBytes + len(raws[i])
 	}
-	return buf, nil
+	buf, err := framelog.AppendFrame(make([]byte, 0, size), metaRaw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	for i, raw := range raws {
+		if buf, err = framelog.AppendFrame(buf, raw); err != nil {
+			return nil, nil, fmt.Errorf("store: %w", err)
+		}
+		raws[i] = buf[len(buf)-len(raw):] // the copy in buf, which no longer moves
+	}
+	return buf, raws, nil
 }
 
 // ParseSegment decodes a segment byte stream tolerantly: it stops at the
@@ -142,6 +171,14 @@ func EncodeSegment(meta SegmentMeta, recs []Record) ([]byte, error) {
 // meta frame promised (a truncation that happens to land on a frame
 // boundary).
 func ParseSegment(data []byte) (meta SegmentMeta, recs []Record, torn bool) {
+	meta, d, torn := parseSegment(data)
+	return meta, d.recs, torn
+}
+
+// parseSegment is ParseSegment that also keeps, beside each record it
+// accepts, the frame payload the record was decoded from, aliasing data.
+// A frame it refuses contributes neither.
+func parseSegment(data []byte) (meta SegmentMeta, d decoded, torn bool) {
 	haveMeta := false
 	_, torn = framelog.Scan(data, func(payload []byte) bool {
 		if !haveMeta {
@@ -152,16 +189,29 @@ func ParseSegment(data []byte) (meta SegmentMeta, recs []Record, torn bool) {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return false
 		}
-		if n := len(recs); n > 0 && rec.Seq <= recs[n-1].Seq {
+		if n := len(d.recs); n > 0 && rec.Seq <= d.recs[n-1].Seq {
 			return false
 		}
-		recs = append(recs, rec)
+		d.recs = append(d.recs, rec)
+		d.raws = append(d.raws, payload)
 		return true
 	})
 	if !haveMeta {
-		return SegmentMeta{}, nil, true // a segment without a meta frame is corrupt
+		return SegmentMeta{}, decoded{}, true // a segment without a meta frame is corrupt
 	}
-	return meta, recs, torn || len(recs) < meta.Frames
+	return meta, d, torn || len(d.recs) < meta.Frames
+}
+
+// decoded is a run of records as the read paths see it: each record and,
+// where the record has been through a segment file, the frame payload
+// that encodes it. raws is nil for records that have not (the memtable, a
+// dir-less store's segments); otherwise raws[i] is recs[i]'s payload and
+// all of them alias one buffer — the file image a cold load read, or the
+// one a flush or compaction wrote — which lives as long as any of them
+// is referenced. Immutable once built.
+type decoded struct {
+	recs []Record
+	raws [][]byte
 }
 
 // segment is one immutable sealed run of records. Disk segments hold
@@ -181,40 +231,43 @@ type segment struct {
 // it was sealed yields its valid prefix — and runs all of ParseSegment's
 // checks. Callers hold s.mu, so the segment cannot be deleted (and its
 // cache entry dropped) underneath them.
-func (s *Store) load(sg *segment) ([]Record, error) {
+func (s *Store) load(sg *segment) (decoded, error) {
 	if sg.path == "" {
-		return sg.recs, nil
+		return decoded{recs: sg.recs}, nil
 	}
-	if recs, ok := s.cache.get(sg.id); ok {
-		return recs, nil
+	if d, ok := s.cache.get(sg.id); ok {
+		return d, nil
 	}
 	raw, err := os.ReadFile(sg.path)
 	if err != nil {
-		return nil, fmt.Errorf("store: reading %s: %w", sg.path, err)
+		return decoded{}, fmt.Errorf("store: reading %s: %w", sg.path, err)
 	}
-	_, recs, torn := ParseSegment(raw)
+	_, d, torn := parseSegment(raw)
 	if torn {
 		s.ctr.Inc("segments_truncated_read")
 	}
-	s.cache.put(sg.id, recs)
-	return recs, nil
+	s.cache.put(sg.id, d)
+	return d, nil
 }
 
 // segName renders a segment file name from its id.
 func segName(id uint64) string { return fmt.Sprintf("seg-%016x.seg", id) }
 
-// writeSegmentFile durably and atomically writes a sealed segment. A
-// crash before the rename leaves only a *.tmp stray that Open deletes.
-func writeSegmentFile(dir string, id uint64, meta SegmentMeta, recs []Record) (string, error) {
-	buf, err := EncodeSegment(meta, recs)
+// writeSegmentFile durably and atomically writes a sealed segment and
+// returns, beside its path, the records with the payloads just written
+// for them — what the segment cache is seeded with, so a segment's
+// records are not encoded again while it lives. A crash before the
+// rename leaves only a *.tmp stray that Open deletes.
+func writeSegmentFile(dir string, id uint64, meta SegmentMeta, recs []Record) (string, decoded, error) {
+	buf, raws, err := encodeSegment(meta, recs)
 	if err != nil {
-		return "", err
+		return "", decoded{}, err
 	}
 	path := filepath.Join(dir, segName(id))
 	if err := framelog.WriteFileAtomic(path, buf); err != nil {
-		return "", fmt.Errorf("store: %w", err)
+		return "", decoded{}, fmt.Errorf("store: %w", err)
 	}
-	return path, nil
+	return path, decoded{recs, raws}, nil
 }
 
 // readSegmentMeta reads just the sparse index of a sealed segment file.

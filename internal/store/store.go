@@ -124,7 +124,7 @@ type Store struct {
 	nextSeq   uint64
 	nextSegID uint64
 	ctr       *metrics.CounterSet
-	cache     *segCache // decoded records of sealed disk segments; has its own lock
+	cache     *segCache // decoded records and frame payloads of sealed disk segments; has its own lock
 	closed    bool
 
 	// Cached latency series from Options.Obs; observing is lock-free.
@@ -284,25 +284,35 @@ func (s *Store) flushLocked() error {
 	}
 	t := obs.StartTimer()
 	defer func() { s.hFlush.Observe(t.Elapsed()) }()
-	recs := s.mem
+	sg, err := s.sealLocked(s.mem)
+	if err != nil {
+		return err
+	}
+	s.segs = append(s.segs, sg)
+	s.mem = nil
+	s.ctr.Inc("segments_flushed")
+	return nil
+}
+
+// sealLocked makes recs the store's next segment: kept in memory by a
+// dir-less store, otherwise written durably and seeded into the segment
+// cache with the payloads just written.
+func (s *Store) sealLocked(recs []Record) (*segment, error) {
 	meta := buildMeta(recs)
 	sg := &segment{id: s.nextSegID, meta: meta}
 	if s.dir == "" {
 		sg.recs = recs
 	} else {
-		path, err := writeSegmentFile(s.dir, sg.id, meta, recs)
+		path, d, err := writeSegmentFile(s.dir, sg.id, meta, recs)
 		if err != nil {
 			s.ctr.Inc("segment_write_errors")
-			return err
+			return nil, err
 		}
 		sg.path = path
-		s.cache.put(sg.id, recs)
+		s.cache.put(sg.id, d)
 	}
 	s.nextSegID++
-	s.segs = append(s.segs, sg)
-	s.mem = nil
-	s.ctr.Inc("segments_flushed")
-	return nil
+	return sg, nil
 }
 
 // Compact merges runs of small adjacent segments into larger ones and
@@ -386,34 +396,24 @@ func (s *Store) Compact(now int64) error {
 func (s *Store) mergeLocked(group []*segment, cutoff int64, keep uint64) (*segment, error) {
 	var recs []Record
 	for _, sg := range group {
-		rs, err := s.load(sg)
+		d, err := s.load(sg)
 		if err != nil {
 			return nil, err
 		}
-		for i := range rs {
-			if cutoff >= 0 && rs[i].Tick < cutoff && rs[i].Seq != keep {
+		for i := range d.recs {
+			if cutoff >= 0 && d.recs[i].Tick < cutoff && d.recs[i].Seq != keep {
 				s.ctr.Inc("frames_expired")
 				continue
 			}
-			recs = append(recs, rs[i])
+			recs = append(recs, d.recs[i])
 		}
 	}
 	var merged *segment
 	if len(recs) > 0 {
-		meta := buildMeta(recs)
-		merged = &segment{id: s.nextSegID, meta: meta}
-		if s.dir == "" {
-			merged.recs = recs
-		} else {
-			path, err := writeSegmentFile(s.dir, merged.id, meta, recs)
-			if err != nil {
-				s.ctr.Inc("segment_write_errors")
-				return nil, err
-			}
-			merged.path = path
-			s.cache.put(merged.id, recs)
+		var err error
+		if merged, err = s.sealLocked(recs); err != nil {
+			return nil, err
 		}
-		s.nextSegID++
 	}
 	for _, sg := range group {
 		if sg.path != "" {
@@ -441,9 +441,10 @@ func (s *Store) Close() error {
 // Counters snapshots the store's event counters
 // (store_frames_appended, segments_flushed, segments_compacted,
 // frames_expired, queries_served, segment_cache_hits/_misses/_evictions,
-// ...) plus segment_cache_records, the one gauge: how many decoded
-// records the segment cache holds now. They are scoped to the current
-// process run.
+// ...) plus the two gauges: segment_cache_records, how many decoded
+// records the segment cache holds now, and segment_cache_bytes, how many
+// bytes of segment file image it keeps beside them. They are scoped to
+// the current process run.
 func (s *Store) Counters() map[string]int64 { return s.ctr.Snapshot() }
 
 // SealedSeq is the store's durable watermark: the highest sequence number

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/topology"
 )
@@ -478,5 +480,54 @@ func TestSealedSeqNeverDecreases(t *testing.T) {
 			sealed = got
 		}
 		s.Close()
+	}
+}
+
+// TestDamagedSegmentServesItsPrefix: a sealed segment damaged on disk is
+// served up to its first bad frame, as records and as bytes — the items
+// are the valid prefix's payloads and the cache keeps no others.
+func TestDamagedSegmentServesItsPrefix(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{FlushEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, "exp-0001", 8, 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := framelog.Frames(data) // meta, then the 8 records
+	const good = 5
+	bad := int(framelog.Span(frames[:1+good])) + framelog.HeaderBytes + 2 // inside record 6's payload
+	data[bad] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{FlushEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	recs := walk(t, re, Filter{}, 3) // holds every item to its record
+	if len(recs) != good {
+		t.Fatalf("damaged segment served %d records, want the %d before the bad frame", len(recs), good)
+	}
+	items, _, err := re.ScanItems(Filter{}, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range items {
+		if !bytes.Equal(it.JSON, frames[1+i]) {
+			t.Fatalf("item %d is not the segment's frame %d", i, 1+i)
+		}
+	}
+	ctr := re.Counters()
+	if ctr["segments_truncated_read"] != 1 || ctr["segment_cache_records"] != good || ctr["segment_cache_bytes"] != framelog.Span(frames[1:1+good]) {
+		t.Fatalf("after serving the prefix: %v, want one truncated read, %d records, %d bytes", ctr, good, framelog.Span(frames[1:1+good]))
 	}
 }
