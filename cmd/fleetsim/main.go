@@ -35,6 +35,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -232,7 +233,7 @@ func setupFleet(b *backend, cfg loadConfig) ([]*simProbe, error) {
 		}
 		var err error
 		if b.coord != nil {
-			err = b.coord.Register(p)
+			err = b.coord.Register(context.Background(), p)
 		} else {
 			err = b.ctrls[0].RegisterProbe(p)
 		}
@@ -255,7 +256,8 @@ func setupFleet(b *backend, cfg loadConfig) ([]*simProbe, error) {
 		wave++
 		var err error
 		if b.coord != nil {
-			_, err = b.coord.Submit(fmt.Sprintf("fleetsim-wave-%d", wave), "fleet", "fleetsim load", as)
+			_, err = b.coord.Submit(context.Background(), core.SubmitRequest{
+				RequestID: fmt.Sprintf("fleetsim-wave-%d", wave), Owner: "fleet", Description: "fleetsim load", Assignments: as})
 		} else {
 			_, err = b.ctrls[0].SubmitExperiment("fleet", "fleetsim load", as)
 		}

@@ -49,7 +49,7 @@ func TestAdmissionRateLimitShedsLowPriorityRoute(t *testing.T) {
 
 	// Heartbeats are not rate-limited: the fleet keeps landing while
 	// analyst queries shed.
-	if w := doReq(h, http.MethodPost, "/api/v1/probes/p1/heartbeat", "{}", nil); w.Code != http.StatusOK {
+	if w := doReq(h, http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1", "max": -1}`, nil); w.Code != http.StatusOK {
 		t.Fatalf("heartbeat during query shed: status %d", w.Code)
 	}
 
@@ -83,16 +83,16 @@ func TestAdmissionInFlightGateShedsByPriority(t *testing.T) {
 	if w := doReq(h, http.MethodGet, "/api/v1/query", "", nil); w.Code != http.StatusTooManyRequests {
 		t.Fatalf("low-priority at half bound: status %d, want 429", w.Code)
 	}
-	if w := doReq(h, http.MethodPost, "/api/v1/probes/p1/heartbeat", "{}", nil); w.Code != http.StatusOK {
+	if w := doReq(h, http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1", "max": -1}`, nil); w.Code != http.StatusOK {
 		t.Fatalf("heartbeat at half bound: status %d, want 200", w.Code)
 	}
-	if w := doReq(h, http.MethodGet, "/api/v1/probes/p1/tasks", "", nil); w.Code != http.StatusOK {
+	if w := doReq(h, http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1"}`, nil); w.Code != http.StatusOK {
 		t.Fatalf("lease at half bound: status %d, want 200", w.Code)
 	}
 
 	// At the full bound everything sheds.
 	setInflight(4)
-	if w := doReq(h, http.MethodPost, "/api/v1/probes/p1/heartbeat", "{}", nil); w.Code != http.StatusTooManyRequests {
+	if w := doReq(h, http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1", "max": -1}`, nil); w.Code != http.StatusTooManyRequests {
 		t.Fatalf("heartbeat at full bound: status %d, want 429", w.Code)
 	}
 	setInflight(0)
@@ -112,7 +112,7 @@ func TestAdmissionInFlightReleases(t *testing.T) {
 	// Sequential requests each release their slot: none of these shed
 	// even at MaxInFlight=1.
 	for i := 0; i < 5; i++ {
-		if w := doReq(h, http.MethodPost, "/api/v1/probes/p1/heartbeat", "{}", nil); w.Code != http.StatusOK {
+		if w := doReq(h, http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1", "max": -1}`, nil); w.Code != http.StatusOK {
 			t.Fatalf("sequential heartbeat %d: status %d (in-flight slot leaked)", i, w.Code)
 		}
 	}

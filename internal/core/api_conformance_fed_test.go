@@ -110,9 +110,7 @@ func TestStorageFaultIs503(t *testing.T) {
 			for _, tc := range []struct{ method, path, body string }{
 				{http.MethodPost, "/api/v1/probes/register", `{"id": "p2", "asn": 1, "country": "RW"}`},
 				{http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1"}`},
-				{http.MethodGet, "/api/v1/probes/p1/tasks", ``},
-				{http.MethodPost, "/api/v1/probes/p1/results", `[]`},
-				{http.MethodPost, "/api/v1/probes/p1/heartbeat", ``},
+				{http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1", "results": [], "max": -1}`},
 				{http.MethodPost, "/api/v1/experiments/" + exp.ID + "/approve", ``},
 			} {
 				w := do(tc.method, tc.path, tc.body)
@@ -143,11 +141,9 @@ func TestStorageFaultIs503(t *testing.T) {
 	}
 }
 
-// TestUnregisteredProbeLeasesNothing: the legacy tasks and results
-// routes answer an id the fleet book has never seen 404 not_found, as
-// sync and heartbeat do, and journal nothing — even with tasks queued
-// under that id (the parent granted them a journaled lease whose
-// results it then refused).
+// TestUnregisteredProbeLeasesNothing: a sync round — lease ask or
+// upload — from an id the fleet book has never seen is answered 404
+// not_found and journals nothing, even with tasks queued under that id.
 func TestUnregisteredProbeLeasesNothing(t *testing.T) {
 	for tier, handlerOf := range bothTiers {
 		t.Run(tier, func(t *testing.T) {
@@ -170,21 +166,21 @@ func TestUnregisteredProbeLeasesNothing(t *testing.T) {
 			appended := ctrl.DurabilityCounters()["journal_records_appended"]
 			result := fmt.Sprintf(`[{"task_id": %q, "experiment": %q, "probe_id": "ghost", "kind": "ping", "ok": true}]`,
 				exp.Assignments[0].Task.ID, exp.Assignments[0].Task.Experiment)
-			for _, tc := range []struct{ method, path, body string }{
-				{http.MethodGet, "/api/v1/probes/ghost/tasks", ``},
-				{http.MethodGet, "/api/v1/probes/ghost/tasks?max=1", ``},
-				{http.MethodPost, "/api/v1/probes/ghost/results", `[]`},
-				{http.MethodPost, "/api/v1/probes/ghost/results", result},
+			for _, body := range []string{
+				`{"probe_id": "ghost"}`,
+				`{"probe_id": "ghost", "max": 1}`,
+				`{"probe_id": "ghost", "results": [], "max": -1}`,
+				`{"probe_id": "ghost", "results": ` + result + `, "max": -1}`,
 			} {
 				w := httptest.NewRecorder()
-				h.ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/probes/sync", strings.NewReader(body)))
 				var env struct {
 					Error struct {
 						Code string `json:"code"`
 					} `json:"error"`
 				}
 				if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusNotFound || env.Error.Code != core.ErrCodeNotFound {
-					t.Errorf("%s %s: %d %s, want 404 not_found", tc.method, tc.path, w.Code, w.Body)
+					t.Errorf("sync %s: %d %s, want 404 not_found", body, w.Code, w.Body)
 				}
 			}
 			if got := ctrl.DurabilityCounters()["journal_records_appended"]; got != appended {
@@ -194,5 +190,177 @@ func TestUnregisteredProbeLeasesNothing(t *testing.T) {
 				t.Errorf("%d leases granted to an unregistered probe", n)
 			}
 		})
+	}
+}
+
+// TestPinnedExperimentIDMustBeAddressable: SubmitRequest.ID is outside
+// input that becomes a path segment of /experiments/{id} and the prefix
+// of a lease key, so a pinned id is 1–128 bytes of [A-Za-z0-9._:-] or the
+// submission is refused — by the one submit handler, on either tier.
+func TestPinnedExperimentIDMustBeAddressable(t *testing.T) {
+	for tier, handlerOf := range bothTiers {
+		t.Run(tier, func(t *testing.T) {
+			ctrl, err := core.Recover(t.TempDir(), core.DurabilityConfig{Trusted: []string{"owner"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctrl.Close()
+			h := handlerOf(t, ctrl)
+			submit := func(id string) *httptest.ResponseRecorder {
+				body, _ := json.Marshal(map[string]any{"id": id, "owner": "owner", "description": "d",
+					"assignments": []map[string]any{{"ProbeID": "p1", "Task": map[string]string{"kind": "ping"}}}})
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/experiments", strings.NewReader(string(body))))
+				return w
+			}
+			for _, bad := range []string{"a/b", "a b", "exp?", "é", "%2F", strings.Repeat("x", 129)} {
+				if w := submit(bad); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), core.ErrCodeBadRequest) {
+					t.Errorf("pinned id %q: %d %s, want 400 bad_request", bad, w.Code, w.Body)
+				}
+			}
+			for _, good := range []string{"exp-0001", "fexp-0001", "A.b_c:d-9", strings.Repeat("x", 128)} {
+				w := submit(good)
+				var exp core.Experiment
+				if err := json.Unmarshal(w.Body.Bytes(), &exp); err != nil || w.Code != http.StatusOK {
+					t.Fatalf("pinned id %q: %d %s", good, w.Code, w.Body)
+				}
+				// The id the tier answered with (a coordinator mints its own) is reachable.
+				w = httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/experiments/"+exp.ID, nil))
+				if w.Code != http.StatusOK {
+					t.Errorf("GET /experiments/%s after pinning %q: %d %s", exp.ID, good, w.Code, w.Body)
+				}
+			}
+		})
+	}
+}
+
+// TestTiersAnswerAlike drives one scripted request sequence against a
+// durable controller served directly and against the same sequence
+// served through a one-shard coordinator, and requires the two tiers to
+// answer every request alike: status, error code, and body once each
+// tier's own experiment ids are written <exp-N> (a controller mints
+// exp-NNNN or takes the pinned id, a coordinator mints fexp-NNNN). The
+// request id is sent, so both echo the same one.
+func TestTiersAnswerAlike(t *testing.T) {
+	type answer struct {
+		step   string
+		status int
+		body   string
+	}
+	script := func(t *testing.T, h http.Handler) []answer {
+		var answers []answer
+		var exps []string // the ids this tier's submits answered, in order
+		do := func(method, path, body string) *httptest.ResponseRecorder {
+			r := httptest.NewRequest(method, path, strings.NewReader(body))
+			r.Header.Set(core.RequestIDHeader, fmt.Sprintf("step-%d", len(answers)))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			if path == "/api/v1/experiments" && w.Code == http.StatusOK {
+				var exp core.Experiment
+				if err := json.Unmarshal(w.Body.Bytes(), &exp); err != nil {
+					t.Fatalf("submit %s: %s", body, w.Body)
+				}
+				exps = append(exps, exp.ID)
+			}
+			norm := method + " " + path + "\n" + w.Body.String()
+			for i, id := range exps {
+				norm = strings.ReplaceAll(norm, id, fmt.Sprintf("<exp-%d>", i))
+			}
+			step, answered, _ := strings.Cut(norm, "\n")
+			answers = append(answers, answer{step, w.Code, answered})
+			return w
+		}
+		submit := func(body string) {
+			if w := do(http.MethodPost, "/api/v1/experiments", body); w.Code != http.StatusOK {
+				t.Fatalf("submit %s: %d %s", body, w.Code, w.Body)
+			}
+		}
+		const assignments = `"assignments": [{"ProbeID": "p1", "Task": {"kind": "ping"}}, {"ProbeID": "p1", "Task": {"kind": "dns"}}]`
+
+		do(http.MethodPost, "/api/v1/probes/register", `{"id": "p1", "asn": 36924, "country": "RW"}`)
+		do(http.MethodPost, "/api/v1/probes/register", `{"id": `)
+		do(http.MethodPost, "/api/v1/probes/register", `{"id": "`+strings.Repeat("x", core.MaxBodyBytes+1)+`"}`)
+
+		submit(`{"request_id": "req-1", "owner": "owner", "description": "minted", ` + assignments + `}`)
+		submit(`{"id": "pin.1", "owner": "stranger", "description": "pinned", ` + assignments + `}`)
+		do(http.MethodPost, "/api/v1/experiments", `{"id": "a/b", "owner": "owner", "description": "bad id", `+assignments+`}`)
+		submit(`{"request_id": "req-1", "owner": "owner", "description": "minted", ` + assignments + `}`)
+		if last := exps[len(exps)-1]; last != exps[0] {
+			t.Errorf("replayed request_id answered %s, the first submit %s", last, exps[0])
+		}
+		do(http.MethodPost, "/api/v1/experiments", `[]`)
+
+		for _, id := range []string{exps[1], "ghost"} {
+			do(http.MethodGet, "/api/v1/experiments/"+id, ``)
+			do(http.MethodPost, "/api/v1/experiments/"+id+"/approve", ``)
+			do(http.MethodGet, "/api/v1/experiments/"+id+"/results", ``)
+			do(http.MethodGet, "/api/v1/experiments/"+id+"/results?limit=-1", ``)
+		}
+
+		do(http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "ghost"}`)
+		do(http.MethodPost, "/api/v1/probes/sync", `{}`)
+		do(http.MethodPost, "/api/v1/probes/sync?wait=banana", `{"probe_id": "p1"}`)
+		w := do(http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1", "max": 1}`)
+		var lease core.SyncResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &lease); err != nil || len(lease.Tasks) != 1 {
+			t.Fatalf("lease: %d %s", w.Code, w.Body)
+		}
+		upload := fmt.Sprintf(`{"probe_id": "p1", "max": -1, "results": [{"task_id": %q, "experiment": %q, "probe_id": "p1", "kind": "ping", "ok": true, "rtt_ms": 12}]}`,
+			lease.Tasks[0].ID, lease.Tasks[0].Experiment)
+		do(http.MethodPost, "/api/v1/probes/sync", upload)
+		do(http.MethodPost, "/api/v1/probes/sync", upload) // a duplicate: accepted 0
+		do(http.MethodPost, "/api/v1/probes/sync", strings.Replace(upload, lease.Tasks[0].ID, "no-such-task", 1))
+		do(http.MethodGet, "/api/v1/experiments/"+exps[0]+"/results", ``)
+
+		do(http.MethodGet, "/api/v1/query?op=aggregate&group_by=country", ``)
+		do(http.MethodGet, "/api/v1/query?op=scan&limit=10", ``)
+		do(http.MethodGet, "/api/v1/query?op=fold&group_by=asn&experiment="+exps[0], ``)
+		do(http.MethodGet, "/api/v1/query?op=sum", ``)
+		do(http.MethodGet, "/api/v1/query?group_by=continent", ``)
+
+		// The three retired probe routes are gone from both tiers.
+		for _, tc := range [][2]string{
+			{http.MethodGet, "/api/v1/probes/p1/tasks"},
+			{http.MethodPost, "/api/v1/probes/p1/results"},
+			{http.MethodPost, "/api/v1/probes/p1/heartbeat"},
+		} {
+			if w := do(tc[0], tc[1], `[]`); w.Code != http.StatusNotFound || !strings.Contains(w.Body.String(), `"code":"not_found"`) {
+				t.Errorf("%s %s: %d %s, want 404 not_found", tc[0], tc[1], w.Code, w.Body)
+			}
+		}
+		return answers
+	}
+
+	answers := make(map[string][]answer, len(bothTiers))
+	for tier, handlerOf := range bothTiers {
+		ctrl, err := core.Recover(t.TempDir(), core.DurabilityConfig{Trusted: []string{"owner"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctrl.Close()
+		answers[tier] = script(t, handlerOf(t, ctrl))
+	}
+	ctl, fed := answers["controller"], answers["coordinator"]
+	if len(ctl) != len(fed) {
+		t.Fatalf("the controller answered %d requests, the coordinator %d", len(ctl), len(fed))
+	}
+	errorCode := func(body string) string {
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		_ = json.Unmarshal([]byte(body), &env) // a success body has no error member
+		return env.Error.Code
+	}
+	for i := range ctl {
+		switch {
+		case ctl[i].status != fed[i].status || errorCode(ctl[i].body) != errorCode(fed[i].body):
+			t.Errorf("step %d, %s: a controller answers %d %q, a coordinator %d %q\n%s\n%s", i, ctl[i].step,
+				ctl[i].status, errorCode(ctl[i].body), fed[i].status, errorCode(fed[i].body), ctl[i].body, fed[i].body)
+		case ctl[i].body != fed[i].body:
+			t.Errorf("step %d, %s (%d): the tiers' bodies differ\ncontroller:  %scoordinator: %s", i, ctl[i].step, ctl[i].status, ctl[i].body, fed[i].body)
+		}
 	}
 }

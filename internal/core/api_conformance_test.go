@@ -138,7 +138,7 @@ func WalkErrorEnvelope(t *testing.T, h http.Handler, getOnlyPath string) {
 		{http.MethodGet, "/api/v2/nope", "", http.StatusNotFound, ErrCodeNotFound},
 		{http.MethodGet, "/api/v1/experiments/ghost", "", http.StatusNotFound, ErrCodeNotFound},
 		{http.MethodGet, "/api/v1/experiments/ghost/results", "", http.StatusNotFound, ErrCodeNotFound},
-		{http.MethodGet, "/api/v1/probes/p1/tasks?max=bogus", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{http.MethodPost, "/api/v1/experiments/ghost/approve", "", http.StatusNotFound, ErrCodeNotFound},
 		{http.MethodPost, "/api/v1/probes/sync?wait=banana", `{"probe_id": "p1"}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{http.MethodGet, "/api/v1/debug/traces?slowest=-2", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{http.MethodDelete, getOnlyPath, "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},

@@ -262,7 +262,7 @@ func TestChaosScheduleEndToEnd(t *testing.T) {
 			// Chaos-induced failures are the point; the spool holds
 			// whatever could not be delivered this round.
 			if _, err := DrainWithSync(r.cl, r.agent, r.sp, 0); err != nil {
-				_ = r.cl.Heartbeat(r.id)
+				_ = heartbeat(r.cl, r.id)
 			}
 		}
 		// The analyst fires more queries than the bucket refills.

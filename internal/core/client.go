@@ -374,22 +374,6 @@ func (c *Client) Register(p ProbeInfo) error {
 	return c.post("probe_register", "/api/v1/probes/register", p, nil, true)
 }
 
-// LeaseTasks fetches up to max queued tasks for the probe; max <= 0
-// asks for the server default (the max parameter is omitted — sending
-// a literal max=0 used to reach servers that read it as "default"
-// only by accident of their parsing, and older ones as "zero tasks").
-// A lost response simply leaves the tasks leased; the controller
-// requeues them when the lease expires, so retrying is safe.
-func (c *Client) LeaseTasks(probeID string, max int) ([]probes.Task, error) {
-	path := fmt.Sprintf("/api/v1/probes/%s/tasks", probeID)
-	if max > 0 {
-		path += fmt.Sprintf("?max=%d", max)
-	}
-	var out []probes.Task
-	err := c.get("probe_tasks", path, &out)
-	return out, err
-}
-
 // Sync performs one batched probe round-trip: heartbeat + spooled
 // results + task-lease ask in a single POST (see SyncRequest for the
 // max semantics). wait > 0 long-polls the controller for up to that
@@ -406,18 +390,6 @@ func (c *Client) Sync(req SyncRequest, wait time.Duration) (SyncResponse, error)
 	var out SyncResponse
 	err := c.post("probe_sync", path, req, &out, true)
 	return out, err
-}
-
-// SubmitResults uploads a batch of results. Safe to retry: the
-// controller deduplicates by (experiment, task).
-func (c *Client) SubmitResults(probeID string, rs []probes.Result) error {
-	return c.post("probe_results", fmt.Sprintf("/api/v1/probes/%s/results", probeID), rs, nil, true)
-}
-
-// Heartbeat tells the controller the probe is alive when there is no
-// lease or result traffic to piggyback on.
-func (c *Client) Heartbeat(probeID string) error {
-	return c.post("probe_heartbeat", fmt.Sprintf("/api/v1/probes/%s/heartbeat", probeID), struct{}{}, nil, true)
 }
 
 // Submit posts an experiment, retrying transient failures like every

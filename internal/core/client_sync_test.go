@@ -1,10 +1,9 @@
 package core
 
 // client_sync_test.go pins the client side of the batched hot path:
-// the wire encoding of lease and sync calls (including the max=0
-// regression from the original LeaseTasks) and the DrainWithSync round
-// loop — one request per round, spool acked only after acceptance,
-// long-poll only when idle.
+// the wire encoding of a sync call and the DrainWithSync round loop —
+// one request per round, spool acked only after acceptance, long-poll
+// only when idle.
 
 import (
 	"errors"
@@ -40,36 +39,6 @@ func (q *queryRecorder) urls() []url.URL {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return append([]url.URL(nil), q.seen...)
-}
-
-// TestClientLeaseTasksMaxEncoding: max <= 0 means "server default" and
-// must not appear on the wire. The original client sent a literal
-// max=0, which the server clamps to zero tasks — every default-ask
-// poll came back empty.
-func TestClientLeaseTasksMaxEncoding(t *testing.T) {
-	c := NewController()
-	mustRegister(t, c, "cl-01", 36924, "RW")
-	rec := &queryRecorder{Handler: c.Handler()}
-	srv := httptest.NewServer(rec)
-	defer srv.Close()
-	cl := NewClient(srv.URL)
-
-	if _, err := cl.LeaseTasks("cl-01", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.LeaseTasks("cl-01", 7); err != nil {
-		t.Fatal(err)
-	}
-	urls := rec.urls()
-	if len(urls) != 2 {
-		t.Fatalf("%d requests, want 2", len(urls))
-	}
-	if _, has := urls[0].Query()["max"]; has {
-		t.Fatalf("max=0 leaked onto the wire: %s", urls[0].RequestURI())
-	}
-	if got := urls[1].Query().Get("max"); got != "7" {
-		t.Fatalf("explicit ask encoded as max=%q, want 7", got)
-	}
 }
 
 // TestClientSyncWaitEncoding: wait=0 sends no query; a positive wait

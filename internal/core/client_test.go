@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"github.com/afrinet/observatory/internal/probes"
 )
 
 // scriptStep is one scripted transport outcome: a transport error, or a
@@ -74,13 +76,32 @@ func scriptedClient(steps []scriptStep) (*Client, *scriptedTransport, *[]time.Du
 	return cl, st, sleeps
 }
 
+// The partial rounds a probe's client makes of Sync, as the tests that
+// drive a probe by hand spell them: contact only, a lease ask with
+// nothing to deliver, a delivery with no lease ask.
+
+func heartbeat(cl *Client, probeID string) error {
+	_, err := cl.Sync(SyncRequest{ProbeID: probeID, Max: -1}, 0)
+	return err
+}
+
+func leaseTasks(cl *Client, probeID string, max int) ([]probes.Task, error) {
+	resp, err := cl.Sync(SyncRequest{ProbeID: probeID, Max: max}, 0)
+	return resp.Tasks, err
+}
+
+func uploadResults(cl *Client, probeID string, rs []probes.Result) error {
+	_, err := cl.Sync(SyncRequest{ProbeID: probeID, Results: rs, Max: -1}, 0)
+	return err
+}
+
 func TestClientHonorsRetryAfter(t *testing.T) {
 	// A 429 carrying Retry-After: 3 must make the client wait the
 	// server's 3s, not its own jittered backoff (which starts at 50ms).
 	cl, _, sleeps := scriptedClient([]scriptStep{
 		{status: http.StatusTooManyRequests, retryAfter: "3"},
 	})
-	if err := cl.Heartbeat("p1"); err != nil {
+	if err := heartbeat(cl, "p1"); err != nil {
 		t.Fatalf("Heartbeat: %v", err)
 	}
 	if len(*sleeps) != 1 || (*sleeps)[0] != 3*time.Second {
@@ -96,7 +117,7 @@ func TestClientHonorsRetryAfterOn503(t *testing.T) {
 	cl, _, sleeps := scriptedClient([]scriptStep{
 		{status: http.StatusServiceUnavailable, retryAfter: "2"},
 	})
-	if err := cl.Heartbeat("p1"); err != nil {
+	if err := heartbeat(cl, "p1"); err != nil {
 		t.Fatalf("Heartbeat: %v", err)
 	}
 	if len(*sleeps) != 1 || (*sleeps)[0] != 2*time.Second {
@@ -109,7 +130,7 @@ func TestClientRetryAfterUnparseableFallsBack(t *testing.T) {
 		{status: http.StatusTooManyRequests, retryAfter: "soon"},
 		{status: http.StatusTooManyRequests}, // no header at all
 	})
-	if err := cl.Heartbeat("p1"); err != nil {
+	if err := heartbeat(cl, "p1"); err != nil {
 		t.Fatalf("Heartbeat: %v", err)
 	}
 	if len(*sleeps) != 2 {
@@ -136,7 +157,7 @@ func TestClientBreakerTripsFastFailsAndRecovers(t *testing.T) {
 
 	// Three consecutive transport failures trip the breaker.
 	for i := 0; i < 3; i++ {
-		if err := cl.Heartbeat("p1"); err == nil {
+		if err := heartbeat(cl, "p1"); err == nil {
 			t.Fatal("scripted transport failure did not surface")
 		}
 	}
@@ -147,7 +168,7 @@ func TestClientBreakerTripsFastFailsAndRecovers(t *testing.T) {
 	// While open, calls fail fast without touching the wire...
 	wire := st.calls
 	for i := 0; i < 3; i++ {
-		err := cl.Heartbeat("p1")
+		err := heartbeat(cl, "p1")
 		if !errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("call %d while open: err = %v, want ErrCircuitOpen", i, err)
 		}
@@ -161,13 +182,13 @@ func TestClientBreakerTripsFastFailsAndRecovers(t *testing.T) {
 
 	// ...until the 4th arrival goes through as a half-open probe; the
 	// script is exhausted so it succeeds, closing the breaker.
-	if err := cl.Heartbeat("p1"); err != nil {
+	if err := heartbeat(cl, "p1"); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	if st.calls != wire+1 {
 		t.Fatalf("half-open probe issued %d round trips, want 1", st.calls-wire)
 	}
-	if err := cl.Heartbeat("p1"); err != nil {
+	if err := heartbeat(cl, "p1"); err != nil {
 		t.Fatalf("call after breaker closed: %v", err)
 	}
 }
@@ -185,7 +206,7 @@ func TestClientBreakerResetByAnyResponse(t *testing.T) {
 	cl.MaxAttempts = 1
 	cl.BreakerThreshold = 3
 	for i := 0; i < 5; i++ {
-		cl.Heartbeat("p1") //nolint:errcheck
+		heartbeat(cl, "p1") //nolint:errcheck
 	}
 	if got := cl.ResilienceCounters()["breaker_open_total"]; got != 0 {
 		t.Fatalf("breaker tripped across a received response: %v", cl.ResilienceCounters())
@@ -206,7 +227,7 @@ func TestClient503StormDoesNotFeedBreaker(t *testing.T) {
 	cl.MaxAttempts = 3
 	cl.BreakerThreshold = 1
 	for i := 0; i < 4; i++ {
-		if err := cl.Heartbeat("p1"); err == nil && st.calls <= len(steps) {
+		if err := heartbeat(cl, "p1"); err == nil && st.calls <= len(steps) {
 			t.Fatalf("call %d: scripted 503 did not surface", i)
 		}
 	}
@@ -232,7 +253,7 @@ func TestClientSurfacesRetryAfterOnFinalError(t *testing.T) {
 		{status: http.StatusServiceUnavailable, retryAfter: "7"},
 	})
 	cl.MaxAttempts = 1
-	err := cl.Heartbeat("p1")
+	err := heartbeat(cl, "p1")
 	if err == nil {
 		t.Fatal("exhausted attempts did not surface an error")
 	}
@@ -254,7 +275,7 @@ func TestClientBreakerDisabledByDefault(t *testing.T) {
 	cl, st, _ := scriptedClient(steps)
 	cl.MaxAttempts = 1
 	for i := 0; i < 20; i++ {
-		if err := cl.Heartbeat("p1"); errors.Is(err, ErrCircuitOpen) {
+		if err := heartbeat(cl, "p1"); errors.Is(err, ErrCircuitOpen) {
 			t.Fatal("breaker tripped with BreakerThreshold unset")
 		}
 	}

@@ -49,6 +49,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -110,6 +111,10 @@ type Experiment struct {
 	Status      ExperimentStatus    `json:"status"`
 	Assignments []probes.Assignment `json:"assignments"`
 }
+
+// ErrUnknownExperiment marks an experiment id a tier never created; both
+// tiers answer it 404.
+var ErrUnknownExperiment = errors.New("core: unknown experiment")
 
 // probeState is the controller's book on one registered probe.
 type probeState struct {
@@ -595,7 +600,7 @@ func (c *Controller) approveCtx(ctx context.Context, expID string) error {
 	defer c.setSpanLocked(obs.SpanFrom(ctx))()
 	exp, ok := c.experiments[expID]
 	if !ok {
-		return fmt.Errorf("core: unknown experiment %s", expID)
+		return fmt.Errorf("%w %s", ErrUnknownExperiment, expID)
 	}
 	if exp.Status == StatusApproved {
 		return nil
@@ -618,7 +623,7 @@ func (c *Controller) Reject(expID string) error {
 	defer c.mu.Unlock()
 	exp, ok := c.experiments[expID]
 	if !ok {
-		return fmt.Errorf("core: unknown experiment %s", expID)
+		return fmt.Errorf("%w %s", ErrUnknownExperiment, expID)
 	}
 	if exp.Status == StatusApproved {
 		return fmt.Errorf("core: experiment %s already approved", expID)

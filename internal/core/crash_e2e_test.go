@@ -85,9 +85,9 @@ func TestCrashRestartRecoveryEndToEnd(t *testing.T) {
 	// step is one probe poll round, throttled to small leases so the
 	// drill takes many rounds and the kill lands mid-experiment.
 	step := func(r *rig) {
-		tasks, err := r.cl.LeaseTasks(r.agent.ID(), 2)
+		tasks, err := leaseTasks(r.cl, r.agent.ID(), 2)
 		if err != nil || len(tasks) == 0 {
-			_ = r.cl.Heartbeat(r.agent.ID())
+			_ = heartbeat(r.cl, r.agent.ID())
 			return
 		}
 		results := make([]probes.Result, 0, len(tasks))
@@ -98,7 +98,7 @@ func TestCrashRestartRecoveryEndToEnd(t *testing.T) {
 			}
 			results = append(results, res)
 		}
-		_ = r.cl.SubmitResults(r.agent.ID(), results)
+		_ = uploadResults(r.cl, r.agent.ID(), results)
 	}
 
 	// The kill lands at a random early round, guaranteed mid-experiment:
@@ -117,7 +117,7 @@ func TestCrashRestartRecoveryEndToEnd(t *testing.T) {
 			// In-flight work at the instant of the crash: a lease whose
 			// results will never be submitted. Recovery must restore the
 			// lease and expire it back into a queue.
-			_, _ = rigs[0].cl.LeaseTasks("live-00", 2)
+			_, _ = leaseTasks(rigs[0].cl, "live-00", 2)
 			// kill -9: the process vanishes. No snapshot, no Close — and
 			// a torn partial append (never acknowledged to anyone) left
 			// on the journal tail.

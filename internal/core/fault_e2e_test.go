@@ -83,7 +83,7 @@ func TestFaultInjectedPipelineEndToEnd(t *testing.T) {
 
 	// crash-01 leases its whole queue, then the process "dies" with the
 	// results stranded on disk; it reboots only after the drill.
-	crashTasks, err := crashCl.LeaseTasks("crash-01", 0)
+	crashTasks, err := leaseTasks(crashCl, "crash-01", 0)
 	if err != nil || len(crashTasks) != 6 {
 		t.Fatalf("crash lease: %d tasks, err=%v", len(crashTasks), err)
 	}
@@ -101,7 +101,7 @@ func TestFaultInjectedPipelineEndToEnd(t *testing.T) {
 			// Fault-induced errors are the point; abandoned work is
 			// recovered by lease expiry.
 			_, _ = RunAgentOnce(r.cl, r.agent)
-			_ = r.cl.Heartbeat(r.agent.ID())
+			_ = heartbeat(r.cl, r.agent.ID())
 		}
 		ctrl.Tick(1)
 	}
@@ -116,7 +116,7 @@ func TestFaultInjectedPipelineEndToEnd(t *testing.T) {
 	for _, task := range crashTasks {
 		stale = append(stale, probes.Result{TaskID: task.ID, Experiment: task.Experiment, OK: true})
 	}
-	if err := crashCl.SubmitResults("crash-01", stale); err != nil {
+	if err := uploadResults(crashCl, "crash-01", stale); err != nil {
 		t.Fatalf("stale upload rejected: %v", err)
 	}
 

@@ -1,11 +1,14 @@
 package core
 
-// http.go holds the route handlers behind the v1 route table in
-// routes.go. Method enforcement, body caps, request ids, tracing, and
-// latency histograms all live in the router; handlers only parse,
-// call the controller, and render through envelope.go.
+// http.go is the v1 surface written once: Backend states the API as Go
+// calls, and the handlers below — one per route of sharedRoutes
+// (routes.go) — parse a request, make that call and render the answer
+// through envelope.go. A tier supplies its Backend and how its errors
+// map onto the envelope; method enforcement, body caps, request ids,
+// tracing and latency histograms live in the router.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,8 +16,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/afrinet/observatory/internal/probes"
+	"github.com/afrinet/observatory/internal/store"
 )
 
 // RecoveryGate fronts the controller's handler while recovery runs:
@@ -66,15 +71,51 @@ func errMethod(allowed []string) error {
 	return fmt.Errorf("method not allowed (allowed: %s)", strings.Join(allowed, ", "))
 }
 
+// Backend is the v1 API as Go calls: what the shared handlers need of
+// the tier behind them. A controller satisfies it through
+// controllerBackend, a federation coordinator directly. The calls that
+// journal or park take the request's context (its trace span, and the
+// client's disconnect for a long-poll); reads take none. The QueryMeta
+// of a read is the coordinator's degradation note; a controller leaves
+// it zero, which encodes to nothing.
+type Backend interface {
+	Register(ctx context.Context, p ProbeInfo) error
+	// Sync runs one probe round. wait > 0 asks a backend that owns the
+	// probe's queue to park an empty-handed lease ask for up to that long.
+	Sync(ctx context.Context, req SyncRequest, wait time.Duration) (SyncResponse, error)
+	Submit(ctx context.Context, req SubmitRequest) (*Experiment, error)
+	Approve(ctx context.Context, expID string) error
+	// Experiment and ExperimentResults answer an id the tier never
+	// created with ErrUnknownExperiment.
+	Experiment(expID string) (*Experiment, error)
+	ExperimentResults(expID string, limit int, cursor string) ([]probes.Result, string, QueryMeta, error)
+	ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error)
+	Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error)
+	// Fold is Aggregate before the report: the mergeable partial a
+	// coordinator asks each shard for (store.Folder).
+	Fold(q store.AggQuery) (*store.Folder, QueryMeta, error)
+	Health() HealthReport
+	// Stats is the tier's own report: a StatsReport, or a coordinator's
+	// counters over its shards' reports.
+	Stats() any
+}
+
+// api binds the shared handlers to one tier: the backend they call and
+// the tier's mapping of a backend error onto the error envelope.
+type api struct {
+	b        Backend
+	writeErr func(http.ResponseWriter, error)
+}
+
 // MaxBodyBytes bounds every JSON request body; anything larger is
 // rejected with 413 before it can balloon controller memory. The router
-// applies the cap; DecodeBody translates the overflow.
+// applies the cap; decodeBody translates the overflow.
 const MaxBodyBytes = 8 << 20 // 8 MiB
 
-// DecodeBody decodes the (router-bounded) JSON request body into v,
+// decodeBody decodes the (router-bounded) JSON request body into v,
 // writing the error envelope (413 for oversized bodies, 400 otherwise)
 // itself. Returns false when the handler should stop.
-func DecodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -88,10 +129,10 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
-// ParseCount parses the non-negative integer query parameter name from
+// parseCount parses the non-negative integer query parameter name from
 // its raw value s ("" means def). Writes the 400 itself; the second
 // return is false when the handler should stop.
-func ParseCount(w http.ResponseWriter, name, s string, def int) (int, bool) {
+func parseCount(w http.ResponseWriter, name, s string, def int) (int, bool) {
 	if s == "" {
 		return def, true
 	}
@@ -104,31 +145,45 @@ func ParseCount(w http.ResponseWriter, name, s string, def int) (int, bool) {
 	return n, true
 }
 
-// ParseLeaseMax parses the tasks route's ?max=: absent or 0 asks for the
-// server default lease.
-func ParseLeaseMax(w http.ResponseWriter, r *http.Request) (int, bool) {
-	n, ok := ParseCount(w, "max", r.URL.Query().Get("max"), 0)
-	return resolveSyncMax(n), ok
-}
-
-func (c *Controller) handleRegister(w http.ResponseWriter, r *http.Request, _ PathParams) {
+func (a api) handleRegister(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var p ProbeInfo
-	if !DecodeBody(w, r, &p) {
+	if !decodeBody(w, r, &p) {
 		return
 	}
-	if err := c.registerProbeCtx(r.Context(), p); err != nil {
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+	if err := a.b.Register(r.Context(), p); err != nil {
+		a.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]string{"id": p.ID})
 }
 
-func (c *Controller) handleProbes(w http.ResponseWriter, r *http.Request, _ PathParams) {
-	items := c.Probes()
-	if items == nil {
-		items = []ProbeInfo{}
+// handleProbeSync serves the probe protocol: the body is one round, and
+// ?wait= (a non-negative duration, capped at MaxSyncWait) its long-poll.
+func (a api) handleProbeSync(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	var req SyncRequest
+	if !decodeBody(w, r, &req) {
+		return
 	}
-	WriteJSON(w, http.StatusOK, Page{Items: items})
+	if req.ProbeID == "" {
+		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("probe_id required"))
+		return
+	}
+	var wait time.Duration
+	if s := r.URL.Query().Get("wait"); s != "" {
+		d, err := time.ParseDuration(s)
+		if err != nil || d < 0 {
+			WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
+				fmt.Errorf("wait must be a non-negative duration, got %q", s))
+			return
+		}
+		wait = min(d, MaxSyncWait)
+	}
+	resp, err := a.b.Sync(r.Context(), req, wait)
+	if err != nil {
+		a.writeErr(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // SubmitRequest is the experiment submission body. RequestID, when set,
@@ -142,76 +197,154 @@ type SubmitRequest struct {
 	Assignments []probes.Assignment `json:"assignments"`
 	// ID optionally pins the experiment id (federation coordinators
 	// submitting per-shard slices of one federated experiment); empty
-	// mints the usual exp-%04d id. A coordinator's own front end ignores
-	// it: federated ids are coordinator-minted.
+	// mints the usual exp-%04d id. A coordinator ignores it: federated
+	// ids are coordinator-minted.
 	ID string `json:"id,omitempty"`
 }
 
-func (c *Controller) handleSubmit(w http.ResponseWriter, r *http.Request, _ PathParams) {
+// experimentIDChars is what a pinned experiment id may hold: the id
+// becomes a path segment of /experiments/{id} and the prefix of a lease
+// key (experiment + "/" + task), so it must not carry a '/', and is held
+// to 1–128 bytes of these.
+const experimentIDChars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._:-"
+
+func (a api) handleSubmit(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var req SubmitRequest
-	if !DecodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	if len(req.ID) > 128 {
+	if len(req.ID) > 128 || strings.Trim(req.ID, experimentIDChars) != "" {
 		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			fmt.Errorf("experiment id longer than 128 bytes"))
+			fmt.Errorf("experiment id must be 1-128 bytes of [A-Za-z0-9._:-]"))
 		return
 	}
-	exp, err := c.submitExperimentIdemCtx(r.Context(), req.RequestID, req.ID, req.Owner, req.Description, req.Assignments)
+	exp, err := a.b.Submit(r.Context(), req)
 	if err != nil {
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		a.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, exp)
 }
 
-func (c *Controller) handleExperimentGet(w http.ResponseWriter, r *http.Request, p PathParams) {
-	exp, ok := c.Experiment(p["id"])
-	if !ok {
-		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound,
-			fmt.Errorf("unknown experiment %s", p["id"]))
+func (a api) handleExperimentGet(w http.ResponseWriter, r *http.Request, p PathParams) {
+	exp, err := a.b.Experiment(p["id"])
+	if err != nil {
+		a.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, exp)
 }
 
-func (c *Controller) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p PathParams) {
-	if err := c.approveCtx(r.Context(), p["id"]); err != nil {
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+func (a api) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p PathParams) {
+	if err := a.b.Approve(r.Context(), p["id"]); err != nil {
+		a.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]string{"status": string(StatusApproved)})
 }
 
-func (c *Controller) handleExperimentResults(w http.ResponseWriter, r *http.Request, p PathParams) {
+func (a api) handleExperimentResults(w http.ResponseWriter, r *http.Request, p PathParams) {
 	q := r.URL.Query()
-	limit, ok := ParseCount(w, "limit", q.Get("limit"), 0)
+	limit, ok := parseCount(w, "limit", q.Get("limit"), 0)
 	if !ok {
 		return
 	}
-	c.mu.Lock()
-	_, known := c.experiments[p["id"]]
-	c.mu.Unlock()
-	if !known { // as the coordinator answers: 404, not an empty page
-		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound,
-			fmt.Errorf("unknown experiment %s", p["id"]))
-		return
-	}
-	rs, next, err := c.ResultsPage(p["id"], limit, q.Get("cursor"))
+	rs, next, meta, err := a.b.ExperimentResults(p["id"], limit, q.Get("cursor"))
 	if err != nil {
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		a.writeErr(w, err)
 		return
 	}
 	if rs == nil {
 		rs = []probes.Result{}
 	}
-	WriteJSON(w, http.StatusOK, Page{Items: rs, NextCursor: next})
+	WriteJSON(w, http.StatusOK, Page{Items: rs, NextCursor: next, QueryMeta: meta})
 }
 
-func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request, _ PathParams) {
-	WriteJSON(w, http.StatusOK, c.Health())
+func (a api) handleHealth(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	WriteJSON(w, http.StatusOK, a.b.Health())
 }
 
-func (c *Controller) handleStats(w http.ResponseWriter, r *http.Request, _ PathParams) {
-	WriteJSON(w, http.StatusOK, c.Stats())
+func (a api) handleStats(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	WriteJSON(w, http.StatusOK, a.b.Stats())
+}
+
+// controllerBackend is a Controller as a Backend: one journal, one
+// store, nothing to degrade around.
+type controllerBackend struct{ c *Controller }
+
+func (b controllerBackend) Register(ctx context.Context, p ProbeInfo) error {
+	return b.c.registerProbeCtx(ctx, p)
+}
+
+// Sync long-polls here: a controller owns the queue a probe parks on.
+func (b controllerBackend) Sync(ctx context.Context, req SyncRequest, wait time.Duration) (SyncResponse, error) {
+	resp, err := b.c.syncCtx(ctx, req.ProbeID, req.Results, req.Max)
+	if err == nil && wait > 0 && req.Max >= 0 && len(resp.Tasks) == 0 {
+		if tasks := b.c.waitForTasks(ctx, req.ProbeID, resolveSyncMax(req.Max), wait); tasks != nil {
+			resp.Tasks = tasks
+		}
+	}
+	return resp, err
+}
+
+func (b controllerBackend) Submit(ctx context.Context, req SubmitRequest) (*Experiment, error) {
+	return b.c.submitExperimentIdemCtx(ctx, req.RequestID, req.ID, req.Owner, req.Description, req.Assignments)
+}
+
+func (b controllerBackend) Approve(ctx context.Context, expID string) error {
+	return b.c.approveCtx(ctx, expID)
+}
+
+func (b controllerBackend) Experiment(expID string) (*Experiment, error) {
+	exp, ok := b.c.Experiment(expID)
+	if !ok {
+		return nil, fmt.Errorf("%w %s", ErrUnknownExperiment, expID)
+	}
+	return exp, nil
+}
+
+func (b controllerBackend) ExperimentResults(expID string, limit int, cursor string) ([]probes.Result, string, QueryMeta, error) {
+	b.c.mu.Lock()
+	_, known := b.c.experiments[expID]
+	b.c.mu.Unlock()
+	if !known { // not an empty page: the store cannot tell an unknown id from an idle one
+		return nil, "", QueryMeta{}, fmt.Errorf("%w %s", ErrUnknownExperiment, expID)
+	}
+	rs, next, err := b.c.ResultsPage(expID, limit, cursor)
+	return rs, next, QueryMeta{}, err
+}
+
+func (b controllerBackend) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error) {
+	items, next, err := b.c.ScanItems(f, limit, cursor)
+	return items, next, QueryMeta{}, err
+}
+
+func (b controllerBackend) Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error) {
+	rep, err := b.c.AggregateResults(q)
+	return rep, QueryMeta{}, err
+}
+
+func (b controllerBackend) Fold(q store.AggQuery) (*store.Folder, QueryMeta, error) {
+	fold, err := b.c.FoldResults(q)
+	return fold, QueryMeta{}, err
+}
+
+func (b controllerBackend) Health() HealthReport { return b.c.Health() }
+func (b controllerBackend) Stats() any           { return b.c.Stats() }
+
+// writeControllerErr is a controller's error mapping: an unknown probe
+// or experiment is 404, anything else the controller refusing the
+// request (400) — unless it is a StorageFault, which WriteAPIError
+// answers 503.
+func writeControllerErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrUnknownProbe) || errors.Is(err, ErrUnknownExperiment) {
+		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
+		return
+	}
+	WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+}
+
+// handleProbes serves probes_list, the one route only a controller has.
+func (c *Controller) handleProbes(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	WriteJSON(w, http.StatusOK, Page{Items: c.Probes()}) // never nil: an empty fleet lists as []
 }

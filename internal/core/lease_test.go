@@ -256,32 +256,21 @@ func TestDeadProbeLeaseReassignment(t *testing.T) {
 	}
 }
 
-// TestTasksMaxParamValidation: non-numeric or negative ?max is a 400.
-func TestTasksMaxParamValidation(t *testing.T) {
+// TestSyncMaxValidation: a max that is not an integer is a 400; 0 and
+// omitted both mean the server default.
+func TestSyncMaxValidation(t *testing.T) {
 	c := NewController()
 	mustRegister(t, c, "p1", 36924, "RW")
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
+	h := c.Handler()
 
-	for _, bad := range []string{"abc", "-1", "1.5", "9e9x"} {
-		resp, err := http.Get(srv.URL + "/api/v1/probes/p1/tasks?max=" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("max=%q: status %d, want 400", bad, resp.StatusCode)
+	for _, bad := range []string{`"abc"`, `1.5`, `9e9x`} {
+		if w := doReq(h, http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "p1", "max": `+bad+`}`, nil); w.Code != http.StatusBadRequest {
+			t.Fatalf("max=%s: status %d, want 400", bad, w.Code)
 		}
 	}
-	// max=0 and omitted max both mean the server default.
-	for _, path := range []string{"/api/v1/probes/p1/tasks?max=0", "/api/v1/probes/p1/tasks"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
+	for _, body := range []string{`{"probe_id": "p1", "max": 0}`, `{"probe_id": "p1"}`} {
+		if w := doReq(h, http.MethodPost, "/api/v1/probes/sync", body, nil); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", body, w.Code)
 		}
 	}
 }

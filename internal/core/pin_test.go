@@ -115,7 +115,7 @@ func TestLegacyJournalReplays(t *testing.T) {
 }
 
 // TestNewJournalHasOneProbeKind drives every probe entry point — the Go
-// API, the four routes, and a long-poll wake-up — on a durable controller
+// API, the sync route, and a long-poll wake-up — on a durable controller
 // and requires the journal to hold one probe op kind, probe_sync.
 func TestNewJournalHasOneProbeKind(t *testing.T) {
 	dir := t.TempDir()
@@ -141,15 +141,9 @@ func TestNewJournalHasOneProbeKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := c.Handler()
-	for _, tc := range []struct{ method, path, body string }{
-		{http.MethodPost, "/api/v1/probes/kgl-01/heartbeat", ``},
-		{http.MethodGet, "/api/v1/probes/kgl-01/tasks", ``}, // drains the queue
-		{http.MethodPost, "/api/v1/probes/kgl-01/results", `[]`},
-		{http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "kgl-01"}`},
-	} {
-		if w := doReq(h, tc.method, tc.path, tc.body, nil); w.Code != http.StatusOK {
-			t.Fatalf("%s %s: %d %s", tc.method, tc.path, w.Code, w.Body)
-		}
+	// Drains the queue, so the next round parks.
+	if w := doReq(h, http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "kgl-01"}`, nil); w.Code != http.StatusOK {
+		t.Fatalf("sync: %d %s", w.Code, w.Body)
 	}
 	// A parked sync woken by an enqueue leases through the same op.
 	woken := make(chan string, 1)
@@ -180,9 +174,9 @@ func TestNewJournalHasOneProbeKind(t *testing.T) {
 			t.Errorf("journal holds %d %q records", n, kind)
 		}
 	}
-	// 4 Go-API rounds, 4 routes, the parked sync's first round and its wake-up.
-	if probeKinds != 10 {
-		t.Errorf("journal holds %d probe_sync records, want 10", probeKinds)
+	// 4 Go-API rounds, the route's, the parked sync's first round and its wake-up.
+	if probeKinds != 7 {
+		t.Errorf("journal holds %d probe_sync records, want 7", probeKinds)
 	}
 }
 

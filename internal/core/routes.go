@@ -6,11 +6,13 @@ package core
 // Allow), runs admission (429), applies the request body cap (413),
 // assigns request ids, tags each request with the route name used by
 // latency histograms and traces, and serves the metrics and debug_traces
-// routes from the registry and ring it was built with. A tier supplies
-// only a table of handlers: the controller's is apiRoutes below, the
-// federation coordinator's inherits these entries by name. The same
-// tables self-describe the API: API.md is generated from them
-// (cmd/apidoc), and the conformance tests walk them.
+// routes from the registry and ring it was built with. The routes both
+// tiers serve are one table, sharedRoutes, whose handlers (http.go) are
+// written once against Backend; a tier mounts it bound to its own
+// backend (SharedRoutes) beside the one route only it has: probes_list on
+// a controller, shards on a coordinator. The same tables self-describe
+// the API: API.md is generated from them (cmd/apidoc), and the
+// conformance tests walk them.
 
 import (
 	"log"
@@ -35,9 +37,9 @@ type ParamDoc struct {
 // RouteInfo is one endpoint's routing metadata and its self-description
 // for the generated API reference and the conformance tests.
 type RouteInfo struct {
-	Name     string // histogram/trace tag, e.g. "probe_tasks"
+	Name     string // histogram/trace tag, e.g. "probe_sync"
 	Method   string
-	Pattern  string // "/api/v1/probes/{id}/tasks"
+	Pattern  string // "/api/v1/experiments/{id}/results"
 	Summary  string
 	Query    []ParamDoc
 	Request  string   // request body schema, "" = none
@@ -66,15 +68,13 @@ type Page struct {
 	QueryMeta
 }
 
-// controllerRoute binds a table entry to a Controller method.
-type controllerRoute struct {
+// sharedRoutes is the v1 surface both tiers serve, each route with the
+// handler that serves it from a tier's Backend. Order is the order API.md
+// documents them in.
+var sharedRoutes = []struct {
 	RouteInfo
-	handle func(*Controller, http.ResponseWriter, *http.Request, PathParams)
-}
-
-// apiRoutes is the controller's route table; with RouterRoutes appended
-// it is the full v1 surface. Order is the order API.md documents them in.
-var apiRoutes = []controllerRoute{
+	handle func(api, http.ResponseWriter, *http.Request, PathParams)
+}{
 	{RouteInfo{
 		Name: "probe_register", Method: http.MethodPost, Pattern: "/api/v1/probes/register",
 		Summary:  "Register (or update) a vantage point. Registration counts as probe contact.",
@@ -82,41 +82,10 @@ var apiRoutes = []controllerRoute{
 		Response: `{"id": "<probe id>"}`,
 		Errors:   []string{ErrCodeBadRequest, ErrCodeBodyTooLarge},
 		Priority: PriorityHigh,
-	}, (*Controller).handleRegister},
-	{RouteInfo{
-		Name: "probes_list", Method: http.MethodGet, Pattern: "/api/v1/probes",
-		Summary:  "List registered probes sorted by id.",
-		Response: "page of ProbeInfo",
-		Priority: PriorityLow,
-	}, (*Controller).handleProbes},
-	{RouteInfo{
-		Name: "probe_tasks", Method: http.MethodGet, Pattern: "/api/v1/probes/{id}/tasks",
-		Summary: "Legacy form of one probe_sync round with no results: lease up to max queued tasks for the probe under the at-least-once lease protocol.",
-		Query: []ParamDoc{
-			{Name: "max", Doc: "lease size cap; positive integer, 0 or omitted means the server default of 32"},
-		},
-		Response: "[]Task (bare array: the lease protocol payload, not a paginated list)",
-		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound, ErrCodeUnavailable},
-		Priority: PriorityHigh,
-	}, (*Controller).handleProbeTasks},
-	{RouteInfo{
-		Name: "probe_results", Method: http.MethodPost, Pattern: "/api/v1/probes/{id}/results",
-		Summary:  "Legacy form of one probe_sync round with max < 0 (no lease): upload a result batch. Idempotent: duplicates are deduplicated by (experiment, task).",
-		Request:  "[]Result",
-		Response: `{"accepted": n, "received": m}`,
-		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound, ErrCodeBodyTooLarge, ErrCodeUnavailable},
-		Priority: PriorityHigh,
-	}, (*Controller).handleProbeResults},
-	{RouteInfo{
-		Name: "probe_heartbeat", Method: http.MethodPost, Pattern: "/api/v1/probes/{id}/heartbeat",
-		Summary:  "Legacy form of one probe_sync round with no results and max < 0: record liveness contact from a probe with no lease or result traffic to piggyback on.",
-		Response: `{"status": "ok"}`,
-		Errors:   []string{ErrCodeNotFound, ErrCodeUnavailable},
-		Priority: PriorityHigh,
-	}, (*Controller).handleProbeHeartbeat},
+	}, api.handleRegister},
 	{RouteInfo{
 		Name: "probe_sync", Method: http.MethodPost, Pattern: "/api/v1/probes/sync",
-		Summary: "The probe protocol — one batched round-trip: heartbeat + spooled result upload + task-lease ask in one request, covered by a single journal append/fsync. The three legacy probe routes are this call with parts left out.",
+		Summary: "The probe protocol — one batched round-trip: heartbeat + spooled result upload + task-lease ask in one request, covered by a single journal append/fsync. A round with no results and max < 0 is a bare heartbeat.",
 		Query: []ParamDoc{
 			{Name: "wait", Doc: "long-poll duration (e.g. 5s, capped at 30s): with no tasks to grant, the call parks until tasks are enqueued for the probe or the deadline passes. Omitted or 0 answers immediately. Federation coordinators answer immediately regardless — parking belongs to the shard owning the probe's queue"},
 		},
@@ -124,29 +93,29 @@ var apiRoutes = []controllerRoute{
 		Response: `SyncResponse {"accepted": n, "received": m, "tasks": [Task]} — accepted < received on retried uploads is dedup, not an error`,
 		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound, ErrCodeBodyTooLarge},
 		Priority: PriorityHigh,
-	}, (*Controller).handleProbeSync},
+	}, api.handleProbeSync},
 	{RouteInfo{
 		Name: "experiment_submit", Method: http.MethodPost, Pattern: "/api/v1/experiments",
 		Summary:  "Submit an experiment for vetting. Idempotent per request_id; trusted owners are auto-approved.",
-		Request:  `{"request_id"?, "id"?, "owner", "description", "assignments": [Assignment]} — id pins the experiment id (federation coordinators); omitted mints exp-NNNN`,
+		Request:  `{"request_id"?, "id"?, "owner", "description", "assignments": [Assignment]} — id pins the experiment id (1-128 bytes of [A-Za-z0-9._:-]; what a federation coordinator sends its shards, and ignores itself); omitted mints exp-NNNN`,
 		Response: "Experiment",
 		Errors:   []string{ErrCodeBadRequest, ErrCodeBodyTooLarge},
 		Priority: PriorityHigh,
-	}, (*Controller).handleSubmit},
+	}, api.handleSubmit},
 	{RouteInfo{
 		Name: "experiment_get", Method: http.MethodGet, Pattern: "/api/v1/experiments/{id}",
 		Summary:  "Fetch one experiment's vetting status and assignments.",
 		Response: "Experiment",
 		Errors:   []string{ErrCodeNotFound},
 		Priority: PriorityLow,
-	}, (*Controller).handleExperimentGet},
+	}, api.handleExperimentGet},
 	{RouteInfo{
 		Name: "experiment_approve", Method: http.MethodPost, Pattern: "/api/v1/experiments/{id}/approve",
 		Summary:  "Approve a pending experiment and schedule its tasks. Idempotent.",
 		Response: `{"status": "approved"}`,
-		Errors:   []string{ErrCodeBadRequest},
+		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound},
 		Priority: PriorityHigh,
-	}, (*Controller).handleExperimentApprove},
+	}, api.handleExperimentApprove},
 	{RouteInfo{
 		Name: "experiment_results", Method: http.MethodGet, Pattern: "/api/v1/experiments/{id}/results",
 		Summary: "Page through one experiment's collected results.",
@@ -157,7 +126,7 @@ var apiRoutes = []controllerRoute{
 		Response: "page of Result",
 		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound},
 		Priority: PriorityLow,
-	}, (*Controller).handleExperimentResults},
+	}, api.handleExperimentResults},
 	{RouteInfo{
 		Name: "query", Method: http.MethodGet, Pattern: "/api/v1/query",
 		Summary:  "Query the results store: filtered scans, time-window aggregations, and the mergeable partial aggregation a coordinator asks its shards for.",
@@ -165,19 +134,27 @@ var apiRoutes = []controllerRoute{
 		Response: `op=aggregate: AggReport; op=scan: page of Record; op=fold: Folder {group_by, matched, groups: [{<group key fields>, count, ok, verdicts, rtts}]} — the aggregate before its report, with raw RTT samples in place of derived statistics, which a coordinator merges across shards exactly. Served by a federation coordinator, each carries "degraded": true plus "shards_missing": [shard ids] when shards timed out or were down — the data is correct but partial, never silently wrong`,
 		Errors:   []string{ErrCodeBadRequest},
 		Priority: PriorityLow,
-	}, (*Controller).handleQuery},
+	}, api.handleQuery},
 	{RouteInfo{
 		Name: "health", Method: http.MethodGet, Pattern: "/api/v1/health",
 		Summary:  "Fleet-health summary: probe liveness counts, queue and lease depth.",
 		Response: "HealthReport",
 		Priority: PriorityHigh,
-	}, (*Controller).handleHealth},
+	}, api.handleHealth},
 	{RouteInfo{
 		Name: "stats", Method: http.MethodGet, Pattern: "/api/v1/stats",
 		Summary:  "Pipeline, durability, and store counters plus per-probe status.",
 		Response: "StatsReport",
 		Priority: PriorityLow,
-	}, (*Controller).handleStats},
+	}, api.handleStats},
+}
+
+// probesListRoute is the one route only a controller serves.
+var probesListRoute = RouteInfo{
+	Name: "probes_list", Method: http.MethodGet, Pattern: "/api/v1/probes",
+	Summary:  "List registered probes sorted by id.",
+	Response: "page of ProbeInfo",
+	Priority: PriorityLow,
 }
 
 // The routes every Router serves itself, after its table's own: they
@@ -204,14 +181,33 @@ var (
 // RouterRoutes describes the routes every Router serves itself.
 func RouterRoutes() []RouteInfo { return []RouteInfo{debugTracesRoute, metricsRoute} }
 
+// SharedRouteInfos describes the routes both tiers serve.
+func SharedRouteInfos() []RouteInfo {
+	out := make([]RouteInfo, len(sharedRoutes))
+	for i, rt := range sharedRoutes {
+		out[i] = rt.RouteInfo
+	}
+	return out
+}
+
+// SharedRoutes binds the routes both tiers serve to one tier: the
+// backend their handlers call, and the tier's mapping of a backend error
+// onto the error envelope.
+func SharedRoutes(b Backend, writeErr func(http.ResponseWriter, error)) []Route {
+	a := api{b, writeErr}
+	out := make([]Route, len(sharedRoutes))
+	for i, rt := range sharedRoutes {
+		out[i] = Route{rt.RouteInfo, func(w http.ResponseWriter, r *http.Request, p PathParams) {
+			rt.handle(a, w, r, p)
+		}}
+	}
+	return out
+}
+
 // APIRoutes returns the self-description of the controller's full v1
 // surface in documentation order.
 func APIRoutes() []RouteInfo {
-	out := make([]RouteInfo, 0, len(apiRoutes)+2)
-	for _, rt := range apiRoutes {
-		out = append(out, rt.RouteInfo)
-	}
-	return append(out, RouterRoutes()...)
+	return append(append(SharedRouteInfos(), probesListRoute), RouterRoutes()...)
 }
 
 // compiledRoute is a table entry plus its pre-split pattern and the
@@ -273,12 +269,7 @@ func NewRouter(table []Route, gate *AdmissionGate, reg *obs.Registry, ring *obs.
 // every request leaves a span tree in the trace ring
 // (GET /api/v1/debug/traces).
 func (c *Controller) Handler() http.Handler {
-	table := make([]Route, 0, len(apiRoutes))
-	for _, def := range apiRoutes {
-		table = append(table, Route{def.RouteInfo, func(w http.ResponseWriter, r *http.Request, p PathParams) {
-			def.handle(c, w, r, p)
-		}})
-	}
+	table := append(SharedRoutes(controllerBackend{c}, writeControllerErr), Route{probesListRoute, c.handleProbes})
 	return NewRouter(table, c.adm, c.reg, c.ring, c.SlowRequest)
 }
 
@@ -373,7 +364,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // handleDebugTraces serves the slowest recent request traces from the
 // router's trace ring.
 func (rt *Router) handleDebugTraces(w http.ResponseWriter, r *http.Request, _ PathParams) {
-	n, ok := ParseCount(w, "slowest", r.URL.Query().Get("slowest"), 10)
+	n, ok := parseCount(w, "slowest", r.URL.Query().Get("slowest"), 10)
 	if !ok {
 		return
 	}

@@ -59,7 +59,7 @@ func TestSpoolBacklogSurvivesProbeRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := cl.LeaseTasks("kgl-01", 0)
+	tasks, err := leaseTasks(cl, "kgl-01", 0)
 	if err != nil || len(tasks) != len(asg) {
 		t.Fatalf("lease: %d tasks, err=%v", len(tasks), err)
 	}
@@ -167,7 +167,7 @@ func TestSpoolRedeliveryAfterLostAckIsDeduped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := cl.LeaseTasks("kgl-01", 0)
+	tasks, err := leaseTasks(cl, "kgl-01", 0)
 	if err != nil || len(tasks) != len(asg) {
 		t.Fatalf("lease: %d tasks, err=%v", len(tasks), err)
 	}
@@ -176,7 +176,7 @@ func TestSpoolRedeliveryAfterLostAckIsDeduped(t *testing.T) {
 	}
 	// The upload succeeds but the probe dies before Ack hits the spool.
 	rs, _ := sp.DrainBatch(0)
-	if err := cl.SubmitResults("kgl-01", rs); err != nil {
+	if err := uploadResults(cl, "kgl-01", rs); err != nil {
 		t.Fatal(err)
 	}
 	sp.Close()
@@ -218,12 +218,12 @@ func TestProbeResilienceCountersInMetricsExposition(t *testing.T) {
 	cl.MaxAttempts = 1
 	cl.BreakerThreshold = 3
 	for i := 0; i < 3; i++ {
-		_ = cl.Heartbeat("p1")
+		_ = heartbeat(cl, "p1")
 	}
 	// A Retry-After honored on retry.
 	cl2, _, _ := scriptedClient([]scriptStep{{status: 429, retryAfter: "1"}})
 	cl2.MaxAttempts = 2
-	_ = cl2.Heartbeat("p1")
+	_ = heartbeat(cl2, "p1")
 
 	// A spool with evictions and a pending backlog.
 	sp, err := spool.Open(t.TempDir(), spool.Options{MaxPending: 2})

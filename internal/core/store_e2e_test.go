@@ -287,7 +287,7 @@ func TestOversizedBody413(t *testing.T) {
 	huge = append(huge, []byte(`"}`)...)
 	for _, path := range []string{
 		"/api/v1/probes/register",
-		"/api/v1/probes/p1/results",
+		"/api/v1/probes/sync",
 		"/api/v1/experiments",
 	} {
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(huge))

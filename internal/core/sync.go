@@ -4,10 +4,10 @@ package core
 // probe's whole round into one request — the heartbeat, every spooled
 // result it has to deliver, and the ask for its next task lease — and
 // the controller folds the whole batch into ONE journal record (opSync),
-// so one append and one fsync cover the round. Every other probe entry
-// point (Heartbeat, LeaseTasks, SubmitResults and their three legacy
-// routes) is a caller of syncCtx with part of the round left out, so
-// opSync is the only probe record a journal is ever given.
+// so one append and one fsync cover the round. The in-process sugar
+// (Heartbeat, LeaseTasks, SubmitResults) is a caller of syncCtx with part
+// of the round left out, so opSync is the only probe record a journal is
+// ever given.
 //
 // With ?wait=<duration> the call long-polls: a probe with an empty queue
 // parks on a per-probe channel until tasks are enqueued for it
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
 	"time"
 
 	"github.com/afrinet/observatory/internal/obs"
@@ -34,7 +33,7 @@ import (
 var ErrUnknownProbe = errors.New("core: unknown probe")
 
 // DefaultLeaseMax is the lease size used when a client asks for the
-// server default (max = 0 on the tasks and sync endpoints).
+// server default (max = 0 in a sync round).
 const DefaultLeaseMax = 32
 
 // MaxSyncWait caps ?wait= so a misconfigured probe cannot park a
@@ -235,98 +234,4 @@ func (c *Controller) waitForTasks(ctx context.Context, probeID string, max int, 
 		default:
 		}
 	}
-}
-
-// ParseSyncRequest decodes the sync route's body and its ?wait= for
-// both tiers, writing the 400/413 itself; ok is false when the handler
-// should stop. wait is capped at MaxSyncWait.
-func ParseSyncRequest(w http.ResponseWriter, r *http.Request) (req SyncRequest, wait time.Duration, ok bool) {
-	if !DecodeBody(w, r, &req) {
-		return req, 0, false
-	}
-	if req.ProbeID == "" {
-		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			fmt.Errorf("probe_id required"))
-		return req, 0, false
-	}
-	if s := r.URL.Query().Get("wait"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d < 0 {
-			WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Errorf("wait must be a non-negative duration, got %q", s))
-			return req, 0, false
-		}
-		if d > MaxSyncWait {
-			d = MaxSyncWait
-		}
-		wait = d
-	}
-	return req, wait, true
-}
-
-// writeSyncErr is the error mapping of the four probe routes: an
-// unknown probe is 404, a rejected batch 400, and a StorageFault 503
-// (WriteAPIError's rule).
-func writeSyncErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrUnknownProbe) {
-		WriteAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
-		return
-	}
-	WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-}
-
-// handleProbeSync serves POST /api/v1/probes/sync.
-func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ PathParams) {
-	req, wait, ok := ParseSyncRequest(w, r)
-	if !ok {
-		return
-	}
-	resp, err := c.syncCtx(r.Context(), req.ProbeID, req.Results, req.Max)
-	if err != nil {
-		writeSyncErr(w, err)
-		return
-	}
-	if wait > 0 && req.Max >= 0 && len(resp.Tasks) == 0 {
-		if tasks := c.waitForTasks(r.Context(), req.ProbeID, resolveSyncMax(req.Max), wait); tasks != nil {
-			resp.Tasks = tasks
-		}
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// The three legacy probe routes, kept for probes already in the field:
-// each is the sync round named in its route Summary.
-
-func (c *Controller) handleProbeTasks(w http.ResponseWriter, r *http.Request, p PathParams) {
-	max, ok := ParseLeaseMax(w, r)
-	if !ok {
-		return
-	}
-	resp, err := c.syncCtx(r.Context(), p["id"], nil, max)
-	if err != nil {
-		writeSyncErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp.Tasks)
-}
-
-func (c *Controller) handleProbeResults(w http.ResponseWriter, r *http.Request, p PathParams) {
-	var rs []probes.Result
-	if !DecodeBody(w, r, &rs) {
-		return
-	}
-	resp, err := c.syncCtx(r.Context(), p["id"], rs, -1)
-	if err != nil {
-		writeSyncErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]int{"accepted": resp.Accepted, "received": resp.Received})
-}
-
-func (c *Controller) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p PathParams) {
-	if _, err := c.syncCtx(r.Context(), p["id"], nil, -1); err != nil {
-		writeSyncErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -240,7 +240,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			_, _ = admin.SubmitWithID(pe.reqID, "", "obs", "chaos drill", pe.asg)
 		}
 		for i, cl := range probeCls {
-			tasks, err := cl.LeaseTasks(probeIDs[i], 4)
+			tasks, err := clLease(cl, probeIDs[i], 4)
 			if err != nil || len(tasks) == 0 {
 				continue
 			}
@@ -251,7 +251,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 					ProbeID: probeIDs[i], Kind: task.Kind, OK: true, RTTms: 40,
 				})
 			}
-			_, _ = cl.SubmitResults(probeIDs[i], rs), cl.Heartbeat(probeIDs[i])
+			_, _ = clUpload(cl, probeIDs[i], rs), clHeartbeat(cl, probeIDs[i])
 		}
 		for i := 0; i < 3; i++ {
 			recs, _, meta, err := analyst.QueryScanMeta(store.Filter{}, 0, "")

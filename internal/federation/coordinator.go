@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -16,10 +17,6 @@ import (
 
 // ErrNoShards is returned for key routing against an empty shard map.
 var ErrNoShards = errors.New("federation: no shards in the map")
-
-// ErrUnknownExperiment marks a federated-experiment id the coordinator
-// never minted; the HTTP layer maps it to 404.
-var ErrUnknownExperiment = errors.New("federation: unknown experiment")
 
 // FailoverFunc builds a replacement backend for a dead shard. It runs
 // outside the coordinator lock and typically ships the dead shard's
@@ -158,7 +155,7 @@ type Coordinator struct {
 	tick      int64
 	log       *journal.Log // nil for in-memory coordinators
 
-	// The front end's state (http.go): the registry and trace ring the
+	// The front end's state (Handler): the registry and trace ring the
 	// shared router writes and serves, and its admission gate.
 	reg    *obs.Registry
 	traces *obs.TraceRing
@@ -565,7 +562,7 @@ func scatterCall[T any](c *Coordinator, st *shardState, backend Shard, allowHedg
 }
 
 // Register routes a probe registration to its owning shard.
-func (c *Coordinator) Register(p core.ProbeInfo) error {
+func (c *Coordinator) Register(_ context.Context, p core.ProbeInfo) error {
 	st, backend, err := c.shardFor(p.ID)
 	if err != nil {
 		return err
@@ -583,8 +580,13 @@ func (c *Coordinator) Register(p core.ProbeInfo) error {
 // be hedged; one that asks for a lease never is, because two racing
 // attempts would both consume leases. A shard-layer failure means the
 // batch was (as far as we know) not durably accepted, so the caller must
-// keep it spooled.
-func (c *Coordinator) Sync(req core.SyncRequest) (core.SyncResponse, error) {
+// keep it spooled: the front end answers 503 + Retry-After and the
+// probe's spool, which acks only on success, keeps the batch. wait is not
+// forwarded: parking belongs to the queue-owning shard, and the per-shard
+// deadline (QueryDeadline, ~2s) would cut a 30s park short — so a
+// coordinator answers immediately and the probe's wait loop becomes a
+// paced retry.
+func (c *Coordinator) Sync(_ context.Context, req core.SyncRequest, _ time.Duration) (core.SyncResponse, error) {
 	st, backend, err := c.shardFor(req.ProbeID)
 	if err != nil {
 		return core.SyncResponse{}, err
@@ -594,32 +596,14 @@ func (c *Coordinator) Sync(req core.SyncRequest) (core.SyncResponse, error) {
 	})
 }
 
-// Heartbeat is the round with no results and no lease ask.
-func (c *Coordinator) Heartbeat(probeID string) error {
-	_, err := c.Sync(core.SyncRequest{ProbeID: probeID, Max: -1})
-	return err
-}
-
-// LeaseTasks is the round with no results (max 0: the server default).
-func (c *Coordinator) LeaseTasks(probeID string, max int) ([]probes.Task, error) {
-	resp, err := c.Sync(core.SyncRequest{ProbeID: probeID, Max: max})
-	return resp.Tasks, err
-}
-
-// SubmitResults is the round with no lease ask; it returns how many
-// results the shard newly recorded.
-func (c *Coordinator) SubmitResults(probeID string, rs []probes.Result) (int, error) {
-	resp, err := c.Sync(core.SyncRequest{ProbeID: probeID, Results: rs, Max: -1})
-	return resp.Accepted, err
-}
-
 // Submit partitions an experiment's assignments by probe owner and
 // creates the same federated experiment id on every owning shard. The
 // (requestID → fedID) binding is journaled before any shard sees the
 // push, so a coordinator crash cannot mint two ids for one client
 // retry; the per-shard push is idempotent (per-shard request ids), so a
-// retry after a partial failure re-pushes only what is missing.
-func (c *Coordinator) Submit(requestID, owner, description string, as []probes.Assignment) (*core.Experiment, error) {
+// retry after a partial failure re-pushes only what is missing. req.ID is
+// ignored: a federated id is minted here.
+func (c *Coordinator) Submit(_ context.Context, req core.SubmitRequest) (*core.Experiment, error) {
 	c.mu.Lock()
 	if len(c.order) == 0 {
 		c.mu.Unlock()
@@ -627,8 +611,8 @@ func (c *Coordinator) Submit(requestID, owner, description string, as []probes.A
 	}
 	var fedID string
 	var replay bool
-	if requestID != "" {
-		fedID, replay = c.submitIDs[requestID]
+	if req.RequestID != "" {
+		fedID, replay = c.submitIDs[req.RequestID]
 	}
 	if !replay {
 		fedID = fmt.Sprintf("fexp-%04d", c.nextFedID+1)
@@ -638,7 +622,7 @@ func (c *Coordinator) Submit(requestID, owner, description string, as []probes.A
 	// shards (every shard would mint fedID-t0000), corrupting the
 	// global (experiment, task) dedup identity. A client retry carries
 	// the same assignments in the same order, so the fill is stable.
-	filled := append([]probes.Assignment(nil), as...)
+	filled := append([]probes.Assignment(nil), req.Assignments...)
 	for i := range filled {
 		if filled[i].Task.ID == "" {
 			filled[i].Task.ID = fmt.Sprintf("%s-t%04d", fedID, i)
@@ -669,9 +653,9 @@ func (c *Coordinator) Submit(requestID, owner, description string, as []probes.A
 	if !replay {
 		op := fedSubmitOp{
 			FedID:       fedID,
-			RequestID:   requestID,
-			Owner:       owner,
-			Description: description,
+			RequestID:   req.RequestID,
+			Owner:       req.Owner,
+			Description: req.Description,
 			Shards:      owners,
 		}
 		if err := c.appendLocked(opFedSubmit, op); err != nil {
@@ -700,18 +684,18 @@ func (c *Coordinator) Submit(requestID, owner, description string, as []probes.A
 			part = append(part, filled[i])
 		}
 		sub, err := scatterCall(c, t.st, t.backend, true, func(s Shard) (*core.Experiment, error) {
-			return s.SubmitWithID("fed:"+fedID+":"+id, fedID, owner, description, part)
+			return s.SubmitWithID("fed:"+fedID+":"+id, fedID, req.Owner, req.Description, part)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("federation: pushing %s to shard %s: %w", fedID, id, err)
 		}
 		subs = append(subs, sub)
 	}
-	return mergeExperiments(fedID, owner, description, subs), nil
+	return mergeExperiments(fedID, req.Owner, req.Description, subs), nil
 }
 
 // Approve fans an experiment approval out to every owning shard.
-func (c *Coordinator) Approve(fedID string) error {
+func (c *Coordinator) Approve(_ context.Context, fedID string) error {
 	fed, targets, err := c.experimentTargets(fedID)
 	if err != nil {
 		return err
@@ -762,7 +746,7 @@ func (c *Coordinator) experimentTargets(fedID string) (*fedExperiment, []shardTa
 	defer c.mu.Unlock()
 	fed, ok := c.fedExps[fedID]
 	if !ok {
-		return nil, nil, ErrUnknownExperiment
+		return nil, nil, fmt.Errorf("%w %s", core.ErrUnknownExperiment, fedID)
 	}
 	targets := make([]shardTarget, 0, len(fed.Shards))
 	for _, id := range fed.Shards {
@@ -843,9 +827,9 @@ type FedStats struct {
 	ShardsDown  []string                    `json:"shards_down,omitempty"`
 }
 
-// Stats gathers per-shard stats; unresponsive shards are listed in
-// ShardsDown rather than failing the read.
-func (c *Coordinator) Stats() FedStats {
+// Stats gathers per-shard stats (a FedStats); unresponsive shards are
+// listed in ShardsDown rather than failing the read.
+func (c *Coordinator) Stats() any {
 	targets, ids := c.allTargets()
 	out := FedStats{
 		Coordinator: c.ctr.Snapshot(),

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -18,6 +19,26 @@ import (
 )
 
 const testOwner = "lab"
+
+var ctx = context.Background()
+
+// submit, leaseTasks and submitResults are the coordinator calls the
+// tests make by hand: a submission by testOwner, and the two partial sync
+// rounds.
+
+func submit(c *Coordinator, requestID, description string, as []probes.Assignment) (*core.Experiment, error) {
+	return c.Submit(ctx, core.SubmitRequest{RequestID: requestID, Owner: testOwner, Description: description, Assignments: as})
+}
+
+func leaseTasks(c *Coordinator, probeID string, max int) ([]probes.Task, error) {
+	resp, err := c.Sync(ctx, core.SyncRequest{ProbeID: probeID, Max: max}, 0)
+	return resp.Tasks, err
+}
+
+func submitResults(c *Coordinator, probeID string, rs []probes.Result) (int, error) {
+	resp, err := c.Sync(ctx, core.SyncRequest{ProbeID: probeID, Results: rs, Max: -1}, 0)
+	return resp.Accepted, err
+}
 
 func testConfig() Config {
 	return Config{
@@ -78,11 +99,11 @@ func testAssignments(ps []core.ProbeInfo, perProbe int) []probes.Assignment {
 func pumpResults(t *testing.T, c *Coordinator, ps []core.ProbeInfo, perProbe int) (*core.Experiment, int) {
 	t.Helper()
 	for _, p := range ps {
-		if err := c.Register(p); err != nil {
+		if err := c.Register(ctx, p); err != nil {
 			t.Fatalf("Register(%s): %v", p.ID, err)
 		}
 	}
-	exp, err := c.Submit("req-1", testOwner, "fed workload", testAssignments(ps, perProbe))
+	exp, err := submit(c, "req-1", "fed workload", testAssignments(ps, perProbe))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -92,7 +113,7 @@ func pumpResults(t *testing.T, c *Coordinator, ps []core.ProbeInfo, perProbe int
 	accepted := 0
 	for _, p := range ps {
 		for {
-			tasks, err := c.LeaseTasks(p.ID, 8)
+			tasks, err := leaseTasks(c, p.ID, 8)
 			if err != nil {
 				t.Fatalf("LeaseTasks(%s): %v", p.ID, err)
 			}
@@ -110,7 +131,7 @@ func pumpResults(t *testing.T, c *Coordinator, ps []core.ProbeInfo, perProbe int
 					RTTms:      float64(10 + len(task.ID)%7),
 				})
 			}
-			n, err := c.SubmitResults(p.ID, rs)
+			n, err := submitResults(c, p.ID, rs)
 			if err != nil {
 				t.Fatalf("SubmitResults(%s): %v", p.ID, err)
 			}
@@ -202,16 +223,16 @@ func TestSubmitIdempotentAcrossRetries(t *testing.T) {
 	c, _ := newHarness(t, 3, "", testConfig())
 	ps := testProbes(6)
 	for _, p := range ps {
-		if err := c.Register(p); err != nil {
+		if err := c.Register(ctx, p); err != nil {
 			t.Fatalf("Register: %v", err)
 		}
 	}
 	as := testAssignments(ps, 1)
-	exp1, err := c.Submit("req-idem", testOwner, "d", as)
+	exp1, err := submit(c, "req-idem", "d", as)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	exp2, err := c.Submit("req-idem", testOwner, "d", as)
+	exp2, err := submit(c, "req-idem", "d", as)
 	if err != nil {
 		t.Fatalf("Submit retry: %v", err)
 	}
@@ -222,7 +243,7 @@ func TestSubmitIdempotentAcrossRetries(t *testing.T) {
 		t.Fatalf("retry has %d assignments, want %d", len(exp2.Assignments), len(as))
 	}
 	// A different request id is a different experiment.
-	exp3, err := c.Submit("req-other", testOwner, "d", as)
+	exp3, err := submit(c, "req-other", "d", as)
 	if err != nil {
 		t.Fatalf("Submit other: %v", err)
 	}
@@ -239,7 +260,7 @@ func TestSubmitRefusesTaskIDOnTwoShards(t *testing.T) {
 	c, _ := newHarness(t, 2, "", testConfig())
 	ps := testProbes(8)
 	for _, p := range ps {
-		if err := c.Register(p); err != nil {
+		if err := c.Register(ctx, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,13 +278,13 @@ func TestSubmitRefusesTaskIDOnTwoShards(t *testing.T) {
 		}
 		return as
 	}
-	if _, err := c.Submit("req-two", testOwner, "d", pinned(byShard["shard-0"][0], byShard["shard-1"][0])); err == nil {
+	if _, err := submit(c, "req-two", "d", pinned(byShard["shard-0"][0], byShard["shard-1"][0])); err == nil {
 		t.Fatal("one task id for probes of two shards was accepted")
 	}
 	if n := c.Counters()["fed_submits"]; n != 0 {
 		t.Fatalf("the refused submission was journaled (fed_submits = %d)", n)
 	}
-	exp, err := c.Submit("req-one", testOwner, "d", pinned(byShard["shard-0"][0], byShard["shard-0"][1]))
+	exp, err := submit(c, "req-one", "d", pinned(byShard["shard-0"][0], byShard["shard-0"][1]))
 	if err != nil || exp.ID != "fexp-0001" {
 		t.Fatalf("one task id twice within a shard: exp %+v, err %v", exp, err)
 	}
@@ -273,18 +294,18 @@ func TestSubmitRetryRepairsPartialPush(t *testing.T) {
 	c, shards := newHarness(t, 2, "", testConfig())
 	ps := testProbes(8)
 	for _, p := range ps {
-		if err := c.Register(p); err != nil {
+		if err := c.Register(ctx, p); err != nil {
 			t.Fatalf("Register: %v", err)
 		}
 	}
 	as := testAssignments(ps, 1)
 	// Kill one shard: the push reaches the surviving shard only.
 	killed := shards[1].Kill()
-	if _, err := c.Submit("req-partial", testOwner, "d", as); err == nil {
+	if _, err := submit(c, "req-partial", "d", as); err == nil {
 		t.Fatal("Submit with a dead shard should fail")
 	}
 	shards[1].Revive(killed)
-	exp, err := c.Submit("req-partial", testOwner, "d", as)
+	exp, err := submit(c, "req-partial", "d", as)
 	if err != nil {
 		t.Fatalf("Submit retry after revive: %v", err)
 	}
@@ -346,7 +367,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 			t.Fatalf("probe %s re-routed from %s to %s across coordinator restart", p.ID, routes1[p.ID], got)
 		}
 	}
-	dup, err := c2.Submit("req-1", testOwner, "fed workload", testAssignments(ps, 1))
+	dup, err := submit(c2, "req-1", "fed workload", testAssignments(ps, 1))
 	if err != nil {
 		t.Fatalf("replayed Submit: %v", err)
 	}
@@ -490,7 +511,7 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 	// The replacement still serves its keyspace: new leases drain empty
 	// (everything completed) rather than erroring.
 	for _, p := range ps {
-		if _, err := c.LeaseTasks(p.ID, 4); err != nil {
+		if _, err := leaseTasks(c, p.ID, 4); err != nil {
 			t.Fatalf("post-failover lease for %s: %v", p.ID, err)
 		}
 	}

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -38,6 +37,23 @@ func serveClient(t *testing.T, h http.Handler, seed int64) *core.Client {
 	cl := core.NewClientSeeded(srv.URL, seed)
 	cl.Sleep = func(time.Duration) {} // no real sleeping in retries
 	return cl
+}
+
+// clLease, clUpload and clHeartbeat are the partial sync rounds the tests
+// drive a probe's client through by hand.
+
+func clLease(cl *core.Client, probeID string, max int) ([]probes.Task, error) {
+	resp, err := cl.Sync(core.SyncRequest{ProbeID: probeID, Max: max}, 0)
+	return resp.Tasks, err
+}
+
+func clUpload(cl *core.Client, probeID string, rs []probes.Result) error {
+	_, err := cl.Sync(core.SyncRequest{ProbeID: probeID, Results: rs, Max: -1}, 0)
+	return err
+}
+
+func clHeartbeat(cl *core.Client, probeID string) error {
+	return clUpload(cl, probeID, nil)
 }
 
 // queryOpCounter wraps a shard controller's handler and counts, per op,
@@ -138,7 +154,7 @@ func httpEndToEndFlow(t *testing.T, cl *core.Client) []byte {
 	done := 0
 	for _, p := range ps {
 		for {
-			tasks, err := cl.LeaseTasks(p.ID, 4)
+			tasks, err := clLease(cl, p.ID, 4)
 			if err != nil {
 				t.Fatalf("LeaseTasks: %v", err)
 			}
@@ -152,23 +168,16 @@ func httpEndToEndFlow(t *testing.T, cl *core.Client) []byte {
 					ProbeID: p.ID, Kind: task.Kind, OK: true, RTTms: 12 + float64(done+len(rs))/7,
 				})
 			}
-			if err := cl.SubmitResults(p.ID, rs); err != nil {
+			if err := clUpload(cl, p.ID, rs); err != nil {
 				t.Fatalf("SubmitResults: %v", err)
 			}
 			done += len(rs)
 			// A redelivered batch is answered with what the shard recorded.
-			var ack struct{ Accepted, Received int }
-			body, _ := json.Marshal(rs)
-			resp, err := http.Post(cl.Base+"/api/v1/probes/"+p.ID+"/results", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatalf("redelivery: %v", err)
-			}
-			err = json.NewDecoder(resp.Body).Decode(&ack)
-			resp.Body.Close()
+			ack, err := cl.Sync(core.SyncRequest{ProbeID: p.ID, Results: rs, Max: -1}, 0)
 			if err != nil || ack.Accepted != 0 || ack.Received != len(rs) {
 				t.Fatalf("redelivered batch: %+v (err %v), want accepted 0 received %d", ack, err, len(rs))
 			}
-			if err := cl.Heartbeat(p.ID); err != nil {
+			if err := clHeartbeat(cl, p.ID); err != nil {
 				t.Fatalf("Heartbeat: %v", err)
 			}
 		}
@@ -299,7 +308,7 @@ func TestHTTPDeadShardIs503NotBreakerFood(t *testing.T) {
 	}
 	var apiErr *core.APIError
 	for _, p := range ps {
-		_, err := cl.LeaseTasks(p.ID, 4)
+		_, err := clLease(cl, p.ID, 4)
 		if err == nil {
 			t.Fatalf("lease for %s succeeded with every shard dead", p.ID)
 		}

@@ -37,7 +37,7 @@ func randomWorkload(t *testing.T, rng *rand.Rand, c *Coordinator) []core.ProbeIn
 			Country:  countries[rng.Intn(len(countries))],
 			HasWired: rng.Intn(2) == 0,
 		}
-		if err := c.Register(ps[i]); err != nil {
+		if err := c.Register(ctx, ps[i]); err != nil {
 			t.Fatalf("Register: %v", err)
 		}
 	}
@@ -56,13 +56,13 @@ func randomWorkload(t *testing.T, rng *rand.Rand, c *Coordinator) []core.ProbeIn
 				})
 			}
 		}
-		if _, err := c.Submit(fmt.Sprintf("prop-req-%d", e), testOwner, "prop", as); err != nil {
+		if _, err := submit(c, fmt.Sprintf("prop-req-%d", e), "prop", as); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
 	for _, p := range ps {
 		for {
-			tasks, err := c.LeaseTasks(p.ID, 1+rng.Intn(6))
+			tasks, err := leaseTasks(c, p.ID, 1+rng.Intn(6))
 			if err != nil {
 				t.Fatalf("LeaseTasks: %v", err)
 			}
@@ -80,7 +80,7 @@ func randomWorkload(t *testing.T, rng *rand.Rand, c *Coordinator) []core.ProbeIn
 					RTTms:      10 + rng.Float64()*200,
 				})
 			}
-			if _, err := c.SubmitResults(p.ID, rs); err != nil {
+			if _, err := submitResults(c, p.ID, rs); err != nil {
 				t.Fatalf("SubmitResults: %v", err)
 			}
 		}
@@ -346,7 +346,7 @@ func loadDimensions(t *testing.T, cl *core.Client, tick func(int), expIDs []stri
 		}
 		minted = append(minted, exp.ID)
 		for i, p := range ps {
-			tasks, err := cl.LeaseTasks(p.ID, 0)
+			tasks, err := clLease(cl, p.ID, 0)
 			if err != nil || len(tasks) != 3 {
 				t.Fatalf("LeaseTasks(%s): %d tasks, err %v", p.ID, len(tasks), err)
 			}
@@ -362,7 +362,7 @@ func loadDimensions(t *testing.T, cl *core.Client, tick func(int), expIDs []stri
 				}
 				rs = append(rs, r)
 			}
-			if err := cl.SubmitResults(p.ID, rs); err != nil {
+			if err := clUpload(cl, p.ID, rs); err != nil {
 				t.Fatalf("SubmitResults: %v", err)
 			}
 			if i == len(ps)/2 {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/obs"
+	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
 )
 
@@ -211,6 +212,23 @@ func (c *Coordinator) ScanItems(f store.Filter, limit int, cursor string) ([]sto
 	return scan(c, limit, cursor,
 		func(s Shard, pos string) ([]store.Item, string, error) { return s.ScanItems(f, limit, pos) },
 		func(it *store.Item) (uint64, store.DedupKey) { return it.Seq, it.Key })
+}
+
+// ExperimentResults pages through one federated experiment's results: a
+// federated scan filtered to it, behind the same composite cursor.
+func (c *Coordinator) ExperimentResults(fedID string, limit int, cursor string) ([]probes.Result, string, QueryMeta, error) {
+	if _, _, err := c.experimentTargets(fedID); err != nil { // unknown id: not an empty page
+		return nil, "", QueryMeta{}, err
+	}
+	recs, next, meta, err := c.ScanPage(store.Filter{Experiment: fedID}, limit, cursor)
+	if err != nil {
+		return nil, "", meta, err
+	}
+	rs := make([]probes.Result, 0, len(recs))
+	for _, rec := range recs {
+		rs = append(rs, rec.Result)
+	}
+	return rs, next, meta, nil
 }
 
 // scan is the federated scan both of them are: page asks one shard for

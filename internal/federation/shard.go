@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"strconv"
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/journal"
@@ -22,35 +21,6 @@ var ErrShardDown = errors.New("federation: shard down")
 // deadline. Query fan-outs degrade around it; single-shard probe ops
 // surface it as shard_unavailable.
 var ErrShardTimeout = errors.New("federation: shard call deadline exceeded")
-
-// writeShardErr maps routing-layer failures onto the v1 envelope: an
-// unknown experiment or probe is 404, a down or deadline-blown shard is
-// 503 shard_unavailable with a Retry-After (the client retries without
-// tripping its breaker), a remote shard's own API error passes through
-// status and code intact, and anything else is the shard rejecting the
-// request (400) — unless it is a local shard's storage fault, which
-// core.WriteAPIError answers 503 unavailable like a remote shard would.
-func (c *Coordinator) writeShardErr(w http.ResponseWriter, err error) {
-	var apiErr *core.APIError
-	switch {
-	case errors.Is(err, ErrUnknownExperiment), errors.Is(err, core.ErrUnknownProbe):
-		core.WriteAPIError(w, http.StatusNotFound, core.ErrCodeNotFound, err)
-	case errors.Is(err, ErrShardDown), errors.Is(err, ErrShardTimeout), errors.Is(err, ErrNoShards):
-		w.Header().Set("Retry-After", strconv.Itoa(c.cfg.RetryAfterSeconds))
-		core.WriteAPIError(w, http.StatusServiceUnavailable, core.ErrCodeShardUnavailable, err)
-	case errors.As(err, &apiErr):
-		if apiErr.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(apiErr.RetryAfter))
-		}
-		code := apiErr.Code
-		if code == "" {
-			code = core.ErrCodeUnavailable
-		}
-		core.WriteAPIError(w, apiErr.Status, code, err)
-	default:
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest, err)
-	}
-}
 
 // Shard is a controller backend the coordinator routes to. Two
 // implementations: LocalShard wraps an in-process core.Controller

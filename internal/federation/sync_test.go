@@ -23,19 +23,19 @@ func TestFederatedSyncRoutesByRing(t *testing.T) {
 	c, shards := newHarness(t, 3, "", testConfig())
 	ps := testProbes(12)
 	for _, p := range ps {
-		if err := c.Register(p); err != nil {
+		if err := c.Register(ctx, p); err != nil {
 			t.Fatalf("Register(%s): %v", p.ID, err)
 		}
 	}
 	const perProbe = 5
-	if _, err := c.Submit("req-sync", testOwner, "sync workload", testAssignments(ps, perProbe)); err != nil {
+	if _, err := submit(c, "req-sync", "sync workload", testAssignments(ps, perProbe)); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	delivered := 0
 	for _, p := range ps {
 		var outbox []probes.Result
 		for {
-			resp, err := c.Sync(core.SyncRequest{ProbeID: p.ID, Results: outbox, Max: 2})
+			resp, err := c.Sync(ctx, core.SyncRequest{ProbeID: p.ID, Results: outbox, Max: 2}, 0)
 			if err != nil {
 				t.Fatalf("Sync(%s): %v", p.ID, err)
 			}
@@ -96,7 +96,7 @@ func TestFederatedSyncDeadShardRetainsSpool(t *testing.T) {
 	if err := cl.Register(p); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if _, err := c.Submit("req-dead", testOwner, "doomed round", testAssignments([]core.ProbeInfo{p}, 3)); err != nil {
+	if _, err := submit(c, "req-dead", "doomed round", testAssignments([]core.ProbeInfo{p}, 3)); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	// Lease the tasks and execute them into a durable spool, as

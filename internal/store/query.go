@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -366,11 +367,19 @@ const (
 	GroupECS           = "ecs"
 )
 
+// GroupByModes lists every group_by an aggregation accepts, in the order
+// the API reference names them; "" reads as GroupNone.
+var GroupByModes = []string{
+	GroupNone, GroupCountry, GroupASN, GroupCountryASN,
+	GroupVerdict, GroupResolver, GroupCountryResolver,
+	GroupResolverChain, GroupECS,
+}
+
 // AggQuery is one aggregation request: a record filter plus how to
 // bucket the matches.
 type AggQuery struct {
 	Filter  Filter
-	GroupBy string // "", GroupNone, GroupCountry, GroupASN, GroupCountryASN, GroupVerdict, GroupResolver, GroupCountryResolver
+	GroupBy string // "" or one of GroupByModes
 }
 
 // AggGroup is one aggregation bucket: result counts, loss rate, and RTT
@@ -451,14 +460,10 @@ func (s *Store) fold(q AggQuery) (*Folder, error) {
 
 // ValidGroupBy rejects unknown aggregation group-by modes.
 func ValidGroupBy(groupBy string) error {
-	switch groupBy {
-	case "", GroupNone, GroupCountry, GroupASN, GroupCountryASN,
-		GroupVerdict, GroupResolver, GroupCountryResolver,
-		GroupResolverChain, GroupECS:
+	if groupBy == "" || slices.Contains(GroupByModes, groupBy) {
 		return nil
-	default:
-		return fmt.Errorf("store: unknown group_by %q", groupBy)
 	}
+	return fmt.Errorf("store: unknown group_by %q", groupBy)
 }
 
 // Folder is a partial aggregation, and its JSON form is what op=fold

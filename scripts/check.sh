@@ -83,6 +83,18 @@ if git grep -n 'mutateLocked(op\(Heartbeat\|Lease\|Results\)' -- internal/core; 
     echo "probe-protocol lint: heartbeat / lease_grant / results_accept records are read-only — journal probe traffic as opSync" >&2
     exit 1
 fi
+# The per-probe routes (tasks / results / heartbeat under /probes/{id}/)
+# are deleted: probe_sync is the one probe route.
+if git grep -n '/probes/{id}/' -- internal/core/routes.go; then
+    echo "probe-protocol lint: no /probes/{id}/ route — a probe call is one probe_sync round" >&2
+    exit 1
+fi
+# Both tiers serve the shared routes from one handler set in internal/core
+# (http.go) over core.Backend; the coordinator owns only the shards route.
+if git grep -n 'func (c \*Coordinator) handle' -- internal/federation | grep -v 'handleShards('; then
+    echo "probe-protocol lint: a coordinator handler other than handleShards — write the route once in internal/core against core.Backend" >&2
+    exit 1
+fi
 
 echo "== go test -race =="
 # -shuffle=on randomizes test order within each package: tests that
