@@ -624,8 +624,15 @@ func (c *Client) Stats() (StatsReport, error) {
 // actually landed cannot double-count. If an upload still fails after
 // retries the results go with the outbox and the leased tasks are
 // abandoned — the controller requeues them at lease expiry.
-func RunAgentOnce(cl *Client, agent *probes.Agent) (int, error) {
+func RunAgentOnce(cl *Client, agent Runner) (int, error) {
 	return DrainWithSync(cl, agent, &MemSpool{}, 0)
+}
+
+// Runner is what a drain loop needs of a probe: its id, and a way to run
+// leased tasks into a sink. *probes.Agent is the field probe's.
+type Runner interface {
+	ID() string
+	RunTasks([]probes.Task, probes.ResultSink) (int, error)
 }
 
 // ResultSpool is the outbox contract DrainWithSync and FlushSpool need:
@@ -712,7 +719,7 @@ func FlushSpool(cl *Client, probeID string, sp ResultSpool, batch int) (int, err
 // empty-spool) round so new work is delivered the moment it is
 // enqueued; while a backlog remains, rounds don't park. Returns the
 // number of tasks executed this call.
-func DrainWithSync(cl *Client, agent *probes.Agent, sp ResultSpool, wait time.Duration) (int, error) {
+func DrainWithSync(cl *Client, agent Runner, sp ResultSpool, wait time.Duration) (int, error) {
 	total := 0
 	for {
 		rs, upTo := sp.DrainBatch(64)

@@ -1,4 +1,4 @@
-package federation
+package federation_test
 
 import (
 	"fmt"
@@ -15,6 +15,8 @@ import (
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/faultinject"
+	"github.com/afrinet/observatory/internal/federation"
+	"github.com/afrinet/observatory/internal/fleet"
 	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
@@ -22,8 +24,9 @@ import (
 
 // TestShardChaosEndToEnd is the federation capstone: a seeded chaos
 // schedule kills and restarts durable shards mid-experiment while
-// probes keep leasing and submitting through the coordinator's HTTP
-// surface and an analyst keeps querying. One extra kill is permanent,
+// simulated probes (internal/fleet, each running the field probe's
+// DrainWithSync over its spool) keep syncing through the coordinator's
+// HTTP handler and an analyst keeps querying. One extra kill is permanent,
 // so tick-driven failure detection must walk that shard through
 // suspect → dead and fail it over (snapshot ship + journal replay)
 // onto a replacement serving the same shard id. The run must converge
@@ -73,7 +76,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		SnapshotEvery:   32,
 		StoreFlushEvery: flushEvery,
 	}
-	fedCfg := Config{
+	fedCfg := federation.Config{
 		SuspectAfter:  1,
 		DeadAfter:     2, // fast detector: a kill without a prompt restart fails over
 		QueryDeadline: 5 * time.Second,
@@ -84,7 +87,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			RetryAfterSeconds: 1,
 		},
 	}
-	coord, err := New(filepath.Join(base, "coordinator"), fedCfg)
+	coord, err := federation.New(filepath.Join(base, "coordinator"), fedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 
 	// dirOf tracks each shard's current durable directory — failover
 	// ships state into a fresh epoch directory and moves the pointer.
-	locals := map[string]*LocalShard{}
+	locals := map[string]*federation.LocalShard{}
 	dirOf := map[string]string{}
 	for _, id := range shardIDs {
 		dirOf[id] = filepath.Join(base, id)
@@ -100,7 +103,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("boot %s: %v", id, err)
 		}
-		locals[id] = NewLocalShard(ctrl)
+		locals[id] = federation.NewLocalShard(ctrl)
 		if err := coord.AddShard(id, locals[id]); err != nil {
 			t.Fatal(err)
 		}
@@ -118,9 +121,9 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		}
 		tornOf[id] = 0
 	}
-	coord.Failover = func(id string, epoch int) (Shard, error) {
+	coord.Failover = func(id string, epoch int) (federation.Shard, error) {
 		dst := filepath.Join(base, fmt.Sprintf("%s-epoch%d", id, epoch))
-		if err := ShipState(dirOf[id], dst, "", ""); err != nil {
+		if err := federation.ShipState(dirOf[id], dst, "", ""); err != nil {
 			return nil, err
 		}
 		ctrl, err := core.Recover(dst, shardCfg)
@@ -143,20 +146,22 @@ func TestShardChaosEndToEnd(t *testing.T) {
 	analyst.MaxAttempts = 1
 	analyst.Sleep = func(time.Duration) {}
 
+	// Eight probes on one worker: each round visits them in turn, as the
+	// field probe would, every visit one DrainWithSync. A round that fails
+	// leaves its results in the probe's spool for the next one. The worker
+	// talks to the coordinator over a socket with a breaker armed.
 	probeIDs := make([]string, 8)
-	probeCls := make([]*core.Client, len(probeIDs))
 	for i := range probeIDs {
-		probeIDs[i] = fmt.Sprintf("chaos-p%02d", i)
-		cl := core.NewClientSeeded(srv.URL, int64(200+i))
+		probeIDs[i] = fleet.ProbeID(i)
+	}
+	fl, err := fleet.New(coord, coord.Handler(), fleet.Config{Probes: len(probeIDs), Workers: 1, Seed: seed})
+	if err != nil {
+		t.Fatalf("register the fleet: %v", err)
+	}
+	for _, cl := range fl.Clients {
+		cl.Base, cl.HTTP = srv.URL, srv.Client()
 		cl.MaxAttempts = 3
-		cl.Sleep = func(time.Duration) {}
 		cl.BreakerThreshold = 4 // would open fast on transport failures; 503s must not feed it
-		probeCls[i] = cl
-		if err := cl.Register(core.ProbeInfo{
-			ID: probeIDs[i], ASN: 36924, Country: []string{"KE", "NG", "ZA", "SN"}[i%4], HasWired: true,
-		}); err != nil {
-			t.Fatalf("register %s: %v", probeIDs[i], err)
-		}
 	}
 
 	// Three experiments land at staggered rounds, each retried with a
@@ -239,20 +244,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			// same experiment and re-pushes nothing new.
 			_, _ = admin.SubmitRequest(core.SubmitRequest{RequestID: pe.reqID, Owner: "obs", Description: "chaos drill", Assignments: pe.asg})
 		}
-		for i, cl := range probeCls {
-			tasks, err := clLease(cl, probeIDs[i], 4)
-			if err != nil || len(tasks) == 0 {
-				continue
-			}
-			rs := make([]probes.Result, 0, len(tasks))
-			for _, task := range tasks {
-				rs = append(rs, probes.Result{
-					TaskID: task.ID, Experiment: task.Experiment,
-					ProbeID: probeIDs[i], Kind: task.Kind, OK: true, RTTms: 40,
-				})
-			}
-			_, _ = clUpload(cl, probeIDs[i], rs), clHeartbeat(cl, probeIDs[i])
-		}
+		fl.Round()
 		for i := 0; i < 3; i++ {
 			recs, _, meta, err := analyst.QueryScanMeta(store.Filter{}, 0, "")
 			if err == nil && meta.Degraded && len(recs) > 0 {
@@ -262,7 +254,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		coord.Tick(1)
 		// Whatever was killed, revived or failed over this round, no live
 		// shard holds a key another one holds.
-		if twice := keysOnTwoShards(t, locals); len(twice) != 0 {
+		if twice := federation.KeysOnTwoShards(t, locals); len(twice) != 0 {
 			t.Fatalf("round %d: keys on two shards: %v", round, twice)
 		}
 	}
@@ -323,7 +315,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 	if err != nil || meta.Degraded || rep.Matched != int64(totalTasks) {
 		t.Fatalf("final aggregate: matched %d of %d, meta=%+v, err=%v", rep.Matched, totalTasks, meta, err)
 	}
-	if want, err := buildOracle(t, locals).Aggregate(store.AggQuery{GroupBy: store.GroupCountry}); err != nil || !reflect.DeepEqual(rep, want) {
+	if want, err := federation.BuildOracle(t, locals).Aggregate(store.AggQuery{GroupBy: store.GroupCountry}); err != nil || !reflect.DeepEqual(rep, want) {
 		t.Fatalf("final aggregate diverges from the oracle (err %v):\n fed  %+v\n want %+v", err, rep, want)
 	}
 
@@ -339,10 +331,10 @@ func TestShardChaosEndToEnd(t *testing.T) {
 	// Shard death surfaced as 503 + Retry-After, not transport failure:
 	// no probe breaker ever opened, and Retry-After was honored.
 	honored := int64(0)
-	for i, cl := range probeCls {
+	for i, cl := range fl.Clients {
 		rc := cl.ResilienceCounters()
 		if rc["breaker_open_total"] != 0 {
-			t.Fatalf("probe %s breaker opened during shard chaos: %v", probeIDs[i], rc)
+			t.Fatalf("worker %d breaker opened during shard chaos: %v", i, rc)
 		}
 		honored += rc["retry_after_honored"]
 	}

@@ -28,8 +28,9 @@ echo "== determinism lint =="
 # ops, and the store's retention clock is the controller's tick counter.
 # (Federation's hedge/deadline timers use time.NewTimer on durations,
 # which is allowed: they never read the wall clock into state.)
-# cmd/fleetsim is held to the same bar: its load timing goes through
-# internal/obs (StartTimer/Elapsed), so the bench harness itself stays
+# cmd/fleetsim and internal/fleet, the simulated-fleet driver under it,
+# are held to the same bar: their load timing goes through internal/obs
+# (StartTimer/Elapsed), so the load generator itself stays
 # clock-discipline clean. internal/websim and internal/archival join the
 # list in PR9: websteps measurements and their archival records must be
 # a pure function of (seed, topology, policy) so sweeps replay
@@ -39,8 +40,8 @@ echo "== determinism lint =="
 # times, modeled RTTs), so identical configs aggregate identically at
 # any worker count. internal/framelog, the durable-file primitive under
 # journal, store and spool, is held to their bar.
-if git grep -n 'time\.Now()' -- internal/core internal/framelog internal/journal internal/store internal/spool internal/federation internal/websim internal/archival internal/dnssim internal/dnsload cmd/fleetsim; then
-    echo "determinism lint: time.Now() is forbidden in internal/core, internal/framelog, internal/journal, internal/store, internal/spool, internal/federation, internal/websim, internal/archival, internal/dnssim, internal/dnsload, and cmd/fleetsim" >&2
+if git grep -n 'time\.Now()' -- internal/core internal/framelog internal/journal internal/store internal/spool internal/federation internal/websim internal/archival internal/dnssim internal/dnsload internal/fleet cmd/fleetsim; then
+    echo "determinism lint: time.Now() is forbidden in internal/core, internal/framelog, internal/journal, internal/store, internal/spool, internal/federation, internal/websim, internal/archival, internal/dnssim, internal/dnsload, internal/fleet, and cmd/fleetsim" >&2
     exit 1
 fi
 # The websteps stack draws all randomness from seeded splitmix64
@@ -138,9 +139,9 @@ go test -run '^$' -bench '^BenchmarkDNSLoad$' -benchtime=1x -count=1 . > /dev/nu
 
 echo "== fleetsim smoke =="
 # A small fleet through the v1 HTTP surface under the race detector: the
-# run itself asserts exactly-once completion (accepted == recorded, no
-# dedups/rejects/requeues, no outstanding leases) and exits non-zero on
-# any violation.
+# run itself asserts exactly-once completion (executed == recorded, empty
+# spools, no dedups/rejects/requeues/reassignments, no outstanding leases)
+# and exits non-zero on any violation.
 go run -race ./cmd/fleetsim -probes 1000 -duration 30s -tasks-per-probe 4 -workers 16
 
 echo "OK"
