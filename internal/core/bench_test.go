@@ -7,6 +7,7 @@ package core
 // running.
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -163,8 +164,9 @@ func fleetDir(tb testing.TB) string {
 
 // longJournalDir is crash_recover's shape: 500 probes with 12 pings each
 // leased 2 at a time, one store compaction half-way, and no snapshot — a
-// 564 KB experiment_submit, 500 probe_register and 3 500 probe_sync
-// records for recovery to replay.
+// 98 KB experiment_submit_cols (564 KB as the experiment_submit it
+// replaced), 500 probe_register and 3 500 probe_sync records for recovery
+// to replay.
 func longJournalDir(tb testing.TB) string {
 	return killedFleetDir(tb, longJournalCfg, 500, 12, 2, true)
 }
@@ -232,8 +234,10 @@ func shipDir(tb testing.TB, src, dst string) {
 }
 
 // benchRecover times Recover of a fresh copy of src per op; the copy and
-// the recovered controller's teardown are outside the timer.
+// the recovered controller's teardown are outside the timer, and so is
+// anything the caller does after it: it returns with the timer stopped.
 func benchRecover(b *testing.B, src string, cfg DurabilityConfig) {
+	defer b.StopTimer()
 	scratch := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -265,16 +269,28 @@ func BenchmarkRecoverReplay(b *testing.B) {
 // BenchmarkRecoverLongJournal recovers a directory whose whole history is
 // journal (longJournalDir): Recover's time is the three read stages and
 // the ordered apply. Run at -cpu 1,2 to tell what one parse instead of
-// two saves from what the second core does.
+// two saves from what the second core does. submit_bytes is the size of
+// the one submission record's data.
 func BenchmarkRecoverLongJournal(b *testing.B) {
-	benchRecover(b, longJournalDir(b), longJournalCfg)
+	src := longJournalDir(b)
+	benchRecover(b, src, longJournalCfg)
+	l, err := journal.Open(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	for _, rec := range l.Records {
+		if rec.Kind == opSubmitCols {
+			b.ReportMetric(float64(len(rec.Data)), "submit_bytes")
+		}
+	}
 }
 
 // BenchmarkRecoverSnapshot recovers the same book from a snapshot and an
 // empty tail: a recovered copy that snapshotted and was killed again. Run
 // at -cpu 1,2 like BenchmarkRecoverLongJournal: one core shows what the
 // frames cost or save by themselves, the second what decoding them side
-// by side adds.
+// by side adds. snapshot_bytes is the size of the snapshot.log recovered.
 func BenchmarkRecoverSnapshot(b *testing.B) {
 	src := fleetDir(b)
 	c, err := Recover(src, fleetCfg)
@@ -285,6 +301,59 @@ func BenchmarkRecoverSnapshot(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchRecover(b, src, fleetCfg)
+	b.ReportMetric(float64(c.DurabilityCounters()["snapshot_bytes"]), "snapshot_bytes")
+}
+
+// BenchmarkChunkCodec encodes and decodes one chunk of snapChunk pings in
+// one goroutine, in the column layout ("columns") and in the array of
+// structs it replaced ("structs"). The columns save by writing a task body
+// once per chunk, so the chunk comes in two shapes: "one_body", every ping
+// to the same target as in every bench/ workload, and "distinct_bodies",
+// every ping to its own target, where there is nothing to share and the
+// columns cost more than the structs. B/assignment is the encoded chunk's
+// size.
+func BenchmarkChunkCodec(b *testing.B) {
+	for _, bodies := range []string{"one_body", "distinct_bodies"} {
+		chunk := make([]probes.Assignment, snapChunk)
+		for i := range chunk {
+			chunk[i] = probes.Assignment{ProbeID: fmt.Sprintf("probe-%04d", i), Task: probes.Task{
+				ID: fmt.Sprintf("exp-0001-t%04d", i), Experiment: "exp-0001", Kind: probes.TaskPing, Target: "10.0.0.1",
+			}}
+			if bodies == "distinct_bodies" {
+				chunk[i].Task.Target = fmt.Sprintf("10.0.1.%d", i)
+			}
+		}
+		for _, layout := range []string{"", snapLayout} {
+			encode := func() ([]byte, error) { return json.Marshal(colsOf(chunk, nil)) }
+			name := layout
+			if layout == "" {
+				encode, name = func() ([]byte, error) { return json.Marshal(snapChunkFrame{Assignments: chunk}) }, "structs"
+			}
+			p, err := encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(bodies+"/"+name+"/encode", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := encode(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snapChunk), "ns/assignment")
+				b.ReportMetric(float64(len(p))/snapChunk, "B/assignment")
+			})
+			b.Run(bodies+"/"+name+"/decode", func(b *testing.B) {
+				dst := make([]probes.Assignment, snapChunk)
+				for i := 0; i < b.N; i++ {
+					if _, err := readChunk(layout, p, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snapChunk), "ns/assignment")
+				b.ReportMetric(float64(len(p))/snapChunk, "B/assignment")
+			})
+		}
+	}
 }
 
 // BenchmarkQueryScanHTTP is fleet_sync's first scan page at the handler:

@@ -550,7 +550,7 @@ func (c *Controller) submitExperimentIdemCtx(ctx context.Context, requestID, exp
 	}
 	op := submitOp{RequestID: requestID, Owner: owner, Description: description, Assignments: assignments, ExpID: expID}
 	var exp *Experiment
-	if err := c.mutateLocked(opSubmit, op, func() { exp = c.applySubmitLocked(op) }); err != nil {
+	if err := c.mutateLocked(opSubmitCols, submitRecord(op), func() { exp = c.applySubmitLocked(op) }); err != nil {
 		return nil, err
 	}
 	return cloneExp(exp), nil

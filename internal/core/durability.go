@@ -19,24 +19,26 @@ import (
 // seeded everything — so snapshot + replay reconstructs the exact
 // pre-crash state.
 const (
-	opRegister = "probe_register"
-	opSubmit   = "experiment_submit"
-	opApprove  = "experiment_approve"
-	opReject   = "experiment_reject"
-	opSync     = "probe_sync"
-	opTick     = "tick"
+	opRegister   = "probe_register"
+	opSubmitCols = "experiment_submit_cols"
+	opApprove    = "experiment_approve"
+	opReject     = "experiment_reject"
+	opSync       = "probe_sync"
+	opTick       = "tick"
 	// opRequeue is recovery's own mutation: the results a crash took with
 	// the store's memtable, un-recorded and requeued (Recover appends it).
 	opRequeue = "recovery_requeue"
 
-	// Retired probe kinds: journals written before every probe call was a
-	// sync hold them, replay reads them as the sync they were
-	// (replayOps), nothing writes them (scripts/check.sh).
+	// Retired kinds: journals from before submissions were columns and
+	// every probe call a sync hold them; replay reads them (replayOps),
+	// nothing writes them (scripts/check.sh).
+	opSubmit    = "experiment_submit"
 	opHeartbeat = "heartbeat"
 	opLease     = "lease_grant"
 	opResults   = "results_accept"
 )
 
+// submitOp is a submission as applySubmitLocked takes it, and opSubmit's record.
 type submitOp struct {
 	RequestID   string              `json:"request_id,omitempty"`
 	Owner       string              `json:"owner"`
@@ -418,16 +420,17 @@ func (c *Controller) applyRequeueLocked(refs []resultRef) {
 // anything (journal.DecodeOps), which is also where a kind without an
 // entry is reported.
 var replayOps = map[string]journal.Op[*Controller]{
-	opRegister: journal.OpOf((*Controller).applyRegisterLocked),
-	opSubmit:   journal.OpOf(func(c *Controller, op submitOp) { c.applySubmitLocked(op) }),
-	opApprove:  journal.OpOf(func(c *Controller, op expOp) { c.applyApproveLocked(op.ExpID) }),
-	opReject:   journal.OpOf(func(c *Controller, op expOp) { c.applyRejectLocked(op.ExpID) }),
-	opSync:     journal.OpOf(func(c *Controller, op syncOp) { c.applySyncLocked(op) }),
-	opTick:     journal.OpOf(func(c *Controller, op tickOp) { c.applyTickLocked(op.N) }),
-	opRequeue:  journal.OpOf(func(c *Controller, op requeueOp) { c.applyRequeueLocked(op.Refs) }),
-	// The retired kinds replay as the sync they were: neither a heartbeat
-	// nor a results upload carried a lease ask, and a lease for max <= 0
-	// asked for the whole queue.
+	opRegister:   journal.OpOf((*Controller).applyRegisterLocked),
+	opSubmitCols: decodeSubmitCols,
+	opApprove:    journal.OpOf(func(c *Controller, op expOp) { c.applyApproveLocked(op.ExpID) }),
+	opReject:     journal.OpOf(func(c *Controller, op expOp) { c.applyRejectLocked(op.ExpID) }),
+	opSync:       journal.OpOf(func(c *Controller, op syncOp) { c.applySyncLocked(op) }),
+	opTick:       journal.OpOf(func(c *Controller, op tickOp) { c.applyTickLocked(op.N) }),
+	opRequeue:    journal.OpOf(func(c *Controller, op requeueOp) { c.applyRequeueLocked(op.Refs) }),
+	// The retired kinds replay as what they were: a submission, or a sync
+	// — neither a heartbeat nor a results upload carried a lease ask, and
+	// a lease for max <= 0 asked for the whole queue.
+	opSubmit:    journal.OpOf(func(c *Controller, op submitOp) { c.applySubmitLocked(op) }),
 	opHeartbeat: journal.OpOf(func(c *Controller, op syncOp) { op.Max = -1; c.applySyncLocked(op) }),
 	opResults:   journal.OpOf(func(c *Controller, op syncOp) { op.Max = -1; c.applySyncLocked(op) }),
 	opLease: journal.OpOf(func(c *Controller, op syncOp) {

@@ -42,7 +42,7 @@ func (c *Controller) initObs() {
 	c.SlowRequest = DefaultSlowRequest
 	c.mutHist = make(map[string]*obs.Histogram)
 	for _, kind := range []string{
-		opRegister, opSubmit, opApprove, opReject, opSync, opTick, opRequeue,
+		opRegister, opSubmitCols, opApprove, opReject, opSync, opTick, opRequeue,
 	} {
 		c.mutHist[kind] = c.reg.Hist(MetricMutator, "op", kind)
 	}

@@ -228,3 +228,53 @@ func TestFramedSnapshotReplays(t *testing.T) {
 		t.Errorf("pinned directory recovers to\n%s\nwant\n%s", got, wantJSON)
 	}
 }
+
+// TestColumnsSnapshotReplays recovers a data directory written by the
+// commit that wrote assignments in columns (testdata/pin/columns; never
+// regenerate it) — a snapshot.log whose head has layout "columns", of
+// three assignment chunks, one with a shape column; a journal tail behind
+// it that ends in an experiment_submit_cols record with a caller's task id
+// and two task bodies; the store's two segments — and requires the book
+// that commit held when it abandoned the directory, in legacyState's
+// rendering. The writer, on a controller recovered with the config below:
+// the steps TestFramedSnapshotReplays lists, up to and including
+// SyncProbe(p2, one result, 1) (description "columns pin"); then a trusted
+// submission (request id req-cols) of a ping to 10.0.0.2 for p1 under the
+// caller's task id caller-id-1, a dns task for site0.RW for p2 and the
+// same ping for p3; store flush; no Close.
+func TestColumnsSnapshotReplays(t *testing.T) {
+	pinned := filepath.Join("testdata", "pin", "columns")
+	wantJSON, err := os.ReadFile(filepath.Join(pinned, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want persistState
+	if err := json.Unmarshal(wantJSON, &want); err != nil {
+		t.Fatal(err)
+	}
+	if exp := want.Experiments["exp-0003"]; exp == nil || len(exp.Assignments) != 3 || exp.Assignments[0].Task.ID != "caller-id-1" {
+		t.Fatalf("want.json does not hold the pinned book: %.300s", wantJSON)
+	}
+
+	dir := t.TempDir()
+	shipDir(t, pinned, dir) // Recover truncates and appends, so it gets a copy
+	l, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Snap == nil || len(l.Snap.Frames) != 1+2+1+snapTailFrames || len(l.Records) != 4 || !bytes.Contains(l.Snap.Head, []byte(`"layout":"columns"`)) {
+		t.Fatalf("fixture opens to snapshot %+v and %d records", l.Snap, len(l.Records))
+	}
+	if last := l.Records[3]; last.Kind != opSubmitCols || !bytes.Contains(last.Data, []byte(`"shape":[0,1,0]`)) {
+		t.Fatalf("fixture's last record is %s %s", last.Kind, last.Data)
+	}
+	l.Close()
+	c := mustRecover(t, dir, DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5})
+	defer c.Close()
+	if d := c.DurabilityCounters(); d["recovery_replayed"] != 4 || d["recovery_results_requeued"] != 0 {
+		t.Errorf("recovered with %v", d)
+	}
+	if got, _ := json.Marshal(legacyState(c)); !bytes.Equal(append(got, '\n'), wantJSON) {
+		t.Errorf("pinned directory recovers to\n%s\nwant\n%s", got, wantJSON)
+	}
+}

@@ -116,6 +116,12 @@ func TestOnlyTheTailCanFailRecovery(t *testing.T) {
 		{journal.Record{Seq: 4, Kind: opSync, Data: []byte(`"not an op"`)}, "core: replaying probe_sync record seq 4: json: cannot unmarshal"},
 		{journal.Record{Seq: 4, Kind: opTick}, "core: replaying tick record seq 4: unexpected end of JSON input"},
 		{journal.Record{Seq: 4, Kind: "no_such_kind", Data: []byte(`1`)}, `core: unknown journal record kind "no_such_kind" (seq 4)`},
+		// A submission whose count, chunks and columns disagree.
+		{journal.Record{Seq: 4, Kind: opSubmitCols, Data: []byte(`{"assignments":-1,"chunks":[]}`)}, "core: replaying experiment_submit_cols record seq 4: a record of 30 bytes holds -1 assignments in 0 chunks"},
+		{journal.Record{Seq: 4, Kind: opSubmitCols, Data: []byte(`{"assignments":2,"chunks":[]}`)}, "core: replaying experiment_submit_cols record seq 4: a record of 29 bytes holds 2 assignments in 0 chunks"},
+		{journal.Record{Seq: 4, Kind: opSubmitCols, Data: []byte(`{"assignments":257,"chunks":[{},{}]}`)}, "core: replaying experiment_submit_cols record seq 4: a record of 36 bytes holds 257 assignments in 2 chunks"},
+		{journal.Record{Seq: 4, Kind: opSubmitCols, Data: []byte(`{"assignments":2,"chunks":[{"probes":["p1"],"ids":["",""],"tasks":[{"kind":"ping"}]}]}`)}, "core: replaying experiment_submit_cols record seq 4: holds 1 probes, 2 ids and 2 shape entries"},
+		{journal.Record{Seq: 4, Kind: opSubmitCols, Data: []byte(`{"assignments":2,"chunks":[{"probes":["p1","p2"],"ids":["",""],"tasks":[{"kind":"ping"}],"shape":[0,1]}]}`)}, "core: replaying experiment_submit_cols record seq 4: entry 1 names task body 1 of 1"},
 	} {
 		bad := t.TempDir()
 		shipDir(t, dir, bad)

@@ -18,7 +18,8 @@ import (
 //	probe blocks   ceil(probes/snapChunk) frames, each a JSON array of
 //	               persistProbe, probes in id order
 //	chunks         per experiment in id order, ceil(assignments/snapChunk)
-//	               frames, each a snapChunkFrame
+//	               frames, each an assignCols ("layout":"columns" in the
+//	               head; a snapChunkFrame in a head without a layout)
 //	queues         one frame, the non-empty per-probe queues by probe id
 //	leases         one frame, the lease table by lease key
 //	submit ids     one frame, request id -> experiment id
@@ -28,15 +29,19 @@ import (
 // written with sorted keys, so the file is the same bytes at any worker
 // count. Frames are encoded straight from live state under the
 // controller lock and decoded into slots addressed by index: a chunk
-// unmarshals into its own range of an assignment slice sized from the
-// head.
+// fills its own range of an assignment slice sized from the head.
 
-// snapChunk is how many assignments (or probes) one frame holds.
-const snapChunk = 256
+// snapChunk is how many assignments (or probes) one frame holds, and
+// snapLayout the layout of the chunks this binary writes.
+const (
+	snapChunk  = 256
+	snapLayout = "columns"
+)
 
 // snapHead is the owner's header of a framed snapshot.
 type snapHead struct {
 	persistScalars
+	Layout      string    `json:"layout,omitempty"`
 	Probes      int       `json:"probes"`
 	Experiments []snapExp `json:"experiments,omitempty"`
 }
@@ -55,12 +60,117 @@ type snapExp struct {
 	Recorded    []string         `json:"recorded,omitempty"`
 }
 
-// snapChunkFrame is up to snapChunk consecutive assignments of one
-// experiment and which of them are recorded: ascending half-open runs
-// [lo, hi) of indices into this chunk.
+// snapChunkFrame is a chunk in a snapshot whose head has no layout.
 type snapChunkFrame struct {
 	Assignments []probes.Assignment `json:"assignments"`
 	Recorded    [][2]int            `json:"recorded,omitempty"`
+}
+
+// assignCols is up to snapChunk consecutive assignments as they are kept
+// on disk, column by column: probe ids, task ids, the distinct task bodies
+// (ids blanked, first-seen order) and each assignment's index into them,
+// omitted when there is one body. Recorded, in a snapshot, is which are
+// recorded: ascending half-open runs [lo, hi) of indices into the chunk.
+type assignCols struct {
+	Probes   []string      `json:"probes"`
+	IDs      []string      `json:"ids"`
+	Tasks    []probes.Task `json:"tasks"`
+	Shape    []int         `json:"shape,omitempty"`
+	Recorded [][2]int      `json:"recorded,omitempty"`
+}
+
+// colsOf writes chunk in columns, with the runs of it that rec holds.
+func colsOf(chunk []probes.Assignment, rec map[string]bool) assignCols {
+	n := len(chunk)
+	cols, body := assignCols{Probes: make([]string, n), IDs: make([]string, n), Shape: make([]int, n)}, map[probes.Task]int{}
+	for i, a := range chunk {
+		cols.Probes[i], cols.IDs[i], a.Task.ID = a.ProbeID, a.Task.ID, ""
+		k, ok := body[a.Task]
+		if !ok {
+			k, body[a.Task] = len(cols.Tasks), len(cols.Tasks)
+			cols.Tasks = append(cols.Tasks, a.Task)
+		}
+		cols.Shape[i] = k
+		if r := cols.Recorded; rec[cols.IDs[i]] && len(r) > 0 && r[len(r)-1][1] == i {
+			r[len(r)-1][1]++
+		} else if rec[cols.IDs[i]] {
+			cols.Recorded = append(r, [2]int{i, i + 1})
+		}
+	}
+	if len(cols.Tasks) == 1 {
+		cols.Shape = nil
+	}
+	return cols
+}
+
+// readChunk decodes a chunk of the layout a snapshot's head names into
+// dst, which it must fill exactly, and returns its recorded runs.
+func readChunk(layout string, p []byte, dst []probes.Assignment) ([][2]int, error) {
+	if layout == "" {
+		frame := snapChunkFrame{Assignments: dst[:0:len(dst)]}
+		err := unmarshalFull(p, &frame, &frame.Assignments)
+		return frame.Recorded, err
+	}
+	n := len(dst)
+	cols := assignCols{Probes: make([]string, 0, n), IDs: make([]string, 0, n)}
+	if err := json.Unmarshal(p, &cols); err != nil {
+		return nil, err
+	}
+	if cols.Shape == nil && len(cols.Tasks) == 1 {
+		cols.Shape = make([]int, n) // one body; with any other count a missing shape is short
+	}
+	if len(cols.Probes) != n || len(cols.IDs) != n || len(cols.Shape) != n {
+		return nil, fmt.Errorf("holds %d probes, %d ids and %d shape entries, the head gives it %d entries", len(cols.Probes), len(cols.IDs), len(cols.Shape), n)
+	}
+	for i, k := range cols.Shape {
+		if k < 0 || k >= len(cols.Tasks) {
+			return nil, fmt.Errorf("entry %d names task body %d of %d", i, k, len(cols.Tasks))
+		}
+		dst[i] = probes.Assignment{ProbeID: cols.Probes[i], Task: cols.Tasks[k]}
+		dst[i].Task.ID = cols.IDs[i]
+	}
+	return cols.Recorded, nil
+}
+
+// submitColsOp is opSubmitCols's record: the assignments (the outer field
+// hides submitOp's) as their count and its chunks, assignCols when it is
+// written and json.RawMessage when read, so the chunks decode side by side.
+type submitColsOp[C any] struct {
+	submitOp
+	Assignments int `json:"assignments"`
+	Chunks      []C `json:"chunks"`
+}
+
+// submitRecord is a submission as opSubmitCols journals it. The columns
+// are built when the journal marshals it, inside the append, so a
+// controller without a journal builds none.
+type submitRecord submitOp
+
+func (r submitRecord) MarshalJSON() ([]byte, error) {
+	n := len(r.Assignments)
+	return json.Marshal(submitColsOp[assignCols]{submitOp(r), n, par.Map(0, frameCount(n), func(i int) assignCols {
+		return colsOf(r.Assignments[i*snapChunk:min((i+1)*snapChunk, n)], nil)
+	})})
+}
+
+// decodeSubmitCols is opSubmitCols's Op: its chunks decode side by side.
+// Every assignment takes at least its two quoted ids, so the record's size
+// bounds the count before anything is allocated for it.
+func decodeSubmitCols(data []byte) (func(*Controller), error) {
+	var rec submitColsOp[json.RawMessage]
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, err
+	}
+	op, n := rec.submitOp, rec.Assignments
+	if n < 0 || n > len(data)/4 || frameCount(n) != len(rec.Chunks) {
+		return nil, fmt.Errorf("a record of %d bytes holds %d assignments in %d chunks", len(data), n, len(rec.Chunks))
+	}
+	op.Assignments = make([]probes.Assignment, n)
+	err := par.ForEachErr(0, len(rec.Chunks), func(i int) error {
+		_, err := readChunk(snapLayout, rec.Chunks[i], op.Assignments[i*snapChunk:min((i+1)*snapChunk, n)])
+		return err
+	})
+	return func(c *Controller) { c.applySubmitLocked(op) }, err
 }
 
 // snapTailFrames is how many single frames follow the chunks.
@@ -91,7 +201,7 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 		assigned, rec := c.experiments[id].Assignments, c.recorded[id]
 		for lo := 0; lo < len(assigned); lo += snapChunk {
 			chunk := assigned[lo:min(lo+snapChunk, len(assigned))]
-			jobs = append(jobs, func() any { return snapChunkFrame{chunk, recordedRuns(chunk, rec)} })
+			jobs = append(jobs, func() any { return colsOf(chunk, rec) })
 		}
 	}
 	jobs = append(jobs,
@@ -124,6 +234,7 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 			ServedCountry: c.servedCountry,
 			ServedASN:     c.servedASN,
 		},
+		Layout: snapLayout,
 		Probes: len(probeIDs),
 		Experiments: par.Map(0, len(expIDs), func(i int) snapExp {
 			exp := c.experiments[expIDs[i]]
@@ -148,21 +259,6 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 	return head, frames, err
 }
 
-// recordedRuns is which of chunk's assignments are in rec, as ascending
-// half-open index runs.
-func recordedRuns(chunk []probes.Assignment, rec map[string]bool) (runs [][2]int) {
-	for i := range chunk {
-		switch {
-		case !rec[chunk[i].Task.ID]:
-		case len(runs) > 0 && runs[len(runs)-1][1] == i:
-			runs[len(runs)-1][1]++
-		default:
-			runs = append(runs, [2]int{i, i + 1})
-		}
-	}
-	return runs
-}
-
 // decodeSnapshot turns the snapshot journal.Open read into the state
 // restoreLocked loads: a legacy snapshot is that state as one JSON value;
 // a framed one is decoded frame by frame on every core, each frame into
@@ -177,6 +273,9 @@ func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
 	var head snapHead
 	if err := json.Unmarshal(snap.Head, &head); err != nil {
 		return st, fmt.Errorf("head: %w", err)
+	}
+	if head.Layout != "" && head.Layout != snapLayout {
+		return st, fmt.Errorf("head names layout %q, which this binary does not read", head.Layout)
 	}
 	// The frame count bounds every size the head claims before anything
 	// is allocated for it.
@@ -212,21 +311,10 @@ func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
 		}
 		st.Experiments[e.ID] = exp
 		for lo := 0; lo < e.Assignments; lo += snapChunk {
-			f, chunk := len(decode), exp.Assignments[lo:lo:min(lo+snapChunk, e.Assignments)]
-			decode = append(decode, func(p []byte) error {
-				frame := snapChunkFrame{Assignments: chunk}
-				if err := unmarshalFull(p, &frame, &frame.Assignments); err != nil {
-					return err
-				}
-				at := 0
-				for _, r := range frame.Recorded {
-					if r[0] < at || r[1] <= r[0] || r[1] > len(frame.Assignments) {
-						return fmt.Errorf("recorded run %v out of order or range", r)
-					}
-					at = r[1]
-				}
-				runs[f] = frame.Recorded
-				return nil
+			f, chunk := len(decode), exp.Assignments[lo:min(lo+snapChunk, e.Assignments)]
+			decode = append(decode, func(p []byte) (err error) {
+				runs[f], err = readChunk(head.Layout, p, chunk)
+				return err
 			})
 		}
 	}
@@ -264,9 +352,13 @@ func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
 	for _, e := range head.Experiments {
 		assigned, ids := st.Experiments[e.ID].Assignments, e.Recorded
 		for lo := 0; lo < e.Assignments; lo, f = lo+snapChunk, f+1 {
+			at := 0
 			for _, r := range runs[f] {
-				for i := r[0]; i < r[1]; i++ {
-					ids = append(ids, assigned[lo+i].Task.ID) // shares the assignment's string
+				if r[0] < at || r[1] <= r[0] || r[1] > min(snapChunk, e.Assignments-lo) {
+					return persistState{}, fmt.Errorf("frame %d: recorded run %v out of order or range", f+1, r)
+				}
+				for at = r[0]; at < r[1]; at++ {
+					ids = append(ids, assigned[lo+at].Task.ID) // shares the assignment's string
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -273,7 +274,8 @@ func reframe(payloads [][]byte) []byte {
 // snapshot.log is anything but the file that was written returns an error
 // — from the journal for what a checksum or the frame count can tell,
 // from the decode for a file whose frames are sound and whose head does
-// not describe them — and never a controller holding part of the book.
+// not describe them, or names a layout this binary does not read — and
+// never a controller holding part of the book.
 func TestDamagedSnapshotFailsRecovery(t *testing.T) {
 	src := t.TempDir()
 	shipDir(t, wideBook(t), src)
@@ -323,6 +325,16 @@ func TestDamagedSnapshotFailsRecovery(t *testing.T) {
 		"run out of range":        {edit(3, `"recorded":[[0,1]`, `"recorded":[[0,257]`), "decoding snapshot: frame 3: recorded run"},
 		"runs out of order":       {edit(3, `"recorded":[[0,1],[3,4]`, `"recorded":[[3,4],[0,1]`), "decoding snapshot: frame 3: recorded run"},
 		"queues not a map":        {edit(8, `{`, `[{`), "decoding snapshot: frame 8"},
+		"unknown layout":          {edit(0, `"layout":"columns"`, `"layout":"columns-v9"`), `decoding snapshot: head names layout "columns-v9"`},
+		"probe column short":      {editChunk(t, frames, 3, func(c *assignCols) { c.Probes = c.Probes[1:] }), "decoding snapshot: frame 3: holds 255 probes"},
+		"id column long":          {editChunk(t, frames, 3, func(c *assignCols) { c.IDs = append(c.IDs, "x") }), "decoding snapshot: frame 3: holds 256 probes, 257 ids"},
+		"shape column short":      {editChunk(t, frames, 3, func(c *assignCols) { c.Shape = make([]int, 255) }), "decoding snapshot: frame 3: holds 256 probes, 256 ids and 255 shape"},
+		"shape index out":         {editChunk(t, frames, 3, func(c *assignCols) { c.Shape = make([]int, 256); c.Shape[7] = 1 }), "decoding snapshot: frame 3: entry 7 names task body 1 of 1"},
+		"negative shape index":    {editChunk(t, frames, 3, func(c *assignCols) { c.Shape = make([]int, 256); c.Shape[0] = -1 }), "decoding snapshot: frame 3: entry 0 names task body -1 of 1"},
+		"no task body":            {editChunk(t, frames, 3, func(c *assignCols) { c.Tasks = []probes.Task{} }), "decoding snapshot: frame 3: holds 256 probes, 256 ids and 0 shape"},
+		"two bodies, no shape": {editChunk(t, frames, 3, func(c *assignCols) {
+			c.Tasks, c.Shape = append(c.Tasks, probes.Task{Kind: probes.TaskPing, Target: "10.9.9.9"}), nil
+		}), "decoding snapshot: frame 3: holds 256 probes, 256 ids and 0 shape"},
 	} {
 		dir := t.TempDir()
 		shipDir(t, src, dir)
@@ -517,6 +529,29 @@ func FuzzSnapshotRead(f *testing.F) {
 	f.Add(reframe(append([][]byte{bytes.Replace(frames[0], []byte(exp.ID), []byte("exp-0002"), 1)}, frames[1:]...)))
 	f.Add(reframe([][]byte{[]byte(`{"seq":1,"frames":4,"head":{"now":3,"probes":0}}`), []byte(`{}`), []byte(`{}`), []byte(`{}`), []byte(`null`)}))
 	f.Add(reframe([][]byte{[]byte(`{"seq":1,"frames":0}`)}))
+	// Column chunks that do not fill their range, and a head whose layout
+	// this binary does not read: each is an error that writes nothing.
+	for _, bad := range [][]byte{
+		editChunk(f, frames, 2, func(c *assignCols) { c.IDs = c.IDs[1:] }),
+		editChunk(f, frames, 2, func(c *assignCols) { c.Shape = []int{0, 0, 0, 0, 2} }),
+		editChunk(f, frames, 2, func(c *assignCols) { c.Tasks = []probes.Task{} }),
+		reframe(append([][]byte{bytes.Replace(frames[0], []byte(`"layout":"columns"`), []byte(`"layout":"rows"`), 1)}, frames[1:]...)),
+	} {
+		dir := f.TempDir()
+		shipDir(f, src, dir)
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.log"), bad, 0o644); err != nil {
+			f.Fatal(err)
+		}
+		before := dirImage(f, dir)
+		if rec, err := Recover(dir, lossyCfg); err == nil {
+			rec.Close()
+			f.Fatalf("recovered from a damaged column snapshot: %q", bad)
+		}
+		if after := dirImage(f, dir); !reflect.DeepEqual(after, before) {
+			f.Fatalf("a failed recovery from %q changed the directory", bad)
+		}
+		f.Add(bad)
+	}
 
 	// One worker: which goroutine decodes which frame would read as new
 	// coverage to the fuzzing engine, and worker counts have their own test.
@@ -546,4 +581,108 @@ func FuzzSnapshotRead(f *testing.F) {
 			t.Fatalf("book changed across its own snapshot\n got %+v\nwant %+v", got, want)
 		}
 	})
+}
+
+// TestColumnsRoundTrip: the column codec gives back what the array of
+// structs it replaced gave back (json.Marshal and Unmarshal of the list),
+// chunk by chunk across chunk boundaries — empty and repeated task ids,
+// several task bodies, an empty experiment, markup and non-ASCII targets,
+// invalid UTF-8 — writing each distinct body once, and each chunk's runs
+// name exactly its recorded ids.
+func TestColumnsRoundTrip(t *testing.T) {
+	targets := []string{"10.0.0.1", "<a&b>", "kigali-é-🌍", "bad\xffutf8", ""}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := make([]probes.Assignment, 1+rng.Intn(700))
+		rec := map[string]bool{}
+		for i := range in {
+			in[i] = probes.Assignment{ProbeID: fmt.Sprintf("p%d", rng.Intn(40)), Task: probes.Task{
+				Kind: probes.TaskPing, Target: targets[rng.Intn(len(targets))], Repeat: rng.Intn(3), ECS: rng.Intn(4) == 0,
+			}}
+			switch rng.Intn(4) {
+			case 0: // left for the submission to mint
+			case 1:
+				in[i].Task.ID = fmt.Sprintf("dup-%d", rng.Intn(5))
+			default:
+				in[i].Task.ID = fmt.Sprintf("t%d", i)
+			}
+			if rng.Intn(2) == 0 {
+				in[i].Task.Experiment = "exp-0001"
+			}
+			if rng.Intn(3) == 0 {
+				rec[in[i].Task.ID] = true
+			}
+		}
+		raw, _ := json.Marshal(in)
+		var want []probes.Assignment
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]probes.Assignment, len(in))
+		for lo := 0; lo < len(in); lo += snapChunk {
+			chunk := in[lo:min(lo+snapChunk, len(in))]
+			cols, bodies := colsOf(chunk, rec), map[probes.Task]bool{}
+			for _, a := range chunk {
+				a.Task.ID = ""
+				bodies[a.Task] = true
+			}
+			if len(cols.Tasks) != len(bodies) {
+				t.Fatalf("seed %d: chunk at %d writes %d task bodies for its %d distinct ones", seed, lo, len(cols.Tasks), len(bodies))
+			}
+			p, err := json.Marshal(cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, err := readChunk(snapLayout, p, got[lo:lo+len(chunk)])
+			if err != nil {
+				t.Fatalf("seed %d: chunk at %d: %v", seed, lo, err)
+			}
+			covered := map[int]bool{}
+			for _, r := range runs {
+				for i := r[0]; i < r[1]; i++ {
+					covered[i] = true
+				}
+			}
+			for i := range chunk {
+				if covered[i] != rec[chunk[i].Task.ID] {
+					t.Fatalf("seed %d: assignment %d recorded %t, its run says %t", seed, lo+i, rec[chunk[i].Task.ID], covered[i])
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: %d assignments come back different from the struct layout's round trip", seed, len(in))
+		}
+	}
+}
+
+// dirImage is every regular file under dir by path, with its bytes.
+func dirImage(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// editChunk renders frames as a snapshot.log with frame i, a column
+// chunk, decoded, edited and encoded again.
+func editChunk(t testing.TB, frames [][]byte, i int, edit func(*assignCols)) []byte {
+	t.Helper()
+	var cols assignCols
+	if err := json.Unmarshal(frames[i], &cols); err != nil {
+		t.Fatal(err)
+	}
+	edit(&cols)
+	out := append([][]byte(nil), frames...)
+	out[i], _ = json.Marshal(cols)
+	return reframe(out)
 }

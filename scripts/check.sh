@@ -77,11 +77,12 @@ fi
 
 echo "== probe-protocol lint =="
 # Every probe call is journaled as one probe_sync record through
-# applySyncLocked; the three retired kinds are only ever read back by
-# replay. A mutateLocked call handing one of them to the journal is a
-# second write path growing back.
-if git grep -n 'mutateLocked(op\(Heartbeat\|Lease\|Results\)' -- internal/core; then
-    echo "probe-protocol lint: heartbeat / lease_grant / results_accept records are read-only — journal probe traffic as opSync" >&2
+# applySyncLocked, and every submission as one experiment_submit_cols
+# record of assignment columns; the four retired kinds are only ever read
+# back by replay. A mutateLocked call handing one of them to the journal
+# is a second write path growing back.
+if git grep -n 'mutateLocked(op\(Heartbeat\|Lease\|Results\|Submit,\)' -- internal/core; then
+    echo "probe-protocol lint: heartbeat / lease_grant / results_accept / experiment_submit records are read-only — journal probe traffic as opSync and submissions as opSubmitCols" >&2
     exit 1
 fi
 # The per-probe routes (tasks / results / heartbeat under /probes/{id}/)
