@@ -204,7 +204,7 @@ func serveSkewedFleet(seed int64, targets core.CoverageTargets) core.CoverageRep
 		// Seeded visiting order: probe arrival order must not encode the
 		// country mix.
 		for _, i := range rng.Perm(biasProbes) {
-			ctrl.LeaseTasks(ids[i], perLease)
+			ctrl.SyncProbe(ids[i], nil, perLease)
 		}
 	}
 	return ctrl.Coverage()

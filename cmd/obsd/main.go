@@ -59,6 +59,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -197,14 +198,9 @@ func main() {
 		var ctrl *core.Controller
 		if *dataDir != "" {
 			log.Printf("obsd: recovering state from %s ...", *dataDir)
-			start := time.Now()
 			cfg := shardDurability
 			cfg.StoreDir = *storeDir
-			ctrl, err = core.Recover(*dataDir, cfg)
-			if err != nil {
-				log.Fatalf("obsd: recover: %v", err)
-			}
-			logRecovered("", ctrl, time.Since(start))
+			ctrl = recoverDir("", *dataDir, cfg)
 		} else {
 			if *storeDir != "" {
 				log.Printf("obsd: warning: -store-dir ignored without -data-dir (results stay in memory)")
@@ -356,21 +352,40 @@ func (s *fedService) Close() error {
 	return err
 }
 
-// logRecovered says what a core.Recover did and where its time went: the
-// phases are the obs_recover_seconds series /metrics serves from then on,
-// and legacy_walk is whether the directory predated the sealed-watermark
-// reconcile and had its store walked (once; what is written next is not);
-// snapshot_bytes and snapshot_frames size the snapshot it started from.
+// recoverDir starts a durable controller on dir at boot: core.Recover, or
+// for a directory an older binary wrote core.Upgrade with the same config
+// (LeaseTTL and Coverage change what replay grants), which rewrites it in
+// the current format once. Either is logged; failing both is fatal.
+func recoverDir(who, dir string, cfg core.DurabilityConfig) *core.Controller {
+	start := time.Now()
+	ctrl, err := core.Recover(dir, cfg)
+	if errors.Is(err, core.ErrNeedsUpgrade) {
+		log.Printf("obsd: %supgrading %s in place: %v", who, dir, err)
+		ctrl, err = core.Upgrade(dir, cfg)
+	}
+	if err != nil {
+		log.Fatalf("obsd: %srecover: %v", who, err)
+	}
+	logRecovered(who, ctrl, time.Since(start))
+	return ctrl
+}
+
+// logRecovered says what a recovery did and where its time went: the
+// phases are the obs_recover_seconds series /metrics serves from then on
+// (an upgrade's store walk counts in reconcile); snapshot_bytes and
+// snapshot_frames size the snapshot it started from, or the one an
+// upgrade wrote.
 func logRecovered(who string, ctrl *core.Controller, took time.Duration) {
 	d := ctrl.DurabilityCounters()
 	series := ctrl.Observability().Snapshots()
-	name := func(phase string) string { return fmt.Sprintf("%s{phase=%q}", core.MetricRecover, phase) }
-	phase := func(p string) time.Duration { return series[name(p)].Sum.Round(10 * time.Microsecond) }
-	log.Printf("obsd: %srecovered in %s (journal_open=%s snapshot=%s snapshot_bytes=%d snapshot_frames=%d decode=%s replay=%s reconcile=%s replayed=%d requeued=%d legacy_walk=%t truncated_tail=%d tick=%d)",
+	phase := func(p string) time.Duration {
+		return series[fmt.Sprintf("%s{phase=%q}", core.MetricRecover, p)].Sum.Round(10 * time.Microsecond)
+	}
+	log.Printf("obsd: %srecovered in %s (journal_open=%s store_open=%s snapshot=%s snapshot_bytes=%d snapshot_frames=%d decode=%s replay=%s reconcile=%s replayed=%d requeued=%d truncated_tail=%d tick=%d)",
 		who, took.Round(time.Millisecond),
-		phase("journal_open"), phase("snapshot"), d["snapshot_bytes"], d["snapshot_frames"],
+		phase("journal_open"), phase("store_open"), phase("snapshot"), d["snapshot_bytes"], d["snapshot_frames"],
 		phase("decode"), phase("replay"), phase("reconcile"),
-		d["recovery_replayed"], d["recovery_results_requeued"], series[name("legacy_walk")].Count > 0,
+		d["recovery_replayed"], d["recovery_results_requeued"],
 		d["recovery_truncated_tail"], ctrl.Now())
 }
 
@@ -395,12 +410,7 @@ func buildLocalFederation(n int, dataDir string, shardCfg core.DurabilityConfig,
 		var ctrl *core.Controller
 		if dataDir != "" {
 			dirOf[id] = filepath.Join(dataDir, id)
-			start := time.Now()
-			ctrl, err = core.Recover(dirOf[id], shardCfg)
-			if err != nil {
-				log.Fatalf("obsd: recover %s: %v", id, err)
-			}
-			logRecovered(id+" ", ctrl, time.Since(start))
+			ctrl = recoverDir(id+" ", dirOf[id], shardCfg)
 		} else {
 			ctrl = core.NewController(shardCfg.Trusted...)
 			ctrl.LeaseTTL = shardCfg.LeaseTTL

@@ -78,7 +78,7 @@ func BenchmarkLease(b *testing.B) {
 			benchEnqueue(b, c, 1024)
 			b.StartTimer()
 		}
-		if got := c.LeaseTasks("bench-probe", 1); len(got) != 1 {
+		if got := c.leaseTasks("bench-probe", 1); len(got) != 1 {
 			b.Fatalf("leased %d tasks, want 1", len(got))
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkSubmitResultsBatch(b *testing.B) {
 		}
 		rs := benchResults(tasks[next : next+batch])
 		next += batch
-		accepted, err := c.SubmitResults("bench-probe", rs)
+		accepted, err := c.submitResults("bench-probe", rs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -325,9 +325,9 @@ func BenchmarkChunkCodec(b *testing.B) {
 		}
 		for _, layout := range []string{"", snapLayout} {
 			encode := func() ([]byte, error) { return json.Marshal(colsOf(chunk, nil)) }
-			name := layout
+			name, read := layout, readChunk
 			if layout == "" {
-				encode, name = func() ([]byte, error) { return json.Marshal(snapChunkFrame{Assignments: chunk}) }, "structs"
+				encode, name, read = func() ([]byte, error) { return json.Marshal(snapChunkFrame{Assignments: chunk}) }, "structs", readStructChunk
 			}
 			p, err := encode()
 			if err != nil {
@@ -345,7 +345,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 			b.Run(bodies+"/"+name+"/decode", func(b *testing.B) {
 				dst := make([]probes.Assignment, snapChunk)
 				for i := 0; i < b.N; i++ {
-					if _, err := readChunk(layout, p, dst); err != nil {
+					if _, err := read(p, dst); err != nil {
 						b.Fatal(err)
 					}
 				}

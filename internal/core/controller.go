@@ -17,8 +17,7 @@
 //
 //   - Every probe call is one sync round (sync.go): probe contact, an
 //     optional result batch, an optional lease ask, journaled as one
-//     record. LeaseTasks, SubmitResults and Heartbeat are the rounds
-//     that carry only one of the three.
+//     record.
 //   - A round's lease hands out tasks that expire after LeaseTTL
 //     controller ticks. Time is a logical tick counter advanced by Tick
 //     (cmd/obsd drives it from a wall-clock timer; tests drive it
@@ -245,8 +244,8 @@ type Controller struct {
 	// payload sits above the store's sealed watermark, in store order with
 	// their sequence numbers; at most one memtable of them, pruned as
 	// segments seal, carried by snapshots. unsealedUnknown is set while a
-	// recovery is reading a directory that does not say where its refs sit
-	// (durability.go, lostResultsLocked).
+	// recovery is reading a directory that does not say where its refs sit:
+	// Recover refuses it, Upgrade walks the store for it (upgrade.go).
 	unsealed        []unsealedRef
 	unsealedUnknown bool
 
@@ -341,14 +340,6 @@ func (c *Controller) Probes() []ProbeInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Heartbeat records contact from a probe that has no lease or result
-// traffic to piggyback on: a sync round with no results and no lease
-// ask. Unknown probes are rejected so the fleet view stays authoritative.
-func (c *Controller) Heartbeat(probeID string) error {
-	_, err := c.syncCtx(context.Background(), probeID, nil, -1)
-	return err
 }
 
 // ProbeHealthOf reports the controller's liveness verdict for a probe.
@@ -665,26 +656,11 @@ func cloneExp(e *Experiment) *Experiment {
 	return &cp
 }
 
-// LeaseTasks pops up to max tasks (max <= 0: the whole queue) from a
-// probe's queue under a lease of LeaseTTL ticks: a sync round with no
-// results. Tasks that already completed elsewhere (a requeued copy
-// racing its original delivery) are dropped instead of re-leased. The
-// call counts as probe contact. An unregistered probe is granted
-// nothing, and neither is a lease the journal refuses to record (nil):
-// an unjournaled lease would be invisible after a crash and its tasks
-// stuck until a replayed expiry that never comes.
-func (c *Controller) LeaseTasks(probeID string, max int) []probes.Task {
-	if max <= 0 {
-		max = wholeQueue
-	}
-	resp, _ := c.syncCtx(context.Background(), probeID, nil, max)
-	return resp.Tasks
-}
-
 // grantLocked is the queue-pop half of a sync round: pop up to max
 // tasks (after the coverage allowance in scheduler.go trims the ask for
 // overrepresented vantage points), drop copies that completed
-// elsewhere, and record the grant in the lease table and the
+// elsewhere (a requeued copy racing its original delivery), and record
+// the grant in the lease table (each lease LeaseTTL ticks) and the
 // served-coverage tallies.
 func (c *Controller) grantLocked(probeID string, max int) []probes.Task {
 	q := c.queues[probeID]
@@ -732,18 +708,6 @@ func (c *Controller) OutstandingLeases() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.leases)
-}
-
-// SubmitResults records a batch of task results idempotently: a sync
-// round that asks for no lease. The whole batch is validated first — an
-// unregistered probe, unknown experiment, or unknown task ID rejects it
-// without recording anything — then each result is recorded at most once
-// per (experiment, task): redelivered duplicates are counted and
-// dropped, so retrying an upload is always safe. It returns how many
-// results were newly recorded.
-func (c *Controller) SubmitResults(probeID string, rs []probes.Result) (int, error) {
-	resp, err := c.syncCtx(context.Background(), probeID, rs, -1)
-	return resp.Accepted, err
 }
 
 // stageResultsLocked is everything a result batch from probe st needs
@@ -807,8 +771,8 @@ func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) (ref
 // ones stageResultsLocked stored a payload for, in the same order, so
 // they hold the consecutive sequence numbers ending at seq. A batch that
 // accepts refs without saying where they sit (a record from before seq
-// was journaled) leaves the book's position unknown until the next
-// recovery has walked the store.
+// was journaled) leaves the book's position unknown until Upgrade has
+// walked the store.
 func (c *Controller) recordRefsLocked(refs []resultRef, seq uint64) int {
 	first := len(c.unsealed)
 	for _, ref := range refs {

@@ -109,14 +109,14 @@ func TestLeaseAndResults(t *testing.T) {
 	}
 	exp, _ := c.SubmitExperiment("o", "d", asg)
 
-	lease := c.LeaseTasks("p1", 2)
+	lease := c.leaseTasks("p1", 2)
 	if len(lease) != 2 {
 		t.Fatalf("leased %d", len(lease))
 	}
 	if lease[0].Experiment != exp.ID || lease[0].ID == "" {
 		t.Fatalf("task ids not stamped: %+v", lease[0])
 	}
-	rest := c.LeaseTasks("p1", 100)
+	rest := c.leaseTasks("p1", 100)
 	if len(rest) != 3 {
 		t.Fatalf("second lease = %d", len(rest))
 	}
@@ -127,7 +127,7 @@ func TestLeaseAndResults(t *testing.T) {
 	for _, task := range append(lease, rest...) {
 		rs = append(rs, probes.Result{TaskID: task.ID, Experiment: exp.ID, OK: true})
 	}
-	if n, err := c.SubmitResults("p1", rs); err != nil || n != 5 {
+	if n, err := c.submitResults("p1", rs); err != nil || n != 5 {
 		t.Fatalf("submit: n=%d err=%v", n, err)
 	}
 	if !c.Done(exp.ID) {

@@ -39,7 +39,7 @@ func TestDNSLoadDimensionsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.LeaseTasks("p1", 12)
+	ctrl.leaseTasks("p1", 12)
 	// Fabricated burst outcomes: even tasks ran with ECS through the
 	// cloud chain, odd ones without ECS through the forwarder chain.
 	var rs []probes.Result
@@ -61,7 +61,7 @@ func TestDNSLoadDimensionsEndToEnd(t *testing.T) {
 			Localized:     16 + 16*(i%2), // ECS bursts fully localized
 		})
 	}
-	if _, err := ctrl.SubmitResults("p1", rs); err != nil {
+	if _, err := ctrl.submitResults("p1", rs); err != nil {
 		t.Fatal(err)
 	}
 

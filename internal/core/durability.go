@@ -30,8 +30,8 @@ const (
 	opRequeue = "recovery_requeue"
 
 	// Retired kinds: journals from before submissions were columns and
-	// every probe call a sync hold them; replay reads them (replayOps),
-	// nothing writes them (scripts/check.sh).
+	// every probe call a sync hold them; only Upgrade reads them
+	// (upgrade.go), nothing writes them (scripts/check.sh).
 	opSubmit    = "experiment_submit"
 	opHeartbeat = "heartbeat"
 	opLease     = "lease_grant"
@@ -100,7 +100,8 @@ type tickOp struct {
 
 // persistState is the controller's full book as a snapshot carries it and
 // restoreLocked loads it: decodeSnapshot (snapshot.go) assembles it from a
-// framed snapshot's frames, and a legacy snapshot is its JSON. Set-valued
+// framed snapshot's frames, and a one-blob snapshot is its JSON
+// (upgrade.go). Set-valued
 // maps are sorted slices. Result payloads are deliberately absent — they
 // live in the results store, which is why snapshot size does not grow with
 // result volume — and so is the task-id index, which restore derives from
@@ -179,6 +180,30 @@ type DurabilityConfig struct {
 	Coverage CoverageTargets
 }
 
+// ErrNeedsUpgrade is Recover's refusal of a directory an older binary
+// wrote — a one-blob snapshot, a snapshot head without a layout, a record
+// of a retired kind, a result record that does not say where its payloads
+// sit — before it has appended or snapshotted anything: Upgrade reads it.
+var ErrNeedsUpgrade = journal.ErrNeedsUpgrade
+
+// reader is what a recovery reads a directory with: the journal opener,
+// the op table, the snapshot decoder and the finder of the results a
+// crash lost. current, Recover's, reads only what this binary writes;
+// legacy, Upgrade's (upgrade.go), every older shape too.
+type reader struct {
+	open     func(dir string) (*journal.Log, error)
+	ops      map[string]journal.Op[*Controller]
+	snapshot func(*journal.Snapshot) (persistState, error)
+	lost     func(*Controller) ([]resultRef, error)
+}
+
+var current = reader{
+	open:     journal.Open,
+	ops:      replayOps,
+	snapshot: func(snap *journal.Snapshot) (persistState, error) { return decodeSnapshot(snap, nil) },
+	lost:     (*Controller).lostResultsLocked,
+}
+
 // Recover rebuilds a controller from a journal directory — latest
 // snapshot plus replay of every journaled operation after it — and
 // attaches the journal so the controller keeps appending. An empty or
@@ -187,6 +212,8 @@ type DurabilityConfig struct {
 // detected by checksum, counted (recovery_truncated_tail), and
 // discarded rather than crashing recovery; because appends sync before
 // acknowledging, a discarded tail record was never acked to a client.
+// Recover reads the one directory shape this binary writes; any older
+// one is an error wrapping ErrNeedsUpgrade (Upgrade reads it).
 //
 // Recover also reopens the results store (StoreDir, default
 // <dir>/store) and reconciles the replayed dedup book against it: a
@@ -199,16 +226,20 @@ type DurabilityConfig struct {
 // counts this run's.
 //
 // Each phase is timed into obs_recover_seconds{phase=journal_open|
-// snapshot|decode|replay|reconcile} on the controller's registry —
-// journal_open reads both files, checks their frames and decodes the
-// journal's records, snapshot decodes the snapshot's frames and restores
-// the book from them, decode turns the tail past the snapshot into typed
-// ops (all three decodes on every core), replay applies them in journal
-// order — and a recovery that had to walk the store (lostResultsLocked)
-// also has phase=legacy_walk, the part of reconcile the walk took.
+// store_open|snapshot|decode|replay|reconcile} on the controller's
+// registry — journal_open reads both files, checks their frames and
+// decodes the journal's records, store_open opens the results store,
+// snapshot decodes the snapshot's frames and restores the book from them,
+// decode turns the tail past the snapshot into typed ops (all three
+// decodes on every core), replay applies them in journal order.
 func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
+	return recoverWith(current, dir, cfg)
+}
+
+// recoverWith is Recover and Upgrade: the one recovery, reading dir with r.
+func recoverWith(r reader, dir string, cfg DurabilityConfig) (*Controller, error) {
 	t := obs.StartTimer()
-	l, err := journal.Open(dir)
+	l, err := r.open(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -249,13 +280,17 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.store = st
-	t = obs.StartTimer()
+	phase("store_open")
+	fail := func(err error) (*Controller, error) {
+		l.Close()
+		st.Close()
+		return nil, err
+	}
 	var snapSeq uint64
 	if snap := l.Snap; snap != nil {
-		book, err := decodeSnapshot(snap)
+		book, err := r.snapshot(snap)
 		if err != nil {
-			l.Close()
-			return nil, fmt.Errorf("core: decoding snapshot: %w", err)
+			return fail(fmt.Errorf("core: decoding snapshot: %w", err))
 		}
 		c.restoreLocked(book)
 		snapSeq = snap.Seq
@@ -269,10 +304,9 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	for len(tail) > 0 && tail[0].Seq <= snapSeq {
 		tail = tail[1:]
 	}
-	ops, err := journal.DecodeOps(replayOps, tail)
+	ops, err := journal.DecodeOps(r.ops, tail)
 	if err != nil {
-		l.Close()
-		return nil, fmt.Errorf("core: %w", err)
+		return fail(fmt.Errorf("core: %w", err))
 	}
 	phase("decode")
 	for _, apply := range ops {
@@ -302,25 +336,29 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	l.OnGrow = func() { c.dur.Inc("journal_log_grows") }
 	c.log = l
 	c.snapEvery = cfg.SnapshotEvery
-	if err := c.requeueLostLocked(); err != nil {
-		l.Close()
-		c.store.Close()
-		return nil, err
+	if err := c.requeueLostLocked(r.lost); err != nil {
+		return fail(err)
 	}
 	phase("reconcile")
 	return c, nil
 }
 
-// requeueLostLocked is the last step of Recover: find the recorded refs
+// requeueLostLocked is the last step of a recovery: find the recorded refs
 // whose payload the reopened store does not hold and journal + apply one
-// opRequeue for them. Nothing is changed before the append succeeds, so
-// a crash anywhere in here leaves the directory for the next recovery to
-// find the same set.
-func (c *Controller) requeueLostLocked() error {
-	lost, err := c.lostResultsLocked()
+// opRequeue for them, in (experiment, task) order. Nothing is changed
+// before the append succeeds, so a crash anywhere in here leaves the
+// directory for the next recovery to find the same set.
+func (c *Controller) requeueLostLocked(find func(*Controller) ([]resultRef, error)) error {
+	lost, err := find(c)
 	if err != nil || len(lost) == 0 {
 		return err
 	}
+	sort.Slice(lost, func(i, j int) bool {
+		if lost[i].Experiment != lost[j].Experiment {
+			return lost[i].Experiment < lost[j].Experiment
+		}
+		return lost[i].TaskID < lost[j].TaskID
+	})
 	if err := c.mutateLocked(opRequeue, requeueOp{Refs: lost}, func() { c.applyRequeueLocked(lost) }); err != nil {
 		return err
 	}
@@ -333,46 +371,20 @@ func (c *Controller) requeueLostLocked() error {
 // point at a payload that only ever lived in the memtable, and treating
 // it as recorded would silently drop that measurement. The lost refs are
 // the unsealed entries above the store's sealed watermark — no segment
-// is read. A directory that does not place its refs (a snapshot without
-// "unsealed", a result-bearing record without seq: both written by older
-// binaries) gets them by comparing, per experiment, the recorded set with
-// the task ids the store's segments hold; what that walk leaves recorded
-// is sealed, so the book's position is known from here on. Returned in
-// (experiment, task) order.
+// is read. A book that does not place its refs (a result-bearing record
+// without seq, which an older binary wrote) is refused: Upgrade finds its
+// lost refs by walking the store (upgrade.go).
 func (c *Controller) lostResultsLocked() ([]resultRef, error) {
-	var lost []resultRef
 	if c.unsealedUnknown {
-		t := obs.StartTimer()
-		for expID, rec := range c.recorded {
-			if len(rec) == 0 {
-				continue
-			}
-			have, err := c.store.KeySet(expID)
-			if err != nil {
-				return nil, fmt.Errorf("core: reconciling store for %s: %w", expID, err)
-			}
-			for taskID := range rec {
-				if !have[taskID] {
-					lost = append(lost, resultRef{Experiment: expID, TaskID: taskID})
-				}
-			}
-		}
-		c.unsealed, c.unsealedUnknown = nil, false
-		c.reg.Hist(MetricRecover, "phase", "legacy_walk").Observe(t.Elapsed())
-	} else {
-		sealed := c.store.SealedSeq()
-		for _, u := range c.unsealed {
-			if u.Seq > sealed {
-				lost = append(lost, u.resultRef)
-			}
+		return nil, fmt.Errorf("core: a result record does not say where its payloads sit: %w", ErrNeedsUpgrade)
+	}
+	var lost []resultRef
+	sealed := c.store.SealedSeq()
+	for _, u := range c.unsealed {
+		if u.Seq > sealed {
+			lost = append(lost, u.resultRef)
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool {
-		if lost[i].Experiment != lost[j].Experiment {
-			return lost[i].Experiment < lost[j].Experiment
-		}
-		return lost[i].TaskID < lost[j].TaskID
-	})
 	return lost, nil
 }
 
@@ -427,19 +439,14 @@ var replayOps = map[string]journal.Op[*Controller]{
 	opSync:       journal.OpOf(func(c *Controller, op syncOp) { c.applySyncLocked(op) }),
 	opTick:       journal.OpOf(func(c *Controller, op tickOp) { c.applyTickLocked(op.N) }),
 	opRequeue:    journal.OpOf(func(c *Controller, op requeueOp) { c.applyRequeueLocked(op.Refs) }),
-	// The retired kinds replay as what they were: a submission, or a sync
-	// — neither a heartbeat nor a results upload carried a lease ask, and
-	// a lease for max <= 0 asked for the whole queue.
-	opSubmit:    journal.OpOf(func(c *Controller, op submitOp) { c.applySubmitLocked(op) }),
-	opHeartbeat: journal.OpOf(func(c *Controller, op syncOp) { op.Max = -1; c.applySyncLocked(op) }),
-	opResults:   journal.OpOf(func(c *Controller, op syncOp) { op.Max = -1; c.applySyncLocked(op) }),
-	opLease: journal.OpOf(func(c *Controller, op syncOp) {
-		if op.Max <= 0 {
-			op.Max = wholeQueue
-		}
-		c.applySyncLocked(op)
-	}),
+	// A retired kind is refused: Upgrade's table reads it (upgrade.go).
+	opSubmit:    retired,
+	opHeartbeat: retired,
+	opLease:     retired,
+	opResults:   retired,
 }
+
+func retired([]byte) (func(*Controller), error) { return nil, ErrNeedsUpgrade }
 
 // mutateLocked is the write path every mutating entry point goes
 // through: journal the validated operation, apply it, then consider an
@@ -519,7 +526,7 @@ func (c *Controller) snapshotLocked() error {
 
 // noteSnapshot records the size of the snapshot on disk, last written or
 // recovered from: its bytes, and its frames behind the header frame plus
-// that one (a legacy blob reads as 1).
+// that one.
 func (c *Controller) noteSnapshot(size int64, frames int) {
 	c.dur.Set("snapshot_bytes", size)
 	c.dur.Set("snapshot_frames", int64(frames+1))

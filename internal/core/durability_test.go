@@ -127,7 +127,7 @@ func genOps(seed int64, n int) []ctrlOp {
 		case k < 6: // lease
 			id := probeIDs[rng.Intn(len(probeIDs))]
 			max := rng.Intn(4) // 0 means "all"
-			ops = append(ops, func(c *Controller) { _ = c.LeaseTasks(id, max) })
+			ops = append(ops, func(c *Controller) { _ = c.leaseTasks(id, max) })
 		case k < 8: // results (valid task ids; duplicates on purpose)
 			if len(exps) == 0 {
 				continue
@@ -142,10 +142,10 @@ func genOps(seed int64, n int) []ctrlOp {
 				})
 			}
 			id := probeIDs[rng.Intn(len(probeIDs))]
-			ops = append(ops, func(c *Controller) { _, _ = c.SubmitResults(id, rs) })
+			ops = append(ops, func(c *Controller) { _, _ = c.submitResults(id, rs) })
 		case k < 9: // heartbeat
 			id := probeIDs[rng.Intn(len(probeIDs))]
-			ops = append(ops, func(c *Controller) { _ = c.Heartbeat(id) })
+			ops = append(ops, func(c *Controller) { _, _ = c.SyncProbe(id, nil, -1) })
 		default: // tick
 			ticks := 1 + rng.Intn(2)
 			ops = append(ops, func(c *Controller) { c.Tick(ticks) })

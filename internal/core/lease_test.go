@@ -42,13 +42,13 @@ func TestLeaseExpiryRequeueRedeliverDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lease := c.LeaseTasks("p1", 0)
+	lease := c.leaseTasks("p1", 0)
 	if len(lease) != 3 || c.PendingFor("p1") != 0 || c.OutstandingLeases() != 3 {
 		t.Fatalf("lease=%d pending=%d outstanding=%d", len(lease), c.PendingFor("p1"), c.OutstandingLeases())
 	}
 
 	// One result lands before the deadline.
-	if n, err := c.SubmitResults("p1", []probes.Result{okResult(lease[0])}); err != nil || n != 1 {
+	if n, err := c.submitResults("p1", []probes.Result{okResult(lease[0])}); err != nil || n != 1 {
 		t.Fatalf("submit: n=%d err=%v", n, err)
 	}
 	c.Tick(1) // now=1: nothing expires yet
@@ -68,7 +68,7 @@ func TestLeaseExpiryRequeueRedeliverDedup(t *testing.T) {
 	}
 
 	// Redelivery completes the experiment.
-	release := c.LeaseTasks("p1", 0)
+	release := c.leaseTasks("p1", 0)
 	if len(release) != 2 {
 		t.Fatalf("redelivered %d tasks", len(release))
 	}
@@ -76,7 +76,7 @@ func TestLeaseExpiryRequeueRedeliverDedup(t *testing.T) {
 	for _, task := range release {
 		rs = append(rs, okResult(task))
 	}
-	if n, err := c.SubmitResults("p1", rs); err != nil || n != 2 {
+	if n, err := c.submitResults("p1", rs); err != nil || n != 2 {
 		t.Fatalf("submit: n=%d err=%v", n, err)
 	}
 	if !c.Done(exp.ID) {
@@ -84,7 +84,7 @@ func TestLeaseExpiryRequeueRedeliverDedup(t *testing.T) {
 	}
 
 	// A redelivered (duplicate) upload is absorbed, not double-counted.
-	if n, err := c.SubmitResults("p1", rs); err != nil || n != 0 {
+	if n, err := c.submitResults("p1", rs); err != nil || n != 0 {
 		t.Fatalf("duplicate submit: n=%d err=%v", n, err)
 	}
 	if got := len(c.Results(exp.ID)); got != 3 {
@@ -105,17 +105,17 @@ func TestLeaseSkipsCompletedTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := c.LeaseTasks("p1", 0)
+	lease := c.leaseTasks("p1", 0)
 	c.Tick(1) // lease expires, task requeued
 	if c.PendingFor("p1") != 1 {
 		t.Fatal("task not requeued")
 	}
 	// The original (slow) delivery lands after the requeue.
-	if n, err := c.SubmitResults("p1", []probes.Result{okResult(lease[0])}); err != nil || n != 1 {
+	if n, err := c.submitResults("p1", []probes.Result{okResult(lease[0])}); err != nil || n != 1 {
 		t.Fatalf("late submit: n=%d err=%v", n, err)
 	}
 	// The stale queued copy is dropped, not re-leased.
-	if again := c.LeaseTasks("p1", 0); len(again) != 0 {
+	if again := c.leaseTasks("p1", 0); len(again) != 0 {
 		t.Fatalf("re-leased a completed task: %v", again)
 	}
 	if got := c.Stats().Counters["tasks_dropped_completed"]; got != 1 {
@@ -133,20 +133,20 @@ func TestSubmitResultsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := c.LeaseTasks("p1", 0)[0]
+	task := c.leaseTasks("p1", 0)[0]
 
-	if _, err := c.SubmitResults("ghost", []probes.Result{okResult(task)}); err == nil {
+	if _, err := c.submitResults("ghost", []probes.Result{okResult(task)}); err == nil {
 		t.Fatal("unregistered probe accepted")
 	}
-	if _, err := c.SubmitResults("p1", []probes.Result{{TaskID: "t1", Experiment: "exp-9999", OK: true}}); err == nil {
+	if _, err := c.submitResults("p1", []probes.Result{{TaskID: "t1", Experiment: "exp-9999", OK: true}}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if _, err := c.SubmitResults("p1", []probes.Result{{TaskID: "not-a-task", Experiment: exp.ID, OK: true}}); err == nil {
+	if _, err := c.submitResults("p1", []probes.Result{{TaskID: "not-a-task", Experiment: exp.ID, OK: true}}); err == nil {
 		t.Fatal("unknown task id accepted")
 	}
 	// A batch mixing a valid and an invalid result records nothing.
 	bad := []probes.Result{okResult(task), {TaskID: "nope", Experiment: exp.ID}}
-	if n, err := c.SubmitResults("p1", bad); err == nil || n != 0 {
+	if n, err := c.submitResults("p1", bad); err == nil || n != 0 {
 		t.Fatalf("mixed batch: n=%d err=%v", n, err)
 	}
 	if len(c.Results(exp.ID)) != 0 {
@@ -171,7 +171,7 @@ func TestProbeLivenessTransitions(t *testing.T) {
 
 	step := func(ticks int) {
 		for i := 0; i < ticks; i++ {
-			if err := c.Heartbeat("peer"); err != nil {
+			if _, err := c.SyncProbe("peer", nil, -1); err != nil {
 				t.Fatal(err)
 			}
 			c.Tick(1)
@@ -206,7 +206,7 @@ func TestProbeLivenessTransitions(t *testing.T) {
 	}
 
 	// Contact revives.
-	if err := c.Heartbeat("silent"); err != nil {
+	if _, err := c.SyncProbe("silent", nil, -1); err != nil {
 		t.Fatal(err)
 	}
 	if h, _ := c.ProbeHealthOf("silent"); h != ProbeAlive {
@@ -234,13 +234,13 @@ func TestDeadProbeLeaseReassignment(t *testing.T) {
 	if _, err := c.SubmitExperiment("o", "c", pingAssignments("crash", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.LeaseTasks("crash", 0)); got != 2 {
+	if got := len(c.leaseTasks("crash", 0)); got != 2 {
 		t.Fatalf("leased %d", got)
 	}
 	// crash goes silent; peer keeps in touch. The lease outlives the
 	// probe, so the reaper must reroute at expiry.
 	for i := 0; i < 10; i++ {
-		if err := c.Heartbeat("peer"); err != nil {
+		if _, err := c.SyncProbe("peer", nil, -1); err != nil {
 			t.Fatal(err)
 		}
 		c.Tick(1)
@@ -401,7 +401,7 @@ func TestEnqueueToAlreadyDeadProbe(t *testing.T) {
 	// peer-01 stays in touch; gone-01 never reports again.
 	for i := 0; i < 2; i++ {
 		c.Tick(1)
-		if err := c.Heartbeat("peer-01"); err != nil {
+		if _, err := c.SyncProbe("peer-01", nil, -1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,9 +27,9 @@ const (
 	// (op=ingest|flush|compact|scan|aggregate); see internal/store.
 	MetricStore = "obs_store_seconds"
 	// MetricRecover times the phases of the Recover that built this
-	// controller (phase=journal_open|snapshot|decode|replay|reconcile, and
-	// legacy_walk inside reconcile when an older directory needed it), one
-	// observation each.
+	// controller (phase=journal_open|store_open|snapshot|decode|replay|
+	// reconcile, and on an Upgrade that walked the store the walk, a part
+	// of reconcile: upgrade.go), one observation each.
 	MetricRecover = "obs_recover_seconds"
 )
 

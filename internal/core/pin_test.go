@@ -50,7 +50,10 @@ func journalKinds(t *testing.T, dir string) map[string]int {
 // store flush; no Close. Probe contact is counted once now, so the two
 // contact counters are left out of the comparison and syncs must equal
 // the number of probe records instead; segment_cache_bytes is newer than
-// the fixture and is checked against the pinned segment itself.
+// the fixture and is checked against the pinned segment itself, and the
+// upgrade's own snapshot is not the fixture's. The upgraded directory
+// then recovers through plain Recover to the same book, less the
+// counters that are that run's own (StatsReport).
 func TestLegacyJournalReplays(t *testing.T) {
 	pinned := filepath.Join("testdata", "pin")
 	dir := t.TempDir()
@@ -83,11 +86,8 @@ func TestLegacyJournalReplays(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Recover(dir, DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	cfg := DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5}
+	c := mustUpgrade(t, dir, cfg)
 	got := pinView{c.Stats(), c.Queues(), c.Leases()}
 
 	if n := got.Stats.Counters["syncs"]; n != contacts || got.Stats.Counters["heartbeats"] != 0 {
@@ -107,10 +107,25 @@ func TestLegacyJournalReplays(t *testing.T) {
 		t.Errorf("segment_cache_bytes = %d, want the pinned segment's %d record frames: %d", n, len(frames)-1, framelog.Span(frames[1:]))
 	}
 	delete(got.Stats.Store, "segment_cache_bytes")
-	gotJSON, _ := json.MarshalIndent(got, "", "  ")
+	for _, k := range []string{"snapshots_written", "snapshot_bytes", "snapshot_frames"} {
+		delete(got.Stats.Durability, k)
+	}
 	wantJSON, _ := json.MarshalIndent(want, "", "  ")
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("pinned directory recovers to\n%s\nwant\n%s", gotJSON, wantJSON)
+	if gotJSON, _ := json.MarshalIndent(got, "", "  "); !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("pinned directory upgrades to\n%s\nwant\n%s", gotJSON, wantJSON)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again := mustRecover(t, dir, cfg)
+	defer again.Close()
+	got = pinView{again.Stats(), again.Queues(), again.Leases()}
+	delete(got.Stats.Counters, "syncs")
+	delete(got.Stats.Counters, "heartbeats")
+	got.Stats.Durability, got.Stats.Store = want.Stats.Durability, want.Stats.Store
+	if gotJSON, _ := json.MarshalIndent(got, "", "  "); !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("upgraded directory recovers to\n%s\nwant\n%s", gotJSON, wantJSON)
 	}
 }
 
@@ -127,14 +142,14 @@ func TestNewJournalHasOneProbeKind(t *testing.T) {
 	if _, err := c.SubmitExperiment("owner", "kinds", pingAssignments("kgl-01", 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Heartbeat("kgl-01"); err != nil {
+	if _, err := c.SyncProbe("kgl-01", nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	leased := c.LeaseTasks("kgl-01", 1)
+	leased := c.leaseTasks("kgl-01", 1)
 	if len(leased) != 1 {
 		t.Fatalf("leased %d, want 1", len(leased))
 	}
-	if n, err := c.SubmitResults("kgl-01", []probes.Result{okResult(leased[0])}); err != nil || n != 1 {
+	if n, err := c.submitResults("kgl-01", []probes.Result{okResult(leased[0])}); err != nil || n != 1 {
 		t.Fatalf("SubmitResults = %d, %v", n, err)
 	}
 	if _, err := c.SyncProbe("kgl-01", nil, 1); err != nil {
@@ -193,7 +208,8 @@ func TestNewJournalHasOneProbeKind(t *testing.T) {
 // and one of those again; 29 times LeaseTasks(p3, 3), the last task
 // (t0257) delivered; Tick(1); LeaseTasks(ghost, 1); store flush; Snapshot;
 // Tick(1); LeaseTasks(p2, 2); SyncProbe(p2, one result, 1); store flush;
-// no Close.
+// no Close. Its snapshot head has no layout, so Upgrade reads it; the
+// upgraded directory then recovers through plain Recover to the same book.
 func TestFramedSnapshotReplays(t *testing.T) {
 	pinned := filepath.Join("testdata", "pin", "framed")
 	var want persistState
@@ -219,13 +235,21 @@ func TestFramedSnapshotReplays(t *testing.T) {
 		t.Fatalf("fixture opens to snapshot %+v and %d records", l.Snap, len(l.Records))
 	}
 	l.Close()
-	c := mustRecover(t, dir, DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5})
-	defer c.Close()
+	cfg := DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5}
+	c := mustUpgrade(t, dir, cfg)
 	if d := c.DurabilityCounters(); d["recovery_replayed"] != 3 || d["recovery_results_requeued"] != 0 {
 		t.Errorf("recovered with %v", d)
 	}
 	if got, _ := json.Marshal(legacyState(c)); !bytes.Equal(got, wantJSON) {
-		t.Errorf("pinned directory recovers to\n%s\nwant\n%s", got, wantJSON)
+		t.Errorf("pinned directory upgrades to\n%s\nwant\n%s", got, wantJSON)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := mustRecover(t, dir, cfg)
+	defer again.Close()
+	if got, _ := json.Marshal(legacyState(again)); !bytes.Equal(got, wantJSON) {
+		t.Errorf("upgraded directory recovers to\n%s\nwant\n%s", got, wantJSON)
 	}
 }
 

@@ -34,6 +34,15 @@ func mustRecover(t *testing.T, dir string, cfg DurabilityConfig) *Controller {
 	return c
 }
 
+func mustUpgrade(t *testing.T, dir string, cfg DurabilityConfig) *Controller {
+	t.Helper()
+	c, err := Upgrade(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // checkBook is the invariant every recovery must restore: per experiment
 // the recorded set is exactly what the store holds (the walk recovery
 // used to run), and every task of an approved experiment is recorded,
@@ -164,7 +173,7 @@ func lossyRun(t *testing.T, dir string, cfg DurabilityConfig) (*Controller, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.LeaseTasks("p1", 12)
+	c.leaseTasks("p1", 12)
 	submitPingBatch(t, c, "p1", exp.ID, 0, 8)
 	submitPingBatch(t, c, "p1", exp.ID, 8, 12)
 	if got := c.ResultStore().MemtableLen(); got != 4 {
@@ -186,7 +195,7 @@ func TestSecondCrashReplaysRequeue(t *testing.T) {
 	if n := live.DurabilityCounters()["recovery_results_requeued"]; n != 4 {
 		t.Fatalf("first recovery requeued %d, want 4", n)
 	}
-	if got := len(live.LeaseTasks("p1", 12)); got != 4 {
+	if got := len(live.leaseTasks("p1", 12)); got != 4 {
 		t.Fatalf("re-leased %d tasks, want 4", got)
 	}
 	submitPingBatch(t, live, "p1", expID, 8, 12) // memtable-only again
@@ -226,7 +235,7 @@ func TestRetentionDoesNotRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.LeaseTasks("p1", 2)
+	c.leaseTasks("p1", 2)
 	submitPingBatch(t, c, "p1", exp.ID, 0, 1) // a segment each
 	submitPingBatch(t, c, "p1", exp.ID, 1, 2)
 	c.Tick(10)
@@ -263,14 +272,14 @@ func TestStoreAheadOfJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.LeaseTasks("p1", 6)
+	c.leaseTasks("p1", 6)
 	submitPingBatch(t, c, "p1", exp.ID, 0, 3) // seq 1-3, memtable
 	c.BreakJournal()
 	var rs []probes.Result
 	for i := 3; i < 6; i++ {
 		rs = append(rs, probes.Result{TaskID: fmt.Sprintf("%s-t%04d", exp.ID, i), Experiment: exp.ID, OK: true})
 	}
-	if _, err := c.SubmitResults("p1", rs); err == nil { // seals seq 1-6, journals nothing
+	if _, err := c.submitResults("p1", rs); err == nil { // seals seq 1-6, journals nothing
 		t.Fatal("append to a closed journal succeeded")
 	}
 	if c.ResultStore().SealedSeq() != 6 {
@@ -400,8 +409,8 @@ func recoverSeries(c *Controller, phase string) uint64 {
 
 // TestLegacyDirectoryTakesTheWalkOnce: a directory that does not place
 // its refs — by its snapshot, or by its tail records — still requeues
-// exactly the lost tasks, by the walk; what the recovery then writes is
-// new-format, so the next one goes by the watermark.
+// exactly the lost tasks when Upgrade walks the store; what the upgrade
+// then writes is new-format, so the next recovery goes by the watermark.
 func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
 	cfg := lossyCfg
 	for _, tc := range []struct {
@@ -418,7 +427,7 @@ func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
 			}
 			makeLegacy(t, c, dir)
 
-			rec := mustRecover(t, dir, cfg)
+			rec := mustUpgrade(t, dir, cfg)
 			if n := rec.DurabilityCounters()["recovery_results_requeued"]; n != 4 {
 				t.Fatalf("legacy recovery requeued %d, want 4", n)
 			}
@@ -433,7 +442,7 @@ func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
 				t.Fatalf("requeued tasks = %d, want 4", got)
 			}
 			// The results it accepts from here on are placed.
-			rec.LeaseTasks("p1", 4)
+			rec.leaseTasks("p1", 4)
 			submitPingBatch(t, rec, "p1", expID, 8, 10)
 			if err := rec.Snapshot(); err != nil {
 				t.Fatal(err)
@@ -467,8 +476,9 @@ func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
 
 // TestRecoverKeepsNoRecoveryView: once replay is done the journal handle
 // holds neither the snapshot's frames nor the decoded tail, a snapshot
-// written later does not bring them back, and the four phases are on the
-// registry.
+// written later does not bring them back, and each of the six phases is
+// on the registry once — store_open included, so no span of the recovery
+// lands in no series — and the upgrade's store walk never.
 func TestRecoverKeepsNoRecoveryView(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := lossyRun(t, dir, lossyCfg)
@@ -487,9 +497,12 @@ func TestRecoverKeepsNoRecoveryView(t *testing.T) {
 	if rec.log.Snap != nil || rec.log.Records != nil {
 		t.Fatalf("journal handle still holds its recovery view: snapshot frames %v, %d records", rec.log.Snap != nil, len(rec.log.Records))
 	}
-	for _, phase := range []string{"journal_open", "snapshot", "replay", "reconcile"} {
+	for _, phase := range []string{"journal_open", "store_open", "snapshot", "decode", "replay", "reconcile"} {
 		if recoverSeries(rec, phase) != 1 {
 			t.Errorf("obs_recover_seconds{phase=%q} has %d observations, want 1", phase, recoverSeries(rec, phase))
 		}
+	}
+	if n := recoverSeries(rec, "legacy_walk"); n != 0 {
+		t.Errorf("a live recovery walked the store (%d observations)", n)
 	}
 }

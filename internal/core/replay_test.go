@@ -136,7 +136,7 @@ func TestOnlyTheTailCanFailRecovery(t *testing.T) {
 // recovery is and nothing else — one worker and eight read the same
 // Records from a directory and recover it to byte-identical state, over
 // the equivalence histories (snapshot_test.go) and the pinned legacy
-// directory.
+// directory (through Upgrade).
 func TestRecoveryIsWorkerCountIndependent(t *testing.T) {
 	histories := equivalenceHistories(t)
 	histories["pin"] = history{filepath.Join("testdata", "pin"), DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5}}
@@ -153,7 +153,11 @@ func TestRecoveryIsWorkerCountIndependent(t *testing.T) {
 			}
 			records[i] = l.Records
 			l.Close()
-			c := mustRecover(t, dir, h.cfg)
+			boot := mustRecover
+			if name == "pin" {
+				boot = mustUpgrade
+			}
+			c := boot(t, dir, h.cfg)
 			par.SetDefaultWorkers(prev)
 			if got := c.DurabilityCounters()["recovery_replayed"]; got == 0 || recoverSeries(c, "decode") != 1 {
 				t.Fatalf("%s: replayed %d records in %d decode phases; want a tail and one", name, got, recoverSeries(c, "decode"))

@@ -152,8 +152,8 @@ func biasTrialSkew(t *testing.T, seed int64, countries []string, targets Coverag
 			t.Fatal(err)
 		}
 		for _, i := range rng.Perm(nProbes) {
-			for _, task := range c.LeaseTasks(ids[i], perLease) {
-				if _, err := c.SubmitResults(ids[i], []probes.Result{okResult(task)}); err != nil {
+			for _, task := range c.leaseTasks(ids[i], perLease) {
+				if _, err := c.submitResults(ids[i], []probes.Result{okResult(task)}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -19,7 +19,7 @@ import (
 //	               persistProbe, probes in id order
 //	chunks         per experiment in id order, ceil(assignments/snapChunk)
 //	               frames, each an assignCols ("layout":"columns" in the
-//	               head; a snapChunkFrame in a head without a layout)
+//	               head; a head without one is older, upgrade.go)
 //	queues         one frame, the non-empty per-probe queues by probe id
 //	leases         one frame, the lease table by lease key
 //	submit ids     one frame, request id -> experiment id
@@ -60,12 +60,6 @@ type snapExp struct {
 	Recorded    []string         `json:"recorded,omitempty"`
 }
 
-// snapChunkFrame is a chunk in a snapshot whose head has no layout.
-type snapChunkFrame struct {
-	Assignments []probes.Assignment `json:"assignments"`
-	Recorded    [][2]int            `json:"recorded,omitempty"`
-}
-
 // assignCols is up to snapChunk consecutive assignments as they are kept
 // on disk, column by column: probe ids, task ids, the distinct task bodies
 // (ids blanked, first-seen order) and each assignment's index into them,
@@ -103,14 +97,9 @@ func colsOf(chunk []probes.Assignment, rec map[string]bool) assignCols {
 	return cols
 }
 
-// readChunk decodes a chunk of the layout a snapshot's head names into
-// dst, which it must fill exactly, and returns its recorded runs.
-func readChunk(layout string, p []byte, dst []probes.Assignment) ([][2]int, error) {
-	if layout == "" {
-		frame := snapChunkFrame{Assignments: dst[:0:len(dst)]}
-		err := unmarshalFull(p, &frame, &frame.Assignments)
-		return frame.Recorded, err
-	}
+// readChunk decodes an assignCols chunk into dst, which it must fill
+// exactly, and returns its recorded runs.
+func readChunk(p []byte, dst []probes.Assignment) ([][2]int, error) {
 	n := len(dst)
 	cols := assignCols{Probes: make([]string, 0, n), IDs: make([]string, 0, n)}
 	if err := json.Unmarshal(p, &cols); err != nil {
@@ -167,7 +156,7 @@ func decodeSubmitCols(data []byte) (func(*Controller), error) {
 	}
 	op.Assignments = make([]probes.Assignment, n)
 	err := par.ForEachErr(0, len(rec.Chunks), func(i int) error {
-		_, err := readChunk(snapLayout, rec.Chunks[i], op.Assignments[i*snapChunk:min((i+1)*snapChunk, n)])
+		_, err := readChunk(rec.Chunks[i], op.Assignments[i*snapChunk:min((i+1)*snapChunk, n)])
 		return err
 	})
 	return func(c *Controller) { c.applySubmitLocked(op) }, err
@@ -259,22 +248,26 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 	return head, frames, err
 }
 
-// decodeSnapshot turns the snapshot journal.Open read into the state
-// restoreLocked loads: a legacy snapshot is that state as one JSON value;
-// a framed one is decoded frame by frame on every core, each frame into
-// the slots its index owns. The whole state or an error: a frame that
-// does not decode, or holds another number of entries than the head
-// gives it, fails the snapshot.
-func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
+// decodeSnapshot turns the framed snapshot the journal read into the
+// state restoreLocked loads, frame by frame on every core, each frame into
+// the slots its index owns. structs reads the chunks of a head without a
+// layout, which only an older binary wrote: Recover passes none and
+// refuses such a head (upgrade.go reads it). The whole state or an error:
+// a frame that does not decode, or holds another number of entries than
+// the head gives it, fails the snapshot.
+func decodeSnapshot(snap *journal.Snapshot, structs func([]byte, []probes.Assignment) ([][2]int, error)) (persistState, error) {
 	var st persistState
-	if snap.State != nil {
-		return st, json.Unmarshal(snap.State, &st)
-	}
 	var head snapHead
 	if err := json.Unmarshal(snap.Head, &head); err != nil {
 		return st, fmt.Errorf("head: %w", err)
 	}
-	if head.Layout != "" && head.Layout != snapLayout {
+	read := readChunk
+	switch {
+	case head.Layout == "" && structs == nil:
+		return st, fmt.Errorf("head names no layout: %w", ErrNeedsUpgrade)
+	case head.Layout == "":
+		read = structs
+	case head.Layout != snapLayout:
 		return st, fmt.Errorf("head names layout %q, which this binary does not read", head.Layout)
 	}
 	// The frame count bounds every size the head claims before anything
@@ -313,7 +306,7 @@ func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
 		for lo := 0; lo < e.Assignments; lo += snapChunk {
 			f, chunk := len(decode), exp.Assignments[lo:min(lo+snapChunk, e.Assignments)]
 			decode = append(decode, func(p []byte) (err error) {
-				runs[f], err = readChunk(head.Layout, p, chunk)
+				runs[f], err = read(p, chunk)
 				return err
 			})
 		}

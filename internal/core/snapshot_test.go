@@ -216,8 +216,9 @@ func TestSnapshotIsWorkerCountIndependent(t *testing.T) {
 
 // TestBlobAndFramesRecoverAlike is the oracle: one book written both ways
 // — as frames by Snapshot, as the legacy blob by the writer kept above —
-// recovers to equal state and to a byte-identical next snapshot, and the
-// legacy directory's snapshot.json is gone once that one is written.
+// recovers (the blob through Upgrade) to equal state and to a
+// byte-identical next snapshot, and the legacy directory's snapshot.json
+// is gone once that one is written.
 func TestBlobAndFramesRecoverAlike(t *testing.T) {
 	for name, h := range equivalenceHistories(t) {
 		framed, blob := t.TempDir(), t.TempDir()
@@ -236,8 +237,12 @@ func TestBlobAndFramesRecoverAlike(t *testing.T) {
 
 		var next [2][]byte
 		for i, dir := range []string{framed, blob} {
-			rec := mustRecover(t, dir, h.cfg)
-			if got := rec.DurabilityCounters(); got["recovery_replayed"] != 0 || (got["snapshot_frames"] == 1) != (dir == blob) {
+			boot := mustRecover
+			if dir == blob {
+				boot = mustUpgrade
+			}
+			rec := boot(t, dir, h.cfg)
+			if got := rec.DurabilityCounters(); got["recovery_replayed"] != 0 || (got["snapshots_written"] == 1) != (dir == blob) {
 				t.Fatalf("%s: %s recovered with %v", name, dir, got)
 			}
 			if got := legacyState(rec); !reflect.DeepEqual(got, want) {
@@ -373,7 +378,7 @@ func TestRecordedOutsideAssignments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.LeaseTasks("p1", 5)
+	c.leaseTasks("p1", 5)
 	submitPingBatch(t, c, "p1", exp.ID, 1, 3)
 	submitPingBatch(t, c, "p1", exp.ID, 4, 5)
 	c.BreakJournal()
@@ -402,8 +407,9 @@ func TestRecordedOutsideAssignments(t *testing.T) {
 
 // TestFailoverShipsEverySnapshot: a failover's copy (journal.Clone +
 // store.Clone, what federation.ShipState is) of a framed directory, of a
-// legacy one and of one caught holding both recovers the book the source
-// held; the directory with both reads the framed snapshot.
+// legacy one and of one caught holding both recovers (the last two
+// through Upgrade) the book the source held; the directory with both
+// reads the framed snapshot.
 func TestFailoverShipsEverySnapshot(t *testing.T) {
 	framed := t.TempDir()
 	shipDir(t, wideBook(t), framed)
@@ -428,11 +434,15 @@ func TestFailoverShipsEverySnapshot(t *testing.T) {
 	for name, src := range map[string]string{"framed": framed, "legacy": legacy, "both": both} {
 		dst := t.TempDir()
 		shipDir(t, src, dst)
-		rec := mustRecover(t, dst, wideCfg)
+		boot := mustUpgrade
+		if name == "framed" {
+			boot = mustRecover
+		}
+		rec := boot(t, dst, wideCfg)
 		if got := legacyState(rec); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: failover recovered a different book\n got %+v\nwant %+v", name, got, want)
 		}
-		if d := rec.DurabilityCounters(); d["recovery_replayed"] != 1 || (d["snapshot_frames"] == 1) != (name == "legacy") {
+		if d := rec.DurabilityCounters(); d["recovery_replayed"] != 1 || (d["snapshots_written"] == 1) != (name != "framed") {
 			t.Errorf("%s: failover recovered with %v", name, d)
 		}
 		if err := rec.Close(); err != nil {
@@ -507,8 +517,8 @@ func FuzzSnapshotRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tasks := c.LeaseTasks("p1", 2)
-	if _, err := c.SubmitResults("p1", []probes.Result{okResult(tasks[0])}); err != nil {
+	tasks := c.leaseTasks("p1", 2)
+	if _, err := c.submitResults("p1", []probes.Result{okResult(tasks[0])}); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := c.SubmitExperiment("rando", "pending", pingAssignments("p2", 1)); err != nil {
@@ -633,7 +643,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runs, err := readChunk(snapLayout, p, got[lo:lo+len(chunk)])
+			runs, err := readChunk(p, got[lo:lo+len(chunk)])
 			if err != nil {
 				t.Fatalf("seed %d: chunk at %d: %v", seed, lo, err)
 			}

@@ -27,7 +27,7 @@ func submitPingBatch(t *testing.T, c *Controller, probeID, expID string, from, t
 			RTTms:      float64(20 + i%50),
 		})
 	}
-	if _, err := c.SubmitResults(probeID, rs); err != nil {
+	if _, err := c.submitResults(probeID, rs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -66,7 +66,7 @@ func TestMemtableLossRequeuesTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live.LeaseTasks("p1", 12)
+	live.leaseTasks("p1", 12)
 	// Two batches: the first fills the memtable to FlushEvery and seals
 	// a segment; the second's 4 records stay memtable-only.
 	submitPingBatch(t, live, "p1", exp.ID, 0, 8)
@@ -97,7 +97,7 @@ func TestMemtableLossRequeuesTasks(t *testing.T) {
 		t.Fatalf("results_recorded after reconcile = %d, want 8", got)
 	}
 	// The probe re-runs the requeued tasks; the pipeline converges.
-	rec.LeaseTasks("p1", 12)
+	rec.leaseTasks("p1", 12)
 	submitPingBatch(t, rec, "p1", exp.ID, 0, 12) // full redelivery: 8 dedup, 4 record
 	if !rec.Done(exp.ID) {
 		t.Fatal("pipeline did not converge after memtable loss")

@@ -4,10 +4,9 @@ package core
 // probe's whole round into one request — the heartbeat, every spooled
 // result it has to deliver, and the ask for its next task lease — and
 // the controller folds the whole batch into ONE journal record (opSync),
-// so one append and one fsync cover the round. The in-process sugar
-// (Heartbeat, LeaseTasks, SubmitResults) is a caller of syncCtx with part
-// of the round left out, so opSync is the only probe record a journal is
-// ever given.
+// so one append and one fsync cover the round. In process, SyncProbe is
+// the same round, so opSync is the only probe record a journal is ever
+// given.
 //
 // With ?wait=<duration> the call long-polls: a probe with an empty queue
 // parks on a per-probe channel until tasks are enqueued for it
@@ -21,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/afrinet/observatory/internal/obs"
@@ -59,11 +57,6 @@ type SyncResponse struct {
 	Received int           `json:"received"`
 	Tasks    []probes.Task `json:"tasks"`
 }
-
-// wholeQueue is the journaled lease cap of LeaseTasks(p, max <= 0) and of
-// a replayed legacy lease_grant that asked the same: grantLocked stops
-// at the queue's length.
-const wholeQueue = math.MaxInt32
 
 // resolveSyncMax maps the wire Max to the journaled lease cap.
 func resolveSyncMax(max int) int {

@@ -204,7 +204,7 @@ func TestSyncLongPollWakesOnApprove(t *testing.T) {
 // an enqueue site and must wake the parked round.
 func TestSyncLongPollWakesOnExpiryRequeue(t *testing.T) {
 	c, _ := syncTestController(t, 2)
-	if got := c.LeaseTasks("sy-01", 2); len(got) != 2 {
+	if got := c.leaseTasks("sy-01", 2); len(got) != 2 {
 		t.Fatalf("leased %d, want 2", len(got))
 	}
 	done := make(chan SyncResponse, 1)

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"github.com/afrinet/observatory/internal/framelog"
 )
 
-// Clone copies a journal directory's durable state — snapshot.log, a
-// legacy snapshot.json and journal.log, whichever exist — into dstDir,
-// fsyncing each file and the destination directory. A directory holding
-// both snapshots is copied as it is: Open reads the framed one there too.
+// Clone copies a journal directory's files — snapshot.log and
+// journal.log, and whatever an older binary left beside them for
+// OpenLegacy — into dstDir, fsyncing each file and the destination
+// directory; a stray .tmp is never read back and is not copied.
 // This is the "snapshot ship" half of a federation shard failover: the
 // coordinator clones a dead shard's journal dir to the peer's dir, then
 // Recover replays it there. The source must be quiescent (the dead
@@ -21,12 +22,15 @@ func Clone(srcDir, dstDir string) error {
 	if err := os.MkdirAll(dstDir, 0o755); err != nil {
 		return fmt.Errorf("journal: clone: %w", err)
 	}
-	for _, name := range []string{snapName, legacySnapName, logName} {
-		if err := framelog.CopyFileSync(filepath.Join(srcDir, name), filepath.Join(dstDir, name)); err != nil {
-			if os.IsNotExist(err) {
-				continue
+	ents, err := os.ReadDir(srcDir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("journal: clone: %w", err)
+	}
+	for _, ent := range ents {
+		if name := ent.Name(); ent.Type().IsRegular() && !strings.HasSuffix(name, ".tmp") {
+			if err := framelog.CopyFileSync(filepath.Join(srcDir, name), filepath.Join(dstDir, name)); err != nil {
+				return fmt.Errorf("journal: clone %s: %w", name, err)
 			}
-			return fmt.Errorf("journal: clone %s: %w", name, err)
 		}
 	}
 	framelog.SyncDir(dstDir)

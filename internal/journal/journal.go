@@ -23,9 +23,8 @@
 // behind it are the owner's. The file is written whole, so it has no torn
 // tail to forgive: a bad frame, bytes behind the last frame or a count
 // other than M fails Open. A directory from before the snapshot was framed
-// holds a one-blob snapshot.json instead, read when there is no
-// snapshot.log and removed once the first framed snapshot is durable
-// (snapshot.go; DESIGN.md, "Durable files").
+// holds a one-blob snapshot instead: Open refuses it (ErrNeedsUpgrade), and
+// only OpenLegacy reads it (legacy.go; DESIGN.md, "Durable files").
 //
 // A record that does not decode, has no Kind, or breaks sequence
 // monotonicity ends the valid stream like a bad frame does: Open
@@ -74,9 +73,8 @@ type Record struct {
 }
 
 const (
-	logName        = "journal.log"
-	snapName       = "snapshot.log"
-	legacySnapName = "snapshot.json"
+	logName  = "journal.log"
+	snapName = "snapshot.log"
 )
 
 // DecodeRecords decodes frame payloads into the records of the valid
@@ -233,14 +231,25 @@ type Log struct {
 
 // Open opens (creating if needed) a journal directory, loads the latest
 // snapshot and all valid journal records, truncates any torn tail in
-// place, and positions the log for appending.
+// place, and positions the log for appending. A directory holding a
+// one-blob snapshot is refused before its files are touched.
 func Open(dir string) (*Log, error) {
+	return open(dir, func() (*Snapshot, error) {
+		if err := refuseLegacy(dir); err != nil {
+			return nil, err
+		}
+		return loadSnapshot(dir)
+	})
+}
+
+// open is Open and OpenLegacy, which differ in how they load the snapshot.
+func open(dir string, load func() (*Snapshot, error)) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	l := &Log{dir: dir}
 
-	snap, err := loadSnapshot(dir)
+	snap, err := load()
 	if err != nil {
 		return nil, err
 	}

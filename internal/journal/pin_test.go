@@ -63,9 +63,9 @@ type pinSnap struct {
 	Frames []json.RawMessage `json:"frames,omitempty"`
 }
 
-func pinOpen(t *testing.T, dir string) []byte {
+func pinOpen(t *testing.T, open func(string) (*Log, error), dir string) []byte {
 	t.Helper()
-	l, err := Open(dir)
+	l, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func pinOpen(t *testing.T, dir string) []byte {
 	if s := l.Snap; s != nil {
 		view.Snap = &pinSnap{Seq: s.Seq, State: s.State, Head: s.Head}
 		if s.State != nil {
-			view.Snap.CRC = crc32.ChecksumIEEE(s.State) // Open verified it against the file's
+			view.Snap.CRC = crc32.ChecksumIEEE(s.State) // OpenLegacy verified it against the file's
 		}
 		for _, f := range s.Frames {
 			view.Snap.Frames = append(view.Snap.Frames, f)
@@ -89,17 +89,19 @@ func pinOpen(t *testing.T, dir string) []byte {
 
 // TestFormatPin holds the on-disk format to committed bytes (never
 // regenerate them): testdata/pin, written by the commit before
-// internal/framelog existed, with a legacy snapshot.json; and
-// testdata/pin/framed, written by the commit that framed the snapshot. A
-// directory written then opens to the same view now, and the same calls
-// now write the same bytes — of the files this code still writes.
+// internal/framelog existed, with a legacy snapshot.json that only
+// OpenLegacy reads; and testdata/pin/framed, written by the commit that
+// framed the snapshot. A directory written then opens to the same view
+// now, and the same calls now write the same bytes — of the files this
+// code still writes.
 func TestFormatPin(t *testing.T) {
 	for _, pin := range []struct {
 		dir           string
-		written, read []string // files this code writes the same; files Open reads
+		written, read []string // files this code writes the same; files open reads
+		open          func(string) (*Log, error)
 	}{
-		{filepath.Join("testdata", "pin"), []string{"journal.log"}, []string{"journal.log", "snapshot.json"}},
-		{filepath.Join("testdata", "pin", "framed"), []string{"journal.log", "snapshot.log"}, []string{"journal.log", "snapshot.log"}},
+		{filepath.Join("testdata", "pin"), []string{"journal.log"}, []string{"journal.log", "snapshot.json"}, OpenLegacy},
+		{filepath.Join("testdata", "pin", "framed"), []string{"journal.log", "snapshot.log"}, []string{"journal.log", "snapshot.log"}, Open},
 	} {
 		want, err := os.ReadFile(filepath.Join(pin.dir, "want.json"))
 		if err != nil {
@@ -130,7 +132,7 @@ func TestFormatPin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := pinOpen(t, old); !bytes.Equal(got, want) {
+		if got := pinOpen(t, pin.open, old); !bytes.Equal(got, want) {
 			t.Errorf("%s opens to\n%s\nwant\n%s", pin.dir, got, want)
 		}
 	}

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -213,10 +214,11 @@ func TestStraySnapshotTempIgnored(t *testing.T) {
 
 // TestLegacySnapshotRead: a snapshot.json — in the layout its writer
 // used, or any other rendering of the same envelope — is the directory's
-// snapshot while there is no snapshot.log; state bytes that do not match
-// the checksum are an error. The first framed snapshot removes it, and a
-// directory caught holding both (a crash between the rename and the
-// removal) opens to the framed one.
+// snapshot to OpenLegacy while there is no snapshot.log; state bytes that
+// do not match the checksum are an error. Open refuses any directory that
+// holds one, a directory caught holding both (a crash between the rename
+// and the removal) opens legacy to the framed one, and RemoveLegacy
+// clears the blob away.
 func TestLegacySnapshotRead(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir)
@@ -229,8 +231,11 @@ func TestLegacySnapshotRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Open(dir); !errors.Is(err, ErrNeedsUpgrade) {
+		t.Fatalf("Open of a directory holding snapshot.json: %v, want ErrNeedsUpgrade", err)
+	}
 
-	l = mustOpen(t, dir)
+	l = mustOpenLegacy(t, dir)
 	s := l.Snap
 	if s == nil || s.Seq != 2 || s.Head != nil || s.Frames != nil || s.Bytes != int64(len(file)) {
 		t.Fatalf("legacy snapshot = %+v", s)
@@ -253,7 +258,7 @@ func TestLegacySnapshotRead(t *testing.T) {
 	if err := os.WriteFile(legacy, []byte(other), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := loadSnapshot(dir); err != nil || snap.Seq != 2 || !bytes.Equal(snap.State, pretty) {
+	if snap, err := loadBlob(legacy); err != nil || snap.Seq != 2 || !bytes.Equal(snap.State, pretty) {
 		t.Fatalf("envelope in another layout: %+v, %v", snap, err)
 	}
 
@@ -262,7 +267,7 @@ func TestLegacySnapshotRead(t *testing.T) {
 	if err := os.WriteFile(legacy, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := OpenLegacy(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("altered state: err = %v, want a checksum failure", err)
 	}
 
@@ -273,16 +278,32 @@ func TestLegacySnapshotRead(t *testing.T) {
 	if err := os.WriteFile(legacy, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l = mustOpen(t, dir)
+	if _, err := Open(dir); !errors.Is(err, ErrNeedsUpgrade) {
+		t.Fatalf("Open of a directory holding both snapshots: %v, want ErrNeedsUpgrade", err)
+	}
+	l = mustOpenLegacy(t, dir)
 	if s := l.Snap; s == nil || s.Seq != 3 || s.State != nil || string(s.Head) != `{"framed":1}` {
 		t.Fatalf("directory with both snapshots opened to %+v", s)
 	}
-	// And the next framed snapshot clears the legacy one away.
+	// And once the next framed snapshot is durable, the blob goes.
 	mustSnapshot(t, l, map[string]int{"framed": 2})
+	if err := l.RemoveLegacy(); err != nil {
+		t.Fatal(err)
+	}
 	l.Close()
 	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot survived a framed one: %v", err)
+		t.Fatalf("legacy snapshot survived RemoveLegacy: %v", err)
 	}
+	mustOpen(t, dir).Close()
+}
+
+func mustOpenLegacy(t *testing.T, dir string) *Log {
+	t.Helper()
+	l, err := OpenLegacy(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // mustOpenWithout opens dir after removing one file from it.
@@ -296,7 +317,7 @@ func mustOpenWithout(t *testing.T, dir, path string) *Log {
 
 // TestCloneCopiesEverySnapshot: a failover ships whatever snapshot the
 // directory holds — framed, legacy (the pinned fixture), or both — and the
-// copy opens to the view the source does.
+// copy opens (legacy, which reads all three) to the view the source does.
 func TestCloneCopiesEverySnapshot(t *testing.T) {
 	framed := t.TempDir()
 	l := mustOpen(t, framed)
@@ -328,11 +349,11 @@ func TestCloneCopiesEverySnapshot(t *testing.T) {
 		if err := Clone(src, ref); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := pinOpen(t, dst), pinOpen(t, ref); !bytes.Equal(got, want) || !bytes.Contains(got, []byte(`"snap": {`)) {
+		if got, want := pinOpen(t, OpenLegacy, dst), pinOpen(t, OpenLegacy, ref); !bytes.Equal(got, want) || !bytes.Contains(got, []byte(`"snap": {`)) {
 			t.Errorf("%s: clone opens to\n%s\nsource to\n%s", name, got, want)
 		}
 	}
-	l = mustOpen(t, both)
+	l = mustOpenLegacy(t, both)
 	defer l.Close()
 	if l.Snap == nil || l.Snap.Seq != 4 || l.Snap.State != nil {
 		t.Fatalf("clone holding both snapshots opened to %+v", l.Snap)

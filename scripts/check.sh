@@ -85,6 +85,12 @@ if git grep -n 'mutateLocked(op\(Heartbeat\|Lease\|Results\|Submit,\)' -- intern
     echo "probe-protocol lint: heartbeat / lease_grant / results_accept / experiment_submit records are read-only — journal probe traffic as opSync and submissions as opSubmitCols" >&2
     exit 1
 fi
+# The in-process per-call methods are deleted too: in process a probe
+# call is SyncProbe.
+if git grep -nE 'func \([a-z]+ \*Controller\) (Heartbeat|LeaseTasks|SubmitResults)\(' -- '*.go'; then
+    echo "probe-protocol lint: Controller.Heartbeat / LeaseTasks / SubmitResults are deleted — a probe call is one SyncProbe round" >&2
+    exit 1
+fi
 # The per-probe routes (tasks / results / heartbeat under /probes/{id}/)
 # are deleted: probe_sync is the one probe route.
 if git grep -n '/probes/{id}/' -- internal/core/routes.go; then
@@ -106,6 +112,18 @@ if git grep -nE 'func \([a-z]+ \*LocalShard\) (Register|Sync|Submit|Approve|Expe
 fi
 if git grep -n 'SubmitWithID(' -- internal/federation ':!*_test.go'; then
     echo "shard lint: SubmitWithID in internal/federation — push a partition with core.Backend.Submit" >&2
+    exit 1
+fi
+
+echo "== legacy-reader lint =="
+# Recover reads one directory shape, the one this binary writes; what
+# older binaries wrote is read by core.Upgrade alone, through two files:
+# internal/core/upgrade.go and internal/journal/legacy.go. The store walk
+# (KeySet, whose definition is exempt), the legacy journal opener, the
+# struct-chunk frame and the blob's file name stay in them.
+if git grep -nE 'KeySet\(|OpenLegacy\(|snapChunkFrame|legacySnapName' -- 'internal/*.go' ':!*_test.go' \
+    ':!internal/core/upgrade.go' ':!internal/journal/legacy.go' | grep -v '^internal/store/query.go:.*func (s \*Store) KeySet('; then
+    echo "legacy-reader lint: a legacy reader outside internal/core/upgrade.go and internal/journal/legacy.go — Recover reads only the current format; Upgrade owns the past" >&2
     exit 1
 fi
 
