@@ -119,7 +119,10 @@ func main() {
 	var sp *spool.Spool
 	if *spoolDir != "" {
 		var err error
-		sp, err = spool.Open(*spoolDir, spool.Options{MaxPending: *spoolMax})
+		// The spool counts into the client's registry: one family covers the
+		// probe's whole resilience story, spool evictions beside breaker
+		// trips and Retry-After honors, with the spool depth as a gauge.
+		sp, err = spool.Open(*spoolDir, spool.Options{MaxPending: *spoolMax, Obs: reg})
 		if err != nil {
 			log.Fatalf("obsprobe: %v", err)
 		}
@@ -129,10 +132,6 @@ func main() {
 		}
 		outbox = sp
 	}
-	// One counter family covers the probe's whole resilience story:
-	// spool depth/evictions plus breaker trips and Retry-After honors.
-	reg.AddCounters("obs_probe_resilience_total", func() map[string]int64 { return resilience(cl, sp) })
-
 	if err := cl.Register(core.ProbeInfo{
 		ID: *id, ASN: topology.ASN(*asn),
 		Country:  stack.Topology.ASes[topology.ASN(*asn)].Country,
@@ -203,7 +202,7 @@ func main() {
 				log.Printf("obsprobe %s: exiting with %d undelivered results (lease expiry will requeue them)",
 					*id, outbox.Len())
 			}
-			logResilience(*id, cl, sp)
+			logResilience(*id, reg)
 			logLatencies(*id, reg)
 			log.Printf("obsprobe %s: bye", *id)
 			return
@@ -211,26 +210,15 @@ func main() {
 		}
 	}
 	flush()
-	logResilience(*id, cl, sp)
+	logResilience(*id, reg)
 	logLatencies(*id, reg)
 }
 
-// resilience merges the client's counters with the disk spool's, if any.
-func resilience(cl *core.Client, sp *spool.Spool) map[string]int64 {
-	vals := cl.ResilienceCounters()
-	if sp != nil {
-		for k, v := range sp.Counters() {
-			vals[k] = v
-		}
-	}
-	return vals
-}
-
-// logResilience prints the probe's non-zero resilience counters at
-// shutdown: spool depth and evictions, breaker trips, Retry-After
-// honors — the field-conditions ledger for this run.
-func logResilience(id string, cl *core.Client, sp *spool.Spool) {
-	vals := resilience(cl, sp)
+// logResilience prints the probe's non-zero resilience counters and
+// gauge at shutdown: spool depth and evictions, breaker trips,
+// Retry-After honors — the field-conditions ledger for this run.
+func logResilience(id string, reg *obs.Registry) {
+	vals := obs.Union(reg.Counters("obs_probe_resilience_total"), reg.Gauges("obs_probe_gauge"))
 	names := make([]string, 0, len(vals))
 	for name, v := range vals {
 		if v != 0 {

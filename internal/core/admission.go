@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/afrinet/observatory/internal/metrics"
+	"github.com/afrinet/observatory/internal/obs"
 )
 
 // RoutePriority classes a route for load shedding.
@@ -84,13 +84,14 @@ type AdmissionGate struct {
 	cfg      AdmissionConfig
 	buckets  map[string]*tokenBucket
 	inflight int
-	stats    *metrics.CounterSet
+	stats    *obs.Family
 }
 
-// NewAdmissionGate builds a gate with the given limits; the zero config
-// admits everything.
-func NewAdmissionGate(cfg AdmissionConfig) *AdmissionGate {
-	g := &AdmissionGate{stats: metrics.NewCounterSet()}
+// NewAdmissionGate builds a gate with the given limits, counting what it
+// sheds into reg's obs_admission_events_total; the zero config admits
+// everything.
+func NewAdmissionGate(cfg AdmissionConfig, reg *obs.Registry) *AdmissionGate {
+	g := &AdmissionGate{stats: reg.Counters("obs_admission_events_total")}
 	g.configure(cfg)
 	return g
 }
@@ -178,7 +179,7 @@ func (a *AdmissionGate) shedLocked(route string, pri RoutePriority, why string) 
 	a.stats.Inc("requests_shed_route_" + route)
 }
 
-// Snapshot returns the shed counters for the stats report and /metrics.
+// Snapshot returns the shed counters for the stats report.
 func (a *AdmissionGate) Snapshot() map[string]int64 {
 	return a.stats.Snapshot()
 }

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/afrinet/observatory/internal/metrics"
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
@@ -90,8 +89,10 @@ type Client struct {
 	// keys (tests pin it for reproducible dedup).
 	RequestID func() string
 	// Obs, when set, records one latency histogram series per API call
-	// (obs_client_seconds, call=<name>). cmd/obsprobe wires one in and
-	// logs the snapshot at shutdown.
+	// (obs_client_seconds, call=<name>) and holds the resilience counters
+	// (obs_probe_resilience_total); nil keeps the counters in a private
+	// registry, resolved at first use. cmd/obsprobe wires one in, shared
+	// with its spool, and logs both at shutdown.
 	Obs *obs.Registry
 
 	// BreakerThreshold enables the circuit breaker: after this many
@@ -111,7 +112,7 @@ type Client struct {
 	brkFails int  // consecutive transport failures
 	brkOpen  bool // breaker tripped
 	brkCalls int  // calls arriving while open (for half-open probes)
-	res      *metrics.CounterSet
+	res      *obs.Family
 }
 
 // ErrCircuitOpen is returned (wrapped) when the circuit breaker is open
@@ -166,19 +167,24 @@ func (c *Client) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// counters returns the lazily-created resilience counter set.
-func (c *Client) counters() *metrics.CounterSet {
+// counters returns the resilience counter family, resolved at first use.
+func (c *Client) counters() *obs.Family {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.res == nil {
-		c.res = metrics.NewCounterSet()
+		reg := c.Obs
+		if reg == nil {
+			reg = obs.NewRegistry()
+		}
+		c.res = reg.Counters("obs_probe_resilience_total")
 	}
 	return c.res
 }
 
 // ResilienceCounters snapshots the client's resilience events:
-// breaker_open_total, breaker_fastfail, retry_after_honored.
-// cmd/obsprobe registers them (with the spool's) in its obs registry.
+// breaker_open_total, breaker_fastfail, retry_after_honored — and, when
+// Obs is shared, every other owner's counts in the same family (the
+// fleet's other clients, obsprobe's spool).
 func (c *Client) ResilienceCounters() map[string]int64 {
 	return c.counters().Snapshot()
 }

@@ -32,8 +32,8 @@
 //     peer in the same ASN (failing that, the same country) when one
 //     exists.
 //
-// Pipeline events are counted in a metrics.CounterSet exposed via
-// Stats and the /api/v1/stats endpoint.
+// Pipeline events are counted in the controller's obs registry, exposed
+// via Stats, the /api/v1/stats endpoint and /metrics.
 //
 // # Durability
 //
@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"github.com/afrinet/observatory/internal/journal"
-	"github.com/afrinet/observatory/internal/metrics"
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
@@ -182,7 +181,7 @@ type Controller struct {
 	recorded  map[string]map[string]bool
 	leases    map[string]*leaseRec // keyed by experiment+"/"+task id
 	trusted   map[string]bool
-	stats     *metrics.CounterSet
+	stats     *obs.Family
 	now       int64
 	nextExpID int
 	// submitIDs dedups experiment submissions by client request id, so
@@ -206,15 +205,17 @@ type Controller struct {
 
 	// Durability (see durability.go): log is the attached write-ahead
 	// journal (nil for in-memory controllers and during replay), dur
-	// counts journal-layer events, and snapEvery/sinceSnap drive
-	// automatic compacted snapshots.
+	// counts journal-layer events and durGauge holds the snapshot's size,
+	// and snapEvery/sinceSnap drive automatic compacted snapshots.
 	log       *journal.Log
-	dur       *metrics.CounterSet
+	dur       *obs.Family
+	durGauge  *obs.Family
 	snapEvery int
 	sinceSnap int
 
-	// Observability (see observability.go): reg collects the latency
-	// histograms and counter sources served by /metrics; ring retains
+	// Observability (see observability.go): reg holds the latency
+	// histograms and the counter and gauge families served by /metrics
+	// (stats, dur and durGauge among them); ring retains
 	// finished request traces for /api/v1/debug/traces; span is the
 	// active request's span (guarded by mu — the ctx mutator variants
 	// set it, mutateLocked and the journal sync hook nest under it);
@@ -273,13 +274,10 @@ func NewController(trusted ...string) *Controller {
 		recorded:      make(map[string]map[string]bool),
 		leases:        make(map[string]*leaseRec),
 		trusted:       make(map[string]bool),
-		stats:         metrics.NewCounterSet(),
 		submitIDs:     make(map[string]string),
 		waiters:       make(map[string][]chan struct{}),
 		servedCountry: make(map[string]int64),
 		servedASN:     make(map[string]int64),
-		dur:           metrics.NewCounterSet(),
-		adm:           NewAdmissionGate(AdmissionConfig{}),
 		LeaseTTL:      3,
 		SuspectAfter:  2,
 		DeadAfter:     5,
@@ -890,7 +888,7 @@ func (c *Controller) Stats() StatsReport {
 		Experiments:       len(c.experiments),
 		OutstandingLeases: len(c.leases),
 	}
-	if d := c.dur.Snapshot(); len(d) > 0 {
+	if d := c.DurabilityCounters(); len(d) > 0 {
 		rep.Durability = d
 	}
 	if sc := c.store.Counters(); len(sc) > 0 {

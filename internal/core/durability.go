@@ -528,8 +528,8 @@ func (c *Controller) snapshotLocked() error {
 // recovered from: its bytes, and its frames behind the header frame plus
 // that one.
 func (c *Controller) noteSnapshot(size int64, frames int) {
-	c.dur.Set("snapshot_bytes", size)
-	c.dur.Set("snapshot_frames", int64(frames+1))
+	c.durGauge.Set("snapshot_bytes", size)
+	c.durGauge.Set("snapshot_frames", int64(frames+1))
 }
 
 // Snapshot durably captures full controller state and compacts the
@@ -660,10 +660,11 @@ func (c *Controller) Queues() map[string][]probes.Task {
 
 // DurabilityCounters snapshots the journal-layer counters
 // (journal_records_appended, journal_log_grows, snapshots_written,
-// recovery_replayed, recovery_truncated_tail, ...) and the two readings
-// noteSnapshot keeps, snapshot_bytes and snapshot_frames. Unlike the
-// pipeline counters these are scoped to the current process run — they
-// are not journaled, so replay does not reconstruct them.
+// recovery_replayed, recovery_truncated_tail, ...) and the two
+// obs_durability_gauge readings noteSnapshot keeps, snapshot_bytes and
+// snapshot_frames. Unlike the pipeline counters these are scoped to the
+// current process run — they are not journaled, so replay does not
+// reconstruct them.
 func (c *Controller) DurabilityCounters() map[string]int64 {
-	return c.dur.Snapshot()
+	return obs.Union(c.dur, c.durGauge)
 }

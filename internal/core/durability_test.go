@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -342,6 +343,49 @@ func TestJournalGrowsAndEverySyncAreCounted(t *testing.T) {
 	live.Tick(1)
 	if got := live.DurabilityCounters()["journal_log_grows"]; got != grows+1 {
 		t.Fatalf("journal_log_grows = %d after the first append to the compacted journal, was %d", got, grows)
+	}
+}
+
+// TestMetricsScrapeTakesNoControllerLock: every family /metrics renders
+// is its registry's own, so a scrape does not queue behind a mutator that
+// holds the controller lock through an fsync or an automatic snapshot.
+func TestMetricsScrapeTakesNoControllerLock(t *testing.T) {
+	live, err := Recover(t.TempDir(), testDurCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	for _, op := range genOps(7, 20) {
+		op(live)
+	}
+	if err := live.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	scraped := make(chan string)
+	live.mu.Lock()
+	go func() {
+		var b strings.Builder
+		_ = live.Observability().WritePrometheus(&b)
+		scraped <- b.String()
+	}()
+	var text string
+	select {
+	case text = <-scraped:
+		live.mu.Unlock()
+	case <-time.After(time.Second):
+		live.mu.Unlock()
+		<-scraped
+		t.Fatal("a /metrics scrape waited on the controller lock")
+	}
+	for _, line := range []string{
+		`obs_durability_events_total{name="snapshots_written"} 1`,
+		`obs_durability_gauge{name="snapshot_frames"} `,
+		`obs_pipeline_events_total{name="syncs"} `,
+		"# TYPE obs_store_events_total counter",
+	} {
+		if !strings.Contains(text, line) {
+			t.Errorf("scrape lacks %s:\n%s", line, text)
+		}
 	}
 }
 

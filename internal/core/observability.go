@@ -33,11 +33,16 @@ const (
 	MetricRecover = "obs_recover_seconds"
 )
 
-// initObs builds the controller's registry, trace ring, and cached
-// histogram pointers. Called once from NewController before any store
-// or journal is attached.
+// initObs builds the controller's registry, its counter and gauge
+// families, trace ring, and cached histogram pointers. Called once from
+// NewController before any store or journal is attached; the store and
+// the admission gate count into the same registry.
 func (c *Controller) initObs() {
 	c.reg = obs.NewRegistry()
+	c.stats = c.reg.Counters("obs_pipeline_events_total")
+	c.dur = c.reg.Counters("obs_durability_events_total")
+	c.durGauge = c.reg.Gauges("obs_durability_gauge")
+	c.adm = NewAdmissionGate(AdmissionConfig{}, c.reg)
 	c.ring = obs.NewTraceRing(DefaultTraceRing)
 	c.SlowRequest = DefaultSlowRequest
 	c.mutHist = make(map[string]*obs.Histogram)
@@ -49,21 +54,6 @@ func (c *Controller) initObs() {
 	c.hAppend = c.reg.Hist(MetricJournal, "op", "append")
 	c.hFsync = c.reg.Hist(MetricJournal, "op", "fsync")
 	c.hSnapshot = c.reg.Hist(MetricJournal, "op", "snapshot")
-	c.reg.AddCounters("obs_pipeline_events_total", func() map[string]int64 {
-		return c.stats.Snapshot()
-	})
-	c.reg.AddCounters("obs_durability_events_total", func() map[string]int64 {
-		return c.dur.Snapshot()
-	})
-	c.reg.AddCounters("obs_admission_events_total", func() map[string]int64 {
-		return c.adm.Snapshot()
-	})
-	c.reg.AddCounters("obs_store_events_total", func() map[string]int64 {
-		c.mu.Lock()
-		st := c.store
-		c.mu.Unlock()
-		return st.Counters()
-	})
 }
 
 // setSpanLocked installs the active request span (nil when untraced)

@@ -207,14 +207,16 @@ func TestSpoolRedeliveryAfterLostAckIsDeduped(t *testing.T) {
 	}
 }
 
-// TestProbeResilienceCountersInMetricsExposition wires a client and a
-// spool into an obs.Registry exactly as cmd/obsprobe does and walks the
-// Prometheus exposition for the probe-side resilience counters: spool
-// depth and evictions, breaker trips, Retry-After honors.
+// TestProbeResilienceCountersInMetricsExposition wires two clients and a
+// spool into one obs.Registry as cmd/obsprobe does, through Obs, and
+// walks the Prometheus exposition for the probe-side resilience
+// counters: spool depth and evictions, breaker trips, Retry-After honors.
 func TestProbeResilienceCountersInMetricsExposition(t *testing.T) {
+	reg := obs.NewRegistry()
 	// A breaker trip: three consecutive transport failures.
 	connRefused := fmt.Errorf("dial tcp: connection refused")
 	cl, _, _ := scriptedClient([]scriptStep{{err: connRefused}, {err: connRefused}, {err: connRefused}})
+	cl.Obs = reg
 	cl.MaxAttempts = 1
 	cl.BreakerThreshold = 3
 	for i := 0; i < 3; i++ {
@@ -222,11 +224,12 @@ func TestProbeResilienceCountersInMetricsExposition(t *testing.T) {
 	}
 	// A Retry-After honored on retry.
 	cl2, _, _ := scriptedClient([]scriptStep{{status: 429, retryAfter: "1"}})
+	cl2.Obs = reg
 	cl2.MaxAttempts = 2
 	_ = heartbeat(cl2, "p1")
 
 	// A spool with evictions and a pending backlog.
-	sp, err := spool.Open(t.TempDir(), spool.Options{MaxPending: 2})
+	sp, err := spool.Open(t.TempDir(), spool.Options{MaxPending: 2, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,24 +240,13 @@ func TestProbeResilienceCountersInMetricsExposition(t *testing.T) {
 		}
 	}
 
-	reg := obs.NewRegistry()
-	reg.AddCounters("obs_probe_resilience_total", func() map[string]int64 {
-		out := cl.ResilienceCounters()
-		for k, v := range cl2.ResilienceCounters() {
-			out[k] += v
-		}
-		for k, v := range sp.Counters() {
-			out[k] = v
-		}
-		return out
-	})
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
 	for _, series := range []string{
-		`obs_probe_resilience_total{name="spool_frames_pending"} 2`,
+		`obs_probe_gauge{name="spool_frames_pending"} 2`,
 		`obs_probe_resilience_total{name="spool_evicted"} 2`,
 		`obs_probe_resilience_total{name="breaker_open_total"} 1`,
 		`obs_probe_resilience_total{name="retry_after_honored"} 1`,

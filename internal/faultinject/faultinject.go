@@ -20,7 +20,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/afrinet/observatory/internal/metrics"
+	"github.com/afrinet/observatory/internal/obs"
 )
 
 // ErrDropped is the error shape returned for injected drops. Callers
@@ -69,7 +69,7 @@ type Transport struct {
 	mu          sync.Mutex
 	rng         *rand.Rand
 	partitioned bool
-	stats       *metrics.CounterSet
+	stats       *obs.Family
 }
 
 // New creates a transparent Transport seeded for reproducibility.
@@ -77,7 +77,7 @@ func New(seed int64) *Transport {
 	return &Transport{
 		Inner: http.DefaultTransport,
 		rng:   rand.New(rand.NewSource(seed)),
-		stats: metrics.NewCounterSet(),
+		stats: obs.NewRegistry().Counters("faultinject_events_total"),
 	}
 }
 

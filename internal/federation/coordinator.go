@@ -10,7 +10,6 @@ import (
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/journal"
-	"github.com/afrinet/observatory/internal/metrics"
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
 )
@@ -159,7 +158,7 @@ type Coordinator struct {
 	// shared router writes and serves, and its admission gate.
 	reg    *obs.Registry
 	traces *obs.TraceRing
-	ctr    *metrics.CounterSet
+	ctr    *obs.Family
 	gate   *core.AdmissionGate
 
 	scanPhases, aggPhases queryPhases
@@ -184,12 +183,10 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 		fedExps:   make(map[string]*fedExperiment),
 		reg:       obs.NewRegistry(),
 		traces:    obs.NewTraceRing(core.DefaultTraceRing),
-		ctr:       metrics.NewCounterSet(),
-		gate:      core.NewAdmissionGate(cfg.Admission),
 	}
+	c.ctr = c.reg.Counters("obs_fed_events_total")
+	c.gate = core.NewAdmissionGate(cfg.Admission, c.reg)
 	c.scanPhases, c.aggPhases = newQueryPhases(c.reg, "scan"), newQueryPhases(c.reg, "aggregate")
-	c.reg.AddCounters("obs_fed_events_total", c.ctr.Snapshot)
-	c.reg.AddCounters("obs_admission_events_total", c.gate.Snapshot)
 	if dir == "" {
 		return c, nil
 	}

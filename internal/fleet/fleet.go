@@ -122,7 +122,9 @@ func (p *probe) RunTasks(ts []probes.Task, sink probes.ResultSink) (int, error) 
 // Fleet is a set of simulated probes and the workers that drive them.
 // Worker i visits its own slice of the probes through Clients[i]: one
 // client per worker, not per probe, since a client's jitter source alone
-// is ~5 KB. Obs holds the clients' latency, obs_client_seconds{call=...}.
+// is ~5 KB. Obs holds the clients' latency, obs_client_seconds{call=...},
+// and their one resilience family, obs_probe_resilience_total: every
+// client's ResilienceCounters is the whole fleet's.
 type Fleet struct {
 	Clients  []*core.Client
 	Obs      *obs.Registry

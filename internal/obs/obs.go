@@ -1,7 +1,7 @@
 // Package obs is the observatory's stdlib-only observability layer:
-// lock-free log-scaled latency histograms, per-request span traces held
-// in a bounded ring, and Prometheus text exposition with deterministic
-// ordering.
+// lock-free log-scaled latency histograms, counter and gauge families,
+// per-request span traces held in a bounded ring, and Prometheus text
+// exposition with deterministic ordering.
 //
 // The package exists so the rest of the system can stay
 // replay-deterministic: internal/core, internal/journal, and
@@ -29,8 +29,8 @@
 // # Exposition
 //
 // Registry collects named histogram series (with optional label pairs)
-// and counter sources, and renders them in Prometheus text format with
-// stable ordering, served at GET /metrics.
+// and counter and gauge families, and renders them in Prometheus text
+// format with stable ordering, served at GET /metrics.
 package obs
 
 import "time"

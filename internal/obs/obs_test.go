@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -93,9 +95,13 @@ func TestRegistryPrometheusDeterministic(t *testing.T) {
 	reg.Hist("obs_b_seconds", "op", "z").Observe(time.Millisecond)
 	reg.Hist("obs_b_seconds", "op", "a").Observe(time.Millisecond)
 	reg.Hist("obs_a_seconds").Observe(time.Second)
-	reg.AddCounters("obs_events_total", func() map[string]int64 {
-		return map[string]int64{"zz": 2, "aa": 1}
-	})
+	events := reg.Counters("obs_x_events_total")
+	events.Add("zz", 2)
+	events.Inc("aa")
+	events.Add("touched", 0)
+	reg.Gauges("obs_x_gauge").Set("depth", 7)
+	reg.Counters("obs_w_events_total").Inc("one")
+	reg.Gauges("obs_y_gauge").Set("down", -3)
 
 	var first, second strings.Builder
 	if err := reg.WritePrometheus(&first); err != nil {
@@ -117,15 +123,90 @@ func TestRegistryPrometheusDeterministic(t *testing.T) {
 	if za, zz := strings.Index(out, `op="a"`), strings.Index(out, `op="z"`); za < 0 || zz < 0 || za > zz {
 		t.Fatalf("label ordering wrong:\n%s", out)
 	}
-	if ca, cz := strings.Index(out, `obs_events_total{name="aa"} 1`), strings.Index(out, `obs_events_total{name="zz"} 2`); ca < 0 || cz < 0 || ca > cz {
-		t.Fatalf("counter rendering wrong:\n%s", out)
+	// Counter and gauge families come after the histograms, interleaved in
+	// name order, each under its own TYPE line.
+	last := bIdx
+	for _, line := range []string{
+		"# TYPE obs_w_events_total counter",
+		`obs_w_events_total{name="one"} 1`,
+		"# TYPE obs_x_events_total counter",
+		`obs_x_events_total{name="aa"} 1`,
+		`obs_x_events_total{name="touched"} 0`,
+		`obs_x_events_total{name="zz"} 2`,
+		"# TYPE obs_x_gauge gauge",
+		`obs_x_gauge{name="depth"} 7`,
+		"# TYPE obs_y_gauge gauge",
+		`obs_y_gauge{name="down"} -3`,
+	} {
+		i := strings.Index(out, line+"\n")
+		if i < last {
+			t.Fatalf("%q missing or out of order:\n%s", line, out)
+		}
+		last = i
 	}
 	if !strings.Contains(out, `le="+Inf"`) {
 		t.Fatalf("missing +Inf bucket:\n%s", out)
 	}
-	// Same (family, labels) returns the same histogram.
+	// Same (family, labels) returns the same histogram, and the same name
+	// the same family.
 	if reg.Hist("obs_b_seconds", "op", "a") != reg.Hist("obs_b_seconds", "op", "a") {
 		t.Fatal("Hist not idempotent")
+	}
+	if reg.Counters("obs_x_events_total") != events {
+		t.Fatal("Counters not idempotent")
+	}
+}
+
+func TestFamilyValues(t *testing.T) {
+	reg := NewRegistry()
+	f := reg.Counters("c")
+	if got := f.Get("missing"); got != 0 || len(f.Snapshot()) != 0 {
+		t.Fatalf("empty family: missing = %d, snapshot %v", got, f.Snapshot())
+	}
+	f.Inc("a")
+	f.Add("a", 2)
+	f.Add("b", 5)
+	f.Set("b", 4)
+	if got := f.Get("a"); got != 3 {
+		t.Fatalf("a = %d", got)
+	}
+	snap := f.Snapshot()
+	if snap["a"] != 3 || snap["b"] != 4 {
+		t.Fatalf("snapshot = %v", snap)
+	}
+	// Snapshot is a copy, not a view.
+	snap["a"] = 99
+	if got := f.Get("a"); got != 3 {
+		t.Fatalf("snapshot aliased the family: a = %d", got)
+	}
+	reg.Gauges("g").Set("depth", 9)
+	if u := Union(f, reg.Gauges("g")); len(u) != 3 || u["a"] != 3 || u["depth"] != 9 {
+		t.Fatalf("union = %v", u)
+	}
+}
+
+// TestFamilyConcurrentAdd has many goroutines add to one family while it
+// is rendered (run under -race in tier-1): every add lands.
+func TestFamilyConcurrentAdd(t *testing.T) {
+	reg := NewRegistry()
+	const workers, per = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			f := reg.Counters("obs_events_total")
+			for i := 0; i < per; i++ {
+				f.Add("hits", int64(w+1))
+				f.Inc("calls")
+			}
+			_ = reg.WritePrometheus(io.Discard)
+		}(w)
+	}
+	wg.Wait()
+	want := map[string]int64{"hits": per * workers * (workers + 1) / 2, "calls": workers * per}
+	if got := reg.Counters("obs_events_total").Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot = %v, want %v", got, want)
 	}
 }
 

@@ -10,14 +10,13 @@ import (
 	"time"
 )
 
-// Registry collects named histogram series and counter sources for
-// exposition. Series are created once (get-or-create under a mutex) and
-// observed lock-free afterwards; callers cache the *Histogram pointer
-// on hot paths.
+// Registry collects histogram series and counter and gauge families for
+// exposition. Each is created once (get-or-create under a mutex); callers
+// cache the pointer and update it without touching the registry.
 type Registry struct {
-	mu       sync.Mutex
-	hists    map[string]*histSeries
-	counters []counterSource
+	mu    sync.Mutex
+	hists map[string]*histSeries
+	fams  map[string]*Family
 }
 
 // histSeries is one histogram plus its exposition identity: a metric
@@ -28,17 +27,61 @@ type histSeries struct {
 	h      *Histogram
 }
 
-// counterSource is a named group of monotonic counters pulled at
-// exposition time (the control plane's existing CounterSets plug in
-// here without copying).
-type counterSource struct {
-	family string
-	fn     func() map[string]int64
+// Family is one counter or gauge family of a registry: named int64 values,
+// each rendered as family{name="..."}, safe for concurrent use. A gauge
+// holds readings that go down. A name once touched, even by Add(name, 0),
+// stays in Snapshot. Owners that share a registry share its families.
+type Family struct {
+	name  string
+	gauge bool
+	mu    sync.Mutex
+	vals  map[string]int64
+}
+
+// Add moves the named value by delta (creating it at zero first).
+func (f *Family) Add(name string, delta int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.vals[name] += delta
+}
+
+// Inc is Add(name, 1).
+func (f *Family) Inc(name string) { f.Add(name, 1) }
+
+// Set replaces the named value: a gauge's reading.
+func (f *Family) Set(name string, v int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.vals[name] = v
+}
+
+// Get returns the named value (zero when never touched).
+func (f *Family) Get(name string) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.vals[name]
+}
+
+// Snapshot returns a copy of every touched value.
+func (f *Family) Snapshot() map[string]int64 { return Union(f) }
+
+// Union is the values of several families in one map: what an owner's
+// accessor returns when it keeps a counter and a gauge family.
+func Union(fams ...*Family) map[string]int64 {
+	out := make(map[string]int64)
+	for _, f := range fams {
+		f.mu.Lock()
+		for k, v := range f.vals {
+			out[k] = v
+		}
+		f.mu.Unlock()
+	}
+	return out
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{hists: make(map[string]*histSeries)}
+	return &Registry{hists: make(map[string]*histSeries), fams: make(map[string]*Family)}
 }
 
 // Hist returns the histogram for the given metric family and label
@@ -57,12 +100,24 @@ func (r *Registry) Hist(family string, labelPairs ...string) *Histogram {
 	return s.h
 }
 
-// AddCounters registers a counter source exposed under the given
-// metric family with a `name` label per counter.
-func (r *Registry) AddCounters(family string, fn func() map[string]int64) {
+// Counters returns the counter family of that name, creating it on first
+// use; it renders as `# TYPE family counter`.
+func (r *Registry) Counters(family string) *Family { return r.family(family, false) }
+
+// Gauges returns the gauge family of that name, creating it on first use;
+// it renders as `# TYPE family gauge`.
+func (r *Registry) Gauges(family string) *Family { return r.family(family, true) }
+
+// family gets or creates a family; the call that creates it fixes its kind.
+func (r *Registry) family(name string, gauge bool) *Family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters = append(r.counters, counterSource{family: family, fn: fn})
+	f, ok := r.fams[name]
+	if !ok {
+		f = &Family{name: name, gauge: gauge, vals: make(map[string]int64)}
+		r.fams[name] = f
+	}
+	return f
 }
 
 func renderLabels(pairs []string) string {
@@ -114,17 +169,19 @@ func (r *Registry) Snapshots() map[string]HistSnapshot {
 	return out
 }
 
-// WritePrometheus renders every registered histogram and counter in
-// Prometheus text format. Output ordering is deterministic: families
-// sorted by name, series sorted by label string, counters sorted by
-// counter name.
+// WritePrometheus renders every histogram series, then every counter and
+// gauge family, in Prometheus text format. Output ordering is
+// deterministic: families sorted by name, then series by label string.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	series := make([]*histSeries, 0, len(r.hists))
 	for _, s := range r.hists {
 		series = append(series, s)
 	}
-	counters := append([]counterSource(nil), r.counters...)
+	fams := make([]*Family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
+	}
 	r.mu.Unlock()
 
 	sort.Slice(series, func(i, j int) bool {
@@ -160,19 +217,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	sort.Slice(counters, func(i, j int) bool { return counters[i].family < counters[j].family })
-	for _, c := range counters {
-		vals := c.fn()
-		names := make([]string, 0, len(vals))
-		for k := range vals {
-			names = append(names, k)
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	for _, f := range fams {
+		kind := "counter"
+		if f.gauge {
+			kind = "gauge"
 		}
-		sort.Strings(names)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", c.family); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, kind); err != nil {
 			return err
 		}
-		for _, k := range names {
-			if _, err := fmt.Fprintf(w, "%s %d\n", seriesName(c.family, `name=`+strconv.Quote(k), ""), vals[k]); err != nil {
+		vals := f.Snapshot()
+		keys := make([]string, 0, len(vals))
+		for k := range vals {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if _, err := fmt.Fprintf(w, "%s %d\n", seriesName(f.name, `name=`+strconv.Quote(k), ""), vals[k]); err != nil {
 				return err
 			}
 		}

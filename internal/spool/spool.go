@@ -46,7 +46,7 @@ import (
 
 	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/journal"
-	"github.com/afrinet/observatory/internal/metrics"
+	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
 )
 
@@ -75,6 +75,10 @@ type Options struct {
 	// accumulate in the log before it is rewritten to only the pending
 	// set. 0 means DefaultCompactAfter.
 	CompactAfter int
+	// Obs is the metric registry the spool counts into: its events in
+	// obs_probe_resilience_total, its backlog depth as spool_frames_pending
+	// in obs_probe_gauge. Nil gets a private registry, as for a store.
+	Obs *obs.Registry
 }
 
 // ackBody is the payload of an ack frame.
@@ -99,7 +103,8 @@ type Spool struct {
 	seq      uint64  // last frame sequence assigned
 	pending  []entry // oldest-first undelivered results
 	consumed int     // acked/evicted frames still occupying the log
-	ctr      *metrics.CounterSet
+	ctr      *obs.Family
+	gauge    *obs.Family // spool_frames_pending, set wherever pending changes
 }
 
 // Open opens (creating if needed) a spool directory, replays the log to
@@ -116,7 +121,11 @@ func Open(dir string, opts Options) (*Spool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
-	s := &Spool{dir: dir, opts: opts, ctr: metrics.NewCounterSet()}
+	reg := opts.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s := &Spool{dir: dir, opts: opts, ctr: reg.Counters("obs_probe_resilience_total"), gauge: reg.Gauges("obs_probe_gauge")}
 
 	// A crash between writing the compaction temp file and the rename
 	// leaves spool.log.tmp behind; the live log is still authoritative
@@ -141,6 +150,7 @@ func Open(dir string, opts Options) (*Spool, error) {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
 	s.log = log
+	s.gauge.Set("spool_frames_pending", int64(len(s.pending)))
 	log.OnGrow = func() { s.ctr.Inc("spool_log_grows") }
 	s.ctr.Add("spool_replayed", int64(replayed))
 	if torn {
@@ -186,6 +196,7 @@ func (s *Spool) dropThroughLocked(upTo uint64) int {
 	}
 	s.pending = append(s.pending[:0], s.pending[i:]...)
 	s.consumed += i
+	s.gauge.Set("spool_frames_pending", int64(len(s.pending)))
 	return i
 }
 
@@ -213,6 +224,7 @@ func (s *Spool) Append(r probes.Result) error {
 		return err
 	}
 	s.pending = append(s.pending, entry{seq: s.seq, res: r})
+	s.gauge.Set("spool_frames_pending", int64(len(s.pending)))
 	s.ctr.Inc("spool_frames_appended")
 	for s.opts.MaxPending > 0 && len(s.pending) > s.opts.MaxPending {
 		oldest := s.pending[0].seq
@@ -322,15 +334,9 @@ func (s *Spool) Len() int {
 func (s *Spool) Dir() string { return s.dir }
 
 // Counters snapshots the spool's event counters plus the current
-// backlog depth as spool_frames_pending, ready for an obs.Registry
-// counter source.
-func (s *Spool) Counters() map[string]int64 {
-	out := s.ctr.Snapshot()
-	s.mu.Lock()
-	out["spool_frames_pending"] = int64(len(s.pending))
-	s.mu.Unlock()
-	return out
-}
+// backlog depth as spool_frames_pending: the two families of its
+// registry, which a probe's client may share.
+func (s *Spool) Counters() map[string]int64 { return obs.Union(s.ctr, s.gauge) }
 
 // Close closes the spool file. Pending results stay on disk for the
 // next Open — Close is how a clean shutdown (or a simulated power cut

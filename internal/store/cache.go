@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"github.com/afrinet/observatory/internal/framelog"
-	"github.com/afrinet/observatory/internal/metrics"
+	"github.com/afrinet/observatory/internal/obs"
 )
 
 // cacheBudget is the most decoded records a store keeps for its sealed
@@ -27,16 +27,19 @@ const cacheBudget = 1 << 17
 // shared read-only with every query, and one a query still holds after
 // its eviction stays whole: the garbage collector owns it, not the cache.
 //
-// The segment_cache_* counters in the store's CounterSet are its only
-// bookkeeping: the budget is enforced against the segment_cache_records
-// figure /api/v1/stats shows, and segment_cache_bytes beside it is the
-// file image those records keep alive.
+// The budget is enforced against records, this cache's own count; the
+// store's obs_store_gauge reports it as segment_cache_records, and
+// segment_cache_bytes beside it is the file image those records keep
+// alive (summed over the stores of a shared registry). Hits, misses and
+// evictions are counted in obs_store_events_total.
 type segCache struct {
-	mu     sync.Mutex
-	budget int
-	byID   map[uint64]*list.Element
-	lru    *list.List // of *cacheEntry, most recently used at the front
-	ctr    *metrics.CounterSet
+	mu      sync.Mutex
+	budget  int
+	records int64 // decoded records held now
+	byID    map[uint64]*list.Element
+	lru     *list.List // of *cacheEntry, most recently used at the front
+	ctr     *obs.Family
+	gauge   *obs.Family
 }
 
 type cacheEntry struct {
@@ -68,13 +71,14 @@ func (c *segCache) put(id uint64, d decoded) {
 	if _, ok := c.byID[id]; ok || n == 0 || n > int64(c.budget) {
 		return
 	}
-	for c.ctr.Get("segment_cache_records")+n > int64(c.budget) {
+	for c.records+n > int64(c.budget) {
 		c.removeLocked(c.lru.Back())
 		c.ctr.Inc("segment_cache_evictions")
 	}
 	c.byID[id] = c.lru.PushFront(&cacheEntry{id, d})
-	c.ctr.Add("segment_cache_records", n)
-	c.ctr.Add("segment_cache_bytes", framelog.Span(d.raws))
+	c.records += n
+	c.gauge.Add("segment_cache_records", n)
+	c.gauge.Add("segment_cache_bytes", framelog.Span(d.raws))
 }
 
 // drop forgets a segment that compaction or retention deleted.
@@ -89,6 +93,7 @@ func (c *segCache) drop(id uint64) {
 func (c *segCache) removeLocked(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry)
 	delete(c.byID, e.id)
-	c.ctr.Add("segment_cache_records", -int64(len(e.recs)))
-	c.ctr.Add("segment_cache_bytes", -framelog.Span(e.raws))
+	c.records -= int64(len(e.recs))
+	c.gauge.Add("segment_cache_records", -int64(len(e.recs)))
+	c.gauge.Add("segment_cache_bytes", -framelog.Span(e.raws))
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/afrinet/observatory/internal/framelog"
+	"github.com/afrinet/observatory/internal/obs"
 )
 
 // bruteScan is the scan oracle: the raw records (seqs as Append assigned
@@ -386,6 +387,41 @@ func TestCacheBudget(t *testing.T) {
 		if n == 0 || ctr["segment_cache_evictions"] == 0 || ctr["segment_cache_misses"] == 0 {
 			t.Fatalf("budget %d: cache not exercised: %v", budget, ctr)
 		}
+	}
+}
+
+// TestCacheBudgetPerStore: two disk stores on one registry each keep
+// their own budget; the shared gauge reports what both hold.
+func TestCacheBudgetPerStore(t *testing.T) {
+	reg := obs.NewRegistry()
+	var stores []*Store
+	for i := 0; i < 2; i++ {
+		s, err := Open(t.TempDir(), Options{FlushEvery: 16, TargetFrames: 16, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.cache.budget = 64
+		stores = append(stores, s)
+	}
+	var held int64
+	for i, s := range stores {
+		raw := genRecords(int64(7+i), 300)
+		appendChunks(t, s, raw, 16)
+		for _, q := range equivalenceQueries {
+			walk(t, s, q.Filter, 50)
+		}
+		checkAgainstBrute(t, s, raw)
+		s.cache.mu.Lock()
+		n := s.cache.records
+		s.cache.mu.Unlock()
+		if n == 0 || n > 64 {
+			t.Fatalf("store %d holds %d records against a budget of 64", i, n)
+		}
+		held += n
+	}
+	if got := reg.Gauges("obs_store_gauge").Get("segment_cache_records"); got != held {
+		t.Fatalf("segment_cache_records = %d, the stores hold %d", got, held)
 	}
 }
 

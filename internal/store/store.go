@@ -50,7 +50,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/afrinet/observatory/internal/metrics"
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/topology"
@@ -94,10 +93,12 @@ type Options struct {
 	// grow (default 4 * FlushEvery). Adjacent segments are merged while
 	// their combined size stays within it.
 	TargetFrames int
-	// Obs is the metric registry the store records its operation
-	// latencies into (obs_store_seconds, op=ingest|flush|compact|scan|
-	// aggregate). Nil gets a private registry, so standalone stores pay
-	// the same instrumentation cost without needing a wiring step.
+	// Obs is the metric registry the store records into: its operation
+	// latencies (obs_store_seconds, op=ingest|flush|compact|scan|
+	// aggregate), its event counters (obs_store_events_total) and its
+	// cache readings (obs_store_gauge). Nil gets a private registry, so
+	// standalone stores pay the same instrumentation cost without needing
+	// a wiring step.
 	Obs *obs.Registry
 }
 
@@ -123,7 +124,7 @@ type Store struct {
 	mem       []Record
 	nextSeq   uint64
 	nextSegID uint64
-	ctr       *metrics.CounterSet
+	ctr       *obs.Family
 	cache     *segCache // decoded records and frame payloads of sealed disk segments; has its own lock
 	closed    bool
 
@@ -138,12 +139,12 @@ type Store struct {
 // newStore builds an empty store over dir and caches its latency series
 // from the options' registry (a private one when they carry none).
 func newStore(dir string, opts Options) *Store {
-	s := &Store{dir: dir, opts: opts.withDefaults(), ctr: metrics.NewCounterSet(), nextSeq: 1, nextSegID: 1}
-	s.cache = &segCache{budget: cacheBudget, byID: make(map[uint64]*list.Element), lru: list.New(), ctr: s.ctr}
 	reg := opts.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	s := &Store{dir: dir, opts: opts.withDefaults(), ctr: reg.Counters("obs_store_events_total"), nextSeq: 1, nextSegID: 1}
+	s.cache = &segCache{budget: cacheBudget, byID: make(map[uint64]*list.Element), lru: list.New(), ctr: s.ctr, gauge: reg.Gauges("obs_store_gauge")}
 	s.hIngest = reg.Hist("obs_store_seconds", "op", "ingest")
 	s.hFlush = reg.Hist("obs_store_seconds", "op", "flush")
 	s.hCompact = reg.Hist("obs_store_seconds", "op", "compact")
@@ -441,11 +442,13 @@ func (s *Store) Close() error {
 // Counters snapshots the store's event counters
 // (store_frames_appended, segments_flushed, segments_compacted,
 // frames_expired, queries_served, segment_cache_hits/_misses/_evictions,
-// ...) plus the two gauges: segment_cache_records, how many decoded
-// records the segment cache holds now, and segment_cache_bytes, how many
-// bytes of segment file image it keeps beside them. They are scoped to
-// the current process run.
-func (s *Store) Counters() map[string]int64 { return s.ctr.Snapshot() }
+// ...) and the two obs_store_gauge readings: segment_cache_records, how
+// many decoded records the segment cache holds now, and
+// segment_cache_bytes, how many bytes of segment file image it keeps
+// beside them. They are scoped to the current process run; stores that
+// share a registry report their sum, though each cache keeps its own
+// budget.
+func (s *Store) Counters() map[string]int64 { return obs.Union(s.ctr, s.cache.gauge) }
 
 // SealedSeq is the store's durable watermark: the highest sequence number
 // in a sealed segment, 0 when nothing is sealed. A record at or below it

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's tier-1 verification gate:
 #   gofmt -l (no unformatted files), go vet, build, the determinism,
-#   envelope, durable-file and probe-protocol lints, and the full test
-#   suite under the race detector (uncached).
+#   envelope, durable-file, probe-protocol, legacy-reader and
+#   metrics-registry lints, and the full test suite under the race
+#   detector (uncached).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -124,6 +125,21 @@ echo "== legacy-reader lint =="
 if git grep -nE 'KeySet\(|OpenLegacy\(|snapChunkFrame|legacySnapName' -- 'internal/*.go' ':!*_test.go' \
     ':!internal/core/upgrade.go' ':!internal/journal/legacy.go' | grep -v '^internal/store/query.go:.*func (s \*Store) KeySet('; then
     echo "legacy-reader lint: a legacy reader outside internal/core/upgrade.go and internal/journal/legacy.go — Recover reads only the current format; Upgrade owns the past" >&2
+    exit 1
+fi
+
+echo "== metrics-registry lint =="
+# Counters and gauges are families of the one obs.Registry each owner
+# holds or is handed, rendered by /metrics without a callback. The second
+# system (metrics.CounterSet, bridged by Registry.AddCounters) does not
+# come back; internal/metrics is the statistics toolkit of
+# internal/experiments only.
+if git grep -nE 'AddCounters\(|CounterSet' -- '*.go'; then
+    echo "metrics-registry lint: AddCounters / CounterSet are gone — count into reg.Counters(family) or reg.Gauges(family)" >&2
+    exit 1
+fi
+if git grep -n '"github.com/afrinet/observatory/internal/metrics"' -- '*.go' ':!*_test.go' ':!internal/experiments'; then
+    echo "metrics-registry lint: internal/metrics is imported only by internal/experiments — metrics live in internal/obs" >&2
     exit 1
 fi
 
