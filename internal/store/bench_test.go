@@ -1,12 +1,22 @@
 package store
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
 
-// The read-path benchmarks run fleet_sync's store shape: 6 400 records
-// in six default-sized (1024-record) sealed segments plus a memtable,
-// a page of 200 of one country and the unfiltered grouped aggregate.
+	"github.com/afrinet/observatory/internal/probes"
+	"github.com/afrinet/observatory/internal/topology"
+)
+
+// The read-path benchmarks run fleet_sync's store size: 6 400 records
+// in six default-sized (1024-record) sealed segments plus 256 more, a
+// page of 200 of one country and the unfiltered grouped aggregate.
 // Cold reopens the store for every iteration, so each one decodes from
-// disk; warm queries one open store again and again.
+// disk; warm queries one open store again and again. Both close the
+// store first, so the 256 are a seventh segment and every record's
+// group is drawn at random; AggregateSync keeps fleet_sync's order and
+// memtable as well.
 
 var (
 	benchPage = Filter{Country: "KE"}
@@ -74,3 +84,64 @@ func BenchmarkScanPageCold(b *testing.B)  { benchQueries(b, true, scanFirstPage)
 func BenchmarkScanPageWarm(b *testing.B)  { benchQueries(b, false, scanFirstPage) }
 func BenchmarkAggregateCold(b *testing.B) { benchQueries(b, true, aggregateAll) }
 func BenchmarkAggregateWarm(b *testing.B) { benchQueries(b, false, aggregateAll) }
+
+// syncBatches lays out fleet_sync's ingest: 800 probes spread over 8
+// countries and 64 ASNs (bench/gen.go), each delivering 8 results in
+// leases of 4, the probes' leases in a seeded order. A lease is one
+// Append, so a probe's results sit side by side.
+func syncBatches(seed int64) [][]Record {
+	countries := []string{"NG", "KE", "ZA", "GH", "SN", "TZ", "EG", "MA"}
+	rng := rand.New(rand.NewSource(seed))
+	var batches [][]Record
+	for p := 0; p < 800; p++ {
+		for lease := 0; lease < 2; lease++ {
+			var batch []Record
+			for t := 0; t < 4; t++ {
+				id := fmt.Sprintf("exp-0001-p%03d-t%d", p, 4*lease+t)
+				r := Record{Experiment: "exp-0001", TaskID: id, ProbeID: fmt.Sprintf("pr-%03d", p),
+					Country: countries[p%8], ASN: topology.ASN(36900 + p/8%64),
+					Result: probes.Result{TaskID: id, Experiment: "exp-0001", Kind: probes.TaskPing, OK: rng.Intn(10) != 0}}
+				if r.Result.OK {
+					r.Result.RTTms = 5 + 200*rng.Float64()
+				}
+				batch = append(batch, r)
+			}
+			batches = append(batches, batch)
+		}
+	}
+	rng.Shuffle(len(batches), func(i, j int) { batches[i], batches[j] = batches[j], batches[i] })
+	for i, b := range batches {
+		for j := range b {
+			b[j].Tick = int64(1 + i/16)
+		}
+	}
+	return batches
+}
+
+// BenchmarkAggregateSync is the warm grouped aggregate over fleet_sync's
+// store as its syncs leave it: six sealed segments and 256 records in
+// the memtable.
+func BenchmarkAggregateSync(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for _, batch := range syncBatches(1) {
+		if err := s.Append(batch...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s.SegmentCount() != 6 || s.MemtableLen() != 256 {
+		b.Fatalf("%d segments and %d records in the memtable, want 6 and 256", s.SegmentCount(), s.MemtableLen())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := aggregateAll(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += n
+	}
+}

@@ -11,10 +11,12 @@ import (
 // cacheBudget is the most decoded records a store keeps for its sealed
 // disk segments: 128 default-sized (1024-record) segments. Measured on a
 // cold load of ping results (heap after, less heap before, per record): a
-// cached record costs 900 B — 600 B decoded (the 384 B Record and its
-// strings) and 300 B for the file image beside it (a 265 B frame and the
-// 24 B slice that points into it) — so a full cache is about 118 MB, of
-// which segment_cache_bytes reports the frames. The budget counts
+// cached record costs 908 B — 600 B decoded (the 384 B Record and its
+// strings), 300 B for the file image beside it (a 265 B frame and the
+// 24 B slice that points into it) and 8 B for its key hash in the
+// segment's summary (848 → 856 B on the test corpus's 242 B frames) — so
+// a full cache is about 119 MB, of which segment_cache_bytes reports the
+// frames. The budget counts
 // records, not bytes, and is a constant, not an option: the store has one
 // kind of caller (obsd and its shards) and nothing to tune it against.
 const cacheBudget = 1 << 17

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -14,7 +15,9 @@ import (
 // torn=true (or the whole set at a clean boundary). Beside every record
 // it accepts it must keep the payload that record decodes from, a slice
 // of the input, and nothing for a frame it refused: those are the bytes a
-// scan page serves for the record (Item.JSON).
+// scan page serves for the record (Item.JSON). Its key summary must be
+// sorted and hold the key hashes of exactly the records it accepted, so a
+// torn prefix never leaves a summary that disagrees with its records.
 func FuzzSegmentReplay(f *testing.F) {
 	var recs []Record
 	for i := 0; i < 8; i++ {
@@ -54,6 +57,14 @@ func FuzzSegmentReplay(f *testing.F) {
 			if got[i].Seq <= got[i-1].Seq {
 				t.Fatalf("records out of seq order at %d", i)
 			}
+		}
+		want := make([]uint64, len(got))
+		for i := range got {
+			want[i] = keyHash(got[i].Experiment, got[i].TaskID)
+		}
+		slices.Sort(want)
+		if !slices.Equal(d.keys, want) {
+			t.Fatalf("key summary %x, the %d records it holds hash to %x", d.keys, len(got), want)
 		}
 		if len(got) > meta.Frames && meta.Frames > 0 {
 			// More records than the index claims is possible only for

@@ -165,8 +165,8 @@ func (f Filter) Values() url.Values {
 }
 
 // visit streams every record matching the filter to fn, in sequence
-// order, at most once per (experiment, task) — the lowest-seq copy wins,
-// collapsing the duplicates a crash window can leave. fn sees each record
+// order, at most once per (experiment, task) — the lowest-seq copy the
+// filter matches wins, collapsing the duplicates a crash window can leave. fn sees each record
 // in place (a cached segment's, a memory segment's or the memtable's)
 // with the frame payload that encodes it, nil where it has none yet
 // (decoded.raws): it must not modify either or retain the pointer, and
@@ -182,6 +182,12 @@ func (f Filter) Values() url.Values {
 // identical no matter how many workers ran (the internal/par contract).
 // Otherwise each survivor is loaded when the stream reaches it, and an
 // early stop leaves the rest undecoded.
+//
+// An eager read dedups by exception: it merges the key summaries of the
+// runs it will stream, and only a record whose key hash occurs more than
+// once among them goes through the exact dedup set — a key whose hash
+// occurs once cannot repeat, whatever the filter. A lazy read cannot know
+// the runs it will not decode, so every match goes through the set.
 func (s *Store) visit(f Filter, eager bool, bound *int, fn func(r *Record, raw []byte) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -201,16 +207,17 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(r *Record, raw [
 		loaded[i], err = s.load(scan[i])
 		return err
 	}
-	// A stream read to its end sees most of those records: size the dedup
-	// set once. A page stops early and grows a small one instead.
-	var seen map[DedupKey]struct{}
+	seen := make(map[DedupKey]struct{})
+	var repeats map[uint64]bool // an eager read's repeated key hashes
 	if eager {
 		if err := par.ForEachErr(0, len(scan), load); err != nil {
 			return err
 		}
-		seen = make(map[DedupKey]struct{}, most)
-	} else {
-		seen = make(map[DedupKey]struct{})
+		runs := make([][]uint64, 0, len(scan)+1)
+		for _, d := range loaded {
+			runs = append(runs, d.keys)
+		}
+		repeats = repeated(append(runs, s.memKeys))
 	}
 	stream := func(d decoded) bool {
 		for i := range d.recs {
@@ -218,12 +225,14 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(r *Record, raw [
 			if !f.match(r) {
 				continue
 			}
-			k := DedupKey{r.Experiment, r.TaskID}
-			if _, dup := seen[k]; dup {
-				s.ctr.Inc("records_deduped_read")
-				continue
+			if !eager || repeats != nil && repeats[keyHash(r.Experiment, r.TaskID)] {
+				k := DedupKey{r.Experiment, r.TaskID}
+				if _, dup := seen[k]; dup {
+					s.ctr.Inc("records_deduped_read")
+					continue
+				}
+				seen[k] = struct{}{}
 			}
-			seen[k] = struct{}{}
 			var raw []byte
 			if d.raws != nil {
 				raw = d.raws[i]
@@ -246,6 +255,68 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(r *Record, raw [
 	}
 	stream(decoded{recs: s.mem})
 	return nil
+}
+
+// repeated returns the hashes that occur more than once across sorted
+// runs (a run may repeat one itself), nil when none does. It merges the
+// runs pairwise, level by level, through two buffers the size of them
+// all, and reads the repeats off the one run left: equal hashes end up
+// side by side.
+func repeated(runs [][]uint64) map[uint64]bool {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	var bufs [2][]uint64
+	for level := 0; len(runs) > 1; level++ {
+		if bufs[level%2] == nil {
+			bufs[level%2] = make([]uint64, 0, n)
+		}
+		out, next := bufs[level%2][:0], runs[:0]
+		for i := 0; i < len(runs); i += 2 {
+			start := len(out)
+			if i+1 < len(runs) {
+				out = mergeRun(out, runs[i], runs[i+1])
+			} else {
+				out = append(out, runs[i]...)
+			}
+			next = append(next, out[start:])
+		}
+		runs = next
+	}
+	var rep map[uint64]bool
+	for _, run := range runs {
+		for i := 1; i < len(run); i++ {
+			if run[i] == run[i-1] {
+				if rep == nil {
+					rep = make(map[uint64]bool)
+				}
+				rep[run[i]] = true
+			}
+		}
+	}
+	return rep
+}
+
+// mergeRun appends the merge of sorted a and b to out. The loop takes the
+// smaller head without a branch (the compiler emits a conditional move):
+// which of two random hashes is smaller is a coin toss that a branch
+// predictor loses half the time.
+func mergeRun(out, a, b []uint64) []uint64 {
+	k := len(out)
+	out = append(out, make([]uint64, len(a)+len(b))...)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, v, fromA := a[i], b[j], 0
+		if x <= v {
+			v, fromA = x, 1
+		}
+		out[k] = v
+		i, j, k = i+fromA, j+1-fromA, k+1
+	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
+	return out
 }
 
 // ScanPage returns matching records in stable sequence order, limit at a
@@ -482,6 +553,7 @@ type Folder struct {
 	Matched int64             `json:"matched"`
 	Groups  []FoldGroup       `json:"groups"` // in first-seen order
 	index   map[packedKey]int // key → position in Groups; built on first use
+	last    int               // 1 + position of the group Add last folded into; 0 before the first
 }
 
 // GroupKey identifies a group: which fields are set depends on the mode
@@ -531,8 +603,8 @@ func NewFolder(groupBy string) (*Folder, error) {
 	return &Folder{GroupBy: groupBy}, nil
 }
 
-// group returns k's group, appended empty when k is new.
-func (f *Folder) group(k GroupKey) *FoldGroup {
+// group returns k's position in Groups, appending it empty when k is new.
+func (f *Folder) group(k GroupKey) int {
 	if f.index == nil { // a new Folder, or one decoded from its JSON form
 		f.index = make(map[packedKey]int, len(f.Groups))
 		for i := range f.Groups {
@@ -546,7 +618,7 @@ func (f *Folder) group(k GroupKey) *FoldGroup {
 		f.index[p] = i
 		f.Groups = append(f.Groups, FoldGroup{GroupKey: k})
 	}
-	return &f.Groups[i]
+	return i
 }
 
 // Add folds one record in. It reads the record and keeps no reference.
@@ -571,7 +643,14 @@ func (f *Folder) Add(r *Record) {
 	case GroupECS:
 		k.ECS = strconv.FormatBool(r.Result.ECS)
 	}
-	g := f.group(k)
+	// A probe's sync batch is stored contiguously and shares its
+	// country and ASN: the previous record's group is the likely one.
+	i := f.last - 1
+	if i < 0 || f.Groups[i].GroupKey != k {
+		i = f.group(k)
+		f.last = i + 1
+	}
+	g := &f.Groups[i]
 	g.Count++
 	if r.Result.Verdict != "" {
 		if g.Verdicts == nil {
@@ -597,7 +676,7 @@ func (f *Folder) Merge(o *Folder) error {
 	f.Matched += o.Matched
 	for i := range o.Groups {
 		og := &o.Groups[i]
-		g := f.group(og.GroupKey)
+		g := &f.Groups[f.group(og.GroupKey)]
 		if g.Count == 0 {
 			*g = *og
 			continue
@@ -620,9 +699,9 @@ func (f *Folder) Merge(o *Folder) error {
 func (f *Folder) sortKey(k packedKey) string {
 	switch f.GroupBy {
 	case GroupASN:
-		return fmt.Sprintf("%d", k.asn)
+		return strconv.FormatUint(uint64(k.asn), 10)
 	case GroupCountryASN:
-		return fmt.Sprintf("%s/%d", k.a, k.asn)
+		return k.a + "/" + strconv.FormatUint(uint64(k.asn), 10)
 	case GroupCountryResolver:
 		return k.a + "/" + k.b
 	}
@@ -685,8 +764,8 @@ func percentile(sorted []float64, p float64) float64 {
 }
 
 // KeySet returns the set of task IDs the store holds for one experiment.
-// Recovery uses it to reconcile the controller's dedup bookkeeping
-// against what actually survived a crash.
+// core.Upgrade's walk over a legacy data directory (and bench/) call it;
+// recovery does not.
 func (s *Store) KeySet(experiment string) (map[string]bool, error) {
 	out := make(map[string]bool)
 	err := s.visit(Filter{Experiment: experiment}, true, nil, func(r *Record, _ []byte) bool {

@@ -3,8 +3,10 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"github.com/afrinet/observatory/internal/framelog"
@@ -199,6 +201,7 @@ func parseSegment(data []byte) (meta SegmentMeta, d decoded, torn bool) {
 	if !haveMeta {
 		return SegmentMeta{}, decoded{}, true // a segment without a meta frame is corrupt
 	}
+	d.keys = summarize(d.recs)
 	return meta, d, torn || len(d.recs) < meta.Frames
 }
 
@@ -208,21 +211,48 @@ func parseSegment(data []byte) (meta SegmentMeta, d decoded, torn bool) {
 // dir-less store's segments); otherwise raws[i] is recs[i]'s payload and
 // all of them alias one buffer — the file image a cold load read, or the
 // one a flush or compaction wrote — which lives as long as any of them
-// is referenced. Immutable once built.
+// is referenced. keys is the run's key summary (summarize). Immutable
+// once built.
 type decoded struct {
 	recs []Record
 	raws [][]byte
+	keys []uint64
+}
+
+// keyHash is the 64-bit hash of a dedup key that key summaries hold. Its
+// seed is drawn per process, so a summary lives in memory only; a hash
+// decides which records go through a read's exact dedup set, never what
+// the read returns.
+var keyHash = func(experiment, task string) uint64 {
+	var h maphash.Hash
+	h.SetSeed(keySeed)
+	h.WriteString(experiment)
+	h.WriteByte(0)
+	h.WriteString(task)
+	return h.Sum64()
+}
+
+var keySeed = maphash.MakeSeed()
+
+// summarize is a run's key summary: the keyHash of every record, sorted.
+func summarize(recs []Record) []uint64 {
+	keys := make([]uint64, len(recs))
+	for i := range recs {
+		keys[i] = keyHash(recs[i].Experiment, recs[i].TaskID)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // segment is one immutable sealed run of records. Disk segments hold
 // only their sparse index here; their records are decoded on first use
 // and kept in the store's segment cache (cache.go) until evicted. Memory
-// segments (dir-less stores) own their records.
+// segments (dir-less stores) own their records and summary.
 type segment struct {
 	id   uint64
 	meta SegmentMeta
-	path string   // "" for memory segments
-	recs []Record // nil for disk segments
+	path string  // "" for memory segments
+	mem  decoded // zero for disk segments
 }
 
 // load returns a sealed segment's records for reading only: a memory
@@ -233,7 +263,7 @@ type segment struct {
 // cache entry dropped) underneath them.
 func (s *Store) load(sg *segment) (decoded, error) {
 	if sg.path == "" {
-		return decoded{recs: sg.recs}, nil
+		return sg.mem, nil
 	}
 	if d, ok := s.cache.get(sg.id); ok {
 		return d, nil
@@ -267,7 +297,7 @@ func writeSegmentFile(dir string, id uint64, meta SegmentMeta, recs []Record) (s
 	if err := framelog.WriteFileAtomic(path, buf); err != nil {
 		return "", decoded{}, fmt.Errorf("store: %w", err)
 	}
-	return path, decoded{recs, raws}, nil
+	return path, decoded{recs: recs, raws: raws}, nil
 }
 
 // readSegmentMeta reads just the sparse index of a sealed segment file.

@@ -34,8 +34,8 @@
 // internal/core). Duplicate
 // records for the same (experiment, task) — possible when a crash lands
 // between the store append and the journal append — are collapsed at
-// read time: every scan and aggregation keeps the lowest-seq record per
-// key.
+// read time: every scan and aggregation keeps, per key, the lowest-seq
+// record among those its filter matches.
 //
 // A store directory has a single writer at a time, like the journal;
 // readers of sealed segments need no coordination.
@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -122,6 +123,7 @@ type Store struct {
 	opts      Options
 	segs      []*segment // sorted by meta.MinSeq; seq ranges are disjoint
 	mem       []Record
+	memKeys   []uint64 // mem's key summary, kept sorted by Append
 	nextSeq   uint64
 	nextSegID uint64
 	ctr       *obs.Family
@@ -261,6 +263,9 @@ func (s *Store) Append(recs ...Record) error {
 		recs[i].Seq = s.nextSeq
 		s.nextSeq++
 		s.mem = append(s.mem, recs[i])
+		h := keyHash(recs[i].Experiment, recs[i].TaskID)
+		at, _ := slices.BinarySearch(s.memKeys, h)
+		s.memKeys = slices.Insert(s.memKeys, at, h)
 	}
 	s.ctr.Add("store_frames_appended", int64(len(recs)))
 	if len(s.mem) >= s.opts.FlushEvery {
@@ -285,32 +290,34 @@ func (s *Store) flushLocked() error {
 	}
 	t := obs.StartTimer()
 	defer func() { s.hFlush.Observe(t.Elapsed()) }()
-	sg, err := s.sealLocked(s.mem)
+	sg, err := s.sealLocked(decoded{recs: s.mem, keys: s.memKeys})
 	if err != nil {
 		return err
 	}
 	s.segs = append(s.segs, sg)
-	s.mem = nil
+	s.mem, s.memKeys = nil, nil
 	s.ctr.Inc("segments_flushed")
 	return nil
 }
 
-// sealLocked makes recs the store's next segment: kept in memory by a
-// dir-less store, otherwise written durably and seeded into the segment
-// cache with the payloads just written.
-func (s *Store) sealLocked(recs []Record) (*segment, error) {
-	meta := buildMeta(recs)
+// sealLocked makes d's records, with their key summary, the store's
+// next segment: kept in memory by a dir-less store, otherwise written
+// durably and seeded into the segment cache with the payloads just
+// written.
+func (s *Store) sealLocked(d decoded) (*segment, error) {
+	meta := buildMeta(d.recs)
 	sg := &segment{id: s.nextSegID, meta: meta}
 	if s.dir == "" {
-		sg.recs = recs
+		sg.mem = d
 	} else {
-		path, d, err := writeSegmentFile(s.dir, sg.id, meta, recs)
+		path, written, err := writeSegmentFile(s.dir, sg.id, meta, d.recs)
 		if err != nil {
 			s.ctr.Inc("segment_write_errors")
 			return nil, err
 		}
 		sg.path = path
-		s.cache.put(sg.id, d)
+		written.keys = d.keys
+		s.cache.put(sg.id, written)
 	}
 	s.nextSegID++
 	return sg, nil
@@ -412,7 +419,7 @@ func (s *Store) mergeLocked(group []*segment, cutoff int64, keep uint64) (*segme
 	var merged *segment
 	if len(recs) > 0 {
 		var err error
-		if merged, err = s.sealLocked(recs); err != nil {
+		if merged, err = s.sealLocked(decoded{recs: recs, keys: summarize(recs)}); err != nil {
 			return nil, err
 		}
 	}
