@@ -171,10 +171,8 @@ func longJournalDir(tb testing.TB) string {
 	return killedFleetDir(tb, longJournalCfg, 500, 12, 2, true)
 }
 
-// killedFleetDir drives a fleet of probes, each with perProbe pings of one
-// experiment, through lease-sized syncs until every result is delivered
-// (compacting the store once half-way when asked), and abandons the
-// controller without closing it.
+// killedFleetDir drives a fleet of probes, all in one country and ASN,
+// through driveFleet and abandons the controller without closing it.
 func killedFleetDir(tb testing.TB, cfg DurabilityConfig, fleet, perProbe, lease int, compact bool) string {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -182,10 +180,21 @@ func killedFleetDir(tb testing.TB, cfg DurabilityConfig, fleet, perProbe, lease 
 	if err != nil {
 		tb.Fatal(err)
 	}
+	driveFleet(tb, c, fleet, perProbe, lease, compact, func(int) (string, topology.ASN) { return "RW", 36924 })
+	return dir
+}
+
+// driveFleet registers a fleet of probes, probe i where vantage(i) puts
+// it, submits perProbe pings of one experiment for each, and runs
+// lease-sized syncs until every result is delivered (compacting the
+// store once half-way when asked).
+func driveFleet(tb testing.TB, c *Controller, fleet, perProbe, lease int, compact bool, vantage func(i int) (string, topology.ASN)) {
+	tb.Helper()
 	ids := make([]string, fleet)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("probe-%04d", i)
-		if err := c.RegisterProbe(ProbeInfo{ID: ids[i], ASN: 36924, Country: "RW"}); err != nil {
+		country, asn := vantage(i)
+		if err := c.RegisterProbe(ProbeInfo{ID: ids[i], ASN: asn, Country: country}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -219,7 +228,6 @@ func killedFleetDir(tb testing.TB, cfg DurabilityConfig, fleet, perProbe, lease 
 	if c.ResultStore().MemtableLen() == 0 || c.ResultStore().SegmentCount() == 0 {
 		tb.Fatalf("fleet left %d in the memtable and %d segments; the kill needs both", c.ResultStore().MemtableLen(), c.ResultStore().SegmentCount())
 	}
-	return dir
 }
 
 // shipDir copies a controller directory the way a failover ships one.
@@ -401,6 +409,39 @@ func BenchmarkQueryScanHTTP(b *testing.B) {
 }
 
 var benchSink int
+
+// BenchmarkQueryAggregateHTTP is fleet_sync's agg_full at the handler: the
+// fleet of fleetDir (800 probes with 8 pings each, leased 4 at a time, six
+// sealed segments and 256 records in the memtable) spread over 8
+// countries and 64 ASNs, GET /api/v1/query?op=aggregate&group_by=country_asn
+// through Handler().ServeHTTP — 512 groups.
+func BenchmarkQueryAggregateHTTP(b *testing.B) {
+	c, err := Recover(b.TempDir(), fleetCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	countries := []string{"NG", "KE", "ZA", "GH", "SN", "TZ", "EG", "MA"}
+	driveFleet(b, c, 800, 8, 4, false, func(i int) (string, topology.ASN) {
+		return countries[i%8], topology.ASN(36900 + i/8%64)
+	})
+	h := c.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/query?op=aggregate&group_by=country_asn", nil)
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		return w
+	}
+	b.SetBytes(int64(serve().Body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += serve().Body.Len()
+	}
+}
 
 // TestRecoverOpensNoSegment: recovering a directory this binary wrote
 // costs what the crash could lose, not what the store holds — it requeues

@@ -4,8 +4,8 @@ package core
 // response bodies and status codes. scripts/check.sh lints the rest of
 // the package (and internal/federation, which serves the same surface
 // through these writers) against http.Error / naked WriteHeader calls,
-// so every handler goes through WriteJSON / WriteScanPage / WriteAPIError
-// and every non-2xx response carries the same machine-readable envelope:
+// so every handler goes through WriteJSON, WriteScanPage, WriteAggReport
+// or WriteAPIError and every non-2xx response carries one envelope:
 //
 //	{"error": {"code": "<machine_code>", "message": "...", "request_id": "..."}}
 
@@ -55,7 +55,8 @@ type errorEnvelope struct {
 }
 
 // WriteJSON writes a JSON response: the success-path writer of either
-// HTTP tier for everything but a scan page (WriteScanPage).
+// HTTP tier for everything but a scan page (WriteScanPage) and an
+// aggregate (WriteAggReport).
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -68,13 +69,7 @@ func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 // being decoded or encoded on the way. TestScanPageIsSpliced holds the
 // two to each other.
 func WriteScanPage(w http.ResponseWriter, items []store.Item, next string, meta QueryMeta) {
-	// Page's fields after items, as encoding/json writes them: "{}" when
-	// there is no next page and nothing degraded.
-	tail, _ := json.Marshal(struct { // strings and bools: cannot fail
-		NextCursor string `json:"next_cursor,omitempty"`
-		QueryMeta
-	}{next, meta})
-	size := len(`{"items":[]`) + len(items) + len(tail) + 1
+	size := len(`{"items":[]}`) + len(items) + 64
 	for i := range items {
 		size += len(items[i].JSON)
 	}
@@ -85,9 +80,34 @@ func WriteScanPage(w http.ResponseWriter, items []store.Item, next string, meta 
 		}
 		body = append(body, items[i].JSON...)
 	}
-	body = append(body, ']')
-	if len(tail) > len("{}") {
-		body = append(append(body, ','), tail[1:len(tail)-1]...)
+	writeSpliced(w, append(body, ']'), struct {
+		NextCursor string `json:"next_cursor,omitempty"`
+		QueryMeta
+	}{next, meta})
+}
+
+// WriteAggReport writes a 200 aggregate: the bytes WriteJSON writes for
+// struct{store.AggReport; QueryMeta}, the report appended without
+// reflection (AggReport.AppendJSON) unless encoding/json would refuse it.
+func WriteAggReport(w http.ResponseWriter, rep store.AggReport, meta QueryMeta) {
+	body, ok := rep.AppendJSON(make([]byte, 0, 64+160*len(rep.Groups)))
+	if !ok {
+		WriteJSON(w, http.StatusOK, struct {
+			store.AggReport
+			QueryMeta
+		}{rep, meta})
+		return
+	}
+	writeSpliced(w, body[:len(body)-1], meta)
+}
+
+// writeSpliced writes a 200 JSON object: body, its open leading fields,
+// then the fields encoding/json makes of tail (strings and bools, which
+// cannot fail), the closing brace and the Encoder's newline.
+func writeSpliced(w http.ResponseWriter, body []byte, tail any) {
+	t, _ := json.Marshal(tail)
+	if len(t) > len("{}") {
+		body = append(append(body, ','), t[1:len(t)-1]...)
 	}
 	body = append(body, '}', '\n')
 	w.Header().Set("Content-Type", "application/json")

@@ -3,7 +3,7 @@ package core
 // query.go serves GET /api/v1/query: one parse of the filter, one list
 // of ops, one encoding of each answer. A scan's records arrive already
 // encoded (store.Item) and leave through WriteScanPage without being
-// decoded.
+// decoded; a report leaves through WriteAggReport without reflection.
 
 import (
 	"fmt"
@@ -26,44 +26,36 @@ func (a api) handleQuery(w http.ResponseWriter, r *http.Request, _ PathParams) {
 		return
 	}
 	agg := store.AggQuery{Filter: f, GroupBy: q.Get("group_by")}
-	var body interface{}
 	switch op := q.Get("op"); op {
 	case "", "aggregate":
-		var out struct {
-			store.AggReport
-			QueryMeta
+		if rep, meta, err := a.b.Aggregate(agg); err != nil {
+			a.writeErr(w, err)
+		} else {
+			WriteAggReport(w, rep, meta)
 		}
-		out.AggReport, out.QueryMeta, err = a.b.Aggregate(agg)
-		body = out
 	case "fold":
-		var out struct {
-			*store.Folder
-			QueryMeta
+		if fold, meta, err := a.b.Fold(agg); err != nil {
+			a.writeErr(w, err)
+		} else {
+			WriteJSON(w, http.StatusOK, struct {
+				*store.Folder
+				QueryMeta
+			}{fold, meta})
 		}
-		out.Folder, out.QueryMeta, err = a.b.Fold(agg)
-		body = out
 	case "scan":
 		limit, ok := parseCount(w, "limit", q.Get("limit"), 0)
 		if !ok {
 			return
 		}
-		items, next, meta, err := a.b.ScanItems(f, limit, q.Get("cursor"))
-		if err != nil {
+		if items, next, meta, err := a.b.ScanItems(f, limit, q.Get("cursor")); err != nil {
 			a.writeErr(w, err)
-			return
+		} else {
+			WriteScanPage(w, items, next, meta)
 		}
-		WriteScanPage(w, items, next, meta)
-		return
 	default:
 		WriteAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
 			fmt.Errorf("unknown op %q (want %s)", op, queryOps))
-		return
 	}
-	if err != nil {
-		a.writeErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, body)
 }
 
 // queryParamDocs documents the query route. The record filters come

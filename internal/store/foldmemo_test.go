@@ -1,0 +1,278 @@
+package store
+
+import (
+	"encoding/json"
+	"reflect"
+	"sync"
+	"testing"
+
+	"github.com/afrinet/observatory/internal/probes"
+	"github.com/afrinet/observatory/internal/topology"
+)
+
+// memoCorpus is genFoldRecords laid out so that sealed runs of 32 can be
+// covered: ticks climb two per run, and the country and the ASN change
+// every 64 and 96 records, so some runs hold one country, or one ASN, or
+// both.
+func memoCorpus(n int) []Record {
+	recs := genFoldRecords(3, n)
+	countries := []string{"NG", "KE", "ZA"}
+	asns := []topology.ASN{2905, 36900, 9}
+	for i := range recs {
+		recs[i].Tick = int64(1 + i/16)
+		recs[i].Country = countries[i/64%len(countries)]
+		recs[i].ASN = asns[i/96%len(asns)]
+	}
+	return recs
+}
+
+// memoFilters: no filter, filters that cover some runs whole and split
+// others (a window whose ends fall inside runs, one country, one ASN, the
+// one experiment) and ones no run is covered by (an unindexed field).
+var memoFilters = []Filter{
+	{},
+	{FromTick: 4, ToTick: 13},
+	{FromTick: 3},
+	{Country: "KE"},
+	{ASN: 36900},
+	{Country: "NG", ASN: 2905, ToTick: 9},
+	{Experiment: "exp-0001"},
+	{Kind: string(probes.TaskWebsteps)},
+	{Verdict: "dns_blocked"},
+}
+
+// memoShapes builds a store holding sealed and tail records through a
+// memory store, flushes, a cold reopen and a compaction.
+var memoShapes = []struct {
+	name  string
+	build func(t *testing.T, sealed, tail []Record) *Store
+}{
+	{"memory", func(t *testing.T, sealed, tail []Record) *Store {
+		s := NewMemory(Options{FlushEvery: 32, TargetFrames: 128})
+		appendChunks(t, s, sealed, 8)
+		appendChunks(t, s, tail, 8)
+		return s
+	}},
+	{"flushed", func(t *testing.T, sealed, tail []Record) *Store {
+		s := openDup(t, t.TempDir())
+		appendChunks(t, s, sealed, 8)
+		appendChunks(t, s, tail, 8)
+		return s
+	}},
+	{"cold", func(t *testing.T, sealed, tail []Record) *Store {
+		s := openDup(t, t.TempDir())
+		appendChunks(t, s, sealed, 8)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = openDup(t, s.Dir())
+		appendChunks(t, s, tail, 8)
+		return s
+	}},
+	{"compacted", func(t *testing.T, sealed, tail []Record) *Store {
+		s := openDup(t, t.TempDir())
+		appendChunks(t, s, sealed[:len(sealed)/2], 8)
+		if err := s.Compact(0); err != nil {
+			t.Fatal(err)
+		}
+		appendChunks(t, s, sealed[len(sealed)/2:], 8)
+		appendChunks(t, s, tail, 8)
+		return s
+	}},
+}
+
+// foldsJSON renders, per filter and group_by, a store's Aggregate and its
+// Fold as JSON, twice over: the second pass reads memos the first built,
+// after the first's reports sorted samples.
+func foldsJSON(t *testing.T, s *Store, filters []Filter) []byte {
+	t.Helper()
+	var out []byte
+	for pass := 0; pass < 2; pass++ {
+		for _, f := range filters {
+			for _, gb := range GroupByModes {
+				q := AggQuery{Filter: f, GroupBy: gb}
+				rep, err := s.Aggregate(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fold, err := s.Fold(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range []any{rep, fold} {
+					raw, err := json.Marshal(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(append(out, raw...), '\n')
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestCachedFoldsAnswerAlike builds every store shape twice, with fold
+// memos and without, over the memo corpus and over the duplicate corpus;
+// both must give byte-identical Aggregate and Fold JSON for every group_by
+// under filters that cover runs whole, split them, or cover none. The
+// memo side must have reused memos, so the test cannot pass vacuously.
+func TestCachedFoldsAnswerAlike(t *testing.T) {
+	type corpus struct {
+		name         string
+		sealed, tail []Record
+		filters      []Filter
+	}
+	memo := memoCorpus(384)
+	sealed, tail := dupCorpus()
+	var dupFilters []Filter
+	for _, q := range append(dupQueries, equivalenceQueries...) {
+		dupFilters = append(dupFilters, q.Filter)
+	}
+	corpora := []corpus{{"memo", memo[:352], memo[352:], memoFilters}, {"duplicates", sealed, tail, dupFilters}}
+	for _, c := range corpora {
+		for _, shape := range memoShapes {
+			t.Run(c.name+"/"+shape.name, func(t *testing.T) {
+				withMemos := shape.build(t, c.sealed, c.tail)
+				got := foldsJSON(t, withMemos, c.filters)
+				ctr := withMemos.Counters()
+				if ctr["segment_fold_hits"] == 0 || ctr["segment_fold_builds"] == 0 {
+					t.Fatalf("no fold memo was used: %v", ctr)
+				}
+				foldMemos = false
+				defer func() { foldMemos = true }()
+				without := shape.build(t, c.sealed, c.tail)
+				want := foldsJSON(t, without, c.filters)
+				if ctr := without.Counters(); ctr["segment_fold_hits"]+ctr["segment_fold_builds"] != 0 {
+					t.Fatalf("a store without memos used one: %v", ctr)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("reads with fold memos differ from record-by-record reads:\n%s\nwant:\n%s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestFoldMemoIsCharged: a memo is charged to the segment cache's budget
+// and reported in segment_fold_records, and it goes with its entry.
+func TestFoldMemoIsCharged(t *testing.T) {
+	s := openDup(t, t.TempDir())
+	appendChunks(t, s, memoCorpus(256), 8)
+	for _, gb := range GroupByModes {
+		if _, err := s.Aggregate(AggQuery{GroupBy: gb}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctr := s.Counters()
+	s.cache.mu.Lock()
+	folds := s.cache.charged
+	s.cache.mu.Unlock()
+	if ctr["segment_fold_builds"] != int64(8*len(GroupByModes)) || ctr["segment_fold_records"] != folds || folds < 8 {
+		t.Fatalf("8 segments' memos built %d folds, charged %d records, report %d",
+			ctr["segment_fold_builds"], folds, ctr["segment_fold_records"])
+	}
+	if err := s.Compact(0); err != nil { // 8 segments of 32 into 2 of 128
+		t.Fatal(err)
+	}
+	s.cache.mu.Lock()
+	folds = s.cache.charged
+	s.cache.mu.Unlock()
+	if got := s.Counters()["segment_fold_records"]; got != 0 || folds != 0 {
+		t.Fatalf("after compaction the memos of deleted segments are still charged %d records, reported %d", folds, got)
+	}
+}
+
+// TestFoldMemosRaceReaders runs aggregates, folds and a coordinator-style
+// merge and report of the returned folds against appends, flushes and
+// compactions of one store; meaningful under -race, where a fold that
+// shared a memo's samples or verdict maps would be caught being sorted or
+// appended to while another reader merges it.
+func TestFoldMemosRaceReaders(t *testing.T) {
+	raw := memoCorpus(512)
+	for _, shape := range []struct {
+		name string
+		s    *Store
+	}{
+		{"memory", NewMemory(Options{FlushEvery: 32, TargetFrames: 128})},
+		{"disk", openDup(t, t.TempDir())},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			s := shape.s
+			appendChunks(t, s, raw[:128], 8)
+			done := make(chan struct{})
+			var readers, writers sync.WaitGroup
+			for g := 0; g < 3; g++ {
+				readers.Add(1)
+				go func(g int) {
+					defer readers.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						q := AggQuery{Filter: memoFilters[(g+i)%3], GroupBy: GroupByModes[(g+i)%len(GroupByModes)]}
+						if _, err := s.Aggregate(q); err != nil {
+							t.Error(err)
+							return
+						}
+						merged, _ := NewFolder(q.GroupBy)
+						for k := 0; k < 2; k++ {
+							fold, err := s.Fold(q)
+							if err == nil {
+								err = merged.Merge(fold)
+							}
+							if err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						merged.Report()
+					}
+				}(g)
+			}
+			writers.Add(2)
+			go func() {
+				defer writers.Done()
+				for i := 128; i < len(raw); i += 8 {
+					if err := s.Append(raw[i:min(i+8, len(raw))]...); err != nil {
+						t.Error(err)
+						return
+					}
+					if i%96 == 0 {
+						if err := s.Flush(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			go func() {
+				defer writers.Done()
+				for i := 0; i < 10; i++ {
+					if err := s.Compact(0); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			writers.Wait()
+			close(done)
+			readers.Wait()
+			if t.Failed() {
+				return
+			}
+			for _, gb := range GroupByModes {
+				q := AggQuery{GroupBy: gb}
+				got, err := s.Aggregate(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := foldOf(t, gb, raw).Report(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("group %q after the race\nwant: %+v\ngot:  %+v", gb, want, got)
+				}
+			}
+		})
+	}
+}

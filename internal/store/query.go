@@ -187,8 +187,11 @@ func (f Filter) Values() url.Values {
 // runs it will stream, and only a record whose key hash occurs more than
 // once among them goes through the exact dedup set — a key whose hash
 // occurs once cannot repeat, whatever the filter. A lazy read cannot know
-// the runs it will not decode, so every match goes through the set.
-func (s *Store) visit(f Filter, eager bool, bound *int, fn func(r *Record, raw []byte) bool) error {
+// the runs it will not decode, so every match goes through the set. An
+// eager read hands whole, in its place in the stream, a sealed run with a
+// fold memo that fn would have seen all of, none deduplicated: the filter
+// covers it (SegmentMeta.covers) and none of its keys repeats.
+func (s *Store) visit(f Filter, eager bool, bound *int, whole func(decoded), fn func(r *Record, raw []byte) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var scan []*segment
@@ -249,12 +252,26 @@ func (s *Store) visit(f Filter, eager bool, bound *int, fn func(r *Record, raw [
 				return err
 			}
 		}
+		if d := loaded[i]; eager && whole != nil && d.folds != nil && foldMemos && scan[i].meta.covers(f) && unrepeated(d.keys, repeats) {
+			whole(d)
+			continue
+		}
 		if !stream(loaded[i]) {
 			return nil
 		}
 	}
 	stream(decoded{recs: s.mem})
 	return nil
+}
+
+// unrepeated reports whether none of a run's sorted key hashes repeats.
+func unrepeated(keys []uint64, repeats map[uint64]bool) bool {
+	for h := range repeats {
+		if _, found := slices.BinarySearch(keys, h); found {
+			return false
+		}
+	}
+	return true
 }
 
 // repeated returns the hashes that occur more than once across sorted
@@ -377,7 +394,7 @@ func scanPage[T any](s *Store, f Filter, limit int, cursor string, elem func(r *
 	var elemErr error
 	more := false
 	bound := 0
-	err = s.visit(f, limit <= 0, &bound, func(r *Record, raw []byte) bool {
+	err = s.visit(f, limit <= 0, &bound, nil, func(r *Record, raw []byte) bool {
 		if r.Seq <= after {
 			return true
 		}
@@ -518,7 +535,9 @@ func (s *Store) fold(q AggQuery) (*Folder, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = s.visit(q.Filter, true, nil, func(r *Record, _ []byte) bool {
+	err = s.visit(q.Filter, true, nil, func(d decoded) {
+		_ = fold.Merge(d.folds.fold(fold.GroupBy, d.recs, s.ctr)) // grouped alike: cannot fail
+	}, func(r *Record, _ []byte) bool {
 		fold.Add(r)
 		return true
 	})
@@ -667,28 +686,30 @@ func (f *Folder) Add(r *Record) {
 }
 
 // Merge folds o in: a Folder over records disjoint from f's, from
-// Store.Fold or decoded from its JSON form. o is spent afterwards (its
-// groups' maps and sample lists may now be f's).
+// Store.Fold or decoded from its JSON form. o is left as it was: f shares
+// no map or sample list with it. A group new to f is appended in o's order
+// and every sample after f's own, so merging the folds of runs in sequence
+// order leaves f as Add over their records would, down to group and
+// sample order.
 func (f *Folder) Merge(o *Folder) error {
 	if o.GroupBy != f.GroupBy {
 		return fmt.Errorf("store: merging a fold grouped by %q into one grouped by %q", o.GroupBy, f.GroupBy)
+	}
+	if f.index == nil && len(f.Groups) == 0 { // size the index and groups for o's
+		f.index = make(map[packedKey]int, len(o.Groups))
+		f.Groups = make([]FoldGroup, 0, len(o.Groups))
 	}
 	f.Matched += o.Matched
 	for i := range o.Groups {
 		og := &o.Groups[i]
 		g := &f.Groups[f.group(og.GroupKey)]
-		if g.Count == 0 {
-			*g = *og
-			continue
-		}
 		g.Count += og.Count
 		g.OK += og.OK
-		if g.Verdicts == nil {
-			g.Verdicts = og.Verdicts
-		} else {
-			for v, n := range og.Verdicts {
-				g.Verdicts[v] += n
-			}
+		if len(og.Verdicts) > 0 && g.Verdicts == nil {
+			g.Verdicts = make(map[string]int64, len(og.Verdicts))
+		}
+		for v, n := range og.Verdicts {
+			g.Verdicts[v] += n
 		}
 		g.RTTs = append(g.RTTs, og.RTTs...)
 	}
@@ -720,6 +741,9 @@ func (f *Folder) Report() AggReport {
 	}
 	sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
 	rep := AggReport{Matched: f.Matched}
+	if len(order) > 0 { // none stays nil: an empty report's groups are null
+		rep.Groups = make([]AggGroup, 0, len(order))
+	}
 	for _, i := range order {
 		fg := &f.Groups[i]
 		g := AggGroup{
@@ -768,7 +792,7 @@ func percentile(sorted []float64, p float64) float64 {
 // recovery does not.
 func (s *Store) KeySet(experiment string) (map[string]bool, error) {
 	out := make(map[string]bool)
-	err := s.visit(Filter{Experiment: experiment}, true, nil, func(r *Record, _ []byte) bool {
+	err := s.visit(Filter{Experiment: experiment}, true, nil, nil, func(r *Record, _ []byte) bool {
 		out[r.TaskID] = true
 		return true
 	})

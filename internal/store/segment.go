@@ -106,6 +106,18 @@ func (m SegmentMeta) mayMatch(f Filter) bool {
 	return true
 }
 
+// covers reports whether every record a segment with this index holds
+// matches the filter: the tick range lies inside the window, each set
+// experiment, country or ASN filter names the segment's only value, and
+// no filter the index does not carry is set.
+func (m SegmentMeta) covers(f Filter) bool {
+	only := func(vals []string, v string) bool { return v == "" || len(vals) == 1 && vals[0] == v }
+	return f.Kind == "" && f.Verdict == "" && f.ResolverChain == "" && f.ECS == "" &&
+		(f.FromTick <= 0 || m.MinTick >= f.FromTick) && (f.ToTick <= 0 || m.MaxTick <= f.ToTick) &&
+		only(m.Experiments, f.Experiment) && only(m.Countries, f.Country) &&
+		(f.ASN == 0 || len(m.ASNs) == 1 && m.ASNs[0] == f.ASN)
+}
+
 func containsString(sorted []string, s string) bool {
 	i := sort.SearchStrings(sorted, s)
 	return i < len(sorted) && sorted[i] == s
@@ -211,12 +223,14 @@ func parseSegment(data []byte) (meta SegmentMeta, d decoded, torn bool) {
 // dir-less store's segments); otherwise raws[i] is recs[i]'s payload and
 // all of them alias one buffer — the file image a cold load read, or the
 // one a flush or compaction wrote — which lives as long as any of them
-// is referenced. keys is the run's key summary (summarize). Immutable
-// once built.
+// is referenced. keys is the run's key summary (summarize), and folds the
+// run's fold memo where the run is retained (segCache.put, a memory
+// seal), nil elsewhere. Immutable once built.
 type decoded struct {
-	recs []Record
-	raws [][]byte
-	keys []uint64
+	recs  []Record
+	raws  [][]byte
+	keys  []uint64
+	folds *foldMemo
 }
 
 // keyHash is the 64-bit hash of a dedup key that key summaries hold. Its
@@ -276,8 +290,7 @@ func (s *Store) load(sg *segment) (decoded, error) {
 	if torn {
 		s.ctr.Inc("segments_truncated_read")
 	}
-	s.cache.put(sg.id, d)
-	return d, nil
+	return s.cache.put(sg.id, d), nil
 }
 
 // segName renders a segment file name from its id.

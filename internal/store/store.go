@@ -308,6 +308,7 @@ func (s *Store) sealLocked(d decoded) (*segment, error) {
 	meta := buildMeta(d.recs)
 	sg := &segment{id: s.nextSegID, meta: meta}
 	if s.dir == "" {
+		d.folds = &foldMemo{folds: map[string]*Folder{}}
 		sg.mem = d
 	} else {
 		path, written, err := writeSegmentFile(s.dir, sg.id, meta, d.recs)

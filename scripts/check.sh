@@ -59,9 +59,10 @@ fi
 echo "== envelope lint =="
 # Both HTTP tiers (internal/core's controller, internal/federation's
 # coordinator) write responses only through internal/core/envelope.go
-# (WriteJSON / WriteAPIError), so every non-2xx body carries the uniform
-# {"error": {code, message, request_id}} envelope. A stray http.Error or
-# naked WriteHeader anywhere else in either package bypasses it.
+# (WriteJSON / WriteScanPage / WriteAggReport / WriteAPIError), so every
+# non-2xx body carries the uniform {"error": {code, message, request_id}}
+# envelope. A stray http.Error or naked WriteHeader anywhere else in
+# either package bypasses it.
 if git grep -n 'http\.Error(\|WriteHeader(' -- internal/core internal/federation ':!internal/core/envelope.go'; then
     echo "envelope lint: http.Error / WriteHeader are forbidden in internal/core (outside envelope.go) and internal/federation" >&2
     exit 1
