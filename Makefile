@@ -43,17 +43,19 @@ fleetsim-smoke:
 # 30s smoke runs of the replay fuzzers: random record streams,
 # truncations, and bit flips must never panic the journal recovery path,
 # the record decoder, the snapshot reader, the segment reader, or the
-# archival measurement decoder, and a random aggregate report must be
-# written as encoding/json writes it. The two targets that go through real
-# files get -fuzzminimizetime 1x: file I/O makes coverage flicker, every
-# flicker reads as an interesting input, and the engine's default is to
-# spend up to a minute minimizing each — the whole 30s, a few dozen
-# executions in.
+# archival measurement decoder, a random aggregate report must be
+# written as encoding/json writes it, and a probe_sync record's cut must
+# read what json.Unmarshal reads or decline. The two targets that go
+# through real files get -fuzzminimizetime 1x: file I/O makes coverage
+# flicker, every flicker reads as an interesting input, and the engine's
+# default is to spend up to a minute minimizing each — the whole 30s, a
+# few dozen executions in.
 fuzz:
 	go test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 30s
 	go test ./internal/journal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 30s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 30s -fuzzminimizetime 1x
 	go test ./internal/core -run '^$$' -fuzz '^FuzzAggReportJSON$$' -fuzztime 30s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzSyncOpCut$$' -fuzztime 30s
 	go test ./internal/store -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime 30s -fuzzminimizetime 1x
 	go test ./internal/archival -run '^$$' -fuzz '^FuzzArchivalDecode$$' -fuzztime 30s
 

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/afrinet/observatory/internal/journal"
@@ -291,6 +292,39 @@ func BenchmarkRecoverLongJournal(b *testing.B) {
 		if rec.Kind == opSubmitCols {
 			b.ReportMetric(float64(len(rec.Data)), "submit_bytes")
 		}
+	}
+}
+
+// BenchmarkDecodeOps runs Recover's decode phase, journal.DecodeOps
+// through replayOps, over longJournalDir's tail one record kind at a time:
+// ns/record and allocs/record per kind.
+func BenchmarkDecodeOps(b *testing.B) {
+	l, err := journal.Open(longJournalDir(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	byKind := map[string][]journal.Record{}
+	for _, rec := range l.Records {
+		byKind[rec.Kind] = append(byKind[rec.Kind], rec)
+	}
+	for _, kind := range []string{opSync, opRegister, opSubmitCols} {
+		recs := byKind[kind]
+		b.Run(kind, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := journal.DecodeOps(replayOps, recs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N * len(recs))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+		})
 	}
 }
 

@@ -51,6 +51,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -545,6 +547,20 @@ func (c *Controller) submitExperimentIdemCtx(ctx context.Context, requestID, exp
 	return cloneExp(exp), nil
 }
 
+// taskID is the id minted for an experiment's i-th task,
+// fmt.Sprintf("%s-t%04d", expID, i), built in one sized allocation.
+func taskID(expID string, i int) string {
+	var num [20]byte
+	digits := strconv.AppendUint(num[:0], uint64(i), 10)
+	infix := "-t000"[:max(2, 6-len(digits))]
+	var b strings.Builder
+	b.Grow(len(expID) + len(infix) + len(digits))
+	b.WriteString(expID)
+	b.WriteString(infix)
+	b.Write(digits)
+	return b.String()
+}
+
 func (c *Controller) applySubmitLocked(op submitOp) *Experiment {
 	id := op.ExpID
 	if id == "" {
@@ -562,7 +578,7 @@ func (c *Controller) applySubmitLocked(op submitOp) *Experiment {
 	for i := range exp.Assignments {
 		exp.Assignments[i].Task.Experiment = exp.ID
 		if exp.Assignments[i].Task.ID == "" {
-			exp.Assignments[i].Task.ID = fmt.Sprintf("%s-t%04d", exp.ID, i)
+			exp.Assignments[i].Task.ID = taskID(exp.ID, i)
 		}
 		ids[exp.Assignments[i].Task.ID] = true
 	}

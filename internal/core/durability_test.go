@@ -209,6 +209,9 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 					if d := live.DurabilityCounters(); d["recovery_results_requeued"] != int64(lost) || d["recovery_truncated_tail"] != 0 {
 						t.Fatalf("mid-history recovery: %v, memtable held %d and the tail was clean", d, lost)
 					}
+					if d := live.DurabilityCounters(); d["recovery_reflect_decodes"] != 0 {
+						t.Fatalf("mid-history recovery read %d records through json.Unmarshal's fallback", d["recovery_reflect_decodes"])
+					}
 				}
 				op(live)
 			}
@@ -234,6 +237,9 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			dr := rec.DurabilityCounters()
 			if dr["recovery_truncated_tail"] != 0 {
 				t.Fatalf("clean journal reported a torn tail: %v", dr)
+			}
+			if dr["recovery_reflect_decodes"] != 0 {
+				t.Fatalf("recovery read %d records through json.Unmarshal's fallback", dr["recovery_reflect_decodes"])
 			}
 			// Compaction worked: replay far fewer records than were appended.
 			if dr["recovery_replayed"] >= dl["journal_records_appended"] {

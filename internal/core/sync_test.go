@@ -312,6 +312,10 @@ func TestSyncCrashRecoverEquivalence(t *testing.T) {
 	if wantCov.ServedTotal == 0 {
 		t.Fatal("history served nothing; test is vacuous")
 	}
+	// Close snapshots, so the recovery below replays no tail: the crash
+	// image taken here keeps the whole history as one.
+	crashed := t.TempDir()
+	shipDir(t, dir, crashed)
 	if err := live.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +325,22 @@ func TestSyncCrashRecoverEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
+	if n := rec.DurabilityCounters()["recovery_reflect_decodes"]; n != 0 {
+		t.Fatalf("recovery read %d records through json.Unmarshal's fallback", n)
+	}
 	got := viewOf(rec)
 	gotCov := rec.Coverage()
 	assertEqualJSON(t, "controller state", want, got)
 	assertEqualJSON(t, "coverage book", wantCov, gotCov)
+
+	crash, err := Recover(crashed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crash.Close()
+	if d := crash.DurabilityCounters(); d["recovery_replayed"] == 0 || d["recovery_reflect_decodes"] != 0 {
+		t.Fatalf("crash-image recovery: %v, want a replayed tail with no record through json.Unmarshal's fallback", d)
+	}
 }
 
 // assertEqualJSON compares two values by canonical JSON (maps order-

@@ -236,6 +236,34 @@ func TestDecodeOpsReportsTheFirstFailure(t *testing.T) {
 	}
 }
 
+// TestCutOpOfFallsBack: data the cut takes is applied as cut; data it
+// declines is read by json.Unmarshal and applied after reflected; data
+// neither reads fails the decode.
+func TestCutOpOfFallsBack(t *testing.T) {
+	type state struct{ sum, reflected int }
+	digit := func(b []byte) (int, bool) {
+		if len(b) != 1 || b[0] < '0' || b[0] > '9' {
+			return 0, false
+		}
+		return int(b[0] - '0'), true
+	}
+	op := CutOpOf(digit, func(s *state, n int) { s.sum += n }, func(s *state) { s.reflected++ })
+	var s state
+	for _, data := range []string{`2`, ` 7`, `33`} {
+		apply, err := op([]byte(data))
+		if err != nil {
+			t.Fatalf("%q: %v", data, err)
+		}
+		apply(&s)
+	}
+	if s != (state{sum: 42, reflected: 2}) {
+		t.Fatalf("state = %+v, want sum 42 with 2 reflected", s)
+	}
+	if _, err := op([]byte(`"x"`)); err == nil {
+		t.Fatal("decoded a string as an int")
+	}
+}
+
 // BenchmarkOpen opens a journal of 4 000 small records and one large one
 // (the shape a replay-only recovery reads): file read, frame walk, record
 // decode. Run at -cpu 1,2 to tell the decode's serial cost from its

@@ -26,6 +26,21 @@ func OpOf[C, T any](apply func(C, T)) Op[C] {
 	}
 }
 
+// CutOpOf is OpOf with a fast path: cut reads a T out of the one layout
+// json.Marshal writes for it, without reflection, and declines (!ok)
+// anything else, which json.Unmarshal — the reference — then decodes.
+// The apply of a mutation that took that fallback calls reflected first,
+// for the owner to count: decode itself stays a pure function of the data.
+func CutOpOf[C, T any](cut func([]byte) (T, bool), apply func(C, T), reflected func(C)) Op[C] {
+	fallback := OpOf(func(c C, op T) { reflected(c); apply(c, op) })
+	return func(data []byte) (func(C), error) {
+		if op, ok := cut(data); ok {
+			return func(c C) { apply(c, op) }, nil
+		}
+		return fallback(data)
+	}
+}
+
 // DecodeOps decodes every record through its kind's entry in ops, in
 // parallel like DecodeRecords, and returns the mutations in record order
 // for the owner to apply one after another. The error is the one a
