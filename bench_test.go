@@ -209,7 +209,7 @@ func BenchmarkRouteComputation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dest := asns[i%len(asns)]
-		env.Router.Invalidate() // drop cached trees; SetLinkDown(x, false) is now a no-op
+		env.Router.Invalidate() // drop cached trees; an unchanged SetDownLinks would keep them
 		tree := env.Router.Tree(dest)
 		if tree.Size() == 0 {
 			b.Fatal("empty routing tree")

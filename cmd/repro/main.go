@@ -31,18 +31,21 @@ func main() {
 	only := flag.String("only", "", "run a single experiment id")
 	csvDir := flag.String("csv", "", "also write figure series as CSV into this directory")
 	flag.Parse()
+	reproduce(os.Stdout, *seed, *only, *csvDir)
+}
 
+// reproduce writes every experiment's output to w, or only the one whose
+// id is only when that is set; a non-empty csvDir also gets the CSVs.
+func reproduce(w io.Writer, seed int64, only, csvDir string) {
 	type renderable interface{ Render(io.Writer) }
-	w := os.Stdout
-
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			log.Fatalf("repro: %v", err)
 		}
 	}
 
 	run := func(id, title string, fn func() renderable) {
-		if *only != "" && *only != id {
+		if only != "" && only != id {
 			return
 		}
 		start := time.Now()
@@ -54,9 +57,9 @@ func main() {
 
 	// Figure 1 needs only the timeline, not the full stack.
 	run("fig1", "FIGURE 1 — infrastructure growth", func() renderable {
-		r := experiments.Fig1Growth(*seed)
-		if *csvDir != "" {
-			writeFig1CSV(*csvDir, r)
+		r := experiments.Fig1Growth(seed)
+		if csvDir != "" {
+			writeFig1CSV(csvDir, r)
 		}
 		return r
 	})
@@ -64,7 +67,7 @@ func main() {
 	var env *experiments.Env
 	getEnv := func() *experiments.Env {
 		if env == nil {
-			env = experiments.NewEnv(*seed, 2025)
+			env = experiments.NewEnv(seed, 2025)
 		}
 		return env
 	}

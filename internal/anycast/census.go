@@ -129,15 +129,3 @@ func (c *Census) clusterInstances(probes []Probe) int {
 	}
 	return len(centers)
 }
-
-// Sweep measures many targets and returns the anycast ones.
-func (c *Census) Sweep(vantages []topology.ASN, targets []netx.Addr) []Verdict {
-	var out []Verdict
-	for _, t := range targets {
-		v := c.Measure(vantages, t)
-		if v.Anycast {
-			out = append(out, v)
-		}
-	}
-	return out
-}

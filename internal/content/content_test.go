@@ -143,7 +143,7 @@ func TestOffnetServesLocally(t *testing.T) {
 }
 
 func TestFetchDegradesUnderTotalCut(t *testing.T) {
-	defer testNet.RestoreAll()
+	defer func() { testNet.SetCablesCut(testNet.CutCables(), false) }()
 	var client topology.ASN
 	for _, a := range testTopo.ASesIn("SL") { // single-corridor country
 		if testTopo.ASes[a].Type == topology.ASMobileCarrier {
@@ -158,9 +158,7 @@ func TestFetchDegradesUnderTotalCut(t *testing.T) {
 			okBefore++
 		}
 	}
-	for _, id := range testTopo.Corridors()["west-africa-coastal"] {
-		testNet.CutCable(id)
-	}
+	testNet.SetCablesCut(testTopo.Corridors()["west-africa-coastal"], true)
 	okAfter := 0
 	for _, s := range sites {
 		if testWeb.Fetch(client, s).OK {

@@ -23,9 +23,6 @@ const (
 	// MetricJournal times the journal sub-steps
 	// (op=append|fsync|snapshot).
 	MetricJournal = "obs_journal_seconds"
-	// MetricStore times results-store operations
-	// (op=ingest|flush|compact|scan|aggregate); see internal/store.
-	MetricStore = "obs_store_seconds"
 	// MetricRecover times the phases of the Recover that built this
 	// controller (phase=journal_open|store_open|snapshot|decode|replay|
 	// reconcile, and on an Upgrade that walked the store the walk, a part

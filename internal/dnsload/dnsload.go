@@ -138,15 +138,6 @@ type CountryAgg struct {
 	Localized int
 }
 
-// Accuracy is the country's localization accuracy over cloud-hosted
-// authorities (NaN-free: 0 when no cloud-auth samples).
-func (c CountryAgg) Accuracy() float64 {
-	if c.CloudAuth == 0 {
-		return 0
-	}
-	return float64(c.Localized) / float64(c.CloudAuth)
-}
-
 // Report is the aggregate outcome of one run.
 type Report struct {
 	Queries  int

@@ -151,10 +151,8 @@ func TestRunFailsClosedUnderIsolation(t *testing.T) {
 	topo := topology.Generate(topology.DefaultParams())
 	n := netsim.New(topo, bgp.New(topo), 42)
 	s := dnssim.New(n, 42)
-	defer n.RestoreAll()
-	for _, id := range topo.CableIDs() {
-		n.CutCable(id)
-	}
+	defer func() { n.SetCablesCut(n.CutCables(), false) }()
+	n.SetCablesCut(topo.CableIDs(), true)
 	var clients []topology.ASN
 	for _, c := range []string{"NG", "GH", "CI"} {
 		clients = append(clients, s.ClientNetworks(c)...)

@@ -215,10 +215,8 @@ func TestChainSurvivesLinkFlap(t *testing.T) {
 	}
 
 	// Flap every cable: failure epoch moves, routing gen moves.
-	for _, id := range topo.CableIDs() {
-		n.CutCable(id)
-	}
-	n.RestoreAll()
+	n.SetCablesCut(topo.CableIDs(), true)
+	n.SetCablesCut(topo.CableIDs(), false)
 
 	if after := s.ChainFor(asn); after != before {
 		t.Fatal("chain was rebuilt by an unrelated link flap; chains must be seed-pure")

@@ -159,10 +159,8 @@ func domainName(cc string, i int) string {
 func TestResolutionFailsWhenIsolated(t *testing.T) {
 	// Cut every subsea cable: a client whose resolver or authoritative
 	// sits overseas must fail.
-	defer testNet.RestoreAll()
-	for _, id := range testTopo.CableIDs() {
-		testNet.CutCable(id)
-	}
+	defer func() { testNet.SetCablesCut(testNet.CutCables(), false) }()
+	testNet.SetCablesCut(testTopo.CableIDs(), true)
 	failures := 0
 	attempts := 0
 	for _, c := range []string{"NG", "GH", "CI", "SN", "CM"} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/ixp"
@@ -233,11 +232,4 @@ func (r CorrelationAblation) Render(w io.Writer) {
 	fmt.Fprintf(w, "  corridor-correlated: %.1f\n", r.CorrelatedMeanImpact)
 	fmt.Fprintf(w, "  independent single cable: %.1f\n", r.IndependentMeanImpact)
 	fmt.Fprintln(w, "(legislating backup cables without corridor diversity leaves the correlated risk)")
-}
-
-// sortASNs is a tiny helper for deterministic listings.
-func sortASNs(xs []topology.ASN) []topology.ASN {
-	out := append([]topology.ASN(nil), xs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

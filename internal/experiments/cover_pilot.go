@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/ixp"
@@ -123,19 +122,6 @@ func KigaliPilot(env *Env) PilotResult {
 		Additional:      add,
 		KigaliASN:       kigali,
 	}
-}
-
-func sortedTargets(m map[topology.IXPID]netx.Addr) []netx.Addr {
-	var ids []int
-	for id := range m {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	out := make([]netx.Addr, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, m[topology.IXPID(id)])
-	}
-	return out
 }
 
 func isAfricanIXP(env *Env, id topology.IXPID) bool {

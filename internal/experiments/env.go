@@ -76,7 +76,3 @@ func observe(env *Env, tr netsim.Traceroute) tracerouteView {
 	}
 	return tv
 }
-
-// DefaultEnv is the reference configuration used throughout the
-// repository's recorded results.
-func DefaultEnv() *Env { return NewEnv(42, 2025) }

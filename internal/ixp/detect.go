@@ -103,15 +103,3 @@ func (d *Detector) sharedIXPs(a, b topology.ASN) []topology.IXPID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// MembershipsOf returns the exchanges an ASN belongs to, per directory.
-func (d *Detector) MembershipsOf(a topology.ASN) []topology.IXPID {
-	var out []topology.IXPID
-	for id, m := range d.members {
-		if m[a] {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -91,6 +91,8 @@ func TestDetectSilentTrace(t *testing.T) {
 	}
 }
 
+// TestMembershipsOf checks the detector's membership index: the
+// exchanges an AS shares with itself are the ones it belongs to.
 func TestMembershipsOf(t *testing.T) {
 	d := NewDetector(testDir)
 	rec := testDir[0]
@@ -99,7 +101,7 @@ func TestMembershipsOf(t *testing.T) {
 	}
 	m := rec.Members[0]
 	found := false
-	for _, id := range d.MembershipsOf(m) {
+	for _, id := range d.sharedIXPs(m, m) {
 		if id == rec.ID {
 			found = true
 		}

@@ -1,12 +1,10 @@
 // Package metrics provides the small statistical toolkit the experiment
-// drivers share: empirical CDFs, quantiles, shares, and bootstrap
-// confidence intervals.
+// drivers share: means, quantiles, shares and empirical CDFs.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -99,43 +97,3 @@ func (c *CDF) Points(n int) [][2]float64 {
 
 // Len returns the sample count.
 func (c *CDF) Len() int { return len(c.sorted) }
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// mean at the given confidence level (e.g. 0.95), using the provided
-// seed for reproducibility.
-func BootstrapCI(xs []float64, level float64, rounds int, seed int64) (lo, hi float64) {
-	if len(xs) == 0 || rounds <= 0 {
-		return 0, 0
-	}
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, rounds)
-	for r := 0; r < rounds; r++ {
-		var s float64
-		for i := 0; i < len(xs); i++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[r] = s / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
-}
-
-// Histogram counts samples into equal-width bins across [min,max].
-func Histogram(xs []float64, min, max float64, bins int) []int {
-	out := make([]int, bins)
-	if bins <= 0 || max <= min {
-		return out
-	}
-	w := (max - min) / float64(bins)
-	for _, x := range xs {
-		i := int((x - min) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		out[i]++
-	}
-	return out
-}

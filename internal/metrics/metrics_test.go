@@ -126,41 +126,3 @@ func TestCDFMatchesSortProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBootstrapCI(t *testing.T) {
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = float64(i % 10)
-	}
-	lo, hi := BootstrapCI(xs, 0.95, 200, 1)
-	mean := Mean(xs)
-	if !(lo <= mean && mean <= hi) {
-		t.Fatalf("CI [%v,%v] excludes mean %v", lo, hi, mean)
-	}
-	if lo2, hi2 := BootstrapCI(xs, 0.95, 200, 1); lo2 != lo || hi2 != hi {
-		t.Fatal("bootstrap not deterministic for fixed seed")
-	}
-	if lo, hi := BootstrapCI(nil, 0.95, 10, 1); lo != 0 || hi != 0 {
-		t.Fatal("empty bootstrap should be zero")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 1, 2, 3, 9, 100, -5}, 0, 10, 5)
-	total := 0
-	for _, n := range h {
-		total += n
-	}
-	if total != 7 {
-		t.Fatalf("histogram dropped samples: %v", h)
-	}
-	if h[0] != 3 { // -5 clamps in, 0 and 1 in first bin [0,2)
-		t.Fatalf("first bin = %d: %v", h[0], h)
-	}
-	if h[4] != 2 { // 9 and the clamped 100
-		t.Fatalf("last bin = %d: %v", h[4], h)
-	}
-	if got := Histogram(nil, 0, 0, 0); len(got) != 0 {
-		t.Fatal("degenerate histogram")
-	}
-}

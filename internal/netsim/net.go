@@ -154,21 +154,11 @@ func (n *Net) RouterAddr(asn topology.ASN, i int) netx.Addr {
 
 // --- Failures ---------------------------------------------------------
 
-// CutCable fails every segment of the cable and recomputes link
-// realizations and routing.
-func (n *Net) CutCable(id topology.CableID) {
-	n.SetCablesCut([]topology.CableID{id}, true)
-}
-
-// RestoreCable repairs the cable's segments.
-func (n *Net) RestoreCable(id topology.CableID) {
-	n.SetCablesCut([]topology.CableID{id}, false)
-}
-
 // SetCablesCut cuts (or restores) a whole batch of cables with a single
-// re-realization — one routing invalidation instead of one per cable.
-// Cables already in the requested state are skipped; if nothing changes
-// the call is a no-op and every cache survives.
+// re-realization — one routing invalidation instead of one per cable. It
+// is the only writer of the cut set. Cables already in the requested
+// state are skipped; if nothing changes the call is a no-op and every
+// cache survives.
 func (n *Net) SetCablesCut(ids []topology.CableID, cut bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -188,18 +178,6 @@ func (n *Net) SetCablesCut(ids []topology.CableID, cut bool) {
 		return
 	}
 	n.syncConduitsLocked()
-	n.reRealize()
-}
-
-// RestoreAll repairs everything.
-func (n *Net) RestoreAll() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.cutCables) == 0 && len(n.conduitDown) == 0 {
-		return
-	}
-	n.cutCables = make(map[topology.CableID]bool)
-	n.conduitDown = make(map[topology.ConduitID]bool)
 	n.reRealize()
 }
 
@@ -314,17 +292,6 @@ func (n *Net) conduitPenalty(id topology.ConduitID) (delayMs, loss float64) {
 		loss = 0.9
 	}
 	return delayMs, loss
-}
-
-// LinkUp reports whether a link currently has a physical realization.
-func (n *Net) LinkUp(id topology.LinkID) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	segs, ok := n.repath[id]
-	if !ok {
-		return true
-	}
-	return segs != nil
 }
 
 // CablesOnLink returns the cables carrying the link's *current*

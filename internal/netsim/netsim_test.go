@@ -158,7 +158,7 @@ func TestRTTScalesWithDistance(t *testing.T) {
 }
 
 func TestCableCutAndRestore(t *testing.T) {
-	defer testNet.RestoreAll()
+	defer func() { testNet.SetCablesCut(testNet.CutCables(), false) }()
 	// Baseline quality for a Nigerian eyeball to Europe.
 	var ng topology.ASN
 	for _, a := range testTopo.ASesIn("NG") {
@@ -180,9 +180,7 @@ func TestCableCutAndRestore(t *testing.T) {
 	}
 
 	// Cut the whole west corridor.
-	for _, id := range testTopo.Corridors()["west-africa-coastal"] {
-		testNet.CutCable(id)
-	}
+	testNet.SetCablesCut(testTopo.Corridors()["west-africa-coastal"], true)
 	if got := len(testNet.CutCables()); got == 0 {
 		t.Fatal("no cables recorded as cut")
 	}
@@ -193,26 +191,26 @@ func TestCableCutAndRestore(t *testing.T) {
 			rttBefore, lossBefore, rttAfter, lossAfter)
 	}
 
-	testNet.RestoreAll()
+	testNet.SetCablesCut(testNet.CutCables(), false)
 	rttRestored, lossRestored, okRestored := testNet.PathQuality(ng, eu)
 	if !okRestored || rttRestored != rttBefore || lossRestored != lossBefore {
-		t.Fatal("RestoreAll did not return to baseline")
+		t.Fatal("restoring every cut cable did not return to baseline")
 	}
 }
 
 func TestCutCableIdempotent(t *testing.T) {
-	defer testNet.RestoreAll()
-	id := testTopo.CableIDs()[0]
-	testNet.CutCable(id)
-	testNet.CutCable(id) // second cut is a no-op
+	defer func() { testNet.SetCablesCut(testNet.CutCables(), false) }()
+	one := []topology.CableID{testTopo.CableIDs()[0]}
+	testNet.SetCablesCut(one, true)
+	testNet.SetCablesCut(one, true) // second cut is a no-op
 	if len(testNet.CutCables()) != 1 {
 		t.Fatal("double cut recorded twice")
 	}
-	testNet.RestoreCable(id)
+	testNet.SetCablesCut(one, false)
 	if len(testNet.CutCables()) != 0 {
 		t.Fatal("restore failed")
 	}
-	testNet.RestoreCable(id) // restoring an intact cable is a no-op
+	testNet.SetCablesCut(one, false) // restoring an intact cable is a no-op
 }
 
 func TestLANProbeRequiresFabricPresence(t *testing.T) {

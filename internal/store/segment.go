@@ -22,9 +22,6 @@ import (
 // stop at the first bad frame and serve the valid prefix rather than
 // failing.
 
-// MaxFrameBytes bounds a single frame payload.
-const MaxFrameBytes = framelog.MaxPayload
-
 // SegmentMeta is the per-segment sparse index: the seq and tick ranges
 // the segment spans plus the distinct experiments, countries, and ASNs
 // it contains. Queries prune whole segments on it before reading any

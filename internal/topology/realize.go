@@ -3,8 +3,6 @@ package topology
 import (
 	"container/heap"
 	"sort"
-
-	"github.com/afrinet/observatory/internal/geo"
 )
 
 // Physical realization maps AS-level links onto the country-level conduit
@@ -342,14 +340,6 @@ func calibrateCapacities(t *Topology) {
 	}
 }
 
-// RealizePath computes the physical path between two countries under a
-// conduit filter (nil means all conduits usable). It reports ok=false if
-// the countries are physically disconnected under the filter.
-func (t *Topology) RealizePath(from, to string, up ConduitFilter) ([]Segment, bool) {
-	r := NewRealizer(t, up)
-	return r.PathFor(from, to, 0)
-}
-
 // ConduitByID returns the conduit with the given id.
 func (t *Topology) ConduitByID(id ConduitID) *Conduit {
 	i := int(id) - 1
@@ -357,37 +347,4 @@ func (t *Topology) ConduitByID(id ConduitID) *Conduit {
 		return nil
 	}
 	return &t.Conduits[i]
-}
-
-// PathKM sums the physical length of a link's realization, adding the
-// in-country distance between the two AS hubs when the link is domestic.
-func (t *Topology) PathKM(l *Link) float64 {
-	if len(l.Path) == 0 {
-		a, b := t.Country(l.A), t.Country(l.B)
-		if a == nil || b == nil || a.ISO2 == b.ISO2 {
-			// Domestic: metro-to-metro distance inside one country is
-			// modeled as a small constant haul.
-			return 150
-		}
-		return geo.DistanceKm(a.Hub, b.Hub) * 1.4
-	}
-	var km float64
-	for _, s := range l.Path {
-		km += s.KM
-	}
-	return km
-}
-
-// CablesOn returns the distinct cables carrying a link's default path.
-func (t *Topology) CablesOn(l *Link) []CableID {
-	seen := map[CableID]bool{}
-	var out []CableID
-	for _, s := range l.Path {
-		c := t.ConduitByID(s.Conduit)
-		if c != nil && c.IsSubsea() && !seen[c.Cable] {
-			seen[c.Cable] = true
-			out = append(out, c.Cable)
-		}
-	}
-	return out
 }

@@ -298,26 +298,43 @@ func TestYearFilterMonotonic(t *testing.T) {
 func TestRealizePathFilter(t *testing.T) {
 	// With everything up, NG reaches DE; with all subsea conduits down,
 	// it cannot (Africa-Europe has no terrestrial path).
-	if _, ok := testTopo.RealizePath("NG", "DE", nil); !ok {
+	if _, ok := NewRealizer(testTopo, nil).PathFor("NG", "DE", 0); !ok {
 		t.Fatal("NG-DE should be reachable")
 	}
 	noSubsea := func(id ConduitID) bool {
 		return !testTopo.ConduitByID(id).IsSubsea()
 	}
-	if _, ok := testTopo.RealizePath("NG", "DE", noSubsea); ok {
+	if _, ok := NewRealizer(testTopo, noSubsea).PathFor("NG", "DE", 0); ok {
 		t.Fatal("NG-DE should need subsea conduits")
 	}
 	// Domestic trivially works.
-	if segs, ok := testTopo.RealizePath("NG", "NG", nil); !ok || len(segs) != 0 {
+	if segs, ok := NewRealizer(testTopo, nil).PathFor("NG", "NG", 0); !ok || len(segs) != 0 {
 		t.Fatal("domestic realization should be empty and ok")
 	}
 }
 
+// TestPathKMPositive checks every realized link path has a positive
+// physical length: each segment is a conduit hop of positive km.
 func TestPathKMPositive(t *testing.T) {
+	realized := 0
 	for i := range testTopo.Links {
-		if km := testTopo.PathKM(&testTopo.Links[i]); km <= 0 {
-			t.Fatalf("link %d has non-positive path length %v", i, km)
+		l := &testTopo.Links[i]
+		var km float64
+		for _, s := range l.Path {
+			if s.KM <= 0 {
+				t.Fatalf("link %d has a segment of non-positive length %v", i, s.KM)
+			}
+			km += s.KM
 		}
+		if len(l.Path) > 0 {
+			realized++
+			if km <= 0 {
+				t.Fatalf("link %d has non-positive path length %v", i, km)
+			}
+		}
+	}
+	if realized == 0 {
+		t.Fatal("no link has a realized path")
 	}
 }
 

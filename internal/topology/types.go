@@ -227,8 +227,6 @@ type Topology struct {
 	cableList []CableID            // sorted
 	neighbors map[ASN][]LinkID     // links touching each AS
 	byCountry map[string][]ASN     // ASes registered per country
-	ixpByCtry map[string][]IXPID   // IXPs per country
-	memberOf  map[ASN][]IXPID      // IXP memberships per AS
 	conduitBy map[string][]int     // conduit indexes per country
 	corridors map[string][]CableID // cables per corridor
 }
@@ -247,12 +245,6 @@ func (t *Topology) LinksOf(a ASN) []LinkID { return t.neighbors[a] }
 
 // ASesIn returns the ASNs registered in the country, sorted.
 func (t *Topology) ASesIn(iso2 string) []ASN { return t.byCountry[iso2] }
-
-// IXPsIn returns the IXPs located in the country, sorted.
-func (t *Topology) IXPsIn(iso2 string) []IXPID { return t.ixpByCtry[iso2] }
-
-// MemberOf returns the IXPs the AS is a member of, sorted.
-func (t *Topology) MemberOf(a ASN) []IXPID { return t.memberOf[a] }
 
 // Corridors returns cable ids grouped by corridor label.
 func (t *Topology) Corridors() map[string][]CableID {
@@ -341,16 +333,6 @@ func (t *Topology) buildIndexes() {
 		t.byCountry[as.Country] = append(t.byCountry[as.Country], a)
 	}
 
-	t.ixpByCtry = make(map[string][]IXPID)
-	t.memberOf = make(map[ASN][]IXPID)
-	for _, id := range t.ixpList {
-		x := t.IXPs[id]
-		t.ixpByCtry[x.Country] = append(t.ixpByCtry[x.Country], id)
-		for _, m := range x.Members {
-			t.memberOf[m] = append(t.memberOf[m], id)
-		}
-	}
-
 	t.conduitBy = make(map[string][]int)
 	for i := range t.Conduits {
 		c := &t.Conduits[i]
@@ -369,11 +351,3 @@ func (t *Topology) buildIndexes() {
 
 // Link returns the link with the given id.
 func (t *Topology) Link(id LinkID) *Link { return &t.Links[id] }
-
-// Other returns the far end of a link from the given AS.
-func (l *Link) Other(a ASN) ASN {
-	if l.A == a {
-		return l.B
-	}
-	return l.A
-}

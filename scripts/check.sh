@@ -2,8 +2,8 @@
 # check.sh — the repo's tier-1 verification gate:
 #   gofmt -l (no unformatted files), go vet, build, the determinism,
 #   envelope, durable-file, probe-protocol, legacy-reader and
-#   metrics-registry lints, and the full test suite under the race
-#   detector (uncached).
+#   metrics-registry lints, the full test suite under the race
+#   detector (uncached), and the repro reference-output pin without it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -149,6 +149,11 @@ echo "== go test -race =="
 # secretly depend on a sibling's side effects fail here instead of in a
 # future refactor. The shuffle seed is printed on failure for replay.
 go test -race -count=1 -shuffle=on ./...
+
+echo "== repro pin =="
+# cmd/repro's reference-output test is built only without -race (a full
+# run is several times slower under it), so the race step above skips it.
+go test -count=1 ./cmd/repro
 
 echo "== chaos smoke =="
 # The test suite above already ran the chaos drills at their default
