@@ -15,9 +15,11 @@ fmt:
 	gofmt -w .
 
 # Non-test Go lines per package and in total, outside bench/: the number
-# every PR reports (going down is a feature).
+# every PR reports (going down is a feature). `make loc REV=...` prints
+# that revision's table beside this tree's, with the delta per package;
+# only a REV given on the command line counts (pairs' default does not).
 loc:
-	./scripts/loc.sh
+	./scripts/loc.sh$(if $(filter command line,$(origin REV)), $(REV))
 
 # Run the repo's one benchmark (bench/, declared in BENCHMARK.json): one
 # set of every workload, each in a fresh subprocess. bench/README.md has

@@ -40,17 +40,21 @@ type Verdict struct {
 type Census struct {
 	net  *netsim.Net
 	topo *topology.Topology
-
-	// LocalRTTms is the RTT under which a vantage is considered to sit
-	// next to an instance (used for instance clustering).
-	LocalRTTms float64
-	// SlackMs absorbs processing/jitter before declaring a violation.
-	SlackMs float64
 }
 
-// New builds a census with MAnycast-like defaults.
+// MAnycast-like thresholds. Both are float64: an untyped integer would
+// make localRTTms / 2 integer division.
+const (
+	// localRTTms is the RTT under which a vantage is considered to sit
+	// next to an instance (used for instance clustering).
+	localRTTms float64 = 25
+	// slackMs absorbs processing/jitter before declaring a violation.
+	slackMs float64 = 8
+)
+
+// New builds a census over a data plane.
 func New(n *netsim.Net) *Census {
-	return &Census{net: n, topo: n.Topology(), LocalRTTms: 25, SlackMs: 8}
+	return &Census{net: n, topo: n.Topology()}
 }
 
 // Measure probes the target from every vantage and classifies it.
@@ -82,7 +86,7 @@ func (c *Census) Measure(vantages []topology.ASN, target netx.Addr) Verdict {
 			}
 			need := geo.PropagationDelayMs(geo.DistanceKm(ca.Hub, cb.Hub))
 			have := v.Probes[i].RTTms/2 + v.Probes[j].RTTms/2
-			if have+c.SlackMs < need {
+			if have+slackMs < need {
 				v.Violations++
 			}
 		}
@@ -102,7 +106,7 @@ func (c *Census) Measure(vantages []topology.ASN, target netx.Addr) Verdict {
 func (c *Census) clusterInstances(probes []Probe) int {
 	var local []geo.Coord
 	for _, p := range probes {
-		if p.RTTms > c.LocalRTTms {
+		if p.RTTms > localRTTms {
 			continue
 		}
 		if ctry, ok := geo.Lookup(p.Country); ok {
@@ -112,8 +116,8 @@ func (c *Census) clusterInstances(probes []Probe) int {
 	if len(local) == 0 {
 		return 1 // anycast but no vantage near any instance
 	}
-	// A site serving a vantage within LocalRTTms sits within this radius.
-	radiusKM := c.LocalRTTms / 2 * 200
+	// A site serving a vantage within localRTTms sits within this radius.
+	radiusKM := localRTTms / 2 * 200
 	var centers []geo.Coord
 	for _, p := range local {
 		placed := false

@@ -75,19 +75,11 @@ type Client struct {
 	Base string // e.g. "http://127.0.0.1:8600"
 	HTTP *http.Client
 
-	// MaxAttempts caps tries per idempotent call (default 4).
+	// MaxAttempts caps tries per call (default 4).
 	MaxAttempts int
-	// BackoffBase is the delay before the first retry (default 50ms);
-	// it doubles per attempt up to BackoffCap (default 2s), then a
-	// seeded jitter in [1/2, 1) of the step is applied.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Sleep is the wait hook (nil means time.Sleep); tests replace it
 	// to retry without wall-clock delays.
 	Sleep func(time.Duration)
-	// RequestID, when set, overrides how Submit mints its idempotency
-	// keys (tests pin it for reproducible dedup).
-	RequestID func() string
 	// Obs, when set, records one latency histogram series per API call
 	// (obs_client_seconds, call=<name>) and holds the resilience counters
 	// (obs_probe_resilience_total); nil keeps the counters in a private
@@ -101,10 +93,6 @@ type Client struct {
 	// opens and calls fail fast with ErrCircuitOpen instead of burning
 	// the cellular budget on a dead link. 0 disables the breaker.
 	BreakerThreshold int
-	// BreakerProbeEvery lets every Nth call through a tripped breaker
-	// as a half-open probe (default 4); a probe that gets any response
-	// closes the breaker.
-	BreakerProbeEvery int
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -121,6 +109,16 @@ type Client struct {
 // probe's poll loop) rather than retry immediately.
 var ErrCircuitOpen = fmt.Errorf("core: circuit breaker open (uplink considered down)")
 
+const (
+	// The delay before the first retry doubles per attempt up to
+	// backoffCap, then a seeded jitter in [1/2, 1) of the step applies.
+	backoffBase = 50 * time.Millisecond
+	backoffCap  = 2 * time.Second
+	// breakerProbeEvery lets every Nth call through a tripped breaker as
+	// a half-open probe; a probe that gets any response closes it.
+	breakerProbeEvery = 4
+)
+
 // NewClient builds a client for the given controller base URL with the
 // default timeout and retry policy (jitter seed 1).
 func NewClient(base string) *Client { return NewClientSeeded(base, 1) }
@@ -132,22 +130,17 @@ func NewClientSeeded(base string, seed int64) *Client {
 		Base:        base,
 		HTTP:        &http.Client{Timeout: DefaultHTTPTimeout},
 		MaxAttempts: 4,
-		BackoffBase: 50 * time.Millisecond,
-		BackoffCap:  2 * time.Second,
 		rng:         rand.New(rand.NewSource(seed)),
 	}
 }
 
 // backoff returns the jittered delay before retry number attempt (0-based).
 func (c *Client) backoff(attempt int) time.Duration {
-	d := c.BackoffBase
-	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
+	d := backoffBase
 	for i := 0; i < attempt; i++ {
 		d *= 2
-		if c.BackoffCap > 0 && d > c.BackoffCap {
-			d = c.BackoffCap
+		if d > backoffCap {
+			d = backoffCap
 			break
 		}
 	}
@@ -190,7 +183,7 @@ func (c *Client) ResilienceCounters() map[string]int64 {
 }
 
 // breakerAdmit decides whether a call may proceed. With the breaker
-// open, only every BreakerProbeEvery-th arrival passes as a half-open
+// open, only every breakerProbeEvery-th arrival passes as a half-open
 // probe; the rest fail fast.
 func (c *Client) breakerAdmit() bool {
 	c.mu.Lock()
@@ -199,11 +192,7 @@ func (c *Client) breakerAdmit() bool {
 		return true
 	}
 	c.brkCalls++
-	every := c.BreakerProbeEvery
-	if every <= 0 {
-		every = 4
-	}
-	return c.brkCalls%every == 0
+	return c.brkCalls%breakerProbeEvery == 0
 }
 
 // breakerFail records a transport failure; enough in a row trip the
@@ -257,12 +246,12 @@ func retryAfter(h http.Header) (time.Duration, bool) {
 	return time.Duration(secs) * time.Second, true
 }
 
-// do issues one request per attempt, retrying transient failures when
-// retryable is set. body is re-sent verbatim on each attempt. Every call
-// carries one X-Request-ID, stable across its retries, so a client log
-// line joins against the controller's traces and slow-request log; name
-// tags the per-call latency series when Obs is set.
-func (c *Client) do(name, method, path string, body []byte, out interface{}, retryable bool) error {
+// do issues one request per attempt, retrying transient failures. body
+// is re-sent verbatim on each attempt. Every call carries one
+// X-Request-ID, stable across its retries, so a client log line joins
+// against the controller's traces and slow-request log; name tags the
+// per-call latency series when Obs is set.
+func (c *Client) do(name, method, path string, body []byte, out interface{}) error {
 	if c.Obs != nil {
 		t := obs.StartTimer()
 		defer func() { c.Obs.Hist("obs_client_seconds", "call", name).Observe(t.Elapsed()) }()
@@ -273,7 +262,7 @@ func (c *Client) do(name, method, path string, body []byte, out interface{}, ret
 	}
 	reqID := mintRequestID()
 	attempts := c.MaxAttempts
-	if attempts <= 0 || !retryable {
+	if attempts <= 0 {
 		attempts = 1
 	}
 	var lastErr error
@@ -329,16 +318,16 @@ func (c *Client) do(name, method, path string, body []byte, out interface{}, ret
 	return fmt.Errorf("core: %s %s failed after %d attempts: %w", method, path, attempts, lastErr)
 }
 
-func (c *Client) post(name, path string, body, out interface{}, retryable bool) error {
+func (c *Client) post(name, path string, body, out interface{}) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	return c.do(name, http.MethodPost, path, buf, out, retryable)
+	return c.do(name, http.MethodPost, path, buf, out)
 }
 
 func (c *Client) get(name, path string, out interface{}) error {
-	return c.do(name, http.MethodGet, path, nil, out, true)
+	return c.do(name, http.MethodGet, path, nil, out)
 }
 
 func decodeResponse(resp *http.Response, out interface{}) error {
@@ -377,7 +366,7 @@ func (c *Client) getPage(name, path string, items interface{}) (string, error) {
 
 // Register announces a probe to the controller (idempotent: retried).
 func (c *Client) Register(p ProbeInfo) error {
-	return c.post("probe_register", "/api/v1/probes/register", p, nil, true)
+	return c.post("probe_register", "/api/v1/probes/register", p, nil)
 }
 
 // Sync performs one batched probe round-trip: heartbeat + spooled
@@ -394,7 +383,7 @@ func (c *Client) Sync(req SyncRequest, wait time.Duration) (SyncResponse, error)
 		path += "?wait=" + url.QueryEscape(wait.String())
 	}
 	var out SyncResponse
-	err := c.post("probe_sync", path, req, &out, true)
+	err := c.post("probe_sync", path, req, &out)
 	return out, err
 }
 
@@ -413,7 +402,7 @@ func (c *Client) Submit(owner, description string, as []probes.Assignment) (*Exp
 // instead of a duplicate workload.
 func (c *Client) SubmitRequest(req SubmitRequest) (*Experiment, error) {
 	var out Experiment
-	if err := c.post("experiment_submit", "/api/v1/experiments", req, &out, true); err != nil {
+	if err := c.post("experiment_submit", "/api/v1/experiments", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -422,11 +411,8 @@ func (c *Client) SubmitRequest(req SubmitRequest) (*Experiment, error) {
 // newRequestID mints a submission idempotency key: unique per call, and
 // stable across the retries of that call. IDs are drawn from crypto/rand
 // (they are opaque dedup keys — uniqueness matters, reproducibility does
-// not); tests pin Client.RequestID for deterministic dedup scenarios.
+// not).
 func (c *Client) newRequestID() string {
-	if c.RequestID != nil {
-		return c.RequestID()
-	}
 	var buf [12]byte
 	if _, err := crand.Read(buf[:]); err != nil {
 		// Fall back to the jitter RNG rather than failing a submission
@@ -456,7 +442,7 @@ func (c *Client) Experiment(expID string) (*Experiment, error) {
 
 // Approve approves a pending experiment (idempotent: retried).
 func (c *Client) Approve(expID string) error {
-	return c.post("experiment_approve", fmt.Sprintf("/api/v1/experiments/%s/approve", expID), struct{}{}, nil, true)
+	return c.post("experiment_approve", fmt.Sprintf("/api/v1/experiments/%s/approve", expID), struct{}{}, nil)
 }
 
 // Results fetches an experiment's collected results.

@@ -153,7 +153,6 @@ func TestClientBreakerTripsFastFailsAndRecovers(t *testing.T) {
 	})
 	cl.MaxAttempts = 1 // one attempt per call: calls map 1:1 to round trips
 	cl.BreakerThreshold = 3
-	cl.BreakerProbeEvery = 4
 
 	// Three consecutive transport failures trip the breaker.
 	for i := 0; i < 3; i++ {

@@ -54,7 +54,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/obs"
@@ -259,10 +258,6 @@ type Controller struct {
 	// to suspect / dead.
 	SuspectAfter int64
 	DeadAfter    int64
-	// SlowRequest is the request-duration threshold above which the
-	// HTTP router emits one structured slow-request log line; <= 0
-	// disables the logging. Set before Handler is called.
-	SlowRequest time.Duration
 }
 
 // NewController creates an empty control plane with the given trusted
@@ -547,9 +542,10 @@ func (c *Controller) submitExperimentIdemCtx(ctx context.Context, requestID, exp
 	return cloneExp(exp), nil
 }
 
-// taskID is the id minted for an experiment's i-th task,
-// fmt.Sprintf("%s-t%04d", expID, i), built in one sized allocation.
-func taskID(expID string, i int) string {
+// TaskID is the id minted for an experiment's i-th task,
+// fmt.Sprintf("%s-t%04d", expID, i), built in one sized allocation. A
+// federation coordinator mints its tasks' ids with it too.
+func TaskID(expID string, i int) string {
 	var num [20]byte
 	digits := strconv.AppendUint(num[:0], uint64(i), 10)
 	infix := "-t000"[:max(2, 6-len(digits))]
@@ -578,7 +574,7 @@ func (c *Controller) applySubmitLocked(op submitOp) *Experiment {
 	for i := range exp.Assignments {
 		exp.Assignments[i].Task.Experiment = exp.ID
 		if exp.Assignments[i].Task.ID == "" {
-			exp.Assignments[i].Task.ID = taskID(exp.ID, i)
+			exp.Assignments[i].Task.ID = TaskID(exp.ID, i)
 		}
 		ids[exp.Assignments[i].Task.ID] = true
 	}

@@ -92,9 +92,9 @@ type Backend interface {
 	Experiment(expID string) (*Experiment, error)
 	ExperimentResults(expID string, limit int, cursor string) ([]probes.Result, string, QueryMeta, error)
 	ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error)
-	Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error)
-	// Fold is Aggregate before the report: the mergeable partial a
-	// coordinator asks each shard for (store.Folder).
+	// Fold is an aggregation before its report: the mergeable partial a
+	// coordinator asks each shard for (store.Folder), and what the query
+	// handler reports for op=aggregate.
 	Fold(q store.AggQuery) (*store.Folder, QueryMeta, error)
 	// Tick advances the tier's logical clock by n (lease expiry, probe
 	// liveness, admission refill): a controller ticks itself, a
@@ -321,11 +321,6 @@ func (b controllerBackend) ExperimentResults(expID string, limit int, cursor str
 func (b controllerBackend) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error) {
 	items, next, err := b.c.ScanItems(f, limit, cursor)
 	return items, next, QueryMeta{}, err
-}
-
-func (b controllerBackend) Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error) {
-	rep, err := b.c.AggregateResults(q)
-	return rep, QueryMeta{}, err
 }
 
 func (b controllerBackend) Fold(q store.AggQuery) (*store.Folder, QueryMeta, error) {

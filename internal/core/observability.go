@@ -41,7 +41,6 @@ func (c *Controller) initObs() {
 	c.durGauge = c.reg.Gauges("obs_durability_gauge")
 	c.adm = NewAdmissionGate(AdmissionConfig{}, c.reg)
 	c.ring = obs.NewTraceRing(DefaultTraceRing)
-	c.SlowRequest = DefaultSlowRequest
 	c.mutHist = make(map[string]*obs.Histogram)
 	for _, kind := range []string{
 		opRegister, opSubmitCols, opApprove, opReject, opSync, opTick, opRequeue,

@@ -28,10 +28,10 @@ func (a api) handleQuery(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	agg := store.AggQuery{Filter: f, GroupBy: q.Get("group_by")}
 	switch op := q.Get("op"); op {
 	case "", "aggregate":
-		if rep, meta, err := a.b.Aggregate(agg); err != nil {
+		if fold, meta, err := a.b.Fold(agg); err != nil {
 			a.writeErr(w, err)
 		} else {
-			WriteAggReport(w, rep, meta)
+			WriteAggReport(w, fold.Report(), meta)
 		}
 	case "fold":
 		if fold, meta, err := a.b.Fold(agg); err != nil {

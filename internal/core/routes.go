@@ -227,12 +227,11 @@ type Router struct {
 	gate   *AdmissionGate
 	reg    *obs.Registry
 	ring   *obs.TraceRing
-	slow   time.Duration
 }
 
-// DefaultSlowRequest is the threshold above which a request emits one
+// slowRequest is the threshold above which a request emits one
 // structured slow-request log line.
-const DefaultSlowRequest = 500 * time.Millisecond
+const slowRequest = 500 * time.Millisecond
 
 // DefaultTraceRing is how many finished request traces a tier retains
 // for /api/v1/debug/traces.
@@ -241,10 +240,9 @@ const DefaultTraceRing = 256
 // NewRouter serves the table plus the router-owned routes. Requests are
 // admitted through gate, per-route latency lands in reg's
 // obs_http_request_seconds histogram, every request leaves a span tree
-// in ring, and one taking slow or longer is logged (slow <= 0 disables
-// the log).
-func NewRouter(table []Route, gate *AdmissionGate, reg *obs.Registry, ring *obs.TraceRing, slow time.Duration) *Router {
-	rt := &Router{gate: gate, reg: reg, ring: ring, slow: slow}
+// in ring, and one taking slowRequest or longer is logged.
+func NewRouter(table []Route, gate *AdmissionGate, reg *obs.Registry, ring *obs.TraceRing) *Router {
+	rt := &Router{gate: gate, reg: reg, ring: ring}
 	add := func(def Route) {
 		rt.routes = append(rt.routes, &compiledRoute{
 			Route: def,
@@ -270,7 +268,7 @@ func NewRouter(table []Route, gate *AdmissionGate, reg *obs.Registry, ring *obs.
 // (GET /api/v1/debug/traces).
 func (c *Controller) Handler() http.Handler {
 	table := append(SharedRoutes(c.Backend(), writeControllerErr), Route{probesListRoute, c.handleProbes})
-	return NewRouter(table, c.adm, c.reg, c.ring, c.SlowRequest)
+	return NewRouter(table, c.adm, c.reg, c.ring)
 }
 
 // match finds the route for (method, path). When only the method
@@ -355,7 +353,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	view, dur := tr.Finish(rec.status)
 	cr.hist.Observe(dur)
 	rt.ring.Add(view)
-	if rt.slow > 0 && dur >= rt.slow {
+	if dur >= slowRequest {
 		log.Printf("obs: slow request route=%s method=%s status=%d dur=%s request_id=%s",
 			cr.Name, r.Method, rec.status, dur.Round(time.Microsecond), reqID)
 	}

@@ -226,8 +226,8 @@ func TestReflectDecodedSyncReplaysTheSame(t *testing.T) {
 // TestTaskIDIsSprintf: the minted task id is fmt.Sprintf("%s-t%04d").
 func TestTaskIDIsSprintf(t *testing.T) {
 	for _, i := range []int{0, 9, 10, 999, 1000, 9999, 10000, 123456} {
-		if got, want := taskID("exp-0001", i), fmt.Sprintf("%s-t%04d", "exp-0001", i); got != want {
-			t.Errorf("taskID(%d) = %q, want %q", i, got, want)
+		if got, want := TaskID("exp-0001", i), fmt.Sprintf("%s-t%04d", "exp-0001", i); got != want {
+			t.Errorf("TaskID(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

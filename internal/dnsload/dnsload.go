@@ -50,12 +50,9 @@ type Config struct {
 	// Workers bounds the worker pool (0: the par default).
 	Workers int
 	// TimeoutMs is the per-attempt timeout (default 300); Retries is
-	// the number of re-sends after the first attempt (default 2);
-	// BackoffMs is the base retry backoff, doubled per attempt and
-	// jittered (default 50).
+	// the number of re-sends after the first attempt (0: none).
 	TimeoutMs float64
 	Retries   int
-	BackoffMs float64
 	// ECS attaches client-subnet information to every query.
 	ECS bool
 	// CompareECS additionally resolves every query with ECS flipped and
@@ -67,6 +64,9 @@ type Config struct {
 	Targets []Target
 }
 
+// backoffMs is the base retry backoff, doubled per attempt and jittered.
+const backoffMs = 50.0
+
 func (c Config) withDefaults() Config {
 	if c.QPS <= 0 {
 		c.QPS = 2000
@@ -76,12 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TimeoutMs <= 0 {
 		c.TimeoutMs = 300
-	}
-	if c.Retries < 0 {
-		c.Retries = 2
-	}
-	if c.BackoffMs <= 0 {
-		c.BackoffMs = 50
 	}
 	return c
 }
@@ -279,7 +273,8 @@ func runOne(sys *dnssim.System, cfg Config, bucket Bucket, hist *obs.Histogram, 
 
 	// Retry-on-timeout in logical time: each attempt sees the chain
 	// latency under independent seeded jitter; an attempt past the
-	// timeout burns TimeoutMs plus a doubling jittered backoff.
+	// timeout burns TimeoutMs plus a doubling jittered backoff from
+	// backoffMs.
 	elapsed := 0.0
 	attempts := 0
 	success := false
@@ -294,7 +289,7 @@ func runOne(sys *dnssim.System, cfg Config, bucket Bucket, hist *obs.Histogram, 
 		}
 		elapsed += cfg.TimeoutMs
 		if try < cfg.Retries {
-			backoff := cfg.BackoffMs * float64(uint64(1)<<uint(try)) * (0.75 + 0.5*u01(cfg.Seed, uint64(i), uint64(try), 0x626f))
+			backoff := backoffMs * float64(uint64(1)<<uint(try)) * (0.75 + 0.5*u01(cfg.Seed, uint64(i), uint64(try), 0x626f))
 			elapsed += backoff
 		}
 	}

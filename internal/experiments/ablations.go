@@ -157,7 +157,7 @@ func AblationBudget(env *Env) BudgetAblation {
 	res.BudgetAwareDone, res.BudgetAwareSpend, _ = run(agents, aware)
 
 	agents = mkAgents() // fresh budgets
-	rr := probes.ScheduleRoundRobin(agents, tasks, nil)
+	rr := probes.ScheduleRoundRobin(agents, tasks)
 	var rrFail int
 	res.RoundRobinDone, res.RoundRobinSpend, rrFail = run(agents, rr)
 	res.RoundRobinFailures = rrFail

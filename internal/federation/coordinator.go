@@ -27,8 +27,6 @@ type FailoverFunc func(id string, epoch int) (Shard, error)
 // Config tunes the coordinator. The zero value gets the documented
 // defaults.
 type Config struct {
-	// Vnodes per shard on the consistent-hash ring (DefaultVnodes).
-	Vnodes int
 	// SuspectAfter / DeadAfter are how many silent coordinator ticks
 	// move a shard to suspect / dead — the probe-liveness state machine
 	// reapplied one level up (defaults 3 / 6).
@@ -41,9 +39,6 @@ type Config struct {
 	// the first hasn't answered yet — tail-latency insurance for
 	// idempotent calls (default 250ms; <= 0 disables hedging).
 	HedgeAfter time.Duration
-	// RetryAfterSeconds is the delay suggested on shard_unavailable
-	// responses (default 2).
-	RetryAfterSeconds int
 	// AutoFailover lets Tick fail a dead shard over through the
 	// Failover hook as soon as it is declared dead.
 	AutoFailover bool
@@ -52,9 +47,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3
 	}
@@ -63,9 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryDeadline <= 0 {
 		c.QueryDeadline = 2 * time.Second
-	}
-	if c.RetryAfterSeconds <= 0 {
-		c.RetryAfterSeconds = 2
 	}
 	return c
 }
@@ -178,7 +167,7 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:       cfg,
 		shards:    make(map[string]*shardState),
-		ring:      newRing(nil, cfg.Vnodes),
+		ring:      newRing(nil),
 		submitIDs: make(map[string]string),
 		fedExps:   make(map[string]*fedExperiment),
 		reg:       obs.NewRegistry(),
@@ -255,7 +244,7 @@ func (c *Coordinator) applyShardAddLocked(op shardAddOp) {
 	}
 	c.order = append(c.order, op.ID)
 	sort.Strings(c.order)
-	c.ring = newRing(c.order, c.cfg.Vnodes)
+	c.ring = newRing(c.order)
 }
 
 func (c *Coordinator) applyShardFailoverLocked(op shardFailoverOp, replacement Shard) {
@@ -602,7 +591,7 @@ func (c *Coordinator) Submit(_ context.Context, req core.SubmitRequest) (*core.E
 	filled := append([]probes.Assignment(nil), req.Assignments...)
 	for i := range filled {
 		if filled[i].Task.ID == "" {
-			filled[i].Task.ID = fmt.Sprintf("%s-t%04d", fedID, i)
+			filled[i].Task.ID = core.TaskID(fedID, i)
 		}
 	}
 	// Partition by assignment index: routing is pure ring math over the

@@ -145,8 +145,8 @@ func pumpResults(t *testing.T, c *Coordinator, ps []core.ProbeInfo, perProbe int
 
 func TestRingDeterministicAndCovering(t *testing.T) {
 	ids := []string{"a", "b", "c"}
-	r1 := newRing(ids, 0)
-	r2 := newRing(ids, 0)
+	r1 := newRing(ids)
+	r2 := newRing(ids)
 	hits := map[string]int{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("probe-%03d", i)

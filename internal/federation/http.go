@@ -36,8 +36,12 @@ func APIRoutes() []core.RouteInfo {
 // admission runs through the coordinator's own gate (refilled by Tick).
 func (c *Coordinator) Handler() http.Handler {
 	table := append(core.SharedRoutes(c, c.writeShardErr), core.Route{RouteInfo: shardsRoute, Handle: c.handleShards})
-	return core.NewRouter(table, c.gate, c.reg, c.traces, core.DefaultSlowRequest)
+	return core.NewRouter(table, c.gate, c.reg, c.traces)
 }
+
+// shardRetryAfter is the Retry-After, in seconds, suggested on
+// shard_unavailable responses.
+const shardRetryAfter = 2
 
 // writeShardErr maps routing-layer failures onto the v1 envelope: an
 // unknown experiment or probe is 404, a down or deadline-blown shard is
@@ -52,7 +56,7 @@ func (c *Coordinator) writeShardErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, core.ErrUnknownExperiment), errors.Is(err, core.ErrUnknownProbe):
 		core.WriteAPIError(w, http.StatusNotFound, core.ErrCodeNotFound, err)
 	case errors.Is(err, ErrShardDown), errors.Is(err, ErrShardTimeout), errors.Is(err, ErrNoShards):
-		w.Header().Set("Retry-After", strconv.Itoa(c.cfg.RetryAfterSeconds))
+		w.Header().Set("Retry-After", strconv.Itoa(shardRetryAfter))
 		core.WriteAPIError(w, http.StatusServiceUnavailable, core.ErrCodeShardUnavailable, err)
 	case errors.As(err, &apiErr):
 		if apiErr.RetryAfter > 0 {

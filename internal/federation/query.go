@@ -292,35 +292,22 @@ func (c *Coordinator) ExperimentResults(fedID string, limit int, cursor string) 
 	return rs, next, meta, nil
 }
 
-// Aggregate is the federated aggregation: every shard folds its own
-// records where they live (core.Backend.Fold) and the coordinator merges the
-// partial folds and reports once. What a store.Folder keeps — counts,
-// verdict counts, raw RTT samples — composes exactly; the percentiles do
-// not, so they are computed here, last, over the merged samples: field
-// for field what a single store holding every record would report (see
-// store.Folder). No record crosses a shard boundary, and nothing is
-// deduplicated here: an (experiment, task) key lives on exactly one shard
-// (DESIGN.md "Scatter-gather queries"), so each shard's own first-wins
-// dedup is already global. Unresponsive shards degrade the report (their
-// records are absent); all shards failing is an error.
-func (c *Coordinator) Aggregate(q store.AggQuery) (rep store.AggReport, meta QueryMeta, err error) {
-	meta, err = c.fold(q, func(f *store.Folder) { rep = f.Report() })
-	return rep, meta, err
-}
-
-// Fold is Aggregate before the report: the shards' partial folds merged
-// into one, which is what a coordinator answers op=fold with.
-func (c *Coordinator) Fold(q store.AggQuery) (merged *store.Folder, meta QueryMeta, err error) {
-	meta, err = c.fold(q, func(f *store.Folder) { merged = f })
-	return merged, meta, err
-}
-
-// fold scatters q to every shard, merges the partial folds in shard-id
-// order and hands the result to finish, inside the merge phase's timing.
-func (c *Coordinator) fold(q store.AggQuery, finish func(*store.Folder)) (QueryMeta, error) {
+// Fold is the federated aggregation: every shard folds its own records
+// where they live (core.Backend.Fold) and the coordinator merges the
+// partial folds, in shard-id order, into one; the query handler reports
+// it once. What a store.Folder keeps — counts, verdict counts, raw RTT
+// samples — composes exactly; the percentiles do not, so the report
+// computes them last, over the merged samples: field for field what a
+// single store holding every record would report (see store.Folder). No
+// record crosses a shard boundary, and nothing is deduplicated here: an
+// (experiment, task) key lives on exactly one shard (DESIGN.md
+// "Scatter-gather queries"), so each shard's own first-wins dedup is
+// already global. Unresponsive shards degrade the fold (their records
+// are absent); all shards failing is an error.
+func (c *Coordinator) Fold(q store.AggQuery) (*store.Folder, QueryMeta, error) {
 	merged, err := store.NewFolder(q.GroupBy)
 	if err != nil {
-		return QueryMeta{}, err
+		return nil, QueryMeta{}, err
 	}
 	parts := scatter(c, c.aggPhases.scatter, nil, true, func(b core.Backend, _ string) (*store.Folder, error) {
 		fold, _, err := b.Fold(q)
@@ -328,7 +315,7 @@ func (c *Coordinator) fold(q store.AggQuery, finish func(*store.Folder)) (QueryM
 	})
 	meta, err := gather(c, parts)
 	if err != nil {
-		return meta, err
+		return nil, meta, err
 	}
 	t := obs.StartTimer()
 	defer func() { c.aggPhases.merge.Observe(t.Elapsed()) }()
@@ -342,11 +329,10 @@ func (c *Coordinator) fold(q store.AggQuery, finish func(*store.Folder)) (QueryM
 			samples += int64(len(p.v.Groups[i].RTTs))
 		}
 		if err := merged.Merge(p.v); err != nil {
-			return meta, fmt.Errorf("federation: shard %s: %w", p.id, err)
+			return nil, meta, fmt.Errorf("federation: shard %s: %w", p.id, err)
 		}
 	}
 	c.ctr.Add("fed_fold_groups_merged", groups)
 	c.ctr.Add("fed_fold_samples_merged", samples)
-	finish(merged)
-	return meta, nil
+	return merged, meta, nil
 }

@@ -17,10 +17,10 @@ import (
 	"sort"
 )
 
-// DefaultVnodes is how many virtual nodes each shard contributes to the
-// hash ring. More vnodes smooth the keyspace split at the cost of a
-// larger (still tiny) routing table.
-const DefaultVnodes = 64
+// vnodes is how many virtual nodes each shard contributes to the hash
+// ring. More vnodes smooth the keyspace split at the cost of a larger
+// (still tiny) routing table.
+const vnodes = 64
 
 // ringPoint is one virtual node: a position on the hash circle owned by
 // a shard.
@@ -44,11 +44,8 @@ type ring struct {
 }
 
 // newRing builds a ring over the given shard IDs with vnodes virtual
-// nodes each (<= 0 means DefaultVnodes).
-func newRing(shardIDs []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+// nodes each.
+func newRing(shardIDs []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(shardIDs)*vnodes)}
 	for _, id := range shardIDs {
 		for v := 0; v < vnodes; v++ {

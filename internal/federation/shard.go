@@ -176,11 +176,6 @@ func (s *HTTPShard) ScanItems(f store.Filter, limit int, cursor string) ([]store
 	return items, next, QueryMeta{}, remoteErr(err)
 }
 
-func (s *HTTPShard) Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, error) {
-	rep, meta, err := s.cl.QueryAggregateMeta(q.Filter, q.GroupBy)
-	return rep, meta, remoteErr(err)
-}
-
 func (s *HTTPShard) Fold(q store.AggQuery) (*store.Folder, QueryMeta, error) {
 	fold, err := s.cl.QueryFold(q.Filter, q.GroupBy)
 	return fold, QueryMeta{}, remoteErr(err)

@@ -223,7 +223,7 @@ func (m *Model) Evaluate(ev Event) Impact {
 	case CauseCableCut:
 		before := m.baselineReachability()
 		m.net.SetCablesCut(ev.Cables, true)
-		after := m.reachability(nil)
+		after := m.reachability()
 		for ctry, b := range before {
 			a := after[ctry]
 			if b > 0 {
@@ -258,7 +258,7 @@ func (m *Model) baselineReachability() map[string]float64 {
 	if m.baseline != nil && m.baselineGen == gen && m.baselineEpoch == epoch {
 		return m.baseline
 	}
-	m.baseline = m.reachability(nil)
+	m.baseline = m.reachability()
 	m.baselineGen, m.baselineEpoch = gen, epoch
 	return m.baseline
 }
@@ -270,7 +270,7 @@ func (m *Model) baselineReachability() map[string]float64 {
 // and cloud networks plus the European transit hubs — what end users
 // actually talk to. Countries are scored concurrently (each writes its
 // own result slot, so the map is identical to a serial sweep).
-func (m *Model) reachability(only map[string]bool) map[string]float64 {
+func (m *Model) reachability() map[string]float64 {
 	targets := m.targets()
 	countries := geo.Countries()
 	type score struct {
@@ -280,9 +280,6 @@ func (m *Model) reachability(only map[string]bool) map[string]float64 {
 	}
 	scores := par.Map(0, len(countries), func(i int) score {
 		c := countries[i]
-		if only != nil && !only[c.ISO2] {
-			return score{}
-		}
 		eyeballs := m.eyeballs(c.ISO2, 3)
 		if len(eyeballs) == 0 {
 			return score{}

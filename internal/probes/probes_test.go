@@ -258,7 +258,7 @@ func TestScheduleRoundRobinDealsEvenly(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tasks = append(tasks, Task{ID: string(rune('a' + i)), Kind: TaskPing, Target: "80.0.0.1"})
 	}
-	out := ScheduleRoundRobin([]*Agent{a1, a2}, tasks, nil)
+	out := ScheduleRoundRobin([]*Agent{a1, a2}, tasks)
 	counts := map[string]int{}
 	for _, asg := range out {
 		counts[asg.ProbeID]++

@@ -98,21 +98,13 @@ func ScheduleBudgetAware(agents []*Agent, tasks []Task, hour int, eligible func(
 // ScheduleRoundRobin is the naive baseline for the budget ablation: it
 // deals tasks to agents in order, ignoring tariffs and budgets (tasks
 // later fail at execution time when prepaid data runs out).
-func ScheduleRoundRobin(agents []*Agent, tasks []Task, eligible func(Task, *Agent) bool) []Assignment {
+func ScheduleRoundRobin(agents []*Agent, tasks []Task) []Assignment {
 	var out []Assignment
 	if len(agents) == 0 {
 		return out
 	}
-	i := 0
-	for _, t := range tasks {
-		for tries := 0; tries < len(agents); tries++ {
-			a := agents[(i+tries)%len(agents)]
-			if eligible == nil || eligible(t, a) {
-				out = append(out, Assignment{ProbeID: a.ID(), Task: t})
-				i = (i + tries + 1) % len(agents)
-				break
-			}
-		}
+	for i, t := range tasks {
+		out = append(out, Assignment{ProbeID: agents[i%len(agents)].ID(), Task: t})
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"net/url"
 	"reflect"
 	"sync"
 	"testing"
@@ -110,6 +111,50 @@ func foldsJSON(t *testing.T, s *Store, filters []Filter) []byte {
 		}
 	}
 	return out
+}
+
+// TestIndexAnswersAreSound: a sealed run's index never lies. For every
+// filter parameter, a run whose meta covers the filter holds only records
+// that match it, and a run mayMatch rules out holds none. covers' list of
+// the filters the index does not carry decides whether a run's cached
+// fold is used whole, so a parameter it misses fails here.
+func TestIndexAnswersAreSound(t *testing.T) {
+	s := NewMemory(Options{FlushEvery: 32, TargetFrames: 128})
+	appendChunks(t, s, memoCorpus(384), 8)
+	samples := map[string]string{
+		"experiment": "exp-0001", "country": "KE", "asn": "36900",
+		"kind": string(probes.TaskWebsteps), "verdict": "dns_blocked",
+		"resolver_chain": "stub>authority", "ecs": "true", "from_tick": "5", "to_tick": "9",
+	}
+	for _, p := range FilterParams() {
+		v, ok := samples[p.Name]
+		if !ok {
+			t.Errorf("filter parameter %q has no sample value", p.Name)
+			continue
+		}
+		f, err := ParseFilter(url.Values{p.Name: {v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sg := range s.segs {
+			d, err := s.load(sg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matched := 0
+			for i := range d.recs {
+				if f.match(&d.recs[i]) {
+					matched++
+				}
+			}
+			if sg.meta.covers(f) && matched != len(d.recs) {
+				t.Errorf("%s=%s: covered run of %d records has %d that match", p.Name, v, len(d.recs), matched)
+			}
+			if !sg.meta.mayMatch(f) && matched != 0 {
+				t.Errorf("%s=%s: run ruled out by its index has %d matches", p.Name, v, matched)
+			}
+		}
+	}
 }
 
 // TestCachedFoldsAnswerAlike builds every store shape twice, with fold
