@@ -46,8 +46,10 @@ fleetsim-smoke:
 # truncations, and bit flips must never panic the journal recovery path,
 # the record decoder, the snapshot reader, the segment reader, or the
 # archival measurement decoder, a random aggregate report must be
-# written as encoding/json writes it, and a probe_sync record's cut must
-# read what json.Unmarshal reads or decline. The two targets that go
+# written as encoding/json writes it, and a probe_sync record's cut, and
+# the cuts of every other shape recovery reads (snapshot frames,
+# probe_register and experiment_submit_cols records), must read what
+# json.Unmarshal reads or decline. The two targets that go
 # through real files get -fuzzminimizetime 1x: file I/O makes coverage
 # flicker, every flicker reads as an interesting input, and the engine's
 # default is to spend up to a minute minimizing each — the whole 30s, a
@@ -58,6 +60,7 @@ fuzz:
 	go test ./internal/core -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 30s -fuzzminimizetime 1x
 	go test ./internal/core -run '^$$' -fuzz '^FuzzAggReportJSON$$' -fuzztime 30s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzSyncOpCut$$' -fuzztime 30s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzSnapshotFrameCut$$' -fuzztime 30s
 	go test ./internal/store -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime 30s -fuzzminimizetime 1x
 	go test ./internal/archival -run '^$$' -fuzz '^FuzzArchivalDecode$$' -fuzztime 30s
 

@@ -346,6 +346,99 @@ func BenchmarkRecoverSnapshot(b *testing.B) {
 	b.ReportMetric(float64(c.DurabilityCounters()["snapshot_bytes"]), "snapshot_bytes")
 }
 
+// BenchmarkDecodeSnapshotFrames runs the snapshot phase's frame decode
+// over BenchmarkRecoverSnapshot's snapshot one frame kind at a time, in
+// one goroutine, each frame into slots of its size: ns/frame,
+// allocs/frame and B/frame (the frame's size) per kind. A frame that goes
+// to json.Unmarshal fails it, except the head and the submit ids, which
+// json.Unmarshal always reads.
+func BenchmarkDecodeSnapshotFrames(b *testing.B) {
+	src := fleetDir(b)
+	c, err := Recover(src, fleetCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Close(); err != nil { // snapshots
+		b.Fatal(err)
+	}
+	l, err := journal.Open(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	var head snapHead
+	if err := json.Unmarshal(l.Snap.Head, &head); err != nil {
+		b.Fatal(err)
+	}
+	type frame struct {
+		p      []byte
+		decode func() (reflected bool, err error)
+	}
+	f, byKind := l.Snap.Frames, map[string][]frame{}
+	add := func(kind string, p []byte, decode func() (bool, error)) {
+		byKind[kind] = append(byKind[kind], frame{p, decode})
+	}
+	add("head", l.Snap.Head, func() (bool, error) {
+		var h snapHead
+		return false, json.Unmarshal(l.Snap.Head, &h)
+	})
+	for lo := 0; lo < head.Probes; lo += snapChunk {
+		p, slots := f[0], make([]persistProbe, min(snapChunk, head.Probes-lo))
+		add("probe_block", p, func() (bool, error) { return !cutProbeBlock(p, slots), nil })
+		f = f[1:]
+	}
+	for _, e := range head.Experiments {
+		for lo := 0; lo < e.Assignments; lo += snapChunk {
+			p, dst := f[0], make([]probes.Assignment, min(snapChunk, e.Assignments-lo))
+			add("chunk", p, func() (bool, error) {
+				_, reflected, err := readChunk(p, dst)
+				return reflected, err
+			})
+			f = f[1:]
+		}
+	}
+	add("queues", f[0], func() (bool, error) {
+		var queues map[string][]probes.Task
+		return cutOr(f[0], &queues, cutQueues)
+	})
+	add("leases", f[1], func() (bool, error) {
+		var leases map[string]persistLease
+		return cutOr(f[1], &leases, cutLeases)
+	})
+	add("submit_ids", f[2], func() (bool, error) {
+		var ids map[string]string
+		return false, json.Unmarshal(f[2], &ids)
+	})
+	add("unsealed", f[3], func() (bool, error) {
+		var refs []unsealedRef
+		return cutOr(f[3], &refs, cutUnsealed)
+	})
+	for _, kind := range []string{"head", "probe_block", "chunk", "queues", "leases", "submit_ids", "unsealed"} {
+		frames, size := byKind[kind], 0
+		for _, fr := range frames {
+			size += len(fr.p)
+		}
+		b.Run(kind, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, fr := range frames {
+					if reflected, err := fr.decode(); err != nil || reflected {
+						b.Fatalf("%s frame: json.Unmarshal read it (%t), error %v", kind, reflected, err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N * len(frames))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/frame")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/frame")
+			b.ReportMetric(float64(size)/float64(len(frames)), "B/frame")
+		})
+	}
+}
+
 // BenchmarkChunkCodec encodes and decodes one chunk of snapChunk pings in
 // one goroutine, in the column layout ("columns") and in the array of
 // structs it replaced ("structs"). The columns save by writing a task body
@@ -367,7 +460,10 @@ func BenchmarkChunkCodec(b *testing.B) {
 		}
 		for _, layout := range []string{"", snapLayout} {
 			encode := func() ([]byte, error) { return json.Marshal(colsOf(chunk, nil)) }
-			name, read := layout, readChunk
+			name, read := layout, func(p []byte, dst []probes.Assignment) ([][2]int, error) {
+				runs, _, err := readChunk(p, dst)
+				return runs, err
+			}
 			if layout == "" {
 				encode, name, read = func() ([]byte, error) { return json.Marshal(snapChunkFrame{Assignments: chunk}) }, "structs", readStructChunk
 			}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"math"
 	"path/filepath"
 	"sort"
 
@@ -84,69 +82,6 @@ type syncOp struct {
 	Max     int         `json:"max"`
 }
 
-// cutSyncOp reads a syncOp from the layout json.Marshal writes for one —
-// {"probe_id":"P","refs":[{"exp":"E","task":"T"},...],"seq":N,"max":M},
-// refs absent when empty, seq when 0 — the way journal's cutRecord reads
-// the envelope: strings printable ASCII without escapes, numbers without
-// a sign other than max's '-', leading zeros, -0 or overflow. Anything
-// else is !ok, for json.Unmarshal to read (journal.CutOpOf). Consecutive
-// refs of one experiment share its string.
-func cutSyncOp(data []byte) (op syncOp, ok bool) {
-	rest, ok := bytes.CutPrefix(data, []byte(`{"probe_id":"`))
-	id, rest, cut := journal.CutString(rest)
-	if !ok || !cut {
-		return op, false
-	}
-	op.ProbeID = string(id)
-	if rest, ok = bytes.CutPrefix(rest, []byte(`,"refs":[`)); ok {
-		op.Refs = make([]resultRef, 0, bytes.Count(rest, []byte(`{"exp":"`)))
-		var prev []byte
-		var shared string
-		for more := true; more; rest, more = bytes.CutPrefix(rest, []byte{','}) {
-			var exp, task []byte
-			if rest, ok = bytes.CutPrefix(rest, []byte(`{"exp":"`)); ok {
-				exp, rest, ok = journal.CutString(rest)
-			}
-			if ok {
-				rest, ok = bytes.CutPrefix(rest, []byte(`,"task":"`))
-			}
-			if ok {
-				task, rest, ok = journal.CutString(rest)
-			}
-			if ok {
-				rest, ok = bytes.CutPrefix(rest, []byte{'}'})
-			}
-			if !ok {
-				return syncOp{}, false
-			}
-			if len(op.Refs) == 0 || !bytes.Equal(exp, prev) {
-				shared, prev = string(exp), exp
-			}
-			op.Refs = append(op.Refs, resultRef{Experiment: shared, TaskID: string(task)})
-		}
-		if rest, ok = bytes.CutPrefix(rest, []byte{']'}); !ok {
-			return syncOp{}, false
-		}
-	}
-	if rest, ok = bytes.CutPrefix(rest, []byte(`,"seq":`)); ok {
-		if op.Seq, rest, ok = journal.CutUint(rest, `,"max":`); !ok || op.Seq == 0 {
-			return syncOp{}, false
-		}
-	} else if rest, ok = bytes.CutPrefix(rest, []byte(`,"max":`)); !ok {
-		return syncOp{}, false
-	}
-	rest, neg := bytes.CutPrefix(rest, []byte{'-'})
-	n, rest, ok := journal.CutUint(rest, "}")
-	// n-1 wraps a -0 away, and keeps -(MaxInt+1), which is math.MinInt.
-	if !ok || len(rest) > 0 || (!neg && n > math.MaxInt) || (neg && n-1 > math.MaxInt) {
-		return syncOp{}, false
-	}
-	if op.Max = int(n); neg {
-		op.Max = -op.Max
-	}
-	return op, true
-}
-
 // requeueOp is opRequeue's record.
 type requeueOp struct {
 	Refs []resultRef `json:"refs"`
@@ -184,6 +119,11 @@ type persistState struct {
 	Unsealed  []unsealedRef           `json:"unsealed"`
 	Leases    map[string]persistLease `json:"leases,omitempty"`
 	SubmitIDs map[string]string       `json:"submit_ids,omitempty"`
+
+	// reflected is how many of the frames decodeSnapshot read this from
+	// went to json.Unmarshal because their cut declined them: no state,
+	// only what recovery counts as recovery_reflect_decodes.
+	reflected int
 }
 
 // persistScalars is the part of the book that is a few numbers and small
@@ -358,6 +298,9 @@ func recoverWith(r reader, dir string, cfg DurabilityConfig) (*Controller, error
 			return fail(fmt.Errorf("core: decoding snapshot: %w", err))
 		}
 		c.restoreLocked(book)
+		if book.reflected > 0 {
+			c.dur.Add("recovery_reflect_decodes", int64(book.reflected))
+		}
 		snapSeq = snap.Seq
 		c.noteSnapshot(snap.Bytes, len(snap.Frames))
 	}
@@ -497,7 +440,7 @@ func (c *Controller) applyRequeueLocked(refs []resultRef) {
 // anything (journal.DecodeOps), which is also where a kind without an
 // entry is reported.
 var replayOps = map[string]journal.Op[*Controller]{
-	opRegister:   journal.OpOf((*Controller).applyRegisterLocked),
+	opRegister:   journal.CutOpOf(cutProbeInfo, (*Controller).applyRegisterLocked, reflectDecoded),
 	opSubmitCols: decodeSubmitCols,
 	opApprove:    journal.OpOf(func(c *Controller, op expOp) { c.applyApproveLocked(op.ExpID) }),
 	opReject:     journal.OpOf(func(c *Controller, op expOp) { c.applyRejectLocked(op.ExpID) }),
@@ -513,8 +456,8 @@ var replayOps = map[string]journal.Op[*Controller]{
 
 func retired([]byte) (func(*Controller), error) { return nil, ErrNeedsUpgrade }
 
-// reflectDecoded counts a tail record whose data cutSyncOp declined and
-// json.Unmarshal read: this binary's journals take none.
+// reflectDecoded counts a tail record whose data its cut declined and
+// json.Unmarshal read (cut.go): this binary's journals take none.
 func reflectDecoded(c *Controller) { c.dur.Inc("recovery_reflect_decodes") }
 
 // mutateLocked is the write path every mutating entry point goes

@@ -298,6 +298,10 @@ func TestColumnsSnapshotReplays(t *testing.T) {
 	if d := c.DurabilityCounters(); d["recovery_replayed"] != 4 || d["recovery_results_requeued"] != 0 {
 		t.Errorf("recovered with %v", d)
 	}
+	// Every frame and record this binary wrote is cut, none read by json.Unmarshal.
+	if n := c.DurabilityCounters()["recovery_reflect_decodes"]; n != 0 {
+		t.Errorf("recovery read %d frames and records through json.Unmarshal's fallback", n)
+	}
 	if got, _ := json.Marshal(legacyState(c)); !bytes.Equal(append(got, '\n'), wantJSON) {
 		t.Errorf("pinned directory recovers to\n%s\nwant\n%s", got, wantJSON)
 	}

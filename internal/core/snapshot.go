@@ -98,13 +98,22 @@ func colsOf(chunk []probes.Assignment, rec map[string]bool) assignCols {
 }
 
 // readChunk decodes an assignCols chunk into dst, which it must fill
-// exactly, and returns its recorded runs.
-func readChunk(p []byte, dst []probes.Assignment) ([][2]int, error) {
-	n := len(dst)
-	cols := assignCols{Probes: make([]string, 0, n), IDs: make([]string, 0, n)}
-	if err := json.Unmarshal(p, &cols); err != nil {
-		return nil, err
+// exactly, and returns its recorded runs and whether json.Unmarshal read
+// it because cutCols declined it (cut.go).
+func readChunk(p []byte, dst []probes.Assignment) ([][2]int, bool, error) {
+	var cols assignCols
+	reflected, err := cutOr(p, &cols, cutCols)
+	if err != nil {
+		return nil, reflected, err
 	}
+	runs, err := fillChunk(cols, dst)
+	return runs, reflected, err
+}
+
+// fillChunk writes a chunk's assignments into dst, which they must fill
+// exactly, and returns its recorded runs.
+func fillChunk(cols assignCols, dst []probes.Assignment) ([][2]int, error) {
+	n := len(dst)
 	if cols.Shape == nil && len(cols.Tasks) == 1 {
 		cols.Shape = make([]int, n) // one body; with any other count a missing shape is short
 	}
@@ -122,12 +131,11 @@ func readChunk(p []byte, dst []probes.Assignment) ([][2]int, error) {
 }
 
 // submitColsOp is opSubmitCols's record: the assignments (the outer field
-// hides submitOp's) as their count and its chunks, assignCols when it is
-// written and json.RawMessage when read, so the chunks decode side by side.
-type submitColsOp[C any] struct {
+// hides submitOp's) as their count and its chunks.
+type submitColsOp struct {
 	submitOp
-	Assignments int `json:"assignments"`
-	Chunks      []C `json:"chunks"`
+	Assignments int          `json:"assignments"`
+	Chunks      []assignCols `json:"chunks"`
 }
 
 // submitRecord is a submission as opSubmitCols journals it. The columns
@@ -137,17 +145,20 @@ type submitRecord submitOp
 
 func (r submitRecord) MarshalJSON() ([]byte, error) {
 	n := len(r.Assignments)
-	return json.Marshal(submitColsOp[assignCols]{submitOp(r), n, par.Map(0, frameCount(n), func(i int) assignCols {
+	return json.Marshal(submitColsOp{submitOp(r), n, par.Map(0, frameCount(n), func(i int) assignCols {
 		return colsOf(r.Assignments[i*snapChunk:min((i+1)*snapChunk, n)], nil)
 	})})
 }
 
-// decodeSubmitCols is opSubmitCols's Op: its chunks decode side by side.
-// Every assignment takes at least its two quoted ids, so the record's size
-// bounds the count before anything is allocated for it.
+// decodeSubmitCols is opSubmitCols's Op: cut (cutSubmitCols) or read by
+// json.Unmarshal, and counted when it is the latter, like CutOpOf's. Every
+// assignment takes at least its two quoted ids, so the record's size
+// bounds the count before anything is allocated for it; the chunks then
+// fill it side by side.
 func decodeSubmitCols(data []byte) (func(*Controller), error) {
-	var rec submitColsOp[json.RawMessage]
-	if err := json.Unmarshal(data, &rec); err != nil {
+	var rec submitColsOp
+	reflected, err := cutOr(data, &rec, cutSubmitCols)
+	if err != nil {
 		return nil, err
 	}
 	op, n := rec.submitOp, rec.Assignments
@@ -155,11 +166,16 @@ func decodeSubmitCols(data []byte) (func(*Controller), error) {
 		return nil, fmt.Errorf("a record of %d bytes holds %d assignments in %d chunks", len(data), n, len(rec.Chunks))
 	}
 	op.Assignments = make([]probes.Assignment, n)
-	err := par.ForEachErr(0, len(rec.Chunks), func(i int) error {
-		_, err := readChunk(rec.Chunks[i], op.Assignments[i*snapChunk:min((i+1)*snapChunk, n)])
+	err = par.ForEachErr(0, len(rec.Chunks), func(i int) error {
+		_, err := fillChunk(rec.Chunks[i], op.Assignments[i*snapChunk:min((i+1)*snapChunk, n)])
 		return err
 	})
-	return func(c *Controller) { c.applySubmitLocked(op) }, err
+	return func(c *Controller) {
+		if reflected {
+			reflectDecoded(c)
+		}
+		c.applySubmitLocked(op)
+	}, err
 }
 
 // snapTailFrames is how many single frames follow the chunks.
@@ -250,11 +266,13 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 
 // decodeSnapshot turns the framed snapshot the journal read into the
 // state restoreLocked loads, frame by frame on every core, each frame into
-// the slots its index owns. structs reads the chunks of a head without a
-// layout, which only an older binary wrote: Recover passes none and
-// refuses such a head (upgrade.go reads it). The whole state or an error:
-// a frame that does not decode, or holds another number of entries than
-// the head gives it, fails the snapshot.
+// the slots its index owns: cut (cut.go), or read by json.Unmarshal and
+// counted in the state's reflected, except the head and the submit ids,
+// which json.Unmarshal always reads. structs reads the chunks of a head
+// without a layout, which only an older binary wrote: Recover passes none
+// and refuses such a head (upgrade.go reads it). The whole state or an
+// error: a frame that does not decode, or holds another number of entries
+// than the head gives it, fails the snapshot.
 func decodeSnapshot(snap *journal.Snapshot, structs func([]byte, []probes.Assignment) ([][2]int, error)) (persistState, error) {
 	var st persistState
 	var head snapHead
@@ -266,7 +284,10 @@ func decodeSnapshot(snap *journal.Snapshot, structs func([]byte, []probes.Assign
 	case head.Layout == "" && structs == nil:
 		return st, fmt.Errorf("head names no layout: %w", ErrNeedsUpgrade)
 	case head.Layout == "":
-		read = structs
+		read = func(p []byte, dst []probes.Assignment) ([][2]int, bool, error) {
+			runs, err := structs(p, dst)
+			return runs, false, err
+		}
 	case head.Layout != snapLayout:
 		return st, fmt.Errorf("head names layout %q, which this binary does not read", head.Layout)
 	}
@@ -287,10 +308,17 @@ func decodeSnapshot(snap *journal.Snapshot, structs func([]byte, []probes.Assign
 
 	st.persistScalars = head.persistScalars
 	probeList := make([]persistProbe, head.Probes)
-	decode := make([]func(payload []byte) error, 0, want)
+	decode := make([]func(payload []byte) (reflected bool, err error), 0, want)
 	for lo := 0; lo < head.Probes; lo += snapChunk {
-		block := probeList[lo:lo:min(lo+snapChunk, head.Probes)]
-		decode = append(decode, func(p []byte) error { return unmarshalFull(p, &block, &block) })
+		slots := probeList[lo:min(lo+snapChunk, head.Probes)]
+		decode = append(decode, func(p []byte) (bool, error) {
+			if cutProbeBlock(p, slots) {
+				return false, nil
+			}
+			clear(slots) // the cut's writes: encoding/json decodes into a slot without zeroing it
+			block := slots[:0:len(slots)]
+			return true, unmarshalFull(p, &block, &block)
+		})
 	}
 	st.Experiments = make(map[string]*Experiment, len(head.Experiments))
 	runs := make([][][2]int, want) // by frame
@@ -305,32 +333,38 @@ func decodeSnapshot(snap *journal.Snapshot, structs func([]byte, []probes.Assign
 		st.Experiments[e.ID] = exp
 		for lo := 0; lo < e.Assignments; lo += snapChunk {
 			f, chunk := len(decode), exp.Assignments[lo:min(lo+snapChunk, e.Assignments)]
-			decode = append(decode, func(p []byte) (err error) {
-				runs[f], err = read(p, chunk)
-				return err
+			decode = append(decode, func(p []byte) (reflected bool, err error) {
+				runs[f], reflected, err = read(p, chunk)
+				return reflected, err
 			})
 		}
 	}
 	decode = append(decode,
-		func(p []byte) error { return json.Unmarshal(p, &st.Queues) },
-		func(p []byte) error { return json.Unmarshal(p, &st.Leases) },
-		func(p []byte) error { return json.Unmarshal(p, &st.SubmitIDs) },
-		func(p []byte) error {
-			err := json.Unmarshal(p, &st.Unsealed)
+		func(p []byte) (bool, error) { return cutOr(p, &st.Queues, cutQueues) },
+		func(p []byte) (bool, error) { return cutOr(p, &st.Leases, cutLeases) },
+		func(p []byte) (bool, error) { return false, json.Unmarshal(p, &st.SubmitIDs) },
+		func(p []byte) (bool, error) {
+			reflected, err := cutOr(p, &st.Unsealed, cutUnsealed)
 			if st.Unsealed == nil {
 				st.Unsealed = []unsealedRef{} // a framed snapshot always places its refs
 			}
-			return err
+			return reflected, err
 		},
 	)
-	err := par.ForEachErr(0, want, func(i int) error {
-		if err := decode[i](snap.Frames[i]); err != nil {
+	reflected := make([]bool, want)
+	err := par.ForEachErr(0, want, func(i int) (err error) {
+		if reflected[i], err = decode[i](snap.Frames[i]); err != nil {
 			return fmt.Errorf("frame %d: %w", i+1, err)
 		}
 		return nil
 	})
 	if err != nil {
 		return persistState{}, err
+	}
+	for _, r := range reflected {
+		if r {
+			st.reflected++
+		}
 	}
 
 	st.Probes = make(map[string]persistProbe, head.Probes)

@@ -643,7 +643,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runs, err := readChunk(p, got[lo:lo+len(chunk)])
+			runs, _, err := readChunk(p, got[lo:lo+len(chunk)])
 			if err != nil {
 				t.Fatalf("seed %d: chunk at %d: %v", seed, lo, err)
 			}

@@ -126,7 +126,10 @@ func cutRecord(payload []byte) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	seq, rest, ok := CutUint(rest, recKindKey)
+	seq, rest, ok := CutUint(rest, 64)
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(recKindKey))
+	}
 	if !ok {
 		return Record{}, false
 	}
@@ -289,32 +292,4 @@ func (l *Log) Append(kind string, data any) (uint64, error) {
 	}
 	l.seq++
 	return l.seq, nil
-}
-
-// CutUint parses the decimal number, written as JSON writes one, that
-// ends at sep and returns what follows sep.
-func CutUint(b []byte, sep string) (n uint64, rest []byte, ok bool) {
-	digits, rest, ok := bytes.Cut(b, []byte(sep))
-	if !ok || (len(digits) > 1 && digits[0] == '0') {
-		return 0, nil, false
-	}
-	n, err := strconv.ParseUint(string(digits), 10, 64)
-	return n, rest, err == nil
-}
-
-// CutString cuts a JSON string written without escapes from b, which
-// starts just past its opening quote: s is its bytes up to the closing
-// quote and rest what follows that quote. A byte outside printable ASCII
-// or a backslash is !ok, so s is exactly the value json.Unmarshal reads.
-func CutString(b []byte) (s, rest []byte, ok bool) {
-	end := bytes.IndexByte(b, '"')
-	if end < 0 {
-		return nil, nil, false
-	}
-	for _, c := range b[:end] {
-		if c < ' ' || c > '~' || c == '\\' {
-			return nil, nil, false
-		}
-	}
-	return b[:end], b[end+1:], true
 }
