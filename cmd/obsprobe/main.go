@@ -149,7 +149,7 @@ func main() {
 	// safe: the controller dedups by (experiment, task). Every delivered
 	// batch doubles as liveness contact.
 	flush := func() {
-		if n, err := core.FlushSpool(cl, *id, outbox, 64); err != nil {
+		if n, err := core.FlushSpool(cl, *id, outbox); err != nil {
 			log.Printf("obsprobe %s: flushing outbox (%d still pending): %v", *id, outbox.Len(), err)
 		} else if n > 0 {
 			log.Printf("obsprobe %s: delivered %d held results", *id, n)

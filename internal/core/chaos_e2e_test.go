@@ -267,7 +267,7 @@ func TestChaosScheduleEndToEnd(t *testing.T) {
 		}
 		// The analyst fires more queries than the bucket refills.
 		for i := 0; i < 3; i++ {
-			_, _ = analyst.QueryAggregate(store.Filter{}, "")
+			_, _, _ = analyst.QueryAggregate(store.Filter{}, "")
 		}
 		if !down {
 			ctrl.Tick(1)
@@ -287,7 +287,7 @@ func TestChaosScheduleEndToEnd(t *testing.T) {
 	for _, r := range rigs {
 		r.ft.SetPartitioned(false)
 		r.ft.DropRequestProb, r.ft.DropResponseProb = 0, 0
-		if _, err := FlushSpool(r.cl, r.id, r.sp, 64); err != nil {
+		if _, err := FlushSpool(r.cl, r.id, r.sp); err != nil {
 			t.Fatalf("%s: final flush: %v", r.id, err)
 		}
 		if n := r.sp.Len(); n != 0 {
@@ -342,7 +342,7 @@ func TestChaosScheduleEndToEnd(t *testing.T) {
 	// observable from outside through /metrics. (Admission counters are
 	// run-scoped, so force a shed post-recovery before reading.)
 	for i := 0; i < 4; i++ {
-		_, _ = analyst.QueryAggregate(store.Filter{}, "")
+		_, _, _ = analyst.QueryAggregate(store.Filter{}, "")
 	}
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

@@ -466,19 +466,6 @@ func (c *Client) ResultsPage(expID string, limit int, cursor string) ([]probes.R
 	return out, next, err
 }
 
-// QueryAggregate runs a time-window aggregation (counts, loss rate, RTT
-// percentiles, optionally grouped) over the controller's results store.
-func (c *Client) QueryAggregate(f store.Filter, groupBy string) (store.AggReport, error) {
-	rep, _, err := c.QueryAggregateMeta(f, groupBy)
-	return rep, err
-}
-
-// QueryScan fetches one page of stored result records matching a filter.
-func (c *Client) QueryScan(f store.Filter, limit int, cursor string) ([]store.Record, string, error) {
-	recs, next, _, err := c.QueryScanMeta(f, limit, cursor)
-	return recs, next, err
-}
-
 // QueryMeta is the federation degradation annotation on query
 // responses: Degraded true means the shards in ShardsMissing did not
 // answer before their deadline and the data is correct but partial. A
@@ -488,15 +475,16 @@ type QueryMeta struct {
 	ShardsMissing []string `json:"shards_missing,omitempty"`
 }
 
-// QueryAggregateMeta is QueryAggregate surfacing the federation
-// degradation annotation, for analysts who must distinguish "complete
-// answer" from "partial answer while a shard is down".
-func (c *Client) QueryAggregateMeta(f store.Filter, groupBy string) (store.AggReport, QueryMeta, error) {
+// QueryAggregate runs a time-window aggregation (counts, loss rate, RTT
+// percentiles, optionally grouped) over the controller's results store,
+// with the federation degradation annotation that tells a complete
+// answer from a partial one while a shard is down.
+func (c *Client) QueryAggregate(f store.Filter, groupBy string) (store.AggReport, QueryMeta, error) {
 	var out struct {
 		store.AggReport
 		QueryMeta
 	}
-	err := c.get("query", foldPath("aggregate", f, groupBy), &out)
+	err := c.get("query", queryPath("aggregate", f, groupBy, 0, ""), &out)
 	return out.AggReport, out.QueryMeta, err
 }
 
@@ -504,42 +492,23 @@ func (c *Client) QueryAggregateMeta(f store.Filter, groupBy string) (store.AggRe
 // a coordinator merges with its other shards' (store.Folder.Merge).
 func (c *Client) QueryFold(f store.Filter, groupBy string) (*store.Folder, error) {
 	out := new(store.Folder)
-	err := c.get("query", foldPath("fold", f, groupBy), out)
+	err := c.get("query", queryPath("fold", f, groupBy, 0, ""), out)
 	return out, err
 }
 
-func foldPath(op string, f store.Filter, groupBy string) string {
-	q := f.Values()
-	q.Set("op", op)
-	if groupBy != "" {
-		q.Set("group_by", groupBy)
-	}
-	return "/api/v1/query?" + q.Encode()
-}
-
-// QueryScanMeta is QueryScan surfacing the federation degradation
-// annotation carried on the page envelope.
-func (c *Client) QueryScanMeta(f store.Filter, limit int, cursor string) ([]store.Record, string, QueryMeta, error) {
-	var pg struct {
-		Items      []store.Record `json:"items"`
-		NextCursor string         `json:"next_cursor"`
-		QueryMeta
-	}
-	err := c.get("query", scanPath(f, limit, cursor), &pg)
-	return pg.Items, pg.NextCursor, pg.QueryMeta, err
-}
-
-// QueryScanItems is QueryScan for a caller that passes the page on — a
-// coordinator merging its shards' pages: each record stays the bytes the
-// server sent, and only what a merge orders and deduplicates on (seq,
+// QueryScan fetches one page of stored result records matching a filter,
+// with the page's degradation annotation. Each record stays the bytes the
+// server sent, so a coordinator merging its shards' pages passes them on
+// as they came; only what a merge orders and deduplicates on (seq,
 // experiment, task_id) is decoded out of it.
-func (c *Client) QueryScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, error) {
+func (c *Client) QueryScan(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error) {
 	var pg struct {
 		Items      []json.RawMessage `json:"items"`
 		NextCursor string            `json:"next_cursor"`
+		QueryMeta
 	}
-	if err := c.get("query", scanPath(f, limit, cursor), &pg); err != nil {
-		return nil, "", err
+	if err := c.get("query", queryPath("scan", f, "", limit, cursor), &pg); err != nil {
+		return nil, "", QueryMeta{}, err
 	}
 	items := make([]store.Item, len(pg.Items))
 	for i, raw := range pg.Items {
@@ -549,16 +518,21 @@ func (c *Client) QueryScanItems(f store.Filter, limit int, cursor string) ([]sto
 			TaskID     string `json:"task_id"`
 		}
 		if err := json.Unmarshal(raw, &head); err != nil {
-			return nil, "", fmt.Errorf("query: scan item %d: %w", i, err)
+			return nil, "", QueryMeta{}, fmt.Errorf("query: scan item %d: %w", i, err)
 		}
 		items[i] = store.Item{Seq: head.Seq, Key: store.DedupKey{Experiment: head.Experiment, TaskID: head.TaskID}, JSON: raw}
 	}
-	return items, pg.NextCursor, nil
+	return items, pg.NextCursor, pg.QueryMeta, nil
 }
 
-func scanPath(f store.Filter, limit int, cursor string) string {
+// queryPath is the /api/v1/query URL of op over a filter, with the
+// group_by, limit and cursor parameters that are set.
+func queryPath(op string, f store.Filter, groupBy string, limit int, cursor string) string {
 	q := f.Values()
-	q.Set("op", "scan")
+	q.Set("op", op)
+	if groupBy != "" {
+		q.Set("group_by", groupBy)
+	}
 	if limit > 0 {
 		q.Set("limit", strconv.Itoa(limit))
 	}
@@ -669,21 +643,21 @@ func (m *MemSpool) AckBatch(upTo uint64) error {
 
 func (m *MemSpool) Len() int { return len(m.pending) }
 
+// syncBatch is the most results one drain or flush round carries, and the
+// most tasks a drain round asks to lease.
+const syncBatch = 64
+
 // FlushSpool delivers the spool's undelivered backlog in rounds that ask
-// for no lease, up to batch results each (batch <= 0 means 64), acking
-// each batch only after the controller accepted it. It returns the
-// number of results delivered; on upload failure everything unacked
-// simply stays spooled for the next flush — even across a probe
-// restart. A batch that was delivered but whose response was lost is
+// for no lease, up to syncBatch results each, acking each batch only
+// after the controller accepted it. It returns the number of results
+// delivered; on upload failure everything unacked simply stays spooled
+// for the next flush — even across a probe restart. A batch that was delivered but whose response was lost is
 // re-sent next flush; the controller dedups by (experiment, task), so
 // the cost is bandwidth, never duplicated data.
-func FlushSpool(cl *Client, probeID string, sp ResultSpool, batch int) (int, error) {
-	if batch <= 0 {
-		batch = 64
-	}
+func FlushSpool(cl *Client, probeID string, sp ResultSpool) (int, error) {
 	total := 0
 	for {
-		rs, upTo := sp.DrainBatch(batch)
+		rs, upTo := sp.DrainBatch(syncBatch)
 		if len(rs) == 0 {
 			return total, nil
 		}
@@ -714,12 +688,12 @@ func FlushSpool(cl *Client, probeID string, sp ResultSpool, batch int) (int, err
 func DrainWithSync(cl *Client, agent Runner, sp ResultSpool, wait time.Duration) (int, error) {
 	total := 0
 	for {
-		rs, upTo := sp.DrainBatch(64)
+		rs, upTo := sp.DrainBatch(syncBatch)
 		w := wait
 		if len(rs) > 0 || sp.Len() > len(rs) {
 			w = 0 // backlog to deliver: don't park
 		}
-		resp, err := cl.Sync(SyncRequest{ProbeID: agent.ID(), Results: rs, Max: 64}, w)
+		resp, err := cl.Sync(SyncRequest{ProbeID: agent.ID(), Results: rs, Max: syncBatch}, w)
 		if err != nil {
 			return total, err
 		}
@@ -740,7 +714,7 @@ func DrainWithSync(cl *Client, agent Runner, sp ResultSpool, wait time.Duration)
 			// ErrPowerOut or a spool write failure: whatever was sunk is
 			// safe in the spool; deliver it (no lease ask) before
 			// reporting the fault.
-			if _, ferr := FlushSpool(cl, agent.ID(), sp, 64); ferr != nil {
+			if _, ferr := FlushSpool(cl, agent.ID(), sp); ferr != nil {
 				return total, fmt.Errorf("%w (and flushing spool: %w)", err, ferr)
 			}
 			return total, err

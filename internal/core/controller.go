@@ -415,19 +415,15 @@ func (c *Controller) sweepLivenessLocked() {
 	}
 }
 
-// reassignQueueLocked moves a dead probe's pending queue onto an alive
-// peer: same ASN preferred, then same country. With no eligible peer
-// the queue stays put in case the probe revives.
+// reassignQueueLocked moves a dead probe's pending queue onto its peer
+// (peerForLocked). With no eligible peer the queue stays put in case the
+// probe revives.
 func (c *Controller) reassignQueueLocked(deadID string) {
 	q := c.queues[deadID]
 	if len(q) == 0 {
 		return
 	}
-	dead := c.probes[deadID]
-	peer := c.pickPeerLocked(deadID, func(p ProbeInfo) bool { return p.ASN == dead.info.ASN })
-	if peer == "" {
-		peer = c.pickPeerLocked(deadID, func(p ProbeInfo) bool { return p.Country == dead.info.Country })
-	}
+	peer := c.peerForLocked(deadID, c.probes[deadID].info)
 	if peer == "" {
 		return
 	}
@@ -437,28 +433,35 @@ func (c *Controller) reassignQueueLocked(deadID string) {
 	c.notifyWaitersLocked(peer)
 }
 
-// pickPeerLocked returns the best reassignment target (other than
-// exclude) matching the predicate: alive probes beat suspect ones
-// (dead ones are ineligible), ties broken by id for determinism.
-func (c *Controller) pickPeerLocked(exclude string, match func(ProbeInfo) bool) string {
-	var alive, suspect []string
+// peerForLocked is the one reassignment policy for a dead probe's work:
+// the smallest id of the first non-empty rank among same-ASN alive,
+// same-ASN suspect, same-country alive and same-country suspect probes
+// (dead ones are ineligible), or "" when every rank is empty. One pass
+// keeps each rank's smallest id.
+func (c *Controller) peerForLocked(deadID string, dead ProbeInfo) string {
+	var best [4]string
 	for id, st := range c.probes {
-		if id == exclude || st.health == ProbeDead || !match(st.info) {
+		rank := 0
+		switch {
+		case id == deadID || st.health == ProbeDead:
+			continue
+		case st.info.ASN == dead.ASN:
+		case st.info.Country == dead.Country:
+			rank = 2
+		default:
 			continue
 		}
-		if st.health == ProbeAlive {
-			alive = append(alive, id)
-		} else {
-			suspect = append(suspect, id)
+		if st.health != ProbeAlive {
+			rank++
+		}
+		if best[rank] == "" || id < best[rank] {
+			best[rank] = id
 		}
 	}
-	if len(alive) > 0 {
-		sort.Strings(alive)
-		return alive[0]
-	}
-	if len(suspect) > 0 {
-		sort.Strings(suspect)
-		return suspect[0]
+	for _, id := range best {
+		if id != "" {
+			return id
+		}
 	}
 	return ""
 }
@@ -483,9 +486,7 @@ func (c *Controller) reapLocked() {
 		if st, ok := c.probes[target]; ok && st.health == ProbeDead {
 			// The holder is gone; requeueing onto it would stall until
 			// revival, so route through the reassignment policy.
-			if peer := c.pickPeerLocked(target, func(p ProbeInfo) bool { return p.ASN == st.info.ASN }); peer != "" {
-				target = peer
-			} else if peer := c.pickPeerLocked(target, func(p ProbeInfo) bool { return p.Country == st.info.Country }); peer != "" {
+			if peer := c.peerForLocked(target, st.info); peer != "" {
 				target = peer
 			}
 		}
@@ -496,26 +497,21 @@ func (c *Controller) reapLocked() {
 }
 
 // SubmitExperiment queues an experiment for vetting. Trusted owners are
-// approved (and scheduled) immediately.
+// approved (and scheduled) immediately. A submission with a request id,
+// which the controller dedups by, goes through Backend().Submit.
 func (c *Controller) SubmitExperiment(owner, description string, assignments []probes.Assignment) (*Experiment, error) {
-	return c.SubmitExperimentIdem("", owner, description, assignments)
+	return c.submitExperimentIdemCtx(context.Background(), "", "", owner, description, assignments)
 }
 
-// SubmitExperimentIdem is SubmitExperiment with submission-level
-// idempotency: when requestID is non-empty and has been seen before,
-// the previously created experiment is returned instead of a new one.
-// This is what makes the HTTP client's Submit retryable — a duplicated
-// delivery cannot double the workload.
-func (c *Controller) SubmitExperimentIdem(requestID, owner, description string, assignments []probes.Assignment) (*Experiment, error) {
-	return c.submitExperimentIdemCtx(context.Background(), requestID, "", owner, description, assignments)
-}
-
-// submitExperimentIdemCtx is every submission. A non-empty expID pins the
-// experiment id instead of minting exp-%04d — a federation coordinator
-// creates its federated id on every shard owning a slice of the
-// assignments, so cross-shard results merge under one id. Resubmitting an
-// existing id with a fresh request id is rejected; the idempotent path is
-// the request id.
+// submitExperimentIdemCtx is every submission. When requestID is
+// non-empty and has been seen before, the previously created experiment
+// is returned instead of a new one: this is what makes the HTTP client's
+// Submit retryable — a duplicated delivery cannot double the workload.
+// A non-empty expID pins the experiment id instead of minting exp-%04d —
+// a federation coordinator creates its federated id on every shard owning
+// a slice of the assignments, so cross-shard results merge under one id.
+// Resubmitting an existing id with a fresh request id is rejected; the
+// idempotent path is the request id.
 func (c *Controller) submitExperimentIdemCtx(ctx context.Context, requestID, expID, owner, description string, assignments []probes.Assignment) (*Experiment, error) {
 	if len(assignments) == 0 {
 		return nil, ErrNoAssignments

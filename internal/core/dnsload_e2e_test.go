@@ -66,7 +66,7 @@ func TestDNSLoadDimensionsEndToEnd(t *testing.T) {
 	}
 
 	// group_by=resolver_chain: two buckets, keyed and sorted by shape.
-	rep, err := cl.QueryAggregate(store.Filter{Experiment: exp.ID}, store.GroupResolverChain)
+	rep, _, err := cl.QueryAggregate(store.Filter{Experiment: exp.ID}, store.GroupResolverChain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDNSLoadDimensionsEndToEnd(t *testing.T) {
 	}
 
 	// group_by=ecs: "false" sorts before "true".
-	rep, err = cl.QueryAggregate(store.Filter{Experiment: exp.ID}, store.GroupECS)
+	rep, _, err = cl.QueryAggregate(store.Filter{Experiment: exp.ID}, store.GroupECS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,21 +92,21 @@ func TestDNSLoadDimensionsEndToEnd(t *testing.T) {
 	}
 
 	// Both dimensions as filters, composed.
-	rep, err = cl.QueryAggregate(store.Filter{Experiment: exp.ID, ResolverChain: chainCloud}, "")
+	rep, _, err = cl.QueryAggregate(store.Filter{Experiment: exp.ID, ResolverChain: chainCloud}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Matched != 6 {
 		t.Fatalf("resolver_chain filter matched %d, want 6", rep.Matched)
 	}
-	rep, err = cl.QueryAggregate(store.Filter{Experiment: exp.ID, ECS: "false"}, "")
+	rep, _, err = cl.QueryAggregate(store.Filter{Experiment: exp.ID, ECS: "false"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Matched != 6 {
 		t.Fatalf("ecs filter matched %d, want 6", rep.Matched)
 	}
-	rep, err = cl.QueryAggregate(store.Filter{Experiment: exp.ID, ResolverChain: chainCloud, ECS: "false"}, "")
+	rep, _, err = cl.QueryAggregate(store.Filter{Experiment: exp.ID, ResolverChain: chainCloud, ECS: "false"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,11 @@ func TestDNSLoadDimensionsEndToEnd(t *testing.T) {
 	}
 
 	// Scan path honors the new filters too.
-	recs, _, err := cl.QueryScan(store.Filter{Experiment: exp.ID, ECS: "true"}, 0, "")
+	items, _, _, err := cl.QueryScan(store.Filter{Experiment: exp.ID, ECS: "true"}, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := itemRecords(t, items)
 	if len(recs) != 6 {
 		t.Fatalf("scan ecs=true returned %d records, want 6", len(recs))
 	}

@@ -289,7 +289,7 @@ func TestQueryScanItemsKeepsTheBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, next, err := cl.QueryScanItems(store.Filter{Country: "KE"}, 4, cursor)
+		got, next, _, err := cl.QueryScan(store.Filter{Country: "KE"}, 4, cursor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestQueryScanItemsKeepsTheBytes(t *testing.T) {
 		cursor = next
 	}
 	var apiErr *core.APIError
-	if _, _, err := cl.QueryScanItems(store.Filter{}, 4, "not a cursor"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+	if _, _, _, err := cl.QueryScan(store.Filter{}, 4, "not a cursor"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("bad cursor: err %v, want a 400", err)
 	}
 }

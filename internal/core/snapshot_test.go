@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -130,7 +131,7 @@ func wideBook(t testing.TB) string {
 		owner string
 		asg   []probes.Assignment
 	}{{"o", wide}, {"o", pingAssignments(ids[7], 3)}, {"rando", pingAssignments(ids[8], 2)}} {
-		if _, err := c.SubmitExperimentIdem("req-"+sub.owner+fmt.Sprint(len(sub.asg)), sub.owner, "wide", sub.asg); err != nil {
+		if _, err := c.Backend().Submit(context.Background(), SubmitRequest{RequestID: "req-" + sub.owner + fmt.Sprint(len(sub.asg)), Owner: sub.owner, Description: "wide", Assignments: sub.asg}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -513,7 +514,7 @@ func FuzzSnapshotRead(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	exp, err := c.SubmitExperimentIdem("req-1", "o", "fuzz", append(pingAssignments("p1", 3), pingAssignments("p2", 2)...))
+	exp, err := c.Backend().Submit(context.Background(), SubmitRequest{RequestID: "req-1", Owner: "o", Description: "fuzz", Assignments: append(pingAssignments("p1", 3), pingAssignments("p2", 2)...)})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestSpoolBacklogSurvivesProbeRestart(t *testing.T) {
 	if err != nil || n != len(tasks) {
 		t.Fatalf("RunTasks = %d, %v", n, err)
 	}
-	if _, err := FlushSpool(cl, "kgl-01", sp, 64); err == nil {
+	if _, err := FlushSpool(cl, "kgl-01", sp); err == nil {
 		t.Fatal("flush through a partition succeeded; the drill tested nothing")
 	}
 	if sp.Len() != len(tasks) {
@@ -189,7 +189,7 @@ func TestSpoolRedeliveryAfterLostAckIsDeduped(t *testing.T) {
 	if sp2.Len() != len(tasks) {
 		t.Fatalf("reopened spool holds %d, want %d (ack was never written)", sp2.Len(), len(tasks))
 	}
-	if _, err := FlushSpool(cl, "kgl-01", sp2, 64); err != nil {
+	if _, err := FlushSpool(cl, "kgl-01", sp2); err != nil {
 		t.Fatal(err)
 	}
 	if sp2.Len() != 0 {

@@ -32,6 +32,19 @@ func submitPingBatch(t *testing.T, c *Controller, probeID, expID string, from, t
 	}
 }
 
+// itemRecords decodes a scan page's items, each a record's bytes as the
+// server sent them, into records.
+func itemRecords(t *testing.T, items []store.Item) []store.Record {
+	t.Helper()
+	recs := make([]store.Record, len(items))
+	for i, it := range items {
+		if err := json.Unmarshal(it.JSON, &recs[i]); err != nil {
+			t.Fatalf("scan item %d: %v", i, err)
+		}
+	}
+	return recs
+}
+
 func pingAssignmentsFor(probeID string, n int) []probes.Assignment {
 	var asg []probes.Assignment
 	for i := 0; i < n; i++ {
@@ -165,7 +178,7 @@ func TestQueryStableAcrossRestartAndCompaction(t *testing.T) {
 	}
 	var before []store.AggReport
 	for _, q := range queries {
-		rep, err := cl.QueryAggregate(q.f, q.by)
+		rep, _, err := cl.QueryAggregate(q.f, q.by)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +197,7 @@ func TestQueryStableAcrossRestartAndCompaction(t *testing.T) {
 		t.Fatalf("compaction did not reduce segments: %d -> %d", segsBefore, segsAfter)
 	}
 	for i, q := range queries {
-		rep, err := cl.QueryAggregate(q.f, q.by)
+		rep, _, err := cl.QueryAggregate(q.f, q.by)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +223,7 @@ func TestQueryStableAcrossRestartAndCompaction(t *testing.T) {
 	defer srv2.Close()
 	cl2 := NewClient(srv2.URL)
 	for i, q := range queries {
-		rep, err := cl2.QueryAggregate(q.f, q.by)
+		rep, _, err := cl2.QueryAggregate(q.f, q.by)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,11 +370,11 @@ func TestResultsPaginationHTTP(t *testing.T) {
 	var scanned []store.Record
 	cursor = ""
 	for {
-		recs, next, err := cl.QueryScan(store.Filter{Experiment: exp.ID}, 7, cursor)
+		items, next, _, err := cl.QueryScan(store.Filter{Experiment: exp.ID}, 7, cursor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanned = append(scanned, recs...)
+		scanned = append(scanned, itemRecords(t, items)...)
 		if next == "" {
 			break
 		}

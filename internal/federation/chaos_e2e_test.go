@@ -246,7 +246,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		}
 		fl.Round()
 		for i := 0; i < 3; i++ {
-			recs, _, meta, err := analyst.QueryScanMeta(store.Filter{}, 0, "")
+			recs, _, meta, err := analyst.QueryScan(store.Filter{}, 0, "")
 			if err == nil && meta.Degraded && len(recs) > 0 {
 				sawDegraded = true // partial-but-useful: the paper's degradation contract
 			}
@@ -344,7 +344,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 
 	// Load shedding is observable from outside through /metrics.
 	for i := 0; i < 4; i++ {
-		_, _ = analyst.QueryAggregate(store.Filter{}, "")
+		_, _, _ = analyst.QueryAggregate(store.Filter{}, "")
 	}
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

@@ -844,3 +844,20 @@ func TestRemoteErrClassifiesShardDown(t *testing.T) {
 		t.Fatalf("404 verdict mangled: %v", got)
 	}
 }
+
+// TestLocalShardForwardsNoBackendMethod: a coordinator calls every shard
+// through core.Backend, reached through the one-method Shard slot, so
+// LocalShard forwards none of the API. A method named after one of
+// core.Backend's would be a second copy of that call growing back; the
+// method set is read from the interface, so a Backend method added later
+// is covered without an edit here.
+func TestLocalShardForwardsNoBackendMethod(t *testing.T) {
+	backend := reflect.TypeOf((*core.Backend)(nil)).Elem()
+	local := reflect.TypeOf((*LocalShard)(nil))
+	for i := 0; i < backend.NumMethod(); i++ {
+		name := backend.Method(i).Name
+		if _, ok := local.MethodByName(name); ok {
+			t.Errorf("LocalShard.%s is named after a core.Backend method: LocalShard.Backend() hands out the controller's backend", name)
+		}
+	}
+}

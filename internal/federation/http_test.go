@@ -186,16 +186,16 @@ func httpEndToEndFlow(t *testing.T, cl *core.Client) []byte {
 		t.Fatalf("completed %d tasks, want %d", done, len(ps))
 	}
 	// Query surface: scan + aggregate with clean (non-degraded) meta.
-	recs, _, meta, err := cl.QueryScanMeta(store.Filter{Experiment: exp.ID}, 0, "")
+	recs, _, meta, err := cl.QueryScan(store.Filter{Experiment: exp.ID}, 0, "")
 	if err != nil {
-		t.Fatalf("QueryScanMeta: %v", err)
+		t.Fatalf("QueryScan: %v", err)
 	}
 	if meta.Degraded || len(recs) != done {
 		t.Fatalf("scan: degraded=%v len=%d want %d", meta.Degraded, len(recs), done)
 	}
-	rep, meta, err := cl.QueryAggregateMeta(store.Filter{}, store.GroupCountry)
+	rep, meta, err := cl.QueryAggregate(store.Filter{}, store.GroupCountry)
 	if err != nil || meta.Degraded {
-		t.Fatalf("QueryAggregateMeta: err=%v degraded=%v", err, meta.Degraded)
+		t.Fatalf("QueryAggregate: err=%v degraded=%v", err, meta.Degraded)
 	}
 	if rep.Matched != int64(done) {
 		t.Fatalf("aggregate matched %d, want %d", rep.Matched, done)
@@ -253,11 +253,11 @@ func TestRemoteAggregateShipsNoRecords(t *testing.T) {
 	oracle := func(from []remoteShard) *store.Store {
 		st := store.NewMemory(store.Options{})
 		for _, sh := range from {
-			recs, _, err := sh.cl.QueryScan(store.Filter{}, 0, "")
+			items, _, _, err := sh.cl.QueryScan(store.Filter{}, 0, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range recs {
+			for _, r := range itemRecords(t, items) {
 				r.Seq = 0
 				if err := st.Append(r); err != nil {
 					t.Fatal(err)
@@ -336,7 +336,7 @@ func TestHTTPDegradedQueryAnnotation(t *testing.T) {
 	ps := testProbes(12)
 	exp, accepted := pumpResults(t, c, ps, 1)
 	shards[1].Kill()
-	recs, _, meta, err := cl.QueryScanMeta(store.Filter{Experiment: exp.ID}, 0, "")
+	recs, _, meta, err := cl.QueryScan(store.Filter{Experiment: exp.ID}, 0, "")
 	if err != nil {
 		t.Fatalf("degraded scan must be 200, got %v", err)
 	}
@@ -346,7 +346,7 @@ func TestHTTPDegradedQueryAnnotation(t *testing.T) {
 	if len(recs) >= accepted {
 		t.Fatalf("degraded scan returned %d records, want < %d", len(recs), accepted)
 	}
-	if _, meta, err := cl.QueryAggregateMeta(store.Filter{}, store.GroupNone); err != nil || !meta.Degraded {
+	if _, meta, err := cl.QueryAggregate(store.Filter{}, store.GroupNone); err != nil || !meta.Degraded {
 		t.Fatalf("degraded aggregate: err=%v meta=%+v", err, meta)
 	}
 	// Health degrades but stays 200.
@@ -477,10 +477,10 @@ func TestShardCallsCarryNoRequestSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if recs, _, err := cl.QueryScan(store.Filter{}, 0, ""); err != nil || len(recs) != 2*len(ps) {
+	if recs, _, _, err := cl.QueryScan(store.Filter{}, 0, ""); err != nil || len(recs) != 2*len(ps) {
 		t.Fatalf("scan: %d records, err %v", len(recs), err)
 	}
-	if _, err := cl.QueryAggregate(store.Filter{}, store.GroupCountry); err != nil {
+	if _, _, err := cl.QueryAggregate(store.Filter{}, store.GroupCountry); err != nil {
 		t.Fatal(err)
 	}
 	if c.Counters()["fed_hedges"] == 0 {

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -204,6 +205,19 @@ func TestAggregateRestsOnOneShardPerKey(t *testing.T) {
 	}
 }
 
+// itemRecords decodes a scan page's items, each a record's bytes as the
+// server sent them, into records.
+func itemRecords(t *testing.T, items []store.Item) []store.Record {
+	t.Helper()
+	recs := make([]store.Record, len(items))
+	for i, it := range items {
+		if err := json.Unmarshal(it.JSON, &recs[i]); err != nil {
+			t.Fatalf("scan item %d: %v", i, err)
+		}
+	}
+	return recs
+}
+
 func stripSeq(recs []store.Record) []store.Record {
 	out := make([]store.Record, len(recs))
 	for i, r := range recs {
@@ -384,11 +398,11 @@ func scanSet(t *testing.T, cl *core.Client, f store.Filter) []store.Record {
 	var out []store.Record
 	cursor := ""
 	for {
-		recs, next, err := cl.QueryScan(f, 5, cursor)
+		items, next, _, err := cl.QueryScan(f, 5, cursor)
 		if err != nil {
 			t.Fatalf("QueryScan(%+v): %v", f, err)
 		}
-		out = append(out, stripSeq(recs)...)
+		out = append(out, stripSeq(itemRecords(t, items))...)
 		if next == "" {
 			break
 		}
@@ -442,11 +456,11 @@ func TestFederatedFiltersMatchController(t *testing.T) {
 			t.Fatalf("%s=%s: coordinator scan returns %d records, controller %d", p.Name, value, len(got), len(want))
 		}
 		gb := groupBys[i%len(groupBys)]
-		wantRep, err := ctrlCl.QueryAggregate(f, gb)
+		wantRep, _, err := ctrlCl.QueryAggregate(f, gb)
 		if err != nil {
 			t.Fatalf("%s=%s: controller aggregate: %v", p.Name, value, err)
 		}
-		gotRep, err := fedCl.QueryAggregate(f, gb)
+		gotRep, _, err := fedCl.QueryAggregate(f, gb)
 		if err != nil || !reflect.DeepEqual(gotRep, wantRep) {
 			t.Fatalf("%s=%s group %s: coordinator aggregate diverges (err %v):\n fed  %+v\n ctrl %+v", p.Name, value, gb, err, gotRep, wantRep)
 		}

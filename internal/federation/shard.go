@@ -172,8 +172,8 @@ func (s *HTTPShard) ExperimentResults(expID string, limit int, cursor string) ([
 }
 
 func (s *HTTPShard) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error) {
-	items, next, err := s.cl.QueryScanItems(f, limit, cursor)
-	return items, next, QueryMeta{}, remoteErr(err)
+	items, next, meta, err := s.cl.QueryScan(f, limit, cursor)
+	return items, next, meta, remoteErr(err)
 }
 
 func (s *HTTPShard) Fold(q store.AggQuery) (*store.Folder, QueryMeta, error) {

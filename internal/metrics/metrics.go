@@ -1,9 +1,8 @@
 // Package metrics provides the small statistical toolkit the experiment
-// drivers share: means, quantiles, shares and empirical CDFs.
+// drivers share: means, quantiles and shares.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -53,47 +52,3 @@ func Share(num, den int) float64 {
 	}
 	return float64(num) / float64(den)
 }
-
-// Pct formats a fraction as "12.3%".
-func Pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
-
-// CDF is an empirical cumulative distribution.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds a CDF over the samples.
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Points returns n evenly spaced (x, P(X<=x)) pairs for plotting.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		x := lo
-		if n > 1 {
-			x = lo + (hi-lo)*float64(i)/float64(n-1)
-		}
-		out = append(out, [2]float64{x, c.At(x)})
-	}
-	return out
-}
-
-// Len returns the sample count.
-func (c *CDF) Len() int { return len(c.sorted) }

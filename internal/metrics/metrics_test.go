@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -69,60 +68,5 @@ func TestQuantileMonotonicProperty(t *testing.T) {
 func TestShareAndPct(t *testing.T) {
 	if Share(1, 4) != 0.25 || Share(3, 0) != 0 {
 		t.Fatal("share math wrong")
-	}
-	if Pct(0.123) != "12.3%" {
-		t.Fatalf("Pct = %q", Pct(0.123))
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 4})
-	cases := []struct {
-		x, want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 0.75}, {4, 1}, {9, 1},
-	}
-	for _, cse := range cases {
-		if got := c.At(cse.x); math.Abs(got-cse.want) > 1e-9 {
-			t.Errorf("At(%v) = %v, want %v", cse.x, got, cse.want)
-		}
-	}
-	if c.Len() != 4 {
-		t.Fatal("len wrong")
-	}
-	pts := c.Points(5)
-	if len(pts) != 5 || pts[0][0] != 1 || pts[4][0] != 4 {
-		t.Fatalf("points = %v", pts)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][1] < pts[i-1][1] {
-			t.Fatal("CDF points not monotone")
-		}
-	}
-	if NewCDF(nil).At(1) != 0 {
-		t.Fatal("empty CDF should be 0 everywhere")
-	}
-}
-
-func TestCDFMatchesSortProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		var xs []float64
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		c := NewCDF(xs)
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		// At(max) is 1; At(just below min) is 0.
-		below := math.Nextafter(sorted[0], math.Inf(-1))
-		return c.At(sorted[len(sorted)-1]) == 1 && c.At(below) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
