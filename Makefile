@@ -1,6 +1,6 @@
 # Tier-1 verification: formatting, vet, build, and the full test suite
 # under the race detector. CI and pre-merge both run `make check`.
-.PHONY: check test build fmt fuzz bench pairs chaos fleetsim-smoke loc
+.PHONY: check test build fmt lint fuzz bench pairs chaos fleetsim-smoke loc
 
 check:
 	./scripts/check.sh
@@ -13,6 +13,11 @@ test:
 
 fmt:
 	gofmt -w .
+
+# The typed lint alone (lint_test.go): the rule table, each rule's
+# testdata/lint trees, and the dead-code rules. Also part of `make check`.
+lint:
+	go test -count=1 -run '^Test(Lint|EveryDeclarationIsNamed)' .
 
 # Non-test Go lines per package and in total, outside bench/: the number
 # every PR reports (going down is a feature). `make loc REV=...` prints

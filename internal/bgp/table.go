@@ -51,9 +51,6 @@ func (rt *RoutedTable) Origin(a netx.Addr) (topology.ASN, bool) {
 	return rt.trie.Lookup(a)
 }
 
-// Prefixes returns all table entries in address order.
-func (rt *RoutedTable) Prefixes() []RoutedPrefix { return rt.prefixes }
-
 // Len returns the number of advertised prefixes.
 func (rt *RoutedTable) Len() int { return len(rt.prefixes) }
 

@@ -31,7 +31,7 @@ const (
 
 	// Retired kinds: journals from before submissions were columns and
 	// every probe call a sync hold them; only Upgrade reads them
-	// (upgrade.go), nothing writes them (scripts/check.sh).
+	// (upgrade.go), nothing writes them (the root lint_test.go).
 	opSubmit    = "experiment_submit"
 	opHeartbeat = "heartbeat"
 	opLease     = "lease_grant"

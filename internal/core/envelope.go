@@ -1,9 +1,9 @@
 package core
 
 // envelope.go is the single place in internal/core that writes HTTP
-// response bodies and status codes. scripts/check.sh lints the rest of
-// the package (and internal/federation, which serves the same surface
-// through these writers) against http.Error / naked WriteHeader calls,
+// response bodies and status codes. The root lint_test.go holds the rest
+// of the package (and internal/federation, which serves the same surface
+// through these writers) to no http.Error and no WriteHeader call,
 // so every handler goes through WriteJSON, WriteScanPage, WriteAggReport
 // or WriteAPIError and every non-2xx response carries one envelope:
 //

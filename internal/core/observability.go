@@ -5,7 +5,7 @@ package core
 // GET /api/v1/debug/traces, and the span plumbing that lets a request
 // trace descend from the HTTP handler through the mutator into the
 // journal append/fsync and the results-store append. The controller's
-// own packages never read the wall clock (scripts/check.sh enforces
+// own packages never read the wall clock (the root lint_test.go enforces
 // it); every timing measurement here goes through obs.Timer / obs.Span.
 
 import (

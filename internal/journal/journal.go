@@ -272,9 +272,6 @@ func open(dir string, load func() (*Snapshot, error)) (*Log, error) {
 // Seq returns the last sequence number assigned.
 func (l *Log) Seq() uint64 { return l.seq }
 
-// Dir returns the journal directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Append journals one mutation: it assigns the next sequence number,
 // writes the frame, and syncs to stable storage before returning, so a
 // successful Append may be acknowledged to clients. A failed write or

@@ -5,8 +5,8 @@
 //
 // The package exists so the rest of the system can stay
 // replay-deterministic: internal/core, internal/journal, and
-// internal/store are forbidden from reading the wall clock (see
-// scripts/check.sh), so every time.Now lives here. Instrumented code
+// internal/store are forbidden from reading the wall clock (see the
+// root lint_test.go), so every time.Now lives here. Instrumented code
 // starts a Timer (or a Span) and hands the elapsed duration to a
 // Histogram; none of the instrumentation feeds back into control-plane
 // decisions.

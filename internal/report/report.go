@@ -112,39 +112,3 @@ func WriteCSV(w io.Writer, series ...Series) error {
 	}
 	return nil
 }
-
-// BarChart renders a quick horizontal ASCII bar chart of labeled values
-// in [0,1] (fractions) or arbitrary positive scales.
-func BarChart(w io.Writer, title string, labels []string, values []float64, maxVal float64) {
-	if title != "" {
-		fmt.Fprintf(w, "== %s ==\n", title)
-	}
-	wide := 0
-	for _, l := range labels {
-		if width(l) > wide {
-			wide = width(l)
-		}
-	}
-	if maxVal <= 0 {
-		for _, v := range values {
-			if v > maxVal {
-				maxVal = v
-			}
-		}
-		if maxVal == 0 {
-			maxVal = 1
-		}
-	}
-	const barWidth = 40
-	for i, l := range labels {
-		v := values[i]
-		n := int(v / maxVal * barWidth)
-		if n < 0 {
-			n = 0
-		}
-		if n > barWidth {
-			n = barWidth
-		}
-		fmt.Fprintf(w, "%s  %s %.1f\n", pad(l, wide), strings.Repeat("#", n), v)
-	}
-}

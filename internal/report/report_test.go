@@ -55,30 +55,6 @@ func TestTableAlignsUTF8Labels(t *testing.T) {
 	}
 }
 
-func TestBarChartAlignsUTF8Labels(t *testing.T) {
-	var b strings.Builder
-	BarChart(&b, "", []string{"Côte d'Ivoire", "Kenya edition"}, []float64{1, 1}, 1)
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	a := []rune(lines[0])
-	c := []rune(lines[1])
-	ai, ci := -1, -1
-	for i, r := range a {
-		if r == '#' {
-			ai = i
-			break
-		}
-	}
-	for i, r := range c {
-		if r == '#' {
-			ci = i
-			break
-		}
-	}
-	if ai != ci {
-		t.Fatalf("bars start at rune offsets %d vs %d:\n%s", ai, ci, b.String())
-	}
-}
-
 func TestTableNoTitle(t *testing.T) {
 	tb := NewTable("", "a")
 	tb.AddRow("x")
@@ -100,30 +76,4 @@ func TestWriteCSV(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("csv = %q", b.String())
 	}
-}
-
-func TestBarChart(t *testing.T) {
-	var b strings.Builder
-	BarChart(&b, "Bars", []string{"aa", "b"}, []float64{1.0, 0.5}, 1.0)
-	out := b.String()
-	if !strings.Contains(out, "== Bars ==") {
-		t.Fatal("missing title")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	full := strings.Count(lines[1], "#")
-	half := strings.Count(lines[2], "#")
-	if full != 40 || half != 20 {
-		t.Fatalf("bar widths %d/%d", full, half)
-	}
-}
-
-func TestBarChartAutoScale(t *testing.T) {
-	var b strings.Builder
-	BarChart(&b, "", []string{"x"}, []float64{5}, 0)
-	if strings.Count(b.String(), "#") != 40 {
-		t.Fatal("auto max should make the largest bar full width")
-	}
-	// All-zero values must not divide by zero.
-	var b2 strings.Builder
-	BarChart(&b2, "", []string{"x"}, []float64{0}, 0)
 }

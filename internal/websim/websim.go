@@ -79,9 +79,6 @@ func New(n *netsim.Net, dns *dnssim.System, web *content.System, pol *outage.Int
 	return e
 }
 
-// Control returns the control vantage AS.
-func (e *Engine) Control() topology.ASN { return e.control }
-
 func wmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -1,7 +1,7 @@
 #!/bin/sh
 # loc.sh [REV] — non-test Go lines per top-level package and in total,
 # outside bench/ (the benchmark harness is an instrument, not the
-# system). This is the number ROADMAP asks every PR to report; `make loc`
+# system) and testdata/ directories (fixtures, which the go tool ignores). This is the number ROADMAP asks every PR to report; `make loc`
 # runs it. With REV, the same table is also built for that revision (from
 # `git archive` into a temporary directory, as pairs.sh does) and each
 # package is printed as parent, change (this working tree) and delta;
@@ -11,7 +11,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 table() { # dir
-    (cd "$1" && find . -name '*.go' -not -name '*_test.go' -not -path './bench/*') |
+    (cd "$1" && find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*') |
         sed 's|^\./||' |
         while read -r f; do
             case "$f" in

@@ -1,0 +1,7 @@
+package obs
+
+// Registry holds counter families.
+type Registry struct{ n map[string]int }
+
+// Counters is a family.
+func (r *Registry) Counters(family string) int { return r.n[family] }
