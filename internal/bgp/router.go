@@ -499,11 +499,3 @@ func (r *Router) Path(src, dst topology.ASN) (Path, bool) {
 	}
 	return p, true
 }
-
-// Reachable reports whether dst is reachable from src.
-func (r *Router) Reachable(src, dst topology.ASN) bool {
-	if src == dst {
-		return true
-	}
-	return r.Tree(dst).Reachable(src)
-}

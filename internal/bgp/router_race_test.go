@@ -63,7 +63,7 @@ func TestTreeConcurrentStress(t *testing.T) {
 						return
 					}
 				default:
-					r.Reachable(src, dst)
+					r.Tree(dst).Reachable(src)
 				}
 			}
 		}(g)

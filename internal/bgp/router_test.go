@@ -136,20 +136,20 @@ func TestLinkFailureFailover(t *testing.T) {
 	if !found {
 		t.Fatal("missing 100->10 link")
 	}
-	if !r.Reachable(1, 100) {
+	if !r.Tree(100).Reachable(1) {
 		t.Fatal("100 unreachable before failure")
 	}
 	r.SetDownLinks([]topology.LinkID{linkID})
-	if r.Reachable(1, 100) {
+	if r.Tree(100).Reachable(1) {
 		t.Fatal("100 should be cut off (single-homed)")
 	}
 	gen := r.Gen()
 	r.SetDownLinks([]topology.LinkID{linkID})
-	if r.Gen() != gen || r.Reachable(1, 100) {
+	if r.Gen() != gen || r.Tree(100).Reachable(1) {
 		t.Fatal("a second cut of the same link was not a no-op")
 	}
 	r.SetDownLinks(nil)
-	if !r.Reachable(1, 100) || !usesLink(r.Tree(100), linkID) {
+	if !r.Tree(100).Reachable(1) || !usesLink(r.Tree(100), linkID) {
 		t.Fatal("100 should be back, over the restored link")
 	}
 }

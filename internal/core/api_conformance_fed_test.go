@@ -186,7 +186,7 @@ func TestUnregisteredProbeLeasesNothing(t *testing.T) {
 			if got := ctrl.DurabilityCounters()["journal_records_appended"]; got != appended {
 				t.Errorf("journal grew by %d records serving an unregistered probe", got-appended)
 			}
-			if n := ctrl.OutstandingLeases(); n != 0 {
+			if n := ctrl.Stats().OutstandingLeases; n != 0 {
 				t.Errorf("%d leases granted to an unregistered probe", n)
 			}
 		})

@@ -431,10 +431,10 @@ func TestTraceSpanNesting(t *testing.T) {
 func TestTraceRingBounded(t *testing.T) {
 	c := NewController("owner")
 	WalkTraceRingBounded(t, c.Handler())
-	if got := c.Traces().Len(); got != DefaultTraceRing {
+	if got := c.ring.Len(); got != DefaultTraceRing {
 		t.Fatalf("ring length %d, want bound %d", got, DefaultTraceRing)
 	}
-	if got := len(c.Traces().Slowest(10)); got != 10 {
+	if got := len(c.ring.Slowest(10)); got != 10 {
 		t.Fatalf("Slowest(10) returned %d", got)
 	}
 }

@@ -298,7 +298,7 @@ func TestChaosScheduleEndToEnd(t *testing.T) {
 	// Exactly-once completion: every task has exactly one recorded
 	// result — nothing lost to a power cut, nothing double-counted from
 	// redelivery.
-	rs := ctrl.Results(exp.ID)
+	rs := resultsOf(t, ctrl, exp.ID)
 	if len(rs) != len(asg) {
 		t.Fatalf("results = %d, want %d", len(rs), len(asg))
 	}
@@ -363,7 +363,7 @@ func TestChaosScheduleEndToEnd(t *testing.T) {
 	// Memory stays bounded no matter how long the chaos ran: the trace
 	// ring at its fixed capacity, the store memtable under its flush
 	// threshold.
-	if got := ctrl.Traces().Len(); got > DefaultTraceRing {
+	if got := ctrl.ring.Len(); got > DefaultTraceRing {
 		t.Fatalf("trace ring grew to %d, bound is %d", got, DefaultTraceRing)
 	}
 	if got := ctrl.ResultStore().MemtableLen(); got >= flushEvery {

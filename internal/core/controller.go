@@ -196,9 +196,9 @@ type Controller struct {
 	waiters map[string][]chan struct{}
 
 	// Bias-aware scheduler state (scheduler.go): coverage is the target
-	// share per country/ASN (config, like LeaseTTL), the served* tallies
-	// count granted tasks per dimension. The tallies are updated inside
-	// the journaled lease apply, so they are snapshot state.
+	// share per country/ASN (ConfigureCoverage; not journaled), the
+	// served* tallies count granted tasks per dimension. The tallies are
+	// updated inside the journaled lease apply, so they are snapshot state.
 	coverage      CoverageTargets
 	servedCountry map[string]int64
 	servedASN     map[string]int64
@@ -335,17 +335,6 @@ func (c *Controller) Probes() []ProbeInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// ProbeHealthOf reports the controller's liveness verdict for a probe.
-func (c *Controller) ProbeHealthOf(probeID string) (ProbeHealth, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.probes[probeID]
-	if !ok {
-		return "", false
-	}
-	return st.health, true
 }
 
 // Tick advances the controller's logical clock by n ticks, sweeping
@@ -586,12 +575,8 @@ func (c *Controller) applySubmitLocked(op submitOp) *Experiment {
 	return exp
 }
 
-// Approve moves a pending experiment to approved and schedules its tasks.
-func (c *Controller) Approve(expID string) error {
-	return c.approveCtx(context.Background(), expID)
-}
-
-func (c *Controller) approveCtx(ctx context.Context, expID string) error {
+// approve moves a pending experiment to approved and schedules its tasks.
+func (c *Controller) approve(ctx context.Context, expID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.setSpanLocked(obs.SpanFrom(ctx))()
@@ -702,20 +687,6 @@ func (c *Controller) grantLocked(probeID string, max int) []probes.Task {
 
 func leaseKey(t probes.Task) string { return t.Experiment + "/" + t.ID }
 
-// PendingFor reports how many tasks a probe still has queued.
-func (c *Controller) PendingFor(probeID string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queues[probeID])
-}
-
-// OutstandingLeases reports how many leased tasks await results.
-func (c *Controller) OutstandingLeases() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.leases)
-}
-
 // stageResultsLocked is everything a result batch from probe st needs
 // before its journal record: validate the whole batch (an unknown
 // experiment or task rejects it with nothing recorded), build the refs to
@@ -816,17 +787,6 @@ func (c *Controller) pruneUnsealedLocked() {
 		i++
 	}
 	c.unsealed = c.unsealed[i:]
-}
-
-// Results returns the collected results of one experiment, served from
-// the results store without touching the controller lock — result reads
-// scale independently of the control plane's write path.
-func (c *Controller) Results(expID string) []probes.Result {
-	rs, _, err := c.ResultsPage(expID, 0, "")
-	if err != nil {
-		return nil
-	}
-	return rs
 }
 
 // ResultsPage returns up to limit results of one experiment starting

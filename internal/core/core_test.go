@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"testing"
@@ -49,7 +50,7 @@ func TestVettingWorkflow(t *testing.T) {
 	if exp.Status != StatusApproved {
 		t.Fatalf("trusted status = %s", exp.Status)
 	}
-	if got := c.PendingFor("p1"); got != 1 {
+	if got := len(c.queues["p1"]); got != 1 {
 		t.Fatalf("queued tasks = %d", got)
 	}
 
@@ -61,17 +62,17 @@ func TestVettingWorkflow(t *testing.T) {
 	if exp2.Status != StatusPending {
 		t.Fatalf("untrusted status = %s", exp2.Status)
 	}
-	if got := c.PendingFor("p1"); got != 1 {
+	if got := len(c.queues["p1"]); got != 1 {
 		t.Fatal("pending experiment leaked tasks")
 	}
-	if err := c.Approve(exp2.ID); err != nil {
+	if err := c.Backend().Approve(context.Background(), exp2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.PendingFor("p1"); got != 2 {
+	if got := len(c.queues["p1"]); got != 2 {
 		t.Fatal("approval did not schedule")
 	}
 	// Double-approve is idempotent.
-	if err := c.Approve(exp2.ID); err != nil {
+	if err := c.Backend().Approve(context.Background(), exp2.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +81,7 @@ func TestVettingWorkflow(t *testing.T) {
 	if err := c.Reject(exp3.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Approve(exp3.ID); err == nil {
+	if err := c.Backend().Approve(context.Background(), exp3.ID); err == nil {
 		t.Fatal("approved a rejected experiment")
 	}
 	if err := c.Reject(exp2.ID); err == nil {
@@ -93,7 +94,7 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := c.SubmitExperiment("o", "d", nil); err == nil {
 		t.Fatal("empty experiment accepted")
 	}
-	if err := c.Approve("exp-nope"); err == nil {
+	if err := c.Backend().Approve(context.Background(), "exp-nope"); err == nil {
 		t.Fatal("approved unknown experiment")
 	}
 }
@@ -133,7 +134,7 @@ func TestLeaseAndResults(t *testing.T) {
 	if !c.Done(exp.ID) {
 		t.Fatal("not done after all results")
 	}
-	if got := len(c.Results(exp.ID)); got != 5 {
+	if got := len(resultsOf(t, c, exp.ID)); got != 5 {
 		t.Fatalf("results = %d", got)
 	}
 }

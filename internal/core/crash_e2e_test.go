@@ -175,7 +175,7 @@ func TestCrashRestartRecoveryEndToEnd(t *testing.T) {
 
 	// Exactly-once completion across the crash: every task has exactly
 	// one recorded result, none lost, none duplicated.
-	rs := ctrl.Results(exp.ID)
+	rs := resultsOf(t, ctrl, exp.ID)
 	if len(rs) != len(asg) {
 		t.Fatalf("results = %d, want %d", len(rs), len(asg))
 	}

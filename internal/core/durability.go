@@ -179,10 +179,6 @@ type DurabilityConfig struct {
 	// Retention drops stored results older than this many ticks during
 	// compaction sweeps. 0 keeps everything.
 	Retention int64
-	// Coverage installs bias-aware lease scheduling targets
-	// (scheduler.go). Like the tick knobs this is config, not journaled
-	// state: recover with the same targets to replay the same grants.
-	Coverage CoverageTargets
 }
 
 // ErrNeedsUpgrade is Recover's refusal of a directory an older binary
@@ -280,7 +276,6 @@ func recoverWith(r reader, dir string, cfg DurabilityConfig) (*Controller, error
 	if cfg.DeadAfter > 0 {
 		c.DeadAfter = cfg.DeadAfter
 	}
-	c.coverage = cfg.Coverage
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -635,39 +630,6 @@ func toSet(ids []string) map[string]bool {
 		set[id] = true
 	}
 	return set
-}
-
-// LeaseInfo is one outstanding lease as exposed for equivalence checks
-// and operational inspection.
-type LeaseInfo struct {
-	Task     probes.Task `json:"task"`
-	ProbeID  string      `json:"probe_id"`
-	Deadline int64       `json:"deadline"`
-}
-
-// Leases snapshots the outstanding lease table, keyed by
-// experiment+"/"+task.
-func (c *Controller) Leases() map[string]LeaseInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]LeaseInfo, len(c.leases))
-	for k, l := range c.leases {
-		out[k] = LeaseInfo{Task: l.task, ProbeID: l.probeID, Deadline: l.deadline}
-	}
-	return out
-}
-
-// Queues snapshots every non-empty per-probe pending queue.
-func (c *Controller) Queues() map[string][]probes.Task {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string][]probes.Task)
-	for id, q := range c.queues {
-		if len(q) > 0 {
-			out[id] = append([]probes.Task(nil), q...)
-		}
-	}
-	return out
 }
 
 // DurabilityCounters snapshots the journal-layer counters

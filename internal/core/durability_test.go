@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -123,7 +124,7 @@ func genOps(seed int64, n int) []ctrlOp {
 			if rng.Intn(4) == 0 {
 				ops = append(ops, func(c *Controller) { _ = c.Reject(id) })
 			} else {
-				ops = append(ops, func(c *Controller) { _ = c.Approve(id) })
+				ops = append(ops, func(c *Controller) { _ = c.Backend().Approve(context.Background(), id) })
 			}
 		case k < 6: // lease
 			id := probeIDs[rng.Intn(len(probeIDs))]

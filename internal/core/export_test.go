@@ -26,3 +26,42 @@ func (c *Controller) submitResults(probeID string, rs []probes.Result) (int, err
 	resp, err := c.SyncProbe(probeID, rs, -1)
 	return resp.Accepted, err
 }
+
+// LeaseInfo is one outstanding lease as exposed for equivalence checks.
+type LeaseInfo struct {
+	Task     probes.Task `json:"task"`
+	ProbeID  string      `json:"probe_id"`
+	Deadline int64       `json:"deadline"`
+}
+
+// Leases snapshots the outstanding lease table, keyed by
+// experiment+"/"+task.
+func (c *Controller) Leases() map[string]LeaseInfo {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]LeaseInfo, len(c.leases))
+	for k, l := range c.leases {
+		out[k] = LeaseInfo{Task: l.task, ProbeID: l.probeID, Deadline: l.deadline}
+	}
+	return out
+}
+
+// Queues snapshots every non-empty per-probe pending queue.
+func (c *Controller) Queues() map[string][]probes.Task {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string][]probes.Task)
+	for id, q := range c.queues {
+		if len(q) > 0 {
+			out[id] = append([]probes.Task(nil), q...)
+		}
+	}
+	return out
+}
+
+// NotReady closes the gate again (a restart in progress).
+func (g *RecoveryGate) NotReady() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.h = nil
+}

@@ -121,7 +121,7 @@ func TestFaultInjectedPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Exactly-once completion: every task has exactly one result.
-	rs := ctrl.Results(exp.ID)
+	rs := resultsOf(t, ctrl, exp.ID)
 	if len(rs) != len(asg) {
 		t.Fatalf("results = %d, want %d", len(rs), len(asg))
 	}

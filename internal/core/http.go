@@ -44,13 +44,6 @@ func (g *RecoveryGate) Ready(h http.Handler) {
 	g.h = h
 }
 
-// NotReady closes the gate again (a restart in progress).
-func (g *RecoveryGate) NotReady() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.h = nil
-}
-
 func (g *RecoveryGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mu.RLock()
 	h := g.h
@@ -296,7 +289,7 @@ func (b controllerBackend) Submit(ctx context.Context, req SubmitRequest) (*Expe
 }
 
 func (b controllerBackend) Approve(ctx context.Context, expID string) error {
-	return b.c.approveCtx(ctx, expID)
+	return b.c.approve(ctx, expID)
 }
 
 func (b controllerBackend) Experiment(expID string) (*Experiment, error) {

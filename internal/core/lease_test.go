@@ -31,6 +31,16 @@ func okResult(task probes.Task) probes.Result {
 	return probes.Result{TaskID: task.ID, Experiment: task.Experiment, OK: true}
 }
 
+// resultsOf reads every stored result of an experiment in one page.
+func resultsOf(t *testing.T, c *Controller, expID string) []probes.Result {
+	t.Helper()
+	rs, _, err := c.ResultsPage(expID, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 // TestLeaseExpiryRequeueRedeliverDedup walks the full lifecycle:
 // lease → expire → requeue → redeliver → dedup.
 func TestLeaseExpiryRequeueRedeliverDedup(t *testing.T) {
@@ -43,8 +53,8 @@ func TestLeaseExpiryRequeueRedeliverDedup(t *testing.T) {
 	}
 
 	lease := c.leaseTasks("p1", 0)
-	if len(lease) != 3 || c.PendingFor("p1") != 0 || c.OutstandingLeases() != 3 {
-		t.Fatalf("lease=%d pending=%d outstanding=%d", len(lease), c.PendingFor("p1"), c.OutstandingLeases())
+	if len(lease) != 3 || len(c.queues["p1"]) != 0 || len(c.leases) != 3 {
+		t.Fatalf("lease=%d pending=%d outstanding=%d", len(lease), len(c.queues["p1"]), len(c.leases))
 	}
 
 	// One result lands before the deadline.
@@ -52,15 +62,15 @@ func TestLeaseExpiryRequeueRedeliverDedup(t *testing.T) {
 		t.Fatalf("submit: n=%d err=%v", n, err)
 	}
 	c.Tick(1) // now=1: nothing expires yet
-	if got := c.PendingFor("p1"); got != 0 {
+	if got := len(c.queues["p1"]); got != 0 {
 		t.Fatalf("requeued too early: pending=%d", got)
 	}
 	c.Tick(1) // now=2: the two unfinished leases lapse
-	if got := c.PendingFor("p1"); got != 2 {
+	if got := len(c.queues["p1"]); got != 2 {
 		t.Fatalf("expired leases not requeued: pending=%d", got)
 	}
-	if c.OutstandingLeases() != 0 {
-		t.Fatalf("outstanding=%d after reap", c.OutstandingLeases())
+	if len(c.leases) != 0 {
+		t.Fatalf("outstanding=%d after reap", len(c.leases))
 	}
 	stats := c.Stats()
 	if stats.Counters["leases_expired"] != 2 || stats.Counters["tasks_requeued"] != 2 {
@@ -87,7 +97,7 @@ func TestLeaseExpiryRequeueRedeliverDedup(t *testing.T) {
 	if n, err := c.submitResults("p1", rs); err != nil || n != 0 {
 		t.Fatalf("duplicate submit: n=%d err=%v", n, err)
 	}
-	if got := len(c.Results(exp.ID)); got != 3 {
+	if got := len(resultsOf(t, c, exp.ID)); got != 3 {
 		t.Fatalf("results = %d, want 3", got)
 	}
 	if got := c.Stats().Counters["results_deduped"]; got != 2 {
@@ -107,7 +117,7 @@ func TestLeaseSkipsCompletedTasks(t *testing.T) {
 	}
 	lease := c.leaseTasks("p1", 0)
 	c.Tick(1) // lease expires, task requeued
-	if c.PendingFor("p1") != 1 {
+	if len(c.queues["p1"]) != 1 {
 		t.Fatal("task not requeued")
 	}
 	// The original (slow) delivery lands after the requeue.
@@ -121,8 +131,8 @@ func TestLeaseSkipsCompletedTasks(t *testing.T) {
 	if got := c.Stats().Counters["tasks_dropped_completed"]; got != 1 {
 		t.Fatalf("tasks_dropped_completed = %d", got)
 	}
-	if !c.Done(exp.ID) || len(c.Results(exp.ID)) != 1 {
-		t.Fatalf("done=%v results=%d", c.Done(exp.ID), len(c.Results(exp.ID)))
+	if !c.Done(exp.ID) || len(resultsOf(t, c, exp.ID)) != 1 {
+		t.Fatalf("done=%v results=%d", c.Done(exp.ID), len(resultsOf(t, c, exp.ID)))
 	}
 }
 
@@ -149,7 +159,7 @@ func TestSubmitResultsValidation(t *testing.T) {
 	if n, err := c.submitResults("p1", bad); err == nil || n != 0 {
 		t.Fatalf("mixed batch: n=%d err=%v", n, err)
 	}
-	if len(c.Results(exp.ID)) != 0 {
+	if len(resultsOf(t, c, exp.ID)) != 0 {
 		t.Fatal("rejected batch left residue")
 	}
 	if got := c.Stats().Counters["results_rejected"]; got != 4 {
@@ -179,25 +189,25 @@ func TestProbeLivenessTransitions(t *testing.T) {
 	}
 
 	step(1)
-	if h, _ := c.ProbeHealthOf("silent"); h != ProbeAlive {
+	if h := c.probes["silent"].health; h != ProbeAlive {
 		t.Fatalf("health after 1 tick = %s", h)
 	}
 	step(1)
-	if h, _ := c.ProbeHealthOf("silent"); h != ProbeSuspect {
+	if h := c.probes["silent"].health; h != ProbeSuspect {
 		t.Fatalf("health after 2 ticks = %s", h)
 	}
-	if c.PendingFor("silent") != 3 {
+	if len(c.queues["silent"]) != 3 {
 		t.Fatal("suspect probe lost its queue prematurely")
 	}
 	step(2)
-	if h, _ := c.ProbeHealthOf("silent"); h != ProbeDead {
+	if h := c.probes["silent"].health; h != ProbeDead {
 		t.Fatalf("health after 4 ticks = %s", h)
 	}
 	// Death hands the whole queue to the same-ASN peer.
-	if got := c.PendingFor("peer"); got != 3 {
+	if got := len(c.queues["peer"]); got != 3 {
 		t.Fatalf("peer inherited %d tasks", got)
 	}
-	if c.PendingFor("silent") != 0 {
+	if len(c.queues["silent"]) != 0 {
 		t.Fatal("dead probe kept its queue")
 	}
 	stats := c.Stats()
@@ -209,7 +219,7 @@ func TestProbeLivenessTransitions(t *testing.T) {
 	if _, err := c.SyncProbe("silent", nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := c.ProbeHealthOf("silent"); h != ProbeAlive {
+	if h := c.probes["silent"].health; h != ProbeAlive {
 		t.Fatalf("health after heartbeat = %s", h)
 	}
 	if got := c.Stats().Counters["probes_revived"]; got != 1 {
@@ -245,13 +255,13 @@ func TestDeadProbeLeaseReassignment(t *testing.T) {
 		}
 		c.Tick(1)
 	}
-	if h, _ := c.ProbeHealthOf("crash"); h != ProbeDead {
+	if h := c.probes["crash"].health; h != ProbeDead {
 		t.Fatalf("crash health = %s", h)
 	}
-	if got := c.PendingFor("peer"); got != 2 {
+	if got := len(c.queues["peer"]); got != 2 {
 		t.Fatalf("peer queue = %d, want the reaped leases", got)
 	}
-	if c.PendingFor("crash") != 0 {
+	if len(c.queues["crash"]) != 0 {
 		t.Fatal("reaped leases went back to the dead probe")
 	}
 }
@@ -367,7 +377,7 @@ func TestRunAgentOnceRetriesSubmitResults(t *testing.T) {
 	if !ctrl.Done(exp.ID) {
 		t.Fatal("experiment not done")
 	}
-	rs := ctrl.Results(exp.ID)
+	rs := resultsOf(t, ctrl, exp.ID)
 	if len(rs) != 2 {
 		t.Fatalf("results = %d, want exactly 2 (no duplicates)", len(rs))
 	}
@@ -405,7 +415,7 @@ func TestEnqueueToAlreadyDeadProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, _ := c.ProbeHealthOf("gone-01"); got != ProbeDead {
+	if got := c.probes["gone-01"].health; got != ProbeDead {
 		t.Fatalf("gone-01 health = %v, want %v", got, ProbeDead)
 	}
 
@@ -413,16 +423,16 @@ func TestEnqueueToAlreadyDeadProbe(t *testing.T) {
 	if _, err := c.SubmitExperiment("o", "late", pingAssignments("gone-01", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.PendingFor("gone-01"); got != 2 {
+	if got := len(c.queues["gone-01"]); got != 2 {
 		t.Fatalf("pending on dead probe = %d, want 2", got)
 	}
 
 	// Next sweep moves the queue onto the surviving same-ASN peer.
 	c.Tick(1)
-	if got := c.PendingFor("gone-01"); got != 0 {
+	if got := len(c.queues["gone-01"]); got != 0 {
 		t.Fatalf("dead probe still holds %d tasks", got)
 	}
-	if got := c.PendingFor("peer-01"); got != 2 {
+	if got := len(c.queues["peer-01"]); got != 2 {
 		t.Fatalf("peer queue = %d, want 2", got)
 	}
 	if got := c.Stats().Counters["tasks_reassigned"]; got != 2 {

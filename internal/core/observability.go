@@ -65,6 +65,3 @@ func (c *Controller) setSpanLocked(s *obs.Span) func() {
 // Observability exposes the controller's metric registry (cmd/obsd
 // mounts it on the debug listener; tests inspect snapshots).
 func (c *Controller) Observability() *obs.Registry { return c.reg }
-
-// Traces exposes the controller's trace ring.
-func (c *Controller) Traces() *obs.TraceRing { return c.ring }

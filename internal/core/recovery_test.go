@@ -254,7 +254,7 @@ func TestRetentionDoesNotRequeue(t *testing.T) {
 	if n := rec.Stats().Counters["results_recorded"]; n != 2 {
 		t.Fatalf("results_recorded = %d, want 2", n)
 	}
-	if n := rec.PendingFor("p1"); n != 0 {
+	if n := len(rec.queues["p1"]); n != 0 {
 		t.Fatalf("%d expired measurements back on the probe's queue", n)
 	}
 }
@@ -294,12 +294,12 @@ func TestStoreAheadOfJournal(t *testing.T) {
 	if n := rec.Stats().Counters["results_recorded"]; n != 3 {
 		t.Fatalf("results_recorded = %d, want 3", n)
 	}
-	if n := rec.OutstandingLeases(); n != 3 {
+	if n := len(rec.leases); n != 3 {
 		t.Fatalf("%d leases outstanding, want the 3 whose results were never acknowledged", n)
 	}
 	// The probe's retry is accepted and the duplicates collapse at read time.
 	submitPingBatch(t, rec, "p1", exp.ID, 3, 6)
-	if got := len(rec.Results(exp.ID)); got != 6 {
+	if got := len(resultsOf(t, rec, exp.ID)); got != 6 {
 		t.Fatalf("%d results, want 6", got)
 	}
 }
@@ -438,7 +438,7 @@ func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
 				t.Fatal("the walk read no segment")
 			}
 			checkBook(t, rec, "legacy recovery")
-			if got := rec.PendingFor("p1"); got != 4 {
+			if got := len(rec.queues["p1"]); got != 4 {
 				t.Fatalf("requeued tasks = %d, want 4", got)
 			}
 			// The results it accepts from here on are placed.

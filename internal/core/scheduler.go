@@ -19,10 +19,10 @@ package core
 // entirely misplaced. The allowance for a probe whose class is over
 // target scales the ask by target/share (floored at 1 so no class is
 // ever starved outright); classes at or under target always get their
-// full ask. Targets are config (DurabilityConfig.Coverage), not
-// journaled state — like LeaseTTL, recover with the same targets to
-// replay the same grants. The served tallies, by contrast, are updated
-// inside the journaled lease apply and ride snapshots.
+// full ask. Targets are config installed by ConfigureCoverage, not
+// journaled state, so they belong on controllers without a journal. The
+// served tallies, by contrast, are updated inside the journaled lease
+// apply and ride snapshots.
 
 import (
 	"strconv"
@@ -73,9 +73,9 @@ func asnKey(a topology.ASN) string {
 }
 
 // ConfigureCoverage installs (or, with the zero value, removes) the
-// scheduler's targets. Config, not journaled: a durable deployment must
-// recover with the same targets (DurabilityConfig.Coverage) for replay
-// to grant the same leases.
+// scheduler's targets. Targets are not journaled and a recovery does not
+// restore them, so replay would grant other leases than the run it
+// replays: they belong on controllers without a journal.
 func (c *Controller) ConfigureCoverage(t CoverageTargets) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -145,8 +145,8 @@ func wideBook(t testing.TB) string {
 		}
 	}
 	c.Tick(2)
-	if c.ResultStore().MemtableLen() == 0 || c.OutstandingLeases() == 0 {
-		t.Fatalf("wide book left %d in the memtable and %d leases; it wants both", c.ResultStore().MemtableLen(), c.OutstandingLeases())
+	if c.ResultStore().MemtableLen() == 0 || len(c.leases) == 0 {
+		t.Fatalf("wide book left %d in the memtable and %d leases; it wants both", c.ResultStore().MemtableLen(), len(c.leases))
 	}
 	return dir
 }

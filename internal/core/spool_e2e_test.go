@@ -78,7 +78,7 @@ func TestSpoolBacklogSurvivesProbeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := ctrl.Results(exp.ID); len(got) != 0 {
+	if got := resultsOf(t, ctrl, exp.ID); len(got) != 0 {
 		t.Fatalf("controller already has %d results; partition leaked", len(got))
 	}
 
@@ -115,7 +115,7 @@ func TestSpoolBacklogSurvivesProbeRestart(t *testing.T) {
 	if !ctrl.Done(exp.ID) {
 		t.Fatalf("experiment not complete; stats=%+v", ctrl.Stats().Counters)
 	}
-	rs := ctrl.Results(exp.ID)
+	rs := resultsOf(t, ctrl, exp.ID)
 	if len(rs) != len(asg) {
 		t.Fatalf("results = %d, want %d", len(rs), len(asg))
 	}
@@ -199,7 +199,7 @@ func TestSpoolRedeliveryAfterLostAckIsDeduped(t *testing.T) {
 	if !ctrl.Done(exp.ID) {
 		t.Fatal("experiment not complete")
 	}
-	if got := ctrl.Results(exp.ID); len(got) != len(asg) {
+	if got := resultsOf(t, ctrl, exp.ID); len(got) != len(asg) {
 		t.Fatalf("results = %d, want %d (redelivery double-counted?)", len(got), len(asg))
 	}
 	if got := ctrl.Stats().Counters["results_deduped"]; got != int64(len(asg)) {

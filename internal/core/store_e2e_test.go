@@ -103,7 +103,7 @@ func TestMemtableLossRequeuesTasks(t *testing.T) {
 	if rec.Done(exp.ID) {
 		t.Fatal("experiment still Done despite lost payloads")
 	}
-	if got := rec.PendingFor("p1"); got != 4 {
+	if got := len(rec.queues["p1"]); got != 4 {
 		t.Fatalf("requeued tasks = %d, want 4", got)
 	}
 	if got := rec.Stats().Counters["results_recorded"]; got != 8 {
@@ -115,7 +115,7 @@ func TestMemtableLossRequeuesTasks(t *testing.T) {
 	if !rec.Done(exp.ID) {
 		t.Fatal("pipeline did not converge after memtable loss")
 	}
-	rs := rec.Results(exp.ID)
+	rs := resultsOf(t, rec, exp.ID)
 	if len(rs) != 12 {
 		t.Fatalf("results = %d, want 12", len(rs))
 	}

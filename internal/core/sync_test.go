@@ -6,6 +6,7 @@ package core
 // (including the scheduler's served tallies).
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -186,7 +187,7 @@ func TestSyncLongPollWakesOnApprove(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.Approve(exp.ID); err != nil {
+	if err := c.Backend().Approve(context.Background(), exp.ID); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -260,7 +261,7 @@ func TestTickMatchesReferenceSweep(t *testing.T) {
 				expID := pending[0]
 				pending = pending[1:]
 				for _, c := range pair {
-					if err := c.Approve(expID); err != nil {
+					if err := c.Backend().Approve(context.Background(), expID); err != nil {
 						t.Fatal(err)
 					}
 				}

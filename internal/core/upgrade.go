@@ -16,7 +16,7 @@ import (
 )
 
 // Upgrade is Recover for a directory any binary wrote, Recover's config
-// and all (LeaseTTL and Coverage change what replay grants): it recovers
+// and all (LeaseTTL changes what replay grants): it recovers
 // with the legacy reader and takes a snapshot, which leaves the one shape
 // Recover reads — a columns snapshot.log with the unsealed list, an empty
 // journal.log, no blob. A crash before the blob is removed leaves a

@@ -155,15 +155,6 @@ type Report struct {
 	ByCountry []CountryAgg // sorted by country
 }
 
-// LocalizationAccuracy is the run-wide share of cloud-authority answers
-// that were localized to the client.
-func (r Report) LocalizationAccuracy() float64 {
-	if r.CloudAuth == 0 {
-		return 0
-	}
-	return float64(r.Localized) / float64(r.CloudAuth)
-}
-
 // shardAgg accumulates one stripe's counters; merged in shard order.
 type shardAgg struct {
 	ok, failed, timedOut, retried, attempts int

@@ -116,13 +116,15 @@ func TestECSImprovesOrMatchesLocalization(t *testing.T) {
 	noECS := Run(testDNS, cfg)
 	cfg.ECS = true
 	withECS := Run(testDNS, cfg)
-	if withECS.LocalizationAccuracy() < noECS.LocalizationAccuracy() {
-		t.Fatalf("ECS should never hurt localization: with=%.3f without=%.3f",
-			withECS.LocalizationAccuracy(), noECS.LocalizationAccuracy())
+	// Localization accuracy is Localized/CloudAuth; the first check compares
+	// the two shares cross-multiplied.
+	if withECS.Localized*noECS.CloudAuth < noECS.Localized*withECS.CloudAuth {
+		t.Fatalf("ECS should never hurt localization: with=%d/%d without=%d/%d",
+			withECS.Localized, withECS.CloudAuth, noECS.Localized, noECS.CloudAuth)
 	}
-	if withECS.LocalizationAccuracy() != 1.0 {
-		t.Fatalf("ECS answers are steered by the client subnet, accuracy should be 1.0, got %.3f",
-			withECS.LocalizationAccuracy())
+	if withECS.CloudAuth == 0 || withECS.Localized != withECS.CloudAuth {
+		t.Fatalf("ECS answers are steered by the client subnet, all should be localized, got %d/%d",
+			withECS.Localized, withECS.CloudAuth)
 	}
 }
 

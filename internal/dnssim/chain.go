@@ -3,7 +3,6 @@ package dnssim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -134,18 +133,6 @@ func NewLink(name string, s *System, cfg LinkConfig, next Resolver) (Resolver, e
 	return ctor(s, cfg, next), nil
 }
 
-// RegisteredLinks lists the registered link names, sorted.
-func RegisteredLinks() []string {
-	linkMu.RLock()
-	defer linkMu.RUnlock()
-	out := make([]string, 0, len(linkCtor))
-	for name := range linkCtor {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // BuildChain stacks registered links outermost-first: the first name is
 // the entry point, the last is the terminal link.
 func BuildChain(s *System, cfg LinkConfig, names ...string) (Resolver, error) {
@@ -248,17 +235,6 @@ func (s *System) memoNow() *chainMemo {
 			return fresh
 		}
 	}
-}
-
-// ChainCacheStats reports cache-link hits and misses accumulated under
-// the current failure state (counters reset when a flap swaps the memo
-// generation).
-func (s *System) ChainCacheStats() (hits, misses uint64) {
-	m := s.memo.Load()
-	if m == nil {
-		return 0, 0
-	}
-	return m.hits.Load(), m.misses.Load()
 }
 
 func init() {

@@ -117,13 +117,7 @@ func TestChainSpecShapes(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"stub", "cache", "forwarder", "hub", "cloud", "authority"} {
-		found := false
-		for _, reg := range RegisteredLinks() {
-			if reg == name {
-				found = true
-			}
-		}
-		if !found {
+		if _, found := linkCtor[name]; !found {
 			t.Fatalf("built-in link %q not registered", name)
 		}
 	}
@@ -209,7 +203,7 @@ func TestChainSurvivesLinkFlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0, misses0 := s.ChainCacheStats()
+	hits0, misses0 := s.memo.Load().hits.Load(), s.memo.Load().misses.Load()
 	if misses0 == 0 {
 		t.Fatal("first resolution should be a cache miss")
 	}
@@ -229,7 +223,7 @@ func TestChainSurvivesLinkFlap(t *testing.T) {
 	if _, err := before.Resolve(q, DefaultDepth); err != nil {
 		t.Fatal(err)
 	}
-	hits1, misses1 := s.ChainCacheStats()
+	hits1, misses1 := s.memo.Load().hits.Load(), s.memo.Load().misses.Load()
 	if hits1 != 0 || misses1 != 1 {
 		t.Fatalf("post-flap stats = (%d hits, %d misses), want (0, 1); pre-flap (%d, %d)", hits1, misses1, hits0, misses0)
 	}
@@ -237,7 +231,7 @@ func TestChainSurvivesLinkFlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits2, _ := s.ChainCacheStats(); hits2 != 1 {
+	if hits2 := s.memo.Load().hits.Load(); hits2 != 1 {
 		t.Fatalf("repeat query should hit the cache, stats hits=%d", hits2)
 	}
 	if ansAfter != ansBefore {

@@ -200,12 +200,20 @@ func TestShardChaosEndToEnd(t *testing.T) {
 	permShard := shardIDs[seed%int64(len(shardIDs))]
 
 	epochAtKill := map[string]int{}
+	epochOf := func(id string) int { // a shard's incarnation, as /api/v1/shards reports it
+		for _, st := range coord.ShardStatuses() {
+			if st.ID == id {
+				return st.Epoch
+			}
+		}
+		t.Fatalf("coordinator has no shard %s", id)
+		return 0
+	}
 	sawDegraded := false
 	doRound := func(round int) {
 		for _, e := range sched.StartingAt(round, faultinject.EventShardKill) {
 			if ctrl := locals[e.Target].Kill(); ctrl != nil {
-				ep, _ := coord.ShardEpoch(e.Target)
-				epochAtKill[e.Target] = ep
+				epochAtKill[e.Target] = epochOf(e.Target)
 				if kills++; kills%2 == 1 {
 					tear(t, dirOf[e.Target])
 					tornOf[e.Target] = 1
@@ -214,8 +222,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		}
 		if round == permKillRound {
 			locals[permShard].Kill()
-			ep, _ := coord.ShardEpoch(permShard)
-			epochAtKill[permShard] = ep
+			epochAtKill[permShard] = epochOf(permShard)
 			tear(t, dirOf[permShard])
 			tornOf[permShard] = 1
 		}
@@ -223,7 +230,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			if e.Target == permShard && round >= permKillRound {
 				continue // the permanent kill stays dead until failover
 			}
-			if ep, _ := coord.ShardEpoch(e.Target); ep != epochAtKill[e.Target] {
+			if epochOf(e.Target) != epochAtKill[e.Target] {
 				continue // failover already replaced it under a new epoch
 			}
 			if locals[e.Target].Controller() != nil {
@@ -283,7 +290,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 	if ctrs["fed_shard_dead"] == 0 || ctrs["fed_failovers"] == 0 {
 		t.Fatalf("no dead-shard failover exercised: %v", ctrs)
 	}
-	if ep, ok := coord.ShardEpoch(permShard); !ok || ep == 0 {
+	if ep := epochOf(permShard); ep == 0 {
 		t.Fatalf("permanently killed %s still at epoch %d", permShard, ep)
 	}
 

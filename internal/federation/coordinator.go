@@ -359,19 +359,6 @@ func (c *Coordinator) ShardStatuses() []ShardStatus {
 	return out
 }
 
-// ShardEpoch returns a shard's current incarnation (0, false for an
-// unknown id). Chaos harnesses use it to detect that a failover won the
-// race against a planned restart.
-func (c *Coordinator) ShardEpoch(id string) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.shards[id]
-	if !ok {
-		return 0, false
-	}
-	return st.epoch, true
-}
-
 // Tick advances the coordinator's logical clock by n: admission buckets
 // refill, every live shard's own clock advances, and each shard is
 // health-probed, driving the alive→suspect→dead machine. A shard that

@@ -484,9 +484,8 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 	if c.Counters()["fed_failovers"] != 1 {
 		t.Fatalf("fed_failovers = %d, want 1 (counters: %v)", c.Counters()["fed_failovers"], c.Counters())
 	}
-	epoch, ok := c.ShardEpoch("shard-1")
-	if !ok || epoch != 1 {
-		t.Fatalf("shard-1 epoch = %d/%v, want 1", epoch, ok)
+	if st := c.ShardStatuses()[1]; st.ID != "shard-1" || st.Epoch != 1 {
+		t.Fatalf("shard-1 status = %+v, want epoch 1", st)
 	}
 	if got := c.ShardStatuses()[1].Health; got != core.ProbeAlive {
 		t.Fatalf("failed-over shard health = %s, want alive", got)

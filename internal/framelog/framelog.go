@@ -398,6 +398,26 @@ func CopyFileSync(src, dst string) error {
 	return createSynced(dst, in)
 }
 
+// CopyDir copies the regular files of srcDir that keep accepts into
+// dstDir, fsyncing each and then dstDir; a missing srcDir copies nothing.
+func CopyDir(srcDir, dstDir string, keep func(name string) bool) error {
+	ents, err := os.ReadDir(srcDir)
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	} else if err = os.MkdirAll(dstDir, 0o755); err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if name := e.Name(); e.Type().IsRegular() && keep(name) {
+			if err := CopyFileSync(filepath.Join(srcDir, name), filepath.Join(dstDir, name)); err != nil {
+				return err
+			}
+		}
+	}
+	SyncDir(dstDir)
+	return nil
+}
+
 // SyncDir fsyncs a directory so a rename or create inside it survives
 // power loss. Errors are ignored: not every filesystem supports
 // directory fsync, and the rename itself already happened.

@@ -2,8 +2,6 @@ package journal
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"github.com/afrinet/observatory/internal/framelog"
@@ -19,20 +17,8 @@ import (
 // shard's writer is gone); a torn tail in the source is fine — Recover
 // truncates it like any crash.
 func Clone(srcDir, dstDir string) error {
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
+	if err := framelog.CopyDir(srcDir, dstDir, func(name string) bool { return !strings.HasSuffix(name, ".tmp") }); err != nil {
 		return fmt.Errorf("journal: clone: %w", err)
 	}
-	ents, err := os.ReadDir(srcDir)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("journal: clone: %w", err)
-	}
-	for _, ent := range ents {
-		if name := ent.Name(); ent.Type().IsRegular() && !strings.HasSuffix(name, ".tmp") {
-			if err := framelog.CopyFileSync(filepath.Join(srcDir, name), filepath.Join(dstDir, name)); err != nil {
-				return fmt.Errorf("journal: clone %s: %w", name, err)
-			}
-		}
-	}
-	framelog.SyncDir(dstDir)
 	return nil
 }

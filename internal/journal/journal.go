@@ -56,7 +56,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -152,19 +151,6 @@ func cutRecord(payload []byte) (Record, bool) {
 	}
 	rec.Data = data
 	return rec, true
-}
-
-// ReadAll decodes frames from r until EOF or the first bad frame or
-// invalid record (see DecodeRecords). It never fails: it returns the
-// records decoded before the stream went bad, how many bytes of r they
-// span, and whether the stream ended with a torn or corrupt tail (true)
-// rather than a clean EOF (false).
-func ReadAll(r io.Reader) (recs []Record, goodBytes int64, torn bool) {
-	data, err := io.ReadAll(r)
-	payloads := framelog.Frames(data)
-	recs = DecodeRecords(payloads)
-	goodBytes = framelog.Span(payloads[:len(recs)])
-	return recs, goodBytes, goodBytes < int64(len(data)) || err != nil
 }
 
 // EncodeFrame renders one record as a wire frame (length | CRC | JSON).

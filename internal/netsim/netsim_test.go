@@ -278,3 +278,17 @@ func TestTracerouteToUnknownAddress(t *testing.T) {
 		t.Fatal("unrouted target should produce an empty trace")
 	}
 }
+
+// ASPath returns the distinct true AS sequence seen on the hops.
+func (tr *Traceroute) ASPath() []topology.ASN {
+	var out []topology.ASN
+	for _, h := range tr.Hops {
+		if h.TrueASN == 0 {
+			continue
+		}
+		if len(out) == 0 || out[len(out)-1] != h.TrueASN {
+			out = append(out, h.TrueASN)
+		}
+	}
+	return out
+}

@@ -33,20 +33,6 @@ type Traceroute struct {
 	RTT     float64 // end-to-end RTT if reached
 }
 
-// ASPath returns the distinct true AS sequence seen on the hops.
-func (tr *Traceroute) ASPath() []topology.ASN {
-	var out []topology.ASN
-	for _, h := range tr.Hops {
-		if h.TrueASN == 0 {
-			continue
-		}
-		if len(out) == 0 || out[len(out)-1] != h.TrueASN {
-			out = append(out, h.TrueASN)
-		}
-	}
-	return out
-}
-
 // Traceroute probes from a host in srcASN toward dst, returning the
 // router-level path. Addressing follows operational practice: the far
 // end of an IXP-fabric peering link answers from its IXP LAN interface

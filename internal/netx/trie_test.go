@@ -148,3 +148,22 @@ func TestTrieQuickInsertLookup(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Walk visits every stored prefix in address order, calling fn; fn
+// returning false stops the walk.
+func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
+	var walk func(n *trieNode[V], base Addr, bits int) bool
+	walk = func(n *trieNode[V], base Addr, bits int) bool {
+		if n == nil {
+			return true
+		}
+		if n.set && !fn(MakePrefix(base, bits), n.val) {
+			return false
+		}
+		if !walk(n.child[0], base, bits+1) {
+			return false
+		}
+		return walk(n.child[1], base|(1<<(31-uint(bits))), bits+1)
+	}
+	walk(t.root, 0, 0)
+}

@@ -263,8 +263,8 @@ func TestTraceRingBound(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if ring.Len() != 32 || ring.Cap() != 32 {
-		t.Fatalf("ring len=%d cap=%d, want 32/32", ring.Len(), ring.Cap())
+	if ring.Len() != 32 || len(ring.buf) != 32 {
+		t.Fatalf("ring len=%d cap=%d, want 32/32", ring.Len(), len(ring.buf))
 	}
 	slow := ring.Slowest(5)
 	if len(slow) != 5 {

@@ -156,9 +156,6 @@ func (r *TraceRing) lenLocked() int {
 	return r.next
 }
 
-// Cap reports the ring's capacity.
-func (r *TraceRing) Cap() int { return len(r.buf) }
-
 // Slowest returns up to n held traces sorted by duration descending
 // (ties broken by request id for determinism).
 func (r *TraceRing) Slowest(n int) []TraceView {

@@ -133,13 +133,6 @@ func (b *Budget) Charge(bytes int64, hourOfDay int) error {
 	return nil
 }
 
-// Spent returns money spent so far.
-func (b *Budget) Spent() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spent
-}
-
 // UsedBytes returns bytes consumed so far.
 func (b *Budget) UsedBytes() int64 {
 	b.mu.Lock()

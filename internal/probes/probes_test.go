@@ -91,14 +91,14 @@ func TestBudgetChargeAndExhaustion(t *testing.T) {
 	if err := b.Charge(1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
-	if b.Spent() != 1 || b.Remaining() != 1 {
-		t.Fatalf("spent=%v remaining=%v", b.Spent(), b.Remaining())
+	if b.spent != 1 || b.Remaining() != 1 {
+		t.Fatalf("spent=%v remaining=%v", b.spent, b.Remaining())
 	}
 	if err := b.Charge(2<<20, 0); err != ErrBudgetExhausted {
 		t.Fatalf("over-budget charge err = %v", err)
 	}
 	// Failed charge leaves no side effects.
-	if b.Spent() != 1 || b.UsedBytes() != 1<<20 {
+	if b.spent != 1 || b.UsedBytes() != 1<<20 {
 		t.Fatal("failed charge mutated the budget")
 	}
 	if err := b.Charge(1<<20, 0); err != nil {

@@ -304,19 +304,17 @@ func share(n, d int) float64 {
 	return float64(n) / float64(d)
 }
 
-// expectedByClass counts delegated African ASNs per class (region filter
-// optional via geo.RegionUnknown).
+// expectedByClass counts the ASNs of the AfriNIC delegated file per
+// class (region filter optional via geo.RegionUnknown).
 func expectedByClass(t *topology.Topology, region geo.Region) map[registry.Classify]int {
 	out := map[registry.Classify]int{}
-	for _, asn := range t.ASNs() {
-		as := t.ASes[asn]
-		if !as.Region.IsAfrica() {
+	for _, d := range registry.AfriNIC(t) {
+		if region != geo.RegionUnknown && d.Region != region {
 			continue
 		}
-		if region != geo.RegionUnknown && as.Region != region {
-			continue
+		for _, asn := range d.ASNs {
+			out[registry.ClassifyASN(t, asn)]++
 		}
-		out[registry.ClassifyASN(t, asn)]++
 	}
 	return out
 }

@@ -27,7 +27,7 @@ const cacheBudget = 1 << 17
 // segCache keeps the decoded records of sealed disk segments and the
 // frame payloads they came from, keyed by segment id, evicting the least
 // recently used segment first. A sealed segment's file never changes
-// after its rename, so one decode — which ran every ParseSegment check —
+// after its rename, so one decode — which ran every parseSegment check —
 // stands until the entry is evicted or the store reopened. Entries are
 // shared read-only with every query, and one a query still holds after
 // its eviction stays whole: the garbage collector owns it, not the cache.

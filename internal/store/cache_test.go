@@ -129,7 +129,7 @@ func sealedStore(t *testing.T, seed int64, n int) (*Store, []Record) {
 
 func reopen(t *testing.T, s *Store) *Store {
 	t.Helper()
-	re, err := Open(s.Dir(), s.opts)
+	re, err := Open(s.dir, s.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

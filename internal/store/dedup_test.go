@@ -70,7 +70,7 @@ var dupStores = []struct {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			return openDup(t, s.Dir())
+			return openDup(t, s.dir)
 		})
 	}},
 	{"compacted", func(t *testing.T) (*Store, []Record) {

@@ -66,7 +66,7 @@ var memoShapes = []struct {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s = openDup(t, s.Dir())
+		s = openDup(t, s.dir)
 		appendChunks(t, s, tail, 8)
 		return s
 	}},

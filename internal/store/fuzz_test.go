@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// FuzzSegmentReplay hammers ParseSegment with corrupted, truncated, and
+// FuzzSegmentReplay hammers parseSegment with corrupted, truncated, and
 // arbitrary byte streams: it must never panic, must return records in
 // strictly increasing seq order, and — for any prefix truncation of a
 // valid segment — must return a prefix of the original records with
@@ -25,7 +25,7 @@ func FuzzSegmentReplay(f *testing.F) {
 		r.Seq = uint64(i + 1)
 		recs = append(recs, r)
 	}
-	valid, err := EncodeSegment(buildMeta(recs), recs)
+	valid, _, err := encodeSegment(buildMeta(recs), recs)
 	if err != nil {
 		f.Fatal(err)
 	}

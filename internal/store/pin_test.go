@@ -35,7 +35,8 @@ func pinOpen(t *testing.T, dir string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, recs, torn := ParseSegment(raw)
+	meta, d, torn := parseSegment(raw)
+	recs := d.recs
 	scanned, _, err := s.ScanPage(Filter{}, 0, "")
 	if err != nil {
 		t.Fatal(err)

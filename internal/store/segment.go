@@ -135,17 +135,11 @@ func encodeRecord(r *Record) ([]byte, error) {
 	return raw, nil
 }
 
-// EncodeSegment renders a whole segment (meta frame followed by one
-// frame per record) as the bytes written to disk.
-func EncodeSegment(meta SegmentMeta, recs []Record) ([]byte, error) {
-	buf, _, err := encodeSegment(meta, recs)
-	return buf, err
-}
-
-// encodeSegment is EncodeSegment that also returns each record's frame
-// payload, aliasing the returned buffer. The buffer is allocated once, at
-// its final size: a flush or compaction hands it to the segment cache,
-// which keeps every byte of it.
+// encodeSegment renders a whole segment (meta frame followed by one
+// frame per record) as the bytes written to disk, and returns each
+// record's frame payload, aliasing the returned buffer. The buffer is
+// allocated once, at its final size: a flush or compaction hands it to
+// the segment cache, which keeps every byte of it.
 func encodeSegment(meta SegmentMeta, recs []Record) ([]byte, [][]byte, error) {
 	metaRaw, err := json.Marshal(meta)
 	if err != nil {
@@ -172,7 +166,7 @@ func encodeSegment(meta SegmentMeta, recs []Record) ([]byte, [][]byte, error) {
 	return buf, raws, nil
 }
 
-// ParseSegment decodes a segment byte stream tolerantly: it stops at the
+// parseSegment decodes a segment byte stream tolerantly: it stops at the
 // first short, corrupt, undecodable, or out-of-order frame and returns
 // whatever decoded cleanly before it — the segment-level equivalent of
 // the journal's torn-tail truncation. It never panics and never fails: a
@@ -180,15 +174,9 @@ func encodeSegment(meta SegmentMeta, recs []Record) ([]byte, [][]byte, error) {
 // torn=true). torn reports whether any records were lost: the stream
 // ended at a bad frame, or it ended cleanly but short of the count the
 // meta frame promised (a truncation that happens to land on a frame
-// boundary).
-func ParseSegment(data []byte) (meta SegmentMeta, recs []Record, torn bool) {
-	meta, d, torn := parseSegment(data)
-	return meta, d.recs, torn
-}
-
-// parseSegment is ParseSegment that also keeps, beside each record it
-// accepts, the frame payload the record was decoded from, aliasing data.
-// A frame it refuses contributes neither.
+// boundary). Beside each record it accepts it keeps the frame payload
+// the record was decoded from, aliasing data; a frame it refuses
+// contributes neither.
 func parseSegment(data []byte) (meta SegmentMeta, d decoded, torn bool) {
 	haveMeta := false
 	_, torn = framelog.Scan(data, func(payload []byte) bool {
@@ -269,7 +257,7 @@ type segment struct {
 // load returns a sealed segment's records for reading only: a memory
 // segment's own, a disk segment's cached decode, or a fresh read whose
 // result is cached. Every decode is tolerant — a segment damaged after
-// it was sealed yields its valid prefix — and runs all of ParseSegment's
+// it was sealed yields its valid prefix — and runs all of parseSegment's
 // checks. Callers hold s.mu, so the segment cannot be deleted (and its
 // cache entry dropped) underneath them.
 func (s *Store) load(sg *segment) (decoded, error) {

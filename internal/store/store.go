@@ -493,6 +493,3 @@ func (s *Store) MemtableLen() int {
 	defer s.mu.RUnlock()
 	return len(s.mem)
 }
-
-// Dir returns the store directory ("" for memory-only stores).
-func (s *Store) Dir() string { return s.dir }

@@ -165,6 +165,7 @@ func lint(root string) (map[string][]string, error) {
 		found[rule] = append(found[rule], fmt.Sprintf("%s:%d: %s", fset.Position(pos).Filename, fset.Position(pos).Line, k))
 	}
 	ifaces := map[string][]*types.Interface{} // the interfaces used, by method name
+	recv := map[token.Pos]bool{}              // where a method names its receiver's type, which does not use it
 	// use takes one use, at pos in the file at, of the key k naming obj.
 	use := func(at string, pos token.Pos, k string, obj types.Object) {
 		test := strings.HasSuffix(at, "_test.go")
@@ -176,7 +177,7 @@ func lint(root string) (map[string][]string, error) {
 		if obj == nil {
 			return
 		}
-		self := false
+		self := recv[pos]
 		if m, ok := obj.(*types.Func); ok {
 			obj, self = m.Origin(), m.Origin().Scope() != nil && m.Origin().Scope().Contains(pos)
 		}
@@ -206,6 +207,11 @@ func lint(root string) (map[string][]string, error) {
 				}
 				return true
 			})
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				each(fd.Recv, func(id *ast.Ident, _ types.Object) { recv[id.Pos()] = true })
+			}
 		}
 		each(f, func(id *ast.Ident, obj types.Object) { use(at, id.Pos(), key(obj), obj) })
 		ast.Inspect(f, func(n ast.Node) bool {
