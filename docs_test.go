@@ -14,10 +14,12 @@ import (
 // TestDocsCiteWhatExists fails on a name the docs cite that no declaration
 // in the module, test files included, answers: a test, fuzz target or
 // benchmark, a pkg.Ident (a module package's exported declaration or
-// method) or a Type.Member (an exported type's method or field).
+// method) or a Type.Member (an exported type's method or field), and a
+// code span that opens with a call, `Name(`, must name a function or method.
 func TestDocsCiteWhatExists(t *testing.T) {
 	word := regexp.MustCompile(`[A-Za-z_]\w*(\.[A-Za-z_]\w*)*[*…]?`) // a last part before * or … is a prefix
 	testName := regexp.MustCompile(`^(Test|Fuzz|Benchmark)[A-Z0-9_]`)
+	call := regexp.MustCompile("`([A-Z]\\w*)\\(")
 	known := map[string]bool{} // each package and type, "pkg.Ident", "Type.Member" and ".Func"
 	add := func(q string, ids ...*ast.Ident) {
 		for _, id := range ids {
@@ -64,6 +66,11 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := string(raw)
+		for _, at := range call.FindAllStringSubmatchIndex(text, -1) {
+			if name := text[at[2]:at[3]]; !known["."+name] {
+				t.Errorf("%s:%d: %s( is not a declared function or method", doc, strings.Count(text[:at[0]], "\n")+1, name)
+			}
+		}
 		for _, at := range word.FindAllStringIndex(text, -1) {
 			parts := strings.Split(text[at[0]:at[1]], ".")
 			if len(parts) == 1 && testName.MatchString(parts[0]) {

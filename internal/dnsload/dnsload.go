@@ -251,8 +251,8 @@ func runOne(sys *dnssim.System, cfg Config, bucket Bucket, hist *obs.Histogram, 
 	ca.Queries++
 
 	q := dnssim.Query{Client: client, Domain: target.Domain, OriginCountry: target.OriginCountry, ECS: cfg.ECS}
-	ans, err := sys.ChainFor(client).Resolve(q, dnssim.DefaultDepth)
-	if err != nil || !ans.OK {
+	ans := sys.ChainFor(client).Resolve(q)
+	if !ans.OK {
 		// Unreachable resolver or authority: retries cannot help in a
 		// static failure state, the query burns its full schedule.
 		a.failed++
@@ -309,7 +309,7 @@ func runOne(sys *dnssim.System, cfg Config, bucket Bucket, hist *obs.Histogram, 
 	}
 	if cfg.CompareECS {
 		q.ECS = !cfg.ECS
-		if flip, err2 := sys.ChainFor(client).Resolve(q, dnssim.DefaultDepth); err2 == nil && flip.OK {
+		if flip := sys.ChainFor(client).Resolve(q); flip.OK {
 			if flip.ServedASN != ans.ServedASN {
 				a.mismatches++
 			}

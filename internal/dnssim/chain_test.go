@@ -1,7 +1,6 @@
 package dnssim
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -64,42 +63,128 @@ func itoa(v uint64) string {
 	return string(b[i:])
 }
 
+// oraclePolicy is the pre-chain ResolveWithPolicy, moved here verbatim:
+// it ran the recursive and authority legs by hand, beside the chain.
+// ResolveWithPolicy now runs the chain's legs, and must match it on
+// every field whatif reads and on the resolver and authority it chose.
+func oraclePolicy(s *System, client topology.ASN, domain, originCountry string, forceLocalResolver, forceLocalAuth bool) Resolution {
+	if !forceLocalResolver && !forceLocalAuth {
+		return s.Resolve(client, domain, originCountry)
+	}
+	as := s.topo.ASes[client]
+	if as == nil {
+		return Resolution{FailReason: "unknown client"}
+	}
+	var res Resolution
+	if forceLocalResolver {
+		// The mandated resolver runs inside the client's own ISP when
+		// the client is one (operational practice), else at a domestic
+		// ISP. Note the residual exposure this leaves: reaching another
+		// domestic network can still detour through Europe when there is
+		// no local peering — DNS localization alone cannot fix Section
+		// 4.1's routing problem.
+		host := client
+		if as.Type != topology.ASMobileCarrier && as.Type != topology.ASFixedISP {
+			host = s.inCountryResolverHost(as.Country, client)
+		}
+		res.Resolver = Assignment{Kind: ResolverLocalISP, Country: as.Country, ASN: host}
+		if res.Resolver.ASN == 0 {
+			res.FailReason = "no in-country resolver host"
+			return res
+		}
+		res.ResolverAS = res.Resolver.ASN
+	} else {
+		// Resolver as deployed today; only the authoritative moves.
+		res.Resolver = s.AssignmentFor(client)
+		res.ResolverAS = res.Resolver.ASN
+		if res.Resolver.Kind == ResolverCloud {
+			site, okSite := s.AnycastSite(client, res.Resolver.ASN)
+			if !okSite {
+				res.FailReason = "no reachable anycast resolver instance"
+				return res
+			}
+			res.ResolverAS = site
+		}
+	}
+	rtt1, ok := s.net.RTTBetween(client, res.ResolverAS)
+	if !ok {
+		res.FailReason = "resolver unreachable"
+		return res
+	}
+	res.Auth = s.Authority(domain, originCountry)
+	if forceLocalAuth {
+		if host := s.inCountryResolverHost(originCountry, topology.ASN(len(domain))); host != 0 {
+			res.Auth = AuthLocation{ASN: host, Country: originCountry}
+		}
+	}
+	if res.Auth.ASN == 0 {
+		res.FailReason = "no authoritative placement"
+		return res
+	}
+	rtt2, ok := s.net.RTTBetween(res.ResolverAS, res.Auth.ASN)
+	if !ok {
+		res.FailReason = "authoritative unreachable"
+		return res
+	}
+	res.OK = true
+	res.LatencyMs = rtt1 + rtt2
+	return res
+}
+
 // TestChainMatchesLegacyOracle is the 3-seed equivalence proof: the
 // shimmed legacy Resolve and the chain API produce identical resolver
-// assignments and resolutions.
+// assignments and resolutions, with the data plane intact and with half
+// the cables cut, and ResolveWithPolicy picks what oraclePolicy picks
+// under every policy.
 func TestChainMatchesLegacyOracle(t *testing.T) {
+	policies := [][2]bool{{true, false}, {false, true}, {true, true}}
 	for _, seed := range []int64{1, 7, 42} {
 		topo := topology.Generate(topology.Params{Seed: seed, Year: 2025})
 		n := netsim.New(topo, bgp.New(topo), seed)
 		s := New(n, seed)
+		cables := topo.CableIDs()
 
-		clients := 0
-		for _, c := range geo.AfricanCountries() {
-			for _, asn := range s.ClientNetworks(c.ISO2) {
-				if clients >= 120 {
-					break
-				}
-				clients++
-				for i := 0; i < 3; i++ {
-					domain := domainName(c.ISO2, i)
-					want := oracleResolve(s, asn, domain, c.ISO2)
-					got := s.Resolve(asn, domain, c.ISO2)
-					if got != want {
-						t.Fatalf("seed %d: chain Resolve diverges from oracle for AS%d %s:\n got %+v\nwant %+v",
-							seed, asn, domain, got, want)
+		for _, cut := range []bool{false, true} {
+			n.SetCablesCut(cables[:len(cables)/2], cut)
+			clients, failed := 0, 0
+			for _, c := range geo.AfricanCountries() {
+				for _, asn := range s.ClientNetworks(c.ISO2) {
+					if clients >= 120 {
+						break
 					}
-					ans, err := s.ChainFor(asn).Resolve(Query{Client: asn, Domain: domain, OriginCountry: c.ISO2}, DefaultDepth)
-					if err != nil {
-						t.Fatalf("seed %d: chain error: %v", seed, err)
-					}
-					if ans.Assignment != want.Resolver || ans.OK != want.OK || ans.LatencyMs != want.LatencyMs {
-						t.Fatalf("seed %d: raw chain answer diverges for AS%d %s", seed, asn, domain)
+					clients++
+					for i := 0; i < 3; i++ {
+						domain := domainName(c.ISO2, i)
+						want := oracleResolve(s, asn, domain, c.ISO2)
+						got := s.Resolve(asn, domain, c.ISO2)
+						if got != want {
+							t.Fatalf("seed %d: chain Resolve diverges from oracle for AS%d %s:\n got %+v\nwant %+v",
+								seed, asn, domain, got, want)
+						}
+						ans := s.ChainFor(asn).Resolve(Query{Client: asn, Domain: domain, OriginCountry: c.ISO2})
+						if ans.Assignment != want.Resolver || ans.OK != want.OK || ans.LatencyMs != want.LatencyMs {
+							t.Fatalf("seed %d: raw chain answer diverges for AS%d %s", seed, asn, domain)
+						}
+						if !want.OK {
+							failed++
+						}
+						for _, pol := range policies {
+							got := s.ResolveWithPolicy(asn, domain, c.ISO2, pol[0], pol[1])
+							want := oraclePolicy(s, asn, domain, c.ISO2, pol[0], pol[1])
+							if got.OK != want.OK || got.LatencyMs != want.LatencyMs || got.Resolver != want.Resolver || got.Auth != want.Auth {
+								t.Fatalf("seed %d cut=%v policy %v: ResolveWithPolicy diverges from oracle for AS%d %s:\n got %+v\nwant %+v",
+									seed, cut, pol, asn, domain, got, want)
+							}
+						}
 					}
 				}
 			}
-		}
-		if clients < 50 {
-			t.Fatalf("seed %d: only %d client networks sampled", seed, clients)
+			if clients < 50 {
+				t.Fatalf("seed %d: only %d client networks sampled", seed, clients)
+			}
+			if cut && failed == 0 {
+				t.Fatalf("seed %d: no resolution failed with half the cables cut; failure paths untested", seed)
+			}
 		}
 	}
 }
@@ -116,18 +201,13 @@ func TestChainSpecShapes(t *testing.T) {
 			t.Fatalf("ChainSpec(%v) = %v, want %v", kind, got, want)
 		}
 	}
-	for _, name := range []string{"stub", "cache", "forwarder", "hub", "cloud", "authority"} {
-		if _, found := linkCtor[name]; !found {
-			t.Fatalf("built-in link %q not registered", name)
-		}
-	}
 }
 
 func TestChainRecordsLinkNames(t *testing.T) {
 	for _, c := range geo.AfricanCountries() {
 		for _, asn := range testDNS.ClientNetworks(c.ISO2) {
-			ans, err := testDNS.ChainFor(asn).Resolve(Query{Client: asn, Domain: domainName(c.ISO2, 0), OriginCountry: c.ISO2}, DefaultDepth)
-			if err != nil || !ans.OK {
+			ans := testDNS.ChainFor(asn).Resolve(Query{Client: asn, Domain: domainName(c.ISO2, 0), OriginCountry: c.ISO2})
+			if !ans.OK {
 				continue
 			}
 			want := strings.Join(ChainSpec(testDNS.AssignmentFor(asn).Kind), ">")
@@ -138,53 +218,6 @@ func TestChainRecordsLinkNames(t *testing.T) {
 		}
 	}
 	t.Fatal("no successful resolution found")
-}
-
-func TestChainDepthExhaustionIsLoopError(t *testing.T) {
-	asn := testDNS.ClientNetworks("ZA")[0]
-	q := Query{Client: asn, Domain: domainName("ZA", 0), OriginCountry: "ZA"}
-	// The canonical chain is 4 links; a depth budget of 1 must trip the
-	// loop detector partway down, never panic or mis-resolve.
-	if _, err := testDNS.ChainFor(asn).Resolve(q, 1); !errors.Is(err, ErrLoopDetected) {
-		t.Fatalf("depth 1 gave err=%v, want ErrLoopDetected", err)
-	}
-	if _, err := testDNS.ChainFor(asn).Resolve(q, DefaultDepth); err != nil {
-		t.Fatalf("default depth errored: %v", err)
-	}
-}
-
-func TestBuildChainStacksCustomLinks(t *testing.T) {
-	asn := testDNS.ClientNetworks("NG")[0]
-	asg := testDNS.AssignmentFor(asn)
-	// A hand-built chain that skips the cache: same answer, different
-	// chain string — the composability the registry exists for.
-	names := append([]string{}, ChainSpec(asg.Kind)...)
-	bare := append([]string{names[0]}, names[2:]...) // drop "cache"
-	chain, err := BuildChain(testDNS, LinkConfig{Client: asn, Assignment: asg}, bare...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Client: asn, Domain: domainName("NG", 1), OriginCountry: "NG"}
-	got, err := chain.Resolve(q, DefaultDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := testDNS.ChainFor(asn).Resolve(q, DefaultDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.OK != want.OK || got.LatencyMs != want.LatencyMs || got.Assignment != want.Assignment {
-		t.Fatalf("cache-free chain diverges: got %+v want %+v", got, want)
-	}
-	if got.Chain == want.Chain {
-		t.Fatalf("chain strings should differ, both %q", got.Chain)
-	}
-	if _, err := BuildChain(testDNS, LinkConfig{Client: asn}, "no-such-link"); err == nil {
-		t.Fatal("unknown link name should error")
-	}
-	if _, err := BuildChain(testDNS, LinkConfig{Client: asn}); err == nil {
-		t.Fatal("empty chain should error")
-	}
 }
 
 // TestChainSurvivesLinkFlap is the memo-scoping fix: chains and
@@ -199,10 +232,7 @@ func TestChainSurvivesLinkFlap(t *testing.T) {
 	before := s.ChainFor(asn)
 	asgBefore := s.AssignmentFor(asn)
 	q := Query{Client: asn, Domain: domainName("KE", 2), OriginCountry: "KE"}
-	ansBefore, err := before.Resolve(q, DefaultDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ansBefore := before.Resolve(q)
 	hits0, misses0 := s.memo.Load().hits.Load(), s.memo.Load().misses.Load()
 	if misses0 == 0 {
 		t.Fatal("first resolution should be a cache miss")
@@ -220,17 +250,12 @@ func TestChainSurvivesLinkFlap(t *testing.T) {
 	}
 	// The answer cache rolled to a fresh (gen, epoch) generation: the
 	// same query misses once, then hits.
-	if _, err := before.Resolve(q, DefaultDepth); err != nil {
-		t.Fatal(err)
-	}
+	before.Resolve(q)
 	hits1, misses1 := s.memo.Load().hits.Load(), s.memo.Load().misses.Load()
 	if hits1 != 0 || misses1 != 1 {
 		t.Fatalf("post-flap stats = (%d hits, %d misses), want (0, 1); pre-flap (%d, %d)", hits1, misses1, hits0, misses0)
 	}
-	ansAfter, err := before.Resolve(q, DefaultDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ansAfter := before.Resolve(q)
 	if hits2 := s.memo.Load().hits.Load(); hits2 != 1 {
 		t.Fatalf("repeat query should hit the cache, stats hits=%d", hits2)
 	}
@@ -242,14 +267,8 @@ func TestChainSurvivesLinkFlap(t *testing.T) {
 func TestCacheHitReturnsIdenticalAnswer(t *testing.T) {
 	asn := testDNS.ClientNetworks("EG")[0]
 	q := Query{Client: asn, Domain: domainName("EG", 3), OriginCountry: "EG"}
-	first, err := testDNS.ChainFor(asn).Resolve(q, DefaultDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := testDNS.ChainFor(asn).Resolve(q, DefaultDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := testDNS.ChainFor(asn).Resolve(q)
+	second := testDNS.ChainFor(asn).Resolve(q)
 	if first != second {
 		t.Fatalf("cache hit changed the answer:\n first  %+v\n second %+v", first, second)
 	}
@@ -261,15 +280,9 @@ func TestECSQueriesAreSeparatelyKeyed(t *testing.T) {
 		for _, asn := range testDNS.ClientNetworks(c.ISO2) {
 			for i := 0; i < 4; i++ {
 				q := Query{Client: asn, Domain: domainName(c.ISO2, i), OriginCountry: c.ISO2}
-				plain, err := testDNS.ChainFor(asn).Resolve(q, DefaultDepth)
-				if err != nil {
-					t.Fatal(err)
-				}
+				plain := testDNS.ChainFor(asn).Resolve(q)
 				q.ECS = true
-				ecs, err := testDNS.ChainFor(asn).Resolve(q, DefaultDepth)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ecs := testDNS.ChainFor(asn).Resolve(q)
 				if !plain.OK || !ecs.OK {
 					continue
 				}

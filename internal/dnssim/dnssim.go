@@ -9,10 +9,11 @@
 // heavily on out-of-country and cloud resolvers, and the public clouds'
 // only African sites are in South Africa.
 //
-// Since PR 10 the package is organized around composable resolver
-// chains (chain.go): Resolver is an interface, links are registered by
-// name and stacked per client, and the one-shot Resolve below is a thin
-// shim over the canonical per-country chains.
+// Resolution runs one path (chain.go): each client's memoized chain
+// answers from the cache or runs the recursive leg and then the
+// authority leg. Resolve below returns that answer in the legacy shape,
+// and ResolveWithPolicy runs the same legs under a forced assignment and
+// authority.
 package dnssim
 
 import (
@@ -95,7 +96,7 @@ type System struct {
 	mu          sync.RWMutex
 	assignments map[topology.ASN]Assignment
 	authMemo    map[string]AuthLocation
-	chains      map[topology.ASN]Resolver
+	chains      map[topology.ASN]*chain
 
 	// memo holds every reachability-dependent cache (anycast site
 	// selection, whole-chain answers), stamped with the (routing
@@ -133,7 +134,7 @@ func New(n *netsim.Net, seed int64) *System {
 		cloudSites:  make(map[topology.ASN][]topology.ASN),
 		assignments: make(map[topology.ASN]Assignment),
 		authMemo:    make(map[string]AuthLocation),
-		chains:      make(map[topology.ASN]Resolver),
+		chains:      make(map[topology.ASN]*chain),
 	}
 	// Cloud resolvers run on the cloud/content ASes that operate
 	// public resolver services.
@@ -384,23 +385,24 @@ type Resolution struct {
 // abroad loses DNS — and hence every local service — when the cable that
 // carries that leg is cut.
 //
-// Resolve is a shim over the client's canonical chain (ChainFor); its
+// Resolve returns the answer of the client's chain (ChainFor); its
 // outputs are identical to the pre-chain implementation, which
 // TestChainMatchesLegacyOracle proves against an independent oracle.
 func (s *System) Resolve(client topology.ASN, domain, originCountry string) Resolution {
-	ans, err := s.ChainFor(client).Resolve(Query{
+	return s.ChainFor(client).Resolve(Query{
 		Client: client, Domain: domain, OriginCountry: originCountry,
-	}, DefaultDepth)
-	if err != nil {
-		return Resolution{Resolver: s.AssignmentFor(client), FailReason: err.Error()}
-	}
+	}).resolution()
+}
+
+// resolution is the answer in the legacy result shape.
+func (a Answer) resolution() Resolution {
 	return Resolution{
-		OK:         ans.OK,
-		LatencyMs:  ans.LatencyMs,
-		Resolver:   ans.Assignment,
-		ResolverAS: ans.ResolverAS,
-		Auth:       ans.Auth,
-		FailReason: ans.FailReason,
+		OK:         a.OK,
+		LatencyMs:  a.LatencyMs,
+		Resolver:   a.Assignment,
+		ResolverAS: a.ResolverAS,
+		Auth:       a.Auth,
+		FailReason: a.FailReason,
 	}
 }
 
@@ -411,6 +413,8 @@ func (s *System) Resolve(client topology.ASN, domain, originCountry string) Reso
 // authoritative DNS of domestic domains in their origin country (the
 // full localization the paper argues current content-localization laws
 // miss). The data plane stays as-is, so deltas isolate the dependency.
+// The forced resolution runs the chain's legs uncached, so its failures
+// read as Resolve's do.
 func (s *System) ResolveWithPolicy(client topology.ASN, domain, originCountry string, forceLocalResolver, forceLocalAuth bool) Resolution {
 	if !forceLocalResolver && !forceLocalAuth {
 		return s.Resolve(client, domain, originCountry)
@@ -419,7 +423,8 @@ func (s *System) ResolveWithPolicy(client topology.ASN, domain, originCountry st
 	if as == nil {
 		return Resolution{FailReason: "unknown client"}
 	}
-	var res Resolution
+	// Resolver as deployed today unless the policy moves it too.
+	c := chain{s: s, asg: s.AssignmentFor(client)}
 	if forceLocalResolver {
 		// The mandated resolver runs inside the client's own ISP when
 		// the client is one (operational practice), else at a domestic
@@ -431,48 +436,18 @@ func (s *System) ResolveWithPolicy(client topology.ASN, domain, originCountry st
 		if as.Type != topology.ASMobileCarrier && as.Type != topology.ASFixedISP {
 			host = s.inCountryResolverHost(as.Country, client)
 		}
-		res.Resolver = Assignment{Kind: ResolverLocalISP, Country: as.Country, ASN: host}
-		if res.Resolver.ASN == 0 {
-			res.FailReason = "no in-country resolver host"
-			return res
-		}
-		res.ResolverAS = res.Resolver.ASN
-	} else {
-		// Resolver as deployed today; only the authoritative moves.
-		res.Resolver = s.AssignmentFor(client)
-		res.ResolverAS = res.Resolver.ASN
-		if res.Resolver.Kind == ResolverCloud {
-			site, okSite := s.AnycastSite(client, res.Resolver.ASN)
-			if !okSite {
-				res.FailReason = "no reachable anycast resolver instance"
-				return res
-			}
-			res.ResolverAS = site
+		c.asg = Assignment{Kind: ResolverLocalISP, Country: as.Country, ASN: host}
+		if host == 0 {
+			return Resolution{Resolver: c.asg, FailReason: "no in-country resolver host"}
 		}
 	}
-	rtt1, ok := s.net.RTTBetween(client, res.ResolverAS)
-	if !ok {
-		res.FailReason = "resolver unreachable"
-		return res
-	}
-	res.Auth = s.Authority(domain, originCountry)
+	auth := s.Authority(domain, originCountry)
 	if forceLocalAuth {
 		if host := s.inCountryResolverHost(originCountry, topology.ASN(len(domain))); host != 0 {
-			res.Auth = AuthLocation{ASN: host, Country: originCountry}
+			auth = AuthLocation{ASN: host, Country: originCountry}
 		}
 	}
-	if res.Auth.ASN == 0 {
-		res.FailReason = "no authoritative placement"
-		return res
-	}
-	rtt2, ok := s.net.RTTBetween(res.ResolverAS, res.Auth.ASN)
-	if !ok {
-		res.FailReason = "authoritative unreachable"
-		return res
-	}
-	res.OK = true
-	res.LatencyMs = rtt1 + rtt2
-	return res
+	return c.legs(Query{Client: client, Domain: domain, OriginCountry: originCountry}, auth).resolution()
 }
 
 // UseShare is one region's resolver-locality breakdown (Figure 2c).

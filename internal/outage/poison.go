@@ -5,14 +5,13 @@ import (
 )
 
 // PoisonDNS wraps a resolver chain with this policy's on-path DNS
-// poisoning for one country: the PR 10 chain port of what websim used
-// to hard-code inline. The wrapper resolves through the inner chain,
-// then consults Interference.DNSPoisoned with the answer's resolver
-// class — so a client on a cloud resolver whose country only poisons
-// ISP resolvers sails through, exactly as before. A nil policy returns
-// the chain unwrapped.
+// poisoning for one country. The wrapper resolves through the inner
+// chain, then consults Interference.DNSPoisoned with the answer's
+// resolver class — so a client on a cloud resolver whose country only
+// poisons ISP resolvers sails through. A nil policy returns the chain
+// unwrapped.
 //
-// The wrapper sits *outside* any cache link, so poisoned verdicts are
+// The wrapper sits *outside* the chain's cache, so poisoned verdicts are
 // recomputed per query and cached answers stay pristine.
 func PoisonDNS(pol *Interference, country string, next dnssim.Resolver) dnssim.Resolver {
 	if pol == nil {
@@ -27,15 +26,10 @@ type poisonResolver struct {
 	next    dnssim.Resolver
 }
 
-func (p *poisonResolver) Name() string { return "poison" }
-
-func (p *poisonResolver) Resolve(q dnssim.Query, depth int) (dnssim.Answer, error) {
-	if depth < 0 {
-		return dnssim.Answer{}, dnssim.ErrLoopDetected
-	}
-	ans, err := p.next.Resolve(q, depth-1)
-	if err != nil || !ans.OK {
-		return ans, err
+func (p *poisonResolver) Resolve(q dnssim.Query) dnssim.Answer {
+	ans := p.next.Resolve(q)
+	if !ans.OK {
+		return ans
 	}
 	bogon, poisoned := p.pol.DNSPoisoned(p.country, ans.Assignment.Kind.String(), q.Domain)
 	if poisoned {
@@ -43,5 +37,5 @@ func (p *poisonResolver) Resolve(q dnssim.Query, depth int) (dnssim.Answer, erro
 		ans.PoisonBogon = bogon
 		ans.Chain = "poison>" + ans.Chain
 	}
-	return ans, nil
+	return ans
 }

@@ -179,25 +179,21 @@ func (e *Engine) Measure(client topology.ASN, site content.Site) *archival.Measu
 	probe := &vantage{origin: archival.OriginProbe, asn: client}
 	ctrl := &vantage{origin: archival.OriginControl, asn: e.control}
 
-	// The probe's lookup runs through its canonical resolver chain with
-	// the country's on-path poisoning stacked outside it (PR 10: the
-	// interference that used to be inlined here is now a wrapper link).
+	// The probe's lookup runs through its resolver chain with the
+	// country's on-path poisoning wrapped outside it.
 	chain := outage.PoisonDNS(e.pol, country, e.dns.ChainFor(client))
-	ans, errRes := chain.Resolve(dnssim.Query{
+	ans := chain.Resolve(dnssim.Query{
 		Client: client, Domain: domain, OriginCountry: site.Country,
-	}, dnssim.DefaultDepth)
+	})
 	pd := archival.DNSLookup{
 		ID: g.Next(), StepID: 1, Origin: archival.OriginProbe, Domain: domain,
 		ResolverClass:   probeRes.Kind.String(),
 		ResolverCountry: ans.Assignment.Country,
 		LatencyMs:       ans.LatencyMs,
 	}
-	switch {
-	case errRes != nil:
-		pd.Failure = errRes.Error()
-	case !ans.OK:
+	if !ans.OK {
 		pd.Failure = ans.FailReason
-	default:
+	} else {
 		probe.dnsOK = true
 		switch {
 		case ans.Poisoned && ans.PoisonBogon:

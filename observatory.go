@@ -74,12 +74,12 @@ type (
 	Traceroute = netsim.Traceroute
 	// DNS is the resolver/authoritative substrate.
 	DNS = dnssim.System
-	// DNSResolver is one link (or whole chain) of the composable
-	// resolver-chain API; DNSQuery/DNSAnswer are its wire types.
+	// DNSResolver answers DNS questions: a client's resolver chain,
+	// or a wrapper around one such as a censor.
 	DNSResolver = dnssim.Resolver
-	// DNSQuery is one logical DNS question entering a chain.
+	// DNSQuery is one logical DNS question.
 	DNSQuery = dnssim.Query
-	// DNSAnswer is a chain resolution outcome.
+	// DNSAnswer is one resolution outcome and the path it took.
 	DNSAnswer = dnssim.Answer
 	// DNSLoadConfig parameterizes a rate-controlled DNS load run.
 	DNSLoadConfig = dnsload.Config
