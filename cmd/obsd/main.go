@@ -68,6 +68,7 @@ import (
 	"net/http/pprof"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -78,20 +79,27 @@ import (
 	"github.com/afrinet/observatory/internal/obs"
 )
 
-// parseRouteRates parses "route=perTick:burst[,...]" into rate limits.
-func parseRouteRates(spec string) (map[string]core.RateLimit, error) {
+// parseRouteRates parses "route=perTick:burst[,...]" into rate limits,
+// each on one of the tier's routes.
+func parseRouteRates(spec string, routes []core.RouteInfo) (map[string]core.RateLimit, error) {
 	if spec == "" {
 		return nil, nil
 	}
 	out := make(map[string]core.RateLimit)
+	var names []string
+	for _, r := range routes {
+		names = append(names, r.Name)
+	}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		name, val, ok := strings.Cut(part, "=")
-		if !ok {
+		if name = strings.TrimSpace(name); !ok {
 			return nil, fmt.Errorf("%q is not route=perTick:burst", part)
+		} else if !slices.Contains(names, name) {
+			return nil, fmt.Errorf("%q in %q is not a route this tier serves: %s", name, part, strings.Join(names, ", "))
 		}
 		per, burst, ok := strings.Cut(val, ":")
 		if !ok {
@@ -105,7 +113,7 @@ func parseRouteRates(spec string) (map[string]core.RateLimit, error) {
 		if err != nil || b <= 0 {
 			return nil, fmt.Errorf("bad burst in %q", part)
 		}
-		out[strings.TrimSpace(name)] = core.RateLimit{PerTick: p, Burst: b}
+		out[name] = core.RateLimit{PerTick: p, Burst: b}
 	}
 	return out, nil
 }
@@ -160,7 +168,11 @@ func main() {
 
 	var admission core.AdmissionConfig
 	if *maxInflight > 0 || *routeRates != "" {
-		rates, err := parseRouteRates(*routeRates)
+		routes := core.APIRoutes()
+		if *shards > 0 || *coordinator != "" {
+			routes = federation.APIRoutes()
+		}
+		rates, err := parseRouteRates(*routeRates, routes)
 		if err != nil {
 			log.Fatalf("obsd: -route-rates: %v", err)
 		}

@@ -7,7 +7,11 @@ package content
 // seeded per-domain draw; the censor's blockpage has its own hash and a
 // small fixed size, so substitution is visible as a (hash, size) delta.
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/afrinet/observatory/internal/splitmix"
+)
 
 // BlockpageBytes is the size of the injected blockpage: a static
 // notice, tiny next to real pages.
@@ -17,31 +21,19 @@ const BlockpageBytes = 2048
 // per-domain draw over 16KB..512KB, biased low — most top sites are a
 // few tens of KB of HTML, a few are heavyweight.
 func (s *System) BodyBytes(site Site) int64 {
-	h := uint64(0)
-	for _, ch := range site.Domain {
-		h = splitmix(h ^ uint64(ch))
-	}
-	draw := s.f(h, 0x81)
+	draw := s.f(splitmix.String(0, site.Domain), 0x81)
 	kb := 16 + int64(draw*draw*496) // quadratic bias toward small pages
 	return kb * 1024
 }
 
 // BodyHash returns the content identity of the site's genuine page.
 func (s *System) BodyHash(site Site) string {
-	h := s.seed
-	for _, ch := range site.Domain {
-		h = splitmix(h ^ uint64(ch))
-	}
-	return fmt.Sprintf("%016x", splitmix(h^0x82))
+	return fmt.Sprintf("%016x", splitmix.Mix(splitmix.String(s.seed, site.Domain)^0x82))
 }
 
 // BlockpageHash returns the content identity of a country's injected
 // blockpage — one page per censor, shared across every blocked domain,
 // which is exactly how real blockpage fingerprinting works.
 func BlockpageHash(country string) string {
-	h := uint64(0x6b)
-	for _, ch := range country {
-		h = splitmix(h ^ uint64(ch))
-	}
-	return fmt.Sprintf("blockpage-%012x", splitmix(h)&0xffffffffffff)
+	return fmt.Sprintf("blockpage-%012x", splitmix.Mix(splitmix.String(0x6b, country))&0xffffffffffff)
 }

@@ -12,6 +12,7 @@ import (
 
 	"github.com/afrinet/observatory/internal/geo"
 	"github.com/afrinet/observatory/internal/netsim"
+	"github.com/afrinet/observatory/internal/splitmix"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -81,16 +82,6 @@ var hostMixes = map[geo.Region]hostMix{
 	geo.AsiaPacific:    {cdn: 0.55, cloud: 0.25, local: 0.14},
 }
 
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// pick maps a hash onto [0,n) without the sign pitfalls of int casts.
-func pick(h uint64, n int) int { return int(h % uint64(n)) }
-
 // System binds the content layer to a data plane.
 type System struct {
 	net     *netsim.Net
@@ -137,13 +128,7 @@ func isGlobalCloud(name string) bool {
 // Catalog returns the generated site catalogs.
 func (s *System) Catalog() *Catalog { return s.catalog }
 
-func (s *System) f(vals ...uint64) float64 {
-	h := s.seed
-	for _, v := range vals {
-		h = splitmix(h ^ v)
-	}
-	return float64(h>>11) / float64(1<<53)
-}
+func (s *System) f(vals ...uint64) float64 { return splitmix.Unit(splitmix.Fold(s.seed, vals...)) }
 
 // siteCount returns the top-list size for a country (population-scaled
 // stand-in for the paper's top-1000).
@@ -163,19 +148,16 @@ func (s *System) buildCatalog() {
 		sites := make([]Site, 0, n)
 		for i := 0; i < n; i++ {
 			domain := fmt.Sprintf("site%d.%s", i, c.ISO2)
-			h := uint64(0)
-			for _, ch := range domain {
-				h = splitmix(h ^ uint64(ch))
-			}
+			h := splitmix.String(0, domain)
 			st := Site{Domain: domain, Country: c.ISO2}
 			draw := s.f(h, 0x71)
 			switch {
 			case draw < mix.cdn:
 				st.Kind = HostCDN
-				st.Provider = s.cdns[pick(splitmix(h^0x72), len(s.cdns))]
+				st.Provider = s.cdns[splitmix.Pick(splitmix.Mix(h^0x72), len(s.cdns))]
 			case draw < mix.cdn+mix.cloud:
 				st.Kind = HostCloud
-				st.Provider = s.clouds[pick(splitmix(h^0x73), len(s.clouds))]
+				st.Provider = s.clouds[splitmix.Pick(splitmix.Mix(h^0x73), len(s.clouds))]
 			case draw < mix.cdn+mix.cloud+mix.local:
 				st.Kind = HostLocal
 				st.Provider = s.localHost(c.ISO2, h)
@@ -214,12 +196,12 @@ func (s *System) localHost(ctry string, salt uint64) topology.ASN {
 	if len(pool) == 0 {
 		return 0
 	}
-	return pool[pick(splitmix(salt^0x74), len(pool))]
+	return pool[splitmix.Pick(splitmix.Mix(salt^0x74), len(pool))]
 }
 
 func (s *System) euHost(salt uint64) topology.ASN {
 	countries := []string{"DE", "FR", "NL", "GB"}
-	ctry := countries[pick(splitmix(salt^0x75), len(countries))]
+	ctry := countries[splitmix.Pick(splitmix.Mix(salt^0x75), len(countries))]
 	var pool []topology.ASN
 	for _, a := range s.topo.ASesIn(ctry) {
 		as := s.topo.ASes[a]
@@ -230,7 +212,7 @@ func (s *System) euHost(salt uint64) topology.ASN {
 	if len(pool) == 0 {
 		return s.topo.ASesIn(ctry)[0]
 	}
-	return pool[pick(splitmix(salt^0x76), len(pool))]
+	return pool[splitmix.Pick(splitmix.Mix(salt^0x76), len(pool))]
 }
 
 // FetchResult describes where one fetch was served from.

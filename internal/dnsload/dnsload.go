@@ -23,6 +23,7 @@ import (
 	"github.com/afrinet/observatory/internal/dnssim"
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/par"
+	"github.com/afrinet/observatory/internal/splitmix"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -99,23 +100,8 @@ func (b Bucket) SendAtMs(i int) float64 {
 	return float64(i-b.Burst+1) * 1000 / b.QPS
 }
 
-// imix is the package's splitmix64 hash (same constants as the rest of
-// the repo's seeded streams).
-func imix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // u01 folds hash words into [0,1).
-func u01(vals ...uint64) float64 {
-	h := uint64(0x6c657473676f3130)
-	for _, v := range vals {
-		h = imix(h ^ v)
-	}
-	return float64(h>>11) / float64(1<<53)
-}
+func u01(vals ...uint64) float64 { return splitmix.Unit(splitmix.Fold(0x6c657473676f3130, vals...)) }
 
 // ChainCount is one chain-shape bucket of a report.
 type ChainCount struct {
@@ -238,9 +224,9 @@ func Run(sys *dnssim.System, cfg Config) Report {
 // the chain once (the answer is latency truth for every attempt), then
 // walk the retry schedule in logical time.
 func runOne(sys *dnssim.System, cfg Config, bucket Bucket, hist *obs.Histogram, a *shardAgg, i int) {
-	h := imix(cfg.Seed ^ uint64(i)*0x9e3779b97f4a7c15)
-	client := cfg.Clients[int(h%uint64(len(cfg.Clients)))]
-	target := cfg.Targets[int(imix(h)%uint64(len(cfg.Targets)))]
+	h := splitmix.Mix(cfg.Seed ^ uint64(i)*0x9e3779b97f4a7c15)
+	client := cfg.Clients[splitmix.Pick(h, len(cfg.Clients))]
+	target := cfg.Targets[splitmix.Pick(splitmix.Mix(h), len(cfg.Targets))]
 
 	country := sys.CountryOf(client)
 	ca := a.byCountry[country]

@@ -23,6 +23,7 @@ import (
 
 	"github.com/afrinet/observatory/internal/geo"
 	"github.com/afrinet/observatory/internal/netsim"
+	"github.com/afrinet/observatory/internal/splitmix"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -106,23 +107,7 @@ type System struct {
 	memo atomic.Pointer[chainMemo]
 }
 
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// pick maps a hash onto [0,n) without the sign pitfalls of int casts.
-func pick(h uint64, n int) int { return int(h % uint64(n)) }
-
-func (s *System) f(vals ...uint64) float64 {
-	h := s.seed
-	for _, v := range vals {
-		h = splitmix(h ^ v)
-	}
-	return float64(h>>11) / float64(1<<53)
-}
+func (s *System) f(vals ...uint64) float64 { return splitmix.Unit(splitmix.Fold(s.seed, vals...)) }
 
 // New builds the DNS layer. Resolver assignments are deterministic in
 // the seed.
@@ -246,14 +231,14 @@ func (s *System) computeAssignment(client topology.ASN) Assignment {
 		r.Kind = ResolverOtherCountry
 		if s.f(uint64(client), 0x52) < mix.otherEU {
 			// Outsourced to a European operator.
-			r.Country = []string{"FR", "DE", "GB"}[pick(splitmix(s.seed^uint64(client)^0x53), 3)]
+			r.Country = []string{"FR", "DE", "GB"}[splitmix.Pick(splitmix.Mix(s.seed^uint64(client)^0x53), 3)]
 		} else {
 			r.Country = regionalHubCountry(as.Region)
 		}
 		r.ASN = s.inCountryResolverHost(r.Country, client)
 	default:
 		r.Kind = ResolverCloud
-		r.ASN = s.cloudASNs[pick(splitmix(s.seed^uint64(client)^0x54), len(s.cloudASNs))]
+		r.ASN = s.cloudASNs[splitmix.Pick(splitmix.Mix(s.seed^uint64(client)^0x54), len(s.cloudASNs))]
 	}
 	return r
 }
@@ -279,7 +264,7 @@ func (s *System) inCountryResolverHost(ctry string, salt topology.ASN) topology.
 	if len(pool) == 0 {
 		return 0
 	}
-	return pool[pick(splitmix(s.seed^uint64(salt)^0x55), len(pool))]
+	return pool[splitmix.Pick(splitmix.Mix(s.seed^uint64(salt)^0x55), len(pool))]
 }
 
 // AnycastSite picks the nearest *reachable* instance of a cloud resolver
@@ -351,20 +336,17 @@ func (s *System) computeAuthority(domain, originCountry string) AuthLocation {
 		return AuthLocation{}
 	}
 	mix := mixes[c.Region]
-	h := uint64(0)
-	for _, ch := range domain {
-		h = splitmix(h ^ uint64(ch))
-	}
+	h := splitmix.String(0, domain)
 	draw := s.f(h, 0x61)
 	if draw < mix.authLocal {
 		return AuthLocation{ASN: s.inCountryResolverHost(originCountry, topology.ASN(h)), Country: originCountry}
 	}
 	// Remote authoritative: mostly on clouds, else plain EU hosting.
 	if s.f(h, 0x62) < 0.7 {
-		cloud := s.cloudASNs[pick(splitmix(h^0x63), len(s.cloudASNs))]
+		cloud := s.cloudASNs[splitmix.Pick(splitmix.Mix(h^0x63), len(s.cloudASNs))]
 		return AuthLocation{ASN: cloud, Country: s.topo.ASes[cloud].Country, Cloud: true}
 	}
-	euHost := s.inCountryResolverHost([]string{"DE", "FR", "GB", "NL"}[pick(splitmix(h^0x64), 4)], topology.ASN(h))
+	euHost := s.inCountryResolverHost([]string{"DE", "FR", "GB", "NL"}[splitmix.Pick(splitmix.Mix(h^0x64), 4)], topology.ASN(h))
 	return AuthLocation{ASN: euHost, Country: s.topo.ASes[euHost].Country}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"github.com/afrinet/observatory/internal/geo"
 	"github.com/afrinet/observatory/internal/netx"
+	"github.com/afrinet/observatory/internal/splitmix"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -77,24 +78,9 @@ func errorProfile(r geo.Region) (medianKM float64, wrongCountryProb float64) {
 	}
 }
 
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func (db *DB) u(vals ...uint64) uint64 { return splitmix.Fold(db.seed, vals...) }
 
-func (db *DB) u(vals ...uint64) uint64 {
-	h := db.seed
-	for _, v := range vals {
-		h = splitmix(h ^ v)
-	}
-	return h
-}
-
-func (db *DB) f(vals ...uint64) float64 {
-	return float64(db.u(vals...)>>11) / float64(1<<53)
-}
+func (db *DB) f(vals ...uint64) float64 { return splitmix.Unit(db.u(vals...)) }
 
 // Lookup geolocates an address. IXP LAN addresses geolocate to the
 // exchange's country (databases know the big fabrics) but with the
@@ -132,7 +118,7 @@ func (db *DB) lookupUncached(a netx.Addr) (Result, bool) {
 		// the delegation's registration country; we model it as a
 		// deterministic pick among the region's countries.
 		peers := geo.CountriesIn(c.Region)
-		claimed = peers[int(db.u(uint64(a), 0x22)%uint64(len(peers)))]
+		claimed = peers[splitmix.Pick(db.u(uint64(a), 0x22), len(peers))]
 	}
 
 	// Exponential-ish error around the claimed hub: median medKM.

@@ -3,8 +3,12 @@ package netsim
 import (
 	"github.com/afrinet/observatory/internal/geo"
 	"github.com/afrinet/observatory/internal/netx"
+	"github.com/afrinet/observatory/internal/splitmix"
 	"github.com/afrinet/observatory/internal/topology"
 )
+
+// mix folds any number of values into one 64-bit hash.
+func mix(vals ...uint64) uint64 { return splitmix.Fold(0x8445d61a4e774912, vals...) }
 
 // TraceHop is one responding (or silent) hop of a traceroute.
 type TraceHop struct {
@@ -133,10 +137,10 @@ func (n *Net) tracerouteUncached(srcASN topology.ASN, dst netx.Addr) Traceroute 
 				h.TrueCoord = c.Hub
 			}
 		}
-		r := float01(mix(n.seed, uint64(tr.SrcAddr), uint64(dst), uint64(ttl), 0xa1))
+		r := splitmix.Unit(mix(n.seed, uint64(tr.SrcAddr), uint64(dst), uint64(ttl), 0xa1))
 		if r < respondProb*lossPass {
 			h.Addr = addr
-			jitter := 0.9 + 0.2*float01(mix(n.seed, uint64(addr), uint64(ttl), 0xb2))
+			jitter := 0.9 + 0.2*splitmix.Unit(mix(n.seed, uint64(addr), uint64(ttl), 0xb2))
 			h.RTT = (2*oneWay + 1.0) * jitter
 		}
 		tr.Hops = append(tr.Hops, h)
@@ -198,13 +202,13 @@ func (n *Net) tracerouteUncached(srcASN topology.ASN, dst netx.Addr) Traceroute 
 		// unicast addresses answer per the owner's responsiveness.
 		responds := n.addrResponds(dst, dstAS)
 		if anycastDst {
-			responds = float01(mix(n.seed, uint64(dst), 0xa7)) < 0.95
+			responds = splitmix.Unit(mix(n.seed, uint64(dst), 0xa7)) < 0.95
 		}
 		if responds {
-			r := float01(mix(n.seed, uint64(tr.SrcAddr), uint64(dst), uint64(ttl), 0xd4))
+			r := splitmix.Unit(mix(n.seed, uint64(tr.SrcAddr), uint64(dst), uint64(ttl), 0xd4))
 			if r < lossPass {
 				h.Addr = dst
-				jitter := 0.9 + 0.2*float01(mix(n.seed, uint64(dst), uint64(ttl), 0xe5))
+				jitter := 0.9 + 0.2*splitmix.Unit(mix(n.seed, uint64(dst), uint64(ttl), 0xe5))
 				h.RTT = (2*oneWay + 1.0) * jitter
 				tr.Reached = true
 				tr.RTT = h.RTT
@@ -246,7 +250,7 @@ func (n *Net) tracerouteToIXPLAN(srcASN topology.ASN, dst netx.Addr, x topology.
 	}
 	candidates := []topology.ASN{srcASN}
 	if len(providers) > 0 {
-		candidates = append(candidates, providers[int(mix(n.seed, uint64(dst), 0x77)%uint64(len(providers)))])
+		candidates = append(candidates, providers[splitmix.Pick(mix(n.seed, uint64(dst), 0x77), len(providers))])
 	}
 	for _, c := range candidates {
 		if member(c) {
@@ -311,10 +315,10 @@ func (n *Net) addrResponds(a netx.Addr, as *topology.AS) bool {
 	}
 	liveQ, rateR := liveSplit(as)
 	p24 := uint64(a) >> 8
-	if float01(mix(n.seed, p24, 0xf5)) >= liveQ {
+	if splitmix.Unit(mix(n.seed, p24, 0xf5)) >= liveQ {
 		return false
 	}
-	return float01(mix(n.seed, uint64(a), 0xf6)) < rateR
+	return splitmix.Unit(mix(n.seed, uint64(a), 0xf6)) < rateR
 }
 
 // liveSplit maps an AS's responsiveness to (live-/24 share, per-address

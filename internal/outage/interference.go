@@ -15,6 +15,8 @@ package outage
 import (
 	"sort"
 	"sync"
+
+	"github.com/afrinet/observatory/internal/splitmix"
 )
 
 // InterferenceRule is one country's interference policy.
@@ -119,14 +121,8 @@ func (p *Interference) targeted(country, domain string) (InterferenceRule, bool)
 	if !ok || !live || rule.DomainFraction <= 0 {
 		return InterferenceRule{}, false
 	}
-	h := p.seed
-	for _, ch := range country {
-		h = imix(h ^ uint64(ch))
-	}
-	for _, ch := range domain {
-		h = imix(h ^ uint64(ch))
-	}
-	if float64(imix(h^0x91)>>11)/float64(1<<53) >= rule.DomainFraction {
+	h := splitmix.String(splitmix.String(p.seed, country), domain)
+	if splitmix.Unit(splitmix.Mix(h^0x91)) >= rule.DomainFraction {
 		return InterferenceRule{}, false
 	}
 	return rule, true
@@ -203,35 +199,32 @@ func ThrottledTransferMs(bytes int64, lineMs, bytesPerMs float64, burst int64) f
 func GenerateInterference(seed int64, countries []string) *Interference {
 	p := NewInterference(seed)
 	for _, ctry := range countries {
-		h := uint64(seed)
-		for _, ch := range ctry {
-			h = imix(h ^ uint64(ch))
-		}
-		if float64(imix(h^0xA1)>>11)/float64(1<<53) >= 0.35 {
+		h := splitmix.String(uint64(seed), ctry)
+		if splitmix.Unit(splitmix.Mix(h^0xA1)) >= 0.35 {
 			continue
 		}
 		rule := InterferenceRule{
 			Country:        ctry,
-			DomainFraction: 0.25 + float64(imix(h^0xA6)%26)/100.0,
+			DomainFraction: 0.25 + float64(splitmix.Mix(h^0xA6)%26)/100.0,
 		}
-		if imix(h^0xA9)%4 == 0 {
+		if splitmix.Mix(h^0xA9)%4 == 0 {
 			// A quarter of interfering countries are covert throttlers:
 			// rate-shaping with no overt mechanism, so the slowdown is the
 			// only probe-vs-control delta — the case the throttled verdict
 			// exists for. (Overt mechanisms sit higher in the detector's
 			// attribution order and would mask it.)
-			rule.ThrottleBytesPerMs = 8 + float64(imix(h^0xA8)%33)
+			rule.ThrottleBytesPerMs = 8 + float64(splitmix.Mix(h^0xA8)%33)
 			rule.ThrottleBurstBytes = 16 * 1024
 			p.SetRule(rule)
 			continue
 		}
-		rule.DNSPoison = imix(h^0xA2)%100 < 70
-		rule.PoisonBogon = imix(h^0xA3)%2 == 0
-		rule.SNIReset = imix(h^0xA4)%100 < 55
-		rule.Blockpage = imix(h^0xA5)%100 < 45
-		if imix(h^0xA7)%100 < 40 {
+		rule.DNSPoison = splitmix.Mix(h^0xA2)%100 < 70
+		rule.PoisonBogon = splitmix.Mix(h^0xA3)%2 == 0
+		rule.SNIReset = splitmix.Mix(h^0xA4)%100 < 55
+		rule.Blockpage = splitmix.Mix(h^0xA5)%100 < 45
+		if splitmix.Mix(h^0xA7)%100 < 40 {
 			// ~64-320 kbit/s: the "slow enough to be useless" band.
-			rule.ThrottleBytesPerMs = 8 + float64(imix(h^0xA8)%33)
+			rule.ThrottleBytesPerMs = 8 + float64(splitmix.Mix(h^0xA8)%33)
 			rule.ThrottleBurstBytes = 16 * 1024
 		}
 		if !rule.DNSPoison && !rule.SNIReset && !rule.Blockpage && rule.ThrottleBytesPerMs == 0 {
@@ -240,13 +233,4 @@ func GenerateInterference(seed int64, countries []string) *Interference {
 		p.SetRule(rule)
 	}
 	return p
-}
-
-// imix is the shared splitmix64 mixer (same constants as the dnssim /
-// content substrate) so interference draws stay in their own stream.
-func imix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/afrinet/observatory/internal/geo"
+	"github.com/afrinet/observatory/internal/splitmix"
 )
 
 // Radar-style detection from traffic signals. Cloudflare Radar does not
@@ -43,10 +44,7 @@ func DefaultSeriesParams() SeriesParams {
 // the events' impacts applied. Impact evaluation is pluggable so callers
 // can reuse already-evaluated events ((country, drop) pairs).
 func TrafficSeries(country string, days int, impacts []CountryImpact, p SeriesParams, seed uint64) []TrafficPoint {
-	h := seed
-	for _, c := range country {
-		h = smix(h ^ uint64(c))
-	}
+	h := splitmix.String(seed, country)
 	out := make([]TrafficPoint, days*24)
 	for hour := 0; hour < len(out); hour++ {
 		tod := float64(hour % 24)
@@ -57,7 +55,7 @@ func TrafficSeries(country string, days int, impacts []CountryImpact, p SeriesPa
 		if day%7 >= 5 {
 			weekend = 1 - p.WeekendDip
 		}
-		noise := 1 + p.NoiseAmp*(f01(smix(h^uint64(hour)))*2-1)
+		noise := 1 + p.NoiseAmp*(splitmix.Unit(splitmix.Mix(h^uint64(hour)))*2-1)
 		v := diurnal * weekend * noise
 		for _, imp := range impacts {
 			if imp.Country != country {
@@ -82,15 +80,6 @@ type CountryImpact struct {
 	Drop     float64
 	Cause    Cause
 }
-
-func smix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func f01(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 
 // DetectedWindow is one outage the series detector flags.
 type DetectedWindow struct {

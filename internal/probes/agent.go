@@ -8,6 +8,7 @@ import (
 	"github.com/afrinet/observatory/internal/dnsload"
 	"github.com/afrinet/observatory/internal/dnssim"
 	"github.com/afrinet/observatory/internal/netsim"
+	"github.com/afrinet/observatory/internal/splitmix"
 	"github.com/afrinet/observatory/internal/topology"
 	"github.com/afrinet/observatory/internal/websim"
 )
@@ -34,24 +35,12 @@ func NewPowerModel(seed int64, outageProb float64) *PowerModel {
 	return &PowerModel{seed: uint64(seed), OutageProb: outageProb}
 }
 
-func pmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Up reports whether the probe has power in the given absolute hour.
 func (p *PowerModel) Up(probeID string, hour int) bool {
 	if p == nil {
 		return true
 	}
-	h := p.seed
-	for _, c := range probeID {
-		h = pmix(h ^ uint64(c))
-	}
-	h = pmix(h ^ uint64(hour))
-	return float64(h>>11)/float64(1<<53) >= p.OutageProb
+	return splitmix.Unit(splitmix.Mix(splitmix.String(p.seed, probeID)^uint64(hour))) >= p.OutageProb
 }
 
 // Config describes one agent.
@@ -178,10 +167,7 @@ func (a *Agent) Execute(t Task) (Result, error) {
 		}
 		// Burst seed derives from (probe, task) so re-execution of the
 		// same task replays identically while distinct tasks decorrelate.
-		h := uint64(0x646e736c6f6164)
-		for _, c := range a.cfg.ID + "\x00" + t.ID {
-			h = pmix(h ^ uint64(c))
-		}
+		h := splitmix.String(0x646e736c6f6164, a.cfg.ID+"\x00"+t.ID)
 		sum := dnsload.TaskRun(a.dns, a.cfg.ASN, t.Domain, t.OriginCountry, t.Queries, t.ECS, h)
 		res.OK = sum.OK
 		res.RTTms = sum.MeanMs

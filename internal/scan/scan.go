@@ -23,6 +23,7 @@ import (
 	"github.com/afrinet/observatory/internal/netx"
 	"github.com/afrinet/observatory/internal/par"
 	"github.com/afrinet/observatory/internal/registry"
+	"github.com/afrinet/observatory/internal/splitmix"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -45,18 +46,6 @@ func (t Tool) String() string {
 		return "YARRP"
 	}
 }
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// pick maps a hash onto [0,n) without the sign pitfalls of int casts.
-func pick(h uint64, n int) int { return int(h % uint64(n)) }
-
-func f01(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 
 // Hitlist is one tool's target list.
 type Hitlist struct {
@@ -92,11 +81,11 @@ func (b *Builder) BuildANT() Hitlist {
 		p24 := p24s[i]
 		var targets []netx.Addr
 		for k := 0; k < historySamples; k++ {
-			a := p24.Nth(uint64(1 + pick(splitmix(b.seed^uint64(p24.Base())^uint64(k)), 254)))
+			a := p24.Nth(uint64(1 + splitmix.Pick(splitmix.Mix(b.seed^uint64(p24.Base())^uint64(k)), 254)))
 			if b.net.AddrResponds(a) {
 				targets = append(targets, a)
 				// Historical lists retain a second candidate per block.
-				second := p24.Nth(uint64(1 + pick(splitmix(b.seed^uint64(p24.Base())^0x99), 254)))
+				second := p24.Nth(uint64(1 + splitmix.Pick(splitmix.Mix(b.seed^uint64(p24.Base())^0x99), 254)))
 				targets = append(targets, second)
 				break
 			}
@@ -109,7 +98,7 @@ func (b *Builder) BuildANT() Hitlist {
 	// Exchange LANs reached by old traceroute campaigns.
 	for _, id := range b.topo.IXPIDs() {
 		x := b.topo.IXPs[id]
-		if f01(splitmix(b.seed^uint64(id)^0xAB)) < ixpHistoricalHitProb(b.topo, x) {
+		if splitmix.Unit(splitmix.Mix(b.seed^uint64(id)^0xAB)) < ixpHistoricalHitProb(b.topo, x) {
 			h.Targets = append(h.Targets, x.LAN.Nth(2))
 		}
 	}
@@ -132,7 +121,7 @@ func ixpHistoricalHitProb(t *topology.Topology, x *topology.IXP) float64 {
 func (b *Builder) BuildCAIDA() Hitlist {
 	h := Hitlist{Tool: ToolCAIDA}
 	for _, p24 := range b.rt.Slash24s() {
-		a := p24.Nth(uint64(1 + pick(splitmix(b.seed^uint64(p24.Base())^0xC1), 254)))
+		a := p24.Nth(uint64(1 + splitmix.Pick(splitmix.Mix(b.seed^uint64(p24.Base())^0xC1), 254)))
 		h.Targets = append(h.Targets, a)
 	}
 	return h
@@ -144,10 +133,10 @@ func (b *Builder) BuildCAIDA() Hitlist {
 func (b *Builder) BuildYARRP(share float64) Hitlist {
 	h := Hitlist{Tool: ToolYARRP}
 	for _, p24 := range b.rt.Slash24s() {
-		if f01(splitmix(b.seed^uint64(p24.Base())^0xD2)) >= share {
+		if splitmix.Unit(splitmix.Mix(b.seed^uint64(p24.Base())^0xD2)) >= share {
 			continue
 		}
-		a := p24.Nth(uint64(1 + pick(splitmix(b.seed^uint64(p24.Base())^0xD3), 254)))
+		a := p24.Nth(uint64(1 + splitmix.Pick(splitmix.Mix(b.seed^uint64(p24.Base())^0xD3), 254)))
 		h.Targets = append(h.Targets, a)
 	}
 	return h
@@ -214,7 +203,7 @@ func (b *Builder) Run(h Hitlist, vantages []topology.ASN, lastHopLoss, lanHopLos
 		v := vantages[i%len(vantages)]
 		tr := b.net.Traceroute(v, target)
 		dropLast := lastHopLoss > 0 &&
-			f01(splitmix(b.seed^uint64(target)^0xE4)) < lastHopLoss
+			splitmix.Unit(splitmix.Mix(b.seed^uint64(target)^0xE4)) < lastHopLoss
 		var sg sighting
 		for j, hop := range tr.Hops {
 			if hop.Addr == 0 {
@@ -225,7 +214,7 @@ func (b *Builder) Run(h Hitlist, vantages []topology.ASN, lastHopLoss, lanHopLos
 			}
 			if x, ok := b.net.IXPOf(hop.Addr); ok {
 				if lanHopLoss > 0 &&
-					f01(splitmix(b.seed^uint64(x)<<20^uint64(v)^0xF7)) < lanHopLoss {
+					splitmix.Unit(splitmix.Mix(b.seed^uint64(x)<<20^uint64(v)^0xF7)) < lanHopLoss {
 					continue
 				}
 				sg.ixps = append(sg.ixps, x)

@@ -3,6 +3,8 @@ package topology
 import (
 	"container/heap"
 	"sort"
+
+	"github.com/afrinet/observatory/internal/splitmix"
 )
 
 // Physical realization maps AS-level links onto the country-level conduit
@@ -226,7 +228,7 @@ func (r *Realizer) PathFor(from, to string, salt uint64) ([]Segment, bool) {
 }
 
 // weightedPick selects an index into cands proportionally to conduit
-// capacity, deterministically from the salt.
+// capacity, deterministically from the salt by a truncated SplitMix64 round.
 func weightedPick(t *Topology, cands []int, salt, hop uint64) int {
 	if len(cands) == 1 {
 		return 0
@@ -236,10 +238,8 @@ func weightedPick(t *Topology, cands []int, salt, hop uint64) int {
 		total += t.Conduits[ci].Capacity
 	}
 	h := salt*0x9e3779b97f4a7c15 + hop
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	x := float64(h>>11) / float64(1<<53) * total
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	x := splitmix.Unit(h^(h>>27)) * total
 	for i, ci := range cands {
 		x -= t.Conduits[ci].Capacity
 		if x <= 0 {

@@ -22,6 +22,7 @@ import (
 	"github.com/afrinet/observatory/internal/dnssim"
 	"github.com/afrinet/observatory/internal/netsim"
 	"github.com/afrinet/observatory/internal/outage"
+	"github.com/afrinet/observatory/internal/splitmix"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -79,34 +80,19 @@ func New(n *netsim.Net, dns *dnssim.System, web *content.System, pol *outage.Int
 	return e
 }
 
-func wmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func hashString(s string) uint64 {
-	h := uint64(0)
-	for _, ch := range s {
-		h = wmix(h ^ uint64(ch))
-	}
-	return h
-}
-
 // truthAddr is the domain's genuine serving address. It is anchored to
 // the site's provider AS, not the vantage, so both resolvers agree on
 // the untampered answer and any disjoint probe answer is attributable
 // to tampering rather than CDN mapping.
 func (e *Engine) truthAddr(site content.Site) string {
-	h := hashString(site.Domain)
+	h := splitmix.String(0, site.Domain)
 	return e.net.HostAddr(site.Provider, int(h%4)).String()
 }
 
 // bogonAddr is the never-routed answer a bogon-poisoning resolver
 // hands out for the domain.
 func bogonAddr(domain string) string {
-	h := hashString(domain)
+	h := splitmix.String(0, domain)
 	return fmt.Sprintf("10.66.%d.%d", (h>>8)&0xff, h&0xff)
 }
 

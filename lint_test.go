@@ -34,7 +34,8 @@ const module = "github.com/afrinet/observatory"
 // the module's, a method's receiver type and its name ("time.Now",
 // "os.File.Truncate"). A use in a call's first argument also has the key
 // callee + "(" + its own, one in a go statement of a variable declared
-// outside it "go " + its type, and a constant string its quoted value.
+// outside it "go " + its type, a constant string its quoted value and an
+// integer its decimal one.
 type rule struct {
 	name   string
 	files  []string // the files it covers, by name or directory; none means all
@@ -57,6 +58,7 @@ var rules = []rule{
 	{"legacy-reader", []string{"internal/"}, false, []string{"internal/core/upgrade.go", "internal/journal/legacy.go"}, regexp.MustCompile(`^internal/(store\.Store\.KeySet|journal\.(OpenLegacy|legacySnapName)|core\.snapChunkFrame)$`), "Recover reads only the current format; what older binaries wrote is read by core.Upgrade alone, in internal/core/upgrade.go and internal/journal/legacy.go"},
 	{"metrics-registry-counters", nil, true, nil, regexp.MustCompile(`\.(AddCounters|CounterSet)$`), "AddCounters and CounterSet are gone: count into reg.Counters(family) or reg.Gauges(family)"},
 	{"metrics-registry-import", nil, false, []string{"internal/experiments/", "internal/metrics/"}, regexp.MustCompile(`^internal/metrics\.`), "internal/metrics is the statistics toolkit of internal/experiments only: metrics live in internal/obs"},
+	{"seeded-hash", []string{"internal/"}, true, []string{"internal/splitmix/"}, regexp.MustCompile(`^10723151780598845931$`), "0x94d049bb133111eb is SplitMix64's: every seeded draw goes through internal/splitmix, with its package's own seed and salts"},
 	{"span-capture", nil, true, nil, regexp.MustCompile(`^go \*internal/obs\.Span$`), "an obs.Span is written by one goroutine: give the goroutine a span tree of its own"},
 }
 
@@ -233,7 +235,7 @@ func lint(root string) (map[string][]string, error) {
 					}
 				})
 			}
-			if e, ok := n.(ast.Expr); ok && info.Types[e].Value != nil && info.Types[e].Value.Kind() == constant.String {
+			if e, ok := n.(ast.Expr); ok && info.Types[e].Value != nil && slices.Contains([]constant.Kind{constant.String, constant.Int}, info.Types[e].Value.Kind()) {
 				use(at, e.Pos(), info.Types[e].Value.ExactString(), nil)
 			}
 			return true
