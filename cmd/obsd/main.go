@@ -59,7 +59,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -364,17 +363,11 @@ func (s *fedService) Close() error {
 	return err
 }
 
-// recoverDir starts a durable controller on dir at boot: core.Recover, or
-// for a directory an older binary wrote core.Upgrade with the same config
-// (LeaseTTL changes what replay grants), which rewrites it in
-// the current format once. Either is logged; failing both is fatal.
+// recoverDir starts a durable controller on dir at boot with core.Recover
+// and logs the recovery; failing it is fatal.
 func recoverDir(who, dir string, cfg core.DurabilityConfig) *core.Controller {
 	start := time.Now()
 	ctrl, err := core.Recover(dir, cfg)
-	if errors.Is(err, core.ErrNeedsUpgrade) {
-		log.Printf("obsd: %supgrading %s in place: %v", who, dir, err)
-		ctrl, err = core.Upgrade(dir, cfg)
-	}
 	if err != nil {
 		log.Fatalf("obsd: %srecover: %v", who, err)
 	}
@@ -383,10 +376,8 @@ func recoverDir(who, dir string, cfg core.DurabilityConfig) *core.Controller {
 }
 
 // logRecovered says what a recovery did and where its time went: the
-// phases are the obs_recover_seconds series /metrics serves from then on
-// (an upgrade's store walk counts in reconcile); snapshot_bytes and
-// snapshot_frames size the snapshot it started from, or the one an
-// upgrade wrote.
+// phases are the obs_recover_seconds series /metrics serves from then on;
+// snapshot_bytes and snapshot_frames size the snapshot it started from.
 func logRecovered(who string, ctrl *core.Controller, took time.Duration) {
 	d := ctrl.DurabilityCounters()
 	series := ctrl.Observability().Snapshots()

@@ -440,13 +440,11 @@ func BenchmarkDecodeSnapshotFrames(b *testing.B) {
 }
 
 // BenchmarkChunkCodec encodes and decodes one chunk of snapChunk pings in
-// one goroutine, in the column layout ("columns") and in the array of
-// structs it replaced ("structs"). The columns save by writing a task body
-// once per chunk, so the chunk comes in two shapes: "one_body", every ping
-// to the same target as in every bench/ workload, and "distinct_bodies",
-// every ping to its own target, where there is nothing to share and the
-// columns cost more than the structs. B/assignment is the encoded chunk's
-// size.
+// one goroutine, in the column layout. The columns save by writing a task
+// body once per chunk, so the chunk comes in two shapes: "one_body", every
+// ping to the same target as in every bench/ workload, and
+// "distinct_bodies", every ping to its own target, where there is nothing
+// to share. B/assignment is the encoded chunk's size.
 func BenchmarkChunkCodec(b *testing.B) {
 	for _, bodies := range []string{"one_body", "distinct_bodies"} {
 		chunk := make([]probes.Assignment, snapChunk)
@@ -458,39 +456,30 @@ func BenchmarkChunkCodec(b *testing.B) {
 				chunk[i].Task.Target = fmt.Sprintf("10.0.1.%d", i)
 			}
 		}
-		for _, layout := range []string{"", snapLayout} {
-			encode := func() ([]byte, error) { return json.Marshal(colsOf(chunk, nil)) }
-			name, read := layout, func(p []byte, dst []probes.Assignment) ([][2]int, error) {
-				runs, _, err := readChunk(p, dst)
-				return runs, err
-			}
-			if layout == "" {
-				encode, name, read = func() ([]byte, error) { return json.Marshal(snapChunkFrame{Assignments: chunk}) }, "structs", readStructChunk
-			}
-			p, err := encode()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(bodies+"/"+name+"/encode", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := encode(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snapChunk), "ns/assignment")
-				b.ReportMetric(float64(len(p))/snapChunk, "B/assignment")
-			})
-			b.Run(bodies+"/"+name+"/decode", func(b *testing.B) {
-				dst := make([]probes.Assignment, snapChunk)
-				for i := 0; i < b.N; i++ {
-					if _, err := read(p, dst); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snapChunk), "ns/assignment")
-				b.ReportMetric(float64(len(p))/snapChunk, "B/assignment")
-			})
+		encode := func() ([]byte, error) { return json.Marshal(colsOf(chunk, nil)) }
+		p, err := encode()
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(bodies+"/"+snapLayout+"/encode", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snapChunk), "ns/assignment")
+			b.ReportMetric(float64(len(p))/snapChunk, "B/assignment")
+		})
+		b.Run(bodies+"/"+snapLayout+"/decode", func(b *testing.B) {
+			dst := make([]probes.Assignment, snapChunk)
+			for i := 0; i < b.N; i++ {
+				if _, _, err := readChunk(p, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snapChunk), "ns/assignment")
+			b.ReportMetric(float64(len(p))/snapChunk, "B/assignment")
+		})
 	}
 }
 

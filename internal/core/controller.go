@@ -246,8 +246,8 @@ type Controller struct {
 	// payload sits above the store's sealed watermark, in store order with
 	// their sequence numbers; at most one memtable of them, pruned as
 	// segments seal, carried by snapshots. unsealedUnknown is set while a
-	// recovery is reading a directory that does not say where its refs sit:
-	// Recover refuses it, Upgrade walks the store for it (upgrade.go).
+	// recovery is reading a directory that does not say where its refs
+	// sit, which Recover refuses.
 	unsealed        []unsealedRef
 	unsealedUnknown bool
 
@@ -748,8 +748,7 @@ func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) (ref
 // ones stageResultsLocked stored a payload for, in the same order, so
 // they hold the consecutive sequence numbers ending at seq. A batch that
 // accepts refs without saying where they sit (a record from before seq
-// was journaled) leaves the book's position unknown until Upgrade has
-// walked the store.
+// was journaled) leaves the book's position unknown, and Recover refuses it.
 func (c *Controller) recordRefsLocked(refs []resultRef, seq uint64) int {
 	first := len(c.unsealed)
 	for _, ref := range refs {

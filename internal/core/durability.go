@@ -30,15 +30,15 @@ const (
 	opRequeue = "recovery_requeue"
 
 	// Retired kinds: journals from before submissions were columns and
-	// every probe call a sync hold them; only Upgrade reads them
-	// (upgrade.go), nothing writes them (the root lint_test.go).
+	// every probe call a sync hold them; Recover refuses them and
+	// nothing writes them (the root lint_test.go).
 	opSubmit    = "experiment_submit"
 	opHeartbeat = "heartbeat"
 	opLease     = "lease_grant"
 	opResults   = "results_accept"
 )
 
-// submitOp is a submission as applySubmitLocked takes it, and opSubmit's record.
+// submitOp is a submission as applySubmitLocked takes it.
 type submitOp struct {
 	RequestID   string              `json:"request_id,omitempty"`
 	Owner       string              `json:"owner"`
@@ -47,8 +47,7 @@ type submitOp struct {
 	// ExpID pins the experiment id instead of minting exp-%04d. The
 	// federation coordinator uses it to create the same federated
 	// experiment id on every shard that owns a slice of the
-	// assignments. Empty (every pre-federation journal) keeps the
-	// minting path, so old WALs replay unchanged.
+	// assignments. Empty keeps the minting path.
 	ExpID string `json:"exp_id,omitempty"`
 }
 
@@ -73,8 +72,7 @@ type resultRef struct {
 // the same slice regardless of config defaults at recovery time; < 0 is
 // a round with no lease. Seq is the store sequence number of the last
 // payload the round stored (recordRefsLocked), absent when it stored none
-// and in records written before it was journaled. The retired kinds'
-// records are subsets of this one's fields.
+// and in records written before it was journaled.
 type syncOp struct {
 	ProbeID string      `json:"probe_id"`
 	Refs    []resultRef `json:"refs,omitempty"`
@@ -100,25 +98,19 @@ type tickOp struct {
 
 // persistState is the controller's full book as a snapshot carries it and
 // restoreLocked loads it: decodeSnapshot (snapshot.go) assembles it from a
-// framed snapshot's frames, and a one-blob snapshot is its JSON
-// (upgrade.go). Set-valued
-// maps are sorted slices. Result payloads are deliberately absent — they
-// live in the results store, which is why snapshot size does not grow with
-// result volume — and so is the task-id index, which restore derives from
-// the experiments' assignments (older snapshots carry it as "task_ids"; it
-// is ignored).
+// framed snapshot's frames. Set-valued maps are sorted slices. Result
+// payloads are deliberately absent — they live in the results store, which
+// is why snapshot size does not grow with result volume — and so is the
+// task-id index, which restore derives from the experiments' assignments.
 type persistState struct {
 	persistScalars
 	Probes      map[string]persistProbe  `json:"probes,omitempty"`
 	Experiments map[string]*Experiment   `json:"experiments,omitempty"`
 	Queues      map[string][]probes.Task `json:"queues,omitempty"`
 	Recorded    map[string][]string      `json:"recorded,omitempty"`
-	// Unsealed is nil only in a legacy snapshot without the key: one from
-	// before the list existed, which says nothing about where its recorded
-	// refs sit in the store.
-	Unsealed  []unsealedRef           `json:"unsealed"`
-	Leases    map[string]persistLease `json:"leases,omitempty"`
-	SubmitIDs map[string]string       `json:"submit_ids,omitempty"`
+	Unsealed    []unsealedRef            `json:"unsealed"`
+	Leases      map[string]persistLease  `json:"leases,omitempty"`
+	SubmitIDs   map[string]string        `json:"submit_ids,omitempty"`
 
 	// reflected is how many of the frames decodeSnapshot read this from
 	// went to json.Unmarshal because their cut declined them: no state,
@@ -184,26 +176,8 @@ type DurabilityConfig struct {
 // ErrNeedsUpgrade is Recover's refusal of a directory an older binary
 // wrote — a one-blob snapshot, a snapshot head without a layout, a record
 // of a retired kind, a result record that does not say where its payloads
-// sit — before it has appended or snapshotted anything: Upgrade reads it.
+// sit — before it has appended or snapshotted anything.
 var ErrNeedsUpgrade = journal.ErrNeedsUpgrade
-
-// reader is what a recovery reads a directory with: the journal opener,
-// the op table, the snapshot decoder and the finder of the results a
-// crash lost. current, Recover's, reads only what this binary writes;
-// legacy, Upgrade's (upgrade.go), every older shape too.
-type reader struct {
-	open     func(dir string) (*journal.Log, error)
-	ops      map[string]journal.Op[*Controller]
-	snapshot func(*journal.Snapshot) (persistState, error)
-	lost     func(*Controller) ([]resultRef, error)
-}
-
-var current = reader{
-	open:     journal.Open,
-	ops:      replayOps,
-	snapshot: func(snap *journal.Snapshot) (persistState, error) { return decodeSnapshot(snap, nil) },
-	lost:     (*Controller).lostResultsLocked,
-}
 
 // Recover rebuilds a controller from a journal directory — latest
 // snapshot plus replay of every journaled operation after it — and
@@ -214,7 +188,7 @@ var current = reader{
 // discarded rather than crashing recovery; because appends sync before
 // acknowledging, a discarded tail record was never acked to a client.
 // Recover reads the one directory shape this binary writes; any older
-// one is an error wrapping ErrNeedsUpgrade (Upgrade reads it).
+// one is an error wrapping ErrNeedsUpgrade.
 //
 // Recover also reopens the results store (StoreDir, default
 // <dir>/store) and reconciles the replayed dedup book against it: a
@@ -234,13 +208,8 @@ var current = reader{
 // decode turns the tail past the snapshot into typed ops (all three
 // decodes on every core), replay applies them in journal order.
 func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
-	return recoverWith(current, dir, cfg)
-}
-
-// recoverWith is Recover and Upgrade: the one recovery, reading dir with r.
-func recoverWith(r reader, dir string, cfg DurabilityConfig) (*Controller, error) {
 	t := obs.StartTimer()
-	l, err := r.open(dir)
+	l, err := journal.Open(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +257,7 @@ func recoverWith(r reader, dir string, cfg DurabilityConfig) (*Controller, error
 	}
 	var snapSeq uint64
 	if snap := l.Snap; snap != nil {
-		book, err := r.snapshot(snap)
+		book, err := decodeSnapshot(snap)
 		if err != nil {
 			return fail(fmt.Errorf("core: decoding snapshot: %w", err))
 		}
@@ -307,7 +276,7 @@ func recoverWith(r reader, dir string, cfg DurabilityConfig) (*Controller, error
 	for len(tail) > 0 && tail[0].Seq <= snapSeq {
 		tail = tail[1:]
 	}
-	ops, err := journal.DecodeOps(r.ops, tail)
+	ops, err := journal.DecodeOps(replayOps, tail)
 	if err != nil {
 		return fail(fmt.Errorf("core: %w", err))
 	}
@@ -339,7 +308,7 @@ func recoverWith(r reader, dir string, cfg DurabilityConfig) (*Controller, error
 	l.OnGrow = func() { c.dur.Inc("journal_log_grows") }
 	c.log = l
 	c.snapEvery = cfg.SnapshotEvery
-	if err := c.requeueLostLocked(r.lost); err != nil {
+	if err := c.requeueLostLocked(); err != nil {
 		return fail(err)
 	}
 	phase("reconcile")
@@ -351,8 +320,8 @@ func recoverWith(r reader, dir string, cfg DurabilityConfig) (*Controller, error
 // opRequeue for them, in (experiment, task) order. Nothing is changed
 // before the append succeeds, so a crash anywhere in here leaves the
 // directory for the next recovery to find the same set.
-func (c *Controller) requeueLostLocked(find func(*Controller) ([]resultRef, error)) error {
-	lost, err := find(c)
+func (c *Controller) requeueLostLocked() error {
+	lost, err := c.lostResultsLocked()
 	if err != nil || len(lost) == 0 {
 		return err
 	}
@@ -375,8 +344,7 @@ func (c *Controller) requeueLostLocked(find func(*Controller) ([]resultRef, erro
 // it as recorded would silently drop that measurement. The lost refs are
 // the unsealed entries above the store's sealed watermark — no segment
 // is read. A book that does not place its refs (a result-bearing record
-// without seq, which an older binary wrote) is refused: Upgrade finds its
-// lost refs by walking the store (upgrade.go).
+// without seq, which an older binary wrote) is refused.
 func (c *Controller) lostResultsLocked() ([]resultRef, error) {
 	if c.unsealedUnknown {
 		return nil, fmt.Errorf("core: a result record does not say where its payloads sit: %w", ErrNeedsUpgrade)
@@ -442,7 +410,7 @@ var replayOps = map[string]journal.Op[*Controller]{
 	opSync:       journal.CutOpOf(cutSyncOp, func(c *Controller, op syncOp) { c.applySyncLocked(op) }, reflectDecoded),
 	opTick:       journal.OpOf(func(c *Controller, op tickOp) { c.applyTickLocked(op.N) }),
 	opRequeue:    journal.OpOf(func(c *Controller, op requeueOp) { c.applyRequeueLocked(op.Refs) }),
-	// A retired kind is refused: Upgrade's table reads it (upgrade.go).
+	// A retired kind, which only an older binary wrote, is refused.
 	opSubmit:    retired,
 	opHeartbeat: retired,
 	opLease:     retired,
@@ -593,7 +561,7 @@ func (c *Controller) restoreLocked(st persistState) {
 	for id, ids := range st.Recorded {
 		c.recorded[id] = toSet(ids)
 	}
-	c.unsealed, c.unsealedUnknown = st.Unsealed, st.Unsealed == nil
+	c.unsealed = st.Unsealed
 	for k, pl := range st.Leases {
 		c.leases[k] = &leaseRec{task: pl.Task, probeID: pl.ProbeID, deadline: pl.Deadline}
 	}

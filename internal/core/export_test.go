@@ -1,6 +1,10 @@
 package core
 
-import "github.com/afrinet/observatory/internal/probes"
+import (
+	"math"
+
+	"github.com/afrinet/observatory/internal/probes"
+)
 
 // BreakJournal closes the journal file under a live controller, so the
 // next mutation's append fails the way a dead disk would.
@@ -9,6 +13,10 @@ func (c *Controller) BreakJournal() {
 	defer c.mu.Unlock()
 	c.log.Close()
 }
+
+// wholeQueue is the cap of a lease that asks for the whole queue:
+// grantLocked stops at the queue's length.
+const wholeQueue = math.MaxInt32
 
 // leaseTasks is a lease-only sync round for up to max tasks; max <= 0
 // leases the whole queue.

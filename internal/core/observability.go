@@ -25,8 +25,7 @@ const (
 	MetricJournal = "obs_journal_seconds"
 	// MetricRecover times the phases of the Recover that built this
 	// controller (phase=journal_open|store_open|snapshot|decode|replay|
-	// reconcile, and on an Upgrade that walked the store the walk, a part
-	// of reconcile: upgrade.go), one observation each.
+	// reconcile), one observation each.
 	MetricRecover = "obs_recover_seconds"
 )
 

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"github.com/afrinet/observatory/internal/journal"
@@ -28,15 +27,6 @@ var lossyCfg = DurabilityConfig{Trusted: []string{"o"}, LeaseTTL: 1 << 20, Store
 func mustRecover(t *testing.T, dir string, cfg DurabilityConfig) *Controller {
 	t.Helper()
 	c, err := Recover(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func mustUpgrade(t *testing.T, dir string, cfg DurabilityConfig) *Controller {
-	t.Helper()
-	c, err := Upgrade(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,78 +397,11 @@ func recoverSeries(c *Controller, phase string) uint64 {
 	return c.Observability().Snapshots()[MetricRecover+`{phase="`+phase+`"}`].Count
 }
 
-// TestLegacyDirectoryTakesTheWalkOnce: a directory that does not place
-// its refs — by its snapshot, or by its tail records — still requeues
-// exactly the lost tasks when Upgrade walks the store; what the upgrade
-// then writes is new-format, so the next recovery goes by the watermark.
-func TestLegacyDirectoryTakesTheWalkOnce(t *testing.T) {
-	cfg := lossyCfg
-	for _, tc := range []struct {
-		name     string
-		snapshot bool // the lost refs are in the snapshot, not the tail
-	}{{"tail", false}, {"snapshot", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			c, expID := lossyRun(t, dir, cfg)
-			if tc.snapshot {
-				if err := c.Snapshot(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			makeLegacy(t, c, dir)
-
-			rec := mustUpgrade(t, dir, cfg)
-			if n := rec.DurabilityCounters()["recovery_results_requeued"]; n != 4 {
-				t.Fatalf("legacy recovery requeued %d, want 4", n)
-			}
-			if recoverSeries(rec, "legacy_walk") != 1 {
-				t.Fatal("legacy directory recovered without the walk")
-			}
-			if got := rec.ResultStore().Counters()["segment_cache_misses"]; got == 0 {
-				t.Fatal("the walk read no segment")
-			}
-			checkBook(t, rec, "legacy recovery")
-			if got := len(rec.queues["p1"]); got != 4 {
-				t.Fatalf("requeued tasks = %d, want 4", got)
-			}
-			// The results it accepts from here on are placed.
-			rec.leaseTasks("p1", 4)
-			submitPingBatch(t, rec, "p1", expID, 8, 10)
-			if err := rec.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			file, err := os.ReadFile(filepath.Join(dir, "snapshot.log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s := string(file); !strings.Contains(s, `[{"exp":"`+expID+`","task":"`+expID+`-t0008","seq":9},`) || strings.Contains(s, "task_ids") {
-				t.Fatalf("snapshot after a legacy recovery does not place its refs: %q", s)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); tc.snapshot && !os.IsNotExist(err) {
-				t.Fatalf("legacy snapshot.json survived the first framed snapshot: %v", err)
-			}
-
-			again := mustRecover(t, dir, cfg) // crash: the two memtable results go
-			defer again.Close()
-			if recoverSeries(again, "legacy_walk") != 0 {
-				t.Fatal("second recovery walked the store again")
-			}
-			if n := again.DurabilityCounters()["recovery_results_requeued"]; n != 2 {
-				t.Fatalf("second recovery requeued %d, want 2", n)
-			}
-			if got := again.ResultStore().Counters()["segment_cache_misses"]; got != 0 {
-				t.Fatalf("watermark recovery read %d segments", got)
-			}
-			checkBook(t, again, "second recovery")
-		})
-	}
-}
-
 // TestRecoverKeepsNoRecoveryView: once replay is done the journal handle
 // holds neither the snapshot's frames nor the decoded tail, a snapshot
 // written later does not bring them back, and each of the six phases is
 // on the registry once — store_open included, so no span of the recovery
-// lands in no series — and the upgrade's store walk never.
+// lands in no series.
 func TestRecoverKeepsNoRecoveryView(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := lossyRun(t, dir, lossyCfg)
@@ -501,8 +424,5 @@ func TestRecoverKeepsNoRecoveryView(t *testing.T) {
 		if recoverSeries(rec, phase) != 1 {
 			t.Errorf("obs_recover_seconds{phase=%q} has %d observations, want 1", phase, recoverSeries(rec, phase))
 		}
-	}
-	if n := recoverSeries(rec, "legacy_walk"); n != 0 {
-		t.Errorf("a live recovery walked the store (%d observations)", n)
 	}
 }

@@ -135,11 +135,11 @@ func TestOnlyTheTailCanFailRecovery(t *testing.T) {
 // TestRecoveryIsWorkerCountIndependent: decode width changes how fast a
 // recovery is and nothing else — one worker and eight read the same
 // Records from a directory and recover it to byte-identical state, over
-// the equivalence histories (snapshot_test.go) and the pinned legacy
-// directory (through Upgrade).
+// the equivalence histories (snapshot_test.go) and the pinned columns
+// directory.
 func TestRecoveryIsWorkerCountIndependent(t *testing.T) {
 	histories := equivalenceHistories(t)
-	histories["pin"] = history{filepath.Join("testdata", "pin"), DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5}}
+	histories["pin"] = history{filepath.Join("testdata", "pin", "columns"), DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5}}
 	for name, h := range histories {
 		var records [2][]journal.Record
 		var state [2][]byte
@@ -153,11 +153,7 @@ func TestRecoveryIsWorkerCountIndependent(t *testing.T) {
 			}
 			records[i] = l.Records
 			l.Close()
-			boot := mustRecover
-			if name == "pin" {
-				boot = mustUpgrade
-			}
-			c := boot(t, dir, h.cfg)
+			c := mustRecover(t, dir, h.cfg)
 			par.SetDefaultWorkers(prev)
 			if got := c.DurabilityCounters()["recovery_replayed"]; got == 0 || recoverSeries(c, "decode") != 1 {
 				t.Fatalf("%s: replayed %d records in %d decode phases; want a tail and one", name, got, recoverSeries(c, "decode"))

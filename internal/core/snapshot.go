@@ -268,27 +268,21 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 // state restoreLocked loads, frame by frame on every core, each frame into
 // the slots its index owns: cut (cut.go), or read by json.Unmarshal and
 // counted in the state's reflected, except the head and the submit ids,
-// which json.Unmarshal always reads. structs reads the chunks of a head
-// without a layout, which only an older binary wrote: Recover passes none
-// and refuses such a head (upgrade.go reads it). The whole state or an
-// error: a frame that does not decode, or holds another number of entries
-// than the head gives it, fails the snapshot.
-func decodeSnapshot(snap *journal.Snapshot, structs func([]byte, []probes.Assignment) ([][2]int, error)) (persistState, error) {
+// which json.Unmarshal always reads. A head without a layout, which only
+// an older binary wrote, is refused. The whole state or an error: a frame
+// that does not decode, or holds another number of entries than the head
+// gives it, fails the snapshot.
+func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
 	var st persistState
 	var head snapHead
 	if err := json.Unmarshal(snap.Head, &head); err != nil {
 		return st, fmt.Errorf("head: %w", err)
 	}
-	read := readChunk
-	switch {
-	case head.Layout == "" && structs == nil:
+	switch head.Layout {
+	case snapLayout:
+	case "":
 		return st, fmt.Errorf("head names no layout: %w", ErrNeedsUpgrade)
-	case head.Layout == "":
-		read = func(p []byte, dst []probes.Assignment) ([][2]int, bool, error) {
-			runs, err := structs(p, dst)
-			return runs, false, err
-		}
-	case head.Layout != snapLayout:
+	default:
 		return st, fmt.Errorf("head names layout %q, which this binary does not read", head.Layout)
 	}
 	// The frame count bounds every size the head claims before anything
@@ -334,7 +328,7 @@ func decodeSnapshot(snap *journal.Snapshot, structs func([]byte, []probes.Assign
 		for lo := 0; lo < e.Assignments; lo += snapChunk {
 			f, chunk := len(decode), exp.Assignments[lo:min(lo+snapChunk, e.Assignments)]
 			decode = append(decode, func(p []byte) (reflected bool, err error) {
-				runs[f], reflected, err = read(p, chunk)
+				runs[f], reflected, err = readChunk(p, chunk)
 				return reflected, err
 			})
 		}
@@ -343,13 +337,7 @@ func decodeSnapshot(snap *journal.Snapshot, structs func([]byte, []probes.Assign
 		func(p []byte) (bool, error) { return cutOr(p, &st.Queues, cutQueues) },
 		func(p []byte) (bool, error) { return cutOr(p, &st.Leases, cutLeases) },
 		func(p []byte) (bool, error) { return false, json.Unmarshal(p, &st.SubmitIDs) },
-		func(p []byte) (bool, error) {
-			reflected, err := cutOr(p, &st.Unsealed, cutUnsealed)
-			if st.Unsealed == nil {
-				st.Unsealed = []unsealedRef{} // a framed snapshot always places its refs
-			}
-			return reflected, err
-		},
+		func(p []byte) (bool, error) { return cutOr(p, &st.Unsealed, cutUnsealed) },
 	)
 	reflected := make([]bool, want)
 	err := par.ForEachErr(0, want, func(i int) (err error) {

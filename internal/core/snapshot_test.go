@@ -215,55 +215,39 @@ func TestSnapshotIsWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// TestBlobAndFramesRecoverAlike is the oracle: one book written both ways
-// — as frames by Snapshot, as the legacy blob by the writer kept above —
-// recovers (the blob through Upgrade) to equal state and to a
-// byte-identical next snapshot, and the legacy directory's snapshot.json
-// is gone once that one is written.
+// TestBlobAndFramesRecoverAlike is the oracle: a book written as frames
+// by Snapshot recovers to the state the blob snapshot's writer (kept
+// above as legacyState) captures from the live controller, and to the
+// same snapshot bytes once it snapshots again. The blob itself is refused
+// (TestRecoverRefusesEveryOlderShape).
 func TestBlobAndFramesRecoverAlike(t *testing.T) {
 	for name, h := range equivalenceHistories(t) {
-		framed, blob := t.TempDir(), t.TempDir()
-		shipDir(t, h.dir, framed)
-		c := mustRecover(t, framed, h.cfg)
+		dir := t.TempDir()
+		shipDir(t, h.dir, dir)
+		c := mustRecover(t, dir, h.cfg)
 		if err := c.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 		c.BreakJournal()
-		shipDir(t, framed, blob)
-		if err := os.Remove(filepath.Join(blob, "snapshot.log")); err != nil {
+		written, want := readSnapshotLog(t, dir), legacyState(c)
+
+		rec := mustRecover(t, dir, h.cfg)
+		if got := rec.DurabilityCounters(); got["recovery_replayed"] != 0 {
+			t.Fatalf("%s: recovered with %v", name, got)
+		}
+		if got := legacyState(rec); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recovered book differs\n got %+v\nwant %+v", name, got, want)
+		}
+		if got, live := viewOf(rec), viewOf(c); !reflect.DeepEqual(got, live) {
+			t.Errorf("%s: recovered view differs\n got %+v\nwant %+v", name, got, live)
+		}
+		if err := rec.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		want := legacyState(c)
-		writeLegacySnapshot(t, blob, c.log.Seq(), want)
-
-		var next [2][]byte
-		for i, dir := range []string{framed, blob} {
-			boot := mustRecover
-			if dir == blob {
-				boot = mustUpgrade
-			}
-			rec := boot(t, dir, h.cfg)
-			if got := rec.DurabilityCounters(); got["recovery_replayed"] != 0 || (got["snapshots_written"] == 1) != (dir == blob) {
-				t.Fatalf("%s: %s recovered with %v", name, dir, got)
-			}
-			if got := legacyState(rec); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: recovered book differs (legacy blob: %t)\n got %+v\nwant %+v", name, dir == blob, got, want)
-			}
-			if got, live := viewOf(rec), viewOf(c); !reflect.DeepEqual(got, live) {
-				t.Errorf("%s: recovered view differs (legacy blob: %t)\n got %+v\nwant %+v", name, dir == blob, got, live)
-			}
-			if err := rec.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			next[i] = readSnapshotLog(t, dir)
-			if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); !os.IsNotExist(err) {
-				t.Errorf("%s: snapshot.json beside a durable snapshot.log: %v", name, err)
-			}
-			rec.Close()
+		if next := readSnapshotLog(t, dir); !bytes.Equal(next, written) {
+			t.Errorf("%s: the recovered book snapshots to other bytes (%d, first %d)", name, len(next), len(written))
 		}
-		if !bytes.Equal(next[0], next[1]) {
-			t.Errorf("%s: the blob's and the frames' next snapshots differ (%d and %d bytes)", name, len(next[1]), len(next[0]))
-		}
+		rec.Close()
 	}
 }
 
@@ -367,8 +351,8 @@ func TestDamagedSnapshotFailsRecovery(t *testing.T) {
 
 // TestRecordedOutsideAssignments: a recorded id that is no assignment of
 // its experiment cannot be an index run. No live path makes one (results
-// are admitted against the experiment's task ids), a replayed record or
-// a legacy blob can; it is written by name in the head and survives.
+// are admitted against the experiment's task ids), a replayed record
+// can; it is written by name in the head and survives.
 func TestRecordedOutsideAssignments(t *testing.T) {
 	dir := t.TempDir()
 	cfg := lossyCfg
@@ -407,53 +391,30 @@ func TestRecordedOutsideAssignments(t *testing.T) {
 }
 
 // TestFailoverShipsEverySnapshot: a failover's copy (journal.Clone +
-// store.Clone, what federation.ShipState is) of a framed directory, of a
-// legacy one and of one caught holding both recovers (the last two
-// through Upgrade) the book the source held; the directory with both
-// reads the framed snapshot.
+// store.Clone, what federation.ShipState is) of a directory with a
+// multi-frame snapshot and a tail behind it recovers the book the source
+// held. A copy of an older shape is refused as its source is
+// (TestRecoverRefusesEveryOlderShape ships them the same way).
 func TestFailoverShipsEverySnapshot(t *testing.T) {
-	framed := t.TempDir()
-	shipDir(t, wideBook(t), framed)
-	c := mustRecover(t, framed, wideCfg)
+	src := t.TempDir()
+	shipDir(t, wideBook(t), src)
+	c := mustRecover(t, src, wideCfg)
 	if err := c.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	before, snapSeq := legacyState(c), c.log.Seq()
 	c.Tick(1) // a tail behind the snapshot
 	c.BreakJournal()
 	want := legacyState(c)
 
-	legacy, both := t.TempDir(), t.TempDir()
-	shipDir(t, framed, legacy)
-	if err := os.Remove(filepath.Join(legacy, "snapshot.log")); err != nil {
-		t.Fatal(err)
+	dst := t.TempDir()
+	shipDir(t, src, dst)
+	rec := mustRecover(t, dst, wideCfg)
+	defer rec.Close()
+	if got := legacyState(rec); !reflect.DeepEqual(got, want) {
+		t.Errorf("failover recovered a different book\n got %+v\nwant %+v", got, want)
 	}
-	writeLegacySnapshot(t, legacy, snapSeq, before)
-	shipDir(t, framed, both)
-	writeLegacySnapshot(t, both, snapSeq, persistState{}) // stale and wrong: must not be read
-
-	for name, src := range map[string]string{"framed": framed, "legacy": legacy, "both": both} {
-		dst := t.TempDir()
-		shipDir(t, src, dst)
-		boot := mustUpgrade
-		if name == "framed" {
-			boot = mustRecover
-		}
-		rec := boot(t, dst, wideCfg)
-		if got := legacyState(rec); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: failover recovered a different book\n got %+v\nwant %+v", name, got, want)
-		}
-		if d := rec.DurabilityCounters(); d["recovery_replayed"] != 1 || (d["snapshots_written"] == 1) != (name != "framed") {
-			t.Errorf("%s: failover recovered with %v", name, d)
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for file, wantIt := range map[string]bool{"snapshot.log": true, "snapshot.json": false} {
-			if _, err := os.Stat(filepath.Join(dst, file)); os.IsNotExist(err) == wantIt {
-				t.Errorf("%s: after the shipped copy's own snapshot, %s: %v", name, file, err)
-			}
-		}
+	if d := rec.DurabilityCounters(); d["recovery_replayed"] != 1 {
+		t.Errorf("failover recovered with %v", d)
 	}
 }
 

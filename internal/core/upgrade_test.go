@@ -60,49 +60,16 @@ func TestRecoverRefusesEveryOlderShape(t *testing.T) {
 	}
 }
 
-// TestUnknownKindIsNotAnOldOne: a record kind neither the live table nor
-// Upgrade's knows fails both as unknown, not as a directory to upgrade.
+// TestUnknownKindIsNotAnOldOne: a record kind the replay table does not
+// know fails as unknown, not as a directory an older binary wrote.
 func TestUnknownKindIsNotAnOldOne(t *testing.T) {
-	src := t.TempDir()
-	c := mustRecover(t, src, testDurCfg)
+	dir := t.TempDir()
+	c := mustRecover(t, dir, testDurCfg)
 	mustRegister(t, c, "p1", 36924, "RW")
 	c.BreakJournal()
-	appendRawRecords(t, src, journal.Record{Seq: c.log.Seq() + 1, Kind: "no_such_kind", Data: []byte(`1`)})
-	for name, boot := range map[string]func(string, DurabilityConfig) (*Controller, error){"Recover": Recover, "Upgrade": Upgrade} {
-		dir := t.TempDir()
-		shipDir(t, src, dir)
-		_, err := boot(dir, testDurCfg)
-		if err == nil || errors.Is(err, ErrNeedsUpgrade) || !strings.Contains(err.Error(), `unknown journal record kind "no_such_kind"`) {
-			t.Errorf("%s: %v, want an unknown kind", name, err)
-		}
-	}
-}
-
-// TestUpgradeOfACurrentDirectory: Upgrade of a directory Recover reads
-// (testdata/pin/columns) gives the book Recover gives, and of an empty one
-// a fresh controller; either way it leaves a directory Recover reads.
-func TestUpgradeOfACurrentDirectory(t *testing.T) {
-	cfg := DurabilityConfig{Trusted: []string{"pin"}, LeaseTTL: 5}
-	recovered, upgraded := t.TempDir(), t.TempDir()
-	shipDir(t, filepath.Join("testdata", "pin", "columns"), recovered)
-	shipDir(t, filepath.Join("testdata", "pin", "columns"), upgraded)
-	want := mustRecover(t, recovered, cfg)
-	defer want.Close()
-	fresh := mustRecover(t, t.TempDir(), cfg)
-	defer fresh.Close()
-	for dir, want := range map[string]*Controller{upgraded: want, t.TempDir(): fresh} {
-		up := mustUpgrade(t, dir, cfg)
-		if got, want := legacyState(up), legacyState(want); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Upgrade gives\n%+v\nRecover gives\n%+v", dir, got, want)
-		}
-		if got, want := viewOf(up), viewOf(want); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Upgrade's view\n%+v\nRecover's\n%+v", dir, got, want)
-		}
-		up.BreakJournal()
-		again := mustRecover(t, dir, cfg)
-		if d := again.DurabilityCounters(); d["recovery_replayed"] != 0 || !reflect.DeepEqual(legacyState(again), legacyState(want)) {
-			t.Errorf("%s: the upgraded directory recovers with %v to another book", dir, d)
-		}
-		again.Close()
+	appendRawRecords(t, dir, journal.Record{Seq: c.log.Seq() + 1, Kind: "no_such_kind", Data: []byte(`1`)})
+	_, err := Recover(dir, testDurCfg)
+	if err == nil || errors.Is(err, ErrNeedsUpgrade) || !strings.Contains(err.Error(), `unknown journal record kind "no_such_kind"`) {
+		t.Errorf("Recover: %v, want an unknown kind", err)
 	}
 }

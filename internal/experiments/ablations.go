@@ -153,7 +153,7 @@ func AblationBudget(env *Env) BudgetAblation {
 	res := BudgetAblation{TasksOffered: len(tasks)}
 
 	agents := mkAgents()
-	aware := probes.ScheduleBudgetAware(agents, tasks, 10, nil)
+	aware := probes.ScheduleBudgetAware(agents, tasks)
 	res.BudgetAwareDone, res.BudgetAwareSpend, _ = run(agents, aware)
 
 	agents = mkAgents() // fresh budgets

@@ -1,8 +1,11 @@
 package federation
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,5 +69,45 @@ func TestCoordinatorReplayTable(t *testing.T) {
 		if _, err := New(dir, testConfig()); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("New over a %s record: error %v, want %q…", tc.rec.Kind, err, tc.want)
 		}
+	}
+}
+
+// TestCoordinatorRefusesOlderDirectory: a coordinator directory holding a
+// snapshot.json, which only an older binary wrote, fails New with
+// journal.ErrNeedsUpgrade, names no reader that would take it, and is left
+// byte for byte as it was.
+func TestCoordinatorRefusesOlderDirectory(t *testing.T) {
+	dir := t.TempDir()
+	c1, _ := newHarness(t, 2, dir, testConfig())
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(`{"seq":1,"crc":0,"state":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	image := func() map[string]string {
+		files := map[string]string{}
+		if err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := image()
+	c2, err := New(dir, testConfig())
+	if !errors.Is(err, journal.ErrNeedsUpgrade) || strings.Contains(err.Error(), "Upgrade") {
+		if err == nil {
+			c2.Close()
+		}
+		t.Fatalf("New of a directory holding snapshot.json: %v, want ErrNeedsUpgrade naming no upgrader", err)
+	}
+	if after := image(); !reflect.DeepEqual(after, before) {
+		t.Error("a refused New changed the directory")
 	}
 }

@@ -23,8 +23,8 @@
 // behind it are the owner's. The file is written whole, so it has no torn
 // tail to forgive: a bad frame, bytes behind the last frame or a count
 // other than M fails Open. A directory from before the snapshot was framed
-// holds a one-blob snapshot instead: Open refuses it (ErrNeedsUpgrade), and
-// only OpenLegacy reads it (legacy.go; DESIGN.md, "Durable files").
+// holds a one-blob snapshot instead: Open refuses it (ErrNeedsUpgrade;
+// legacy.go, DESIGN.md "Durable files").
 //
 // A record that does not decode, has no Kind, or breaks sequence
 // monotonicity ends the valid stream like a bad frame does: Open
@@ -218,22 +218,15 @@ type Log struct {
 // place, and positions the log for appending. A directory holding a
 // one-blob snapshot is refused before its files are touched.
 func Open(dir string) (*Log, error) {
-	return open(dir, func() (*Snapshot, error) {
-		if err := refuseLegacy(dir); err != nil {
-			return nil, err
-		}
-		return loadSnapshot(dir)
-	})
-}
-
-// open is Open and OpenLegacy, which differ in how they load the snapshot.
-func open(dir string, load func() (*Snapshot, error)) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	if err := refuseLegacy(dir); err != nil {
+		return nil, err
+	}
 	l := &Log{dir: dir}
 
-	snap, err := load()
+	snap, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}

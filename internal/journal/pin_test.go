@@ -3,7 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
-	"hash/crc32"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,8 +46,7 @@ func pinBuild(t *testing.T, dir string) {
 }
 
 // pinView is what Open recovers from a directory, as a fixture's
-// want.json records it. A legacy snapshot is seq, crc and state, as the
-// commit that pinned one rendered it; a framed one seq, head and frames.
+// want.json records it: the snapshot's seq, head and frames.
 type pinView struct {
 	Seq      uint64   `json:"seq"`
 	Snap     *pinSnap `json:"snap"`
@@ -57,25 +56,20 @@ type pinView struct {
 
 type pinSnap struct {
 	Seq    uint64            `json:"seq"`
-	CRC    uint32            `json:"crc,omitempty"`
-	State  json.RawMessage   `json:"state,omitempty"`
 	Head   json.RawMessage   `json:"head,omitempty"`
 	Frames []json.RawMessage `json:"frames,omitempty"`
 }
 
-func pinOpen(t *testing.T, open func(string) (*Log, error), dir string) []byte {
+func pinOpen(t *testing.T, dir string) []byte {
 	t.Helper()
-	l, err := open(dir)
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	view := pinView{Seq: l.Seq(), Records: l.Records, TornTail: l.TornTail}
 	if s := l.Snap; s != nil {
-		view.Snap = &pinSnap{Seq: s.Seq, State: s.State, Head: s.Head}
-		if s.State != nil {
-			view.Snap.CRC = crc32.ChecksumIEEE(s.State) // OpenLegacy verified it against the file's
-		}
+		view.Snap = &pinSnap{Seq: s.Seq, Head: s.Head}
 		for _, f := range s.Frames {
 			view.Snap.Frames = append(view.Snap.Frames, f)
 		}
@@ -89,24 +83,19 @@ func pinOpen(t *testing.T, open func(string) (*Log, error), dir string) []byte {
 
 // TestFormatPin holds the on-disk format to committed bytes (never
 // regenerate them): testdata/pin, written by the commit before
-// internal/framelog existed, with a legacy snapshot.json that only
-// OpenLegacy reads; and testdata/pin/framed, written by the commit that
-// framed the snapshot. A directory written then opens to the same view
-// now, and the same calls now write the same bytes — of the files this
-// code still writes.
+// internal/framelog existed, with a legacy snapshot.json that Open
+// refuses; and testdata/pin/framed, written by the commit that framed
+// the snapshot, which opens to the same view now. The same calls now
+// write the same bytes — of the files this code still writes.
 func TestFormatPin(t *testing.T) {
 	for _, pin := range []struct {
 		dir           string
-		written, read []string // files this code writes the same; files open reads
-		open          func(string) (*Log, error)
+		written, read []string // files this code writes the same; files Open is given
+		refused       bool     // whether Open refuses the directory
 	}{
-		{filepath.Join("testdata", "pin"), []string{"journal.log"}, []string{"journal.log", "snapshot.json"}, OpenLegacy},
-		{filepath.Join("testdata", "pin", "framed"), []string{"journal.log", "snapshot.log"}, []string{"journal.log", "snapshot.log"}, Open},
+		{filepath.Join("testdata", "pin"), []string{"journal.log"}, []string{"journal.log", "snapshot.json"}, true},
+		{filepath.Join("testdata", "pin", "framed"), []string{"journal.log", "snapshot.log"}, []string{"journal.log", "snapshot.log"}, false},
 	} {
-		want, err := os.ReadFile(filepath.Join(pin.dir, "want.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
 		built, old := t.TempDir(), t.TempDir()
 		pinBuild(t, built)
 		for _, name := range pin.written {
@@ -132,7 +121,20 @@ func TestFormatPin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := pinOpen(t, pin.open, old); !bytes.Equal(got, want) {
+		if pin.refused {
+			if l, err := Open(old); !errors.Is(err, ErrNeedsUpgrade) {
+				if err == nil {
+					l.Close()
+				}
+				t.Errorf("%s: Open returned %v, want ErrNeedsUpgrade", pin.dir, err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join(pin.dir, "want.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pinOpen(t, old); !bytes.Equal(got, want) {
 			t.Errorf("%s opens to\n%s\nwant\n%s", pin.dir, got, want)
 		}
 	}

@@ -15,13 +15,11 @@ import (
 //
 // Head is the owner's header and Frames the payloads of the frames behind
 // the header frame in file order; both alias one read of snapshot.log.
-// State is set only by OpenLegacy (legacy.go), for a one-blob snapshot.
 type Snapshot struct {
 	Seq    uint64
 	Bytes  int64
 	Head   json.RawMessage
 	Frames [][]byte
-	State  json.RawMessage
 }
 
 // snapHeader is the payload of a snapshot.log's first frame. Frames is

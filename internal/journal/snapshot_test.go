@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -73,7 +72,7 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	l2 := mustOpen(t, dir)
 	defer l2.Close()
 	s := l2.Snap
-	if s == nil || s.Seq != 7 || s.Bytes != size || s.State != nil {
+	if s == nil || s.Seq != 7 || s.Bytes != size {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if string(s.Head) != `{"hello":"world"}` || len(s.Frames) != 2 || string(s.Frames[0]) != `[1,2]` || string(s.Frames[1]) != `{"k":"<&>"}` {
@@ -212,13 +211,9 @@ func TestStraySnapshotTempIgnored(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRead: a snapshot.json — in the layout its writer
-// used, or any other rendering of the same envelope — is the directory's
-// snapshot to OpenLegacy while there is no snapshot.log; state bytes that
-// do not match the checksum are an error. Open refuses any directory that
-// holds one, a directory caught holding both (a crash between the rename
-// and the removal) opens legacy to the framed one, and RemoveLegacy
-// clears the blob away.
+// TestLegacySnapshotRead: Open refuses a directory that holds a
+// snapshot.json, alone or beside a snapshot.log (a crash between the
+// first framed snapshot's rename and the blob's removal left both).
 func TestLegacySnapshotRead(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir)
@@ -226,84 +221,17 @@ func TestLegacySnapshotRead(t *testing.T) {
 	l.Close()
 	state := map[string]any{"a": []int{1, 2, 3}, "b": "<&> ", "c": map[string]int{"}": 1}}
 	writeLegacySnapshot(t, dir, 2, state)
-	legacy := filepath.Join(dir, "snapshot.json")
-	file, err := os.ReadFile(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := Open(dir); !errors.Is(err, ErrNeedsUpgrade) {
 		t.Fatalf("Open of a directory holding snapshot.json: %v, want ErrNeedsUpgrade", err)
 	}
 
-	l = mustOpenLegacy(t, dir)
-	s := l.Snap
-	if s == nil || s.Seq != 2 || s.Head != nil || s.Frames != nil || s.Bytes != int64(len(file)) {
-		t.Fatalf("legacy snapshot = %+v", s)
-	}
-	var got, want map[string]any
-	raw, _ := json.Marshal(state)
-	_ = json.Unmarshal(raw, &want)
-	if err := json.Unmarshal(s.State, &got); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy state = %v (%v), want %v", got, err, want)
-	}
-	if len(l.Records) != 3 || l.Seq() != 3 {
-		t.Fatalf("records beside a legacy snapshot: %d, seq %d", len(l.Records), l.Seq())
-	}
-	l.Close()
-
-	// The same envelope rendered another way: keys reordered, indented,
-	// the state's bytes (and so its checksum) its own.
-	pretty, _ := json.MarshalIndent(state, "  ", "  ")
-	other := fmt.Sprintf("{\n  \"crc\": %d,\n  \"state\": %s,\n  \"seq\": 2\n}\n", crc32.ChecksumIEEE(pretty), pretty)
-	if err := os.WriteFile(legacy, []byte(other), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if snap, err := loadBlob(legacy); err != nil || snap.Seq != 2 || !bytes.Equal(snap.State, pretty) {
-		t.Fatalf("envelope in another layout: %+v, %v", snap, err)
-	}
-
-	// One state byte changed, still valid JSON: only the checksum can tell.
-	bad := bytes.Replace(file, []byte("[1,2,3]"), []byte("[1,2,4]"), 1)
-	if err := os.WriteFile(legacy, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLegacy(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("altered state: err = %v, want a checksum failure", err)
-	}
-
-	// Both files: the framed one wins, whatever the legacy one holds.
-	l = mustOpenWithout(t, dir, legacy)
+	l = mustOpenWithout(t, dir, filepath.Join(dir, "snapshot.json"))
 	mustSnapshot(t, l, map[string]int{"framed": 1}, `"frame"`)
 	l.Close()
-	if err := os.WriteFile(legacy, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLegacySnapshot(t, dir, 2, state)
 	if _, err := Open(dir); !errors.Is(err, ErrNeedsUpgrade) {
 		t.Fatalf("Open of a directory holding both snapshots: %v, want ErrNeedsUpgrade", err)
 	}
-	l = mustOpenLegacy(t, dir)
-	if s := l.Snap; s == nil || s.Seq != 3 || s.State != nil || string(s.Head) != `{"framed":1}` {
-		t.Fatalf("directory with both snapshots opened to %+v", s)
-	}
-	// And once the next framed snapshot is durable, the blob goes.
-	mustSnapshot(t, l, map[string]int{"framed": 2})
-	if err := l.RemoveLegacy(); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot survived RemoveLegacy: %v", err)
-	}
-	mustOpen(t, dir).Close()
-}
-
-func mustOpenLegacy(t *testing.T, dir string) *Log {
-	t.Helper()
-	l, err := OpenLegacy(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
 }
 
 // mustOpenWithout opens dir after removing one file from it.
@@ -316,8 +244,9 @@ func mustOpenWithout(t *testing.T, dir, path string) *Log {
 }
 
 // TestCloneCopiesEverySnapshot: a failover ships whatever snapshot the
-// directory holds — framed, legacy (the pinned fixture), or both — and the
-// copy opens (legacy, which reads all three) to the view the source does.
+// directory holds — framed, legacy (the pinned fixture), or both — byte
+// for byte; the framed copy opens to the view the source does, and Open
+// refuses the other two copies as it refuses their sources.
 func TestCloneCopiesEverySnapshot(t *testing.T) {
 	framed := t.TempDir()
 	l := mustOpen(t, framed)
@@ -344,18 +273,19 @@ func TestCloneCopiesEverySnapshot(t *testing.T) {
 				t.Errorf("%s: %s not copied as it is (%v, %v)", name, file, werr, gerr)
 			}
 		}
+		if name != "framed" {
+			if _, err := Open(dst); !errors.Is(err, ErrNeedsUpgrade) {
+				t.Errorf("%s: Open of the clone: %v, want ErrNeedsUpgrade", name, err)
+			}
+			continue
+		}
 		// Open truncates a torn tail, so the source is read through a copy too.
 		ref := t.TempDir()
 		if err := Clone(src, ref); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := pinOpen(t, OpenLegacy, dst), pinOpen(t, OpenLegacy, ref); !bytes.Equal(got, want) || !bytes.Contains(got, []byte(`"snap": {`)) {
+		if got, want := pinOpen(t, dst), pinOpen(t, ref); !bytes.Equal(got, want) || !bytes.Contains(got, []byte(`"snap": {`)) {
 			t.Errorf("%s: clone opens to\n%s\nsource to\n%s", name, got, want)
 		}
-	}
-	l = mustOpenLegacy(t, both)
-	defer l.Close()
-	if l.Snap == nil || l.Snap.Seq != 4 || l.Snap.State != nil {
-		t.Fatalf("clone holding both snapshots opened to %+v", l.Snap)
 	}
 }

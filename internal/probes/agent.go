@@ -110,8 +110,8 @@ func (a *Agent) Execute(t Task) (Result, error) {
 		iface = IfaceCellular
 	}
 	if iface == IfaceCellular && a.cfg.CellBudget != nil {
-		cost := a.cfg.CellBudget.CostOf(bytes, a.Hour%24)
-		if err := a.cfg.CellBudget.Charge(bytes, a.Hour%24); err != nil {
+		cost := a.cfg.CellBudget.CostOf(bytes)
+		if err := a.cfg.CellBudget.Charge(bytes); err != nil {
 			res.Error = err.Error()
 			return res, err
 		}

@@ -16,10 +16,9 @@ import (
 type PricingModel interface {
 	// Name identifies the model for reports.
 	Name() string
-	// Cost returns the price of sending/receiving extra bytes at the
-	// given hour-of-day, assuming alreadyUsed bytes were consumed in
-	// the billing period.
-	Cost(alreadyUsed, extra int64, hourOfDay int) float64
+	// Cost returns the price of sending/receiving extra bytes, assuming
+	// alreadyUsed bytes were consumed in the billing period.
+	Cost(alreadyUsed, extra int64) float64
 }
 
 // PerMB is simple metered pricing.
@@ -32,7 +31,7 @@ type PerMB struct {
 func (p PerMB) Name() string { return fmt.Sprintf("per-mb(%.3f)", p.RatePerMB) }
 
 // Cost implements PricingModel.
-func (p PerMB) Cost(_, extra int64, _ int) float64 {
+func (p PerMB) Cost(_, extra int64) float64 {
 	return float64(extra) / (1 << 20) * p.RatePerMB
 }
 
@@ -50,7 +49,7 @@ func (p PrepaidBundle) Name() string {
 }
 
 // Cost implements PricingModel.
-func (p PrepaidBundle) Cost(alreadyUsed, extra int64, _ int) float64 {
+func (p PrepaidBundle) Cost(alreadyUsed, extra int64) float64 {
 	if p.BundleMB <= 0 {
 		return 0
 	}
@@ -61,38 +60,6 @@ func (p PrepaidBundle) Cost(alreadyUsed, extra int64, _ int) float64 {
 		after = before
 	}
 	return float64(after-before) * p.BundlePrice
-}
-
-// TimeOfDay discounts off-peak hours (night bundles are common where
-// backhaul is constrained).
-type TimeOfDay struct {
-	PeakPerMB    float64
-	OffPeakPerMB float64
-	OffPeakFrom  int // inclusive hour, e.g. 22
-	OffPeakTo    int // exclusive hour, e.g. 6
-}
-
-// Name implements PricingModel.
-func (p TimeOfDay) Name() string {
-	return fmt.Sprintf("tod(peak=%.3f,off=%.3f)", p.PeakPerMB, p.OffPeakPerMB)
-}
-
-// offPeak reports whether the hour falls in the discount window, which
-// may wrap midnight.
-func (p TimeOfDay) offPeak(hour int) bool {
-	if p.OffPeakFrom <= p.OffPeakTo {
-		return hour >= p.OffPeakFrom && hour < p.OffPeakTo
-	}
-	return hour >= p.OffPeakFrom || hour < p.OffPeakTo
-}
-
-// Cost implements PricingModel.
-func (p TimeOfDay) Cost(_, extra int64, hourOfDay int) float64 {
-	rate := p.PeakPerMB
-	if p.offPeak(hourOfDay) {
-		rate = p.OffPeakPerMB
-	}
-	return float64(extra) / (1 << 20) * rate
 }
 
 // Budget tracks metered spending against a money cap.
@@ -113,18 +80,18 @@ func NewBudget(model PricingModel, capMoney float64) *Budget {
 var ErrBudgetExhausted = fmt.Errorf("probes: data budget exhausted")
 
 // CostOf prices a prospective transfer without charging.
-func (b *Budget) CostOf(bytes int64, hourOfDay int) float64 {
+func (b *Budget) CostOf(bytes int64) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.model.Cost(b.usedBytes, bytes, hourOfDay)
+	return b.model.Cost(b.usedBytes, bytes)
 }
 
 // Charge books a transfer, failing without side effects if it would
 // exceed the cap.
-func (b *Budget) Charge(bytes int64, hourOfDay int) error {
+func (b *Budget) Charge(bytes int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c := b.model.Cost(b.usedBytes, bytes, hourOfDay)
+	c := b.model.Cost(b.usedBytes, bytes)
 	if b.spent+c > b.capMoney+1e-9 {
 		return ErrBudgetExhausted
 	}

@@ -25,10 +25,10 @@ const kigali = topology.ASN(36924)
 
 func TestPerMB(t *testing.T) {
 	p := PerMB{RatePerMB: 0.5}
-	if got := p.Cost(0, 2<<20, 12); math.Abs(got-1.0) > 1e-9 {
+	if got := p.Cost(0, 2<<20); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("2 MB at 0.5 = %v", got)
 	}
-	if p.Cost(1<<30, 0, 0) != 0 {
+	if p.Cost(1<<30, 0) != 0 {
 		t.Fatal("zero bytes should be free")
 	}
 }
@@ -48,7 +48,7 @@ func TestPrepaidBundleBoundaries(t *testing.T) {
 		{5 * mb, 0, 0},      // nothing new
 	}
 	for _, c := range cases {
-		if got := p.Cost(c.used, c.extra, 0); math.Abs(got-c.want) > 1e-9 {
+		if got := p.Cost(c.used, c.extra); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("Cost(%d,%d) = %v, want %v", c.used, c.extra, got, c.want)
 		}
 	}
@@ -62,46 +62,29 @@ func TestPrepaidBundleMonotonic(t *testing.T) {
 			a, b = b, a
 		}
 		u := int64(used % (100 << 20))
-		return p.Cost(u, a, 0) <= p.Cost(u, b, 0)
+		return p.Cost(u, a) <= p.Cost(u, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestTimeOfDay(t *testing.T) {
-	p := TimeOfDay{PeakPerMB: 1.0, OffPeakPerMB: 0.1, OffPeakFrom: 22, OffPeakTo: 6}
-	mb := int64(1 << 20)
-	if got := p.Cost(0, mb, 12); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("noon cost = %v", got)
-	}
-	if got := p.Cost(0, mb, 23); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("night cost = %v", got)
-	}
-	if got := p.Cost(0, mb, 3); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("early-morning cost = %v (window wraps midnight)", got)
-	}
-	if got := p.Cost(0, mb, 6); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("hour 6 should be peak again, got %v", got)
-	}
-}
-
 func TestBudgetChargeAndExhaustion(t *testing.T) {
 	b := NewBudget(PerMB{RatePerMB: 1}, 2.0)
-	if err := b.Charge(1<<20, 0); err != nil {
+	if err := b.Charge(1 << 20); err != nil {
 		t.Fatal(err)
 	}
 	if b.spent != 1 || b.Remaining() != 1 {
 		t.Fatalf("spent=%v remaining=%v", b.spent, b.Remaining())
 	}
-	if err := b.Charge(2<<20, 0); err != ErrBudgetExhausted {
+	if err := b.Charge(2 << 20); err != ErrBudgetExhausted {
 		t.Fatalf("over-budget charge err = %v", err)
 	}
 	// Failed charge leaves no side effects.
 	if b.spent != 1 || b.UsedBytes() != 1<<20 {
 		t.Fatal("failed charge mutated the budget")
 	}
-	if err := b.Charge(1<<20, 0); err != nil {
+	if err := b.Charge(1 << 20); err != nil {
 		t.Fatal("exact-fit charge should succeed")
 	}
 }
@@ -217,7 +200,7 @@ func TestScheduleBudgetAwareRespectsBudgets(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tasks = append(tasks, Task{ID: string(rune('a' + i)), Kind: TaskPing, Target: "80.0.0.1", Value: 1})
 	}
-	out := ScheduleBudgetAware([]*Agent{wired, broke}, tasks, 12, nil)
+	out := ScheduleBudgetAware([]*Agent{wired, broke}, tasks)
 	if len(out) != 10 {
 		t.Fatalf("scheduled %d of 10", len(out))
 	}
@@ -231,7 +214,7 @@ func TestScheduleBudgetAwareRespectsBudgets(t *testing.T) {
 func TestScheduleBudgetAwareDropsUnaffordable(t *testing.T) {
 	broke := newTestAgent("broke", false, NewBudget(PerMB{RatePerMB: 1000}, 0.0001))
 	tasks := []Task{{ID: "t", Kind: TaskHTTPFetch, Domain: "site0.RW", Value: 1}}
-	if out := ScheduleBudgetAware([]*Agent{broke}, tasks, 0, nil); len(out) != 0 {
+	if out := ScheduleBudgetAware([]*Agent{broke}, tasks); len(out) != 0 {
 		t.Fatalf("unaffordable task scheduled: %+v", out)
 	}
 }
@@ -245,7 +228,7 @@ func TestScheduleValueOrdering(t *testing.T) {
 		{ID: "low", Kind: TaskHTTPFetch, Domain: "d", Value: 1},
 		{ID: "high", Kind: TaskHTTPFetch, Domain: "d", Value: 10},
 	}
-	out := ScheduleBudgetAware([]*Agent{agent}, tasks, 0, nil)
+	out := ScheduleBudgetAware([]*Agent{agent}, tasks)
 	if len(out) == 0 || out[0].Task.ID != "high" {
 		t.Fatalf("high-value task not first: %+v", out)
 	}
@@ -265,17 +248,6 @@ func TestScheduleRoundRobinDealsEvenly(t *testing.T) {
 	}
 	if counts["a1"] != 3 || counts["a2"] != 3 {
 		t.Fatalf("uneven deal: %+v", counts)
-	}
-}
-
-func TestScheduleEligibility(t *testing.T) {
-	a1 := newTestAgent("a1", true, nil)
-	a2 := newTestAgent("a2", true, nil)
-	tasks := []Task{{ID: "t", Kind: TaskPing, Target: "80.0.0.1", Value: 1}}
-	only2 := func(_ Task, a *Agent) bool { return a.ID() == "a2" }
-	out := ScheduleBudgetAware([]*Agent{a1, a2}, tasks, 0, only2)
-	if len(out) != 1 || out[0].ProbeID != "a2" {
-		t.Fatalf("eligibility ignored: %+v", out)
 	}
 }
 

@@ -12,10 +12,10 @@ type Assignment struct {
 
 // QuoteAt prices a hypothetical transfer given a hypothetical prior
 // usage — what the scheduler needs to plan without charging.
-func (b *Budget) QuoteAt(used, extra int64, hourOfDay int) float64 {
+func (b *Budget) QuoteAt(used, extra int64) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.model.Cost(used, extra, hourOfDay)
+	return b.model.Cost(used, extra)
 }
 
 // planState tracks a scheduler's tentative view of one agent.
@@ -25,7 +25,7 @@ type planState struct {
 	plannedSpend float64
 }
 
-func (p *planState) quote(t Task, hour int) (float64, bool) {
+func (p *planState) quote(t Task) (float64, bool) {
 	bytes := t.EstimatedBytes()
 	if p.agent.cfg.HasWired {
 		return 0, true // unmetered interface
@@ -34,7 +34,7 @@ func (p *planState) quote(t Task, hour int) (float64, bool) {
 	if b == nil {
 		return 0, true
 	}
-	c := b.QuoteAt(b.UsedBytes()+p.plannedUsed, bytes, hour%24)
+	c := b.QuoteAt(b.UsedBytes()+p.plannedUsed, bytes)
 	if p.plannedSpend+c > b.Remaining()+1e-9 {
 		return c, false
 	}
@@ -53,9 +53,7 @@ func (p *planState) commit(t Task, cost float64) {
 // (wired sites are free; cellular sites pay their country's tariff).
 // Tasks nobody can afford are dropped — the budget is a hard constraint,
 // exactly as prepaid data is.
-//
-// eligible restricts which agents may run a task (nil = any).
-func ScheduleBudgetAware(agents []*Agent, tasks []Task, hour int, eligible func(Task, *Agent) bool) []Assignment {
+func ScheduleBudgetAware(agents []*Agent, tasks []Task) []Assignment {
 	states := make([]*planState, len(agents))
 	for i, a := range agents {
 		states[i] = &planState{agent: a}
@@ -74,10 +72,7 @@ func ScheduleBudgetAware(agents []*Agent, tasks []Task, hour int, eligible func(
 		var best *planState
 		bestCost := 0.0
 		for _, st := range states {
-			if eligible != nil && !eligible(t, st.agent) {
-				continue
-			}
-			c, ok := st.quote(t, hour)
+			c, ok := st.quote(t)
 			if !ok {
 				continue
 			}

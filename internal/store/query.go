@@ -788,8 +788,9 @@ func percentile(sorted []float64, p float64) float64 {
 }
 
 // KeySet returns the set of task IDs the store holds for one experiment.
-// core.Upgrade's walk over a legacy data directory (and bench/) call it;
-// recovery does not.
+// Recovery does not call it: its remaining non-test callers are the
+// bench/ rows that time it (ROADMAP 1A(h) deletes them), and
+// core.TestWatermarkMatchesWalk checks the sealed watermark against it.
 func (s *Store) KeySet(experiment string) (map[string]bool, error) {
 	out := make(map[string]bool)
 	err := s.visit(Filter{Experiment: experiment}, true, nil, nil, func(r *Record, _ []byte) bool {

@@ -55,7 +55,6 @@ var rules = []rule{
 	{"probe-protocol-routes", []string{"internal/core/"}, false, nil, regexp.MustCompile(`^".*/probes/\{id\}/`), "no /probes/{id}/ route: a probe call is one probe_sync round"},
 	{"probe-protocol-handlers", []string{"internal/federation/"}, true, []string{"internal/federation.Coordinator.handleShards"}, regexp.MustCompile(`^internal/federation\.Coordinator\.handle`), "the coordinator serves only the shards route itself: write a route once in internal/core against core.Backend"},
 	{"probe-protocol-shard", []string{"internal/federation/"}, false, nil, regexp.MustCompile(`\.SubmitWithID$`), "push a partition to a shard with core.Backend.Submit"},
-	{"legacy-reader", []string{"internal/"}, false, []string{"internal/core/upgrade.go", "internal/journal/legacy.go"}, regexp.MustCompile(`^internal/(store\.Store\.KeySet|journal\.(OpenLegacy|legacySnapName)|core\.snapChunkFrame)$`), "Recover reads only the current format; what older binaries wrote is read by core.Upgrade alone, in internal/core/upgrade.go and internal/journal/legacy.go"},
 	{"metrics-registry-counters", nil, true, nil, regexp.MustCompile(`\.(AddCounters|CounterSet)$`), "AddCounters and CounterSet are gone: count into reg.Counters(family) or reg.Gauges(family)"},
 	{"metrics-registry-import", nil, false, []string{"internal/experiments/", "internal/metrics/"}, regexp.MustCompile(`^internal/metrics\.`), "internal/metrics is the statistics toolkit of internal/experiments only: metrics live in internal/obs"},
 	{"seeded-hash", []string{"internal/"}, true, []string{"internal/splitmix/"}, regexp.MustCompile(`^10723151780598845931$`), "0x94d049bb133111eb is SplitMix64's: every seeded draw goes through internal/splitmix, with its package's own seed and salts"},

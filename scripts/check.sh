@@ -3,7 +3,7 @@
 #   gofmt -l (no unformatted files), go vet, build, the full test suite
 #   under the race detector (uncached), then without it the repro
 #   reference-output pin and the typed lint (lint_test.go: determinism,
-#   envelope, durable-file, probe-protocol, legacy-reader,
+#   envelope, durable-file, probe-protocol,
 #   metrics-registry and span-capture rules, and the dead-code rules).
 set -eu
 
