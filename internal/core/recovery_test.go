@@ -344,17 +344,16 @@ func TestKilledRecoveryRetries(t *testing.T) {
 	checkBook(t, rec, "retry")
 }
 
-// makeLegacy rewrites a directory as the binary before the watermark
-// would have left it: no seq on sync records, and for a snapshot the
-// one-blob snapshot.json with task_ids and without unsealed. c is the
-// abandoned controller that wrote dir, unchanged since its snapshot.
-func makeLegacy(t *testing.T, c *Controller, dir string) {
+// makeLegacy rewrites the journal of a directory without a snapshot as
+// the binary before the watermark would have left it: no seq on sync
+// records.
+func makeLegacy(t *testing.T, dir string) {
 	t.Helper()
 	l, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, recs := l.Snap, l.Records
+	recs := l.Records
 	l.Close()
 	var log []byte
 	for _, rec := range recs {
@@ -375,20 +374,6 @@ func makeLegacy(t *testing.T, c *Controller, dir string) {
 		log = append(log, frame...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "journal.log"), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		return
-	}
-	var state map[string]json.RawMessage
-	raw, _ := json.Marshal(legacyState(c))
-	if err := json.Unmarshal(raw, &state); err != nil {
-		t.Fatal(err)
-	}
-	delete(state, "unsealed")
-	state["task_ids"] = json.RawMessage(`{"stale":["ignored"]}`)
-	writeLegacySnapshot(t, dir, snap.Seq, state)
-	if err := os.Remove(filepath.Join(dir, "snapshot.log")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -215,10 +215,10 @@ func TestSnapshotIsWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// TestBlobAndFramesRecoverAlike is the oracle: a book written as frames
-// by Snapshot recovers to the state the blob snapshot's writer (kept
-// above as legacyState) captures from the live controller, and to the
-// same snapshot bytes once it snapshots again. The blob itself is refused
+// TestBlobAndFramesRecoverAlike checks the framed shape only, whatever
+// its name says: a book written as frames by Snapshot recovers to the
+// state legacyState captures from the live controller, and to the same
+// snapshot bytes once it snapshots again. A blob snapshot is refused
 // (TestRecoverRefusesEveryOlderShape).
 func TestBlobAndFramesRecoverAlike(t *testing.T) {
 	for name, h := range equivalenceHistories(t) {
@@ -390,11 +390,12 @@ func TestRecordedOutsideAssignments(t *testing.T) {
 	}
 }
 
-// TestFailoverShipsEverySnapshot: a failover's copy (journal.Clone +
-// store.Clone, what federation.ShipState is) of a directory with a
-// multi-frame snapshot and a tail behind it recovers the book the source
-// held. A copy of an older shape is refused as its source is
-// (TestRecoverRefusesEveryOlderShape ships them the same way).
+// TestFailoverShipsEverySnapshot checks the framed shape only, whatever
+// its name says: a failover's copy (journal.Clone + store.Clone, what
+// federation.ShipState is) of a directory with a multi-frame snapshot and
+// a tail behind it recovers the book the source held. A copy of an older
+// shape is refused as its source is (TestRecoverRefusesEveryOlderShape
+// ships them the same way).
 func TestFailoverShipsEverySnapshot(t *testing.T) {
 	src := t.TempDir()
 	shipDir(t, wideBook(t), src)

@@ -35,8 +35,8 @@ func TestRecoverRefusesEveryOlderShape(t *testing.T) {
 	writeLegacySnapshot(t, blob, snapSeq, book)
 	shipDir(t, current, both)
 	writeLegacySnapshot(t, both, 1, persistState{})
-	c, _ = lossyRun(t, seqless, lossyCfg)
-	makeLegacy(t, c, seqless) // no snapshot: sync records without seq
+	lossyRun(t, seqless, lossyCfg)
+	makeLegacy(t, seqless) // no snapshot: sync records without seq
 
 	for name, src := range map[string]string{
 		"blob":      blob,

@@ -145,3 +145,36 @@ func BenchmarkAggregateSync(b *testing.B) {
 		benchSink += n
 	}
 }
+
+// BenchmarkScanItemsMemtable is a warm wire page over a fed_4shard
+// shard's store: 1 600 records of fleet_sync's ingest, 1 024 of them in
+// a sealed segment and 576 in the memtable, and a page of 200 of one of
+// its 8 countries, which takes records from both.
+func BenchmarkScanItemsMemtable(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for _, batch := range syncBatches(1)[:400] {
+		if err := s.Append(batch...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s.SegmentCount() != 1 || s.MemtableLen() != 576 {
+		b.Fatalf("%d segments and %d records in the memtable, want 1 and 576", s.SegmentCount(), s.MemtableLen())
+	}
+	page := func() int {
+		items, _, err := s.ScanItems(benchPage, 200, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return len(items)
+	}
+	page()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += page()
+	}
+}

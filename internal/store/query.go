@@ -168,7 +168,7 @@ func (f Filter) Values() url.Values {
 // order, at most once per (experiment, task) — the lowest-seq copy the
 // filter matches wins, collapsing the duplicates a crash window can leave. fn sees each record
 // in place (a cached segment's, a memory segment's or the memtable's)
-// with the frame payload that encodes it, nil where it has none yet
+// with the payload that encodes it, nil where it has none yet
 // (decoded.raws): it must not modify either or retain the pointer, and
 // returns false to stop the stream early. It runs under the store's read
 // lock. Before the first record, *bound (when non-nil) is set to how many
@@ -236,11 +236,7 @@ func (s *Store) visit(f Filter, eager bool, bound *int, whole func(decoded), fn 
 				}
 				seen[k] = struct{}{}
 			}
-			var raw []byte
-			if d.raws != nil {
-				raw = d.raws[i]
-			}
-			if !fn(r, raw) {
+			if !fn(r, d.raw(i)) {
 				return false
 			}
 		}
@@ -260,7 +256,7 @@ func (s *Store) visit(f Filter, eager bool, bound *int, whole func(decoded), fn 
 			return nil
 		}
 	}
-	stream(decoded{recs: s.mem})
+	stream(decoded{recs: s.mem, raws: s.memRaws})
 	return nil
 }
 
@@ -351,12 +347,11 @@ func (s *Store) ScanPage(f Filter, limit int, cursor string) ([]Record, string, 
 
 // Item is one record of a scan page in its wire form: JSON is the
 // record's encoding, and Seq and Key are the two things a merge of pages
-// reads from it, so nothing downstream of the store decodes it. For a
-// sealed record JSON is the frame payload its segment file holds, served
-// as it is (DESIGN.md "Results store"); it aliases a segment cache entry,
-// so it is read-only, and it stays valid after the entry is evicted or
-// the segment compacted away — entries are immutable and the garbage
-// collector frees one when the last Item lets go.
+// reads from it, so nothing downstream of the store decodes it. JSON is
+// the record's one encoding (encodeRecord), which its segment file or
+// the memtable keeps, served as it is (DESIGN.md "Results store"): it is
+// read-only, and it stays valid after its record is flushed or its
+// segment evicted or compacted away, as nothing rewrites those bytes.
 type Item struct {
 	Seq  uint64
 	Key  DedupKey
@@ -365,18 +360,38 @@ type Item struct {
 
 // ScanItems is ScanPage for a caller that will put the page on the wire:
 // the same records in the same order behind the same cursor, each as an
-// Item. A record that has not reached a segment file yet (the memtable,
-// a dir-less store) is encoded here, by the function that will seal it.
+// Item. A record with no payload yet (a memtable record no page took, a
+// dir-less store's segment) is encoded here; see keepEncodings.
 func (s *Store) ScanItems(f Filter, limit int, cursor string) ([]Item, string, error) {
-	return scanPage(s, f, limit, cursor, func(r *Record, raw []byte) (Item, error) {
+	var made []Item // the items this page encoded
+	items, next, err := scanPage(s, f, limit, cursor, func(r *Record, raw []byte) (it Item, err error) {
+		it = Item{r.Seq, DedupKey{r.Experiment, r.TaskID}, raw}
 		if raw == nil {
-			var err error
-			if raw, err = encodeRecord(r); err != nil {
-				return Item{}, err
+			if it.JSON, err = encodeRecord(r); err == nil {
+				made = append(made, it)
 			}
 		}
-		return Item{r.Seq, DedupKey{r.Experiment, r.TaskID}, raw}, nil
+		return it, err
 	})
+	s.keepEncodings(made)
+	return items, next, err
+}
+
+// keepEncodings leaves the encodings a page made under the read lock
+// beside the records the memtable still holds — seqs nextSeq-len(mem)
+// up, as Append assigns them — for later pages and the flush to splice.
+func (s *Store) keepEncodings(made []Item) {
+	if len(made) == 0 {
+		return
+	}
+	s.ctr.Add("records_encoded", int64(len(made)))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, it := range made {
+		if i := len(s.mem) - int(s.nextSeq-it.Seq); i >= 0 && i < len(s.mem) {
+			s.memRaws[i] = it.JSON
+		}
+	}
 }
 
 // scanPage is the one page walk: the cursor, the limit and the

@@ -122,11 +122,10 @@ func containsString(sorted []string, s string) bool {
 
 // encodeRecord is a record's one encoding: the payload of its segment
 // frame and, byte for byte, its element of a scan page on the wire
-// (Item.JSON). encoding/json escapes the same way in Marshal and in the
-// Encoder the API writes with, and a Record decoded from these bytes
-// encodes back to them — unless it was appended holding bytes that are
-// not UTF-8, which are written \ufffd here and as the rune itself from
-// then on (DESIGN.md "Results store").
+// (Item.JSON), as Marshal escapes like the API's Encoder. It runs once
+// per record (the first page that takes it, or else its flush): a Record
+// decoded from the bytes need not encode back to them (DESIGN.md
+// "Results store").
 func encodeRecord(r *Record) ([]byte, error) {
 	raw, err := json.Marshal(r)
 	if err != nil {
@@ -137,19 +136,22 @@ func encodeRecord(r *Record) ([]byte, error) {
 
 // encodeSegment renders a whole segment (meta frame followed by one
 // frame per record) as the bytes written to disk, and returns each
-// record's frame payload, aliasing the returned buffer. The buffer is
-// allocated once, at its final size: a flush or compaction hands it to
-// the segment cache, which keeps every byte of it.
-func encodeSegment(meta SegmentMeta, recs []Record) ([]byte, [][]byte, error) {
+// record's frame payload, aliasing the returned buffer. It encodes the
+// records have holds no payload for; the buffer is allocated once, at
+// its final size, and the segment cache keeps every byte of it.
+func encodeSegment(meta SegmentMeta, recs []Record, have ...[]byte) ([]byte, [][]byte, error) {
 	metaRaw, err := json.Marshal(meta)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	raws := make([][]byte, len(recs))
+	copy(raws, have)
 	size := framelog.HeaderBytes + len(metaRaw)
 	for i := range recs {
-		if raws[i], err = encodeRecord(&recs[i]); err != nil {
-			return nil, nil, err
+		if raws[i] == nil {
+			if raws[i], err = encodeRecord(&recs[i]); err != nil {
+				return nil, nil, err
+			}
 		}
 		size += framelog.HeaderBytes + len(raws[i])
 	}
@@ -202,20 +204,28 @@ func parseSegment(data []byte) (meta SegmentMeta, d decoded, torn bool) {
 	return meta, d, torn || len(d.recs) < meta.Frames
 }
 
-// decoded is a run of records as the read paths see it: each record and,
-// where the record has been through a segment file, the frame payload
-// that encodes it. raws is nil for records that have not (the memtable, a
-// dir-less store's segments); otherwise raws[i] is recs[i]'s payload and
-// all of them alias one buffer — the file image a cold load read, or the
-// one a flush or compaction wrote — which lives as long as any of them
-// is referenced. keys is the run's key summary (summarize), and folds the
-// run's fold memo where the run is retained (segCache.put, a memory
-// seal), nil elsewhere. Immutable once built.
+// decoded is a run of records as the read paths see it: each record and
+// the payload that encodes it. A sealed disk run's raws alias one
+// buffer — the file image a cold load read, or the one a flush or
+// compaction wrote — which lives as long as any of them is referenced;
+// the memtable's raws[i] is nil until a page takes recs[i]
+// (keepEncodings), and a dir-less store's segments have none. keys is
+// the run's key summary (summarize), and folds the run's fold memo
+// where the run is retained (segCache.put, a memory seal), nil
+// elsewhere. A sealed run is immutable once built.
 type decoded struct {
 	recs  []Record
 	raws  [][]byte
 	keys  []uint64
 	folds *foldMemo
+}
+
+// raw is recs[i]'s payload, nil where the run has none for it.
+func (d *decoded) raw(i int) []byte {
+	if d.raws == nil {
+		return nil
+	}
+	return d.raws[i]
 }
 
 // keyHash is the 64-bit hash of a dedup key that key summaries hold. Its
@@ -281,13 +291,13 @@ func (s *Store) load(sg *segment) (decoded, error) {
 // segName renders a segment file name from its id.
 func segName(id uint64) string { return fmt.Sprintf("seg-%016x.seg", id) }
 
-// writeSegmentFile durably and atomically writes a sealed segment and
-// returns, beside its path, the records with the payloads just written
-// for them — what the segment cache is seeded with, so a segment's
-// records are not encoded again while it lives. A crash before the
-// rename leaves only a *.tmp stray that Open deletes.
-func writeSegmentFile(dir string, id uint64, meta SegmentMeta, recs []Record) (string, decoded, error) {
-	buf, raws, err := encodeSegment(meta, recs)
+// writeSegmentFile durably and atomically writes d as a sealed segment
+// and returns, beside its path, the records with the payloads just
+// written for them — what the segment cache is seeded with, so a
+// segment's records are not encoded again while it lives. A crash before
+// the rename leaves only a *.tmp stray that Open deletes.
+func writeSegmentFile(dir string, id uint64, meta SegmentMeta, d decoded) (string, decoded, error) {
+	buf, raws, err := encodeSegment(meta, d.recs, d.raws...)
 	if err != nil {
 		return "", decoded{}, err
 	}
@@ -295,7 +305,7 @@ func writeSegmentFile(dir string, id uint64, meta SegmentMeta, recs []Record) (s
 	if err := framelog.WriteFileAtomic(path, buf); err != nil {
 		return "", decoded{}, fmt.Errorf("store: %w", err)
 	}
-	return path, decoded{recs: recs, raws: raws}, nil
+	return path, decoded{recs: d.recs, raws: raws}, nil
 }
 
 // readSegmentMeta reads just the sparse index of a sealed segment file.

@@ -123,6 +123,7 @@ type Store struct {
 	opts      Options
 	segs      []*segment // sorted by meta.MinSeq; seq ranges are disjoint
 	mem       []Record
+	memRaws   [][]byte // mem's encodings, nil until a page takes the record (ScanItems)
 	memKeys   []uint64 // mem's key summary, kept sorted by Append
 	nextSeq   uint64
 	nextSegID uint64
@@ -262,7 +263,7 @@ func (s *Store) Append(recs ...Record) error {
 	for i := range recs {
 		recs[i].Seq = s.nextSeq
 		s.nextSeq++
-		s.mem = append(s.mem, recs[i])
+		s.mem, s.memRaws = append(s.mem, recs[i]), append(s.memRaws, nil)
 		h := keyHash(recs[i].Experiment, recs[i].TaskID)
 		at, _ := slices.BinarySearch(s.memKeys, h)
 		s.memKeys = slices.Insert(s.memKeys, at, h)
@@ -290,12 +291,12 @@ func (s *Store) flushLocked() error {
 	}
 	t := obs.StartTimer()
 	defer func() { s.hFlush.Observe(t.Elapsed()) }()
-	sg, err := s.sealLocked(decoded{recs: s.mem, keys: s.memKeys})
+	sg, err := s.sealLocked(decoded{recs: s.mem, raws: s.memRaws, keys: s.memKeys})
 	if err != nil {
 		return err
 	}
 	s.segs = append(s.segs, sg)
-	s.mem, s.memKeys = nil, nil
+	s.mem, s.memRaws, s.memKeys = nil, nil, nil
 	s.ctr.Inc("segments_flushed")
 	return nil
 }
@@ -308,10 +309,17 @@ func (s *Store) sealLocked(d decoded) (*segment, error) {
 	meta := buildMeta(d.recs)
 	sg := &segment{id: s.nextSegID, meta: meta}
 	if s.dir == "" {
-		d.folds = &foldMemo{folds: map[string]*Folder{}}
+		d.raws, d.folds = nil, &foldMemo{folds: map[string]*Folder{}}
 		sg.mem = d
 	} else {
-		path, written, err := writeSegmentFile(s.dir, sg.id, meta, d.recs)
+		encoded := len(d.recs)
+		for _, raw := range d.raws {
+			if raw != nil {
+				encoded--
+			}
+		}
+		s.ctr.Add("records_encoded", int64(encoded))
+		path, written, err := writeSegmentFile(s.dir, sg.id, meta, d)
 		if err != nil {
 			s.ctr.Inc("segment_write_errors")
 			return nil, err
@@ -398,12 +406,14 @@ func (s *Store) Compact(now int64) error {
 
 // mergeLocked rewrites a run of adjacent segments as one, dropping
 // expired records other than the one at seq keep (the sealed watermark,
-// which must stay on disk). The new segment is durably in place before
-// any input is deleted; Open's subsumption pruning covers a crash in
-// between. A fully-expired merge yields (nil, nil) and just deletes the
-// inputs.
+// which must stay on disk), and keeping the others' payloads and, while
+// none expires, merging the inputs' key summaries. The new segment is
+// durably in place before any input is deleted; Open's subsumption
+// pruning covers a crash in between. A fully-expired merge yields
+// (nil, nil) and just deletes the inputs.
 func (s *Store) mergeLocked(group []*segment, cutoff int64, keep uint64) (*segment, error) {
-	var recs []Record
+	var out decoded
+	expired := false
 	for _, sg := range group {
 		d, err := s.load(sg)
 		if err != nil {
@@ -412,15 +422,20 @@ func (s *Store) mergeLocked(group []*segment, cutoff int64, keep uint64) (*segme
 		for i := range d.recs {
 			if cutoff >= 0 && d.recs[i].Tick < cutoff && d.recs[i].Seq != keep {
 				s.ctr.Inc("frames_expired")
+				expired = true
 				continue
 			}
-			recs = append(recs, d.recs[i])
+			out.recs, out.raws = append(out.recs, d.recs[i]), append(out.raws, d.raw(i))
 		}
+		out.keys = mergeRun(nil, out.keys, d.keys)
+	}
+	if expired {
+		out.keys = summarize(out.recs)
 	}
 	var merged *segment
-	if len(recs) > 0 {
+	if len(out.recs) > 0 {
 		var err error
-		if merged, err = s.sealLocked(decoded{recs: recs, keys: summarize(recs)}); err != nil {
+		if merged, err = s.sealLocked(out); err != nil {
 			return nil, err
 		}
 	}
