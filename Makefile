@@ -53,12 +53,13 @@ fleetsim-smoke:
 # archival measurement decoder, a random aggregate report must be
 # written as encoding/json writes it, and a probe_sync record's cut, and
 # the cuts of every other shape recovery reads (snapshot frames,
-# probe_register and experiment_submit_cols records), must read what
-# json.Unmarshal reads or decline. The two targets that go
-# through real files get -fuzzminimizetime 1x: file I/O makes coverage
-# flicker, every flicker reads as an interesting input, and the engine's
-# default is to spend up to a minute minimizing each — the whole 30s, a
-# few dozen executions in.
+# probe_register and experiment_submit_cols records), and the submit
+# body's, must read what json.Unmarshal reads or decline, and an
+# experiment reply must be written as encoding/json writes it. The two
+# targets that go through real files get -fuzzminimizetime 1x: file I/O
+# makes coverage flicker, every flicker reads as an interesting input,
+# and the engine's default is to spend up to a minute minimizing each —
+# the whole 30s, a few dozen executions in.
 fuzz:
 	go test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 30s
 	go test ./internal/journal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 30s
@@ -66,6 +67,8 @@ fuzz:
 	go test ./internal/core -run '^$$' -fuzz '^FuzzAggReportJSON$$' -fuzztime 30s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzSyncOpCut$$' -fuzztime 30s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzSnapshotFrameCut$$' -fuzztime 30s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzSubmitBodyCut$$' -fuzztime 30s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzExperimentJSON$$' -fuzztime 30s
 	go test ./internal/store -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime 30s -fuzzminimizetime 1x
 	go test ./internal/archival -run '^$$' -fuzz '^FuzzArchivalDecode$$' -fuzztime 30s
 

@@ -52,6 +52,16 @@ func TestCoordinatorConformance(t *testing.T) {
 	})
 	t.Run("TraceRingBounded", func(t *testing.T) { core.WalkTraceRingBounded(t, coordinatorHandler(t)) })
 	t.Run("QueryOps", func(t *testing.T) { core.WalkQueryOps(t, coordinatorHandler(t)) })
+	t.Run("Reject", func(t *testing.T) { core.WalkReject(t, coordinatorHandler(t), "owner") })
+	t.Run("RejectOverRemoteShards", func(t *testing.T) { // verdicts cross the wire through Client.Reject
+		srv := httptest.NewServer(core.NewController("owner").Handler())
+		defer srv.Close()
+		c := newCoordinator(t)
+		if err := c.AddShard("shard-0", federation.NewHTTPShard(core.NewClient(srv.URL))); err != nil {
+			t.Fatal(err)
+		}
+		core.WalkReject(t, c.Handler(), "owner")
+	})
 }
 
 // TestAPIDocInSync fails when the committed API.md drifts from the route

@@ -139,6 +139,8 @@ func WalkErrorEnvelope(t *testing.T, h http.Handler, getOnlyPath string) {
 		{http.MethodGet, "/api/v1/experiments/ghost", "", http.StatusNotFound, ErrCodeNotFound},
 		{http.MethodGet, "/api/v1/experiments/ghost/results", "", http.StatusNotFound, ErrCodeNotFound},
 		{http.MethodPost, "/api/v1/experiments/ghost/approve", "", http.StatusNotFound, ErrCodeNotFound},
+		{http.MethodPost, "/api/v1/experiments/ghost/reject", "", http.StatusNotFound, ErrCodeNotFound},
+		{http.MethodPost, "/api/v1/probes/register", `{"id":"p2","asn":1,"country":"NG","has_wired":false} {"garbage"`, http.StatusBadRequest, ErrCodeBadRequest},
 		{http.MethodPost, "/api/v1/probes/sync?wait=banana", `{"probe_id": "p1"}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{http.MethodGet, "/api/v1/debug/traces?slowest=-2", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{http.MethodDelete, getOnlyPath, "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
@@ -152,6 +154,55 @@ func WalkErrorEnvelope(t *testing.T, h http.Handler, getOnlyPath string) {
 		if env := decodeEnvelope(t, w); env.Error.Code != tc.code {
 			t.Errorf("%s %s: code %q, want %q", tc.method, tc.path, env.Error.Code, tc.code)
 		}
+	}
+}
+
+// TestRejectRoute drives experiment_reject: a pending experiment is
+// rejected, and again without error, and cannot then be approved; an
+// approved one cannot be rejected; an unknown one is 404.
+func TestRejectRoute(t *testing.T) {
+	WalkReject(t, NewController("owner").Handler(), "owner")
+}
+
+// WalkReject takes an owner the tier trusts; it must not trust "stranger".
+func WalkReject(t *testing.T, h http.Handler, trusted string) {
+	doReq(h, http.MethodPost, "/api/v1/probes/register", `{"id":"p1","asn":36924,"country":"RW","has_wired":false}`, nil)
+	submit := func(owner string) string {
+		w := doReq(h, http.MethodPost, "/api/v1/experiments", `{"owner":"`+owner+`","description":"d","assignments":[{"ProbeID":"p1","Task":{"id":"","experiment":"","kind":"ping"}}]}`, nil)
+		var exp Experiment
+		if err := json.Unmarshal(w.Body.Bytes(), &exp); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("submit as %s: %d %s", owner, w.Code, w.Body)
+		}
+		return exp.ID
+	}
+	pending, approved := submit("stranger"), submit(trusted)
+	for _, tc := range []struct {
+		path   string
+		status int
+		code   string
+	}{
+		{"/api/v1/experiments/" + pending + "/reject", http.StatusOK, ""},
+		{"/api/v1/experiments/" + pending + "/reject", http.StatusOK, ""},
+		{"/api/v1/experiments/" + pending + "/approve", http.StatusBadRequest, ErrCodeBadRequest},
+		{"/api/v1/experiments/" + approved + "/reject", http.StatusBadRequest, ErrCodeBadRequest},
+		{"/api/v1/experiments/ghost/reject", http.StatusNotFound, ErrCodeNotFound},
+	} {
+		w := doReq(h, http.MethodPost, tc.path, "", nil)
+		switch {
+		case w.Code != tc.status:
+			t.Errorf("POST %s: %d %s, want %d", tc.path, w.Code, w.Body, tc.status)
+		case tc.code != "":
+			if env := decodeEnvelope(t, w); env.Error.Code != tc.code {
+				t.Errorf("POST %s: code %q, want %q", tc.path, env.Error.Code, tc.code)
+			}
+		case w.Body.String() != `{"status":"rejected"}`+"\n":
+			t.Errorf("POST %s: body %q", tc.path, w.Body)
+		}
+	}
+	var exp Experiment
+	w := doReq(h, http.MethodGet, "/api/v1/experiments/"+pending, "", nil)
+	if err := json.Unmarshal(w.Body.Bytes(), &exp); err != nil || exp.Status != StatusRejected {
+		t.Fatalf("GET a rejected experiment: %d %s", w.Code, w.Body)
 	}
 }
 

@@ -60,7 +60,8 @@ the conventions below hold for every endpoint of either:
   ` + "`next_cursor`" + ` is omitted on the last page and is otherwise passed back
   as ` + "`?cursor=`" + `.
 - **Body cap.** Request bodies over 8 MiB are rejected with 413
-  (` + "`body_too_large`" + `).
+  (` + "`body_too_large`" + `). A body is one JSON value: anything but white
+  space after it is a 400 (` + "`bad_request`" + `).
 
 `)
 	for _, rt := range routes {

@@ -7,6 +7,7 @@ package core
 // running.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -109,6 +110,41 @@ func BenchmarkSubmitResultsBatch(b *testing.B) {
 		}
 		if accepted != batch {
 			b.Fatalf("accepted %d, want %d", accepted, batch)
+		}
+	}
+}
+
+// BenchmarkSubmitHandler is one 6,400-assignment submission per op (200
+// probes with 32 ping tasks each, in one body as json.Marshal writes it),
+// served by Handler on an in-memory controller:
+// the body's read and decode, the submit and its auto-approval, and the
+// experiment echo. Each op gets a fresh controller, outside the timer.
+func BenchmarkSubmitHandler(b *testing.B) {
+	req := SubmitRequest{Owner: "bench", Description: "bench wave"}
+	for w := 0; w < 32; w++ {
+		for p := 0; p < 200; p++ {
+			req.Assignments = append(req.Assignments, probes.Assignment{
+				ProbeID: fmt.Sprintf("probe-%04d", p),
+				Task:    probes.Task{Kind: probes.TaskPing, Target: "10.0.0.1"},
+			})
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := NewController("bench").Handler()
+		r := httptest.NewRequest(http.MethodPost, "/api/v1/experiments", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		b.StartTimer()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			b.Fatalf("submit: %d %.200s", w.Code, w.Body)
 		}
 	}
 }

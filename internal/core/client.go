@@ -445,6 +445,11 @@ func (c *Client) Approve(expID string) error {
 	return c.post("experiment_approve", fmt.Sprintf("/api/v1/experiments/%s/approve", expID), struct{}{}, nil)
 }
 
+// Reject rejects a pending experiment (idempotent: retried).
+func (c *Client) Reject(expID string) error {
+	return c.post("experiment_reject", fmt.Sprintf("/api/v1/experiments/%s/reject", expID), struct{}{}, nil)
+}
+
 // Results fetches an experiment's collected results.
 func (c *Client) Results(expID string) ([]probes.Result, error) {
 	var out []probes.Result

@@ -599,10 +599,11 @@ func (c *Controller) applyApproveLocked(expID string) {
 	}
 }
 
-// Reject marks a pending experiment rejected.
-func (c *Controller) Reject(expID string) error {
+// reject marks a pending experiment rejected.
+func (c *Controller) reject(ctx context.Context, expID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.setSpanLocked(obs.SpanFrom(ctx))()
 	exp, ok := c.experiments[expID]
 	if !ok {
 		return fmt.Errorf("%w %s", ErrUnknownExperiment, expID)

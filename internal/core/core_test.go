@@ -78,13 +78,13 @@ func TestVettingWorkflow(t *testing.T) {
 
 	// Rejection.
 	exp3, _ := c.SubmitExperiment("rando", "z", asg)
-	if err := c.Reject(exp3.ID); err != nil {
+	if err := c.Backend().Reject(context.Background(), exp3.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Backend().Approve(context.Background(), exp3.ID); err == nil {
 		t.Fatal("approved a rejected experiment")
 	}
-	if err := c.Reject(exp2.ID); err == nil {
+	if err := c.Backend().Reject(context.Background(), exp2.ID); err == nil {
 		t.Fatal("rejected an approved experiment")
 	}
 }

@@ -14,7 +14,8 @@ import (
 
 // Recovery reads the bulk of what it reads — probe_sync, probe_register
 // and experiment_submit_cols records, and every snapshot frame but the
-// head and the submit ids — without reflection: each shape is cut out of
+// head and the submit ids — without reflection, and decodeBody reads the
+// register and submit bodies the same way: each shape is cut out of
 // exactly the layout json.Marshal writes for it (keys in struct order,
 // omitempty fields absent or present, no white space; strings and numbers
 // as internal/journal's cut helpers take them). Anything else — white
@@ -22,15 +23,18 @@ import (
 // escape, trailing bytes — declines the whole payload to json.Unmarshal,
 // which stays the reference: a cut returns what json.Unmarshal reads,
 // nil and empty slices told apart, or declines (FuzzSyncOpCut,
-// FuzzSnapshotFrameCut). The cuts are pure functions of the bytes; the
-// fallback is counted by the caller (recovery_reflect_decodes).
+// FuzzSnapshotFrameCut, FuzzSubmitBodyCut). The cuts are pure functions
+// of the bytes; the fallback is counted by the caller
+// (recovery_reflect_decodes, MetricBodyReflected).
 
-// cutOr reads p into *v through cut, or, when cut declines it, through
-// json.Unmarshal; reflected says which.
+// cutOr reads p into *v through cut, or, when cut is nil or declines p,
+// through json.Unmarshal; reflected says which.
 func cutOr[T any](p []byte, v *T, cut func([]byte) (T, bool)) (reflected bool, err error) {
-	if t, ok := cut(p); ok {
-		*v = t
-		return false, nil
+	if cut != nil {
+		if t, ok := cut(p); ok {
+			*v = t
+			return false, nil
+		}
 	}
 	return true, json.Unmarshal(p, v)
 }
@@ -232,7 +236,37 @@ func cutSyncOp(data []byte) (op syncOp, ok bool) {
 	return op, ok
 }
 
-// cutProbeInfo reads probe_register's record.
+// cutSubmitRequest reads a submission body,
+// {"request_id":"R","owner":"O","description":"D","assignments":[{"ProbeID":"P","Task":task},…],"id":"X"},
+// request_id and id absent when empty, and assignments null when nil.
+// Consecutive assignments share their repeated strings.
+func cutSubmitRequest(data []byte) (req SubmitRequest, ok bool) {
+	ok = cutAll(data, func(c *cutter) {
+		if c.lit("{").opt(`"request_id":`) {
+			req.RequestID = c.str("")
+			c.lit(",")
+		}
+		req.Owner = c.lit(`"owner":`).str("")
+		req.Description = c.lit(`,"description":`).str("")
+		if !c.lit(`,"assignments":`).opt("null") {
+			req.Assignments = make([]probes.Assignment, 0, bytes.Count(c.b, []byte(`{"ProbeID":`)))
+			var prev probes.Assignment
+			c.list(func() {
+				prev.ProbeID = c.lit(`{"ProbeID":`).str(prev.ProbeID)
+				prev.Task = c.lit(`,"Task":`).task(prev.Task)
+				c.lit("}")
+				req.Assignments = append(req.Assignments, prev)
+			})
+		}
+		if c.opt(`,"id":`) {
+			req.ID = c.str("")
+		}
+		c.lit("}")
+	})
+	return req, ok
+}
+
+// cutProbeInfo reads probe_register's record, and the register body.
 func cutProbeInfo(data []byte) (p ProbeInfo, ok bool) {
 	ok = cutAll(data, func(c *cutter) { p = c.probeInfo(ProbeInfo{}) })
 	return p, ok

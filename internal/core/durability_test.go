@@ -122,7 +122,7 @@ func genOps(seed int64, n int) []ctrlOp {
 			exps[pendIdx].pending = false
 			id := exps[pendIdx].id
 			if rng.Intn(4) == 0 {
-				ops = append(ops, func(c *Controller) { _ = c.Reject(id) })
+				ops = append(ops, func(c *Controller) { _ = c.Backend().Reject(context.Background(), id) })
 			} else {
 				ops = append(ops, func(c *Controller) { _ = c.Backend().Approve(context.Background(), id) })
 			}

@@ -4,8 +4,9 @@ package core
 // response bodies and status codes. The root lint_test.go holds the rest
 // of the package (and internal/federation, which serves the same surface
 // through these writers) to no http.Error and no WriteHeader call,
-// so every handler goes through WriteJSON, WriteScanPage, WriteAggReport
-// or WriteAPIError and every non-2xx response carries one envelope:
+// so every handler goes through WriteJSON, WriteScanPage, WriteAggReport,
+// writeExperiment, writeOK or WriteAPIError and every non-2xx response
+// carries one envelope:
 //
 //	{"error": {"code": "<machine_code>", "message": "...", "request_id": "..."}}
 
@@ -15,7 +16,10 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 
+	"github.com/afrinet/observatory/internal/journal"
+	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
 )
 
@@ -109,10 +113,82 @@ func writeSpliced(w http.ResponseWriter, body []byte, tail any) {
 	if len(t) > len("{}") {
 		body = append(append(body, ','), t[1:len(t)-1]...)
 	}
-	body = append(body, '}', '\n')
+	writeOK(w, append(body, '}', '\n'))
+}
+
+// writeOK writes a 200 whose JSON body, newline included, is already
+// appended as WriteJSON would write it.
+func writeOK(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body) // a client that went away, as in WriteJSON
+}
+
+// writeExperiment writes a 200 experiment: the bytes WriteJSON writes for
+// exp, appended without reflection unless encoding/json would refuse it
+// (a NaN or infinite Task.Value, whose 200 WriteJSON leaves empty).
+// FuzzExperimentJSON holds the two to each other.
+func writeExperiment(w http.ResponseWriter, exp *Experiment) {
+	if body, ok := exp.appendJSON(make([]byte, 0, 128+160*len(exp.Assignments))); ok {
+		writeOK(w, append(body, '\n'))
+		return
+	}
+	WriteJSON(w, http.StatusOK, exp)
+}
+
+// appendJSON appends exp as encoding/json writes it, less the newline.
+// ok is false when a task's Value is a NaN or an infinity.
+func (exp *Experiment) appendJSON(dst []byte) (out []byte, ok bool) {
+	dst = journal.AppendString(append(dst, `{"id":`...), exp.ID)
+	dst = journal.AppendString(append(dst, `,"owner":`...), exp.Owner)
+	dst = journal.AppendString(append(dst, `,"description":`...), exp.Description)
+	dst = journal.AppendString(append(dst, `,"status":`...), string(exp.Status))
+	if exp.Assignments == nil {
+		return append(dst, `,"assignments":null}`...), true
+	}
+	dst = append(dst, `,"assignments":[`...)
+	for i := range exp.Assignments {
+		a := &exp.Assignments[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = journal.AppendString(append(dst, `{"ProbeID":`...), a.ProbeID)
+		if dst, ok = appendTask(append(dst, `,"Task":`...), &a.Task); !ok {
+			return dst, false
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...), true
+}
+
+// appendTask appends t as encoding/json writes it. ok is false when its
+// Value is a NaN or an infinity.
+func appendTask(dst []byte, t *probes.Task) (out []byte, ok bool) {
+	str := func(name, v string, omitEmpty bool) {
+		if v != "" || !omitEmpty {
+			dst = journal.AppendString(append(dst, name...), v)
+		}
+	}
+	str(`{"id":`, t.ID, false)
+	str(`,"experiment":`, t.Experiment, false)
+	str(`,"kind":`, string(t.Kind), false)
+	str(`,"target":`, t.Target, true)
+	str(`,"domain":`, t.Domain, true)
+	str(`,"origin_country":`, t.OriginCountry, true)
+	if t.Repeat != 0 {
+		dst = strconv.AppendInt(append(dst, `,"repeat":`...), int64(t.Repeat), 10)
+	}
+	if t.Queries != 0 {
+		dst = strconv.AppendInt(append(dst, `,"queries":`...), int64(t.Queries), 10)
+	}
+	if t.ECS {
+		dst = append(dst, `,"ecs":true`...)
+	}
+	ok = true
+	if t.Value != 0 {
+		dst, ok = journal.AppendFloat(append(dst, `,"value":`...), t.Value)
+	}
+	return append(dst, '}'), ok
 }
 
 // StorageFault marks a failed journal or results-store append as the

@@ -8,8 +8,8 @@ package core
 // tracing and latency histograms live in the router.
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -18,6 +18,8 @@ import (
 	"sync"
 	"time"
 
+	"github.com/afrinet/observatory/internal/journal"
+	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
 )
@@ -80,6 +82,9 @@ type Backend interface {
 	Sync(ctx context.Context, req SyncRequest, wait time.Duration) (SyncResponse, error)
 	Submit(ctx context.Context, req SubmitRequest) (*Experiment, error)
 	Approve(ctx context.Context, expID string) error
+	// Reject refuses a pending experiment; an approved one stays approved
+	// and answers an error.
+	Reject(ctx context.Context, expID string) error
 	// Experiment and ExperimentResults answer an id the tier never
 	// created with ErrUnknownExperiment.
 	Experiment(expID string) (*Experiment, error)
@@ -101,21 +106,27 @@ type Backend interface {
 	Stats() (any, error)
 }
 
-// api binds the shared handlers to one tier: the backend they call and
-// the tier's mapping of a backend error onto the error envelope.
+// api binds the shared handlers to one tier and one route: the backend
+// they call, the tier's mapping of a backend error onto the error
+// envelope, and the route's count of bodies read by reflection.
 type api struct {
-	b        Backend
-	writeErr func(http.ResponseWriter, error)
+	b         Backend
+	writeErr  func(http.ResponseWriter, error)
+	reflected *obs.Family
+	route     string
 }
 
-// reply writes a backend call's answer: v as a 200, or err through the
-// tier's mapping.
+// reply writes a backend call's answer: v as a 200 (an experiment
+// through writeExperiment), or err through the tier's mapping.
 func (a api) reply(w http.ResponseWriter, v any, err error) {
-	if err != nil {
+	switch exp, isExp := v.(*Experiment); {
+	case err != nil:
 		a.writeErr(w, err)
-		return
+	case isExp && exp != nil:
+		writeExperiment(w, exp)
+	default:
+		WriteJSON(w, http.StatusOK, v)
 	}
-	WriteJSON(w, http.StatusOK, v)
 }
 
 // MaxBodyBytes bounds every JSON request body; anything larger is
@@ -123,11 +134,27 @@ func (a api) reply(w http.ResponseWriter, v any, err error) {
 // applies the cap; decodeBody translates the overflow.
 const MaxBodyBytes = 8 << 20 // 8 MiB
 
-// decodeBody decodes the (router-bounded) JSON request body into v,
-// writing the error envelope (413 for oversized bodies, 400 otherwise)
-// itself. Returns false when the handler should stop.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// MetricBodyReflected counts, per route (name=<route name>), the request
+// bodies its cut declined to json.Unmarshal.
+const MetricBodyReflected = "obs_http_body_reflected_total"
+
+// decodeBody reads the (router-capped) request body whole, then decodes
+// it into v through cutOr: the route's cut (nil for none), or
+// json.Unmarshal, which holds the body to one JSON value. A decline of
+// the cut is counted in MetricBodyReflected. It writes the error envelope
+// itself (413 for a body over the cap, 400 otherwise) and returns false
+// when the handler should stop.
+func decodeBody[T any](a api, w http.ResponseWriter, r *http.Request, v *T, cut func([]byte) (T, bool)) bool {
+	// Sized from Content-Length, with room for the read that finds EOF.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), MaxBodyBytes)+bytes.MinRead))
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		var reflected bool
+		if reflected, err = cutOr(buf.Bytes(), v, cut); reflected && cut != nil {
+			a.reflected.Inc(a.route)
+		}
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			WriteAPIError(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
@@ -158,17 +185,21 @@ func parseCount(w http.ResponseWriter, name, s string, def int) (int, bool) {
 
 func (a api) handleRegister(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var p ProbeInfo
-	if !decodeBody(w, r, &p) {
+	if !decodeBody(a, w, r, &p, cutProbeInfo) {
 		return
 	}
-	a.reply(w, map[string]string{"id": p.ID}, a.b.Register(r.Context(), p))
+	if err := a.b.Register(r.Context(), p); err != nil {
+		a.writeErr(w, err)
+		return
+	}
+	writeOK(w, append(journal.AppendString([]byte(`{"id":`), p.ID), "}\n"...))
 }
 
 // handleProbeSync serves the probe protocol: the body is one round, and
 // ?wait= (a non-negative duration, capped at MaxSyncWait) its long-poll.
 func (a api) handleProbeSync(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var req SyncRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(a, w, r, &req, nil) {
 		return
 	}
 	if req.ProbeID == "" {
@@ -213,7 +244,7 @@ const experimentIDChars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0
 
 func (a api) handleSubmit(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var req SubmitRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(a, w, r, &req, cutSubmitRequest) {
 		return
 	}
 	if len(req.ID) > 128 || strings.Trim(req.ID, experimentIDChars) != "" {
@@ -232,6 +263,10 @@ func (a api) handleExperimentGet(w http.ResponseWriter, r *http.Request, p PathP
 
 func (a api) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p PathParams) {
 	a.reply(w, map[string]string{"status": string(StatusApproved)}, a.b.Approve(r.Context(), p["id"]))
+}
+
+func (a api) handleExperimentReject(w http.ResponseWriter, r *http.Request, p PathParams) {
+	a.reply(w, map[string]string{"status": string(StatusRejected)}, a.b.Reject(r.Context(), p["id"]))
 }
 
 func (a api) handleExperimentResults(w http.ResponseWriter, r *http.Request, p PathParams) {
@@ -290,6 +325,10 @@ func (b controllerBackend) Submit(ctx context.Context, req SubmitRequest) (*Expe
 
 func (b controllerBackend) Approve(ctx context.Context, expID string) error {
 	return b.c.approve(ctx, expID)
+}
+
+func (b controllerBackend) Reject(ctx context.Context, expID string) error {
+	return b.c.reject(ctx, expID)
 }
 
 func (b controllerBackend) Experiment(expID string) (*Experiment, error) {

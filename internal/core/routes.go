@@ -117,6 +117,13 @@ var sharedRoutes = []struct {
 		Priority: PriorityHigh,
 	}, api.handleExperimentApprove},
 	{RouteInfo{
+		Name: "experiment_reject", Method: http.MethodPost, Pattern: "/api/v1/experiments/{id}/reject",
+		Summary:  "Reject a pending experiment: none of its tasks is scheduled. Idempotent; an approved experiment cannot be rejected.",
+		Response: `{"status": "rejected"}`,
+		Errors:   []string{ErrCodeBadRequest, ErrCodeNotFound},
+		Priority: PriorityHigh,
+	}, api.handleExperimentReject},
+	{RouteInfo{
 		Name: "experiment_results", Method: http.MethodGet, Pattern: "/api/v1/experiments/{id}/results",
 		Summary: "Page through one experiment's collected results.",
 		Query: []ParamDoc{
@@ -191,12 +198,13 @@ func SharedRouteInfos() []RouteInfo {
 }
 
 // SharedRoutes binds the routes both tiers serve to one tier: the
-// backend their handlers call, and the tier's mapping of a backend error
-// onto the error envelope.
-func SharedRoutes(b Backend, writeErr func(http.ResponseWriter, error)) []Route {
-	a := api{b, writeErr}
+// backend their handlers call, the tier's mapping of a backend error
+// onto the error envelope, and the registry its router counts into.
+func SharedRoutes(b Backend, writeErr func(http.ResponseWriter, error), reg *obs.Registry) []Route {
+	reflected := reg.Counters(MetricBodyReflected)
 	out := make([]Route, len(sharedRoutes))
 	for i, rt := range sharedRoutes {
+		a := api{b, writeErr, reflected, rt.Name}
 		out[i] = Route{rt.RouteInfo, func(w http.ResponseWriter, r *http.Request, p PathParams) {
 			rt.handle(a, w, r, p)
 		}}
@@ -267,7 +275,7 @@ func NewRouter(table []Route, gate *AdmissionGate, reg *obs.Registry, ring *obs.
 // every request leaves a span tree in the trace ring
 // (GET /api/v1/debug/traces).
 func (c *Controller) Handler() http.Handler {
-	table := append(SharedRoutes(c.Backend(), writeControllerErr), Route{probesListRoute, c.handleProbes})
+	table := append(SharedRoutes(c.Backend(), writeControllerErr, c.reg), Route{probesListRoute, c.handleProbes})
 	return NewRouter(table, c.adm, c.reg, c.ring)
 }
 

@@ -286,7 +286,8 @@ func TestLargeIngestKeepsMemtableBounded(t *testing.T) {
 
 // TestOversizedBody413 covers the request-body bound: a submit payload
 // over MaxBodyBytes is rejected with 413 and a JSON error, not read to
-// completion.
+// completion, and so is one whose first value fits under the bound but
+// whose trailing white space does not.
 func TestOversizedBody413(t *testing.T) {
 	ctrl := NewController("o")
 	srv := httptest.NewServer(ctrl.Handler())
@@ -298,23 +299,28 @@ func TestOversizedBody413(t *testing.T) {
 	// syntax error.
 	huge := append([]byte(`{"pad":"`), bytes.Repeat([]byte("x"), MaxBodyBytes+1)...)
 	huge = append(huge, []byte(`"}`)...)
-	for _, path := range []string{
-		"/api/v1/probes/register",
-		"/api/v1/probes/sync",
-		"/api/v1/experiments",
+	padded := append([]byte(`{"id":"p1","asn":1,"country":"NG","has_wired":false}`), bytes.Repeat([]byte(" "), MaxBodyBytes+10)...)
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/api/v1/probes/register", huge},
+		{"/api/v1/probes/sync", huge},
+		{"/api/v1/experiments", huge},
+		{"/api/v1/probes/register", padded},
 	} {
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(huge))
+		resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: status = %d, want 413", path, resp.StatusCode)
+			t.Fatalf("%s: status = %d, want 413", tc.path, resp.StatusCode)
 		}
 		var body errorEnvelope
 		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if err != nil || body.Error.Code != ErrCodeBodyTooLarge || body.Error.Message == "" {
-			t.Fatalf("%s: 413 without envelope error body (err=%v body=%+v)", path, err, body)
+			t.Fatalf("%s: 413 without envelope error body (err=%v body=%+v)", tc.path, err, body)
 		}
 	}
 	// A reasonable body still works.

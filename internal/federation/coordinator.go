@@ -647,16 +647,27 @@ func (c *Coordinator) Submit(_ context.Context, req core.SubmitRequest) (*core.E
 
 // Approve fans an experiment approval out to every owning shard.
 func (c *Coordinator) Approve(_ context.Context, fedID string) error {
+	return c.vet(fedID, "approving", core.Backend.Approve)
+}
+
+// Reject fans an experiment rejection out to every owning shard.
+func (c *Coordinator) Reject(_ context.Context, fedID string) error {
+	return c.vet(fedID, "rejecting", core.Backend.Reject)
+}
+
+// vet makes one vetting call, decide, on every shard owning a partition
+// of the experiment, in turn, and stops at the first that fails.
+func (c *Coordinator) vet(fedID, doing string, decide func(core.Backend, context.Context, string) error) error {
 	fed, targets, err := c.experimentTargets(fedID)
 	if err != nil {
 		return err
 	}
 	for i, t := range targets {
 		_, err := scatterCall(c, t, true, func(b core.Backend) (struct{}, error) {
-			return struct{}{}, b.Approve(context.Background(), fedID)
+			return struct{}{}, decide(b, context.Background(), fedID)
 		})
 		if err != nil {
-			return fmt.Errorf("federation: approving %s on shard %s: %w", fedID, fed.Shards[i], err)
+			return fmt.Errorf("federation: %s %s on shard %s: %w", doing, fedID, fed.Shards[i], err)
 		}
 	}
 	return nil

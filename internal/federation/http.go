@@ -35,7 +35,7 @@ func APIRoutes() []core.RouteInfo {
 // Handler serves the coordinator's v1 surface through the shared router;
 // admission runs through the coordinator's own gate (refilled by Tick).
 func (c *Coordinator) Handler() http.Handler {
-	table := append(core.SharedRoutes(c, c.writeShardErr), core.Route{RouteInfo: shardsRoute, Handle: c.handleShards})
+	table := append(core.SharedRoutes(c, c.writeShardErr, c.reg), core.Route{RouteInfo: shardsRoute, Handle: c.handleShards})
 	return core.NewRouter(table, c.gate, c.reg, c.traces)
 }
 

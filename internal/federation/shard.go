@@ -161,6 +161,10 @@ func (s *HTTPShard) Approve(_ context.Context, expID string) error {
 	return remoteErr(s.cl.Approve(expID))
 }
 
+func (s *HTTPShard) Reject(_ context.Context, expID string) error {
+	return remoteErr(s.cl.Reject(expID))
+}
+
 func (s *HTTPShard) Experiment(expID string) (*core.Experiment, error) {
 	exp, err := s.cl.Experiment(expID)
 	return exp, remoteExpErr(err, expID)

@@ -2,8 +2,11 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The cut helpers read one JSON value at the start of b in the layout
@@ -12,6 +15,34 @@ import (
 // zero or a value out of range. Anything else is !ok, for the caller to
 // hand the whole payload to json.Unmarshal, which stays the reference: a
 // value a helper returns is the value json.Unmarshal reads.
+
+// AppendString is CutString's inverse: it appends s quoted as encoding/json's
+// Encoder quotes it, through json.Marshal when a byte needs an escape.
+func AppendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			q, _ := json.Marshal(s)
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// AppendFloat is CutFloat's inverse: it appends f as encoding/json formats
+// a float64, or is !ok for a NaN or an infinity, which encoding/json refuses.
+func AppendFloat(dst []byte, f float64) (out []byte, ok bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, false
+	}
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		if n := len(dst); dst[n-3] == '-' && dst[n-2] == '0' { // e-07 → e-7
+			dst = append(dst[:n-2], dst[n-1])
+		}
+		return dst, true
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64), true
+}
 
 // CutUint cuts an unsigned decimal number that fits in bits bits.
 func CutUint(b []byte, bits int) (n uint64, rest []byte, ok bool) {

@@ -2,9 +2,9 @@ package store
 
 import (
 	"encoding/json"
-	"math"
 	"strconv"
-	"unicode/utf8"
+
+	"github.com/afrinet/observatory/internal/journal"
 )
 
 // AppendJSON appends the report as encoding/json's Encoder writes it, less
@@ -13,24 +13,13 @@ import (
 func (r *AggReport) AppendJSON(dst []byte) (out []byte, ok bool) {
 	ok = true
 	num := func(name string, v float64) { // a float field, comma first
-		dst = append(dst, name...)
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			ok = false
-			return
-		}
-		format := byte('f')
-		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		dst = strconv.AppendFloat(dst, v, format, -1, 64)
-		if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1] // e-07 → e-7
-			dst = dst[:n-1]
-		}
+		var fine bool
+		dst, fine = journal.AppendFloat(append(dst, name...), v)
+		ok = ok && fine
 	}
 	str := func(name, v string) { // an omitempty string field, comma last
 		if v != "" {
-			dst = append(appendJSONString(append(dst, name...), v), ',')
+			dst = append(journal.AppendString(append(dst, name...), v), ',')
 		}
 	}
 	dst = strconv.AppendInt(append(dst, `{"matched":`...), r.Matched, 10)
@@ -73,17 +62,4 @@ func (r *AggReport) AppendJSON(dst []byte) (out []byte, ok bool) {
 		dst = append(dst, '}')
 	}
 	return append(dst, "]}"...), ok
-}
-
-// appendJSONString appends s quoted as encoding/json quotes it: as it is
-// when no byte needs an escape, as in the usual group key, and by
-// json.Marshal, which cannot fail on a string, when one does.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
-			q, _ := json.Marshal(s)
-			return append(dst, q...)
-		}
-	}
-	return append(append(append(dst, '"'), s...), '"')
 }
