@@ -308,6 +308,11 @@ func TestTiersAnswerAlike(t *testing.T) {
 			do(http.MethodGet, "/api/v1/experiments/"+id+"/results", ``)
 			do(http.MethodGet, "/api/v1/experiments/"+id+"/results?limit=-1", ``)
 		}
+		// Vetting a decided experiment the other way is the shard's refusal.
+		do(http.MethodPost, "/api/v1/experiments/"+exps[1]+"/reject", ``)
+		submit(`{"owner": "stranger", "description": "refused", ` + assignments + `}`)
+		do(http.MethodPost, "/api/v1/experiments/"+exps[len(exps)-1]+"/reject", ``)
+		do(http.MethodPost, "/api/v1/experiments/"+exps[len(exps)-1]+"/approve", ``)
 
 		do(http.MethodPost, "/api/v1/probes/sync", `{"probe_id": "ghost"}`)
 		do(http.MethodPost, "/api/v1/probes/sync", `{}`)

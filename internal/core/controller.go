@@ -119,20 +119,6 @@ var ErrUnknownExperiment = errors.New("core: unknown experiment")
 // anything is journaled.
 var ErrNoAssignments = errors.New("core: experiment has no assignments")
 
-// probeState is the controller's book on one registered probe.
-type probeState struct {
-	info     ProbeInfo
-	lastSeen int64
-	health   ProbeHealth
-}
-
-// leaseRec is one outstanding task lease.
-type leaseRec struct {
-	task     probes.Task
-	probeID  string
-	deadline int64 // tick at which the lease expires
-}
-
 // HealthReport is the /api/v1/health summary.
 type HealthReport struct {
 	Status            string `json:"status"` // "ok" or "degraded"
@@ -166,43 +152,20 @@ type StatsReport struct {
 	Probes            []ProbeStatus    `json:"probes"`
 }
 
-// Controller is the observatory control plane.
+// Controller is the observatory control plane: a lock, the book it
+// guards (book.go: the journaled state and its apply, promoted), and the
+// I/O around it, scoped to the process run, which no replay rebuilds.
 //
 // The lease/liveness knobs (LeaseTTL, SuspectAfter, DeadAfter) are in
-// controller ticks and must be set before traffic is served; the
-// NewController defaults suit cmd/obsd's one-tick-per-sweep cadence.
+// controller ticks and must be set before traffic is served.
 type Controller struct {
-	mu          sync.Mutex
-	probes      map[string]*probeState
-	experiments map[string]*Experiment
-	queues      map[string][]probes.Task // per-probe pending tasks
-	// taskIDs indexes each experiment's valid task IDs; recorded marks
-	// the ones that already have a result (the dedup set).
-	taskIDs   map[string]map[string]bool
-	recorded  map[string]map[string]bool
-	leases    map[string]*leaseRec // keyed by experiment+"/"+task id
-	trusted   map[string]bool
-	stats     *obs.Family
-	now       int64
-	nextExpID int
-	// submitIDs dedups experiment submissions by client request id, so
-	// a retried Submit whose first delivery landed returns the existing
-	// experiment instead of creating a duplicate.
-	submitIDs map[string]string
+	mu sync.Mutex
+	book
 
 	// waiters holds the long-poll parking lot (sync.go): per-probe
-	// channels closed when tasks land on that probe's queue. Run-scoped
-	// request state — never journaled, always empty during replay.
+	// channels closed when tasks land on that probe's queue (the book's
+	// wake). Request state, always empty during replay.
 	waiters map[string][]chan struct{}
-
-	// Bias-aware scheduler state (scheduler.go): coverage is the target
-	// share per country/ASN (ConfigureCoverage; not journaled), the
-	// served* tallies count granted tasks per dimension. The tallies are
-	// updated inside the journaled lease apply, so they are snapshot state.
-	coverage      CoverageTargets
-	servedCountry map[string]int64
-	servedASN     map[string]int64
-	servedTotal   int64
 
 	// Durability (see durability.go): log is the attached write-ahead
 	// journal (nil for in-memory controllers and during replay), dur
@@ -216,7 +179,7 @@ type Controller struct {
 
 	// Observability (see observability.go): reg holds the latency
 	// histograms and the counter and gauge families served by /metrics
-	// (stats, dur and durGauge among them); ring retains
+	// (the book's stats, dur and durGauge among them); ring retains
 	// finished request traces for /api/v1/debug/traces; span is the
 	// active request's span (guarded by mu — the ctx mutator variants
 	// set it, mutateLocked and the journal sync hook nest under it);
@@ -232,8 +195,7 @@ type Controller struct {
 
 	// adm is the admission-control layer (see admission.go): per-route
 	// token buckets plus the bounded in-flight gate, evaluated by the
-	// router before each handler. Run-scoped like dur and the store
-	// counters — never journaled, never part of recovery equivalence.
+	// router before each handler.
 	adm *AdmissionGate
 
 	// store holds result payloads (internal/store). The WAL keeps only
@@ -242,43 +204,14 @@ type Controller struct {
 	// results accumulate. In-memory controllers get a memory-backed
 	// store; Recover attaches a disk-backed one.
 	store *store.Store
-	// unsealed is what a crash now would lose: the recorded refs whose
-	// payload sits above the store's sealed watermark, in store order with
-	// their sequence numbers; at most one memtable of them, pruned as
-	// segments seal, carried by snapshots. unsealedUnknown is set while a
-	// recovery is reading a directory that does not say where its refs
-	// sit, which Recover refuses.
-	unsealed        []unsealedRef
-	unsealedUnknown bool
-
-	// LeaseTTL is how many ticks a probe has to return a leased task's
-	// result before the task is requeued.
-	LeaseTTL int64
-	// SuspectAfter / DeadAfter are how many silent ticks move a probe
-	// to suspect / dead.
-	SuspectAfter int64
-	DeadAfter    int64
 }
 
 // NewController creates an empty control plane with the given trusted
-// experimenter cohort.
+// experimenter cohort: an empty book at the default tick knobs, whose
+// counters and wake-ups are the new controller's.
 func NewController(trusted ...string) *Controller {
-	c := &Controller{
-		probes:        make(map[string]*probeState),
-		experiments:   make(map[string]*Experiment),
-		queues:        make(map[string][]probes.Task),
-		taskIDs:       make(map[string]map[string]bool),
-		recorded:      make(map[string]map[string]bool),
-		leases:        make(map[string]*leaseRec),
-		trusted:       make(map[string]bool),
-		submitIDs:     make(map[string]string),
-		waiters:       make(map[string][]chan struct{}),
-		servedCountry: make(map[string]int64),
-		servedASN:     make(map[string]int64),
-		LeaseTTL:      3,
-		SuspectAfter:  2,
-		DeadAfter:     5,
-	}
+	c := &Controller{book: newBook(), waiters: make(map[string][]chan struct{})}
+	c.wake = c.notifyWaitersLocked
 	c.initObs()
 	c.store = store.NewMemory(store.Options{Obs: c.reg})
 	for _, t := range trusted {
@@ -302,27 +235,7 @@ func (c *Controller) registerProbeCtx(ctx context.Context, p ProbeInfo) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.setSpanLocked(obs.SpanFrom(ctx))()
-	return c.mutateLocked(opRegister, p, func() { c.applyRegisterLocked(p) })
-}
-
-func (c *Controller) applyRegisterLocked(p ProbeInfo) {
-	st, ok := c.probes[p.ID]
-	if !ok {
-		st = &probeState{}
-		c.probes[p.ID] = st
-	}
-	st.info = p
-	c.touchLocked(st)
-}
-
-// touchLocked records probe contact at the current tick, reviving dead
-// probes.
-func (c *Controller) touchLocked(st *probeState) {
-	st.lastSeen = c.now
-	if st.health == ProbeDead {
-		c.stats.Inc("probes_revived")
-	}
-	st.health = ProbeAlive
+	return c.mutateLocked(opRegister, p, func() { c.applyRegister(p) })
 }
 
 // Probes lists registered probes sorted by id.
@@ -348,7 +261,7 @@ func (c *Controller) Tick(n int) {
 	// An unjournaled tick must not advance the clock; the error is
 	// dropped (Tick has no error path) but counted in the durability
 	// counters by the append.
-	_ = c.mutateLocked(opTick, tickOp{N: n}, func() { c.applyTickLocked(n) })
+	_ = c.mutateLocked(opTick, tickOp{N: n}, func() { c.applyTick(n) })
 	c.mu.Unlock()
 	// Token buckets ride the logical clock but outside the journaled
 	// apply: admission is run-scoped, and replaying ticks at recovery
@@ -356,133 +269,11 @@ func (c *Controller) Tick(n int) {
 	c.adm.Refill(n)
 }
 
-func (c *Controller) applyTickLocked(n int) {
-	for i := 0; i < n; i++ {
-		c.now++
-		c.sweepLivenessLocked()
-		c.reapLocked()
-	}
-}
-
 // Now returns the controller's current tick.
 func (c *Controller) Now() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
-}
-
-// sweepLivenessLocked updates probe health from ticks-since-contact and
-// reassigns the queues of probes that just died.
-func (c *Controller) sweepLivenessLocked() {
-	ids := make([]string, 0, len(c.probes))
-	for id := range c.probes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		st := c.probes[id]
-		idle := c.now - st.lastSeen
-		switch {
-		case idle >= c.DeadAfter:
-			if st.health != ProbeDead {
-				st.health = ProbeDead
-				c.stats.Inc("probes_dead")
-			}
-			// Reassign on every sweep, not just on the dead
-			// transition: tasks can be enqueued to a probe that is
-			// already dead (experiment approved after the probe
-			// stopped reporting), and a queue left in place for
-			// lack of an eligible peer should move as soon as one
-			// appears.
-			c.reassignQueueLocked(id)
-		case idle >= c.SuspectAfter:
-			if st.health == ProbeAlive {
-				st.health = ProbeSuspect
-				c.stats.Inc("probes_suspect")
-			}
-		}
-	}
-}
-
-// reassignQueueLocked moves a dead probe's pending queue onto its peer
-// (peerForLocked). With no eligible peer the queue stays put in case the
-// probe revives.
-func (c *Controller) reassignQueueLocked(deadID string) {
-	q := c.queues[deadID]
-	if len(q) == 0 {
-		return
-	}
-	peer := c.peerForLocked(deadID, c.probes[deadID].info)
-	if peer == "" {
-		return
-	}
-	c.queues[peer] = append(c.queues[peer], q...)
-	c.queues[deadID] = nil
-	c.stats.Add("tasks_reassigned", int64(len(q)))
-	c.notifyWaitersLocked(peer)
-}
-
-// peerForLocked is the one reassignment policy for a dead probe's work:
-// the smallest id of the first non-empty rank among same-ASN alive,
-// same-ASN suspect, same-country alive and same-country suspect probes
-// (dead ones are ineligible), or "" when every rank is empty. One pass
-// keeps each rank's smallest id.
-func (c *Controller) peerForLocked(deadID string, dead ProbeInfo) string {
-	var best [4]string
-	for id, st := range c.probes {
-		rank := 0
-		switch {
-		case id == deadID || st.health == ProbeDead:
-			continue
-		case st.info.ASN == dead.ASN:
-		case st.info.Country == dead.Country:
-			rank = 2
-		default:
-			continue
-		}
-		if st.health != ProbeAlive {
-			rank++
-		}
-		if best[rank] == "" || id < best[rank] {
-			best[rank] = id
-		}
-	}
-	for _, id := range best {
-		if id != "" {
-			return id
-		}
-	}
-	return ""
-}
-
-// reapLocked requeues tasks whose lease expired without a result.
-func (c *Controller) reapLocked() {
-	keys := make([]string, 0, len(c.leases))
-	for k, l := range c.leases {
-		if l.deadline <= c.now {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		l := c.leases[k]
-		delete(c.leases, k)
-		c.stats.Inc("leases_expired")
-		if c.recorded[l.task.Experiment][l.task.ID] {
-			continue // completed while the lease record lingered
-		}
-		target := l.probeID
-		if st, ok := c.probes[target]; ok && st.health == ProbeDead {
-			// The holder is gone; requeueing onto it would stall until
-			// revival, so route through the reassignment policy.
-			if peer := c.peerForLocked(target, st.info); peer != "" {
-				target = peer
-			}
-		}
-		c.queues[target] = append(c.queues[target], l.task)
-		c.stats.Inc("tasks_requeued")
-		c.notifyWaitersLocked(target)
-	}
 }
 
 // SubmitExperiment queues an experiment for vetting. Trusted owners are
@@ -521,7 +312,7 @@ func (c *Controller) submitExperimentIdemCtx(ctx context.Context, requestID, exp
 	}
 	op := submitOp{RequestID: requestID, Owner: owner, Description: description, Assignments: assignments, ExpID: expID}
 	var exp *Experiment
-	if err := c.mutateLocked(opSubmitCols, submitRecord(op), func() { exp = c.applySubmitLocked(op) }); err != nil {
+	if err := c.mutateLocked(opSubmitCols, submitRecord(op), func() { exp = c.applySubmit(op) }); err != nil {
 		return nil, err
 	}
 	return cloneExp(exp), nil
@@ -542,39 +333,6 @@ func TaskID(expID string, i int) string {
 	return b.String()
 }
 
-func (c *Controller) applySubmitLocked(op submitOp) *Experiment {
-	id := op.ExpID
-	if id == "" {
-		c.nextExpID++
-		id = fmt.Sprintf("exp-%04d", c.nextExpID)
-	}
-	exp := &Experiment{
-		ID:          id,
-		Owner:       op.Owner,
-		Description: op.Description,
-		Status:      StatusPending,
-		Assignments: op.Assignments,
-	}
-	ids := make(map[string]bool, len(exp.Assignments))
-	for i := range exp.Assignments {
-		exp.Assignments[i].Task.Experiment = exp.ID
-		if exp.Assignments[i].Task.ID == "" {
-			exp.Assignments[i].Task.ID = TaskID(exp.ID, i)
-		}
-		ids[exp.Assignments[i].Task.ID] = true
-	}
-	c.experiments[exp.ID] = exp
-	c.taskIDs[exp.ID] = ids
-	c.recorded[exp.ID] = make(map[string]bool)
-	if op.RequestID != "" {
-		c.submitIDs[op.RequestID] = exp.ID
-	}
-	if c.trusted[op.Owner] {
-		c.approveLocked(exp)
-	}
-	return exp
-}
-
 // approve moves a pending experiment to approved and schedules its tasks.
 func (c *Controller) approve(ctx context.Context, expID string) error {
 	c.mu.Lock()
@@ -590,13 +348,7 @@ func (c *Controller) approve(ctx context.Context, expID string) error {
 	if exp.Status == StatusRejected {
 		return fmt.Errorf("core: experiment %s was rejected", expID)
 	}
-	return c.mutateLocked(opApprove, expOp{ExpID: expID}, func() { c.applyApproveLocked(expID) })
-}
-
-func (c *Controller) applyApproveLocked(expID string) {
-	if exp, ok := c.experiments[expID]; ok && exp.Status == StatusPending {
-		c.approveLocked(exp)
-	}
+	return c.mutateLocked(opApprove, expOp{ExpID: expID}, func() { c.applyApprove(expID) })
 }
 
 // reject marks a pending experiment rejected.
@@ -614,21 +366,7 @@ func (c *Controller) reject(ctx context.Context, expID string) error {
 	if exp.Status == StatusRejected {
 		return nil // idempotent, nothing to journal
 	}
-	return c.mutateLocked(opReject, expOp{ExpID: expID}, func() { c.applyRejectLocked(expID) })
-}
-
-func (c *Controller) applyRejectLocked(expID string) {
-	if exp, ok := c.experiments[expID]; ok && exp.Status != StatusApproved {
-		exp.Status = StatusRejected
-	}
-}
-
-func (c *Controller) approveLocked(exp *Experiment) {
-	exp.Status = StatusApproved
-	for _, a := range exp.Assignments {
-		c.queues[a.ProbeID] = append(c.queues[a.ProbeID], a.Task)
-		c.notifyWaitersLocked(a.ProbeID)
-	}
+	return c.mutateLocked(opReject, expOp{ExpID: expID}, func() { c.applyReject(expID) })
 }
 
 // Experiment returns a copy of the experiment's state.
@@ -647,46 +385,6 @@ func cloneExp(e *Experiment) *Experiment {
 	cp.Assignments = append([]probes.Assignment(nil), e.Assignments...)
 	return &cp
 }
-
-// grantLocked is the queue-pop half of a sync round: pop up to max
-// tasks (after the coverage allowance in scheduler.go trims the ask for
-// overrepresented vantage points), drop copies that completed
-// elsewhere (a requeued copy racing its original delivery), and record
-// the grant in the lease table (each lease LeaseTTL ticks) and the
-// served-coverage tallies.
-func (c *Controller) grantLocked(probeID string, max int) []probes.Task {
-	q := c.queues[probeID]
-	if max <= 0 || max > len(q) {
-		max = len(q)
-	}
-	if st, ok := c.probes[probeID]; ok {
-		max = c.allowanceLocked(st.info, max)
-	}
-	lease := make([]probes.Task, 0, max)
-	taken := 0
-	for _, t := range q {
-		if taken == max {
-			break
-		}
-		taken++
-		if c.recorded[t.Experiment][t.ID] {
-			c.stats.Inc("tasks_dropped_completed")
-			continue
-		}
-		lease = append(lease, t)
-		c.leases[leaseKey(t)] = &leaseRec{task: t, probeID: probeID, deadline: c.now + c.LeaseTTL}
-	}
-	c.queues[probeID] = q[taken:]
-	c.stats.Add("tasks_leased", int64(len(lease)))
-	if len(lease) > 0 {
-		if st, ok := c.probes[probeID]; ok {
-			c.recordServedLocked(st.info, len(lease))
-		}
-	}
-	return lease
-}
-
-func leaseKey(t probes.Task) string { return t.Experiment + "/" + t.ID }
 
 // stageResultsLocked is everything a result batch from probe st needs
 // before its journal record: validate the whole batch (an unknown
@@ -740,53 +438,6 @@ func (c *Controller) stageResultsLocked(st *probeState, rs []probes.Result) (ref
 		seq = fresh[n-1].Seq
 	}
 	return refs, seq, nil
-}
-
-// recordRefsLocked is the journaled bookkeeping half of a result batch:
-// dedup, lease clearing, counters, and the unsealed list. Payloads are
-// not touched — the live path stored them before journaling, and replay
-// finds them already in the store. The refs accepted here are exactly the
-// ones stageResultsLocked stored a payload for, in the same order, so
-// they hold the consecutive sequence numbers ending at seq. A batch that
-// accepts refs without saying where they sit (a record from before seq
-// was journaled) leaves the book's position unknown, and Recover refuses it.
-func (c *Controller) recordRefsLocked(refs []resultRef, seq uint64) int {
-	first := len(c.unsealed)
-	for _, ref := range refs {
-		if c.recorded[ref.Experiment] == nil || c.recorded[ref.Experiment][ref.TaskID] {
-			c.stats.Inc("results_deduped")
-			continue
-		}
-		c.recorded[ref.Experiment][ref.TaskID] = true
-		delete(c.leases, ref.Experiment+"/"+ref.TaskID)
-		c.stats.Inc("results_recorded")
-		c.unsealed = append(c.unsealed, unsealedRef{resultRef: ref})
-	}
-	accepted := len(c.unsealed) - first
-	if accepted == 0 {
-		return 0
-	}
-	if seq < uint64(accepted) {
-		c.unsealedUnknown = true
-		c.unsealed = c.unsealed[:first]
-		return accepted
-	}
-	for i := first; i < len(c.unsealed); i++ {
-		c.unsealed[i].Seq = seq - uint64(len(c.unsealed)-1-i)
-	}
-	c.pruneUnsealedLocked()
-	return accepted
-}
-
-// pruneUnsealedLocked drops the entries a sealed segment now covers. The
-// list is in store order, so they are a prefix.
-func (c *Controller) pruneUnsealedLocked() {
-	sealed := c.store.SealedSeq()
-	i := 0
-	for i < len(c.unsealed) && c.unsealed[i].Seq <= sealed {
-		i++
-	}
-	c.unsealed = c.unsealed[i:]
 }
 
 // ResultsPage returns up to limit results of one experiment starting

@@ -14,7 +14,7 @@ import (
 // The controller journals operations, not state deltas: every mutating
 // entry point appends one of these records (with its validated inputs)
 // before acknowledging, and recovery replays them through the same
-// locked apply functions the live path uses. Controller logic is
+// apply functions of the book (book.go) the live path uses. Book logic is
 // deterministic given operation order — logical ticks, sorted sweeps,
 // seeded everything — so snapshot + replay reconstructs the exact
 // pre-crash state.
@@ -38,7 +38,7 @@ const (
 	opResults   = "results_accept"
 )
 
-// submitOp is a submission as applySubmitLocked takes it.
+// submitOp is a submission as applySubmit takes it.
 type submitOp struct {
 	RequestID   string              `json:"request_id,omitempty"`
 	Owner       string              `json:"owner"`
@@ -71,7 +71,7 @@ type resultRef struct {
 // server default is substituted before journaling), so replay grants
 // the same slice regardless of config defaults at recovery time; < 0 is
 // a round with no lease. Seq is the store sequence number of the last
-// payload the round stored (recordRefsLocked), absent when it stored none
+// payload the round stored (recordRefs), absent when it stored none
 // and in records written before it was journaled.
 type syncOp struct {
 	ProbeID string      `json:"probe_id"`
@@ -96,28 +96,6 @@ type tickOp struct {
 	N int `json:"n"`
 }
 
-// persistState is the controller's full book as a snapshot carries it and
-// restoreLocked loads it: decodeSnapshot (snapshot.go) assembles it from a
-// framed snapshot's frames. Set-valued maps are sorted slices. Result
-// payloads are deliberately absent — they live in the results store, which
-// is why snapshot size does not grow with result volume — and so is the
-// task-id index, which restore derives from the experiments' assignments.
-type persistState struct {
-	persistScalars
-	Probes      map[string]persistProbe  `json:"probes,omitempty"`
-	Experiments map[string]*Experiment   `json:"experiments,omitempty"`
-	Queues      map[string][]probes.Task `json:"queues,omitempty"`
-	Recorded    map[string][]string      `json:"recorded,omitempty"`
-	Unsealed    []unsealedRef            `json:"unsealed"`
-	Leases      map[string]persistLease  `json:"leases,omitempty"`
-	SubmitIDs   map[string]string        `json:"submit_ids,omitempty"`
-
-	// reflected is how many of the frames decodeSnapshot read this from
-	// went to json.Unmarshal because their cut declined them: no state,
-	// only what recovery counts as recovery_reflect_decodes.
-	reflected int
-}
-
 // persistScalars is the part of the book that is a few numbers and small
 // maps: a framed snapshot's head carries it whole.
 type persistScalars struct {
@@ -128,12 +106,14 @@ type persistScalars struct {
 	// Served-grant tallies feed the bias-aware scheduler (scheduler.go).
 	// They are part of apply-path state — grants update them inside the
 	// journaled apply — so snapshots must carry them for replay
-	// equivalence. omitempty keeps pre-scheduler snapshots decodable.
+	// equivalence. The omitempty tags only keep the bytes as they are:
+	// a snapshot without the tallies predates the layout and is refused.
 	ServedTotal   int64            `json:"served_total,omitempty"`
 	ServedCountry map[string]int64 `json:"served_country,omitempty"`
 	ServedASN     map[string]int64 `json:"served_asn,omitempty"`
 }
 
+// persistProbe and persistLease are a probeState and a leaseRec in a frame.
 type persistProbe struct {
 	Info     ProbeInfo   `json:"info"`
 	LastSeen int64       `json:"last_seen"`
@@ -204,7 +184,7 @@ var ErrNeedsUpgrade = journal.ErrNeedsUpgrade
 // store_open|snapshot|decode|replay|reconcile} on the controller's
 // registry — journal_open reads both files, checks their frames and
 // decodes the journal's records, store_open opens the results store,
-// snapshot decodes the snapshot's frames and restores the book from them,
+// snapshot decodes the snapshot's frames into the book,
 // decode turns the tail past the snapshot into typed ops (all three
 // decodes on every core), replay applies them in journal order.
 func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
@@ -257,13 +237,12 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	}
 	var snapSeq uint64
 	if snap := l.Snap; snap != nil {
-		book, err := decodeSnapshot(snap)
+		reflected, err := decodeSnapshot(snap, &c.book)
 		if err != nil {
 			return fail(fmt.Errorf("core: decoding snapshot: %w", err))
 		}
-		c.restoreLocked(book)
-		if book.reflected > 0 {
-			c.dur.Add("recovery_reflect_decodes", int64(book.reflected))
+		if reflected > 0 {
+			c.dur.Add("recovery_reflect_decodes", int64(reflected))
 		}
 		snapSeq = snap.Seq
 		c.noteSnapshot(snap.Bytes, len(snap.Frames))
@@ -331,7 +310,7 @@ func (c *Controller) requeueLostLocked() error {
 		}
 		return lost[i].TaskID < lost[j].TaskID
 	})
-	if err := c.mutateLocked(opRequeue, requeueOp{Refs: lost}, func() { c.applyRequeueLocked(lost) }); err != nil {
+	if err := c.mutateLocked(opRequeue, requeueOp{Refs: lost}, func() { c.applyRequeue(lost) }); err != nil {
 		return err
 	}
 	c.dur.Add("recovery_results_requeued", int64(len(lost)))
@@ -359,57 +338,19 @@ func (c *Controller) lostResultsLocked() ([]resultRef, error) {
 	return lost, nil
 }
 
-// applyRequeueLocked is opRequeue's apply, live and replayed: un-record
-// each ref, requeue its task to the first probe it was assigned to, and
-// drop it from the unsealed list.
-func (c *Controller) applyRequeueLocked(refs []resultRef) {
-	gone := make(map[resultRef]bool, len(refs))
-	// Each experiment's assignments are indexed by task once: a crash can
-	// strand a whole memtable of tasks, and a search per task is
-	// lost x assignments.
-	first := map[string]map[string]int{}
-	for _, ref := range refs {
-		if !c.recorded[ref.Experiment][ref.TaskID] {
-			continue
-		}
-		delete(c.recorded[ref.Experiment], ref.TaskID)
-		c.stats.Add("results_recorded", -1)
-		gone[ref] = true
-		assigned := c.experiments[ref.Experiment].Assignments
-		byTask, ok := first[ref.Experiment]
-		if !ok {
-			byTask = make(map[string]int, len(assigned))
-			for i := len(assigned) - 1; i >= 0; i-- {
-				byTask[assigned[i].Task.ID] = i // the first assignment of a task wins
-			}
-			first[ref.Experiment] = byTask
-		}
-		if i, ok := byTask[ref.TaskID]; ok {
-			c.queues[assigned[i].ProbeID] = append(c.queues[assigned[i].ProbeID], assigned[i].Task)
-		}
-	}
-	keep := c.unsealed[:0]
-	for _, u := range c.unsealed {
-		if !gone[u.resultRef] {
-			keep = append(keep, u)
-		}
-	}
-	c.unsealed = keep
-}
-
 // replayOps is every journal record kind this controller can replay:
-// the typed op its data decodes into and the apply function the live
-// mutation used. Recover decodes a whole tail through it before applying
+// the typed op its data decodes into and the book's apply function the
+// live mutation used, given what it reads of the store. Recover decodes a whole tail through it before applying
 // anything (journal.DecodeOps), which is also where a kind without an
 // entry is reported.
 var replayOps = map[string]journal.Op[*Controller]{
-	opRegister:   journal.CutOpOf(cutProbeInfo, (*Controller).applyRegisterLocked, reflectDecoded),
+	opRegister:   journal.CutOpOf(cutProbeInfo, (*Controller).applyRegister, reflectDecoded),
 	opSubmitCols: decodeSubmitCols,
-	opApprove:    journal.OpOf(func(c *Controller, op expOp) { c.applyApproveLocked(op.ExpID) }),
-	opReject:     journal.OpOf(func(c *Controller, op expOp) { c.applyRejectLocked(op.ExpID) }),
-	opSync:       journal.CutOpOf(cutSyncOp, func(c *Controller, op syncOp) { c.applySyncLocked(op) }, reflectDecoded),
-	opTick:       journal.OpOf(func(c *Controller, op tickOp) { c.applyTickLocked(op.N) }),
-	opRequeue:    journal.OpOf(func(c *Controller, op requeueOp) { c.applyRequeueLocked(op.Refs) }),
+	opApprove:    journal.OpOf(func(c *Controller, op expOp) { c.applyApprove(op.ExpID) }),
+	opReject:     journal.OpOf(func(c *Controller, op expOp) { c.applyReject(op.ExpID) }),
+	opSync:       journal.CutOpOf(cutSyncOp, func(c *Controller, op syncOp) { c.applySync(op, c.store.SealedSeq()) }, reflectDecoded),
+	opTick:       journal.OpOf(func(c *Controller, op tickOp) { c.applyTick(op.N) }),
+	opRequeue:    journal.OpOf(func(c *Controller, op requeueOp) { c.applyRequeue(op.Refs) }),
 	// A retired kind, which only an older binary wrote, is refused.
 	opSubmit:    retired,
 	opHeartbeat: retired,
@@ -481,7 +422,8 @@ func (c *Controller) snapshotLocked() error {
 	sp := c.span.Child("journal.snapshot")
 	t := obs.StartTimer()
 	restore := c.setSpanLocked(sp) // the compaction's fsync nests beneath
-	head, frames, err := c.snapshotFramesLocked()
+	c.pruneUnsealed(c.store.SealedSeq())
+	head, frames, err := c.snapshotFrames()
 	var size int64
 	if err == nil {
 		size, err = c.log.WriteSnapshot(head, frames)
@@ -538,49 +480,6 @@ func (c *Controller) Close() error {
 		return snapErr
 	}
 	return closeErr
-}
-
-// restoreLocked loads a snapshot into a freshly constructed controller.
-func (c *Controller) restoreLocked(st persistState) {
-	c.now = st.Now
-	c.nextExpID = st.NextExpID
-	for id, pp := range st.Probes {
-		c.probes[id] = &probeState{info: pp.Info, lastSeen: pp.LastSeen, health: pp.Health}
-	}
-	for id, exp := range st.Experiments {
-		c.experiments[id] = exp
-		ids := make(map[string]bool, len(exp.Assignments))
-		for i := range exp.Assignments {
-			ids[exp.Assignments[i].Task.ID] = true
-		}
-		c.taskIDs[id] = ids
-	}
-	for id, q := range st.Queues {
-		c.queues[id] = q
-	}
-	for id, ids := range st.Recorded {
-		c.recorded[id] = toSet(ids)
-	}
-	c.unsealed = st.Unsealed
-	for k, pl := range st.Leases {
-		c.leases[k] = &leaseRec{task: pl.Task, probeID: pl.ProbeID, deadline: pl.Deadline}
-	}
-	for k, v := range st.SubmitIDs {
-		c.submitIDs[k] = v
-	}
-	for _, t := range st.Trusted {
-		c.trusted[t] = true
-	}
-	for k, v := range st.Counters {
-		c.stats.Add(k, v)
-	}
-	c.servedTotal = st.ServedTotal
-	for k, v := range st.ServedCountry {
-		c.servedCountry[k] = v
-	}
-	for k, v := range st.ServedASN {
-		c.servedASN[k] = v
-	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -15,7 +15,7 @@ func (c *Controller) BreakJournal() {
 }
 
 // wholeQueue is the cap of a lease that asks for the whole queue:
-// grantLocked stops at the queue's length.
+// grant stops at the queue's length.
 const wholeQueue = math.MaxInt32
 
 // leaseTasks is a lease-only sync round for up to max tasks; max <= 0

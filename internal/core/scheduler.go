@@ -22,9 +22,10 @@ package core
 // full ask. Targets are config installed by ConfigureCoverage, not
 // journaled state, so they belong on controllers without a journal. The
 // served tallies, by contrast, are updated inside the journaled lease
-// apply and ride snapshots.
+// apply (the book's grant, book.go) and ride snapshots.
 
 import (
+	"maps"
 	"strconv"
 
 	"github.com/afrinet/observatory/internal/topology"
@@ -82,21 +83,6 @@ func (c *Controller) ConfigureCoverage(t CoverageTargets) {
 	c.coverage = t
 }
 
-// allowanceLocked trims a grant's ask for an overrepresented vantage
-// point: the combined allowance is the stricter of the country and ASN
-// dimensions. With no targets installed the ask passes through
-// untouched (naive FIFO).
-func (c *Controller) allowanceLocked(p ProbeInfo, max int) int {
-	if !c.coverage.enabled() || max <= 1 {
-		return max
-	}
-	a := coverageAllowance(c.servedCountry, c.servedTotal, c.coverage.Country, p.Country, max)
-	if b := coverageAllowance(c.servedASN, c.servedTotal, c.coverage.ASN, asnKey(p.ASN), max); b < a {
-		a = b
-	}
-	return a
-}
-
 // coverageAllowance scales one dimension's ask by target/share when the
 // class is over target. A class the targets give no weight at all is
 // throttled hardest — to 1 per grant, never 0, so its queue still
@@ -121,16 +107,6 @@ func coverageAllowance(served map[string]int64, total int64, targets map[string]
 		allowed = max
 	}
 	return allowed
-}
-
-// recordServedLocked tallies a grant into the coverage book. Runs
-// inside the journaled lease apply regardless of whether targets are
-// installed, so turning the scheduler on later starts from an honest
-// history and replay equivalence never depends on config.
-func (c *Controller) recordServedLocked(p ProbeInfo, n int) {
-	c.servedTotal += int64(n)
-	c.servedCountry[p.Country] += int64(n)
-	c.servedASN[asnKey(p.ASN)] += int64(n)
 }
 
 // CoverageSkew scores one dimension: total-variation distance between
@@ -177,15 +153,9 @@ func (c *Controller) Coverage() CoverageReport {
 	defer c.mu.Unlock()
 	rep := CoverageReport{
 		ServedTotal: c.servedTotal,
-		Country:     make(map[string]int64, len(c.servedCountry)),
-		ASN:         make(map[string]int64, len(c.servedASN)),
+		Country:     maps.Clone(c.servedCountry),
+		ASN:         maps.Clone(c.servedASN),
 		Targets:     c.coverage,
-	}
-	for k, v := range c.servedCountry {
-		rep.Country[k] = v
-	}
-	for k, v := range c.servedASN {
-		rep.ASN[k] = v
 	}
 	rep.CountrySkew = CoverageSkew(rep.Country, rep.ServedTotal, c.coverage.Country)
 	rep.ASNSkew = CoverageSkew(rep.ASN, rep.ServedTotal, c.coverage.ASN)

@@ -58,7 +58,7 @@ func TestAllowanceCombinesDimensions(t *testing.T) {
 	c.servedTotal = 100
 	c.servedCountry = map[string]int64{"NG": 50} // exactly at target → full ask
 	c.servedASN = map[string]int64{"100": 50}    // 5x over target → trimmed
-	got := c.allowanceLocked(ProbeInfo{ID: "p", ASN: 100, Country: "NG"}, 10)
+	got := c.allowance(ProbeInfo{ID: "p", ASN: 100, Country: "NG"}, 10)
 	c.mu.Unlock()
 	if got != 2 { // 10 * 0.1/0.5
 		t.Fatalf("combined allowance = %d, want 2 (ASN dimension is stricter)", got)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/afrinet/observatory/internal/journal"
@@ -19,7 +20,8 @@ import (
 //	               persistProbe, probes in id order
 //	chunks         per experiment in id order, ceil(assignments/snapChunk)
 //	               frames, each an assignCols ("layout":"columns" in the
-//	               head; a head without one is older, upgrade.go)
+//	               head; a head without one, which only an older binary
+//	               wrote, is refused)
 //	queues         one frame, the non-empty per-probe queues by probe id
 //	leases         one frame, the lease table by lease key
 //	submit ids     one frame, request id -> experiment id
@@ -27,7 +29,7 @@ import (
 //
 // Every frame is a pure function of the book and its index, and maps are
 // written with sorted keys, so the file is the same bytes at any worker
-// count. Frames are encoded straight from live state under the
+// count. Frames are encoded straight from the live book under the
 // controller lock and decoded into slots addressed by index: a chunk
 // fills its own range of an assignment slice sized from the head.
 
@@ -174,7 +176,7 @@ func decodeSubmitCols(data []byte) (func(*Controller), error) {
 		if reflected {
 			reflectDecoded(c)
 		}
-		c.applySubmitLocked(op)
+		c.applySubmit(op)
 	}, err
 }
 
@@ -184,26 +186,25 @@ const snapTailFrames = 4
 // frameCount is how many frames n entries fill.
 func frameCount(n int) int { return (n + snapChunk - 1) / snapChunk }
 
-// snapshotFramesLocked renders the book as a framed snapshot. Nothing is
-// copied first: the workers read live state, which the caller's lock
-// keeps still.
-func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
-	c.pruneUnsealedLocked()
-	probeIDs, expIDs := sortedKeys(c.probes), sortedKeys(c.experiments)
+// snapshotFrames renders the book as a framed snapshot. Nothing is copied
+// first: the workers read the live book, which the caller's lock keeps
+// still.
+func (b *book) snapshotFrames() (snapHead, [][]byte, error) {
+	probeIDs, expIDs := sortedKeys(b.probes), sortedKeys(b.experiments)
 	var jobs []func() any
 	for lo := 0; lo < len(probeIDs); lo += snapChunk {
 		ids := probeIDs[lo:min(lo+snapChunk, len(probeIDs))]
 		jobs = append(jobs, func() any {
 			block := make([]persistProbe, len(ids))
 			for i, id := range ids {
-				ps := c.probes[id]
+				ps := b.probes[id]
 				block[i] = persistProbe{Info: ps.info, LastSeen: ps.lastSeen, Health: ps.health}
 			}
 			return block
 		})
 	}
 	for _, id := range expIDs {
-		assigned, rec := c.experiments[id].Assignments, c.recorded[id]
+		assigned, rec := b.experiments[id].Assignments, b.recorded[id]
 		for lo := 0; lo < len(assigned); lo += snapChunk {
 			chunk := assigned[lo:min(lo+snapChunk, len(assigned))]
 			jobs = append(jobs, func() any { return colsOf(chunk, rec) })
@@ -212,7 +213,7 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 	jobs = append(jobs,
 		func() any {
 			queues := make(map[string][]probes.Task)
-			for id, q := range c.queues {
+			for id, q := range b.queues {
 				if len(q) > 0 {
 					queues[id] = q
 				}
@@ -220,32 +221,32 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 			return queues
 		},
 		func() any {
-			leases := make(map[string]persistLease, len(c.leases))
-			for k, l := range c.leases {
+			leases := make(map[string]persistLease, len(b.leases))
+			for k, l := range b.leases {
 				leases[k] = persistLease{Task: l.task, ProbeID: l.probeID, Deadline: l.deadline}
 			}
 			return leases
 		},
-		func() any { return c.submitIDs },
-		func() any { return append([]unsealedRef{}, c.unsealed...) },
+		func() any { return b.submitIDs },
+		func() any { return append([]unsealedRef{}, b.unsealed...) },
 	)
 	head := snapHead{
 		persistScalars: persistScalars{
-			Now:           c.now,
-			NextExpID:     c.nextExpID,
-			Counters:      c.stats.Snapshot(),
-			Trusted:       sortedKeys(c.trusted),
-			ServedTotal:   c.servedTotal,
-			ServedCountry: c.servedCountry,
-			ServedASN:     c.servedASN,
+			Now:           b.now,
+			NextExpID:     b.nextExpID,
+			Counters:      b.stats.Snapshot(),
+			Trusted:       sortedKeys(b.trusted),
+			ServedTotal:   b.servedTotal,
+			ServedCountry: b.servedCountry,
+			ServedASN:     b.servedASN,
 		},
 		Layout: snapLayout,
 		Probes: len(probeIDs),
 		Experiments: par.Map(0, len(expIDs), func(i int) snapExp {
-			exp := c.experiments[expIDs[i]]
+			exp := b.experiments[expIDs[i]]
 			var extra []string
-			for id := range c.recorded[exp.ID] {
-				if !c.taskIDs[exp.ID][id] {
+			for id := range b.recorded[exp.ID] {
+				if !b.taskIDs[exp.ID][id] {
 					extra = append(extra, id)
 				}
 			}
@@ -264,26 +265,26 @@ func (c *Controller) snapshotFramesLocked() (snapHead, [][]byte, error) {
 	return head, frames, err
 }
 
-// decodeSnapshot turns the framed snapshot the journal read into the
-// state restoreLocked loads, frame by frame on every core, each frame into
-// the slots its index owns: cut (cut.go), or read by json.Unmarshal and
-// counted in the state's reflected, except the head and the submit ids,
-// which json.Unmarshal always reads. A head without a layout, which only
-// an older binary wrote, is refused. The whole state or an error: a frame
-// that does not decode, or holds another number of entries than the head
-// gives it, fails the snapshot.
-func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
-	var st persistState
+// decodeSnapshot fills b, an empty book, from the framed snapshot the
+// journal read, frame by frame on every core, each frame into the slots
+// its index owns: cut (cut.go), or read by json.Unmarshal and counted in
+// reflected, except the head and the submit ids, which json.Unmarshal
+// always reads. The snapshot's trusted cohort joins b's. A head without a
+// layout, which only an older binary wrote, is refused. The whole book or
+// an error, after which b is to be dropped: a frame that does not decode,
+// or holds another number of entries than the head gives it, fails the
+// snapshot.
+func decodeSnapshot(snap *journal.Snapshot, b *book) (reflected int, err error) {
 	var head snapHead
 	if err := json.Unmarshal(snap.Head, &head); err != nil {
-		return st, fmt.Errorf("head: %w", err)
+		return 0, fmt.Errorf("head: %w", err)
 	}
 	switch head.Layout {
 	case snapLayout:
 	case "":
-		return st, fmt.Errorf("head names no layout: %w", ErrNeedsUpgrade)
+		return 0, fmt.Errorf("head names no layout: %w", ErrNeedsUpgrade)
 	default:
-		return st, fmt.Errorf("head names layout %q, which this binary does not read", head.Layout)
+		return 0, fmt.Errorf("head names layout %q, which this binary does not read", head.Layout)
 	}
 	// The frame count bounds every size the head claims before anything
 	// is allocated for it.
@@ -297,10 +298,18 @@ func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
 		sized(e.Assignments)
 	}
 	if !bounded || want != len(snap.Frames) {
-		return st, fmt.Errorf("head lays out %d frames (in bounds: %t), snapshot holds %d", want, bounded, len(snap.Frames))
+		return 0, fmt.Errorf("head lays out %d frames (in bounds: %t), snapshot holds %d", want, bounded, len(snap.Frames))
 	}
 
-	st.persistScalars = head.persistScalars
+	b.now, b.nextExpID, b.servedTotal = head.Now, head.NextExpID, head.ServedTotal
+	for k, v := range head.Counters {
+		b.stats.Add(k, v)
+	}
+	for _, t := range head.Trusted {
+		b.trusted[t] = true
+	}
+	maps.Copy(b.servedCountry, head.ServedCountry)
+	maps.Copy(b.servedASN, head.ServedASN)
 	probeList := make([]persistProbe, head.Probes)
 	decode := make([]func(payload []byte) (reflected bool, err error), 0, want)
 	for lo := 0; lo < head.Probes; lo += snapChunk {
@@ -314,17 +323,16 @@ func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
 			return true, unmarshalFull(p, &block, &block)
 		})
 	}
-	st.Experiments = make(map[string]*Experiment, len(head.Experiments))
 	runs := make([][][2]int, want) // by frame
 	for _, e := range head.Experiments {
-		if st.Experiments[e.ID] != nil {
-			return st, fmt.Errorf("head names experiment %q twice", e.ID)
+		if b.experiments[e.ID] != nil {
+			return 0, fmt.Errorf("head names experiment %q twice", e.ID)
 		}
 		exp := &Experiment{ID: e.ID, Owner: e.Owner, Description: e.Description, Status: e.Status}
 		if e.Assignments > 0 {
 			exp.Assignments = make([]probes.Assignment, e.Assignments)
 		}
-		st.Experiments[e.ID] = exp
+		b.experiments[e.ID] = exp
 		for lo := 0; lo < e.Assignments; lo += snapChunk {
 			f, chunk := len(decode), exp.Assignments[lo:min(lo+snapChunk, e.Assignments)]
 			decode = append(decode, func(p []byte) (reflected bool, err error) {
@@ -333,53 +341,64 @@ func decodeSnapshot(snap *journal.Snapshot) (persistState, error) {
 			})
 		}
 	}
+	var queues map[string][]probes.Task
+	var leases map[string]persistLease
+	var submitIDs map[string]string
 	decode = append(decode,
-		func(p []byte) (bool, error) { return cutOr(p, &st.Queues, cutQueues) },
-		func(p []byte) (bool, error) { return cutOr(p, &st.Leases, cutLeases) },
-		func(p []byte) (bool, error) { return false, json.Unmarshal(p, &st.SubmitIDs) },
-		func(p []byte) (bool, error) { return cutOr(p, &st.Unsealed, cutUnsealed) },
+		func(p []byte) (bool, error) { return cutOr(p, &queues, cutQueues) },
+		func(p []byte) (bool, error) { return cutOr(p, &leases, cutLeases) },
+		func(p []byte) (bool, error) { return false, json.Unmarshal(p, &submitIDs) },
+		func(p []byte) (bool, error) { return cutOr(p, &b.unsealed, cutUnsealed) },
 	)
-	reflected := make([]bool, want)
-	err := par.ForEachErr(0, want, func(i int) (err error) {
-		if reflected[i], err = decode[i](snap.Frames[i]); err != nil {
+	fell := make([]bool, want) // to json.Unmarshal, by frame
+	err = par.ForEachErr(0, want, func(i int) (err error) {
+		if fell[i], err = decode[i](snap.Frames[i]); err != nil {
 			return fmt.Errorf("frame %d: %w", i+1, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return persistState{}, err
+		return 0, err
 	}
-	for _, r := range reflected {
+	for _, r := range fell {
 		if r {
-			st.reflected++
+			reflected++
 		}
 	}
 
-	st.Probes = make(map[string]persistProbe, head.Probes)
 	for _, pp := range probeList {
-		st.Probes[pp.Info.ID] = pp
+		b.probes[pp.Info.ID] = &probeState{info: pp.Info, lastSeen: pp.LastSeen, health: pp.Health}
 	}
-	if len(st.Probes) != head.Probes {
-		return persistState{}, fmt.Errorf("probe blocks name %d probes, head counts %d", len(st.Probes), head.Probes)
+	if len(b.probes) != head.Probes {
+		return 0, fmt.Errorf("probe blocks name %d probes, head counts %d", len(b.probes), head.Probes)
 	}
-	st.Recorded = make(map[string][]string, len(head.Experiments))
+	maps.Copy(b.queues, queues)
+	maps.Copy(b.submitIDs, submitIDs)
+	for k, pl := range leases {
+		b.leases[k] = &leaseRec{task: pl.Task, probeID: pl.ProbeID, deadline: pl.Deadline}
+	}
 	f := frameCount(head.Probes)
 	for _, e := range head.Experiments {
-		assigned, ids := st.Experiments[e.ID].Assignments, e.Recorded
+		assigned, ids := b.experiments[e.ID].Assignments, e.Recorded
 		for lo := 0; lo < e.Assignments; lo, f = lo+snapChunk, f+1 {
 			at := 0
 			for _, r := range runs[f] {
 				if r[0] < at || r[1] <= r[0] || r[1] > min(snapChunk, e.Assignments-lo) {
-					return persistState{}, fmt.Errorf("frame %d: recorded run %v out of order or range", f+1, r)
+					return 0, fmt.Errorf("frame %d: recorded run %v out of order or range", f+1, r)
 				}
 				for at = r[0]; at < r[1]; at++ {
 					ids = append(ids, assigned[lo+at].Task.ID) // shares the assignment's string
 				}
 			}
 		}
-		st.Recorded[e.ID] = ids
+		b.recorded[e.ID] = toSet(ids)
+		taskIDs := make(map[string]bool, len(assigned))
+		for _, a := range assigned {
+			taskIDs[a.Task.ID] = true
+		}
+		b.taskIDs[e.ID] = taskIDs
 	}
-	return st, nil
+	return reflected, nil
 }
 
 // unmarshalFull unmarshals p into v, which must fill *dst — part of v, an

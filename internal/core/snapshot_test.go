@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,14 +21,31 @@ import (
 
 	"github.com/afrinet/observatory/internal/framelog"
 	"github.com/afrinet/observatory/internal/journal"
+	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/par"
 	"github.com/afrinet/observatory/internal/probes"
 )
 
+// persistState is the controller's full book the way the blob snapshot
+// carried it, and testdata/pin/columns/want.json still does. Set-valued
+// maps are sorted slices. Result payloads are absent — they live in the
+// results store — and so is the task-id index, which a book derives from
+// the experiments' assignments.
+type persistState struct {
+	persistScalars
+	Probes      map[string]persistProbe  `json:"probes,omitempty"`
+	Experiments map[string]*Experiment   `json:"experiments,omitempty"`
+	Queues      map[string][]probes.Task `json:"queues,omitempty"`
+	Recorded    map[string][]string      `json:"recorded,omitempty"`
+	Unsealed    []unsealedRef            `json:"unsealed"`
+	Leases      map[string]persistLease  `json:"leases,omitempty"`
+	SubmitIDs   map[string]string        `json:"submit_ids,omitempty"`
+}
+
 // legacyState captures the controller's book the way the blob snapshot's
 // writer did: every map copied key by key, every set a sorted slice. It
-// shares no code with snapshotFramesLocked or decodeSnapshot, which is
-// what makes it their oracle, and two equal books give DeepEqual states.
+// shares no code with snapshotFrames or decodeSnapshot, which is what
+// makes it their oracle, and two equal books give DeepEqual states.
 func legacyState(c *Controller) persistState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -68,7 +86,7 @@ func legacyState(c *Controller) persistState {
 	for k, v := range c.submitIDs {
 		st.SubmitIDs[k] = v
 	}
-	c.pruneUnsealedLocked()
+	c.pruneUnsealed(c.store.SealedSeq())
 	st.Unsealed = append([]unsealedRef{}, c.unsealed...)
 	for k, v := range c.servedCountry {
 		st.ServedCountry[k] = v
@@ -212,6 +230,42 @@ func TestSnapshotIsWorkerCountIndependent(t *testing.T) {
 		if !reflect.DeepEqual(book[0], book[1]) {
 			t.Errorf("%s: 1 worker and 8 restore different books", name)
 		}
+	}
+}
+
+// TestBookSnapshotRoundTrip: a recovered controller's book, encoded by
+// snapshotFrames and decoded by decodeSnapshot with no disk between them,
+// is the same book — its unsealed list as the encode's caller prunes it,
+// its queues less the empty ones no snapshot writes, and its pipeline
+// counters, which live outside it, compared on their own.
+func TestBookSnapshotRoundTrip(t *testing.T) {
+	for name, h := range equivalenceHistories(t) {
+		c := mustRecover(t, h.dir, h.cfg)
+		c.pruneUnsealed(c.store.SealedSeq())
+		head, frames, err := c.snapshotFrames()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, counts := newBook(), obs.NewRegistry().Counters("round_trip")
+		got.LeaseTTL, got.SuspectAfter, got.DeadAfter, got.stats = c.LeaseTTL, c.SuspectAfter, c.DeadAfter, counts
+		if reflected, err := decodeSnapshot(&journal.Snapshot{Head: raw, Frames: frames}, &got); err != nil || reflected != 0 {
+			t.Fatalf("%s: decoding the encoded book: %v, %d frames through json.Unmarshal", name, err, reflected)
+		}
+		want, bare := c.book, got
+		want.queues = maps.Clone(want.queues)
+		maps.DeleteFunc(want.queues, func(_ string, q []probes.Task) bool { return len(q) == 0 })
+		want.stats, want.wake, bare.stats = nil, nil, nil
+		if !reflect.DeepEqual(bare, want) {
+			t.Errorf("%s: the book decodes to another\n got %+v\nwant %+v", name, legacyState(&Controller{book: got, store: c.store}), legacyState(c))
+		}
+		if got, want := counts.Snapshot(), c.stats.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: counters decode to %v, want %v", name, got, want)
+		}
+		c.Close()
 	}
 }
 

@@ -102,38 +102,17 @@ func (c *Controller) syncLocked(ctx context.Context, probeID string, rs []probes
 	op := syncOp{ProbeID: probeID, Refs: refs, Seq: seq, Max: max}
 	resp := SyncResponse{Received: len(rs)}
 	if err := c.mutateLocked(opSync, op, func() {
-		resp.Accepted, resp.Tasks = c.applySyncLocked(op)
+		resp.Accepted, resp.Tasks = c.applySync(op, c.store.SealedSeq())
 	}); err != nil {
 		return SyncResponse{}, err
 	}
 	return resp, nil
 }
 
-// applySyncLocked is the journaled apply of one batched round, live or
-// replayed, and the only code that applies probe contact, result refs or
-// a lease grant: contact, then result bookkeeping, then the grant —
-// results first so a task this very batch completed is dropped rather
-// than re-leased if a requeued copy sits in the queue. The probe lookup
-// tolerates a miss because journals written before sync was the only
-// protocol hold lease grants to unregistered ids. The granted slice is
-// never nil, so every route encodes "no tasks" as [].
-func (c *Controller) applySyncLocked(op syncOp) (int, []probes.Task) {
-	if st, ok := c.probes[op.ProbeID]; ok {
-		c.touchLocked(st)
-	}
-	c.stats.Inc("syncs")
-	accepted := c.recordRefsLocked(op.Refs, op.Seq)
-	tasks := []probes.Task{}
-	if op.Max > 0 {
-		tasks = c.grantLocked(op.ProbeID, op.Max)
-	}
-	return accepted, tasks
-}
-
-// notifyWaitersLocked wakes every sync call parked on probeID's queue.
-// Called from the enqueue sites (approve, reassignment, lease-expiry
-// requeue); during replay the parking lot is empty and this is a no-op,
-// so the apply path stays deterministic.
+// notifyWaitersLocked wakes every sync call parked on probeID's queue:
+// the book's wake, called from its enqueue sites (approve, reassignment,
+// lease-expiry requeue); during replay the parking lot is empty and this
+// is a no-op, so the apply path stays deterministic.
 func (c *Controller) notifyWaitersLocked(probeID string) {
 	ws := c.waiters[probeID]
 	if len(ws) == 0 {

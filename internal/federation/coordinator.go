@@ -656,7 +656,8 @@ func (c *Coordinator) Reject(_ context.Context, fedID string) error {
 }
 
 // vet makes one vetting call, decide, on every shard owning a partition
-// of the experiment, in turn, and stops at the first that fails.
+// of the experiment, in turn, and stops at the first that fails: a shard's
+// refusal as the shard gave it (both tiers answer alike), an outage named.
 func (c *Coordinator) vet(fedID, doing string, decide func(core.Backend, context.Context, string) error) error {
 	fed, targets, err := c.experimentTargets(fedID)
 	if err != nil {
@@ -666,8 +667,10 @@ func (c *Coordinator) vet(fedID, doing string, decide func(core.Backend, context
 		_, err := scatterCall(c, t, true, func(b core.Backend) (struct{}, error) {
 			return struct{}{}, decide(b, context.Background(), fedID)
 		})
-		if err != nil {
+		if errors.Is(err, ErrShardDown) || errors.Is(err, ErrShardTimeout) {
 			return fmt.Errorf("federation: %s %s on shard %s: %w", doing, fedID, fed.Shards[i], err)
+		} else if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -48,9 +48,6 @@ func encodeFedCursor(pos map[string]string) string {
 			ids = append(ids, id)
 		}
 	}
-	if len(ids) == 0 {
-		return ""
-	}
 	sort.Strings(ids)
 	segs := make([]string, 0, len(ids))
 	for _, id := range ids {

@@ -59,6 +59,7 @@ var rules = []rule{
 	{"metrics-registry-import", nil, false, []string{"internal/experiments/", "internal/metrics/"}, regexp.MustCompile(`^internal/metrics\.`), "internal/metrics is the statistics toolkit of internal/experiments only: metrics live in internal/obs"},
 	{"seeded-hash", []string{"internal/"}, true, []string{"internal/splitmix/"}, regexp.MustCompile(`^10723151780598845931$`), "0x94d049bb133111eb is SplitMix64's: every seeded draw goes through internal/splitmix, with its package's own seed and salts"},
 	{"span-capture", nil, true, nil, regexp.MustCompile(`^go \*internal/obs\.Span$`), "an obs.Span is written by one goroutine: give the goroutine a span tree of its own"},
+	{"book-pure", []string{"internal/core/book.go"}, false, nil, regexp.MustCompile(`^(internal/(obs|journal|store|framelog)|os|sync|time|net/http)\.`), "the book is the journaled state machine alone, with no lock, I/O, clock or metrics: the Controller does those and hands the book its counters and wake-ups"},
 }
 
 // The rules on a declaration in internal/: nothing uses it, or only its package's tests do.
@@ -250,10 +251,8 @@ func lint(root string) (map[string][]string, error) {
 				u |= 2
 			}
 		}
-		if u == 0 {
-			add(unused, obj.Pos(), key(obj))
-		} else if u == 1 {
-			add(ownTests, obj.Pos(), key(obj))
+		if u < 2 {
+			add([]string{unused, ownTests}[u], obj.Pos(), key(obj))
 		}
 	}
 	for _, fs := range found {
