@@ -54,9 +54,11 @@ fleetsim-smoke:
 # written as encoding/json writes it, and a probe_sync record's cut, and
 # the cuts of every other shape recovery reads (snapshot frames,
 # probe_register and experiment_submit_cols records), and the submit
-# body's, must read what json.Unmarshal reads or decline, and an
-# experiment reply must be written as encoding/json writes it. The two
-# targets that go through real files get -fuzzminimizetime 1x: file I/O
+# body's, must read what json.Unmarshal reads or decline, an experiment
+# reply must be written as encoding/json writes it, and a store driven
+# through appends, flushes, compactions and reopens must read alike with
+# its sealed summary and without. The three targets that go through real
+# files get -fuzzminimizetime 1x: file I/O
 # makes coverage flicker, every flicker reads as an interesting input,
 # and the engine's default is to spend up to a minute minimizing each —
 # the whole 30s, a few dozen executions in.
@@ -70,6 +72,7 @@ fuzz:
 	go test ./internal/core -run '^$$' -fuzz '^FuzzSubmitBodyCut$$' -fuzztime 30s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzExperimentJSON$$' -fuzztime 30s
 	go test ./internal/store -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime 30s -fuzzminimizetime 1x
+	go test ./internal/store -run '^$$' -fuzz '^FuzzStoreReadsAgree$$' -fuzztime 30s -fuzzminimizetime 1x
 	go test ./internal/archival -run '^$$' -fuzz '^FuzzArchivalDecode$$' -fuzztime 30s
 
 # Long-timeline chaos drills under the race detector: link flaps,

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/afrinet/observatory/internal/probes"
@@ -284,12 +285,26 @@ func (b *book) applyReject(expID string) {
 	}
 }
 
-// schedule approves exp and queues each of its tasks on its probe.
+// schedule approves exp and queues each of its tasks on its probe. Each
+// queue it touches grows once, and each probe is woken once, in the order
+// of its first assignment.
 func (b *book) schedule(exp *Experiment) {
 	exp.Status = StatusApproved
+	counts := make(map[string]int)
+	var order []string
+	for _, a := range exp.Assignments {
+		if counts[a.ProbeID]++; counts[a.ProbeID] == 1 {
+			order = append(order, a.ProbeID)
+		}
+	}
+	for _, id := range order {
+		b.queues[id] = slices.Grow(b.queues[id], counts[id])
+	}
 	for _, a := range exp.Assignments {
 		b.queues[a.ProbeID] = append(b.queues[a.ProbeID], a.Task)
-		b.wake(a.ProbeID)
+	}
+	for _, id := range order {
+		b.wake(id)
 	}
 }
 

@@ -118,15 +118,14 @@ func syncBatches(seed int64) [][]Record {
 	return batches
 }
 
-// BenchmarkAggregateSync is the warm grouped aggregate over fleet_sync's
-// store as its syncs leave it: six sealed segments and 256 records in
-// the memtable.
-func BenchmarkAggregateSync(b *testing.B) {
+// syncStore is fleet_sync's store as its syncs leave it: six sealed
+// segments and 256 records in the memtable.
+func syncStore(b *testing.B) *Store {
 	s, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
+	b.Cleanup(func() { s.Close() })
 	for _, batch := range syncBatches(1) {
 		if err := s.Append(batch...); err != nil {
 			b.Fatal(err)
@@ -135,6 +134,13 @@ func BenchmarkAggregateSync(b *testing.B) {
 	if s.SegmentCount() != 6 || s.MemtableLen() != 256 {
 		b.Fatalf("%d segments and %d records in the memtable, want 6 and 256", s.SegmentCount(), s.MemtableLen())
 	}
+	return s
+}
+
+// BenchmarkAggregateSync is the warm grouped aggregate over fleet_sync's
+// store (syncStore).
+func BenchmarkAggregateSync(b *testing.B) {
+	s := syncStore(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,6 +149,32 @@ func BenchmarkAggregateSync(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink += n
+	}
+}
+
+// BenchmarkScanWalkSync is a warm wire walk, 200 records a page, through
+// every KE record of fleet_sync's store (syncStore): the pages a client
+// of op=scan reads one after the other.
+func BenchmarkScanWalkSync(b *testing.B) {
+	s := syncStore(b)
+	walk := func() int {
+		n := 0
+		for cursor := ""; ; {
+			items, next, err := s.ScanItems(benchPage, 200, cursor)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n += len(items); next == "" {
+				return n
+			}
+			cursor = next
+		}
+	}
+	walk()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += walk()
 	}
 }
 

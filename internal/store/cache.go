@@ -73,6 +73,17 @@ func (c *segCache) get(id uint64) (decoded, bool) {
 	return el.Value.(*cacheEntry).decoded, true
 }
 
+// peek returns a segment's cached records, if the cache holds them,
+// without counting a hit or a miss or marking them used.
+func (c *segCache) peek(id uint64) (decoded, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byID[id]; ok {
+		return el.Value.(*cacheEntry).decoded, true
+	}
+	return decoded{}, false
+}
+
 // put caches a segment's records, evicting from the cold end until they
 // fit, and returns the cached entry, which carries a fold memo. A segment
 // larger than the whole budget comes back uncached; one already present
@@ -120,6 +131,16 @@ func (c *segCache) chargeFold(e *cacheEntry, bytes int64) {
 	c.evictLocked(0, el)
 }
 
+// chargeSummary charges the store's sealed summary n more records, or
+// gives a dropped one's back (n < 0), and reports them with the memos'.
+func (c *segCache) chargeSummary(n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.charged += n
+	c.gauge.Add("segment_fold_records", n)
+	c.evictLocked(0, nil)
+}
+
 // drop forgets a segment that compaction or retention deleted.
 func (c *segCache) drop(id uint64) {
 	c.mu.Lock()
@@ -149,7 +170,7 @@ type foldMemo struct {
 	charge func(bytes int64) // a new fold's cost; nil where the run is not in a budget
 }
 
-var foldMemos = true // off only in tests that hold memos to record-by-record reads
+var foldMemos = true // off only in tests that hold memos and the sealed summary to the exact path
 
 // fold returns the run's fold by groupBy, building it from the run's
 // records on first use, and counts which of the two it did into ctr.
@@ -166,6 +187,15 @@ func (m *foldMemo) fold(groupBy string, recs []Record, ctr *obs.Family) *Folder 
 		f.Add(&recs[i])
 	}
 	f.index = nil // only ever read from here on
+	if m.charge != nil {
+		m.charge(foldBytes(f))
+	}
+	m.folds[groupBy] = f
+	return f
+}
+
+// foldBytes estimates what a fold keeps: groups, samples, verdict maps.
+func foldBytes(f *Folder) int64 {
 	bytes := int64(cap(f.Groups)) * int64(unsafe.Sizeof(FoldGroup{}))
 	for _, g := range f.Groups {
 		bytes += 8 * int64(cap(g.RTTs))
@@ -173,9 +203,5 @@ func (m *foldMemo) fold(groupBy string, recs []Record, ctr *obs.Family) *Folder 
 			bytes += 256 // a map of a handful of verdicts
 		}
 	}
-	if m.charge != nil {
-		m.charge(bytes)
-	}
-	m.folds[groupBy] = f
-	return f
+	return bytes
 }

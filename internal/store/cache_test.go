@@ -425,10 +425,13 @@ func TestCacheBudgetPerStore(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersAndMaintenance runs paged walks, aggregates and
-// key sets against appends, flushes and compactions under a budget small
-// enough to evict; meaningful under -race. Every read must see a prefix
-// of the appended records, and the final state must match the oracle.
+// TestConcurrentReadersAndMaintenance runs paged walks, cursor walks,
+// aggregates (unfiltered ones, which take the sealed fold) and key sets
+// against appends, flushes and compactions under a budget small enough to
+// evict, while each flush and compaction drops the sealed summary and
+// reads build it again; meaningful under -race. Every read must see a
+// prefix of the appended records, and the final state must match the
+// oracle.
 func TestConcurrentReadersAndMaintenance(t *testing.T) {
 	raw := genRecords(6, 400)
 	s, err := Open(t.TempDir(), Options{FlushEvery: 16, TargetFrames: 64})
@@ -438,6 +441,9 @@ func TestConcurrentReadersAndMaintenance(t *testing.T) {
 	defer s.Close()
 	s.cache.budget = 100
 	appendChunks(t, s, raw[:100], 16)
+	if _, err := s.Aggregate(AggQuery{}); err != nil { // builds the summary the race drops
+		t.Fatal(err)
+	}
 
 	done := make(chan struct{})
 	var readers, maint sync.WaitGroup
@@ -466,6 +472,31 @@ func TestConcurrentReadersAndMaintenance(t *testing.T) {
 				}
 				if _, _, err := s.ScanPage(q.Filter, 13, ""); err != nil {
 					fail("page: %v", err)
+					return
+				}
+				var last uint64
+				for cursor := ""; ; {
+					page, next, err := s.ScanPage(q.Filter, 17, cursor)
+					if err != nil {
+						fail("walk: %v", err)
+						return
+					}
+					for _, r := range page {
+						want := raw[r.Seq-1]
+						want.Seq = r.Seq
+						if r.Seq <= last || !q.Filter.match(&r) || !reflect.DeepEqual(r, want) {
+							fail("walk after seq %d took seq %d: %+v", last, r.Seq, r)
+							return
+						}
+						last = r.Seq
+					}
+					if next == "" {
+						break
+					}
+					cursor = next
+				}
+				if _, err := s.Aggregate(AggQuery{GroupBy: GroupByModes[(g+i)%len(GroupByModes)]}); err != nil {
+					fail("unfiltered aggregate: %v", err)
 					return
 				}
 				rep, err := s.Aggregate(q)
@@ -519,4 +550,8 @@ func TestConcurrentReadersAndMaintenance(t *testing.T) {
 		t.Fatalf("cache holds %d records over a budget of 100", got)
 	}
 	checkAgainstBrute(t, s, raw)
+	ctr := s.Counters()
+	if ctr["sealed_summary_builds"] < 2 || ctr["sealed_fold_hits"] == 0 || ctr["pages_seeked"] == 0 {
+		t.Fatalf("the summary was not dropped and built again, or not read: %v", ctr)
+	}
 }

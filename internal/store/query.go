@@ -188,10 +188,13 @@ func (f Filter) Values() url.Values {
 // once among them goes through the exact dedup set — a key whose hash
 // occurs once cannot repeat, whatever the filter. A lazy read cannot know
 // the runs it will not decode, so every match goes through the set. An
-// eager read hands whole, in its place in the stream, a sealed run with a
-// fold memo that fn would have seen all of, none deduplicated: the filter
-// covers it (SegmentMeta.covers) and none of its keys repeats.
-func (s *Store) visit(f Filter, eager bool, bound *int, whole func(decoded), fn func(r *Record, raw []byte) bool) error {
+// eager read folding into into merges whole, in its place in the stream, a
+// sealed run with a fold memo that fn would have seen all of, none
+// deduplicated: the filter covers it (SegmentMeta.covers) and none of its
+// keys repeats. On a repeat-free store (summary.go) no read dedups; a fold
+// whose filter covers every sealed run merges the one sealed fold, and a
+// read with a cursor (after > 0) skips what lies at or before it.
+func (s *Store) visit(f Filter, eager bool, after uint64, bound *int, into *Folder, fn func(r *Record, raw []byte) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var scan []*segment
@@ -210,25 +213,33 @@ func (s *Store) visit(f Filter, eager bool, bound *int, whole func(decoded), fn 
 		loaded[i], err = s.load(scan[i])
 		return err
 	}
-	seen := make(map[DedupKey]struct{})
-	var repeats map[uint64]bool // an eager read's repeated key hashes
 	if eager {
 		if err := par.ForEachErr(0, len(scan), load); err != nil {
 			return err
 		}
+	}
+	sum, free := s.summaryLocked(scan, loaded, eager)
+	var repeats map[uint64]bool // an eager read's repeated key hashes
+	if eager && !free {
 		runs := make([][]uint64, 0, len(scan)+1)
 		for _, d := range loaded {
 			runs = append(runs, d.keys)
 		}
 		repeats = repeated(append(runs, s.memKeys))
 	}
+	seen := make(map[DedupKey]struct{})
+	seek := free && after > 0
 	stream := func(d decoded) bool {
-		for i := range d.recs {
+		i := 0
+		if seek {
+			i = sort.Search(len(d.recs), func(i int) bool { return d.recs[i].Seq > after })
+		}
+		for ; i < len(d.recs); i++ {
 			r := &d.recs[i]
 			if !f.match(r) {
 				continue
 			}
-			if !eager || repeats != nil && repeats[keyHash(r.Experiment, r.TaskID)] {
+			if !eager && !free || repeats != nil && repeats[keyHash(r.Experiment, r.TaskID)] {
 				k := DedupKey{r.Experiment, r.TaskID}
 				if _, dup := seen[k]; dup {
 					s.ctr.Inc("records_deduped_read")
@@ -242,14 +253,25 @@ func (s *Store) visit(f Filter, eager bool, bound *int, whole func(decoded), fn 
 		}
 		return true
 	}
-	for i := range scan {
+	first := 0
+	if into != nil && free && len(s.segs) > 0 && !slices.ContainsFunc(s.segs, func(sg *segment) bool { return !sg.meta.covers(f) }) {
+		_ = into.Merge(sum.fold(s, into.GroupBy, loaded)) // grouped alike: cannot fail
+		first = len(scan)
+	}
+	if seek {
+		for first < len(scan) && scan[first].meta.MaxSeq <= after {
+			first++
+		}
+		s.ctr.Inc("pages_seeked")
+	}
+	for i := first; i < len(scan); i++ {
 		if !eager {
 			if err := load(i); err != nil {
 				return err
 			}
 		}
-		if d := loaded[i]; eager && whole != nil && d.folds != nil && foldMemos && scan[i].meta.covers(f) && unrepeated(d.keys, repeats) {
-			whole(d)
+		if d := loaded[i]; into != nil && d.folds != nil && foldMemos && scan[i].meta.covers(f) && unrepeated(d.keys, repeats) {
+			_ = into.Merge(d.folds.fold(into.GroupBy, d.recs, s.ctr)) // grouped alike: cannot fail
 			continue
 		}
 		if !stream(loaded[i]) {
@@ -271,11 +293,29 @@ func unrepeated(keys []uint64, repeats map[uint64]bool) bool {
 }
 
 // repeated returns the hashes that occur more than once across sorted
-// runs (a run may repeat one itself), nil when none does. It merges the
-// runs pairwise, level by level, through two buffers the size of them
-// all, and reads the repeats off the one run left: equal hashes end up
-// side by side.
+// runs (a run may repeat one itself), nil when none does: equal hashes
+// end up side by side in their union.
 func repeated(runs [][]uint64) map[uint64]bool {
+	var rep map[uint64]bool
+	run := union(runs)
+	for i := 1; i < len(run); i++ {
+		if run[i] == run[i-1] {
+			if rep == nil {
+				rep = make(map[uint64]bool)
+			}
+			rep[run[i]] = true
+		}
+	}
+	return rep
+}
+
+// union merges sorted runs into one sorted run, repeats kept, in memory
+// of its own: pairwise, level by level, through two buffers the size of
+// them all.
+func union(runs [][]uint64) []uint64 {
+	if len(runs) < 2 {
+		return slices.Concat(runs...)
+	}
 	n := 0
 	for _, r := range runs {
 		n += len(r)
@@ -297,18 +337,7 @@ func repeated(runs [][]uint64) map[uint64]bool {
 		}
 		runs = next
 	}
-	var rep map[uint64]bool
-	for _, run := range runs {
-		for i := 1; i < len(run); i++ {
-			if run[i] == run[i-1] {
-				if rep == nil {
-					rep = make(map[uint64]bool)
-				}
-				rep[run[i]] = true
-			}
-		}
-	}
-	return rep
+	return runs[0]
 }
 
 // mergeRun appends the merge of sorted a and b to out. The loop takes the
@@ -337,10 +366,11 @@ func mergeRun(out, a, b []uint64) []uint64 {
 // starts from the beginning); the returned cursor is "" once the scan is
 // exhausted. Cursors stay valid across flushes, compactions, and
 // restarts because they are sequence numbers, which all three preserve.
-// limit <= 0 returns everything. A page reads the store from its start —
-// first-wins dedup needs the matches before the cursor — and stops at
-// the first match past the page's last. The returned records are shallow
-// copies that share slices and pointers with the store: read-only.
+// limit <= 0 returns everything. A page stops at the first match past
+// its last. Where a key may repeat it reads the store from its start, as
+// first-wins dedup needs the matches before the cursor; on a repeat-free
+// store it starts at the cursor (Store.visit). The returned records are
+// shallow copies that share slices and pointers with the store: read-only.
 func (s *Store) ScanPage(f Filter, limit int, cursor string) ([]Record, string, error) {
 	return scanPage(s, f, limit, cursor, func(r *Record, _ []byte) (Record, error) { return *r, nil })
 }
@@ -409,7 +439,7 @@ func scanPage[T any](s *Store, f Filter, limit int, cursor string, elem func(r *
 	var elemErr error
 	more := false
 	bound := 0
-	err = s.visit(f, limit <= 0, &bound, nil, func(r *Record, raw []byte) bool {
+	err = s.visit(f, limit <= 0, after, &bound, nil, func(r *Record, raw []byte) bool {
 		if r.Seq <= after {
 			return true
 		}
@@ -550,9 +580,7 @@ func (s *Store) fold(q AggQuery) (*Folder, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = s.visit(q.Filter, true, nil, func(d decoded) {
-		_ = fold.Merge(d.folds.fold(fold.GroupBy, d.recs, s.ctr)) // grouped alike: cannot fail
-	}, func(r *Record, _ []byte) bool {
+	err = s.visit(q.Filter, true, 0, nil, fold, func(r *Record, _ []byte) bool {
 		fold.Add(r)
 		return true
 	})
@@ -808,7 +836,7 @@ func percentile(sorted []float64, p float64) float64 {
 // core.TestWatermarkMatchesWalk checks the sealed watermark against it.
 func (s *Store) KeySet(experiment string) (map[string]bool, error) {
 	out := make(map[string]bool)
-	err := s.visit(Filter{Experiment: experiment}, true, nil, nil, func(r *Record, _ []byte) bool {
+	err := s.visit(Filter{Experiment: experiment}, true, 0, nil, nil, func(r *Record, _ []byte) bool {
 		out[r.TaskID] = true
 		return true
 	})

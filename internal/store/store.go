@@ -123,8 +123,10 @@ type Store struct {
 	opts      Options
 	segs      []*segment // sorted by meta.MinSeq; seq ranges are disjoint
 	mem       []Record
-	memRaws   [][]byte // mem's encodings, nil until a page takes the record (ScanItems)
-	memKeys   []uint64 // mem's key summary, kept sorted by Append
+	memRaws   [][]byte       // mem's encodings, nil until a page takes the record (ScanItems)
+	memKeys   []uint64       // mem's key summary, kept sorted by Append
+	sumMu     sync.Mutex     // guards sum among readers; a writer holds mu
+	sum       *sealedSummary // of segs, nil until a read builds it (summary.go)
 	nextSeq   uint64
 	nextSegID uint64
 	ctr       *obs.Family
@@ -265,8 +267,11 @@ func (s *Store) Append(recs ...Record) error {
 		s.nextSeq++
 		s.mem, s.memRaws = append(s.mem, recs[i]), append(s.memRaws, nil)
 		h := keyHash(recs[i].Experiment, recs[i].TaskID)
-		at, _ := slices.BinarySearch(s.memKeys, h)
+		at, found := slices.BinarySearch(s.memKeys, h)
 		s.memKeys = slices.Insert(s.memKeys, at, h)
+		if s.sum != nil && (found || holds(s.sum.keys, h)) {
+			s.sum.memRepeats = true
+		}
 	}
 	s.ctr.Add("store_frames_appended", int64(len(recs)))
 	if len(s.mem) >= s.opts.FlushEvery {
@@ -295,6 +300,7 @@ func (s *Store) flushLocked() error {
 	if err != nil {
 		return err
 	}
+	s.dropSummaryLocked()
 	s.segs = append(s.segs, sg)
 	s.mem, s.memRaws, s.memKeys = nil, nil, nil
 	s.ctr.Inc("segments_flushed")
@@ -349,6 +355,12 @@ func (s *Store) Compact(now int64) error {
 	if s.opts.Retention > 0 && now >= s.opts.Retention {
 		cutoff = now - s.opts.Retention // ticks strictly older expire
 	}
+	before := slices.Clone(s.segs)
+	defer func() {
+		if !slices.Equal(s.segs, before) {
+			s.dropSummaryLocked()
+		}
+	}()
 
 	// Drop segments that retention has expired wholesale — except the
 	// newest: its MaxSeq is the sealed watermark (see SealedSeq), which a
