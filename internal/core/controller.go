@@ -167,31 +167,26 @@ type Controller struct {
 	// wake). Request state, always empty during replay.
 	waiters map[string][]chan struct{}
 
-	// Durability (see durability.go): log is the attached write-ahead
-	// journal (nil for in-memory controllers and during replay), dur
-	// counts journal-layer events and durGauge holds the snapshot's size,
-	// and snapEvery/sinceSnap drive automatic compacted snapshots.
-	log       *journal.Log
-	dur       *obs.Family
-	durGauge  *obs.Family
-	snapEvery int
-	sinceSnap int
+	// Durability (see durability.go): journal is the write path and its
+	// snapshots (nil for in-memory controllers and during replay); dur and
+	// durGauge are the families it counts journal-layer events and the
+	// snapshot's size into, which the controller reads and adds to.
+	journal  *journal.Machine[*Controller]
+	dur      *obs.Family
+	durGauge *obs.Family
 
 	// Observability (see observability.go): reg holds the latency
 	// histograms and the counter and gauge families served by /metrics
 	// (the book's stats, dur and durGauge among them); ring retains
 	// finished request traces for /api/v1/debug/traces; span is the
 	// active request's span (guarded by mu — the ctx mutator variants
-	// set it, mutateLocked and the journal sync hook nest under it);
-	// mutHist/hAppend/hFsync/hSnapshot cache hot-path histogram
-	// pointers so observing a latency is lock-free.
-	reg       *obs.Registry
-	ring      *obs.TraceRing
-	span      *obs.Span
-	mutHist   map[string]*obs.Histogram
-	hAppend   *obs.Histogram
-	hFsync    *obs.Histogram
-	hSnapshot *obs.Histogram
+	// set it, mutateLocked and the journal's spans nest under it);
+	// mutHist caches hot-path histogram pointers so observing a latency
+	// is lock-free.
+	reg     *obs.Registry
+	ring    *obs.TraceRing
+	span    *obs.Span
+	mutHist map[string]*obs.Histogram
 
 	// adm is the admission-control layer (see admission.go): per-route
 	// token buckets plus the bounded in-flight gate, evaluated by the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -159,16 +160,13 @@ type DurabilityConfig struct {
 // sit — before it has appended or snapshotted anything.
 var ErrNeedsUpgrade = journal.ErrNeedsUpgrade
 
-// Recover rebuilds a controller from a journal directory — latest
-// snapshot plus replay of every journaled operation after it — and
-// attaches the journal so the controller keeps appending. An empty or
-// missing directory yields a fresh controller, so Recover is also the
-// way to start a durable deployment. Torn or corrupt tail records are
-// detected by checksum, counted (recovery_truncated_tail), and
-// discarded rather than crashing recovery; because appends sync before
-// acknowledging, a discarded tail record was never acked to a client.
-// Recover reads the one directory shape this binary writes; any older
-// one is an error wrapping ErrNeedsUpgrade.
+// Recover rebuilds a controller from a journal directory through a
+// journal.Machine — latest snapshot plus replay of every journaled
+// operation after it; a torn tail, never acknowledged, is cut and counted
+// — and keeps the machine as the controller's write path. An empty or
+// missing directory yields a fresh controller, so Recover is also the way
+// to start a durable deployment. Recover reads the one directory shape
+// this binary writes; any older one is an error wrapping ErrNeedsUpgrade.
 //
 // Recover also reopens the results store (StoreDir, default
 // <dir>/store) and reconciles the replayed dedup book against it: a
@@ -176,9 +174,8 @@ var ErrNeedsUpgrade = journal.ErrNeedsUpgrade
 // memtable is un-recorded and its task requeued to the original
 // assignee, so a crash loses at most the unflushed memtable and the
 // pipeline re-runs exactly those tasks. That mutation is journaled like
-// any other — one opRequeue record, appended once the journal is
-// attached — so a later replay passes through it; recovery_results_requeued
-// counts this run's.
+// any other — one opRequeue record — so a later replay passes through
+// it; recovery_results_requeued counts this run's.
 //
 // Each phase is timed into obs_recover_seconds{phase=journal_open|
 // store_open|snapshot|decode|replay|reconcile} on the controller's
@@ -189,14 +186,31 @@ var ErrNeedsUpgrade = journal.ErrNeedsUpgrade
 // decodes on every core), replay applies them in journal order.
 func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	t := obs.StartTimer()
-	l, err := journal.Open(dir)
+	// The controller is built first so the journal and the disk-backed
+	// store can share its metric registry (the in-memory store
+	// NewController installed is simply replaced).
+	c := NewController(cfg.Trusted...)
+	jm, err := journal.OpenMachine(dir, journal.Owner[*Controller]{
+		State: c,
+		Ops:   replayOps,
+		Decode: func(snap *journal.Snapshot) error {
+			reflected, err := decodeSnapshot(snap, &c.book)
+			if reflected > 0 {
+				c.dur.Add("recovery_reflect_decodes", int64(reflected))
+			}
+			return err
+		},
+		Encode: func() (any, [][]byte, error) {
+			c.pruneUnsealed(c.store.SealedSeq())
+			head, frames, err := c.snapshotFrames()
+			return head, frames, err
+		},
+		Every: cfg.SnapshotEvery,
+		Obs:   c.reg,
+	})
 	if err != nil {
 		return nil, err
 	}
-	// The controller is built first so the disk-backed store can share
-	// its metric registry (the in-memory store NewController installed
-	// is simply replaced).
-	c := NewController(cfg.Trusted...)
 	phase := func(name string) {
 		c.reg.Hist(MetricRecover, "phase", name).Observe(t.Elapsed())
 		t = obs.StartTimer()
@@ -213,7 +227,7 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 		Obs:          c.reg,
 	})
 	if err != nil {
-		l.Close()
+		jm.Close()
 		return nil, err
 	}
 	if cfg.LeaseTTL > 0 {
@@ -231,62 +245,14 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	c.store = st
 	phase("store_open")
 	fail := func(err error) (*Controller, error) {
-		l.Close()
+		jm.Close()
 		st.Close()
 		return nil, err
 	}
-	var snapSeq uint64
-	if snap := l.Snap; snap != nil {
-		reflected, err := decodeSnapshot(snap, &c.book)
-		if err != nil {
-			return fail(fmt.Errorf("core: decoding snapshot: %w", err))
-		}
-		if reflected > 0 {
-			c.dur.Add("recovery_reflect_decodes", int64(reflected))
-		}
-		snapSeq = snap.Seq
-		c.noteSnapshot(snap.Bytes, len(snap.Frames))
-	}
-	phase("snapshot")
-	// Seqs strictly increase, so the records the snapshot covers (a crash
-	// between its rename and the journal's compaction leaves them) are a
-	// prefix; they are neither decoded nor able to fail a recovery.
-	tail := l.Records
-	for len(tail) > 0 && tail[0].Seq <= snapSeq {
-		tail = tail[1:]
-	}
-	ops, err := journal.DecodeOps(replayOps, tail)
-	if err != nil {
+	if _, _, err := jm.Rebuild(phase); err != nil {
 		return fail(fmt.Errorf("core: %w", err))
 	}
-	phase("decode")
-	for _, apply := range ops {
-		apply(c)
-	}
-	c.dur.Add("recovery_replayed", int64(len(ops)))
-	if l.TornTail {
-		c.dur.Inc("recovery_truncated_tail")
-	}
-	// The handle lives as long as the controller; its recovery view (the
-	// snapshot's frames, every decoded tail record) is done with.
-	l.Snap, l.Records = nil, nil
-	phase("replay")
-	// Journal fsync timing: the hook runs inside Append and, for the
-	// compaction's sync, WriteSnapshot, which only the mutation path
-	// (under c.mu) calls, so reading c.span here is as guarded as every
-	// other span access.
-	l.WrapSync = func(sync func() error) error {
-		sp := c.span.Child("journal.fsync")
-		t := obs.StartTimer()
-		err := sync()
-		sp.End()
-		c.hFsync.Observe(t.Elapsed())
-		return err
-	}
-	// Of the fsyncs above, the ones that still paid for a file-size change.
-	l.OnGrow = func() { c.dur.Inc("journal_log_grows") }
-	c.log = l
-	c.snapEvery = cfg.SnapshotEvery
+	c.journal = jm
 	if err := c.requeueLostLocked(); err != nil {
 		return fail(err)
 	}
@@ -340,9 +306,9 @@ func (c *Controller) lostResultsLocked() ([]resultRef, error) {
 
 // replayOps is every journal record kind this controller can replay:
 // the typed op its data decodes into and the book's apply function the
-// live mutation used, given what it reads of the store. Recover decodes a whole tail through it before applying
-// anything (journal.DecodeOps), which is also where a kind without an
-// entry is reported.
+// live mutation used, given what it reads of the store. Recover's
+// journal.Machine decodes a whole tail through it before applying
+// anything, which is also where a kind without an entry is reported.
 var replayOps = map[string]journal.Op[*Controller]{
 	opRegister:   journal.CutOpOf(cutProbeInfo, (*Controller).applyRegister, reflectDecoded),
 	opSubmitCols: decodeSubmitCols,
@@ -365,14 +331,10 @@ func retired([]byte) (func(*Controller), error) { return nil, ErrNeedsUpgrade }
 func reflectDecoded(c *Controller) { c.dur.Inc("recovery_reflect_decodes") }
 
 // mutateLocked is the write path every mutating entry point goes
-// through: journal the validated operation, apply it, then consider an
-// automatic snapshot. The order matters twice over — the journal append
-// must precede apply (a mutation the journal did not accept must not be
-// acknowledged, so a failed append aborts the operation), and the
-// snapshot must follow apply (a snapshot taken between journal and
-// apply would claim to cover a record whose effects it lacks). With no
-// journal attached (in-memory controller, or replay in progress) only
-// the apply runs.
+// through: the journal's Do, under a mutator:<kind> span and its
+// obs_mutator_seconds series. A failed append aborts the operation as a
+// StorageFault; without a journal (in-memory controller) only the apply
+// runs.
 func (c *Controller) mutateLocked(kind string, v any, apply func()) error {
 	sp := c.span.Child("mutator:" + kind)
 	t := obs.StartTimer()
@@ -381,72 +343,10 @@ func (c *Controller) mutateLocked(kind string, v any, apply func()) error {
 		c.mutHist[kind].Observe(t.Elapsed())
 	}()
 	defer c.setSpanLocked(sp)()
-	if err := c.appendLocked(kind, v); err != nil {
-		return err
-	}
-	apply()
-	if c.log != nil && c.snapEvery > 0 && c.sinceSnap >= c.snapEvery {
-		_ = c.snapshotLocked() // counted; the journal stays authoritative
-	}
-	return nil
-}
-
-// appendLocked journals one validated operation before it is applied.
-// The append runs under its own span so the fsync hook (wired in
-// Recover) nests the sync time beneath it.
-func (c *Controller) appendLocked(kind string, v any) error {
-	if c.log == nil {
-		return nil
-	}
-	sp := c.span.Child("journal.append")
-	t := obs.StartTimer()
-	restore := c.setSpanLocked(sp)
-	_, err := c.log.Append(kind, v)
-	restore()
-	sp.End()
-	c.hAppend.Observe(t.Elapsed())
-	if err != nil {
-		c.dur.Inc("journal_append_errors")
+	if err := c.journal.Do(sp, kind, v, apply); err != nil {
 		return &StorageFault{fmt.Errorf("core: journal append: %w", err)}
 	}
-	c.dur.Inc("journal_records_appended")
-	c.sinceSnap++
 	return nil
-}
-
-// snapshotLocked writes a compacted snapshot of the book as it stands —
-// the automatic, the explicit and the shutdown one alike, so all three
-// are in obs_journal_seconds{op="snapshot"} and under a journal.snapshot
-// span. A failure is counted and leaves the journal authoritative.
-func (c *Controller) snapshotLocked() error {
-	sp := c.span.Child("journal.snapshot")
-	t := obs.StartTimer()
-	restore := c.setSpanLocked(sp) // the compaction's fsync nests beneath
-	c.pruneUnsealed(c.store.SealedSeq())
-	head, frames, err := c.snapshotFrames()
-	var size int64
-	if err == nil {
-		size, err = c.log.WriteSnapshot(head, frames)
-	}
-	restore()
-	sp.End()
-	c.hSnapshot.Observe(t.Elapsed())
-	if err != nil {
-		c.dur.Inc("snapshot_errors")
-		return err
-	}
-	c.dur.Inc("snapshots_written")
-	c.noteSnapshot(size, len(frames))
-	c.sinceSnap = 0
-	return nil
-}
-
-// noteSnapshot records the size of the snapshot on disk, last written or
-// recovered from: its bytes, and its frames behind the header frame plus
-// that one.
-func (c *Controller) noteSnapshot(size int64, frames int) {
-	c.durGauge.Set("snapshot_bytes", size)
-	c.durGauge.Set("snapshot_frames", int64(frames+1))
 }
 
 // Snapshot durably captures full controller state and compacts the
@@ -454,10 +354,7 @@ func (c *Controller) noteSnapshot(size int64, frames int) {
 func (c *Controller) Snapshot() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.log == nil {
-		return nil
-	}
-	return c.snapshotLocked()
+	return c.journal.Snapshot(c.span)
 }
 
 // Close flushes the results store, takes a final snapshot, and closes
@@ -467,19 +364,10 @@ func (c *Controller) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	storeErr := c.store.Close()
-	if c.log == nil {
-		return storeErr
-	}
-	snapErr := c.snapshotLocked()
-	closeErr := c.log.Close()
-	c.log = nil
-	if storeErr != nil {
-		return storeErr
-	}
-	if snapErr != nil {
-		return snapErr
-	}
-	return closeErr
+	snapErr := c.journal.Snapshot(c.span)
+	closeErr := c.journal.Close()
+	c.journal = nil
+	return cmp.Or(storeErr, snapErr, closeErr)
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -502,7 +390,7 @@ func toSet(ids []string) map[string]bool {
 // DurabilityCounters snapshots the journal-layer counters
 // (journal_records_appended, journal_log_grows, snapshots_written,
 // recovery_replayed, recovery_truncated_tail, ...) and the two
-// obs_durability_gauge readings noteSnapshot keeps, snapshot_bytes and
+// obs_durability_gauge readings the journal keeps, snapshot_bytes and
 // snapshot_frames. Unlike the pipeline counters these are scoped to the
 // current process run — they are not journaled, so replay does not
 // reconstruct them.

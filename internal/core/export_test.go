@@ -3,15 +3,20 @@ package core
 import (
 	"math"
 
+	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/probes"
 )
+
+// MetricJournal is the series that times the journal's appends, fsyncs and
+// snapshots (op=append|fsync|snapshot), as internal/journal names it.
+const MetricJournal = journal.MetricSeconds
 
 // BreakJournal closes the journal file under a live controller, so the
 // next mutation's append fails the way a dead disk would.
 func (c *Controller) BreakJournal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.log.Close()
+	c.journal.Close()
 }
 
 // wholeQueue is the cap of a lease that asks for the whole queue:

@@ -9,6 +9,7 @@ package core
 // it); every timing measurement here goes through obs.Timer / obs.Span.
 
 import (
+	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/obs"
 )
 
@@ -20,9 +21,6 @@ const (
 	// MetricMutator has one series per journaled mutator kind
 	// (label op=<journal op>), covering append+apply+snapshot.
 	MetricMutator = "obs_mutator_seconds"
-	// MetricJournal times the journal sub-steps
-	// (op=append|fsync|snapshot).
-	MetricJournal = "obs_journal_seconds"
 	// MetricRecover times the phases of the Recover that built this
 	// controller (phase=journal_open|store_open|snapshot|decode|replay|
 	// reconcile), one observation each.
@@ -36,8 +34,8 @@ const (
 func (c *Controller) initObs() {
 	c.reg = obs.NewRegistry()
 	c.stats = c.reg.Counters("obs_pipeline_events_total")
-	c.dur = c.reg.Counters("obs_durability_events_total")
-	c.durGauge = c.reg.Gauges("obs_durability_gauge")
+	c.dur = c.reg.Counters(journal.MetricEvents)
+	c.durGauge = c.reg.Gauges(journal.MetricGauge)
 	c.adm = NewAdmissionGate(AdmissionConfig{}, c.reg)
 	c.ring = obs.NewTraceRing(DefaultTraceRing)
 	c.mutHist = make(map[string]*obs.Histogram)
@@ -46,9 +44,6 @@ func (c *Controller) initObs() {
 	} {
 		c.mutHist[kind] = c.reg.Hist(MetricMutator, "op", kind)
 	}
-	c.hAppend = c.reg.Hist(MetricJournal, "op", "append")
-	c.hFsync = c.reg.Hist(MetricJournal, "op", "fsync")
-	c.hSnapshot = c.reg.Hist(MetricJournal, "op", "snapshot")
 }
 
 // setSpanLocked installs the active request span (nil when untraced)

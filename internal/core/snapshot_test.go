@@ -422,7 +422,7 @@ func TestRecordedOutsideAssignments(t *testing.T) {
 	submitPingBatch(t, c, "p1", exp.ID, 4, 5)
 	c.BreakJournal()
 	stray, _ := json.Marshal(syncOp{ProbeID: "p1", Max: -1, Seq: 3, Refs: []resultRef{{exp.ID, "zz-stray"}}})
-	appendRawRecords(t, dir, journal.Record{Seq: c.log.Seq() + 1, Kind: opSync, Data: stray})
+	appendRawRecords(t, dir, journal.Record{Seq: c.journal.Seq() + 1, Kind: opSync, Data: stray})
 
 	rec := mustRecover(t, dir, cfg)
 	if err := rec.Snapshot(); err != nil {

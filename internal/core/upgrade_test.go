@@ -23,7 +23,7 @@ func TestRecoverRefusesEveryOlderShape(t *testing.T) {
 	if err := c.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	book, snapSeq := legacyState(c), c.log.Seq()
+	book, snapSeq := legacyState(c), c.journal.Seq()
 	c.Tick(1)
 	c.BreakJournal()
 
@@ -67,7 +67,7 @@ func TestUnknownKindIsNotAnOldOne(t *testing.T) {
 	c := mustRecover(t, dir, testDurCfg)
 	mustRegister(t, c, "p1", 36924, "RW")
 	c.BreakJournal()
-	appendRawRecords(t, dir, journal.Record{Seq: c.log.Seq() + 1, Kind: "no_such_kind", Data: []byte(`1`)})
+	appendRawRecords(t, dir, journal.Record{Seq: c.journal.Seq() + 1, Kind: "no_such_kind", Data: []byte(`1`)})
 	_, err := Recover(dir, testDurCfg)
 	if err == nil || errors.Is(err, ErrNeedsUpgrade) || !strings.Contains(err.Error(), `unknown journal record kind "no_such_kind"`) {
 		t.Errorf("Recover: %v, want an unknown kind", err)

@@ -141,7 +141,7 @@ type Coordinator struct {
 	fedExps   map[string]*fedExperiment
 	nextFedID int
 	tick      int64
-	log       *journal.Log // nil for in-memory coordinators
+	journal   *journal.Machine[*Coordinator] // nil for in-memory coordinators
 
 	// The front end's state (Handler): the registry and trace ring the
 	// shared router writes and serves, and its admission gate.
@@ -179,26 +179,22 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 	if dir == "" {
 		return c, nil
 	}
-	log, err := journal.Open(dir)
+	// The coordinator writes no snapshot: its machine refuses a directory
+	// holding one (a controller's), and replays the whole journal.
+	jm, err := journal.OpenMachine(dir, journal.Owner[*Coordinator]{State: c, Ops: replayOps, Obs: c.reg})
 	if err != nil {
 		return nil, fmt.Errorf("federation: %w", err)
 	}
-	ops, err := journal.DecodeOps(replayOps, log.Records)
+	replayed, torn, err := jm.Rebuild(func(string) {})
 	if err != nil {
-		log.Close()
+		jm.Close()
 		return nil, fmt.Errorf("federation: %w", err)
 	}
-	for _, apply := range ops {
-		apply(c)
-	}
-	if log.TornTail {
+	if torn {
 		c.ctr.Inc("fed_recovery_truncated_tail")
 	}
-	c.ctr.Add("fed_recovery_replayed", int64(len(ops)))
-	// The handle lives as long as the coordinator; its recovery view
-	// (records whose data aliases the whole journal.log image) is done with.
-	log.Snap, log.Records = nil, nil
-	c.log = log
+	c.ctr.Add("fed_recovery_replayed", int64(replayed))
+	c.journal = jm
 	return c, nil
 }
 
@@ -207,11 +203,8 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.log == nil {
-		return nil
-	}
-	err := c.log.Close()
-	c.log = nil
+	err := c.journal.Close()
+	c.journal = nil
 	return err
 }
 
@@ -222,15 +215,9 @@ func (c *Coordinator) Observability() *obs.Registry { return c.reg }
 // Counters snapshots the coordinator's event counters.
 func (c *Coordinator) Counters() map[string]int64 { return c.ctr.Snapshot() }
 
-// appendLocked journals one coordinator mutation; nil log = in-memory.
-func (c *Coordinator) appendLocked(kind string, v any) error {
-	if c.log == nil {
-		return nil
-	}
-	if _, err := c.log.Append(kind, v); err != nil {
-		return &core.StorageFault{Err: fmt.Errorf("federation: %w", err)}
-	}
-	return nil
+// storageFault is a failed journal append, which both tiers answer 503.
+func storageFault(err error) error {
+	return &core.StorageFault{Err: fmt.Errorf("federation: %w", err)}
 }
 
 func (c *Coordinator) applyShardAddLocked(op shardAddOp) {
@@ -291,10 +278,9 @@ func (c *Coordinator) AddShard(id string, slot Shard) error {
 	defer c.mu.Unlock()
 	if _, ok := c.shards[id]; !ok {
 		op := shardAddOp{ID: id}
-		if err := c.appendLocked(opShardAdd, op); err != nil {
-			return err
+		if err := c.journal.Do(nil, opShardAdd, op, func() { c.applyShardAddLocked(op) }); err != nil {
+			return storageFault(err)
 		}
-		c.applyShardAddLocked(op)
 	}
 	st := c.shards[id]
 	st.slot = slot
@@ -338,10 +324,9 @@ func (c *Coordinator) FailoverShard(id string) error {
 		return nil
 	}
 	op := shardFailoverOp{ID: id, Epoch: epoch}
-	if err := c.appendLocked(opShardFailover, op); err != nil {
-		return err
+	if err := c.journal.Do(nil, opShardFailover, op, func() { c.applyShardFailoverLocked(op, replacement) }); err != nil {
+		return storageFault(err)
 	}
-	c.applyShardFailoverLocked(op, replacement)
 	c.ctr.Inc("fed_failovers")
 	return nil
 }
@@ -611,11 +596,10 @@ func (c *Coordinator) Submit(_ context.Context, req core.SubmitRequest) (*core.E
 			Description: req.Description,
 			Shards:      owners,
 		}
-		if err := c.appendLocked(opFedSubmit, op); err != nil {
+		if err := c.journal.Do(nil, opFedSubmit, op, func() { c.applyFedSubmitLocked(op) }); err != nil {
 			c.mu.Unlock()
-			return nil, err
+			return nil, storageFault(err)
 		}
-		c.applyFedSubmitLocked(op)
 		c.ctr.Inc("fed_submits")
 	} else {
 		c.ctr.Inc("fed_submit_dedup")

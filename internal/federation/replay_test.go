@@ -9,12 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/journal"
 )
 
-// TestCoordinatorKeepsNoRecoveryView: the journal handle lives as long as
-// the coordinator, and the records Open decoded alias the whole
-// journal.log image, so New drops them once they are replayed.
+// TestCoordinatorKeepsNoRecoveryView: New replays each journaled record
+// once. That the journal then drops its recovery view, which aliases the
+// whole journal.log image, is internal/journal's
+// TestRebuildDropsTheRecoveryView.
 func TestCoordinatorKeepsNoRecoveryView(t *testing.T) {
 	dir := t.TempDir()
 	c1, _ := newHarness(t, 3, dir, testConfig())
@@ -29,9 +31,6 @@ func TestCoordinatorKeepsNoRecoveryView(t *testing.T) {
 	defer c2.Close()
 	if got := c2.Counters()["fed_recovery_replayed"]; got != 4 {
 		t.Fatalf("replayed %d records, want 3 shard_add and 1 fed_submit", got)
-	}
-	if c2.log.Snap != nil || c2.log.Records != nil {
-		t.Fatalf("journal handle still holds its recovery view: snap %v, %d records", c2.log.Snap != nil, len(c2.log.Records))
 	}
 }
 
@@ -109,5 +108,75 @@ func TestCoordinatorRefusesOlderDirectory(t *testing.T) {
 	}
 	if after := image(); !reflect.DeepEqual(after, before) {
 		t.Error("a refused New changed the directory")
+	}
+}
+
+// TestCoordinatorRefusesAControllerDirectory: a closed controller's
+// directory — its snapshot written, journal.log compacted to nothing — is
+// not a coordinator's, which writes no snapshot and would replay the empty
+// tail alone. New refuses it and changes no byte of it; opened, the next
+// AddShard appended a shard_add behind the controller's snapshot, which the
+// controller's next Recover failed on.
+func TestCoordinatorRefusesAControllerDirectory(t *testing.T) {
+	dir := t.TempDir()
+	ctrl, err := core.Recover(dir, core.DurabilityConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.RegisterProbe(testProbes(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	image := func() map[string]string {
+		files := map[string]string{}
+		if err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := image()
+	if c, err := New(dir, testConfig()); err == nil {
+		err = c.AddShard("shard-0", nil)
+		c.Close()
+		t.Fatalf("New opened a controller's directory (AddShard: %v)", err)
+	}
+	if after := image(); !reflect.DeepEqual(after, before) {
+		t.Error("a refused New changed the directory")
+	}
+	rec, err := core.Recover(dir, core.DurabilityConfig{})
+	if err != nil {
+		t.Fatalf("the controller's directory no longer recovers: %v", err)
+	}
+	rec.Close()
+}
+
+// TestCoordinatorJournalIsObservable: a durable coordinator's appends are
+// on its registry as a controller's are, timed and counted.
+func TestCoordinatorJournalIsObservable(t *testing.T) {
+	c, _ := newHarness(t, 3, t.TempDir(), testConfig())
+	ps := testProbes(4)
+	for _, p := range ps {
+		if err := c.Register(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := submit(c, "req-1", "observed", testAssignments(ps, 1)); err != nil {
+		t.Fatal(err)
+	}
+	reg := c.Observability()
+	if got := reg.Snapshots()[journal.MetricSeconds+`{op="append"}`].Count; got != 4 {
+		t.Errorf("obs_journal_seconds{op=\"append\"} has %d observations, want 3 shard_add and 1 fed_submit", got)
+	}
+	if got := reg.Counters(journal.MetricEvents).Get("journal_records_appended"); got != 4 {
+		t.Errorf("journal_records_appended = %d, want 4", got)
 	}
 }

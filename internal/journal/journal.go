@@ -1,8 +1,10 @@
-// Package journal is the controller's durability layer: an append-only
-// write-ahead log of control-plane mutations plus periodic compacted
-// snapshots of full controller state. Frames, torn-tail truncation,
-// atomic file replacement and the fail-stop rule are internal/framelog's;
-// what is the journal's own is below.
+// Package journal is the durability layer of both control-plane tiers: an
+// append-only write-ahead log of an owner's mutations plus compacted
+// snapshots of its full state, kept by one durable loop, the Machine, for
+// the controller (internal/core) and the shard coordinator
+// (internal/federation) alike. Frames, torn-tail truncation, atomic file
+// replacement and the fail-stop rule are internal/framelog's; what is the
+// journal's own is below.
 //
 // # On-disk layout
 //
@@ -36,9 +38,9 @@
 // Open reads journal.log in stages with one job each: framelog walks the
 // file once (lengths, checksums, payload slices); DecodeRecords decodes
 // the payloads on every core and one serial pass ends the stream as
-// above; the owner then decodes each record's Data into its typed
-// mutation the same way (DecodeOps, through its table of Ops) and applies
-// them in journal order. Decode is a pure function of a payload's bytes;
+// above; the Machine then decodes each record's Data into its owner's
+// typed mutation the same way (DecodeOps, through the owner's table of
+// Ops) and applies them in journal order. Decode is a pure function of a payload's bytes;
 // validity, truncation point and apply order are a serial reader's; the
 // worker count changes neither Records nor what is recovered from them
 // (DESIGN.md, "Reading the journal back").
@@ -64,7 +66,7 @@ import (
 	"github.com/afrinet/observatory/internal/par"
 )
 
-// Record is one journaled controller mutation.
+// Record is one journaled mutation.
 type Record struct {
 	Seq  uint64          `json:"seq"`
 	Kind string          `json:"kind"`
@@ -188,7 +190,7 @@ func frameOf(payload []byte) ([]byte, error) {
 }
 
 // Log is an open journal directory, ready for appends. It is not safe
-// for concurrent use; the controller serializes access under its own
+// for concurrent use; its Machine's owner serializes access under its own
 // lock. The embedded framelog.Log is journal.log: it carries the
 // WrapSync hook, the fail-stop state and Close (which does not snapshot;
 // callers that want a final compacted state call WriteSnapshot first).
@@ -197,9 +199,8 @@ type Log struct {
 	dir string
 	seq uint64 // last sequence number assigned (snapshot or record)
 
-	// Recovery view, filled by Open and never updated after it; a caller
-	// that keeps the handle open sets Snap and Records to nil once it has
-	// read them, or they stay in memory as long as the handle does.
+	// Recovery view, filled by Open and never updated after it; a Machine
+	// drops Snap and Records once it has replayed them.
 
 	// Snap is the latest durable snapshot, nil when none exists. Its Head
 	// and Frames alias the bytes read from the file.

@@ -24,9 +24,8 @@ import (
 	"testing"
 )
 
-// module is the import path of every tree the lint reads. The lint checks
-// each package with its tests once, from source: several times slower
-// under the race detector, hence the build tag.
+// module is the import path of every tree the lint reads. Each package is
+// checked with its tests once, from source: slow under -race, hence the tag.
 const module = "github.com/afrinet/observatory"
 
 // A rule forbids, in the files it covers, each use whose key it matches.
@@ -60,6 +59,7 @@ var rules = []rule{
 	{"seeded-hash", []string{"internal/"}, true, []string{"internal/splitmix/"}, regexp.MustCompile(`^10723151780598845931$`), "0x94d049bb133111eb is SplitMix64's: every seeded draw goes through internal/splitmix, with its package's own seed and salts"},
 	{"span-capture", nil, true, nil, regexp.MustCompile(`^go \*internal/obs\.Span$`), "an obs.Span is written by one goroutine: give the goroutine a span tree of its own"},
 	{"book-pure", []string{"internal/core/book.go"}, false, nil, regexp.MustCompile(`^(internal/(obs|journal|store|framelog)|os|sync|time|net/http)\.`), "the book is the journaled state machine alone, with no lock, I/O, clock or metrics: the Controller does those and hands the book its counters and wake-ups"},
+	{"journal-machine", []string{"internal/"}, false, []string{"internal/journal/"}, regexp.MustCompile(`^internal/journal\.(Open|DecodeOps|Log\.Append|Log\.WriteSnapshot)$`), "only internal/journal replays or appends a journal: an owner rebuilds its state and journals its mutations through journal.Machine"},
 }
 
 // The rules on a declaration in internal/: nothing uses it, or only its package's tests do.
