@@ -42,13 +42,17 @@
 // /api/v1/experiments/{id}/results endpoint.
 //
 // With -shards N obsd runs a federated tier instead of a single
-// controller: N shard controllers (each with its own journal and store
-// under <data-dir>/shard-i) behind a coordinator that routes probes by
-// consistent hashing, fans queries out with per-shard deadlines and
+// controller: N shard controllers behind a coordinator that routes probes
+// by consistent hashing, fans queries out with per-shard deadlines and
 // hedged retries, and — with -shard-failover (default on) — fails a
 // dead shard over onto a replacement recovered from a shipped copy of
-// its journal. With -coordinator url1,url2 the shards are remote obsd
-// processes instead. The API surface is identical either way; analysts
+// its journal. With -data-dir the coordinator journals its shard map
+// under <data-dir>/coordinator, and shard-i keeps its journal and store
+// under <data-dir>/shard-i until its first failover and under
+// <data-dir>/shard-i-epochN after the Nth: a restart recovers each shard
+// at the epoch the coordinator's journal holds (federation.BootLocal).
+// With -coordinator url1,url2 the shards are remote obsd processes
+// instead. The API surface is identical either way; analysts
 // see `degraded: true` and `shards_missing` on partial query results
 // while a shard is down.
 //
@@ -62,6 +66,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -202,24 +207,23 @@ func main() {
 	var svc service
 	switch {
 	case *shards > 0:
-		svc = buildLocalFederation(*shards, *dataDir, shardDurability, fedCfg, *shardFailover)
+		svc = buildLocalFederation(*shards, *dataDir, shardDurability, fedCfg)
 	case *coordinator != "":
 		svc = buildRemoteFederation(*coordinator, *dataDir, fedCfg)
 	default:
-		var ctrl *core.Controller
+		cfg := shardDurability
+		cfg.StoreDir = *storeDir
 		if *dataDir != "" {
 			log.Printf("obsd: recovering state from %s ...", *dataDir)
-			cfg := shardDurability
-			cfg.StoreDir = *storeDir
-			ctrl = recoverDir("", *dataDir, cfg)
-		} else {
-			if *storeDir != "" {
-				log.Printf("obsd: warning: -store-dir ignored without -data-dir (results stay in memory)")
-			}
-			ctrl = core.NewController(cohort...)
-			ctrl.LeaseTTL = *leaseTTL
-			ctrl.SuspectAfter = *suspectAfter
-			ctrl.DeadAfter = *deadAfter
+		} else if *storeDir != "" {
+			log.Printf("obsd: warning: -store-dir ignored without -data-dir (results stay in memory)")
+		}
+		ctrl, err := core.Recover(*dataDir, cfg)
+		if err != nil {
+			log.Fatalf("obsd: recover: %v", err)
+		}
+		if *dataDir != "" {
+			logRecovered("", ctrl)
 		}
 		ctrl.ConfigureAdmission(admission)
 		svc = singleService{ctrl.Backend(), ctrl}
@@ -336,13 +340,10 @@ func (s singleService) Maintain() {
 	}
 }
 
-type fedService struct {
-	*federation.Coordinator
-	locals map[string]*federation.LocalShard // empty in -coordinator mode
-}
+type fedService struct{ *federation.Local }
 
-func (s *fedService) Maintain() {
-	for id, ls := range s.locals {
+func (s fedService) Maintain() {
+	for id, ls := range s.Shards {
 		if ctrl := ls.Controller(); ctrl != nil {
 			if err := ctrl.CompactStore(); err != nil {
 				log.Printf("obsd: %s store compaction: %v", id, err)
@@ -351,36 +352,19 @@ func (s *fedService) Maintain() {
 	}
 }
 
-func (s *fedService) Close() error {
-	err := s.Coordinator.Close()
-	for id, ls := range s.locals {
-		if ctrl := ls.Kill(); ctrl != nil {
-			if cerr := ctrl.Close(); cerr != nil {
-				log.Printf("obsd: closing %s: %v", id, cerr)
-			}
-		}
-	}
-	return err
-}
-
-// recoverDir starts a durable controller on dir at boot with core.Recover
-// and logs the recovery; failing it is fatal.
-func recoverDir(who, dir string, cfg core.DurabilityConfig) *core.Controller {
-	start := time.Now()
-	ctrl, err := core.Recover(dir, cfg)
-	if err != nil {
-		log.Fatalf("obsd: %srecover: %v", who, err)
-	}
-	logRecovered(who, ctrl, time.Since(start))
-	return ctrl
-}
-
 // logRecovered says what a recovery did and where its time went: the
-// phases are the obs_recover_seconds series /metrics serves from then on;
-// snapshot_bytes and snapshot_frames size the snapshot it started from.
-func logRecovered(who string, ctrl *core.Controller, took time.Duration) {
+// phases are the obs_recover_seconds series /metrics serves from then on,
+// and the time is theirs together; snapshot_bytes and snapshot_frames size
+// the snapshot it started from.
+func logRecovered(who string, ctrl *core.Controller) {
 	d := ctrl.DurabilityCounters()
 	series := ctrl.Observability().Snapshots()
+	var took time.Duration
+	for name, s := range series {
+		if strings.HasPrefix(name, core.MetricRecover+"{") {
+			took += s.Sum
+		}
+	}
 	phase := func(p string) time.Duration {
 		return series[fmt.Sprintf("%s{phase=%q}", core.MetricRecover, p)].Sum.Round(10 * time.Microsecond)
 	}
@@ -392,65 +376,32 @@ func logRecovered(who string, ctrl *core.Controller, took time.Duration) {
 		d["recovery_truncated_tail"], ctrl.Now())
 }
 
-// buildLocalFederation boots N shard controllers (durable under
-// <data-dir>/shard-i when -data-dir is set) behind a coordinator whose
-// own shard map journals under <data-dir>/coordinator. With failover
-// enabled and a data dir, a dead shard's journal and store are shipped
-// to <data-dir>/shard-i-epochN and recovered there.
-func buildLocalFederation(n int, dataDir string, shardCfg core.DurabilityConfig, fedCfg federation.Config, failover bool) service {
-	coordDir := ""
-	if dataDir != "" {
-		coordDir = filepath.Join(dataDir, "coordinator")
-	}
-	coord, err := federation.New(coordDir, fedCfg)
+// buildLocalFederation boots N shard controllers behind a coordinator
+// through federation.BootLocal, under dataDir when it is set, and logs each
+// shard's recovery, at boot and at each failover.
+func buildLocalFederation(n int, dataDir string, shardCfg core.DurabilityConfig, fedCfg federation.Config) fedService {
+	l, err := federation.BootLocal(dataDir, n, shardCfg, fedCfg)
 	if err != nil {
-		log.Fatalf("obsd: coordinator: %v", err)
+		log.Fatalf("obsd: %v", err)
 	}
-	locals := make(map[string]*federation.LocalShard, n)
-	dirOf := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("shard-%d", i)
-		var ctrl *core.Controller
-		if dataDir != "" {
-			dirOf[id] = filepath.Join(dataDir, id)
-			ctrl = recoverDir(id+" ", dirOf[id], shardCfg)
-		} else {
-			ctrl = core.NewController(shardCfg.Trusted...)
-			ctrl.LeaseTTL = shardCfg.LeaseTTL
-			ctrl.SuspectAfter = shardCfg.SuspectAfter
-			ctrl.DeadAfter = shardCfg.DeadAfter
+	if dataDir == "" {
+		if fedCfg.AutoFailover {
+			log.Printf("obsd: warning: -shard-failover needs -data-dir to ship state; dead shards will 503 until restart")
 		}
-		locals[id] = federation.NewLocalShard(ctrl)
-		if err := coord.AddShard(id, locals[id]); err != nil {
-			log.Fatalf("obsd: add %s: %v", id, err)
-		}
+		return fedService{l}
 	}
-	if failover && dataDir != "" {
-		coord.Failover = func(id string, epoch int) (federation.Shard, error) {
-			ls, ok := locals[id]
-			if !ok {
-				return nil, fmt.Errorf("unknown shard %s", id)
-			}
-			dst := filepath.Join(dataDir, fmt.Sprintf("%s-epoch%d", id, epoch))
-			log.Printf("obsd: failing %s over: shipping %s -> %s", id, dirOf[id], dst)
-			if err := federation.ShipState(dirOf[id], dst, "", ""); err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			ctrl, err := core.Recover(dst, shardCfg)
-			if err != nil {
-				return nil, err
-			}
-			dirOf[id] = dst
-			ls.Revive(ctrl)
-			logRecovered(id+" ", ctrl, time.Since(start))
-			log.Printf("obsd: %s failed over to epoch %d", id, epoch)
-			return ls, nil
-		}
-	} else if failover {
-		log.Printf("obsd: warning: -shard-failover needs -data-dir to ship state; dead shards will 503 until restart")
+	for _, id := range slices.Sorted(maps.Keys(l.Shards)) {
+		logRecovered(id+" ", l.Shards[id].Controller())
 	}
-	return &fedService{coord, locals}
+	boot := l.Failover
+	l.Failover = func(id string, epoch int) (federation.Shard, error) {
+		s, err := boot(id, epoch)
+		if err == nil {
+			logRecovered(fmt.Sprintf("%s at epoch %d ", id, epoch), l.Shards[id].Controller())
+		}
+		return s, err
+	}
+	return fedService{l}
 }
 
 // buildRemoteFederation runs a coordinator over remote obsd shard
@@ -479,5 +430,5 @@ func buildRemoteFederation(urls, dataDir string, fedCfg federation.Config) servi
 	if added == 0 {
 		log.Fatalf("obsd: -coordinator needs at least one shard URL")
 	}
-	return &fedService{coord, nil}
+	return fedService{&federation.Local{Coordinator: coord}}
 }

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/federation"
+	"github.com/afrinet/observatory/internal/probes"
 )
 
 // TestParseRouteRatesRejectsUnknownRoute: a bucket on a name the tier
@@ -28,5 +30,37 @@ func TestParseRouteRatesRejectsUnknownRoute(t *testing.T) {
 	}
 	if _, err := parseRouteRates("shards=1:1", federation.APIRoutes()); err != nil {
 		t.Errorf("shards=1:1 for a coordinator: %v", err)
+	}
+}
+
+// TestRestartAfterFailoverKeepsTheEpoch: -shards over a -data-dir
+// restarts each shard at the epoch the coordinator journaled, in the
+// directory its last failover shipped it to, so an experiment a
+// failed-over shard acknowledged is still there after the restart.
+func TestRestartAfterFailoverKeepsTheEpoch(t *testing.T) {
+	ctx, dir := context.Background(), t.TempDir()
+	cfg := core.DurabilityConfig{Trusted: []string{"lab"}}
+	svc := buildLocalFederation(1, dir, cfg, federation.Config{})
+	if err := svc.Register(ctx, core.ProbeInfo{ID: "p1", ASN: 36924, Country: "RW"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.FailoverShard("shard-0"); err != nil {
+		t.Fatal(err)
+	}
+	as := []probes.Assignment{{ProbeID: "p1", Task: probes.Task{Kind: probes.TaskPing, Target: "203.0.113.9"}}}
+	if _, err := svc.Submit(ctx, core.SubmitRequest{Owner: "lab", Assignments: as}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc = buildLocalFederation(1, dir, cfg, federation.Config{})
+	defer svc.Close()
+	if sts := svc.ShardStatuses(); len(sts) != 1 || sts[0].Epoch != 1 {
+		t.Fatalf("shards after the restart: %+v, want shard-0 at epoch 1", sts)
+	}
+	if exp, err := svc.Experiment("fexp-0001"); err != nil || len(exp.Assignments) != 1 {
+		t.Fatalf("fexp-0001 after the restart: %+v, %v; want its one assignment", exp, err)
 	}
 }

@@ -165,8 +165,9 @@ var ErrNeedsUpgrade = journal.ErrNeedsUpgrade
 // operation after it; a torn tail, never acknowledged, is cut and counted
 // — and keeps the machine as the controller's write path. An empty or
 // missing directory yields a fresh controller, so Recover is also the way
-// to start a durable deployment. Recover reads the one directory shape
-// this binary writes; any older one is an error wrapping ErrNeedsUpgrade.
+// to start a durable deployment, and dir == "" one kept in memory. Recover
+// reads the one directory shape this binary writes; any older one is an
+// error wrapping ErrNeedsUpgrade.
 //
 // Recover also reopens the results store (StoreDir, default
 // <dir>/store) and reconciles the replayed dedup book against it: a
@@ -190,6 +191,18 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	// store can share its metric registry (the in-memory store
 	// NewController installed is simply replaced).
 	c := NewController(cfg.Trusted...)
+	if cfg.LeaseTTL > 0 {
+		c.LeaseTTL = cfg.LeaseTTL
+	}
+	if cfg.SuspectAfter > 0 {
+		c.SuspectAfter = cfg.SuspectAfter
+	}
+	if cfg.DeadAfter > 0 {
+		c.DeadAfter = cfg.DeadAfter
+	}
+	if dir == "" {
+		return c, nil
+	}
 	jm, err := journal.OpenMachine(dir, journal.Owner[*Controller]{
 		State: c,
 		Ops:   replayOps,
@@ -211,6 +224,10 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := jm.CheckKinds(); err != nil {
+		jm.Close()
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	phase := func(name string) {
 		c.reg.Hist(MetricRecover, "phase", name).Observe(t.Elapsed())
 		t = obs.StartTimer()
@@ -229,15 +246,6 @@ func Recover(dir string, cfg DurabilityConfig) (*Controller, error) {
 	if err != nil {
 		jm.Close()
 		return nil, err
-	}
-	if cfg.LeaseTTL > 0 {
-		c.LeaseTTL = cfg.LeaseTTL
-	}
-	if cfg.SuspectAfter > 0 {
-		c.SuspectAfter = cfg.SuspectAfter
-	}
-	if cfg.DeadAfter > 0 {
-		c.DeadAfter = cfg.DeadAfter
 	}
 
 	c.mu.Lock()

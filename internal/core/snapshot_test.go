@@ -682,12 +682,14 @@ func TestColumnsRoundTrip(t *testing.T) {
 	}
 }
 
-// dirImage is every regular file under dir by path, with its bytes.
+// dirImage is every regular file under dir by path, with its bytes, and
+// every directory by path and a trailing slash.
 func dirImage(t testing.TB, dir string) map[string]string {
 	t.Helper()
 	files := map[string]string{}
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
+			files[path+"/"] = ""
 			return err
 		}
 		b, err := os.ReadFile(path)

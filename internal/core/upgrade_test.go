@@ -60,6 +60,28 @@ func TestRecoverRefusesEveryOlderShape(t *testing.T) {
 	}
 }
 
+// TestRefusedKindLeavesTheDirectory: a directory whose journal holds a
+// kind the controller does not replay — a coordinator's — is refused by
+// that kind before the results store is opened, so the refusal creates
+// nothing in it.
+func TestRefusedKindLeavesTheDirectory(t *testing.T) {
+	dir := t.TempDir()
+	frame, err := journal.EncodeFrame(journal.Record{Seq: 1, Kind: "shard_add", Data: []byte(`{"id":"shard-0"}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.log"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	if _, err := Recover(dir, testDurCfg); err == nil || err.Error() != `core: unknown journal record kind "shard_add" (seq 1)` {
+		t.Errorf("Recover over a coordinator's journal: %v, want its shard_add refused", err)
+	}
+	if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("a refused recovery changed the directory:\n got %v\nwant %v", after, before)
+	}
+}
+
 // TestUnknownKindIsNotAnOldOne: a record kind the replay table does not
 // know fails as unknown, not as a directory an older binary wrote.
 func TestUnknownKindIsNotAnOldOne(t *testing.T) {

@@ -87,27 +87,12 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			RetryAfterSeconds: 1,
 		},
 	}
-	coord, err := federation.New(filepath.Join(base, "coordinator"), fedCfg)
+	fed, err := federation.BootLocal(base, len(shardIDs), shardCfg, fedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-
-	// dirOf tracks each shard's current durable directory — failover
-	// ships state into a fresh epoch directory and moves the pointer.
-	locals := map[string]*federation.LocalShard{}
-	dirOf := map[string]string{}
-	for _, id := range shardIDs {
-		dirOf[id] = filepath.Join(base, id)
-		ctrl, err := core.Recover(dirOf[id], shardCfg)
-		if err != nil {
-			t.Fatalf("boot %s: %v", id, err)
-		}
-		locals[id] = federation.NewLocalShard(ctrl)
-		if err := coord.AddShard(id, locals[id]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer fed.Close()
+	coord, locals := fed.Coordinator, fed.Shards
 	// What each dead shard's journal ends in. A kill leaves the allocated
 	// zeros of a live log behind the last acknowledged record; every other
 	// scheduled kill, and the permanent one, also lands part-way through
@@ -121,19 +106,13 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		}
 		tornOf[id] = 0
 	}
+	failover := coord.Failover
 	coord.Failover = func(id string, epoch int) (federation.Shard, error) {
-		dst := filepath.Join(base, fmt.Sprintf("%s-epoch%d", id, epoch))
-		if err := federation.ShipState(dirOf[id], dst, "", ""); err != nil {
-			return nil, err
+		s, err := failover(id, epoch)
+		if err == nil {
+			checkTail(id, locals[id].Controller())
 		}
-		ctrl, err := core.Recover(dst, shardCfg)
-		if err != nil {
-			return nil, err
-		}
-		checkTail(id, ctrl)
-		dirOf[id] = dst
-		locals[id].Revive(ctrl)
-		return locals[id], nil
+		return s, err
 	}
 
 	srv := httptest.NewServer(coord.Handler())
@@ -209,13 +188,15 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		t.Fatalf("coordinator has no shard %s", id)
 		return 0
 	}
+	// A shard's durable directory is the one its journaled epoch names.
+	dirOf := func(id string) string { return federation.ShardDir(base, id, epochOf(id)) }
 	sawDegraded := false
 	doRound := func(round int) {
 		for _, e := range sched.StartingAt(round, faultinject.EventShardKill) {
 			if ctrl := locals[e.Target].Kill(); ctrl != nil {
 				epochAtKill[e.Target] = epochOf(e.Target)
 				if kills++; kills%2 == 1 {
-					tear(t, dirOf[e.Target])
+					tear(t, dirOf(e.Target))
 					tornOf[e.Target] = 1
 				}
 			}
@@ -223,7 +204,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		if round == permKillRound {
 			locals[permShard].Kill()
 			epochAtKill[permShard] = epochOf(permShard)
-			tear(t, dirOf[permShard])
+			tear(t, dirOf(permShard))
 			tornOf[permShard] = 1
 		}
 		for _, e := range sched.StartingAt(round, faultinject.EventShardRestart) {
@@ -236,7 +217,7 @@ func TestShardChaosEndToEnd(t *testing.T) {
 			if locals[e.Target].Controller() != nil {
 				continue // never killed (kill raced an earlier revive)
 			}
-			ctrl, err := core.Recover(dirOf[e.Target], shardCfg)
+			ctrl, err := core.Recover(dirOf(e.Target), shardCfg)
 			if err != nil {
 				t.Fatalf("restart %s: %v", e.Target, err)
 			}

@@ -17,13 +17,6 @@ import (
 // ErrNoShards is returned for key routing against an empty shard map.
 var ErrNoShards = errors.New("federation: no shards in the map")
 
-// FailoverFunc builds a replacement backend for a dead shard. It runs
-// outside the coordinator lock and typically ships the dead shard's
-// durable state to a fresh directory (ShipState) and recovers a new
-// controller there (core.Recover). epoch is the incarnation the
-// replacement will serve as — useful for naming the destination dir.
-type FailoverFunc func(id string, epoch int) (Shard, error)
-
 // Config tunes the coordinator. The zero value gets the documented
 // defaults.
 type Config struct {
@@ -152,9 +145,11 @@ type Coordinator struct {
 
 	scanPhases, aggPhases queryPhases
 
-	// Failover builds replacement backends for dead shards; nil
-	// disables failover even when cfg.AutoFailover is set.
-	Failover FailoverFunc
+	// Failover builds a dead shard's replacement to serve as epoch,
+	// outside the lock (BootLocal's ships its state to the epoch's
+	// ShardDir and recovers it there); nil disables failover even when
+	// cfg.AutoFailover is set.
+	Failover func(id string, epoch int) (Shard, error)
 }
 
 // New opens (or creates) a coordinator journaled at dir and replays its

@@ -418,60 +418,33 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 	cfg := testConfig()
 	cfg.AutoFailover = true
 	base := t.TempDir()
-	c, err := New("", cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer c.Close()
-
 	// Durable shards so state can be shipped.
 	dcfg := core.DurabilityConfig{Trusted: []string{testOwner}, StoreFlushEvery: 4}
-	shards := make([]*LocalShard, 2)
-	dirs := make([]string, 2)
-	for i := range shards {
-		dirs[i] = fmt.Sprintf("%s/shard-%d", base, i)
-		ctrl, err := core.Recover(dirs[i], dcfg)
-		if err != nil {
-			t.Fatalf("Recover shard %d: %v", i, err)
-		}
-		shards[i] = NewLocalShard(ctrl)
-		if err := c.AddShard(fmt.Sprintf("shard-%d", i), shards[i]); err != nil {
-			t.Fatalf("AddShard: %v", err)
-		}
+	l, err := BootLocal(base, 2, dcfg, cfg)
+	if err != nil {
+		t.Fatalf("BootLocal: %v", err)
 	}
+	defer l.Close()
+	c := l.Coordinator
 	var appended int64 // journal records the killed shard had acknowledged
+	failover := c.Failover
 	c.Failover = func(id string, epoch int) (Shard, error) {
-		var src string
-		var ls *LocalShard
-		switch id {
-		case "shard-0":
-			src, ls = dirs[0], shards[0]
-		case "shard-1":
-			src, ls = dirs[1], shards[1]
-		default:
-			return nil, fmt.Errorf("unknown shard %s", id)
-		}
-		dst := fmt.Sprintf("%s/%s-epoch%d", base, id, epoch)
-		if err := ShipState(src, dst, "", ""); err != nil {
-			return nil, err
-		}
-		ctrl, err := core.Recover(dst, dcfg)
+		s, err := failover(id, epoch)
 		if err != nil {
 			return nil, err
 		}
 		// The dead shard's journal was shipped as its live log left it,
 		// allocated zeros behind the frames included: that is every record
 		// the shard acknowledged and no torn tail.
-		raw, err := os.ReadFile(filepath.Join(dst, "journal.log"))
+		raw, err := os.ReadFile(filepath.Join(ShardDir(base, id, epoch), "journal.log"))
 		if frames := framelog.Span(framelog.Frames(raw)); err != nil || frames == 0 || frames >= int64(len(raw)) {
 			t.Errorf("shipped journal: %d bytes of frames in a %d-byte file (%v), want frames and an allocated tail", frames, len(raw), err)
 		}
-		d := ctrl.DurabilityCounters()
+		d := l.Shards[id].Controller().DurabilityCounters()
 		if d["recovery_truncated_tail"] != 0 || d["recovery_replayed"] != appended {
 			t.Errorf("recovered the shipped directory with %v, want no torn tail and all %d records replayed", d, appended)
 		}
-		ls.Revive(ctrl)
-		return ls, nil
+		return s, nil
 	}
 
 	ps := testProbes(10)
@@ -479,7 +452,7 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 
 	// Crash shard-1 without closing it (a real crash leaves no goodbye);
 	// its journal is already durable because appends sync before ack.
-	appended = shards[1].Kill().DurabilityCounters()["journal_records_appended"]
+	appended = l.Shards["shard-1"].Kill().DurabilityCounters()["journal_records_appended"]
 	c.Tick(int(cfg.DeadAfter))
 	if c.Counters()["fed_failovers"] != 1 {
 		t.Fatalf("fed_failovers = %d, want 1 (counters: %v)", c.Counters()["fed_failovers"], c.Counters())

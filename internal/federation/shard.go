@@ -221,3 +221,87 @@ func ShipState(srcDir, dstDir, srcStoreDir, dstStoreDir string) error {
 	}
 	return nil
 }
+
+// ShardDir is where local shard id keeps its durable state at epoch under
+// root: root/id until its first failover, root/id-epochN after the Nth.
+// Without a root it is "", a shard kept in memory.
+func ShardDir(root, id string, epoch int) string {
+	switch {
+	case root == "":
+		return ""
+	case epoch == 0:
+		return filepath.Join(root, id)
+	}
+	return filepath.Join(root, fmt.Sprintf("%s-epoch%d", id, epoch))
+}
+
+// Local is a coordinator and the in-process shards it routes to, by id; a
+// coordinator over remote shards is a Local without Shards.
+type Local struct {
+	*Coordinator
+	Shards map[string]*LocalShard
+}
+
+// BootLocal starts a coordinator journaled under root/coordinator over n
+// in-process shards, shard-0 to shard-(n-1), each recovered at its
+// ShardDir for the epoch the coordinator's journal replayed, and installs
+// the Failover hook. root == "" keeps everything in memory, with no hook:
+// there is no state to ship.
+func BootLocal(root string, n int, shardCfg core.DurabilityConfig, cfg Config) (*Local, error) {
+	coordDir := ""
+	if root != "" {
+		coordDir = filepath.Join(root, "coordinator")
+	}
+	coord, err := New(coordDir, cfg)
+	if err != nil {
+		return nil, err
+	}
+	l := &Local{coord, make(map[string]*LocalShard, n)}
+	epochs := map[string]int{}
+	for _, st := range coord.ShardStatuses() {
+		epochs[st.ID] = st.Epoch
+	}
+	for i := range n {
+		id := fmt.Sprintf("shard-%d", i)
+		ctrl, err := core.Recover(ShardDir(root, id, epochs[id]), shardCfg)
+		if err == nil {
+			l.Shards[id] = NewLocalShard(ctrl)
+			err = coord.AddShard(id, l.Shards[id])
+		}
+		if err != nil {
+			l.Close()
+			return nil, fmt.Errorf("federation: booting %s: %w", id, err)
+		}
+	}
+	if root == "" {
+		return l, nil
+	}
+	coord.Failover = func(id string, epoch int) (Shard, error) {
+		ls, ok := l.Shards[id]
+		if !ok {
+			return nil, fmt.Errorf("no local shard %s", id) // journaled by an earlier boot of more shards
+		}
+		dst := ShardDir(root, id, epoch)
+		if err := ShipState(ShardDir(root, id, epoch-1), dst, "", ""); err != nil {
+			return nil, err
+		}
+		ctrl, err := core.Recover(dst, shardCfg)
+		if err != nil {
+			return nil, err
+		}
+		ls.Revive(ctrl)
+		return ls, nil
+	}
+	return l, nil
+}
+
+// Close closes the coordinator's journal, then every shard's controller.
+func (l *Local) Close() error {
+	err := l.Coordinator.Close()
+	for _, ls := range l.Shards {
+		if ctrl := ls.Kill(); ctrl != nil {
+			err = errors.Join(err, ctrl.Close())
+		}
+	}
+	return err
+}

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +30,7 @@ const owner = "fleet"
 var Countries = []string{"NG", "KE", "ZA", "GH", "SN", "TZ", "EG", "MA"}
 
 // System is the server a fleet drives. Ctrls are the controllers whose
-// books Audit reads: the one controller, or every shard's.
+// books Audit reads: the one controller, or every shard's as booted.
 type System struct {
 	Backend core.Backend
 	Handler http.Handler
@@ -41,7 +40,7 @@ type System struct {
 
 // Boot starts the system under dir through core.Recover, as obsd starts
 // a durable deployment: one controller when shards is 0, else a
-// coordinator over that many local shards, each under dir/shard-N.
+// coordinator over that many local shards (federation.BootLocal).
 func Boot(dir string, shards int) (*System, error) {
 	cfg := core.DurabilityConfig{Trusted: []string{owner}}
 	if shards <= 0 {
@@ -53,28 +52,13 @@ func Boot(dir string, shards int) (*System, error) {
 	}
 	// Generous per-shard deadline: with every worker funneling into one
 	// fsync queue, tail waits are contention, not failure.
-	coord, err := federation.New("", federation.Config{QueryDeadline: 30 * time.Second})
+	l, err := federation.BootLocal(dir, shards, cfg, federation.Config{QueryDeadline: 30 * time.Second})
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{Backend: coord, Handler: coord.Handler()}
-	sys.Close = func() {
-		coord.Close()
-		for _, c := range sys.Ctrls {
-			c.Close()
-		}
-	}
-	for i := range shards {
-		id := fmt.Sprintf("shard-%d", i)
-		ctrl, err := core.Recover(filepath.Join(dir, id), cfg)
-		if err == nil {
-			sys.Ctrls = append(sys.Ctrls, ctrl)
-			err = coord.AddShard(id, federation.NewLocalShard(ctrl))
-		}
-		if err != nil {
-			sys.Close()
-			return nil, fmt.Errorf("boot %s: %w", id, err)
-		}
+	sys := &System{Backend: l, Handler: l.Handler(), Close: func() { l.Close() }}
+	for _, ls := range l.Shards {
+		sys.Ctrls = append(sys.Ctrls, ls.Controller())
 	}
 	return sys, nil
 }

@@ -55,6 +55,9 @@ func OpenMachine[C any](dir string, owner Owner[C]) (*Machine[C], error) {
 	if err != nil {
 		return nil, err
 	}
+	for log.Snap != nil && len(log.Records) > 0 && log.Records[0].Seq <= log.Snap.Seq {
+		log.Records = log.Records[1:] // covered by the snapshot: neither checked nor replayed
+	}
 	hist := func(op string) *obs.Histogram { return owner.Obs.Hist(MetricSeconds, "op", op) }
 	m := &Machine[C]{owner: owner, log: log, hAppend: hist("append"), hFsync: hist("fsync"), hSnapshot: hist("snapshot"),
 		events: owner.Obs.Counters(MetricEvents), gauge: owner.Obs.Gauges(MetricGauge)}
@@ -81,19 +84,15 @@ func OpenMachine[C any](dir string, owner Owner[C]) (*Machine[C], error) {
 func (m *Machine[C]) Rebuild(phase func(step string)) (replayed int, torn bool, err error) {
 	l := m.log
 	defer func() { l.Snap, l.Records = nil, nil }()
-	tail := l.Records
 	if l.Snap != nil {
 		if err := m.owner.Decode(l.Snap); err != nil {
 			return 0, false, fmt.Errorf("decoding snapshot: %w", err)
 		}
 		m.gauge.Set("snapshot_bytes", l.Snap.Bytes)
 		m.gauge.Set("snapshot_frames", int64(len(l.Snap.Frames)+1))
-		for len(tail) > 0 && tail[0].Seq <= l.Snap.Seq {
-			tail = tail[1:]
-		}
 	}
 	phase("snapshot")
-	ops, err := DecodeOps(m.owner.Ops, tail)
+	ops, err := DecodeOps(m.owner.Ops, l.Records)
 	if err != nil {
 		return 0, false, err
 	}
@@ -107,6 +106,21 @@ func (m *Machine[C]) Rebuild(phase func(step string)) (replayed int, torn bool, 
 	}
 	phase("replay")
 	return len(ops), l.TornTail, nil
+}
+
+// CheckKinds returns the error Rebuild will, before Rebuild runs, for a
+// journal whose records past the snapshot include a kind the owner's table
+// lacks: the first record's that fails to decode. An owner that opens more
+// than its journal in the directory calls it first, so that a directory it
+// refuses by kind is left as it found it.
+func (m *Machine[C]) CheckKinds() error {
+	for i, rec := range m.log.Records {
+		if _, ok := m.owner.Ops[rec.Kind]; !ok {
+			_, err := DecodeOps(m.owner.Ops, m.log.Records[:i+1])
+			return err
+		}
+	}
+	return nil
 }
 
 // Do is a mutation's write path: journal the validated op under a

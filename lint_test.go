@@ -60,10 +60,8 @@ var rules = []rule{
 	{"span-capture", nil, true, nil, regexp.MustCompile(`^go \*internal/obs\.Span$`), "an obs.Span is written by one goroutine: give the goroutine a span tree of its own"},
 	{"book-pure", []string{"internal/core/book.go"}, false, nil, regexp.MustCompile(`^(internal/(obs|journal|store|framelog)|os|sync|time|net/http)\.`), "the book is the journaled state machine alone, with no lock, I/O, clock or metrics: the Controller does those and hands the book its counters and wake-ups"},
 	{"journal-machine", []string{"internal/"}, false, []string{"internal/journal/"}, regexp.MustCompile(`^internal/journal\.(Open|DecodeOps|Log\.Append|Log\.WriteSnapshot)$`), "only internal/journal replays or appends a journal: an owner rebuilds its state and journals its mutations through journal.Machine"},
+	{"local-failover", []string{"cmd/", "internal/"}, false, []string{"internal/federation/"}, regexp.MustCompile(`^internal/federation\.ShipState$`), "only internal/federation ships a shard's state: boot in-process shards with federation.BootLocal, whose Failover hook ships to and recovers at federation.ShardDir"},
 }
-
-// The rules on a declaration in internal/: nothing uses it, or only its package's tests do.
-const unused, ownTests = "unused", "own-tests"
 
 // interfaceMethods are method names the standard library calls through
 // its own interfaces; nothing in the module calls them, yet they run.
@@ -252,7 +250,7 @@ func lint(root string) (map[string][]string, error) {
 			}
 		}
 		if u < 2 {
-			add([]string{unused, ownTests}[u], obj.Pos(), key(obj))
+			add([]string{"unused", "own-tests"}[u], obj.Pos(), key(obj))
 		}
 	}
 	for _, fs := range found {
@@ -263,7 +261,7 @@ func lint(root string) (map[string][]string, error) {
 
 // TestLint runs each rule on its testdata trees, then on the module.
 func TestLint(t *testing.T) {
-	for _, r := range append(rules, rule{name: ownTests, msg: "only its own package's tests use it: delete it, or give it a caller"}) {
+	for _, r := range append(rules, rule{name: "own-tests", msg: "only its own package's tests use it: delete it, or give it a caller"}) {
 		t.Run(r.name, func(t *testing.T) { check(t, r) })
 	}
 }
@@ -272,7 +270,7 @@ func TestLint(t *testing.T) {
 // non-test file under internal/ that nothing in the module, tests
 // included, uses: code that nothing can run.
 func TestEveryDeclarationIsNamed(t *testing.T) {
-	check(t, rule{name: unused, msg: "nothing in the module uses it: delete it"})
+	check(t, rule{name: "unused", msg: "nothing in the module uses it: delete it"})
 }
 
 // check runs r on testdata/lint/<name>/trip, where it must find exactly
