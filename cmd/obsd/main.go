@@ -394,12 +394,12 @@ func buildLocalFederation(n int, dataDir string, shardCfg core.DurabilityConfig,
 		logRecovered(id+" ", l.Shards[id].Controller())
 	}
 	boot := l.Failover
-	l.Failover = func(id string, epoch int) (federation.Shard, error) {
-		s, err := boot(id, epoch)
+	l.Failover = func(id string, epoch int, commit func() error) error {
+		err := boot(id, epoch, commit)
 		if err == nil {
 			logRecovered(fmt.Sprintf("%s at epoch %d ", id, epoch), l.Shards[id].Controller())
 		}
-		return s, err
+		return err
 	}
 	return fedService{l}
 }

@@ -34,7 +34,7 @@ type leaseRec struct {
 type book struct {
 	probes      map[string]*probeState
 	experiments map[string]*Experiment
-	queues      map[string][]probes.Task // per-probe pending tasks
+	queues      map[string][]probes.Task // per-probe pending tasks; an empty queue has no key
 	// taskIDs indexes each experiment's valid task IDs; recorded marks
 	// the ones that already have a result (the dedup set).
 	taskIDs   map[string]map[string]bool
@@ -172,7 +172,7 @@ func (b *book) reassignQueue(deadID string) {
 		return
 	}
 	b.queues[peer] = append(b.queues[peer], q...)
-	b.queues[deadID] = nil
+	delete(b.queues, deadID)
 	b.stats.Add("tasks_reassigned", int64(len(q)))
 	b.wake(peer)
 }
@@ -357,7 +357,9 @@ func (b *book) grant(probeID string, max int) []probes.Task {
 		lease = append(lease, t)
 		b.leases[leaseKey(t)] = &leaseRec{task: t, probeID: probeID, deadline: b.now + b.LeaseTTL}
 	}
-	b.queues[probeID] = q[taken:]
+	if b.queues[probeID] = q[taken:]; taken == len(q) {
+		delete(b.queues, probeID) // drained
+	}
 	b.stats.Add("tasks_leased", int64(len(lease)))
 	if len(lease) > 0 {
 		if st, ok := b.probes[probeID]; ok {

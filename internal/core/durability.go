@@ -366,16 +366,15 @@ func (c *Controller) Snapshot() error {
 }
 
 // Close flushes the results store, takes a final snapshot, and closes
-// the journal; part of obsd's graceful shutdown. Safe on in-memory
-// controllers.
+// the journal; part of obsd's graceful shutdown. A closed durable
+// controller answers every mutation with a StorageFault: its journal
+// takes no more. Safe on in-memory controllers.
 func (c *Controller) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	storeErr := c.store.Close()
 	snapErr := c.journal.Snapshot(c.span)
-	closeErr := c.journal.Close()
-	c.journal = nil
-	return cmp.Or(storeErr, snapErr, closeErr)
+	return cmp.Or(storeErr, snapErr, c.journal.Close())
 }
 
 func sortedKeys[V any](m map[string]V) []string {

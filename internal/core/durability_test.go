@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -502,5 +503,26 @@ func TestRecoveryGate503(t *testing.T) {
 	}
 	if _, err := cl.Health(); err != nil {
 		t.Fatalf("client did not retry through the recovery window: %v", err)
+	}
+}
+
+// TestClosedControllerRefusesMutations: a sync that takes a durable
+// controller's lock after Close — one that fetched the controller before a
+// failover closed it — is refused as a StorageFault, not acknowledged and
+// applied in memory alone.
+func TestClosedControllerRefusesMutations(t *testing.T) {
+	c := mustRecover(t, t.TempDir(), DurabilityConfig{})
+	if err := c.RegisterProbe(ProbeInfo{ID: "p1", ASN: 1, Country: "RW"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var fault *StorageFault
+	if _, err := c.SyncProbe("p1", nil, -1); !errors.As(err, &fault) {
+		t.Errorf("sync after Close: %v, want a StorageFault", err)
+	}
+	if err := c.RegisterProbe(ProbeInfo{ID: "p2", ASN: 1, Country: "RW"}); !errors.As(err, &fault) {
+		t.Errorf("register after Close: %v, want a StorageFault", err)
 	}
 }

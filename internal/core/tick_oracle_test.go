@@ -83,7 +83,7 @@ func (c *Controller) refReassignQueueLocked(deadID string) {
 		return
 	}
 	c.queues[peer] = append(c.queues[peer], q...)
-	c.queues[deadID] = nil
+	delete(c.queues, deadID)
 	c.stats.Add("tasks_reassigned", int64(len(q)))
 	c.notifyWaitersLocked(peer)
 }

@@ -107,12 +107,12 @@ func TestShardChaosEndToEnd(t *testing.T) {
 		tornOf[id] = 0
 	}
 	failover := coord.Failover
-	coord.Failover = func(id string, epoch int) (federation.Shard, error) {
-		s, err := failover(id, epoch)
+	coord.Failover = func(id string, epoch int, commit func() error) error {
+		err := failover(id, epoch, commit)
 		if err == nil {
 			checkTail(id, locals[id].Controller())
 		}
-		return s, err
+		return err
 	}
 
 	srv := httptest.NewServer(coord.Handler())

@@ -52,61 +52,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Journaled coordinator mutations. Shard membership and federated
-// submissions are the coordinator's durable truth — a restarted
-// coordinator must re-route the same keys to the same shard IDs and
-// dedup retried submissions — while shard *health* is run-scoped
-// observation, rebuilt by probing, and deliberately not journaled.
-const (
-	opShardAdd      = "shard_add"
-	opShardFailover = "shard_failover"
-	opFedSubmit     = "fed_submit"
-)
-
 // replayOps is every journal record kind a coordinator can replay: the
-// op its data decodes into and the apply function the live mutation
-// used. A replayed failover has no backend to attach.
-var replayOps = map[string]journal.Op[*Coordinator]{
-	opShardAdd:      journal.OpOf((*Coordinator).applyShardAddLocked),
-	opShardFailover: journal.OpOf(func(c *Coordinator, op shardFailoverOp) { c.applyShardFailoverLocked(op, nil) }),
-	opFedSubmit:     journal.OpOf((*Coordinator).applyFedSubmitLocked),
+// op its data decodes into and the book's apply, which the live mutation
+// runs too.
+var replayOps = map[string]journal.Op[*fedBook]{
+	opShardAdd:      journal.OpOf((*fedBook).addShard),
+	opShardFailover: journal.OpOf((*fedBook).failover),
+	opFedSubmit:     journal.OpOf((*fedBook).submit),
 }
 
-type shardAddOp struct {
-	ID string `json:"id"`
-}
-
-type shardFailoverOp struct {
-	ID    string `json:"id"`
-	Epoch int    `json:"epoch"`
-}
-
-type fedSubmitOp struct {
-	FedID       string   `json:"fed_id"`
-	RequestID   string   `json:"request_id"`
-	Owner       string   `json:"owner"`
-	Description string   `json:"description"`
-	Shards      []string `json:"shards"`
-}
-
-// fedExperiment is the coordinator's book on one federated experiment:
-// which shards hold its partitions.
-type fedExperiment struct {
-	ID     string
-	Owner  string
-	Shards []string
-}
-
-// shardState is the coordinator's book on one shard.
+// shardState is the coordinator's run-scoped state on one shard, which no
+// replay rebuilds: the slot it calls, its health and latency series. id,
+// slot and hist never change, so a call reads them without the lock;
+// attaching another slot replaces the whole state.
 type shardState struct {
 	id     string
-	epoch  int
 	slot   Shard // nil until attached (recovered coordinator)
+	hist   *obs.Histogram
 	health core.ProbeHealth
 	// lastSeen is the coordinator tick of the last successful health
 	// probe (or attach), driving the alive→suspect→dead machine.
 	lastSeen int64
-	hist     *obs.Histogram
+	failing  bool // a failover of the shard is running: another is dropped
 }
 
 // ShardStatus is one shard's externally-visible state, served by
@@ -120,21 +87,18 @@ type ShardStatus struct {
 // Coordinator fronts N shards with the v1 API: probe traffic routes to
 // the owning shard by consistent hashing, experiments fan out to every
 // owning shard, and queries scatter-gather with per-shard deadlines,
-// hedged retries, and partial-result degradation. Membership and
-// federated submissions are journaled (append-then-apply, like the
-// controller) so a coordinator restart preserves routing and submission
-// idempotency.
+// hedged retries, and partial-result degradation. It is a lock, the book
+// it guards (fedbook.go: membership and federated submissions, journaled
+// append-then-apply like the controller's, so a restart preserves routing
+// and submission idempotency) and the run's I/O: the shard slots, their
+// health, the clock.
 type Coordinator struct {
-	mu        sync.Mutex
-	cfg       Config
-	shards    map[string]*shardState
-	order     []string // sorted shard IDs — the deterministic fan-out order
-	ring      *ring
-	submitIDs map[string]string // client requestID → federated experiment id
-	fedExps   map[string]*fedExperiment
-	nextFedID int
-	tick      int64
-	journal   *journal.Machine[*Coordinator] // nil for in-memory coordinators
+	mu      sync.Mutex
+	cfg     Config
+	book    fedBook
+	journal *journal.Machine[*fedBook] // nil for in-memory coordinators
+	shards  map[string]*shardState     // one per book shard, by id
+	tick    int64
 
 	// The front end's state (Handler): the registry and trace ring the
 	// shared router writes and serves, and its admission gate.
@@ -145,11 +109,12 @@ type Coordinator struct {
 
 	scanPhases, aggPhases queryPhases
 
-	// Failover builds a dead shard's replacement to serve as epoch,
-	// outside the lock (BootLocal's ships its state to the epoch's
-	// ShardDir and recovers it there); nil disables failover even when
-	// cfg.AutoFailover is set.
-	Failover func(id string, epoch int) (Shard, error)
+	// Failover moves shard id to epoch, outside the lock: it prepares the
+	// replacement (BootLocal's ships the shard's state to the epoch's
+	// ShardDir and recovers it there), calls commit, which journals the
+	// epoch, and only if that succeeds lets the replacement serve. nil
+	// disables failover even when cfg.AutoFailover is set.
+	Failover func(id string, epoch int, commit func() error) error
 }
 
 // New opens (or creates) a coordinator journaled at dir and replays its
@@ -160,47 +125,46 @@ type Coordinator struct {
 func New(dir string, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:       cfg,
-		shards:    make(map[string]*shardState),
-		ring:      newRing(nil),
-		submitIDs: make(map[string]string),
-		fedExps:   make(map[string]*fedExperiment),
-		reg:       obs.NewRegistry(),
-		traces:    obs.NewTraceRing(core.DefaultTraceRing),
+		cfg:    cfg,
+		book:   newFedBook(),
+		shards: make(map[string]*shardState),
+		reg:    obs.NewRegistry(),
+		traces: obs.NewTraceRing(core.DefaultTraceRing),
 	}
 	c.ctr = c.reg.Counters("obs_fed_events_total")
 	c.gate = core.NewAdmissionGate(cfg.Admission, c.reg)
 	c.scanPhases, c.aggPhases = newQueryPhases(c.reg, "scan"), newQueryPhases(c.reg, "aggregate")
-	if dir == "" {
-		return c, nil
+	if dir != "" {
+		// The coordinator writes no snapshot: its machine refuses a
+		// directory holding one (a controller's), and replays the whole
+		// journal.
+		jm, err := journal.OpenMachine(dir, journal.Owner[*fedBook]{State: &c.book, Ops: replayOps, Obs: c.reg})
+		if err != nil {
+			return nil, fmt.Errorf("federation: %w", err)
+		}
+		replayed, torn, err := jm.Rebuild(func(string) {})
+		if err != nil {
+			jm.Close()
+			return nil, fmt.Errorf("federation: %w", err)
+		}
+		if torn {
+			c.ctr.Inc("fed_recovery_truncated_tail")
+		}
+		c.ctr.Add("fed_recovery_replayed", int64(replayed))
+		c.journal = jm
 	}
-	// The coordinator writes no snapshot: its machine refuses a directory
-	// holding one (a controller's), and replays the whole journal.
-	jm, err := journal.OpenMachine(dir, journal.Owner[*Coordinator]{State: c, Ops: replayOps, Obs: c.reg})
-	if err != nil {
-		return nil, fmt.Errorf("federation: %w", err)
+	for _, id := range c.book.order {
+		c.attachLocked(id, nil)
 	}
-	replayed, torn, err := jm.Rebuild(func(string) {})
-	if err != nil {
-		jm.Close()
-		return nil, fmt.Errorf("federation: %w", err)
-	}
-	if torn {
-		c.ctr.Inc("fed_recovery_truncated_tail")
-	}
-	c.ctr.Add("fed_recovery_replayed", int64(replayed))
-	c.journal = jm
 	return c, nil
 }
 
-// Close releases the coordinator journal. Shard backends are owned by
-// the caller.
+// Close releases the coordinator journal; a closed coordinator journals no
+// more mutations, so it makes none. Shard backends are owned by the caller.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := c.journal.Close()
-	c.journal = nil
-	return err
+	return c.journal.Close()
 }
 
 // Observability returns the coordinator's metrics registry (the /metrics
@@ -215,50 +179,14 @@ func storageFault(err error) error {
 	return &core.StorageFault{Err: fmt.Errorf("federation: %w", err)}
 }
 
-func (c *Coordinator) applyShardAddLocked(op shardAddOp) {
-	if _, ok := c.shards[op.ID]; ok {
-		return
+// attachLocked gives book shard id fresh run-scoped state over slot: dead
+// while slot is nil.
+func (c *Coordinator) attachLocked(id string, slot Shard) {
+	st := &shardState{id: id, slot: slot, hist: c.reg.Hist("obs_fed_shard_seconds", "shard", id), health: core.ProbeDead}
+	if slot != nil {
+		st.health, st.lastSeen = core.ProbeAlive, c.tick
 	}
-	c.shards[op.ID] = &shardState{
-		id:     op.ID,
-		health: core.ProbeDead, // dead until a backend attaches
-		hist:   c.reg.Hist("obs_fed_shard_seconds", "shard", op.ID),
-	}
-	c.order = append(c.order, op.ID)
-	sort.Strings(c.order)
-	c.ring = newRing(c.order)
-}
-
-func (c *Coordinator) applyShardFailoverLocked(op shardFailoverOp, replacement Shard) {
-	st, ok := c.shards[op.ID]
-	if !ok {
-		// A failover record for a shard the snapshot-less journal never
-		// added cannot happen (failover journals after add); tolerate it
-		// by materializing the shard.
-		c.applyShardAddLocked(shardAddOp{ID: op.ID})
-		st = c.shards[op.ID]
-	}
-	st.epoch = op.Epoch
-	st.slot = replacement
-	if replacement != nil {
-		st.health = core.ProbeAlive
-		st.lastSeen = c.tick
-	} else {
-		st.health = core.ProbeDead
-	}
-}
-
-func (c *Coordinator) applyFedSubmitLocked(op fedSubmitOp) {
-	if _, ok := c.fedExps[op.FedID]; !ok {
-		c.fedExps[op.FedID] = &fedExperiment{ID: op.FedID, Owner: op.Owner, Shards: op.Shards}
-	}
-	if op.RequestID != "" {
-		c.submitIDs[op.RequestID] = op.FedID
-	}
-	var n int
-	if _, err := fmt.Sscanf(op.FedID, "fexp-%04d", &n); err == nil && n > c.nextFedID {
-		c.nextFedID = n
-	}
+	c.shards[id] = st
 }
 
 // AddShard adds a shard to the journaled map (idempotent by ID) and
@@ -273,55 +201,55 @@ func (c *Coordinator) AddShard(id string, slot Shard) error {
 	defer c.mu.Unlock()
 	if _, ok := c.shards[id]; !ok {
 		op := shardAddOp{ID: id}
-		if err := c.journal.Do(nil, opShardAdd, op, func() { c.applyShardAddLocked(op) }); err != nil {
+		if err := c.journal.Do(nil, opShardAdd, op, func() { c.book.addShard(op) }); err != nil {
 			return storageFault(err)
 		}
 	}
-	st := c.shards[id]
-	st.slot = slot
-	if slot != nil {
-		st.health = core.ProbeAlive
-		st.lastSeen = c.tick
-	}
+	c.attachLocked(id, slot)
 	return nil
 }
 
-// FailoverShard replaces a shard's backend through the Failover hook,
-// bumping its journaled epoch. The hook runs outside the lock (it ships
-// state and replays a journal); the swap is journaled before it is
-// applied, like every other mutation.
+// FailoverShard moves a shard to its next epoch through the Failover hook,
+// which runs outside the lock (it ships state and replays a journal) and
+// calls back to journal the epoch before the replacement serves. While one
+// failover of a shard runs, another of the same shard is dropped.
 func (c *Coordinator) FailoverShard(id string) error {
 	c.mu.Lock()
 	st, ok := c.shards[id]
 	hook := c.Failover
-	if !ok {
+	switch {
+	case !ok:
 		c.mu.Unlock()
 		return fmt.Errorf("federation: unknown shard %q", id)
-	}
-	if hook == nil {
+	case hook == nil:
 		c.mu.Unlock()
 		return errors.New("federation: no failover hook configured")
+	case st.failing:
+		c.mu.Unlock()
+		c.ctr.Inc("fed_failover_races")
+		return nil
 	}
-	epoch := st.epoch + 1
+	st.failing = true
+	op := shardFailoverOp{ID: id, Epoch: c.book.epochs[id] + 1}
 	c.mu.Unlock()
 
-	replacement, err := hook(id, epoch)
+	err := hook(id, op.Epoch, func() error {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if err := c.journal.Do(nil, opShardFailover, op, func() { c.book.failover(op) }); err != nil {
+			return storageFault(err)
+		}
+		return nil
+	})
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st.failing = false
 	if err != nil {
 		c.ctr.Inc("fed_failover_errors")
 		return fmt.Errorf("federation: failover of %s: %w", id, err)
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur := c.shards[id]; cur == nil || cur.epoch >= epoch {
-		// Lost a race with a concurrent failover; drop our replacement.
-		c.ctr.Inc("fed_failover_races")
-		return nil
-	}
-	op := shardFailoverOp{ID: id, Epoch: epoch}
-	if err := c.journal.Do(nil, opShardFailover, op, func() { c.applyShardFailoverLocked(op, replacement) }); err != nil {
-		return storageFault(err)
-	}
+	st.health, st.lastSeen = core.ProbeAlive, c.tick
 	c.ctr.Inc("fed_failovers")
 	return nil
 }
@@ -331,10 +259,9 @@ func (c *Coordinator) FailoverShard(id string) error {
 func (c *Coordinator) ShardStatuses() []ShardStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]ShardStatus, 0, len(c.order))
-	for _, id := range c.order {
-		st := c.shards[id]
-		out = append(out, ShardStatus{ID: st.id, Epoch: st.epoch, Health: st.health})
+	out := make([]ShardStatus, 0, len(c.book.order))
+	for _, id := range c.book.order {
+		out = append(out, ShardStatus{ID: id, Epoch: c.book.epochs[id], Health: c.shards[id].health})
 	}
 	return out
 }
@@ -403,22 +330,14 @@ func (c *Coordinator) Tick(n int) {
 }
 
 // shardFor routes a key (a probe ID) to its owning shard.
-func (c *Coordinator) shardFor(key string) (shardTarget, error) {
+func (c *Coordinator) shardFor(key string) (*shardState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := c.ring.owner(key)
+	id := c.book.ring.owner(key)
 	if id == "" {
-		return shardTarget{}, ErrNoShards
+		return nil, ErrNoShards
 	}
-	st := c.shards[id]
-	return shardTarget{st, st.slot}, nil
-}
-
-// shardTarget is one shard's book and the slot it held when the call
-// began (failover swaps st.slot under c.mu).
-type shardTarget struct {
-	st   *shardState
-	slot Shard
+	return c.shards[id], nil
 }
 
 // attemptResult carries one attempt's outcome through a channel —
@@ -439,20 +358,20 @@ type attemptResult[T any] struct {
 // not the request's: a trace span is single-goroutine (obs.Span), and
 // every attempt and hedge runs on its own goroutine (cross-tier spans are
 // ROADMAP item 6).
-func scatterCall[T any](c *Coordinator, t shardTarget, hedge bool, op func(core.Backend) (T, error)) (T, error) {
+func scatterCall[T any](c *Coordinator, st *shardState, hedge bool, op func(core.Backend) (T, error)) (T, error) {
 	var zero T
-	if t.slot == nil {
+	if st.slot == nil {
 		return zero, ErrShardDown
 	}
 	ch := make(chan attemptResult[T], 2)
 	attempt := func() {
 		tm := obs.StartTimer()
 		var v T
-		b, err := t.slot.Backend()
+		b, err := st.slot.Backend()
 		if err == nil {
 			v, err = op(b)
 		}
-		t.st.hist.Observe(tm.Elapsed())
+		st.hist.Observe(tm.Elapsed())
 		ch <- attemptResult[T]{v, err}
 	}
 	go attempt()
@@ -538,17 +457,17 @@ func (c *Coordinator) Submit(_ context.Context, req core.SubmitRequest) (*core.E
 		return nil, core.ErrNoAssignments
 	}
 	c.mu.Lock()
-	if len(c.order) == 0 {
+	if len(c.book.order) == 0 {
 		c.mu.Unlock()
 		return nil, ErrNoShards
 	}
 	var fedID string
 	var replay bool
 	if req.RequestID != "" {
-		fedID, replay = c.submitIDs[req.RequestID]
+		fedID, replay = c.book.submitIDs[req.RequestID]
 	}
 	if !replay {
-		fedID = fmt.Sprintf("fexp-%04d", c.nextFedID+1)
+		fedID = fmt.Sprintf("fexp-%04d", len(c.book.fedExps)+1)
 	}
 	// Fill empty task ids centrally, by position in the federated
 	// submission: letting each shard auto-mint would collide across
@@ -569,7 +488,7 @@ func (c *Coordinator) Submit(_ context.Context, req core.SubmitRequest) (*core.E
 	partIdx := make(map[string][]int)
 	home := make(map[string]string, len(filled))
 	for i, a := range filled {
-		id := c.ring.owner(a.ProbeID)
+		id := c.book.ring.owner(a.ProbeID)
 		if other, ok := home[a.Task.ID]; ok && other != id {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("federation: task id %s is assigned to probes of two shards (%s and %s)", a.Task.ID, other, id)
@@ -591,7 +510,7 @@ func (c *Coordinator) Submit(_ context.Context, req core.SubmitRequest) (*core.E
 			Description: req.Description,
 			Shards:      owners,
 		}
-		if err := c.journal.Do(nil, opFedSubmit, op, func() { c.applyFedSubmitLocked(op) }); err != nil {
+		if err := c.journal.Do(nil, opFedSubmit, op, func() { c.book.submit(op) }); err != nil {
 			c.mu.Unlock()
 			return nil, storageFault(err)
 		}
@@ -599,21 +518,18 @@ func (c *Coordinator) Submit(_ context.Context, req core.SubmitRequest) (*core.E
 	} else {
 		c.ctr.Inc("fed_submit_dedup")
 	}
-	targets := make(map[string]shardTarget, len(owners))
-	for _, id := range owners {
-		targets[id] = shardTarget{c.shards[id], c.shards[id].slot}
-	}
+	targets := c.targetsLocked(owners)
 	c.mu.Unlock()
 
 	// Push partitions in deterministic order. Hedging is safe: the
 	// per-shard request id makes redelivery a dedup hit.
 	subs := make([]*core.Experiment, 0, len(owners))
-	for _, id := range owners {
+	for i, id := range owners {
 		part := core.SubmitRequest{RequestID: "fed:" + fedID + ":" + id, ID: fedID, Owner: req.Owner, Description: req.Description}
-		for _, i := range partIdx[id] {
-			part.Assignments = append(part.Assignments, filled[i])
+		for _, j := range partIdx[id] {
+			part.Assignments = append(part.Assignments, filled[j])
 		}
-		sub, err := scatterCall(c, targets[id], true, func(b core.Backend) (*core.Experiment, error) {
+		sub, err := scatterCall(c, targets[i], true, func(b core.Backend) (*core.Experiment, error) {
 			return b.Submit(context.Background(), part)
 		})
 		if err != nil {
@@ -685,22 +601,24 @@ func (c *Coordinator) Experiment(fedID string) (*core.Experiment, error) {
 	return mergeExperiments(fedID, fed.Owner, "", subs), nil
 }
 
-func (c *Coordinator) experimentTargets(fedID string) (*fedExperiment, []shardTarget, error) {
+func (c *Coordinator) experimentTargets(fedID string) (*fedExperiment, []*shardState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fed, ok := c.fedExps[fedID]
+	fed, ok := c.book.fedExps[fedID]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w %s", core.ErrUnknownExperiment, fedID)
 	}
-	targets := make([]shardTarget, 0, len(fed.Shards))
-	for _, id := range fed.Shards {
-		st := c.shards[id]
-		if st == nil {
-			return nil, nil, fmt.Errorf("federation: experiment %s references unknown shard %s", fedID, id)
-		}
-		targets = append(targets, shardTarget{st, st.slot})
+	return fed, c.targetsLocked(fed.Shards), nil
+}
+
+// targetsLocked is the state of each shard of ids, in order: a book
+// shard's always exists.
+func (c *Coordinator) targetsLocked(ids []string) []*shardState {
+	out := make([]*shardState, len(ids))
+	for i, id := range ids {
+		out[i] = c.shards[id]
 	}
-	return fed, targets, nil
+	return out
 }
 
 // mergeExperiments folds per-shard sub-experiments into the federated
@@ -792,15 +710,4 @@ func (c *Coordinator) now() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.tick
-}
-
-// allTargets snapshots every shard's book and slot in sorted-id order.
-func (c *Coordinator) allTargets() []shardTarget {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	targets := make([]shardTarget, 0, len(c.order))
-	for _, id := range c.order {
-		targets = append(targets, shardTarget{c.shards[id], c.shards[id].slot})
-	}
-	return targets
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -268,7 +269,7 @@ func TestSubmitRefusesTaskIDOnTwoShards(t *testing.T) {
 	}
 	byShard := map[string][]string{}
 	for _, p := range ps {
-		byShard[c.ring.owner(p.ID)] = append(byShard[c.ring.owner(p.ID)], p.ID)
+		byShard[c.book.ring.owner(p.ID)] = append(byShard[c.book.ring.owner(p.ID)], p.ID)
 	}
 	if len(byShard["shard-0"]) < 2 || len(byShard["shard-1"]) < 1 {
 		t.Fatalf("the ring split 8 probes %v: the test needs two on shard-0 and one on shard-1", byShard)
@@ -333,7 +334,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	routes1 := map[string]string{}
 	for _, p := range ps {
 		c1.mu.Lock()
-		routes1[p.ID] = c1.ring.owner(p.ID)
+		routes1[p.ID] = c1.book.ring.owner(p.ID)
 		c1.mu.Unlock()
 	}
 	if err := c1.Close(); err != nil {
@@ -363,7 +364,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	}
 	for _, p := range ps {
 		c2.mu.Lock()
-		got := c2.ring.owner(p.ID)
+		got := c2.book.ring.owner(p.ID)
 		c2.mu.Unlock()
 		if got != routes1[p.ID] {
 			t.Fatalf("probe %s re-routed from %s to %s across coordinator restart", p.ID, routes1[p.ID], got)
@@ -428,10 +429,10 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 	c := l.Coordinator
 	var appended int64 // journal records the killed shard had acknowledged
 	failover := c.Failover
-	c.Failover = func(id string, epoch int) (Shard, error) {
-		s, err := failover(id, epoch)
+	c.Failover = func(id string, epoch int, commit func() error) error {
+		err := failover(id, epoch, commit)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// The dead shard's journal was shipped as its live log left it,
 		// allocated zeros behind the frames included: that is every record
@@ -444,7 +445,7 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 		if d["recovery_truncated_tail"] != 0 || d["recovery_replayed"] != appended {
 			t.Errorf("recovered the shipped directory with %v, want no torn tail and all %d records replayed", d, appended)
 		}
-		return s, nil
+		return nil
 	}
 
 	ps := testProbes(10)
@@ -488,6 +489,114 @@ func TestDeadShardFailoverPreservesState(t *testing.T) {
 		if _, err := leaseTasks(c, p.ID, 4); err != nil {
 			t.Fatalf("post-failover lease for %s: %v", p.ID, err)
 		}
+	}
+}
+
+// durableShards is the shard config of the failover tests: journaled, its
+// store sealing every four results.
+var durableShards = core.DurabilityConfig{Trusted: []string{testOwner}, StoreFlushEvery: 4}
+
+// scanOnce fails unless a federated scan of expID answers undegraded with
+// the want acknowledged results, each once.
+func scanOnce(t *testing.T, c *Coordinator, expID string, want int) {
+	t.Helper()
+	recs, _, meta, err := c.ScanPage(store.Filter{Experiment: expID}, 0, "")
+	if err != nil || meta.Degraded {
+		t.Fatalf("scan: err=%v degraded=%v", err, meta.Degraded)
+	}
+	keys := map[string]bool{}
+	for _, r := range recs {
+		keys[r.Key()] = true
+	}
+	if len(recs) != want || len(keys) != want {
+		t.Fatalf("scan has %d records under %d keys, want the %d acknowledged once each", len(recs), len(keys), want)
+	}
+}
+
+// TestFailedCommitServesNothing: a failover whose epoch the coordinator
+// cannot journal returns the storage fault and leaves the shard down at its
+// old epoch, nothing serving from the next epoch's directory, so a boot at
+// the same root finds every acknowledged result once.
+func TestFailedCommitServesNothing(t *testing.T) {
+	root := t.TempDir()
+	l, err := BootLocal(root, 2, durableShards, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, accepted := pumpResults(t, l.Coordinator, testProbes(10), 2)
+	l.journal.Close()
+	var fault *core.StorageFault
+	if err := l.FailoverShard("shard-1"); !errors.As(err, &fault) {
+		t.Fatalf("FailoverShard with its journal closed: %v, want a StorageFault", err)
+	}
+	if st := l.ShardStatuses()[1]; st.ID != "shard-1" || st.Epoch != 0 {
+		t.Errorf("after a failed commit %+v, want shard-1 at epoch 0", st)
+	}
+	if l.Shards["shard-1"].Controller() != nil {
+		t.Error("shard-1 serves after a failed commit")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := BootLocal(root, 2, durableShards, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	scanOnce(t, again.Coordinator, exp.ID, accepted)
+}
+
+// TestLiveFailoverClosesWhatItReplaces: a failover of a live shard closes
+// the controller it replaces, whose final snapshot then ships, and which
+// refuses a sync that fetched it before the failover; the replacement
+// serves everything acknowledged before, once.
+func TestLiveFailoverClosesWhatItReplaces(t *testing.T) {
+	l, err := BootLocal(t.TempDir(), 2, durableShards, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ps := testProbes(10)
+	exp, accepted := pumpResults(t, l.Coordinator, ps, 2)
+	old := l.Shards["shard-1"].Controller()
+	before := old.DurabilityCounters()["snapshots_written"]
+	if err := l.FailoverShard("shard-1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := old.DurabilityCounters()["snapshots_written"]; got != before+1 {
+		t.Errorf("the replaced controller wrote %d snapshots during the failover, want Close's one", got-before)
+	}
+	if st := l.ShardStatuses()[1]; st.Epoch != 1 || st.Health != core.ProbeAlive {
+		t.Errorf("after the failover %+v, want shard-1 alive at epoch 1", st)
+	}
+	i := slices.IndexFunc(ps, func(p core.ProbeInfo) bool { return l.book.ring.owner(p.ID) == "shard-1" })
+	if i < 0 {
+		t.Fatal("no test probe routes to shard-1")
+	}
+	var fault *core.StorageFault
+	if _, err := old.SyncProbe(ps[i].ID, nil, -1); !errors.As(err, &fault) {
+		t.Errorf("a sync on the replaced controller: %v, want a StorageFault", err)
+	}
+	scanOnce(t, l.Coordinator, exp.ID, accepted)
+}
+
+// TestFailoverInFlightDropsASecond: a failover of a shard whose last one is
+// still running returns at once, counted, and runs no hook.
+func TestFailoverInFlightDropsASecond(t *testing.T) {
+	c, _ := newHarness(t, 2, "", testConfig())
+	hooks := 0
+	c.Failover = func(id string, epoch int, commit func() error) error {
+		hooks++
+		if err := c.FailoverShard(id); err != nil {
+			t.Errorf("a failover while one runs: %v, want nil", err)
+		}
+		return commit()
+	}
+	if err := c.FailoverShard("shard-1"); err != nil {
+		t.Fatal(err)
+	}
+	if hooks != 1 || c.Counters()["fed_failover_races"] != 1 || c.ShardStatuses()[1].Epoch != 1 {
+		t.Errorf("%d hooks, %d races, %+v; want 1 hook, 1 race, shard-1 at epoch 1", hooks, c.Counters()["fed_failover_races"], c.ShardStatuses()[1])
 	}
 }
 

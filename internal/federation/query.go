@@ -84,11 +84,13 @@ func newQueryPhases(reg *obs.Registry, op string) queryPhases {
 // written.
 func scatter[T any](c *Coordinator, phase *obs.Histogram, ask map[string]bool, hedge bool, op func(b core.Backend, id string) (T, error)) []shardReply[T] {
 	t := obs.StartTimer()
-	targets := c.allTargets()
+	c.mu.Lock()
+	targets := c.targetsLocked(c.book.order)
+	c.mu.Unlock()
 	replies := make([]shardReply[T], len(targets))
 	var wg sync.WaitGroup
 	for i, tg := range targets {
-		id := tg.st.id
+		id := tg.id
 		replies[i].id = id
 		if ask != nil && !ask[id] {
 			replies[i].skipped = true

@@ -180,3 +180,43 @@ func TestCoordinatorJournalIsObservable(t *testing.T) {
 		t.Errorf("journal_records_appended = %d, want 4", got)
 	}
 }
+
+// TestReplayedFedBookIsTheLiveOne: the book a coordinator replays from its
+// journal is the one it kept live — three shards added, one failed over,
+// fresh submissions and a retried one — with no normalizing step.
+func TestReplayedFedBookIsTheLiveOne(t *testing.T) {
+	root := t.TempDir()
+	l, err := BootLocal(root, 3, durableShards, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := testProbes(6)
+	for _, p := range ps {
+		if err := l.Register(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.FailoverShard("shard-2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []string{"req-1", "", "req-2", "req-1"} {
+		if _, err := submit(l.Coordinator, req, "replayed", testAssignments(ps, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.Counters()["fed_submit_dedup"]; got != 1 {
+		t.Fatalf("fed_submit_dedup = %d, want the one retry", got)
+	}
+	live := l.book
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(filepath.Join(root, "coordinator"), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !reflect.DeepEqual(c.book, live) {
+		t.Errorf("replayed book\n %+v\nwant the live one\n %+v", c.book, live)
+	}
+}

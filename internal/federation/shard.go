@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"github.com/afrinet/observatory/internal/core"
@@ -41,13 +43,13 @@ type Shard interface {
 // answers ErrShardDown — and later revive it with a recovered controller
 // without the coordinator holding a stale pointer.
 type LocalShard struct {
-	slot chan *core.Controller // 1-buffered; nil value = down
+	ctrl atomic.Pointer[core.Controller] // nil = down
 }
 
 // NewLocalShard wraps a controller (nil starts the shard down).
 func NewLocalShard(c *core.Controller) *LocalShard {
-	s := &LocalShard{slot: make(chan *core.Controller, 1)}
-	s.slot <- c
+	s := &LocalShard{}
+	s.ctrl.Store(c)
 	return s
 }
 
@@ -55,25 +57,14 @@ func NewLocalShard(c *core.Controller) *LocalShard {
 // already down) for the caller to crash or close. In-flight calls that
 // already fetched the controller finish against it — exactly like
 // requests racing a real process death.
-func (s *LocalShard) Kill() *core.Controller {
-	c := <-s.slot
-	s.slot <- nil
-	return c
-}
+func (s *LocalShard) Kill() *core.Controller { return s.ctrl.Swap(nil) }
 
 // Revive installs a (typically recovered) controller, bringing the
 // shard back up.
-func (s *LocalShard) Revive(c *core.Controller) {
-	<-s.slot
-	s.slot <- c
-}
+func (s *LocalShard) Revive(c *core.Controller) { s.ctrl.Store(c) }
 
 // Controller returns the current backend controller, nil when down.
-func (s *LocalShard) Controller() *core.Controller {
-	c := <-s.slot
-	s.slot <- c
-	return c
-}
+func (s *LocalShard) Controller() *core.Controller { return s.ctrl.Load() }
 
 // Backend is the held controller's core.Backend.
 func (s *LocalShard) Backend() (core.Backend, error) {
@@ -245,8 +236,10 @@ type Local struct {
 // BootLocal starts a coordinator journaled under root/coordinator over n
 // in-process shards, shard-0 to shard-(n-1), each recovered at its
 // ShardDir for the epoch the coordinator's journal replayed, and installs
-// the Failover hook. root == "" keeps everything in memory, with no hook:
-// there is no state to ship.
+// the Failover hook: quiesce, ship ShardDir(epoch-1) to ShardDir(epoch),
+// recover there, commit, serve — a crash or failed commit at any step
+// leaves the shard where everything it acknowledged is. root == "" keeps
+// everything in memory, with no hook: there is no state to ship.
 func BootLocal(root string, n int, shardCfg core.DurabilityConfig, cfg Config) (*Local, error) {
 	coordDir := ""
 	if root != "" {
@@ -257,13 +250,10 @@ func BootLocal(root string, n int, shardCfg core.DurabilityConfig, cfg Config) (
 		return nil, err
 	}
 	l := &Local{coord, make(map[string]*LocalShard, n)}
-	epochs := map[string]int{}
-	for _, st := range coord.ShardStatuses() {
-		epochs[st.ID] = st.Epoch
-	}
 	for i := range n {
 		id := fmt.Sprintf("shard-%d", i)
-		ctrl, err := core.Recover(ShardDir(root, id, epochs[id]), shardCfg)
+		ctrl, err := core.Recover(ShardDir(root, id, coord.book.epochs[id]), shardCfg) // coord serves no one yet
+
 		if err == nil {
 			l.Shards[id] = NewLocalShard(ctrl)
 			err = coord.AddShard(id, l.Shards[id])
@@ -276,21 +266,33 @@ func BootLocal(root string, n int, shardCfg core.DurabilityConfig, cfg Config) (
 	if root == "" {
 		return l, nil
 	}
-	coord.Failover = func(id string, epoch int) (Shard, error) {
+	coord.Failover = func(id string, epoch int, commit func() error) error {
 		ls, ok := l.Shards[id]
 		if !ok {
-			return nil, fmt.Errorf("no local shard %s", id) // journaled by an earlier boot of more shards
+			return fmt.Errorf("no local shard %s", id) // journaled by an earlier boot of more shards
+		}
+		// Close refuses the old controller's later writes; one that fails
+		// leaves a crash image, which ships like a dead shard's.
+		if old := ls.Kill(); old != nil {
+			_ = old.Close()
 		}
 		dst := ShardDir(root, id, epoch)
+		if err := os.RemoveAll(dst); err != nil { // what an earlier attempt left
+			return err
+		}
 		if err := ShipState(ShardDir(root, id, epoch-1), dst, "", ""); err != nil {
-			return nil, err
+			return err
 		}
 		ctrl, err := core.Recover(dst, shardCfg)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if err := commit(); err != nil {
+			ctrl.Close()
+			return err
 		}
 		ls.Revive(ctrl)
-		return ls, nil
+		return nil
 	}
 	return l, nil
 }

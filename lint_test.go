@@ -58,7 +58,7 @@ var rules = []rule{
 	{"metrics-registry-import", nil, false, []string{"internal/experiments/", "internal/metrics/"}, regexp.MustCompile(`^internal/metrics\.`), "internal/metrics is the statistics toolkit of internal/experiments only: metrics live in internal/obs"},
 	{"seeded-hash", []string{"internal/"}, true, []string{"internal/splitmix/"}, regexp.MustCompile(`^10723151780598845931$`), "0x94d049bb133111eb is SplitMix64's: every seeded draw goes through internal/splitmix, with its package's own seed and salts"},
 	{"span-capture", nil, true, nil, regexp.MustCompile(`^go \*internal/obs\.Span$`), "an obs.Span is written by one goroutine: give the goroutine a span tree of its own"},
-	{"book-pure", []string{"internal/core/book.go"}, false, nil, regexp.MustCompile(`^(internal/(obs|journal|store|framelog)|os|sync|time|net/http)\.`), "the book is the journaled state machine alone, with no lock, I/O, clock or metrics: the Controller does those and hands the book its counters and wake-ups"},
+	{"book-pure", []string{"internal/core/book.go", "internal/federation/fedbook.go"}, false, nil, regexp.MustCompile(`^(internal/(obs|journal|store|framelog)|os|sync|time|net/http)\.`), "a book (the controller's book, the coordinator's fedBook) is the journaled state machine alone, with no lock, I/O, clock or metrics: its owner does those and hands the book its counters and wake-ups"},
 	{"journal-machine", []string{"internal/"}, false, []string{"internal/journal/"}, regexp.MustCompile(`^internal/journal\.(Open|DecodeOps|Log\.Append|Log\.WriteSnapshot)$`), "only internal/journal replays or appends a journal: an owner rebuilds its state and journals its mutations through journal.Machine"},
 	{"local-failover", []string{"cmd/", "internal/"}, false, []string{"internal/federation/"}, regexp.MustCompile(`^internal/federation\.ShipState$`), "only internal/federation ships a shard's state: boot in-process shards with federation.BootLocal, whose Failover hook ships to and recovers at federation.ShardDir"},
 }
