@@ -194,13 +194,19 @@ func (m *foldMemo) fold(groupBy string, recs []Record, ctr *obs.Family) *Folder 
 	return f
 }
 
-// foldBytes estimates what a fold keeps: groups, samples, verdict maps.
+// foldBytes estimates what a fold keeps: groups, samples, verdicts, report.
 func foldBytes(f *Folder) int64 {
 	bytes := int64(cap(f.Groups)) * int64(unsafe.Sizeof(FoldGroup{}))
 	for _, g := range f.Groups {
 		bytes += 8 * int64(cap(g.RTTs))
 		if g.Verdicts != nil {
 			bytes += 256 // a map of a handful of verdicts
+		}
+	}
+	if r := f.sealed; r != nil {
+		bytes += int64(len(r.order)) * int64(unsafe.Sizeof(keyedGroup{})+unsafe.Sizeof(AggGroup{})+unsafe.Sizeof(r.sorted[0])+64) // 64: an index entry
+		for k := range r.order {
+			bytes += int64(len(r.order[k].key)) + 8*int64(len(r.sorted[k]))
 		}
 	}
 	return bytes

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"net/url"
@@ -255,7 +256,10 @@ func (s *Store) visit(f Filter, eager bool, after uint64, bound *int, into *Fold
 	}
 	first := 0
 	if into != nil && free && len(s.segs) > 0 && !slices.ContainsFunc(s.segs, func(sg *segment) bool { return !sg.meta.covers(f) }) {
-		_ = into.Merge(sum.fold(s, into.GroupBy, loaded)) // grouped alike: cannot fail
+		sealed := sum.fold(s, into.GroupBy, loaded)
+		// Room for the memtable's new groups: at most as many again.
+		into.Groups = make([]FoldGroup, 0, len(sealed.Groups)+min(len(s.mem), len(sealed.Groups)))
+		_ = into.Merge(sealed) // grouped alike: cannot fail
 		first = len(scan)
 	}
 	if seek {
@@ -340,13 +344,13 @@ func union(runs [][]uint64) []uint64 {
 	return runs[0]
 }
 
-// mergeRun appends the merge of sorted a and b to out. The loop takes the
-// smaller head without a branch (the compiler emits a conditional move):
-// which of two random hashes is smaller is a coin toss that a branch
-// predictor loses half the time.
-func mergeRun(out, a, b []uint64) []uint64 {
+// mergeRun appends the merge of sorted a and b to out, a's first where
+// they tie. The loop takes the smaller head without a branch (the compiler
+// emits a conditional move for hashes): which of two random hashes is
+// smaller is a coin toss that a branch predictor loses half the time.
+func mergeRun[T cmp.Ordered](out, a, b []T) []T {
 	k := len(out)
-	out = append(out, make([]uint64, len(a)+len(b))...)
+	out = append(out, make([]T, len(a)+len(b))...)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		x, v, fromA := a[i], b[j], 0
@@ -616,6 +620,7 @@ type Folder struct {
 	Groups  []FoldGroup       `json:"groups"` // in first-seen order
 	index   map[packedKey]int // key → position in Groups; built on first use
 	last    int               // 1 + position of the group Add last folded into; 0 before the first
+	sealed  *sealedReport     // the finished report of Groups' leading groups, from the sealed summary (Merge); read-only
 }
 
 // GroupKey identifies a group: which fields are set depends on the mode
@@ -667,13 +672,20 @@ func NewFolder(groupBy string) (*Folder, error) {
 
 // group returns k's position in Groups, appending it empty when k is new.
 func (f *Folder) group(k GroupKey) int {
-	if f.index == nil { // a new Folder, or one decoded from its JSON form
-		f.index = make(map[packedKey]int, len(f.Groups))
-		for i := range f.Groups {
+	p := k.pack()
+	n := 0 // the groups f.index leaves to f.sealed's
+	if f.sealed != nil {
+		if i, ok := f.sealed.index[p]; ok {
+			return i
+		}
+		n = len(f.sealed.order)
+	}
+	if f.index == nil { // a new Folder, one decoded from its JSON form, or one a Merge dropped f.sealed of
+		f.index = make(map[packedKey]int, len(f.Groups)-n)
+		for i := n; i < len(f.Groups); i++ {
 			f.index[f.Groups[i].pack()] = i
 		}
 	}
-	p := k.pack()
 	i, ok := f.index[p]
 	if !ok {
 		i = len(f.Groups)
@@ -733,19 +745,38 @@ func (f *Folder) Add(r *Record) {
 // no map or sample list with it. A group new to f is appended in o's order
 // and every sample after f's own, so merging the folds of runs in sequence
 // order leaves f as Add over their records would, down to group and
-// sample order.
+// sample order. Into an empty f, o's samples are copied into one slab,
+// and o's sealed report comes along (Folder.sealed); any other Merge drops
+// f's.
 func (f *Folder) Merge(o *Folder) error {
 	if o.GroupBy != f.GroupBy {
 		return fmt.Errorf("store: merging a fold grouped by %q into one grouped by %q", o.GroupBy, f.GroupBy)
 	}
-	if f.index == nil && len(f.Groups) == 0 { // size the index and groups for o's
-		f.index = make(map[packedKey]int, len(o.Groups))
-		f.Groups = make([]FoldGroup, 0, len(o.Groups))
+	if f.sealed != nil { // f.index holds only the groups past the sealed ones
+		f.sealed, f.index = nil, nil
+	}
+	var slab []float64 // an empty f's samples, in one allocation
+	if len(f.Groups) == 0 {
+		f.Groups = slices.Grow(f.Groups, len(o.Groups))
+		n := 0
+		for i := range o.Groups {
+			n += len(o.Groups[i].RTTs)
+		}
+		slab = make([]float64, 0, n)
+		if o.sealed != nil { // o's groups are distinct: f takes them in place, and o's sealed report
+			f.Groups, f.sealed, f.index = f.Groups[:len(o.Groups)], o.sealed, nil
+		} else {
+			f.index = make(map[packedKey]int, len(o.Groups))
+		}
 	}
 	f.Matched += o.Matched
-	for i := range o.Groups {
-		og := &o.Groups[i]
-		g := &f.Groups[f.group(og.GroupKey)]
+	for k := range o.Groups {
+		og, i := &o.Groups[k], k
+		if f.sealed == nil {
+			i = f.group(og.GroupKey)
+		}
+		g := &f.Groups[i]
+		g.GroupKey = og.GroupKey
 		g.Count += og.Count
 		g.OK += og.OK
 		if len(og.Verdicts) > 0 && g.Verdicts == nil {
@@ -754,7 +785,14 @@ func (f *Folder) Merge(o *Folder) error {
 		for v, n := range og.Verdicts {
 			g.Verdicts[v] += n
 		}
-		g.RTTs = append(g.RTTs, og.RTTs...)
+		if slab != nil && g.RTTs == nil && len(og.RTTs) > 0 {
+			// Capacity clipped: a later append reallocates rather than
+			// overwrite the next group's samples.
+			slab = append(slab, og.RTTs...)
+			g.RTTs = slab[len(slab)-len(og.RTTs) : len(slab) : len(slab)]
+		} else {
+			g.RTTs = append(g.RTTs, og.RTTs...)
+		}
 	}
 	return nil
 }
@@ -773,22 +811,74 @@ func (f *Folder) sortKey(k packedKey) string {
 }
 
 // Report finishes the aggregation: loss rates, exact nearest-rank RTT
-// percentiles, groups sorted by key. Samples are sorted before they are
-// summed, so the mean does not depend on the order records or partial
-// folds arrived in.
+// percentiles, groups sorted by key. Samples are summed sorted, so the
+// mean does not depend on the order records or partial folds arrived in.
+// Report reads f and changes none of it: samples are sorted in a buffer.
 func (f *Folder) Report() AggReport {
-	keys := make([]string, len(f.Groups))
-	order := make([]int, len(f.Groups))
-	for i := range f.Groups {
-		keys[i], order[i] = f.sortKey(f.Groups[i].pack()), i
+	rep, _ := f.report(false)
+	return rep
+}
+
+// keyedGroup is a group's place in a report: its sort key, then its
+// position in Groups, which orders groups whose keys tie.
+type keyedGroup struct {
+	key string
+	i   int
+}
+
+// sealedReport is a fold's finished report, which the sealed summary keeps
+// beside the fold (summary.go): its groups in report order, each one's
+// finished AggGroup and its samples sorted. Read-only once built.
+type sealedReport struct {
+	index  map[packedKey]int // key → position in the fold
+	order  []keyedGroup
+	groups []AggGroup
+	sorted [][]float64
+}
+
+// report is Report. The groups past f.sealed's (all, without it) are keyed,
+// sorted and merged into its order. A sealed group no record has reached
+// since copies its finished AggGroup, with f's verdict map; one some have
+// merges its new samples, sorted, into its sorted ones. With keep (and no
+// f.sealed) it also returns what it finished, for the sealed summary.
+func (f *Folder) report(keep bool) (AggReport, *sealedReport) {
+	var sealed sealedReport
+	if f.sealed != nil {
+		sealed = *f.sealed
 	}
-	sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	n := len(sealed.order)
+	fresh := make([]keyedGroup, 0, len(f.Groups)-n)
+	for i := n; i < len(f.Groups); i++ {
+		fresh = append(fresh, keyedGroup{f.sortKey(f.Groups[i].pack()), i})
+	}
+	slices.SortFunc(fresh, func(a, b keyedGroup) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.i, b.i)) })
 	rep := AggReport{Matched: f.Matched}
-	if len(order) > 0 { // none stays nil: an empty report's groups are null
-		rep.Groups = make([]AggGroup, 0, len(order))
+	if len(f.Groups) > 0 { // none stays nil: an empty report's groups are null
+		rep.Groups = make([]AggGroup, 0, len(f.Groups))
 	}
-	for _, i := range order {
+	var tail, run []float64 // a group's new samples sorted, and merged with its sealed ones
+	var kept *sealedReport
+	if keep {
+		kept = &sealedReport{order: fresh, sorted: make([][]float64, 0, len(fresh))}
+	}
+	for k, j := 0, 0; k < n || j < len(fresh); {
+		var i int
+		var done *AggGroup
+		var sorted []float64
+		if k < n && (j == len(fresh) || sealed.order[k].key <= fresh[j].key) {
+			i, done, sorted = sealed.order[k].i, &sealed.groups[k], sealed.sorted[k]
+			k++
+		} else {
+			i = fresh[j].i
+			j++
+		}
 		fg := &f.Groups[i]
+		if done != nil && done.Count == fg.Count && done.OK == fg.OK && done.RTTCount == int64(len(fg.RTTs)) {
+			g := *done
+			g.Verdicts = fg.Verdicts
+			rep.Groups = append(rep.Groups, g)
+			continue
+		}
 		g := AggGroup{
 			Country: fg.Country, ASN: fg.ASN, Resolver: fg.Resolver, Verdict: fg.Verdict,
 			ResolverChain: fg.ResolverChain, ECS: fg.ECS,
@@ -797,21 +887,34 @@ func (f *Folder) Report() AggReport {
 		if g.Count > 0 {
 			g.LossRate = 1 - float64(g.OK)/float64(g.Count)
 		}
-		if len(fg.RTTs) > 0 {
-			sort.Float64s(fg.RTTs)
+		if keep {
+			tail = nil // kept: one for each group
+		}
+		tail = append(tail[:0], fg.RTTs[len(sorted):]...)
+		slices.Sort(tail)
+		s := tail
+		if len(sorted) > 0 {
+			run = mergeRun(run[:0], sorted, tail)
+			s = run
+		}
+		if len(s) > 0 {
 			sum := 0.0
-			for _, v := range fg.RTTs {
+			for _, v := range s {
 				sum += v
 			}
-			g.RTTCount = int64(len(fg.RTTs))
-			g.RTTMean = sum / float64(len(fg.RTTs))
-			g.RTTP50 = percentile(fg.RTTs, 50)
-			g.RTTP90 = percentile(fg.RTTs, 90)
-			g.RTTP99 = percentile(fg.RTTs, 99)
+			g.RTTCount = int64(len(s))
+			g.RTTMean = sum / float64(len(s))
+			g.RTTP50, g.RTTP90, g.RTTP99 = percentile(s, 50), percentile(s, 90), percentile(s, 99)
+		}
+		if keep {
+			kept.sorted = append(kept.sorted, tail)
 		}
 		rep.Groups = append(rep.Groups, g)
 	}
-	return rep
+	if keep {
+		kept.groups = rep.Groups
+	}
+	return rep, kept
 }
 
 // percentile is the nearest-rank percentile of an ascending-sorted

@@ -8,10 +8,10 @@ import (
 // sealedSummary is what the reads of one segment set share about its
 // sealed runs: keys, the sorted union of their key hashes; repeats,
 // whether a hash occurs twice in it; and, per group_by, the fold of every
-// sealed record in sequence order, merged from the runs' memos by the
-// first aggregate that wants it. Any change to s.segs drops it
-// (dropSummaryLocked). memRepeats, set by the build and kept by Append, is
-// whether a memtable key repeats another or one of keys. With neither
+// sealed record in sequence order, with its report, merged from the runs'
+// memos by the first aggregate that wants it. Any change to s.segs drops
+// it (dropSummaryLocked). memRepeats, set by the build and kept by Append,
+// is whether a memtable key repeats another or one of keys. With neither
 // flag set no key repeats in the store: first-wins dedup cannot fire.
 type sealedSummary struct {
 	keys       []uint64
@@ -59,7 +59,8 @@ func (s *Store) summaryLocked(scan []*segment, loaded []decoded, eager bool) (*s
 }
 
 // fold returns the fold by groupBy of every sealed run, merging their
-// memos in sequence order on first use, and is only ever read after.
+// memos in sequence order on first use and finishing its report beside it
+// (Folder.sealed), and is only ever read after.
 func (m *sealedSummary) fold(s *Store, groupBy string, runs []decoded) *Folder {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -74,8 +75,10 @@ func (m *sealedSummary) fold(s *Store, groupBy string, runs []decoded) *Folder {
 		}
 		_ = f.Merge(d.folds.fold(groupBy, d.recs, s.ctr)) // grouped alike: cannot fail
 	}
-	f.index = nil
+	_, f.sealed = f.report(true)
+	f.sealed.index, f.index = f.index, nil
 	m.folds[groupBy] = f
+	s.ctr.Inc("sealed_report_builds")
 	s.chargeSummaryLocked(m, foldBytes(f))
 	return f
 }
