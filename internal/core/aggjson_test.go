@@ -44,7 +44,7 @@ func FuzzAggReportJSON(f *testing.F) {
 			core.QueryMeta
 		}{rep, meta})
 		w := httptest.NewRecorder()
-		core.WriteAggReport(w, rep, meta)
+		core.WriteAggReport(w, &rep, meta)
 		if w.Code != http.StatusOK || w.Header().Get("Content-Type") != "application/json" {
 			t.Fatalf("status %d, content type %q", w.Code, w.Header().Get("Content-Type"))
 		}

@@ -91,15 +91,25 @@ func WriteScanPage(w http.ResponseWriter, items []store.Item, next string, meta 
 }
 
 // WriteAggReport writes a 200 aggregate: the bytes WriteJSON writes for
-// struct{store.AggReport; QueryMeta}, the report appended without
-// reflection (AggReport.AppendJSON) unless encoding/json would refuse it.
-func WriteAggReport(w http.ResponseWriter, rep store.AggReport, meta QueryMeta) {
-	body, ok := rep.AppendJSON(make([]byte, 0, 64+160*len(rep.Groups)))
+// struct{store.AggReport; QueryMeta}, the report (a Folder's, unbuilt)
+// appended without reflection unless encoding/json would refuse it.
+func WriteAggReport[R store.AggReport | store.Folder](w http.ResponseWriter, rep *R, meta QueryMeta) {
+	var body []byte
+	var ok bool
+	var report func() store.AggReport
+	switch r := any(rep).(type) {
+	case *store.AggReport:
+		body, ok = r.AppendJSON(make([]byte, 0, 64+160*len(r.Groups)))
+		report = func() store.AggReport { return *r }
+	case *store.Folder:
+		body, ok = r.AppendReport(make([]byte, 0, 64+160*len(r.Groups)))
+		report = r.Report
+	}
 	if !ok {
 		WriteJSON(w, http.StatusOK, struct {
 			store.AggReport
 			QueryMeta
-		}{rep, meta})
+		}{report(), meta})
 		return
 	}
 	writeSpliced(w, body[:len(body)-1], meta)

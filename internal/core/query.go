@@ -31,7 +31,7 @@ func (a api) handleQuery(w http.ResponseWriter, r *http.Request, _ PathParams) {
 		if fold, meta, err := a.b.Fold(agg); err != nil {
 			a.writeErr(w, err)
 		} else {
-			WriteAggReport(w, fold.Report(), meta)
+			WriteAggReport(w, fold, meta)
 		}
 	case "fold":
 		if fold, meta, err := a.b.Fold(agg); err != nil {

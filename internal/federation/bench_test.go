@@ -14,46 +14,58 @@ import (
 var benchSink int
 
 // benchCoordinator is fed_4shard's store shape without the HTTP front
-// end: 6 400 records spread evenly over four in-process durable shards,
-// each one sealed 1 024-record segment and a memtable.
+// end: its fleet of 800 probes over 8 countries and 64 ASNs, each probe's
+// 8 pings on the shard the ring names for it, 4 a sync over two rounds of
+// the fleet. That is 6 400 records in 512 country/ASN groups of about a
+// dozen samples on four in-process durable shards, split as unevenly as
+// the ring splits the fleet: each holds sealed 1 024-record segments and a
+// memtable.
 func benchCoordinator(b *testing.B) *Coordinator {
 	c, err := New("", testConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { c.Close() })
-	rng := rand.New(rand.NewSource(1))
-	countries := []string{"NG", "KE", "ZA", "RW"}
+	ctrls := map[string]*core.Controller{}
 	for s := 0; s < 4; s++ {
 		ctrl, err := core.Recover(b.TempDir(), core.DurabilityConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { ctrl.Close() })
-		recs := make([]store.Record, 1600)
-		for i := range recs {
-			id := fmt.Sprintf("s%d-t%04d", s, i)
-			recs[i] = store.Record{
-				Experiment: "fexp-0001", TaskID: id, ProbeID: fmt.Sprintf("p%02d", rng.Intn(40)), Tick: int64(1 + rng.Intn(50)),
-				Country: countries[rng.Intn(len(countries))], ASN: topology.ASN(36900 + rng.Intn(4)),
-				Result: probes.Result{TaskID: id, Experiment: "fexp-0001", Kind: probes.TaskPing,
-					OK: rng.Intn(10) != 0, RTTms: 5 + 200*rng.Float64()},
-			}
+		id := fmt.Sprintf("shard-%d", s)
+		if err := c.AddShard(id, NewLocalShard(ctrl)); err != nil {
+			b.Fatal(err)
 		}
-		for i := 0; i < len(recs); i += 64 { // an Append flushes at most once
-			if err := ctrl.ResultStore().Append(recs[i : i+64]...); err != nil {
+		ctrls[id] = ctrl
+	}
+	rng := rand.New(rand.NewSource(1))
+	countries := []string{"NG", "KE", "ZA", "GH", "SN", "TZ", "EG", "MA"}
+	slots := rng.Perm(800) // as the benchmark's fleet generator lays probes out
+	for round := 0; round < 2; round++ {
+		for p, slot := range slots {
+			probe := fmt.Sprintf("p-%06d", p)
+			recs := make([]store.Record, 4)
+			for i := range recs {
+				id := fmt.Sprintf("fexp-0001-t%05d", 8*p+4*round+i)
+				recs[i] = store.Record{
+					Experiment: "fexp-0001", TaskID: id, ProbeID: probe, Tick: int64(1 + round),
+					Country: countries[slot%len(countries)], ASN: topology.ASN(36900 + slot/len(countries)%64),
+					Result: probes.Result{TaskID: id, Experiment: "fexp-0001", Kind: probes.TaskPing,
+						OK: rng.Intn(10) != 0, RTTms: 5 + 200*rng.Float64()},
+				}
+			}
+			if err := ctrls[c.book.ring.owner(probe)].ResultStore().Append(recs...); err != nil {
 				b.Fatal(err)
 			}
-		}
-		if err := c.AddShard(fmt.Sprintf("shard-%d", s), NewLocalShard(ctrl)); err != nil {
-			b.Fatal(err)
 		}
 	}
 	return c
 }
 
 // BenchmarkFederatedAggregate is fed_4shard's full aggregate, grouped by
-// country and ASN — four parallel shard folds, one merge, one report.
+// country and ASN — four parallel shard folds, one merge, one report of
+// 512 groups.
 func BenchmarkFederatedAggregate(b *testing.B) {
 	c := benchCoordinator(b)
 	q := store.AggQuery{GroupBy: store.GroupCountryASN}
@@ -61,8 +73,8 @@ func BenchmarkFederatedAggregate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, meta, err := c.Aggregate(q)
-		if err != nil || meta.Degraded || rep.Matched != 6400 {
-			b.Fatalf("matched %d, meta %+v, err %v", rep.Matched, meta, err)
+		if err != nil || meta.Degraded || rep.Matched != 6400 || len(rep.Groups) != 512 {
+			b.Fatalf("matched %d in %d groups, meta %+v, err %v", rep.Matched, len(rep.Groups), meta, err)
 		}
 		benchSink += len(rep.Groups)
 	}

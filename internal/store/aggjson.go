@@ -11,6 +11,67 @@ import (
 // the newline, without reflection; FuzzAggReportJSON holds the two to each
 // other. ok is false for a NaN or an infinity, which encoding/json refuses.
 func (r *AggReport) AppendJSON(dst []byte) (out []byte, ok bool) {
+	dst = strconv.AppendInt(append(dst, `{"matched":`...), r.Matched, 10)
+	if r.Groups == nil {
+		return append(dst, `,"groups":null}`...), true
+	}
+	dst, ok = append(dst, `,"groups":[`...), true
+	for i := range r.Groups {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var fine bool
+		dst, fine = appendGroup(dst, &r.Groups[i])
+		ok = ok && fine
+	}
+	return append(dst, "]}"...), ok
+}
+
+// AppendReport appends Report's JSON form, the bytes its AppendJSON
+// appends, without building the report: a sealed group no record has
+// reached since is the encoding the sealed summary kept of it, spliced;
+// every other group is encoded as AppendJSON encodes it. ok is false, and
+// the bytes stop short, where AppendJSON's would be.
+func (f *Folder) AppendReport(dst []byte) (out []byte, ok bool) {
+	dst = strconv.AppendInt(append(dst, `{"matched":`...), f.Matched, 10)
+	if len(f.Groups) == 0 { // Report's groups are nil
+		return append(dst, `,"groups":null}`...), true
+	}
+	dst, ok = append(dst, `,"groups":[`...), true
+	f.walk(nil, func(i, k int, g *AggGroup) bool {
+		if dst[len(dst)-1] != '[' { // past the first group
+			dst = append(dst, ',')
+		}
+		if g == nil {
+			enc := f.sealed.enc[k]
+			dst, ok = append(dst, enc...), enc != nil
+		} else {
+			dst, ok = appendGroup(dst, g)
+		}
+		return ok
+	})
+	return append(dst, "]}"...), ok
+}
+
+// encode keeps the finished groups and each one's encoding, nil for one
+// that encoding/json would refuse.
+func (r *sealedReport) encode(groups []AggGroup) {
+	buf := make([]byte, 0, 160*len(groups))
+	r.groups, r.enc = groups, make([][]byte, len(groups))
+	for k := range r.groups {
+		n := len(buf)
+		var ok bool
+		if buf, ok = appendGroup(buf, &r.groups[k]); ok {
+			r.enc[k] = buf[n:len(buf):len(buf)] // clipped: read-only, as the report
+		} else {
+			buf = buf[:n]
+		}
+	}
+}
+
+// appendGroup appends one group of a report's JSON form; ok is false for a
+// NaN or an infinity.
+func appendGroup(dst []byte, g *AggGroup) (out []byte, ok bool) {
 	ok = true
 	num := func(name string, v float64) { // a float field, comma first
 		var fine bool
@@ -22,44 +83,32 @@ func (r *AggReport) AppendJSON(dst []byte) (out []byte, ok bool) {
 			dst = append(journal.AppendString(append(dst, name...), v), ',')
 		}
 	}
-	dst = strconv.AppendInt(append(dst, `{"matched":`...), r.Matched, 10)
-	if r.Groups == nil {
-		return append(dst, `,"groups":null}`...), true
+	dst = append(dst, '{')
+	str(`"country":`, g.Country)
+	if g.ASN != 0 {
+		dst = append(strconv.AppendUint(append(dst, `"asn":`...), uint64(g.ASN), 10), ',')
 	}
-	dst = append(dst, `,"groups":[`...)
-	for i := range r.Groups {
-		g := &r.Groups[i]
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '{')
-		str(`"country":`, g.Country)
-		if g.ASN != 0 {
-			dst = append(strconv.AppendUint(append(dst, `"asn":`...), uint64(g.ASN), 10), ',')
-		}
-		str(`"resolver":`, g.Resolver)
-		str(`"verdict":`, g.Verdict)
-		str(`"resolver_chain":`, g.ResolverChain)
-		str(`"ecs":`, g.ECS)
-		dst = strconv.AppendInt(append(dst, `"count":`...), g.Count, 10)
-		dst = strconv.AppendInt(append(dst, `,"ok":`...), g.OK, 10)
-		num(`,"loss_rate":`, g.LossRate)
-		if len(g.Verdicts) > 0 {
-			v, _ := json.Marshal(g.Verdicts) // sorted keys; a map of ints cannot fail
-			dst = append(append(dst, `,"verdicts":`...), v...)
-		}
-		if g.RTTCount != 0 {
-			dst = strconv.AppendInt(append(dst, `,"rtt_count":`...), g.RTTCount, 10)
-		}
-		for _, f := range [...]struct {
-			name string
-			v    float64
-		}{{`,"rtt_mean_ms":`, g.RTTMean}, {`,"rtt_p50_ms":`, g.RTTP50}, {`,"rtt_p90_ms":`, g.RTTP90}, {`,"rtt_p99_ms":`, g.RTTP99}} {
-			if f.v != 0 {
-				num(f.name, f.v)
-			}
-		}
-		dst = append(dst, '}')
+	str(`"resolver":`, g.Resolver)
+	str(`"verdict":`, g.Verdict)
+	str(`"resolver_chain":`, g.ResolverChain)
+	str(`"ecs":`, g.ECS)
+	dst = strconv.AppendInt(append(dst, `"count":`...), g.Count, 10)
+	dst = strconv.AppendInt(append(dst, `,"ok":`...), g.OK, 10)
+	num(`,"loss_rate":`, g.LossRate)
+	if len(g.Verdicts) > 0 {
+		v, _ := json.Marshal(g.Verdicts) // sorted keys; a map of ints cannot fail
+		dst = append(append(dst, `,"verdicts":`...), v...)
 	}
-	return append(dst, "]}"...), ok
+	if g.RTTCount != 0 {
+		dst = strconv.AppendInt(append(dst, `,"rtt_count":`...), g.RTTCount, 10)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{`,"rtt_mean_ms":`, g.RTTMean}, {`,"rtt_p50_ms":`, g.RTTP50}, {`,"rtt_p90_ms":`, g.RTTP90}, {`,"rtt_p99_ms":`, g.RTTP99}} {
+		if f.v != 0 {
+			num(f.name, f.v)
+		}
+	}
+	return append(dst, '}'), ok
 }

@@ -204,9 +204,9 @@ func foldBytes(f *Folder) int64 {
 		}
 	}
 	if r := f.sealed; r != nil {
-		bytes += int64(len(r.order)) * int64(unsafe.Sizeof(keyedGroup{})+unsafe.Sizeof(AggGroup{})+unsafe.Sizeof(r.sorted[0])+64) // 64: an index entry
+		bytes += int64(len(r.order)) * int64(unsafe.Sizeof(keyedGroup{})+unsafe.Sizeof(AggGroup{})+unsafe.Sizeof(r.sorted[0])+unsafe.Sizeof(r.enc[0])+64) // 64: an index entry
 		for k := range r.order {
-			bytes += int64(len(r.order[k].key)) + 8*int64(len(r.sorted[k]))
+			bytes += int64(len(r.order[k].key)) + 8*int64(len(r.sorted[k])) + int64(cap(r.enc[k]))
 		}
 	}
 	return bytes

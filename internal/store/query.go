@@ -814,10 +814,7 @@ func (f *Folder) sortKey(k packedKey) string {
 // percentiles, groups sorted by key. Samples are summed sorted, so the
 // mean does not depend on the order records or partial folds arrived in.
 // Report reads f and changes none of it: samples are sorted in a buffer.
-func (f *Folder) Report() AggReport {
-	rep, _ := f.report(false)
-	return rep
-}
+func (f *Folder) Report() AggReport { return f.report(nil) }
 
 // keyedGroup is a group's place in a report: its sort key, then its
 // position in Groups, which orders groups whose keys tie.
@@ -828,20 +825,44 @@ type keyedGroup struct {
 
 // sealedReport is a fold's finished report, which the sealed summary keeps
 // beside the fold (summary.go): its groups in report order, each one's
-// finished AggGroup and its samples sorted. Read-only once built.
+// finished AggGroup, sorted samples and encoding. Read-only once built.
 type sealedReport struct {
 	index  map[packedKey]int // key → position in the fold
 	order  []keyedGroup
 	groups []AggGroup
 	sorted [][]float64
+	enc    [][]byte
 }
 
-// report is Report. The groups past f.sealed's (all, without it) are keyed,
-// sorted and merged into its order. A sealed group no record has reached
-// since copies its finished AggGroup, with f's verdict map; one some have
-// merges its new samples, sorted, into its sorted ones. With keep (and no
-// f.sealed) it also returns what it finished, for the sealed summary.
-func (f *Folder) report(keep bool) (AggReport, *sealedReport) {
+// report is Report; keep, if not nil, is given what walk finishes.
+func (f *Folder) report(keep *sealedReport) AggReport {
+	rep := AggReport{Matched: f.Matched}
+	if len(f.Groups) > 0 { // none stays nil: an empty report's groups are null
+		rep.Groups = make([]AggGroup, 0, len(f.Groups))
+	}
+	f.walk(keep, func(i, k int, g *AggGroup) bool {
+		if g == nil {
+			rep.Groups = append(rep.Groups, f.sealed.groups[k])
+			rep.Groups[len(rep.Groups)-1].Verdicts = f.Groups[i].Verdicts
+		} else {
+			rep.Groups = append(rep.Groups, *g)
+		}
+		return true
+	})
+	return rep
+}
+
+// walk is the one pass of a report: yield gets f's groups in report order
+// until it returns false, each as its position i in Groups. The groups
+// past f.sealed's (all, without it) are keyed, sorted and merged into its
+// order. A sealed group no record has reached since comes as its place k
+// in f.sealed's order and a nil g: its finished AggGroup is
+// f.sealed.groups[k], but for the verdict map, which is f's. Every other
+// group is finished into g, k being -1 past the sealed groups, and one
+// some records have reached merges its new samples, sorted, into its
+// sorted ones. keep, if not nil (nor f.sealed), is given the order and
+// the sorted samples, for the sealed summary.
+func (f *Folder) walk(keep *sealedReport, yield func(i, k int, g *AggGroup) bool) {
 	var sealed sealedReport
 	if f.sealed != nil {
 		sealed = *f.sealed
@@ -852,34 +873,29 @@ func (f *Folder) report(keep bool) (AggReport, *sealedReport) {
 		fresh = append(fresh, keyedGroup{f.sortKey(f.Groups[i].pack()), i})
 	}
 	slices.SortFunc(fresh, func(a, b keyedGroup) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.i, b.i)) })
-	rep := AggReport{Matched: f.Matched}
-	if len(f.Groups) > 0 { // none stays nil: an empty report's groups are null
-		rep.Groups = make([]AggGroup, 0, len(f.Groups))
+	if keep != nil {
+		keep.order, keep.sorted = fresh, make([][]float64, 0, len(fresh))
 	}
 	var tail, run []float64 // a group's new samples sorted, and merged with its sealed ones
-	var kept *sealedReport
-	if keep {
-		kept = &sealedReport{order: fresh, sorted: make([][]float64, 0, len(fresh))}
-	}
+	var g AggGroup
 	for k, j := 0, 0; k < n || j < len(fresh); {
-		var i int
-		var done *AggGroup
+		i, s := 0, -1
 		var sorted []float64
 		if k < n && (j == len(fresh) || sealed.order[k].key <= fresh[j].key) {
-			i, done, sorted = sealed.order[k].i, &sealed.groups[k], sealed.sorted[k]
+			i, s, sorted = sealed.order[k].i, k, sealed.sorted[k]
 			k++
 		} else {
 			i = fresh[j].i
 			j++
 		}
 		fg := &f.Groups[i]
-		if done != nil && done.Count == fg.Count && done.OK == fg.OK && done.RTTCount == int64(len(fg.RTTs)) {
-			g := *done
-			g.Verdicts = fg.Verdicts
-			rep.Groups = append(rep.Groups, g)
+		if done := sealed.groups; s >= 0 && done[s].Count == fg.Count && done[s].OK == fg.OK && done[s].RTTCount == int64(len(fg.RTTs)) {
+			if !yield(i, s, nil) {
+				return
+			}
 			continue
 		}
-		g := AggGroup{
+		g = AggGroup{
 			Country: fg.Country, ASN: fg.ASN, Resolver: fg.Resolver, Verdict: fg.Verdict,
 			ResolverChain: fg.ResolverChain, ECS: fg.ECS,
 			Count: fg.Count, OK: fg.OK, Verdicts: fg.Verdicts,
@@ -887,34 +903,32 @@ func (f *Folder) report(keep bool) (AggReport, *sealedReport) {
 		if g.Count > 0 {
 			g.LossRate = 1 - float64(g.OK)/float64(g.Count)
 		}
-		if keep {
+		if keep != nil {
 			tail = nil // kept: one for each group
 		}
 		tail = append(tail[:0], fg.RTTs[len(sorted):]...)
 		slices.Sort(tail)
-		s := tail
+		rtts := tail
 		if len(sorted) > 0 {
 			run = mergeRun(run[:0], sorted, tail)
-			s = run
+			rtts = run
 		}
-		if len(s) > 0 {
+		if len(rtts) > 0 {
 			sum := 0.0
-			for _, v := range s {
+			for _, v := range rtts {
 				sum += v
 			}
-			g.RTTCount = int64(len(s))
-			g.RTTMean = sum / float64(len(s))
-			g.RTTP50, g.RTTP90, g.RTTP99 = percentile(s, 50), percentile(s, 90), percentile(s, 99)
+			g.RTTCount = int64(len(rtts))
+			g.RTTMean = sum / float64(len(rtts))
+			g.RTTP50, g.RTTP90, g.RTTP99 = percentile(rtts, 50), percentile(rtts, 90), percentile(rtts, 99)
 		}
-		if keep {
-			kept.sorted = append(kept.sorted, tail)
+		if keep != nil {
+			keep.sorted = append(keep.sorted, tail)
 		}
-		rep.Groups = append(rep.Groups, g)
+		if !yield(i, s, &g) {
+			return
+		}
 	}
-	if keep {
-		kept.groups = rep.Groups
-	}
-	return rep, kept
 }
 
 // percentile is the nearest-rank percentile of an ascending-sorted

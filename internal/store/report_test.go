@@ -2,13 +2,16 @@ package store
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/topology"
 )
 
@@ -205,8 +208,8 @@ func TestSealedReportRaceAppends(t *testing.T) {
 
 // TestSealedReportIsCharged: the sealed report is built once per segment
 // set and group_by, counted in sealed_report_builds, charged with its fold
-// to the segment cache's budget, and its charge goes when a flush drops
-// the summary.
+// and its groups' encodings (at least their length) to the segment cache's
+// budget, and its charge goes when a flush drops the summary.
 func TestSealedReportIsCharged(t *testing.T) {
 	s := openDup(t, t.TempDir())
 	appendChunks(t, s, memoCorpus(264), 8) // 8 segments of 32, 8 records in the memtable
@@ -239,12 +242,19 @@ func TestSealedReportIsCharged(t *testing.T) {
 	keys := summaryCharge()
 	aggregate(1)
 	fold := s.sum.folds[GroupCountryASN]
-	bare := *fold
+	bare, unencoded := *fold, *fold
 	bare.sealed = nil
+	noEnc := *fold.sealed
+	noEnc.enc, unencoded.sealed = make([][]byte, len(noEnc.enc)), &noEnc
+	kept := int64(0)
+	for _, enc := range fold.sealed.enc {
+		kept += int64(len(enc))
+	}
 	records := func(bytes int64) int64 { return (bytes + cachedRecordBytes - 1) / cachedRecordBytes }
-	if got, want := summaryCharge(), keys+records(foldBytes(fold)); got != want || foldBytes(&bare) >= foldBytes(fold) {
-		t.Fatalf("the summary is charged %d records, want %d (%d B with the report, %d B without)",
-			got, want, foldBytes(fold), foldBytes(&bare))
+	if got, want := summaryCharge(), keys+records(foldBytes(fold)); got != want || foldBytes(&bare) >= foldBytes(&unencoded) ||
+		kept == 0 || foldBytes(fold)-foldBytes(&unencoded) < kept {
+		t.Fatalf("the summary is charged %d records, want %d (%d B with the report, %d B without, %d B without its %d B of encodings)",
+			got, want, foldBytes(fold), foldBytes(&bare), foldBytes(&unencoded), kept)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -253,4 +263,107 @@ func TestSealedReportIsCharged(t *testing.T) {
 		t.Fatalf("after a flush the dropped summary is still charged %d records", got)
 	}
 	aggregate(2)
+}
+
+// TestSplicedReportIsReport holds Folder.AppendReport, which splices the
+// encodings the sealed report keeps, to Report().AppendJSON byte for byte
+// and to the oracle's JSON (less verdicts, which it does not count), over
+// the order corpus in every store shape, for every group_by and for
+// filters that cover every sealed run and ones that do not: read before
+// the memtable holds a record and after each half of it. Splicing a
+// touched group's kept bytes, or those of the group at the same place in
+// the report instead of the same sealed group, fails it. A group whose
+// mean overflows to an infinity is refused by both, so the response falls
+// back to encoding/json.
+func TestSplicedReportIsReport(t *testing.T) {
+	sealed, tail := orderCorpus()
+	filters := []Filter{{}, {FromTick: 1}, {Experiment: "exp-0001"}, {Country: "MA"}, {ToTick: 9}, {Kind: string(probes.TaskPing)}}
+	read := func(t *testing.T, s *Store, recs []Record) (spliced int) {
+		t.Helper()
+		for _, f := range filters {
+			for _, gb := range allGroupBys {
+				q := AggQuery{Filter: f, GroupBy: gb}
+				fold, err := s.Fold(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fold.sealed != nil {
+					spliced++
+				}
+				rep := fold.Report()
+				got, ok := fold.AppendReport(nil)
+				want, wantOK := rep.AppendJSON(nil)
+				if !ok || !wantOK || string(got) != string(want) {
+					t.Fatalf("group %q, filter %+v: spliced (ok %v)\n%s\nreport (ok %v)\n%s", gb, f, ok, got, wantOK, want)
+				}
+				if gb != "" && gb != GroupNone && gb != GroupCountry && gb != GroupASN && gb != GroupCountryASN {
+					continue // the oracle groups by these alone
+				}
+				var back AggReport
+				if err := json.Unmarshal(got, &back); err != nil {
+					t.Fatal(err)
+				}
+				for i := range back.Groups {
+					back.Groups[i].Verdicts = nil
+				}
+				if g, w := mustJSON(t, back), mustJSON(t, naiveAggregate(recs, q)); g != w {
+					t.Fatalf("group %q, filter %+v: spliced\n%s\noracle\n%s", gb, f, g, w)
+				}
+			}
+		}
+		return spliced
+	}
+	for _, shape := range memoShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			s := shape.build(t, sealed, nil)
+			spliced := read(t, s, sealed)
+			for n, half := 0, len(tail)/2; n < len(tail); n += half {
+				appendChunks(t, s, tail[n:n+half], 4)
+				spliced += read(t, s, append(sealed[:len(sealed):len(sealed)], tail[:n+half]...))
+			}
+			if s.MemtableLen() != len(tail) || spliced < 3*3*len(allGroupBys) {
+				t.Fatalf("%d records in the memtable, %d reads over a sealed report: want %d and at least %d",
+					s.MemtableLen(), spliced, len(tail), 3*3*len(allGroupBys))
+			}
+		})
+	}
+	t.Run("infinite mean", func(t *testing.T) {
+		sealed := slices.Clone(sealed)
+		big, first := 0, -1 // two alike samples whose sum overflows, in ZA/500, which the memtable leaves alone
+		for i := range sealed {
+			if sealed[i].Country == "ZA" && sealed[i].ASN == 500 && big < 2 {
+				if first < 0 {
+					first = i
+				}
+				sealed[i].Result = sealed[first].Result
+				sealed[i].Result.OK, sealed[i].Result.RTTms, big = true, math.MaxFloat64, big+1
+			}
+		}
+		s := memoShapes[0].build(t, sealed, tail)
+		for _, gb := range allGroupBys {
+			for _, f := range []Filter{{}, {Country: "MA"}} {
+				fold, err := s.Fold(AggQuery{Filter: f, GroupBy: gb})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep := fold.Report()
+				got, ok := fold.AppendReport(nil)
+				want, wantOK := rep.AppendJSON(nil)
+				if refused := f.Country == ""; ok == refused || wantOK == refused || !refused && string(got) != string(want) || big != 2 || refused && fold.sealed == nil {
+					t.Fatalf("group %q, filter %+v: spliced ok %v, report ok %v, %d samples set, sealed report %v:\n%s\nwant\n%s",
+						gb, f, ok, wantOK, big, fold.sealed != nil, got, want)
+				}
+			}
+		}
+	})
+}
+
+// mustJSON is v as encoding/json writes it.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }

@@ -59,8 +59,8 @@ func (s *Store) summaryLocked(scan []*segment, loaded []decoded, eager bool) (*s
 }
 
 // fold returns the fold by groupBy of every sealed run, merging their
-// memos in sequence order on first use and finishing its report beside it
-// (Folder.sealed), and is only ever read after.
+// memos in sequence order on first use and finishing its report, and each
+// group's encoding, beside it (Folder.sealed); it is only ever read after.
 func (m *sealedSummary) fold(s *Store, groupBy string, runs []decoded) *Folder {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -75,8 +75,9 @@ func (m *sealedSummary) fold(s *Store, groupBy string, runs []decoded) *Folder {
 		}
 		_ = f.Merge(d.folds.fold(groupBy, d.recs, s.ctr)) // grouped alike: cannot fail
 	}
-	_, f.sealed = f.report(true)
-	f.sealed.index, f.index = f.index, nil
+	kept := &sealedReport{index: f.index}
+	kept.encode(f.report(kept).Groups)
+	f.sealed, f.index = kept, nil
 	m.folds[groupBy] = f
 	s.ctr.Inc("sealed_report_builds")
 	s.chargeSummaryLocked(m, foldBytes(f))

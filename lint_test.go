@@ -60,6 +60,7 @@ var rules = []rule{
 	{"span-capture", nil, true, nil, regexp.MustCompile(`^go \*internal/obs\.Span$`), "an obs.Span is written by one goroutine: give the goroutine a span tree of its own"},
 	{"book-pure", []string{"internal/core/book.go", "internal/federation/fedbook.go"}, false, nil, regexp.MustCompile(`^(internal/(obs|journal|store|framelog)|os|sync|time|net/http)\.`), "a book (the controller's book, the coordinator's fedBook) is the journaled state machine alone, with no lock, I/O, clock or metrics: its owner does those and hands the book its counters and wake-ups"},
 	{"journal-machine", []string{"internal/"}, false, []string{"internal/journal/"}, regexp.MustCompile(`^internal/journal\.(Open|DecodeOps|Log\.Append|Log\.WriteSnapshot)$`), "only internal/journal replays or appends a journal: an owner rebuilds its state and journals its mutations through journal.Machine"},
+	{"aggregate-encode", nil, false, []string{"internal/core/envelope.go", "internal/store/aggjson.go"}, regexp.MustCompile(`^internal/store\.(AggReport\.AppendJSON|Folder\.AppendReport)$`), "no encode of an aggregate report outside core.WriteAggReport: a response's groups are encoded once, where untouched sealed groups are spliced, and op=aggregate bodies cannot drift"},
 	{"local-failover", []string{"cmd/", "internal/"}, false, []string{"internal/federation/"}, regexp.MustCompile(`^internal/federation\.ShipState$`), "only internal/federation ships a shard's state: boot in-process shards with federation.BootLocal, whose Failover hook ships to and recovers at federation.ShardDir"},
 }
 
@@ -134,9 +135,8 @@ func in(list []string, s string) bool {
 }
 
 // lint reads the module tree at root and returns, as sorted "file:line:
-// key" lines, each rule's findings and, under "trip", the keys that
-// "// trip:" comments list. A method is used where an interface it
-// implements is.
+// key" lines, each rule's findings and, under "trip", the keys "// trip:"
+// comments list. A method is used where an interface it implements is.
 func lint(root string) (map[string][]string, error) {
 	// used holds the top-level declarations in internal/: 1 once their own
 	// package's tests use one, 2 once anything else does.
