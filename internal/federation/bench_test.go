@@ -3,6 +3,8 @@ package federation
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"github.com/afrinet/observatory/internal/core"
@@ -20,7 +22,7 @@ var benchSink int
 // dozen samples on four in-process durable shards, split as unevenly as
 // the ring splits the fleet: each holds sealed 1 024-record segments and a
 // memtable.
-func benchCoordinator(b *testing.B) *Coordinator {
+func benchCoordinator(b testing.TB) *Coordinator {
 	c, err := New("", testConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -77,6 +79,52 @@ func BenchmarkFederatedAggregate(b *testing.B) {
 			b.Fatalf("matched %d in %d groups, meta %+v, err %v", rep.Matched, len(rep.Groups), meta, err)
 		}
 		benchSink += len(rep.Groups)
+	}
+}
+
+// touch is the i-th 4-record sync of one probe: a ping each to NG's first
+// four ASNs, groups every shard's fold holds.
+func touch(i int) []store.Record {
+	recs := make([]store.Record, 4)
+	for k := range recs {
+		id := fmt.Sprintf("fexp-0002-t%07d", 4*i+k)
+		recs[k] = store.Record{Experiment: "fexp-0002", TaskID: id, ProbeID: "p-000000", Tick: 3, Country: "NG", ASN: topology.ASN(36900 + k),
+			Result: probes.Result{TaskID: id, Experiment: "fexp-0002", Kind: probes.TaskPing, OK: true, RTTms: float64(10 + i%50)}}
+	}
+	return recs
+}
+
+// BenchmarkFederatedAggregateHTTP is fed_4shard's full aggregate as
+// op=aggregate serves it, through the coordinator's handler: quiet, with
+// nothing written between queries, so every group of the last report is
+// spliced; touched, after a 4-record sync to one shard before each query;
+// cold, with the last report dropped before each query, so every group is
+// finished.
+func BenchmarkFederatedAggregateHTTP(b *testing.B) {
+	for _, mode := range []string{"quiet", "touched", "cold"} {
+		b.Run(mode, func(b *testing.B) {
+			c := benchCoordinator(b)
+			h, shard := c.Handler(), c.shards["shard-0"].slot.(*LocalShard).Controller().ResultStore()
+			req := httptest.NewRequest(http.MethodGet, "/api/v1/query?op=aggregate&group_by=country_asn", nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				switch mode {
+				case "touched":
+					if err := shard.Append(touch(i)...); err != nil {
+						b.Fatal(err)
+					}
+				case "cold":
+					c.reports[store.GroupCountryASN] = &store.ReportMemo{Count: func(int, int) {}}
+				}
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if w.Code != http.StatusOK || w.Body.Len() < 512*100 {
+					b.Fatalf("status %d, %d bytes: %s", w.Code, w.Body.Len(), w.Body.Bytes()[:min(w.Body.Len(), 200)])
+				}
+				benchSink += w.Body.Len()
+			}
+		})
 	}
 }
 

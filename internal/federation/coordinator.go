@@ -12,6 +12,7 @@ import (
 	"github.com/afrinet/observatory/internal/journal"
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/probes"
+	"github.com/afrinet/observatory/internal/store"
 )
 
 // ErrNoShards is returned for key routing against an empty shard map.
@@ -108,6 +109,7 @@ type Coordinator struct {
 	gate   *core.AdmissionGate
 
 	scanPhases, aggPhases queryPhases
+	reports               map[string]*store.ReportMemo // the last aggregate's report, by group_by (Fold)
 
 	// Failover moves shard id to epoch, outside the lock: it prepares the
 	// replacement (BootLocal's ships the shard's state to the epoch's
@@ -134,6 +136,13 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 	c.ctr = c.reg.Counters("obs_fed_events_total")
 	c.gate = core.NewAdmissionGate(cfg.Admission, c.reg)
 	c.scanPhases, c.aggPhases = newQueryPhases(c.reg, "scan"), newQueryPhases(c.reg, "aggregate")
+	c.reports = make(map[string]*store.ReportMemo, len(store.GroupByModes))
+	for _, gb := range store.GroupByModes {
+		c.reports[gb] = &store.ReportMemo{Count: func(reused, finished int) {
+			c.ctr.Add("fed_report_groups_reused", int64(reused))
+			c.ctr.Add("fed_report_groups_finished", int64(finished))
+		}}
+	}
 	if dir != "" {
 		// The coordinator writes no snapshot: its machine refuses a
 		// directory holding one (a controller's), and replays the whole

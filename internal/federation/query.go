@@ -302,7 +302,9 @@ func (c *Coordinator) ExperimentResults(fedID string, limit int, cursor string) 
 // (experiment, task) key lives on exactly one shard (DESIGN.md
 // "Scatter-gather queries"), so each shard's own first-wins dedup is
 // already global. Unresponsive shards degrade the fold (their records
-// are absent); all shards failing is an error.
+// are absent); all shards failing is an error. The merged fold remembers
+// the group_by's last report (store.Folder.Remember): its report splices
+// every group whose merged contents that report holds unchanged.
 func (c *Coordinator) Fold(q store.AggQuery) (*store.Folder, QueryMeta, error) {
 	merged, err := store.NewFolder(q.GroupBy)
 	if err != nil {
@@ -319,6 +321,7 @@ func (c *Coordinator) Fold(q store.AggQuery) (*store.Folder, QueryMeta, error) {
 	t := obs.StartTimer()
 	defer func() { c.aggPhases.merge.Observe(t.Elapsed()) }()
 	var groups, samples int64
+	folds := make([]*store.Folder, 0, len(parts))
 	for _, p := range parts {
 		if p.err != nil {
 			continue
@@ -327,10 +330,12 @@ func (c *Coordinator) Fold(q store.AggQuery) (*store.Folder, QueryMeta, error) {
 		for i := range p.v.Groups {
 			samples += int64(len(p.v.Groups[i].RTTs))
 		}
-		if err := merged.Merge(p.v); err != nil {
-			return nil, meta, fmt.Errorf("federation: shard %s: %w", p.id, err)
-		}
+		folds = append(folds, p.v)
 	}
+	if err := merged.Merge(folds...); err != nil {
+		return nil, meta, fmt.Errorf("federation: %w", err)
+	}
+	merged.Remember(c.reports[merged.GroupBy], q.Filter)
 	c.ctr.Add("fed_fold_groups_merged", groups)
 	c.ctr.Add("fed_fold_samples_merged", samples)
 	return merged, meta, nil

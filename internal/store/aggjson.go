@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/json"
 	"strconv"
 
@@ -29,27 +30,51 @@ func (r *AggReport) AppendJSON(dst []byte) (out []byte, ok bool) {
 
 // AppendReport appends Report's JSON form, the bytes its AppendJSON
 // appends, without building the report: a sealed group no record has
-// reached since is the encoding the sealed summary kept of it, spliced;
-// every other group is encoded as AppendJSON encodes it. ok is false, and
-// the bytes stop short, where AppendJSON's would be.
+// reached since is the encoding the sealed summary kept of it, spliced, as
+// is a group f's memo holds unchanged (Remember), which then keeps this
+// report, sliced from dst: dst is not to be written over. Every other
+// group is encoded as AppendJSON encodes it. ok is false, and the bytes
+// stop short, where AppendJSON's would be.
 func (f *Folder) AppendReport(dst []byte) (out []byte, ok bool) {
 	dst = strconv.AppendInt(append(dst, `{"matched":`...), f.Matched, 10)
 	if len(f.Groups) == 0 { // Report's groups are nil
 		return append(dst, `,"groups":null}`...), true
 	}
+	var kept *sealedReport
+	var starts []int // each group's encoding's offset in dst, for the memo
+	if f.memo != nil && f.sealed == nil {
+		if kept = f.memo.last.Load(); kept != nil && kept.filter != f.query {
+			kept = nil
+		}
+		starts = make([]int, 0, len(f.Groups)+1)
+	}
+	ref := cmp.Or(f.sealed, kept) // where a spliced group's encoding is
 	dst, ok = append(dst, `,"groups":[`...), true
-	f.walk(nil, func(i, k int, g *AggGroup) bool {
+	reused := 0
+	order := f.walk(nil, kept, func(i, k int, g *AggGroup) bool {
 		if dst[len(dst)-1] != '[' { // past the first group
 			dst = append(dst, ',')
 		}
+		if starts != nil {
+			starts = append(starts, len(dst))
+		}
 		if g == nil {
-			enc := f.sealed.enc[k]
-			dst, ok = append(dst, enc...), enc != nil
+			enc := ref.enc[k]
+			dst, ok, reused = append(dst, enc...), enc != nil, reused+1
 		} else {
 			dst, ok = appendGroup(dst, g)
 		}
 		return ok
 	})
+	if ok && starts != nil {
+		next := &sealedReport{order: order, enc: make([][]byte, len(order)), filter: f.query, folds: f.Groups}
+		starts = append(starts, len(dst)+1) // as if a comma followed the last
+		for p := range next.enc {
+			next.enc[p] = dst[starts[p] : starts[p+1]-1 : starts[p+1]-1] // clipped: read-only, as the report
+		}
+		f.memo.last.Store(next)
+		f.memo.Count(reused, len(order)-reused)
+	}
 	return append(dst, "]}"...), ok
 }
 

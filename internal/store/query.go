@@ -3,11 +3,13 @@ package store
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"net/url"
 	"slices"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"github.com/afrinet/observatory/internal/obs"
 	"github.com/afrinet/observatory/internal/par"
@@ -621,6 +623,8 @@ type Folder struct {
 	index   map[packedKey]int // key → position in Groups; built on first use
 	last    int               // 1 + position of the group Add last folded into; 0 before the first
 	sealed  *sealedReport     // the finished report of Groups' leading groups, from the sealed summary (Merge); read-only
+	memo    *ReportMemo       // the query's last report, for AppendReport (Remember)
+	query   Filter            // the filter f folded, which memo's report must share
 }
 
 // GroupKey identifies a group: which fields are set depends on the mode
@@ -740,57 +744,71 @@ func (f *Folder) Add(r *Record) {
 	}
 }
 
-// Merge folds o in: a Folder over records disjoint from f's, from
-// Store.Fold or decoded from its JSON form. o is left as it was: f shares
-// no map or sample list with it. A group new to f is appended in o's order
-// and every sample after f's own, so merging the folds of runs in sequence
-// order leaves f as Add over their records would, down to group and
-// sample order. Into an empty f, o's samples are copied into one slab,
-// and o's sealed report comes along (Folder.sealed); any other Merge drops
-// f's.
-func (f *Folder) Merge(o *Folder) error {
-	if o.GroupBy != f.GroupBy {
-		return fmt.Errorf("store: merging a fold grouped by %q into one grouped by %q", o.GroupBy, f.GroupBy)
-	}
-	if f.sealed != nil { // f.index holds only the groups past the sealed ones
-		f.sealed, f.index = nil, nil
-	}
-	var slab []float64 // an empty f's samples, in one allocation
-	if len(f.Groups) == 0 {
-		f.Groups = slices.Grow(f.Groups, len(o.Groups))
-		n := 0
-		for i := range o.Groups {
-			n += len(o.Groups[i].RTTs)
+// Merge folds the parts in, in order: Folders over records disjoint from
+// f's and each other's, from Store.Fold or decoded from their JSON form.
+// They are left as they were: f shares no map or sample list with them. A
+// group new to f is appended in the parts' order and every sample after
+// f's own, so merging the folds of runs in sequence order leaves f as Add
+// over their records would, down to group and sample order. Groups and
+// index are sized once, and each group new to f gets exactly its samples'
+// room in one slab. A single part merged into an empty f brings its
+// sealed report along (Folder.sealed); any other Merge drops f's.
+func (f *Folder) Merge(parts ...*Folder) error {
+	total := 0
+	for _, o := range parts {
+		if o.GroupBy != f.GroupBy {
+			return fmt.Errorf("store: merging a fold grouped by %q into one grouped by %q", o.GroupBy, f.GroupBy)
 		}
-		slab = make([]float64, 0, n)
-		if o.sealed != nil { // o's groups are distinct: f takes them in place, and o's sealed report
-			f.Groups, f.sealed, f.index = f.Groups[:len(o.Groups)], o.sealed, nil
-		} else {
-			f.index = make(map[packedKey]int, len(o.Groups))
+		total += len(o.Groups)
+	}
+	carry := len(f.Groups) == 0 && len(parts) == 1 && parts[0].sealed != nil // its groups are distinct: f takes them in place
+	if carry {
+		f.sealed, f.index = parts[0].sealed, nil
+	} else if f.sealed != nil || f.index == nil { // one index over every group, sized for the parts'
+		f.sealed, f.index = nil, make(map[packedKey]int, len(f.Groups)+total)
+		for i := range f.Groups {
+			f.index[f.Groups[i].pack()] = i
 		}
 	}
-	f.Matched += o.Matched
-	for k := range o.Groups {
-		og, i := &o.Groups[k], k
-		if f.sealed == nil {
-			i = f.group(og.GroupKey)
+	old := len(f.Groups)
+	if f.Groups = slices.Grow(f.Groups, total); carry {
+		f.Groups = f.Groups[:total]
+	}
+	// at is each part group's place in f, and room, past it, each new group's slab room.
+	at, n := make([]int, 0, 2*total), 0
+	room := at[total : 2*total]
+	for _, o := range parts {
+		for k := range o.Groups {
+			i := k
+			if !carry {
+				i = f.group(o.Groups[k].GroupKey)
+			}
+			if i >= old { // a group f held grows as append grows it
+				room[i-old], n = room[i-old]+len(o.Groups[k].RTTs), n+len(o.Groups[k].RTTs)
+			}
+			at = append(at, i)
 		}
-		g := &f.Groups[i]
-		g.GroupKey = og.GroupKey
-		g.Count += og.Count
-		g.OK += og.OK
-		if len(og.Verdicts) > 0 && g.Verdicts == nil {
-			g.Verdicts = make(map[string]int64, len(og.Verdicts))
+	}
+	slab := make([]float64, n)
+	for x, r := range room {
+		if r > 0 { // capacity clipped: a later append reallocates rather than overwrite the next group's samples
+			f.Groups[old+x].RTTs, slab = slab[:0:r], slab[r:]
 		}
-		for v, n := range og.Verdicts {
-			g.Verdicts[v] += n
-		}
-		if slab != nil && g.RTTs == nil && len(og.RTTs) > 0 {
-			// Capacity clipped: a later append reallocates rather than
-			// overwrite the next group's samples.
-			slab = append(slab, og.RTTs...)
-			g.RTTs = slab[len(slab)-len(og.RTTs) : len(slab) : len(slab)]
-		} else {
+	}
+	for _, o := range parts {
+		f.Matched += o.Matched
+		for k := range o.Groups {
+			og, g := &o.Groups[k], &f.Groups[at[0]]
+			at = at[1:]
+			g.GroupKey = og.GroupKey
+			g.Count += og.Count
+			g.OK += og.OK
+			if len(og.Verdicts) > 0 && g.Verdicts == nil {
+				g.Verdicts = make(map[string]int64, len(og.Verdicts))
+			}
+			for v, n := range og.Verdicts {
+				g.Verdicts[v] += n
+			}
 			g.RTTs = append(g.RTTs, og.RTTs...)
 		}
 	}
@@ -825,13 +843,36 @@ type keyedGroup struct {
 
 // sealedReport is a fold's finished report, which the sealed summary keeps
 // beside the fold (summary.go): its groups in report order, each one's
-// finished AggGroup, sorted samples and encoding. Read-only once built.
+// finished AggGroup, sorted samples and encoding; a ReportMemo's keeps the
+// filter and groups of its fold instead of AggGroups. Read-only once built.
 type sealedReport struct {
 	index  map[packedKey]int // key → position in the fold
 	order  []keyedGroup
 	groups []AggGroup
 	sorted [][]float64
 	enc    [][]byte
+	filter Filter
+	folds  []FoldGroup
+}
+
+// ReportMemo is one query's last report, swapped whole so that concurrent
+// reports share it without a lock (Folder.Remember): a coordinator keeps
+// one per group_by. Count is told each report's spliced and finished groups.
+type ReportMemo struct {
+	last  atomic.Pointer[sealedReport]
+	Count func(reused, finished int)
+}
+
+// Remember has f's AppendReport splice every group m's last report of the
+// same filter holds unchanged and leave f's in m instead: f's groups are
+// then m's, and f must not change. A fold with a sealed report splices that.
+func (f *Folder) Remember(m *ReportMemo, filter Filter) { f.memo, f.query = m, filter }
+
+// sameGroup reports whether two groups hold what a report encodes alike:
+// key, counts, verdicts and samples, bit for bit in order.
+func sameGroup(a, b *FoldGroup) bool {
+	return a.GroupKey == b.GroupKey && a.Count == b.Count && a.OK == b.OK && maps.Equal(a.Verdicts, b.Verdicts) &&
+		slices.EqualFunc(a.RTTs, b.RTTs, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // report is Report; keep, if not nil, is given what walk finishes.
@@ -840,7 +881,7 @@ func (f *Folder) report(keep *sealedReport) AggReport {
 	if len(f.Groups) > 0 { // none stays nil: an empty report's groups are null
 		rep.Groups = make([]AggGroup, 0, len(f.Groups))
 	}
-	f.walk(keep, func(i, k int, g *AggGroup) bool {
+	f.walk(keep, nil, func(i, k int, g *AggGroup) bool {
 		if g == nil {
 			rep.Groups = append(rep.Groups, f.sealed.groups[k])
 			rep.Groups[len(rep.Groups)-1].Verdicts = f.Groups[i].Verdicts
@@ -861,11 +902,16 @@ func (f *Folder) report(keep *sealedReport) AggReport {
 // group is finished into g, k being -1 past the sealed groups, and one
 // some records have reached merges its new samples, sorted, into its
 // sorted ones. keep, if not nil (nor f.sealed), is given the order and
-// the sorted samples, for the sealed summary.
-func (f *Folder) walk(keep *sealedReport, yield func(i, k int, g *AggGroup) bool) {
+// the sorted samples, for the sealed summary. kept, if not nil (nor
+// f.sealed), is a ReportMemo's: a group sameGroup finds in it comes as its
+// place k there and a nil g. Its order is walked beside f's sorted keys,
+// or is f's when f's keys are its in sequence, which walk returns.
+func (f *Folder) walk(keep, kept *sealedReport, yield func(i, k int, g *AggGroup) bool) []keyedGroup {
 	var sealed sealedReport
 	if f.sealed != nil {
 		sealed = *f.sealed
+	} else if kept != nil && slices.EqualFunc(f.Groups, kept.folds, func(a, b FoldGroup) bool { return a.GroupKey == b.GroupKey }) {
+		sealed.order = kept.order
 	}
 	n := len(sealed.order)
 	fresh := make([]keyedGroup, 0, len(f.Groups)-n)
@@ -878,20 +924,30 @@ func (f *Folder) walk(keep *sealedReport, yield func(i, k int, g *AggGroup) bool
 	}
 	var tail, run []float64 // a group's new samples sorted, and merged with its sealed ones
 	var g AggGroup
-	for k, j := 0, 0; k < n || j < len(fresh); {
+	for k, j, m := 0, 0, 0; k < n || j < len(fresh); {
 		i, s := 0, -1
 		var sorted []float64
 		if k < n && (j == len(fresh) || sealed.order[k].key <= fresh[j].key) {
-			i, s, sorted = sealed.order[k].i, k, sealed.sorted[k]
+			i, s = sealed.order[k].i, k
+			if sealed.sorted != nil {
+				sorted = sealed.sorted[k]
+			}
 			k++
 		} else {
 			i = fresh[j].i
+			for kept != nil && m < len(kept.order) && kept.order[m].key < fresh[j].key {
+				m++
+			}
+			if kept != nil && m < len(kept.order) && kept.order[m].key == fresh[j].key {
+				s = m
+			}
 			j++
 		}
 		fg := &f.Groups[i]
-		if done := sealed.groups; s >= 0 && done[s].Count == fg.Count && done[s].OK == fg.OK && done[s].RTTCount == int64(len(fg.RTTs)) {
+		if done := sealed.groups; s >= 0 && (kept != nil && sameGroup(fg, &kept.folds[kept.order[s].i]) ||
+			kept == nil && done[s].Count == fg.Count && done[s].OK == fg.OK && done[s].RTTCount == int64(len(fg.RTTs))) {
 			if !yield(i, s, nil) {
-				return
+				return nil
 			}
 			continue
 		}
@@ -926,9 +982,13 @@ func (f *Folder) walk(keep *sealedReport, yield func(i, k int, g *AggGroup) bool
 			keep.sorted = append(keep.sorted, tail)
 		}
 		if !yield(i, s, &g) {
-			return
+			return nil
 		}
 	}
+	if n > 0 && f.sealed == nil {
+		return sealed.order
+	}
+	return fresh
 }
 
 // percentile is the nearest-rank percentile of an ascending-sorted
