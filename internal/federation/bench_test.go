@@ -1,11 +1,14 @@
 package federation
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
+	"time"
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/probes"
@@ -128,19 +131,99 @@ func BenchmarkFederatedAggregateHTTP(b *testing.B) {
 	}
 }
 
-// BenchmarkFederatedScanPage is fed_4shard's first scan page as op=scan
-// serves it: 200 items of one country — four parallel shard pages of up
-// to 200 each, one merge.
-func BenchmarkFederatedScanPage(b *testing.B) {
-	c := benchCoordinator(b)
-	f := store.Filter{Country: "KE"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		items, next, meta, err := c.ScanItems(f, 200, "")
-		if err != nil || meta.Degraded || len(items) != 200 || next == "" {
-			b.Fatalf("%d items, next %q, meta %+v, err %v", len(items), next, meta, err)
+// benchShards names the shard layouts the scan benchmarks run over:
+// fed_4shard's in-process shards; the same four shards as remote obsds
+// over loopback sockets (HTTPShard); and those again behind a 2 ms round
+// trip, well under a link between regions. A scan asks in-process shards
+// for shares and remote ones for the page: these are the two sides.
+var benchShards = []struct {
+	name  string
+	delay time.Duration // -1: in process
+}{{"local", -1}, {"loopback", 0}, {"rtt_2ms", 2 * time.Millisecond}}
+
+// benchScanCoordinator is benchCoordinator with its shards in process
+// (delay < 0) or each served by its controller's handler on a socket,
+// every request held delay first, under the same ids — so the same
+// records — behind a second coordinator.
+func benchScanCoordinator(b testing.TB, delay time.Duration) *Coordinator {
+	local := benchCoordinator(b)
+	if delay < 0 {
+		return local
+	}
+	c, err := New("", testConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	for s := 0; s < 4; s++ {
+		id := fmt.Sprintf("shard-%d", s)
+		h := local.shards[id].slot.(*LocalShard).Controller().Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(delay)
+			h.ServeHTTP(w, r)
+		}))
+		b.Cleanup(srv.Close)
+		if err := c.AddShard(id, NewHTTPShard(core.NewClientSeeded(srv.URL, int64(s)))); err != nil {
+			b.Fatal(err)
 		}
-		benchSink += len(items)
+	}
+	return c
+}
+
+// BenchmarkFederatedScanPage is fed_4shard's first scan page: 200 items
+// of one country, from four shards, one merge.
+func BenchmarkFederatedScanPage(b *testing.B) {
+	for _, sh := range benchShards {
+		b.Run(sh.name, func(b *testing.B) {
+			c := benchScanCoordinator(b, sh.delay)
+			f := store.Filter{Country: "KE"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				items, next, meta, err := c.ScanItems(f, 200, "")
+				if err != nil || meta.Degraded || len(items) != 200 || next == "" {
+					b.Fatalf("%d items, next %q, meta %+v, err %v", len(items), next, meta, err)
+				}
+				benchSink += len(items)
+			}
+		})
+	}
+}
+
+// BenchmarkFederatedScanWalk is fed_4shard's scan walk as op=scan serves
+// it: every page of 200 of one country's 800 records, each behind the
+// last page's cursor, through the coordinator's handler.
+func BenchmarkFederatedScanWalk(b *testing.B) {
+	for _, sh := range benchShards {
+		b.Run(sh.name, func(b *testing.B) {
+			c := benchScanCoordinator(b, sh.delay)
+			h := c.Handler()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pages, cursor := 0, ""
+				for {
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/query?op=scan&country=KE&limit=200&cursor="+url.QueryEscape(cursor), nil))
+					if w.Code != http.StatusOK {
+						b.Fatalf("page %d: status %d: %s", pages, w.Code, w.Body.Bytes())
+					}
+					pages++
+					benchSink += w.Body.Len()
+					// The cursor is the body's one next_cursor: shard ids and
+					// seqs, nothing JSON escapes.
+					body := w.Body.Bytes()
+					at := bytes.LastIndex(body, []byte(`"next_cursor":"`))
+					if at < 0 {
+						break
+					}
+					body = body[at+len(`"next_cursor":"`):]
+					cursor = string(body[:bytes.IndexByte(body, '"')])
+				}
+				if pages != 4 {
+					b.Fatalf("the walk took %d pages, want 4", pages)
+				}
+			}
+		})
 	}
 }

@@ -356,9 +356,8 @@ type attemptResult[T any] struct {
 	err error
 }
 
-// scatterCall runs op against one shard's backend under the per-shard
-// deadline, resolving the slot afresh for each attempt. With hedge it
-// launches a second attempt when HedgeAfter passes with the first still
+// scatterCallWithin runs op against one shard's backend within d,
+// resolving the slot afresh for each attempt. With hedge it launches a second attempt when HedgeAfter passes with the first still
 // out — and only then: an error is the shard's answer (remoteErr has
 // already made an unreachable one ErrShardDown), so it is returned once no
 // attempt is left in flight, never re-sent. hedge must be false for
@@ -367,7 +366,7 @@ type attemptResult[T any] struct {
 // not the request's: a trace span is single-goroutine (obs.Span), and
 // every attempt and hedge runs on its own goroutine (cross-tier spans are
 // ROADMAP item 6).
-func scatterCall[T any](c *Coordinator, st *shardState, hedge bool, op func(core.Backend) (T, error)) (T, error) {
+func scatterCallWithin[T any](c *Coordinator, st *shardState, hedge bool, d time.Duration, op func(core.Backend) (T, error)) (T, error) {
 	var zero T
 	if st.slot == nil {
 		return zero, ErrShardDown
@@ -391,7 +390,7 @@ func scatterCall[T any](c *Coordinator, st *shardState, hedge bool, op func(core
 		defer ht.Stop()
 		hedgeC = ht.C
 	}
-	dl := time.NewTimer(c.cfg.QueryDeadline)
+	dl := time.NewTimer(d)
 	defer dl.Stop()
 
 	inflight := 1
@@ -417,6 +416,11 @@ func scatterCall[T any](c *Coordinator, st *shardState, hedge bool, op func(core
 			return zero, ErrShardTimeout
 		}
 	}
+}
+
+// scatterCall is scatterCallWithin the per-shard deadline, QueryDeadline.
+func scatterCall[T any](c *Coordinator, st *shardState, hedge bool, op func(core.Backend) (T, error)) (T, error) {
+	return scatterCallWithin(c, st, hedge, c.cfg.QueryDeadline, op)
 }
 
 // Register routes a probe registration to its owning shard.

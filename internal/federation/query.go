@@ -64,10 +64,10 @@ type shardReply[T any] struct {
 	skipped bool // not asked (a scan position exhausted on a previous page)
 }
 
-// queryPhases times the coordinator's own share of one kind of query
-// (obs_fed_query_seconds{op,phase}), beside the per-shard call times of
-// obs_fed_shard_seconds: scatter is the wait for the slowest shard, merge
-// what the coordinator then does with the replies.
+// queryPhases times the coordinator's own share of one kind of query, once
+// a query (obs_fed_query_seconds{op,phase}), beside obs_fed_shard_seconds'
+// per-shard calls: scatter is the wait for the slowest shard and a scan's
+// top-ups, merge what the coordinator then does with the replies.
 type queryPhases struct{ scatter, merge *obs.Histogram }
 
 func newQueryPhases(reg *obs.Registry, op string) queryPhases {
@@ -145,9 +145,12 @@ type shardPage struct {
 // each already in sequence order, in (sequence, shard id) order — total
 // and deterministic. It takes the first item of every (experiment, task)
 // key until limit of them are taken (limit <= 0: all), and returns them
-// with how many items of each page it consumed. Nothing is sorted; with a
-// handful of shards a linear pick of the smallest head beats a heap.
-func mergeScans(c *Coordinator, scans []shardReply[shardPage], limit int) ([]store.Item, []int) {
+// with how many items of each page it consumed. A shard it runs dry on
+// that has more and has handed over fewer than limit is topped up (topUp,
+// told what the page still needs), so each supplies its first
+// min(limit, available) records. Nothing is sorted; with a handful of
+// shards a linear pick of the smallest head beats a heap.
+func mergeScans(c *Coordinator, scans []shardReply[shardPage], limit int, topUp func(i, need int)) ([]store.Item, []int) {
 	size := limit
 	if limit <= 0 {
 		size = 0
@@ -157,16 +160,20 @@ func mergeScans(c *Coordinator, scans []shardReply[shardPage], limit int) ([]sto
 	}
 	out := make([]store.Item, 0, size)
 	heads := make([]int, len(scans))
-	seen := make(map[store.DedupKey]struct{})
+	seen := make(map[store.DedupKey]struct{}, size)
 	for limit <= 0 || len(out) < limit {
 		best := -1
 		var bestSeq uint64
 		for i := range scans {
-			if heads[i] == len(scans[i].v.items) {
+			sc := &scans[i]
+			if heads[i] == len(sc.v.items) && sc.err == nil && sc.v.next != "" && len(sc.v.items) < limit {
+				topUp(i, limit-len(out))
+			}
+			if heads[i] == len(sc.v.items) {
 				continue
 			}
-			seq := scans[i].v.items[heads[i]].Seq
-			if best >= 0 && (seq > bestSeq || seq == bestSeq && scans[i].id > scans[best].id) {
+			seq := sc.v.items[heads[i]].Seq
+			if best >= 0 && (seq > bestSeq || seq == bestSeq && sc.id > scans[best].id) {
 				continue
 			}
 			best, bestSeq = i, seq
@@ -190,49 +197,89 @@ func mergeScans(c *Coordinator, scans []shardReply[shardPage], limit int) ([]sto
 // matching records merged in (sequence, shard) order, limit at a time,
 // behind a composite cursor that tracks one position per shard. Each
 // record is its wire item (store.Item): a shard's encoded record crosses
-// the coordinator as the bytes it arrived in. Duplicate (experiment, task)
-// keys are collapsed first-wins within the page fan-out; by routing every
-// probe's results to one owning shard — an ownership that failover
-// preserves, since the replacement serves the same shard ID — cross-shard
-// duplicates do not arise in normal operation. Shards that cannot answer
-// degrade the response instead of failing it; their cursor positions are
-// carried forward untouched so a later page retries them. Every shard
-// failing is an error.
+// the coordinator as the bytes it arrived in. An in-process shard is asked
+// for a share of the page, then for what the page needs whenever the merge
+// runs dry on it; a remote one (HTTPShard), to which that is another round
+// trip, for the whole page. Duplicate (experiment, task) keys are collapsed
+// first-wins; routing a probe's results to one owning shard, which failover
+// keeps, leaves no cross-shard duplicates in normal operation. Shards that
+// cannot answer within one QueryDeadline of the page's start degrade it and
+// keep their positions after what they handed over, for a later page to
+// retry. Every shard failing is an error.
 func (c *Coordinator) ScanItems(f store.Filter, limit int, cursor string) ([]store.Item, string, QueryMeta, error) {
 	pos, err := parseFedCursor(cursor)
 	if err != nil {
 		return nil, "", QueryMeta{}, err
 	}
+	c.mu.Lock()
+	asked := len(c.book.order)
+	c.mu.Unlock()
 	// A shard with an empty position on a non-empty cursor was
 	// exhausted by an earlier page: don't re-fetch it from the start.
 	var fetch map[string]bool
 	if cursor != "" {
-		fetch = make(map[string]bool, len(pos))
+		fetch, asked = make(map[string]bool, len(pos)), len(pos)
 		for id := range pos {
 			fetch[id] = true
 		}
 	}
-	scans := scatter(c, c.scanPhases.scatter, fetch, true, func(b core.Backend, id string) (shardPage, error) {
-		items, next, _, err := b.ScanItems(f, limit, pos[id])
+	share := limit // an unbounded page, or one shard's, is asked whole
+	if limit > 0 && asked > 1 {
+		share = min((limit+asked-1)/asked*5/4, limit) // an even share and a quarter
+	}
+	start := obs.StartTimer()
+	scans := scatter(c, nil, fetch, true, func(b core.Backend, id string) (shardPage, error) {
+		n := share
+		if _, remote := b.(*HTTPShard); remote {
+			n = limit
+		}
+		items, next, _, err := b.ScanItems(f, n, pos[id])
 		return shardPage{items, next}, err
 	})
+	waited := start.Elapsed() // the scatter phase: the first round and every top-up
+	defer func() { c.scanPhases.scatter.Observe(waited) }()
 	meta, err := gather(c, scans)
 	if err != nil {
 		return nil, "", meta, err
 	}
-	t := obs.StartTimer()
-	defer func() { c.scanPhases.merge.Observe(t.Elapsed()) }()
+	defer func() { c.scanPhases.merge.Observe(start.Elapsed() - waited) }()
 
-	out, consumed := mergeScans(c, scans, limit)
+	// A failed top-up leaves its shard missing from the page, as a failed
+	// first-round call does; one that finds the deadline spent fails unasked.
+	topUp := func(i, need int) {
+		sc := &scans[i]
+		c.mu.Lock()
+		st := c.shards[sc.id]
+		c.mu.Unlock()
+		rest, from, tw := min(limit-len(sc.v.items), need), sc.v.next, obs.StartTimer()
+		more, err := shardPage{}, error(ErrShardTimeout)
+		if left := c.cfg.QueryDeadline - start.Elapsed(); left > 0 {
+			more, err = scatterCallWithin(c, st, true, left, func(b core.Backend) (shardPage, error) {
+				items, next, _, err := b.ScanItems(f, rest, from)
+				return shardPage{items, next}, err
+			})
+		}
+		waited += tw.Elapsed()
+		c.ctr.Inc("fed_scan_topups")
+		if sc.err = err; err == nil {
+			sc.v.items, sc.v.next = append(sc.v.items, more.items...), more.next
+			return
+		}
+		if !meta.Degraded {
+			c.ctr.Inc("fed_degraded_queries")
+		}
+		meta.Degraded, meta.ShardsMissing = true, append(meta.ShardsMissing, sc.id)
+		sort.Strings(meta.ShardsMissing)
+	}
+	out, consumed := mergeScans(c, scans, limit, topUp)
 
-	// Next composite cursor: a shard that failed keeps its position, so a
-	// later page can pick it back up once it answers again; a shard we
-	// consumed fully follows its own next-page cursor (gone when
-	// exhausted); a partially-consumed shard resumes after its last
-	// consumed seq; a fetched-but-untouched shard keeps its incoming
-	// position. Skipped (already-exhausted) shards stay absent.
+	// Next composite cursor: a shard that failed or was consumed partially
+	// resumes after its last consumed seq; one consumed fully follows its
+	// own next-page cursor (gone when exhausted); one untouched keeps its
+	// incoming position; skipped (already-exhausted) shards stay absent.
 	nextPos := make(map[string]string, len(scans))
 	for i, sc := range scans {
+		c.ctr.Add("fed_scan_items_fetched", int64(len(sc.v.items)))
 		if sc.skipped {
 			continue
 		}
@@ -241,13 +288,11 @@ func (c *Coordinator) ScanItems(f store.Filter, limit int, cursor string) ([]sto
 			here = "0" // from the beginning, explicitly
 		}
 		switch n := consumed[i]; {
-		case sc.err != nil:
-			nextPos[sc.id] = here
 		case n == 0:
-			if len(sc.v.items) > 0 || sc.v.next != "" {
+			if sc.err != nil || len(sc.v.items) > 0 || sc.v.next != "" {
 				nextPos[sc.id] = here
 			}
-		case n == len(sc.v.items):
+		case n == len(sc.v.items) && sc.err == nil:
 			if sc.v.next != "" {
 				nextPos[sc.id] = sc.v.next
 			}
@@ -255,6 +300,7 @@ func (c *Coordinator) ScanItems(f store.Filter, limit int, cursor string) ([]sto
 			nextPos[sc.id] = strconv.FormatUint(sc.v.items[n-1].Seq, 10)
 		}
 	}
+	c.ctr.Add("fed_scan_items_served", int64(len(out)))
 	return out, encodeFedCursor(nextPos), meta, nil
 }
 
