@@ -8,15 +8,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/afrinet/observatory/internal/core"
+	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
 )
 
 // FuzzAggReportJSON holds WriteAggReport to what WriteJSON wrote for an
 // aggregate before it: encoding/json's Encoder over struct{AggReport;
-// QueryMeta}, byte for byte. The report is generated from the seed, with
+// QueryMeta}, byte for byte, and where the Encoder refuses the report (a
+// NaN or an infinity), WriteJSON's 500 unencodable envelope, as the
+// seeds of those three pin. The report is generated from the seed, with
 // the fuzzed string and float among the values every field draws from;
 // AggGroup is filled by reflection, so a field added to it without a line
 // in AggReport.AppendJSON makes the bytes differ, and a field of a kind
@@ -39,12 +43,19 @@ func FuzzAggReportJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, s string, x float64, degraded bool, missing string) {
 		rep, meta := genAggReport(t, seed, s, x, degraded, missing)
 		var want bytes.Buffer
-		_ = json.NewEncoder(&want).Encode(struct { // a NaN or an infinity: no bytes, as WriteJSON wrote
+		err := json.NewEncoder(&want).Encode(struct {
 			store.AggReport
 			core.QueryMeta
 		}{rep, meta})
 		w := httptest.NewRecorder()
 		core.WriteAggReport(w, &rep, meta)
+		if err != nil {
+			var env struct{ Error struct{ Code string } }
+			if w.Code != http.StatusInternalServerError || json.Unmarshal(w.Body.Bytes(), &env) != nil || env.Error.Code != core.ErrCodeUnencodable {
+				t.Fatalf("encoding/json refuses the report (%v); WriteAggReport answered %d\n%s", err, w.Code, w.Body)
+			}
+			return
+		}
 		if w.Code != http.StatusOK || w.Header().Get("Content-Type") != "application/json" {
 			t.Fatalf("status %d, content type %q", w.Code, w.Header().Get("Content-Type"))
 		}
@@ -115,4 +126,54 @@ func genAggReport(t *testing.T, seed uint64, s string, x float64, degraded bool,
 		meta.ShardsMissing = []string{}
 	}
 	return rep, meta
+}
+
+// TestUnencodableAggregateIs500: two results of one group whose rtt_ms is
+// math.MaxFloat64, synced through SyncProbe, make that group's mean +Inf,
+// which JSON cannot carry. op=aggregate answers the 500 unencodable
+// envelope, counted for its route, not a 200 with an empty body, and
+// op=fold still answers 200 with both samples.
+func TestUnencodableAggregateIs500(t *testing.T) {
+	c := core.NewController("o")
+	if err := c.RegisterProbe(core.ProbeInfo{ID: "p1", ASN: 36924, Country: "RW"}); err != nil {
+		t.Fatal(err)
+	}
+	ping := probes.Assignment{ProbeID: "p1", Task: probes.Task{Kind: probes.TaskPing, Target: "1.2.3.4"}}
+	if _, err := c.SubmitExperiment("o", "overflow", []probes.Assignment{ping, ping}); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := c.SyncProbe("p1", nil, 2)
+	if err != nil || len(lease.Tasks) != 2 {
+		t.Fatalf("leased %d tasks, %v", len(lease.Tasks), err)
+	}
+	var rs []probes.Result
+	for _, task := range lease.Tasks {
+		rs = append(rs, probes.Result{TaskID: task.ID, Experiment: task.Experiment, Kind: probes.TaskPing, OK: true, RTTms: math.MaxFloat64})
+	}
+	if resp, err := c.SyncProbe("p1", rs, -1); err != nil || resp.Accepted != 2 {
+		t.Fatalf("accepted %d of 2, %v", resp.Accepted, err)
+	}
+	h := c.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		return w
+	}
+	w := get("/api/v1/query?op=aggregate&group_by=country")
+	var env struct {
+		Error struct{ Code, Message, RequestID string }
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusInternalServerError ||
+		env.Error.Code != core.ErrCodeUnencodable || env.Error.Message == "" {
+		t.Fatalf("op=aggregate answered %d, %v:\n%s", w.Code, err, w.Body)
+	}
+	w = get("/api/v1/query?op=fold&group_by=country")
+	var fold store.Folder
+	if err := json.Unmarshal(w.Body.Bytes(), &fold); err != nil || w.Code != http.StatusOK ||
+		len(fold.Groups) != 1 || !reflect.DeepEqual(fold.Groups[0].RTTs, []float64{math.MaxFloat64, math.MaxFloat64}) {
+		t.Fatalf("op=fold answered %d, %v:\n%s", w.Code, err, w.Body)
+	}
+	if body := get("/metrics").Body.String(); !strings.Contains(body, core.MetricUnencodable+`{name="query"} 1`+"\n") {
+		t.Fatalf("/metrics does not count the 500 once for the query route:\n%s", body)
+	}
 }

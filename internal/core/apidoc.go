@@ -49,9 +49,12 @@ the conventions below hold for every endpoint of either:
   ` + "`method_not_allowed`" + ` (405, with an ` + "`Allow`" + ` header),
   ` + "`unavailable`" + ` (503 while the controller replays its journal after a
   restart, or when it could not make a valid request durable — retry
-  after the ` + "`Retry-After`" + ` delay), and ` + "`rate_limited`" + `
+  after the ` + "`Retry-After`" + ` delay), ` + "`rate_limited`" + `
   (429 when admission control sheds the request under load, also with a
-  ` + "`Retry-After`" + ` delay; low-priority routes shed first). Behind a
+  ` + "`Retry-After`" + ` delay; low-priority routes shed first), and
+  ` + "`unencodable`" + ` (500 when the answer holds a value JSON cannot carry, a
+  NaN or an infinity — e.g. an aggregate whose RTT mean overflows; a
+  retry gets the same answer, and ` + "`op=fold`" + ` still serves the samples). Behind a
   federation coordinator one more code appears: ` + "`shard_unavailable`" + `
   (503 when the single shard owning the request's keyspace is down and
   not yet failed over — honor ` + "`Retry-After`" + `; every other shard keeps

@@ -37,6 +37,10 @@ const (
 	// replaying), only one shard's keys are affected and the client
 	// should honor Retry-After, not trip its breaker.
 	ErrCodeShardUnavailable = "shard_unavailable"
+	// ErrCodeUnencodable answers 500 for a response that encoding/json
+	// refuses (a NaN or an infinity): the server's fault, which a retry
+	// does not mend. Nothing else answers 500 (MetricUnencodable).
+	ErrCodeUnencodable = "unencodable"
 )
 
 // RequestIDHeader carries the request id: clients may send one (any
@@ -60,11 +64,18 @@ type errorEnvelope struct {
 
 // WriteJSON writes a JSON response: the success-path writer of either
 // HTTP tier for everything but a scan page (WriteScanPage) and an
-// aggregate (WriteAggReport).
+// aggregate (WriteAggReport). v is encoded before the status is written,
+// so a value encoding/json refuses is answered 500 unencodable rather
+// than with an empty body.
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		WriteAPIError(w, http.StatusInternalServerError, ErrCodeUnencodable, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // the Encoder's bytes; a client that went away is its own loss
 }
 
 // WriteScanPage writes a 200 scan page whose items are already encoded:
@@ -90,9 +101,10 @@ func WriteScanPage(w http.ResponseWriter, items []store.Item, next string, meta 
 	}{next, meta})
 }
 
-// WriteAggReport writes a 200 aggregate: the bytes WriteJSON writes for
+// WriteAggReport writes an aggregate: what WriteJSON writes for
 // struct{store.AggReport; QueryMeta}, the report (a Folder's, unbuilt)
-// appended without reflection unless encoding/json would refuse it.
+// appended without reflection unless encoding/json would refuse it, which
+// WriteJSON then answers.
 func WriteAggReport[R store.AggReport | store.Folder](w http.ResponseWriter, rep *R, meta QueryMeta) {
 	var body []byte
 	var ok bool
@@ -136,7 +148,7 @@ func writeOK(w http.ResponseWriter, body []byte) {
 
 // writeExperiment writes a 200 experiment: the bytes WriteJSON writes for
 // exp, appended without reflection unless encoding/json would refuse it
-// (a NaN or infinite Task.Value, whose 200 WriteJSON leaves empty).
+// (a NaN or infinite Task.Value, which WriteJSON answers 500).
 // FuzzExperimentJSON holds the two to each other.
 func writeExperiment(w http.ResponseWriter, exp *Experiment) {
 	if body, ok := exp.appendJSON(make([]byte, 0, 128+160*len(exp.Assignments))); ok {

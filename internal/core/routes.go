@@ -237,6 +237,10 @@ type Router struct {
 	ring   *obs.TraceRing
 }
 
+// MetricUnencodable counts, per route (name=<route name>), the responses
+// answered 500 unencodable (WriteJSON).
+const MetricUnencodable = "obs_http_unencodable_total"
+
 // slowRequest is the threshold above which a request emits one
 // structured slow-request log line.
 const slowRequest = 500 * time.Millisecond
@@ -358,6 +362,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	cr.Handle(rec, r, params)
 
+	if rec.status == http.StatusInternalServerError { // only WriteJSON's encode failure answers 500
+		rt.reg.Counters(MetricUnencodable).Inc(cr.Name)
+	}
 	view, dur := tr.Finish(rec.status)
 	cr.hist.Observe(dur)
 	rt.ring.Add(view)

@@ -111,7 +111,7 @@ func fillTask(t *testing.T, rng *rand.Rand, str func() string, x float64) probes
 
 // FuzzExperimentJSON holds writeExperiment to WriteJSON, which wrote
 // every experiment reply before it: the same status, content type and
-// bytes, an empty body for a NaN or infinite Task.Value included.
+// bytes, the 500 for a NaN or infinite Task.Value included.
 func FuzzExperimentJSON(f *testing.F) {
 	for _, x := range []float64{0, 1e-7, 1e-6, 1e21, 1e20, -1.5, 5e-324, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f.Add(uint64(1), "exp-0001", x)

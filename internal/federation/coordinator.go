@@ -136,13 +136,10 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 	c.ctr = c.reg.Counters("obs_fed_events_total")
 	c.gate = core.NewAdmissionGate(cfg.Admission, c.reg)
 	c.scanPhases, c.aggPhases = newQueryPhases(c.reg, "scan"), newQueryPhases(c.reg, "aggregate")
-	c.reports = make(map[string]*store.ReportMemo, len(store.GroupByModes))
-	for _, gb := range store.GroupByModes {
-		c.reports[gb] = &store.ReportMemo{Count: func(reused, finished int) {
-			c.ctr.Add("fed_report_groups_reused", int64(reused))
-			c.ctr.Add("fed_report_groups_finished", int64(finished))
-		}}
-	}
+	c.reports = store.NewReportMemos(func(reused, finished int) {
+		c.ctr.Add("fed_report_groups_reused", int64(reused))
+		c.ctr.Add("fed_report_groups_finished", int64(finished))
+	})
 	if dir != "" {
 		// The coordinator writes no snapshot: its machine refuses a
 		// directory holding one (a controller's), and replays the whole

@@ -1,9 +1,9 @@
 package store
 
 import (
-	"cmp"
 	"encoding/json"
 	"strconv"
+	"unsafe"
 
 	"github.com/afrinet/observatory/internal/journal"
 )
@@ -29,10 +29,9 @@ func (r *AggReport) AppendJSON(dst []byte) (out []byte, ok bool) {
 }
 
 // AppendReport appends Report's JSON form, the bytes its AppendJSON
-// appends, without building the report: a sealed group no record has
-// reached since is the encoding the sealed summary kept of it, spliced, as
-// is a group f's memo holds unchanged (Remember), which then keeps this
-// report, sliced from dst: dst is not to be written over. Every other
+// appends, without building the report: a group f's memo holds unchanged
+// (Remember) is the encoding kept of it, spliced, and the memo then keeps
+// this report, sliced from dst: dst is not to be written over. Every other
 // group is encoded as AppendJSON encodes it. ok is false, and the bytes
 // stop short, where AppendJSON's would be.
 func (f *Folder) AppendReport(dst []byte) (out []byte, ok bool) {
@@ -40,18 +39,17 @@ func (f *Folder) AppendReport(dst []byte) (out []byte, ok bool) {
 	if len(f.Groups) == 0 { // Report's groups are nil
 		return append(dst, `,"groups":null}`...), true
 	}
-	var kept *sealedReport
+	var kept *keptReport
 	var starts []int // each group's encoding's offset in dst, for the memo
-	if f.memo != nil && f.sealed == nil {
+	if f.memo != nil {
 		if kept = f.memo.last.Load(); kept != nil && kept.filter != f.query {
 			kept = nil
 		}
 		starts = make([]int, 0, len(f.Groups)+1)
 	}
-	ref := cmp.Or(f.sealed, kept) // where a spliced group's encoding is
 	dst, ok = append(dst, `,"groups":[`...), true
 	reused := 0
-	order := f.walk(nil, kept, func(i, k int, g *AggGroup) bool {
+	order := f.walk(kept, func(k int, g *AggGroup) bool {
 		if dst[len(dst)-1] != '[' { // past the first group
 			dst = append(dst, ',')
 		}
@@ -59,38 +57,40 @@ func (f *Folder) AppendReport(dst []byte) (out []byte, ok bool) {
 			starts = append(starts, len(dst))
 		}
 		if g == nil {
-			enc := ref.enc[k]
-			dst, ok, reused = append(dst, enc...), enc != nil, reused+1
+			dst, reused = append(dst, kept.enc[k]...), reused+1
 		} else {
 			dst, ok = appendGroup(dst, g)
 		}
 		return ok
 	})
 	if ok && starts != nil {
-		next := &sealedReport{order: order, enc: make([][]byte, len(order)), filter: f.query, folds: f.Groups}
-		starts = append(starts, len(dst)+1) // as if a comma followed the last
-		for p := range next.enc {
-			next.enc[p] = dst[starts[p] : starts[p+1]-1 : starts[p+1]-1] // clipped: read-only, as the report
-		}
-		f.memo.last.Store(next)
+		f.memo.keep(&keptReport{order: order, enc: make([][]byte, len(order)), filter: f.query, folds: f.Groups}, dst, starts)
 		f.memo.Count(reused, len(order)-reused)
 	}
 	return append(dst, "]}"...), ok
 }
 
-// encode keeps the finished groups and each one's encoding, nil for one
-// that encoding/json would refuse.
-func (r *sealedReport) encode(groups []AggGroup) {
-	buf := make([]byte, 0, 160*len(groups))
-	r.groups, r.enc = groups, make([][]byte, len(groups))
-	for k := range r.groups {
-		n := len(buf)
-		var ok bool
-		if buf, ok = appendGroup(buf, &r.groups[k]); ok {
-			r.enc[k] = buf[n:len(buf):len(buf)] // clipped: read-only, as the report
-		} else {
-			buf = buf[:n]
+// keep slices next's encodings from body at starts, one a group, and
+// swaps it in, charging the memo's budget what it holds less what the
+// report it replaces held.
+func (m *ReportMemo) keep(next *keptReport, body []byte, starts []int) {
+	starts = append(starts, len(body)+1) // as if a comma followed the last
+	for p := range next.enc {
+		next.enc[p] = body[starts[p] : starts[p+1]-1 : starts[p+1]-1] // clipped: read-only, as the report
+	}
+	if m.charge != nil {
+		bytes := foldBytes(next.folds) + int64(len(next.order))*int64(unsafe.Sizeof(keyedGroup{})+unsafe.Sizeof(next.enc[0])) + int64(len(body))
+		for _, o := range next.order {
+			bytes += int64(len(o.key))
 		}
+		next.charged = (bytes + cachedRecordBytes - 1) / cachedRecordBytes
+	}
+	if old := m.last.Swap(next); m.charge != nil {
+		n := next.charged
+		if old != nil {
+			n -= old.charged
+		}
+		m.charge(n)
 	}
 }
 

@@ -3,6 +3,9 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"github.com/afrinet/observatory/internal/probes"
@@ -118,10 +121,10 @@ func syncBatches(seed int64) [][]Record {
 	return batches
 }
 
-// syncStore is fleet_sync's store as its syncs leave it: six sealed
-// segments and 256 records in the memtable.
-func syncStore(b *testing.B) *Store {
-	s, err := Open(b.TempDir(), Options{})
+// syncStore is fleet_sync's store as its syncs leave it, in dir: six
+// sealed segments and 256 records in the memtable.
+func syncStore(b *testing.B, dir string) *Store {
+	s, err := Open(dir, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func syncStore(b *testing.B) *Store {
 // BenchmarkAggregateSync is the warm grouped aggregate over fleet_sync's
 // store (syncStore).
 func BenchmarkAggregateSync(b *testing.B) {
-	s := syncStore(b)
+	s := syncStore(b, b.TempDir())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,11 +155,56 @@ func BenchmarkAggregateSync(b *testing.B) {
 	}
 }
 
+// BenchmarkAggregateAfterFlush is the first grouped aggregate, as
+// op=aggregate writes it (Fold, then AppendReport), after a flush: each
+// iteration appends one flush's worth of fleet_sync's ingest (1 024
+// records, another experiment's) to a store of fleet_sync's shape that
+// has answered the aggregate before, with the timer stopped, then times
+// the aggregate. A fresh store every six iterations, the last one closed
+// and removed, keeps the history between 7 and 12 segments.
+func BenchmarkAggregateAfterFlush(b *testing.B) {
+	root := b.TempDir()
+	more := syncBatches(2)
+	for _, batch := range more {
+		for j := range batch {
+			batch[j].Experiment, batch[j].TaskID = "exp-0002", batch[j].TaskID+"-2"
+		}
+	}
+	var s *Store
+	aggregate := func() int {
+		fold, err := s.Fold(benchAgg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, _ := fold.AppendReport(nil)
+		return len(body)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%6 == 0 {
+			if s != nil {
+				s.Close()
+				os.RemoveAll(filepath.Join(root, strconv.Itoa(i-6)))
+			}
+			s = syncStore(b, filepath.Join(root, strconv.Itoa(i)))
+			aggregate()
+		}
+		for _, batch := range more[256*(i%6) : 256*(i%6+1)] {
+			if err := s.Append(batch...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		benchSink += aggregate()
+	}
+}
+
 // BenchmarkScanWalkSync is a warm wire walk, 200 records a page, through
 // every KE record of fleet_sync's store (syncStore): the pages a client
 // of op=scan reads one after the other.
 func BenchmarkScanWalkSync(b *testing.B) {
-	s := syncStore(b)
+	s := syncStore(b, b.TempDir())
 	walk := func() int {
 		n := 0
 		for cursor := ""; ; {

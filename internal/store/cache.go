@@ -131,8 +131,9 @@ func (c *segCache) chargeFold(e *cacheEntry, bytes int64) {
 	c.evictLocked(0, el)
 }
 
-// chargeSummary charges the store's sealed summary n more records, or
-// gives a dropped one's back (n < 0), and reports them with the memos'.
+// chargeSummary charges the store's sealed summary or a report memo
+// (ReportMemo) n more records, or gives what they dropped back (n < 0),
+// and reports them with the fold memos'.
 func (c *segCache) chargeSummary(n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -188,25 +189,20 @@ func (m *foldMemo) fold(groupBy string, recs []Record, ctr *obs.Family) *Folder 
 	}
 	f.index = nil // only ever read from here on
 	if m.charge != nil {
-		m.charge(foldBytes(f))
+		m.charge(foldBytes(f.Groups))
 	}
 	m.folds[groupBy] = f
 	return f
 }
 
-// foldBytes estimates what a fold keeps: groups, samples, verdicts, report.
-func foldBytes(f *Folder) int64 {
-	bytes := int64(cap(f.Groups)) * int64(unsafe.Sizeof(FoldGroup{}))
-	for _, g := range f.Groups {
+// foldBytes estimates what a fold's groups keep: themselves, their
+// samples and their verdicts.
+func foldBytes(groups []FoldGroup) int64 {
+	bytes := int64(cap(groups)) * int64(unsafe.Sizeof(FoldGroup{}))
+	for _, g := range groups {
 		bytes += 8 * int64(cap(g.RTTs))
 		if g.Verdicts != nil {
 			bytes += 256 // a map of a handful of verdicts
-		}
-	}
-	if r := f.sealed; r != nil {
-		bytes += int64(len(r.order)) * int64(unsafe.Sizeof(keyedGroup{})+unsafe.Sizeof(AggGroup{})+unsafe.Sizeof(r.sorted[0])+unsafe.Sizeof(r.enc[0])+64) // 64: an index entry
-		for k := range r.order {
-			bytes += int64(len(r.order[k].key)) + 8*int64(len(r.sorted[k])) + int64(cap(r.enc[k]))
 		}
 	}
 	return bytes

@@ -66,3 +66,66 @@ func TestReportMemoSplicesOnlyWhatItHolds(t *testing.T) {
 		})
 	}
 }
+
+// TestReportMemoSurvivesFlush: a store's last report outlives the sealed
+// summary a flush drops. The same aggregate after a flush writes the same
+// bytes and finishes no group, though the summary and its sealed fold are
+// built again; a record then appended to one group finishes that group
+// alone. So does another appended to it with a compaction whose retention
+// drops the group's oldest record: its counts are then the last report's
+// and one of its samples is not, and splicing it on its counts fails here.
+// Every body is Report().AppendJSON's.
+func TestReportMemoSurvivesFlush(t *testing.T) {
+	recs := memoCorpus(264)
+	for i := range recs {
+		recs[i].Tick++ // ticks 2 up: the first record's tick 1 alone expires at Compact(102)
+	}
+	recs[0].Tick, recs[0].Result.OK, recs[0].Result.RTTms = 1, true, 10
+	s, err := Open(t.TempDir(), Options{FlushEvery: 32, TargetFrames: 128, Retention: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendChunks(t, s, recs, 8) // 8 segments of 32, 8 records in the memtable
+	q := AggQuery{GroupBy: GroupCountryASN}
+	report := func(name string, reused, finished int64) []byte {
+		t.Helper()
+		before := s.Counters()
+		body := mustFold(t, s, q)
+		after := s.Counters()
+		if r, f := after["report_groups_reused"]-before["report_groups_reused"], after["report_groups_finished"]-before["report_groups_finished"]; r != reused || f != finished {
+			t.Fatalf("%s: %d groups spliced and %d finished, want %d and %d", name, r, f, reused, finished)
+		}
+		return body
+	}
+	groups := int64(len(foldOf(t, q.GroupBy, recs).Groups))
+	first := report("the first", 0, groups)
+	builds := s.Counters()["sealed_summary_builds"]
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if again := report("after a flush", groups, 0); string(again) != string(first) {
+		t.Fatalf("after a flush:\n%s\nbefore it:\n%s", again, first)
+	}
+	if got := s.Counters()["sealed_summary_builds"]; got != builds+1 {
+		t.Fatalf("sealed_summary_builds %d after a flush, want %d", got, builds+1)
+	}
+	more := func(id string, rtt float64) { // one more record in the first record's group
+		t.Helper()
+		r := recs[0]
+		r.TaskID, r.Result.TaskID, r.Tick, r.Result.RTTms = id, id, 20, rtt
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	more("one-more", 20)
+	report("a record appended", groups-1, 1)
+	more("another", 30)
+	if err := s.Compact(102); err != nil {
+		t.Fatal(err)
+	}
+	if s.Counters()["frames_expired"] != 1 {
+		t.Fatalf("counters %v: want the first record alone expired", s.Counters())
+	}
+	report("a record appended, the group's oldest expired", groups-1, 1)
+}

@@ -574,7 +574,8 @@ func (s *Store) Aggregate(q AggQuery) (AggReport, error) {
 
 // Fold is Aggregate stopped before Report: the partial fold over this
 // store's records, for a caller that merges it with other stores'
-// (Folder.Merge) and reports once.
+// (Folder.Merge) and reports once. It remembers the store's last report
+// of its group_by (Folder.Remember), which its AppendReport splices from.
 func (s *Store) Fold(q AggQuery) (*Folder, error) {
 	t := obs.StartTimer()
 	defer func() { s.hAggregate.Observe(t.Elapsed()) }()
@@ -594,6 +595,7 @@ func (s *Store) fold(q AggQuery) (*Folder, error) {
 		return nil, err
 	}
 	s.ctr.Inc("queries_served")
+	fold.Remember(s.memos[fold.GroupBy], q.Filter)
 	return fold, nil
 }
 
@@ -620,9 +622,9 @@ type Folder struct {
 	GroupBy string            `json:"group_by"`
 	Matched int64             `json:"matched"`
 	Groups  []FoldGroup       `json:"groups"` // in first-seen order
-	index   map[packedKey]int // key → position in Groups; built on first use
+	index   map[packedKey]int // key → position in Groups past base's; built on first use
+	base    map[packedKey]int // key → position of Groups' leading groups, the sealed fold's (Merge); read-only
 	last    int               // 1 + position of the group Add last folded into; 0 before the first
-	sealed  *sealedReport     // the finished report of Groups' leading groups, from the sealed summary (Merge); read-only
 	memo    *ReportMemo       // the query's last report, for AppendReport (Remember)
 	query   Filter            // the filter f folded, which memo's report must share
 }
@@ -677,16 +679,12 @@ func NewFolder(groupBy string) (*Folder, error) {
 // group returns k's position in Groups, appending it empty when k is new.
 func (f *Folder) group(k GroupKey) int {
 	p := k.pack()
-	n := 0 // the groups f.index leaves to f.sealed's
-	if f.sealed != nil {
-		if i, ok := f.sealed.index[p]; ok {
-			return i
-		}
-		n = len(f.sealed.order)
+	if i, ok := f.base[p]; ok {
+		return i
 	}
-	if f.index == nil { // a new Folder, one decoded from its JSON form, or one a Merge dropped f.sealed of
-		f.index = make(map[packedKey]int, len(f.Groups)-n)
-		for i := n; i < len(f.Groups); i++ {
+	if f.index == nil { // a new Folder, one decoded from its JSON form, or one a Merge gave a base
+		f.index = make(map[packedKey]int, len(f.Groups)-len(f.base))
+		for i := len(f.base); i < len(f.Groups); i++ {
 			f.index[f.Groups[i].pack()] = i
 		}
 	}
@@ -751,8 +749,8 @@ func (f *Folder) Add(r *Record) {
 // f's own, so merging the folds of runs in sequence order leaves f as Add
 // over their records would, down to group and sample order. Groups and
 // index are sized once, and each group new to f gets exactly its samples'
-// room in one slab. A single part merged into an empty f brings its
-// sealed report along (Folder.sealed); any other Merge drops f's.
+// room in one slab. A single part with a base index merged into an empty
+// f shares that index, read-only, as f's base; any other Merge drops f's.
 func (f *Folder) Merge(parts ...*Folder) error {
 	total := 0
 	for _, o := range parts {
@@ -761,11 +759,11 @@ func (f *Folder) Merge(parts ...*Folder) error {
 		}
 		total += len(o.Groups)
 	}
-	carry := len(f.Groups) == 0 && len(parts) == 1 && parts[0].sealed != nil // its groups are distinct: f takes them in place
+	carry := len(f.Groups) == 0 && len(parts) == 1 && parts[0].base != nil // its groups are distinct: f takes them in place
 	if carry {
-		f.sealed, f.index = parts[0].sealed, nil
-	} else if f.sealed != nil || f.index == nil { // one index over every group, sized for the parts'
-		f.sealed, f.index = nil, make(map[packedKey]int, len(f.Groups)+total)
+		f.base, f.index = parts[0].base, nil
+	} else if f.base != nil || f.index == nil { // one index over every group, sized for the parts'
+		f.base, f.index = nil, make(map[packedKey]int, len(f.Groups)+total)
 		for i := range f.Groups {
 			f.index[f.Groups[i].pack()] = i
 		}
@@ -832,7 +830,17 @@ func (f *Folder) sortKey(k packedKey) string {
 // percentiles, groups sorted by key. Samples are summed sorted, so the
 // mean does not depend on the order records or partial folds arrived in.
 // Report reads f and changes none of it: samples are sorted in a buffer.
-func (f *Folder) Report() AggReport { return f.report(nil) }
+func (f *Folder) Report() AggReport {
+	rep := AggReport{Matched: f.Matched}
+	if len(f.Groups) > 0 { // none stays nil: an empty report's groups are null
+		rep.Groups = make([]AggGroup, 0, len(f.Groups))
+	}
+	f.walk(nil, func(_ int, g *AggGroup) bool {
+		rep.Groups = append(rep.Groups, *g)
+		return true
+	})
+	return rep
+}
 
 // keyedGroup is a group's place in a report: its sort key, then its
 // position in Groups, which orders groups whose keys tie.
@@ -841,31 +849,39 @@ type keyedGroup struct {
 	i   int
 }
 
-// sealedReport is a fold's finished report, which the sealed summary keeps
-// beside the fold (summary.go): its groups in report order, each one's
-// finished AggGroup, sorted samples and encoding; a ReportMemo's keeps the
-// filter and groups of its fold instead of AggGroups. Read-only once built.
-type sealedReport struct {
-	index  map[packedKey]int // key → position in the fold
-	order  []keyedGroup
-	groups []AggGroup
-	sorted [][]float64
-	enc    [][]byte
-	filter Filter
-	folds  []FoldGroup
+// keptReport is a ReportMemo's report: the filter and groups of its fold,
+// the groups in report order and each one's encoding. Read-only once kept.
+type keptReport struct {
+	order   []keyedGroup
+	enc     [][]byte
+	filter  Filter
+	folds   []FoldGroup
+	charged int64 // what it is charged to its memo's budget, in records
 }
 
 // ReportMemo is one query's last report, swapped whole so that concurrent
-// reports share it without a lock (Folder.Remember): a coordinator keeps
-// one per group_by. Count is told each report's spliced and finished groups.
+// reports share it without a lock (Folder.Remember): a store and a
+// coordinator keep one per group_by (NewReportMemos). Count is told each
+// report's spliced and finished groups.
 type ReportMemo struct {
-	last  atomic.Pointer[sealedReport]
-	Count func(reused, finished int)
+	last   atomic.Pointer[keptReport]
+	Count  func(reused, finished int)
+	charge func(records int64) // a store's segment cache, told each swap's cost; nil for a coordinator's
+}
+
+// NewReportMemos returns a memo for each group_by, whose reports count
+// into count.
+func NewReportMemos(count func(reused, finished int)) map[string]*ReportMemo {
+	memos := make(map[string]*ReportMemo, len(GroupByModes))
+	for _, gb := range GroupByModes {
+		memos[gb] = &ReportMemo{Count: count}
+	}
+	return memos
 }
 
 // Remember has f's AppendReport splice every group m's last report of the
 // same filter holds unchanged and leave f's in m instead: f's groups are
-// then m's, and f must not change. A fold with a sealed report splices that.
+// then m's, and f must not change.
 func (f *Folder) Remember(m *ReportMemo, filter Filter) { f.memo, f.query = m, filter }
 
 // sameGroup reports whether two groups hold what a report encodes alike:
@@ -875,78 +891,40 @@ func sameGroup(a, b *FoldGroup) bool {
 		slices.EqualFunc(a.RTTs, b.RTTs, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// report is Report; keep, if not nil, is given what walk finishes.
-func (f *Folder) report(keep *sealedReport) AggReport {
-	rep := AggReport{Matched: f.Matched}
-	if len(f.Groups) > 0 { // none stays nil: an empty report's groups are null
-		rep.Groups = make([]AggGroup, 0, len(f.Groups))
-	}
-	f.walk(keep, nil, func(i, k int, g *AggGroup) bool {
-		if g == nil {
-			rep.Groups = append(rep.Groups, f.sealed.groups[k])
-			rep.Groups[len(rep.Groups)-1].Verdicts = f.Groups[i].Verdicts
-		} else {
-			rep.Groups = append(rep.Groups, *g)
-		}
-		return true
-	})
-	return rep
-}
-
 // walk is the one pass of a report: yield gets f's groups in report order
-// until it returns false, each as its position i in Groups. The groups
-// past f.sealed's (all, without it) are keyed, sorted and merged into its
-// order. A sealed group no record has reached since comes as its place k
-// in f.sealed's order and a nil g: its finished AggGroup is
-// f.sealed.groups[k], but for the verdict map, which is f's. Every other
-// group is finished into g, k being -1 past the sealed groups, and one
-// some records have reached merges its new samples, sorted, into its
-// sorted ones. keep, if not nil (nor f.sealed), is given the order and
-// the sorted samples, for the sealed summary. kept, if not nil (nor
-// f.sealed), is a ReportMemo's: a group sameGroup finds in it comes as its
-// place k there and a nil g. Its order is walked beside f's sorted keys,
-// or is f's when f's keys are its in sequence, which walk returns.
-func (f *Folder) walk(keep, kept *sealedReport, yield func(i, k int, g *AggGroup) bool) []keyedGroup {
-	var sealed sealedReport
-	if f.sealed != nil {
-		sealed = *f.sealed
-	} else if kept != nil && slices.EqualFunc(f.Groups, kept.folds, func(a, b FoldGroup) bool { return a.GroupKey == b.GroupKey }) {
-		sealed.order = kept.order
+// until it returns false, and walk returns that order. A group sameGroup
+// finds in kept (if not nil) comes as its place k in kept's order and a
+// nil g; every other group is finished into g, k being -1. kept's order
+// is f's when f's keys are its in sequence; otherwise f's groups are keyed
+// and sorted, and kept's order is walked beside them.
+func (f *Folder) walk(kept *keptReport, yield func(k int, g *AggGroup) bool) []keyedGroup {
+	inPlace := kept != nil && slices.EqualFunc(f.Groups, kept.folds, func(a, b FoldGroup) bool { return a.GroupKey == b.GroupKey })
+	var order []keyedGroup
+	if inPlace {
+		order = kept.order
+	} else {
+		order = make([]keyedGroup, 0, len(f.Groups))
+		for i := range f.Groups {
+			order = append(order, keyedGroup{f.sortKey(f.Groups[i].pack()), i})
+		}
+		slices.SortFunc(order, func(a, b keyedGroup) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.i, b.i)) })
 	}
-	n := len(sealed.order)
-	fresh := make([]keyedGroup, 0, len(f.Groups)-n)
-	for i := n; i < len(f.Groups); i++ {
-		fresh = append(fresh, keyedGroup{f.sortKey(f.Groups[i].pack()), i})
-	}
-	slices.SortFunc(fresh, func(a, b keyedGroup) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.i, b.i)) })
-	if keep != nil {
-		keep.order, keep.sorted = fresh, make([][]float64, 0, len(fresh))
-	}
-	var tail, run []float64 // a group's new samples sorted, and merged with its sealed ones
+	var rtts []float64 // a group's samples, sorted
 	var g AggGroup
-	for k, j, m := 0, 0, 0; k < n || j < len(fresh); {
-		i, s := 0, -1
-		var sorted []float64
-		if k < n && (j == len(fresh) || sealed.order[k].key <= fresh[j].key) {
-			i, s = sealed.order[k].i, k
-			if sealed.sorted != nil {
-				sorted = sealed.sorted[k]
-			}
-			k++
-		} else {
-			i = fresh[j].i
-			for kept != nil && m < len(kept.order) && kept.order[m].key < fresh[j].key {
+	for k, m := 0, 0; k < len(order); k++ {
+		fg, s := &f.Groups[order[k].i], -1
+		if inPlace {
+			s = k
+		} else if kept != nil {
+			for m < len(kept.order) && kept.order[m].key < order[k].key {
 				m++
 			}
-			if kept != nil && m < len(kept.order) && kept.order[m].key == fresh[j].key {
+			if m < len(kept.order) && kept.order[m].key == order[k].key {
 				s = m
 			}
-			j++
 		}
-		fg := &f.Groups[i]
-		if done := sealed.groups; s >= 0 && (kept != nil && sameGroup(fg, &kept.folds[kept.order[s].i]) ||
-			kept == nil && done[s].Count == fg.Count && done[s].OK == fg.OK && done[s].RTTCount == int64(len(fg.RTTs))) {
-			if !yield(i, s, nil) {
+		if s >= 0 && sameGroup(fg, &kept.folds[kept.order[s].i]) {
+			if !yield(s, nil) {
 				return nil
 			}
 			continue
@@ -959,16 +937,8 @@ func (f *Folder) walk(keep, kept *sealedReport, yield func(i, k int, g *AggGroup
 		if g.Count > 0 {
 			g.LossRate = 1 - float64(g.OK)/float64(g.Count)
 		}
-		if keep != nil {
-			tail = nil // kept: one for each group
-		}
-		tail = append(tail[:0], fg.RTTs[len(sorted):]...)
-		slices.Sort(tail)
-		rtts := tail
-		if len(sorted) > 0 {
-			run = mergeRun(run[:0], sorted, tail)
-			rtts = run
-		}
+		rtts = append(rtts[:0], fg.RTTs...)
+		slices.Sort(rtts)
 		if len(rtts) > 0 {
 			sum := 0.0
 			for _, v := range rtts {
@@ -978,17 +948,11 @@ func (f *Folder) walk(keep, kept *sealedReport, yield func(i, k int, g *AggGroup
 			g.RTTMean = sum / float64(len(rtts))
 			g.RTTP50, g.RTTP90, g.RTTP99 = percentile(rtts, 50), percentile(rtts, 90), percentile(rtts, 99)
 		}
-		if keep != nil {
-			keep.sorted = append(keep.sorted, tail)
-		}
-		if !yield(i, s, &g) {
+		if !yield(-1, &g) {
 			return nil
 		}
 	}
-	if n > 0 && f.sealed == nil {
-		return sealed.order
-	}
-	return fresh
+	return order
 }
 
 // percentile is the nearest-rank percentile of an ascending-sorted

@@ -71,13 +71,13 @@ func orderCorpus() (sealed, tail []Record) {
 	return recs[:256], recs[256:]
 }
 
-// TestSealedReportMergesExactly holds a report that reuses the sealed
-// summary's finished report to the exact path, byte for byte, and to the
-// oracle, over the order corpus in every store shape: after the first
-// half of its memtable, whose read builds the sealed report, and after
-// the second, which reuses it. Summing a touched group's samples in merge
-// order, reusing its sealed AggGroup, or placing new groups after the
-// sealed ones instead of among them each fails it.
+// TestSealedReportMergesExactly holds a report over the sealed fold and
+// a memtable to the exact path, byte for byte, and to the oracle, over the
+// order corpus in every store shape: after the first half of its memtable,
+// whose read merges the sealed fold and keeps each group_by's report, and
+// after the second, whose reports splice what the first kept of the
+// groups it left alone. Summing a group's samples in merge order, or
+// splicing a touched group, fails it.
 func TestSealedReportMergesExactly(t *testing.T) {
 	sealed, tail := orderCorpus()
 	half := len(tail) / 2
@@ -87,17 +87,17 @@ func TestSealedReportMergesExactly(t *testing.T) {
 				foldMemos = withMemos
 				defer func() { foldMemos = true }()
 				s := shape.build(t, sealed, tail[:half])
-				out := foldsJSON(t, s, []Filter{{}})
+				out := append(foldsJSON(t, s, []Filter{{}}), reportsJSON(t, s, Filter{})...)
 				appendChunks(t, s, tail[half:], 8)
-				return append(out, foldsJSON(t, s, []Filter{{}})...), s
+				return append(append(out, foldsJSON(t, s, []Filter{{}})...), reportsJSON(t, s, Filter{})...), s
 			}
 			got, s := read(true)
-			if s.MemtableLen() != len(tail) || s.Counters()["sealed_report_builds"] == 0 {
-				t.Fatalf("%d records in the memtable, counters %v: the sealed report was not read", s.MemtableLen(), s.Counters())
+			if ctr := s.Counters(); s.MemtableLen() != len(tail) || ctr["sealed_fold_hits"] == 0 || ctr["report_groups_reused"] == 0 || ctr["report_groups_finished"] == 0 {
+				t.Fatalf("%d records in the memtable, counters %v: the sealed fold or the kept reports were not read", s.MemtableLen(), ctr)
 			}
 			want, _ := read(false)
 			if string(got) != string(want) {
-				t.Fatalf("reports with the sealed report differ from the exact path's:\n%s\nwant:\n%s", got, want)
+				t.Fatalf("reports over the sealed fold differ from the exact path's:\n%s\nwant:\n%s", got, want)
 			}
 			for _, gb := range []string{GroupNone, GroupCountry, GroupASN, GroupCountryASN} {
 				q := AggQuery{GroupBy: gb}
@@ -114,6 +114,18 @@ func TestSealedReportMergesExactly(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reportsJSON writes, per group_by, the report of a store's fold as
+// AppendReport writes it, from the store's last report of filter
+// (mustFold).
+func reportsJSON(t *testing.T, s *Store, filter Filter) []byte {
+	t.Helper()
+	var out []byte
+	for _, gb := range GroupByModes {
+		out = append(append(out, mustFold(t, s, AggQuery{Filter: filter, GroupBy: gb})...), '\n')
+	}
+	return out
 }
 
 // TestMergeIntoEmptyKeepsGroupsApart: a Merge into an empty Folder lays
@@ -141,9 +153,10 @@ func TestMergeIntoEmptyKeepsGroupsApart(t *testing.T) {
 
 // TestSealedReportRaceAppends runs aggregates of a repeat-free store
 // beside appends that reach its sealed groups, without a flush, so every
-// aggregate reuses one sealed report; meaningful under -race. Each report
-// must be the exact path's over the records appended so far, which its
-// matched count names.
+// aggregate merges one sealed fold and every other one is written from
+// the store's last report of its group_by; meaningful under -race. Each
+// report must be the exact path's over the records appended so far, which
+// its matched count names.
 func TestSealedReportRaceAppends(t *testing.T) {
 	raw := memoCorpus(352)
 	sealed, tail := raw[:256], raw[256:]
@@ -163,6 +176,10 @@ func TestSealedReportRaceAppends(t *testing.T) {
 			want[gb][int64(n)] = foldOf(t, gb, raw[:n]).Report()
 		}
 	}
+	marshal := func(rep AggReport) []byte {
+		body, _ := json.Marshal(rep) // finite: cannot fail
+		return body
+	}
 	done := make(chan struct{})
 	var readers sync.WaitGroup
 	var reads atomic.Int64
@@ -177,13 +194,19 @@ func TestSealedReportRaceAppends(t *testing.T) {
 				default:
 				}
 				gb := GroupByModes[i%len(GroupByModes)]
-				rep, err := s.Aggregate(AggQuery{GroupBy: gb})
+				fold, err := s.Fold(AggQuery{GroupBy: gb})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if w, ok := want[gb][rep.Matched]; !ok || !reflect.DeepEqual(rep, w) {
-					t.Errorf("group %q, %d matched:\n got  %+v\n want %+v", gb, rep.Matched, rep, w)
+				w, ok := want[gb][fold.Matched]
+				if i%2 == 0 {
+					if rep := fold.Report(); !ok || !reflect.DeepEqual(rep, w) {
+						t.Errorf("group %q, %d matched:\n got  %+v\n want %+v", gb, fold.Matched, rep, w)
+						return
+					}
+				} else if got, _ := fold.AppendReport(nil); !ok || string(got) != string(marshal(w)) {
+					t.Errorf("group %q, %d matched:\n got  %s\n want %s", gb, fold.Matched, got, marshal(w))
 					return
 				}
 				reads.Add(1)
@@ -200,85 +223,81 @@ func TestSealedReportRaceAppends(t *testing.T) {
 	}
 	close(done)
 	readers.Wait()
-	if ctr := s.Counters(); s.SegmentCount() == 0 || s.MemtableLen() != len(tail) || ctr["sealed_report_builds"] != int64(len(GroupByModes)) {
-		t.Fatalf("%d segments, %d records in the memtable, counters %v: want one sealed report per group_by",
-			s.SegmentCount(), s.MemtableLen(), ctr)
+	if ctr := s.Counters(); s.SegmentCount() == 0 || s.MemtableLen() != len(tail) || ctr["sealed_summary_builds"] != 1 ||
+		ctr["sealed_fold_hits"] < reads.Load() || ctr["report_groups_reused"] == 0 || ctr["report_groups_finished"] == 0 {
+		t.Fatalf("%d segments, %d records in the memtable, %d reads, counters %v: want one sealed summary, read by every aggregate, and kept reports spliced",
+			s.SegmentCount(), s.MemtableLen(), reads.Load(), ctr)
 	}
 }
 
-// TestSealedReportIsCharged: the sealed report is built once per segment
-// set and group_by, counted in sealed_report_builds, charged with its fold
-// and its groups' encodings (at least their length) to the segment cache's
-// budget, and its charge goes when a flush drops the summary.
-func TestSealedReportIsCharged(t *testing.T) {
+// TestReportMemoIsCharged: a disk store's kept reports are charged to
+// the segment cache's budget beside its sealed summary, each at least the
+// length of its encodings; a report kept in place of another is charged
+// what it holds less what that one held, and the charge survives a flush,
+// which drops the summary's. What the cache is charged beyond its entries'
+// fold memos is, at every step, what the summary and the kept reports say.
+func TestReportMemoIsCharged(t *testing.T) {
 	s := openDup(t, t.TempDir())
 	appendChunks(t, s, memoCorpus(264), 8) // 8 segments of 32, 8 records in the memtable
-	summaryCharge := func() int64 {
-		s.cache.mu.Lock()
-		defer s.cache.mu.Unlock()
-		n := s.cache.charged
-		for el := s.cache.lru.Front(); el != nil; el = el.Next() {
-			n -= el.Value.(*cacheEntry).charged
-		}
-		if got := s.Counters()["segment_fold_records"]; got != s.cache.charged {
-			t.Fatalf("segment_fold_records reports %d, the cache is charged %d", got, s.cache.charged)
-		}
-		return n
-	}
-	aggregate := func(builds int64) {
+	records := func(bytes int64) int64 { return (bytes + cachedRecordBytes - 1) / cachedRecordBytes }
+	memo := s.memos[GroupCountryASN]
+	check := func(step string, summary int64) {
 		t.Helper()
-		for i := 0; i < 3; i++ {
-			if _, err := s.Aggregate(AggQuery{GroupBy: GroupCountryASN}); err != nil {
-				t.Fatal(err)
-			}
+		s.cache.mu.Lock()
+		got := s.cache.charged
+		for el := s.cache.lru.Front(); el != nil; el = el.Next() {
+			got -= el.Value.(*cacheEntry).charged
 		}
-		if got := s.Counters()["sealed_report_builds"]; got != builds {
-			t.Fatalf("sealed_report_builds %d, want %d", got, builds)
+		s.cache.mu.Unlock()
+		if n := s.Counters()["segment_fold_records"]; n != s.cache.charged {
+			t.Fatalf("%s: segment_fold_records reports %d, the cache is charged %d", step, n, s.cache.charged)
+		}
+		want := summary
+		if r := memo.last.Load(); r != nil {
+			want += r.charged
+		}
+		if got != want {
+			t.Fatalf("%s: the cache is charged %d records beyond its entries', want %d (%d for the summary)", step, got, want, summary)
 		}
 	}
 	if _, _, err := s.ScanPage(Filter{}, 0, ""); err != nil { // builds the summary: its keys alone
 		t.Fatal(err)
 	}
-	keys := summaryCharge()
-	aggregate(1)
+	keys := records(int64(8 * len(s.sum.keys)))
+	check("the summary's keys", keys)
+	body := mustFold(t, s, AggQuery{GroupBy: GroupCountryASN})
 	fold := s.sum.folds[GroupCountryASN]
-	bare, unencoded := *fold, *fold
-	bare.sealed = nil
-	noEnc := *fold.sealed
-	noEnc.enc, unencoded.sealed = make([][]byte, len(noEnc.enc)), &noEnc
-	kept := int64(0)
-	for _, enc := range fold.sealed.enc {
-		kept += int64(len(enc))
+	check("a report", keys+records(foldBytes(fold.Groups)+64*int64(len(fold.base))))
+	if r := memo.last.Load(); r.charged < records(int64(len(body))) {
+		t.Fatalf("the kept report is charged %d records, less than its %d B body", r.charged, len(body))
 	}
-	records := func(bytes int64) int64 { return (bytes + cachedRecordBytes - 1) / cachedRecordBytes }
-	if got, want := summaryCharge(), keys+records(foldBytes(fold)); got != want || foldBytes(&bare) >= foldBytes(&unencoded) ||
-		kept == 0 || foldBytes(fold)-foldBytes(&unencoded) < kept {
-		t.Fatalf("the summary is charged %d records, want %d (%d B with the report, %d B without, %d B without its %d B of encodings)",
-			got, want, foldBytes(fold), foldBytes(&bare), foldBytes(&unencoded), kept)
-	}
+	appendChunks(t, s, memoCorpus(300)[264:], 4) // more records: a longer report
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := summaryCharge(); got != 0 {
-		t.Fatalf("after a flush the dropped summary is still charged %d records", got)
-	}
-	aggregate(2)
+	check("a flush", 0)
+	mustFold(t, s, AggQuery{GroupBy: GroupCountryASN})
+	mustFold(t, s, AggQuery{GroupBy: GroupCountryASN})
+	fold = s.sum.folds[GroupCountryASN]
+	check("two more reports", records(int64(8*len(s.sum.keys)))+records(foldBytes(fold.Groups)+64*int64(len(fold.base))))
 }
 
 // TestSplicedReportIsReport holds Folder.AppendReport, which splices the
-// encodings the sealed report keeps, to Report().AppendJSON byte for byte
-// and to the oracle's JSON (less verdicts, which it does not count), over
-// the order corpus in every store shape, for every group_by and for
-// filters that cover every sealed run and ones that do not: read before
-// the memtable holds a record and after each half of it. Splicing a
-// touched group's kept bytes, or those of the group at the same place in
-// the report instead of the same sealed group, fails it. A group whose
-// mean overflows to an infinity is refused by both, so the response falls
-// back to encoding/json.
+// encodings the store's last report of a query keeps, to
+// Report().AppendJSON byte for byte and to the oracle's JSON (less
+// verdicts, which it does not count), over the order corpus in every
+// store shape, for every group_by and for filters that cover every sealed
+// run and ones that do not: read before the memtable holds a record and
+// after each half of it. Each (filter, group_by) is read twice in a row,
+// and the second read must write the same bytes and finish no group.
+// Splicing a touched group's kept bytes, or those of the group at the same
+// place in the report instead of the same group, fails it. A group whose
+// mean overflows to an infinity is refused by both, and nothing is kept
+// of the report, whose response is then an error.
 func TestSplicedReportIsReport(t *testing.T) {
 	sealed, tail := orderCorpus()
 	filters := []Filter{{}, {FromTick: 1}, {Experiment: "exp-0001"}, {Country: "MA"}, {ToTick: 9}, {Kind: string(probes.TaskPing)}}
-	read := func(t *testing.T, s *Store, recs []Record) (spliced int) {
+	read := func(t *testing.T, s *Store, recs []Record) {
 		t.Helper()
 		for _, f := range filters {
 			for _, gb := range allGroupBys {
@@ -287,14 +306,19 @@ func TestSplicedReportIsReport(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fold.sealed != nil {
-					spliced++
-				}
 				rep := fold.Report()
 				got, ok := fold.AppendReport(nil)
 				want, wantOK := rep.AppendJSON(nil)
 				if !ok || !wantOK || string(got) != string(want) {
 					t.Fatalf("group %q, filter %+v: spliced (ok %v)\n%s\nreport (ok %v)\n%s", gb, f, ok, got, wantOK, want)
+				}
+				before := s.Counters()
+				if again := mustFold(t, s, q); string(again) != string(got) {
+					t.Fatalf("group %q, filter %+v: read again\n%s\nfirst\n%s", gb, f, again, got)
+				}
+				after := s.Counters()
+				if reused, finished := after["report_groups_reused"]-before["report_groups_reused"], after["report_groups_finished"]-before["report_groups_finished"]; reused != int64(len(rep.Groups)) || finished != 0 {
+					t.Fatalf("group %q, filter %+v: read again, %d of %d groups spliced and %d finished", gb, f, reused, len(rep.Groups), finished)
 				}
 				if gb != "" && gb != GroupNone && gb != GroupCountry && gb != GroupASN && gb != GroupCountryASN {
 					continue // the oracle groups by these alone
@@ -311,19 +335,17 @@ func TestSplicedReportIsReport(t *testing.T) {
 				}
 			}
 		}
-		return spliced
 	}
 	for _, shape := range memoShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			s := shape.build(t, sealed, nil)
-			spliced := read(t, s, sealed)
+			read(t, s, sealed)
 			for n, half := 0, len(tail)/2; n < len(tail); n += half {
 				appendChunks(t, s, tail[n:n+half], 4)
-				spliced += read(t, s, append(sealed[:len(sealed):len(sealed)], tail[:n+half]...))
+				read(t, s, append(sealed[:len(sealed):len(sealed)], tail[:n+half]...))
 			}
-			if s.MemtableLen() != len(tail) || spliced < 3*3*len(allGroupBys) {
-				t.Fatalf("%d records in the memtable, %d reads over a sealed report: want %d and at least %d",
-					s.MemtableLen(), spliced, len(tail), 3*3*len(allGroupBys))
+			if s.MemtableLen() != len(tail) {
+				t.Fatalf("%d records in the memtable, want %d", s.MemtableLen(), len(tail))
 			}
 		})
 	}
@@ -342,6 +364,7 @@ func TestSplicedReportIsReport(t *testing.T) {
 		s := memoShapes[0].build(t, sealed, tail)
 		for _, gb := range allGroupBys {
 			for _, f := range []Filter{{}, {Country: "MA"}} {
+				before := s.Counters()
 				fold, err := s.Fold(AggQuery{Filter: f, GroupBy: gb})
 				if err != nil {
 					t.Fatal(err)
@@ -349,13 +372,32 @@ func TestSplicedReportIsReport(t *testing.T) {
 				rep := fold.Report()
 				got, ok := fold.AppendReport(nil)
 				want, wantOK := rep.AppendJSON(nil)
-				if refused := f.Country == ""; ok == refused || wantOK == refused || !refused && string(got) != string(want) || big != 2 || refused && fold.sealed == nil {
-					t.Fatalf("group %q, filter %+v: spliced ok %v, report ok %v, %d samples set, sealed report %v:\n%s\nwant\n%s",
-						gb, f, ok, wantOK, big, fold.sealed != nil, got, want)
+				after := s.Counters()
+				counted := after["report_groups_reused"]+after["report_groups_finished"] != before["report_groups_reused"]+before["report_groups_finished"]
+				if refused := f.Country == ""; ok == refused || wantOK == refused || counted == refused || !refused && string(got) != string(want) || big != 2 {
+					t.Fatalf("group %q, filter %+v: spliced ok %v, report ok %v, %d samples set, kept %v:\n%s\nwant\n%s",
+						gb, f, ok, wantOK, big, counted, got, want)
 				}
 			}
 		}
 	})
+}
+
+// mustFold is a store's aggregate q as AppendReport writes it, which
+// must be Report().AppendJSON's bytes.
+func mustFold(t *testing.T, s *Store, q AggQuery) []byte {
+	t.Helper()
+	fold, err := s.Fold(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := fold.Report()
+	want, wantOK := rep.AppendJSON(nil)
+	body, ok := fold.AppendReport(nil)
+	if !ok || !wantOK || string(body) != string(want) {
+		t.Fatalf("%+v: spliced (ok %v)\n%s\nreport (ok %v)\n%s", q, ok, body, wantOK, want)
+	}
+	return body
 }
 
 // mustJSON is v as encoding/json writes it.

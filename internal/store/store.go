@@ -123,10 +123,11 @@ type Store struct {
 	opts      Options
 	segs      []*segment // sorted by meta.MinSeq; seq ranges are disjoint
 	mem       []Record
-	memRaws   [][]byte       // mem's encodings, nil until a page takes the record (ScanItems)
-	memKeys   []uint64       // mem's key summary, kept sorted by Append
-	sumMu     sync.Mutex     // guards sum among readers; a writer holds mu
-	sum       *sealedSummary // of segs, nil until a read builds it (summary.go)
+	memRaws   [][]byte               // mem's encodings, nil until a page takes the record (ScanItems)
+	memKeys   []uint64               // mem's key summary, kept sorted by Append
+	sumMu     sync.Mutex             // guards sum and its folds among readers; a writer holds mu
+	sum       *sealedSummary         // of segs, nil until a read builds it (summary.go)
+	memos     map[string]*ReportMemo // the last aggregate's report, by group_by (Fold); kept through every change of segs
 	nextSeq   uint64
 	nextSegID uint64
 	ctr       *obs.Family
@@ -150,6 +151,15 @@ func newStore(dir string, opts Options) *Store {
 	}
 	s := &Store{dir: dir, opts: opts.withDefaults(), ctr: reg.Counters("obs_store_events_total"), nextSeq: 1, nextSegID: 1}
 	s.cache = &segCache{budget: cacheBudget, byID: make(map[uint64]*list.Element), lru: list.New(), ctr: s.ctr, gauge: reg.Gauges("obs_store_gauge")}
+	s.memos = NewReportMemos(func(reused, finished int) {
+		s.ctr.Add("report_groups_reused", int64(reused))
+		s.ctr.Add("report_groups_finished", int64(finished))
+	})
+	if dir != "" { // charged as the sealed summary is
+		for _, m := range s.memos {
+			m.charge = s.cache.chargeSummary
+		}
+	}
 	s.hIngest = reg.Hist("obs_store_seconds", "op", "ingest")
 	s.hFlush = reg.Hist("obs_store_seconds", "op", "flush")
 	s.hCompact = reg.Hist("obs_store_seconds", "op", "compact")

@@ -1,23 +1,20 @@
 package store
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // sealedSummary is what the reads of one segment set share about its
 // sealed runs: keys, the sorted union of their key hashes; repeats,
 // whether a hash occurs twice in it; and, per group_by, the fold of every
-// sealed record in sequence order, with its report, merged from the runs'
-// memos by the first aggregate that wants it. Any change to s.segs drops
-// it (dropSummaryLocked). memRepeats, set by the build and kept by Append,
+// sealed record in sequence order, merged from the runs' memos by the
+// first aggregate that wants it. Any change to s.segs drops it
+// (dropSummaryLocked). memRepeats, set by the build and kept by Append,
 // is whether a memtable key repeats another or one of keys. With neither
 // flag set no key repeats in the store: first-wins dedup cannot fire.
+// s.sumMu guards folds and charged.
 type sealedSummary struct {
 	keys       []uint64
 	repeats    bool
 	memRepeats bool
-	mu         sync.Mutex         // guards folds and charged
 	folds      map[string]*Folder // by group_by; never changed once built
 	charged    int64              // records charged to the segment cache's budget
 }
@@ -59,11 +56,12 @@ func (s *Store) summaryLocked(scan []*segment, loaded []decoded, eager bool) (*s
 }
 
 // fold returns the fold by groupBy of every sealed run, merging their
-// memos in sequence order on first use and finishing its report, and each
-// group's encoding, beside it (Folder.sealed); it is only ever read after.
+// memos in sequence order on first use, under s.sumMu. It is only ever
+// read after, and its group index with it, as the base index of the
+// folds a Merge takes it whole into (Folder.base).
 func (m *sealedSummary) fold(s *Store, groupBy string, runs []decoded) *Folder {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	s.sumMu.Lock()
+	defer s.sumMu.Unlock()
 	s.ctr.Inc("sealed_fold_hits")
 	if f := m.folds[groupBy]; f != nil {
 		return f
@@ -75,12 +73,9 @@ func (m *sealedSummary) fold(s *Store, groupBy string, runs []decoded) *Folder {
 		}
 		_ = f.Merge(d.folds.fold(groupBy, d.recs, s.ctr)) // grouped alike: cannot fail
 	}
-	kept := &sealedReport{index: f.index}
-	kept.encode(f.report(kept).Groups)
-	f.sealed, f.index = kept, nil
+	f.base, f.index = f.index, nil
 	m.folds[groupBy] = f
-	s.ctr.Inc("sealed_report_builds")
-	s.chargeSummaryLocked(m, foldBytes(f))
+	s.chargeSummaryLocked(m, foldBytes(f.Groups)+64*int64(len(f.base))) // 64: an index entry
 	return f
 }
 
