@@ -155,6 +155,31 @@ func BenchmarkAggregateSync(b *testing.B) {
 	}
 }
 
+// BenchmarkAggregateWithRepeat is BenchmarkAggregateSync over a store
+// that holds a crash window's duplicate: a later copy of its first
+// record, sealed with the memtable, so no read of it is repeat-free.
+func BenchmarkAggregateWithRepeat(b *testing.B) {
+	s := syncStore(b, b.TempDir())
+	if err := s.Append(syncBatches(1)[0][0]); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := aggregateAll(s); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := aggregateAll(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += n
+	}
+}
+
 // BenchmarkAggregateAfterFlush is the first grouped aggregate, as
 // op=aggregate writes it (Fold, then AppendReport), after a flush: each
 // iteration appends one flush's worth of fleet_sync's ingest (1 024

@@ -17,11 +17,10 @@ import (
 // 24 B slice that points into it) and 8 B for its key hash in the
 // segment's summary (848 → 856 B on the test corpus's 242 B frames) — so
 // a full cache is about 119 MB, of which segment_cache_bytes reports the
-// frames. A fold memo is charged a record per 908 B (measured on a fleet:
-// 88 B a record for country_asn, 166 B for all nine group_bys). The
-// budget counts
-// records, not bytes, and is a constant, not an option: the store has one
-// kind of caller (obsd and its shards) and nothing to tune it against.
+// frames. The sealed summary and the kept reports are charged a record
+// per 908 B. The budget counts records, not bytes, and is a constant, not
+// an option: the store has one kind of caller (obsd and its shards) and
+// nothing to tune it against.
 const cacheBudget = 1 << 17
 
 // segCache keeps the decoded records of sealed disk segments and the
@@ -33,16 +32,16 @@ const cacheBudget = 1 << 17
 // its eviction stays whole: the garbage collector owns it, not the cache.
 //
 // The budget is enforced against records, this cache's own count, and
-// the entries' fold memos' charge; the store's obs_store_gauge reports
-// them as segment_cache_records and segment_fold_records, beside
-// segment_cache_bytes, the file image the records keep alive (each summed
-// over the stores of a shared registry). Hits, misses, evictions and the
-// memos' builds and hits are counted in obs_store_events_total.
+// what the store's sealed summary and kept reports are charged; the
+// store's obs_store_gauge reports them as segment_cache_records and
+// segment_fold_records, beside segment_cache_bytes, the file image the
+// records keep alive (each summed over the stores of a shared registry).
+// Hits, misses and evictions are counted in obs_store_events_total.
 type segCache struct {
 	mu      sync.Mutex
 	budget  int
 	records int64 // decoded records held now
-	charged int64 // what the entries' fold memos are charged, in records
+	charged int64 // what the summary and the kept reports are charged, in records
 	byID    map[uint64]*list.Element
 	lru     *list.List // of *cacheEntry, most recently used at the front
 	ctr     *obs.Family
@@ -52,11 +51,10 @@ type segCache struct {
 type cacheEntry struct {
 	id uint64
 	decoded
-	charged int64 // what its fold memo is charged, in records
 }
 
-// cachedRecordBytes is what a cached record costs (cacheBudget): a fold
-// memo is charged a record for each this many bytes it keeps, or part.
+// cachedRecordBytes is what a cached record costs (cacheBudget): a memo
+// is charged a record for each this many bytes it keeps, or part.
 const cachedRecordBytes = 908
 
 // get returns a segment's cached records and marks them recently used.
@@ -85,9 +83,9 @@ func (c *segCache) peek(id uint64) (decoded, bool) {
 }
 
 // put caches a segment's records, evicting from the cold end until they
-// fit, and returns the cached entry, which carries a fold memo. A segment
-// larger than the whole budget comes back uncached; one already present
-// (two readers missed on it at once) comes back as cached first.
+// fit, and returns them. A segment larger than the whole budget comes
+// back uncached; one already present (two readers missed on it at once)
+// comes back as cached first.
 func (c *segCache) put(id uint64, d decoded) decoded {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -98,48 +96,30 @@ func (c *segCache) put(id uint64, d decoded) decoded {
 	if n == 0 || n > int64(c.budget) {
 		return d
 	}
-	c.evictLocked(n, nil)
-	e := &cacheEntry{id: id, decoded: d}
-	e.folds = &foldMemo{folds: map[string]*Folder{}, charge: func(bytes int64) { c.chargeFold(e, bytes) }}
-	c.byID[id] = c.lru.PushFront(e)
+	c.evictLocked(n)
+	c.byID[id] = c.lru.PushFront(&cacheEntry{id: id, decoded: d})
 	c.records += n
 	c.gauge.Add("segment_cache_records", n)
 	c.gauge.Add("segment_cache_bytes", framelog.Span(d.raws))
-	return e.decoded
+	return d
 }
 
-// evictLocked evicts from the cold end, never keep, until n more fit.
-func (c *segCache) evictLocked(n int64, keep *list.Element) {
-	for c.records+c.charged+n > int64(c.budget) && c.lru.Len() > 0 && c.lru.Back() != keep {
+// evictLocked evicts from the cold end until n more fit.
+func (c *segCache) evictLocked(n int64) {
+	for c.records+c.charged+n > int64(c.budget) && c.lru.Len() > 0 {
 		c.removeLocked(c.lru.Back())
 		c.ctr.Inc("segment_cache_evictions")
 	}
 }
 
-// chargeFold charges a fold just built in e's memo to the budget, evicting
-// colder entries for it. An entry evicted meanwhile is not charged.
-func (c *segCache) chargeFold(e *cacheEntry, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byID[e.id]
-	if !ok || el.Value.(*cacheEntry) != e {
-		return
-	}
-	n := (bytes + cachedRecordBytes - 1) / cachedRecordBytes
-	e.charged, c.charged = e.charged+n, c.charged+n
-	c.gauge.Add("segment_fold_records", n)
-	c.evictLocked(0, el)
-}
-
 // chargeSummary charges the store's sealed summary or a report memo
-// (ReportMemo) n more records, or gives what they dropped back (n < 0),
-// and reports them with the fold memos'.
+// (ReportMemo) n more records, or gives what they dropped back (n < 0).
 func (c *segCache) chargeSummary(n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.charged += n
 	c.gauge.Add("segment_fold_records", n)
-	c.evictLocked(0, nil)
+	c.evictLocked(0)
 }
 
 // drop forgets a segment that compaction or retention deleted.
@@ -155,44 +135,8 @@ func (c *segCache) removeLocked(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry)
 	delete(c.byID, e.id)
 	c.records -= int64(len(e.recs))
-	c.charged -= e.charged
-	c.gauge.Add("segment_fold_records", -e.charged)
 	c.gauge.Add("segment_cache_records", -int64(len(e.recs)))
 	c.gauge.Add("segment_cache_bytes", -framelog.Span(e.raws))
-}
-
-// foldMemo holds a sealed run's folds over all its records, one per
-// group_by, for the reads that take the run whole (Store.visit). A fold is
-// built once, under mu, and never changed after: readers merge it by
-// copying (Folder.Merge), as Report sorts samples in place.
-type foldMemo struct {
-	mu     sync.Mutex
-	folds  map[string]*Folder
-	charge func(bytes int64) // a new fold's cost; nil where the run is not in a budget
-}
-
-var foldMemos = true // off only in tests that hold memos and the sealed summary to the exact path
-
-// fold returns the run's fold by groupBy, building it from the run's
-// records on first use, and counts which of the two it did into ctr.
-func (m *foldMemo) fold(groupBy string, recs []Record, ctr *obs.Family) *Folder {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f := m.folds[groupBy]; f != nil {
-		ctr.Inc("segment_fold_hits")
-		return f
-	}
-	ctr.Inc("segment_fold_builds")
-	f := &Folder{GroupBy: groupBy}
-	for i := range recs {
-		f.Add(&recs[i])
-	}
-	f.index = nil // only ever read from here on
-	if m.charge != nil {
-		m.charge(foldBytes(f.Groups))
-	}
-	m.folds[groupBy] = f
-	return f
 }
 
 // foldBytes estimates what a fold's groups keep: themselves, their

@@ -116,8 +116,8 @@ func foldsJSON(t *testing.T, s *Store, filters []Filter) []byte {
 // TestIndexAnswersAreSound: a sealed run's index never lies. For every
 // filter parameter, a run whose meta covers the filter holds only records
 // that match it, and a run mayMatch rules out holds none. covers' list of
-// the filters the index does not carry decides whether a run's cached
-// fold is used whole, so a parameter it misses fails here.
+// the filters the index does not carry decides whether the sealed fold
+// is used whole, so a parameter it misses fails here.
 func TestIndexAnswersAreSound(t *testing.T) {
 	s := NewMemory(Options{FlushEvery: 32, TargetFrames: 128})
 	appendChunks(t, s, memoCorpus(384), 8)
@@ -154,77 +154,6 @@ func TestIndexAnswersAreSound(t *testing.T) {
 				t.Errorf("%s=%s: run ruled out by its index has %d matches", p.Name, v, matched)
 			}
 		}
-	}
-}
-
-// TestCachedFoldsAnswerAlike builds every store shape twice, with fold
-// memos and without, over the memo corpus and over the duplicate corpus;
-// both must give byte-identical Aggregate and Fold JSON for every group_by
-// under filters that cover runs whole, split them, or cover none. The
-// memo side must have reused memos, so the test cannot pass vacuously.
-func TestCachedFoldsAnswerAlike(t *testing.T) {
-	type corpus struct {
-		name         string
-		sealed, tail []Record
-		filters      []Filter
-	}
-	memo := memoCorpus(384)
-	sealed, tail := dupCorpus()
-	var dupFilters []Filter
-	for _, q := range append(dupQueries, equivalenceQueries...) {
-		dupFilters = append(dupFilters, q.Filter)
-	}
-	corpora := []corpus{{"memo", memo[:352], memo[352:], memoFilters}, {"duplicates", sealed, tail, dupFilters}}
-	for _, c := range corpora {
-		for _, shape := range memoShapes {
-			t.Run(c.name+"/"+shape.name, func(t *testing.T) {
-				withMemos := shape.build(t, c.sealed, c.tail)
-				got := foldsJSON(t, withMemos, c.filters)
-				ctr := withMemos.Counters()
-				if ctr["segment_fold_hits"] == 0 || ctr["segment_fold_builds"] == 0 {
-					t.Fatalf("no fold memo was used: %v", ctr)
-				}
-				foldMemos = false
-				defer func() { foldMemos = true }()
-				without := shape.build(t, c.sealed, c.tail)
-				want := foldsJSON(t, without, c.filters)
-				if ctr := without.Counters(); ctr["segment_fold_hits"]+ctr["segment_fold_builds"] != 0 {
-					t.Fatalf("a store without memos used one: %v", ctr)
-				}
-				if string(got) != string(want) {
-					t.Fatalf("reads with fold memos differ from record-by-record reads:\n%s\nwant:\n%s", got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestFoldMemoIsCharged: a memo is charged to the segment cache's budget
-// and reported in segment_fold_records, and it goes with its entry.
-func TestFoldMemoIsCharged(t *testing.T) {
-	s := openDup(t, t.TempDir())
-	appendChunks(t, s, memoCorpus(256), 8)
-	for _, gb := range GroupByModes {
-		if _, err := s.Aggregate(AggQuery{GroupBy: gb}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctr := s.Counters()
-	s.cache.mu.Lock()
-	folds := s.cache.charged
-	s.cache.mu.Unlock()
-	if ctr["segment_fold_builds"] != int64(8*len(GroupByModes)) || ctr["segment_fold_records"] != folds || folds < 8 {
-		t.Fatalf("8 segments' memos built %d folds, charged %d records, report %d",
-			ctr["segment_fold_builds"], folds, ctr["segment_fold_records"])
-	}
-	if err := s.Compact(0); err != nil { // 8 segments of 32 into 2 of 128
-		t.Fatal(err)
-	}
-	s.cache.mu.Lock()
-	folds = s.cache.charged
-	s.cache.mu.Unlock()
-	if got := s.Counters()["segment_fold_records"]; got != 0 || folds != 0 {
-		t.Fatalf("after compaction the memos of deleted segments are still charged %d records, reported %d", folds, got)
 	}
 }
 

@@ -190,13 +190,11 @@ func (f Filter) Values() url.Values {
 // runs it will stream, and only a record whose key hash occurs more than
 // once among them goes through the exact dedup set — a key whose hash
 // occurs once cannot repeat, whatever the filter. A lazy read cannot know
-// the runs it will not decode, so every match goes through the set. An
-// eager read folding into into merges whole, in its place in the stream, a
-// sealed run with a fold memo that fn would have seen all of, none
-// deduplicated: the filter covers it (SegmentMeta.covers) and none of its
-// keys repeats. On a repeat-free store (summary.go) no read dedups; a fold
-// whose filter covers every sealed run merges the one sealed fold, and a
-// read with a cursor (after > 0) skips what lies at or before it.
+// the runs it will not decode, so every match goes through the set. On a
+// repeat-free store (summary.go) no read dedups; a fold into into whose
+// filter covers every sealed run (SegmentMeta.covers) merges the one
+// sealed fold in their place, and a read with a cursor (after > 0) skips
+// what lies at or before it.
 func (s *Store) visit(f Filter, eager bool, after uint64, bound *int, into *Folder, fn func(r *Record, raw []byte) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -276,26 +274,12 @@ func (s *Store) visit(f Filter, eager bool, after uint64, bound *int, into *Fold
 				return err
 			}
 		}
-		if d := loaded[i]; into != nil && d.folds != nil && foldMemos && scan[i].meta.covers(f) && unrepeated(d.keys, repeats) {
-			_ = into.Merge(d.folds.fold(into.GroupBy, d.recs, s.ctr)) // grouped alike: cannot fail
-			continue
-		}
 		if !stream(loaded[i]) {
 			return nil
 		}
 	}
 	stream(decoded{recs: s.mem, raws: s.memRaws})
 	return nil
-}
-
-// unrepeated reports whether none of a run's sorted key hashes repeats.
-func unrepeated(keys []uint64, repeats map[uint64]bool) bool {
-	for h := range repeats {
-		if _, found := slices.BinarySearch(keys, h); found {
-			return false
-		}
-	}
-	return true
 }
 
 // repeated returns the hashes that occur more than once across sorted

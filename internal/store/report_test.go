@@ -234,8 +234,9 @@ func TestSealedReportRaceAppends(t *testing.T) {
 // the segment cache's budget beside its sealed summary, each at least the
 // length of its encodings; a report kept in place of another is charged
 // what it holds less what that one held, and the charge survives a flush,
-// which drops the summary's. What the cache is charged beyond its entries'
-// fold memos is, at every step, what the summary and the kept reports say.
+// as the summary's does until a read derives the next summary. What the
+// cache is charged is, at every step, what the summary and the kept
+// reports say.
 func TestReportMemoIsCharged(t *testing.T) {
 	s := openDup(t, t.TempDir())
 	appendChunks(t, s, memoCorpus(264), 8) // 8 segments of 32, 8 records in the memtable
@@ -245,9 +246,6 @@ func TestReportMemoIsCharged(t *testing.T) {
 		t.Helper()
 		s.cache.mu.Lock()
 		got := s.cache.charged
-		for el := s.cache.lru.Front(); el != nil; el = el.Next() {
-			got -= el.Value.(*cacheEntry).charged
-		}
 		s.cache.mu.Unlock()
 		if n := s.Counters()["segment_fold_records"]; n != s.cache.charged {
 			t.Fatalf("%s: segment_fold_records reports %d, the cache is charged %d", step, n, s.cache.charged)
@@ -257,7 +255,7 @@ func TestReportMemoIsCharged(t *testing.T) {
 			want += r.charged
 		}
 		if got != want {
-			t.Fatalf("%s: the cache is charged %d records beyond its entries', want %d (%d for the summary)", step, got, want, summary)
+			t.Fatalf("%s: the cache is charged %d records, want %d (%d for the summary)", step, got, want, summary)
 		}
 	}
 	if _, _, err := s.ScanPage(Filter{}, 0, ""); err != nil { // builds the summary: its keys alone
@@ -267,7 +265,8 @@ func TestReportMemoIsCharged(t *testing.T) {
 	check("the summary's keys", keys)
 	body := mustFold(t, s, AggQuery{GroupBy: GroupCountryASN})
 	fold := s.sum.folds[GroupCountryASN]
-	check("a report", keys+records(foldBytes(fold.Groups)+64*int64(len(fold.base))))
+	summary := keys + records(foldBytes(fold.Groups)+64*int64(len(fold.base)))
+	check("a report", summary)
 	if r := memo.last.Load(); r.charged < records(int64(len(body))) {
 		t.Fatalf("the kept report is charged %d records, less than its %d B body", r.charged, len(body))
 	}
@@ -275,7 +274,7 @@ func TestReportMemoIsCharged(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	check("a flush", 0)
+	check("a flush", summary)
 	mustFold(t, s, AggQuery{GroupBy: GroupCountryASN})
 	mustFold(t, s, AggQuery{GroupBy: GroupCountryASN})
 	fold = s.sum.folds[GroupCountryASN]

@@ -210,14 +210,12 @@ func parseSegment(data []byte) (meta SegmentMeta, d decoded, torn bool) {
 // compaction wrote — which lives as long as any of them is referenced;
 // the memtable's raws[i] is nil until a page takes recs[i]
 // (keepEncodings), and a dir-less store's segments have none. keys is
-// the run's key summary (summarize), and folds the run's fold memo
-// where the run is retained (segCache.put, a memory seal), nil
-// elsewhere. A sealed run is immutable once built.
+// the run's key summary (summarize). A sealed run is immutable once
+// built.
 type decoded struct {
-	recs  []Record
-	raws  [][]byte
-	keys  []uint64
-	folds *foldMemo
+	recs []Record
+	raws [][]byte
+	keys []uint64
 }
 
 // raw is recs[i]'s payload, nil where the run has none for it.

@@ -126,7 +126,7 @@ type Store struct {
 	memRaws   [][]byte               // mem's encodings, nil until a page takes the record (ScanItems)
 	memKeys   []uint64               // mem's key summary, kept sorted by Append
 	sumMu     sync.Mutex             // guards sum and its folds among readers; a writer holds mu
-	sum       *sealedSummary         // of segs, nil until a read builds it (summary.go)
+	sum       *sealedSummary         // of segs up to its upTo, nil until a read builds it (summary.go)
 	memos     map[string]*ReportMemo // the last aggregate's report, by group_by (Fold); kept through every change of segs
 	nextSeq   uint64
 	nextSegID uint64
@@ -272,6 +272,7 @@ func (s *Store) Append(recs ...Record) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
+	current := s.sum != nil && s.sum.upTo == s.sealedSeqLocked() // a stale one's next gets its flags afresh
 	for i := range recs {
 		recs[i].Seq = s.nextSeq
 		s.nextSeq++
@@ -279,7 +280,7 @@ func (s *Store) Append(recs ...Record) error {
 		h := keyHash(recs[i].Experiment, recs[i].TaskID)
 		at, found := slices.BinarySearch(s.memKeys, h)
 		s.memKeys = slices.Insert(s.memKeys, at, h)
-		if s.sum != nil && (found || holds(s.sum.keys, h)) {
+		if current && (found || holds(s.sum.keys, h)) {
 			s.sum.memRepeats = true
 		}
 	}
@@ -310,8 +311,7 @@ func (s *Store) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	s.dropSummaryLocked()
-	s.segs = append(s.segs, sg)
+	s.segs = append(s.segs, sg) // the summary, now stale, is kept for the next read to derive from
 	s.mem, s.memRaws, s.memKeys = nil, nil, nil
 	s.ctr.Inc("segments_flushed")
 	return nil
@@ -325,7 +325,7 @@ func (s *Store) sealLocked(d decoded) (*segment, error) {
 	meta := buildMeta(d.recs)
 	sg := &segment{id: s.nextSegID, meta: meta}
 	if s.dir == "" {
-		d.raws, d.folds = nil, &foldMemo{folds: map[string]*Folder{}}
+		d.raws = nil
 		sg.mem = d
 	} else {
 		encoded := len(d.recs)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -231,4 +232,148 @@ func FuzzStoreReadsAgree(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDerivedSummaryIsRebuilt: the summary the first read after a flush
+// derives from the last one is the summary a fresh build makes. A memory
+// and a disk store over the memo corpus are read after a flush; after
+// three flushes, so that several runs are new to the summary; after a
+// flush that follows a read which built some group_bys' folds and not
+// the others; after a compaction and then a flush; after a retention
+// expiry; and after a flush that seals a later copy of a sealed key. Each
+// time the summary's keys, flags and folds (JSON and group index), and
+// the Fold and report of every group_by it folds, must equal those of a
+// store put through the same appends, flushes and compactions with no
+// read between them. sealed_folds_derived moves, by the folds the last
+// summary held, only where a flush alone came between two reads of a
+// repeat-free store; merging the new runs' fold before the old one, or
+// taking the last run the old summary covers for a new one, fails it.
+func TestDerivedSummaryIsRebuilt(t *testing.T) {
+	corpus := memoCorpus(320)
+	opts := Options{FlushEvery: 1024, TargetFrames: 128, Retention: 8}
+	for _, shape := range []struct {
+		name string
+		open func(t *testing.T) *Store
+	}{
+		{"memory", func(*testing.T) *Store { return NewMemory(opts) }},
+		{"disk", func(t *testing.T) *Store {
+			s, err := Open(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			var ops []func(*Store) error // replayed on a fresh store at every check
+			next := 0
+			do := func(s *Store, op func(*Store) error) {
+				t.Helper()
+				ops = append(ops, op)
+				if err := op(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			add := func(s *Store, n int) {
+				recs := corpus[next : next+n]
+				next += n
+				do(s, func(s *Store) error { return s.Append(slices.Clone(recs)...) })
+			}
+			flush := func(s *Store) { do(s, (*Store).Flush) }
+			compact := func(s *Store, now int64) { do(s, func(s *Store) error { return s.Compact(now) }) }
+			read := func(s *Store, gb string) string {
+				t.Helper()
+				fold, err := s.Fold(AggQuery{GroupBy: gb})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return mustJSON(t, fold) + string(mustFold(t, s, AggQuery{GroupBy: gb}))
+			}
+			// check reads gbs and holds the store to a fresh one.
+			check := func(step string, s *Store, gbs []string, derived int64) {
+				t.Helper()
+				before := s.Counters()
+				for _, gb := range gbs {
+					read(s, gb)
+				}
+				after := s.Counters()
+				if d := after["sealed_folds_derived"] - before["sealed_folds_derived"]; d != derived {
+					t.Errorf("%s: %d folds derived, want %d", step, d, derived)
+				}
+				if b := after["sealed_summary_builds"] - before["sealed_summary_builds"]; b != 1 {
+					t.Errorf("%s: %d summaries made, want 1", step, b)
+				}
+				fresh := shape.open(t)
+				for _, op := range ops {
+					if err := op(fresh); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, gb := range GroupByModes {
+					if _, built := s.sum.folds[gb]; built || slices.Contains(gbs, gb) {
+						if got, want := read(s, gb), read(fresh, gb); got != want {
+							t.Errorf("%s: group %q reads\n%s\nwant\n%s", step, gb, got, want)
+						}
+					}
+				}
+				got, want := s.sum, fresh.sum
+				if !slices.Equal(got.keys, want.keys) || got.repeats != want.repeats || got.memRepeats != want.memRepeats || got.upTo != want.upTo {
+					t.Errorf("%s: summary keys (%d), repeats %v/%v, up to %d; want (%d), %v/%v, %d", step,
+						len(got.keys), got.repeats, got.memRepeats, got.upTo, len(want.keys), want.repeats, want.memRepeats, want.upTo)
+				}
+				if len(got.folds) != len(want.folds) {
+					t.Errorf("%s: %d folds, want %d", step, len(got.folds), len(want.folds))
+				}
+				for gb, f := range got.folds {
+					if w := want.folds[gb]; w == nil || mustJSON(t, f) != mustJSON(t, w) || !reflect.DeepEqual(f.base, w.base) {
+						t.Errorf("%s: group %q: the sealed fold differs from a fresh one's", step, gb)
+					}
+				}
+			}
+			s := shape.open(t)
+			for range 4 {
+				add(s, 32)
+				flush(s)
+			}
+			add(s, 8)
+			check("the first read", s, GroupByModes, 0)
+			flush(s)
+			add(s, 4)
+			check("a flush", s, []string{GroupCountryASN}, int64(len(GroupByModes)))
+			for range 3 {
+				add(s, 8)
+				flush(s)
+			}
+			add(s, 4)
+			check("three flushes", s, []string{GroupASN}, int64(len(GroupByModes)))
+			compact(s, 0)
+			check("a compaction", s, []string{GroupNone, GroupCountry}, 0)
+			add(s, 8)
+			flush(s)
+			add(s, 4)
+			check("a flush after a read of two group_bys", s, GroupByModes, 2)
+			compact(s, 0)
+			add(s, 8)
+			flush(s)
+			add(s, 4)
+			check("a compaction, then a flush", s, []string{GroupCountryASN}, 0)
+			expired := s.Counters()["frames_expired"]
+			compact(s, 18)
+			if s.Counters()["frames_expired"] == expired {
+				t.Fatal("retention expired nothing")
+			}
+			check("a retention expiry", s, GroupByModes, 0)
+			add(s, 8)
+			flush(s)
+			check("a flush after a retention expiry", s, []string{GroupVerdict}, int64(len(GroupByModes)))
+			dup := corpus[next-1] // sealed: a later copy makes the store repeat a key
+			do(s, func(s *Store) error { return s.Append(dup) })
+			flush(s)
+			check("a flush that seals a repeat", s, GroupByModes, 0)
+			if !s.sum.repeats || len(s.sum.folds) != 0 {
+				t.Fatalf("a summary that repeats a key holds %d folds, repeats %v", len(s.sum.folds), s.sum.repeats)
+			}
+		})
+	}
 }
